@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint lint-fixtures invariants fuzz bench bench-compare
+.PHONY: check fmt vet build test bench-module race stress lint lint-fixtures invariants fuzz bench bench-compare loc
 
-check: fmt vet build test race lint lint-fixtures invariants fuzz
+check: fmt vet build test bench-module race lint lint-fixtures invariants fuzz
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -22,6 +22,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark harness (BENCHMARK.json) is its own module, so `./...` above
+# never compiles it: vet and test it here, or an internal/ change that
+# breaks its build goes unnoticed until the harness is next run.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # The concurrency-heavy packages additionally run under the race
 # detector: the operator pipeline/registry, the query server, the engine
 # (parallel partial executors + differential test), the online-aggregation
@@ -32,6 +38,16 @@ test:
 # transitively).
 race:
 	$(GO) test -race ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/...
+
+# Schedule stress for the operator: its tests 20 times under the race
+# detector at three scheduler widths. A test whose outcome depends on
+# goroutine timing fails here long before it fails `make check`; CI runs it
+# nightly (about 2.5 minutes on 2 cores).
+stress:
+	@for p in 1 2 8; do \
+		echo "GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/scanraw/... || exit 1; \
+	done
 
 # Project-specific static analysis (pin balance, pool pairing, goroutine
 # exits, context threading, channel ops under locks, journal ordering,
@@ -71,10 +87,21 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeColGroupKey -fuzztime=5s ./internal/dbstore
 
 # bench runs the benchmark suite across the hot packages and records the
-# raw output in BENCH_pr3.json (see README). bench-compare diffs the two
-# most recent BENCH_*.json and fails on >20% hot-path regressions.
+# results in the file named by BENCH_OUT (scripts/bench.sh has the default;
+# see README). bench-compare diffs the two most recent BENCH_*.json and
+# fails on >20% hot-path regressions.
 bench:
 	@./scripts/bench.sh
 
 bench-compare:
 	@./scripts/bench_compare.sh
+
+# Non-test lines per internal/ package — every line, then code only (neither
+# blank nor a // comment) — so "the trend is down" (ROADMAP) has one command
+# behind it.
+loc:
+	@for d in internal/*/; do \
+		f=$$(ls $$d*.go | grep -v _test.go); \
+		printf '%-20s %6d %6d\n' $$(basename $$d) $$(cat $$f | wc -l) \
+			$$(cat $$f | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
+	done

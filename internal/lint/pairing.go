@@ -261,7 +261,7 @@ func (t *pairTracker) argAcquire(call *ast.CallExpr, kind acqKind, site ast.Stmt
 		return nil
 	}
 	// A pin taken on a parameter is ownership handed in by the caller
-	// (putPinnedWait-style wrappers return the pin to the caller).
+	// (insertPinned-style wrappers return the pin to the caller).
 	if t.u.params[root.Name] {
 		return nil
 	}

@@ -2,7 +2,7 @@ package lint
 
 // PinBalance enforces the cache pin discipline: every pin taken —
 // Acquire/AcquireOldestUnloaded (which return a pinned chunk) and
-// Pin/PutPinned/putPinnedWait* (which pin their argument) — must be
+// Pin/PutPinned/insertPinned (which pin their argument) — must be
 // matched by an Unpin on every path, or ownership must be transferred
 // (chunk handed to a deliverer, sent on a channel, returned). A pinned
 // entry can never be evicted, so a dropped pin permanently shrinks the
@@ -25,8 +25,7 @@ var pinSpec = &pairSpec{
 		"AcquireOldestUnloaded": {fromResult: true},
 		"Pin":                   {argIdx: 0},
 		"PutPinned":             {argIdx: 0},
-		"putPinnedWait":         {argIdx: 0},
-		"putPinnedWaitEv":       {argIdx: 0},
+		"insertPinned":          {argIdx: 0},
 	},
 	releases: map[string]int{
 		"Unpin": 0,

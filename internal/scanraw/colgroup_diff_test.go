@@ -124,23 +124,36 @@ func TestColGroupSharedDifferential(t *testing.T) {
 // TestPayoffSpecPrefersHotColumns pins the policy itself: with a cold
 // cache-resident table and a heavily skewed workload, the payoff ranker
 // must write the hot column's groups before scan order would reach them.
+//
+// How MUCH gets written per scan is timing-dependent by design — with the
+// safeguard off, quanta exist only while READ is blocked mid-run. WHAT got
+// written is the deterministic part under test: payoff must spend every
+// quantum on the hot column while any of its groups is still unloaded.
 func TestPayoffSpecPrefersHotColumns(t *testing.T) {
-	env := newEnv(t, 512, 4, nil)
+	// Eight chunks fit inside the default buffers, so READ blocks only when
+	// the schedule lets it outrun the stage consumers: rescan (cache cleared,
+	// so raw reads recur) until a quantum landed, and accept that none may
+	// (observed once in ~800 runs under `make stress`, all 100 scans alike).
+	t.Run("default-buffers", func(t *testing.T) {
+		payoffPrefersHot(t, 512, Config{CacheChunks: 16}, 100, false)
+	})
+	// 32 chunks are several times what one-slot buffers and two workers
+	// hold, so READ blocks again and again with converted chunks already
+	// cached: the first scan must write.
+	t.Run("one-slot-buffers", func(t *testing.T) {
+		payoffPrefersHot(t, 2048, Config{CacheChunks: 32, TextBufferChunks: 1, PositionBufferChunks: 1}, 1, true)
+	})
+}
+
+func payoffPrefersHot(t *testing.T, rows int, cfg Config, scans int, mustWrite bool) {
+	env := newEnv(t, rows, 4, nil)
 	// CPUSlowdown makes conversion dominate, so READ blocks on the full
 	// text buffer and the scheduler gets disk-idle quanta to spend.
-	op := New(env.store, env.table, Config{
-		Workers: 2, ChunkLines: 64, Policy: Speculative,
-		Safeguard: false, CacheChunks: 16, CollectStats: true,
-		CPUSlowdown:   16,
-		Speculation:   SpecPayoff,
-		ColumnWeights: func() []float64 { return []float64{0, 0, 0, 5} },
-	})
-	// How MUCH gets written per scan is timing-dependent by design — with
-	// the safeguard off, quanta exist only while READ is blocked mid-run —
-	// so rescan (cache cleared, so raw reads recur) until at least one
-	// quantum landed. WHAT got written is the deterministic part under
-	// test: payoff must spend every quantum on the hot column while any of
-	// its groups is still unloaded.
+	cfg.Workers, cfg.ChunkLines, cfg.Policy = 2, 64, Speculative
+	cfg.Safeguard, cfg.CollectStats, cfg.CPUSlowdown = false, true, 16
+	cfg.Speculation = SpecPayoff
+	cfg.ColumnWeights = func() []float64 { return []float64{0, 0, 0, 5} }
+	op := New(env.store, env.table, cfg)
 	countLoaded := func(col int) int {
 		n := 0
 		for id := 0; id < env.table.NumChunks(); id++ {
@@ -151,7 +164,7 @@ func TestPayoffSpecPrefersHotColumns(t *testing.T) {
 		return n
 	}
 	var loadedHot, loadedCold int
-	for attempt := 0; attempt < 100; attempt++ {
+	for attempt := 0; attempt < scans; attempt++ {
 		sumCols(t, op, env, []int{0, 1, 2, 3})
 		op.WaitIdle()
 		loadedHot, loadedCold = countLoaded(3), countLoaded(0)
@@ -160,8 +173,8 @@ func TestPayoffSpecPrefersHotColumns(t *testing.T) {
 		}
 		op.Cache().Clear()
 	}
-	if loadedHot == 0 {
-		t.Fatal("payoff speculation wrote nothing for the hot column in 100 scans")
+	if mustWrite && loadedHot == 0 {
+		t.Fatalf("payoff speculation wrote nothing for the hot column in %d scan(s)", scans)
 	}
 	if loadedCold > loadedHot {
 		t.Errorf("cold column loaded on %d chunks vs hot %d: payoff ranking not applied", loadedCold, loadedHot)

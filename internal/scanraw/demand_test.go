@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"scanraw/internal/dbstore"
@@ -101,6 +102,37 @@ func execSQL(t *testing.T, op *Operator, sql string) (*engine.Result, RunStats) 
 	return res, st
 }
 
+// discoverTable completes chunk discovery without converting or caching
+// anything: a sampled scan carves every remaining boundary before its first
+// visit, and one whose demand is already met then visits nothing.
+//
+// A LIMIT's proof needs the first in-range chunk consumed, and conversions
+// finish out of order: with several chunks in flight that chunk's task can be
+// overtaken by every later one (at GOMAXPROCS=8 on two cores a few percent of
+// 64-chunk scans deliver all 64, before the single driver and after), so whether a pipelined
+// LIMIT terminates early is up to the schedule. Tests that assert it does run
+// the forced twin of their configuration: a discovered table, because
+// ChunksSaved counts known chunks only, and CacheChunks: 1, which admits the
+// next conversion only once the previous chunk was consumed — at most two
+// deliveries under any schedule. What the multi-slot regime does guarantee is
+// asserted by TestDemandStopsWithinInFlightBound.
+func discoverTable(t *testing.T, env *testEnv, chunkLines int) {
+	t.Helper()
+	op := New(env.store, env.table, Config{ChunkLines: chunkLines})
+	_, err := op.Run(Request{
+		Columns:   []int{0},
+		Order:     func(n int) []int { return revPerm(n) },
+		Satisfied: func() bool { return true },
+		Deliver:   func(*BinaryChunk) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !env.table.Complete() || op.Cache().Len() != 0 {
+		t.Fatalf("discovery pass: complete=%v cached=%d", env.table.Complete(), op.Cache().Len())
+	}
+}
+
 // limitReference computes the expected rows for a query ending in
 // " LIMIT k": the same query without the LIMIT, run to end-of-file on a
 // fresh operator, truncated to k rows. Both row orders are canonical
@@ -161,21 +193,29 @@ func TestLimitDifferential(t *testing.T) {
 			op := New(env.store, env.table, c.cfg)
 			for i, sql := range queries {
 				for run := 0; run < c.runs; run++ {
-					res, st := execSQL(t, op, sql)
+					res, _ := execSQL(t, op, sql)
 					if !reflect.DeepEqual(res.Rows, refs[i]) {
 						t.Errorf("%s (run %d): rows differ from truncated full scan\ngot:  %v\nwant: %v",
 							sql, run, res.Rows, refs[i])
 					}
-					if i == 0 && run == 0 && !st.TerminatedEarly {
-						t.Errorf("%s: streamed LIMIT over %d chunks did not terminate early (%+v)",
-							sql, rows/64, st)
-					}
-					// Sequential discovery stops with the scan, so undiscovered
-					// chunks aren't counted as saved there.
-					if i == 0 && run == 0 && c.name == "pipeline" && st.ChunksSaved <= 0 {
-						t.Errorf("%s: ChunksSaved = %d, want > 0", sql, st.ChunksSaved)
-					}
 				}
+			}
+			// The streamed LIMIT must stop the scan: asserted on the forced
+			// twin of the configuration (see discoverTable).
+			forced := c.cfg
+			forced.CacheChunks = 1
+			fenv := newEnv(t, rows, cols, nil)
+			discoverTable(t, fenv, 64)
+			res, st := execSQL(t, New(fenv.store, fenv.table, forced), queries[0])
+			if !reflect.DeepEqual(res.Rows, refs[0]) {
+				t.Errorf("%s (forced): rows = %v, want %v", queries[0], res.Rows, refs[0])
+			}
+			if !st.TerminatedEarly {
+				t.Errorf("%s: streamed LIMIT over %d chunks did not terminate early (%+v)",
+					queries[0], rows/64, st)
+			}
+			if st.ChunksSaved <= 0 {
+				t.Errorf("%s: ChunksSaved = %d, want > 0", queries[0], st.ChunksSaved)
 			}
 		})
 	}
@@ -289,15 +329,26 @@ func TestSharedScanMemberMix(t *testing.T) {
 }
 
 // TestSharedScanAllBounded: when every member of a shared scan carries a
-// termination signal, the scan stops once the last member is satisfied.
+// termination signal, the scan stops once the last member is satisfied. The
+// members' results are checked with several chunks in flight as well; that
+// the scan stopped, on the forced configuration (see discoverTable).
 func TestSharedScanAllBounded(t *testing.T) {
+	t.Run("multi-slot", func(t *testing.T) { sharedScanAllBounded(t, 8) })
+	t.Run("forced", func(t *testing.T) { sharedScanAllBounded(t, 1) })
+}
+
+func sharedScanAllBounded(t *testing.T, cacheChunks int) {
 	const rows, cols = 4096, 4
 	ref5 := limitReference(t, rows, cols, "SELECT c0, c1 FROM data LIMIT 5", 5)
 	ref7 := limitReference(t, rows, cols, "SELECT c2, c3 FROM data LIMIT 7", 7)
 
 	env := newEnv(t, rows, cols, nil)
+	forced := cacheChunks == 1
+	if forced {
+		discoverTable(t, env, 64)
+	}
 	op := New(env.store, env.table, Config{
-		Workers: 4, ChunkLines: 64, CacheChunks: 8, Policy: ExternalTables,
+		Workers: 4, ChunkLines: 64, CacheChunks: cacheChunks, Policy: ExternalTables,
 	})
 	sch := env.table.Schema()
 	parse := func(sql string) *engine.Query {
@@ -321,36 +372,130 @@ func TestSharedScanAllBounded(t *testing.T) {
 	if !reflect.DeepEqual(results[1].Rows, ref7) {
 		t.Errorf("member 1 rows = %v, want %v", results[1].Rows, ref7)
 	}
-	if !st.TerminatedEarly {
+	if forced && !st.TerminatedEarly {
 		t.Errorf("all-bounded shared scan over %d chunks did not terminate early (%+v)", rows/64, st)
 	}
-	if st.ChunksSaved <= 0 {
+	if forced && st.ChunksSaved <= 0 {
 		t.Errorf("ChunksSaved = %d, want > 0", st.ChunksSaved)
 	}
 }
 
 // TestSafeguardFlushAfterEarlyTermination: the zero-cost guarantee
 // survives termination — chunks already converted when the scan stopped
-// are still flushed into the database afterwards.
+// are still flushed into the database afterwards. A LIMIT stops the forced
+// configuration (see discoverTable); with several chunks in flight the scan
+// is stopped by a demand the in-flight bound does force.
 func TestSafeguardFlushAfterEarlyTermination(t *testing.T) {
-	env := newEnv(t, 4096, 4, nil)
-	op := New(env.store, env.table, Config{
+	cfg := Config{
 		Workers: 4, ChunkLines: 64, CacheChunks: 8,
 		Policy: Speculative, Safeguard: true, CollectStats: true,
+	}
+	check := func(t *testing.T, env *testEnv, op *Operator, st RunStats) {
+		t.Helper()
+		if !st.TerminatedEarly {
+			t.Fatalf("expected early termination, stats %+v", st)
+		}
+		op.WaitIdle()
+		if loaded := env.table.CountLoaded([]int{0, 1}); loaded < 1 {
+			t.Errorf("after safeguard flush, loaded chunks = %d, want >= 1", loaded)
+		}
+		if st.WrittenDuringRun+st.FlushedAfterRun < 1 {
+			t.Errorf("no chunk was written or queued for flush: %+v", st)
+		}
+	}
+	t.Run("limit", func(t *testing.T) {
+		env := newEnv(t, 4096, 4, nil)
+		forced := cfg
+		forced.CacheChunks = 1
+		op := New(env.store, env.table, forced)
+		res, st := execSQL(t, op, "SELECT c0, c1 FROM data LIMIT 5")
+		if len(res.Rows) != 5 {
+			t.Fatalf("rows = %d, want 5", len(res.Rows))
+		}
+		check(t, env, op, st)
 	})
-	res, st := execSQL(t, op, "SELECT c0, c1 FROM data LIMIT 5")
-	if len(res.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(res.Rows))
+	t.Run("multi-slot", func(t *testing.T) {
+		env := newEnv(t, 4096, 4, nil)
+		op := New(env.store, env.table, cfg)
+		req, _ := anyChunksRequest([]int{0, 1}, 5)
+		st, err := op.Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, env, op, st)
+	})
+}
+
+// anyChunksRequest is a request whose demand any n consumed chunks satisfy —
+// the shape of a top-k bound or a converged sample, where a LIMIT needs one
+// particular chunk. It also returns the number of chunks delivered.
+func anyChunksRequest(cols []int, n int64) (Request, *atomic.Int64) {
+	var consumed atomic.Int64
+	return Request{
+		Columns:   cols,
+		Deliver:   func(*BinaryChunk) error { consumed.Add(1); return nil },
+		Satisfied: func() bool { return consumed.Load() >= n },
+	}, &consumed
+}
+
+// TestDemandStopsWithinInFlightBound asserts the driver's in-flight bound
+// (see walk) from outside, in the regime production runs in: every buffer
+// several chunks deep. Once n consumed chunks satisfy the demand, at most the
+// bound's worth of chunks issued ahead of the consume stage is still
+// delivered — under every schedule, so on 64 chunks the scan must terminate
+// early, cold (READ cannot have reached end-of-file) or discovered.
+func TestDemandStopsWithinInFlightBound(t *testing.T) {
+	const rows, chunks, need = 4096, 64, 5
+	cases := []struct {
+		name       string
+		cfg        Config
+		discovered bool
+	}{
+		{"cold", Config{Workers: 4}, false},
+		{"discovered", Config{Workers: 4}, true},
+		{"two-stage", Config{Workers: 4, FusedKernels: FusedOff}, true},
+		{"parallel-consume", Config{Workers: 4, ConsumeWorkers: 4}, true},
+		{"full-load", Config{Workers: 2, Policy: FullLoad}, false},
 	}
-	if !st.TerminatedEarly {
-		t.Fatalf("expected early termination, stats %+v", st)
-	}
-	op.WaitIdle()
-	if loaded := env.table.CountLoaded([]int{0, 1}); loaded < 1 {
-		t.Errorf("after safeguard flush, loaded chunks = %d, want >= 1", loaded)
-	}
-	if st.WrittenDuringRun+st.FlushedAfterRun < 1 {
-		t.Errorf("no chunk was written or queued for flush: %+v", st)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := newEnv(t, rows, 4, nil)
+			if c.discovered {
+				discoverTable(t, env, 64)
+			}
+			c.cfg.ChunkLines = 64
+			op := New(env.store, env.table, c.cfg)
+			eff := op.Config()
+			bound := eff.TextBufferChunks + eff.PositionBufferChunks + eff.CacheChunks + 3
+			if need+bound >= chunks {
+				t.Fatalf("bound %d does not force early termination on %d chunks", bound, chunks)
+			}
+			req, consumed := anyChunksRequest([]int{0, 1}, need)
+			st, err := op.Run(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int(consumed.Load()); got != st.Delivered() {
+				t.Errorf("consumed %d chunks, RunStats counts %d delivered", got, st.Delivered())
+			}
+			if st.Delivered() < need || st.Delivered() > need+bound {
+				t.Errorf("delivered %d chunks, want %d..%d (in-flight bound %d)",
+					st.Delivered(), need, need+bound, bound)
+			}
+			if !st.TerminatedEarly {
+				t.Errorf("scan did not terminate early: %+v", st)
+			}
+			if c.discovered && st.ChunksSaved != chunks-st.Delivered() {
+				t.Errorf("ChunksSaved = %d with %d of %d delivered", st.ChunksSaved, st.Delivered(), chunks)
+			}
+			if env.table.Complete() != c.discovered {
+				t.Errorf("table complete = %v after an early-terminated scan", env.table.Complete())
+			}
+			op.WaitIdle()
+			if s := op.Cache().Stats(); s.PinCount != 0 {
+				t.Errorf("run leaked %d pins", s.PinCount)
+			}
+		})
 	}
 }
 

@@ -13,27 +13,23 @@ import (
 	"scanraw/internal/kernel"
 )
 
-// hookRun is a test-only observation point invoked with the pipeline state
-// just before the stage goroutines start.
-var hookRun func(*run)
-
-// posItem is the unit flowing through the position buffer: a text chunk
-// plus its positional map computed by TOKENIZE.
-type posItem struct {
-	tc *chunk.TextChunk
-	pm *chunk.PositionalMap
+// convItem is the unit flowing through the text and position buffers: a
+// text chunk, its partial-width plan when only some column groups still
+// need converting, and — past TOKENIZE — its positional map.
+type convItem struct {
+	tc   *chunk.TextChunk
+	plan *partialPlan
+	pm   *chunk.PositionalMap
 }
 
-// run holds the per-query pipeline state: the buffers (bounded channels
-// with slot semaphores), the worker pool, and the scheduler signals.
+// run holds the per-query state: the scan driver's bookkeeping, the consume
+// stage, and — for a pooled run — the pipeline's buffers (bounded channels
+// with slot semaphores), worker pool and scheduler signals.
 type run struct {
 	op  *Operator
 	req Request
 	del *deliverer // CONSUME stage: serial pass-through or fan-out
-
-	// order, when non-nil, is the explicit chunk visit order of a sampled
-	// scan (Request.Order); the read stage walks it instead of the file.
-	order []int
+	out emitter    // inline, until a pooled run starts its pipeline
 
 	upTo int // attributes to tokenize: max converted ordinal + 1
 
@@ -45,44 +41,47 @@ type run struct {
 
 	// kern, when non-nil, is the fused conversion kernel for this run's
 	// column set: text chunks skip TOKENIZE (they flow through the position
-	// buffer with a nil map) and the parse task converts in one pass. The
-	// fused time is accounted to the Parse stage; Tokenize stays zero.
+	// buffer with a nil map) and conversion is one pass. The fused time is
+	// accounted to the Parse stage; Tokenize stays zero.
 	kern *kernel.Kernel
 
-	// plans maps chunk IDs to partial-width plans (READ registers, PARSE
-	// consumes); kerns caches per-plan fused kernels by column-set key.
-	plansMu sync.Mutex
-	plans   map[int]partialPlan
+	// kerns caches per-plan fused kernels by column-set key.
 	kernsMu sync.Mutex
 	kerns   map[string]*kernel.Kernel
+
+	// Driver state, touched only by the goroutine running drive: the raw
+	// file scanner, whether the disk-backed part of the visit sequence has
+	// begun, and the chunks the cached-first prefix already accounted for.
+	sc        *rawScanner
+	disk      bool
+	delivered map[int]bool
 
 	done    chan struct{} // closed on first error
 	errOnce sync.Once
 	runErr  error
 
 	freeText  chan struct{} // free slots of the text chunks buffer
-	textBuf   chan *chunk.TextChunk
+	textBuf   chan convItem
 	freePos   chan struct{} // free slots of the position buffer
-	posBuf    chan posItem
+	posBuf    chan convItem
 	freeBin   chan struct{} // undelivered-chunk budget of the binary cache
 	deliverCh chan *BinaryChunk
 
-	workers chan *workerSlot // worker-pool semaphore
-	seqSlot *workerSlot      // the implicit worker of sequential mode
+	// workers is the worker-pool semaphore. An inline run has exactly one
+	// slot — the calling goroutine's implicit worker.
+	workers chan *workerSlot
 
-	readBlocked  atomic.Bool
-	readDone     atomic.Bool
-	readFinished chan struct{} // closed when READ exits
-	specNotify   chan struct{} // pokes the speculative scheduler
-	finish       chan struct{} // closed at teardown; stops the scheduler
+	readBlocked atomic.Bool
+	readDone    atomic.Bool
+	specNotify  chan struct{} // pokes the speculative scheduler
+	finish      chan struct{} // closed at teardown; stops the scheduler
 
-	tokWG    sync.WaitGroup
-	parseWG  sync.WaitGroup
-	schedWG  sync.WaitGroup
-	writeWG  sync.WaitGroup
-	convDone chan struct{} // closed when every conversion task finished
+	tokWG   sync.WaitGroup
+	parseWG sync.WaitGroup
+	schedWG sync.WaitGroup
+	writeWG sync.WaitGroup
 
-	writeQ chan *BinaryChunk // FullLoad write queue
+	writeQ chan *BinaryChunk // FullLoad write queue (pooled runs)
 
 	gate *cacheGate // wakes cache-insert waiters when pins release
 
@@ -109,11 +108,16 @@ type run struct {
 
 	written          atomic.Int64 // chunks this run loaded into the database
 	groupWrites      atomic.Int64 // single-group payoff writes
-	deliveredCache   atomic.Int64 // ordered scans deliver cache hits in-order
+	deliveredCache   atomic.Int64
 	deliveredDB      atomic.Int64
 	deliveredRaw     atomic.Int64
 	deliveredPartial atomic.Int64
 	skipped          atomic.Int64
+
+	// Invariants builds only: chunks issued by the driver and chunks whose
+	// consume finished, for the in-flight bound (see walk).
+	issued   int64
+	consumed atomic.Int64
 
 	// Consume-queue depth sampling (delivery loop): the resizer's signal
 	// that chunks pile up in front of the consume stage.
@@ -124,10 +128,7 @@ type run struct {
 }
 
 // cacheGate is the condition variable cache-insert waiters block on while
-// every cache slot is pinned. It is created per RunContext call — before
-// the phase-1 cached deliveries — because with fan-out consume, phase-1
-// chunks may still be pinned when the pipeline starts, and their release
-// must wake the pipeline's waiters.
+// every cache slot is pinned; every pin release broadcasts it.
 type cacheGate struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -154,9 +155,7 @@ func (r *run) fail(err error) {
 		close(r.done)
 		// The consume stage latches the failure too, so fan-out workers
 		// stop evaluating chunks that can no longer contribute a result.
-		if r.del != nil {
-			r.del.setErr(err)
-		}
+		r.del.setErr(err)
 		r.gate.broadcast()
 	})
 }
@@ -267,44 +266,6 @@ func validateOrder(order []int, n int) error {
 	return nil
 }
 
-// discoverAll completes chunk discovery without converting anything: it
-// carves every remaining chunk boundary out of the byte stream and
-// registers the geometry in the catalog. Sampled scans need the total
-// chunk count before the first delivery, so on a cold file this costs one
-// sequential read of the undiscovered tail (the text is dropped).
-func (o *Operator) discoverAll(ctx context.Context) error {
-	if o.table.Complete() {
-		return nil
-	}
-	sc := newRawScanner(o, o.table.RawFile())
-	id := 0
-	var off int64
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if meta, known := o.table.Chunk(id); known {
-			off = meta.RawOff + meta.RawLen
-			id++
-			continue
-		}
-		sc.seek(off)
-		data, lines, err := sc.next(o.cfg.ChunkLines)
-		if err != nil {
-			return err
-		}
-		if lines == 0 {
-			break
-		}
-		if err := o.table.EnsureChunk(id, lines, off, int64(len(data))); err != nil {
-			return err
-		}
-		off += int64(len(data))
-		id++
-	}
-	return o.table.SetComplete()
-}
-
 // Run executes one query over the raw file: it delivers every chunk of the
 // file (via cache, database, or raw conversion) to req.Deliver exactly
 // once, loading data along the way according to the write policy.
@@ -313,11 +274,14 @@ func (o *Operator) Run(req Request) (RunStats, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled (client
-// disconnect, per-query timeout) the pipeline stops at the next chunk
-// boundary, the stage goroutines unwind, and the disk is released. The
-// returned error is ctx.Err() when cancellation cut the run short.
-// Cancellation is chunk-granular — an in-flight disk transfer or
-// conversion task finishes before the run observes it.
+// disconnect, per-query timeout) the scan stops at the next chunk boundary,
+// the stage goroutines unwind, and the disk is released. The returned error
+// is ctx.Err() when cancellation cut the run short. Cancellation is
+// chunk-granular — an in-flight disk transfer or conversion task finishes
+// before the run observes it.
+//
+// The body is validate → drive → account: the scan itself is the driver in
+// driver.go, executed inline or as the READ thread of the pipeline.
 func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error) {
 	o.runMu.Lock()
 	defer o.runMu.Unlock()
@@ -333,183 +297,29 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 	prof0 := o.prof.snapshot()
 	disk0 := o.disk.Stats()
 
-	// The consume stage (serial or fan-out, see deliverer) spans the whole
-	// run: cached delivery, the pipeline, and the sequential fallback all
-	// feed it, so consume parallelism applies to cache-warmed runs too.
-	del := o.newDeliverer(req.Deliver, o.consumeWorkersFor(req))
-	gate := newCacheGate()
-	sat := func() bool { return req.Satisfied != nil && req.Satisfied() }
-
-	// Phase 1: deliver cached chunks first (§3.2.1 delivery order). The
-	// previous query's safeguard flush may still be writing — that is
-	// fine, cached delivery needs no disk. Each delivery holds a pin until
-	// its consume finishes: the pipeline that follows may evict and recycle
-	// cache entries, and a fan-out consume may still be reading this chunk
-	// when it starts.
-	//
-	// Ordered (sampled) scans skip this phase entirely: delivering cached
-	// chunks first would bias the sample toward whatever happens to be hot,
-	// so cache hits are served when the visit order reaches them instead.
-	delivered := make(map[int]bool)
-	phase1 := o.cache.IDs()
-	if req.Order != nil {
-		phase1 = nil
-	}
-	for _, id := range phase1 {
-		if sat() {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			_ = del.close()
-			st.Duration = time.Since(start)
-			return st, err
-		}
-		if !req.Range.Contains(id) {
-			continue
-		}
-		bc := o.cache.Acquire(id)
-		if bc == nil {
-			continue
-		}
-		if !bc.HasAll(req.Columns) {
-			if err := o.cache.Unpin(id); err != nil {
-				del.setErr(err)
-			}
-			continue
-		}
-		if req.Skip != nil {
-			if meta, ok := o.table.Chunk(id); ok && req.Skip(meta) {
-				if err := o.cache.Unpin(id); err != nil {
-					del.setErr(err)
-				}
-				delivered[id] = true
-				st.SkippedChunks++
-				continue
-			}
-		}
-		id := id
-		del.deliver(bc, func() {
-			if err := o.cache.Unpin(id); err != nil {
-				del.setErr(err)
-			}
-			gate.broadcast()
-		})
-		if err := del.failedErr(); err != nil {
-			_ = del.close()
-			return st, err
-		}
-		delivered[id] = true
-		st.DeliveredCache++
-	}
-
-	// Disk reads must wait for the previous safeguard flush (§4).
-	o.flushWG.Wait()
-
-	// Ordered scans fix the visit order up front: discovery must be
-	// complete (the permutation is over the whole chunk universe) before
-	// the callback can be consulted.
-	var order []int
-	if req.Order != nil {
-		if derr := o.discoverAll(ctx); derr != nil {
-			_ = del.close()
-			st.Duration = time.Since(start)
-			return st, derr
-		}
-		order = req.Order(o.table.NumChunks())
-		if oerr := validateOrder(order, o.table.NumChunks()); oerr != nil {
-			_ = del.close()
-			st.Duration = time.Since(start)
-			return st, oerr
-		}
-	}
-
 	workers := o.workers
-	var err error
-	var r *run
-	switch {
-	case sat():
-		// Satisfied from the cache alone: no disk scan needed.
-	case workers == 0:
-		r, err = o.runSequential(ctx, req, del, delivered, order, gate)
-	default:
-		r, err = o.runParallel(ctx, req, del, delivered, order, workers, gate)
-	}
+	r := o.newRun(req, workers)
+	err := r.execute(ctx)
 	// All deliver calls have returned: drain the consume workers and
 	// surface any consume error that had not reached the run yet.
-	if cerr := del.close(); err == nil {
+	if cerr := r.del.close(); err == nil {
 		err = cerr
 	}
-	if r != nil {
-		st.DeliveredCache += int(r.deliveredCache.Load())
-		st.DeliveredDB = int(r.deliveredDB.Load())
-		st.DeliveredRaw = int(r.deliveredRaw.Load())
-		st.DeliveredPartial = int(r.deliveredPartial.Load())
-		st.SkippedChunks += int(r.skipped.Load())
-		st.WrittenDuringRun = int(r.written.Load())
-		st.GroupWritesDuringRun = int(r.groupWrites.Load())
-		st.WorkersUsed = workers
-		st.ReadBlocked = r.blocked.total()
-	}
-	if err == nil && sat() {
-		// Demand-driven termination accounting, clamped to the request's
-		// chunk range: chunks outside the range were never wanted by this
-		// request, so terminating early cannot have "saved" them.
-		known := o.table.NumChunks()
-		lo, hi := 0, known
-		if req.Range != nil {
-			if req.Range.Lo < known {
-				lo = req.Range.Lo
-			} else {
-				lo = known
-			}
-			if req.Range.Hi > 0 && req.Range.Hi < known {
-				hi = req.Range.Hi
-			}
-		}
-		saved := (hi - lo) - st.Delivered() - st.SkippedChunks
-		if saved < 0 {
-			saved = 0
-		}
-		if saved > 0 || !o.table.Complete() {
-			st.TerminatedEarly = true
-			st.ChunksSaved = saved
-		}
-	}
 
-	// Safeguard: flush the cache's unloaded chunks in the background; the
-	// next query's disk reads wait for it. An early-terminated run flushes
-	// too — already-converted chunks are exactly the speculative-loading
-	// payoff (§4), and the pins taken per chunk keep a concurrent next-query
-	// eviction from recycling what the flush is writing.
-	if err == nil && o.cfg.Safeguard &&
-		(o.cfg.Policy == Speculative || o.cfg.Policy == BufferedLoad) {
-		ids := o.cache.UnloadedIDs()
-		st.FlushedAfterRun = len(ids)
-		if len(ids) > 0 {
-			o.flushWG.Add(1)
-			go func() {
-				defer o.flushWG.Done()
-				for _, id := range ids {
-					if o.cache.IsLoaded(id) {
-						continue
-					}
-					bc := o.cache.Acquire(id)
-					if bc == nil {
-						continue
-					}
-					werr := o.writeChunk(bc)
-					if uerr := o.cache.Unpin(id); werr == nil {
-						werr = uerr
-					}
-					if werr != nil {
-						o.setFlushErr(werr)
-						return
-					}
-				}
-			}()
-		}
+	st.DeliveredCache = int(r.deliveredCache.Load())
+	st.DeliveredDB = int(r.deliveredDB.Load())
+	st.DeliveredRaw = int(r.deliveredRaw.Load())
+	st.DeliveredPartial = int(r.deliveredPartial.Load())
+	st.SkippedChunks = int(r.skipped.Load())
+	st.WrittenDuringRun = int(r.written.Load())
+	st.GroupWritesDuringRun = int(r.groupWrites.Load())
+	st.WorkersUsed = workers
+	st.ReadBlocked = r.blocked.total()
+	if err == nil && r.demandSatisfied() {
+		o.accountEarlyTermination(&st, req.Range)
 	}
 	if err == nil {
+		st.FlushedAfterRun = o.safeguardFlush()
 		err = o.takeFlushErr()
 	}
 
@@ -525,15 +335,69 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 			Duration:     st.Duration,
 			ConsumeStall: st.Profile.ConsumeStall.Time,
 		}
-		if r != nil {
-			if n := r.depthN.Load(); n > 0 {
-				rep.ConsumeQueueDepth = float64(r.depthSum.Load()) / float64(n)
-				rep.ConsumeQueueCap = o.cfg.CacheChunks
-			}
+		if n := r.depthN.Load(); n > 0 {
+			rep.ConsumeQueueDepth = float64(r.depthSum.Load()) / float64(n)
+			rep.ConsumeQueueCap = o.cfg.CacheChunks
 		}
 		o.adaptWorkers(rep)
 	}
 	return st, err
+}
+
+// accountEarlyTermination fills the demand-driven termination fields,
+// clamped to the request's chunk range: chunks outside the range were never
+// wanted by this request, so terminating early cannot have "saved" them.
+func (o *Operator) accountEarlyTermination(st *RunStats, rng *ChunkRange) {
+	known := o.table.NumChunks()
+	lo, hi := 0, known
+	if rng != nil {
+		lo = min(rng.Lo, known)
+		if rng.Hi > 0 && rng.Hi < known {
+			hi = rng.Hi
+		}
+	}
+	saved := max((hi-lo)-st.Delivered()-st.SkippedChunks, 0)
+	if saved > 0 || !o.table.Complete() {
+		st.TerminatedEarly = true
+		st.ChunksSaved = saved
+	}
+}
+
+// safeguardFlush writes the cache's unloaded chunks in the background and
+// returns how many it queued; the next query's disk reads wait for it. An
+// early-terminated run flushes too — already-converted chunks are exactly
+// the speculative-loading payoff (§4), and the pins taken per chunk keep a
+// concurrent next-query eviction from recycling what the flush is writing.
+func (o *Operator) safeguardFlush() int {
+	if !o.cfg.Safeguard || (o.cfg.Policy != Speculative && o.cfg.Policy != BufferedLoad) {
+		return 0
+	}
+	ids := o.cache.UnloadedIDs()
+	if len(ids) == 0 {
+		return 0
+	}
+	o.flushWG.Add(1)
+	go func() {
+		defer o.flushWG.Done()
+		for _, id := range ids {
+			if o.cache.IsLoaded(id) {
+				continue
+			}
+			bc := o.cache.Acquire(id)
+			if bc == nil {
+				continue
+			}
+			werr := o.writeChunk(bc)
+			if uerr := o.cache.Unpin(id); werr == nil {
+				werr = uerr
+			}
+			if werr != nil {
+				o.setFlushErr(werr)
+				return
+			}
+		}
+	}()
+	return len(ids)
 }
 
 // flushErr propagation: a failed background flush surfaces on the next Run.
@@ -553,71 +417,69 @@ func (o *Operator) takeFlushErr() error {
 	return err
 }
 
-// runParallel executes the super-scalar pipeline with the given worker
-// pool size. A non-nil order replaces the file-order read loop with the
-// explicit visit order of a sampled scan.
-func (o *Operator) runParallel(ctx context.Context, req Request, del *deliverer, delivered map[int]bool, order []int, workers int, gate *cacheGate) (*run, error) {
+// slots returns a semaphore channel holding n free slots.
+func slots(n int) chan struct{} {
+	c := make(chan struct{}, n)
+	for i := 0; i < n; i++ {
+		c <- struct{}{}
+	}
+	return c
+}
+
+// newRun builds the state of one query execution. With workers == 0 the
+// run is inline: no buffers, no stage goroutines, and one implicit worker
+// slot for CPU pacing. Otherwise it carries the pipeline of Fig. 2.
+func (o *Operator) newRun(req Request, workers int) *run {
 	convCols := o.store.GroupClosure(o.table, req.Columns)
 	r := &run{
-		op:           o,
-		req:          req,
-		del:          del,
-		order:        order,
-		convCols:     convCols,
-		upTo:         convCols[len(convCols)-1] + 1,
-		kern:         o.fusedKernel(convCols),
-		done:         make(chan struct{}),
-		freeText:     make(chan struct{}, o.cfg.TextBufferChunks),
-		textBuf:      make(chan *chunk.TextChunk, o.cfg.TextBufferChunks),
-		freePos:      make(chan struct{}, o.cfg.PositionBufferChunks),
-		posBuf:       make(chan posItem, o.cfg.PositionBufferChunks),
-		freeBin:      make(chan struct{}, o.cfg.CacheChunks),
-		deliverCh:    make(chan *BinaryChunk, o.cfg.CacheChunks),
-		workers:      make(chan *workerSlot, workers),
-		readFinished: make(chan struct{}),
-		specNotify:   make(chan struct{}, 1),
-		finish:       make(chan struct{}),
-		convDone:     make(chan struct{}),
-		gate:         gate,
+		op:        o,
+		req:       req,
+		del:       o.newDeliverer(req.Deliver, o.consumeWorkersFor(req)),
+		convCols:  convCols,
+		upTo:      convCols[len(convCols)-1] + 1,
+		kern:      o.fusedKernel(convCols),
+		sc:        newRawScanner(o, o.table.RawFile()),
+		delivered: make(map[int]bool),
+		done:      make(chan struct{}),
+		workers:   make(chan *workerSlot, max(workers, 1)),
+		gate:      newCacheGate(),
+	}
+	r.out = inline{r}
+	r.invisibleLeft.Store(int64(o.cfg.InvisibleChunksPerQuery))
+	if workers == 0 {
+		r.workers <- &workerSlot{}
+		return r
+	}
+	r.freeText = slots(o.cfg.TextBufferChunks)
+	r.textBuf = make(chan convItem, o.cfg.TextBufferChunks)
+	r.freePos = slots(o.cfg.PositionBufferChunks)
+	r.posBuf = make(chan convItem, o.cfg.PositionBufferChunks)
+	r.freeBin = slots(o.cfg.CacheChunks)
+	r.deliverCh = make(chan *BinaryChunk, o.cfg.CacheChunks)
+	r.specNotify = make(chan struct{}, 1)
+	r.finish = make(chan struct{})
+	for i := 0; i < workers; i++ {
+		r.workers <- &workerSlot{}
 	}
 	if req.Satisfied != nil {
 		r.satCh = make(chan struct{})
 		if r.kern != nil {
 			r.rampOpen = make(chan struct{})
-			r.rampSlots = make(chan struct{}, fusedRampWindow)
-			for i := 0; i < fusedRampWindow; i++ {
-				r.rampSlots <- struct{}{}
-			}
+			r.rampSlots = slots(fusedRampWindow)
 		}
-	}
-	r.invisibleLeft.Store(int64(o.cfg.InvisibleChunksPerQuery))
-	for i := 0; i < o.cfg.TextBufferChunks; i++ {
-		r.freeText <- struct{}{}
-	}
-	for i := 0; i < o.cfg.PositionBufferChunks; i++ {
-		r.freePos <- struct{}{}
-	}
-	for i := 0; i < o.cfg.CacheChunks; i++ {
-		r.freeBin <- struct{}{}
-	}
-	for i := 0; i < workers; i++ {
-		r.workers <- &workerSlot{}
 	}
 	if o.cfg.Policy == FullLoad {
 		r.writeQ = make(chan *BinaryChunk, o.cfg.CacheChunks)
-		r.writeWG.Add(1)
-		go r.writeLoop()
 	}
-	if o.cfg.Policy == Speculative {
-		r.schedWG.Add(1)
-		go r.scheduler()
-	}
-	if hookRun != nil {
-		hookRun(r)
-	}
-	// Cancellation watcher: a cancelled context fails the run, which
-	// closes r.done and unwinds every stage. The watcher is joined before
-	// r.runErr is read so the final fail (if any) happens-before the read.
+	return r
+}
+
+// execute runs the scan to completion — the cached-first prefix on the
+// calling goroutine, then the disk-backed sequence inline or as a pipeline —
+// under a cancellation watcher: a cancelled context fails the run, which
+// closes r.done and unwinds every stage. The watcher is joined before
+// r.runErr is read so the final fail (if any) happens-before the read.
+func (r *run) execute(ctx context.Context) error {
 	watchStop := make(chan struct{})
 	watchDone := make(chan struct{})
 	go func() {
@@ -628,296 +490,93 @@ func (o *Operator) runParallel(ctx context.Context, req Request, del *deliverer,
 		case <-watchStop:
 		}
 	}()
+	err := r.cachedFirst(ctx)
+	if err == nil && r.deliverCh == nil {
+		err = r.drive(ctx)
+	} else if err == nil {
+		r.pipeline(ctx)
+	}
+	r.fail(err)
+	close(watchStop)
+	<-watchDone
+	return r.runErr
+}
+
+// pipeline runs a pooled scan: the driver is the READ thread, conversion
+// runs on the worker pool behind the text and position buffers, and the
+// calling goroutine is the execution engine's feed.
+func (r *run) pipeline(ctx context.Context) {
+	r.out = pooled{r}
+	if r.writeQ != nil {
+		r.writeWG.Add(1)
+		go r.writeLoop()
+	}
+	if r.op.cfg.Policy == Speculative {
+		r.schedWG.Add(1)
+		go r.scheduler()
+	}
 	go r.tokenizeConsumer()
 	go r.parseConsumer()
 	go func() {
-		if r.order != nil {
-			r.fail(r.readLoopOrdered())
-		} else {
-			r.fail(r.readLoop(delivered))
-		}
+		r.fail(r.drive(ctx))
 		r.readDone.Store(true)
 		close(r.textBuf)
-		close(r.readFinished)
 		r.poke()
 	}()
-	// Closer: once every conversion has finished (which implies READ has
-	// finished), no more deliveries can be produced.
-	go func() {
-		<-r.convDone
-		close(r.deliverCh)
-	}()
 
-	// Delivery loop (the execution engine's feed) runs on this goroutine:
-	// it hands each chunk to the consume stage, whose after-hook releases
-	// the chunk's pin and binary-buffer budget only once evaluation is
-	// done — in fan-out mode that keeps at most ParallelConsume chunks in
-	// flight past the buffer budget. The loop drains deliverCh even after
-	// the demand is satisfied: consumers ignore surplus chunks, and the
-	// after-hooks must still run for the teardown invariants.
+	// Delivery loop: it hands each chunk to the consume stage, whose
+	// after-hook releases the chunk's pin and binary-buffer budget only once
+	// evaluation is done — in fan-out mode that keeps at most
+	// ParallelConsume chunks in flight past the buffer budget. The loop
+	// drains deliverCh even after the demand is satisfied: consumers ignore
+	// surplus chunks, and the after-hooks must still run for the teardown
+	// invariants. parseConsumer closes deliverCh once READ and every
+	// conversion have finished.
 	for bc := range r.deliverCh {
-		bc := bc
 		r.depthSum.Add(int64(len(r.deliverCh)))
 		r.depthN.Add(1)
-		r.del.deliver(bc, func() {
-			if err := o.cache.Unpin(bc.ID); err != nil {
-				r.fail(err)
-			}
-			r.freeBin <- struct{}{} // undelivered-chunk budget freed
-			r.gate.broadcast()
-			r.poke()
-			// Consume finished: the natural point to notice the demand is
-			// now satisfied and latch the termination signal — or, if it
-			// is not, to release the fused slow-start throttle.
-			if !r.demandSatisfied() {
-				r.openRamp()
-			}
-		})
-		if err := r.del.failedErr(); err != nil {
-			r.fail(err)
-		}
+		r.deliver(bc)
 	}
 
-	// Teardown.
 	close(r.finish)
 	r.schedWG.Wait()
 	r.writeWG.Wait()
-	close(watchStop)
-	<-watchDone
-	return r, r.runErr
 }
 
-// readLoop is the READ thread (§3.2.1): it walks the file in chunk order,
-// skipping chunks already delivered from the cache or excluded by
-// statistics, reading loaded chunks from the database directly into the
-// binary buffer, and producing text chunks for the rest. On first contact
-// with the file it discovers chunk boundaries and registers them in the
-// catalog.
-func (r *run) readLoop(delivered map[int]bool) error {
-	o := r.op
-	sc := newRawScanner(o, o.table.RawFile())
-	id := 0
-	var off int64
-	for {
-		if r.failed() {
-			return nil
+// deliver hands one pinned, cache-resident chunk to the consume stage. The
+// after-hook runs once its evaluation finished (or was skipped because the
+// run failed): it releases the delivery pin — a parallel-consume worker can
+// therefore never race an eviction's vector recycling — and the emitter's
+// buffer budget, and it is the natural point to notice the demand is now
+// satisfied or, if it is not, to release the fused slow-start throttle. Only
+// a pipelined delivery releases it: a hit of the cached-first prefix costs
+// no conversion, so it is no evidence for committing every worker to one.
+func (r *run) deliver(bc *BinaryChunk) {
+	id, out := bc.ID, r.out
+	_, pipelined := out.(pooled)
+	r.del.deliver(bc, func() {
+		if err := r.op.cache.Unpin(id); err != nil {
+			r.fail(err)
 		}
-		if r.demandSatisfied() {
-			// The result is provably complete: stop issuing chunks. No
-			// SetComplete — the file was not scanned to the end.
-			return nil
+		if invariantsOn {
+			r.consumed.Add(1)
 		}
-		if rng := r.req.Range; rng != nil && rng.Hi > 0 && id >= rng.Hi {
-			// Range exhausted: everything past Hi belongs to other
-			// requests (or other peers). No SetComplete — the file was not
-			// scanned to the end.
-			return nil
+		out.release()
+		r.gate.broadcast()
+		r.poke()
+		if !r.demandSatisfied() && pipelined {
+			r.openRamp()
 		}
-		meta, known := o.table.Chunk(id)
-		if known {
-			next := off + meta.RawLen
-			switch {
-			case !r.req.Range.Contains(id):
-				// Below the range: jump the extent without reading it.
-			case delivered[id]:
-				// Already served from the cache in phase 1.
-			case r.req.Skip != nil && r.req.Skip(meta):
-				r.skipped.Add(1)
-			case meta.LoadedAll(r.req.Columns):
-				// Binary-buffer space first, mirroring the PARSE rule.
-				select {
-				case <-r.freeBin:
-				case <-r.done:
-					return nil
-				case <-r.satCh:
-					return nil
-				}
-				bc, err := o.dbRead(id, r.req.Columns)
-				if err != nil {
-					r.freeBin <- struct{}{}
-					return err
-				}
-				evicted, evLoaded, ok := r.putPinnedWaitEv(bc, true)
-				if !ok {
-					r.freeBin <- struct{}{}
-					return nil
-				}
-				if err := r.retireEvicted(evicted, evLoaded); err != nil {
-					_ = o.cache.Unpin(bc.ID)
-					r.freeBin <- struct{}{}
-					return err
-				}
-				select {
-				case r.deliverCh <- bc:
-					r.deliveredDB.Add(1)
-				case <-r.done:
-					_ = o.cache.Unpin(bc.ID)
-					r.freeBin <- struct{}{}
-					return nil
-				}
-			default:
-				// A chunk with some (but not all) requested columns loaded is
-				// a partial-width hit: register a plan so PARSE converts only
-				// the missing groups and merges the rest from the database.
-				if plan := r.planFor(meta); len(plan.fromDB) > 0 {
-					r.setPlan(id, plan)
-				}
-				data, err := sc.readExtent(off, meta.RawLen)
-				if err != nil {
-					return err
-				}
-				o.prof.readChunks.Add(1)
-				tc := &chunk.TextChunk{ID: id, Data: data, Lines: meta.Rows}
-				if !r.sendText(tc) {
-					return nil
-				}
-			}
-			id++
-			off = next
-			continue
-		}
-		// Discovery: carve the next chunk out of the byte stream.
-		sc.seek(off)
-		data, lines, err := sc.next(o.cfg.ChunkLines)
-		if err != nil {
-			return err
-		}
-		if lines == 0 {
-			break // end of file
-		}
-		o.prof.readChunks.Add(1)
-		if err := o.table.EnsureChunk(id, lines, off, int64(len(data))); err != nil {
-			return err
-		}
-		if !r.req.Range.Contains(id) {
-			// Out-of-range chunk discovered while carving toward the range:
-			// its geometry is now in the catalog (a later pass jumps it for
-			// free) but its text is dropped before conversion.
-			off += int64(len(data))
-			id++
-			continue
-		}
-		tc := &chunk.TextChunk{ID: id, Data: data, Lines: lines}
-		if !r.sendText(tc) {
-			return nil
-		}
-		off += int64(len(data))
-		id++
+	})
+	if err := r.del.failedErr(); err != nil {
+		r.fail(err)
 	}
-	return o.table.SetComplete()
 }
 
-// readLoopOrdered is the READ thread of a sampled scan: discovery is
-// already complete, so it visits chunks in the request's explicit order —
-// cache hits flow straight into the delivery channel (pinned, so the
-// consume stage sees them alive), loaded chunks come from the database,
-// and the rest are read from their raw extents and converted through the
-// normal pipeline stages. Conversion finishes out of order; consumers that
-// need the sample order (the online-aggregation estimator) reorder on
-// chunk ID against the permutation they supplied.
-func (r *run) readLoopOrdered() error {
-	o := r.op
-	sc := newRawScanner(o, o.table.RawFile())
-	for _, id := range r.order {
-		if r.failed() {
-			return nil
-		}
-		if r.demandSatisfied() {
-			// The error bound (or other demand) is provably met: stop
-			// issuing chunks. The file stays Complete — discovery ran first.
-			return nil
-		}
-		meta, known := o.table.Chunk(id)
-		if !known {
-			return fmt.Errorf("scanraw: ordered scan: chunk %d vanished from the catalog", id)
-		}
-		if r.req.Skip != nil && r.req.Skip(meta) {
-			r.skipped.Add(1)
-			continue
-		}
-		if bc := o.cache.Acquire(id); bc != nil {
-			if bc.HasAll(r.req.Columns) {
-				// Cache hit at its sampled position. The delivery loop's
-				// after-hook releases the pin and the binary-buffer slot,
-				// mirroring the converted-chunk path.
-				select {
-				case <-r.freeBin:
-				case <-r.done:
-					_ = o.cache.Unpin(id)
-					return nil
-				case <-r.satCh:
-					_ = o.cache.Unpin(id)
-					return nil
-				}
-				select {
-				case r.deliverCh <- bc:
-					r.deliveredCache.Add(1)
-				case <-r.done:
-					_ = o.cache.Unpin(id)
-					r.freeBin <- struct{}{}
-					return nil
-				}
-				continue
-			}
-			if err := o.cache.Unpin(id); err != nil {
-				return err
-			}
-		}
-		if meta.LoadedAll(r.req.Columns) {
-			select {
-			case <-r.freeBin:
-			case <-r.done:
-				return nil
-			case <-r.satCh:
-				return nil
-			}
-			bc, err := o.dbRead(id, r.req.Columns)
-			if err != nil {
-				r.freeBin <- struct{}{}
-				return err
-			}
-			evicted, evLoaded, ok := r.putPinnedWaitEv(bc, true)
-			if !ok {
-				r.freeBin <- struct{}{}
-				return nil
-			}
-			if err := r.retireEvicted(evicted, evLoaded); err != nil {
-				_ = o.cache.Unpin(bc.ID)
-				r.freeBin <- struct{}{}
-				return err
-			}
-			select {
-			case r.deliverCh <- bc:
-				r.deliveredDB.Add(1)
-			case <-r.done:
-				_ = o.cache.Unpin(bc.ID)
-				r.freeBin <- struct{}{}
-				return nil
-			}
-			continue
-		}
-		// Raw (or partial-width) chunk: read exactly its extent — RawOff
-		// makes random access as cheap as the sequential walk's bookkeeping.
-		if plan := r.planFor(meta); len(plan.fromDB) > 0 {
-			r.setPlan(id, plan)
-		}
-		data, err := sc.readExtent(meta.RawOff, meta.RawLen)
-		if err != nil {
-			return err
-		}
-		o.prof.readChunks.Add(1)
-		tc := &chunk.TextChunk{ID: id, Data: data, Lines: meta.Rows}
-		if !r.sendText(tc) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// sendText places a text chunk into the text chunks buffer, recording the
-// blocked state the speculative scheduler watches for. It reports false
-// when the run failed.
-func (r *run) sendText(tc *chunk.TextChunk) bool {
+// sendText places a raw chunk into the text chunks buffer, recording the
+// blocked state the speculative scheduler watches for. The chunk is dropped
+// when the run fails or its demand is satisfied while READ waits.
+func (r *run) sendText(it convItem) {
 	select {
 	case <-r.freeText:
 	default:
@@ -927,34 +586,30 @@ func (r *run) sendText(tc *chunk.TextChunk) bool {
 		start := time.Now()
 		r.readBlocked.Store(true)
 		r.poke()
+		ok := false
 		select {
 		case <-r.freeText:
+			ok = true
 		case <-r.done:
-			r.readBlocked.Store(false)
-			r.blocked.add(time.Since(start))
-			return false
 		case <-r.satCh:
-			r.readBlocked.Store(false)
-			r.blocked.add(time.Since(start))
-			return false
 		}
 		r.readBlocked.Store(false)
 		r.blocked.add(time.Since(start))
+		if !ok {
+			return
+		}
 	}
 	select {
-	case r.textBuf <- tc:
-		return true
+	case r.textBuf <- it:
 	case <-r.done:
-		return false
 	case <-r.satCh:
-		return false
 	}
 }
 
 // tokenizeConsumer monitors the text chunks buffer, acquiring destination
 // space and a worker for each chunk (§3.2.1, consumer threads).
 func (r *run) tokenizeConsumer() {
-	for tc := range r.textBuf {
+	for it := range r.textBuf {
 		// Chunk extracted: its slot frees, allowing READ to produce.
 		r.freeText <- struct{}{}
 		if r.failed() || r.satisfied.Load() {
@@ -977,7 +632,7 @@ func (r *run) tokenizeConsumer() {
 			// map), keeping the buffer's back-pressure semantics without
 			// spending a worker here.
 			select {
-			case r.posBuf <- posItem{tc: tc}:
+			case r.posBuf <- it:
 			case <-r.done:
 				r.freePos <- struct{}{}
 			}
@@ -991,216 +646,110 @@ func (r *run) tokenizeConsumer() {
 			continue
 		}
 		r.tokWG.Add(1)
-		go r.tokenizeTask(tc, slot)
+		go r.tokenizeTask(it, slot)
 	}
 	r.tokWG.Wait()
 	close(r.posBuf)
 }
 
-func (r *run) tokenizeTask(tc *chunk.TextChunk, slot *workerSlot) {
+func (r *run) tokenizeTask(it convItem, slot *workerSlot) {
 	defer r.tokWG.Done()
 	o := r.op
-	pm, err := o.tokenizeChunk(slot, tc, r.upTo)
+	pm, err := o.tokenizeChunk(slot, it.tc, r.upTo)
 	r.workers <- slot // release the worker
 	if err != nil {
 		r.fail(err)
 		r.freePos <- struct{}{}
 		return
 	}
+	it.pm = pm
 	select {
-	case r.posBuf <- posItem{tc: tc, pm: pm}:
+	case r.posBuf <- it:
 	case <-r.done:
-		o.releaseMap(tc.ID, pm)
+		o.releaseMap(it.tc.ID, pm)
 		r.freePos <- struct{}{}
 	}
 }
 
-// parseConsumer monitors the position buffer. A parse task is dispatched
-// only when the binary chunks cache can hold one more undelivered chunk
-// (§3.2.1: "a request from the PARSE consumer can be accomplished only if
-// there is empty space in the binary chunks buffer") — this is the
-// back-pressure that propagates to READ and creates the disk-idle windows
-// speculative loading exploits.
+// parseConsumer monitors the position buffer, dispatching a parse task per
+// chunk once admitParse has reserved its resources. When the buffer closes
+// — READ finished and TOKENIZE drained — it waits out the running tasks and
+// closes the delivery channel: no more deliveries can be produced.
 func (r *run) parseConsumer() {
-	for item := range r.posBuf {
+	for it := range r.posBuf {
 		r.freePos <- struct{}{}
-		if r.failed() {
-			r.op.releaseMap(item.tc.ID, item.pm)
-			continue
-		}
-		if r.satisfied.Load() {
-			r.op.releaseMap(item.tc.ID, item.pm)
-			continue
-		}
-		select {
-		case <-r.freeBin:
-		case <-r.done:
-			r.op.releaseMap(item.tc.ID, item.pm)
-			continue
-		case <-r.satCh:
-			r.op.releaseMap(item.tc.ID, item.pm)
-			continue
-		}
-		// The wait for binary-buffer space can span the delivery that
-		// satisfies the demand (its consume frees the space this select
-		// waits for); converting the chunk then would be pure waste — under
-		// fused kernels a full tokenize+parse of dead weight.
-		if r.satisfied.Load() {
-			r.op.releaseMap(item.tc.ID, item.pm)
-			r.freeBin <- struct{}{}
-			continue
-		}
-		// Fused slow start: until a consumed delivery proves the demand
-		// outlives the first chunk, hold admission to the ramp window.
-		ramped := false
-		if r.rampOpen != nil {
-			select {
-			case <-r.rampOpen:
-			default:
-				select {
-				case <-r.rampOpen:
-				case <-r.rampSlots:
-					ramped = true
-				case <-r.done:
-					r.op.releaseMap(item.tc.ID, item.pm)
-					r.freeBin <- struct{}{}
-					continue
-				case <-r.satCh:
-					r.op.releaseMap(item.tc.ID, item.pm)
-					r.freeBin <- struct{}{}
-					continue
-				}
-			}
-		}
-		var slot *workerSlot
-		select {
-		case slot = <-r.workers:
-		case <-r.done:
-			if ramped {
-				r.rampSlots <- struct{}{}
-			}
-			r.op.releaseMap(item.tc.ID, item.pm)
-			r.freeBin <- struct{}{}
+		slot, ramped, ok := r.admitParse()
+		if !ok {
+			r.op.releaseMap(it.tc.ID, it.pm)
 			continue
 		}
 		r.parseWG.Add(1)
-		go r.parseTask(item, slot, ramped)
+		go r.parseTask(it, slot, ramped)
 	}
 	r.parseWG.Wait()
 	if r.writeQ != nil {
 		close(r.writeQ)
 	}
-	close(r.convDone)
+	close(r.deliverCh)
 }
 
-func (r *run) parseTask(item posItem, slot *workerSlot, ramped bool) {
+// admitParse reserves what one parse task needs, or reports false when the
+// chunk must be dropped (run failed, or the demand is satisfied and queued
+// work is dead weight). A task is dispatched only when the binary chunks
+// cache can hold one more undelivered chunk (§3.2.1: "a request from the
+// PARSE consumer can be accomplished only if there is empty space in the
+// binary chunks buffer") — this is the back-pressure that propagates to
+// READ and creates the disk-idle windows speculative loading exploits.
+func (r *run) admitParse() (slot *workerSlot, ramped, ok bool) {
+	if r.failed() || r.satisfied.Load() || !r.out.admit() {
+		return nil, false, false
+	}
+	// The wait for binary-buffer space can span the delivery that satisfies
+	// the demand (its consume frees the space admit waits for); converting
+	// the chunk then would be pure waste — under fused kernels a full
+	// tokenize+parse of dead weight.
+	if r.satisfied.Load() {
+		r.out.release()
+		return nil, false, false
+	}
+	// Fused slow start: until a consumed delivery proves the demand
+	// outlives the first chunk, hold admission to the ramp window.
+	if r.rampOpen != nil {
+		select {
+		case <-r.rampOpen:
+		default:
+			select {
+			case <-r.rampOpen:
+			case <-r.rampSlots:
+				ramped = true
+			case <-r.done:
+				r.out.release()
+				return nil, false, false
+			case <-r.satCh:
+				r.out.release()
+				return nil, false, false
+			}
+		}
+	}
+	select {
+	case slot = <-r.workers:
+		return slot, ramped, true
+	case <-r.done:
+		if ramped {
+			r.rampSlots <- struct{}{}
+		}
+		r.out.release()
+		return nil, false, false
+	}
+}
+
+func (r *run) parseTask(it convItem, slot *workerSlot, ramped bool) {
 	defer r.parseWG.Done()
 	if ramped {
 		// rampSlots never exceeds its buffered window, so this cannot block.
 		defer func() { r.rampSlots <- struct{}{} }()
 	}
-	o := r.op
-	cols := r.convCols
-	kern := r.kern
-	plan, partial := r.plan(item.tc.ID)
-	if partial {
-		cols = plan.convert
-		if kern != nil {
-			kern = r.kernFor(cols)
-		}
-	}
-	var bc *BinaryChunk
-	var err error
-	d := o.cpuWork(slot, func() {
-		if kern != nil {
-			bc, err = kern.Convert(item.tc)
-		} else {
-			bc, err = o.parser.Parse(item.tc, item.pm, cols)
-		}
-	})
-	o.prof.parseNs.Add(int64(d))
-	r.workers <- slot
-	if err != nil {
-		r.fail(err)
-		o.releaseMap(item.tc.ID, item.pm)
-		r.freeBin <- struct{}{}
-		return
-	}
-	o.releaseMap(item.tc.ID, item.pm)
-	o.prof.parseChunks.Add(1)
-	if o.cfg.CollectStats {
-		// Only the freshly converted columns: the merged-in loaded columns
-		// had their statistics recorded when they were first converted.
-		if err := r.recordStats(bc, cols); err != nil {
-			r.fail(err)
-			bc.RecycleColumns()
-			r.freeBin <- struct{}{}
-			return
-		}
-	}
-	if partial {
-		// Merge the loaded requested columns in from their pages. The merged
-		// chunk owns the vectors; dbc itself is just the carrier.
-		dbc, derr := o.dbRead(bc.ID, plan.fromDB)
-		if derr == nil {
-			derr = bc.Merge(dbc)
-		}
-		if derr != nil {
-			r.fail(derr)
-			bc.RecycleColumns()
-			r.freeBin <- struct{}{}
-			return
-		}
-	}
-	loaded := false
-	// Invisible loading: write the first K converted chunks inline, even
-	// though it stalls this worker — the defining cost of the baseline.
-	if o.cfg.Policy == Invisible && r.invisibleLeft.Add(-1) >= 0 {
-		if err := r.runWrite(bc); err != nil {
-			r.fail(err)
-			bc.RecycleColumns()
-			r.freeBin <- struct{}{}
-			return
-		}
-		loaded = true
-	}
-	evicted, evictedLoaded, ok := r.putPinnedWaitEv(bc, loaded)
-	if !ok {
-		r.freeBin <- struct{}{}
-		return
-	}
-	if err := r.retireEvicted(evicted, evictedLoaded); err != nil {
-		r.fail(err)
-		_ = o.cache.Unpin(bc.ID)
-		r.freeBin <- struct{}{}
-		return
-	}
-	if o.cfg.Policy == FullLoad {
-		// The write queue holds its own pin: the chunk may be consumed and
-		// unpinned (then evicted and recycled) before the WRITE thread gets
-		// to it otherwise.
-		o.cache.Pin(bc.ID)
-		select {
-		case r.writeQ <- bc:
-		case <-r.done:
-			_ = o.cache.Unpin(bc.ID) // write-queue pin
-			_ = o.cache.Unpin(bc.ID) // delivery pin
-			r.freeBin <- struct{}{}
-			return
-		}
-	}
-	select {
-	case r.deliverCh <- bc:
-		if partial {
-			r.deliveredPartial.Add(1)
-		} else {
-			r.deliveredRaw.Add(1)
-		}
-		r.poke() // cache gained a chunk: wake the speculative scheduler
-	case <-r.done:
-		_ = o.cache.Unpin(bc.ID)
-		r.freeBin <- struct{}{}
-	}
+	r.fail(r.emitConverted(slot, it))
 }
 
 // retireEvicted finishes an evicted chunk's life: under BufferedLoad an
@@ -1246,34 +795,38 @@ func (r *run) recordStats(bc *BinaryChunk, cols []int) error {
 	return nil
 }
 
-// putPinnedWait inserts a chunk into the binary cache with a delivery pin,
-// blocking while the cache is full of pinned (undelivered) chunks — the
-// back-pressure that ultimately stops READ (§3.1, pre-fetching). It
-// reports false when the run failed.
-func (r *run) putPinnedWait(bc *BinaryChunk, loaded bool) bool {
-	_, _, ok := r.putPinnedWaitEv(bc, loaded)
-	return ok
-}
-
-func (r *run) putPinnedWaitEv(bc *BinaryChunk, loaded bool) (*BinaryChunk, bool, bool) {
+// insertPinned places a converted (or database-read) chunk into the binary
+// cache with a delivery pin, blocking while the cache is full of pinned
+// (undelivered) chunks — the back-pressure that ultimately stops READ
+// (§3.1, pre-fetching) — and retires whatever the insert evicted. On error
+// the chunk holds no pin and the emitter's reservation is returned.
+func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
+	var evicted *BinaryChunk
+	var evLoaded, ok bool
 	r.gate.mu.Lock()
-	defer r.gate.mu.Unlock()
-	for {
-		if r.failed() {
-			return nil, false, false
-		}
-		evicted, evLoaded, ok := r.op.cache.PutPinned(bc, loaded)
-		if ok {
-			return evicted, evLoaded, true
+	for !r.failed() {
+		if evicted, evLoaded, ok = r.op.cache.PutPinned(bc, loaded); ok {
+			break
 		}
 		r.gate.cond.Wait()
 	}
+	r.gate.mu.Unlock()
+	if !ok {
+		r.out.release()
+		return r.runErr
+	}
+	if err := r.retireEvicted(evicted, evLoaded); err != nil {
+		_ = r.op.cache.Unpin(bc.ID)
+		r.out.release()
+		return err
+	}
+	return nil
 }
 
 // writeLoop is the WRITE thread under the FullLoad policy: it stores every
 // converted chunk, overlapping with conversion and query processing. Each
-// queued chunk carries a pin taken by parseTask; release it here whether or
-// not the write happened.
+// queued chunk carries a pin taken by emitConverted; release it here whether
+// or not the write happened.
 func (r *run) writeLoop() {
 	defer r.writeWG.Done()
 	for bc := range r.writeQ {

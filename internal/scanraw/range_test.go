@@ -150,9 +150,13 @@ func TestRangeUpperBoundStopsScan(t *testing.T) {
 // TestRangeLimitDemand: a LIMIT query whose range starts past chunk 0 must
 // still terminate early — the demand frontier is seeded at the range's
 // lower bound, not at zero.
+// The table is discovered first and the buffers hold one chunk each, which
+// forces the outcome under every schedule (see discoverTable).
 func TestRangeLimitDemand(t *testing.T) {
 	env := newEnv(t, 1280, 3, nil) // 20 chunks of 64 lines
-	cfg := Config{Workers: 2, ChunkLines: 64, CacheChunks: 8, Policy: ExternalTables}
+	discoverTable(t, env, 64)
+	cfg := Config{Workers: 2, ChunkLines: 64, Policy: ExternalTables,
+		TextBufferChunks: 1, PositionBufferChunks: 1, CacheChunks: 1}
 	res, st := rangeSQL(t, env, cfg, "SELECT c0 FROM data LIMIT 5", &ChunkRange{Lo: 10})
 	if len(res.Rows) != 5 {
 		t.Fatalf("LIMIT 5 returned %d rows", len(res.Rows))

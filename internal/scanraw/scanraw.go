@@ -107,10 +107,10 @@ type Config struct {
 	// (scaled with the data sizes used here).
 	ChunkLines int
 	// TextBufferChunks is the capacity of the text chunks buffer.
-	// Default 8.
+	// Default 4.
 	TextBufferChunks int
 	// PositionBufferChunks is the capacity of the position buffer.
-	// Default 8.
+	// Default 4.
 	PositionBufferChunks int
 	// CacheChunks is the binary chunks cache capacity. Default 32.
 	CacheChunks int

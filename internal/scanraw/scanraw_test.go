@@ -3,6 +3,7 @@ package scanraw
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -246,35 +247,69 @@ func TestBufferedLoadWritesOnEviction(t *testing.T) {
 	}
 }
 
+// TestInvisibleLoadsFixedAmount: invisible loading writes the first K chunks
+// a query converts, and nothing else. The per-query checks hold under every
+// schedule; the exact sequence is asserted where it is deterministic
+// (workers=0). A chunk served from the cache is not converted and therefore
+// never written by that query, and a later insert may evict it — so after
+// three queries a chunk may be neither loaded nor cached, which is why the
+// test does not add the two up.
 func TestInvisibleLoadsFixedAmount(t *testing.T) {
+	const k = 3
+	cols := allCols(4)
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			env := newEnv(t, 512, 4, nil)
 			op := New(env.store, env.table, Config{
 				Workers: workers, ChunkLines: 64, Policy: Invisible,
-				InvisibleChunksPerQuery: 3, CacheChunks: 2,
+				InvisibleChunksPerQuery: k, CacheChunks: 2,
 			})
+			var written []int
 			for q := 1; q <= 3; q++ {
+				// Every query needs every column, so a chunk that is loaded or
+				// cache-resident when the query starts is not converted by it.
+				notConverted := map[int]bool{}
+				for _, id := range op.Cache().IDs() {
+					notConverted[id] = true
+				}
+				before := env.table.LoadedChunks(cols)
 				got, st := sumViaOperator(t, op, env)
 				if got != wantSum(env) {
 					t.Fatalf("query %d sum = %d", q, got)
 				}
-				wantWritten := 3
-				if loaded := env.table.CountLoaded(allCols(4)); loaded == 8 {
-					wantWritten = 0 // nothing left to load
+				if want := min(k, st.DeliveredRaw+st.DeliveredPartial); st.WrittenDuringRun != want {
+					t.Errorf("query %d wrote %d chunks, want %d (converted %d)",
+						q, st.WrittenDuringRun, want, st.DeliveredRaw+st.DeliveredPartial)
 				}
-				if st.WrittenDuringRun > 3 || (q == 1 && st.WrittenDuringRun != wantWritten) {
-					t.Errorf("query %d wrote %d chunks, want <= 3 (first: exactly 3)", q, st.WrittenDuringRun)
+				after := env.table.LoadedChunks(cols)
+				if len(after)-len(before) != st.WrittenDuringRun {
+					t.Errorf("query %d: loaded chunks %d -> %d, but WrittenDuringRun = %d",
+						q, len(before), len(after), st.WrittenDuringRun)
 				}
+				wasLoaded := map[int]bool{}
+				for _, id := range before {
+					wasLoaded[id] = true
+				}
+				for _, id := range after {
+					if !wasLoaded[id] && notConverted[id] {
+						t.Errorf("query %d loaded chunk %d, which it did not convert", q, id)
+					}
+				}
+				written = append(written, st.WrittenDuringRun)
 			}
-			// 3 queries x 3 chunks >= 8 chunks, except that a chunk which
-			// stays cache-resident is always served from the cache, never
-			// converted, and therefore never written by invisible loading
-			// (which only loads data converted in the current query).
-			loaded := env.table.CountLoaded(allCols(4))
-			unloadedInCache := len(op.Cache().UnloadedIDs())
-			if loaded+unloadedInCache != 8 || loaded < 6 {
-				t.Errorf("loaded=%d cached-unloaded=%d, want them to cover all 8", loaded, unloadedInCache)
+			if written[0] != k {
+				t.Errorf("first query wrote %d chunks, want exactly %d", written[0], k)
+			}
+			if workers == 0 {
+				// Query 2 serves {6,7} from the cache and converts 3..5; its
+				// inserts evict 6, so query 3 converts (and loads) only that one
+				// and chunk 7 stays cache-resident and unloaded.
+				if want := []int{3, 3, 1}; !reflect.DeepEqual(written, want) {
+					t.Errorf("writes per query = %v, want %v", written, want)
+				}
+				if ids := op.Cache().UnloadedIDs(); !reflect.DeepEqual(ids, []int{7}) {
+					t.Errorf("cached unloaded chunks = %v, want [7]", ids)
+				}
 			}
 		})
 	}

@@ -88,25 +88,6 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) partialPlan {
 	return partialPlan{convert: convert, fromDB: fromDB}
 }
 
-// setPlan registers a chunk's partial plan for the conversion stages; READ
-// computes plans (it holds the chunk metadata), PARSE consumes them.
-func (r *run) setPlan(id int, p partialPlan) {
-	r.plansMu.Lock()
-	if r.plans == nil {
-		r.plans = make(map[int]partialPlan)
-	}
-	r.plans[id] = p
-	r.plansMu.Unlock()
-}
-
-// plan looks a chunk's partial plan up; ok=false means full conversion.
-func (r *run) plan(id int) (partialPlan, bool) {
-	r.plansMu.Lock()
-	p, ok := r.plans[id]
-	r.plansMu.Unlock()
-	return p, ok
-}
-
 // kernFor returns a fused kernel for a partial plan's convert set, cached
 // per column set — partial-width chunks convert different subsets, and
 // kernel construction is per (schema, columns). Falls back to the run-wide

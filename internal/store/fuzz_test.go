@@ -7,7 +7,8 @@ import (
 )
 
 // recordsBitEqual compares records with bitwise float equality (NaN
-// statistics bounds round-trip exactly; reflect.DeepEqual calls NaN != NaN).
+// statistics bounds and workload weights round-trip exactly;
+// reflect.DeepEqual calls NaN != NaN).
 func recordsBitEqual(a, b Record) bool {
 	if math.Float64bits(a.Stats.MinFloat) != math.Float64bits(b.Stats.MinFloat) ||
 		math.Float64bits(a.Stats.MaxFloat) != math.Float64bits(b.Stats.MaxFloat) {
@@ -15,6 +16,15 @@ func recordsBitEqual(a, b Record) bool {
 	}
 	a.Stats.MinFloat, a.Stats.MaxFloat = 0, 0
 	b.Stats.MinFloat, b.Stats.MaxFloat = 0, 0
+	if len(a.Weights) != len(b.Weights) {
+		return false
+	}
+	for i := range a.Weights {
+		if math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) {
+			return false
+		}
+	}
+	a.Weights, b.Weights = nil, nil
 	return reflect.DeepEqual(a, b)
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs the benchmark suite over the hot packages and records the results as
-# JSON in BENCH_pr8.json (override with BENCH_OUT): one object per
+# JSON in the file named by BENCH_OUT (default below): one object per
 # benchmark with ns/op plus the derived headline ratios —
 # serial-vs-parallel consume speedup, the full-scan-vs-early-termination
 # speedup for a streamed LIMIT query, the distributed-vs-single-node
