@@ -39,14 +39,17 @@ bench-module:
 race:
 	$(GO) test -race ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/...
 
-# Schedule stress for the operator: its tests 20 times under the race
-# detector at three scheduler widths. A test whose outcome depends on
-# goroutine timing fails here long before it fails `make check`; CI runs it
-# nightly (about 2.5 minutes on 2 cores).
+# Schedule stress: the operator's tests 20 times, and the query server's and
+# the cluster layer's 5 times (they are slower, and drive the operator
+# through their own concurrency), under the race detector at three scheduler
+# widths. A test whose outcome depends on goroutine timing fails here long
+# before it fails `make check`; CI runs it nightly (about 3 minutes on 2
+# cores).
 stress:
 	@for p in 1 2 8; do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/scanraw/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=5 ./internal/server/... ./internal/cluster/... || exit 1; \
 	done
 
 # Project-specific static analysis (pin balance, pool pairing, goroutine
@@ -96,12 +99,14 @@ bench:
 bench-compare:
 	@./scripts/bench_compare.sh
 
-# Non-test lines per internal/ package — every line, then code only (neither
-# blank nor a // comment) — so "the trend is down" (ROADMAP) has one command
-# behind it.
+# Non-test lines per internal/ package and in total — every line, then code
+# only (neither blank nor a // comment) — so "the trend is down" (ROADMAP)
+# has one command behind it.
 loc:
-	@for d in internal/*/; do \
+	@tl=0; tc=0; for d in internal/*/; do \
 		f=$$(ls $$d*.go | grep -v _test.go); \
-		printf '%-20s %6d %6d\n' $$(basename $$d) $$(cat $$f | wc -l) \
-			$$(cat $$f | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
-	done
+		l=$$(cat $$f | wc -l); \
+		c=$$(cat $$f | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
+		printf '%-20s %6d %6d\n' $$(basename $$d) $$l $$c; \
+		tl=$$((tl + l)); tc=$$((tc + c)); \
+	done; printf '%-20s %6d %6d\n' total $$tl $$tc

@@ -316,6 +316,7 @@ func addStats(dst *ExecStats, src ExecStats) {
 	dst.DeliveredCache += src.DeliveredCache
 	dst.DeliveredDB += src.DeliveredDB
 	dst.DeliveredRaw += src.DeliveredRaw
+	dst.DeliveredPartial += src.DeliveredPartial
 	dst.Skipped += src.Skipped
 	dst.ChunksSaved += src.ChunksSaved
 	if src.TerminatedEarly {

@@ -191,6 +191,7 @@ func diffQuery(t *testing.T, coURL, refURL, sql string) {
 	if co.Stats == nil || ref.Stats == nil {
 		t.Errorf("%s: missing stats block", sql)
 	}
+	checkStatsKeys(t, sql+" (json)", co.Stats, ref.Stats)
 
 	coSt, coLines := postNDJSON(t, coURL, sql)
 	refSt, refLines := postNDJSON(t, refURL, sql)
@@ -206,8 +207,29 @@ func diffQuery(t *testing.T, coURL, refURL, sql string) {
 			t.Fatalf("%s: ndjson line %d diverges:\n  fleet: %s\n  ref:   %s", sql, i, coLines[i], refLines[i])
 		}
 	}
-	if !strings.Contains(coLines[last], `"stats"`) || !strings.Contains(refLines[last], `"stats"`) {
+	var coTrailer, refTrailer wireResponse
+	if json.Unmarshal([]byte(coLines[last]), &coTrailer) != nil || json.Unmarshal([]byte(refLines[last]), &refTrailer) != nil ||
+		coTrailer.Stats == nil || refTrailer.Stats == nil {
 		t.Fatalf("%s: ndjson trailer missing stats: %q / %q", sql, coLines[last], refLines[last])
+	}
+	checkStatsKeys(t, sql+" (ndjson)", coTrailer.Stats, refTrailer.Stats)
+}
+
+// checkStatsKeys is the wire-conformance check: a coordinator's stats block
+// carries every key a single server's does (a client reads either with one
+// decoder), and nothing beyond them but the four coordinator-only keys.
+func checkStatsKeys(t *testing.T, what string, co, ref map[string]any) {
+	t.Helper()
+	for k := range ref {
+		if _, ok := co[k]; !ok {
+			t.Errorf("%s: coordinator stats lack %q", what, k)
+		}
+	}
+	extras := map[string]bool{"shards": true, "shards_failed": true, "partial": true, "errors": true}
+	for k := range co {
+		if _, ok := ref[k]; !ok && !extras[k] {
+			t.Errorf("%s: coordinator stats carry unexpected %q", what, k)
+		}
 	}
 }
 
@@ -331,6 +353,25 @@ func TestDistributedDifferentialColGroups(t *testing.T) {
 	// the {c2,c3} group (width 2) across the shards it touches.
 	if status, out := postWire(t, coTS.URL, "SELECT SUM(c2) FROM data"); status != http.StatusOK {
 		t.Fatalf("warm-up query: status %d (%s)", status, out.Error)
+	}
+	// Once the safeguard flushes have landed, a query that also needs c1
+	// merges the loaded group with a narrow conversion: partial-width hits,
+	// which the shard stats must carry into the coordinator's block.
+	for _, w := range workers {
+		if op, ok := w.srv.Registry().Lookup("raw/data.csv"); ok {
+			op.WaitIdle()
+		}
+	}
+	status, out := postWire(t, coTS.URL, "SELECT SUM(c1+c2) FROM data")
+	if status != http.StatusOK {
+		t.Fatalf("wide query: status %d (%s)", status, out.Error)
+	}
+	n := func(key string) int { v, _ := out.Stats[key].(float64); return int(v) }
+	if n("scan_chunks_partial") == 0 {
+		t.Errorf("wide query after the warm-up reports no partial-width hit: %v", out.Stats)
+	}
+	if sum := n("scan_chunks_cache") + n("scan_chunks_db") + n("scan_chunks_raw") + n("scan_chunks_partial"); n("chunks_delivered") != sum || sum != 24 {
+		t.Errorf("chunks_delivered = %d, sources sum to %d, want both 24: %v", n("chunks_delivered"), sum, out.Stats)
 	}
 	for _, sql := range differentialQueries(3) {
 		diffQuery(t, coTS.URL, ref.ts.URL, sql)

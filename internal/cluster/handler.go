@@ -2,115 +2,37 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
 	"scanraw/internal/engine"
-	"scanraw/internal/schema"
+	"scanraw/internal/queryapi"
 )
 
-// HTTP serving for the coordinator. The endpoints and response shapes
-// mirror internal/server so a client cannot tell a coordinator from a
-// single scanrawd: POST /query returns the same {columns, rows, stats}
-// JSON (or the same NDJSON framing with ?stream=ndjson), GET /metrics,
-// GET /healthz, and GET /fleet expose coordinator state.
+// HTTP serving for the coordinator. POST /query speaks internal/queryapi,
+// the same wire a single scanrawd answers with, so a client cannot tell
+// the two apart; GET /metrics, GET /healthz, and GET /fleet expose
+// coordinator state.
 
-// queryRequest matches internal/server's POST /query body.
-type queryRequest struct {
-	SQL       string `json:"sql"`
-	TimeoutMS int64  `json:"timeout_ms"`
-}
-
-// queryStats matches internal/server's stats block field-for-field so
-// coordinated and single-process responses have the same shape. The scan
-// counters aggregate over every shard; policy reports "distributed".
-type queryStats struct {
-	DurationMS      float64 `json:"duration_ms"`
-	BatchSize       int     `json:"batch_size"`
-	ScanChunksCache int     `json:"scan_chunks_cache"`
-	ScanChunksDB    int     `json:"scan_chunks_db"`
-	ScanChunksRaw   int     `json:"scan_chunks_raw"`
-	ChunksDelivered int     `json:"chunks_delivered"`
-	ChunksSkipped   int     `json:"chunks_skipped"`
-	ChunksLoaded    int     `json:"chunks_loaded"`
-	Policy          string  `json:"policy"`
-	TerminatedEarly bool    `json:"terminated_early"`
-	ChunksSaved     int     `json:"chunks_saved"`
-	// Coordinator-only extras, omitted when zero so the successful-path
-	// response stays shape-identical to a single scanrawd.
-	Shards       int      `json:"shards,omitempty"`
-	ShardsFailed int      `json:"shards_failed,omitempty"`
-	Partial      bool     `json:"partial,omitempty"`
-	Errors       []string `json:"errors,omitempty"`
-}
-
-func statsFromExec(st ExecStats, start time.Time, shards int) queryStats {
-	return queryStats{
-		DurationMS:      float64(time.Since(start).Microseconds()) / 1000,
-		BatchSize:       1,
-		ScanChunksCache: st.DeliveredCache,
-		ScanChunksDB:    st.DeliveredDB,
-		ScanChunksRaw:   st.DeliveredRaw,
-		ChunksDelivered: st.DeliveredCache + st.DeliveredDB + st.DeliveredRaw,
-		ChunksSkipped:   st.Skipped,
-		Policy:          "distributed",
-		TerminatedEarly: st.TerminatedEarly,
-		ChunksSaved:     st.ChunksSaved,
-		Shards:          shards,
+// statsFromExec shapes the shard-summed scan accounting into the /query
+// stats block; policy reports "distributed".
+func statsFromExec(st ExecStats, start time.Time, shards int) queryapi.Stats {
+	return queryapi.Stats{
+		DurationMS:        float64(time.Since(start).Microseconds()) / 1000,
+		BatchSize:         1,
+		ScanChunksCache:   st.DeliveredCache,
+		ScanChunksDB:      st.DeliveredDB,
+		ScanChunksRaw:     st.DeliveredRaw,
+		ScanChunksPartial: st.DeliveredPartial,
+		ChunksDelivered:   st.DeliveredCache + st.DeliveredDB + st.DeliveredRaw + st.DeliveredPartial,
+		ChunksSkipped:     st.Skipped,
+		Policy:            "distributed",
+		TerminatedEarly:   st.TerminatedEarly,
+		ChunksSaved:       st.ChunksSaved,
+		Shards:            shards,
 	}
-}
-
-type queryResponse struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]any    `json:"rows"`
-	Stats   queryStats `json:"stats"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// fromTable mirrors internal/server's FROM sniffing: find the table name
-// so the query can be parsed against the right schema.
-func fromTable(sql string) (string, error) {
-	fields := strings.Fields(sql)
-	for i, f := range fields {
-		if strings.EqualFold(f, "FROM") && i+1 < len(fields) {
-			return strings.Trim(fields[i+1], ","), nil
-		}
-	}
-	return "", fmt.Errorf("query has no FROM clause")
-}
-
-// jsonRow converts engine values into JSON-encodable scalars (same
-// mapping as internal/server).
-func jsonRow(row []engine.Value) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[i] = v.Int
-		case schema.Float64:
-			out[i] = v.Float
-		default:
-			out[i] = v.Str
-		}
-	}
-	return out
 }
 
 // Handler returns the coordinator's HTTP mux.
@@ -118,145 +40,110 @@ func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", co.handleQuery)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, co.MetricsSnapshot())
+		queryapi.WriteJSON(w, http.StatusOK, co.MetricsSnapshot())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "coordinator"})
+		queryapi.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "coordinator"})
 	})
 	mux.HandleFunc("GET /fleet", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, co.fleet.Config())
+		queryapi.WriteJSON(w, http.StatusOK, co.fleet.Config())
 	})
 	return mux
 }
 
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	co.queries.Add(1)
-	var qr queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&qr); err != nil {
+	var qr queryapi.Request
+	if !queryapi.DecodeBody(w, r, &qr) {
 		co.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return
+	}
+	reject := func(status int, format string, args ...any) {
+		co.failed.Add(1)
+		queryapi.WriteError(w, status, format, args...)
 	}
 	if strings.TrimSpace(qr.SQL) == "" {
-		co.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "empty sql")
+		reject(http.StatusBadRequest, "empty sql")
 		return
 	}
-	table, err := fromTable(qr.SQL)
+	table, err := engine.FromTable(qr.SQL)
 	if err != nil {
-		co.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		reject(http.StatusBadRequest, "%v", err)
 		return
 	}
 	sch, ok := co.fleet.Schema(table)
 	if !ok {
-		co.failed.Add(1)
-		writeError(w, http.StatusNotFound, "unknown table %q", table)
+		reject(http.StatusNotFound, "unknown table %q", table)
 		return
 	}
-	if len(co.fleet.Assignments(table)) == 0 {
-		co.failed.Add(1)
-		writeError(w, http.StatusNotFound, "no peer owns table %q", table)
+	shards := len(co.fleet.Assignments(table))
+	if shards == 0 {
+		reject(http.StatusNotFound, "no peer owns table %q", table)
 		return
 	}
 	q, err := engine.ParseSQL(qr.SQL, sch)
 	if err != nil {
-		co.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "bad query: %v", err)
+		reject(http.StatusBadRequest, "bad query: %v", err)
 		return
 	}
+	ctx, cancel := queryapi.WithTimeout(r.Context(), qr.TimeoutMS, co.cfg.DefaultTimeout)
+	defer cancel()
 
-	ctx := r.Context()
-	timeout := co.cfg.DefaultTimeout
-	if qr.TimeoutMS > 0 {
-		timeout = time.Duration(qr.TimeoutMS) * time.Millisecond
+	var nd *queryapi.NDJSON
+	if r.URL.Query().Get("stream") == "ndjson" {
+		nd = queryapi.NewNDJSON(w)
 	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	wantStream := r.URL.Query().Get("stream") == "ndjson"
-	// Streamable shapes (no aggregation, no ORDER BY) scatter in rows
-	// mode: workers stream incrementally and the coordinator can cancel
-	// them the moment LIMIT is satisfied. Everything else scatters in
-	// partial mode and merges through the engine.
+	start := time.Now()
+	var (
+		stats ExecStats
+		rows  [][]engine.Value
+		errs  []error // shards a degraded answer is missing
+	)
 	if !q.IsAggregate() && len(q.OrderBy) == 0 {
-		co.streamQuery(ctx, w, table, qr, q, wantStream)
-		return
-	}
-	co.mergeQuery(ctx, w, table, qr, q, wantStream)
-}
-
-// streamQuery serves a rows-mode scatter. NDJSON responses emit rows as
-// they arrive from the fleet; JSON responses accumulate them first.
-func (co *Coordinator) streamQuery(ctx context.Context, w http.ResponseWriter, table string, qr queryRequest, q *engine.Query, wantStream bool) {
-	start := time.Now()
-	cols := make([]string, len(q.Items))
-	for i, it := range q.Items {
-		cols[i] = it.Name()
-	}
-	var stats ExecStats
-	onStats := func(st ExecStats) { addStats(&stats, st) }
-	shards := len(co.fleet.Assignments(table))
-
-	if !wantStream {
-		rows := [][]any{} // "rows":[] on empty, like internal/server
-		err := co.StreamRows(ctx, table, qr.SQL, qr.TimeoutMS, q.Limit, func(row []engine.Value) error {
-			rows = append(rows, jsonRow(row))
+		// Streamable shapes scatter in rows mode: workers stream
+		// incrementally and the coordinator can cancel them the moment
+		// LIMIT is satisfied. NDJSON replies emit rows as they arrive from
+		// the fleet; JSON replies accumulate them first.
+		emit := func(row []engine.Value) error {
+			rows = append(rows, row)
 			return nil
-		}, onStats)
-		if err != nil {
-			co.writeQueryError(w, err)
-			return
 		}
-		writeJSON(w, http.StatusOK, queryResponse{Columns: cols, Rows: rows, Stats: statsFromExec(stats, start, shards)})
-		return
+		if nd != nil {
+			nd.Header(q.ColumnNames())
+			emit = func(row []engine.Value) error {
+				nd.Rows(row)
+				return nil
+			}
+		}
+		err = co.StreamRows(ctx, table, qr.SQL, qr.TimeoutMS, q.Limit, emit, func(st ExecStats) { addStats(&stats, st) })
+	} else {
+		// Everything else scatters in partial mode and merges through the
+		// engine. Shards that stay down after retry and failover degrade
+		// the reply to a partial result carrying their errors rather than
+		// failing the whole query.
+		gathered, _ := co.GatherPartials(ctx, table, qr.SQL, qr.TimeoutMS)
+		var merged *engine.Partial
+		merged, stats, errs = co.MergeShardPartials(q, table, gathered)
+		if merged == nil {
+			err = errors.Join(errs...)
+		} else {
+			var res *engine.Result
+			if res, err = merged.Result(); err == nil {
+				rows = res.Rows
+			}
+		}
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(map[string]any{"columns": cols})
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	err := co.StreamRows(ctx, table, qr.SQL, qr.TimeoutMS, q.Limit, func(row []engine.Value) error {
-		_ = enc.Encode(jsonRow(row))
-		n++
-		if flusher != nil && n%1024 == 0 {
-			flusher.Flush()
-		}
-		return nil
-	}, onStats)
-	if err != nil {
-		// Headers are gone; report the failure in-band like the server's
-		// NDJSON error trailer.
+	switch {
+	case err != nil && nd.Started():
+		// Headers are gone; report the failure in-band.
 		co.failed.Add(1)
-		_ = enc.Encode(map[string]any{"error": err.Error()})
+		nd.Error(err)
 		return
-	}
-	_ = enc.Encode(map[string]any{"stats": statsFromExec(stats, start, shards)})
-}
-
-// mergeQuery serves a partial-mode scatter: gather per-shard partials,
-// merge through the engine, and materialize the result. Shards that stay
-// down after retry and failover degrade the response to a partial result
-// carrying their errors rather than failing the whole query.
-func (co *Coordinator) mergeQuery(ctx context.Context, w http.ResponseWriter, table string, qr queryRequest, q *engine.Query, wantStream bool) {
-	start := time.Now()
-	shards, _ := co.GatherPartials(ctx, table, qr.SQL, qr.TimeoutMS)
-	merged, execStats, errs := co.MergeShardPartials(q, table, shards)
-	if merged == nil {
-		co.writeQueryError(w, errors.Join(errs...))
-		return
-	}
-	res, err := merged.Result()
-	if err != nil {
+	case err != nil:
 		co.writeQueryError(w, err)
 		return
 	}
-	st := statsFromExec(execStats, start, len(shards))
+	st := statsFromExec(stats, start, shards)
 	if len(errs) > 0 {
 		co.partialResults.Add(1)
 		st.Partial = true
@@ -265,45 +152,30 @@ func (co *Coordinator) mergeQuery(ctx context.Context, w http.ResponseWriter, ta
 			st.Errors = append(st.Errors, e.Error())
 		}
 	}
-	if wantStream {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		_ = enc.Encode(map[string]any{"columns": res.Cols})
-		flusher, _ := w.(http.Flusher)
-		for i, row := range res.Rows {
-			_ = enc.Encode(jsonRow(row))
-			if flusher != nil && i%1024 == 1023 {
-				flusher.Flush()
-			}
-		}
-		_ = enc.Encode(map[string]any{"stats": st})
+	if nd == nil {
+		queryapi.WriteResult(w, q.ColumnNames(), rows, st)
 		return
 	}
-	rows := make([][]any, len(res.Rows))
-	for i, row := range res.Rows {
-		rows[i] = jsonRow(row)
+	if !nd.Started() {
+		nd.Header(q.ColumnNames())
 	}
-	writeJSON(w, http.StatusOK, queryResponse{Columns: res.Cols, Rows: rows, Stats: st})
+	nd.Rows(rows...)
+	nd.Stats(st)
 }
 
 // writeQueryError maps a scatter failure onto a status code: client
-// cancellation and timeouts mirror internal/server; anything else is a
-// bad gateway because the failure happened fleet-side.
+// cancellation and timeouts as a single scanrawd reports them; anything
+// else is a bad gateway because the failure happened fleet-side.
 func (co *Coordinator) writeQueryError(w http.ResponseWriter, err error) {
 	co.failed.Add(1)
+	var pe *PeerError
 	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "query timed out")
-	case errors.Is(err, context.Canceled):
-		writeError(w, 499, "query cancelled")
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		queryapi.WriteContextError(w, err)
+	case errors.As(err, &pe) && pe.Status == http.StatusBadRequest:
+		// Deterministic query rejection from a worker — relay it.
+		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		var pe *PeerError
-		if errors.As(err, &pe) && pe.Status == http.StatusBadRequest {
-			// Deterministic query rejection from a worker — relay it.
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadGateway, "fleet execution failed: %v", err)
+		queryapi.WriteError(w, http.StatusBadGateway, "fleet execution failed: %v", err)
 	}
 }

@@ -70,13 +70,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // in no dependency relationship — the struct is redeclared to keep the
 // wire format self-contained).
 type ExecStats struct {
-	DeliveredCache  int
-	DeliveredDB     int
-	DeliveredRaw    int
-	Skipped         int
-	TerminatedEarly bool
-	ChunksSaved     int
-	DurationMS      float64
+	DeliveredCache   int
+	DeliveredDB      int
+	DeliveredRaw     int
+	DeliveredPartial int // partial-width hits
+	Skipped          int
+	TerminatedEarly  bool
+	ChunksSaved      int
+	DurationMS       float64
 }
 
 // encoder/decoder: varint scalars, length-prefixed strings, first-error
@@ -313,6 +314,7 @@ func (fw *FrameWriter) Stats(st ExecStats) error {
 	e.uvar(uint64(st.DeliveredCache))
 	e.uvar(uint64(st.DeliveredDB))
 	e.uvar(uint64(st.DeliveredRaw))
+	e.uvar(uint64(st.DeliveredPartial))
 	e.uvar(uint64(st.Skipped))
 	e.boolean(st.TerminatedEarly)
 	e.uvar(uint64(st.ChunksSaved))
@@ -409,6 +411,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		m.Stats.DeliveredCache = d.count(1<<30, "delivered cache")
 		m.Stats.DeliveredDB = d.count(1<<30, "delivered db")
 		m.Stats.DeliveredRaw = d.count(1<<30, "delivered raw")
+		m.Stats.DeliveredPartial = d.count(1<<30, "delivered partial")
 		m.Stats.Skipped = d.count(1<<30, "skipped")
 		m.Stats.TerminatedEarly = d.u8() != 0
 		m.Stats.ChunksSaved = d.count(1<<30, "chunks saved")

@@ -27,7 +27,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{iv(-7), fv(-0.25), sv("")},
 	}
 	st := ExecStats{
-		DeliveredCache: 3, DeliveredDB: 4, DeliveredRaw: 5, Skipped: 6,
+		DeliveredCache: 3, DeliveredDB: 4, DeliveredRaw: 5, DeliveredPartial: 8, Skipped: 6,
 		TerminatedEarly: true, ChunksSaved: 7, DurationMS: 1.75,
 	}
 	if err := fw.Rows(42, rows); err != nil {
@@ -143,7 +143,7 @@ func FuzzDecodeFrameMessage(f *testing.F) {
 	_ = fw.Rows(7, [][]engine.Value{{iv(1), sv("k")}})
 	f.Add(buf.Bytes()[frameHeader:])
 	var sb bytes.Buffer
-	_ = NewFrameWriter(&sb).Stats(ExecStats{DeliveredRaw: 3, DurationMS: 0.5})
+	_ = NewFrameWriter(&sb).Stats(ExecStats{DeliveredRaw: 3, DeliveredPartial: 2, DurationMS: 0.5})
 	f.Add(sb.Bytes()[frameHeader:])
 	f.Add([]byte{wireVersion, MsgEnd})
 	f.Fuzz(func(t *testing.T, data []byte) {

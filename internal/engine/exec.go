@@ -101,6 +101,15 @@ func (q *Query) IsAggregate() bool {
 	return len(q.GroupBy) > 0
 }
 
+// ColumnNames returns the output column names in select-list order.
+func (q *Query) ColumnNames() []string {
+	cols := make([]string, len(q.Items))
+	for i, it := range q.Items {
+		cols[i] = it.Name()
+	}
+	return cols
+}
+
 // RequiredColumns returns the sorted schema ordinals the query touches —
 // the set SCANRAW must tokenize and parse (selective conversion).
 func (q *Query) RequiredColumns() []int {

@@ -398,10 +398,7 @@ func mergeAgg(dst, src *aggState) {
 // deterministic regardless of consumption order.
 func (p *Partial) Result() (*Result, error) {
 	p.done = true
-	res := &Result{Cols: make([]string, len(p.q.Items))}
-	for i, it := range p.q.Items {
-		res.Cols[i] = it.Name()
-	}
+	res := &Result{Cols: p.q.ColumnNames()}
 	if !p.q.IsAggregate() {
 		rows := p.rows
 		if p.top != nil {

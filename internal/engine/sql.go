@@ -36,6 +36,19 @@ func ParseSQL(sql string, sch *schema.Schema) (*Query, error) {
 	return q, nil
 }
 
+// FromTable scans the SQL text for the FROM table name, so a caller that
+// serves several tables can pick the schema ParseSQL binds against (the
+// real parse happens with that schema).
+func FromTable(sql string) (string, error) {
+	fields := strings.Fields(sql)
+	for i, f := range fields {
+		if strings.EqualFold(f, "FROM") && i+1 < len(fields) {
+			return strings.Trim(fields[i+1], ","), nil
+		}
+	}
+	return "", fmt.Errorf("query has no FROM clause")
+}
+
 type tokKind uint8
 
 const (

@@ -20,7 +20,7 @@ import (
 var CRCFlow = &Analyzer{
 	Name: "crcflow",
 	Doc:  "errors from CRC-verifying decode functions may not be discarded or shadowed",
-	Dirs: []string{"internal/store", "internal/dbstore", "internal/cluster", "internal/server", "internal/engine"},
+	Dirs: []string{"internal/store", "internal/dbstore", "internal/cluster", "internal/server", "internal/queryapi", "internal/engine"},
 	Run:  runCRCFlow,
 }
 

@@ -17,7 +17,7 @@ import (
 var GoExit = &Analyzer{
 	Name: "goexit",
 	Doc:  "go func literals must select on a done channel / ctx.Done() or be provably finite",
-	Dirs: []string{"internal/scanraw", "internal/server"},
+	Dirs: []string{"internal/scanraw", "internal/server", "internal/queryapi"},
 	Run:  runGoExit,
 }
 

@@ -34,7 +34,7 @@ import (
 var LockOrder = &Analyzer{
 	Name:       "lockorder",
 	Doc:        "static lock-acquisition graph must be acyclic; no channel ops reachable under two locks",
-	Dirs:       []string{"internal/dbstore", "internal/server", "internal/cluster", "internal/store"},
+	Dirs:       []string{"internal/dbstore", "internal/server", "internal/queryapi", "internal/cluster", "internal/store"},
 	RunProject: runLockOrder,
 }
 

@@ -320,10 +320,7 @@ func relBound(est, half float64) float64 {
 // estimateResult materializes a snapshot as an engine result (group rows
 // sorted by key, matching the exact path's ordering).
 func estimateResult(q *engine.Query, snap Snapshot) *engine.Result {
-	res := &engine.Result{Cols: make([]string, len(q.Items))}
-	for i, it := range q.Items {
-		res.Cols[i] = it.Name()
-	}
+	res := &engine.Result{Cols: q.ColumnNames()}
 	for _, g := range snap.Groups {
 		res.Rows = append(res.Rows, g.Values)
 	}

@@ -20,16 +20,8 @@ func Run(ctx context.Context, op *scanraw.Operator, q *engine.Query, cfg Config,
 	if err != nil {
 		return nil, nil, scanraw.RunStats{}, err
 	}
-	req := scanraw.Request{
-		Columns: q.RequiredColumns(),
-		// No Skip: a statistics-pruned chunk would be a hole in the
-		// sample order, biasing every estimate. The exact root would
-		// survive it, but the estimator would not.
-		Order:     r.Order(seed),
-		Satisfied: r.Satisfied,
-		Deliver:   r.Consume,
-	}
-	st, err := op.RunContext(ctx, req)
+	m := scanraw.Member{Query: q, Consumer: r, Order: r.Order(seed), Done: r.Satisfied}
+	st, err := op.RunContext(ctx, m.Request(ctx))
 	if err != nil {
 		return nil, nil, st, err
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // Runner drives one sampled aggregate query. It is both the scan's
-// consumer (Consume/ConsumeCounted accept chunks on any number of
-// consume workers) and its steering: Order is the scanraw Request.Order
+// consumer (ConsumeCounted accepts chunks on any number of consume
+// workers) and its steering: Order is the scanraw Request.Order
 // callback that installs the seeded permutation, and Satisfied is the
 // demand-termination signal that fires once the bounds converge.
 //
@@ -88,12 +88,6 @@ func (r *Runner) Order(seed int64) func(n int) []int {
 // Satisfied reports whether the bounds have converged — the scan's
 // demand-termination signal. Monotonic: latched by the estimator.
 func (r *Runner) Satisfied() bool { return r.converged.Load() }
-
-// Consume implements the plain executor contract.
-func (r *Runner) Consume(bc *chunk.BinaryChunk) error {
-	_, err := r.ConsumeCounted(bc)
-	return err
-}
 
 // ConsumeCounted aggregates one chunk, merges it into the exact root,
 // and feeds the estimator through the sample-order reorder window. Safe

@@ -56,6 +56,7 @@ func TestSampledFullScanMatchesFileOrder(t *testing.T) {
 		"SELECT SUM(c0) FROM data",
 		"SELECT COUNT(*) FROM data WHERE c1 > 500",
 		"SELECT c2, COUNT(*), SUM(c0), AVG(c1) FROM data GROUP BY c2",
+		"SELECT COUNT(*) FROM data", // requires no column of its own
 	}
 	configs := []struct {
 		name string

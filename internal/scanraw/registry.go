@@ -126,14 +126,12 @@ func (r *Registry) CacheStats() cache.Stats {
 	return total
 }
 
-// QueryConsumer is the engine surface the operator drives: the serial
-// engine.Executor and the fan-out engine.ParallelExecutor both satisfy it.
-// ConsumeCounted and Bound feed demand-driven termination: the matched-row
-// count advances the LIMIT frontier, and the top-k cutoff prunes chunks for
-// ORDER BY ... LIMIT.
+// QueryConsumer is a Consumer that materializes: the serial engine.Executor
+// and the fan-out engine.ParallelExecutor both satisfy it. Bound feeds
+// demand-driven termination — the top-k cutoff prunes chunks for ORDER BY
+// ... LIMIT.
 type QueryConsumer interface {
-	ConsumeContext(ctx context.Context, bc *BinaryChunk) error
-	ConsumeCounted(bc *BinaryChunk) (int, error)
+	Consumer
 	Bound() ([]engine.Value, bool)
 	Result() (*engine.Result, error)
 	// Finish yields the raw mergeable partials instead of a materialized
@@ -141,16 +139,13 @@ type QueryConsumer interface {
 	Finish() ([]*engine.Partial, error)
 }
 
-// newConsumer builds the executor matching the operator's consume
-// parallelism and returns it with the effective worker count.
-func newConsumer(op *Operator, q *engine.Query, sch *schema.Schema) (QueryConsumer, int, error) {
-	n := op.Config().ConsumeWorkers
-	if n > 1 {
-		ex, err := engine.NewParallelExecutor(q, sch, n)
-		return ex, n, err
+// NewQueryConsumer builds the materializing engine executor for a consume
+// width: serial for one worker, the fan-out executor above.
+func NewQueryConsumer(q *engine.Query, sch *schema.Schema, workers int) (QueryConsumer, error) {
+	if workers > 1 {
+		return engine.NewParallelExecutor(q, sch, workers)
 	}
-	ex, err := engine.NewExecutor(q, sch)
-	return ex, 1, err
+	return engine.NewExecutor(q, sch)
 }
 
 // ExecuteQuery runs a bound query through the operator and returns its
@@ -181,7 +176,12 @@ func ExecuteQueryRange(op *Operator, q *engine.Query, rng *ChunkRange) (*engine.
 // termination stays sound within the peer's chunk universe. A nil range is
 // the whole file.
 func ExecuteQueryRangeContext(ctx context.Context, op *Operator, q *engine.Query, rng *ChunkRange) (*engine.Result, RunStats, error) {
-	ex, st, err := ConsumeQueryRangeContext(ctx, op, q, rng)
+	ex, err := NewQueryConsumer(q, op.Table().Schema(), op.Config().ConsumeWorkers)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	m := Member{Query: q, Consumer: ex, Range: rng}
+	st, err := op.RunContext(ctx, m.Request(ctx))
 	if err != nil {
 		return nil, st, err
 	}
@@ -189,57 +189,114 @@ func ExecuteQueryRangeContext(ctx context.Context, op *Operator, q *engine.Query
 	return res, st, err
 }
 
-// ConsumeQueryRangeContext runs the scan for q over the given chunk range
-// and returns the fed executor without finalizing it — the caller chooses
-// between Result() and, for distributed serving, extracting the mergeable
-// partial state to ship over the wire.
-func ConsumeQueryRangeContext(ctx context.Context, op *Operator, q *engine.Query, rng *ChunkRange) (QueryConsumer, RunStats, error) {
-	ex, n, err := newConsumer(op, q, op.Table().Schema())
-	if err != nil {
-		return nil, RunStats{}, err
-	}
+// Consumer is what a query brings to a scan: something to feed chunks to
+// that reports how many rows of each qualified (the count advances the
+// LIMIT frontier). The engine executors, the server's row emitter and the
+// online-aggregation runner all satisfy it. A Consumer that also exposes a
+// top-k cutoff (Bound, as the engine executors do) gets ORDER BY ... LIMIT
+// chunk pruning.
+type Consumer interface {
+	ConsumeCounted(bc *BinaryChunk) (int, error)
+}
+
+// Member is one query entering a scan, alone or beside others in a shared
+// one. Request turns it into the operator's Request; it is the only place a
+// query's columns, chunk elimination and demand-driven termination are
+// wired, so every caller — ExecuteQuery, ExecuteQueries, the server's
+// coalescer and /exec, online aggregation — gets the same rules.
+type Member struct {
+	Query    *engine.Query
+	Consumer Consumer
+	// Range restricts the scan (nil = whole file); the LIMIT frontier
+	// starts at its lower bound. Order replaces the file-order walk with a
+	// sample permutation; a sampled member carries no chunk elimination,
+	// because a statistics-pruned chunk would be a hole in the sample that
+	// biases every estimate. Workers is the consume width (0 = the
+	// operator's ConsumeWorkers).
+	Range   *ChunkRange
+	Order   func(numChunks int) []int
+	Workers int
+
+	// The hooks are what differs between callers; each may be nil.
+	//
+	// OnSkip observes every chunk the predicate's statistics eliminate —
+	// a reorder frontier must step over chunks that will never arrive.
+	OnSkip func(chunkID int)
+	// Done reports that the member wants no more chunks for a reason the
+	// demand layer cannot see: its client is gone, its stream LIMIT is
+	// met, its estimate converged. It must be monotonic. With Done set the
+	// request always carries a Satisfied signal, so a shared scan whose
+	// every member is done or demand-satisfied stops before end-of-file.
+	Done func() bool
+	// OnError receives the member's own failure (a consume error, its
+	// context ending) instead of the scan: the scan carries on for the
+	// other members. Nil fails the scan.
+	OnError func(error)
+}
+
+// Request builds the member's scan request. ctx is the member's own
+// context, which for a shared scan is not the scan's.
+func (m Member) Request(ctx context.Context) Request {
+	q := m.Query
 	cols := q.RequiredColumns()
 	if len(cols) == 0 {
 		// COUNT(*)-style queries touch no columns but still need every row
 		// scanned; converting the first column is the cheapest way.
 		cols = []int{0}
 	}
-	req := demandRequest(ctx, q, ex, Request{
-		Columns:         cols,
-		Skip:            SkipFromPredicate(q.Where),
-		ParallelConsume: n,
-		Range:           rng,
-	})
-	st, err := op.RunContext(ctx, req)
-	return ex, st, err
-}
-
-// demandRequest completes a Request with the delivery callback and the
-// demand-driven termination wiring for one query: matched-row counts feed
-// the LIMIT frontier, the executor's top-k cutoff prunes chunks, and the
-// Satisfied signal (when the query has a termination profile) lets the scan
-// stop before end-of-file.
-func demandRequest(ctx context.Context, q *engine.Query, ex QueryConsumer, base Request) Request {
-	dem := NewDemandFrom(q, ex, base.Range.start())
-	base.Deliver = func(bc *BinaryChunk) error {
-		if err := ctx.Err(); err != nil {
+	var skip func(*dbstore.ChunkMeta) bool
+	if base := SkipFromPredicate(q.Where); base != nil && m.Order == nil {
+		skip = base
+		if m.OnSkip != nil {
+			skip = func(meta *dbstore.ChunkMeta) bool {
+				if base(meta) {
+					m.OnSkip(meta.ID)
+					return true
+				}
+				return false
+			}
+		}
+	}
+	bound, _ := m.Consumer.(boundSource)
+	dem := NewDemandFrom(q, bound, m.Range.start())
+	done, satisfied := dem.IsSatisfied, dem.SatisfiedFn()
+	if m.Done != nil {
+		done = func() bool { return m.Done() || dem.IsSatisfied() }
+		satisfied = done
+	}
+	fail := func(err error) error {
+		if m.OnError == nil {
 			return err
 		}
-		if dem.IsSatisfied() {
-			// Surplus chunk that was already in flight when the demand
-			// latched: it provably cannot change the result.
-			return nil
-		}
-		matched, err := ex.ConsumeCounted(bc)
-		if err != nil {
-			return err
-		}
-		dem.RecordChunk(bc.ID, matched)
+		m.OnError(err)
 		return nil
 	}
-	base.Skip = dem.WrapSkip(base.Skip)
-	base.Satisfied = dem.SatisfiedFn()
-	return base
+	return Request{
+		Columns:         cols,
+		Skip:            dem.WrapSkip(skip),
+		Satisfied:       satisfied,
+		ParallelConsume: m.Workers,
+		Range:           m.Range,
+		Order:           m.Order,
+		// With a consume width above one Deliver runs on several goroutines
+		// at once; the Consumer behind it is concurrency-safe then.
+		Deliver: func(bc *BinaryChunk) error {
+			if err := ctx.Err(); err != nil {
+				return fail(err)
+			}
+			if done() {
+				// Surplus chunk already in flight when the member finished:
+				// it provably cannot change the result.
+				return nil
+			}
+			matched, err := m.Consumer.ConsumeCounted(bc)
+			if err != nil {
+				return fail(err)
+			}
+			dem.RecordChunk(bc.ID, matched)
+			return nil
+		},
+	}
 }
 
 // ExecuteSQL parses sql against the table's schema and executes it through

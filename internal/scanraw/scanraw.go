@@ -339,8 +339,10 @@ func (s RunStats) Delivered() int {
 }
 
 // Operator is a SCANRAW instance attached to one raw file. It is created
-// once and reused by every query over that file; Run is not safe for
-// concurrent calls (multi-query processing is the paper's future work).
+// once and reused by every query over that file. Concurrent Run calls
+// serialize — the file is scanned by one run at a time — so queries that
+// arrive together should share a scan through RunShared, the multi-query
+// processing the paper leaves as future work (§7).
 type Operator struct {
 	cfg Config
 	// workers is the current pool size; it differs from cfg.Workers when

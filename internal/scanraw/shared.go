@@ -230,16 +230,12 @@ func ExecuteQueriesContext(ctx context.Context, op *Operator, qs []*engine.Query
 	executors := make([]QueryConsumer, len(qs))
 	reqs := make([]Request, len(qs))
 	for i, q := range qs {
-		ex, n, err := newConsumer(op, q, sch)
+		ex, err := NewQueryConsumer(q, sch, op.Config().ConsumeWorkers)
 		if err != nil {
 			return nil, RunStats{}, fmt.Errorf("query %d: %w", i, err)
 		}
 		executors[i] = ex
-		reqs[i] = demandRequest(ctx, q, ex, Request{
-			Columns:         q.RequiredColumns(),
-			Skip:            SkipFromPredicate(q.Where),
-			ParallelConsume: n,
-		})
+		reqs[i] = Member{Query: q, Consumer: ex}.Request(ctx)
 	}
 	st, _, err := op.RunSharedContext(ctx, reqs)
 	if err != nil {

@@ -150,9 +150,18 @@ func TestExecuteQueriesSharedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, st, err := ExecuteQueries(op, []*engine.Query{q1, q2})
+	// A bare COUNT(*) requires no column of its own; it must still see
+	// every row, beside other queries and alone.
+	q3, err := engine.ParseSQL("SELECT COUNT(*) FROM data", sch)
 	if err != nil {
 		t.Fatal(err)
+	}
+	results, st, err := ExecuteQueries(op, []*engine.Query{q1, q2, q3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[2].Rows[0][0].Int; got != 512 {
+		t.Errorf("q3 beside others = %d, want 512", got)
 	}
 	if got, want := results[0].Rows[0][0].Int, gen.SumRange(env.spec, []int{0, 1}, 0, 512); got != want {
 		t.Errorf("q1 = %d, want %d", got, want)
@@ -169,6 +178,13 @@ func TestExecuteQueriesSharedScan(t *testing.T) {
 	// Union of columns converted once: the scan touched c0, c1, c3.
 	if st.DeliveredRaw != 8 {
 		t.Errorf("shared scan delivered %d raw chunks", st.DeliveredRaw)
+	}
+	alone, _, err := ExecuteQueries(op, []*engine.Query{q3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := alone[0].Rows[0][0].Int; got != 512 {
+		t.Errorf("q3 alone = %d, want 512", got)
 	}
 	if _, _, err := ExecuteQueries(op, nil); err == nil {
 		t.Error("no queries should fail")

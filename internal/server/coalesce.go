@@ -6,44 +6,35 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
-	"scanraw/internal/ola"
 	"scanraw/internal/scanraw"
 )
 
-// executor is the engine surface a pending query consumes chunks with:
-// the serial engine.Executor, the fan-out engine.ParallelExecutor, or the
-// server's streaming NDJSON consumer.
-type executor interface {
-	Consume(bc *scanraw.BinaryChunk) error
-	Result() (*engine.Result, error)
-}
-
-// pending is one admitted query waiting to be served by a shared scan.
+// pending is one admitted query waiting to be served by a scan: the
+// scanraw.Member the batch builds its request from, plus where the outcome
+// goes. The handler picks the consumer and the hooks by reply mode and
+// finalizes the consumer itself once the scan is done.
 type pending struct {
-	ctx    context.Context
-	q      *engine.Query
-	ex     executor
-	result chan pendingResult // buffered(1): the batch never blocks on it
-
+	ctx context.Context
+	q   *engine.Query
+	ex  scanraw.Consumer
 	// consumeWorkers is the consume parallelism this query asked the scan
 	// for (1 = classic serial delivery).
 	consumeWorkers int
-	// stream, when non-nil, consumes rows incrementally; the scan's skip
-	// decisions feed its reorder frontier and its satisfaction signal feeds
-	// demand-driven termination.
-	stream rowStreamer
-	// olaRunner, when non-nil, marks an online-aggregation query: the scan
-	// visits chunks in the runner's seeded sample order, carries no skip
-	// filter, and terminates once the runner's bounds converge. OLA queries
-	// always dispatch solo — a sampled visit order cannot be shared.
-	olaRunner *ola.Runner
-	olaSeed   int64
+	// rng restricts the scan to a shard's chunk range (/exec); order visits
+	// chunks in a seeded sample order (online aggregation). Either one
+	// dispatches the query solo: a sample order cannot be shared, and a
+	// shard is already one of a scatter whose peers wait for each other.
+	rng   *scanraw.ChunkRange
+	order func(numChunks int) []int
+	// onSkip feeds the scan's skip decisions to a reorder frontier; done is
+	// the consumer's own completeness signal (stream LIMIT met, estimate
+	// converged). Both may be nil.
+	onSkip func(chunkID int)
+	done   func() bool
 
-	// cancelled flips once the query's context dies mid-scan; the delivery
-	// path stops feeding its executor from then on.
-	cancelled atomic.Bool
+	result chan pendingResult // buffered(1): the batch never blocks on it
+
 	// consumeErr records this query's own execution error without failing
 	// the batch for everyone else. With parallel consume the delivery path
 	// runs on several goroutines, so the error latches behind a mutex.
@@ -52,9 +43,6 @@ type pending struct {
 }
 
 func (p *pending) setConsumeErr(err error) {
-	if err == nil {
-		return
-	}
 	p.errMu.Lock()
 	if p.consumeErr == nil {
 		p.consumeErr = err
@@ -68,9 +56,23 @@ func (p *pending) consumeError() error {
 	return p.consumeErr
 }
 
+// member is the query's entry into a scan. Its Done folds the consumer's
+// completeness with liveness: a dead or failed member wants no more chunks
+// either, so a shared scan whose every member is satisfied or gone stops
+// before end-of-file. Its error sink keeps a member's failure to itself.
+func (p *pending) member() scanraw.Member {
+	return scanraw.Member{
+		Query: p.q, Consumer: p.ex, Range: p.rng, Order: p.order, Workers: p.consumeWorkers,
+		OnSkip: p.onSkip,
+		Done: func() bool {
+			return p.ctx.Err() != nil || p.consumeError() != nil || (p.done != nil && p.done())
+		},
+		OnError: p.setConsumeErr,
+	}
+}
+
 // pendingResult is what the batch deposits for each member query.
 type pendingResult struct {
-	res       *engine.Result
 	scan      scanraw.RunStats
 	shared    scanraw.SharedStats
 	batchSize int
@@ -100,10 +102,7 @@ type batcher struct {
 // batch already been draining, resurrecting chunk deliveries its members
 // no longer want). Such a newcomer dispatches alone instead of coalescing.
 func (b *batcher) submit(p *pending) {
-	if p.olaRunner != nil {
-		// A sampled scan's visit order is its statistical contract; the
-		// shared-scan path rejects multi-member ordered batches, so OLA
-		// queries never join (or open) a coalescing window.
+	if p.order != nil || p.rng != nil {
 		go b.execute([]*pending{p})
 		return
 	}
@@ -156,13 +155,6 @@ func allTerminating(queue []*pending) bool {
 	return true
 }
 
-// countedConsumer is the optional executor refinement reporting per-chunk
-// matched-row counts — the engine executors and both streamers implement
-// it; demand-driven termination needs the counts for its LIMIT frontier.
-type countedConsumer interface {
-	ConsumeCounted(bc *scanraw.BinaryChunk) (int, error)
-}
-
 // execute runs one batch through the shared-scan path and deposits each
 // member's result. Batches for the same operator serialize on the
 // operator's run mutex; batches for different files run concurrently.
@@ -179,7 +171,6 @@ func (b *batcher) execute(batch []*pending) {
 		go func(p *pending) {
 			select {
 			case <-p.ctx.Done():
-				p.cancelled.Store(true)
 				if live.Add(-1) == 0 {
 					cancel()
 				}
@@ -190,91 +181,7 @@ func (b *batcher) execute(batch []*pending) {
 
 	reqs := make([]scanraw.Request, len(batch))
 	for i, p := range batch {
-		p := p
-		cols := p.q.RequiredColumns()
-		if len(cols) == 0 {
-			// COUNT(*)-style queries touch no columns but still need every
-			// row scanned; converting the first column is the cheapest way.
-			cols = []int{0}
-		}
-		skip := scanraw.SkipFromPredicate(p.q.Where)
-		if p.olaRunner != nil {
-			// Statistics-based elimination would punch holes in the sample
-			// order; the estimator needs every chunk it draws.
-			skip = nil
-		}
-		if p.stream != nil {
-			// Streaming members watch their skip decisions so the reorder
-			// frontier can advance past eliminated chunks.
-			orig := skip
-			stream := p.stream
-			skip = func(meta *dbstore.ChunkMeta) bool {
-				if orig != nil && orig(meta) {
-					stream.markSkipped(meta.ID)
-					return true
-				}
-				return false
-			}
-		}
-		// Demand-driven termination wiring. The executor's matched-row
-		// counts (when it reports them) advance the member's LIMIT frontier,
-		// its top-k bound (when it has one) prunes chunks, and the member's
-		// Satisfied folds its own completeness with liveness: a dead member
-		// wants no more chunks either, so a shared scan whose every member
-		// is satisfied or gone stops before end-of-file.
-		var boundSrc interface {
-			Bound() ([]engine.Value, bool)
-		}
-		if bs, ok := p.ex.(interface {
-			Bound() ([]engine.Value, bool)
-		}); ok {
-			boundSrc = bs
-		}
-		dem := scanraw.NewDemand(p.q, boundSrc)
-		memberDone := func() bool {
-			if p.cancelled.Load() || p.ctx.Err() != nil || p.consumeError() != nil {
-				return true
-			}
-			if p.stream != nil && p.stream.satisfied() {
-				return true
-			}
-			if p.olaRunner != nil && p.olaRunner.Satisfied() {
-				return true
-			}
-			return dem.IsSatisfied()
-		}
-		var order func(int) []int
-		if p.olaRunner != nil {
-			order = p.olaRunner.Order(p.olaSeed)
-		}
-		reqs[i] = scanraw.Request{
-			Columns:         cols,
-			Skip:            dem.WrapSkip(skip),
-			Order:           order,
-			ParallelConsume: p.consumeWorkers,
-			Satisfied:       memberDone,
-			// Deliver feeds this member's executor but never fails the
-			// whole batch: a dead member is skipped, a member whose own
-			// evaluation errors keeps the error for itself. With parallel
-			// consume this closure runs on several goroutines at once (the
-			// executor behind it is concurrency-safe then).
-			Deliver: func(bc *scanraw.BinaryChunk) error {
-				if memberDone() {
-					return nil
-				}
-				if cc, ok := p.ex.(countedConsumer); ok {
-					matched, err := cc.ConsumeCounted(bc)
-					if err != nil {
-						p.setConsumeErr(err)
-						return nil
-					}
-					dem.RecordChunk(bc.ID, matched)
-					return nil
-				}
-				p.setConsumeErr(p.ex.Consume(bc))
-				return nil
-			},
-		}
+		reqs[i] = p.member().Request(p.ctx)
 	}
 
 	st, per, err := b.op.RunSharedContext(scanCtx, reqs)
@@ -290,10 +197,8 @@ func (b *batcher) execute(batch []*pending) {
 			pr.err = p.ctx.Err()
 		case p.consumeError() != nil:
 			pr.err = p.consumeError()
-		case err != nil:
-			pr.err = err
 		default:
-			pr.res, pr.err = p.ex.Result()
+			pr.err = err
 		}
 		p.result <- pr
 	}

@@ -1,16 +1,11 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"net/http"
-	"sort"
-	"sync"
-	"time"
 
 	"scanraw/internal/cluster"
-	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
+	"scanraw/internal/queryapi"
 	"scanraw/internal/scanraw"
 )
 
@@ -28,349 +23,147 @@ import (
 //     the assignment's base), and shipped as one MsgPartial frame —
 //     the shape aggregates, GROUP BY, and ORDER BY need.
 //
-// /exec rides the same admission path as /query (a slot or a 429) and
-// the same operator, so remote shards coexist with local serving and
+// /exec rides the same prologue as /query (bind, then a slot or a 429)
+// and the same operator, so remote shards coexist with local serving and
 // the operator's run mutex serializes them against coalesced batches.
 
-// handleExec serves one coordinator-assigned shard execution.
+// handleExec serves one coordinator-assigned shard execution: the same
+// pending /query builds — consumer chosen by mode — plus the shard's chunk
+// range, which dispatches it solo.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		queryapi.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	var er cluster.ExecRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&er); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
+	if !queryapi.DecodeBody(w, r, &er) {
 		return
 	}
-	if er.Mode != cluster.ModeRows && er.Mode != cluster.ModePartial {
-		writeError(w, http.StatusBadRequest, "bad mode %q (want %q or %q)", er.Mode, cluster.ModeRows, cluster.ModePartial)
+	rowsMode := er.Mode == cluster.ModeRows
+	if !rowsMode && er.Mode != cluster.ModePartial {
+		queryapi.WriteError(w, http.StatusBadRequest, "bad mode %q (want %q or %q)", er.Mode, cluster.ModeRows, cluster.ModePartial)
 		return
 	}
 	if er.Lo < 0 || er.Base < 0 || (er.Hi != 0 && er.Hi <= er.Lo) {
-		writeError(w, http.StatusBadRequest, "bad chunk range [%d,%d)+%d", er.Lo, er.Hi, er.Base)
+		queryapi.WriteError(w, http.StatusBadRequest, "bad chunk range [%d,%d)+%d", er.Lo, er.Hi, er.Base)
 		return
 	}
-	from, err := fromTable(er.SQL)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.mu.RLock()
-	entry, ok := s.tables[from]
-	s.mu.RUnlock()
+	entry, q, ok := s.bind(w, er.SQL)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown table %q", from)
 		return
 	}
-	q, err := engine.ParseSQL(er.SQL, entry.table.Schema())
+	workers := max(entry.cfg.ConsumeWorkers, 1)
+	p := &pending{
+		q: q, consumeWorkers: workers, rng: &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi},
+		result: make(chan pendingResult, 1),
+	}
+	fw := cluster.NewFrameWriter(w)
+	var (
+		emitter *rowEmitter
+		ex      scanraw.QueryConsumer
+		err     error
+	)
+	if rowsMode {
+		emitter, err = newRowEmitter(q, entry.table.Schema(), workers, er.Lo, frameSink(fw, w, er.Base))
+		if err == nil {
+			p.ex, p.onSkip, p.done = emitter, emitter.markSkipped, emitter.satisfied
+			// A cancelled scan may still be delivering when this handler
+			// returns, and the response writer dies with the handler.
+			defer emitter.abandon()
+		}
+	} else if ex, err = scanraw.NewQueryConsumer(q, entry.table.Schema(), workers); err == nil {
+		p.ex = ex
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	// Same admission control as /query: remote shards are queries too.
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.met.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server at capacity (%d queries in flight)", s.cfg.MaxConcurrent)
+	ctx, release, ok := s.admit(w, r, entry, q, er.TimeoutMS)
+	if !ok {
 		return
 	}
-	defer func() { <-s.slots }()
-	s.met.queries.Add(1)
+	defer release()
 	s.met.execRequests.Add(1)
-	s.met.policyCount(entry.cfg.Policy)
-	s.recordAccess(entry, q.RequiredColumns())
+	p.ctx = ctx
 
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if er.TimeoutMS > 0 {
-		timeout = time.Duration(er.TimeoutMS) * time.Millisecond
+	// The frame stream (and the 200) starts before a rows-mode scan; a
+	// partial-mode scan runs before any response byte, so its failures
+	// still get real HTTP statuses.
+	begin := func() {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.WriteHeader(http.StatusOK)
 	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	var rng *scanraw.ChunkRange
-	if er.Lo > 0 || er.Hi > 0 {
-		rng = &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi}
-	}
-	op := s.batcherFor(entry).op
-	if er.Mode == cluster.ModePartial {
-		s.execPartial(ctx, w, op, q, er, rng)
-		return
-	}
-	s.execRows(ctx, w, op, entry, q, er, rng)
-}
-
-// execStats converts a run's stats into the wire stats message.
-func execStats(st scanraw.RunStats) cluster.ExecStats {
-	return cluster.ExecStats{
-		DeliveredCache:  st.DeliveredCache,
-		DeliveredDB:     st.DeliveredDB,
-		DeliveredRaw:    st.DeliveredRaw,
-		Skipped:         st.SkippedChunks,
-		TerminatedEarly: st.TerminatedEarly,
-		ChunksSaved:     st.ChunksSaved,
-		DurationMS:      float64(st.Duration.Microseconds()) / 1000,
-	}
-}
-
-// execPartial runs the shard scan to completion, merges the engine
-// partials, and ships the serialized merge. The scan runs before any
-// response byte, so pre-stream failures still get real HTTP statuses.
-func (s *Server) execPartial(ctx context.Context, w http.ResponseWriter, op *scanraw.Operator, q *engine.Query, er cluster.ExecRequest, rng *scanraw.ChunkRange) {
-	ex, st, err := scanraw.ConsumeQueryRangeContext(ctx, op, q, rng)
-	s.recordScan(st, 1)
-	if err != nil {
-		s.execFail(ctx, w, err)
-		return
-	}
-	parts, err := ex.Finish()
-	if err != nil {
-		s.execFail(ctx, w, err)
-		return
-	}
-	merged, err := engine.MergePartials(parts)
-	if err != nil {
-		s.execFail(ctx, w, err)
-		return
-	}
-	payload, err := engine.EncodePartial(merged, er.Base)
-	if err != nil {
-		s.execFail(ctx, w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	fw := cluster.NewFrameWriter(w)
-	if err := fw.Partial(payload); err != nil {
-		s.accountCancelled(ctx.Err())
-		return
-	}
-	_ = fw.Stats(execStats(st))
-	_ = fw.End()
-}
-
-// execFail reports a pre-stream shard failure. A scan cut short by the
-// coordinator cancelling (LIMIT satisfied, failover, timeout) is the
-// distributed fast path working as designed — it is accounted as a
-// cancellation, never as a failure.
-func (s *Server) execFail(ctx context.Context, w http.ResponseWriter, err error) {
-	if ctx.Err() != nil {
-		s.accountCancelled(ctx.Err())
-		s.writeCancelled(w, ctx.Err())
-		return
-	}
-	s.met.failed.Add(1)
-	writeError(w, http.StatusInternalServerError, "%v", err)
-}
-
-// execStreamer is the rows-mode consumer: it evaluates chunks on pooled
-// partials (parallel consume safe) and emits one MsgRows frame per chunk
-// in ascending chunk order through a reorder frontier, exactly the
-// ndjsonStreamer discipline but with binary frames and global chunk IDs.
-type execStreamer struct {
-	mu      sync.Mutex
-	q       *engine.Query
-	pool    chan *engine.Partial
-	fw      *cluster.FrameWriter
-	flusher http.Flusher
-	base    int // global chunk ID shift
-	next    int // frontier: lowest local chunk ID not yet emitted
-	emitted int
-	ready   map[int][][]engine.Value
-	skipped map[int]bool
-	werr    error // first frame-write failure; stream is dead after it
-}
-
-func newExecStreamer(q *engine.Query, op *scanraw.Operator, base, startChunk int) (*execStreamer, int, error) {
-	workers := op.Config().ConsumeWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	st := &execStreamer{
-		q:       q,
-		pool:    make(chan *engine.Partial, workers),
-		base:    base,
-		next:    startChunk,
-		ready:   make(map[int][][]engine.Value),
-		skipped: make(map[int]bool),
-	}
-	for i := 0; i < workers; i++ {
-		p, err := engine.NewPartial(q, op.Table().Schema())
-		if err != nil {
-			return nil, 0, err
-		}
-		st.pool <- p
-	}
-	return st, workers, nil
-}
-
-func (st *execStreamer) bind(w http.ResponseWriter) {
-	st.fw = cluster.NewFrameWriter(w)
-	st.flusher, _ = w.(http.Flusher)
-}
-
-func (st *execStreamer) consumeCounted(bc *scanraw.BinaryChunk) (int, error) {
-	p := <-st.pool
-	rows, err := p.ChunkRows(bc)
-	st.pool <- p
-	if err != nil {
-		return 0, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.ready[bc.ID] = rows
-	st.drainLocked()
-	return len(rows), nil
-}
-
-func (st *execStreamer) markSkipped(id int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.skipped[id] {
-		return
-	}
-	st.skipped[id] = true
-	st.drainLocked()
-}
-
-func (st *execStreamer) satisfied() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.q.Limit > 0 && st.emitted >= st.q.Limit
-}
-
-func (st *execStreamer) drainLocked() {
-	for {
-		if st.skipped[st.next] {
-			delete(st.skipped, st.next)
-			st.next++
-			continue
-		}
-		rows, ok := st.ready[st.next]
-		if !ok {
-			return
-		}
-		delete(st.ready, st.next)
-		st.emitLocked(st.next, rows)
-		st.next++
-	}
-}
-
-// emitLocked ships one chunk's qualifying rows as a MsgRows frame,
-// truncated to the query's LIMIT, and flushes so the coordinator sees
-// rows (and can cancel) without waiting for the scan to end.
-func (st *execStreamer) emitLocked(id int, rows [][]engine.Value) {
-	if st.werr != nil || len(rows) == 0 {
-		return
-	}
-	if st.q.Limit > 0 {
-		remaining := st.q.Limit - st.emitted
-		if remaining <= 0 {
-			return
-		}
-		if len(rows) > remaining {
-			rows = rows[:remaining]
-		}
-	}
-	if err := st.fw.Rows(st.base+id, rows); err != nil {
-		st.werr = err
-		return
-	}
-	st.emitted += len(rows)
-	if st.flusher != nil {
-		st.flusher.Flush()
-	}
-}
-
-// finish flushes out-of-order leftovers (possible only after a cancelled
-// scan) in ID order.
-func (st *execStreamer) finish() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ids := make([]int, 0, len(st.ready))
-	for id := range st.ready {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.emitLocked(id, st.ready[id])
-		delete(st.ready, id)
-	}
-}
-
-// execRows runs the shard scan in rows mode: the 200 and the frame
-// stream start before the scan, rows flow per chunk, and the demand
-// layer stops the local scan once the shard's LIMIT share is provably
-// met (the coordinator additionally cancels us when the global LIMIT
-// fills from other shards first).
-func (s *Server) execRows(ctx context.Context, w http.ResponseWriter, op *scanraw.Operator, entry *tableEntry, q *engine.Query, er cluster.ExecRequest, rng *scanraw.ChunkRange) {
-	est, workers, err := newExecStreamer(q, op, er.Base, er.Lo)
-	if err != nil {
-		s.met.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	est.bind(w)
-
-	cols := q.RequiredColumns()
-	if len(cols) == 0 {
-		cols = []int{0}
-	}
-	skip := scanraw.SkipFromPredicate(q.Where)
-	orig := skip
-	skip = func(meta *dbstore.ChunkMeta) bool {
-		if orig != nil && orig(meta) {
-			est.markSkipped(meta.ID)
-			return true
-		}
-		return false
-	}
-	dem := scanraw.NewDemandFrom(q, nil, er.Lo)
-	req := scanraw.Request{
-		Columns:         cols,
-		Skip:            dem.WrapSkip(skip),
-		ParallelConsume: workers,
-		Range:           rng,
-		Satisfied:       dem.SatisfiedFn(),
-		Deliver: func(bc *scanraw.BinaryChunk) error {
-			if err := ctx.Err(); err != nil {
-				return err
+	var inBand func(err error, cancelled bool)
+	if rowsMode {
+		begin()
+		inBand = func(err error, cancelled bool) {
+			// Cancelled mid-stream by the coordinator (global LIMIT
+			// satisfied, failover): the stream is torn and it has already
+			// stopped reading it.
+			if !cancelled {
+				_ = fw.Error(err.Error())
 			}
-			if dem.IsSatisfied() {
-				return nil
-			}
-			matched, err := est.consumeCounted(bc)
-			if err != nil {
-				return err
-			}
-			dem.RecordChunk(bc.ID, matched)
-			return nil
-		},
+		}
 	}
-	st, err := op.RunContext(ctx, req)
-	s.recordScan(st, 1)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Coordinator cancelled mid-stream (global LIMIT satisfied or
-			// failover): expected shutdown, not a failure. The stream is
-			// torn; the coordinator already stopped reading it.
+	pr := s.run(entry, p)
+	var payload []byte
+	if pr.err == nil && !rowsMode {
+		payload, pr.err = shardPartial(ex, er.Base)
+	}
+	if pr.err != nil {
+		s.fail(w, ctx, pr.err, inBand)
+		return
+	}
+	if rowsMode {
+		emitter.flush()
+	} else {
+		begin()
+		if err := fw.Partial(payload); err != nil {
 			s.accountCancelled(ctx.Err())
 			return
 		}
-		s.met.failed.Add(1)
-		_ = est.fw.Error(err.Error())
-		return
 	}
-	est.finish()
-	_ = est.fw.Stats(execStats(st))
-	_ = est.fw.End()
+	_ = fw.Stats(cluster.ExecStats{
+		DeliveredCache:   pr.scan.DeliveredCache,
+		DeliveredDB:      pr.scan.DeliveredDB,
+		DeliveredRaw:     pr.scan.DeliveredRaw,
+		DeliveredPartial: pr.scan.DeliveredPartial,
+		Skipped:          pr.scan.SkippedChunks,
+		TerminatedEarly:  pr.scan.TerminatedEarly,
+		ChunksSaved:      pr.scan.ChunksSaved,
+		DurationMS:       float64(pr.scan.Duration.Microseconds()) / 1000,
+	})
+	_ = fw.End()
+}
+
+// frameSink is /exec's sink: one MsgRows frame per chunk, its ID shifted
+// into the global space by base, flushed so the coordinator sees rows (and
+// can cancel) without waiting for the scan to end.
+func frameSink(fw *cluster.FrameWriter, w http.ResponseWriter, base int) chunkSink {
+	flusher, _ := w.(http.Flusher)
+	return func(id int, rows [][]engine.Value) error {
+		if err := fw.Rows(base+id, rows); err != nil {
+			return err
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	}
+}
+
+// shardPartial folds a shard scan's engine partials into one and
+// serializes it, chunk provenance shifted into the global ID space.
+func shardPartial(ex scanraw.QueryConsumer, base int) ([]byte, error) {
+	parts, err := ex.Finish()
+	if err != nil {
+		return nil, err
+	}
+	merged, err := engine.MergePartials(parts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.EncodePartial(merged, base)
 }

@@ -2,11 +2,11 @@ package server
 
 import (
 	"math"
-	"net/http"
+	"sync"
 
 	"scanraw/internal/engine"
 	"scanraw/internal/ola"
-	"scanraw/internal/scanraw"
+	"scanraw/internal/queryapi"
 	"scanraw/internal/schema"
 )
 
@@ -18,17 +18,18 @@ import (
 // immediately — the whole point is that the client sees the estimate
 // converge live.
 type olaStreamer struct {
-	streamBase
-	q      *engine.Query
+	nd     *queryapi.NDJSON
 	runner *ola.Runner
 
 	// lastRel is the MaxRel of the last emitted progress line; only a
-	// strictly smaller bound earns another line. Guarded by streamBase.mu.
+	// strictly smaller bound earns another line. mu also orders the lines:
+	// progress runs on several consume workers at once.
+	mu      sync.Mutex
 	lastRel float64
 }
 
-func newOLAStreamer(q *engine.Query, sch *schema.Schema, cfg ola.Config) (*olaStreamer, error) {
-	st := &olaStreamer{q: q, lastRel: math.Inf(1)}
+func newOLAStreamer(q *engine.Query, sch *schema.Schema, cfg ola.Config, nd *queryapi.NDJSON) (*olaStreamer, error) {
+	st := &olaStreamer{nd: nd, lastRel: math.Inf(1)}
 	r, err := ola.NewRunner(q, sch, cfg, st.progress)
 	if err != nil {
 		return nil, err
@@ -36,29 +37,6 @@ func newOLAStreamer(q *engine.Query, sch *schema.Schema, cfg ola.Config) (*olaSt
 	st.runner = r
 	return st, nil
 }
-
-func (st *olaStreamer) start(w http.ResponseWriter) { st.bind(w, st.columns()) }
-
-func (st *olaStreamer) columns() []string {
-	cols := make([]string, len(st.q.Items))
-	for i, it := range st.q.Items {
-		cols[i] = it.Name()
-	}
-	return cols
-}
-
-func (st *olaStreamer) Consume(bc *scanraw.BinaryChunk) error { return st.runner.Consume(bc) }
-
-func (st *olaStreamer) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
-	return st.runner.ConsumeCounted(bc)
-}
-
-// markSkipped is a no-op: sampled scans carry no skip filter (a skipped
-// chunk would be a hole in the sample order).
-func (st *olaStreamer) markSkipped(int) {}
-
-// satisfied is the demand-termination signal: the bounds converged.
-func (st *olaStreamer) satisfied() bool { return st.runner.Satisfied() }
 
 // progress is the runner's frontier callback.
 func (st *olaStreamer) progress(s ola.Snapshot) {
@@ -68,16 +46,6 @@ func (st *olaStreamer) progress(s ola.Snapshot) {
 		return
 	}
 	st.lastRel = s.MaxRel
-	st.emitSnapshotLocked(s, false)
-}
-
-// emitSnapshotLocked writes one estimate line. NaN/Inf (undefined
-// estimates, unbounded error) encode as null — encoding/json cannot
-// represent them and would silently drop the whole line.
-func (st *olaStreamer) emitSnapshotLocked(s ola.Snapshot, final bool) {
-	if st.closed || st.enc == nil {
-		return
-	}
 	rows := make([][]any, len(s.Groups))
 	bounds := make([][]any, len(s.Groups))
 	for i, g := range s.Groups {
@@ -88,36 +56,34 @@ func (st *olaStreamer) emitSnapshotLocked(s ola.Snapshot, final bool) {
 		}
 		bounds[i] = bs
 	}
-	_ = st.enc.Encode(map[string]any{
+	st.nd.Line(estimateLine(rows, bounds, s, s.MaxRel, false))
+}
+
+// estimateLine is one estimate line. NaN/Inf (undefined estimates,
+// unbounded error) encode as null — encoding/json cannot represent them
+// and would silently drop the whole line.
+func estimateLine(rows, bounds [][]any, s ola.Snapshot, maxRel float64, final bool) map[string]any {
+	return map[string]any{
 		"rows":           rows,
 		"bounds":         bounds,
 		"chunks_sampled": s.Chunks,
 		"chunks_total":   s.Total,
-		"max_rel_error":  jsonFloat(s.MaxRel),
+		"max_rel_error":  jsonFloat(maxRel),
 		"final":          final,
-	})
-	st.emitted++
-	if st.flusher != nil {
-		st.flusher.Flush()
 	}
 }
 
-// Result finalizes the stream: the definitive line — the exact engine
+// finish finalizes the stream: the definitive line — the exact engine
 // answer when the scan covered the whole file, the last estimate
 // otherwise — goes out with "final": true. The returned result carries
 // only the columns; rows are already on the wire.
-func (st *olaStreamer) Result() (*engine.Result, error) {
+func (st *olaStreamer) finish() (*engine.Result, error) {
 	res, err := st.runner.Result()
 	if err != nil {
 		return nil, err
 	}
 	last := st.runner.LastSnapshot()
 	exact := st.runner.Exact()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed || st.enc == nil {
-		return &engine.Result{Cols: res.Cols}, nil
-	}
 	rows := make([][]any, len(res.Rows))
 	bounds := make([][]any, len(res.Rows))
 	for i, row := range res.Rows {
@@ -139,17 +105,7 @@ func (st *olaStreamer) Result() (*engine.Result, error) {
 	if exact {
 		maxRel = 0
 	}
-	_ = st.enc.Encode(map[string]any{
-		"rows":           rows,
-		"bounds":         bounds,
-		"chunks_sampled": last.Chunks,
-		"chunks_total":   last.Total,
-		"max_rel_error":  jsonFloat(maxRel),
-		"final":          true,
-	})
-	if st.flusher != nil {
-		st.flusher.Flush()
-	}
+	st.nd.Line(estimateLine(rows, bounds, last, maxRel, true))
 	return &engine.Result{Cols: res.Cols}, nil
 }
 
@@ -162,10 +118,10 @@ func jsonFloat(f float64) any {
 	return f
 }
 
-// sanitizedRow is jsonRow with NaN/Inf floats nulled (estimate rows can
+// sanitizedRow is queryapi.JSONRow with NaN/Inf floats nulled (estimate rows can
 // hold them before enough data arrives).
 func sanitizedRow(row []engine.Value) []any {
-	out := jsonRow(row)
+	out := queryapi.JSONRow(row)
 	for i, v := range row {
 		if v.Typ == schema.Float64 {
 			out[i] = jsonFloat(v.Float)

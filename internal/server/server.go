@@ -26,7 +26,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -42,8 +41,8 @@ import (
 	"scanraw/internal/engine"
 	"scanraw/internal/metrics"
 	"scanraw/internal/ola"
+	"scanraw/internal/queryapi"
 	"scanraw/internal/scanraw"
-	"scanraw/internal/schema"
 	"scanraw/internal/workload"
 )
 
@@ -280,90 +279,10 @@ func (s *Server) Handler() http.Handler {
 // once draining — the signal a coordinator uses to skip this worker.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		queryapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-}
-
-// queryRequest is the POST /query body.
-type queryRequest struct {
-	SQL string `json:"sql"`
-	// TimeoutMS bounds this query; zero falls back to the server default.
-	TimeoutMS int64 `json:"timeout_ms"`
-}
-
-// queryStats is the per-query serving report attached to every result.
-type queryStats struct {
-	DurationMS      float64 `json:"duration_ms"`
-	BatchSize       int     `json:"batch_size"` // queries served by the same physical scan
-	ScanChunksCache int     `json:"scan_chunks_cache"`
-	ScanChunksDB    int     `json:"scan_chunks_db"`
-	ScanChunksRaw   int     `json:"scan_chunks_raw"`
-	// ScanChunksPartial counts partial-width hits: chunks served by merging
-	// already-loaded column groups with a narrow conversion of the rest.
-	ScanChunksPartial int    `json:"scan_chunks_partial"`
-	ChunksDelivered   int    `json:"chunks_delivered"` // to this query, after its skip filter
-	ChunksSkipped     int    `json:"chunks_skipped"`
-	ChunksLoaded      int    `json:"chunks_loaded"` // loaded into the database during the scan
-	Policy            string `json:"policy"`
-	// TerminatedEarly reports the physical scan stopped before end-of-file
-	// because every query it served was provably complete; ChunksSaved is
-	// how many chunks that saved reading or converting.
-	TerminatedEarly bool `json:"terminated_early"`
-	ChunksSaved     int  `json:"chunks_saved"`
-	// OLA, present only for sampled (online-aggregation) queries, reports
-	// the sampling outcome.
-	OLA *olaStats `json:"ola,omitempty"`
-}
-
-// olaStats is the sampling report of an online-aggregation query.
-type olaStats struct {
-	ChunksSampled int `json:"chunks_sampled"`
-	ChunksTotal   int `json:"chunks_total"`
-	// MaxRelError is the worst relative half-width across the result's
-	// bounds; -1 when no bound was ever formed (e.g. cancelled before
-	// MinChunks). Exact results report 0.
-	MaxRelError float64 `json:"max_rel_error"`
-	Converged   bool    `json:"converged"`
-	Exact       bool    `json:"exact"`
-	Tolerance   float64 `json:"tolerance"`
-	Confidence  float64 `json:"confidence"`
-	Seed        int64   `json:"seed"`
-}
-
-// queryResponse is the non-streaming POST /query reply.
-type queryResponse struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]any    `json:"rows"`
-	Stats   queryStats `json:"stats"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// fromTable scans the SQL text for the FROM table name so the query can be
-// bound against the right schema (the real parse happens with that schema).
-func fromTable(sql string) (string, error) {
-	fields := strings.Fields(sql)
-	for i, f := range fields {
-		if strings.EqualFold(f, "FROM") && i+1 < len(fields) {
-			return strings.Trim(fields[i+1], ","), nil
-		}
-	}
-	return "", fmt.Errorf("query has no FROM clause")
+	queryapi.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // olaRequest is the resolved online-aggregation decision for one query:
@@ -426,158 +345,209 @@ func (s *Server) olaParams(r *http.Request, q *engine.Query) (olaRequest, error)
 	return out, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var qr queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&qr); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
-		return
+// bind is the first half of the prologue /query and /exec share: it finds
+// the statement's table and binds the query against its schema, replying
+// 4xx itself when it cannot.
+func (s *Server) bind(w http.ResponseWriter, sql string) (*tableEntry, *engine.Query, bool) {
+	if strings.TrimSpace(sql) == "" {
+		queryapi.WriteError(w, http.StatusBadRequest, "empty sql")
+		return nil, nil, false
 	}
-	if strings.TrimSpace(qr.SQL) == "" {
-		writeError(w, http.StatusBadRequest, "empty sql")
-		return
-	}
-	from, err := fromTable(qr.SQL)
+	from, err := engine.FromTable(sql)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, false
 	}
 	s.mu.RLock()
 	entry, ok := s.tables[from]
 	s.mu.RUnlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown table %q", from)
-		return
+		queryapi.WriteError(w, http.StatusNotFound, "unknown table %q", from)
+		return nil, nil, false
 	}
-	q, err := engine.ParseSQL(qr.SQL, entry.table.Schema())
+	q, err := engine.ParseSQL(sql, entry.table.Schema())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, false
 	}
-	olaReq, err := s.olaParams(r, q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Executor selection. The operator's ConsumeWorkers setting decides the
-	// consume parallelism; online-aggregation queries get a sampled-scan
-	// runner (streamed as converging estimates under NDJSON); non-aggregate
-	// queries asked for as NDJSON get a streamer — incremental chunk-order
-	// emission when there is no ORDER BY, merge-on-emit (sorted runs through
-	// a loser tree) when there is — everything else materializes through the
-	// serial or parallel engine executor.
-	workers := entry.cfg.ConsumeWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	wantStream := r.URL.Query().Get("stream") == "ndjson"
-	var (
-		ex        executor
-		streamer  rowStreamer
-		olaRunner *ola.Runner
-	)
-	switch {
-	case olaReq.active && wantStream:
-		var os *olaStreamer
-		os, err = newOLAStreamer(q, entry.table.Schema(), olaReq.cfg)
-		if err == nil {
-			streamer, ex, olaRunner = os, os, os.runner
-		}
-	case olaReq.active:
-		olaRunner, err = ola.NewRunner(q, entry.table.Schema(), olaReq.cfg, nil)
-		ex = olaRunner
-	case wantStream && !q.IsAggregate() && len(q.OrderBy) == 0:
-		streamer, err = newNDJSONStreamer(q, entry.table.Schema(), workers)
-		ex = streamer
-	case wantStream && !q.IsAggregate():
-		streamer, err = newOrderedStreamer(q, entry.table.Schema(), workers)
-		ex = streamer
-	case workers > 1:
-		ex, err = engine.NewParallelExecutor(q, entry.table.Schema(), workers)
-	default:
-		ex, err = engine.NewExecutor(q, entry.table.Schema())
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	return entry, q, true
+}
 
-	// Admission control: take a worker slot or shed the query now. A 429
-	// is cheap for the client to retry; an unbounded queue is not.
+// admit is the second half: take an admission slot or shed the query now —
+// a 429 is cheap for the client to retry, an unbounded queue is not — then
+// count it and bound it by its timeout. release frees the timer and the
+// slot.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, e *tableEntry, q *engine.Query, timeoutMS int64) (ctx context.Context, release func(), ok bool) {
 	select {
 	case s.slots <- struct{}{}:
 	default:
 		s.met.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server at capacity (%d queries in flight)", s.cfg.MaxConcurrent)
+		queryapi.WriteError(w, http.StatusTooManyRequests, "server at capacity (%d queries in flight)", s.cfg.MaxConcurrent)
+		return nil, nil, false
+	}
+	s.met.queries.Add(1)
+	s.met.policyCount(e.cfg.Policy)
+	s.recordAccess(e, q.RequiredColumns())
+	ctx, cancel := queryapi.WithTimeout(r.Context(), timeoutMS, s.cfg.DefaultTimeout)
+	return ctx, func() { cancel(); <-s.slots }, true
+}
+
+// run dispatches an admitted query and waits for its scan — or for its
+// context to end first: the batch will still deposit a result (the channel
+// is buffered), but the client is gone or out of time.
+func (s *Server) run(e *tableEntry, p *pending) pendingResult {
+	s.batcherFor(e).submit(p)
+	select {
+	case pr := <-p.result:
+		return pr
+	case <-p.ctx.Done():
+		return pendingResult{err: p.ctx.Err()}
+	}
+}
+
+// fail accounts a failed query and reports it: through inBand once the
+// reply has started (the HTTP status is long gone), as a status otherwise.
+// A query cut short by its own context is a timeout or a cancellation,
+// never a failure.
+func (s *Server) fail(w http.ResponseWriter, ctx context.Context, err error, inBand func(err error, cancelled bool)) {
+	cancelled := ctx.Err() != nil && errors.Is(err, ctx.Err())
+	if cancelled {
+		s.accountCancelled(err)
+	} else {
+		s.met.failed.Add(1)
+	}
+	switch {
+	case inBand != nil:
+		inBand(err, cancelled)
+	case cancelled:
+		queryapi.WriteContextError(w, err)
+	default:
+		queryapi.WriteError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// accountCancelled records a query cut short by its context in the
+// serving counters.
+func (s *Server) accountCancelled(err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.met.timedOut.Add(1)
 		return
 	}
-	defer func() { <-s.slots }()
-	s.met.queries.Add(1)
+	s.met.cancelled.Add(1)
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var qr queryapi.Request
+	if !queryapi.DecodeBody(w, r, &qr) {
+		return
+	}
+	entry, q, ok := s.bind(w, qr.SQL)
+	if !ok {
+		return
+	}
+	olaReq, err := s.olaParams(r, q)
+	if err != nil {
+		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// Consumer selection. The operator's ConsumeWorkers setting decides the
+	// consume parallelism; online-aggregation queries get a sampled-scan
+	// runner (streamed as converging estimates under NDJSON); non-aggregate
+	// queries asked for as NDJSON stream — incremental chunk-order emission
+	// when there is no ORDER BY, merge-on-emit (sorted runs through a loser
+	// tree) when there is — everything else materializes through the serial
+	// or parallel engine executor. finish turns the fed consumer into the
+	// result; a stream has written its rows by then and returns only the
+	// columns.
+	workers := max(entry.cfg.ConsumeWorkers, 1)
+	sch, cols := entry.table.Schema(), q.ColumnNames()
+	var nd *queryapi.NDJSON
+	if r.URL.Query().Get("stream") == "ndjson" {
+		nd = queryapi.NewNDJSON(w)
+	}
+	p := &pending{q: q, consumeWorkers: workers, result: make(chan pendingResult, 1)}
+	var (
+		olaRunner *ola.Runner
+		finish    func() (*engine.Result, error)
+	)
+	switch {
+	case olaReq.active && nd != nil:
+		var os *olaStreamer
+		if os, err = newOLAStreamer(q, sch, olaReq.cfg, nd); err == nil {
+			olaRunner, finish = os.runner, os.finish
+		}
+	case olaReq.active:
+		if olaRunner, err = ola.NewRunner(q, sch, olaReq.cfg, nil); err == nil {
+			finish = olaRunner.Result
+		}
+	case nd != nil && !q.IsAggregate() && len(q.OrderBy) == 0:
+		var e *rowEmitter
+		e, err = newRowEmitter(q, sch, workers, 0, ndjsonSink(nd))
+		if err == nil {
+			p.ex, p.onSkip, p.done = e, e.markSkipped, e.satisfied
+			finish = func() (*engine.Result, error) {
+				e.flush()
+				return &engine.Result{Cols: cols}, nil
+			}
+		}
+	case nd != nil && !q.IsAggregate():
+		var pe *engine.ParallelExecutor
+		if pe, err = engine.NewParallelExecutor(q, sch, workers); err == nil {
+			p.ex = pe
+			finish = func() (*engine.Result, error) {
+				return &engine.Result{Cols: cols}, streamMerged(q, pe, nd)
+			}
+		}
+	default:
+		var ex scanraw.QueryConsumer
+		if ex, err = scanraw.NewQueryConsumer(q, sch, workers); err == nil {
+			p.ex, finish = ex, ex.Result
+		}
+	}
+	if err != nil {
+		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if olaRunner != nil {
+		p.ex, p.order, p.done = olaRunner, olaRunner.Order(olaReq.seed), olaRunner.Satisfied
+	}
+
+	ctx, release, ok := s.admit(w, r, entry, q, qr.TimeoutMS)
+	if !ok {
+		return
+	}
+	defer release()
 	if olaReq.active {
 		s.met.olaQueries.Add(1)
 	}
-	s.met.policyCount(entry.cfg.Policy)
-	s.recordAccess(entry, q.RequiredColumns())
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if qr.TimeoutMS > 0 {
-		timeout = time.Duration(qr.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	p.ctx = ctx
 
 	start := time.Now()
-	if streamer != nil {
-		// The columns header (and the 200) must go out before the scan can
-		// start pushing rows. From here on errors are in-band NDJSON lines.
-		streamer.start(w)
-	}
-	p := &pending{
-		ctx: ctx, q: q, ex: ex, stream: streamer, consumeWorkers: workers,
-		olaRunner: olaRunner, olaSeed: olaReq.seed,
-		result: make(chan pendingResult, 1),
-	}
-	s.batcherFor(entry).submit(p)
-
-	var pr pendingResult
-	select {
-	case pr = <-p.result:
-	case <-ctx.Done():
-		// The batch will still deposit a result (the channel is buffered),
-		// but the client is gone or out of time — report and bail.
-		s.accountCancelled(ctx.Err())
-		if streamer != nil {
-			streamer.fail(fmt.Errorf("query cancelled: %v", ctx.Err()))
-			return
+	var inBand func(err error, cancelled bool)
+	if nd != nil && (olaRunner != nil || !q.IsAggregate()) {
+		// Rows or estimates reach the client during the scan, so the
+		// columns header (and the 200) must go out before it starts. From
+		// here on errors are in-band NDJSON lines.
+		nd.Header(cols)
+		inBand = func(err error, cancelled bool) {
+			if cancelled {
+				err = fmt.Errorf("query cancelled: %v", err)
+			}
+			nd.Error(err)
 		}
-		s.writeCancelled(w, ctx.Err())
-		return
+	}
+	pr := s.run(entry, p)
+	var res *engine.Result
+	if pr.err == nil {
+		res, pr.err = finish()
 	}
 	if pr.err != nil {
-		if errors.Is(pr.err, ctx.Err()) && ctx.Err() != nil {
-			s.accountCancelled(ctx.Err())
-			if streamer != nil {
-				streamer.fail(fmt.Errorf("query cancelled: %v", ctx.Err()))
-				return
-			}
-			s.writeCancelled(w, ctx.Err())
-			return
-		}
-		s.met.failed.Add(1)
-		if streamer != nil {
-			streamer.fail(pr.err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", pr.err)
+		s.fail(w, ctx, pr.err, inBand)
 		return
 	}
 
-	st := queryStats{
+	st := queryapi.Stats{
 		DurationMS:        float64(time.Since(start).Microseconds()) / 1000,
 		BatchSize:         pr.batchSize,
 		ScanChunksCache:   pr.scan.DeliveredCache,
@@ -601,7 +571,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case math.IsNaN(maxRel) || math.IsInf(maxRel, 0):
 			maxRel = -1 // no bound formed yet
 		}
-		st.OLA = &olaStats{
+		st.OLA = &queryapi.OLAStats{
 			ChunksSampled: last.Chunks,
 			ChunksTotal:   last.Total,
 			MaxRelError:   maxRel,
@@ -616,81 +586,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.met.olaEarlyTerminations.Add(1)
 		}
 	}
-	if streamer != nil {
-		// Rows already streamed chunk-by-chunk; close with the stats trailer.
-		streamer.finishOK(st)
+	if nd == nil {
+		queryapi.WriteResult(w, res.Cols, res.Rows, st)
 		return
 	}
-	if wantStream {
+	if inBand == nil {
 		// Aggregate results cannot stream incrementally (they only exist
 		// after the final fold); stream the materialized rows.
-		s.writeNDJSON(w, pr.res, st)
-		return
+		nd.Header(res.Cols)
 	}
-	rows := make([][]any, len(pr.res.Rows))
-	for i, row := range pr.res.Rows {
-		rows[i] = jsonRow(row)
-	}
-	writeJSON(w, http.StatusOK, queryResponse{Columns: pr.res.Cols, Rows: rows, Stats: st})
-}
-
-// accountCancelled records a query cut short by its context in the
-// serving counters.
-func (s *Server) accountCancelled(err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.met.timedOut.Add(1)
-		return
-	}
-	s.met.cancelled.Add(1)
-}
-
-// writeCancelled reports a cancelled query to a client whose response has
-// not started yet.
-func (s *Server) writeCancelled(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		writeError(w, http.StatusGatewayTimeout, "query timed out")
-		return
-	}
-	// Client disconnect: the response writer is dead; account it only.
-	writeError(w, statusClientClosedRequest, "query cancelled")
-}
-
-// statusClientClosedRequest is nginx's conventional status for a client
-// that went away before the response; nothing reads it, but logs do.
-const statusClientClosedRequest = 499
-
-// writeNDJSON streams a result as newline-delimited JSON: a columns
-// header, one line per row, and a stats trailer.
-func (s *Server) writeNDJSON(w http.ResponseWriter, res *engine.Result, st queryStats) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(map[string]any{"columns": res.Cols})
-	flusher, _ := w.(http.Flusher)
-	for i, row := range res.Rows {
-		_ = enc.Encode(jsonRow(row))
-		// Flush periodically so large results stream instead of buffering.
-		if flusher != nil && i%1024 == 1023 {
-			flusher.Flush()
-		}
-	}
-	_ = enc.Encode(map[string]any{"stats": st})
-}
-
-// jsonRow converts engine values into JSON-encodable scalars.
-func jsonRow(row []engine.Value) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[i] = v.Int
-		case schema.Float64:
-			out[i] = v.Float
-		default:
-			out[i] = v.Str
-		}
-	}
-	return out
+	nd.Rows(res.Rows...)
+	nd.Stats(st)
 }
 
 // TableStatus is one GET /tables entry: catalog identity plus loading
@@ -745,9 +651,9 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	writeJSON(w, http.StatusOK, out)
+	queryapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+	queryapi.WriteJSON(w, http.StatusOK, s.MetricsSnapshot())
 }

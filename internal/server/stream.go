@@ -1,85 +1,32 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 
 	"scanraw/internal/engine"
+	"scanraw/internal/queryapi"
 	"scanraw/internal/scanraw"
 	"scanraw/internal/schema"
 )
 
-// rowStreamer is the surface the serving path drives for NDJSON streaming
-// queries: the executor contract plus the stream lifecycle and the signals
-// the coalescer consults (skip decisions for the reorder frontier,
-// satisfaction for demand-driven termination).
-type rowStreamer interface {
-	executor
-	start(w http.ResponseWriter)
-	finishOK(stats queryStats)
-	fail(err error)
-	markSkipped(id int)
-	satisfied() bool
-}
+// chunkSink writes one chunk's qualifying rows, already cut to the query's
+// LIMIT, under the chunk's local ID. /query's sink encodes them as NDJSON
+// lines, /exec's as one MsgRows frame. An error kills the stream.
+type chunkSink func(id int, rows [][]engine.Value) error
 
-// streamBase is the encoder state shared by the NDJSON streamers: it owns
-// the response writer and serializes row emission.
-type streamBase struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	flusher http.Flusher
-	emitted int
-	closed  bool
-}
-
-// bind attaches the response writer and emits the columns header. Must
-// happen before the scan can push rows.
-func (sb *streamBase) bind(w http.ResponseWriter, cols []string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	sb.enc = json.NewEncoder(w)
-	sb.flusher, _ = w.(http.Flusher)
-	_ = sb.enc.Encode(map[string]any{"columns": cols})
-}
-
-func (sb *streamBase) emitRowLocked(row []engine.Value) {
-	if sb.closed || sb.enc == nil {
-		return
-	}
-	_ = sb.enc.Encode(jsonRow(row))
-	sb.emitted++
-	// Flush periodically so large results stream instead of buffering.
-	if sb.flusher != nil && sb.emitted%1024 == 0 {
-		sb.flusher.Flush()
+// ndjsonSink is /query's sink: one NDJSON line per row.
+func ndjsonSink(nd *queryapi.NDJSON) chunkSink {
+	return func(_ int, rows [][]engine.Value) error {
+		nd.Rows(rows...)
+		return nil
 	}
 }
 
-// finishOK writes the stats trailer.
-func (sb *streamBase) finishOK(stats queryStats) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sb.closed = true
-	if sb.enc != nil {
-		_ = sb.enc.Encode(map[string]any{"stats": stats})
-	}
-}
-
-// fail terminates the stream with an error line. The HTTP status is long
-// gone — in-band errors are the streaming contract.
-func (sb *streamBase) fail(err error) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sb.closed = true
-	if sb.enc != nil {
-		_ = sb.enc.Encode(map[string]any{"error": err.Error()})
-	}
-}
-
-// ndjsonStreamer consumes chunks for a non-aggregate, ORDER-BY-free query
-// and writes qualifying rows to the client as they are produced, instead of
+// rowEmitter consumes chunks for a non-aggregate, ORDER-BY-free query and
+// hands qualifying rows to its sink as they are produced, instead of
 // materializing the result. Because chunks arrive in whatever order the
 // scan (and, with parallel consume, the fan-out workers) produces them, a
 // reorder buffer holds finished chunks until the frontier — the next chunk
@@ -90,29 +37,32 @@ func (sb *streamBase) fail(err error) {
 // Chunks the scan skips (statistics-based elimination) never arrive, so
 // skip decisions are fed in via markSkipped to advance the frontier past
 // them.
-type ndjsonStreamer struct {
-	streamBase
-	q    *engine.Query
-	pool chan *engine.Partial // per-worker evaluation scratch (ChunkRows)
+type rowEmitter struct {
+	limit int
+	pool  chan *engine.Partial // per-worker evaluation scratch (ChunkRows)
+	sink  chunkSink
 
+	mu      sync.Mutex
 	next    int // frontier: lowest chunk ID not yet emitted
+	emitted int
 	ready   map[int][][]engine.Value
 	skipped map[int]bool
+	werr    error // first sink failure; the stream is dead after it
 }
 
-// newNDJSONStreamer validates the query (it must be streamable: no
-// aggregation, no ORDER BY) and builds a streamer with one evaluation
-// partial per consume worker.
-func newNDJSONStreamer(q *engine.Query, sch *schema.Schema, workers int) (*ndjsonStreamer, error) {
+// newRowEmitter validates the query (it must be streamable: no
+// aggregation, no ORDER BY) and builds an emitter with one evaluation
+// partial per consume worker. start is the first chunk ID the scan can
+// deliver — the lower bound of a shard's chunk range.
+func newRowEmitter(q *engine.Query, sch *schema.Schema, workers, start int, sink chunkSink) (*rowEmitter, error) {
 	if q.IsAggregate() || len(q.OrderBy) > 0 {
 		return nil, fmt.Errorf("server: query is not streamable")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	st := &ndjsonStreamer{
-		q:       q,
+	e := &rowEmitter{
+		limit:   q.Limit,
 		pool:    make(chan *engine.Partial, workers),
+		sink:    sink,
+		next:    start,
 		ready:   make(map[int][][]engine.Value),
 		skipped: make(map[int]bool),
 	}
@@ -121,191 +71,126 @@ func newNDJSONStreamer(q *engine.Query, sch *schema.Schema, workers int) (*ndjso
 		if err != nil {
 			return nil, err
 		}
-		st.pool <- p
+		e.pool <- p
 	}
-	return st, nil
+	return e, nil
 }
 
-// start binds the response writer and emits the columns header. Must be
-// called before the scan is submitted.
-func (st *ndjsonStreamer) start(w http.ResponseWriter) { st.bind(w, st.columns()) }
-
-func (st *ndjsonStreamer) columns() []string {
-	cols := make([]string, len(st.q.Items))
-	for i, it := range st.q.Items {
-		cols[i] = it.Name()
-	}
-	return cols
-}
-
-// Consume implements the executor surface the coalescer drives. Safe for
-// concurrent calls (parallel consume): evaluation runs on a pooled partial
-// outside the lock; buffering and emission serialize on it.
-func (st *ndjsonStreamer) Consume(bc *scanraw.BinaryChunk) error {
-	_, err := st.ConsumeCounted(bc)
-	return err
-}
-
-// ConsumeCounted is Consume reporting how many rows qualified — the signal
-// demand-driven termination folds into its LIMIT frontier.
-func (st *ndjsonStreamer) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
-	p := <-st.pool
+// ConsumeCounted evaluates one chunk and reports how many rows qualified —
+// the signal demand-driven termination folds into its LIMIT frontier. Safe
+// for concurrent calls (parallel consume): evaluation runs on a pooled
+// partial outside the lock; buffering and emission serialize on it.
+func (e *rowEmitter) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
+	p := <-e.pool
 	rows, err := p.ChunkRows(bc)
-	st.pool <- p
+	e.pool <- p
 	if err != nil {
 		return 0, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.ready[bc.ID] = rows
-	st.drainLocked()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.ready[bc.ID] = rows
+	e.drainLocked()
 	return len(rows), nil
 }
 
 // markSkipped records a chunk the scan eliminated so the frontier can pass
 // it. Idempotent — the shared-scan path consults Skip more than once per
 // chunk.
-func (st *ndjsonStreamer) markSkipped(id int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.skipped[id] {
+func (e *rowEmitter) markSkipped(id int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.skipped[id] {
 		return
 	}
-	st.skipped[id] = true
-	st.drainLocked()
+	e.skipped[id] = true
+	e.drainLocked()
 }
 
 // satisfied reports whether the stream's LIMIT is already met: every
 // further chunk is surplus and the scan serving this query may stop.
-func (st *ndjsonStreamer) satisfied() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.q.Limit > 0 && st.emitted >= st.q.Limit
+func (e *rowEmitter) satisfied() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.limit > 0 && e.emitted >= e.limit
 }
 
 // drainLocked advances the frontier, emitting every buffered chunk that
 // became contiguous.
-func (st *ndjsonStreamer) drainLocked() {
+func (e *rowEmitter) drainLocked() {
 	for {
-		if st.skipped[st.next] {
-			delete(st.skipped, st.next)
-			st.next++
+		if e.skipped[e.next] {
+			delete(e.skipped, e.next)
+			e.next++
 			continue
 		}
-		rows, ok := st.ready[st.next]
+		rows, ok := e.ready[e.next]
 		if !ok {
 			return
 		}
-		delete(st.ready, st.next)
-		st.emitLocked(rows)
-		st.next++
+		delete(e.ready, e.next)
+		e.emitLocked(e.next, rows)
+		e.next++
 	}
 }
 
-func (st *ndjsonStreamer) emitLocked(rows [][]engine.Value) {
-	for _, row := range rows {
-		if st.q.Limit > 0 && st.emitted >= st.q.Limit {
-			return
-		}
-		st.emitRowLocked(row)
+// emitLocked hands one chunk's rows to the sink, truncated to what is left
+// of the query's LIMIT.
+func (e *rowEmitter) emitLocked(id int, rows [][]engine.Value) {
+	if e.limit > 0 && len(rows) > e.limit-e.emitted {
+		rows = rows[:e.limit-e.emitted]
+	}
+	if e.werr != nil || len(rows) == 0 {
+		return
+	}
+	if e.werr = e.sink(id, rows); e.werr == nil {
+		e.emitted += len(rows)
 	}
 }
 
-// Result completes the executor surface: rows already went to the client,
-// so only the column header remains. Out-of-order leftovers (possible only
-// when a member was cancelled mid-scan) are flushed in ID order first.
-func (st *ndjsonStreamer) Result() (*engine.Result, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ids := make([]int, 0, len(st.ready))
-	for id := range st.ready {
+// flush emits out-of-order leftovers (possible only when the query was
+// cancelled mid-scan) in ID order.
+func (e *rowEmitter) flush() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ids := make([]int, 0, len(e.ready))
+	for id := range e.ready {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		st.emitLocked(st.ready[id])
-		delete(st.ready, id)
+		e.emitLocked(id, e.ready[id])
+		delete(e.ready, id)
 	}
-	return &engine.Result{Cols: st.columns()}, nil
 }
 
-// orderedStreamer serves ORDER BY (optionally LIMIT) queries as NDJSON
-// without the full-materialization stall: chunks fold into a parallel
-// executor's partials during the scan, and at end-of-scan the per-partial
+// abandon makes every later emission a no-op. It returns once no sink call
+// is in flight, so the sink's writer may die after it.
+func (e *rowEmitter) abandon() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.werr == nil {
+		e.werr = errors.New("server: stream abandoned")
+	}
+}
+
+// streamMerged finishes an ORDER BY (optionally LIMIT) query served as
+// NDJSON without the full-materialization stall: the chunks folded into
+// the parallel executor's partials during the scan; now the per-partial
 // runs are sorted once and merged on emit through a loser tree
 // (engine.RunMerger) — rows reach the client as the merge produces them
-// instead of after a monolithic sort of the whole result. The executor's
-// live top-k bound additionally gives ORDER BY ... LIMIT scans a chunk
-// pruning rule (Bound, consumed by scanraw's demand layer).
-type orderedStreamer struct {
-	streamBase
-	q  *engine.Query
-	pe *engine.ParallelExecutor
-}
-
-// newOrderedStreamer validates the query (non-aggregate, with ORDER BY) and
-// builds the merge-on-emit streamer over a parallel executor.
-func newOrderedStreamer(q *engine.Query, sch *schema.Schema, workers int) (*orderedStreamer, error) {
-	if q.IsAggregate() || len(q.OrderBy) == 0 {
-		return nil, fmt.Errorf("server: query is not order-streamable")
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	pe, err := engine.NewParallelExecutor(q, sch, workers)
+// instead of after a monolithic sort of the whole result.
+func streamMerged(q *engine.Query, pe *engine.ParallelExecutor, nd *queryapi.NDJSON) error {
+	parts, err := pe.Finish()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &orderedStreamer{q: q, pe: pe}, nil
-}
-
-func (st *orderedStreamer) start(w http.ResponseWriter) { st.bind(w, st.columns()) }
-
-func (st *orderedStreamer) columns() []string {
-	cols := make([]string, len(st.q.Items))
-	for i, it := range st.q.Items {
-		cols[i] = it.Name()
-	}
-	return cols
-}
-
-func (st *orderedStreamer) Consume(bc *scanraw.BinaryChunk) error { return st.pe.Consume(bc) }
-
-func (st *orderedStreamer) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
-	return st.pe.ConsumeCounted(bc)
-}
-
-// Bound exposes the executor's top-k cutoff for chunk pruning.
-func (st *orderedStreamer) Bound() ([]engine.Value, bool) { return st.pe.Bound() }
-
-// markSkipped is a no-op: the merge orders rows itself, no reorder frontier.
-func (st *orderedStreamer) markSkipped(int) {}
-
-// satisfied is always false: an ORDER BY query's result is final only at
-// end-of-scan (bound pruning, not whole-scan termination, is its demand
-// lever).
-func (st *orderedStreamer) satisfied() bool { return false }
-
-// Result runs the merge-on-emit phase: sort each partial's retained rows,
-// stream the k-way merge to the client, and return the bare column header
-// (rows are already on the wire).
-func (st *orderedStreamer) Result() (*engine.Result, error) {
-	parts, err := st.pe.Finish()
+	m, err := engine.NewRunMerger(q, parts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m, err := engine.NewRunMerger(st.q, parts)
-	if err != nil {
-		return nil, err
+	for row, ok := m.Next(); ok; row, ok = m.Next() {
+		nd.Rows(row)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for {
-		row, ok := m.Next()
-		if !ok {
-			break
-		}
-		st.emitRowLocked(row)
-	}
-	return &engine.Result{Cols: st.columns()}, nil
+	return nil
 }

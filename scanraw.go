@@ -292,28 +292,15 @@ func (db *DB) EstimateRange(table, column string, lo, hi int64) (estimate float6
 // cache, the database, or converted from the raw file — the Stats report
 // says which.
 func (db *DB) Exec(sql string) (*Result, Stats, error) {
-	from, err := tableOf(sql)
+	from, err := engine.FromTable(sql)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, fmt.Errorf("scanraw: %w", err)
 	}
 	table, ok := db.store.Table(from)
 	if !ok {
 		return nil, Stats{}, fmt.Errorf("scanraw: table %q is not staged", from)
 	}
 	return db.registry.ExecuteSQL(table, db.operatorConfig(from), sql)
-}
-
-// tableOf performs a light scan for the FROM table name so Exec can bind
-// the query against the right schema. (The real parse happens inside
-// ExecuteSQL with the table's schema.)
-func tableOf(sql string) (string, error) {
-	fields := strings.Fields(sql)
-	for i, f := range fields {
-		if strings.EqualFold(f, "FROM") && i+1 < len(fields) {
-			return strings.Trim(fields[i+1], ","), nil
-		}
-	}
-	return "", fmt.Errorf("scanraw: query has no FROM clause")
 }
 
 // LoadedChunks reports how many of the table's chunks have every listed
