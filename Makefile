@@ -39,17 +39,18 @@ bench-module:
 race:
 	$(GO) test -race ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/...
 
-# Schedule stress: the operator's tests 20 times, and the query server's and
-# the cluster layer's 5 times (they are slower, and drive the operator
-# through their own concurrency), under the race detector at three scheduler
-# widths. A test whose outcome depends on goroutine timing fails here long
-# before it fails `make check`; CI runs it nightly (about 3 minutes on 2
-# cores).
+# Schedule stress: the operator's tests 20 times, and the query server's,
+# the cluster layer's (they are slower, and drive the operator through their
+# own concurrency) and the conversion kernels' (the only conversion path, so
+# its differential suite is part of the operator's gate) 5 times, under the
+# race detector at three scheduler widths. A test whose outcome depends on
+# goroutine timing fails here long before it fails `make check`; CI runs it
+# nightly (about 3 minutes on 2 cores).
 stress:
 	@for p in 1 2 8; do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/scanraw/... || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -count=5 ./internal/server/... ./internal/cluster/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=5 ./internal/server/... ./internal/cluster/... ./internal/kernel/... || exit 1; \
 	done
 
 # Project-specific static analysis (pin balance, pool pairing, goroutine
@@ -79,7 +80,7 @@ invariants:
 # disk), the binary chunk codec, and the network-facing cluster decoders
 # (serialized engine partials and frame payloads arrive over TCP) — plus
 # the fused-kernel differential property (fused conversion equals the
-# two-stage pipeline, or both error). A few seconds each is enough to
+# two-stage reference, or both error). A few seconds each is enough to
 # catch structural regressions; long fuzz runs stay manual.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store

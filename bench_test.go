@@ -278,22 +278,6 @@ func BenchmarkAblationWriteGranularity(b *testing.B) {
 	b.ReportMetric(msOf(last.BufferedTime), "ms-buffered")
 }
 
-// BenchmarkAblationPositionalMap compares repeat queries with and without
-// the positional-map cache (the paper predicts little benefit).
-func BenchmarkAblationPositionalMap(b *testing.B) {
-	sc := benchScale()
-	var last *bench.AblationPositionalMapResult
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunAblationPositionalMap(sc, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(msOf(last.WithMapTimes[1]), "ms-q2-with-maps")
-	b.ReportMetric(msOf(last.WithoutMapTimes[1]), "ms-q2-without-maps")
-}
-
 // BenchmarkAblationPushdown compares push-down selection in PARSE against
 // parse-then-filter at the conversion layer.
 func BenchmarkAblationPushdown(b *testing.B) {

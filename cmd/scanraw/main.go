@@ -88,7 +88,6 @@ func main() {
 		diskMBps  = flag.Int("disk", 400, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		delim     = flag.String("delim", ",", "field delimiter")
 		stats     = flag.Bool("stats", true, "collect min/max statistics while converting")
-		fused     = flag.Bool("fused", true, "use fused per-schema conversion kernels (one-pass tokenize+parse)")
 		repl      = flag.Bool("repl", false, "read queries interactively from stdin")
 		timeout   = flag.Duration("timeout", 0, "per-query timeout; cancels the scan when exceeded (0 = none)")
 		olaErr    = flag.Float64("ola-error", -1, "online aggregation: stop when the relative confidence bound falls below this fraction (0 = sampled full scan, negative = off)")
@@ -150,9 +149,6 @@ func main() {
 		CollectStats:    *stats,
 		ConsumeWorkers:  *consumeW,
 		Speculation:     spec,
-	}
-	if !*fused {
-		opCfg.FusedKernels = scanraw.FusedOff
 	}
 	runOne := func(sql string) error {
 		ctx := context.Background()

@@ -196,7 +196,6 @@ func main() {
 		diskMBps   = flag.Int("disk", 0, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		dataDir    = flag.String("data-dir", "", "persist loaded data and catalog under this directory (empty = in-memory only)")
 		stats      = flag.Bool("stats", true, "collect min/max statistics while converting")
-		fused      = flag.Bool("fused", true, "use fused per-schema conversion kernels (one-pass tokenize+parse)")
 		colGroups  = flag.Int("colgroups", 1, "column-group width for database pages (1 = per-column, 0 = full chunk width)")
 		specPolicy = flag.String("spec-policy", "payoff", "speculative loading order: payoff (workload-ranked) or scan (file order)")
 		maxConc    = flag.Int("max-concurrent", 32, "admission slots: queries in flight before 429")
@@ -354,9 +353,6 @@ func main() {
 			CollectStats:    *stats,
 			ConsumeWorkers:  *consumeW,
 			Speculation:     spec,
-		}
-		if !*fused {
-			tblCfg.FusedKernels = scanraw.FusedOff
 		}
 		if err := srv.AddTable(table, tblCfg); err != nil {
 			log.Fatalf("scanrawd: %v", err)

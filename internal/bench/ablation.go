@@ -191,61 +191,6 @@ func RunAblationStats(sc Scale) (*AblationStatsResult, error) {
 	return res, nil
 }
 
-// AblationPositionalMapResult compares repeat-query performance with and
-// without the positional-map cache, at equal binary-cache size. The paper
-// predicts little benefit (§3.1: the map "cannot avoid reading the raw
-// file and parsing", which dominate).
-type AblationPositionalMapResult struct {
-	WithMapTimes    []time.Duration
-	WithoutMapTimes []time.Duration
-}
-
-// RunAblationPositionalMap measures a 3-query repeat sequence in external
-// tables mode (so every query re-reads raw text) with map caching on/off.
-func RunAblationPositionalMap(sc Scale, queries int) (*AblationPositionalMapResult, error) {
-	sc = sc.withDefaults()
-	if queries <= 0 {
-		queries = 3
-	}
-	diskCfg := CalibrateDisk(sc, 6)
-	run := func(withMaps bool) ([]time.Duration, error) {
-		var times []time.Duration
-		for rep := 0; rep < sc.Reps; rep++ {
-			e := newEnv(sc, diskCfg, sc.Rows, sc.Cols)
-			op := scanraw.New(e.store, e.table, scanraw.Config{
-				CPUSlowdown: sc.slowdown(),
-				Workers:     8, ChunkLines: sc.ChunkLines, CacheChunks: 2,
-				Policy:              scanraw.ExternalTables,
-				CachePositionalMaps: withMaps,
-			})
-			for q := 0; q < queries; q++ {
-				st, err := runSum(op, e, allCols(sc.Cols))
-				if err != nil {
-					return nil, err
-				}
-				if rep == 0 {
-					times = append(times, st.Duration)
-				} else {
-					times[q] += st.Duration
-				}
-			}
-		}
-		for i := range times {
-			times[i] /= time.Duration(sc.Reps)
-		}
-		return times, nil
-	}
-	res := &AblationPositionalMapResult{}
-	var err error
-	if res.WithMapTimes, err = run(true); err != nil {
-		return nil, err
-	}
-	if res.WithoutMapTimes, err = run(false); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // AblationPushdownResult compares push-down selection in PARSE (convert
 // predicate column first, convert the rest only for qualifying tuples)
 // against parse-then-filter, at the conversion layer. The paper judges

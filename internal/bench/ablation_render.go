@@ -82,24 +82,6 @@ func RunAblations(sc Scale, w io.Writer) error {
 		}
 	}
 
-	if r, err := RunAblationPositionalMap(sc, 3); err != nil {
-		return fmt.Errorf("positional map: %w", err)
-	} else {
-		t := &Table{
-			Title:  "Ablation: positional-map cache on/off (external tables, repeat queries)",
-			Header: []string{"query", "with maps (ms)", "without (ms)"},
-		}
-		for q := range r.WithMapTimes {
-			t.Rows = append(t.Rows, []string{
-				fmtInt(q + 1), msRow(r.WithMapTimes[q]), msRow(r.WithoutMapTimes[q]),
-			})
-		}
-		t.Notes = []string{"the paper's §3.1 prediction: little benefit — the map avoids neither reading nor parsing"}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-
 	if r, err := RunAblationPushdown(sc); err != nil {
 		return fmt.Errorf("pushdown: %w", err)
 	} else {

@@ -263,9 +263,6 @@ func TestAblationsRun(t *testing.T) {
 	} else if r.SkippedChunks == 0 {
 		t.Errorf("stats ablation skipped no chunks")
 	}
-	if r, err := RunAblationPositionalMap(sc, 2); err != nil || len(r.WithMapTimes) != 2 {
-		t.Errorf("positional map: %v %+v", err, r)
-	}
 	if r, err := RunAblationPushdown(sc); err != nil {
 		t.Errorf("pushdown: %v", err)
 	} else {
@@ -298,7 +295,7 @@ func TestSuiteRunAblations(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"loaded-biased LRU", "selective conversion", "safeguard flush",
-		"chunk skipping", "positional-map cache", "push-down selection",
+		"chunk skipping", "push-down selection",
 		"write granularity",
 	} {
 		if !strings.Contains(out, want) {

@@ -3,7 +3,11 @@ package bench
 import (
 	"time"
 
+	"scanraw/internal/chunk"
+	"scanraw/internal/gen"
+	"scanraw/internal/parse"
 	"scanraw/internal/scanraw"
+	"scanraw/internal/tok"
 )
 
 // Fig5Row is one column-count point of Fig. 5: average per-chunk time in
@@ -31,6 +35,12 @@ var Fig5Cols = []int{2, 4, 8, 16, 32, 64, 128, 256}
 // as a function of column count). Execution is with full data loading so
 // WRITE time is included, as in the paper; the fixed-row-count files mean
 // wider files simply carry more bytes per chunk.
+//
+// The operator converts in one fused pass, which would erase the paper's
+// TOKENIZE/PARSE breakdown, so the two halves come from different places:
+// READ and WRITE from the operator run's profile, TOKENIZE and PARSE from
+// timing the two-stage reference (internal/tok, internal/parse) chunk by
+// chunk over the same file, in the same model-time units.
 func RunFig5(sc Scale, colCounts []int) (*Fig5Result, error) {
 	sc = sc.withDefaults()
 	if colCounts == nil {
@@ -54,20 +64,19 @@ func RunFig5(sc Scale, colCounts []int) (*Fig5Result, error) {
 				ChunkLines:  lines,
 				Policy:      scanraw.FullLoad,
 				CacheChunks: sc.CacheChunks,
-				// The figure reports the TOKENIZE/PARSE split; fused kernels
-				// collapse both into one pass (all time lands on PARSE), which
-				// would erase the paper's stage breakdown.
-				FusedKernels: scanraw.FusedOff,
 			})
 			st, err := runSum(op, e, allCols(nc))
 			if err != nil {
 				return nil, err
 			}
-			p := st.Profile
-			row.Read += p.Read.PerChunk()
-			row.Tokenize += p.Tokenize.PerChunk()
-			row.Parse += p.Parse.PerChunk()
-			row.Write += p.Write.PerChunk()
+			row.Read += st.Profile.Read.PerChunk()
+			row.Write += st.Profile.Write.PerChunk()
+			tokenize, convert, err := referenceSplit(sc, e.spec, lines)
+			if err != nil {
+				return nil, err
+			}
+			row.Tokenize += tokenize
+			row.Parse += convert
 		}
 		n := time.Duration(sc.Reps)
 		row.Read /= n
@@ -77,6 +86,38 @@ func RunFig5(sc Scale, colCounts []int) (*Fig5Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// referenceSplit times the two-stage reference conversion of every column
+// of the spec's file and returns the average per-chunk TOKENIZE and PARSE
+// time, stretched by the scale's CPU slowdown as the operator's worker
+// tasks are.
+func referenceSplit(sc Scale, spec gen.CSVSpec, lines int) (tokenize, convert time.Duration, err error) {
+	chunks, err := tok.SplitChunks(gen.Bytes(spec), lines)
+	if err != nil {
+		return 0, 0, err
+	}
+	tk := tok.Tokenizer{Delim: ',', MinFields: spec.Cols}
+	ps := parse.Parser{Schema: spec.Schema()}
+	cols := allCols(spec.Cols)
+	for _, tc := range chunks {
+		start := time.Now()
+		pm, err := tk.Tokenize(tc, spec.Cols)
+		if err != nil {
+			return 0, 0, err
+		}
+		mid := time.Now()
+		bc, err := ps.Parse(tc, pm, cols)
+		convert += time.Since(mid)
+		tokenize += mid.Sub(start)
+		chunk.PutPositionalMap(pm)
+		if err != nil {
+			return 0, 0, err
+		}
+		bc.RecycleColumns()
+	}
+	stretch, n := time.Duration(sc.slowdown()), time.Duration(len(chunks))
+	return tokenize * stretch / n, convert * stretch / n, nil
 }
 
 // Tables renders the two panels of Fig. 5.

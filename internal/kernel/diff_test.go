@@ -31,22 +31,6 @@ func tokParse(sch *schema.Schema, tc *chunk.TextChunk, delim byte, cols []int) (
 	return p.Parse(tc, pm, cols)
 }
 
-// tokParseWhere is the two-stage reference for push-down selection.
-func tokParseWhere(sch *schema.Schema, tc *chunk.TextChunk, delim byte, cols []int, predCol int, pred parse.RowPredicate) (*chunk.BinaryChunk, []int, error) {
-	upTo := cols[len(cols)-1] + 1
-	if predCol+1 > upTo {
-		upTo = predCol + 1
-	}
-	tk := &tok.Tokenizer{Delim: delim, MinFields: sch.NumColumns()}
-	pm, err := tk.Tokenize(tc, upTo)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer chunk.PutPositionalMap(pm)
-	p := &parse.Parser{Schema: sch}
-	return p.ParseWhere(tc, pm, cols, predCol, pred)
-}
-
 // requireEqualChunks fails the test unless the two chunks hold identical
 // values in every requested column. Floats compare by bit pattern —
 // "byte-identical" includes the sign of zero and NaN payloads.
@@ -224,78 +208,5 @@ func TestFusedMatchesTokParseRandomized(t *testing.T) {
 		requireEqualChunks(t, fmt.Sprintf("seed %d (kernel %s, cols %v)", seed, k.Name(), cols), want, got, cols)
 		want.RecycleColumns()
 		got.RecycleColumns()
-	}
-}
-
-func TestFusedConvertWhereMatchesParseWhere(t *testing.T) {
-	// Predicates operate on raw field bytes, exactly like ParseWhere.
-	preds := []parse.RowPredicate{
-		func(b []byte) bool { return len(b)%2 == 0 },
-		func(b []byte) bool { return len(b) > 0 && b[0] <= '4' },
-		func(b []byte) bool { return true },
-		func(b []byte) bool { return false },
-	}
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		sch := randSchema(rng)
-		delim := byte(',')
-		cols := randCols(rng, sch.NumColumns())
-		predCol := rng.Intn(sch.NumColumns())
-		pred := preds[rng.Intn(len(preds))]
-		tc := randChunk(rng, sch, delim)
-
-		k, err := For(sch, cols, delim)
-		if err != nil {
-			t.Fatalf("seed %d: For: %v", seed, err)
-		}
-		want, wantKeep, wantErr := tokParseWhere(sch, tc, delim, cols, predCol, pred)
-		got, gotKeep, gotErr := k.ConvertWhere(tc, predCol, pred)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("seed %d (cols %v, predCol %d):\n ParseWhere err:   %v\n ConvertWhere err: %v\n data: %q",
-				seed, cols, predCol, wantErr, gotErr, tc.Data)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if len(wantKeep) != len(gotKeep) {
-			t.Fatalf("seed %d: keep length: want %d, got %d", seed, len(wantKeep), len(gotKeep))
-		}
-		for i := range wantKeep {
-			if wantKeep[i] != gotKeep[i] {
-				t.Fatalf("seed %d: keep[%d]: want %d, got %d", seed, i, wantKeep[i], gotKeep[i])
-			}
-		}
-		requireEqualChunks(t, fmt.Sprintf("seed %d (predCol %d)", seed, predCol), want, got, cols)
-		want.RecycleColumns()
-		got.RecycleColumns()
-	}
-}
-
-// TestConvertWhereDroppedRowsToleratesBadValues pins the ParseWhere
-// contract the fused path must honour: a malformed value in a row the
-// predicate drops is never parsed, so it must not error.
-func TestConvertWhereDroppedRowsToleratesBadValues(t *testing.T) {
-	sch := intSchema(2)
-	k, err := For(sch, []int{0, 1}, ',')
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := textChunk(0, "1,2\n9,notanumber\n3,4\n")
-	// Keep only rows whose first field is odd-valued ASCII: drops row 1.
-	pred := func(b []byte) bool { return len(b) > 0 && b[0] != '9' }
-	bc, keep, err := k.ConvertWhere(tc, 0, pred)
-	if err != nil {
-		t.Fatalf("bad value in dropped row must not error: %v", err)
-	}
-	defer bc.RecycleColumns()
-	if len(keep) != 2 || keep[0] != 0 || keep[1] != 2 {
-		t.Fatalf("keep = %v, want [0 2]", keep)
-	}
-	if bc.Rows != 2 || bc.Column(1).Ints[0] != 2 || bc.Column(1).Ints[1] != 4 {
-		t.Fatalf("got rows=%d col1=%v", bc.Rows, bc.Column(1).Ints)
-	}
-	// The same bad value in a kept row must error — on both paths.
-	if _, _, err := k.ConvertWhere(tc, 0, func([]byte) bool { return true }); err == nil {
-		t.Fatal("bad value in kept row: expected error")
 	}
 }

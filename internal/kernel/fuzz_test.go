@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"scanraw/internal/chunk"
-	"scanraw/internal/parse"
 	"scanraw/internal/schema"
 	"scanraw/internal/tok"
 )
@@ -57,44 +56,5 @@ func FuzzFusedKernel(f *testing.F) {
 		requireEqualChunks(t, k.Name(), want, got, cols)
 		want.RecycleColumns()
 		got.RecycleColumns()
-	})
-}
-
-// FuzzConvertWhere extends the property to push-down selection: keep
-// lists and surviving rows must match ParseWhere exactly.
-func FuzzConvertWhere(f *testing.F) {
-	f.Add([]byte("1,2\n3,4\n"), uint8(0), uint8(1))
-	f.Add([]byte("a,1\nbb,2\r\n"), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, predColBit uint8, parity uint8) {
-		sch := mixedSchema(schema.Str, schema.Int64)
-		cols := []int{0, 1}
-		predCol := int(predColBit % 2)
-		want := int(parity % 2)
-		pred := func(b []byte) bool { return len(b)%2 == want }
-		tc := &chunk.TextChunk{Data: data, Lines: tok.CountLines(data)}
-
-		k, err := For(sch, cols, ',')
-		if err != nil {
-			t.Fatalf("For: %v", err)
-		}
-		wantBC, wantKeep, wantErr := tokParseWhere(sch, tc, ',', cols, predCol, pred)
-		gotBC, gotKeep, gotErr := k.ConvertWhere(tc, predCol, parse.RowPredicate(pred))
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("predCol %d: ParseWhere err %v vs ConvertWhere err %v on %q", predCol, wantErr, gotErr, data)
-		}
-		if wantErr != nil {
-			return
-		}
-		if len(wantKeep) != len(gotKeep) {
-			t.Fatalf("keep length %d vs %d", len(wantKeep), len(gotKeep))
-		}
-		for i := range wantKeep {
-			if wantKeep[i] != gotKeep[i] {
-				t.Fatalf("keep[%d] %d vs %d", i, wantKeep[i], gotKeep[i])
-			}
-		}
-		requireEqualChunks(t, "where", wantBC, gotBC, cols)
-		wantBC.RecycleColumns()
-		gotBC.RecycleColumns()
 	})
 }

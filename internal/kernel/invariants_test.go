@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"scanraw/internal/chunk"
-	"scanraw/internal/parse"
 )
 
 // Failed conversions must return every acquired vector to the pool: the
@@ -27,31 +26,6 @@ func TestConvertErrorReleasesVectors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			base := chunk.OutstandingVectors()
 			if _, err := k.Convert(tc); err == nil {
-				t.Fatal("malformed chunk converted without error")
-			}
-			if got := chunk.OutstandingVectors(); got != base {
-				t.Errorf("vectors leaked: outstanding %d, want %d", got, base)
-			}
-		})
-	}
-}
-
-// The push-down path has its own acquisition and error returns.
-func TestConvertWhereErrorReleasesVectors(t *testing.T) {
-	sch := intSchema(2)
-	k, err := For(sch, []int{0, 1}, ',')
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := parse.RowPredicate(func([]byte) bool { return true })
-	for name, tc := range map[string]*chunk.TextChunk{
-		"data ends early":  {ID: 1, Data: []byte("1,2\n"), Lines: 2},
-		"short row":        {ID: 2, Data: []byte("1,2\n3\n"), Lines: 2},
-		"bad value (kept)": {ID: 3, Data: []byte("1,2\n3,x\n"), Lines: 2},
-	} {
-		t.Run(name, func(t *testing.T) {
-			base := chunk.OutstandingVectors()
-			if _, _, err := k.ConvertWhere(tc, 0, all); err == nil {
 				t.Fatal("malformed chunk converted without error")
 			}
 			if got := chunk.OutstandingVectors(); got != base {

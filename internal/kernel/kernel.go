@@ -1,10 +1,11 @@
 // Package kernel implements fused, schema-specialized conversion: TOKENIZE
-// and PARSE collapsed into a single pass over the chunk bytes. The generic
-// two-stage path materializes a positional map — one (start, end) pair per
-// cell — that PARSE immediately re-reads and discards; when no query needs
-// the map for caching, that round trip through memory is pure overhead.
-// A fused kernel walks each line once and converts every requested field
-// the moment it is delimited, writing straight into pooled column vectors.
+// and PARSE collapsed into a single pass over the chunk bytes. It is the
+// only conversion the operator runs. The two-stage reference (internal/tok,
+// internal/parse) materializes a positional map — one (start, end) pair per
+// cell — that PARSE immediately re-reads and discards: a round trip through
+// memory nothing downstream needs. A fused kernel walks each line once and
+// converts every requested field the moment it is delimited, writing
+// straight into pooled column vectors.
 //
 // Kernels are selected per (schema signature, requested column set,
 // delimiter) from a small registry ordered most-specialized-first:
@@ -19,7 +20,7 @@
 // fields, field-count errors — mirror tok.Tokenize exactly, and value
 // parsing reuses the same ParseInt/ParseFloat contracts, so a fused kernel
 // succeeds with byte-identical output, or fails, exactly when the
-// tok→parse pipeline does. The differential and fuzz suites in this
+// tok→parse reference does. The differential and fuzz suites in this
 // package assert that equivalence.
 package kernel
 
@@ -38,7 +39,7 @@ type runFunc func(k *Kernel, tc *chunk.TextChunk, out []*chunk.Vector) error
 // Kernel is a fused conversion routine specialized to one (schema,
 // requested column set, delimiter) combination. A Kernel is immutable and
 // safe for concurrent use; the operator builds one per run and shares it
-// across its parse workers.
+// across its conversion workers.
 type Kernel struct {
 	sch   *schema.Schema
 	cols  []int         // requested schema ordinals, sorted ascending

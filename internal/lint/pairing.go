@@ -40,8 +40,7 @@ type pairSpec struct {
 	acquires map[string]acqKind
 	// releases maps release-call names to the index of the argument that
 	// is the resource (-1 = last argument). Phase A matches any argument;
-	// phase B tracks only the designated one (releaseMap(id, pm) releases
-	// pm, not id).
+	// phase B tracks only the designated one.
 	releases map[string]int
 	// phaseB enables the inconsistent-release pass (poolpair): resources
 	// released on the main path but dropped by earlier early-exits.
@@ -827,8 +826,7 @@ func (t *pairTracker) phaseBPass() []Diagnostic {
 	roots := map[string]*anchorInfo{}
 
 	// Collect release calls (and whether any is deferred) per resource
-	// root, tracking only the designated resource argument — releaseMap(id,
-	// pm) releases pm, not id.
+	// root, tracking only the designated resource argument.
 	inDefer := map[ast.Node]bool{}
 	inspectNoFuncLit(t.u.body, func(n ast.Node) bool {
 		if d, ok := n.(*ast.DeferStmt); ok {

@@ -1,11 +1,10 @@
 package lint
 
 // PoolPair enforces the vector/positional-map pooling discipline: buffers
-// taken from the shared pools (chunk.GetVector, chunk.GetPositionalMap,
-// the operator's tokenizeChunk wrapper, which returns a pooled map, and
+// taken from the shared pools (chunk.GetVector, chunk.GetPositionalMap and
 // the fused kernels' getVectors batch acquire) must reach a recycle call
-// (PutVector, PutPositionalMap, releaseMap, putVectors) or have their
-// ownership transferred. The classic violation is an early
+// (PutVector, PutPositionalMap, putVectors) or have their ownership
+// transferred. The classic violation is an early
 // error return between acquire and recycle: the buffer is garbage
 // collected instead of reused, silently eroding the pool's allocation
 // savings on exactly the paths tests rarely cover. The inconsistent-
@@ -26,14 +25,12 @@ var poolSpec = &pairSpec{
 	acquires: map[string]acqKind{
 		"GetVector":        {fromResult: true},
 		"GetPositionalMap": {fromResult: true},
-		"tokenizeChunk":    {fromResult: true},
 		"parseColumn":      {fromResult: true},
 		"getVectors":       {fromResult: true},
 	},
 	releases: map[string]int{
 		"PutVector":        0,
 		"PutPositionalMap": 0,
-		"releaseMap":       1,
 		"putVectors":       0,
 	},
 	phaseB: true,

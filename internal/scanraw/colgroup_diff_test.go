@@ -131,17 +131,17 @@ func TestColGroupSharedDifferential(t *testing.T) {
 // quantum on the hot column while any of its groups is still unloaded.
 func TestPayoffSpecPrefersHotColumns(t *testing.T) {
 	// Eight chunks fit inside the default buffers, so READ blocks only when
-	// the schedule lets it outrun the stage consumers: rescan (cache cleared,
+	// the schedule lets it outrun the conversion consumer: rescan (cache cleared,
 	// so raw reads recur) until a quantum landed, and accept that none may
 	// (observed once in ~800 runs under `make stress`, all 100 scans alike).
 	t.Run("default-buffers", func(t *testing.T) {
 		payoffPrefersHot(t, 512, Config{CacheChunks: 16}, 100, false)
 	})
-	// 32 chunks are several times what one-slot buffers and two workers
+	// 32 chunks are several times what a one-slot text buffer and two workers
 	// hold, so READ blocks again and again with converted chunks already
 	// cached: the first scan must write.
 	t.Run("one-slot-buffers", func(t *testing.T) {
-		payoffPrefersHot(t, 2048, Config{CacheChunks: 32, TextBufferChunks: 1, PositionBufferChunks: 1}, 1, true)
+		payoffPrefersHot(t, 2048, Config{CacheChunks: 32, TextBufferChunks: 1}, 1, true)
 	})
 }
 

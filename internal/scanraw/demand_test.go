@@ -453,7 +453,6 @@ func TestDemandStopsWithinInFlightBound(t *testing.T) {
 	}{
 		{"cold", Config{Workers: 4}, false},
 		{"discovered", Config{Workers: 4}, true},
-		{"two-stage", Config{Workers: 4, FusedKernels: FusedOff}, true},
 		{"parallel-consume", Config{Workers: 4, ConsumeWorkers: 4}, true},
 		{"full-load", Config{Workers: 2, Policy: FullLoad}, false},
 	}
@@ -466,7 +465,7 @@ func TestDemandStopsWithinInFlightBound(t *testing.T) {
 			c.cfg.ChunkLines = 64
 			op := New(env.store, env.table, c.cfg)
 			eff := op.Config()
-			bound := eff.TextBufferChunks + eff.PositionBufferChunks + eff.CacheChunks + 3
+			bound := eff.TextBufferChunks + eff.CacheChunks + 2
 			if need+bound >= chunks {
 				t.Fatalf("bound %d does not force early termination on %d chunks", bound, chunks)
 			}

@@ -92,10 +92,8 @@ func (r *run) resolve(st step) (resolution, error) {
 	}
 	// Some (but not all) requested columns loaded is a partial-width hit:
 	// convert only the missing groups and merge the rest from their pages.
-	if plan := r.planFor(st.meta); len(plan.fromDB) > 0 {
-		return resolution{src: srcRaw, plan: &plan}, nil
-	}
-	return resolution{src: srcRaw}, nil
+	plan, err := r.planFor(st.meta)
+	return resolution{src: srcRaw, plan: plan}, err
 }
 
 // listVisit visits known chunks in the given order: the cached-first prefix
@@ -217,11 +215,11 @@ func (r *run) drive(ctx context.Context) error {
 //
 // In-flight bound: the driver runs ahead of the consume stage by at most
 //
-//	TextBufferChunks + PositionBufferChunks + CacheChunks + 3
+//	TextBufferChunks + CacheChunks + 2
 //
 // chunks issued and not yet consumed — one in the driver's hands, one in
-// each stage consumer's, the rest holding a buffer slot (a conversion task
-// holds the slot of the buffer it writes to, so the pool size adds
+// the conversion consumer's, the rest holding a buffer slot (a conversion
+// task holds a slot of the binary cache it writes to, so the pool size adds
 // nothing; an inline run holds one chunk per consume worker, each pinned in
 // the cache). This is what bounds the work a LIMIT strands in flight, and
 // the invariants build asserts it.
@@ -247,7 +245,7 @@ func (r *run) walk(ctx context.Context, next visit) error {
 		}
 		if invariantsOn && res.src > srcSkipped {
 			r.issued++
-			bound := int64(o.cfg.TextBufferChunks + o.cfg.PositionBufferChunks + o.cfg.CacheChunks + 3)
+			bound := int64(o.cfg.TextBufferChunks + o.cfg.CacheChunks + 2)
 			if n := r.issued - r.consumed.Load(); n > bound && !r.satisfied.Load() && !r.failed() {
 				panic(fmt.Sprintf("invariant violation: scanraw: %d chunks in flight, bound %d", n, bound))
 			}
@@ -262,7 +260,7 @@ func (r *run) walk(ctx context.Context, next visit) error {
 				err = o.cache.Unpin(st.id)
 			}
 		case srcDB:
-			// Binary-buffer space first, mirroring the PARSE rule.
+			// Binary-buffer space first, mirroring the conversion rule.
 			if !r.out.admit() {
 				break
 			}
@@ -373,38 +371,21 @@ func (e pooled) raw(it convItem) error {
 	return nil
 }
 
-// convert is the one conversion routine: fused kernel or TOKENIZE+PARSE of
-// the chunk's convert set on the given worker slot (returned to the pool as
+// convert is the one conversion routine: the kernel's fused pass over the
+// chunk's convert set on the given worker slot (returned to the pool as
 // soon as the CPU work is done), conversion-time statistics, the merge of a
 // partial-width hit's loaded columns, and the write policies that store a
 // chunk before it is cached. loaded reports that the chunk is now in the
 // database. On error nothing is retained.
 func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bool, err error) {
-	o, tc := r.op, it.tc
-	cols, kern := r.convCols, r.kern
+	o := r.op
+	kern := r.kern
 	if it.plan != nil {
-		cols = it.plan.convert
-		if kern != nil {
-			kern = r.kernFor(cols)
-		}
+		kern = it.plan.kern
 	}
-	pm := it.pm
-	if kern == nil && pm == nil {
-		// No TOKENIZE stage ran ahead of this task (inline run).
-		pm, err = o.tokenizeChunk(slot, tc, r.upTo)
-	}
-	if err == nil {
-		d := o.cpuWork(slot, func() {
-			if kern != nil {
-				bc, err = kern.Convert(tc)
-			} else {
-				bc, err = o.parser.Parse(tc, pm, cols)
-			}
-		})
-		o.prof.parseNs.Add(int64(d))
-	}
+	d := o.cpuWork(slot, func() { bc, err = kern.Convert(it.tc) })
+	o.prof.parseNs.Add(int64(d))
 	r.workers <- slot
-	o.releaseMap(tc.ID, pm)
 	if err != nil {
 		return nil, false, err
 	}
@@ -412,7 +393,7 @@ func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bo
 	if o.cfg.CollectStats {
 		// Only the freshly converted columns: the merged-in loaded columns
 		// had their statistics recorded when they were first converted.
-		err = r.recordStats(bc, cols)
+		err = r.recordStats(bc, kern.Columns())
 	}
 	if err == nil && it.plan != nil {
 		// Merge the loaded requested columns in from their pages. The merged

@@ -92,24 +92,28 @@ func stateSkip(t *testing.T, env *testEnv) func(*dbstore.ChunkMeta) bool {
 // before and after the disk-backed part of the visit sequence has begun.
 func TestResolveTable(t *testing.T) {
 	env, op := stateTable(t, 0)
-	r := op.newRun(Request{
+	r, err := op.newRun(Request{
 		Columns: stateCols,
 		Range:   &ChunkRange{Lo: 1},
 		Skip:    stateSkip(t, env),
 		Deliver: func(*BinaryChunk) error { return nil },
 	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer r.del.close()
 
 	cases := []struct {
 		id           int
 		fresh        bool // carved this instant: no metadata yet
 		memory, disk source
-		plan         *partialPlan
+		convert      []int // partial-width plan: converted from raw ...
+		fromDB       []int // ... and read from pages
 	}{
 		{id: 0, memory: srcNone, disk: srcNone}, // cached, but out of range
 		{id: 0, fresh: true, memory: srcNone, disk: srcNone},
 		{id: 1, memory: srcNone, disk: srcRaw},
-		{id: 2, memory: srcNone, disk: srcRaw, plan: &partialPlan{convert: []int{1}, fromDB: []int{0}}},
+		{id: 2, memory: srcNone, disk: srcRaw, convert: []int{1}, fromDB: []int{0}},
 		{id: 3, memory: srcNone, disk: srcDB},
 		{id: 4, memory: srcCache, disk: srcCache},
 		{id: 5, memory: srcNone, disk: srcRaw},
@@ -142,12 +146,16 @@ func TestResolveTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var wantPlan *partialPlan
-			if disk {
-				wantPlan = c.plan
+			var convert, fromDB []int
+			if res.plan != nil {
+				convert, fromDB = res.plan.kern.Columns(), res.plan.fromDB
 			}
-			if !reflect.DeepEqual(res.plan, wantPlan) {
-				t.Errorf("chunk %d (disk=%v): plan %+v, want %+v", c.id, disk, res.plan, wantPlan)
+			if wantPlan := disk && c.convert != nil; !wantPlan {
+				if res.plan != nil {
+					t.Errorf("chunk %d (disk=%v): unexpected plan converting %v, reading %v", c.id, disk, convert, fromDB)
+				}
+			} else if !reflect.DeepEqual(convert, c.convert) || !reflect.DeepEqual(fromDB, c.fromDB) {
+				t.Errorf("chunk %d: plan converts %v and reads %v, want %v and %v", c.id, convert, fromDB, c.convert, c.fromDB)
 			}
 		}
 	}
@@ -243,17 +251,20 @@ func TestDriverSourceCounters(t *testing.T) {
 }
 
 // TestCachedPrefixKeepsFusedRamp: a warm-cache hit that leaves the demand
-// open must not lift the fused slow-start cap — the disk-backed part of a
+// open must not lift the slow-start cap — the disk-backed part of a
 // LIMIT still starts inside the two-conversion window.
 func TestCachedPrefixKeepsFusedRamp(t *testing.T) {
 	_, op := stateTable(t, 2) // chunks 0 and 4 are cache-resident with the columns
-	r := op.newRun(Request{
+	r, err := op.newRun(Request{
 		Columns:   stateCols,
 		Satisfied: func() bool { return false },
 		Deliver:   func(*BinaryChunk) error { return nil },
 	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.rampOpen == nil {
-		t.Fatal("demand-driven fused run has no slow-start ramp")
+		t.Fatal("demand-driven pooled run has no slow-start ramp")
 	}
 	if err := r.cachedFirst(context.Background()); err != nil {
 		t.Fatal(err)
@@ -266,11 +277,11 @@ func TestCachedPrefixKeepsFusedRamp(t *testing.T) {
 	}
 	select {
 	case <-r.rampOpen:
-		t.Error("a cache hit opened the fused slow-start ramp")
+		t.Error("a cache hit opened the slow-start ramp")
 	default:
 	}
-	if len(r.rampSlots) != fusedRampWindow {
-		t.Errorf("ramp window holds %d slots, want %d", len(r.rampSlots), fusedRampWindow)
+	if len(r.rampSlots) != rampWindow {
+		t.Errorf("ramp window holds %d slots, want %d", len(r.rampSlots), rampWindow)
 	}
 	if s := op.Cache().Stats(); s.PinCount != 0 {
 		t.Errorf("cached prefix leaked %d pins", s.PinCount)

@@ -9,7 +9,9 @@ import (
 
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
+	"scanraw/internal/parse"
 	"scanraw/internal/schema"
+	"scanraw/internal/tok"
 	"scanraw/internal/vdisk"
 )
 
@@ -63,13 +65,62 @@ func runSQL(t *testing.T, store *dbstore.Store, table *dbstore.Table, cfg Config
 	return res, st
 }
 
+// referenceSQL answers one statement without the operator: the table's raw
+// file split, tokenized and parsed by the two-stage reference (internal/tok,
+// internal/parse), chunk by chunk in file order, into the same kind of
+// consumer ExecuteQuery feeds.
+func referenceSQL(t *testing.T, store *dbstore.Store, table *dbstore.Table, chunkLines int, sql string) *engine.Result {
+	t.Helper()
+	sch := table.Schema()
+	q, err := engine.ParseSQL(sql, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := q.RequiredColumns()
+	if len(cols) == 0 {
+		cols = []int{0}
+	}
+	data, err := store.Disk().ReadBlob(table.RawFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := tok.SplitChunks(data, chunkLines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewQueryConsumer(q, sch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := tok.Tokenizer{Delim: ',', MinFields: sch.NumColumns()}
+	ps := parse.Parser{Schema: sch}
+	for _, tc := range chunks {
+		pm, err := tk.Tokenize(tc, cols[len(cols)-1]+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, err := ps.Parse(tc, pm, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.ConsumeCounted(bc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := ex.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // requireSameResult compares two engine results cell by cell. Ints and
 // strings must match exactly. Float aggregates are compared with a tight
 // relative tolerance: per-chunk conversion is byte-identical (the kernel
 // package's differential suite proves that), but chunks are delivered to
 // the engine in completion order, so a parallel run's float reduction
 // order — and with it the last couple of ULPs of a SUM — depends on
-// worker scheduling, on the two-stage path just as much as the fused one.
+// worker scheduling.
 func requireSameResult(t *testing.T, label string, want, got *engine.Result) {
 	t.Helper()
 	if len(want.Rows) != len(got.Rows) {
@@ -93,10 +144,9 @@ func requireSameResult(t *testing.T, label string, want, got *engine.Result) {
 	}
 }
 
-// TestFusedMatchesTwoStage runs the same queries through the fused and
-// two-stage conversion paths — across sequential (0 workers) and pipeline
-// execution, push-down-friendly predicates, and every kernel family — and
-// demands identical results.
+// TestFusedMatchesTwoStage runs the same queries through the operator —
+// sequential (0 workers) and pipelined — and through the two-stage
+// reference conversion outside it, and demands identical results.
 func TestFusedMatchesTwoStage(t *testing.T) {
 	queries := []string{
 		"SELECT SUM(a), SUM(b), COUNT(*) FROM data",      // int64 kernels
@@ -108,23 +158,54 @@ func TestFusedMatchesTwoStage(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for _, sql := range queries {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, sql), func(t *testing.T) {
-				base := Config{Workers: workers, ChunkLines: 64, CacheChunks: 4, Policy: ExternalTables}
-
-				offStore, offTable := mixedEnv(t, 500)
-				offCfg := base
-				offCfg.FusedKernels = FusedOff
-				want, _ := runSQL(t, offStore, offTable, offCfg, sql)
-
-				onStore, onTable := mixedEnv(t, 500)
-				got, _ := runSQL(t, onStore, onTable, base, sql)
+				store, table := mixedEnv(t, 500)
+				want := referenceSQL(t, store, table, 64, sql)
+				got, _ := runSQL(t, store, table,
+					Config{Workers: workers, ChunkLines: 64, CacheChunks: 4, Policy: ExternalTables}, sql)
 				requireSameResult(t, sql, want, got)
 			})
 		}
 	}
 }
 
-// TestFusedProfileSkipsTokenize pins the accounting rule: under fused
-// conversion the TOKENIZE stage never runs (no positional map exists), and
+// TestFusedPartialWidthMatchesTwoStage covers the per-plan kernels: on
+// two-column pages a narrow query loads one group of every chunk, so the
+// wider query after it converts only the other group from raw and merges the
+// rest from pages — and must still match the reference.
+func TestFusedPartialWidthMatchesTwoStage(t *testing.T) {
+	cases := []struct{ warm, sql string }{
+		// (a,b) on pages; (f,s) converts through the generic kernel.
+		{"SELECT SUM(b) FROM data", "SELECT SUM(a+b), SUM(f) FROM data WHERE s LIKE 'row1%'"},
+		// (f,s) on pages; (a,b) converts through the int64-prefix kernel.
+		{"SELECT SUM(f) FROM data", "SELECT SUM(a), MAX(f) FROM data WHERE b < 0"},
+	}
+	for _, workers := range []int{0, 4} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.sql), func(t *testing.T) {
+				store, table := mixedEnv(t, 500)
+				store.SetGroupWidth(2)
+				op := New(store, table, Config{Workers: workers, ChunkLines: 64, CacheChunks: 2, Policy: FullLoad})
+				for _, sql := range []string{c.warm, c.sql} {
+					q, err := engine.ParseSQL(sql, table.Schema())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st, err := ExecuteQuery(op, q)
+					if err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+					requireSameResult(t, sql, referenceSQL(t, store, table, 64, sql), got)
+					if sql == c.sql && st.DeliveredPartial == 0 {
+						t.Errorf("no chunk was served by a partial-width plan: %+v", st)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFusedProfileSkipsTokenize pins the accounting rule: conversion is one
+// fused pass (no positional map exists), so Profile.Tokenize stays zero and
 // all conversion time lands on PARSE.
 func TestFusedProfileSkipsTokenize(t *testing.T) {
 	store, table := mixedEnv(t, 500)
@@ -136,27 +217,6 @@ func TestFusedProfileSkipsTokenize(t *testing.T) {
 	if st.Profile.Parse.Chunks != int64(st.DeliveredRaw) {
 		t.Errorf("parse chunks %d, delivered raw %d", st.Profile.Parse.Chunks, st.DeliveredRaw)
 	}
-}
-
-// TestFusedFallsBackForPositionalMapCache: a query run configured to cache
-// positional maps needs the map the fused path never materializes, so the
-// operator must silently fall back to two-stage conversion — observable as
-// non-zero TOKENIZE activity — and stay correct.
-func TestFusedFallsBackForPositionalMapCache(t *testing.T) {
-	store, table := mixedEnv(t, 500)
-	cfg := Config{
-		Workers: 2, ChunkLines: 64, CacheChunks: 4, Policy: ExternalTables,
-		CachePositionalMaps: true, PositionalMapCacheChunks: 16,
-	}
-	res, st := runSQL(t, store, table, cfg, "SELECT SUM(a), SUM(b) FROM data")
-	if st.Profile.Tokenize.Chunks == 0 {
-		t.Error("positional-map caching must force the two-stage path")
-	}
-	offStore, offTable := mixedEnv(t, 500)
-	offCfg := cfg
-	offCfg.FusedKernels = FusedOff
-	want, _ := runSQL(t, offStore, offTable, offCfg, "SELECT SUM(a), SUM(b) FROM data")
-	requireSameResult(t, "pm-cache fallback", want, res)
 }
 
 // TestFusedSpeculativeLoadRoundTrip drives the full load-then-reread

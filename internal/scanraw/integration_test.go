@@ -266,114 +266,6 @@ func TestSequentialBufferedEviction(t *testing.T) {
 	}
 }
 
-// TestPositionalMapCache verifies that with map caching enabled a repeat
-// query over re-read raw chunks skips TOKENIZE entirely while producing
-// identical results.
-func TestPositionalMapCache(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		env := newEnv(t, 512, 4, nil)
-		// Tiny binary cache so the second query must re-read raw text.
-		op := New(env.store, env.table, Config{
-			Workers: workers, ChunkLines: 64, CacheChunks: 1,
-			Policy: ExternalTables, CachePositionalMaps: true,
-		})
-		got1, st1 := sumViaOperator(t, op, env)
-		got2, st2 := sumViaOperator(t, op, env)
-		if got1 != wantSum(env) || got2 != wantSum(env) {
-			t.Fatalf("workers=%d sums = %d, %d, want %d", workers, got1, got2, wantSum(env))
-		}
-		if st2.DeliveredRaw == 0 {
-			t.Fatalf("workers=%d: second query should re-read raw chunks", workers)
-		}
-		if st1.Profile.Tokenize.Time == 0 {
-			t.Errorf("workers=%d: first query should spend tokenize time", workers)
-		}
-		if st2.Profile.Tokenize.Time != 0 {
-			t.Errorf("workers=%d: cached maps should zero tokenize time, got %v",
-				workers, st2.Profile.Tokenize.Time)
-		}
-		if st2.Profile.Tokenize.Chunks == 0 {
-			t.Errorf("workers=%d: tokenize chunk count should still advance", workers)
-		}
-	}
-}
-
-// TestPositionalMapExtension verifies that a partial cached map is
-// extended (not re-tokenized) when a later query needs more columns, and
-// that results stay correct.
-func TestPositionalMapExtension(t *testing.T) {
-	env := newEnv(t, 256, 4, nil)
-	op := New(env.store, env.table, Config{
-		Workers: 2, ChunkLines: 64, CacheChunks: 1,
-		Policy: ExternalTables, CachePositionalMaps: true,
-	})
-	// Query 1 maps columns 0..1.
-	q1 := []int{0, 1}
-	var sum1 int64
-	if _, err := op.Run(Request{
-		Columns: q1,
-		Deliver: func(bc *BinaryChunk) error {
-			for r := 0; r < bc.Rows; r++ {
-				sum1 += bc.Column(0).Ints[r] + bc.Column(1).Ints[r]
-			}
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := gen.SumRange(env.spec, q1, 0, 256); sum1 != want {
-		t.Fatalf("sum1 = %d, want %d", sum1, want)
-	}
-	// The cached maps cover only 2 columns.
-	pm, complete := op.cachedMap(0, 4)
-	if pm == nil || complete || pm.NumCols != 2 {
-		t.Fatalf("cached map after q1: %+v complete=%v", pm, complete)
-	}
-	// Query 2 needs all 4: the maps must be extended and results correct.
-	q2 := []int{0, 1, 2, 3}
-	var sum2 int64
-	if _, err := op.Run(Request{
-		Columns: q2,
-		Deliver: func(bc *BinaryChunk) error {
-			for r := 0; r < bc.Rows; r++ {
-				for _, c := range q2 {
-					sum2 += bc.Column(c).Ints[r]
-				}
-			}
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := gen.SumRange(env.spec, q2, 0, 256); sum2 != want {
-		t.Fatalf("sum2 = %d, want %d", sum2, want)
-	}
-	if pm, complete := op.cachedMap(0, 4); pm == nil || !complete {
-		t.Error("cache should now hold the extended 4-column map")
-	}
-}
-
-// TestPositionalMapCacheBound verifies the cache respects its size bound.
-func TestPositionalMapCacheBound(t *testing.T) {
-	env := newEnv(t, 512, 2, nil)
-	op := New(env.store, env.table, Config{
-		Workers: 2, ChunkLines: 64, CacheChunks: 1,
-		CachePositionalMaps: true, PositionalMapCacheChunks: 3,
-	})
-	if _, err := op.Run(Request{
-		Columns: []int{0, 1},
-		Deliver: func(*BinaryChunk) error { return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	op.pmMu.Lock()
-	n := len(op.pmCache)
-	op.pmMu.Unlock()
-	if n > 3 {
-		t.Errorf("positional map cache holds %d entries, bound is 3", n)
-	}
-}
-
 // TestSkipAllChunksSecondQuery covers the full chunk-elimination path end
 // to end through ExecuteQuery with statistics.
 func TestSkipAllChunksSecondQuery(t *testing.T) {

@@ -3,7 +3,6 @@ package scanraw
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,13 +12,12 @@ import (
 	"scanraw/internal/kernel"
 )
 
-// convItem is the unit flowing through the text and position buffers: a
-// text chunk, its partial-width plan when only some column groups still
-// need converting, and — past TOKENIZE — its positional map.
+// convItem is the unit flowing through the text chunks buffer: a text chunk
+// and its partial-width plan when only some column groups still need
+// converting.
 type convItem struct {
 	tc   *chunk.TextChunk
 	plan *partialPlan
-	pm   *chunk.PositionalMap
 }
 
 // run holds the per-query state: the scan driver's bookkeeping, the consume
@@ -31,39 +29,27 @@ type run struct {
 	del *deliverer // CONSUME stage: serial pass-through or fan-out
 	out emitter    // inline, until a pooled run starts its pipeline
 
-	upTo int // attributes to tokenize: max converted ordinal + 1
-
-	// convCols is the full-conversion column set: the requested columns
-	// rounded up to the store's group-partition boundaries, so every
+	// kern is the conversion kernel — one fused pass per chunk, accounted to
+	// the Parse stage — for the full-conversion column set: the requested
+	// columns rounded up to the store's group-partition boundaries, so every
 	// converted chunk carries complete groups and every group page is
 	// writable. With the default group width 1 it is the request itself.
-	convCols []int
-
-	// kern, when non-nil, is the fused conversion kernel for this run's
-	// column set: text chunks skip TOKENIZE (they flow through the position
-	// buffer with a nil map) and conversion is one pass. The fused time is
-	// accounted to the Parse stage; Tokenize stays zero.
 	kern *kernel.Kernel
-
-	// kerns caches per-plan fused kernels by column-set key.
-	kernsMu sync.Mutex
-	kerns   map[string]*kernel.Kernel
 
 	// Driver state, touched only by the goroutine running drive: the raw
 	// file scanner, whether the disk-backed part of the visit sequence has
-	// begun, and the chunks the cached-first prefix already accounted for.
+	// begun, the chunks the cached-first prefix already accounted for, and
+	// the kernels of partial-width plans by convert-set key.
 	sc        *rawScanner
 	disk      bool
 	delivered map[int]bool
+	kerns     map[string]*kernel.Kernel
 
 	done    chan struct{} // closed on first error
 	errOnce sync.Once
 	runErr  error
 
-	freeText  chan struct{} // free slots of the text chunks buffer
-	textBuf   chan convItem
-	freePos   chan struct{} // free slots of the position buffer
-	posBuf    chan convItem
+	textBuf   chan convItem // the text chunks buffer
 	freeBin   chan struct{} // undelivered-chunk budget of the binary cache
 	deliverCh chan *BinaryChunk
 
@@ -76,8 +62,7 @@ type run struct {
 	specNotify  chan struct{} // pokes the speculative scheduler
 	finish      chan struct{} // closed at teardown; stops the scheduler
 
-	tokWG   sync.WaitGroup
-	parseWG sync.WaitGroup
+	convWG  sync.WaitGroup
 	schedWG sync.WaitGroup
 	writeWG sync.WaitGroup
 
@@ -92,14 +77,12 @@ type run struct {
 	satOnce   sync.Once
 	satCh     chan struct{}
 
-	// Fused-kernel slow start (demand-driven runs only). A fused pipeline
-	// has no tokenize stage competing for workers, so the position buffer
-	// fills instantly and every worker would commit to a full conversion
-	// before the first delivery can reveal the demand is already
-	// satisfied — for a LIMIT that triples the work a two-stage pipeline
-	// strands in flight. Until a consumed delivery proves more chunks are
-	// needed (rampOpen closes), admission is capped at the rampSlots
-	// window.
+	// Slow start (demand-driven runs only). Nothing stands between the text
+	// buffer and the worker pool, so every worker would commit to a full
+	// conversion before the first delivery can reveal the demand is already
+	// satisfied — for a LIMIT, a pool's worth of work stranded in flight.
+	// Until a consumed delivery proves more chunks are needed (rampOpen
+	// closes), admission is capped at the rampSlots window.
 	rampSlots chan struct{}
 	rampOpen  chan struct{}
 	rampOnce  sync.Once
@@ -160,13 +143,13 @@ func (r *run) fail(err error) {
 	})
 }
 
-// fusedRampWindow caps how many fused conversions run concurrently before
-// the first consumed delivery shows the demand wants more than one chunk.
+// rampWindow caps how many conversions run concurrently before the
+// first consumed delivery shows the demand wants more than one chunk.
 // Two keeps a successor warm behind the chunk whose consume answers the
 // question, without committing the whole worker pool to speculation.
-const fusedRampWindow = 2
+const rampWindow = 2
 
-// openRamp lifts the fused slow-start cap: a delivery was consumed and the
+// openRamp lifts the slow-start cap: a delivery was consumed and the
 // demand is still unsatisfied, so speculating with every worker is justified.
 func (r *run) openRamp() {
 	if r.rampOpen == nil {
@@ -225,12 +208,12 @@ func validateRequest(req Request, ncols int) error {
 	if len(req.Columns) == 0 {
 		return fmt.Errorf("scanraw: request selects no columns")
 	}
-	if !sort.IntsAreSorted(req.Columns) {
-		return fmt.Errorf("scanraw: request columns must be sorted ascending")
-	}
-	for _, c := range req.Columns {
+	for i, c := range req.Columns {
 		if c < 0 || c >= ncols {
 			return fmt.Errorf("scanraw: column ordinal %d out of range [0,%d)", c, ncols)
+		}
+		if i > 0 && req.Columns[i-1] >= c {
+			return fmt.Errorf("scanraw: request columns must be sorted ascending, each ordinal once")
 		}
 	}
 	if req.Range != nil {
@@ -298,8 +281,11 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 	disk0 := o.disk.Stats()
 
 	workers := o.workers
-	r := o.newRun(req, workers)
-	err := r.execute(ctx)
+	r, err := o.newRun(req, workers)
+	if err != nil {
+		return st, err
+	}
+	err = r.execute(ctx)
 	// All deliver calls have returned: drain the consume workers and
 	// surface any consume error that had not reached the run yet.
 	if cerr := r.del.close(); err == nil {
@@ -428,18 +414,23 @@ func slots(n int) chan struct{} {
 
 // newRun builds the state of one query execution. With workers == 0 the
 // run is inline: no buffers, no stage goroutines, and one implicit worker
-// slot for CPU pacing. Otherwise it carries the pipeline of Fig. 2.
-func (o *Operator) newRun(req Request, workers int) *run {
-	convCols := o.store.GroupClosure(o.table, req.Columns)
+// slot for CPU pacing. Otherwise it carries the pipeline of Fig. 2. The
+// request has passed validateRequest, which rejects every column set kernel
+// selection does; should the two ever disagree, the run fails here rather
+// than convert some other way.
+func (o *Operator) newRun(req Request, workers int) (*run, error) {
+	kern, err := kernel.For(o.table.Schema(), o.store.GroupClosure(o.table, req.Columns), o.cfg.Delim)
+	if err != nil {
+		return nil, err
+	}
 	r := &run{
 		op:        o,
 		req:       req,
 		del:       o.newDeliverer(req.Deliver, o.consumeWorkersFor(req)),
-		convCols:  convCols,
-		upTo:      convCols[len(convCols)-1] + 1,
-		kern:      o.fusedKernel(convCols),
+		kern:      kern,
 		sc:        newRawScanner(o, o.table.RawFile()),
 		delivered: make(map[int]bool),
+		kerns:     make(map[string]*kernel.Kernel),
 		done:      make(chan struct{}),
 		workers:   make(chan *workerSlot, max(workers, 1)),
 		gate:      newCacheGate(),
@@ -448,12 +439,9 @@ func (o *Operator) newRun(req Request, workers int) *run {
 	r.invisibleLeft.Store(int64(o.cfg.InvisibleChunksPerQuery))
 	if workers == 0 {
 		r.workers <- &workerSlot{}
-		return r
+		return r, nil
 	}
-	r.freeText = slots(o.cfg.TextBufferChunks)
 	r.textBuf = make(chan convItem, o.cfg.TextBufferChunks)
-	r.freePos = slots(o.cfg.PositionBufferChunks)
-	r.posBuf = make(chan convItem, o.cfg.PositionBufferChunks)
 	r.freeBin = slots(o.cfg.CacheChunks)
 	r.deliverCh = make(chan *BinaryChunk, o.cfg.CacheChunks)
 	r.specNotify = make(chan struct{}, 1)
@@ -463,15 +451,13 @@ func (o *Operator) newRun(req Request, workers int) *run {
 	}
 	if req.Satisfied != nil {
 		r.satCh = make(chan struct{})
-		if r.kern != nil {
-			r.rampOpen = make(chan struct{})
-			r.rampSlots = slots(fusedRampWindow)
-		}
+		r.rampOpen = make(chan struct{})
+		r.rampSlots = slots(rampWindow)
 	}
 	if o.cfg.Policy == FullLoad {
 		r.writeQ = make(chan *BinaryChunk, o.cfg.CacheChunks)
 	}
-	return r
+	return r, nil
 }
 
 // execute runs the scan to completion — the cached-first prefix on the
@@ -503,8 +489,8 @@ func (r *run) execute(ctx context.Context) error {
 }
 
 // pipeline runs a pooled scan: the driver is the READ thread, conversion
-// runs on the worker pool behind the text and position buffers, and the
-// calling goroutine is the execution engine's feed.
+// runs on the worker pool behind the text chunks buffer, and the calling
+// goroutine is the execution engine's feed.
 func (r *run) pipeline(ctx context.Context) {
 	r.out = pooled{r}
 	if r.writeQ != nil {
@@ -515,8 +501,7 @@ func (r *run) pipeline(ctx context.Context) {
 		r.schedWG.Add(1)
 		go r.scheduler()
 	}
-	go r.tokenizeConsumer()
-	go r.parseConsumer()
+	go r.convertConsumer()
 	go func() {
 		r.fail(r.drive(ctx))
 		r.readDone.Store(true)
@@ -530,7 +515,7 @@ func (r *run) pipeline(ctx context.Context) {
 	// ParallelConsume chunks in flight past the buffer budget. The loop
 	// drains deliverCh even after the demand is satisfied: consumers ignore
 	// surplus chunks, and the after-hooks must still run for the teardown
-	// invariants. parseConsumer closes deliverCh once READ and every
+	// invariants. convertConsumer closes deliverCh once READ and every
 	// conversion have finished.
 	for bc := range r.deliverCh {
 		r.depthSum.Add(int64(len(r.deliverCh)))
@@ -548,7 +533,7 @@ func (r *run) pipeline(ctx context.Context) {
 // run failed): it releases the delivery pin — a parallel-consume worker can
 // therefore never race an eviction's vector recycling — and the emitter's
 // buffer budget, and it is the natural point to notice the demand is now
-// satisfied or, if it is not, to release the fused slow-start throttle. Only
+// satisfied or, if it is not, to release the slow-start throttle. Only
 // a pipelined delivery releases it: a hit of the cached-first prefix costs
 // no conversion, so it is no evidence for committing every worker to one.
 func (r *run) deliver(bc *BinaryChunk) {
@@ -578,142 +563,68 @@ func (r *run) deliver(bc *BinaryChunk) {
 // when the run fails or its demand is satisfied while READ waits.
 func (r *run) sendText(it convItem) {
 	select {
-	case <-r.freeText:
+	case r.textBuf <- it:
+		return
 	default:
-		// Buffer full: READ blocks — the disk goes idle, which is the
-		// speculative loading trigger (§4) and the CPU-bound signal the
-		// resource manager consumes (§3.3).
-		start := time.Now()
-		r.readBlocked.Store(true)
-		r.poke()
-		ok := false
-		select {
-		case <-r.freeText:
-			ok = true
-		case <-r.done:
-		case <-r.satCh:
-		}
-		r.readBlocked.Store(false)
-		r.blocked.add(time.Since(start))
-		if !ok {
-			return
-		}
 	}
+	// Buffer full: READ blocks — the disk goes idle, which is the
+	// speculative loading trigger (§4) and the CPU-bound signal the resource
+	// manager consumes (§3.3).
+	start := time.Now()
+	r.readBlocked.Store(true)
+	r.poke()
 	select {
 	case r.textBuf <- it:
 	case <-r.done:
 	case <-r.satCh:
 	}
+	r.readBlocked.Store(false)
+	r.blocked.add(time.Since(start))
 }
 
-// tokenizeConsumer monitors the text chunks buffer, acquiring destination
-// space and a worker for each chunk (§3.2.1, consumer threads).
-func (r *run) tokenizeConsumer() {
+// convertConsumer monitors the text chunks buffer, dispatching a conversion
+// task per chunk once admitConvert has reserved its resources (§3.2.1,
+// consumer threads). When the buffer closes — READ finished — it waits out
+// the running tasks and closes the delivery channel: no more deliveries can
+// be produced.
+func (r *run) convertConsumer() {
 	for it := range r.textBuf {
-		// Chunk extracted: its slot frees, allowing READ to produce.
-		r.freeText <- struct{}{}
-		if r.failed() || r.satisfied.Load() {
-			// Satisfied: queued text chunks are dead weight — drop them so
-			// only in-flight conversion tasks finish (and reach the cache
-			// for the safeguard flush).
-			continue
-		}
-		// Destination space before worker (§3.2.1: "even if a thread is
-		// available, it can only be allocated if there is empty space in
-		// the destination buffer").
-		select {
-		case <-r.freePos:
-		case <-r.done:
-			continue
-		}
-		if r.kern != nil {
-			// Fused kernels collapse TOKENIZE into the parse task: the
-			// chunk flows through the position buffer untokenized (nil
-			// map), keeping the buffer's back-pressure semantics without
-			// spending a worker here.
-			select {
-			case r.posBuf <- it:
-			case <-r.done:
-				r.freePos <- struct{}{}
-			}
-			continue
-		}
-		var slot *workerSlot
-		select {
-		case slot = <-r.workers:
-		case <-r.done:
-			r.freePos <- struct{}{}
-			continue
-		}
-		r.tokWG.Add(1)
-		go r.tokenizeTask(it, slot)
-	}
-	r.tokWG.Wait()
-	close(r.posBuf)
-}
-
-func (r *run) tokenizeTask(it convItem, slot *workerSlot) {
-	defer r.tokWG.Done()
-	o := r.op
-	pm, err := o.tokenizeChunk(slot, it.tc, r.upTo)
-	r.workers <- slot // release the worker
-	if err != nil {
-		r.fail(err)
-		r.freePos <- struct{}{}
-		return
-	}
-	it.pm = pm
-	select {
-	case r.posBuf <- it:
-	case <-r.done:
-		o.releaseMap(it.tc.ID, pm)
-		r.freePos <- struct{}{}
-	}
-}
-
-// parseConsumer monitors the position buffer, dispatching a parse task per
-// chunk once admitParse has reserved its resources. When the buffer closes
-// — READ finished and TOKENIZE drained — it waits out the running tasks and
-// closes the delivery channel: no more deliveries can be produced.
-func (r *run) parseConsumer() {
-	for it := range r.posBuf {
-		r.freePos <- struct{}{}
-		slot, ramped, ok := r.admitParse()
+		slot, ramped, ok := r.admitConvert()
 		if !ok {
-			r.op.releaseMap(it.tc.ID, it.pm)
 			continue
 		}
-		r.parseWG.Add(1)
-		go r.parseTask(it, slot, ramped)
+		r.convWG.Add(1)
+		go r.convertTask(it, slot, ramped)
 	}
-	r.parseWG.Wait()
+	r.convWG.Wait()
 	if r.writeQ != nil {
 		close(r.writeQ)
 	}
 	close(r.deliverCh)
 }
 
-// admitParse reserves what one parse task needs, or reports false when the
-// chunk must be dropped (run failed, or the demand is satisfied and queued
-// work is dead weight). A task is dispatched only when the binary chunks
-// cache can hold one more undelivered chunk (§3.2.1: "a request from the
-// PARSE consumer can be accomplished only if there is empty space in the
-// binary chunks buffer") — this is the back-pressure that propagates to
-// READ and creates the disk-idle windows speculative loading exploits.
-func (r *run) admitParse() (slot *workerSlot, ramped, ok bool) {
+// admitConvert reserves what one conversion task needs, or reports false
+// when the chunk must be dropped (run failed, or the demand is satisfied and
+// queued text chunks are dead weight — only in-flight conversions finish,
+// and reach the cache for the safeguard flush). Destination space comes
+// before the worker (§3.2.1: "even if a thread is available, it can only be
+// allocated if there is empty space in the destination buffer"): a task is
+// dispatched only when the binary chunks cache can hold one more undelivered
+// chunk — this is the back-pressure that propagates to READ and creates the
+// disk-idle windows speculative loading exploits.
+func (r *run) admitConvert() (slot *workerSlot, ramped, ok bool) {
 	if r.failed() || r.satisfied.Load() || !r.out.admit() {
 		return nil, false, false
 	}
 	// The wait for binary-buffer space can span the delivery that satisfies
 	// the demand (its consume frees the space admit waits for); converting
-	// the chunk then would be pure waste — under fused kernels a full
-	// tokenize+parse of dead weight.
+	// the chunk then would be pure waste.
 	if r.satisfied.Load() {
 		r.out.release()
 		return nil, false, false
 	}
-	// Fused slow start: until a consumed delivery proves the demand
-	// outlives the first chunk, hold admission to the ramp window.
+	// Slow start: until a consumed delivery proves the demand outlives the
+	// first chunk, hold admission to the ramp window.
 	if r.rampOpen != nil {
 		select {
 		case <-r.rampOpen:
@@ -743,8 +654,8 @@ func (r *run) admitParse() (slot *workerSlot, ramped, ok bool) {
 	}
 }
 
-func (r *run) parseTask(it convItem, slot *workerSlot, ramped bool) {
-	defer r.parseWG.Done()
+func (r *run) convertTask(it convItem, slot *workerSlot, ramped bool) {
+	defer r.convWG.Done()
 	if ramped {
 		// rampSlots never exceeds its buffered window, so this cannot block.
 		defer func() { r.rampSlots <- struct{}{} }()
@@ -891,7 +802,7 @@ func (r *run) writableNow() bool {
 }
 
 // dbRead reads a loaded chunk's columns from the database through the disk
-// arbiter (no tokenizing, no parsing).
+// arbiter (no conversion).
 func (o *Operator) dbRead(id int, cols []int) (*BinaryChunk, error) {
 	o.arbiter.Lock()
 	start := time.Now()

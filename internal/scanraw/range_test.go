@@ -156,7 +156,7 @@ func TestRangeLimitDemand(t *testing.T) {
 	env := newEnv(t, 1280, 3, nil) // 20 chunks of 64 lines
 	discoverTable(t, env, 64)
 	cfg := Config{Workers: 2, ChunkLines: 64, Policy: ExternalTables,
-		TextBufferChunks: 1, PositionBufferChunks: 1, CacheChunks: 1}
+		TextBufferChunks: 2, CacheChunks: 1}
 	res, st := rangeSQL(t, env, cfg, "SELECT c0 FROM data LIMIT 5", &ChunkRange{Lo: 10})
 	if len(res.Rows) != 5 {
 		t.Fatalf("LIMIT 5 returned %d rows", len(res.Rows))

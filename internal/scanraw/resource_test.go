@@ -70,7 +70,7 @@ func TestAdaptiveWorkersGrowUnderCPUBound(t *testing.T) {
 	op := New(env.store, env.table, Config{
 		Workers: 1, AdaptiveWorkers: true, MinWorkers: 1, MaxWorkers: 8,
 		ChunkLines: 64, CacheChunks: 2,
-		TextBufferChunks: 2, PositionBufferChunks: 2,
+		TextBufferChunks: 4,
 	})
 	slowDeliver := func(bc *BinaryChunk) error {
 		time.Sleep(2 * time.Millisecond)

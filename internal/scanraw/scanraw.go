@@ -1,17 +1,17 @@
 // Package scanraw implements SCANRAW, the paper's database physical
 // operator for in-situ processing over raw files (§3): a parallel
-// super-scalar pipeline whose stages — READ, TOKENIZE, PARSE (with MAP
-// folded in), and WRITE — execute as asynchronous goroutines coordinated by
-// a scheduler, moving chunks through bounded buffers exactly as in Fig. 2
-// of the paper:
+// super-scalar pipeline whose stages — READ, CONVERT (the paper's TOKENIZE
+// and PARSE, with MAP folded in, fused into one pass per chunk by
+// internal/kernel), and WRITE — execute as asynchronous goroutines
+// coordinated by a scheduler, moving chunks through bounded buffers as in
+// Fig. 2 of the paper:
 //
-//	READ → [text chunks buffer] → TOKENIZE → [position buffer] → PARSE →
-//	[binary chunks cache] → execution engine
-//	                      ↘ WRITE → database
+//	READ → [text chunks buffer] → CONVERT → [binary chunks cache] →
+//	execution engine             ↘ WRITE → database
 //
-// TOKENIZE and PARSE tasks run on a shared worker pool with
-// destination-space-gated dispatch (a worker is assigned only when the
-// result has somewhere to go, §3.2.1). The WRITE behaviour is a pluggable
+// CONVERT tasks run on a worker pool with destination-space-gated dispatch
+// (a worker is assigned only when the result has somewhere to go,
+// §3.2.1). The WRITE behaviour is a pluggable
 // policy: external tables (never write), full load (write everything),
 // buffered load (write on cache eviction), invisible loading (a fixed
 // number of chunks per query), and the paper's contribution — speculative
@@ -33,25 +33,8 @@ import (
 	"scanraw/internal/cache"
 	"scanraw/internal/chunk"
 	"scanraw/internal/dbstore"
-	"scanraw/internal/kernel"
 	"scanraw/internal/metrics"
-	"scanraw/internal/parse"
 	storepkg "scanraw/internal/store"
-	"scanraw/internal/tok"
-)
-
-// FusedMode selects whether conversion may use the fused per-schema kernels
-// of internal/kernel, which collapse TOKENIZE+PARSE into one pass over the
-// chunk bytes.
-type FusedMode uint8
-
-const (
-	// FusedAuto — the default — converts with a fused kernel whenever one
-	// is compatible with the query, falling back to the two-stage
-	// tok+parse path otherwise (see Operator.fusedKernel for the rules).
-	FusedAuto FusedMode = iota
-	// FusedOff always uses the two-stage tok+parse path.
-	FusedOff
 )
 
 // WritePolicy selects the scheduler's WRITE behaviour (§3.1: "The
@@ -97,21 +80,17 @@ func (p WritePolicy) String() string {
 
 // Config parameterizes a SCANRAW instance.
 type Config struct {
-	// Workers is the worker-pool size for TOKENIZE/PARSE tasks. Zero
-	// selects sequential execution: chunks pass through the conversion
-	// stages one at a time on the calling goroutine (the paper's
-	// "0 worker threads" configuration).
+	// Workers is the worker-pool size for conversion tasks. Zero selects
+	// sequential execution: chunks are converted one at a time on the
+	// calling goroutine (the paper's "0 worker threads" configuration).
 	Workers int
 	// ChunkLines is the number of lines per chunk, the unit of reading
 	// and processing. The paper finds 2^17–2^19 optimal; default 2^13
 	// (scaled with the data sizes used here).
 	ChunkLines int
-	// TextBufferChunks is the capacity of the text chunks buffer.
-	// Default 4.
+	// TextBufferChunks is the capacity of the text chunks buffer — how far
+	// READ runs ahead of conversion. Default 8.
 	TextBufferChunks int
-	// PositionBufferChunks is the capacity of the position buffer.
-	// Default 4.
-	PositionBufferChunks int
 	// CacheChunks is the binary chunks cache capacity. Default 32.
 	CacheChunks int
 	// Policy selects the WRITE behaviour. Default ExternalTables.
@@ -142,18 +121,7 @@ type Config struct {
 	// 4x Workers.
 	MinWorkers int
 	MaxWorkers int
-	// CachePositionalMaps caches the positional maps TOKENIZE produces so
-	// a later query over the same chunk skips tokenizing (the NoDB-style
-	// optimization of §2). The paper argues this matters little for
-	// SCANRAW — it cannot avoid reading or parsing, and the memory is
-	// better spent on binary chunks — which the ablation benchmark
-	// confirms; it is off by default. The cache is bounded to
-	// PositionalMapCacheChunks entries.
-	CachePositionalMaps bool
-	// PositionalMapCacheChunks bounds the positional-map cache.
-	// Default 64.
-	PositionalMapCacheChunks int
-	// CPUSlowdown simulates slower cores: every TOKENIZE/PARSE/CONSUME
+	// CPUSlowdown simulates slower cores: every conversion and consume
 	// task occupies its worker for CPUSlowdown times its measured duration
 	// (the real conversion plus a sleep for the remainder). Values <= 1
 	// disable it. This is how experiments observe worker-count scaling on
@@ -168,11 +136,6 @@ type Config struct {
 	// serial delivery contract; values > 1 require Deliver callbacks that
 	// tolerate concurrent calls (engine.ParallelExecutor does).
 	ConsumeWorkers int
-	// FusedKernels selects the fused single-pass conversion kernels
-	// (internal/kernel). FusedAuto — the zero value, so fused conversion
-	// is on by default — falls back to tok+parse automatically whenever
-	// the query needs a cacheable positional map (CachePositionalMaps).
-	FusedKernels FusedMode
 	// Speculation ranks what the Speculative write policy loads during
 	// disk-idle windows. SpecScan — the zero value — is the paper's
 	// oldest-first order; SpecPayoff is workload-driven and needs
@@ -191,10 +154,7 @@ func (c Config) withDefaults() Config {
 		c.ChunkLines = 1 << 13
 	}
 	if c.TextBufferChunks <= 0 {
-		c.TextBufferChunks = 4
-	}
-	if c.PositionBufferChunks <= 0 {
-		c.PositionBufferChunks = 4
+		c.TextBufferChunks = 8
 	}
 	if c.CacheChunks <= 0 {
 		c.CacheChunks = 32
@@ -207,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadBlockBytes <= 0 {
 		c.ReadBlockBytes = 256 << 10
-	}
-	if c.PositionalMapCacheChunks <= 0 {
-		c.PositionalMapCacheChunks = 64
 	}
 	if c.AdaptiveWorkers {
 		if c.MinWorkers <= 0 {
@@ -243,11 +200,14 @@ func (s StageProfile) PerChunk() time.Duration {
 }
 
 // Profile holds per-stage accumulators (the paper's Fig. 5 measurement).
-// Consume is the engine-side evaluation time of delivered chunks — the
-// stage the parallel delivery mode spreads across workers. ConsumeStall is
-// the time the delivery producer spent waiting for a free consume worker
-// / (Chunks counts fan-out hand-offs): the backpressure signal that tells the
-// resource manager the consume stage, not conversion, is the bottleneck.
+// Conversion is one fused pass, so all of its time lands on Parse; Tokenize
+// is always zero and stays only so that stage sums written against the
+// paper's four columns keep compiling. Consume is the engine-side
+// evaluation time of delivered chunks — the stage the parallel delivery mode
+// spreads across workers. ConsumeStall is the time the delivery producer
+// spent waiting for a free consume worker (Chunks counts fan-out
+// hand-offs): the backpressure signal that tells the resource manager the
+// consume stage, not conversion, is the bottleneck.
 type Profile struct {
 	Read         StageProfile
 	Tokenize     StageProfile
@@ -261,7 +221,6 @@ type Profile struct {
 func (p Profile) Sub(o Profile) Profile {
 	return Profile{
 		Read:         StageProfile{p.Read.Time - o.Read.Time, p.Read.Chunks - o.Read.Chunks},
-		Tokenize:     StageProfile{p.Tokenize.Time - o.Tokenize.Time, p.Tokenize.Chunks - o.Tokenize.Chunks},
 		Parse:        StageProfile{p.Parse.Time - o.Parse.Time, p.Parse.Chunks - o.Parse.Chunks},
 		Write:        StageProfile{p.Write.Time - o.Write.Time, p.Write.Chunks - o.Write.Chunks},
 		Consume:      StageProfile{p.Consume.Time - o.Consume.Time, p.Consume.Chunks - o.Consume.Chunks},
@@ -270,15 +229,14 @@ func (p Profile) Sub(o Profile) Profile {
 }
 
 type profCounters struct {
-	readNs, tokNs, parseNs, writeNs, consumeNs, consumeStallNs atomic.Int64
-	readChunks, tokChunks, parseChunks, writeCh, consumeChunks atomic.Int64
-	consumeStallCh                                             atomic.Int64
+	readNs, parseNs, writeNs, consumeNs, consumeStallNs atomic.Int64
+	readChunks, parseChunks, writeCh, consumeChunks     atomic.Int64
+	consumeStallCh                                      atomic.Int64
 }
 
 func (pc *profCounters) snapshot() Profile {
 	return Profile{
 		Read:         StageProfile{time.Duration(pc.readNs.Load()), pc.readChunks.Load()},
-		Tokenize:     StageProfile{time.Duration(pc.tokNs.Load()), pc.tokChunks.Load()},
 		Parse:        StageProfile{time.Duration(pc.parseNs.Load()), pc.parseChunks.Load()},
 		Write:        StageProfile{time.Duration(pc.writeNs.Load()), pc.writeCh.Load()},
 		Consume:      StageProfile{time.Duration(pc.consumeNs.Load()), pc.consumeChunks.Load()},
@@ -349,19 +307,11 @@ type Operator struct {
 	// AdaptiveWorkers resizes the pool across queries. Guarded by runMu.
 	workers int
 
-	store  *dbstore.Store
-	table  *dbstore.Table
-	disk   storepkg.Disk
-	tk     tok.Tokenizer
-	parser parse.Parser
-	cache  *cache.Cache
-	cpu    *metrics.BusyCounter
-
-	// pmCache holds positional maps across queries when
-	// CachePositionalMaps is on. Offsets stay valid because chunk extents
-	// are fixed once discovered.
-	pmMu    sync.Mutex
-	pmCache map[int]*chunk.PositionalMap
+	store *dbstore.Store
+	table *dbstore.Table
+	disk  storepkg.Disk
+	cache *cache.Cache
+	cpu   *metrics.BusyCounter
 
 	prof profCounters
 
@@ -389,134 +339,15 @@ func New(store *dbstore.Store, table *dbstore.Table, cfg Config) *Operator {
 	} else {
 		ch = cache.New(cfg.CacheChunks)
 	}
-	op := &Operator{
+	return &Operator{
 		cfg:     cfg,
 		workers: cfg.Workers,
 		store:   store,
 		table:   table,
 		disk:    store.Disk(),
-		tk:      tok.Tokenizer{Delim: cfg.Delim, MinFields: table.Schema().NumColumns()},
-		parser:  parse.Parser{Schema: table.Schema()},
 		cache:   ch,
 		cpu:     &metrics.BusyCounter{},
 	}
-	if cfg.CachePositionalMaps {
-		op.pmCache = make(map[int]*chunk.PositionalMap)
-	}
-	return op
-}
-
-// cachedMap returns a cached positional map for chunk id: complete when it
-// already covers upTo columns, or partial otherwise (the caller extends a
-// copy — cached maps are shared across goroutines and must not be mutated).
-func (o *Operator) cachedMap(id, upTo int) (pm *chunk.PositionalMap, complete bool) {
-	if o.pmCache == nil {
-		return nil, false
-	}
-	o.pmMu.Lock()
-	defer o.pmMu.Unlock()
-	if pm, ok := o.pmCache[id]; ok {
-		return pm, pm.NumCols >= upTo
-	}
-	return nil, false
-}
-
-// cloneMap deep-copies a positional map so it can be extended privately.
-func cloneMap(pm *chunk.PositionalMap) *chunk.PositionalMap {
-	return &chunk.PositionalMap{
-		NumRows: pm.NumRows,
-		NumCols: pm.NumCols,
-		Starts:  append([]int32(nil), pm.Starts...),
-		Ends:    append([]int32(nil), pm.Ends...),
-		LineEnd: append([]int32(nil), pm.LineEnd...),
-	}
-}
-
-// storeMap caches a positional map, respecting the size bound (new entries
-// are dropped once the cache is full — the bound protects binary-cache
-// memory, which the paper prioritizes).
-func (o *Operator) storeMap(id int, pm *chunk.PositionalMap) {
-	if o.pmCache == nil {
-		return
-	}
-	o.pmMu.Lock()
-	defer o.pmMu.Unlock()
-	if _, ok := o.pmCache[id]; ok || len(o.pmCache) < o.cfg.PositionalMapCacheChunks {
-		o.pmCache[id] = pm
-	}
-}
-
-// releaseMap recycles a positional map once PARSE is done with it — unless
-// the map is the instance retained by the positional-map cache, whose
-// offsets later queries will read.
-func (o *Operator) releaseMap(id int, pm *chunk.PositionalMap) {
-	if o.pmCache != nil {
-		o.pmMu.Lock()
-		retained := o.pmCache[id] == pm
-		o.pmMu.Unlock()
-		if retained {
-			//lint:ignore poolpair the pm cache retains this instance; later queries read its offsets
-			return
-		}
-	}
-	chunk.PutPositionalMap(pm)
-}
-
-// tokenizeChunk runs TOKENIZE for one chunk on the given worker slot,
-// consulting the positional-map cache when enabled. A complete cached map
-// skips the scan entirely; a partial one is extended from its last
-// recorded positions (§2, "find the position of the closest attribute
-// already in the map and scan forward from there") — cheaper than
-// re-tokenizing because the already-mapped prefix is not re-scanned.
-func (o *Operator) tokenizeChunk(slot *workerSlot, tc *chunk.TextChunk, upTo int) (*chunk.PositionalMap, error) {
-	cached, complete := o.cachedMap(tc.ID, upTo)
-	if complete {
-		o.prof.tokChunks.Add(1)
-		return cached, nil
-	}
-	var pm *chunk.PositionalMap
-	var err error
-	d := o.cpuWork(slot, func() {
-		// Extending skips the already-mapped prefix but costs more per
-		// scanned byte than the straight-line tokenizer, so it only wins
-		// when the cached map covers a substantial share of the target.
-		if cached != nil && cached.NumCols*2 >= upTo {
-			pm = cloneMap(cached)
-			err = o.tk.Extend(tc, pm, upTo)
-		} else {
-			pm, err = o.tk.Tokenize(tc, upTo)
-		}
-	})
-	o.prof.tokNs.Add(int64(d))
-	if err != nil {
-		return nil, err
-	}
-	o.prof.tokChunks.Add(1)
-	o.storeMap(tc.ID, pm)
-	return pm, nil
-}
-
-// fusedKernel returns the fused conversion kernel for the requested column
-// set, or nil when conversion must run the two-stage tok+parse path:
-//
-//   - FusedKernels is FusedOff (the -fused=false escape hatch), or
-//   - the positional-map cache is enabled. A fused kernel never
-//     materializes the positional map, so there would be nothing to cache
-//     — and a later query widening a cached partial map (tok.Extend)
-//     needs the tok path's bookkeeping. The two optimizations target the
-//     same redundant work; the explicit cache wins when it is on.
-//
-// The kernel registry always has a generic fused fallback, so selection
-// only fails on requests the operator would itself reject.
-func (o *Operator) fusedKernel(cols []int) *kernel.Kernel {
-	if o.cfg.FusedKernels == FusedOff || o.pmCache != nil {
-		return nil
-	}
-	k, err := kernel.For(o.table.Schema(), cols, o.cfg.Delim)
-	if err != nil {
-		return nil
-	}
-	return k
 }
 
 // Config returns the operator's effective configuration.
@@ -568,7 +399,7 @@ func (r *ChunkRange) start() int {
 // Request describes one query execution over the operator's raw file.
 type Request struct {
 	// Columns lists the schema ordinals the query needs (selective
-	// tokenizing/parsing). Must be non-empty and sorted ascending.
+	// tokenizing/parsing). Must be non-empty and strictly ascending.
 	Columns []int
 	// Deliver receives every chunk exactly once. With an effective
 	// consume parallelism of 1 (see ParallelConsume) it is called from a

@@ -196,7 +196,7 @@ func TestSpeculativeCPUBoundLoadsEverything(t *testing.T) {
 	env := newEnv(t, 1024, 4, nil)
 	op := New(env.store, env.table, Config{
 		Workers: 2, ChunkLines: 64, Policy: Speculative,
-		CacheChunks: 2, TextBufferChunks: 2, PositionBufferChunks: 2,
+		CacheChunks: 2, TextBufferChunks: 4,
 	})
 	var sum int64
 	st, err := op.Run(Request{
@@ -503,6 +503,7 @@ func TestRequestValidation(t *testing.T) {
 		{Columns: []int{1, 0}, Deliver: deliver},  // unsorted
 		{Columns: []int{0, 99}, Deliver: deliver}, // out of range
 		{Columns: []int{-1, 0}, Deliver: deliver}, // negative
+		{Columns: []int{0, 0}, Deliver: deliver},  // repeated
 	}
 	for i, req := range cases {
 		if _, err := op.Run(req); err == nil {

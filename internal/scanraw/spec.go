@@ -52,19 +52,20 @@ func ParseSpecPolicy(s string) (SpecPolicy, error) {
 }
 
 // partialPlan splits one chunk's service between raw conversion and the
-// database: convert holds the columns to tokenize+parse (the missing
-// requested columns, rounded up to group boundaries), fromDB the requested
-// columns read from already-loaded pages and merged in before delivery.
+// database: kern converts the missing requested columns, rounded up to
+// group boundaries; fromDB are the requested columns read from
+// already-loaded pages and merged in before delivery.
 type partialPlan struct {
-	convert []int
-	fromDB  []int
+	kern   *kernel.Kernel
+	fromDB []int
 }
 
 // planFor computes the partial-width plan for a chunk from its catalog
-// metadata. A chunk with no loaded requested column converts the run-wide
-// closure (fromDB empty); a chunk with every requested column loaded never
-// reaches here (the full-width database path serves it).
-func (r *run) planFor(meta *dbstore.ChunkMeta) partialPlan {
+// metadata, or nil for a chunk with no loaded requested column (it converts
+// the run-wide closure); a chunk with every requested column loaded never
+// reaches here (the full-width database path serves it). Kernels are
+// selected once per convert set and kept for the run.
+func (r *run) planFor(meta *dbstore.ChunkMeta) (*partialPlan, error) {
 	var fromDB, missing []int
 	for _, c := range r.req.Columns {
 		if c < len(meta.Loaded) && meta.Loaded[c] {
@@ -74,7 +75,7 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) partialPlan {
 		}
 	}
 	if len(fromDB) == 0 {
-		return partialPlan{convert: r.convCols}
+		return nil, nil
 	}
 	var convert []int
 	for _, c := range r.op.store.GroupClosure(r.op.table, missing) {
@@ -85,29 +86,16 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) partialPlan {
 		}
 		convert = append(convert, c)
 	}
-	return partialPlan{convert: convert, fromDB: fromDB}
-}
-
-// kernFor returns a fused kernel for a partial plan's convert set, cached
-// per column set — partial-width chunks convert different subsets, and
-// kernel construction is per (schema, columns). Falls back to the run-wide
-// kernel (a superset conversion) if construction fails.
-func (r *run) kernFor(cols []int) *kernel.Kernel {
-	key := dbstore.EncodeColGroupKey(cols)
-	r.kernsMu.Lock()
-	defer r.kernsMu.Unlock()
-	if k, ok := r.kerns[key]; ok {
-		return k
+	key := dbstore.EncodeColGroupKey(convert)
+	kern, ok := r.kerns[key]
+	if !ok {
+		var err error
+		if kern, err = kernel.For(r.op.table.Schema(), convert, r.op.cfg.Delim); err != nil {
+			return nil, err
+		}
+		r.kerns[key] = kern
 	}
-	k, err := kernel.For(r.op.table.Schema(), cols, r.op.cfg.Delim)
-	if err != nil {
-		k = r.kern
-	}
-	if r.kerns == nil {
-		r.kerns = make(map[string]*kernel.Kernel)
-	}
-	r.kerns[key] = k
-	return k
+	return &partialPlan{kern: kern, fromDB: fromDB}, nil
 }
 
 // specStep performs one quantum of speculative loading: under SpecPayoff a

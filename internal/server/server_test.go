@@ -575,6 +575,12 @@ func TestConcurrentClientsEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The last scan's safeguard flush runs in the background and pins each
+	// chunk while it writes it: wait it out, or the pin gauge below can
+	// catch a pin that is held, not leaked.
+	if op, ok := env.srv.Registry().Lookup("raw/data.csv"); ok {
+		op.WaitIdle()
+	}
 	snap := env.srv.MetricsSnapshot()
 	if snap.Queries != clients {
 		t.Errorf("queries_total = %d, want %d", snap.Queries, clients)

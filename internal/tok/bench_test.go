@@ -43,28 +43,3 @@ func BenchmarkTokenizeSelective4of64(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkExtend4to64 measures extending a partial positional map against
-// re-tokenizing from scratch (BenchmarkTokenizeChunk64 is the baseline).
-func BenchmarkExtend4to64(b *testing.B) {
-	tc := benchData(b, 64)
-	tk := &Tokenizer{Delim: ',', MinFields: 64}
-	base, err := tk.Tokenize(tc, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(tc.Data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := &chunk.PositionalMap{
-			NumRows: base.NumRows, NumCols: base.NumCols,
-			Starts:  append([]int32(nil), base.Starts...),
-			Ends:    append([]int32(nil), base.Ends...),
-			LineEnd: base.LineEnd,
-		}
-		if err := tk.Extend(tc, m, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

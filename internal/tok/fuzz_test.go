@@ -1,10 +1,6 @@
 package tok
 
-import (
-	"testing"
-
-	"scanraw/internal/chunk"
-)
+import "testing"
 
 // FuzzTokenize feeds arbitrary bytes through SplitChunks + Tokenize. The
 // invariants: no panics, every reported field window lies inside the
@@ -44,40 +40,6 @@ func FuzzTokenize(f *testing.F) {
 						t.Fatalf("field (%d,%d) starts before previous field ends", r, col)
 					}
 					prevEnd = e
-				}
-			}
-		}
-	})
-}
-
-// FuzzExtend checks that extending a partial map always agrees with
-// tokenizing from scratch.
-func FuzzExtend(f *testing.F) {
-	f.Add([]byte("a,b,c,d\ne,f,g,h\n"), 1)
-	f.Add([]byte("1,2,3,4"), 2)
-	f.Fuzz(func(t *testing.T, data []byte, k int) {
-		const nf = 4
-		k = k%3 + 1 // 1..3, always < nf
-		c := &chunk.TextChunk{Data: data, Lines: CountLines(data)}
-		tk := &Tokenizer{Delim: ',', MinFields: nf}
-		m, err := tk.Tokenize(c, k)
-		if err != nil {
-			return
-		}
-		full, fullErr := tk.Tokenize(c, nf)
-		extErr := tk.Extend(c, m, nf)
-		if (fullErr == nil) != (extErr == nil) {
-			t.Fatalf("scratch err=%v vs extend err=%v", fullErr, extErr)
-		}
-		if fullErr != nil {
-			return
-		}
-		for r := 0; r < m.NumRows; r++ {
-			for col := 0; col < nf; col++ {
-				s1, e1 := m.Field(r, col)
-				s2, e2 := full.Field(r, col)
-				if s1 != s2 || e1 != e2 {
-					t.Fatalf("field (%d,%d): extend [%d,%d) vs scratch [%d,%d)", r, col, s1, e1, s2, e2)
 				}
 			}
 		}

@@ -3,15 +3,14 @@
 // it identifies the starting (and ending) position of every attribute and
 // records them in a positional map.
 //
-// Two of the paper's optimizations are implemented:
+// The paper's selective tokenizing is implemented: the linear scan over a
+// line stops as soon as the last attribute required by the query has been
+// delimited, so queries touching a column prefix never pay for the full
+// line.
 //
-//   - Selective tokenizing: the linear scan over a line stops as soon as the
-//     last attribute required by the query has been delimited, so queries
-//     touching a column prefix never pay for the full line.
-//   - Partial-map extension: a cached positional map covering only the first
-//     k attributes can be extended in place for a later query needing more,
-//     resuming the scan from the last recorded position instead of
-//     re-tokenizing from the start of each line.
+// The operator converts with the fused kernels of internal/kernel; this
+// package and internal/parse are the two-stage reference those kernels are
+// differentially tested and benchmarked against.
 package tok
 
 import (
@@ -45,8 +44,7 @@ func CountLines(data []byte) int {
 // Tokenize scans chunk c and produces a positional map covering the first
 // upTo attributes of every line. upTo must be in [1, MinFields]. The scan
 // over each line stops as soon as attribute upTo-1 is delimited (selective
-// tokenizing); LineEnd still records the true end of each line so the map
-// can be extended later.
+// tokenizing); LineEnd still records the true end of each line.
 func (t *Tokenizer) Tokenize(c *chunk.TextChunk, upTo int) (*chunk.PositionalMap, error) {
 	if upTo < 1 || upTo > t.MinFields {
 		return nil, fmt.Errorf("tok: upTo %d outside [1,%d]", upTo, t.MinFields)
@@ -108,57 +106,6 @@ func lineLength(data []byte) int {
 		return i
 	}
 	return len(data)
-}
-
-// Extend grows an existing positional map in place so that it covers the
-// first upTo attributes per line, scanning forward from the last position
-// recorded for each row. The map must have been produced by Tokenize on the
-// same chunk. On success m.NumCols == upTo.
-func (t *Tokenizer) Extend(c *chunk.TextChunk, m *chunk.PositionalMap, upTo int) error {
-	if upTo <= m.NumCols {
-		return nil // already covered
-	}
-	if upTo > t.MinFields {
-		return fmt.Errorf("tok: upTo %d outside [1,%d]", upTo, t.MinFields)
-	}
-	old := m.NumCols
-	data := c.Data
-	delim := t.Delim
-	starts := make([]int32, 0, m.NumRows*upTo)
-	ends := make([]int32, 0, m.NumRows*upTo)
-	for r := 0; r < m.NumRows; r++ {
-		starts = append(starts, m.Starts[r*old:(r+1)*old]...)
-		ends = append(ends, m.Ends[r*old:(r+1)*old]...)
-		lineEnd := int(m.LineEnd[r])
-		// The next field starts one past the delimiter that ended the last
-		// tokenized field — unless that field already reached line end.
-		fieldStart := int(m.Ends[r*old+old-1]) + 1
-		found := old
-		if fieldStart > lineEnd {
-			return fmt.Errorf("tok: chunk %d row %d has %d fields, need %d", c.ID, r, found, upTo)
-		}
-		for i := fieldStart; found < upTo; i++ {
-			if i >= lineEnd {
-				starts = append(starts, int32(fieldStart))
-				ends = append(ends, int32(lineEnd))
-				found++
-				if found < upTo {
-					return fmt.Errorf("tok: chunk %d row %d has %d fields, need %d", c.ID, r, found, upTo)
-				}
-				break
-			}
-			if data[i] == delim {
-				starts = append(starts, int32(fieldStart))
-				ends = append(ends, int32(i))
-				found++
-				fieldStart = i + 1
-			}
-		}
-	}
-	m.NumCols = upTo
-	m.Starts = starts
-	m.Ends = ends
-	return nil
 }
 
 // SplitChunks partitions raw file bytes into text chunks of at most

@@ -166,64 +166,6 @@ func TestTokenizeUpToValidation(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	tk := &Tokenizer{Delim: ',', MinFields: 4}
-	c := mkChunk("a,bb,ccc,dddd\ne,ff,ggg,hhhh\n")
-	m, err := tk.Tokenize(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tk.Extend(c, m, 4); err != nil {
-		t.Fatal(err)
-	}
-	if m.NumCols != 4 {
-		t.Fatalf("NumCols after Extend = %d", m.NumCols)
-	}
-	// Full map must agree with tokenizing from scratch.
-	full, err := tk.Tokenize(c, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		for col := 0; col < 4; col++ {
-			if fieldText(c, m, r, col) != fieldText(c, full, r, col) {
-				t.Errorf("extended field(%d,%d) = %q, scratch = %q",
-					r, col, fieldText(c, m, r, col), fieldText(c, full, r, col))
-			}
-		}
-	}
-}
-
-func TestExtendNoOpAndErrors(t *testing.T) {
-	tk := &Tokenizer{Delim: ',', MinFields: 3}
-	c := mkChunk("1,2,3\n")
-	m, err := tk.Tokenize(c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tk.Extend(c, m, 2); err != nil {
-		t.Errorf("shrinking Extend should be a no-op: %v", err)
-	}
-	if err := tk.Extend(c, m, 5); err == nil {
-		t.Error("Extend beyond MinFields should fail")
-	}
-	// Extending when the row has no more fields.
-	m2, err := tk.Tokenize(mkChunk("1,2,3\n"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = m2
-	short := mkChunk("1,2\n")
-	tkShort := &Tokenizer{Delim: ',', MinFields: 3}
-	mShort, err := (&Tokenizer{Delim: ',', MinFields: 2}).Tokenize(short, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tkShort.Extend(short, mShort, 3); err == nil {
-		t.Error("Extend past available fields should fail")
-	}
-}
-
 func TestSplitChunks(t *testing.T) {
 	data := []byte("1\n2\n3\n4\n5\n")
 	chunks, err := SplitChunks(data, 2)
@@ -295,56 +237,6 @@ func TestTokenizeRoundTripProperty(t *testing.T) {
 		for r := 0; r < nr; r++ {
 			for c := 0; c < nc; c++ {
 				if fieldText(ch, m, r, c) != want[r][c] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Extend(k1 -> k2) equals Tokenize(k2) for all k1 <= k2.
-func TestExtendEquivalenceProperty(t *testing.T) {
-	f := func(seed int64, k1, k2 uint8) bool {
-		nc := 6
-		a := int(k1%uint8(nc)) + 1
-		b := int(k2%uint8(nc)) + 1
-		if a > b {
-			a, b = b, a
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var sb strings.Builder
-		rows := rng.Intn(10) + 1
-		for r := 0; r < rows; r++ {
-			for c := 0; c < nc; c++ {
-				if c > 0 {
-					sb.WriteByte(',')
-				}
-				fmt.Fprintf(&sb, "%d", rng.Intn(100000))
-			}
-			sb.WriteByte('\n')
-		}
-		ch := mkChunk(sb.String())
-		tk := &Tokenizer{Delim: ',', MinFields: nc}
-		m, err := tk.Tokenize(ch, a)
-		if err != nil {
-			return false
-		}
-		if err := tk.Extend(ch, m, b); err != nil {
-			return false
-		}
-		full, err := tk.Tokenize(ch, b)
-		if err != nil {
-			return false
-		}
-		for r := 0; r < rows; r++ {
-			for c := 0; c < b; c++ {
-				s1, e1 := m.Field(r, c)
-				s2, e2 := full.Field(r, c)
-				if s1 != s2 || e1 != e2 {
 					return false
 				}
 			}

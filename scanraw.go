@@ -5,10 +5,11 @@
 //
 // SCANRAW lets you run SQL over raw delimited files with zero
 // time-to-query: the first query streams the file through a super-scalar
-// TOKENIZE/PARSE pipeline, and — whenever the disk would otherwise idle —
-// speculatively stores converted chunks into a column-oriented database so
-// later queries get faster and faster, converging to full database
-// performance without ever paying an explicit load step.
+// conversion pipeline (one fused tokenize+parse pass per chunk), and —
+// whenever the disk would otherwise idle — speculatively stores converted
+// chunks into a column-oriented database so later queries get faster and
+// faster, converging to full database performance without ever paying an
+// explicit load step.
 //
 // This package is the user-facing facade. The building blocks live in
 // internal packages: the pipeline operator (internal/scanraw), the
@@ -114,9 +115,6 @@ type Options struct {
 	// per query (parallel delivery). The default (0) keeps the classic
 	// serial consume path.
 	ConsumeWorkers int
-	// NoFusedKernels disables the fused per-schema conversion kernels and
-	// forces the classic two-stage tokenize→parse path for every chunk.
-	NoFusedKernels bool
 	// ColGroupWidth sets how many adjacent columns share one database page.
 	// 0 keeps the default of 1 (per-column pages, maximum partial-width
 	// reuse); negative selects full-chunk-width pages (one page per chunk).
@@ -263,9 +261,6 @@ func (db *DB) operatorConfig(table string) intscan.Config {
 		AdaptiveWorkers: db.opts.AdaptiveWorkers,
 		ConsumeWorkers:  db.opts.ConsumeWorkers,
 		Speculation:     db.opts.Speculation,
-	}
-	if db.opts.NoFusedKernels {
-		cfg.FusedKernels = intscan.FusedOff
 	}
 	return cfg
 }
