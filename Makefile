@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race stress lint lint-fixtures invariants fuzz bench bench-compare loc
+.PHONY: check fmt vet build test bench-module race stress experiments-check lint lint-fixtures invariants fuzz bench bench-compare loc
 
 check: fmt vet build test bench-module race lint lint-fixtures invariants fuzz
 
@@ -35,23 +35,33 @@ bench-module:
 # cluster layer (coordinator fan-out + distributed differential test), and
 # the storage layer (checkpoint-vs-append exclusion and recovery paths in
 # store and dbstore are lock-heavy and were previously only race-tested
-# transitively).
-race:
-	$(GO) test -race ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/...
+# transitively), plus the byte codec under all of the persisted and
+# networked formats.
+RACE_PKGS = ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/... ./internal/wire/...
 
-# Schedule stress: the operator's tests 20 times, and the query server's,
-# the cluster layer's (they are slower, and drive the operator through their
-# own concurrency) and the conversion kernels' (the only conversion path, so
-# its differential suite is part of the operator's gate) 5 times, under the
-# race detector at three scheduler widths. A test whose outcome depends on
-# goroutine timing fails here long before it fails `make check`; CI runs it
-# nightly (about 3 minutes on 2 cores).
+race:
+	$(GO) test -race $(RACE_PKGS)
+
+# Schedule stress: the operator's tests 20 times and every other race-gated
+# package's (RACE_PKGS) 5 times, under the race detector at three scheduler
+# widths. A test whose outcome depends on goroutine timing fails here long
+# before it fails `make check`; CI runs it nightly.
 stress:
 	@for p in 1 2 8; do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/scanraw/... || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -count=5 ./internal/server/... ./internal/cluster/... ./internal/kernel/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=5 $(filter-out ./internal/scanraw/...,$(RACE_PKGS)) || exit 1; \
 	done
+
+# Wall-clock shape checks of the paper-figure experiments (parallel beats
+# sequential, wide chunks cost more than narrow, push-down beats standard
+# conversion): one duration compared against another, so they only mean
+# something with internal/bench alone on the machine. They are built under
+# -tags experiments only; `go test ./...` keeps the schedule-independent
+# assertions of the same experiments. CI runs this nightly, after stress.
+experiments-check:
+	$(GO) vet -tags experiments ./internal/bench/
+	$(GO) test -tags experiments -run 'TimingShapes' -count=1 ./internal/bench/
 
 # Project-specific static analysis (pin balance, pool pairing, goroutine
 # exits, context threading, channel ops under locks, journal ordering,
@@ -76,13 +86,15 @@ invariants:
 	$(GO) test -race -tags invariants ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/...
 
 # Short fuzz smoke over the decoders that parse untrusted bytes — the
-# manifest record/frame decoders (crash recovery reads whatever is on
+# primitive decoder under all of them (random bytes against a random
+# sequence of reads), the manifest record/frame decoders (crash recovery reads whatever is on
 # disk), the binary chunk codec, and the network-facing cluster decoders
 # (serialized engine partials and frame payloads arrive over TCP) — plus
 # the fused-kernel differential property (fused conversion equals the
 # two-stage reference, or both error). A few seconds each is enough to
 # catch structural regressions; long fuzz runs stay manual.
 fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzWireDec -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrames -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=5s ./internal/engine

@@ -39,39 +39,6 @@ import (
 	"scanraw/internal/vdisk"
 )
 
-func parseSchema(spec string) (*schema.Schema, error) {
-	var cols []schema.Column
-	for _, part := range strings.Split(spec, ",") {
-		name, tyName, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("schema entry %q is not name:type", part)
-		}
-		ty, err := schema.ParseType(tyName)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, schema.Column{Name: name, Type: ty})
-	}
-	return schema.New(cols...)
-}
-
-func parsePolicy(s string) (scanraw.WritePolicy, error) {
-	switch s {
-	case "external":
-		return scanraw.ExternalTables, nil
-	case "fullload", "load":
-		return scanraw.FullLoad, nil
-	case "buffered":
-		return scanraw.BufferedLoad, nil
-	case "speculative":
-		return scanraw.Speculative, nil
-	case "invisible":
-		return scanraw.Invisible, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (external, fullload, buffered, speculative, invisible)", s)
-	}
-}
-
 func main() {
 	var (
 		file      = flag.String("file", "", "raw file to query (required)")
@@ -106,7 +73,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scanraw: %v\n", err)
 		os.Exit(2)
 	}
-	policy, err := parsePolicy(*policyStr)
+	policy, err := scanraw.ParseWritePolicy(*policyStr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanraw: %v\n", err)
 		os.Exit(2)
@@ -304,7 +271,7 @@ func resolveSchema(schemaStr string, samMode bool, delim string) (*schema.Schema
 	if len(delim) != 1 {
 		return nil, 0, fmt.Errorf("-delim must be a single byte")
 	}
-	sch, err := parseSchema(schemaStr)
+	sch, err := schema.ParseSpec(schemaStr)
 	if err != nil {
 		return nil, 0, err
 	}

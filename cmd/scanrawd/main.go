@@ -68,39 +68,6 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-func parseSchema(spec string) (*schema.Schema, error) {
-	var cols []schema.Column
-	for _, part := range strings.Split(spec, ",") {
-		name, tyName, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("schema entry %q is not name:type", part)
-		}
-		ty, err := schema.ParseType(tyName)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, schema.Column{Name: strings.TrimSpace(name), Type: ty})
-	}
-	return schema.New(cols...)
-}
-
-func parsePolicy(s string) (scanraw.WritePolicy, error) {
-	switch s {
-	case "external":
-		return scanraw.ExternalTables, nil
-	case "fullload", "load":
-		return scanraw.FullLoad, nil
-	case "buffered":
-		return scanraw.BufferedLoad, nil
-	case "speculative":
-		return scanraw.Speculative, nil
-	case "invisible":
-		return scanraw.Invisible, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (external, fullload, buffered, speculative, invisible)", s)
-	}
-}
-
 // splitNamed splits "name=value" flags; a bare value gets the default
 // name "data" (single-table usage needs no names).
 func splitNamed(v string) (name, value string) {
@@ -230,7 +197,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	policy, err := parsePolicy(*policyStr)
+	policy, err := scanraw.ParseWritePolicy(*policyStr)
 	if err != nil {
 		log.Fatalf("scanrawd: %v", err)
 	}
@@ -317,7 +284,7 @@ func main() {
 			if !ok {
 				log.Fatalf("scanrawd: no -schema for table %q", name)
 			}
-			if sch, err = parseSchema(spec); err != nil {
+			if sch, err = schema.ParseSpec(spec); err != nil {
 				log.Fatalf("scanrawd: table %q: %v", name, err)
 			}
 			if isTSV[name] {

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// The tests in this file run inside `go test ./...`, sharing the cores
+// with every other package's tests, so they assert only what no schedule
+// can change: row counts, rendering, ranges, error-free runs. Every
+// comparison of one measured duration against another is in
+// timing_test.go, which only `make experiments-check` builds — with this
+// package alone on the machine.
+
 // tiny returns a scale small enough for unit tests (milliseconds per
 // experiment) while keeping multiple chunks per file.
 func tiny() Scale {
@@ -41,15 +48,6 @@ func TestFig4Shapes(t *testing.T) {
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	// Parallel runs must not be slower than sequential by a wide margin
-	// (weak sanity bound; the strong shape claims live in EXPERIMENTS.md).
-	seq := r.Rows[0].ExternalTime
-	par := r.Rows[2].ExternalTime
-	if par > seq*2 {
-		t.Errorf("8 workers (%v) much slower than sequential (%v)", par, seq)
-	}
-	// Full load at 0 workers writes everything; speculative percentage is
-	// in range.
 	for _, row := range r.Rows {
 		if row.SpeculativeLoadedPct < 0 || row.SpeculativeLoadedPct > 100 {
 			t.Errorf("loaded pct = %v", row.SpeculativeLoadedPct)
@@ -70,37 +68,39 @@ func TestFig4Shapes(t *testing.T) {
 	}
 }
 
-func TestFig5Shapes(t *testing.T) {
+// fig5Scale is the Figure 5 test configuration: unthrottled disk so stage
+// shares reflect CPU work only, unstretched CPU so a stray GC pause is not
+// multiplied, five repetitions over 16 chunks of 256 lines.
+func fig5Scale() Scale {
 	sc := tiny()
-	sc.DiskMBps = -1    // unthrottled disk: stage shares reflect CPU work only
-	sc.CPUSlowdown = -1 // unstretched: a stray GC pause is not multiplied
-	sc.Reps = 5         // average out scheduler noise on small chunks
-	sc.Rows = 1 << 12   // 16 chunks of 256 lines
-	r, err := RunFig5(sc, []int{2, 64})
+	sc.DiskMBps = -1
+	sc.CPUSlowdown = -1
+	sc.Reps = 5
+	sc.Rows = 1 << 12
+	return sc
+}
+
+func TestFig5Shapes(t *testing.T) {
+	r, err := RunFig5(fig5Scale(), []int{2, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	narrow, wide := r.Rows[0], r.Rows[1]
-	// Per-chunk total and PARSE time must grow with column count (chunks
-	// carry 32x the bytes and fields). The 2x bound is deliberately loose:
-	// the point is direction, not magnitude, on a noisy 1-core host.
-	if wide.Total() < 2*narrow.Total() {
-		t.Errorf("64-col per-chunk time (%v) should far exceed 2-col (%v)",
-			wide.Total(), narrow.Total())
+	for _, row := range r.Rows {
+		if row.Parse <= 0 || row.Tokenize <= 0 || row.Total() < row.Parse {
+			t.Errorf("stage split %+v is not a split of a positive total", row)
+		}
 	}
-	if wide.Parse < 2*narrow.Parse {
-		t.Errorf("PARSE per chunk grew only %v -> %v from 2 to 64 columns",
-			narrow.Parse, wide.Parse)
+	var buf bytes.Buffer
+	for _, tb := range r.Tables() {
+		if err := tb.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Conversion must dwarf I/O on the unthrottled disk, and PARSE must be
-	// a major component of it. (Exact tokenize:parse ratios shift under
-	// -race instrumentation, so the bound is loose.)
-	if wide.Parse < wide.Read || wide.Parse*2 < wide.Tokenize {
-		t.Errorf("at 64 columns PARSE (%v) should rival tokenize (%v) and dominate read (%v)",
-			wide.Parse, wide.Tokenize, wide.Read)
+	if !strings.Contains(buf.String(), "Figure 5") {
+		t.Error("rendered output missing title")
 	}
 }
 
@@ -242,8 +242,6 @@ func TestAblationsRun(t *testing.T) {
 	}
 	if r, err := RunAblationSelective(sc); err != nil || r.SelectiveTime <= 0 {
 		t.Errorf("selective: %v %+v", err, r)
-	} else if r.SelectiveTime > r.FullTime*3 {
-		t.Errorf("selective (%v) wildly slower than full (%v)", r.SelectiveTime, r.FullTime)
 	}
 	if r, err := RunAblationSafeguard(sc, 3); err != nil {
 		t.Errorf("safeguard: %v", err)
@@ -265,14 +263,8 @@ func TestAblationsRun(t *testing.T) {
 	}
 	if r, err := RunAblationPushdown(sc); err != nil {
 		t.Errorf("pushdown: %v", err)
-	} else {
-		if r.Selectivity <= 0 || r.Selectivity > 0.1 {
-			t.Errorf("pushdown selectivity = %v, want highly selective", r.Selectivity)
-		}
-		if r.PushdownTime >= r.StandardTime {
-			t.Errorf("pushdown (%v) should beat standard conversion (%v) at %.3f selectivity",
-				r.PushdownTime, r.StandardTime, r.Selectivity)
-		}
+	} else if r.Selectivity <= 0 || r.Selectivity > 0.1 {
+		t.Errorf("pushdown selectivity = %v, want highly selective", r.Selectivity)
 	}
 	if r, err := RunAblationWriteGranularity(sc); err != nil {
 		t.Errorf("write granularity: %v", err)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 
 	"scanraw/internal/schema"
 )
@@ -121,7 +120,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		assigns: make(map[string][]Assignment),
 	}
 	for name, tc := range cfg.Tables {
-		sch, err := parseSchemaSpec(tc.Schema)
+		sch, err := schema.ParseSpec(tc.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: table %q: %v", name, err)
 		}
@@ -213,23 +212,4 @@ func (f *Fleet) Tables() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// parseSchemaSpec parses a "name:type,name:type" specification, the same
-// format scanrawd's -table flag and the manifest's table records use.
-func parseSchemaSpec(spec string) (*schema.Schema, error) {
-	parts := strings.Split(spec, ",")
-	cols := make([]schema.Column, 0, len(parts))
-	for _, p := range parts {
-		nt := strings.SplitN(strings.TrimSpace(p), ":", 2)
-		if len(nt) != 2 {
-			return nil, fmt.Errorf("bad column spec %q (want name:type)", p)
-		}
-		typ, err := schema.ParseType(nt[1])
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, schema.Column{Name: strings.TrimSpace(nt[0]), Type: typ})
-	}
-	return schema.New(cols...)
 }

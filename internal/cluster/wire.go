@@ -10,27 +10,19 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"scanraw/internal/engine"
-	"scanraw/internal/schema"
+	"scanraw/internal/wire"
 )
 
 // Exec stream framing. A worker's /exec response body is a sequence of
-// frames, each
-//
-//	uint32 LE  payload length
-//	uint32 LE  CRC32-C of the payload
-//	payload
-//
-// mirroring the store's manifest-record framing: the checksum localizes
-// damage, so a torn TCP stream or a proxy truncation invalidates itself
-// instead of smuggling a half-written row batch into the merge. Every
-// payload starts with a version byte and a message type.
+// wire frames ([len u32][crc32c u32][payload], the manifest journal's
+// framing): the checksum localizes damage, so a torn TCP stream or a proxy
+// truncation invalidates itself instead of smuggling a half-written row
+// batch into the merge. Every payload starts with a version byte and a
+// message type.
 
 // Message types inside a frame payload.
 const (
@@ -55,14 +47,10 @@ const (
 const wireVersion = 1
 
 const (
-	frameHeader     = 8
 	maxFramePayload = 1 << 26 // one chunk's rows or one shard's partial
 	maxFrameRows    = 1 << 22
 	maxFrameCols    = 1 << 14
-	maxFrameStrLen  = 1 << 18
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ExecStats is the shard-scan accounting a worker reports at end of
 // stream. The field set mirrors the slice of scanraw.RunStats the
@@ -78,162 +66,6 @@ type ExecStats struct {
 	TerminatedEarly  bool
 	ChunksSaved      int
 	DurationMS       float64
-}
-
-// encoder/decoder: varint scalars, length-prefixed strings, first-error
-// accumulation — the store's manifest-record idiom.
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *encoder) uvar(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) ivar(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *encoder) str(s string) {
-	e.uvar(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *encoder) boolean(b bool) {
-	if b {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("cluster: frame truncated")
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) uvar() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("cluster: bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) ivar() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("cluster: bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail("cluster: frame truncated in float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvar()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxFrameStrLen {
-		d.fail("cluster: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.off+int(n) > len(d.buf) {
-		d.fail("cluster: frame truncated in string")
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) count(limit uint64, what string) int {
-	v := d.uvar()
-	if d.err != nil {
-		return 0
-	}
-	if v > limit {
-		d.fail("cluster: %s %d exceeds limit %d", what, v, limit)
-		// Return 0, not the oversized value: callers size allocations by
-		// this count, and the count must never outlive the failure.
-		return 0
-	}
-	return int(v)
-}
-
-// Value tags, matching the engine's partial codec.
-const (
-	valInt   = 0
-	valFloat = 1
-	valStr   = 2
-)
-
-func (e *encoder) value(v engine.Value) error {
-	switch v.Typ {
-	case schema.Int64:
-		e.u8(valInt)
-		e.ivar(v.Int)
-	case schema.Float64:
-		e.u8(valFloat)
-		e.f64(v.Float)
-	case schema.Str:
-		e.u8(valStr)
-		e.str(v.Str)
-	default:
-		return fmt.Errorf("cluster: cannot encode value of type %v", v.Typ)
-	}
-	return nil
-}
-
-func (d *decoder) value() engine.Value {
-	switch tag := d.u8(); tag {
-	case valInt:
-		return engine.Value{Typ: schema.Int64, Int: d.ivar()}
-	case valFloat:
-		return engine.Value{Typ: schema.Float64, Float: d.f64()}
-	case valStr:
-		return engine.Value{Typ: schema.Str, Str: d.str()}
-	default:
-		d.fail("cluster: unknown value tag %d", tag)
-		return engine.Value{}
-	}
 }
 
 // Message is one decoded frame of an exec stream. Exactly the fields for
@@ -266,77 +98,68 @@ type FrameWriter struct {
 // NewFrameWriter wraps w. The caller flushes any buffering w carries.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-func (fw *FrameWriter) writeFrame(payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(payload)
+// begin starts a frame payload in the reused scratch buffer, leaving room
+// for the header so emit sends header and payload in one write.
+func (fw *FrameWriter) begin(msgType uint8) *wire.Enc {
+	e := &wire.Enc{Buf: append(fw.scratch[:0], make([]byte, wire.FrameHeaderLen)...)}
+	e.U8(wireVersion)
+	e.U8(msgType)
+	return e
+}
+
+func (fw *FrameWriter) emit(e *wire.Enc) error {
+	fw.scratch = e.Buf
+	wire.SealFrame(e.Buf)
+	_, err := fw.w.Write(e.Buf)
 	return err
 }
 
 // Rows emits one chunk's qualifying rows under its global chunk ID.
 func (fw *FrameWriter) Rows(globalChunk int, rows [][]engine.Value) error {
-	e := &encoder{buf: fw.scratch[:0]}
-	e.u8(wireVersion)
-	e.u8(MsgRows)
-	e.uvar(uint64(globalChunk))
-	e.uvar(uint64(len(rows)))
+	e := fw.begin(MsgRows)
+	e.Uvar(uint64(globalChunk))
+	e.Uvar(uint64(len(rows)))
 	for _, row := range rows {
-		e.uvar(uint64(len(row)))
+		e.Uvar(uint64(len(row)))
 		for _, v := range row {
-			if err := e.value(v); err != nil {
+			if err := engine.EncodeValue(e, v); err != nil {
 				return err
 			}
 		}
 	}
-	fw.scratch = e.buf
-	return fw.writeFrame(e.buf)
+	return fw.emit(e)
 }
 
 // Partial emits a serialized engine.Partial.
 func (fw *FrameWriter) Partial(data []byte) error {
-	e := &encoder{buf: fw.scratch[:0]}
-	e.u8(wireVersion)
-	e.u8(MsgPartial)
-	e.buf = append(e.buf, data...)
-	fw.scratch = e.buf
-	return fw.writeFrame(e.buf)
+	e := fw.begin(MsgPartial)
+	e.Buf = append(e.Buf, data...)
+	return fw.emit(e)
 }
 
 // Stats emits the shard scan's accounting.
 func (fw *FrameWriter) Stats(st ExecStats) error {
-	e := &encoder{buf: fw.scratch[:0]}
-	e.u8(wireVersion)
-	e.u8(MsgStats)
-	e.uvar(uint64(st.DeliveredCache))
-	e.uvar(uint64(st.DeliveredDB))
-	e.uvar(uint64(st.DeliveredRaw))
-	e.uvar(uint64(st.DeliveredPartial))
-	e.uvar(uint64(st.Skipped))
-	e.boolean(st.TerminatedEarly)
-	e.uvar(uint64(st.ChunksSaved))
-	e.f64(st.DurationMS)
-	fw.scratch = e.buf
-	return fw.writeFrame(e.buf)
+	e := fw.begin(MsgStats)
+	e.Uvar(uint64(st.DeliveredCache))
+	e.Uvar(uint64(st.DeliveredDB))
+	e.Uvar(uint64(st.DeliveredRaw))
+	e.Uvar(uint64(st.DeliveredPartial))
+	e.Uvar(uint64(st.Skipped))
+	e.Bool(st.TerminatedEarly)
+	e.Uvar(uint64(st.ChunksSaved))
+	e.F64(st.DurationMS)
+	return fw.emit(e)
 }
 
 // Error aborts the stream with an in-band error.
 func (fw *FrameWriter) Error(msg string) error {
-	e := &encoder{buf: fw.scratch[:0]}
-	e.u8(wireVersion)
-	e.u8(MsgError)
-	e.str(msg)
-	fw.scratch = e.buf
-	return fw.writeFrame(e.buf)
+	e := fw.begin(MsgError)
+	e.Str(msg)
+	return fw.emit(e)
 }
 
 // End terminates a successful stream.
-func (fw *FrameWriter) End() error {
-	return fw.writeFrame([]byte{wireVersion, MsgEnd})
-}
+func (fw *FrameWriter) End() error { return fw.emit(fw.begin(MsgEnd)) }
 
 // FrameReader decodes an exec stream message by message.
 type FrameReader struct {
@@ -353,15 +176,14 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // ended (the caller decides whether MsgEnd was seen); any torn frame,
 // checksum mismatch, or malformed payload is an error.
 func (fr *FrameReader) Next() (*Message, error) {
-	var hdr [frameHeader]byte
+	var hdr [wire.FrameHeaderLen]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("cluster: torn frame header")
 		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:]))
-	want := binary.LittleEndian.Uint32(hdr[4:])
+	n, want := wire.ParseFrameHeader(hdr[:])
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("cluster: frame payload %d exceeds limit", n)
 	}
@@ -372,7 +194,7 @@ func (fr *FrameReader) Next() (*Message, error) {
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return nil, fmt.Errorf("cluster: torn frame payload: %v", err)
 	}
-	if crc32.Checksum(payload, castagnoli) != want {
+	if wire.Checksum(payload) != want {
 		return nil, fmt.Errorf("cluster: frame checksum mismatch")
 	}
 	return DecodeMessage(payload)
@@ -382,53 +204,44 @@ func (fr *FrameReader) Next() (*Message, error) {
 // yields a message or an error, never a panic, and trailing bytes beyond
 // the message are rejected.
 func DecodeMessage(payload []byte) (*Message, error) {
-	d := &decoder{buf: payload}
-	if v := d.u8(); d.err == nil && v != wireVersion {
+	d := wire.NewDec(payload, "cluster", "frame")
+	if v := d.U8(); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("cluster: unsupported frame version %d", v)
 	}
-	m := &Message{Type: d.u8()}
+	m := &Message{Type: d.U8()}
 	switch m.Type {
 	case MsgRows:
-		m.Chunk = d.count(1<<30, "chunk id")
-		nrows := d.count(maxFrameRows, "row count")
-		for i := 0; i < nrows && d.err == nil; i++ {
-			ncols := d.count(maxFrameCols, "column count")
-			if d.err != nil {
-				break
-			}
+		m.Chunk = d.Count(1<<30, "chunk id")
+		nrows := d.Count(maxFrameRows, "row count")
+		for i := 0; i < nrows && d.Err() == nil; i++ {
+			ncols := d.Count(maxFrameCols, "column count") // 0 once d has failed
 			row := make([]engine.Value, ncols)
-			for c := 0; c < ncols && d.err == nil; c++ {
-				row[c] = d.value()
+			for c := 0; c < ncols && d.Err() == nil; c++ {
+				row[c] = engine.DecodeValue(d)
 			}
 			m.Rows = append(m.Rows, row)
 		}
 	case MsgPartial:
 		// The partial body is opaque here; engine.DecodePartial validates
 		// it against the query one layer up.
-		m.Partial = append([]byte(nil), payload[d.off:]...)
-		d.off = len(payload)
+		m.Partial = append([]byte(nil), d.Rest()...)
 	case MsgStats:
-		m.Stats.DeliveredCache = d.count(1<<30, "delivered cache")
-		m.Stats.DeliveredDB = d.count(1<<30, "delivered db")
-		m.Stats.DeliveredRaw = d.count(1<<30, "delivered raw")
-		m.Stats.DeliveredPartial = d.count(1<<30, "delivered partial")
-		m.Stats.Skipped = d.count(1<<30, "skipped")
-		m.Stats.TerminatedEarly = d.u8() != 0
-		m.Stats.ChunksSaved = d.count(1<<30, "chunks saved")
-		m.Stats.DurationMS = d.f64()
+		m.Stats.DeliveredCache = d.Count(1<<30, "delivered cache")
+		m.Stats.DeliveredDB = d.Count(1<<30, "delivered db")
+		m.Stats.DeliveredRaw = d.Count(1<<30, "delivered raw")
+		m.Stats.DeliveredPartial = d.Count(1<<30, "delivered partial")
+		m.Stats.Skipped = d.Count(1<<30, "skipped")
+		m.Stats.TerminatedEarly = d.U8() != 0
+		m.Stats.ChunksSaved = d.Count(1<<30, "chunks saved")
+		m.Stats.DurationMS = d.F64()
 	case MsgError:
-		m.Err = d.str()
+		m.Err = d.Str()
 	case MsgEnd:
 	default:
-		if d.err == nil {
-			return nil, fmt.Errorf("cluster: unknown message type %d", m.Type)
-		}
+		d.Failf("unknown message type %d", m.Type)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after message", len(payload)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

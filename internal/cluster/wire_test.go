@@ -2,15 +2,14 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
 
 	"scanraw/internal/engine"
 	"scanraw/internal/schema"
+	"scanraw/internal/wire"
 )
 
 func iv(i int64) engine.Value   { return engine.Value{Typ: schema.Int64, Int: i} }
@@ -102,7 +101,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 
 	// Flip one payload byte: checksum must catch it.
 	bad := append([]byte(nil), good...)
-	bad[frameHeader+2] ^= 0x40
+	bad[wire.FrameHeaderLen+2] ^= 0x40
 	if _, err := NewFrameReader(bytes.NewReader(bad)).Next(); err == nil {
 		t.Fatal("corrupted payload accepted")
 	}
@@ -110,13 +109,8 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	// A frame whose payload carries trailing bytes after the message (CRC
 	// valid) must be rejected by the message decoder.
 	payload := []byte{wireVersion, MsgEnd, 0x00}
-	var tr bytes.Buffer
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	tr.Write(hdr[:])
-	tr.Write(payload)
-	if _, err := NewFrameReader(&tr).Next(); err == nil {
+	tr := bytes.NewReader(wire.AppendFrame(nil, payload))
+	if _, err := NewFrameReader(tr).Next(); err == nil {
 		t.Fatal("trailing payload bytes accepted")
 	}
 }
@@ -129,7 +123,7 @@ func TestDecodeMessageTotal(t *testing.T) {
 	if err := fw.Rows(3, [][]engine.Value{{iv(1), fv(2), sv("abc")}, {iv(4), fv(5), sv("def")}}); err != nil {
 		t.Fatal(err)
 	}
-	payload := buf.Bytes()[frameHeader:]
+	payload := buf.Bytes()[wire.FrameHeaderLen:]
 	for cut := 0; cut <= len(payload); cut++ {
 		_, _ = DecodeMessage(payload[:cut]) // must not panic
 	}
@@ -141,10 +135,10 @@ func FuzzDecodeFrameMessage(f *testing.F) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	_ = fw.Rows(7, [][]engine.Value{{iv(1), sv("k")}})
-	f.Add(buf.Bytes()[frameHeader:])
+	f.Add(buf.Bytes()[wire.FrameHeaderLen:])
 	var sb bytes.Buffer
 	_ = NewFrameWriter(&sb).Stats(ExecStats{DeliveredRaw: 3, DeliveredPartial: 2, DurationMS: 0.5})
-	f.Add(sb.Bytes()[frameHeader:])
+	f.Add(sb.Bytes()[wire.FrameHeaderLen:])
 	f.Add([]byte{wireVersion, MsgEnd})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)

@@ -1,11 +1,11 @@
 package dbstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"scanraw/internal/chunk"
+	"scanraw/internal/wire"
 )
 
 // Column-group pages. A page holds the vectors of a *set* of columns of one
@@ -132,18 +132,17 @@ func groupPageName(table string, chunkID int, cols []int) string {
 // the chunk package's vector encoding. The payload is sealed with the same
 // CRC wrapper as every other page.
 func encodeGroupPage(bc *chunk.BinaryChunk, cols []int) ([]byte, error) {
-	buf := binary.AppendUvarint(nil, uint64(len(cols)))
+	var e wire.Enc
+	e.Uvar(uint64(len(cols)))
 	for _, c := range cols {
 		v := bc.Column(c)
 		if v == nil {
 			return nil, fmt.Errorf("dbstore: chunk %d column %d not present in binary chunk", bc.ID, c)
 		}
-		enc := chunk.EncodeVector(v)
-		buf = binary.AppendUvarint(buf, uint64(c))
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		buf = append(buf, enc...)
+		e.Uvar(uint64(c))
+		e.Bytes(chunk.EncodeVector(v))
 	}
-	return buf, nil
+	return e.Buf, nil
 }
 
 // groupPageCol is one column slice of a decoded group page: the ordinal and
@@ -157,30 +156,14 @@ type groupPageCol struct {
 // decodeGroupPage splits a group-page payload into per-column encoded
 // vectors without decoding them.
 func decodeGroupPage(payload []byte) ([]groupPageCol, error) {
-	n, off := binary.Uvarint(payload)
-	if off <= 0 || n > maxGroupCols {
-		return nil, fmt.Errorf("dbstore: bad group page column count")
+	d := wire.NewDec(payload, "dbstore", "group page")
+	n := d.Count(maxGroupCols, "group page column count")
+	out := make([]groupPageCol, 0, min(n, 64))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, groupPageCol{col: d.Count(maxGroupCols, "group page ordinal"), enc: d.Bytes()})
 	}
-	out := make([]groupPageCol, 0, min(int(n), 64))
-	for i := uint64(0); i < n; i++ {
-		c, k := binary.Uvarint(payload[off:])
-		if k <= 0 || c > maxGroupCols {
-			return nil, fmt.Errorf("dbstore: bad group page ordinal")
-		}
-		off += k
-		l, k := binary.Uvarint(payload[off:])
-		if k <= 0 {
-			return nil, fmt.Errorf("dbstore: bad group page vector length")
-		}
-		off += k
-		if uint64(len(payload)-off) < l {
-			return nil, fmt.Errorf("dbstore: group page truncated")
-		}
-		out = append(out, groupPageCol{col: int(c), enc: payload[off : off+int(l)]})
-		off += int(l)
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("dbstore: %d trailing bytes in group page", len(payload)-off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"scanraw/internal/wire"
 )
 
 func TestColGroupKeyRoundTrip(t *testing.T) {
@@ -137,5 +139,33 @@ func TestGroupClosure(t *testing.T) {
 	s.SetGroupWidth(0)
 	if got := s.GroupClosure(tb, []int{1}); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Errorf("full-width closure = %v", got)
+	}
+}
+
+// TestGroupPageDecodeTotal: a group page cut at any offset, carrying a
+// trailing byte, or claiming more columns than the limit is an error, never
+// a panic or a short result.
+func TestGroupPageDecodeTotal(t *testing.T) {
+	bc := fullChunk(t, 0, 8)
+	page, err := encodeGroupPage(bc, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := decodeGroupPage(page)
+	if err != nil || len(cols) != 2 || cols[0].col != 0 || cols[1].col != 2 {
+		t.Fatalf("decode = %+v, %v", cols, err)
+	}
+	for cut := 0; cut < len(page); cut++ {
+		if _, err := decodeGroupPage(page[:cut]); err == nil {
+			t.Errorf("page cut at %d of %d decoded", cut, len(page))
+		}
+	}
+	if _, err := decodeGroupPage(append(append([]byte(nil), page...), 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	var e wire.Enc
+	e.Uvar(maxGroupCols + 1)
+	if _, err := decodeGroupPage(e.Buf); err == nil {
+		t.Error("over-limit column count accepted")
 	}
 }

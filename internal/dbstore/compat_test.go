@@ -1,6 +1,7 @@
 package dbstore
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,7 +37,7 @@ func writePrePR8Layout(t *testing.T, dir string) {
 	defer man.Close()
 	recs := []store.Record{{
 		Type: store.RecTableCreate, Table: "legacy",
-		RawFile: "raw/legacy.csv", Schema: schemaSpec(sch3), Fingerprint: testFP,
+		RawFile: "raw/legacy.csv", Schema: sch3.Spec(), Fingerprint: testFP,
 	}}
 	for id := 0; id < 2; id++ {
 		bc := fullChunk(t, id, 8)
@@ -231,5 +232,144 @@ func TestWarmStartPrePR8CorruptPageInvalidates(t *testing.T) {
 	}
 	if _, err := s.ReadChunk(tbl, 0, all); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pr15Fixture is a data directory written by the code as of PR 15, before
+// the byte codecs moved into internal/wire: checkpoint + manifest log +
+// width-2 group pages for one 4-chunk table, its workload weights and a
+// sealed fleet blob. Unlike prepr8 it is produced through the ordinary
+// write path (writePR15Layout), so the test below can also demand that the
+// current code writes the very same bytes.
+const pr15Fixture = "testdata/pr15"
+
+var pr15Fleet = []byte(`{"peers":["a:1","b:2"]}`)
+
+func writePR15Layout(t *testing.T, dir string) {
+	t.Helper()
+	s, man := durableEnv(t, dir)
+	s.SetGroupWidth(2)
+	tbl, err := s.EnsureTable("t", sch3, "raw/t.csv", testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(id int) {
+		bc := fullChunk(t, id, 8)
+		if err := tbl.EnsureChunk(id, 8, int64(id*100), 100); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < sch3.NumColumns(); c++ {
+			if err := tbl.SetStats(id, c, CollectStats(bc.Column(c))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.WriteChunk(tbl, bc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load(0)
+	load(1)
+	if err := s.SetWorkload("t", []float64{3, 0.5, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	load(2)
+	load(3)
+	if err := tbl.SetComplete(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFleetConfig(pr15Fleet); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readTree returns every file under root keyed by its relative path.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.Walk(root, func(path string, fi os.FileInfo, err error) error {
+		if err != nil || fi.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestWarmStartPR15Fixture opens the frozen directory: every chunk must
+// recover warm — loaded, checksums intact, zero torn bytes in checkpoint
+// and log — with its data, statistics, workload and fleet blob, and the
+// current write path must reproduce the directory byte for byte.
+func TestWarmStartPR15Fixture(t *testing.T) {
+	if os.Getenv("REGEN_GOLDEN") != "" {
+		if err := os.RemoveAll(pr15Fixture); err != nil {
+			t.Fatal(err)
+		}
+		writePR15Layout(t, pr15Fixture)
+	}
+	dir := t.TempDir()
+	copyTree(t, pr15Fixture, dir)
+	s, _ := durableEnv(t, dir)
+	rec := s.RecoveryStats()
+	if rec.TablesRecovered != 1 || rec.ChunksRecovered != 4 || rec.ChunksInvalidated != 0 {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	if rp := rec.Replay; rp.TornBytes != 0 || rp.CheckpointTornBytes != 0 || rp.CheckpointRecords == 0 || rp.LogRecords == 0 {
+		t.Fatalf("replay = %+v", rp)
+	}
+	tbl, err := s.EnsureTable("t", sch3, "raw/t.csv", testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Complete() || !tbl.FullyLoaded() || tbl.NumChunks() != 4 {
+		t.Fatalf("complete=%v loaded=%v chunks=%d", tbl.Complete(), tbl.FullyLoaded(), tbl.NumChunks())
+	}
+	all := []int{0, 1, 2}
+	for id := 0; id < 4; id++ {
+		bc, err := s.ReadChunk(tbl, id, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fullChunk(t, id, 8)
+		meta, _ := tbl.Chunk(id)
+		for _, c := range all {
+			if !bytes.Equal(chunk.EncodeVector(bc.Column(c)), chunk.EncodeVector(want.Column(c))) {
+				t.Errorf("chunk %d column %d differs from what was written", id, c)
+			}
+			if meta.Stats[c] != CollectStats(want.Column(c)) {
+				t.Errorf("chunk %d column %d stats = %+v", id, c, meta.Stats[c])
+			}
+		}
+	}
+	if w := s.Workload("t"); len(w) != 3 || w[0] != 3 || w[1] != 0.5 || w[2] != 0 {
+		t.Errorf("workload = %v", w)
+	}
+	if data, ok, err := s.LoadFleetConfig(); err != nil || !ok || !bytes.Equal(data, pr15Fleet) {
+		t.Errorf("fleet blob = %q, %v, %v", data, ok, err)
+	}
+
+	fresh := t.TempDir()
+	writePR15Layout(t, fresh)
+	want, got := readTree(t, pr15Fixture), readTree(t, fresh)
+	if len(got) != len(want) {
+		t.Errorf("current code writes %d files, fixture has %d", len(got), len(want))
+	}
+	for name, p := range want {
+		if !bytes.Equal(got[name], p) {
+			t.Errorf("%s: current code writes %x, fixture has %x", name, got[name], p)
+		}
 	}
 }

@@ -15,13 +15,13 @@ package dbstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 	"scanraw/internal/store"
+	"scanraw/internal/wire"
 )
 
 // Journal receives a durable record for every catalog mutation. It is the
@@ -533,7 +533,7 @@ func (s *Store) createTable(name string, sch *schema.Schema, rawFile string, fp 
 	defer t.journalLock()()
 	if err := t.journalAppend(store.Record{
 		Type: store.RecTableCreate, Table: name,
-		RawFile: rawFile, Schema: schemaSpec(sch), Fingerprint: fp,
+		RawFile: rawFile, Schema: sch.Spec(), Fingerprint: fp,
 	}); err != nil {
 		return nil, err
 	}
@@ -588,10 +588,8 @@ func pageName(table string, chunkID, col int) string {
 
 // sealPage prefixes the payload with its checksum.
 func sealPage(payload []byte) []byte {
-	out := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(out, crc32.Checksum(payload, castagnoli))
-	copy(out[4:], payload)
-	return out
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(payload)), wire.Checksum(payload))
+	return append(out, payload...)
 }
 
 // openPage verifies and strips the checksum.
@@ -601,13 +599,24 @@ func openPage(p []byte) ([]byte, error) {
 	}
 	want := binary.LittleEndian.Uint32(p)
 	payload := p[4:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got := wire.Checksum(payload); got != want {
 		return nil, fmt.Errorf("dbstore: page checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return payload, nil
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// readPage reads a sealed blob and returns its verified payload.
+func (s *Store) readPage(blob string) ([]byte, error) {
+	p, err := s.disk.ReadBlob(blob)
+	if err != nil {
+		return nil, fmt.Errorf("dbstore: reading %s: %w", blob, err)
+	}
+	payload, err := openPage(p)
+	if err != nil {
+		return nil, fmt.Errorf("dbstore: %s: %w", blob, err)
+	}
+	return payload, nil
+}
 
 // WriteChunkColumns stores the listed columns of binary chunk bc as
 // column-group pages and marks them loaded in the catalog. The chunk must
@@ -699,13 +708,9 @@ func (s *Store) readGroup(t *Table, id int, g GroupState, need map[int]bool, bc 
 			if !need[c] {
 				continue
 			}
-			p, err := s.disk.ReadBlob(pageName(t.Name(), id, c))
+			payload, err := s.readPage(pageName(t.Name(), id, c))
 			if err != nil {
-				return fmt.Errorf("dbstore: reading chunk %d column %d: %w", id, c, err)
-			}
-			payload, err := openPage(p)
-			if err != nil {
-				return fmt.Errorf("dbstore: chunk %d column %d: %w", id, c, err)
+				return err
 			}
 			v, err := chunk.DecodeVector(payload)
 			if err != nil {
@@ -718,13 +723,9 @@ func (s *Store) readGroup(t *Table, id int, g GroupState, need map[int]bool, bc 
 		return nil
 	}
 	key := EncodeColGroupKey(g.Cols)
-	p, err := s.disk.ReadBlob(groupPageName(t.Name(), id, g.Cols))
+	payload, err := s.readPage(groupPageName(t.Name(), id, g.Cols))
 	if err != nil {
-		return fmt.Errorf("dbstore: reading chunk %d group %s: %w", id, key, err)
-	}
-	payload, err := openPage(p)
-	if err != nil {
-		return fmt.Errorf("dbstore: chunk %d group %s: %w", id, key, err)
+		return err
 	}
 	pcols, err := decodeGroupPage(payload)
 	if err != nil {
@@ -812,13 +813,6 @@ func (s *Store) LoadFleetConfig() (data []byte, ok bool, err error) {
 	if !s.disk.Exists(fleetBlob) {
 		return nil, false, nil
 	}
-	p, err := s.disk.ReadBlob(fleetBlob)
-	if err != nil {
-		return nil, false, err
-	}
-	data, err = openPage(p)
-	if err != nil {
-		return nil, false, fmt.Errorf("dbstore: fleet config: %v", err)
-	}
-	return data, true, nil
+	data, err = s.readPage(fleetBlob)
+	return data, err == nil, err
 }

@@ -302,55 +302,6 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestCatalogRoundTrip(t *testing.T) {
-	s, tbl := newTestStore(t)
-	if err := tbl.EnsureChunk(0, 2, 0, 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteChunk(tbl, fullChunk(t, 0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st := CollectStats(fullChunk(t, 0, 2).Column(0))
-	if err := tbl.SetStats(0, 0, st); err != nil {
-		t.Fatal(err)
-	}
-	tbl.SetComplete()
-	if err := s.SaveCatalog(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen on the same disk.
-	s2 := NewStore(s.Disk())
-	if err := s2.LoadCatalog(); err != nil {
-		t.Fatal(err)
-	}
-	tbl2, ok := s2.Table("t")
-	if !ok {
-		t.Fatal("table missing after reload")
-	}
-	if !tbl2.Schema().Equal(sch3) || tbl2.RawFile() != "raw/t.csv" || !tbl2.Complete() {
-		t.Errorf("reloaded table wrong: %v %q", tbl2.Schema(), tbl2.RawFile())
-	}
-	m, ok := tbl2.Chunk(0)
-	if !ok || !m.LoadedAll([]int{0, 1, 2}) {
-		t.Fatalf("reloaded chunk meta wrong: %+v %v", m, ok)
-	}
-	if !m.Stats[0].Valid || m.Stats[0].MinInt != 0 || m.Stats[0].MaxInt != 1 {
-		t.Errorf("reloaded stats wrong: %+v", m.Stats[0])
-	}
-	// Pages are still readable through the new store.
-	if _, err := s2.ReadChunk(tbl2, 0, []int{0, 1, 2}); err != nil {
-		t.Errorf("reading pages through reloaded catalog: %v", err)
-	}
-}
-
-func TestLoadCatalogMissing(t *testing.T) {
-	s := NewStore(vdisk.Unlimited())
-	if err := s.LoadCatalog(); err == nil {
-		t.Error("loading a missing catalog should fail")
-	}
-}
-
 func TestConcurrentCatalogUpdates(t *testing.T) {
 	s, tbl := newTestStore(t)
 	const chunks = 32

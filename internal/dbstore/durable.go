@@ -3,7 +3,6 @@ package dbstore
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"scanraw/internal/schema"
@@ -62,11 +61,7 @@ func OpenDurable(d store.Disk, man *store.Manifest) (*Store, error) {
 	s.verifyPages(&rep)
 	rep.TablesRecovered = len(s.tables)
 	for _, t := range s.tables {
-		for _, m := range t.chunks {
-			if m != nil && m.LoadedAny() {
-				rep.ChunksRecovered++
-			}
-		}
+		rep.ChunksRecovered += countLoadedChunks(t)
 	}
 	rep.RecoveryMS = time.Since(start).Milliseconds()
 	s.rec = rep
@@ -93,7 +88,7 @@ func (s *Store) RecoveryStats() RecoveryReport {
 // catalog from any CRC-valid prefix.
 func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 	if r.Type == store.RecTableCreate {
-		sch, err := parseSchemaSpec(r.Schema)
+		sch, err := schema.ParseSpec(r.Schema)
 		if err != nil {
 			return
 		}
@@ -181,30 +176,20 @@ func (s *Store) verifyPages(rep *RecoveryReport) {
 // the single group-keyed page, or — for legacy groups — one bare-ordinal
 // page per column.
 func (s *Store) groupOK(table string, chunkID int, g GroupState) bool {
-	if g.Legacy {
-		for _, c := range g.Cols {
-			if !s.pageOK(table, chunkID, c) {
-				return false
-			}
+	if !g.Legacy {
+		return s.pageOK(groupPageName(table, chunkID, g.Cols))
+	}
+	for _, c := range g.Cols {
+		if !s.pageOK(pageName(table, chunkID, c)) {
+			return false
 		}
-		return true
 	}
-	p, err := s.disk.ReadBlob(groupPageName(table, chunkID, g.Cols))
-	if err != nil {
-		return false
-	}
-	_, err = openPage(p)
-	return err == nil
+	return true
 }
 
-// pageOK reports whether the legacy page blob for (table, chunk, col)
-// exists and passes its CRC.
-func (s *Store) pageOK(table string, chunkID, col int) bool {
-	p, err := s.disk.ReadBlob(pageName(table, chunkID, col))
-	if err != nil {
-		return false
-	}
-	_, err = openPage(p)
+// pageOK reports whether the named page blob exists and passes its CRC.
+func (s *Store) pageOK(blob string) bool {
+	_, err := s.readPage(blob)
 	return err == nil
 }
 
@@ -276,7 +261,7 @@ func (s *Store) snapshotRecords() []store.Record {
 		t.mu.RLock()
 		recs = append(recs, store.Record{
 			Type: store.RecTableCreate, Table: t.name,
-			RawFile: t.rawFile, Schema: schemaSpec(t.schema), Fingerprint: t.fp,
+			RawFile: t.rawFile, Schema: t.schema.Spec(), Fingerprint: t.fp,
 		})
 		for _, m := range t.chunks {
 			if m == nil {
@@ -330,41 +315,6 @@ func (s *Store) snapshotRecords() []store.Record {
 		s.mu.RUnlock()
 	}
 	return recs
-}
-
-// schemaSpec renders a schema as the "name:type,..." specification stored in
-// RecTableCreate records.
-func schemaSpec(sch *schema.Schema) string {
-	var b strings.Builder
-	for i, c := range sch.Columns() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c.Name)
-		b.WriteByte(':')
-		b.WriteString(c.Type.String())
-	}
-	return b.String()
-}
-
-// parseSchemaSpec inverts schemaSpec.
-func parseSchemaSpec(spec string) (*schema.Schema, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("dbstore: empty schema specification")
-	}
-	var cols []schema.Column
-	for _, part := range strings.Split(spec, ",") {
-		name, typ, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("dbstore: bad schema column %q", part)
-		}
-		ty, err := schema.ParseType(typ)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, schema.Column{Name: name, Type: ty})
-	}
-	return schema.New(cols...)
 }
 
 // statsToRec converts catalog statistics to their serialized form.

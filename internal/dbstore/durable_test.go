@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scanraw/internal/schema"
 	"scanraw/internal/store"
 )
 
@@ -312,23 +313,24 @@ func TestDurableNonDurableUnaffected(t *testing.T) {
 	}
 }
 
-// TestDurableSchemaSpecRoundTrip pins the schema wire format.
+// TestDurableSchemaSpecRoundTrip pins the schema specification as
+// RecTableCreate records store it.
 func TestDurableSchemaSpecRoundTrip(t *testing.T) {
-	spec := schemaSpec(sch3)
+	spec := sch3.Spec()
 	if spec != "a:BIGINT,b:DOUBLE,c:VARCHAR" {
-		t.Errorf("schemaSpec = %q", spec)
+		t.Errorf("Spec = %q", spec)
 	}
-	back, err := parseSchemaSpec(spec)
+	back, err := schema.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !back.Equal(sch3) {
 		t.Errorf("round trip lost schema: %s", back)
 	}
-	if _, err := parseSchemaSpec(""); err == nil {
+	if _, err := schema.ParseSpec(""); err == nil {
 		t.Error("empty spec should fail")
 	}
-	if _, err := parseSchemaSpec("a"); err == nil {
+	if _, err := schema.ParseSpec("a"); err == nil {
 		t.Error("missing type should fail")
 	}
 }

@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"scanraw/internal/schema"
+	"scanraw/internal/wire"
 )
 
 // Wire codec for Partial: the serialized form a fleet worker ships to the
@@ -17,9 +16,10 @@ import (
 //
 // The payload is versioned (leading byte) and self-describing enough to be
 // total on decode: any byte slice either yields a valid partial for the
-// given query or an error, never a panic. Integrity (CRC) and length
-// framing live one layer up, in internal/cluster, mirroring how the store
-// frames manifest records.
+// given query or an error, never a panic. The scalar encoding and its
+// bounds checks are internal/wire's; integrity (CRC) and length framing
+// live one layer up, in internal/cluster, in the same wire frame the store
+// puts manifest records in.
 //
 // Chunk provenance is rebased on encode: the worker's local chunk IDs are
 // shifted by the owning range's global base so that canonical row order —
@@ -44,121 +44,7 @@ const (
 	maxWireGroups  = 1 << 22
 	maxWireCols    = 1 << 14
 	maxWireChunkID = 1 << 30
-	maxWireStrLen  = 1 << 18
 )
-
-// wireEncoder builds a payload with varint scalars and length-prefixed
-// strings (the store's manifest-record idiom).
-type wireEncoder struct{ buf []byte }
-
-func (e *wireEncoder) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *wireEncoder) uvar(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *wireEncoder) ivar(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *wireEncoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *wireEncoder) str(s string) {
-	e.uvar(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// wireDecoder parses a payload, accumulating the first error.
-type wireDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *wireDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *wireDecoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("engine: partial payload truncated")
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *wireDecoder) uvar() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("engine: bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireDecoder) ivar() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("engine: bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireDecoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail("engine: partial payload truncated in float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *wireDecoder) str() string {
-	n := d.uvar()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxWireStrLen {
-		d.fail("engine: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.off+int(n) > len(d.buf) {
-		d.fail("engine: partial payload truncated in string")
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// count decodes a non-negative bounded integer.
-func (d *wireDecoder) count(limit uint64, what string) int {
-	v := d.uvar()
-	if d.err != nil {
-		return 0
-	}
-	if v > limit {
-		d.fail("engine: %s %d exceeds limit %d", what, v, limit)
-		// Return 0, not the oversized value: callers size allocations by
-		// this count, and not all of them re-check d.err before make().
-		return 0
-	}
-	return int(v)
-}
 
 // Value tags on the wire.
 const (
@@ -167,98 +53,97 @@ const (
 	wireValStr   = 2
 )
 
-func (e *wireEncoder) value(v Value) error {
+// EncodeValue appends one tagged value: the cell codec shared by the
+// partial payload and the /exec row frames.
+func EncodeValue(e *wire.Enc, v Value) error {
 	switch v.Typ {
 	case schema.Int64:
-		e.u8(wireValInt)
-		e.ivar(v.Int)
+		e.U8(wireValInt)
+		e.Ivar(v.Int)
 	case schema.Float64:
-		e.u8(wireValFloat)
-		e.f64(v.Float)
+		e.U8(wireValFloat)
+		e.F64(v.Float)
 	case schema.Str:
-		e.u8(wireValStr)
-		e.str(v.Str)
+		e.U8(wireValStr)
+		e.Str(v.Str)
 	default:
 		return fmt.Errorf("engine: cannot encode value of type %v", v.Typ)
 	}
 	return nil
 }
 
-func (d *wireDecoder) value() Value {
-	switch tag := d.u8(); tag {
+// DecodeValue inverts EncodeValue; a failure lands on d.
+func DecodeValue(d *wire.Dec) Value {
+	switch tag := d.U8(); tag {
 	case wireValInt:
-		return Value{Typ: schema.Int64, Int: d.ivar()}
+		return Value{Typ: schema.Int64, Int: d.Ivar()}
 	case wireValFloat:
-		return Value{Typ: schema.Float64, Float: d.f64()}
+		return Value{Typ: schema.Float64, Float: d.F64()}
 	case wireValStr:
-		return Value{Typ: schema.Str, Str: d.str()}
+		return Value{Typ: schema.Str, Str: d.Str()}
 	default:
-		d.fail("engine: unknown value tag %d", tag)
+		d.Failf("unknown value tag %d", tag)
 		return Value{}
 	}
 }
 
-func (e *wireEncoder) prow(pr *prow, chunkBase int) error {
-	e.uvar(uint64(pr.chunk + chunkBase))
-	e.uvar(uint64(pr.row))
-	e.uvar(uint64(len(pr.vals)))
+func encodeProw(e *wire.Enc, pr *prow, chunkBase int) error {
+	e.Uvar(uint64(pr.chunk + chunkBase))
+	e.Uvar(uint64(pr.row))
+	e.Uvar(uint64(len(pr.vals)))
 	for _, v := range pr.vals {
-		if err := e.value(v); err != nil {
+		if err := EncodeValue(e, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *wireDecoder) prow(wantVals int) prow {
+func decodeProw(d *wire.Dec, wantVals int) prow {
 	pr := prow{
-		chunk: d.count(maxWireChunkID, "chunk id"),
-		row:   d.count(maxWireChunkID, "row ordinal"),
+		chunk: d.Count(maxWireChunkID, "chunk id"),
+		row:   d.Count(maxWireChunkID, "row ordinal"),
 	}
-	n := d.count(maxWireCols, "value count")
-	if d.err != nil {
+	n := d.Count(maxWireCols, "value count")
+	if d.Err() != nil {
 		return pr
 	}
 	if n != wantVals {
-		d.fail("engine: row carries %d values, query selects %d", n, wantVals)
+		d.Failf("row carries %d values, query selects %d", n, wantVals)
 		return pr
 	}
 	pr.vals = make([]Value, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		pr.vals[i] = d.value()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		pr.vals[i] = DecodeValue(d)
 	}
 	return pr
 }
 
-func (e *wireEncoder) aggState(st *aggState) {
-	e.ivar(st.count)
-	e.ivar(st.sumInt)
-	e.f64(st.sumFloat)
-	e.ivar(st.minI)
-	e.ivar(st.maxI)
-	e.f64(st.minF)
-	e.f64(st.maxF)
-	e.str(st.minS)
-	e.str(st.maxS)
-	if st.seen {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+func encodeAggState(e *wire.Enc, st *aggState) {
+	e.Ivar(st.count)
+	e.Ivar(st.sumInt)
+	e.F64(st.sumFloat)
+	e.Ivar(st.minI)
+	e.Ivar(st.maxI)
+	e.F64(st.minF)
+	e.F64(st.maxF)
+	e.Str(st.minS)
+	e.Str(st.maxS)
+	e.Bool(st.seen)
 }
 
-func (d *wireDecoder) aggState() aggState {
+func decodeAggState(d *wire.Dec) aggState {
 	return aggState{
-		count:    d.ivar(),
-		sumInt:   d.ivar(),
-		sumFloat: d.f64(),
-		minI:     d.ivar(),
-		maxI:     d.ivar(),
-		minF:     d.f64(),
-		maxF:     d.f64(),
-		minS:     d.str(),
-		maxS:     d.str(),
-		seen:     d.u8() != 0,
+		count:    d.Ivar(),
+		sumInt:   d.Ivar(),
+		sumFloat: d.F64(),
+		minI:     d.Ivar(),
+		maxI:     d.Ivar(),
+		minF:     d.F64(),
+		maxF:     d.F64(),
+		minS:     d.Str(),
+		maxS:     d.Str(),
+		seen:     d.U8() != 0,
 	}
 }
 
@@ -275,49 +160,49 @@ func EncodePartial(p *Partial, chunkBase int) ([]byte, error) {
 	if chunkBase < 0 {
 		return nil, fmt.Errorf("engine: negative chunk base %d", chunkBase)
 	}
-	e := &wireEncoder{buf: make([]byte, 0, 256)}
-	e.u8(wireVersion)
+	e := &wire.Enc{Buf: make([]byte, 0, 256)}
+	e.U8(wireVersion)
 	switch {
 	case p.groups != nil:
-		e.u8(wireKindGroups)
+		e.U8(wireKindGroups)
 		keys := make([]string, 0, len(p.groups))
 		for k := range p.groups {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		e.uvar(uint64(len(keys)))
+		e.Uvar(uint64(len(keys)))
 		for _, k := range keys {
 			g := p.groups[k]
-			e.str(k)
-			e.uvar(uint64(len(g.keys)))
+			e.Str(k)
+			e.Uvar(uint64(len(g.keys)))
 			for _, kv := range g.keys {
-				if err := e.value(kv); err != nil {
+				if err := EncodeValue(e, kv); err != nil {
 					return nil, err
 				}
 			}
-			e.uvar(uint64(len(g.aggs)))
+			e.Uvar(uint64(len(g.aggs)))
 			for i := range g.aggs {
-				e.aggState(&g.aggs[i])
+				encodeAggState(e, &g.aggs[i])
 			}
 		}
 	case p.top != nil:
-		e.u8(wireKindTop)
-		e.uvar(uint64(len(p.top.entries)))
+		e.U8(wireKindTop)
+		e.Uvar(uint64(len(p.top.entries)))
 		for i := range p.top.entries {
-			if err := e.prow(&p.top.entries[i], chunkBase); err != nil {
+			if err := encodeProw(e, &p.top.entries[i], chunkBase); err != nil {
 				return nil, err
 			}
 		}
 	default:
-		e.u8(wireKindRows)
-		e.uvar(uint64(len(p.rows)))
+		e.U8(wireKindRows)
+		e.Uvar(uint64(len(p.rows)))
 		for i := range p.rows {
-			if err := e.prow(&p.rows[i], chunkBase); err != nil {
+			if err := encodeProw(e, &p.rows[i], chunkBase); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 // DecodePartial parses a serialized partial into a fresh Partial bound to
@@ -330,49 +215,49 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 	if err != nil {
 		return nil, err
 	}
-	d := &wireDecoder{buf: data}
-	if v := d.u8(); d.err == nil && v != wireVersion {
+	d := wire.NewDec(data, "engine", "partial payload")
+	if v := d.U8(); d.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("engine: unsupported partial version %d", v)
 	}
-	kind := d.u8()
-	if d.err != nil {
-		return nil, d.err
+	kind := d.U8()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	switch kind {
 	case wireKindGroups:
 		if p.groups == nil {
 			return nil, fmt.Errorf("engine: aggregate payload for a non-aggregate query")
 		}
-		n := d.count(maxWireGroups, "group count")
+		n := d.Count(maxWireGroups, "group count")
 		var prevKey string
-		for i := 0; i < n && d.err == nil; i++ {
-			key := d.str()
-			if d.err == nil && i > 0 && key <= prevKey {
-				d.fail("engine: group keys not strictly ascending")
+		for i := 0; i < n && d.Err() == nil; i++ {
+			key := d.Str()
+			if d.Err() == nil && i > 0 && key <= prevKey {
+				d.Failf("group keys not strictly ascending")
 				break
 			}
 			prevKey = key
-			nk := d.count(maxWireCols, "group key count")
-			if d.err == nil && nk != len(q.GroupBy) {
-				d.fail("engine: group carries %d keys, query groups by %d", nk, len(q.GroupBy))
+			nk := d.Count(maxWireCols, "group key count")
+			if d.Err() == nil && nk != len(q.GroupBy) {
+				d.Failf("group carries %d keys, query groups by %d", nk, len(q.GroupBy))
 				break
 			}
 			g := &group{aggs: make([]aggState, 0, len(q.Items))}
 			if nk > 0 {
 				g.keys = make([]Value, nk)
-				for j := 0; j < nk && d.err == nil; j++ {
-					g.keys[j] = d.value()
+				for j := 0; j < nk && d.Err() == nil; j++ {
+					g.keys[j] = DecodeValue(d)
 				}
 			}
-			na := d.count(maxWireCols, "aggregate count")
-			if d.err == nil && na != len(q.Items) {
-				d.fail("engine: group carries %d aggregates, query selects %d", na, len(q.Items))
+			na := d.Count(maxWireCols, "aggregate count")
+			if d.Err() == nil && na != len(q.Items) {
+				d.Failf("group carries %d aggregates, query selects %d", na, len(q.Items))
 				break
 			}
-			for j := 0; j < na && d.err == nil; j++ {
-				g.aggs = append(g.aggs, d.aggState())
+			for j := 0; j < na && d.Err() == nil; j++ {
+				g.aggs = append(g.aggs, decodeAggState(d))
 			}
-			if d.err == nil {
+			if d.Err() == nil {
 				p.groups[key] = g
 			}
 		}
@@ -380,13 +265,13 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 		if p.top == nil {
 			return nil, fmt.Errorf("engine: top-k payload for a query without LIMIT")
 		}
-		n := d.count(maxWireRows, "row count")
-		if d.err == nil && n > q.Limit {
-			d.fail("engine: top-k payload holds %d rows, LIMIT is %d", n, q.Limit)
+		n := d.Count(maxWireRows, "row count")
+		if d.Err() == nil && n > q.Limit {
+			d.Failf("top-k payload holds %d rows, LIMIT is %d", n, q.Limit)
 		}
-		for i := 0; i < n && d.err == nil; i++ {
-			pr := d.prow(len(q.Items))
-			if d.err == nil {
+		for i := 0; i < n && d.Err() == nil; i++ {
+			pr := decodeProw(d, len(q.Items))
+			if d.Err() == nil {
 				p.top.push(pr)
 			}
 		}
@@ -394,21 +279,18 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 		if p.groups != nil || p.top != nil {
 			return nil, fmt.Errorf("engine: row-buffer payload does not match query shape")
 		}
-		n := d.count(maxWireRows, "row count")
-		for i := 0; i < n && d.err == nil; i++ {
-			pr := d.prow(len(q.Items))
-			if d.err == nil {
+		n := d.Count(maxWireRows, "row count")
+		for i := 0; i < n && d.Err() == nil; i++ {
+			pr := decodeProw(d, len(q.Items))
+			if d.Err() == nil {
 				p.rows = append(p.rows, pr)
 			}
 		}
 	default:
 		return nil, fmt.Errorf("engine: unknown partial kind %d", kind)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("engine: %d trailing bytes after partial payload", len(data)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

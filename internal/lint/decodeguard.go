@@ -8,21 +8,22 @@ import (
 // DecodeGuard is the compile-time form of the PR 7 fuzz finding: a
 // count or length decoded from wire or log bytes reached make() unchecked
 // and asked for 67TB. Any integer produced by a raw varint/fixed-width
-// decode (`uvar`/`ivar` decoder methods, binary.Uvarint/Varint,
-// binary.LittleEndian/BigEndian.UintN) is tainted; passing it — directly or
+// decode (wire.Dec's Uvar/Ivar, wire.ParseFrameHeader's length,
+// binary.Uvarint/Varint, binary.LittleEndian/BigEndian.UintN) is tainted;
+// passing it — directly or
 // through a pure conversion chain — to make() or to an append capacity is a
 // finding unless a bounds comparison on the same variable sits between the
 // decode and the allocation, or the use site itself clamps it with min().
 //
-// The blessed route is the decoders' own `count(limit, what)` helper, which
-// bounds and fails in one step; its results are untainted. Taint tracking is
-// per-function and positional — assignment-based with no aliasing — which
-// matches how every codec in store/cluster/dbstore/engine is written
-// (straight-line decode loops over a byte slice).
+// The blessed route is wire.Dec.Count(limit, what), which bounds and fails
+// in one step; its results are untainted. Taint tracking is per-function
+// and positional — assignment-based with no aliasing — which matches how
+// every codec in wire/store/cluster/dbstore/engine is written (straight-line
+// decode loops over a byte slice).
 var DecodeGuard = &Analyzer{
 	Name: "decodeguard",
 	Doc:  "wire/log-decoded counts must pass a bounds check before reaching make/append capacity",
-	Dirs: []string{"internal/store", "internal/dbstore", "internal/cluster", "internal/engine"},
+	Dirs: []string{"internal/wire", "internal/store", "internal/dbstore", "internal/cluster", "internal/engine"},
 	Run:  runDecodeGuard,
 }
 
@@ -30,13 +31,14 @@ var DecodeGuard = &Analyzer{
 // value is the index of the tainted result in a multi-assign (Uvarint and
 // Varint return (value, n); only the value is a wire-controlled count).
 var taintSources = map[string]int{
-	"uvar":    0,
-	"ivar":    0,
-	"Uvarint": 0,
-	"Varint":  0,
-	"Uint16":  0,
-	"Uint32":  0,
-	"Uint64":  0,
+	"Uvar":             0,
+	"Ivar":             0,
+	"ParseFrameHeader": 0,
+	"Uvarint":          0,
+	"Varint":           0,
+	"Uint16":           0,
+	"Uint32":           0,
+	"Uint64":           0,
 }
 
 func runDecodeGuard(f *File) []Diagnostic {
@@ -148,7 +150,7 @@ func decodeGuardUnit(f *File, u unit) []Diagnostic {
 				continue
 			}
 			diags = append(diags, f.diag("decodeguard", call,
-				"decoded count %q reaches make() without a bounds check — a hostile length allocates unbounded memory (use the count() helper or guard it first)", id.Name))
+				"decoded count %q reaches make() without a bounds check — a hostile length allocates unbounded memory (use wire.Dec.Count or guard it first)", id.Name))
 		}
 		return true
 	})
@@ -169,7 +171,7 @@ func taintResult(e ast.Expr) (idx int, ok bool) {
 		if idx, ok := taintSources[name]; ok {
 			return idx, true
 		}
-		// Conversion wrapper like int(d.uvar()) — a call with one arg whose
+		// Conversion wrapper like int(d.Uvar()) — a call with one arg whose
 		// fun is a bare type-ish identifier.
 		if id, isID := v.Fun.(*ast.Ident); isID && len(v.Args) == 1 && builtinConvs[id.Name] {
 			if _, inner := taintResult(v.Args[0]); inner {

@@ -139,9 +139,12 @@ func TestPayoffSpecPrefersHotColumns(t *testing.T) {
 	})
 	// 32 chunks are several times what a one-slot text buffer and two workers
 	// hold, so READ blocks again and again with converted chunks already
-	// cached: the first scan must write.
+	// cached: a scan must write. Normally the first does; on a starved host
+	// the CPUSlowdown pacing has debt to work off, conversion stops being
+	// the slow stage and a whole scan can pass without READ blocking (1 in 20
+	// full `go test ./...` runs at GOMAXPROCS=2), hence the rescans.
 	t.Run("one-slot-buffers", func(t *testing.T) {
-		payoffPrefersHot(t, 2048, Config{CacheChunks: 32, TextBufferChunks: 1}, 1, true)
+		payoffPrefersHot(t, 2048, Config{CacheChunks: 32, TextBufferChunks: 1}, 20, true)
 	})
 }
 

@@ -13,44 +13,39 @@ import (
 )
 
 // TestCatalogPersistenceAcrossRestart simulates a database restart: load
-// part of a table, persist the catalog, reopen the store from the same
-// disk, and verify a fresh operator resumes from the loaded state instead
-// of reconverting.
+// a table in full, drop the process state (only the manifest journal and
+// the page blobs survive), reopen the durable store on the same directory,
+// and verify a fresh operator resumes from the loaded state instead of
+// reconverting.
 func TestCatalogPersistenceAcrossRestart(t *testing.T) {
-	d := vdisk.Unlimited()
+	dir := t.TempDir()
 	spec := gen.CSVSpec{Rows: 512, Cols: 3, Seed: 11, MaxValue: 100}
-	gen.Preload(d, "raw/t.csv", spec)
-	store := dbstore.NewStore(d)
-	table, err := store.CreateTable("t", spec.Schema(), "raw/t.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := New(store, table, Config{Workers: 2, ChunkLines: 64, Policy: FullLoad, CacheChunks: 2})
+	env, man := openDurableEnv(t, dir, spec)
+	op := New(env.store, env.table, Config{Workers: 2, ChunkLines: 64, Policy: FullLoad, CacheChunks: 2})
 	want := gen.SumRange(spec, []int{0, 1, 2}, 0, 512)
-	q, err := engine.SumAllColumns(table.Schema(), "t", []int{0, 1, 2})
+	q, err := engine.SumAllColumns(env.table.Schema(), "data", []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, _, err := ExecuteQuery(op, q); err != nil || res.Rows[0][0].Int != want {
 		t.Fatalf("initial query: %v", err)
 	}
-	if err := store.SaveCatalog(); err != nil {
+	op.WaitIdle()
+	if err := man.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": new store over the same disk, new operator.
-	store2 := dbstore.NewStore(d)
-	if err := store2.LoadCatalog(); err != nil {
-		t.Fatal(err)
-	}
-	table2, ok := store2.Table("t")
+	// "Restart": the catalog is rebuilt from the manifest alone.
+	env2, man2 := openDurableEnv(t, dir, spec)
+	defer man2.Close()
+	table2, ok := env2.store.Table("data")
 	if !ok {
-		t.Fatal("table missing after catalog reload")
+		t.Fatal("table missing after restart")
 	}
 	if !table2.FullyLoaded() {
-		t.Fatal("reloaded catalog lost the load state")
+		t.Fatal("recovered catalog lost the load state")
 	}
-	op2 := New(store2, table2, Config{Workers: 2, ChunkLines: 64, CacheChunks: 2})
+	op2 := New(env2.store, table2, Config{Workers: 2, ChunkLines: 64, CacheChunks: 2})
 	res, st, err := ExecuteQuery(op2, q)
 	if err != nil {
 		t.Fatal(err)

@@ -518,6 +518,9 @@ func (r *run) pipeline(ctx context.Context) {
 	// invariants. convertConsumer closes deliverCh once READ and every
 	// conversion have finished.
 	for bc := range r.deliverCh {
+		// Not left to execute's watcher goroutine alone: it may not have run
+		// yet, and no chunk may reach the consumer after a visible cancel.
+		r.fail(ctx.Err())
 		r.depthSum.Add(int64(len(r.deliverCh)))
 		r.depthN.Add(1)
 		r.deliver(bc)

@@ -78,6 +78,24 @@ func (p WritePolicy) String() string {
 	}
 }
 
+// ParseWritePolicy parses a -policy flag value: the short flag names, or
+// any name String prints (what /query stats report).
+func ParseWritePolicy(s string) (WritePolicy, error) {
+	switch s {
+	case "external", "external-tables":
+		return ExternalTables, nil
+	case "fullload", "load", "full-load":
+		return FullLoad, nil
+	case "buffered", "buffered-load":
+		return BufferedLoad, nil
+	case "speculative":
+		return Speculative, nil
+	case "invisible":
+		return Invisible, nil
+	}
+	return 0, fmt.Errorf("scanraw: unknown write policy %q (want external, fullload, buffered, speculative or invisible)", s)
+}
+
 // Config parameterizes a SCANRAW instance.
 type Config struct {
 	// Workers is the worker-pool size for conversion tasks. Zero selects

@@ -125,6 +125,40 @@ func Uniform(n int, t Type, prefix string) (*Schema, error) {
 	return New(cols...)
 }
 
+// ParseSpec parses a "name:type,name:type" specification — the form the
+// -schema flags, fleet configs and the manifest's table records use.
+// Whitespace around names and types is ignored; types are ParseType's.
+func ParseSpec(spec string) (*Schema, error) {
+	parts := strings.Split(spec, ",")
+	cols := make([]Column, 0, len(parts))
+	for _, part := range parts {
+		name, typ, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("schema: spec entry %q is not name:type", part)
+		}
+		ty, err := ParseType(typ)
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, Column{Name: strings.TrimSpace(name), Type: ty})
+	}
+	return New(cols...)
+}
+
+// Spec renders the schema in the form ParseSpec reads back.
+func (s *Schema) Spec() string {
+	var b strings.Builder
+	for i, c := range s.cols {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(c.Name)
+		b.WriteByte(':')
+		b.WriteString(c.Type.String())
+	}
+	return b.String()
+}
+
 // NumColumns returns the number of columns in the schema.
 func (s *Schema) NumColumns() int { return len(s.cols) }
 

@@ -202,3 +202,39 @@ func TestColumnsCopyIsolated(t *testing.T) {
 		t.Error("schema mutated through Columns()")
 	}
 }
+
+func TestSpecRoundTrip(t *testing.T) {
+	for _, s := range []*Schema{
+		MustNew(Column{"a", Int64}),
+		MustNew(Column{"a", Int64}, Column{"b", Float64}, Column{"c", Str}),
+		func() *Schema { s, _ := Uniform(64, Int64, "c"); return s }(),
+	} {
+		back, err := ParseSpec(s.Spec())
+		if err != nil || !back.Equal(s) {
+			t.Errorf("ParseSpec(%q) = %v, %v", s.Spec(), back, err)
+		}
+	}
+	if got := MustNew(Column{"a", Int64}, Column{"b", Str}).Spec(); got != "a:BIGINT,b:VARCHAR" {
+		t.Errorf("Spec = %q", got)
+	}
+}
+
+func TestParseSpec(t *testing.T) {
+	want := MustNew(Column{"a", Int64}, Column{"b", Float64}, Column{"c", Str})
+	for _, spec := range []string{
+		"a:int,b:float,c:string",
+		" a : INT , b:double,\tc : varchar ",
+	} {
+		got, err := ParseSpec(spec)
+		if err != nil || !got.Equal(want) {
+			t.Errorf("ParseSpec(%q) = %v, %v", spec, got, err)
+		}
+	}
+	for _, bad := range []string{
+		"", " ", "a", "a:int,", ",a:int", "a:int,b", ":int", " :int", "a:", "a:blob", "a:int,a:int",
+	} {
+		if s, err := ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) = %v, want an error", bad, s)
+		}
+	}
+}

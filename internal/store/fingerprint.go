@@ -1,6 +1,6 @@
 package store
 
-import "hash/crc32"
+import "scanraw/internal/wire"
 
 // Fingerprint identifies a raw file's contents at staging time: size,
 // content checksum, and modification time. Persisted chunks are only valid
@@ -33,5 +33,5 @@ func (f Fingerprint) SameContent(o Fingerprint) bool {
 // ModTimeNs is left zero; callers with a backing file can fill it in from
 // os.Stat for observability.
 func FingerprintBytes(p []byte) Fingerprint {
-	return Fingerprint{Size: int64(len(p)), CRC: crc32.Checksum(p, castagnoli)}
+	return Fingerprint{Size: int64(len(p)), CRC: wire.Checksum(p)}
 }

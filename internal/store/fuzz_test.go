@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"scanraw/internal/wire"
 )
 
 // recordsBitEqual compares records with bitwise float equality (NaN
@@ -87,7 +89,7 @@ func FuzzDecodeRecord(f *testing.F) {
 func FuzzDecodeFrames(f *testing.F) {
 	var framed []byte
 	for _, r := range testRecords() {
-		framed = appendFrame(framed, EncodeRecord(r))
+		framed = wire.AppendFrame(framed, EncodeRecord(r))
 	}
 	f.Add(framed)
 	f.Add(framed[:len(framed)-2])

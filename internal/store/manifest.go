@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"scanraw/internal/wire"
 )
 
 // Manifest is the append-only catalog mutation log plus its checkpoint
@@ -111,7 +113,7 @@ func (m *Manifest) Append(recs ...Record) error {
 	}
 	var buf []byte
 	for _, r := range recs {
-		buf = appendFrame(buf, EncodeRecord(r))
+		buf = wire.AppendFrame(buf, EncodeRecord(r))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -212,7 +214,7 @@ func (m *Manifest) Replay() ([]Record, ReplayReport, error) {
 func (m *Manifest) Checkpoint(recs []Record) error {
 	buf := append([]byte(nil), ckptMagic...)
 	for _, r := range recs {
-		buf = appendFrame(buf, EncodeRecord(r))
+		buf = wire.AppendFrame(buf, EncodeRecord(r))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

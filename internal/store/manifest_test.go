@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"scanraw/internal/wire"
 )
 
 func testRecords() []Record {
@@ -286,7 +288,7 @@ func TestManifestCrashBetweenCheckpointSteps(t *testing.T) {
 	var buf []byte
 	buf = append(buf, ckptMagic...)
 	for _, r := range recs {
-		buf = appendFrame(buf, EncodeRecord(r))
+		buf = wire.AppendFrame(buf, EncodeRecord(r))
 	}
 	if err := os.WriteFile(filepath.Join(dir, ckptFileName), buf, 0o644); err != nil {
 		t.Fatal(err)

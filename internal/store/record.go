@@ -1,10 +1,10 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"scanraw/internal/wire"
 )
 
 // Manifest records. Every catalog mutation the database performs —
@@ -118,281 +118,136 @@ type Record struct {
 // Encoding limits: a decoded field exceeding these is corruption, not data.
 const (
 	maxRecordLen = 1 << 20
-	maxStringLen = 1 << 18
 	maxCols      = 1 << 14
 	maxChunkID   = 1 << 30
 )
 
-// recEncoder builds a record payload with varint scalars and
-// length-prefixed strings.
-type recEncoder struct{ buf []byte }
-
-func (e *recEncoder) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *recEncoder) uvar(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *recEncoder) ivar(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *recEncoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *recEncoder) str(s string) {
-	e.uvar(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// recDecoder parses a record payload, accumulating the first error.
-type recDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *recDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *recDecoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("store: record truncated")
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *recDecoder) uvar() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("store: bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *recDecoder) ivar() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("store: bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *recDecoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail("store: record truncated in float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *recDecoder) str() string {
-	n := d.uvar()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringLen {
-		d.fail("store: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.off+int(n) > len(d.buf) {
-		d.fail("store: record truncated in string")
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// count decodes a non-negative bounded integer (chunk IDs, row counts).
-func (d *recDecoder) count(limit uint64, what string) int {
-	v := d.uvar()
-	if d.err != nil {
-		return 0
-	}
-	if v > limit {
-		d.fail("store: %s %d exceeds limit %d", what, v, limit)
-		// Return 0, not the oversized value: callers size allocations by
-		// this count, and the count must never outlive the failure.
-		return 0
-	}
-	return int(v)
-}
-
 // EncodeRecord serializes a record payload (without framing).
 func EncodeRecord(r Record) []byte {
-	e := &recEncoder{buf: make([]byte, 0, 64)}
-	e.u8(uint8(r.Type))
-	e.str(r.Table)
+	e := wire.Enc{Buf: make([]byte, 0, 64)}
+	e.U8(uint8(r.Type))
+	e.Str(r.Table)
 	switch r.Type {
 	case RecTableCreate:
-		e.str(r.RawFile)
-		e.str(r.Schema)
-		e.ivar(r.Fingerprint.Size)
-		e.uvar(uint64(r.Fingerprint.CRC))
-		e.ivar(r.Fingerprint.ModTimeNs)
+		e.Str(r.RawFile)
+		e.Str(r.Schema)
+		e.Ivar(r.Fingerprint.Size)
+		e.Uvar(uint64(r.Fingerprint.CRC))
+		e.Ivar(r.Fingerprint.ModTimeNs)
 	case RecChunk:
-		e.uvar(uint64(r.Chunk))
-		e.uvar(uint64(r.Rows))
-		e.ivar(r.RawOff)
-		e.ivar(r.RawLen)
+		e.Uvar(uint64(r.Chunk))
+		e.Uvar(uint64(r.Rows))
+		e.Ivar(r.RawOff)
+		e.Ivar(r.RawLen)
 	case RecStats:
-		e.uvar(uint64(r.Chunk))
-		e.uvar(uint64(r.Col))
+		e.Uvar(uint64(r.Chunk))
+		e.Uvar(uint64(r.Col))
 		s := r.Stats
-		valid := uint8(0)
-		if s.Valid {
-			valid = 1
-		}
-		e.u8(valid)
-		e.u8(s.Type)
-		e.ivar(s.MinInt)
-		e.ivar(s.MaxInt)
-		e.f64(s.MinFloat)
-		e.f64(s.MaxFloat)
-		e.str(s.MinStr)
-		e.str(s.MaxStr)
-		e.ivar(s.Rows)
-		e.ivar(s.Distinct)
+		e.Bool(s.Valid)
+		e.U8(s.Type)
+		e.Ivar(s.MinInt)
+		e.Ivar(s.MaxInt)
+		e.F64(s.MinFloat)
+		e.F64(s.MaxFloat)
+		e.Str(s.MinStr)
+		e.Str(s.MaxStr)
+		e.Ivar(s.Rows)
+		e.Ivar(s.Distinct)
 	case RecLoaded, RecLoadedGroup:
-		e.uvar(uint64(r.Chunk))
-		e.uvar(uint64(len(r.Cols)))
+		e.Uvar(uint64(r.Chunk))
+		e.Uvar(uint64(len(r.Cols)))
 		for _, c := range r.Cols {
-			e.uvar(uint64(c))
+			e.Uvar(uint64(c))
 		}
 	case RecWorkload:
-		e.uvar(uint64(len(r.Weights)))
+		e.Uvar(uint64(len(r.Weights)))
 		for _, w := range r.Weights {
-			e.f64(w)
+			e.F64(w)
 		}
 	case RecComplete:
 	default:
 		panic(fmt.Sprintf("store: cannot encode record type %v", r.Type))
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeRecord parses a record payload. It is total: any input either
 // yields a valid record or an error, never a panic, and trailing bytes
 // beyond the record are rejected (a frame holds exactly one record).
 func DecodeRecord(p []byte) (Record, error) {
-	d := &recDecoder{buf: p}
-	r := Record{Type: RecType(d.u8())}
-	r.Table = d.str()
+	d := wire.NewDec(p, "store", "record")
+	r := Record{Type: RecType(d.U8())}
+	r.Table = d.Str()
 	switch r.Type {
 	case RecTableCreate:
-		r.RawFile = d.str()
-		r.Schema = d.str()
-		r.Fingerprint.Size = d.ivar()
-		r.Fingerprint.CRC = uint32(d.count(math.MaxUint32, "fingerprint crc"))
-		r.Fingerprint.ModTimeNs = d.ivar()
+		r.RawFile = d.Str()
+		r.Schema = d.Str()
+		r.Fingerprint.Size = d.Ivar()
+		r.Fingerprint.CRC = uint32(d.Count(math.MaxUint32, "fingerprint crc"))
+		r.Fingerprint.ModTimeNs = d.Ivar()
 	case RecChunk:
-		r.Chunk = d.count(maxChunkID, "chunk id")
-		r.Rows = d.count(maxChunkID, "row count")
-		r.RawOff = d.ivar()
-		r.RawLen = d.ivar()
+		r.Chunk = d.Count(maxChunkID, "chunk id")
+		r.Rows = d.Count(maxChunkID, "row count")
+		r.RawOff = d.Ivar()
+		r.RawLen = d.Ivar()
 	case RecStats:
-		r.Chunk = d.count(maxChunkID, "chunk id")
-		r.Col = d.count(maxCols, "column")
-		r.Stats.Valid = d.u8() != 0
-		r.Stats.Type = d.u8()
-		r.Stats.MinInt = d.ivar()
-		r.Stats.MaxInt = d.ivar()
-		r.Stats.MinFloat = d.f64()
-		r.Stats.MaxFloat = d.f64()
-		r.Stats.MinStr = d.str()
-		r.Stats.MaxStr = d.str()
-		r.Stats.Rows = d.ivar()
-		r.Stats.Distinct = d.ivar()
+		r.Chunk = d.Count(maxChunkID, "chunk id")
+		r.Col = d.Count(maxCols, "column")
+		r.Stats.Valid = d.U8() != 0
+		r.Stats.Type = d.U8()
+		r.Stats.MinInt = d.Ivar()
+		r.Stats.MaxInt = d.Ivar()
+		r.Stats.MinFloat = d.F64()
+		r.Stats.MaxFloat = d.F64()
+		r.Stats.MinStr = d.Str()
+		r.Stats.MaxStr = d.Str()
+		r.Stats.Rows = d.Ivar()
+		r.Stats.Distinct = d.Ivar()
 	case RecLoaded, RecLoadedGroup:
-		r.Chunk = d.count(maxChunkID, "chunk id")
-		n := d.count(maxCols, "column count")
-		if d.err == nil && n > 0 {
+		r.Chunk = d.Count(maxChunkID, "chunk id")
+		n := d.Count(maxCols, "column count")
+		if d.Err() == nil && n > 0 {
 			r.Cols = make([]int, 0, min(n, 64))
-			for i := 0; i < n && d.err == nil; i++ {
-				r.Cols = append(r.Cols, d.count(maxCols, "column"))
+			for i := 0; i < n && d.Err() == nil; i++ {
+				r.Cols = append(r.Cols, d.Count(maxCols, "column"))
 			}
 		}
 	case RecWorkload:
-		n := d.count(maxCols, "weight count")
-		if d.err == nil && n > 0 {
+		n := d.Count(maxCols, "weight count")
+		if d.Err() == nil && n > 0 {
 			r.Weights = make([]float64, 0, min(n, 64))
-			for i := 0; i < n && d.err == nil; i++ {
-				r.Weights = append(r.Weights, d.f64())
+			for i := 0; i < n && d.Err() == nil; i++ {
+				r.Weights = append(r.Weights, d.F64())
 			}
 		}
 	case RecComplete:
 	default:
 		return Record{}, fmt.Errorf("store: unknown record type %d", uint8(r.Type))
 	}
-	if d.err != nil {
-		return Record{}, d.err
-	}
-	if d.off != len(p) {
-		return Record{}, fmt.Errorf("store: %d trailing bytes after %v record", len(p)-d.off, r.Type)
+	if err := d.Done(); err != nil {
+		return Record{}, err
 	}
 	return r, nil
 }
 
-// Record framing: every record in a manifest file is
-//
-//	uint32 LE  payload length
-//	uint32 LE  CRC32-C of the payload
-//	payload
-//
-// The checksum localizes damage: a torn or bit-flipped record invalidates
-// itself and everything after it (the replay cannot trust record boundaries
-// past a bad frame), never anything before it.
-
-const frameHeader = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame appends one framed record payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// decodeFrames parses a sequence of framed records, stopping at the first
-// damaged frame. It returns the decoded records, the byte length of the
-// valid prefix, and whether a damaged suffix was found.
+// decodeFrames parses a sequence of framed records (wire.AppendFrame),
+// stopping at the first damaged frame. It returns the decoded records, the
+// byte length of the valid prefix, and whether a damaged suffix was found.
 func decodeFrames(p []byte) (recs []Record, validLen int, torn bool) {
 	off := 0
 	for {
 		if off == len(p) {
 			return recs, off, false
 		}
-		if len(p)-off < frameHeader {
+		if len(p)-off < wire.FrameHeaderLen {
 			return recs, off, true
 		}
-		n := int(binary.LittleEndian.Uint32(p[off:]))
-		want := binary.LittleEndian.Uint32(p[off+4:])
-		if n > maxRecordLen || len(p)-off-frameHeader < n {
+		n, want := wire.ParseFrameHeader(p[off:])
+		if n > maxRecordLen || len(p)-off-wire.FrameHeaderLen < n {
 			return recs, off, true
 		}
-		payload := p[off+frameHeader : off+frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != want {
+		payload := p[off+wire.FrameHeaderLen : off+wire.FrameHeaderLen+n]
+		if wire.Checksum(payload) != want {
 			return recs, off, true
 		}
 		r, err := DecodeRecord(payload)
@@ -400,6 +255,6 @@ func decodeFrames(p []byte) (recs []Record, validLen int, torn bool) {
 			return recs, off, true
 		}
 		recs = append(recs, r)
-		off += frameHeader + n
+		off += wire.FrameHeaderLen + n
 	}
 }

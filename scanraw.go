@@ -173,21 +173,7 @@ func Open(opts Options) *DB {
 
 // ParseSchema converts a "name:type,name:type" specification into a
 // schema. Types are int, float and string (with the usual SQL aliases).
-func ParseSchema(spec string) (*schema.Schema, error) {
-	var cols []schema.Column
-	for _, part := range strings.Split(spec, ",") {
-		name, tyName, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("scanraw: schema entry %q is not name:type", part)
-		}
-		ty, err := schema.ParseType(tyName)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, schema.Column{Name: strings.TrimSpace(name), Type: ty})
-	}
-	return schema.New(cols...)
-}
+func ParseSchema(spec string) (*schema.Schema, error) { return schema.ParseSpec(spec) }
 
 // Stage registers raw file contents as a queryable table. The schema spec
 // is "name:type,..." (see ParseSchema). Staging is instant — no parsing or
