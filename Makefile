@@ -36,8 +36,9 @@ bench-module:
 # the storage layer (checkpoint-vs-append exclusion and recovery paths in
 # store and dbstore are lock-heavy and were previously only race-tested
 # transitively), plus the byte codec under all of the persisted and
-# networked formats.
-RACE_PKGS = ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/... ./internal/wire/...
+# networked formats and the /query reply writer (an NDJSON stream takes rows
+# from consume workers while the handler may be failing it).
+RACE_PKGS = ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/... ./internal/wire/... ./internal/queryapi/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -91,7 +92,8 @@ invariants:
 # disk), the binary chunk codec, and the network-facing cluster decoders
 # (serialized engine partials and frame payloads arrive over TCP) — plus
 # the fused-kernel differential property (fused conversion equals the
-# two-stage reference, or both error). A few seconds each is enough to
+# two-stage reference, or both error) and the row encoder's (its bytes equal
+# encoding/json's for the same row). A few seconds each is enough to
 # catch structural regressions; long fuzz runs stay manual.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDec -fuzztime=5s ./internal/wire
@@ -101,6 +103,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameMessage -fuzztime=5s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFusedKernel -fuzztime=5s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeColGroupKey -fuzztime=5s ./internal/dbstore
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=5s ./internal/queryapi
 
 # bench runs the benchmark suite across the hot packages and records the
 # results in the file named by BENCH_OUT (scripts/bench.sh has the default;

@@ -257,10 +257,12 @@ func differentialQueries(seed int64) []string {
 			fmt.Sprintf("SELECT c0, SUM(c1), COUNT(*) AS n FROM data WHERE c2 > %d GROUP BY c0 HAVING n > 1", c()),
 		)
 	}
-	// Shapes with empty results: the wire must agree on those too.
+	// Shapes with empty results: the wire must agree on those too — the
+	// AVG of no rows is a null cell.
 	qs = append(qs,
 		"SELECT c0 FROM data WHERE c0 > 100000",
 		"SELECT SUM(c0) FROM data WHERE c0 > 100000",
+		"SELECT AVG(c0), COUNT(*) FROM data WHERE c0 > 100000",
 	)
 	return qs
 }

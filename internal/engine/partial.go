@@ -33,8 +33,10 @@ type Partial struct {
 	top    *topK             // non-aggregate path, bounded by LIMIT
 	done   bool
 
-	sel []int  // selection scratch, reused across chunks
-	kb  []byte // group-key scratch, reused across rows
+	sel  []int           // selection scratch, reused across chunks
+	selv *chunk.Vector   // project's WHERE result, held until releaseProjection
+	cols []*chunk.Vector // project's select-item vectors, likewise
+	kb   []byte          // group-key scratch, reused across rows
 }
 
 // prow is one buffered output row with its provenance, the tiebreaker that
@@ -269,51 +271,80 @@ func (p *Partial) consumeRows(bc *chunk.BinaryChunk, sel []int) error {
 	return nil
 }
 
-// ChunkRows evaluates the query's selection and projection over one chunk
-// and returns the qualifying rows in chunk order, leaving the partial's
-// accumulated state untouched. It is the building block of streaming
-// delivery, where rows are emitted as chunks arrive instead of being
-// buffered to the end. Only valid for non-aggregate queries; like Consume,
-// calls on the same partial must not overlap.
-func (p *Partial) ChunkRows(bc *chunk.BinaryChunk) ([][]Value, error) {
+// project evaluates the query's selection and projection over one chunk
+// into the partial's scratch: p.cols holds one vector per select item and
+// the returned sel the qualifying row ordinals in chunk order — nil when
+// all n rows qualify, otherwise n is len(sel). Whatever the outcome, the
+// caller calls releaseProjection once it is done with them.
+func (p *Partial) project(bc *chunk.BinaryChunk) (sel []int, n int, err error) {
 	if p.q.IsAggregate() {
-		return nil, fmt.Errorf("engine: ChunkRows on an aggregate query")
+		return nil, 0, fmt.Errorf("engine: row projection of an aggregate query")
 	}
-	sel, selv, err := p.selection(bc)
-	if err != nil {
-		return nil, err
+	if sel, p.selv, err = p.selection(bc); err != nil {
+		return nil, 0, err
 	}
-	defer func() {
-		if selv != nil {
-			releaseScratch(p.q.Where, selv)
-		}
-	}()
-	vecs := make([]*chunk.Vector, len(p.q.Items))
-	for i, it := range p.q.Items {
+	for _, it := range p.q.Items {
 		v, err := it.Expr.Eval(bc)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		vecs[i] = v
+		p.cols = append(p.cols, v)
 	}
-	n := bc.Rows
+	n = bc.Rows
 	if sel != nil {
 		n = len(sel)
 	}
+	return sel, n, nil
+}
+
+// releaseProjection returns project's scratch vectors to their pool.
+func (p *Partial) releaseProjection() {
+	releaseScratch(p.q.Where, p.selv)
+	for i, v := range p.cols {
+		releaseScratch(p.q.Items[i].Expr, v)
+	}
+	p.selv, p.cols = nil, p.cols[:0]
+}
+
+// ChunkVectors evaluates the query's selection and projection over one chunk
+// and hands fn the projected columns, one vector per select item, with the
+// qualifying row ordinals in chunk order: sel nil means all n rows of every
+// vector qualify, otherwise n is len(sel). It is the building block of
+// streaming delivery, where a chunk's rows go to the wire as the chunk
+// arrives — straight from the vectors, without a Value per cell. The vectors
+// and sel are the partial's scratch, valid only until fn returns; the
+// partial's accumulated state is untouched. Only valid for non-aggregate
+// queries; like Consume, calls on the same partial must not overlap.
+func (p *Partial) ChunkVectors(bc *chunk.BinaryChunk, fn func(cols []*chunk.Vector, sel []int, n int)) error {
+	sel, n, err := p.project(bc)
+	defer p.releaseProjection()
+	if err != nil {
+		return err
+	}
+	fn(p.cols, sel, n)
+	return nil
+}
+
+// ChunkRows is ChunkVectors materialized: the qualifying rows as values the
+// caller may keep.
+func (p *Partial) ChunkRows(bc *chunk.BinaryChunk) ([][]Value, error) {
+	sel, n, err := p.project(bc)
+	defer p.releaseProjection()
+	if err != nil {
+		return nil, err
+	}
+	cols := p.cols
 	out := make([][]Value, 0, n)
 	for ri := 0; ri < n; ri++ {
 		r := ri
 		if sel != nil {
 			r = sel[ri]
 		}
-		row := make([]Value, len(vecs))
-		for i, v := range vecs {
+		row := make([]Value, len(cols))
+		for i, v := range cols {
 			row[i] = valueAt(v, r)
 		}
 		out = append(out, row)
-	}
-	for i, v := range vecs {
-		releaseScratch(p.q.Items[i].Expr, v)
 	}
 	return out, nil
 }

@@ -1,0 +1,407 @@
+package queryapi
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"strings"
+	"sync"
+	"testing"
+
+	"scanraw/internal/chunk"
+	"scanraw/internal/engine"
+	"scanraw/internal/schema"
+)
+
+// jsonRow is the shape rows had on the wire before the row encoder: each
+// cell boxed for encoding/json to reflect over. It is the oracle the
+// encoder's bytes are held to, evaluated at test time so the comparison
+// follows the installed toolchain. A non-finite float, which encoding/json
+// refuses, is the encoder's null.
+func jsonRow(row []engine.Value) []any {
+	out := make([]any, len(row))
+	for i, v := range row {
+		switch v.Typ {
+		case schema.Int64:
+			out[i] = v.Int
+		case schema.Float64:
+			if !math.IsNaN(v.Float) && !math.IsInf(v.Float, 0) {
+				out[i] = v.Float
+			}
+		default:
+			out[i] = v.Str
+		}
+	}
+	return out
+}
+
+// checkRow holds appendRow to json.Marshal of the boxed row, appending into
+// a buffer that has to grow.
+func checkRow(t *testing.T, row []engine.Value) {
+	t.Helper()
+	want, err := json.Marshal(jsonRow(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := appendRow(make([]byte, 0, 8), row)
+	if !bytes.Equal(got, want) {
+		t.Errorf("row %+v:\n got %s\nwant %s", row, got, want)
+	}
+}
+
+var (
+	edgeInts   = []int64{0, 1, -1, 9, 10, 99, 100, -100, 1 << 31, -(1 << 31), 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	edgeFloats = []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 2.5, 1.0 / 3, 100, 1e6, 123456789.125,
+		1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10, 1e20, 9.99999999999e20, 1e21, -1e21, 1e22, 1e100, 1e-100,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 2.225073858507201e-308, math.MaxFloat64, -math.MaxFloat64,
+		math.MaxFloat32, math.Pi, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	edgeStrings = []string{
+		"", "plain", `say "hi"`, `back\slash`, `\"`, "<script>&amp;</script>", "a&b", "tab\there", "line\nbreak", "cr\r",
+		"\b\f", "\x00\x01\x1f", "\x7f", "héllo", "日本語", "\u2028", "x\u2029y", "\u2027\u202a", "\ufffd",
+		"\xff", "a\xffb", "\xc3", "\xe2\x80", "\xe2\x80\xa8", "\xf0\x9f\x98\x80", "\xf0\x9f\x98", "\xed\xa0\x80", "\xc0\xaf",
+		"IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII", "36M1D12M", "chr1\tread/1",
+	}
+)
+
+// TestEncodeRowMatchesEncodingJSON: for every finite cell the encoder's
+// bytes are encoding/json's, over the edges of each type, string lengths
+// across the buffer's growth steps, and random rows.
+func TestEncodeRowMatchesEncodingJSON(t *testing.T) {
+	for _, x := range edgeInts {
+		checkRow(t, []engine.Value{iv(x)})
+	}
+	for _, f := range edgeFloats {
+		checkRow(t, []engine.Value{fv(f)})
+	}
+	for _, s := range edgeStrings {
+		checkRow(t, []engine.Value{sv(s)})
+		checkRow(t, []engine.Value{iv(1), sv(s + s), fv(0.5), sv(s)})
+	}
+	checkRow(t, nil)
+	for n := 0; n < 200; n++ { // escapes landing on either side of each growth step
+		checkRow(t, []engine.Value{sv(strings.Repeat("a", n) + "\"\n<\u2028\xff" + strings.Repeat("b", n))})
+	}
+	checkRow(t, []engine.Value{sv(strings.Repeat("x\\", 5000))})
+
+	rng := rand.New(rand.NewSource(17))
+	alphabet := []string{"a", "Z", "0", " ", `"`, `\`, "<", ">", "&", "\n", "\t", "\x00", "\x1b", "\x7f", "é", "\u2028", "\u2029", "\xff", "\xe2", "\x80", "😀"}
+	for i := 0; i < 2000; i++ {
+		row := make([]engine.Value, rng.Intn(6))
+		for j := range row {
+			switch rng.Intn(3) {
+			case 0:
+				row[j] = iv(int64(rng.Uint64()) >> uint(rng.Intn(64)))
+			case 1:
+				row[j] = fv(math.Float64frombits(rng.Uint64())) // every exponent, NaNs included
+			default:
+				var sb strings.Builder
+				for k := rng.Intn(40); k > 0; k-- {
+					sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+				}
+				row[j] = sv(sb.String())
+			}
+		}
+		checkRow(t, row)
+	}
+
+	rows := [][]engine.Value{{iv(1), sv("a")}, {}, {fv(math.NaN())}}
+	want, _ := json.Marshal([][]any{jsonRow(rows[0]), jsonRow(rows[1]), jsonRow(rows[2])})
+	if got := AppendRows(nil, rows); !bytes.Equal(got, want) {
+		t.Errorf("AppendRows = %s, want %s", got, want)
+	}
+	if got := AppendRows(nil, nil); string(got) != "[]" {
+		t.Errorf("AppendRows(nil) = %s", got)
+	}
+}
+
+func FuzzEncodeRow(f *testing.F) {
+	for i, s := range edgeStrings {
+		f.Add(edgeInts[i%len(edgeInts)], edgeFloats[i%len(edgeFloats)], s)
+	}
+	f.Fuzz(func(t *testing.T, x int64, fl float64, s string) {
+		checkRow(t, []engine.Value{iv(x), fv(fl), sv(s)})
+		checkRow(t, []engine.Value{sv(s), sv(s)})
+	})
+}
+
+// mixedChunk is a chunk of n rows over (c0 int, c1 float, c2 str) whose
+// cells cycle through the edge values.
+func mixedChunk(t testing.TB, n int) (*schema.Schema, *chunk.BinaryChunk) {
+	sch := schema.MustNew(
+		schema.Column{Name: "c0", Type: schema.Int64},
+		schema.Column{Name: "c1", Type: schema.Float64},
+		schema.Column{Name: "c2", Type: schema.Str},
+	)
+	bc := chunk.NewBinary(sch, 0, n)
+	ints, floats, strs := chunk.NewVector(schema.Int64, n), chunk.NewVector(schema.Float64, n), chunk.NewVector(schema.Str, n)
+	for i := 0; i < n; i++ {
+		ints.Ints[i] = int64(i%7) - 3
+		floats.Floats[i] = edgeFloats[i%len(edgeFloats)]
+		strs.Strs[i] = edgeStrings[i%len(edgeStrings)]
+	}
+	if err := errors.Join(bc.SetColumn(0, ints), bc.SetColumn(1, floats), bc.SetColumn(2, strs)); err != nil {
+		t.Fatal(err)
+	}
+	return sch, bc
+}
+
+// TestAppendChunkMatchesRows: encoding a chunk straight from its projected
+// vectors gives the lines its materialized rows give — with every row
+// selected, with a selection, with none qualifying, and with a computed
+// (scratch-vector) column.
+func TestAppendChunkMatchesRows(t *testing.T) {
+	sch, bc := mixedChunk(t, 500)
+	for _, sql := range []string{
+		"SELECT c0, c1, c2 FROM data",
+		"SELECT c2, c0 FROM data WHERE c0 < 0",
+		"SELECT c0 + 1, c1 FROM data WHERE c0 > 1",
+		"SELECT c1 FROM data WHERE c0 > 100",
+	} {
+		q, err := engine.ParseSQL(sql, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := engine.NewPartial(q, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := p.ChunkRows(bc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, row := range rows {
+			want = append(appendRow(want, row), '\n')
+		}
+		var got []byte
+		rowsSeen := -1
+		if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, n int) {
+			got, rowsSeen = AppendChunk(nil, cols, sel, n), n
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rowsSeen != len(rows) || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d rows from vectors, %d from values; bytes equal: %v", sql, rowsSeen, len(rows), bytes.Equal(got, want))
+		}
+		if bytes.Count(got, []byte{'\n'}) != len(rows) {
+			t.Errorf("%s: %d raw newlines for %d rows", sql, bytes.Count(got, []byte{'\n'}), len(rows))
+		}
+	}
+}
+
+// TestAppendChunkAllocations: encoding a chunk from its vectors into a
+// reused buffer allocates a handful of times per chunk, not per row.
+func TestAppendChunkAllocations(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 16} {
+		sch, bc := mixedChunk(t, n)
+		q, err := engine.ParseSQL("SELECT c0, c1, c2 FROM data WHERE c0 < 2", sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := engine.NewPartial(q, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		encode := func() {
+			if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, n int) {
+				buf = AppendChunk(buf[:0], cols, sel, n)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode() // size the buffer and the partial's scratch
+		if allocs := testing.AllocsPerRun(10, encode); allocs > 8 {
+			t.Errorf("%d rows: %.0f allocations per chunk", n, allocs)
+		}
+	}
+}
+
+// TestNDJSONConcurrentWritersAndTrailer races row writers of both kinds and
+// estimate lines against the trailer: every line that made it is whole, the
+// trailer is the last line, and nothing is written after it.
+func TestNDJSONConcurrentWritersAndTrailer(t *testing.T) {
+	for _, trailer := range []string{"stats", "error"} {
+		w := newRecorder()
+		n := NewNDJSON(w)
+		n.Header([]string{"a", "b"})
+		chunkLines := bytes.Repeat([]byte("[7,\"chunk\"]\n"), 300)
+		var wg sync.WaitGroup
+		begin := make(chan struct{})
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-begin
+				for i := 0; i < 400; i++ {
+					switch g % 3 {
+					case 0:
+						n.Rows([]engine.Value{iv(int64(i)), sv("row")})
+					case 1:
+						n.RowLines(chunkLines, 300)
+					default:
+						n.Line(map[string]any{"estimate": i})
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-begin
+			n.Rows([]engine.Value{iv(-1), sv("before the trailer")})
+			if trailer == "stats" {
+				n.Stats(Stats{Policy: "speculative"})
+			} else {
+				n.Error(errors.New("shard 2 died"))
+			}
+		}()
+		close(begin)
+		wg.Wait()
+
+		got := lines(t, w.Body.String())
+		last := got[len(got)-1]
+		if !strings.HasPrefix(last, `{"`+trailer+`":`) {
+			t.Errorf("%s: last line = %s", trailer, last)
+		}
+		if !bytes.HasSuffix(w.last, []byte(last+"\n")) {
+			t.Errorf("%s: a write followed the trailer's: %q", trailer, w.last)
+		}
+		for _, l := range got[1 : len(got)-1] {
+			if strings.HasPrefix(l, `{"stats"`) || strings.HasPrefix(l, `{"error"`) {
+				t.Errorf("%s: trailer before the end", trailer)
+			}
+		}
+	}
+}
+
+// discardWriter is a response writer that drops the body.
+type discardWriter struct{ hdr http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.hdr }
+func (w discardWriter) WriteHeader(int)             {}
+func (w discardWriter) Write(p []byte) (int, error) { return io.Discard.Write(p) }
+
+// benchChunk is one 65 536-row chunk in the shape of a benchmark workload:
+// "ints", four int columns as stream_rows selects them, or "sam", the
+// string/int mix of a SAM read (qname, flag, rname, pos, mapq, cigar).
+func benchChunk(b *testing.B, shape string) (*engine.Partial, *chunk.BinaryChunk) {
+	const n = 1 << 16
+	var cols []schema.Column
+	if shape == "ints" {
+		for i := 0; i < 4; i++ {
+			cols = append(cols, schema.Column{Name: fmt.Sprintf("c%d", i), Type: schema.Int64})
+		}
+	} else {
+		for _, c := range []struct {
+			name string
+			typ  schema.Type
+		}{{"qname", schema.Str}, {"flag", schema.Int64}, {"rname", schema.Str}, {"pos", schema.Int64}, {"mapq", schema.Int64}, {"cigar", schema.Str}} {
+			cols = append(cols, schema.Column{Name: c.name, Type: c.typ})
+		}
+	}
+	sch := schema.MustNew(cols...)
+	bc := chunk.NewBinary(sch, 0, n)
+	rng := rand.New(rand.NewSource(5))
+	for i, c := range cols {
+		v := chunk.NewVector(c.Type, n)
+		for r := 0; r < n; r++ {
+			switch {
+			case c.Type == schema.Int64:
+				v.Ints[r] = rng.Int63n(1 << 30)
+			case c.Name == "qname":
+				v.Strs[r] = fmt.Sprintf("read.%d/1", r)
+			case c.Name == "rname":
+				v.Strs[r] = fmt.Sprintf("chr%d", 1+r%22)
+			default:
+				v.Strs[r] = fmt.Sprintf("%dM%dD%dM", 10+r%40, 1+r%3, 50-r%40)
+			}
+		}
+		if err := bc.SetColumn(i, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	q, err := engine.ParseSQL("SELECT "+strings.Join(names, ", ")+" FROM data", sch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := engine.NewPartial(q, sch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, bc
+}
+
+func reportMrows(b *testing.B, rowsPerOp int) {
+	b.ReportMetric(float64(rowsPerOp)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+}
+
+// BenchmarkNDJSONRows streams one chunk per iteration, materialization
+// included, through each entry point: "values" is ChunkRows then Rows,
+// "vectors" is ChunkVectors then AppendChunk into a reused buffer then
+// RowLines.
+func BenchmarkNDJSONRows(b *testing.B) {
+	for _, shape := range []string{"ints", "sam"} {
+		p, bc := benchChunk(b, shape)
+		b.Run(shape+"/values", func(b *testing.B) {
+			n := NewNDJSON(discardWriter{http.Header{}})
+			n.Header(p.Query().ColumnNames())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := p.ChunkRows(bc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n.Rows(rows...)
+			}
+			reportMrows(b, bc.Rows)
+		})
+		b.Run(shape+"/vectors", func(b *testing.B) {
+			n := NewNDJSON(discardWriter{http.Header{}})
+			n.Header(p.Query().ColumnNames())
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, rows int) {
+					buf = AppendChunk(buf[:0], cols, sel, rows)
+					n.RowLines(buf, rows)
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportMrows(b, bc.Rows)
+		})
+	}
+}
+
+// BenchmarkWriteResult encodes one materialized 65 536-row result per
+// iteration as a JSON reply.
+func BenchmarkWriteResult(b *testing.B) {
+	for _, shape := range []string{"ints", "sam"} {
+		p, bc := benchChunk(b, shape)
+		rows, err := p.ChunkRows(bc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				WriteResult(discardWriter{http.Header{}}, p.Query().ColumnNames(), rows, Stats{})
+			}
+			reportMrows(b, len(rows))
+		})
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"scanraw/internal/engine"
-	"scanraw/internal/schema"
 )
 
 // Request is the POST /query body.
@@ -73,13 +72,6 @@ type OLAStats struct {
 	Seed        int64   `json:"seed"`
 }
 
-// response is the non-streaming POST /query reply.
-type response struct {
-	Columns []string `json:"columns"`
-	Rows    [][]any  `json:"rows"`
-	Stats   Stats    `json:"stats"`
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -133,43 +125,47 @@ func WriteContextError(w http.ResponseWriter, err error) {
 	WriteError(w, statusClientClosedRequest, "query cancelled")
 }
 
-// JSONRow converts engine values into JSON-encodable scalars.
-func JSONRow(row []engine.Value) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[i] = v.Int
-		case schema.Float64:
-			out[i] = v.Float
-		default:
-			out[i] = v.Str
-		}
+// WriteResult replies with a materialized result as one JSON document,
+// {"columns":[...],"rows":[[...],...],"stats":{...}}: the rows by the row
+// encoder (encode.go), the rest by encoding/json.
+func WriteResult(w http.ResponseWriter, cols []string, rows [][]engine.Value, st Stats) {
+	head, _ := json.Marshal(cols) // strings always marshal
+	tail, err := json.Marshal(st)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding stats: %v", err)
+		return
 	}
-	return out
+	buf := append([]byte(`{"columns":`), head...)
+	buf = AppendRows(append(buf, `,"rows":`...), rows)
+	buf = append(append(append(buf, `,"stats":`...), tail...), '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf) // a dead client is the request context's business
 }
 
-// WriteResult replies with a materialized result as one JSON document.
-func WriteResult(w http.ResponseWriter, cols []string, rows [][]engine.Value, st Stats) {
-	out := make([][]any, len(rows)) // "rows":[] when empty, never null
-	for i, row := range rows {
-		out[i] = JSONRow(row)
-	}
-	WriteJSON(w, http.StatusOK, response{Columns: cols, Rows: out, Stats: st})
-}
+// flushEvery is the row cadence of an NDJSON stream: buffered rows are
+// written, and the response flushed, each time the row count passes a
+// multiple of it, so a large result streams instead of buffering.
+const flushEvery = 1024
 
 // NDJSON writes a ?stream=ndjson reply: a columns header, one line per row
 // (or per converging estimate), and a trailer that is the stats block on
 // success and an in-band error otherwise — the HTTP status is long gone by
-// then. It is safe for concurrent use: rows arrive from consume workers
-// while the handler may already be failing the stream.
+// then. Rows handed over as values are buffered across calls and written
+// every flushEvery rows, before any Line and with the trailer, so a caller
+// with one row at a time does not pay a write per row; a chunk encoded by
+// its producer (AppendChunk) is written as it is. It is safe for concurrent
+// use: rows arrive from consume workers while the handler may already be
+// failing the stream. A write to a dead client fails silently: its request
+// context ends the query.
 type NDJSON struct {
 	w http.ResponseWriter
 
 	mu      sync.Mutex
-	enc     *json.Encoder // nil until Header
+	started bool // Header is out
 	flusher http.Flusher
-	emitted int
+	buf     []byte // lines not yet written
+	emitted int    // rows so far, buffered ones included
 	closed  bool
 }
 
@@ -183,9 +179,10 @@ func (n *NDJSON) Header(cols []string) {
 	defer n.mu.Unlock()
 	n.w.Header().Set("Content-Type", "application/x-ndjson")
 	n.w.WriteHeader(http.StatusOK)
-	n.enc = json.NewEncoder(n.w)
+	n.started = true
 	n.flusher, _ = n.w.(http.Flusher)
-	_ = n.enc.Encode(map[string]any{"columns": cols})
+	n.lineLocked(map[string]any{"columns": cols})
+	n.writeLocked()
 }
 
 // Started reports whether the header is out, after which errors can only
@@ -196,24 +193,38 @@ func (n *NDJSON) Started() bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.enc != nil
+	return n.started
 }
 
-// Rows emits one line per row; rows after the trailer are dropped. A write
-// to a dead client fails silently: its request context ends the query.
+// Rows emits one line per row; rows after the trailer are dropped.
 func (n *NDJSON) Rows(rows ...[]engine.Value) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || n.enc == nil {
+	if n.closed || !n.started {
 		return
 	}
 	for _, row := range rows {
-		_ = n.enc.Encode(JSONRow(row))
-		n.emitted++
-		// Flush periodically so large results stream instead of buffering.
-		if n.flusher != nil && n.emitted%1024 == 0 {
-			n.flusher.Flush()
+		n.buf = append(appendRow(n.buf, row), '\n')
+		if n.emitted++; n.emitted%flushEvery == 0 {
+			n.writeLocked()
+			n.flushLocked()
 		}
+	}
+}
+
+// RowLines emits rows already encoded as lines (AppendChunk) in one write;
+// lines must not be touched until it returns.
+func (n *NDJSON) RowLines(lines []byte, rows int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed || !n.started {
+		return
+	}
+	n.writeLocked() // rows buffered before these come first
+	_, _ = n.w.Write(lines)
+	before := n.emitted / flushEvery
+	if n.emitted += rows; n.emitted/flushEvery != before {
+		n.flushLocked()
 	}
 }
 
@@ -222,13 +233,12 @@ func (n *NDJSON) Rows(rows ...[]engine.Value) {
 func (n *NDJSON) Line(v any) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || n.enc == nil {
+	if n.closed || !n.started {
 		return
 	}
-	_ = n.enc.Encode(v)
-	if n.flusher != nil {
-		n.flusher.Flush()
-	}
+	n.lineLocked(v)
+	n.writeLocked()
+	n.flushLocked()
 }
 
 // Stats closes the stream with the stats trailer.
@@ -237,11 +247,34 @@ func (n *NDJSON) Stats(st Stats) { n.trailer(map[string]any{"stats": st}) }
 // Error closes the stream with an in-band error line.
 func (n *NDJSON) Error(err error) { n.trailer(map[string]any{"error": err.Error()}) }
 
+// trailer writes what is buffered and v as the stream's last write.
 func (n *NDJSON) trailer(v any) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.closed = true
-	if n.enc != nil {
-		_ = n.enc.Encode(v)
+	if n.started {
+		n.lineLocked(v)
+		n.writeLocked()
+	}
+}
+
+// lineLocked buffers v as one line; a value encoding/json refuses is
+// dropped.
+func (n *NDJSON) lineLocked(v any) {
+	if line, err := json.Marshal(v); err == nil {
+		n.buf = append(append(n.buf, line...), '\n')
+	}
+}
+
+func (n *NDJSON) writeLocked() {
+	if len(n.buf) > 0 {
+		_, _ = n.w.Write(n.buf)
+		n.buf = n.buf[:0]
+	}
+}
+
+func (n *NDJSON) flushLocked() {
+	if n.flusher != nil {
+		n.flusher.Flush()
 	}
 }

@@ -1,6 +1,7 @@
 package queryapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,13 +22,21 @@ func iv(i int64) engine.Value   { return engine.Value{Typ: schema.Int64, Int: i}
 func fv(f float64) engine.Value { return engine.Value{Typ: schema.Float64, Float: f} }
 func sv(s string) engine.Value  { return engine.Value{Typ: schema.Str, Str: s} }
 
-// flushCounter is a ResponseRecorder that counts Flush calls.
+// flushCounter is a ResponseRecorder that counts Write and Flush calls and
+// keeps the bytes of the latest Write.
 type flushCounter struct {
 	*httptest.ResponseRecorder
-	flushes int
+	writes, flushes int
+	last            []byte
 }
 
 func (f *flushCounter) Flush() { f.flushes++ }
+
+func (f *flushCounter) Write(p []byte) (int, error) {
+	f.writes++
+	f.last = append(f.last[:0], p...)
+	return f.ResponseRecorder.Write(p)
+}
 
 func newRecorder() *flushCounter { return &flushCounter{ResponseRecorder: httptest.NewRecorder()} }
 
@@ -105,7 +115,9 @@ func TestNDJSONNilNeverStarted(t *testing.T) {
 }
 
 // TestNDJSONFlushCadence: Rows flushes once per 1024 rows emitted (across
-// calls), Line on every call.
+// calls) and writes no more often — whether the caller hands over batches
+// or one row at a time — an encoded chunk is one write, Line flushes on
+// every call.
 func TestNDJSONFlushCadence(t *testing.T) {
 	rec := newRecorder()
 	n := NewNDJSON(rec)
@@ -120,33 +132,89 @@ func TestNDJSONFlushCadence(t *testing.T) {
 			t.Errorf("after %d rows: %d flushes, want %d", 500*(i+1), rec.flushes, want)
 		}
 	}
+	if rec.writes > 1+2*2 { // the header, then at most two per 1024 rows
+		t.Errorf("2500 rows in batches of 500 took %d writes", rec.writes)
+	}
 	before := rec.flushes
 	n.Line(map[string]any{"estimate": 1})
 	n.Line(map[string]any{"estimate": 2})
 	if rec.flushes != before+2 {
 		t.Errorf("2 Line calls flushed %d times", rec.flushes-before)
 	}
-	if got := len(lines(t, rec.Body.String())); got != 1+2500+2 {
+	body := lines(t, rec.Body.String())
+	if len(body) != 1+2500+2 || body[2500] != `[499]` || body[2501] != `{"estimate":1}` {
+		t.Errorf("body has %d lines; rows must precede the Line that follows them", len(body))
+	}
+
+	// One row per call, as the coordinator's emit and the merge-on-emit
+	// path hand them over.
+	rec = newRecorder()
+	n = NewNDJSON(rec)
+	n.Header([]string{"a"})
+	for i := 0; i < 3*1024+7; i++ {
+		n.Rows(batch[i%len(batch)])
+	}
+	if rec.flushes != 3 || rec.writes > 1+2*3 {
+		t.Errorf("3079 rows one at a time: %d flushes (want 3), %d writes (want <= 7)", rec.flushes, rec.writes)
+	}
+	n.Stats(Stats{})
+	if got := len(lines(t, rec.Body.String())); got != 1+3*1024+7+1 {
 		t.Errorf("body has %d lines", got)
+	}
+
+	// Encoded chunks: one write each, a flush when one crosses a multiple
+	// of 1024 rows; rows buffered before a chunk come out before it.
+	rec = newRecorder()
+	n = NewNDJSON(rec)
+	n.Header([]string{"a"})
+	n.Rows(batch[7])
+	for i, want := range []int{0, 1, 1, 2} { // 1+600, 1+1200, 1+1800, 1+2400 rows
+		wantWrites := 1
+		if i == 0 {
+			wantWrites = 2 // the buffered row first
+		}
+		before := rec.writes
+		n.RowLines(bytes.Repeat([]byte("[1]\n"), 600), 600)
+		if rec.writes-before != wantWrites || rec.flushes != want {
+			t.Errorf("chunk %d: %d writes (want %d), %d flushes (want %d)", i, rec.writes-before, wantWrites, rec.flushes, want)
+		}
+	}
+	if body := lines(t, rec.Body.String()); len(body) != 1+1+2400 || body[1] != `[7]` {
+		t.Errorf("body has %d lines, first row %s", len(body), body[1])
 	}
 }
 
-// TestNDJSONNonFiniteRowDropsOnlyItself: JSON has no NaN or Inf, so such a
-// row cannot be encoded; its neighbours and the trailer must be unharmed.
-func TestNDJSONNonFiniteRowDropsOnlyItself(t *testing.T) {
+// TestNonFiniteCellIsNull: JSON has no NaN or Inf; such a cell is null on
+// every reply shape, and its row, its neighbours and the trailer are
+// unharmed.
+func TestNonFiniteCellIsNull(t *testing.T) {
+	rows := [][]engine.Value{
+		{iv(1), fv(0.5)},
+		{iv(2), fv(math.NaN())},
+		{iv(3), fv(math.Inf(1))},
+		{iv(4), fv(math.Inf(-1))},
+		{iv(5), fv(-2)},
+	}
 	rec := newRecorder()
 	n := NewNDJSON(rec)
 	n.Header([]string{"a", "b"})
-	n.Rows(
-		[]engine.Value{iv(1), fv(0.5)},
-		[]engine.Value{iv(2), fv(math.NaN())},
-		[]engine.Value{iv(3), fv(math.Inf(1))},
-		[]engine.Value{iv(4), fv(-2)},
-	)
+	n.Rows(rows...)
 	n.Stats(Stats{})
 	got := lines(t, rec.Body.String())
-	if len(got) != 4 || got[1] != `[1,0.5]` || got[2] != `[4,-2]` || !strings.HasPrefix(got[3], `{"stats":`) {
-		t.Errorf("body = %q", got)
+	want := []string{`[1,0.5]`, `[2,null]`, `[3,null]`, `[4,null]`, `[5,-2]`}
+	if len(got) != 7 || !reflect.DeepEqual(got[1:6], want) || !strings.HasPrefix(got[6], `{"stats":`) {
+		t.Errorf("ndjson body = %q", got)
+	}
+
+	rec = newRecorder()
+	WriteResult(rec, []string{"a", "b"}, rows, Stats{})
+	if body := rec.Body.String(); rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) ||
+		!strings.Contains(body, `"rows":[`+strings.Join(want, ",")+`]`) {
+		t.Errorf("json reply = %d %s", rec.Code, body)
+	}
+
+	if b, err := json.Marshal([]Float{0.25, Float(math.NaN()), Float(math.Inf(-1))}); err != nil || string(b) != `[0.25,null,null]` {
+		t.Errorf("Float marshals as %s, %v", b, err)
 	}
 }
 

@@ -59,12 +59,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	fw := cluster.NewFrameWriter(w)
 	var (
-		emitter *rowEmitter
+		emitter *rowEmitter[*valueBatch]
 		ex      scanraw.QueryConsumer
 		err     error
 	)
 	if rowsMode {
-		emitter, err = newRowEmitter(q, entry.table.Schema(), workers, er.Lo, frameSink(fw, w, er.Base))
+		emitter, err = newRowEmitter(q, entry.table.Schema(), workers, er.Lo, newFrameSink(fw, w, er.Base))
 		if err == nil {
 			p.ex, p.onSkip, p.done = emitter, emitter.markSkipped, emitter.satisfied
 			// A cancelled scan may still be delivering when this handler
@@ -141,17 +141,30 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 // frameSink is /exec's sink: one MsgRows frame per chunk, its ID shifted
 // into the global space by base, flushed so the coordinator sees rows (and
 // can cancel) without waiting for the scan to end.
-func frameSink(fw *cluster.FrameWriter, w http.ResponseWriter, base int) chunkSink {
+type frameSink struct {
+	fw      *cluster.FrameWriter
+	flusher http.Flusher // nil when the response writer cannot flush
+	base    int
+}
+
+func newFrameSink(fw *cluster.FrameWriter, w http.ResponseWriter, base int) frameSink {
 	flusher, _ := w.(http.Flusher)
-	return func(id int, rows [][]engine.Value) error {
-		if err := fw.Rows(base+id, rows); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+	return frameSink{fw: fw, flusher: flusher, base: base}
+}
+
+func (s frameSink) batch(p *engine.Partial, bc *scanraw.BinaryChunk) (*valueBatch, error) {
+	rows, err := p.ChunkRows(bc)
+	return (*valueBatch)(&rows), err
+}
+
+func (s frameSink) write(id int, b *valueBatch) error {
+	if err := s.fw.Rows(s.base+id, *b); err != nil {
+		return err
 	}
+	if s.flusher != nil {
+		s.flusher.Flush()
+	}
+	return nil
 }
 
 // shardPartial folds a shard scan's engine partials into one and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
 	"sync"
 
@@ -46,29 +47,28 @@ func (st *olaStreamer) progress(s ola.Snapshot) {
 		return
 	}
 	st.lastRel = s.MaxRel
-	rows := make([][]any, len(s.Groups))
-	bounds := make([][]any, len(s.Groups))
+	rows := make([][]engine.Value, len(s.Groups))
+	bounds := make([][]queryapi.Float, len(s.Groups))
 	for i, g := range s.Groups {
-		rows[i] = sanitizedRow(g.Values)
-		bs := make([]any, len(g.Bounds))
+		rows[i] = g.Values
+		bounds[i] = make([]queryapi.Float, len(g.Bounds))
 		for j, b := range g.Bounds {
-			bs[j] = jsonFloat(b)
+			bounds[i][j] = queryapi.Float(b)
 		}
-		bounds[i] = bs
 	}
 	st.nd.Line(estimateLine(rows, bounds, s, s.MaxRel, false))
 }
 
-// estimateLine is one estimate line. NaN/Inf (undefined estimates,
-// unbounded error) encode as null — encoding/json cannot represent them
-// and would silently drop the whole line.
-func estimateLine(rows, bounds [][]any, s ola.Snapshot, maxRel float64, final bool) map[string]any {
+// estimateLine is one estimate line. Its rows go through the row encoder
+// and its bounds by the same rule, so NaN/Inf (undefined estimates,
+// unbounded error) are null.
+func estimateLine(rows [][]engine.Value, bounds [][]queryapi.Float, s ola.Snapshot, maxRel float64, final bool) map[string]any {
 	return map[string]any{
-		"rows":           rows,
+		"rows":           json.RawMessage(queryapi.AppendRows(nil, rows)),
 		"bounds":         bounds,
 		"chunks_sampled": s.Chunks,
 		"chunks_total":   s.Total,
-		"max_rel_error":  jsonFloat(maxRel),
+		"max_rel_error":  queryapi.Float(maxRel),
 		"final":          final,
 	}
 }
@@ -84,48 +84,23 @@ func (st *olaStreamer) finish() (*engine.Result, error) {
 	}
 	last := st.runner.LastSnapshot()
 	exact := st.runner.Exact()
-	rows := make([][]any, len(res.Rows))
-	bounds := make([][]any, len(res.Rows))
+	bounds := make([][]queryapi.Float, len(res.Rows))
 	for i, row := range res.Rows {
-		rows[i] = sanitizedRow(row)
-		bs := make([]any, len(row))
-		for j := range bs {
-			switch {
-			case exact:
-				bs[j] = 0.0 // a full scan's answer has no uncertainty
-			case i < len(last.Groups) && j < len(last.Groups[i].Bounds):
-				bs[j] = jsonFloat(last.Groups[i].Bounds[j])
-			default:
-				bs[j] = 0.0
+		// Zero unless an estimate bounds the cell: a full scan's answer has
+		// no uncertainty.
+		bounds[i] = make([]queryapi.Float, len(row))
+		if !exact && i < len(last.Groups) {
+			for j, b := range last.Groups[i].Bounds {
+				if j < len(row) {
+					bounds[i][j] = queryapi.Float(b)
+				}
 			}
 		}
-		bounds[i] = bs
 	}
 	maxRel := last.MaxRel
 	if exact {
 		maxRel = 0
 	}
-	st.nd.Line(estimateLine(rows, bounds, last, maxRel, true))
+	st.nd.Line(estimateLine(res.Rows, bounds, last, maxRel, true))
 	return &engine.Result{Cols: res.Cols}, nil
-}
-
-// jsonFloat maps a float into a JSON-encodable value: NaN and ±Inf
-// become null.
-func jsonFloat(f float64) any {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil
-	}
-	return f
-}
-
-// sanitizedRow is queryapi.JSONRow with NaN/Inf floats nulled (estimate rows can
-// hold them before enough data arrives).
-func sanitizedRow(row []engine.Value) []any {
-	out := queryapi.JSONRow(row)
-	for i, v := range row {
-		if v.Typ == schema.Float64 {
-			out[i] = jsonFloat(v.Float)
-		}
-	}
-	return out
 }

@@ -482,8 +482,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			finish = olaRunner.Result
 		}
 	case nd != nil && !q.IsAggregate() && len(q.OrderBy) == 0:
-		var e *rowEmitter
-		e, err = newRowEmitter(q, sch, workers, 0, ndjsonSink(nd))
+		var e *rowEmitter[*lineBatch]
+		e, err = newRowEmitter(q, sch, workers, 0, ndjsonSink{nd})
 		if err == nil {
 			p.ex, p.onSkip, p.done = e, e.markSkipped, e.satisfied
 			finish = func() (*engine.Result, error) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -366,6 +367,37 @@ func TestNDJSONStreaming(t *testing.T) {
 	}
 	if got := int64(rows[0][0].(float64)); got != env.want {
 		t.Errorf("streamed sum = %d, want %d", got, env.want)
+	}
+}
+
+// TestEmptyAverageIsNull: AVG over no qualifying rows is NaN, which JSON
+// cannot carry; the reply is a null cell — not an empty 200, and not a
+// stream missing the aggregate's only row.
+func TestEmptyAverageIsNull(t *testing.T) {
+	env := newServerEnv(t, 128, nil, Config{}, scanraw.Config{Workers: 2})
+	const body = `{"sql": "SELECT AVG(c0), COUNT(c0) FROM data WHERE c0 < -5"}`
+	want := []any{nil, float64(0)}
+
+	status, out := postQuery(t, env, body)
+	rows, _ := out["rows"].([]any)
+	if status != http.StatusOK || len(rows) != 1 || !reflect.DeepEqual(rows[0], want) {
+		t.Errorf("json reply = %d %v, want one row %v", status, out, want)
+	}
+	if _, ok := out["stats"]; !ok {
+		t.Errorf("json reply lacks stats: %v", out)
+	}
+
+	resp, err := http.Post(env.ts.URL+"/query?stream=ndjson", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streamed, objs := readNDJSON(t, resp.Body)
+	if len(streamed) != 1 || !reflect.DeepEqual(streamed[0], want) {
+		t.Errorf("ndjson rows = %v, want one row %v", streamed, want)
+	}
+	if len(objs) != 2 || objs[1]["stats"] == nil {
+		t.Errorf("ndjson stream lacks header or stats trailer: %v", objs)
 	}
 }
 

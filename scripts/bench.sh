@@ -39,7 +39,8 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 $GO test -run xxx -bench . -benchmem -benchtime 20x -count "$COUNT" \
-    ./internal/tok/ ./internal/parse/ ./internal/kernel/ ./internal/engine/ | tee "$TMP"
+    ./internal/tok/ ./internal/parse/ ./internal/kernel/ ./internal/engine/ \
+    ./internal/queryapi/ ./internal/server/ | tee "$TMP"
 $GO test -run xxx -bench 'BenchmarkConsume|BenchmarkLimit|BenchmarkNarrowQuery' -benchtime 10x -count "$COUNT" \
     ./internal/scanraw/ | tee -a "$TMP"
 $GO test -run xxx -bench 'BenchmarkSingleNodeQuery|BenchmarkDistributedQuery' -benchtime 10x -count "$COUNT" \
