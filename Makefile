@@ -89,7 +89,7 @@ invariants:
 # Short fuzz smoke over the decoders that parse untrusted bytes — the
 # primitive decoder under all of them (random bytes against a random
 # sequence of reads), the manifest record/frame decoders (crash recovery reads whatever is on
-# disk), the binary chunk codec, and the network-facing cluster decoders
+# disk; segment records, whose numbers size a read, get a target of their own), the binary chunk codec, and the network-facing cluster decoders
 # (serialized engine partials and frame payloads arrive over TCP) — plus
 # the fused-kernel differential property (fused conversion equals the
 # two-stage reference, or both error) and the row encoder's (its bytes equal
@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDec -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrames -fuzztime=5s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameMessage -fuzztime=5s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFusedKernel -fuzztime=5s ./internal/kernel

@@ -12,10 +12,16 @@ package scanraw
 
 import (
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"scanraw/internal/bench"
+	"scanraw/internal/dbstore"
+	"scanraw/internal/engine"
+	"scanraw/internal/gen"
+	intscan "scanraw/internal/scanraw"
+	"scanraw/internal/store"
 )
 
 // benchScale keeps a single iteration in the tens of milliseconds.
@@ -307,5 +313,76 @@ func BenchmarkSuiteRender(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkColdScanFileDisk puts a number on the paper's "at no cost" claim
+// on real storage: one cold S1 (12 of 16 columns, 64 chunks through a
+// 32-chunk cache — the cold_sequence shape of benchmark/) over a fresh
+// FileDisk data-dir, with the daemon's default operator configuration and
+// the CPU-cost simulation off, under ExternalTables (nothing is written) and
+// Speculative (every converted chunk ends up loaded). ms/scan is the query's
+// wall time; the difference between the two is what loading costs the query.
+func BenchmarkColdScanFileDisk(b *testing.B) {
+	spec := gen.CSVSpec{Rows: 64 << 13, Cols: 16, Seed: 1, MaxValue: 1 << 20}
+	raw := gen.Bytes(spec)
+	fp := store.FingerprintBytes(raw)
+	cols := make([]int, 12)
+	weights := make([]float64, spec.Cols)
+	for i := range cols {
+		cols[i] = i
+		weights[i] = 1 // what the workload tracker holds once S1 is admitted
+	}
+	want := gen.SumRange(spec, cols, 0, spec.Rows)
+	for _, pol := range []struct {
+		name   string
+		policy intscan.WritePolicy
+	}{{"external", intscan.ExternalTables}, {"speculative", intscan.Speculative}} {
+		b.Run(pol.name, func(b *testing.B) {
+			var scan time.Duration
+			for i := 0; i < b.N; i++ {
+				dir := b.TempDir()
+				fd, err := store.OpenFileDisk(filepath.Join(dir, "blobs"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				man, err := store.OpenManifest(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := dbstore.OpenDurable(fd, man)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fd.Preload("raw/data.csv", raw)
+				table, err := st.EnsureTable("data", spec.Schema(), "raw/data.csv", fp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				op := intscan.New(st, table, intscan.Config{
+					Workers: 8, ChunkLines: 1 << 13, CacheChunks: 32, Policy: pol.policy,
+					Safeguard: true, CollectStats: true, Speculation: intscan.SpecPayoff,
+					ColumnWeights: func() []float64 { return weights },
+				})
+				q, err := engine.SumAllColumns(table.Schema(), "data", cols)
+				if err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				res, _, err := intscan.ExecuteQuery(op, q)
+				scan += time.Since(start)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := res.Rows[0][0].Int; got != want {
+					b.Fatalf("sum = %d, want %d", got, want)
+				}
+				op.WaitIdle()
+				if err := man.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(msOf(scan)/float64(b.N), "ms/scan")
+		})
 	}
 }

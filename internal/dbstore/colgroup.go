@@ -9,26 +9,20 @@ import (
 )
 
 // Column-group pages. A page holds the vectors of a *set* of columns of one
-// chunk, and the set is encoded in the page's blob name, so the on-disk
-// layout is self-describing: recovery learns each page's column membership
-// from the journal (RecLoadedGroup records carry the ordinals) and the page
-// name is derived deterministically from that set. The group width is a
-// store-level policy knob (SetGroupWidth): width 1 reproduces the classic
-// one-page-per-column layout, larger widths amortize per-page overhead for
-// columns that are always queried together, and width 0 stores the whole
-// chunk as a single full-width page (the layout the source paper describes,
-// kept as the benchmark baseline).
-//
-// Pages written before column groups existed (one blob per column, named by
-// the bare ordinal) replay as *legacy* singleton groups and remain readable;
-// see GroupState.Legacy.
+// chunk; the catalog learns each page's column membership and its place in a
+// segment blob from the journal (segment.go). The group width is a
+// store-level policy knob (SetGroupWidth): width 1 gives one page per column,
+// larger widths amortize per-page overhead for columns that are always
+// queried together, and width 0 stores the whole chunk as a single
+// full-width page (the layout the source paper describes, kept as the
+// benchmark baseline).
 
 // maxGroupCols bounds a decoded group's column count; mirrors the store
 // package's record limits. A key exceeding it is corruption, not data.
 const maxGroupCols = 1 << 14
 
 // EncodeColGroupKey renders a strictly-increasing list of column ordinals
-// as the compact key used in page blob names: maximal runs of consecutive
+// as the compact key used in blob names: maximal runs of consecutive
 // ordinals render as "lo-hi", singletons as the bare ordinal, joined by
 // ".". For example {0,1,2,5} encodes as "0-2.5".
 func EncodeColGroupKey(cols []int) string {
@@ -121,28 +115,28 @@ func parseKeyOrdinal(s string) (int, error) {
 	return n, nil
 }
 
-// groupPageName is the blob name of a column-group page. The "g" prefix
-// keeps the new key space disjoint from legacy per-column pages ("%04d").
-func groupPageName(table string, chunkID int, cols []int) string {
-	return fmt.Sprintf("db/%s/%08d/g%s", table, chunkID, EncodeColGroupKey(cols))
-}
-
 // encodeGroupPage serializes the listed columns of bc as one page payload:
 // a column count, then per column its ordinal, encoded-vector length, and
 // the chunk package's vector encoding. The payload is sealed with the same
 // CRC wrapper as every other page.
 func encodeGroupPage(bc *chunk.BinaryChunk, cols []int) ([]byte, error) {
 	var e wire.Enc
+	err := appendGroupPage(&e, bc, cols)
+	return e.Buf, err
+}
+
+// appendGroupPage appends encodeGroupPage's payload to e.
+func appendGroupPage(e *wire.Enc, bc *chunk.BinaryChunk, cols []int) error {
 	e.Uvar(uint64(len(cols)))
 	for _, c := range cols {
 		v := bc.Column(c)
 		if v == nil {
-			return nil, fmt.Errorf("dbstore: chunk %d column %d not present in binary chunk", bc.ID, c)
+			return fmt.Errorf("dbstore: chunk %d column %d not present in binary chunk", bc.ID, c)
 		}
 		e.Uvar(uint64(c))
 		e.Bytes(chunk.EncodeVector(v))
 	}
-	return e.Buf, nil
+	return nil
 }
 
 // groupPageCol is one column slice of a decoded group page: the ordinal and
@@ -190,7 +184,7 @@ func GroupPartition(ncols, width int) [][]int {
 }
 
 // SetGroupWidth sets the store's column-group width for subsequently
-// written pages: how many consecutive schema ordinals share one page blob.
+// written pages: how many consecutive schema ordinals share one page.
 // 1 (the default) gives one page per column; values <= 0 select full-width
 // groups (the whole chunk in a single page). Already-written pages keep
 // their recorded grouping — reads cover a request from whatever mix of
@@ -250,13 +244,9 @@ func (s *Store) GroupClosure(t *Table, cols []int) []int {
 
 // writeGroups partitions a requested column set along the store's
 // group-partition boundaries and drops groups whose columns are already
-// loaded (their pages exist; rewriting them is wasted I/O — and it is what
-// makes partial-width conversion write only the missing groups).
-func (s *Store) writeGroups(t *Table, chunkID int, cols []int) [][]int {
-	meta, ok := t.Chunk(chunkID)
-	if !ok {
-		return nil
-	}
+// loaded in meta (their pages exist; rewriting them is wasted I/O — and it
+// is what makes partial-width conversion write only the missing groups).
+func (s *Store) writeGroups(t *Table, meta *ChunkMeta, cols []int) [][]int {
 	n := t.Schema().NumColumns()
 	w := s.GroupWidth()
 	if w <= 0 || w > n {

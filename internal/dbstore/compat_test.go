@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -47,7 +48,7 @@ func writePrePR8Layout(t *testing.T, dir string) {
 		})
 		for c := 0; c < sch3.NumColumns(); c++ {
 			page := sealPage(chunk.EncodeVector(bc.Column(c)))
-			if err := fd.WriteBlob(pageName("legacy", id, c), page); err != nil {
+			if err := fd.WriteBlob(segBlob("legacy", id, barePageSeg(c)), page); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -114,9 +115,9 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestWarmStartPrePR8Fixture opens the frozen pre-colgroup directory: the
-// per-column pages must recover as legacy groups, serve byte-identical
-// data, and coexist with chunks written in the current group layout —
-// including across a checkpoint, which must preserve the legacy marking.
+// per-column pages must recover as bare one-group segments, serve
+// byte-identical data, and coexist with chunks written as segments —
+// including across a checkpoint, which must preserve the bare marking.
 func TestWarmStartPrePR8Fixture(t *testing.T) {
 	dir := t.TempDir()
 	copyTree(t, prePR8Fixture, dir)
@@ -136,8 +137,8 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 		if !ok || !meta.LoadedAll(all) {
 			t.Fatalf("chunk %d not loaded from fixture: %+v", id, meta)
 		}
-		if len(meta.Groups) == 0 || !meta.Groups[0].Legacy {
-			t.Fatalf("chunk %d groups not marked legacy: %+v", id, meta.Groups)
+		if len(meta.Groups) == 0 || !meta.Groups[0].Bare {
+			t.Fatalf("chunk %d groups not marked bare: %+v", id, meta.Groups)
 		}
 		bc, err := s.ReadChunk(tbl, id, all)
 		if err != nil {
@@ -155,8 +156,8 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 		t.Error("fixture completeness lost")
 	}
 
-	// Grow the table with the current layout: width-2 group pages next to
-	// the legacy per-column ones.
+	// Grow the table with the current layout: a segment of width-2 group
+	// pages next to the per-column blobs.
 	s.SetGroupWidth(2)
 	if err := tbl.EnsureChunk(2, 8, 200, 100); err != nil {
 		t.Fatal(err)
@@ -184,9 +185,9 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 		if !ok || !meta.LoadedAll(all) {
 			t.Fatalf("chunk %d not loaded after mixed-layout restart: %+v", id, meta)
 		}
-		wantLegacy := id < 2
-		if meta.Groups[0].Legacy != wantLegacy {
-			t.Errorf("chunk %d legacy = %v through checkpoint, want %v", id, meta.Groups[0].Legacy, wantLegacy)
+		wantBare := id < 2
+		if meta.Groups[0].Bare != wantBare {
+			t.Errorf("chunk %d bare = %v through checkpoint, want %v", id, meta.Groups[0].Bare, wantBare)
 		}
 		bc, err := s2.ReadChunk(tbl2, id, all)
 		if err != nil {
@@ -236,54 +237,66 @@ func TestWarmStartPrePR8CorruptPageInvalidates(t *testing.T) {
 }
 
 // pr15Fixture is a data directory written by the code as of PR 15, before
-// the byte codecs moved into internal/wire: checkpoint + manifest log +
-// width-2 group pages for one 4-chunk table, its workload weights and a
-// sealed fleet blob. Unlike prepr8 it is produced through the ordinary
-// write path (writePR15Layout), so the test below can also demand that the
-// current code writes the very same bytes.
+// the byte codecs moved into internal/wire and before segments: checkpoint +
+// manifest log + one width-2 group page per blob for one 4-chunk table, its
+// workload weights and a sealed fleet blob. writePR15Layout rebuilds that
+// layout by hand from the current encoders — the write path has moved on to
+// segments, the byte formats (page seal, group page, record frames) have not
+// — so the test below can still demand the very same bytes.
 const pr15Fixture = "testdata/pr15"
 
 var pr15Fleet = []byte(`{"peers":["a:1","b:2"]}`)
 
 func writePR15Layout(t *testing.T, dir string) {
 	t.Helper()
-	s, man := durableEnv(t, dir)
-	s.SetGroupWidth(2)
-	tbl, err := s.EnsureTable("t", sch3, "raw/t.csv", testFP)
+	fd, err := store.OpenFileDisk(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := func(id int) {
+	man, err := store.OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer man.Close()
+	// load writes chunk id's two group pages and returns the records the PR 15
+	// code journaled for it: geometry, statistics, one loaded-group per page.
+	load := func(id int) []store.Record {
 		bc := fullChunk(t, id, 8)
-		if err := tbl.EnsureChunk(id, 8, int64(id*100), 100); err != nil {
-			t.Fatal(err)
+		recs := []store.Record{{
+			Type: store.RecChunk, Table: "t",
+			Chunk: id, Rows: 8, RawOff: int64(id * 100), RawLen: 100,
+		}}
+		for c, st := range allStats(bc) {
+			recs = append(recs, store.Record{Type: store.RecStats, Table: "t", Chunk: id, Col: c, Stats: statsToRec(st)})
 		}
-		for c := 0; c < sch3.NumColumns(); c++ {
-			if err := tbl.SetStats(id, c, CollectStats(bc.Column(c))); err != nil {
+		for _, g := range [][]int{{0, 1}, {2}} {
+			payload, err := encodeGroupPage(bc, g)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if err := fd.WriteBlob(segBlob("t", id, groupPageSeg(g)), sealPage(payload)); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, store.Record{Type: store.RecLoadedGroup, Table: "t", Chunk: id, Cols: g})
 		}
-		if err := s.WriteChunk(tbl, bc); err != nil {
-			t.Fatal(err)
-		}
+		return recs
 	}
-	load(0)
-	load(1)
-	if err := s.SetWorkload("t", []float64{3, 0.5, 0}); err != nil {
+	ckpt := []store.Record{{
+		Type: store.RecTableCreate, Table: "t",
+		RawFile: "raw/t.csv", Schema: sch3.Spec(), Fingerprint: testFP,
+	}}
+	ckpt = append(ckpt, load(0)...)
+	ckpt = append(ckpt, load(1)...)
+	ckpt = append(ckpt, store.Record{Type: store.RecWorkload, Table: "t", Weights: []float64{3, 0.5, 0}})
+	if err := man.Checkpoint(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(); err != nil {
+	log := append(load(2), load(3)...)
+	log = append(log, store.Record{Type: store.RecComplete, Table: "t"})
+	if err := man.Append(log...); err != nil {
 		t.Fatal(err)
 	}
-	load(2)
-	load(3)
-	if err := tbl.SetComplete(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveFleetConfig(pr15Fleet); err != nil {
-		t.Fatal(err)
-	}
-	if err := man.Close(); err != nil {
+	if err := NewStore(fd).SaveFleetConfig(pr15Fleet); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,7 +325,7 @@ func readTree(t *testing.T, root string) map[string][]byte {
 // TestWarmStartPR15Fixture opens the frozen directory: every chunk must
 // recover warm — loaded, checksums intact, zero torn bytes in checkpoint
 // and log — with its data, statistics, workload and fleet blob, and the
-// current write path must reproduce the directory byte for byte.
+// current encoders must reproduce the directory byte for byte.
 func TestWarmStartPR15Fixture(t *testing.T) {
 	if os.Getenv("REGEN_GOLDEN") != "" {
 		if err := os.RemoveAll(pr15Fixture); err != nil {
@@ -372,4 +385,84 @@ func TestWarmStartPR15Fixture(t *testing.T) {
 			t.Errorf("%s: current code writes %x, fixture has %x", name, got[name], p)
 		}
 	}
+}
+
+// TestWarmStartMixedLayoutChunk splits one chunk across the layouts: columns
+// 0-1 in a PR 15 group-page blob, column 2 written by the current code into a
+// segment. The chunk must read whole, and the catalog must come back the same
+// from the journal alone and from a checkpoint (snapshotRecords → replay).
+func TestWarmStartMixedLayoutChunk(t *testing.T) {
+	dir := t.TempDir()
+	fd, err := store.OpenFileDisk(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := fullChunk(t, 0, 8)
+	payload, err := encodeGroupPage(bc, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.WriteBlob(segBlob("t", 0, groupPageSeg([]int{0, 1})), sealPage(payload)); err != nil {
+		t.Fatal(err)
+	}
+	err = man.Append(
+		store.Record{Type: store.RecTableCreate, Table: "t", RawFile: "raw/t.csv", Schema: sch3.Spec(), Fingerprint: testFP},
+		store.Record{Type: store.RecChunk, Table: "t", Chunk: 0, Rows: 8, RawLen: 100},
+		store.Record{Type: store.RecLoadedGroup, Table: "t", Chunk: 0, Cols: []int{0, 1}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, man := durableEnv(t, dir)
+	tbl, _ := s.Table("t")
+	if err := s.WriteChunk(tbl, bc); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := tbl.Chunk(0)
+	if len(want.Groups) != 2 || want.Groups[0].Seg != "g0-1" || want.Groups[1].Seg != "s2" || !want.LoadedAll(allCols3) {
+		t.Fatalf("mixed chunk = %+v", want)
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		tbl, _ := s.Table("t")
+		if rec := s.RecoveryStats(); rec.ChunksRecovered != 1 || rec.ChunksInvalidated != 0 {
+			t.Fatalf("%s: recovery = %+v", when, rec)
+		}
+		if got, _ := tbl.Chunk(0); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: catalog = %+v, want %+v", when, got, want)
+		}
+		got, err := s.ReadChunk(tbl, 0, allCols3)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for _, c := range allCols3 {
+			if !bytes.Equal(chunk.EncodeVector(got.Column(c)), chunk.EncodeVector(bc.Column(c))) {
+				t.Errorf("%s: column %d differs from what was written", when, c)
+			}
+		}
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, man = durableEnv(t, dir)
+	check("from the journal", s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, _ = durableEnv(t, dir)
+	if rp := s.RecoveryStats().Replay; rp.CheckpointRecords == 0 || rp.LogRecords != 0 {
+		t.Fatalf("replay = %+v, want everything from the checkpoint", rp)
+	}
+	check("from the checkpoint", s)
 }

@@ -7,9 +7,14 @@
 // vertically partitioned along columns represented as arrays in memory.
 // When written to disk, each column is assigned an independent set of pages
 // which can be directly mapped into the in-memory array representation."
-// Here every (table, chunk, column) triple maps to one page blob on the
-// disk, so partial loading — some columns of some chunks — needs no tuple
-// rewriting, mirroring the column-store schema-expansion argument of §2.
+// Here a page holds one column group of one chunk, sealed with its own CRC,
+// and the pages one WriteChunkColumns call produces are concatenated into a
+// single segment blob behind a single journal record (segment.go) — durable
+// operations, not bytes, are what a write costs on a real disk. The catalog
+// records where each group's page lies, so partial loading — some columns of
+// some chunks — still needs no tuple rewriting (the column-store
+// schema-expansion argument of §2) and a read transfers only the pages that
+// cover the requested columns.
 package dbstore
 
 import (
@@ -25,7 +30,7 @@ import (
 )
 
 // Journal receives a durable record for every catalog mutation. It is the
-// write-ahead half of crash safety: page blobs are written first, then the
+// write-ahead half of crash safety: a segment blob is written first, then the
 // metadata record is appended, so a replayed journal never references data
 // that is not on disk. *store.Manifest implements it; a nil journal (the
 // default, used by simulations and tests) makes the store purely in-memory.
@@ -50,21 +55,32 @@ type ChunkMeta struct {
 	Groups []GroupState
 
 	// maskKey is the table mask-index key of this chunk's current loaded
-	// set ("" while nothing is loaded); maintained by setLoadedLocked.
+	// set ("" while nothing is loaded); maintained by remaskLocked.
 	maskKey string
+	// journaled reports that the chunk's RecChunk geometry record is in the
+	// journal — appended, replayed or checkpointed. Until then the record is
+	// pending and rides in the chunk's next append (Table.journalAppend).
+	journaled bool
 }
 
-// GroupState describes one durable column-group page of a chunk: the
-// ordinals it holds, and whether it predates column-group pages. Loaded is
-// always the union of the group column sets — readers that only care
+// GroupState locates one durable column group of a chunk: the ordinals it
+// holds and the byte range of its sealed page inside a segment blob. Loaded
+// is always the union of the group column sets — readers that only care
 // whether a column is available keep using it; the group list is what maps
-// columns back to page blobs.
+// columns back to bytes on disk. Groups of one segment are contiguous in
+// ChunkMeta.Groups.
 type GroupState struct {
 	Cols []int
-	// Legacy marks groups recovered from pre-colgroup manifests (RecLoaded
-	// records), whose data lives in one page blob per column under the bare
-	// ordinal name instead of a group-keyed page.
-	Legacy bool
+	// Seg names the segment blob inside the chunk's directory; Off and Len
+	// are the sealed page's range in it. The two layouts that predate
+	// segments — one blob per column, one blob per group — are segments
+	// holding a single group at offset 0.
+	Seg string
+	Off int64
+	Len int64
+	// Bare marks a pre-colgroup page, whose payload is the column's vector
+	// alone rather than a group page.
+	Bare bool
 }
 
 // clone returns a deep copy so callers can inspect metadata without racing
@@ -73,9 +89,9 @@ func (m *ChunkMeta) clone() *ChunkMeta {
 	c := *m
 	c.Stats = append([]ColStats(nil), m.Stats...)
 	c.Loaded = append([]bool(nil), m.Loaded...)
-	c.Groups = make([]GroupState, len(m.Groups))
-	for i, g := range m.Groups {
-		c.Groups[i] = GroupState{Cols: append([]int(nil), g.Cols...), Legacy: g.Legacy}
+	c.Groups = append([]GroupState(nil), m.Groups...)
+	for i := range c.Groups {
+		c.Groups[i].Cols = append([]int(nil), c.Groups[i].Cols...)
 	}
 	return &c
 }
@@ -118,10 +134,12 @@ type Table struct {
 	// column are not tracked. Guarded by mu.
 	masks map[string]*maskCount
 
-	// journal, when non-nil, receives a record for each mutation. Appends
-	// happen after t.mu is released: the manifest serializes its own writes,
-	// and records are idempotent upserts, so replay order differing from
-	// lock-acquisition order within a chunk is harmless.
+	// journal, when non-nil, receives the records of each mutation — except
+	// chunk discovery, whose geometry record waits for the chunk's next
+	// append (ChunkMeta.journaled). Appends happen after t.mu is released:
+	// the manifest serializes its own writes, and records are idempotent
+	// upserts, so replay order differing from lock-acquisition order within
+	// a chunk is harmless.
 	journal Journal
 	// ckpt is the owning store's checkpoint lock. Mutators hold it shared
 	// across the memory-update + journal-append pair so a checkpoint (which
@@ -182,12 +200,45 @@ func (t *Table) journalLock() func() {
 	return t.ckpt.RUnlock
 }
 
-// journalAppend forwards records to the table's journal, if any.
-func (t *Table) journalAppend(recs ...store.Record) error {
+// journalAppend forwards records to the table's journal, if any, behind the
+// geometry record of every listed chunk whose RecChunk is still pending —
+// one append, so replay sees RecChunk before anything that depends on it —
+// and marks those chunks journaled once the append is durable. Entries of
+// chunks may be nil.
+func (t *Table) journalAppend(chunks []*ChunkMeta, recs ...store.Record) error {
 	if t.journal == nil {
 		return nil
 	}
-	return t.journal.Append(recs...)
+	var out []store.Record
+	t.mu.RLock()
+	for _, m := range chunks {
+		if m != nil && !m.journaled {
+			out = append(out, t.chunkRecord(m))
+		}
+	}
+	t.mu.RUnlock()
+	if out = append(out, recs...); len(out) == 0 {
+		return nil
+	}
+	if err := t.journal.Append(out...); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	for _, m := range chunks {
+		if m != nil {
+			m.journaled = true
+		}
+	}
+	t.mu.Unlock()
+	return nil
+}
+
+// chunkRecord is the chunk's geometry record. Caller holds t.mu.
+func (t *Table) chunkRecord(m *ChunkMeta) store.Record {
+	return store.Record{
+		Type: store.RecChunk, Table: t.name,
+		Chunk: m.ID, Rows: m.Rows, RawOff: m.RawOff, RawLen: m.RawLen,
+	}
 }
 
 // Name returns the table name.
@@ -204,22 +255,19 @@ func (t *Table) RawFile() string { return t.rawFile }
 func (t *Table) Fingerprint() store.Fingerprint { return t.fp }
 
 // EnsureChunk records the discovery of chunk id (its tuple count and raw
-// file extent) and returns whether the chunk was new. Re-registering an
-// existing chunk with identical geometry is a no-op; conflicting geometry
-// is an error (it would mean the raw file changed underneath us).
+// file extent). Re-registering an existing chunk with identical geometry is
+// a no-op; conflicting geometry is an error (it would mean the raw file
+// changed underneath us). Discovery alone is not journaled: the geometry
+// record rides in the first append that depends on it — the chunk's
+// statistics, its first loaded segment, or the table's completion — and a
+// checkpoint covers whatever is still pending. A crash before any of those
+// loses only what the next scan rediscovers while reading the file.
 func (t *Table) EnsureChunk(id, rows int, rawOff, rawLen int64) error {
 	defer t.journalLock()()
-	isNew, err := t.ensureChunkLocked(id, rows, rawOff, rawLen)
-	if err != nil || !isNew {
-		return err
-	}
-	return t.journalAppend(store.Record{
-		Type: store.RecChunk, Table: t.name,
-		Chunk: id, Rows: rows, RawOff: rawOff, RawLen: rawLen,
-	})
+	return t.ensureChunkLocked(id, rows, rawOff, rawLen)
 }
 
-func (t *Table) ensureChunkLocked(id, rows int, rawOff, rawLen int64) (isNew bool, err error) {
+func (t *Table) ensureChunkLocked(id, rows int, rawOff, rawLen int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.chunks) <= id {
@@ -227,10 +275,10 @@ func (t *Table) ensureChunkLocked(id, rows int, rawOff, rawLen int64) (isNew boo
 	}
 	if m := t.chunks[id]; m != nil {
 		if m.Rows != rows || m.RawOff != rawOff || m.RawLen != rawLen {
-			return false, fmt.Errorf("dbstore: chunk %d re-registered with different geometry (%d rows @%d+%d vs %d rows @%d+%d)",
+			return fmt.Errorf("dbstore: chunk %d re-registered with different geometry (%d rows @%d+%d vs %d rows @%d+%d)",
 				id, rows, rawOff, rawLen, m.Rows, m.RawOff, m.RawLen)
 		}
-		return false, nil
+		return nil
 	}
 	n := t.schema.NumColumns()
 	t.chunks[id] = &ChunkMeta{
@@ -238,7 +286,7 @@ func (t *Table) ensureChunkLocked(id, rows int, rawOff, rawLen int64) (isNew boo
 		Stats:  make([]ColStats, n),
 		Loaded: make([]bool, n),
 	}
-	return true, nil
+	return nil
 }
 
 // SetComplete marks that the raw file has been scanned end to end, so the
@@ -246,13 +294,16 @@ func (t *Table) ensureChunkLocked(id, rows int, rawOff, rawLen int64) (isNew boo
 func (t *Table) SetComplete() error {
 	defer t.journalLock()()
 	t.mu.Lock()
-	first := !t.complete
-	t.complete = true
-	t.mu.Unlock()
-	if !first {
+	if t.complete {
+		t.mu.Unlock()
 		return nil
 	}
-	return t.journalAppend(store.Record{Type: store.RecComplete, Table: t.name})
+	t.complete = true
+	chunks := append([]*ChunkMeta(nil), t.chunks...)
+	t.mu.Unlock()
+	// A complete table promises every chunk boundary: the geometry records
+	// still pending go out in the same append.
+	return t.journalAppend(chunks, store.Record{Type: store.RecComplete, Table: t.name})
 }
 
 // Complete reports whether all chunk boundaries are known.
@@ -279,89 +330,44 @@ func (t *Table) Chunk(id int) (*ChunkMeta, bool) {
 	return t.chunks[id].clone(), true
 }
 
-// SetStats records conversion-time statistics for one column of one chunk.
-func (t *Table) SetStats(id, col int, s ColStats) error {
+// SetChunkStats records conversion-time statistics for the listed columns of
+// one chunk — stats[i] describes column cols[i] — in one journal append.
+func (t *Table) SetChunkStats(id int, cols []int, stats []ColStats) error {
 	defer t.journalLock()()
-	t.mu.Lock()
-	if id < 0 || id >= len(t.chunks) || t.chunks[id] == nil {
-		t.mu.Unlock()
-		return fmt.Errorf("dbstore: SetStats on unknown chunk %d", id)
+	m, err := t.setStats(id, cols, stats)
+	if err != nil {
+		return err
 	}
-	if col < 0 || col >= len(t.chunks[id].Stats) {
-		t.mu.Unlock()
-		return fmt.Errorf("dbstore: SetStats column %d out of range", col)
+	recs := make([]store.Record, len(cols))
+	for i, c := range cols {
+		recs[i] = store.Record{
+			Type: store.RecStats, Table: t.name,
+			Chunk: id, Col: c, Stats: statsToRec(stats[i]),
+		}
 	}
-	t.chunks[id].Stats[col] = s
-	t.mu.Unlock()
-	return t.journalAppend(store.Record{
-		Type: store.RecStats, Table: t.name,
-		Chunk: id, Col: col, Stats: statsToRec(s),
-	})
+	return t.journalAppend([]*ChunkMeta{m}, recs...)
 }
 
-// markLoadedGroups records that the listed column groups of a chunk were
-// stored as page blobs, one group per page. The journal records are
-// appended only after this point, i.e. after the page blobs are already
-// durable — the data-before-metadata ordering recovery relies on. Legacy
-// marks pre-colgroup per-column pages: each column becomes its own
-// singleton group read under the bare-ordinal page name, and the journal
-// record keeps the RecLoaded type so a checkpointed manifest stays
-// readable by the layout that wrote the pages.
-func (t *Table) markLoadedGroups(id int, groups [][]int, legacy bool) error {
-	defer t.journalLock()()
+// setStats is the in-memory half of SetChunkStats, shared with replay.
+func (t *Table) setStats(id int, cols []int, stats []ColStats) (*ChunkMeta, error) {
+	if len(cols) != len(stats) {
+		return nil, fmt.Errorf("dbstore: SetChunkStats given %d columns and %d statistics", len(cols), len(stats))
+	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if id < 0 || id >= len(t.chunks) || t.chunks[id] == nil {
-		t.mu.Unlock()
-		return fmt.Errorf("dbstore: markLoaded on unknown chunk %d", id)
+		return nil, fmt.Errorf("dbstore: SetChunkStats on unknown chunk %d", id)
 	}
 	m := t.chunks[id]
-	var recs []store.Record
-	for _, cols := range groups {
-		for _, c := range cols {
-			if c < 0 || c >= len(m.Loaded) {
-				t.mu.Unlock()
-				return fmt.Errorf("dbstore: markLoaded column %d out of range", c)
-			}
-		}
-		if legacy {
-			for _, c := range cols {
-				t.addGroupLocked(m, []int{c}, true)
-			}
-			recs = append(recs, store.Record{
-				Type: store.RecLoaded, Table: t.name,
-				Chunk: id, Cols: append([]int(nil), cols...),
-			})
-			continue
-		}
-		if t.addGroupLocked(m, cols, false) {
-			recs = append(recs, store.Record{
-				Type: store.RecLoadedGroup, Table: t.name,
-				Chunk: id, Cols: append([]int(nil), cols...),
-			})
-		}
-	}
-	t.remaskLocked(m)
-	t.mu.Unlock()
-	if len(recs) == 0 {
-		return nil
-	}
-	return t.journalAppend(recs...)
-}
-
-// addGroupLocked registers one group on a chunk, deduplicating by column
-// set, and flips the loaded bits. Caller holds t.mu and re-masks after.
-func (t *Table) addGroupLocked(m *ChunkMeta, cols []int, legacy bool) (added bool) {
-	key := EncodeColGroupKey(cols)
-	for _, g := range m.Groups {
-		if EncodeColGroupKey(g.Cols) == key {
-			return false
-		}
-	}
-	m.Groups = append(m.Groups, GroupState{Cols: append([]int(nil), cols...), Legacy: legacy})
 	for _, c := range cols {
-		m.Loaded[c] = true
+		if c < 0 || c >= len(m.Stats) {
+			return nil, fmt.Errorf("dbstore: SetChunkStats column %d out of range", c)
+		}
 	}
-	return true
+	for i, c := range cols {
+		m.Stats[c] = stats[i]
+	}
+	return m, nil
 }
 
 // EstimateRangeRows estimates how many tuples have column col in [lo, hi],
@@ -531,7 +537,7 @@ func (s *Store) createTable(name string, sch *schema.Schema, rawFile string, fp 
 	s.tables[name] = t
 	s.mu.Unlock()
 	defer t.journalLock()()
-	if err := t.journalAppend(store.Record{
+	if err := t.journalAppend(nil, store.Record{
 		Type: store.RecTableCreate, Table: name,
 		RawFile: rawFile, Schema: sch.Spec(), Fingerprint: fp,
 	}); err != nil {
@@ -578,13 +584,10 @@ func (s *Store) DropTable(name string) {
 
 func pagePrefix(table string) string { return fmt.Sprintf("db/%s/", table) }
 
-func pageName(table string, chunkID, col int) string {
-	return fmt.Sprintf("db/%s/%08d/%04d", table, chunkID, col)
-}
-
 // Pages carry a CRC32-C checksum so silent corruption on the storage
 // device is detected at read time instead of surfacing as wrong query
-// answers.
+// answers. Each group page of a segment is sealed on its own, so damage
+// costs the groups it touches and nothing else.
 
 // sealPage prefixes the payload with its checksum.
 func sealPage(payload []byte) []byte {
@@ -603,147 +606,6 @@ func openPage(p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("dbstore: page checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return payload, nil
-}
-
-// readPage reads a sealed blob and returns its verified payload.
-func (s *Store) readPage(blob string) ([]byte, error) {
-	p, err := s.disk.ReadBlob(blob)
-	if err != nil {
-		return nil, fmt.Errorf("dbstore: reading %s: %w", blob, err)
-	}
-	payload, err := openPage(p)
-	if err != nil {
-		return nil, fmt.Errorf("dbstore: %s: %w", blob, err)
-	}
-	return payload, nil
-}
-
-// WriteChunkColumns stores the listed columns of binary chunk bc as
-// column-group pages and marks them loaded in the catalog. The chunk must
-// already be registered via EnsureChunk. The columns are partitioned along
-// the store's group-width boundaries; groups whose columns are all already
-// loaded are skipped — a partially-loaded chunk writes only its missing
-// groups. This is the WRITE stage's storage operation; the disk's write
-// throttle models its I/O cost.
-func (s *Store) WriteChunkColumns(t *Table, bc *chunk.BinaryChunk, cols []int) error {
-	if meta, ok := t.Chunk(bc.ID); !ok {
-		return fmt.Errorf("dbstore: chunk %d not registered in table %q", bc.ID, t.Name())
-	} else if meta.Rows != bc.Rows {
-		return fmt.Errorf("dbstore: chunk %d has %d rows, catalog says %d", bc.ID, bc.Rows, meta.Rows)
-	}
-	groups := s.writeGroups(t, bc.ID, cols)
-	for _, g := range groups {
-		payload, err := encodeGroupPage(bc, g)
-		if err != nil {
-			return err
-		}
-		if err := s.disk.WriteBlob(groupPageName(t.Name(), bc.ID, g), sealPage(payload)); err != nil {
-			return fmt.Errorf("dbstore: writing chunk %d group %s: %w", bc.ID, EncodeColGroupKey(g), err)
-		}
-	}
-	if err := t.markLoadedGroups(bc.ID, groups, false); err != nil {
-		return err
-	}
-	return s.MaybeCheckpoint()
-}
-
-// WriteChunk stores every present column of bc.
-func (s *Store) WriteChunk(t *Table, bc *chunk.BinaryChunk) error {
-	return s.WriteChunkColumns(t, bc, bc.Present())
-}
-
-// ReadChunk reads the listed columns of chunk id from the database into a
-// binary chunk. Every requested column must be loaded; the read is served
-// from a greedy cover of the chunk's recorded column groups, so any mix of
-// widths — legacy per-column pages, narrow groups, a full-width page — can
-// satisfy it, and only covering pages are transferred.
-func (s *Store) ReadChunk(t *Table, id int, cols []int) (*chunk.BinaryChunk, error) {
-	meta, ok := t.Chunk(id)
-	if !ok {
-		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", id, t.Name())
-	}
-	if !meta.LoadedAll(cols) {
-		return nil, fmt.Errorf("dbstore: chunk %d does not have all of columns %v loaded", id, cols)
-	}
-	need := make(map[int]bool, len(cols))
-	for _, c := range cols {
-		need[c] = true
-	}
-	bc := chunk.NewBinary(t.Schema(), id, meta.Rows)
-	// Greedy cover: repeatedly read the group contributing the most still-
-	// needed columns. LoadedAll guarantees the union of groups covers the
-	// request, so every iteration makes progress.
-	for len(need) > 0 {
-		var best GroupState
-		bestGain := 0
-		for _, g := range meta.Groups {
-			gain := 0
-			for _, c := range g.Cols {
-				if need[c] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = g, gain
-			}
-		}
-		if bestGain == 0 {
-			return nil, fmt.Errorf("dbstore: chunk %d groups do not cover columns %v", id, cols)
-		}
-		if err := s.readGroup(t, id, best, need, bc); err != nil {
-			return nil, err
-		}
-		for _, c := range best.Cols {
-			delete(need, c)
-		}
-	}
-	return bc, nil
-}
-
-// readGroup reads one recorded group's page blob(s) and installs the
-// still-needed columns into bc.
-func (s *Store) readGroup(t *Table, id int, g GroupState, need map[int]bool, bc *chunk.BinaryChunk) error {
-	if g.Legacy {
-		for _, c := range g.Cols {
-			if !need[c] {
-				continue
-			}
-			payload, err := s.readPage(pageName(t.Name(), id, c))
-			if err != nil {
-				return err
-			}
-			v, err := chunk.DecodeVector(payload)
-			if err != nil {
-				return fmt.Errorf("dbstore: decoding chunk %d column %d: %w", id, c, err)
-			}
-			if err := bc.SetColumn(c, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	key := EncodeColGroupKey(g.Cols)
-	payload, err := s.readPage(groupPageName(t.Name(), id, g.Cols))
-	if err != nil {
-		return err
-	}
-	pcols, err := decodeGroupPage(payload)
-	if err != nil {
-		return fmt.Errorf("dbstore: chunk %d group %s: %w", id, key, err)
-	}
-	for _, pc := range pcols {
-		if !need[pc.col] {
-			continue
-		}
-		v, err := chunk.DecodeVector(pc.enc)
-		if err != nil {
-			return fmt.Errorf("dbstore: decoding chunk %d group %s column %d: %w", id, key, pc.col, err)
-		}
-		if err := bc.SetColumn(pc.col, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Scan is the heap-scan operator: it iterates the loaded chunks of a table
@@ -813,6 +675,12 @@ func (s *Store) LoadFleetConfig() (data []byte, ok bool, err error) {
 	if !s.disk.Exists(fleetBlob) {
 		return nil, false, nil
 	}
-	data, err = s.readPage(fleetBlob)
-	return data, err == nil, err
+	p, err := s.disk.ReadBlob(fleetBlob)
+	if err != nil {
+		return nil, false, fmt.Errorf("dbstore: reading %s: %w", fleetBlob, err)
+	}
+	if data, err = openPage(p); err != nil {
+		return nil, false, fmt.Errorf("dbstore: %s: %w", fleetBlob, err)
+	}
+	return data, true, nil
 }

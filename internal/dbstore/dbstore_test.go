@@ -278,13 +278,18 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 	if err := s.WriteChunk(tbl, fullChunk(t, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte of the stored page.
-	name := groupPageName("t", 0, []int{0})
+	// Flip the last byte of column 0's page inside the chunk's segment.
+	meta, _ := tbl.Chunk(0)
+	g := meta.Groups[0]
+	if len(g.Cols) != 1 || g.Cols[0] != 0 {
+		t.Fatalf("first group = %+v, want column 0 alone", g)
+	}
+	name := segBlob("t", 0, g.Seg)
 	p, err := s.Disk().ReadBlob(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p[len(p)-1] ^= 0xFF
+	p[g.Off+g.Len-1] ^= 0xFF
 	s.Disk().Preload(name, p)
 	if _, err := s.ReadChunk(tbl, 0, []int{0}); err == nil {
 		t.Fatal("corrupted page should fail the checksum")
@@ -295,10 +300,10 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 	if _, err := s.ReadChunk(tbl, 0, []int{1, 2}); err != nil {
 		t.Errorf("untouched columns failed: %v", err)
 	}
-	// Truncated page.
+	// Truncated segment.
 	s.Disk().Preload(name, []byte{1, 2})
 	if _, err := s.ReadChunk(tbl, 0, []int{0}); err == nil {
-		t.Error("truncated page should fail")
+		t.Error("truncated segment should fail")
 	}
 }
 
@@ -319,7 +324,7 @@ func TestConcurrentCatalogUpdates(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := tbl.SetStats(id, 0, CollectStats(bc.Column(0))); err != nil {
+			if err := tbl.SetChunkStats(id, []int{0}, []ColStats{CollectStats(bc.Column(0))}); err != nil {
 				t.Error(err)
 			}
 		}(id)
@@ -338,13 +343,16 @@ func TestConcurrentCatalogUpdates(t *testing.T) {
 
 func TestSetStatsErrors(t *testing.T) {
 	_, tbl := newTestStore(t)
-	if err := tbl.SetStats(0, 0, ColStats{}); err == nil {
+	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{{}}); err == nil {
 		t.Error("stats on unknown chunk should fail")
 	}
 	if err := tbl.EnsureChunk(0, 1, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.SetStats(0, 9, ColStats{}); err == nil {
+	if err := tbl.SetChunkStats(0, []int{9}, []ColStats{{}}); err == nil {
 		t.Error("stats on out-of-range column should fail")
+	}
+	if err := tbl.SetChunkStats(0, []int{0, 1}, []ColStats{{}}); err == nil {
+		t.Error("two columns with one statistic should fail")
 	}
 }

@@ -17,9 +17,11 @@ import (
 //     upserts; a RecTableCreate whose schema or fingerprint differs from the
 //     live table resets the table, which is how a changed raw file discards
 //     stale persisted state mid-log.
-//  3. Verify every loaded column's page blob (existence + CRC). A missing or
-//     damaged page clears just that loaded bit — the chunk re-converts from
-//     raw on the next scan; nothing else is lost.
+//  3. Verify every recorded group: one read per segment blob, then a range
+//     and CRC check per group page in it. A damaged page drops just that
+//     group's loaded bits, a missing or short blob the groups it no longer
+//     holds — those columns re-convert from raw on the next scan; nothing
+//     else is lost.
 //  4. Attach the journal, so new mutations append.
 //
 // Only after all four steps is the store handed to the serving layer.
@@ -46,7 +48,7 @@ type RecoveryReport struct {
 }
 
 // OpenDurable builds a Store on disk d by replaying the manifest, verifying
-// recovered page blobs, and attaching the manifest as the store's journal.
+// recovered segments, and attaching the manifest as the store's journal.
 func OpenDurable(d store.Disk, man *store.Manifest) (*Store, error) {
 	start := time.Now()
 	s := NewStore(d)
@@ -58,7 +60,7 @@ func OpenDurable(d store.Disk, man *store.Manifest) (*Store, error) {
 	for _, r := range recs {
 		s.applyRecord(r, &rep)
 	}
-	s.verifyPages(&rep)
+	s.verifySegments(&rep)
 	rep.TablesRecovered = len(s.tables)
 	for _, t := range s.tables {
 		rep.ChunksRecovered += countLoadedChunks(t)
@@ -113,19 +115,28 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 	}
 	switch r.Type {
 	case store.RecChunk:
-		if _, err := t.ensureChunkLocked(r.Chunk, r.Rows, r.RawOff, r.RawLen); err != nil {
+		if err := t.ensureChunkLocked(r.Chunk, r.Rows, r.RawOff, r.RawLen); err != nil {
 			rep.ChunksInvalidated++
+		} else {
+			t.chunks[r.Chunk].journaled = true
 		}
 	case store.RecStats:
-		_ = t.SetStats(r.Chunk, r.Col, statsFromRec(r.Stats))
+		_, _ = t.setStats(r.Chunk, []int{r.Col}, []ColStats{statsFromRec(r.Stats)})
 	case store.RecLoaded:
-		// Pre-colgroup manifests: one page blob per column, named by the
-		// bare ordinal. Replays as legacy singleton groups.
-		//lint:ignore journalorder recovery replay: the original append already proved the pages durable, the journal is nil until attached after replay, and verifyPages drops any page that fails its CRC
-		_ = t.markLoadedGroups(r.Chunk, [][]int{r.Cols}, true)
+		// Pre-colgroup manifests: one blob per column, named by the bare
+		// ordinal, holding the column's vector alone.
+		for _, c := range r.Cols {
+			_, _ = t.addSegment(r.Chunk, []GroupState{{Cols: []int{c}, Seg: barePageSeg(c), Len: wholeBlob, Bare: true}})
+		}
 	case store.RecLoadedGroup:
-		//lint:ignore journalorder recovery replay: same as above — re-applying a loaded record writes no page, and verifyPages re-checks every blob before serving
-		_ = t.markLoadedGroups(r.Chunk, [][]int{r.Cols}, false)
+		// PR 8–17 manifests: one blob per group page, named by its columns.
+		_, _ = t.addSegment(r.Chunk, []GroupState{{Cols: r.Cols, Seg: groupPageSeg(r.Cols), Len: wholeBlob}})
+	case store.RecSegment:
+		groups := make([]GroupState, len(r.Groups))
+		for i, g := range r.Groups {
+			groups[i] = GroupState{Cols: g.Cols, Seg: r.Seg, Off: g.Off, Len: g.Len}
+		}
+		_, _ = t.addSegment(r.Chunk, groups)
 	case store.RecWorkload:
 		if len(r.Weights) == t.schema.NumColumns() {
 			s.workloads[r.Table] = append([]float64(nil), r.Weights...)
@@ -135,62 +146,48 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 	}
 }
 
-// verifyPages checks every recorded group's page blob(s) and drops groups
-// whose pages are missing or fail their checksum — their columns silently
-// fall back to conversion from raw. Runs single-threaded before the store
-// is handed to the serving layer.
-func (s *Store) verifyPages(rep *RecoveryReport) {
+// verifySegments checks every recorded group against the bytes on disk —
+// one read per segment blob (a chunk's groups of one segment are contiguous),
+// then a range and CRC check per group page — and drops the groups that fail:
+// their columns silently fall back to conversion from raw. A replayed
+// pre-segment group learns its page's length here. Runs single-threaded
+// before the store is handed to the serving layer.
+func (s *Store) verifySegments(rep *RecoveryReport) {
 	for _, t := range s.tables {
 		for _, m := range t.chunks {
 			if m == nil {
 				continue
 			}
-			damaged := false
+			var seg string
+			var blob []byte
 			kept := m.Groups[:0]
 			for _, g := range m.Groups {
-				if s.groupOK(t.name, m.ID, g) {
-					kept = append(kept, g)
-				} else {
-					damaged = true
+				if g.Seg != seg {
+					var err error
+					if blob, err = s.disk.ReadBlob(segBlob(t.name, m.ID, g.Seg)); err != nil {
+						blob = nil // missing: every group in it fails the range check
+					}
+					seg = g.Seg
 				}
+				if g.Len == wholeBlob {
+					g.Len = int64(len(blob)) - g.Off
+				}
+				if g.Off < 0 || g.Len < 0 || g.Off+g.Len > int64(len(blob)) {
+					continue
+				}
+				if _, err := openPage(blob[g.Off : g.Off+g.Len]); err != nil {
+					continue
+				}
+				kept = append(kept, g)
 			}
-			if !damaged {
+			if len(kept) == len(m.Groups) {
 				continue
 			}
 			m.Groups = kept
-			for c := range m.Loaded {
-				m.Loaded[c] = false
-			}
-			for _, g := range m.Groups {
-				for _, c := range g.Cols {
-					m.Loaded[c] = true
-				}
-			}
-			t.remaskLocked(m)
+			t.reloadLocked(m)
 			rep.ChunksInvalidated++
 		}
 	}
-}
-
-// groupOK reports whether a group's page blob(s) exist and pass their CRC:
-// the single group-keyed page, or — for legacy groups — one bare-ordinal
-// page per column.
-func (s *Store) groupOK(table string, chunkID int, g GroupState) bool {
-	if !g.Legacy {
-		return s.pageOK(groupPageName(table, chunkID, g.Cols))
-	}
-	for _, c := range g.Cols {
-		if !s.pageOK(pageName(table, chunkID, c)) {
-			return false
-		}
-	}
-	return true
-}
-
-// pageOK reports whether the named page blob exists and passes its CRC.
-func (s *Store) pageOK(blob string) bool {
-	_, err := s.readPage(blob)
-	return err == nil
 }
 
 // countLoadedChunks counts chunks with at least one loaded column.
@@ -237,7 +234,20 @@ func (s *Store) Checkpoint() error {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	return j.Checkpoint(s.snapshotRecords())
+	if err := j.Checkpoint(s.snapshotRecords()); err != nil {
+		return err
+	}
+	// The snapshot carried every chunk's geometry: none is pending any more.
+	for _, t := range s.Tables() {
+		t.mu.Lock()
+		for _, m := range t.chunks {
+			if m != nil {
+				m.journaled = true
+			}
+		}
+		t.mu.Unlock()
+	}
+	return nil
 }
 
 // MaybeCheckpoint compacts when the journal has accumulated enough records
@@ -267,10 +277,7 @@ func (s *Store) snapshotRecords() []store.Record {
 			if m == nil {
 				continue
 			}
-			recs = append(recs, store.Record{
-				Type: store.RecChunk, Table: t.name,
-				Chunk: m.ID, Rows: m.Rows, RawOff: m.RawOff, RawLen: m.RawLen,
-			})
+			recs = append(recs, t.chunkRecord(m))
 			for c, st := range m.Stats {
 				if st.Valid {
 					recs = append(recs, store.Record{
@@ -279,25 +286,26 @@ func (s *Store) snapshotRecords() []store.Record {
 					})
 				}
 			}
-			// Legacy groups re-snapshot as one RecLoaded so replay keeps
-			// resolving them to bare-ordinal page names; each group page
-			// keeps its own RecLoadedGroup.
-			var legacy []int
-			for _, g := range m.Groups {
-				if g.Legacy {
-					legacy = append(legacy, g.Cols...)
+			// One RecSegment per segment (its groups are contiguous). Bare
+			// pages re-snapshot as one RecLoaded: the record type is what
+			// says their payload is a lone vector.
+			var bare []int
+			for i, g := range m.Groups {
+				if g.Bare {
+					bare = append(bare, g.Cols...)
 					continue
 				}
-				recs = append(recs, store.Record{
-					Type: store.RecLoadedGroup, Table: t.name,
-					Chunk: m.ID, Cols: append([]int(nil), g.Cols...),
-				})
+				if i == 0 || m.Groups[i-1].Seg != g.Seg {
+					recs = append(recs, store.Record{Type: store.RecSegment, Table: t.name, Chunk: m.ID, Seg: g.Seg})
+				}
+				seg := &recs[len(recs)-1]
+				seg.Groups = append(seg.Groups, store.SegGroup{Cols: append([]int(nil), g.Cols...), Off: g.Off, Len: g.Len})
 			}
-			if len(legacy) > 0 {
-				sort.Ints(legacy)
+			if len(bare) > 0 {
+				sort.Ints(bare)
 				recs = append(recs, store.Record{
 					Type: store.RecLoaded, Table: t.name,
-					Chunk: m.ID, Cols: legacy,
+					Chunk: m.ID, Cols: bare,
 				})
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 	"scanraw/internal/store"
 )
@@ -31,6 +32,17 @@ func durableEnv(t *testing.T, dir string) (*Store, *store.Manifest) {
 
 var testFP = store.Fingerprint{Size: 999, CRC: 0x1234, ModTimeNs: 7}
 
+var allCols3 = []int{0, 1, 2}
+
+// allStats collects the statistics of every column of a sch3 chunk.
+func allStats(bc *chunk.BinaryChunk) []ColStats {
+	stats := make([]ColStats, len(allCols3))
+	for i, c := range allCols3 {
+		stats[i] = CollectStats(bc.Column(c))
+	}
+	return stats
+}
+
 // populate stages a table and loads two full chunks plus stats through the
 // normal write path.
 func populate(t *testing.T, s *Store) *Table {
@@ -44,10 +56,8 @@ func populate(t *testing.T, s *Store) *Table {
 		if err := tbl.EnsureChunk(id, 8, int64(id*100), 100); err != nil {
 			t.Fatal(err)
 		}
-		for c := 0; c < sch3.NumColumns(); c++ {
-			if err := tbl.SetStats(id, c, CollectStats(bc.Column(c))); err != nil {
-				t.Fatal(err)
-			}
+		if err := tbl.SetChunkStats(id, allCols3, allStats(bc)); err != nil {
+			t.Fatal(err)
 		}
 		if err := s.WriteChunk(tbl, bc); err != nil {
 			t.Fatal(err)
@@ -124,12 +134,23 @@ func TestDurableCheckpointEquivalence(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint mutation lands in the (now empty) log.
+	// Post-checkpoint mutations land in the (now empty) log: discovering a
+	// chunk journals nothing by itself, its geometry record rides with the
+	// statistics — and the already-checkpointed chunks' records do not.
 	if err := tbl.EnsureChunk(2, 4, 200, 50); err != nil {
 		t.Fatal(err)
 	}
-	if n := man.AppendsSinceCheckpoint(); n != 1 {
-		t.Errorf("appends since checkpoint = %d", n)
+	if n := man.AppendsSinceCheckpoint(); n != 0 {
+		t.Errorf("discovery alone appended %d records", n)
+	}
+	if err := tbl.SetChunkStats(2, []int{0}, []ColStats{{Valid: true, Rows: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SetChunkStats(1, []int{0}, []ColStats{CollectStats(fullChunk(t, 1, 8).Column(0))}); err != nil {
+		t.Fatal(err)
+	}
+	if n := man.AppendsSinceCheckpoint(); n != 3 {
+		t.Errorf("appends since checkpoint = %d, want chunk + stats + stats", n)
 	}
 	if err := man.Close(); err != nil {
 		t.Fatal(err)
@@ -185,17 +206,22 @@ func TestDurableFingerprintChangeInvalidates(t *testing.T) {
 func TestDurablePageBitFlipInvalidatesChunk(t *testing.T) {
 	dir := t.TempDir()
 	s, man := durableEnv(t, dir)
-	populate(t, s)
+	tbl := populate(t, s)
 	if err := man.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt chunk 1, column 0's page on the real filesystem.
-	page := filepath.Join(dir, "blobs", "db", "t", "00000001", "g0")
+	// Corrupt chunk 1, column 0's page inside the chunk's segment file.
+	m1, _ := tbl.Chunk(1)
+	g := m1.Groups[0]
+	if len(g.Cols) != 1 || g.Cols[0] != 0 {
+		t.Fatalf("first group = %+v, want column 0 alone", g)
+	}
+	page := filepath.Join(dir, "blobs", "db", "t", "00000001", g.Seg)
 	raw, err := os.ReadFile(page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x01
+	raw[g.Off+g.Len/2] ^= 0x01
 	if err := os.WriteFile(page, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +232,7 @@ func TestDurablePageBitFlipInvalidatesChunk(t *testing.T) {
 		t.Fatal("table missing")
 	}
 	m0, _ := tbl2.Chunk(0)
-	m1, _ := tbl2.Chunk(1)
+	m1, _ = tbl2.Chunk(1)
 	if !m0.LoadedAll([]int{0, 1, 2}) {
 		t.Errorf("undamaged chunk 0 lost its pages: %+v", m0.Loaded)
 	}
@@ -229,25 +255,48 @@ func TestDurablePageBitFlipInvalidatesChunk(t *testing.T) {
 	}
 }
 
-// TestDurableMissingPageInvalidates deletes a page file outright.
+// TestDurableMissingPageInvalidates deletes a segment file outright: every
+// group it held is dropped, the chunk's other segment and the other chunk
+// stay warm.
 func TestDurableMissingPageInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	s, man := durableEnv(t, dir)
-	populate(t, s)
+	tbl, err := s.EnsureTable("t", sch3, "raw/t.csv", testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 2; id++ {
+		bc := fullChunk(t, id, 8)
+		if err := tbl.EnsureChunk(id, 8, int64(id*100), 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteChunkColumns(tbl, bc, []int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteChunkColumns(tbl, bc, []int{2}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := man.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "blobs", "db", "t", "00000000", "g2")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "blobs", "db", "t", "00000000", "s0-1")); err != nil {
 		t.Fatal(err)
 	}
 	s2, _ := durableEnv(t, dir)
 	tbl2, _ := s2.Table("t")
 	m0, _ := tbl2.Chunk(0)
-	if m0.Loaded[2] {
-		t.Error("missing page still marked loaded")
+	if m0.Loaded[0] || m0.Loaded[1] {
+		t.Errorf("columns of the missing segment still marked loaded: %+v", m0.Loaded)
 	}
-	if !m0.Loaded[0] || !m0.Loaded[1] {
-		t.Errorf("other columns dropped: %+v", m0.Loaded)
+	if !m0.Loaded[2] {
+		t.Errorf("the chunk's other segment dropped: %+v", m0.Loaded)
+	}
+	if m1, _ := tbl2.Chunk(1); !m1.LoadedAll(allCols3) {
+		t.Errorf("untouched chunk dropped: %+v", m1.Loaded)
+	}
+	if rec := s2.RecoveryStats(); rec.ChunksRecovered != 2 || rec.ChunksInvalidated != 1 {
+		t.Errorf("recovery = %+v", rec)
 	}
 }
 
@@ -336,9 +385,8 @@ func TestDurableSchemaSpecRoundTrip(t *testing.T) {
 }
 
 // TestDurableTornColGroupRecord injects the crash window the
-// data-before-metadata ordering leaves open: a column-group page reaches
-// the disk but the process dies before its RecLoadedGroup record is
-// appended. On restart the orphaned page must simply not exist as far as
+// data-before-metadata ordering leaves open: a segment reaches the disk but
+// the process dies before its RecSegment record is appended. On restart the orphaned page must simply not exist as far as
 // the catalog is concerned — the chunk's group is unloaded, reads refuse
 // it, and rewriting the group lands cleanly over the orphan.
 func TestDurableTornColGroupRecord(t *testing.T) {
@@ -360,8 +408,8 @@ func TestDurableTornColGroupRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second write makes its page blobs durable first, then appends the
-	// RecLoadedGroup record; truncating back to the pre-write size is the
+	// The second write makes its segment durable first, then appends the
+	// RecSegment record; truncating back to the pre-write size is the
 	// crash between those two steps.
 	if err := s.WriteChunkColumns(tbl, bc, []int{2}); err != nil {
 		t.Fatal(err)

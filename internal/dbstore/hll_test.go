@@ -107,7 +107,7 @@ func TestEstimateRangeRows(t *testing.T) {
 		for i := range v.Ints {
 			v.Ints[i] = int64(id*100 + i)
 		}
-		if err := tbl.SetStats(id, 0, CollectStats(v)); err != nil {
+		if err := tbl.SetChunkStats(id, []int{0}, []ColStats{CollectStats(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestEstimateDistinct(t *testing.T) {
 	for i := range v.Ints {
 		v.Ints[i] = int64(i % 10)
 	}
-	if err := tbl.SetStats(0, 0, CollectStats(v)); err != nil {
+	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{CollectStats(v)}); err != nil {
 		t.Fatal(err)
 	}
 	d, err := tbl.EstimateDistinct(0)

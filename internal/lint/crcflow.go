@@ -12,7 +12,7 @@ import (
 // defer, where "cleanup can't fail" habits drop verification results.
 //
 // The verified-decode set is the project's checksum boundary: openPage
-// and readPage (dbstore column-group pages), DecodeRecord / decodeFrames' record path
+// (dbstore column-group pages), DecodeRecord / decodeFrames' record path
 // (manifest journal), DecodeMessage (cluster exec frames), DecodePartial /
 // DecodeVector (serialized engine partials), and LoadFleetConfig (sealed
 // fleet blob). All of them return an error whose only cause, besides
@@ -28,7 +28,6 @@ var CRCFlow = &Analyzer{
 // verdict.
 var crcFuncs = map[string]bool{
 	"openPage":        true,
-	"readPage":        true,
 	"DecodeRecord":    true,
 	"DecodeMessage":   true,
 	"DecodePartial":   true,

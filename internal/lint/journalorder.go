@@ -7,15 +7,16 @@ import (
 )
 
 // JournalOrder mechanizes the data-before-metadata rule of the durable
-// catalog (DESIGN §10/§13): a journal append of a RecLoaded/RecLoadedGroup
-// record claims "these column pages are on disk", so every call path that
-// appends one must be dominated by the corresponding blob write. Two checks:
+// catalog (DESIGN §10/§13): a journal append of a RecSegment record (or of
+// the RecLoaded/RecLoadedGroup records older layouts journaled) claims
+// "these column pages are on disk", so every call path that appends one must
+// be dominated by the corresponding blob write. Two checks:
 //
 //  1. Ordering: a function that builds loaded-records and journals them is a
-//     "loaded appender" (markLoadedGroups). Every call site of such a
-//     function must have a blob write (WriteBlob, directly or through a
-//     same-package helper) positioned before it in the calling function —
-//     otherwise the journal can claim pages a crash never persisted.
+//     "loaded appender" (loadSegment). Every call site of such a function
+//     must have a blob write (WriteBlob, directly or through a same-package
+//     helper) positioned before it in the calling function — otherwise the
+//     journal can claim pages a crash never persisted.
 //  2. Lock discipline: every journal append must sit inside the
 //     checkpoint-exclusion region — `defer t.journalLock()()` or an explicit
 //     ckpt/ckptMu read-lock taken earlier in the same function — so a
@@ -102,8 +103,8 @@ func journalOrderPkg(files []*File) []Diagnostic {
 		}
 	}
 
-	// Loaded appenders: declarations that build a RecLoaded/RecLoadedGroup
-	// literal and feed a journal append in the same body.
+	// Loaded appenders: declarations that build a loaded-record literal and
+	// feed a journal append in the same body.
 	loadedAppender := map[string]bool{}
 	for _, pu := range units {
 		if _, isDecl := pu.u.node.(*ast.FuncDecl); !isDecl {
@@ -123,7 +124,8 @@ func journalOrderPkg(files []*File) []Diagnostic {
 }
 
 // buildsLoadedRecord reports whether the body constructs a store.Record
-// composite literal whose Type field is RecLoaded or RecLoadedGroup.
+// composite literal whose Type field is RecSegment, RecLoaded or
+// RecLoadedGroup.
 func buildsLoadedRecord(body *ast.BlockStmt) bool {
 	found := false
 	inspectNoFuncLit(body, func(n ast.Node) bool {
@@ -143,7 +145,7 @@ func buildsLoadedRecord(body *ast.BlockStmt) bool {
 				continue
 			}
 			v := exprText(kv.Value)
-			if strings.HasSuffix(v, "RecLoaded") || strings.HasSuffix(v, "RecLoadedGroup") {
+			if strings.HasSuffix(v, "RecSegment") || strings.HasSuffix(v, "RecLoaded") || strings.HasSuffix(v, "RecLoadedGroup") {
 				found = true
 			}
 		}

@@ -17,19 +17,35 @@ func (t *Table) journalLock() func() {
 }
 
 // journalAppend is the blessed forwarder; callers hold the lock around it.
-func (t *Table) journalAppend(recs ...Record) error {
+func (t *Table) journalAppend(pending []*ChunkMeta, recs ...Record) error {
 	return t.journal.Append(recs...)
 }
 
-// markLoaded is a loaded-record appender: every call site owes a preceding
+// markLoaded is a loaded-record appender in the loadSegment shape — catalog
+// first, then one RecSegment carrying every group's place in the blob, behind
+// whatever geometry record is still pending: every call site owes a preceding
 // blob write.
-func (t *Table) markLoaded(id int, cols []int) error {
+func (t *Table) markLoaded(id int, groups []GroupState) error {
 	defer t.journalLock()()
-	var recs []Record
-	recs = append(recs, store.Record{
-		Type: store.RecLoadedGroup, Table: t.name, Chunk: id, Cols: cols,
-	})
-	return t.journalAppend(recs...)
+	m := t.addSegment(id, groups)
+	rec := store.Record{Type: store.RecSegment, Table: t.name, Chunk: id, Seg: "s0-3"}
+	for _, g := range groups {
+		rec.Groups = append(rec.Groups, store.SegGroup{Cols: g.Cols, Off: g.Off, Len: g.Len})
+	}
+	return t.journalAppend([]*ChunkMeta{m}, rec)
+}
+
+// snapshot builds loaded-records without appending them — the checkpoint
+// shape. It re-records segments earlier appends proved durable, so its
+// callers owe nothing.
+func (t *Table) snapshot(id int) []Record {
+	rec := store.Record{Type: store.RecSegment, Table: t.name, Chunk: id}
+	return []Record{rec}
+}
+
+// Good: a snapshot is not an appender.
+func (t *Table) goodSnapshotWithoutWrite(id int) []Record {
+	return t.snapshot(id)
 }
 
 // Bad: journals the loaded claim with no preceding page write — a crash
@@ -63,7 +79,7 @@ func (t *Table) goodHelperWrite(d Disk, id int, page []byte) error {
 // Bad: appends outside the checkpoint-exclusion region — a snapshot could
 // interleave between the mutate and the append.
 func (t *Table) badUnlockedAppend() error {
-	return t.journalAppend(store.Record{Type: store.RecChunk, Table: t.name}) // want
+	return t.journalAppend(nil, store.Record{Type: store.RecComplete, Table: t.name}) // want
 }
 
 // Good: an explicit ckpt read-lock taken before the append satisfies the
@@ -71,7 +87,7 @@ func (t *Table) badUnlockedAppend() error {
 func (t *Table) goodExplicitCkptLock(rec Record) error {
 	t.ckptMu.RLock()
 	defer t.ckptMu.RUnlock()
-	return t.journalAppend(rec)
+	return t.journalAppend(nil, rec)
 }
 
 // Good: a justified suppression — the recovery-replay shape, where pages

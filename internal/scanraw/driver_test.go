@@ -70,7 +70,7 @@ func stateTable(t *testing.T, workers int) (*testEnv, *Operator) {
 		}
 	}
 	far := dbstore.ColStats{Valid: true, Type: schema.Int64, MinInt: 5000, MaxInt: 6000, Rows: stateChunkLines}
-	if err := env.table.SetStats(6, 0, far); err != nil {
+	if err := env.table.SetChunkStats(6, []int{0}, []dbstore.ColStats{far}); err != nil {
 		t.Fatal(err)
 	}
 	if got := op.Cache().IDs(); !reflect.DeepEqual(got, []int{0, 4, 5}) || env.table.NumChunks() != 7 || env.table.Complete() {

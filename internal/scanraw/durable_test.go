@@ -1,13 +1,19 @@
 package scanraw
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"scanraw/internal/dbstore"
+	"scanraw/internal/engine"
 	"scanraw/internal/gen"
 	storepkg "scanraw/internal/store"
+	"scanraw/internal/vdisk"
 )
 
 // openDurableEnv assembles the storage stack scanrawd uses with -data-dir —
@@ -163,4 +169,142 @@ func TestDurableCorruptPageReconverts(t *testing.T) {
 		t.Error("undamaged chunks should still come from the database")
 	}
 	op2.WaitIdle()
+}
+
+// TestDurableOpFailureSweep fails the k-th durable operation — a segment
+// WriteBlob or a journal append, whichever comes k-th — of an S1 → S2 pair,
+// for every k, at column-group widths 1, 4 and full. Whatever k hits (a
+// scheduler quantum, an eviction write, the safeguard flush, a statistics
+// append), the run must fail with the injected error and nothing else, leave
+// no pin behind, give the right answers when retried, and leave a data-dir
+// that reopens with every journaled group intact and answers right again.
+func TestDurableOpFailureSweep(t *testing.T) {
+	spec := gen.CSVSpec{Rows: 512, Cols: 8, Seed: 11, MaxValue: 1000}
+	queries := [][]int{{0, 1, 2, 3, 4, 5}, {4, 5, 6, 7}} // S2 is a partial-width hit
+	cfg := Config{
+		Workers: 2, ChunkLines: 64, Policy: Speculative, Safeguard: true,
+		CacheChunks: 4, CollectStats: true, Speculation: SpecPayoff,
+		ColumnWeights: func() []float64 { return []float64{1, 1, 1, 1, 2, 2, 1, 1} },
+	}
+	// sum runs one query; a nil error means the answer was checked.
+	sum := func(op *Operator, env *testEnv, cols []int) error {
+		q, err := engine.SumAllColumns(env.table.Schema(), "data", cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := ExecuteQuery(op, q)
+		if err != nil {
+			return err
+		}
+		if got, want := res.Rows[0][0].Int, gen.SumRange(spec, cols, 0, spec.Rows); got != want {
+			t.Fatalf("sum over %v = %d, want %d", cols, got, want)
+		}
+		return nil
+	}
+	for _, width := range []int{1, 4, 0} {
+		t.Run(fmt.Sprintf("colgroups=%d", width), func(t *testing.T) {
+			for k := 0; ; k++ {
+				dir := t.TempDir()
+				fd, err := storepkg.OpenFileDisk(filepath.Join(dir, "blobs"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				disk := vdisk.NewBacked(vdisk.Config{}, fd)
+				man, err := storepkg.OpenManifest(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store, err := dbstore.OpenDurable(disk, man)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store.SetGroupWidth(width)
+				raw := gen.Bytes(spec)
+				fd.Preload("raw/data.csv", raw)
+				table, err := store.EnsureTable("data", spec.Schema(), "raw/data.csv", storepkg.FingerprintBytes(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := &testEnv{store: store, table: table, spec: spec}
+
+				var ops atomic.Int64
+				var fired atomic.Bool
+				kth := func() error {
+					if ops.Add(1)-1 == int64(k) {
+						fired.Store(true)
+						return vdisk.ErrInjected
+					}
+					return nil
+				}
+				disk.SetFailure(func(op, name string) error {
+					if op == "write" && strings.HasPrefix(name, "db/") {
+						return kth()
+					}
+					return nil
+				})
+				man.SetFailure(func(string) error { return kth() })
+
+				op := New(store, table, cfg)
+				failed := false
+				for _, cols := range queries {
+					if err := sum(op, env, cols); err != nil {
+						if !errors.Is(err, vdisk.ErrInjected) {
+							t.Fatalf("k=%d: query over %v failed with %v, want the injected error", k, cols, err)
+						}
+						failed = true
+					}
+					op.WaitIdle()
+				}
+				disk.SetFailure(nil)
+				man.SetFailure(nil)
+				if s := op.Cache().Stats(); s.PinCount != 0 || s.PinnedEntries != 0 {
+					t.Fatalf("k=%d: %d pins on %d entries left behind", k, s.PinCount, s.PinnedEntries)
+				}
+				// Retry on the same operator. A failed safeguard flush reports
+				// on the run after it, so the first retry may still carry it.
+				for _, cols := range queries {
+					err := sum(op, env, cols)
+					if err != nil && errors.Is(err, vdisk.ErrInjected) && !failed {
+						failed = true
+						err = sum(op, env, cols)
+					}
+					if err != nil {
+						t.Fatalf("k=%d: retry over %v: %v", k, cols, err)
+					}
+					op.WaitIdle()
+				}
+				if fired.Load() && !failed {
+					t.Errorf("k=%d: the injected failure was swallowed", k)
+				}
+				if err := man.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				// SIGKILL-equivalent restart: no checkpoint was taken.
+				env2, man2 := openDurableEnv(t, dir, spec)
+				if rec := env2.store.RecoveryStats(); rec.ChunksInvalidated != 0 || rec.ChunksRecovered == 0 {
+					t.Fatalf("k=%d: recovery = %+v, want every journaled group intact", k, rec)
+				}
+				env2.store.SetGroupWidth(width)
+				op2 := New(env2.store, env2.table, cfg)
+				for _, cols := range queries {
+					if err := sum(op2, env2, cols); err != nil {
+						t.Fatalf("k=%d: after restart, over %v: %v", k, cols, err)
+					}
+				}
+				op2.WaitIdle()
+				if err := man2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !fired.Load() {
+					// k is past the last durable operation: every one has had
+					// its turn.
+					if k == 0 {
+						t.Fatal("the sequence performed no durable operation")
+					}
+					return
+				}
+			}
+		})
+	}
 }

@@ -696,17 +696,18 @@ func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
 	return nil
 }
 
+// recordStats journals the conversion-time statistics of the freshly
+// converted columns in one catalog call — one append per converted chunk.
 func (r *run) recordStats(bc *BinaryChunk, cols []int) error {
+	have := make([]int, 0, len(cols))
+	stats := make([]dbstore.ColStats, 0, len(cols))
 	for _, c := range cols {
-		v := bc.Column(c)
-		if v == nil {
-			continue
-		}
-		if err := r.op.table.SetStats(bc.ID, c, dbstore.CollectStats(v)); err != nil {
-			return err
+		if v := bc.Column(c); v != nil {
+			have = append(have, c)
+			stats = append(stats, dbstore.CollectStats(v))
 		}
 	}
-	return nil
+	return r.op.table.SetChunkStats(bc.ID, have, stats)
 }
 
 // insertPinned places a converted (or database-read) chunk into the binary

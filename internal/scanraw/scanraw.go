@@ -280,8 +280,9 @@ type RunStats struct {
 	// WrittenDuringRun counts chunks loaded into the database while the
 	// query executed (speculative/full/buffered/invisible writes).
 	WrittenDuringRun int
-	// GroupWritesDuringRun counts single column-group page writes issued by
-	// the payoff-ranked speculative scheduler (SpecPayoff quanta).
+	// GroupWritesDuringRun counts the column groups written by the
+	// payoff-ranked speculative scheduler: each SpecPayoff quantum writes
+	// the chosen chunk's wanted groups, however many, as one segment.
 	GroupWritesDuringRun int
 	// FlushedAfterRun counts chunks queued for the safeguard flush that
 	// runs after delivery completes (its writes overlap the next query's
@@ -530,10 +531,11 @@ func (o *Operator) writeChunk(bc *BinaryChunk) error {
 	return nil
 }
 
-// writeChunkGroup stores one column group of a cached chunk through the
-// disk arbiter — the payoff scheduler's write quantum. The cache entry is
-// marked loaded only once the catalog covers every column the entry holds,
-// so the safeguard flush still writes whatever groups remain.
+// writeChunkGroup stores the listed columns — some of a cached chunk's
+// column groups, as one segment — through the disk arbiter: the payoff
+// scheduler's write quantum. The cache entry is marked loaded only once the
+// catalog covers every column the entry holds, so the safeguard flush still
+// writes whatever groups remain.
 func (o *Operator) writeChunkGroup(bc *BinaryChunk, cols []int) error {
 	o.arbiter.Lock()
 	start := time.Now()

@@ -12,7 +12,8 @@ import (
 // sequel ("Workload-Driven Vertical Partitioning over Raw Data"): converted
 // data lives as column-group pages, a query is served from any mix of
 // loaded groups plus conversion of only the missing ones, and idle disk
-// time goes to the (chunk, column-group) pair the workload values most.
+// time goes to the cached chunk whose unloaded column groups the workload
+// values most.
 
 // SpecPolicy selects what the speculative scheduler loads when the disk is
 // idle.
@@ -22,10 +23,11 @@ const (
 	// SpecScan — the zero value — writes the oldest unloaded cached chunk
 	// at full width: the paper's original scan-order speculation (§4).
 	SpecScan SpecPolicy = iota
-	// SpecPayoff ranks every (cached chunk, column group) candidate by
-	// predicted benefit — workload access weight × unloaded width × chunk
-	// selectivity — and writes the best single group per disk-idle quantum,
-	// falling back to scan order while the workload is cold.
+	// SpecPayoff scores every (cached chunk, column group) pair by predicted
+	// benefit — workload access weight × unloaded width × chunk selectivity
+	// — and per disk-idle quantum writes the positively-scored groups of the
+	// chunk whose scores sum highest, as one segment, falling back to scan
+	// order while the workload is cold.
 	SpecPayoff
 )
 
@@ -98,10 +100,11 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (*partialPlan, error) {
 	return &partialPlan{kern: kern, fromDB: fromDB}, nil
 }
 
-// specStep performs one quantum of speculative loading: under SpecPayoff a
-// single best-ranked column-group write, otherwise (or as the cold-workload
-// fallback) the oldest unloaded cached chunk at full width. It reports
-// whether anything was written; the caller loops while the disk stays idle.
+// specStep performs one quantum of speculative loading: under SpecPayoff the
+// best-ranked chunk's wanted column groups in one write, otherwise (or as
+// the cold-workload fallback) the oldest unloaded cached chunk at full
+// width. It reports whether anything was written; the caller loops while the
+// disk stays idle.
 func (r *run) specStep() (bool, error) {
 	o := r.op
 	if o.cfg.Speculation == SpecPayoff {
@@ -122,18 +125,22 @@ func (r *run) specStep() (bool, error) {
 	return err == nil, err
 }
 
-// specCand is one rankable speculation candidate: the unloaded columns of
-// one partition group of one cached chunk.
+// specCand is one rankable speculation candidate: a cached chunk with the
+// unloaded columns of each partition group the workload gives weight to, and
+// the sum of those groups' scores.
 type specCand struct {
-	id    int
-	cols  []int
-	score float64
+	id     int
+	groups [][]int
+	score  float64
 }
 
-// payoffStep ranks the (cached chunk, column group) candidates and writes
-// the best one. handled=false hands control to the scan-order fallback:
-// the workload is cold (nil/mismatched/all-zero weights) or nothing the
-// workload wants is still unloaded.
+// payoffStep ranks the cached chunks by what the workload would gain from
+// their unloaded column groups and writes the best one's — every group with
+// a positive weight, in one store call, so the quantum costs one durable
+// write however many groups it carries. Columns nobody asks for are never
+// written here. handled=false hands control to the scan-order fallback: the
+// workload is cold (nil/mismatched/all-zero weights) or nothing the workload
+// wants is still unloaded.
 func (r *run) payoffStep() (wrote, handled bool, err error) {
 	o := r.op
 	wf := o.cfg.ColumnWeights
@@ -159,6 +166,7 @@ func (r *run) payoffStep() (wrote, handled bool, err error) {
 		if !ok {
 			continue
 		}
+		cand := specCand{id: id}
 		for _, g := range groups {
 			var unloaded []int
 			w := 0.0
@@ -172,8 +180,11 @@ func (r *run) payoffStep() (wrote, handled bool, err error) {
 			if len(unloaded) == 0 || w <= 0 {
 				continue
 			}
-			score := w * float64(len(unloaded)) * chunkSelectivity(meta, unloaded)
-			cands = append(cands, specCand{id: id, cols: unloaded, score: score})
+			cand.groups = append(cand.groups, unloaded)
+			cand.score += w * float64(len(unloaded)) * chunkSelectivity(meta, unloaded)
+		}
+		if len(cand.groups) > 0 {
+			cands = append(cands, cand)
 		}
 	}
 	// Stable sort keeps scan order among equal scores, so the policy
@@ -184,15 +195,23 @@ func (r *run) payoffStep() (wrote, handled bool, err error) {
 		if bc == nil {
 			continue
 		}
-		if !bc.HasAll(c.cols) {
-			// The cached copy lacks part of the group (read back narrow, or
-			// converted for a narrower query): not writable from here.
+		// A group the cached copy lacks part of (read back narrow, or
+		// converted for a narrower query) is not writable from here.
+		var cols []int
+		ngroups := 0
+		for _, g := range c.groups {
+			if bc.HasAll(g) {
+				cols = append(cols, g...)
+				ngroups++
+			}
+		}
+		if ngroups == 0 {
 			if uerr := o.cache.Unpin(c.id); uerr != nil {
 				return false, true, uerr
 			}
 			continue
 		}
-		werr := o.writeChunkGroup(bc, c.cols)
+		werr := o.writeChunkGroup(bc, cols)
 		if uerr := o.cache.Unpin(c.id); werr == nil {
 			werr = uerr
 		}
@@ -200,7 +219,7 @@ func (r *run) payoffStep() (wrote, handled bool, err error) {
 		if werr != nil {
 			return false, true, werr
 		}
-		r.groupWrites.Add(1)
+		r.groupWrites.Add(int64(ngroups))
 		return true, true, nil
 	}
 	return false, false, nil

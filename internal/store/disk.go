@@ -9,17 +9,19 @@
 // if the loaded chunks and the catalog's bookkeeping are durable. The
 // subsystem follows the classic write-ahead discipline:
 //
-//   - Page blobs (the column pages dbstore writes) land via temp file +
-//     fsync + atomic rename, so a crash never leaves a half-written page
-//     under a valid name. Pages carry the Castagnoli CRC framing dbstore
-//     already seals them with; recovery verifies it.
-//   - Catalog mutations (chunk discovery, statistics, per-column loaded
-//     bits, completion) append CRC-framed records to a manifest log that is
-//     fsynced before the mutation is considered durable, and are compacted
-//     into an atomically-replaced checkpoint snapshot periodically.
+//   - Segment blobs (the column-group pages one dbstore chunk write
+//     produces, concatenated) land via temp file + fsync + atomic rename, so
+//     a crash never leaves a half-written segment under a valid name. Each
+//     page carries the Castagnoli CRC framing dbstore seals it with;
+//     recovery verifies it.
+//   - Catalog mutations (chunk geometry, statistics, the place of each
+//     loaded column group in its segment, completion) append CRC-framed
+//     records to a manifest log that is fsynced before the mutation is
+//     considered durable, and are compacted into an atomically-replaced
+//     checkpoint snapshot periodically.
 //   - Recovery replays checkpoint + log, truncates a torn log tail at the
-//     first damaged record, and rebuilds the catalog; damaged or missing
-//     page blobs invalidate their chunk, which simply re-converts from raw.
+//     first damaged record, and rebuilds the catalog; a damaged or missing
+//     page invalidates its column group, which simply re-converts from raw.
 package store
 
 import (

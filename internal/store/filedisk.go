@@ -177,10 +177,20 @@ func (d *FileDisk) Size(name string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// List returns the names of all blobs with the given prefix, sorted.
+// List returns the names of all blobs with the given prefix, sorted. The
+// walk starts at the deepest directory the prefix names, so listing one
+// table's pages does not visit every other blob under the root.
 func (d *FileDisk) List(prefix string) []string {
+	start := d.root
+	if i := strings.LastIndexByte(prefix, '/'); i >= 0 {
+		dir, err := d.path(prefix[:i])
+		if err != nil {
+			return nil
+		}
+		start = dir
+	}
 	var names []string
-	_ = filepath.WalkDir(d.root, func(path string, de fs.DirEntry, err error) error {
+	_ = filepath.WalkDir(start, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() {
 			return nil //nolint:nilerr // a vanished entry is simply not listed
 		}

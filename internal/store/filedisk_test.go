@@ -107,6 +107,21 @@ func TestFileDiskList(t *testing.T) {
 	if got := d.List(""); len(got) != 4 {
 		t.Errorf("List(\"\") = %v, want 4 names", got)
 	}
+	// The walk starts below the root, at the deepest directory the prefix
+	// names; what follows the last slash still filters by name.
+	for prefix, want := range map[string][]string{
+		"db/":       {"db/t/0", "db/t/1", "db/u/0"},
+		"db/t":      {"db/t/0", "db/t/1"},
+		"db/t/1":    {"db/t/1"},
+		"r":         {"raw/x"},
+		"db/none/":  nil,
+		"db/../raw": nil,
+		"/db":       nil,
+	} {
+		if got := d.List(prefix); !reflect.DeepEqual(got, want) {
+			t.Errorf("List(%q) = %v, want %v", prefix, got, want)
+		}
+	}
 }
 
 func TestFileDiskRejectsBadNames(t *testing.T) {

@@ -83,6 +83,30 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSegment starts the record fuzzer from segment records only, so
+// its budget goes to the one record whose numbers become a read's offset and
+// buffer size: whatever decodes as a RecSegment must keep every group's
+// columns, offset and length inside the decode limits.
+func FuzzDecodeSegment(f *testing.F) {
+	for _, r := range goldenSegmentRecords() {
+		f.Add(EncodeRecord(r))
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r, err := DecodeRecord(p)
+		if err != nil || r.Type != RecSegment {
+			return
+		}
+		if len(r.Groups) > maxCols {
+			t.Fatalf("%d groups decoded, limit %d", len(r.Groups), maxCols)
+		}
+		for _, g := range r.Groups {
+			if len(g.Cols) > maxCols || g.Off < 0 || g.Off > maxSegmentLen || g.Len < 0 || g.Len > maxSegmentLen {
+				t.Fatalf("group %+v decoded outside the limits", g)
+			}
+		}
+	})
+}
+
 // FuzzDecodeFrames feeds arbitrary bytes to the frame scanner: it must
 // never panic, the valid prefix length must stay in bounds, and re-scanning
 // the reported valid prefix must yield the same records without damage.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,7 +47,32 @@ b4f09f9c81808008221c000000b55d258d030000000000000000000000000000
 0000e03f010000000000f87f000000000000f07f59f3f8c21f6ea581
 `
 
-// goldenRecords is one record of every RecType, carrying every scalar
+// goldenSegmentLog pins RecSegment, the record type added after the
+// fixtures above were captured: they stay byte for byte what the PR 15 code
+// wrote (old manifests must replay), the new type gets its own.
+const goldenSegmentLog = `
+534352574c4f47312b00000052f8310a080174030c73302d322e352e31363338
+3303030001020084800c010584800c0401ff7f88800cf8fff3ff07090000006f
+9b2c4808008080808004000016000000dc21175e0808646f6e6ec3a965730004
+67302d3101020001004d
+`
+
+// goldenSegmentRecords: a three-group segment (a run, a singleton, the
+// largest ordinal; offsets from 0 to the decode limit), a segment with no
+// groups and an empty name, and a pre-segment blob re-recorded whole.
+func goldenSegmentRecords() []Record {
+	return []Record{
+		{Type: RecSegment, Table: "t", Chunk: 3, Seg: "s0-2.5.16383", Groups: []SegGroup{
+			{Cols: []int{0, 1, 2}, Off: 0, Len: 196612},
+			{Cols: []int{5}, Off: 196612, Len: 4},
+			{Cols: []int{16383}, Off: 196616, Len: 1<<31 - 196616},
+		}},
+		{Type: RecSegment, Table: "", Chunk: 1 << 30},
+		{Type: RecSegment, Table: "données", Chunk: 0, Seg: "g0-1", Groups: []SegGroup{{Cols: []int{0, 1}, Len: 77}}},
+	}
+}
+
+// goldenRecords is one record of every RecType that existed at PR 15, carrying every scalar
 // shape the record codec has: negative and large varints, NaN and ±Inf
 // floats (compared by bits through the byte fixture), empty and multi-byte
 // UTF-8 strings, empty and non-empty lists.
@@ -92,7 +118,7 @@ func appendTo(t *testing.T, dir string, recs []Record) []byte {
 func TestGoldenManifestBytes(t *testing.T) {
 	recs := goldenRecords()
 	seen := map[RecType]bool{}
-	for _, r := range recs {
+	for _, r := range append(goldenSegmentRecords(), recs...) {
 		seen[r.Type] = true
 	}
 	for ty := RecTableCreate; !strings.HasPrefix(ty.String(), "RecType("); ty++ {
@@ -125,6 +151,14 @@ func TestGoldenManifestBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "checkpoint", goldenCheckpoint, ckpt)
+
+	segs := goldenSegmentRecords()
+	dir = t.TempDir()
+	checkGolden(t, "segment log", goldenSegmentLog, appendTo(t, dir, segs))
+	replayed, rep, err = openTestManifest(t, dir).Replay()
+	if err != nil || rep.TornBytes != 0 || !reflect.DeepEqual(replayed, segs) {
+		t.Fatalf("segment replay: %+v, %+v, %v", replayed, rep, err)
+	}
 }
 
 // TestRecordStringLimit: a string of exactly the decode limit round-trips;

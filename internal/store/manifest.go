@@ -36,6 +36,7 @@ type Manifest struct {
 	appendAll int64 // records appended over the manifest's lifetime
 	ckpts     int64
 	replay    ReplayReport
+	fail      func(op string) error
 }
 
 const (
@@ -105,6 +106,16 @@ func OpenManifest(dir string) (*Manifest, error) {
 // Dir returns the directory the manifest lives in.
 func (m *Manifest) Dir() string { return m.dir }
 
+// SetFailure installs (or clears, with nil) a fault-injection hook, the
+// journal's counterpart of vdisk.Disk.SetFailure: Append ("append") and
+// Checkpoint ("checkpoint") consult it before touching a file, and a non-nil
+// error aborts the call with nothing written.
+func (m *Manifest) SetFailure(f func(op string) error) {
+	m.mu.Lock()
+	m.fail = f
+	m.mu.Unlock()
+}
+
 // Append durably appends records to the log. It returns only after the
 // records are fsynced to storage.
 func (m *Manifest) Append(recs ...Record) error {
@@ -119,6 +130,11 @@ func (m *Manifest) Append(recs ...Record) error {
 	defer m.mu.Unlock()
 	if m.log == nil {
 		return fmt.Errorf("store: manifest is closed")
+	}
+	if m.fail != nil {
+		if err := m.fail("append"); err != nil {
+			return err
+		}
 	}
 	// Writes land at the end: the file is only ever extended here and
 	// truncated under the same lock.
@@ -220,6 +236,11 @@ func (m *Manifest) Checkpoint(recs []Record) error {
 	defer m.mu.Unlock()
 	if m.log == nil {
 		return fmt.Errorf("store: manifest is closed")
+	}
+	if m.fail != nil {
+		if err := m.fail("checkpoint"); err != nil {
+			return err
+		}
 	}
 	tmp, err := os.CreateTemp(m.dir, tmpPrefix+ckptFileName+"-")
 	if err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,8 @@ func testRecords() []Record {
 			Valid: true, Type: 0, MinInt: -3, MaxInt: 900, MinStr: "a", MaxStr: "z", Rows: 64, Distinct: 17}},
 		{Type: RecLoaded, Table: "t", Chunk: 0, Cols: []int{0, 1}},
 		{Type: RecComplete, Table: "t"},
+		{Type: RecSegment, Table: "t", Chunk: 1, Seg: "s0-2", Groups: []SegGroup{
+			{Cols: []int{0, 1}, Off: 0, Len: 96}, {Cols: []int{2}, Off: 96, Len: 40}}},
 	}
 }
 
@@ -320,5 +323,38 @@ func TestManifestClosedErrors(t *testing.T) {
 	}
 	if err := m.Checkpoint(nil); err == nil {
 		t.Error("Checkpoint on closed manifest should fail")
+	}
+}
+
+// TestManifestSetFailure: an injected failure aborts Append and Checkpoint
+// before either touches a file, and clearing the hook restores them.
+func TestManifestSetFailure(t *testing.T) {
+	dir := t.TempDir()
+	m := openTestManifest(t, dir)
+	if err := m.Append(testRecords()[0]); err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected")
+	var ops []string
+	m.SetFailure(func(op string) error {
+		ops = append(ops, op)
+		return injected
+	})
+	if err := m.Append(testRecords()[1]); !errors.Is(err, injected) {
+		t.Errorf("Append = %v, want the injected error", err)
+	}
+	if err := m.Checkpoint(testRecords()); !errors.Is(err, injected) {
+		t.Errorf("Checkpoint = %v, want the injected error", err)
+	}
+	if !reflect.DeepEqual(ops, []string{"append", "checkpoint"}) {
+		t.Errorf("hook saw %v", ops)
+	}
+	m.SetFailure(nil)
+	if err := m.Append(testRecords()[4]); err != nil {
+		t.Fatal(err)
+	}
+	recs, rep, err := m.Replay()
+	if err != nil || rep.CheckpointRecords != 0 || len(recs) != 2 || recs[1].Type != RecComplete {
+		t.Errorf("replay after injected failures = %+v, %+v, %v", recs, rep, err)
 	}
 }

@@ -48,6 +48,16 @@ const (
 	// speculation instead of falling back to scan order. Idempotent: the
 	// latest record for a table wins.
 	RecWorkload
+	// RecSegment records that one segment blob of a chunk — the sealed pages
+	// of one or more column groups, concatenated and written in one WriteBlob
+	// — is durable, and where each group's page lies inside it. Like the two
+	// loaded records before it, it is appended only after the blob is on disk
+	// (data before metadata). A later RecSegment naming the same blob
+	// supersedes the earlier one: the blob was replaced whole. RecLoaded and
+	// RecLoadedGroup are still replayed — each describes a one-group segment
+	// at offset 0 whose blob name follows from its columns — but no longer
+	// written.
+	RecSegment
 )
 
 func (t RecType) String() string {
@@ -66,6 +76,8 @@ func (t RecType) String() string {
 		return "loaded-group"
 	case RecWorkload:
 		return "workload"
+	case RecSegment:
+		return "segment"
 	default:
 		return fmt.Sprintf("RecType(%d)", uint8(t))
 	}
@@ -87,6 +99,13 @@ type ColStatsRec struct {
 	Distinct int64
 }
 
+// SegGroup locates one column group's sealed page inside a segment blob.
+type SegGroup struct {
+	Cols []int
+	Off  int64
+	Len  int64
+}
+
 // Record is one manifest entry. Only the fields relevant to Type are
 // encoded; the rest stay zero.
 type Record struct {
@@ -98,7 +117,7 @@ type Record struct {
 	Schema      string // "name:type,..." specification
 	Fingerprint Fingerprint
 
-	// RecChunk / RecStats / RecLoaded
+	// RecChunk / RecStats / RecLoaded / RecLoadedGroup / RecSegment
 	Chunk  int
 	Rows   int
 	RawOff int64
@@ -113,6 +132,11 @@ type Record struct {
 
 	// RecWorkload
 	Weights []float64
+
+	// RecSegment: the blob's name inside the chunk's directory, and the
+	// groups it holds.
+	Seg    string
+	Groups []SegGroup
 }
 
 // Encoding limits: a decoded field exceeding these is corruption, not data.
@@ -120,6 +144,9 @@ const (
 	maxRecordLen = 1 << 20
 	maxCols      = 1 << 14
 	maxChunkID   = 1 << 30
+	// maxSegmentLen bounds a group page's offset and length inside a segment:
+	// readers size a buffer by them.
+	maxSegmentLen = 1 << 31
 )
 
 // EncodeRecord serializes a record payload (without framing).
@@ -155,20 +182,47 @@ func EncodeRecord(r Record) []byte {
 		e.Ivar(s.Distinct)
 	case RecLoaded, RecLoadedGroup:
 		e.Uvar(uint64(r.Chunk))
-		e.Uvar(uint64(len(r.Cols)))
-		for _, c := range r.Cols {
-			e.Uvar(uint64(c))
-		}
+		encodeCols(&e, r.Cols)
 	case RecWorkload:
 		e.Uvar(uint64(len(r.Weights)))
 		for _, w := range r.Weights {
 			e.F64(w)
+		}
+	case RecSegment:
+		e.Uvar(uint64(r.Chunk))
+		e.Str(r.Seg)
+		e.Uvar(uint64(len(r.Groups)))
+		for _, g := range r.Groups {
+			encodeCols(&e, g.Cols)
+			e.Uvar(uint64(g.Off))
+			e.Uvar(uint64(g.Len))
 		}
 	case RecComplete:
 	default:
 		panic(fmt.Sprintf("store: cannot encode record type %v", r.Type))
 	}
 	return e.Buf
+}
+
+// encodeCols writes a column-ordinal list: its length, then the ordinals.
+func encodeCols(e *wire.Enc, cols []int) {
+	e.Uvar(uint64(len(cols)))
+	for _, c := range cols {
+		e.Uvar(uint64(c))
+	}
+}
+
+// decodeCols reads what encodeCols wrote; an empty list decodes as nil.
+func decodeCols(d *wire.Dec) []int {
+	n := d.Count(maxCols, "column count")
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	cols := make([]int, 0, min(n, 64))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		cols = append(cols, d.Count(maxCols, "column"))
+	}
+	return cols
 }
 
 // DecodeRecord parses a record payload. It is total: any input either
@@ -205,19 +259,27 @@ func DecodeRecord(p []byte) (Record, error) {
 		r.Stats.Distinct = d.Ivar()
 	case RecLoaded, RecLoadedGroup:
 		r.Chunk = d.Count(maxChunkID, "chunk id")
-		n := d.Count(maxCols, "column count")
-		if d.Err() == nil && n > 0 {
-			r.Cols = make([]int, 0, min(n, 64))
-			for i := 0; i < n && d.Err() == nil; i++ {
-				r.Cols = append(r.Cols, d.Count(maxCols, "column"))
-			}
-		}
+		r.Cols = decodeCols(d)
 	case RecWorkload:
 		n := d.Count(maxCols, "weight count")
 		if d.Err() == nil && n > 0 {
 			r.Weights = make([]float64, 0, min(n, 64))
 			for i := 0; i < n && d.Err() == nil; i++ {
 				r.Weights = append(r.Weights, d.F64())
+			}
+		}
+	case RecSegment:
+		r.Chunk = d.Count(maxChunkID, "chunk id")
+		r.Seg = d.Str()
+		n := d.Count(maxCols, "group count")
+		if d.Err() == nil && n > 0 {
+			r.Groups = make([]SegGroup, 0, min(n, 64))
+			for i := 0; i < n && d.Err() == nil; i++ {
+				r.Groups = append(r.Groups, SegGroup{
+					Cols: decodeCols(d),
+					Off:  int64(d.Count(maxSegmentLen, "group offset")),
+					Len:  int64(d.Count(maxSegmentLen, "group length")),
+				})
 			}
 		}
 	case RecComplete:
