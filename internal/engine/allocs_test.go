@@ -1,0 +1,88 @@
+//go:build !race
+
+package engine
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Allocation counts mean something only without the race detector: under it
+// sync.Pool drops a quarter of what it is given back and closures that stay
+// on the stack otherwise escape.
+
+// TestGroupByAllocs is the allocation ceiling the clock cannot move:
+// BenchmarkGroupBy's body — an executor's whole life over one chunk — and a
+// chunk consumed once its groups exist.
+func TestGroupByAllocs(t *testing.T) {
+	for _, c := range groupByCases(t) {
+		q, err := ParseSQL(c.sql, c.bc.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(f func() error) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if c.name == "int" {
+			if n := run(func() error { return runGroupBy(q, c.bc) }); n > 20 {
+				t.Errorf("%s: %v allocations per executor life, want at most 20", c.name, n)
+			}
+		}
+		if c.name == "int" || c.name == "expr" || c.name == "str" {
+			p, err := NewPartial(q, c.bc.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := run(func() error { return p.Consume(c.bc) }); n != 0 {
+				t.Errorf("%s: %v allocations per chunk in steady state, want 0", c.name, n)
+			}
+		}
+	}
+}
+
+// TestTopKAllocs: once the heap is full, a chunk none of whose rows enters
+// it materialises no row — what is left is consumeRows' per-chunk scratch.
+func TestTopKAllocs(t *testing.T) {
+	for _, c := range []struct {
+		sql   string
+		shift int64 // added to the second chunk's values: every row sorts after the heap's worst
+	}{
+		{"SELECT c0, c1 FROM t ORDER BY c0 LIMIT 10", 1 << 20},
+		{"SELECT c0, c1 FROM t ORDER BY c1 DESC, c0 LIMIT 10", -1 << 20},
+		{"SELECT c0 FROM t WHERE c1 > 100 LIMIT 10", 0}, // no ORDER BY: the later chunk ID alone decides
+	} {
+		first, later := benchChunk(t, 2048, 2), benchChunk(t, 2048, 2)
+		later.ID = 1
+		for col := 0; col < 2; col++ {
+			for r := range later.Column(col).Ints {
+				later.Column(col).Ints[r] += c.shift
+			}
+		}
+		q, err := ParseSQL(c.sql, first.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPartial(q, first.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Consume(first); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := p.Bound()
+		if n := testing.AllocsPerRun(20, func() {
+			if err := p.Consume(later); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 4 {
+			t.Errorf("%s: %v allocations for a chunk that changes nothing, want at most 4", c.sql, n)
+		}
+		if got, _ := p.Bound(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: bound moved from %v to %v", c.sql, want, got)
+		}
+	}
+}

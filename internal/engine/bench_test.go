@@ -1,13 +1,14 @@
 package engine
 
 import (
+	"strconv"
 	"testing"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 )
 
-func benchChunk(b *testing.B, rows, cols int) *chunk.BinaryChunk {
+func benchChunk(b testing.TB, rows, cols int) *chunk.BinaryChunk {
 	b.Helper()
 	sch, err := schema.Uniform(cols, schema.Int64, "c")
 	if err != nil {
@@ -54,30 +55,81 @@ func BenchmarkScalarSum(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupBy measures hash aggregation with a modest group count.
-func BenchmarkGroupBy(b *testing.B) {
-	bc := benchChunk(b, 2048, 2)
-	// Make c0 a 32-valued grouping key.
-	for r := range bc.Column(0).Ints {
-		bc.Column(0).Ints[r] = int64(r % 32)
+// groupByCase is one BenchmarkGroupBy shape: a chunk and a grouped query
+// over it.
+type groupByCase struct {
+	name string
+	sql  string
+	bc   *chunk.BinaryChunk
+}
+
+// groupByCases builds the shapes BenchmarkGroupBy covers, one per group
+// resolver plus the table-growth extreme: a bare int key and an int
+// expression (hash table on the raw value), a string key (direct probe), a
+// composite key (the generic canonical-key path), and one group per row.
+func groupByCases(tb testing.TB) []groupByCase {
+	tb.Helper()
+	sch := schema.MustNew(
+		schema.Column{Name: "c0", Type: schema.Int64},
+		schema.Column{Name: "c1", Type: schema.Int64},
+		schema.Column{Name: "s", Type: schema.Str},
+	)
+	mk := func(rows int, key func(r int) int64) *chunk.BinaryChunk {
+		bc := chunk.NewBinary(sch, 0, rows)
+		c0, c1, s := chunk.NewVector(schema.Int64, rows), chunk.NewVector(schema.Int64, rows), chunk.NewVector(schema.Str, rows)
+		for r := 0; r < rows; r++ {
+			c0.Ints[r], c1.Ints[r] = key(r), int64(2*r+1)
+			s.Strs[r] = "chr" + strconv.Itoa(int(key(r)))
+		}
+		for i, v := range []*chunk.Vector{c0, c1, s} {
+			if err := bc.SetColumn(i, v); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return bc
 	}
-	q, err := ParseSQL("SELECT c0, COUNT(*), SUM(c1) FROM t GROUP BY c0", bc.Schema())
+	few := mk(2048, func(r int) int64 { return int64(r % 32) }) // a 32-valued grouping key
+	return []groupByCase{
+		{"int", "SELECT c0, COUNT(*), SUM(c1) FROM t GROUP BY c0", few},
+		{"expr", "SELECT c1 % 16, COUNT(c1), SUM(c1) FROM t GROUP BY c1 % 16", few},
+		{"str", "SELECT s, COUNT(*), SUM(c1) FROM t GROUP BY s", few},
+		{"composite", "SELECT c0, s, COUNT(*), SUM(c1) FROM t GROUP BY c0, s", few},
+		{"64k-groups", "SELECT c0, COUNT(*), SUM(c1) FROM t GROUP BY c0", mk(1<<16, func(r int) int64 { return int64(r) * 7919 })},
+	}
+}
+
+// runGroupBy is BenchmarkGroupBy's body: one executor's whole life over one
+// chunk.
+func runGroupBy(q *Query, bc *chunk.BinaryChunk) error {
+	ex, err := NewExecutor(q, bc.Schema())
 	if err != nil {
-		b.Fatal(err)
+		return err
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex, err := NewExecutor(q, bc.Schema())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ex.Consume(bc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ex.Result(); err != nil {
-			b.Fatal(err)
-		}
+	if err := ex.Consume(bc); err != nil {
+		return err
+	}
+	_, err = ex.Result()
+	return err
+}
+
+// BenchmarkGroupBy measures hash aggregation per resolver (see
+// groupByCases), in rows/s so the shapes compare.
+func BenchmarkGroupBy(b *testing.B) {
+	for _, c := range groupByCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			q, err := ParseSQL(c.sql, c.bc.Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := runGroupBy(q, c.bc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(c.bc.Rows)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
 

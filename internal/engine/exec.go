@@ -75,7 +75,7 @@ func (it SelectItem) Name() string {
 		if it.Expr != nil {
 			inner = it.Expr.String()
 		}
-		return fmt.Sprintf("%s(%s)", it.Agg, inner)
+		return it.Agg.String() + "(" + inner + ")"
 	}
 	return it.Expr.String()
 }
@@ -224,11 +224,6 @@ type aggState struct {
 	seen     bool
 }
 
-type group struct {
-	keys []Value
-	aggs []aggState
-}
-
 // Executor consumes binary chunks and produces a Result. It implements
 // both scalar/grouped aggregation and plain filtering/projection. An
 // Executor is a thin serial wrapper over a single Partial, so the serial
@@ -318,41 +313,80 @@ func appendKey(dst []byte, v *chunk.Vector, r int) []byte {
 	return append(dst, 0)
 }
 
-// updateAggRow folds row r of vector v (nil for COUNT(*)) into st.
-func updateAggRow(st *aggState, v *chunk.Vector, r int) {
+// addInt, addFloat and addStr fold one input value into the state. Every
+// field the value's type can feed is kept up to date whatever the aggregate
+// function, because the wire carries them all.
+func (st *aggState) addInt(x int64) {
 	st.count++
-	if v == nil {
-		return
+	st.sumInt += x
+	if !st.seen || x < st.minI {
+		st.minI = x
 	}
-	switch v.Type {
-	case schema.Int64:
-		x := v.Ints[r]
-		st.sumInt += x
-		if !st.seen || x < st.minI {
-			st.minI = x
-		}
-		if !st.seen || x > st.maxI {
-			st.maxI = x
-		}
-	case schema.Float64:
-		x := v.Floats[r]
-		st.sumFloat += x
-		if !st.seen || x < st.minF {
-			st.minF = x
-		}
-		if !st.seen || x > st.maxF {
-			st.maxF = x
-		}
-	case schema.Str:
-		x := v.Strs[r]
-		if !st.seen || x < st.minS {
-			st.minS = x
-		}
-		if !st.seen || x > st.maxS {
-			st.maxS = x
-		}
+	if !st.seen || x > st.maxI {
+		st.maxI = x
 	}
 	st.seen = true
+}
+
+func (st *aggState) addFloat(x float64) {
+	st.count++
+	st.sumFloat += x
+	if !st.seen || x < st.minF {
+		st.minF = x
+	}
+	if !st.seen || x > st.maxF {
+		st.maxF = x
+	}
+	st.seen = true
+}
+
+func (st *aggState) addStr(x string) {
+	st.count++
+	if !st.seen || x < st.minS {
+		st.minS = x
+	}
+	if !st.seen || x > st.maxS {
+		st.maxS = x
+	}
+	st.seen = true
+}
+
+// updateAggOrds folds the selected rows of v (nil for COUNT(*); sel nil:
+// rows 0..len(ords)-1) into one select item's states: row j goes to group
+// ords[j], whose state is aggs[ords[j]*width]. The input type is switched on
+// once, and rows are visited in order, so each group's float sum accumulates
+// in the order a row-at-a-time loop would have used.
+func updateAggOrds(aggs []aggState, width int, ords []int32, v *chunk.Vector, sel []int) {
+	switch {
+	case v == nil:
+		for _, o := range ords {
+			aggs[int(o)*width].count++
+		}
+	case v.Type == schema.Int64 && sel == nil:
+		for j, o := range ords {
+			aggs[int(o)*width].addInt(v.Ints[j])
+		}
+	case v.Type == schema.Int64:
+		for j, o := range ords {
+			aggs[int(o)*width].addInt(v.Ints[sel[j]])
+		}
+	case v.Type == schema.Float64 && sel == nil:
+		for j, o := range ords {
+			aggs[int(o)*width].addFloat(v.Floats[j])
+		}
+	case v.Type == schema.Float64:
+		for j, o := range ords {
+			aggs[int(o)*width].addFloat(v.Floats[sel[j]])
+		}
+	case sel == nil:
+		for j, o := range ords {
+			aggs[int(o)*width].addStr(v.Strs[j])
+		}
+	default:
+		for j, o := range ords {
+			aggs[int(o)*width].addStr(v.Strs[sel[j]])
+		}
+	}
 }
 
 // updateAggBulk folds an entire vector (or its selection) into st.
@@ -366,8 +400,19 @@ func updateAggBulk(st *aggState, v *chunk.Vector, rows int, sel []int) {
 		return
 	}
 	if sel != nil {
-		for _, r := range sel {
-			updateAggRow(st, v, r)
+		switch v.Type {
+		case schema.Int64:
+			for _, r := range sel {
+				st.addInt(v.Ints[r])
+			}
+		case schema.Float64:
+			for _, r := range sel {
+				st.addFloat(v.Floats[r])
+			}
+		default:
+			for _, r := range sel {
+				st.addStr(v.Strs[r])
+			}
 		}
 		return
 	}

@@ -103,6 +103,14 @@ func ConstStr(s string) *Const { return &Const{Typ: schema.Str, Str: s} }
 // Type implements Expr.
 func (c *Const) Type() schema.Type { return c.Typ }
 
+// float returns a numeric literal widened to float64.
+func (c *Const) float() float64 {
+	if c.Typ == schema.Int64 {
+		return float64(c.Int)
+	}
+	return c.Float
+}
+
 // Eval implements Expr.
 func (c *Const) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
 	v := chunk.GetVector(c.Typ, bc.Rows)
@@ -178,70 +186,152 @@ func (a *Arith) Type() schema.Type {
 	return schema.Int64
 }
 
-// Eval implements Expr.
+// Eval implements Expr. The operator is switched on once per chunk, not
+// per row, and a literal right operand (after moving a commutative
+// operator's left literal over) is taken as a scalar instead of being
+// materialised bc.Rows times.
 func (a *Arith) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
-	l, err := a.L.Eval(bc)
+	le, re := a.L, a.R
+	if _, ok := le.(*Const); ok && (a.Op == OpAdd || a.Op == OpMul) {
+		le, re = re, le
+	}
+	l, err := le.Eval(bc)
 	if err != nil {
 		return nil, err
 	}
-	r, err := a.R.Eval(bc)
+	defer releaseScratch(le, l)
+	rc, r, err := rightOperand(re, bc)
 	if err != nil {
-		releaseScratch(a.L, l)
 		return nil, err
 	}
-	defer releaseScratch(a.L, l)
-	defer releaseScratch(a.R, r)
+	defer releaseScratch(re, r)
 	n := bc.Rows
+	var out *chunk.Vector
+	var zeroAt int
 	if a.Type() == schema.Int64 {
-		out := chunk.GetVector(schema.Int64, n)
-		for i := 0; i < n; i++ {
-			x, y := l.Ints[i], r.Ints[i]
-			switch a.Op {
-			case OpAdd:
-				out.Ints[i] = x + y
-			case OpSub:
-				out.Ints[i] = x - y
-			case OpMul:
-				out.Ints[i] = x * y
-			case OpDiv:
-				if y == 0 {
-					chunk.PutVector(out)
-					return nil, fmt.Errorf("engine: division by zero at row %d", i)
-				}
-				out.Ints[i] = x / y
-			case OpMod:
-				if y == 0 {
-					chunk.PutVector(out)
-					return nil, fmt.Errorf("engine: modulo by zero at row %d", i)
-				}
-				out.Ints[i] = x % y
-			}
+		out = chunk.GetVector(schema.Int64, n)
+		if rc != nil {
+			zeroAt = arithScalar(a.Op, out.Ints, l.Ints, rc.Int)
+		} else {
+			zeroAt = arithVectors(a.Op, out.Ints, l.Ints, r.Ints)
 		}
-		return out, nil
+	} else {
+		lf, lscratch := asFloats(l)
+		defer chunk.PutVector(lscratch)
+		out = chunk.GetVector(schema.Float64, n)
+		if rc != nil {
+			zeroAt = arithScalar(a.Op, out.Floats, lf, rc.float())
+		} else {
+			rf, rscratch := asFloats(r)
+			defer chunk.PutVector(rscratch)
+			zeroAt = arithVectors(a.Op, out.Floats, lf, rf)
+		}
 	}
-	lf, lscratch := asFloats(l)
-	rf, rscratch := asFloats(r)
-	defer chunk.PutVector(lscratch)
-	defer chunk.PutVector(rscratch)
-	out := chunk.GetVector(schema.Float64, n)
-	for i := 0; i < n; i++ {
-		x, y := lf[i], rf[i]
-		switch a.Op {
-		case OpAdd:
-			out.Floats[i] = x + y
-		case OpSub:
-			out.Floats[i] = x - y
-		case OpMul:
-			out.Floats[i] = x * y
-		case OpDiv:
-			if y == 0 {
-				chunk.PutVector(out)
-				return nil, fmt.Errorf("engine: division by zero at row %d", i)
-			}
-			out.Floats[i] = x / y
+	if zeroAt >= 0 {
+		chunk.PutVector(out)
+		what := "division"
+		if a.Op == OpMod {
+			what = "modulo"
 		}
+		return nil, fmt.Errorf("engine: %s by zero at row %d", what, zeroAt)
 	}
 	return out, nil
+}
+
+// rightOperand evaluates the right side of a binary node: a literal comes
+// back as itself, for the kernel to take as a scalar, anything else as a
+// vector for the caller to release.
+func rightOperand(e Expr, bc *chunk.BinaryChunk) (*Const, *chunk.Vector, error) {
+	if c, ok := e.(*Const); ok {
+		return c, nil, nil
+	}
+	v, err := e.Eval(bc)
+	return nil, v, err
+}
+
+// arithVectors computes out[i] = l[i] op r[i]. It returns the first row
+// whose divisor is zero, or -1; NewArith keeps OpMod to integers.
+func arithVectors[T int64 | float64](op ArithOp, out, l, r []T) int {
+	l, r = l[:len(out)], r[:len(out)]
+	switch op {
+	case OpAdd:
+		for i := range out {
+			out[i] = l[i] + r[i]
+		}
+	case OpSub:
+		for i := range out {
+			out[i] = l[i] - r[i]
+		}
+	case OpMul:
+		for i := range out {
+			out[i] = l[i] * r[i]
+		}
+	case OpDiv:
+		for i := range out {
+			if r[i] == 0 {
+				return i
+			}
+			out[i] = l[i] / r[i]
+		}
+	case OpMod:
+		li, ri, oi := any(l).([]int64), any(r).([]int64), any(out).([]int64)
+		for i := range oi {
+			if ri[i] == 0 {
+				return i
+			}
+			oi[i] = li[i] % ri[i]
+		}
+	}
+	return -1
+}
+
+// arithScalar computes out[i] = l[i] op s; like arithVectors, with a zero
+// divisor failing at the first row there is.
+func arithScalar[T int64 | float64](op ArithOp, out, l []T, s T) int {
+	l = l[:len(out)]
+	if s == 0 && (op == OpDiv || op == OpMod) {
+		if len(out) == 0 {
+			return -1
+		}
+		return 0
+	}
+	switch op {
+	case OpAdd:
+		for i := range out {
+			out[i] = l[i] + s
+		}
+	case OpSub:
+		for i := range out {
+			out[i] = l[i] - s
+		}
+	case OpMul:
+		for i := range out {
+			out[i] = l[i] * s
+		}
+	case OpDiv:
+		for i := range out {
+			out[i] = l[i] / s
+		}
+	case OpMod:
+		li, oi, m := any(l).([]int64), any(out).([]int64), any(s).(int64)
+		if m > 0 && m&(m-1) == 0 {
+			// A power of two: mask, then give a negative dividend's
+			// remainder its sign back. A 64-bit divide costs tens of
+			// cycles a row; this costs one or two.
+			for i, x := range li {
+				r := x & (m - 1)
+				if x < 0 && r != 0 {
+					r -= m
+				}
+				oi[i] = r
+			}
+			break
+		}
+		for i := range oi {
+			oi[i] = li[i] % m
+		}
+	}
+	return -1
 }
 
 // asFloats widens an Int64 vector to float64. When a conversion is needed
@@ -299,73 +389,90 @@ func NewCmp(op CmpOp, l, r Expr) (*Cmp, error) {
 // Type implements Expr.
 func (c *Cmp) Type() schema.Type { return schema.Int64 }
 
-// Eval implements Expr.
+// cmpTruth is each operator's result by the sign of l compared with r:
+// index 0 when l < r, 1 when neither is less (equal — or, for floats,
+// unordered: a NaN is neither less nor greater), 2 when l > r.
+var cmpTruth = [...][3]int64{
+	OpEq: {0, 1, 0},
+	OpNe: {1, 0, 1},
+	OpLt: {1, 0, 0},
+	OpLe: {1, 1, 0},
+	OpGt: {0, 0, 1},
+	OpGe: {0, 1, 1},
+}
+
+// Eval implements Expr. The operator becomes a three-entry truth table once
+// per chunk and each row is compared and looked up in one pass; a literal
+// operand is taken as a scalar (from the left by mirroring the table).
 func (c *Cmp) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
-	l, err := c.L.Eval(bc)
+	le, re, truth := c.L, c.R, cmpTruth[c.Op]
+	if _, ok := le.(*Const); ok {
+		le, re = re, le
+		truth[0], truth[2] = truth[2], truth[0]
+	}
+	l, err := le.Eval(bc)
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.R.Eval(bc)
+	defer releaseScratch(le, l)
+	rc, r, err := rightOperand(re, bc)
 	if err != nil {
-		releaseScratch(c.L, l)
 		return nil, err
 	}
-	defer releaseScratch(c.L, l)
-	defer releaseScratch(c.R, r)
-	n := bc.Rows
-	out := chunk.GetVector(schema.Int64, n)
-	signv := chunk.GetVector(schema.Int64, n)
-	defer chunk.PutVector(signv)
-	sign := signv.Ints
+	defer releaseScratch(re, r)
+	out := chunk.GetVector(schema.Int64, bc.Rows)
 	switch {
-	case l.Type == schema.Str:
-		for i := 0; i < n; i++ {
-			sign[i] = int64(strings.Compare(l.Strs[i], r.Strs[i]))
+	case l.Type == schema.Str && rc != nil:
+		for i := range out.Ints {
+			out.Ints[i] = truth[1+strings.Compare(l.Strs[i], rc.Str)]
 		}
-	case l.Type == schema.Int64 && r.Type == schema.Int64:
-		for i := 0; i < n; i++ {
-			switch {
-			case l.Ints[i] < r.Ints[i]:
-				sign[i] = -1
-			case l.Ints[i] > r.Ints[i]:
-				sign[i] = 1
-			}
+	case l.Type == schema.Str:
+		for i := range out.Ints {
+			out.Ints[i] = truth[1+strings.Compare(l.Strs[i], r.Strs[i])]
+		}
+	case l.Type == schema.Int64 && re.Type() == schema.Int64:
+		if rc != nil {
+			cmpScalar(&truth, out.Ints, l.Ints, rc.Int)
+		} else {
+			cmpVectors(&truth, out.Ints, l.Ints, r.Ints)
 		}
 	default:
 		lf, lscratch := asFloats(l)
-		rf, rscratch := asFloats(r)
-		for i := 0; i < n; i++ {
-			switch {
-			case lf[i] < rf[i]:
-				sign[i] = -1
-			case lf[i] > rf[i]:
-				sign[i] = 1
-			}
-		}
-		chunk.PutVector(lscratch)
-		chunk.PutVector(rscratch)
-	}
-	for i := 0; i < n; i++ {
-		var b bool
-		switch c.Op {
-		case OpEq:
-			b = sign[i] == 0
-		case OpNe:
-			b = sign[i] != 0
-		case OpLt:
-			b = sign[i] < 0
-		case OpLe:
-			b = sign[i] <= 0
-		case OpGt:
-			b = sign[i] > 0
-		case OpGe:
-			b = sign[i] >= 0
-		}
-		if b {
-			out.Ints[i] = 1
+		defer chunk.PutVector(lscratch)
+		if rc != nil {
+			cmpScalar(&truth, out.Ints, lf, rc.float())
+		} else {
+			rf, rscratch := asFloats(r)
+			defer chunk.PutVector(rscratch)
+			cmpVectors(&truth, out.Ints, lf, rf)
 		}
 	}
 	return out, nil
+}
+
+// sign3 indexes a cmpTruth row: 0 when a < b, 2 when a > b, else 1.
+func sign3[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return 0
+	case a > b:
+		return 2
+	}
+	return 1
+}
+
+func cmpVectors[T int64 | float64](truth *[3]int64, out []int64, l, r []T) {
+	l, r = l[:len(out)], r[:len(out)]
+	for i := range out {
+		out[i] = truth[sign3(l[i], r[i])]
+	}
+}
+
+func cmpScalar[T int64 | float64](truth *[3]int64, out []int64, l []T, s T) {
+	l = l[:len(out)]
+	for i := range out {
+		out[i] = truth[sign3(l[i], s)]
+	}
 }
 
 // Columns implements Expr.

@@ -10,7 +10,7 @@ import (
 )
 
 // Partial is a mergeable fragment of query-execution state: selection,
-// aggregation hash tables, and (for non-aggregate queries) a row buffer —
+// the aggregation group table, and (for non-aggregate queries) a row buffer —
 // bounded by a top-k heap when the query carries a LIMIT. Several partials
 // over disjoint chunk subsets can run on independent goroutines (each
 // partial is single-consumer) and be combined with Merge into a state whose
@@ -28,15 +28,18 @@ type Partial struct {
 	q   *Query
 	sch *schema.Schema
 
-	groups map[string]*group // aggregate path
-	rows   []prow            // non-aggregate path, unbounded (no LIMIT)
-	top    *topK             // non-aggregate path, bounded by LIMIT
-	done   bool
+	groups  *groupTable // aggregate path
+	keyItem []int       // aggregate path: per select item, the GROUP BY expression a plain item outputs
+	rows    []prow      // non-aggregate path, unbounded (no LIMIT)
+	top     *topK       // non-aggregate path, bounded by LIMIT
+	done    bool
 
 	sel  []int           // selection scratch, reused across chunks
 	selv *chunk.Vector   // project's WHERE result, held until releaseProjection
 	cols []*chunk.Vector // project's select-item vectors, likewise
-	kb   []byte          // group-key scratch, reused across rows
+	keyv []*chunk.Vector // consumeAgg's GROUP BY vectors, held until releaseAgg
+	aggv []*chunk.Vector // consumeAgg's aggregate-input vectors, likewise
+	ords []int32         // consumeAgg's group ordinal per selected row
 }
 
 // prow is one buffered output row with its provenance, the tiebreaker that
@@ -49,12 +52,34 @@ type prow struct {
 
 // NewPartial validates q and creates an empty partial over schema sch.
 func NewPartial(q *Query, sch *schema.Schema) (*Partial, error) {
+	return newPartial(q, sch, false)
+}
+
+// newPartial is NewPartial with the group resolver pinned to the generic one
+// when genericGroups is set: the reference the differential tests hold the
+// specialised resolvers to.
+func newPartial(q *Query, sch *schema.Schema, genericGroups bool) (*Partial, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Partial{q: q, sch: sch}
 	if q.IsAggregate() {
-		p.groups = make(map[string]*group)
+		p.groups = newGroupTable(q, genericGroups)
+		vecs := make([]*chunk.Vector, len(q.GroupBy)+len(q.Items))
+		p.keyv, p.aggv = vecs[:0:len(q.GroupBy)], vecs[len(q.GroupBy):len(q.GroupBy)]
+		// Validate has checked that every plain item is a GROUP BY
+		// expression; find which one once, not per finalized group.
+		p.keyItem = make([]int, len(q.Items))
+		for i, it := range q.Items {
+			if it.Agg != AggNone {
+				continue
+			}
+			for k, g := range q.GroupBy {
+				if g.String() == it.Expr.String() {
+					p.keyItem[i] = k
+				}
+			}
+		}
 	} else if q.Limit > 0 {
 		p.top = &topK{p: p, k: q.Limit}
 	}
@@ -149,90 +174,74 @@ func (p *Partial) selection(bc *chunk.BinaryChunk) ([]int, *chunk.Vector, error)
 }
 
 func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
-	if sel != nil && len(sel) == 0 {
-		return nil
+	n := bc.Rows
+	if sel != nil {
+		if n = len(sel); n == 0 {
+			return nil
+		}
 	}
 	// Evaluate group-by keys and aggregate inputs once per chunk.
-	keyVecs := make([]*chunk.Vector, len(p.q.GroupBy))
-	for i, g := range p.q.GroupBy {
+	defer p.releaseAgg()
+	for _, g := range p.q.GroupBy {
 		v, err := g.Eval(bc)
 		if err != nil {
 			return err
 		}
-		keyVecs[i] = v
+		p.keyv = append(p.keyv, v)
 	}
-	aggVecs := make([]*chunk.Vector, len(p.q.Items))
-	for i, it := range p.q.Items {
+	for _, it := range p.q.Items {
+		var v *chunk.Vector
 		if it.Expr != nil {
-			v, err := it.Expr.Eval(bc)
-			if err != nil {
+			var err error
+			if v, err = it.Expr.Eval(bc); err != nil {
 				return err
 			}
-			aggVecs[i] = v
 		}
+		p.aggv = append(p.aggv, v)
 	}
-	defer func() {
-		for i, v := range keyVecs {
-			releaseScratch(p.q.GroupBy[i], v)
-		}
-		for i, v := range aggVecs {
-			if v != nil {
-				releaseScratch(p.q.Items[i].Expr, v)
-			}
-		}
-	}()
-	if len(keyVecs) == 0 {
+	t := p.groups
+	if t.kind == resolveScalar {
 		// Scalar aggregation: one group, bulk loops over the vectors.
 		// This is the hot path for the paper's SUM benchmark query; it
 		// must stay cheap enough that SCANRAW, not the engine, is the
 		// measured component.
-		g, ok := p.groups[""]
-		if !ok {
-			g = &group{aggs: make([]aggState, len(p.q.Items))}
-			p.groups[""] = g
-		}
+		aggs := t.scalar()
 		for i, it := range p.q.Items {
-			if it.Agg == AggNone {
-				continue
+			if it.Agg != AggNone {
+				updateAggBulk(&aggs[i], p.aggv[i], bc.Rows, sel)
 			}
-			updateAggBulk(&g.aggs[i], aggVecs[i], bc.Rows, sel)
 		}
 		return nil
 	}
-	// Grouped aggregation: build compact keys with strconv (no fmt, no
-	// per-row allocation beyond new groups).
-	kb := p.kb
-	rowCount := bc.Rows
-	if sel != nil {
-		rowCount = len(sel)
+	// Grouped aggregation in two passes: every selected row's group
+	// ordinal first, then one tight loop per aggregate over (ordinal,
+	// value).
+	if cap(p.ords) < n {
+		p.ords = make([]int32, n)
 	}
-	for ri := 0; ri < rowCount; ri++ {
-		r := ri
-		if sel != nil {
-			r = sel[ri]
-		}
-		kb = kb[:0]
-		for _, kv := range keyVecs {
-			kb = appendKey(kb, kv, r)
-		}
-		g, ok := p.groups[string(kb)]
-		if !ok {
-			keys := make([]Value, len(keyVecs))
-			for i, kv := range keyVecs {
-				keys[i] = valueAt(kv, r)
-			}
-			g = &group{keys: keys, aggs: make([]aggState, len(p.q.Items))}
-			p.groups[string(kb)] = g
-		}
-		for i, it := range p.q.Items {
-			if it.Agg == AggNone {
-				continue
-			}
-			updateAggRow(&g.aggs[i], aggVecs[i], r)
+	ords := p.ords[:n]
+	t.resolve(p.keyv, sel, ords)
+	for i, it := range p.q.Items {
+		if it.Agg != AggNone {
+			updateAggOrds(t.aggs[i:], t.width, ords, p.aggv[i], sel)
 		}
 	}
-	p.kb = kb
 	return nil
+}
+
+// releaseAgg returns consumeAgg's scratch vectors to their pool. A failed
+// evaluation leaves the slices short, never misaligned: keyv[i] belongs to
+// GroupBy[i] and aggv[i] to Items[i].
+func (p *Partial) releaseAgg() {
+	for i, v := range p.keyv {
+		releaseScratch(p.q.GroupBy[i], v)
+	}
+	for i, v := range p.aggv {
+		if v != nil {
+			releaseScratch(p.q.Items[i].Expr, v)
+		}
+	}
+	p.keyv, p.aggv = p.keyv[:0], p.aggv[:0]
 }
 
 func (p *Partial) consumeRows(bc *chunk.BinaryChunk, sel []int) error {
@@ -245,6 +254,9 @@ func (p *Partial) consumeRows(bc *chunk.BinaryChunk, sel []int) error {
 		vecs[i] = v
 	}
 	emit := func(r int) {
+		if p.top != nil && !p.top.admits(vecs, bc.ID, r) {
+			return
+		}
 		row := make([]Value, len(vecs))
 		for i, v := range vecs {
 			row[i] = valueAt(v, r)
@@ -361,16 +373,7 @@ func (p *Partial) Merge(o *Partial) error {
 		return fmt.Errorf("engine: Merge of partials from different queries")
 	}
 	if p.groups != nil {
-		for key, og := range o.groups {
-			g, ok := p.groups[key]
-			if !ok {
-				p.groups[key] = og
-				continue
-			}
-			for i := range g.aggs {
-				mergeAgg(&g.aggs[i], &og.aggs[i])
-			}
-		}
+		p.groups.merge(o.groups)
 		o.groups = nil
 		return nil
 	}
@@ -445,17 +448,15 @@ func (p *Partial) Result() (*Result, error) {
 		}
 		return res, nil
 	}
-	if len(p.q.GroupBy) == 0 && len(p.groups) == 0 {
-		// Scalar aggregate over the empty input.
-		p.groups[""] = &group{aggs: make([]aggState, len(p.q.Items))}
+	t := p.groups
+	if t.kind == resolveScalar {
+		t.scalar() // a scalar aggregate over the empty input still yields a row
 	}
-	keys := make([]string, 0, len(p.groups))
-	for k := range p.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		res.Rows = append(res.Rows, p.finalize(p.groups[k]))
+	cells := make([]Value, t.n*t.width)
+	res.Rows = make([][]Value, t.n)
+	for i, k := range t.sorted() {
+		res.Rows[i] = cells[i*t.width:][:t.width:t.width]
+		p.finalize(res.Rows[i], k.ord)
 	}
 	res.Rows = filterRows(res.Rows, p.q.Having)
 	sortRows(res.Rows, p.q.OrderBy)
@@ -465,26 +466,21 @@ func (p *Partial) Result() (*Result, error) {
 	return res, nil
 }
 
-// finalize converts one group's aggregate state into output values.
-func (p *Partial) finalize(g *group) []Value {
-	row := make([]Value, len(p.q.Items))
-	keyIdx := map[string]int{}
-	for i, gb := range p.q.GroupBy {
-		keyIdx[gb.String()] = i
-	}
+// finalize converts group ord's key values and aggregate state into one
+// output row.
+func (p *Partial) finalize(row []Value, ord int) {
+	t := p.groups
 	for i, it := range p.q.Items {
 		if it.Agg == AggNone {
-			row[i] = g.keys[keyIdx[it.Expr.String()]]
+			row[i] = valueAt(&t.keys[p.keyItem[i]], ord)
 			continue
 		}
-		st := g.aggs[i]
-		var t schema.Type
+		var typ schema.Type
 		if it.Expr != nil {
-			t = it.Expr.Type()
+			typ = it.Expr.Type()
 		}
-		row[i] = finalizeAgg(it.Agg, t, st)
+		row[i] = finalizeAgg(it.Agg, typ, t.aggs[ord*t.width+i])
 	}
-	return row
 }
 
 // prowLess is the canonical row order: ORDER BY keys first, then chunk ID,
@@ -538,6 +534,32 @@ func (t *topK) push(pr prow) {
 		t.entries[0] = pr
 		t.siftDown(0)
 	}
+}
+
+// admits reports whether push would keep row r of chunk id, whose select-item
+// vectors are vecs: always while the heap has room, and once it is full only
+// a row that precedes the root in canonical order (prowLessQ's, spelled out
+// over the order-key vectors and the provenance — going through a prow of
+// Values here halves the top-k scan rate), so a row the heap turns away is
+// never materialised.
+func (t *topK) admits(vecs []*chunk.Vector, id, r int) bool {
+	if len(t.entries) < t.k {
+		return true
+	}
+	root := &t.entries[0]
+	for _, k := range t.p.q.OrderBy {
+		c := compareValues(valueAt(vecs[k.Column], r), root.vals[k.Column])
+		if k.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c < 0
+		}
+	}
+	if id != root.chunk {
+		return id < root.chunk
+	}
+	return r < root.row
 }
 
 // less delegates to the owning partial's canonical order; the owner pointer

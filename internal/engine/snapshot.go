@@ -22,23 +22,20 @@ type GroupAgg struct {
 
 // GroupAggs snapshots the per-group aggregate state accumulated so far.
 // The returned slices are copies, so the snapshot stays valid after the
-// partial is merged away (Merge moves the group pointers out of the
-// source). Only aggregate queries carry group state; for row queries the
-// result is nil.
+// partial is merged away. Only aggregate queries carry group state; for row
+// queries the result is nil.
 func (p *Partial) GroupAggs() []GroupAgg {
-	if p.groups == nil {
+	t := p.groups
+	if t == nil {
 		return nil
 	}
-	out := make([]GroupAgg, 0, len(p.groups))
-	for k, g := range p.groups {
-		ga := GroupAgg{Key: k, Aggs: make([]AggSnapshot, len(g.aggs))}
-		if g.keys != nil {
-			ga.Keys = append([]Value(nil), g.keys...)
-		}
-		for i, st := range g.aggs {
+	out := make([]GroupAgg, t.n)
+	for _, k := range t.canonicalKeys() {
+		ga := GroupAgg{Key: k.key, Keys: t.keyValues(k.ord), Aggs: make([]AggSnapshot, t.width)}
+		for i, st := range t.aggs[k.ord*t.width:][:t.width] {
 			ga.Aggs[i] = AggSnapshot{Count: st.count, SumInt: st.sumInt, SumFloat: st.sumFloat}
 		}
-		out = append(out, ga)
+		out[k.ord] = ga
 	}
 	return out
 }

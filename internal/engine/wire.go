@@ -2,8 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
+	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 	"scanraw/internal/wire"
 )
@@ -35,7 +35,7 @@ const wireVersion = 1
 const (
 	wireKindRows   = 0 // unbounded row buffer (no LIMIT)
 	wireKindTop    = 1 // top-k heap (LIMIT, with or without ORDER BY)
-	wireKindGroups = 2 // aggregation hash table
+	wireKindGroups = 2 // aggregation state, groups in ascending key order
 )
 
 // Decode limits: a decoded count beyond these is corruption, not data.
@@ -165,24 +165,20 @@ func EncodePartial(p *Partial, chunkBase int) ([]byte, error) {
 	switch {
 	case p.groups != nil:
 		e.U8(wireKindGroups)
-		keys := make([]string, 0, len(p.groups))
-		for k := range p.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.Uvar(uint64(len(keys)))
-		for _, k := range keys {
-			g := p.groups[k]
-			e.Str(k)
-			e.Uvar(uint64(len(g.keys)))
-			for _, kv := range g.keys {
-				if err := EncodeValue(e, kv); err != nil {
+		t := p.groups
+		e.Uvar(uint64(t.n))
+		for _, k := range t.sorted() {
+			e.Str(k.key)
+			e.Uvar(uint64(len(t.keys)))
+			for i := range t.keys {
+				if err := EncodeValue(e, valueAt(&t.keys[i], k.ord)); err != nil {
 					return nil, err
 				}
 			}
-			e.Uvar(uint64(len(g.aggs)))
-			for i := range g.aggs {
-				encodeAggState(e, &g.aggs[i])
+			e.Uvar(uint64(t.width))
+			states := t.aggs[k.ord*t.width:][:t.width]
+			for i := range states {
+				encodeAggState(e, &states[i])
 			}
 		}
 	case p.top != nil:
@@ -229,7 +225,16 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 			return nil, fmt.Errorf("engine: aggregate payload for a non-aggregate query")
 		}
 		n := d.Count(maxWireGroups, "group count")
+		t := p.groups
+		// One decoded group's key values, laid out as a one-row chunk so the
+		// group enters the table the way a row's would.
+		keyRow := make([]*chunk.Vector, len(t.keys))
+		for i := range keyRow {
+			keyRow[i] = chunk.NewVector(t.keys[i].Type, 1)
+		}
 		var prevKey string
+		var kb []byte
+		var ord [1]int32
 		for i := 0; i < n && d.Err() == nil; i++ {
 			key := d.Str()
 			if d.Err() == nil && i > 0 && key <= prevKey {
@@ -238,27 +243,51 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 			}
 			prevKey = key
 			nk := d.Count(maxWireCols, "group key count")
-			if d.Err() == nil && nk != len(q.GroupBy) {
-				d.Failf("group carries %d keys, query groups by %d", nk, len(q.GroupBy))
+			if d.Err() == nil && nk != len(keyRow) {
+				d.Failf("group carries %d keys, query groups by %d", nk, len(keyRow))
 				break
 			}
-			g := &group{aggs: make([]aggState, 0, len(q.Items))}
-			if nk > 0 {
-				g.keys = make([]Value, nk)
-				for j := 0; j < nk && d.Err() == nil; j++ {
-					g.keys[j] = DecodeValue(d)
+			// The key values are the group's identity and the key string its
+			// place in the order: a payload in which the two disagree would
+			// merge under one key and sort under another.
+			kb = kb[:0]
+			for _, kv := range keyRow {
+				v := DecodeValue(d)
+				if d.Err() != nil {
+					break
 				}
+				if v.Typ != kv.Type {
+					d.Failf("group key is %v, query groups by %v", v.Typ, kv.Type)
+					break
+				}
+				switch v.Typ {
+				case schema.Int64:
+					kv.Ints[0] = v.Int
+				case schema.Float64:
+					kv.Floats[0] = v.Float
+				default:
+					kv.Strs[0] = v.Str
+				}
+				kb = appendKey(kb, kv, 0)
+			}
+			if d.Err() == nil && string(kb) != key {
+				d.Failf("group key string is not the encoding of its key values")
+				break
 			}
 			na := d.Count(maxWireCols, "aggregate count")
-			if d.Err() == nil && na != len(q.Items) {
-				d.Failf("group carries %d aggregates, query selects %d", na, len(q.Items))
+			if d.Err() == nil && na != t.width {
+				d.Failf("group carries %d aggregates, query selects %d", na, t.width)
 				break
 			}
-			for j := 0; j < na && d.Err() == nil; j++ {
-				g.aggs = append(g.aggs, decodeAggState(d))
+			if d.Err() != nil {
+				break
 			}
-			if d.Err() == nil {
-				p.groups[key] = g
+			// Strictly ascending canonical keys are pairwise distinct, and so
+			// are the key values they encode: every group is a new one.
+			t.resolve(keyRow, nil, ord[:])
+			states := t.aggs[int(ord[0])*t.width:][:t.width]
+			for j := range states {
+				states[j] = decodeAggState(d)
 			}
 		}
 	case wireKindTop:

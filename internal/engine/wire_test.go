@@ -2,12 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
+	"scanraw/internal/wire"
 )
 
 func wireSchema(t *testing.T) *schema.Schema {
@@ -240,6 +243,98 @@ func TestPartialWireRejectsCorruption(t *testing.T) {
 	}
 }
 
+// forgedGroup is one single-key group of a hand-built payload: its key
+// value, under whatever key string the forger says.
+type forgedGroup struct {
+	key string
+	val Value
+}
+
+// forgedGroups hand-builds an aggregate payload of groups with zero
+// aggregate state — the encoder itself cannot be made to write a key string
+// that disagrees with the key value beside it.
+func forgedGroups(t testing.TB, width int, groups ...forgedGroup) []byte {
+	t.Helper()
+	e := &wire.Enc{}
+	e.U8(wireVersion)
+	e.U8(wireKindGroups)
+	e.Uvar(uint64(len(groups)))
+	for _, g := range groups {
+		e.Str(g.key)
+		e.Uvar(1)
+		if err := EncodeValue(e, g.val); err != nil {
+			t.Fatal(err)
+		}
+		e.Uvar(uint64(width))
+		for i := 0; i < width; i++ {
+			encodeAggState(e, &aggState{})
+		}
+	}
+	return e.Buf
+}
+
+// TestPartialWireKeyMustEncodeValues: a group's identity is its typed key
+// values and its place in the order is its key string, so a payload in which
+// the string is not the canonical encoding of the values — or the values are
+// not of the GROUP BY expression's type — is rejected, while honest payloads,
+// the committed golden one included, still decode.
+func TestPartialWireKeyMustEncodeValues(t *testing.T) {
+	sch := wireSchema(t)
+	type group = forgedGroup
+	for _, c := range []struct {
+		name, sql string
+		groups    []group
+		wantErr   string
+	}{
+		{"honest string keys", "SELECT c2, SUM(c0), COUNT(*) FROM data GROUP BY c2",
+			[]group{{"k1\x00", StrValue("k1")}, {"k2\x00", StrValue("k2")}}, ""},
+		{"honest int keys", "SELECT c0, COUNT(*) FROM data GROUP BY c0",
+			[]group{{"-3\x00", IntValue(-3)}, {"10\x00", IntValue(10)}, {"9\x00", IntValue(9)}}, ""},
+		{"string key under another name", "SELECT c2, SUM(c0), COUNT(*) FROM data GROUP BY c2",
+			[]group{{"k1\x00", StrValue("k1")}, {"k2\x00", StrValue("k1")}}, "not the encoding of its key values"},
+		{"int key under another name", "SELECT c0, COUNT(*) FROM data GROUP BY c0",
+			[]group{{"7\x00", IntValue(8)}}, "not the encoding of its key values"},
+		{"int key in a second spelling", "SELECT c0, COUNT(*) FROM data GROUP BY c0",
+			[]group{{"+7\x00", IntValue(7)}, {"7\x00", IntValue(7)}}, "not the encoding of its key values"},
+		{"missing terminator", "SELECT c2, SUM(c0), COUNT(*) FROM data GROUP BY c2",
+			[]group{{"k1", StrValue("k1")}}, "not the encoding of its key values"},
+		{"key of the wrong type", "SELECT c0, COUNT(*) FROM data GROUP BY c0",
+			[]group{{"7\x00", StrValue("7")}}, "query groups by"},
+		{"keys out of order", "SELECT c0, COUNT(*) FROM data GROUP BY c0",
+			[]group{{"9\x00", IntValue(9)}, {"10\x00", IntValue(10)}}, "not strictly ascending"},
+	} {
+		q, err := ParseSQL(c.sql, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := DecodePartial(q, sch, forgedGroups(t, len(q.Items), c.groups...))
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantErr == "":
+			res, err := p.Result()
+			if err != nil || len(res.Rows) != len(c.groups) {
+				t.Errorf("%s: result %v, %v; want %d groups", c.name, res, err, len(c.groups))
+			}
+		case err == nil || !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.wantErr)
+		}
+	}
+
+	gsch, _ := goldenChunks(t)
+	gq, err := ParseSQL("SELECT c2, SUM(c0), COUNT(*), MIN(c1), MAX(c1), MIN(c2), MAX(c0), AVG(c1) FROM data GROUP BY c2", gsch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := hex.DecodeString(strings.Join(strings.Fields(goldenPartialGroups), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePartial(gq, gsch, golden); err != nil {
+		t.Errorf("committed golden payload: %v", err)
+	}
+}
+
 // FuzzDecodePartial asserts decode totality: arbitrary bytes never panic,
 // and valid decodes re-encode to a payload that decodes again.
 func FuzzDecodePartial(f *testing.F) {
@@ -292,6 +387,9 @@ func FuzzDecodePartial(f *testing.F) {
 		}
 		f.Add(qi, data)
 	}
+	// A payload that disagrees with itself: the key string names one group,
+	// the key value beside it another.
+	f.Add(2, forgedGroups(f, 3, forgedGroup{"k1\x00", StrValue("k2")}))
 	f.Fuzz(func(t *testing.T, qi int, data []byte) {
 		sql := seedQueries[((qi%len(seedQueries))+len(seedQueries))%len(seedQueries)]
 		q, err := ParseSQL(sql, sch)

@@ -222,7 +222,11 @@ func (r *run) drive(ctx context.Context) error {
 // task holds a slot of the binary cache it writes to, so the pool size adds
 // nothing; an inline run holds one chunk per consume worker, each pinned in
 // the cache). This is what bounds the work a LIMIT strands in flight, and
-// the invariants build asserts it.
+// the invariants build asserts it — over the disk-backed sequence: a pooled
+// run's cached-first prefix goes through the inline emitter and holds no
+// buffer slot, so with a consume fan-out up to one prefix chunk per worker
+// can still be under evaluation, beside a full pipeline, when the count is
+// taken.
 func (r *run) walk(ctx context.Context, next visit) error {
 	o := r.op
 	for {
@@ -243,7 +247,7 @@ func (r *run) walk(ctx context.Context, next visit) error {
 		if !r.disk && res.src != srcNone {
 			r.delivered[st.id] = true
 		}
-		if invariantsOn && res.src > srcSkipped {
+		if invariantsOn && res.src > srcSkipped && (r.disk || r.deliverCh == nil) {
 			r.issued++
 			bound := int64(o.cfg.TextBufferChunks + o.cfg.CacheChunks + 2)
 			if n := r.issued - r.consumed.Load(); n > bound && !r.satisfied.Load() && !r.failed() {

@@ -97,8 +97,9 @@ type run struct {
 	deliveredPartial atomic.Int64
 	skipped          atomic.Int64
 
-	// Invariants builds only: chunks issued by the driver and chunks whose
-	// consume finished, for the in-flight bound (see walk).
+	// Invariants builds only: chunks of the disk-backed sequence issued by
+	// the driver and those whose consume finished, for the in-flight bound
+	// (see walk).
 	issued   int64
 	consumed atomic.Int64
 
@@ -546,7 +547,7 @@ func (r *run) deliver(bc *BinaryChunk) {
 		if err := r.op.cache.Unpin(id); err != nil {
 			r.fail(err)
 		}
-		if invariantsOn {
+		if invariantsOn && (pipelined || r.deliverCh == nil) {
 			r.consumed.Add(1)
 		}
 		out.release()
