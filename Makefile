@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race stress experiments-check lint lint-fixtures invariants fuzz bench bench-compare loc
+.PHONY: check fmt vet build test bench-module race stress experiments-check lint lint-fixtures invariants fuzz loc
 
 check: fmt vet build test bench-module race lint lint-fixtures invariants fuzz
 
@@ -54,15 +54,20 @@ stress:
 		GOMAXPROCS=$$p $(GO) test -race -count=5 $(filter-out ./internal/scanraw/...,$(RACE_PKGS)) || exit 1; \
 	done
 
-# Wall-clock shape checks of the paper-figure experiments (parallel beats
-# sequential, wide chunks cost more than narrow, push-down beats standard
-# conversion): one duration compared against another, so they only mean
-# something with internal/bench alone on the machine. They are built under
-# -tags experiments only; `go test ./...` keeps the schedule-independent
-# assertions of the same experiments. CI runs this nightly, after stress.
+# Wall-clock checks: the shape checks of the paper-figure experiments
+# (parallel beats sequential, wide chunks cost more than narrow, push-down
+# beats standard conversion) and the three speed-up floors (fused kernel over
+# tok+parse, per-column pages over full-width for a narrow query, OLA
+# time-to-bound over the full scan; each >= 1.5, taken between interleaved
+# runs inside one process — testutil.SpeedupFloor). One duration compared
+# against another only means something with the package alone on the machine,
+# hence -p 1 and the experiments build tag; `go test ./...` keeps the
+# schedule-independent assertions. CI runs this nightly, after stress.
+EXPERIMENT_PKGS = ./internal/bench/ ./internal/kernel/ ./internal/scanraw/ ./internal/ola/
+
 experiments-check:
-	$(GO) vet -tags experiments ./internal/bench/
-	$(GO) test -tags experiments -run 'TimingShapes' -count=1 ./internal/bench/
+	$(GO) vet -tags experiments $(EXPERIMENT_PKGS)
+	$(GO) test -p 1 -tags experiments -run 'TimingShapes|SpeedupFloor' -benchtime 10x -count=1 $(EXPERIMENT_PKGS)
 
 # Project-specific static analysis (pin balance, pool pairing, goroutine
 # exits, context threading, channel ops under locks, journal ordering,
@@ -103,18 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameMessage -fuzztime=5s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFusedKernel -fuzztime=5s ./internal/kernel
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeColGroupKey -fuzztime=5s ./internal/dbstore
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=5s ./internal/queryapi
-
-# bench runs the benchmark suite across the hot packages and records the
-# results in the file named by BENCH_OUT (scripts/bench.sh has the default;
-# see README). bench-compare diffs the two most recent BENCH_*.json and
-# fails on >20% hot-path regressions.
-bench:
-	@./scripts/bench.sh
-
-bench-compare:
-	@./scripts/bench_compare.sh
 
 # Non-test lines per internal/ package and in total — every line, then code
 # only (neither blank nor a // comment) — so "the trend is down" (ROADMAP)

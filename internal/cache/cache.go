@@ -26,7 +26,7 @@ type entry struct {
 	loaded   bool   // chunk (its cached columns) is stored in the database
 	pins     int    // > 0 while the execution engine holds the chunk
 	lastUse  uint64 // LRU clock
-	inserted uint64 // insertion clock, for OldestUnloaded
+	inserted uint64 // insertion clock, for AcquireOldestUnloaded
 }
 
 // Cache is a bounded, thread-safe chunk cache.
@@ -148,19 +148,6 @@ func (c *Cache) pickVictim() *entry {
 	return bestAny
 }
 
-// Get returns the cached chunk with the given ID (touching its LRU
-// position) or nil.
-func (c *Cache) Get(id int) *chunk.BinaryChunk {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return nil
-	}
-	e.lastUse = c.tick()
-	return e.bc
-}
-
 // Peek returns the cached chunk without touching LRU state.
 func (c *Cache) Peek(id int) *chunk.BinaryChunk {
 	c.mu.Lock()
@@ -185,14 +172,6 @@ func (c *Cache) Acquire(id int) *chunk.BinaryChunk {
 	e.pins++
 	e.lastUse = c.tick()
 	return e.bc
-}
-
-// Contains reports whether the chunk is cached.
-func (c *Cache) Contains(id int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[id]
-	return ok
 }
 
 // Pin marks the chunk as in use; pinned chunks are never evicted. It
@@ -274,30 +253,11 @@ func (c *Cache) IsLoaded(id int) bool {
 	return ok && e.loaded
 }
 
-// OldestUnloaded returns the cached chunk that was inserted earliest among
-// those not yet loaded into the database, or nil when every cached chunk
-// is loaded. This is the chunk speculative loading writes next (paper §4).
-func (c *Cache) OldestUnloaded() *chunk.BinaryChunk {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best *entry
-	for _, e := range c.entries {
-		if e.loaded {
-			continue
-		}
-		if best == nil || e.inserted < best.inserted {
-			best = e
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return best.bc
-}
-
-// AcquireOldestUnloaded is OldestUnloaded with the returned chunk pinned
-// atomically, protecting the speculative WRITE thread's reference from a
-// concurrent eviction. The caller must Unpin the returned chunk's ID.
+// AcquireOldestUnloaded returns the cached chunk that was inserted earliest
+// among those not yet loaded into the database — the chunk speculative
+// loading writes next (paper §4) — or nil when every cached chunk is loaded.
+// The chunk is pinned atomically, protecting the speculative WRITE thread's
+// reference from a concurrent eviction; the caller must Unpin its ID.
 func (c *Cache) AcquireOldestUnloaded() *chunk.BinaryChunk {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -374,15 +334,4 @@ func (c *Cache) Clear() {
 			delete(c.entries, id)
 		}
 	}
-}
-
-// MemSize returns the approximate total footprint of cached chunks.
-func (c *Cache) MemSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.entries {
-		n += e.bc.MemSize()
-	}
-	return n
 }

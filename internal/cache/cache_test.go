@@ -23,19 +23,42 @@ func mk(id int) *chunk.BinaryChunk {
 	return bc
 }
 
+// touch is a delivery's use of a cached chunk: Acquire refreshes its LRU
+// position, Unpin lets go of it again.
+func touch(c *Cache, id int) *chunk.BinaryChunk {
+	bc := c.Acquire(id)
+	if bc != nil {
+		if err := c.Unpin(id); err != nil {
+			panic(err)
+		}
+	}
+	return bc
+}
+
+// oldestUnloaded is AcquireOldestUnloaded with the pin given straight back.
+func oldestUnloaded(c *Cache) *chunk.BinaryChunk {
+	bc := c.AcquireOldestUnloaded()
+	if bc != nil {
+		if err := c.Unpin(bc.ID); err != nil {
+			panic(err)
+		}
+	}
+	return bc
+}
+
 func TestPutGet(t *testing.T) {
 	c := New(2)
 	if ev, _, ok := c.Put(mk(1), false); !ok || ev != nil {
 		t.Fatalf("Put = %v %v", ev, ok)
 	}
-	if got := c.Get(1); got == nil || got.ID != 1 {
-		t.Errorf("Get(1) = %v", got)
+	if got := touch(c, 1); got == nil || got.ID != 1 {
+		t.Errorf("Acquire(1) = %v", got)
 	}
-	if c.Get(99) != nil {
-		t.Error("Get(99) should be nil")
+	if touch(c, 99) != nil {
+		t.Error("Acquire(99) should be nil")
 	}
-	if !c.Contains(1) || c.Contains(2) {
-		t.Error("Contains wrong")
+	if c.Peek(1) == nil || c.Peek(2) != nil {
+		t.Error("Peek wrong")
 	}
 	if c.Len() != 1 || c.Cap() != 2 {
 		t.Errorf("Len/Cap = %d/%d", c.Len(), c.Cap())
@@ -46,12 +69,12 @@ func TestEvictionLRU(t *testing.T) {
 	c := New(2)
 	c.Put(mk(1), false)
 	c.Put(mk(2), false)
-	c.Get(1) // 2 becomes LRU
+	touch(c, 1) // 2 becomes LRU
 	ev, _, ok := c.Put(mk(3), false)
 	if !ok || ev == nil || ev.ID != 2 {
 		t.Errorf("evicted = %v, want chunk 2", ev)
 	}
-	if !c.Contains(1) || !c.Contains(3) || c.Contains(2) {
+	if c.Peek(1) == nil || c.Peek(3) == nil || c.Peek(2) != nil {
 		t.Error("cache contents wrong after eviction")
 	}
 }
@@ -60,11 +83,11 @@ func TestEvictionBiasTowardLoaded(t *testing.T) {
 	c := New(2)
 	c.Put(mk(1), true)  // loaded, but more recently used below
 	c.Put(mk(2), false) // unloaded
-	c.Get(1)
-	c.Get(2)
+	touch(c, 1)
+	touch(c, 2)
 	// Plain LRU would evict 1 only if least-recent; here 1 is older but
 	// both were touched; make 1 most-recent to prove bias wins over LRU.
-	c.Get(1)
+	touch(c, 1)
 	ev, loaded, ok := c.Put(mk(3), false)
 	if !ok || ev == nil || ev.ID != 1 || !loaded {
 		t.Errorf("bias eviction = %v loaded=%v, want loaded chunk 1", ev, loaded)
@@ -75,7 +98,7 @@ func TestEvictionUnbiased(t *testing.T) {
 	c := NewUnbiased(2)
 	c.Put(mk(1), true)
 	c.Put(mk(2), false)
-	c.Get(1) // 2 is LRU
+	touch(c, 1) // 2 is LRU
 	ev, _, _ := c.Put(mk(3), false)
 	if ev == nil || ev.ID != 2 {
 		t.Errorf("unbiased eviction = %v, want plain LRU victim 2", ev)
@@ -117,7 +140,7 @@ func TestMarkLoadedAndOldestUnloaded(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		c.Put(mk(i), false)
 	}
-	if got := c.OldestUnloaded(); got == nil || got.ID != 1 {
+	if got := oldestUnloaded(c); got == nil || got.ID != 1 {
 		t.Errorf("OldestUnloaded = %v, want 1", got)
 	}
 	if !c.MarkLoaded(1) {
@@ -126,12 +149,12 @@ func TestMarkLoadedAndOldestUnloaded(t *testing.T) {
 	if !c.IsLoaded(1) || c.IsLoaded(2) {
 		t.Error("IsLoaded wrong")
 	}
-	if got := c.OldestUnloaded(); got == nil || got.ID != 2 {
+	if got := oldestUnloaded(c); got == nil || got.ID != 2 {
 		t.Errorf("OldestUnloaded after load = %v, want 2", got)
 	}
 	c.MarkLoaded(2)
 	c.MarkLoaded(3)
-	if got := c.OldestUnloaded(); got != nil {
+	if got := oldestUnloaded(c); got != nil {
 		t.Errorf("all loaded, OldestUnloaded = %v", got)
 	}
 	if c.MarkLoaded(99) {
@@ -227,22 +250,11 @@ func TestRemoveAndClear(t *testing.T) {
 	}
 	c.Put(mk(3), false)
 	c.Clear()
-	if c.Contains(3) {
+	if c.Peek(3) != nil {
 		t.Error("Clear should drop unpinned entries")
 	}
-	if !c.Contains(2) {
+	if c.Peek(2) == nil {
 		t.Error("Clear must keep pinned entries")
-	}
-}
-
-func TestMemSize(t *testing.T) {
-	c := New(4)
-	if c.MemSize() != 0 {
-		t.Error("empty cache should have zero size")
-	}
-	c.Put(mk(1), false)
-	if c.MemSize() <= 0 {
-		t.Error("MemSize should grow")
 	}
 }
 
@@ -279,7 +291,7 @@ func TestOldestUnloadedProperty(t *testing.T) {
 					loaded[id] = true
 				}
 			case 2:
-				c.Get(id) // touches LRU, must not affect OldestUnloaded
+				touch(c, id) // touches LRU, must not affect OldestUnloaded
 			}
 			var want *int
 			for _, cand := range insertion {
@@ -288,7 +300,7 @@ func TestOldestUnloadedProperty(t *testing.T) {
 					break
 				}
 			}
-			got := c.OldestUnloaded()
+			got := oldestUnloaded(c)
 			if want == nil {
 				if got != nil {
 					return false
@@ -327,13 +339,13 @@ func TestCacheInvariantsProperty(t *testing.T) {
 					pinned[id]--
 				}
 			case 4:
-				c.Get(id)
+				touch(c, id)
 			}
 			if c.Len() > 3 {
 				return false
 			}
 			for id, n := range pinned {
-				if n > 0 && !c.Contains(id) {
+				if n > 0 && c.Peek(id) == nil {
 					return false // pinned chunk evicted
 				}
 			}

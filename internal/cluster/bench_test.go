@@ -12,10 +12,9 @@ import (
 
 // The distributed-merge overhead pair: the same GROUP BY aggregate served
 // by one scanrawd versus a coordinator scattering it over a 3-worker
-// fleet and merging the shipped partials. scripts/bench.sh derives the
-// distributed_merge_overhead ratio (distributed / single-node) from these
-// two; it prices the codec + HTTP + merge-tree cost of going distributed
-// on data small enough that scan time does not dominate.
+// fleet and merging the shipped partials. The ratio of the two (distributed
+// / single-node) prices the codec + HTTP + merge-tree cost of going
+// distributed on data small enough that scan time does not dominate.
 const benchSQL = "SELECT c0, SUM(c1), COUNT(*) FROM data GROUP BY c0"
 
 func benchQuery(b *testing.B, baseURL string) {

@@ -17,8 +17,9 @@ import (
 // full-width page (the layout the source paper describes, kept as the
 // benchmark baseline).
 
-// maxGroupCols bounds a decoded group's column count; mirrors the store
-// package's record limits. A key exceeding it is corruption, not data.
+// maxGroupCols bounds a decoded group page's column count and ordinals;
+// mirrors the store package's record limits. A page exceeding it is
+// corruption, not data.
 const maxGroupCols = 1 << 14
 
 // EncodeColGroupKey renders a strictly-increasing list of column ordinals
@@ -42,77 +43,6 @@ func EncodeColGroupKey(cols []int) string {
 		i = j + 1
 	}
 	return b.String()
-}
-
-// DecodeColGroupKey inverts EncodeColGroupKey. It is total and strict: any
-// input either yields the unique strictly-increasing ordinal list that
-// re-encodes to the same key, or an error — never a panic. Strictness makes
-// the key canonical, so one column set maps to exactly one page name.
-func DecodeColGroupKey(key string) ([]int, error) {
-	if key == "" {
-		return nil, fmt.Errorf("dbstore: empty column-group key")
-	}
-	var cols []int
-	prev := -1
-	for _, part := range strings.Split(key, ".") {
-		lo, hi, err := parseKeyRange(part)
-		if err != nil {
-			return nil, err
-		}
-		if lo <= prev {
-			return nil, fmt.Errorf("dbstore: column-group key %q not strictly increasing", key)
-		}
-		if lo == prev+1 && prev >= 0 {
-			// "0.1" must have been written "0-1": reject non-canonical keys.
-			return nil, fmt.Errorf("dbstore: column-group key %q is not canonical", key)
-		}
-		if len(cols)+(hi-lo+1) > maxGroupCols {
-			return nil, fmt.Errorf("dbstore: column-group key %q exceeds %d columns", key, maxGroupCols)
-		}
-		for c := lo; c <= hi; c++ {
-			cols = append(cols, c)
-		}
-		prev = hi
-	}
-	return cols, nil
-}
-
-// parseKeyRange parses one "lo" or "lo-hi" key segment.
-func parseKeyRange(part string) (lo, hi int, err error) {
-	loStr, hiStr, isRange := strings.Cut(part, "-")
-	if lo, err = parseKeyOrdinal(loStr); err != nil {
-		return 0, 0, err
-	}
-	if !isRange {
-		return lo, lo, nil
-	}
-	if hi, err = parseKeyOrdinal(hiStr); err != nil {
-		return 0, 0, err
-	}
-	if hi <= lo {
-		return 0, 0, fmt.Errorf("dbstore: bad column-group range %q", part)
-	}
-	return lo, hi, nil
-}
-
-// parseKeyOrdinal parses a decimal ordinal with no sign, no leading zeros
-// (except "0" itself), and a bound that keeps allocations sane.
-func parseKeyOrdinal(s string) (int, error) {
-	if s == "" || (len(s) > 1 && s[0] == '0') {
-		return 0, fmt.Errorf("dbstore: bad column ordinal %q in group key", s)
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("dbstore: bad column ordinal %q in group key", s)
-		}
-		n = n*10 + int(c-'0')
-		if n >= maxGroupCols {
-			return 0, fmt.Errorf("dbstore: column ordinal %q exceeds limit", s)
-		}
-	}
-	return n, nil
 }
 
 // encodeGroupPage serializes the listed columns of bc as one page payload:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
@@ -224,69 +225,124 @@ type aggState struct {
 	seen     bool
 }
 
-// Executor consumes binary chunks and produces a Result. It implements
-// both scalar/grouped aggregation and plain filtering/projection. An
-// Executor is a thin serial wrapper over a single Partial, so the serial
-// and parallel (ParallelExecutor) paths share one evaluation code path and
-// agree by construction; only the merge step differs.
+// Executor evaluates a query over binary chunks with a pool of mergeable
+// partials and is the engine's only consume-side type. Each ConsumeCounted
+// checks an idle partial out of the pool, folds the chunk into it and returns
+// it, so up to width chunks are evaluated at once and the next caller blocks
+// until a partial frees up — the natural backpressure for delivery fan-out.
+// At width 1 (NewExecutor) that is serial evaluation: concurrent callers
+// simply take turns.
+//
+// Result drains the pool — waiting for in-flight consumes — then merges the
+// partials in creation order and finalizes. Every width evaluates through
+// Partial, so all widths agree by construction (see Partial for the
+// determinism contract and the float-summation caveat).
 type Executor struct {
-	p     *Partial
-	bound *BoundHolder
+	all []*Partial
+	// one backs all at width 1, and idle carries indices into all (of the
+	// partials no Consume holds) rather than pointers, so a width-1 executor
+	// allocates no more than the bare partial did (TestGroupByAllocs).
+	one   [1]*Partial
+	idle  chan int
+	done  atomic.Bool
+	bound BoundHolder
 }
 
-// NewExecutor validates q and builds an executor.
+// NewExecutor validates q and builds a width-1 executor.
 func NewExecutor(q *Query, sch *schema.Schema) (*Executor, error) {
-	p, err := NewPartial(q, sch)
-	if err != nil {
-		return nil, err
+	return NewExecutorN(q, sch, 1)
+}
+
+// NewExecutorN is NewExecutor with width partials (at least one): the number
+// of chunks that may be consumed concurrently.
+func NewExecutorN(q *Query, sch *schema.Schema, width int) (*Executor, error) {
+	width = max(width, 1)
+	e := &Executor{idle: make(chan int, width)}
+	e.bound.bind(q)
+	e.all = e.one[:]
+	if width > 1 {
+		e.all = make([]*Partial, width)
 	}
-	return &Executor{p: p, bound: NewBoundHolder(q)}, nil
+	for i := range e.all {
+		p, err := NewPartial(q, sch)
+		if err != nil {
+			return nil, err
+		}
+		e.all[i] = p
+		e.idle <- i
+	}
+	return e, nil
 }
 
-// ConsumeContext folds one chunk into the running result after checking
-// for cancellation. This is the point where query execution observes
-// client disconnects and per-query timeouts: the SCANRAW delivery loop
-// calls it once per chunk, so a cancelled context stops execution at the
-// next chunk boundary.
+// ConsumeContext is Consume with a cancellation check at the chunk boundary.
+// This is the point where query execution observes client disconnects and
+// per-query timeouts: the SCANRAW delivery loop calls it once per chunk.
 func (e *Executor) ConsumeContext(ctx context.Context, bc *chunk.BinaryChunk) error {
-	return e.p.ConsumeContext(ctx, bc)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return e.Consume(bc)
 }
 
-// Consume folds one chunk into the running result. Executor is
-// single-consumer: calls must not overlap.
+// Consume folds one chunk into an idle partial. Safe to call from many
+// goroutines concurrently.
 func (e *Executor) Consume(bc *chunk.BinaryChunk) error {
 	_, err := e.ConsumeCounted(bc)
 	return err
 }
 
 // ConsumeCounted is Consume returning the number of rows that passed the
-// WHERE clause, and refreshes the top-k bound for concurrent Bound readers.
+// WHERE clause. It also refreshes the shared top-k bound while the partial
+// is still checked out, so Bound never races a concurrent Consume.
 func (e *Executor) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
-	matched, err := e.p.ConsumeCounted(bc)
-	e.bound.Update(e.p)
+	if e.done.Load() {
+		return 0, fmt.Errorf("engine: Consume after Result")
+	}
+	i := <-e.idle
+	p := e.all[i]
+	matched, err := p.ConsumeCounted(bc)
+	e.bound.Update(p)
+	e.idle <- i
 	return matched, err
 }
 
-// Bound returns the current top-k cutoff for ORDER BY ... LIMIT chunk
-// pruning. Unlike reading the partial's heap directly, it is safe to call
-// from the READ goroutine while Consume runs on the delivery goroutine.
+// Bound returns the tightest top-k cutoff any single partial has
+// established, for ORDER BY ... LIMIT chunk pruning. Safe to call
+// concurrently with Consume (the READ goroutine does).
 func (e *Executor) Bound() ([]Value, bool) { return e.bound.Bound() }
 
-// Result materializes the final result. For grouped queries rows are
-// ordered by group key for determinism; a scalar aggregate over zero rows
-// yields one row of zero/NaN values.
+// Result waits for in-flight Consume calls, merges every partial, and
+// materializes the final result. For grouped queries rows are ordered by
+// group key for determinism; a scalar aggregate over zero rows yields one
+// row of zero/NaN values. Partials are merged in creation order so the merge
+// sequence does not depend on scheduling (chunk→partial assignment still
+// does; see Partial on float summation).
 func (e *Executor) Result() (*Result, error) {
-	return e.p.Result()
+	parts, err := e.Finish()
+	if err != nil {
+		return nil, err
+	}
+	root, err := MergePartials(parts)
+	if err != nil {
+		return nil, err
+	}
+	return root.Result()
 }
 
-// Finish returns the executor's single partial without materializing the
-// result, mirroring ParallelExecutor.Finish: fleet workers ship the raw
-// partial state over the wire instead of finalizing it locally.
+// Finish waits for in-flight Consume calls and returns the raw partials
+// without merging them, for callers that stream the merged output (see
+// RunMerger) or ship the state over the wire (fleet workers) instead of
+// materializing it. After Finish the executor is done.
 func (e *Executor) Finish() ([]*Partial, error) {
-	if e.p.done {
-		return nil, fmt.Errorf("engine: Finish after Result")
+	if e.done.Swap(true) {
+		return nil, fmt.Errorf("engine: Result called twice")
 	}
-	return []*Partial{e.p}, nil
+	// Every Consume that started before done was set will return its
+	// partial; draining the pool is the rendezvous.
+	for range e.all {
+		<-e.idle
+	}
+	return e.all, nil
 }
 
 func valueAt(v *chunk.Vector, i int) Value {

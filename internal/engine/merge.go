@@ -136,12 +136,10 @@ type BoundHolder struct {
 	ok     bool
 }
 
-// NewBoundHolder builds a holder for q.
-func NewBoundHolder(q *Query) *BoundHolder {
-	return &BoundHolder{
-		q:      q,
-		active: !q.IsAggregate() && q.Limit > 0 && len(q.OrderBy) > 0,
-	}
+// bind attaches the holder to q, before first use.
+func (b *BoundHolder) bind(q *Query) {
+	b.q = q
+	b.active = !q.IsAggregate() && q.Limit > 0 && len(q.OrderBy) > 0
 }
 
 // Update refreshes the holder from p's heap. The caller must have exclusive

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -54,24 +53,7 @@ func TestRunMergerMatchesMaterialized(t *testing.T) {
 			}
 			want := runSerial(t, q, chunks)
 
-			pe, err := NewParallelExecutor(q, diffSch, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shuffled := append([]*chunk.BinaryChunk(nil), chunks...)
-			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			var wg sync.WaitGroup
-			for _, bc := range shuffled {
-				wg.Add(1)
-				go func(bc *chunk.BinaryChunk) {
-					defer wg.Done()
-					if _, err := pe.ConsumeCounted(bc); err != nil {
-						t.Error(err)
-					}
-				}(bc)
-			}
-			wg.Wait()
-			parts, err := pe.Finish()
+			parts, err := feedShuffled(t, rng, q, chunks, 4).Finish()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -71,7 +72,7 @@ func diffQueries(rng *rand.Rand) []string {
 	}
 }
 
-// runSerial evaluates q over chunks in ID order on the serial executor.
+// runSerial evaluates q over chunks in ID order on a width-1 executor.
 func runSerial(t testing.TB, q *Query, chunks []*chunk.BinaryChunk) *Result {
 	t.Helper()
 	ex, err := NewExecutor(q, diffSch)
@@ -90,11 +91,11 @@ func runSerial(t testing.TB, q *Query, chunks []*chunk.BinaryChunk) *Result {
 	return res
 }
 
-// runParallel evaluates q over a shuffled copy of chunks with concurrent
-// Consume calls on a ParallelExecutor.
-func runParallel(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk, workers int) *Result {
+// feedShuffled builds an executor of the given width and feeds it a shuffled
+// copy of chunks with concurrent Consume calls.
+func feedShuffled(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk, width int) *Executor {
 	t.Helper()
-	pe, err := NewParallelExecutor(q, diffSch, workers)
+	ex, err := NewExecutorN(q, diffSch, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func runParallel(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryC
 		wg.Add(1)
 		go func(bc *chunk.BinaryChunk) {
 			defer wg.Done()
-			errs <- pe.Consume(bc)
+			errs <- ex.Consume(bc)
 		}(bc)
 	}
 	wg.Wait()
@@ -116,17 +117,44 @@ func runParallel(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryC
 			t.Fatal(err)
 		}
 	}
-	res, err := pe.Result()
+	return ex
+}
+
+// runParallel is feedShuffled finished with Result.
+func runParallel(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk, width int) *Result {
+	t.Helper()
+	res, err := feedShuffled(t, rng, q, chunks, width).Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
+// encodeMerged is the fleet worker's finish: Finish, merge, serialize.
+func encodeMerged(t testing.TB, ex *Executor) []byte {
+	t.Helper()
+	parts, err := ex.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergePartials(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodePartial(merged, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestParallelMatchesSerial is the differential test of the partial/merge
 // contract: for randomized data and a query corpus spanning the whole SQL
-// subset, parallel evaluation over shuffled chunks must produce results
-// bit-identical to serial evaluation in chunk order.
+// subset, an executor of any width fed shuffled chunks concurrently must
+// produce results bit-identical to width 1 fed in chunk order — through
+// Result and through the wire (Finish, merge, EncodePartial). Aggregate state
+// encodes canonically, so there the bytes themselves must match; buffered
+// rows encode in arrival order, so there the decoded partial's Result must.
 func TestParallelMatchesSerial(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		rng := rand.New(rand.NewSource(int64(1000 + round)))
@@ -137,33 +165,55 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s: %v", sql, err)
 			}
 			want := runSerial(t, q, chunks)
-			for _, workers := range []int{2, 4, 8} {
-				got := runParallel(t, rng, q, chunks, workers)
+			wantBytes := encodeMerged(t, feedShuffled(t, rng, q, chunks, 1))
+			for _, width := range []int{1, 2, 4, 8} {
+				got := runParallel(t, rng, q, chunks, width)
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("round %d, workers %d: %s\nserial:   %+v\nparallel: %+v",
-						round, workers, sql, want.Rows, got.Rows)
+					t.Errorf("round %d, width %d: %s\nserial:   %+v\nparallel: %+v",
+						round, width, sql, want.Rows, got.Rows)
+				}
+				data := encodeMerged(t, feedShuffled(t, rng, q, chunks, width))
+				if q.IsAggregate() && !bytes.Equal(wantBytes, data) {
+					t.Errorf("round %d, width %d: %s: encoded partial differs from width 1", round, width, sql)
+				}
+				p, err := DecodePartial(q, diffSch, data)
+				if err != nil {
+					t.Fatalf("round %d, width %d: %s: %v", round, width, sql, err)
+				}
+				if res, _ := p.Result(); !reflect.DeepEqual(want, res) {
+					t.Errorf("round %d, width %d: %s: decoded partial gives %+v, want %+v",
+						round, width, sql, res.Rows, want.Rows)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelExecutorMisuse covers the error surface: double Result and
-// mismatched merges.
-func TestParallelExecutorMisuse(t *testing.T) {
+// TestExecutorMisuse covers the error surface at every width — Consume,
+// Result and Finish after Result — and mismatched merges.
+func TestExecutorMisuse(t *testing.T) {
 	q, err := ParseSQL("SELECT COUNT(*) FROM t", diffSch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallelExecutor(q, diffSch, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pe.Result(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pe.Result(); err == nil {
-		t.Error("second Result() did not fail")
+	bc := diffChunks(t, rand.New(rand.NewSource(1)), 1, 8)[0]
+	for _, width := range []int{1, 2, 8} {
+		ex, err := NewExecutorN(q, diffSch, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Result(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Result(); err == nil {
+			t.Errorf("width %d: second Result() did not fail", width)
+		}
+		if _, err := ex.Finish(); err == nil {
+			t.Errorf("width %d: Finish() after Result() did not fail", width)
+		}
+		if err := ex.Consume(bc); err == nil {
+			t.Errorf("width %d: Consume() after Result() did not fail", width)
+		}
 	}
 
 	q2, err := ParseSQL("SELECT SUM(a) FROM t", diffSch)

@@ -101,7 +101,7 @@ func (p *Partial) ConsumeContext(ctx context.Context, bc *chunk.BinaryChunk) err
 
 // Consume folds one chunk into the partial. A partial is single-consumer:
 // Consume must not be called concurrently on the same partial (use one
-// partial per consume worker, or ParallelExecutor which enforces this).
+// partial per consume worker, or Executor which enforces this).
 func (p *Partial) Consume(bc *chunk.BinaryChunk) error {
 	_, err := p.ConsumeCounted(bc)
 	return err

@@ -30,8 +30,7 @@ func benchSetup(b *testing.B, cols []int) (*chunk.TextChunk, *schema.Schema, *Ke
 }
 
 // BenchmarkFusedChunk64 measures fused conversion of all 64 columns — the
-// number BENCH_pr7.json compares against BenchmarkTokParseChunk64 to
-// report convert_kernel_speedup.
+// number TestConvertKernelSpeedupFloor holds BenchmarkTokParseChunk64 to.
 func BenchmarkFusedChunk64(b *testing.B) {
 	cols := make([]int, 64)
 	for i := range cols {

@@ -8,13 +8,13 @@
 // straight into pooled column vectors.
 //
 // Kernels are selected per (schema signature, requested column set,
-// delimiter) from a small registry ordered most-specialized-first:
-// hand-specialized loops for the common type shapes (a dense all-int64
-// column prefix, an all-int64 subset, an int64+float64 mix) and a generic
-// fused fallback that additionally handles string columns. Unrequested
-// columns are skipped with bytes.IndexByte (memchr); integer fields are
-// parsed inline by the delimiter scan itself, so requested int64 columns
-// never pay a separate field-boundary search.
+// delimiter) from a small registry ordered most-specialized-first: a
+// hand-specialized loop for all-int64 column sets and a generic fused loop
+// for every other shape (floats, strings). A specialization earns its place
+// by a benchmark workload that resolves it from the generic loop (DESIGN.md
+// §12). Unrequested columns are skipped with bytes.IndexByte (memchr);
+// integer fields are parsed inline by the delimiter scan itself, so
+// requested int64 columns never pay a separate field-boundary search.
 //
 // Framing semantics — line termination, CRLF stripping, empty trailing
 // fields, field-count errors — mirror tok.Tokenize exactly, and value
@@ -63,9 +63,7 @@ type builder struct {
 // match. The generic fused kernel matches everything, so selection never
 // falls through.
 var registry = []builder{
-	{name: "int64-prefix", match: matchInt64Prefix, run: runInt64Prefix},
 	{name: "int64-subset", match: matchAllInt64, run: runInt64Subset},
-	{name: "numeric-subset", match: matchNumeric, run: runNumericSubset},
 	{name: "fused-generic", match: func(*schema.Schema, []int) bool { return true }, run: runGeneric},
 }
 
@@ -117,27 +115,9 @@ func (k *Kernel) Name() string { return k.name }
 // Columns returns the requested schema ordinals (shared; do not mutate).
 func (k *Kernel) Columns() []int { return k.cols }
 
-func matchInt64Prefix(sch *schema.Schema, cols []int) bool {
-	if !matchAllInt64(sch, cols) {
-		return false
-	}
-	// A dense prefix: cols == [0, 1, ..., n-1]. Every field the walk meets
-	// is requested, so the skip machinery compiles away entirely.
-	return cols[len(cols)-1] == len(cols)-1
-}
-
 func matchAllInt64(sch *schema.Schema, cols []int) bool {
 	for _, c := range cols {
 		if sch.Column(c).Type != schema.Int64 {
-			return false
-		}
-	}
-	return true
-}
-
-func matchNumeric(sch *schema.Schema, cols []int) bool {
-	for _, c := range cols {
-		if sch.Column(c).Type == schema.Str {
 			return false
 		}
 	}

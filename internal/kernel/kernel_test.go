@@ -41,12 +41,12 @@ func TestKernelSelection(t *testing.T) {
 		cols []int
 		want string
 	}{
-		{"dense int prefix", intSchema(4), []int{0, 1, 2, 3}, "int64-prefix"},
-		{"single leading int", intSchema(4), []int{0}, "int64-prefix"},
+		{"dense int prefix", intSchema(4), []int{0, 1, 2, 3}, "int64-subset"},
+		{"single leading int", intSchema(4), []int{0}, "int64-subset"},
 		{"int subset", intSchema(4), []int{1, 3}, "int64-subset"},
 		{"int suffix", intSchema(4), []int{3}, "int64-subset"},
-		{"numeric mix", mixedSchema(schema.Int64, schema.Float64), []int{0, 1}, "numeric-subset"},
-		{"float only", mixedSchema(schema.Int64, schema.Float64), []int{1}, "numeric-subset"},
+		{"numeric mix", mixedSchema(schema.Int64, schema.Float64), []int{0, 1}, "fused-generic"},
+		{"float only", mixedSchema(schema.Int64, schema.Float64), []int{1}, "fused-generic"},
 		{"string present", mixedSchema(schema.Int64, schema.Str), []int{0, 1}, "fused-generic"},
 		{"string only", mixedSchema(schema.Str, schema.Str), []int{1}, "fused-generic"},
 	}

@@ -112,38 +112,9 @@ func parseIntField(data []byte, fs, lineEnd int, delim byte) (int64, int, error)
 	return x, i, nil
 }
 
-// runInt64Prefix converts a dense int64 column prefix (cols == 0..n-1, all
-// Int64) — the tightest loop in the registry: every field the walk meets is
-// requested, so there is no skip machinery and no per-field type dispatch.
-func runInt64Prefix(k *Kernel, tc *chunk.TextChunk, out []*chunk.Vector) error {
-	data := tc.Data
-	delim := k.delim
-	ncols := len(k.cols)
-	pos := 0
-	for r := 0; r < tc.Lines; r++ {
-		if pos >= len(data) {
-			return errShort(tc, r)
-		}
-		rawEnd, lineEnd := lineBounds(data, pos)
-		fs := pos
-		for j := 0; j < ncols; j++ {
-			x, fe, err := parseIntField(data, fs, lineEnd, delim)
-			if err != nil {
-				return fmt.Errorf("kernel: chunk %d row %d col %d: %w", tc.ID, r, j, err)
-			}
-			if fe == lineEnd && j < ncols-1 {
-				return errFields(tc, r, j+1, k.upTo)
-			}
-			out[j].Ints[r] = x
-			fs = fe + 1
-		}
-		pos = nextLine(data, rawEnd)
-	}
-	return nil
-}
-
-// runInt64Subset converts an arbitrary all-int64 column subset, memchr-
-// skipping the unrequested columns between consecutive requested ones.
+// runInt64Subset converts an all-int64 column set with no per-field type
+// dispatch, memchr-skipping the unrequested columns between consecutive
+// requested ones. A dense prefix is the subset whose gaps are all zero.
 func runInt64Subset(k *Kernel, tc *chunk.TextChunk, out []*chunk.Vector) error {
 	data := tc.Data
 	delim := k.delim
@@ -179,58 +150,9 @@ func runInt64Subset(k *Kernel, tc *chunk.TextChunk, out []*chunk.Vector) error {
 	return nil
 }
 
-// runNumericSubset converts an int64+float64 mix: integers parse inline off
-// the delimiter scan, floats locate their boundary with memchr and go
-// through parse.ParseFloat (fast decimal path, strconv for exotic forms).
-func runNumericSubset(k *Kernel, tc *chunk.TextChunk, out []*chunk.Vector) error {
-	data := tc.Data
-	delim := k.delim
-	ncols := len(k.cols)
-	pos := 0
-	for r := 0; r < tc.Lines; r++ {
-		if pos >= len(data) {
-			return errShort(tc, r)
-		}
-		rawEnd, lineEnd := lineBounds(data, pos)
-		fs := pos
-		for j := 0; j < ncols; j++ {
-			col := k.cols[j]
-			for g := k.gaps[j]; g > 0; g-- {
-				i := bytes.IndexByte(data[fs:lineEnd], delim)
-				if i < 0 {
-					return errFields(tc, r, col-g+1, k.upTo)
-				}
-				fs += i + 1
-			}
-			var fe int
-			if k.types[j] == schema.Int64 {
-				x, end, err := parseIntField(data, fs, lineEnd, delim)
-				if err != nil {
-					return fmt.Errorf("kernel: chunk %d row %d col %d: %w", tc.ID, r, col, err)
-				}
-				out[j].Ints[r] = x
-				fe = end
-			} else {
-				fe = fieldEnd(data, fs, lineEnd, delim)
-				x, err := parse.ParseFloat(data[fs:fe])
-				if err != nil {
-					return fmt.Errorf("kernel: chunk %d row %d col %d: %w", tc.ID, r, col, err)
-				}
-				out[j].Floats[r] = x
-			}
-			if fe == lineEnd && col < k.upTo-1 {
-				return errFields(tc, r, col+1, k.upTo)
-			}
-			fs = fe + 1
-		}
-		pos = nextLine(data, rawEnd)
-	}
-	return nil
-}
-
-// runGeneric is the fused fallback for any type shape, including string
-// columns. Still one pass per line — it merely pays a per-field type
-// dispatch the specialized kernels compile away.
+// runGeneric is the fused kernel for any type shape — floats and strings
+// included. Still one pass per line — it merely pays a per-field type
+// dispatch the int64 kernel compiles away.
 func runGeneric(k *Kernel, tc *chunk.TextChunk, out []*chunk.Vector) error {
 	data := tc.Data
 	delim := k.delim

@@ -13,10 +13,8 @@ import (
 
 // benchEnv builds the shared table for the time-to-bound benchmarks:
 // large enough that sampling a prefix is visibly cheaper than scanning
-// everything, on a throttled disk so chunk reads carry realistic cost.
-// The read block is sized to the chunk extent — a sampled chunk costs one
-// chunk-sized random read, not a full read-ahead block of neighbors the
-// estimator never asked for.
+// everything, on a throttled disk so chunk reads carry realistic cost (a
+// sampled chunk costs one extent-sized random read).
 func benchEnv(b *testing.B) (*dbstore.Store, *dbstore.Table, *engine.Query) {
 	b.Helper()
 	d := vdisk.New(vdisk.Config{ReadBandwidth: 200 << 20, WriteBandwidth: 200 << 20})
@@ -34,7 +32,7 @@ func benchEnv(b *testing.B) (*dbstore.Store, *dbstore.Table, *engine.Query) {
 	return store, table, q
 }
 
-var benchCfg = scanraw.Config{Workers: 4, ChunkLines: 2048, CacheChunks: 4, ReadBlockBytes: 40 << 10}
+var benchCfg = scanraw.Config{Workers: 4, ChunkLines: 2048, CacheChunks: 4}
 
 const benchTolerance = 0.05
 
@@ -56,8 +54,9 @@ func BenchmarkOLAFullScan(b *testing.B) {
 }
 
 // BenchmarkOLATimeToBound measures how long online aggregation takes to
-// reach a 5% bound at 95% confidence on the same query — the headline
-// ola_time_to_bound_speedup is the full-scan baseline over this.
+// reach a 5% bound at 95% confidence on the same query;
+// TestOLATimeToBoundSpeedupFloor holds the full-scan baseline over this to
+// its floor.
 func BenchmarkOLATimeToBound(b *testing.B) {
 	store, table, q := benchEnv(b)
 	// Pay the one-time discovery pass outside the timer: a converging

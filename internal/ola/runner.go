@@ -6,6 +6,7 @@ import (
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/engine"
+	"scanraw/internal/scanraw"
 	"scanraw/internal/schema"
 )
 
@@ -18,11 +19,11 @@ import (
 // Internally the Runner keeps two parallel aggregations. Every chunk is
 // merged into a root engine.Partial — so if the scan runs to the end the
 // result is the exact engine answer, byte-identical to a non-sampled
-// run. Independently, each chunk's per-group aggregate snapshot is
-// buffered in a reorder window and released to the Estimator strictly in
-// sample order, because only a prefix of the permutation is a uniform
-// sample. Sampled requests must not carry a Skip filter: a skipped chunk
-// would leave a permanent hole in the sample order.
+// run. Independently, each chunk's per-group aggregate snapshot passes
+// through a scanraw.Frontier keyed by sample position and reaches the
+// Estimator strictly in sample order, because only a prefix of the
+// permutation is a uniform sample. Sampled requests must not carry a Skip
+// filter: a skipped chunk would leave a permanent hole in the sample order.
 type Runner struct {
 	q   *engine.Query
 	sch *schema.Schema
@@ -31,10 +32,9 @@ type Runner struct {
 	est     *Estimator
 	root    *engine.Partial
 	last    Snapshot
-	pos     []int                     // chunk ID -> position in the sample order
-	pending map[int][]engine.GroupAgg // buffered snapshots by sample position
-	seen    map[int]bool              // chunk IDs consumed (duplicate guard)
-	next    int                       // sample-order frontier
+	pos     []int                                // chunk ID -> position in the sample order
+	front   *scanraw.Frontier[[]engine.GroupAgg] // snapshots by sample position
+	seen    map[int]bool                         // chunk IDs consumed (duplicate guard)
 	total   int
 	ordered bool // Order was invoked
 
@@ -60,7 +60,7 @@ func NewRunner(q *engine.Query, sch *schema.Schema, cfg Config, onProgress func(
 		sch:        sch,
 		est:        est,
 		root:       root,
-		pending:    map[int][]engine.GroupAgg{},
+		front:      scanraw.NewFrontier[[]engine.GroupAgg](0),
 		seen:       map[int]bool{},
 		onProgress: onProgress,
 	}, nil
@@ -124,19 +124,9 @@ func (r *Runner) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
 		r.mu.Unlock()
 		return matched, nil
 	}
-	r.pending[r.pos[bc.ID]] = gas
-	advanced := false
-	for {
-		g, ok := r.pending[r.next]
-		if !ok {
-			break
-		}
-		delete(r.pending, r.next)
-		r.est.Observe(g)
-		r.next++
-		advanced = true
-	}
-	if !advanced {
+	before := r.front.Next()
+	r.front.Put(r.pos[bc.ID], gas, func(_ int, g []engine.GroupAgg) { r.est.Observe(g) })
+	if r.front.Next() == before {
 		r.mu.Unlock()
 		return matched, nil
 	}
@@ -167,7 +157,7 @@ func (r *Runner) LastSnapshot() Snapshot {
 func (r *Runner) Exact() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !r.ordered || r.next == r.total
+	return !r.ordered || r.front.Next() == r.total
 }
 
 // Result returns the exact engine result when the scan covered the whole
@@ -177,7 +167,7 @@ func (r *Runner) Exact() bool {
 func (r *Runner) Result() (*engine.Result, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.ordered || r.next == r.total {
+	if !r.ordered || r.front.Next() == r.total {
 		return r.root.Result()
 	}
 	snap := r.est.Snapshot()

@@ -13,7 +13,7 @@ import (
 // back from a bandwidth-throttled disk. With per-column pages (width 1)
 // only the two requested columns' bytes cross the bus; the full-width
 // layout (width 0) must transfer every column to answer the same query.
-// bench.sh derives partial_width_hit_speedup from the pair.
+// TestPartialWidthHitSpeedupFloor holds the pair's ratio to its floor.
 func benchWarmNarrow(b *testing.B, width int) {
 	d := vdisk.New(vdisk.Config{ReadBandwidth: 64 << 20, WriteBandwidth: 256 << 20})
 	spec := gen.CSVSpec{Rows: 1 << 12, Cols: 32, Seed: 7, MaxValue: 1000}

@@ -14,10 +14,10 @@ import (
 // the classic contract (Deliver called from a single goroutine, in delivery
 // order). With n > 1 workers it fans chunks out to n consume goroutines —
 // the parallel delivery mode that removes the serial-consume Amdahl ceiling
-// — and Deliver must tolerate concurrent calls (engine.ParallelExecutor
-// does). The hand-off channel is unbuffered: when every worker is busy the
-// producer blocks, so the binary-buffer budget (freeBin) keeps bounding
-// memory and back-pressure still propagates to READ.
+// — and Deliver must tolerate concurrent calls (engine.Executor does). The
+// hand-off channel is unbuffered: when every worker is busy the producer
+// blocks, so the binary-buffer budget (freeBin) keeps bounding memory and
+// back-pressure still propagates to READ.
 type deliverer struct {
 	o  *Operator
 	fn func(bc *BinaryChunk) error

@@ -28,19 +28,18 @@ import (
 
 // limitTracker decides LIMIT-without-ORDER-BY completeness from per-chunk
 // matched-row counts. Chunks arrive in any order (cache first, then file
-// order); the tracker advances a contiguous frontier so the proof does not
-// depend on delivery order.
+// order); the counts pass through a Frontier so only the contiguous prefix
+// is summed and the proof does not depend on delivery order.
 type limitTracker struct {
-	mu       sync.Mutex
-	k        int
-	frontier int         // chunks 0..frontier-1 are fully accounted for
-	rows     int         // matching rows within the frontier prefix
-	seen     map[int]int // accounted chunks at or beyond the frontier
-	sat      bool
+	mu    sync.Mutex
+	k     int
+	front *Frontier[int] // matched-row counts by chunk ID
+	rows  int            // matching rows within the released prefix
+	sat   bool
 }
 
 func newLimitTracker(k int) *limitTracker {
-	return &limitTracker{k: k, seen: make(map[int]int)}
+	return &limitTracker{k: k, front: NewFrontier[int](0)}
 }
 
 // record accounts chunk id with its matched-row count. Duplicate records of
@@ -49,22 +48,10 @@ func newLimitTracker(k int) *limitTracker {
 func (t *limitTracker) record(id, matched int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sat || id < t.frontier {
+	if t.sat {
 		return
 	}
-	if _, dup := t.seen[id]; dup {
-		return
-	}
-	t.seen[id] = matched
-	for {
-		m, ok := t.seen[t.frontier]
-		if !ok {
-			break
-		}
-		delete(t.seen, t.frontier)
-		t.frontier++
-		t.rows += m
-	}
+	t.front.Put(id, matched, func(_, m int) { t.rows += m })
 	if t.rows >= t.k {
 		t.sat = true
 	}
@@ -124,7 +111,7 @@ func NewDemand(q *engine.Query, src boundSource) *Demand {
 func NewDemandFrom(q *engine.Query, src boundSource, startChunk int) *Demand {
 	d := NewDemand(q, src)
 	if d != nil && d.tracker != nil && startChunk > 0 {
-		d.tracker.frontier = startChunk
+		d.tracker.front = NewFrontier[int](startChunk)
 	}
 	return d
 }

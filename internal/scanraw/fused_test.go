@@ -88,7 +88,7 @@ func referenceSQL(t *testing.T, store *dbstore.Store, table *dbstore.Table, chun
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewQueryConsumer(q, sch, 1)
+	ex, err := engine.NewExecutor(q, sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFusedPartialWidthMatchesTwoStage(t *testing.T) {
 	cases := []struct{ warm, sql string }{
 		// (a,b) on pages; (f,s) converts through the generic kernel.
 		{"SELECT SUM(b) FROM data", "SELECT SUM(a+b), SUM(f) FROM data WHERE s LIKE 'row1%'"},
-		// (f,s) on pages; (a,b) converts through the int64-prefix kernel.
+		// (f,s) on pages; (a,b) converts through the int64 kernel.
 		{"SELECT SUM(f) FROM data", "SELECT SUM(a), MAX(f) FROM data WHERE b < 0"},
 	}
 	for _, workers := range []int{0, 4} {

@@ -437,7 +437,7 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 		gate:      newCacheGate(),
 	}
 	r.out = inline{r}
-	r.invisibleLeft.Store(int64(o.cfg.InvisibleChunksPerQuery))
+	r.invisibleLeft.Store(invisibleChunksPerQuery)
 	if workers == 0 {
 		r.workers <- &workerSlot{}
 		return r, nil

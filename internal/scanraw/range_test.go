@@ -1,6 +1,7 @@
 package scanraw
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -76,7 +77,7 @@ func rangeSQL(t *testing.T, env *testEnv, cfg Config, sql string, rng *ChunkRang
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	res, st, err := ExecuteQueryRange(op, q, rng)
+	res, st, err := ExecuteQueryRangeContext(context.Background(), op, q, rng)
 	if err != nil {
 		t.Fatalf("%s over %v: %v", sql, rng, err)
 	}

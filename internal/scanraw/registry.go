@@ -126,28 +126,6 @@ func (r *Registry) CacheStats() cache.Stats {
 	return total
 }
 
-// QueryConsumer is a Consumer that materializes: the serial engine.Executor
-// and the fan-out engine.ParallelExecutor both satisfy it. Bound feeds
-// demand-driven termination — the top-k cutoff prunes chunks for ORDER BY
-// ... LIMIT.
-type QueryConsumer interface {
-	Consumer
-	Bound() ([]engine.Value, bool)
-	Result() (*engine.Result, error)
-	// Finish yields the raw mergeable partials instead of a materialized
-	// result — the surface distributed serving ships over the wire.
-	Finish() ([]*engine.Partial, error)
-}
-
-// NewQueryConsumer builds the materializing engine executor for a consume
-// width: serial for one worker, the fan-out executor above.
-func NewQueryConsumer(q *engine.Query, sch *schema.Schema, workers int) (QueryConsumer, error) {
-	if workers > 1 {
-		return engine.NewParallelExecutor(q, sch, workers)
-	}
-	return engine.NewExecutor(q, sch)
-}
-
 // ExecuteQuery runs a bound query through the operator and returns its
 // result set: the operator feeds binary chunks to an engine executor
 // (selective conversion of exactly the query's required columns), applying
@@ -158,15 +136,9 @@ func ExecuteQuery(op *Operator, q *engine.Query) (*engine.Result, RunStats, erro
 
 // ExecuteQueryContext is ExecuteQuery with cancellation: a cancelled
 // context stops the scan at the next chunk boundary and is returned as the
-// error. With ConsumeWorkers > 1 in the operator's configuration the query
-// evaluates on an engine.ParallelExecutor fed by that many consume workers.
+// error. The executor is as wide as the operator's ConsumeWorkers.
 func ExecuteQueryContext(ctx context.Context, op *Operator, q *engine.Query) (*engine.Result, RunStats, error) {
 	return ExecuteQueryRangeContext(ctx, op, q, nil)
-}
-
-// ExecuteQueryRange is ExecuteQueryRangeContext without cancellation.
-func ExecuteQueryRange(op *Operator, q *engine.Query, rng *ChunkRange) (*engine.Result, RunStats, error) {
-	return ExecuteQueryRangeContext(context.Background(), op, q, rng)
 }
 
 // ExecuteQueryRangeContext is ExecuteQueryContext restricted to a chunk
@@ -176,7 +148,7 @@ func ExecuteQueryRange(op *Operator, q *engine.Query, rng *ChunkRange) (*engine.
 // termination stays sound within the peer's chunk universe. A nil range is
 // the whole file.
 func ExecuteQueryRangeContext(ctx context.Context, op *Operator, q *engine.Query, rng *ChunkRange) (*engine.Result, RunStats, error) {
-	ex, err := NewQueryConsumer(q, op.Table().Schema(), op.Config().ConsumeWorkers)
+	ex, err := engine.NewExecutorN(q, op.Table().Schema(), op.Config().ConsumeWorkers)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -191,9 +163,9 @@ func ExecuteQueryRangeContext(ctx context.Context, op *Operator, q *engine.Query
 
 // Consumer is what a query brings to a scan: something to feed chunks to
 // that reports how many rows of each qualified (the count advances the
-// LIMIT frontier). The engine executors, the server's row emitter and the
+// LIMIT frontier). The engine executor, the server's row emitter and the
 // online-aggregation runner all satisfy it. A Consumer that also exposes a
-// top-k cutoff (Bound, as the engine executors do) gets ORDER BY ... LIMIT
+// top-k cutoff (Bound, as the engine executor does) gets ORDER BY ... LIMIT
 // chunk pruning.
 type Consumer interface {
 	ConsumeCounted(bc *BinaryChunk) (int, error)

@@ -105,30 +105,22 @@ func (o *Operator) adaptWorkers(rep ResourceReport) {
 	if !o.cfg.AdaptiveWorkers || rep.Workers == 0 {
 		return
 	}
-	min, max := o.cfg.MinWorkers, o.cfg.MaxWorkers
 	next := rep.Workers
 	switch f := rep.BlockedFraction(); {
 	case rep.ConsumeBound():
 		// Consume-bound: the engine, not conversion, is the bottleneck.
 		// Shrink so the freed cores can serve parallel consume elsewhere.
-		if rep.Workers > min {
-			next = rep.Workers - 1
-		}
+		next = rep.Workers - 1
 	case f > growAbove:
 		// CPU-bound: request more cores, doubling toward the cap so a
 		// badly undersized pool converges in a few queries.
 		next = rep.Workers * 2
-	case f < shrinkBelow && rep.Workers > min:
+	case f < shrinkBelow:
 		// I/O-bound: release a core back to the resource manager.
 		next = rep.Workers - 1
 	}
-	if next > max {
-		next = max
-	}
-	if next < min {
-		next = min
-	}
-	o.workers = next
+	// The pool stays within [1, 4x the configured size].
+	o.workers = max(1, min(next, 4*o.cfg.Workers))
 }
 
 // Workers returns the current worker-pool size (it changes across queries

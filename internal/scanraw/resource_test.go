@@ -25,14 +25,14 @@ func TestBlockedFraction(t *testing.T) {
 func TestAdaptWorkersHeuristic(t *testing.T) {
 	env := newEnv(t, 64, 2, nil)
 	op := New(env.store, env.table, Config{
-		Workers: 4, AdaptiveWorkers: true, MinWorkers: 1, MaxWorkers: 16,
+		Workers: 4, AdaptiveWorkers: true, // pool bounds [1,16]
 	})
 	// CPU-bound report: pool doubles.
 	op.adaptWorkers(ResourceReport{Workers: 4, ReadBlocked: 800 * time.Millisecond, Duration: time.Second})
 	if op.workers != 8 {
 		t.Errorf("CPU-bound: workers = %d, want 8", op.workers)
 	}
-	// Again: capped at MaxWorkers.
+	// Again: capped at 4x Workers.
 	op.adaptWorkers(ResourceReport{Workers: 12, ReadBlocked: 900 * time.Millisecond, Duration: time.Second})
 	if op.workers != 16 {
 		t.Errorf("capped: workers = %d, want 16", op.workers)
@@ -47,9 +47,9 @@ func TestAdaptWorkersHeuristic(t *testing.T) {
 	if op.workers != 15 {
 		t.Errorf("steady: workers = %d, want 15", op.workers)
 	}
-	// Never below MinWorkers.
+	// Never below one worker.
 	op2 := New(env.store, env.table, Config{
-		Workers: 1, AdaptiveWorkers: true, MinWorkers: 1, MaxWorkers: 4,
+		Workers: 1, AdaptiveWorkers: true,
 	})
 	op2.adaptWorkers(ResourceReport{Workers: 1, ReadBlocked: 0, Duration: time.Second})
 	if op2.workers != 1 {
@@ -68,7 +68,7 @@ func TestAdaptiveWorkersGrowUnderCPUBound(t *testing.T) {
 	// the adaptive pool must grow toward the cap.
 	env := newEnv(t, 1024, 4, nil)
 	op := New(env.store, env.table, Config{
-		Workers: 1, AdaptiveWorkers: true, MinWorkers: 1, MaxWorkers: 8,
+		Workers: 1, AdaptiveWorkers: true,
 		ChunkLines: 64, CacheChunks: 2,
 		TextBufferChunks: 4,
 	})
@@ -103,14 +103,22 @@ func TestAdaptiveWorkersGrowUnderCPUBound(t *testing.T) {
 	}
 }
 
+// TestAdaptiveWorkersConfigDefaults: the pool's bounds derive from Workers —
+// sustained pressure either way stops at 4x Workers and at one.
 func TestAdaptiveWorkersConfigDefaults(t *testing.T) {
-	cfg := Config{Workers: 3, AdaptiveWorkers: true}.withDefaults()
-	if cfg.MinWorkers != 1 || cfg.MaxWorkers != 12 {
-		t.Errorf("defaults = [%d,%d], want [1,12]", cfg.MinWorkers, cfg.MaxWorkers)
+	env := newEnv(t, 64, 2, nil)
+	op := New(env.store, env.table, Config{Workers: 3, AdaptiveWorkers: true})
+	for i := 0; i < 4; i++ {
+		op.adaptWorkers(ResourceReport{Workers: op.workers, ReadBlocked: 900 * time.Millisecond, Duration: time.Second})
 	}
-	cfg2 := Config{Workers: 2, AdaptiveWorkers: true, MinWorkers: 5, MaxWorkers: 3}.withDefaults()
-	if cfg2.MaxWorkers < cfg2.MinWorkers {
-		t.Errorf("bounds not normalized: [%d,%d]", cfg2.MinWorkers, cfg2.MaxWorkers)
+	if op.workers != 12 {
+		t.Errorf("CPU-bound pool settled at %d workers, want 12", op.workers)
+	}
+	for i := 0; i < 16; i++ {
+		op.adaptWorkers(ResourceReport{Workers: op.workers, Duration: time.Second})
+	}
+	if op.workers != 1 {
+		t.Errorf("I/O-bound pool settled at %d workers, want 1", op.workers)
 	}
 }
 
@@ -140,7 +148,7 @@ func TestConsumeBoundSignals(t *testing.T) {
 func TestAdaptWorkersConsumeBoundShrinks(t *testing.T) {
 	env := newEnv(t, 64, 2, nil)
 	op := New(env.store, env.table, Config{
-		Workers: 8, AdaptiveWorkers: true, MinWorkers: 2, MaxWorkers: 16,
+		Workers: 8, AdaptiveWorkers: true,
 	})
 	// Consume stall dominates: shrink by one even though READ was blocked
 	// long enough that the CPU-bound rule alone would have doubled the pool.
@@ -160,13 +168,11 @@ func TestAdaptWorkersConsumeBoundShrinks(t *testing.T) {
 		t.Errorf("deep queue: workers = %d, want 6", op.workers)
 	}
 	// Never below the floor.
-	op2 := New(env.store, env.table, Config{
-		Workers: 2, AdaptiveWorkers: true, MinWorkers: 2, MaxWorkers: 8,
-	})
+	op2 := New(env.store, env.table, Config{Workers: 1, AdaptiveWorkers: true})
 	op2.adaptWorkers(ResourceReport{
-		Workers: 2, Duration: time.Second, ConsumeStall: time.Second,
+		Workers: 1, Duration: time.Second, ConsumeStall: time.Second,
 	})
-	if op2.workers != 2 {
-		t.Errorf("floor: workers = %d, want 2", op2.workers)
+	if op2.workers != 1 {
+		t.Errorf("floor: workers = %d, want 1", op2.workers)
 	}
 }

@@ -38,12 +38,12 @@ func (s *rawScanner) seek(off int64) {
 	s.eof = false
 }
 
-// fill reads one more block from the disk into the read-ahead buffer.
-func (s *rawScanner) fill() error {
+// fill reads up to size more bytes from the disk into the read-ahead buffer.
+func (s *rawScanner) fill(size int) error {
 	if s.eof {
 		return nil
 	}
-	block := make([]byte, s.op.cfg.ReadBlockBytes)
+	block := make([]byte, size)
 	s.op.arbiter.Lock()
 	start := time.Now()
 	n, err := s.op.disk.ReadAt(s.name, block, s.diskOff)
@@ -81,7 +81,7 @@ func (s *rawScanner) next(maxLines int) ([]byte, int, error) {
 			break
 		}
 		wasEOF := s.eof
-		if err := s.fill(); err != nil {
+		if err := s.fill(readBlockBytes); err != nil {
 			return nil, 0, err
 		}
 		if wasEOF && s.eof {
@@ -103,12 +103,14 @@ func (s *rawScanner) next(maxLines int) ([]byte, int, error) {
 }
 
 // readExtent reads exactly n bytes starting at logical offset off — the
-// extent of a chunk whose geometry the catalog knows.
+// extent of a chunk whose geometry the catalog knows, so the disk is asked
+// for what is missing of it and no more: a sampled visit pays for its chunk,
+// not for a read-ahead block of its neighbours.
 func (s *rawScanner) readExtent(off, n int64) ([]byte, error) {
 	s.seek(off)
 	for int64(len(s.pending)) < n {
 		wasEOF := s.eof
-		if err := s.fill(); err != nil {
+		if err := s.fill(int(n) - len(s.pending)); err != nil {
 			return nil, err
 		}
 		if wasEOF && s.eof {

@@ -96,6 +96,12 @@ func ParseWritePolicy(s string) (WritePolicy, error) {
 	return 0, fmt.Errorf("scanraw: unknown write policy %q (want external, fullload, buffered, speculative or invisible)", s)
 }
 
+// What no caller sets differently is a constant, not a Config field.
+const (
+	invisibleChunksPerQuery = 4         // per-query loading bound of the Invisible policy
+	readBlockBytes          = 256 << 10 // disk-read granularity of discovery scans
+)
+
 // Config parameterizes a SCANRAW instance.
 type Config struct {
 	// Workers is the worker-pool size for conversion tasks. Zero selects
@@ -113,9 +119,6 @@ type Config struct {
 	CacheChunks int
 	// Policy selects the WRITE behaviour. Default ExternalTables.
 	Policy WritePolicy
-	// InvisibleChunksPerQuery bounds per-query loading for the Invisible
-	// policy. Default 4.
-	InvisibleChunksPerQuery int
 	// Safeguard enables the end-of-scan cache flush for Speculative and
 	// BufferedLoad (§4, "safeguard mechanism").
 	Safeguard bool
@@ -124,21 +127,14 @@ type Config struct {
 	// CollectStats records per-chunk min/max statistics in the catalog
 	// while converting (§3.3). Default off.
 	CollectStats bool
-	// ReadBlockBytes is the disk-read granularity during discovery scans.
-	// Default 256 KiB.
-	ReadBlockBytes int
 	// UnbiasedCache disables the LRU bias toward loaded chunks (ablation).
 	UnbiasedCache bool
 	// AdaptiveWorkers lets the operator resize its worker pool across
 	// queries based on observed utilization (paper §3.3, resource
 	// management): READ blocked on a full buffer means CPU-bound — grow;
 	// READ never blocked means I/O-bound — shrink. Workers stays the
-	// initial size; the pool moves within [MinWorkers, MaxWorkers].
+	// initial size; the pool moves within [1, 4x Workers].
 	AdaptiveWorkers bool
-	// MinWorkers / MaxWorkers bound the adaptive pool. Defaults 1 and
-	// 4x Workers.
-	MinWorkers int
-	MaxWorkers int
 	// CPUSlowdown simulates slower cores: every conversion and consume
 	// task occupies its worker for CPUSlowdown times its measured duration
 	// (the real conversion plus a sleep for the remainder). Values <= 1
@@ -152,7 +148,7 @@ type Config struct {
 	// leave ParallelConsume unset: the number of goroutines delivered
 	// chunks fan out to. The default (0, treated as 1) keeps the classic
 	// serial delivery contract; values > 1 require Deliver callbacks that
-	// tolerate concurrent calls (engine.ParallelExecutor does).
+	// tolerate concurrent calls (engine.Executor does).
 	ConsumeWorkers int
 	// Speculation ranks what the Speculative write policy loads during
 	// disk-idle windows. SpecScan — the zero value — is the paper's
@@ -177,25 +173,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheChunks <= 0 {
 		c.CacheChunks = 32
 	}
-	if c.InvisibleChunksPerQuery <= 0 {
-		c.InvisibleChunksPerQuery = 4
-	}
 	if c.Delim == 0 {
 		c.Delim = ','
-	}
-	if c.ReadBlockBytes <= 0 {
-		c.ReadBlockBytes = 256 << 10
-	}
-	if c.AdaptiveWorkers {
-		if c.MinWorkers <= 0 {
-			c.MinWorkers = 1
-		}
-		if c.MaxWorkers <= 0 {
-			c.MaxWorkers = 4 * c.Workers
-		}
-		if c.MaxWorkers < c.MinWorkers {
-			c.MaxWorkers = c.MinWorkers
-		}
 	}
 	if c.Workers < 0 {
 		c.Workers = 0

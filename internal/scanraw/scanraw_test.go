@@ -255,14 +255,13 @@ func TestBufferedLoadWritesOnEviction(t *testing.T) {
 // three queries a chunk may be neither loaded nor cached, which is why the
 // test does not add the two up.
 func TestInvisibleLoadsFixedAmount(t *testing.T) {
-	const k = 3
+	const k = invisibleChunksPerQuery
 	cols := allCols(4)
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			env := newEnv(t, 512, 4, nil)
 			op := New(env.store, env.table, Config{
-				Workers: workers, ChunkLines: 64, Policy: Invisible,
-				InvisibleChunksPerQuery: k, CacheChunks: 2,
+				Workers: workers, ChunkLines: 64, Policy: Invisible, CacheChunks: 2,
 			})
 			var written []int
 			for q := 1; q <= 3; q++ {
@@ -301,10 +300,10 @@ func TestInvisibleLoadsFixedAmount(t *testing.T) {
 				t.Errorf("first query wrote %d chunks, want exactly %d", written[0], k)
 			}
 			if workers == 0 {
-				// Query 2 serves {6,7} from the cache and converts 3..5; its
+				// Query 2 serves {6,7} from the cache and converts 4 and 5; its
 				// inserts evict 6, so query 3 converts (and loads) only that one
 				// and chunk 7 stays cache-resident and unloaded.
-				if want := []int{3, 3, 1}; !reflect.DeepEqual(written, want) {
+				if want := []int{4, 2, 1}; !reflect.DeepEqual(written, want) {
 					t.Errorf("writes per query = %v, want %v", written, want)
 				}
 				if ids := op.Cache().UnloadedIDs(); !reflect.DeepEqual(ids, []int{7}) {

@@ -219,18 +219,18 @@ func ExecuteQueries(op *Operator, qs []*engine.Query) ([]*engine.Result, RunStat
 	return ExecuteQueriesContext(context.Background(), op, qs)
 }
 
-// ExecuteQueriesContext is ExecuteQueries with cancellation. When the
-// operator is configured with ConsumeWorkers > 1, each query evaluates on
-// an engine.ParallelExecutor and the shared scan's delivery fans out.
+// ExecuteQueriesContext is ExecuteQueries with cancellation. Each query's
+// executor is as wide as the operator's ConsumeWorkers; above one the shared
+// scan's delivery fans out.
 func ExecuteQueriesContext(ctx context.Context, op *Operator, qs []*engine.Query) ([]*engine.Result, RunStats, error) {
 	if len(qs) == 0 {
 		return nil, RunStats{}, fmt.Errorf("scanraw: no queries")
 	}
 	sch := op.Table().Schema()
-	executors := make([]QueryConsumer, len(qs))
+	executors := make([]*engine.Executor, len(qs))
 	reqs := make([]Request, len(qs))
 	for i, q := range qs {
-		ex, err := NewQueryConsumer(q, sch, op.Config().ConsumeWorkers)
+		ex, err := engine.NewExecutorN(q, sch, op.Config().ConsumeWorkers)
 		if err != nil {
 			return nil, RunStats{}, fmt.Errorf("query %d: %w", i, err)
 		}

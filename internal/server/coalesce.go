@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scanraw/internal/engine"
 	"scanraw/internal/scanraw"
 )
 
@@ -16,22 +15,13 @@ import (
 // finalizes the consumer itself once the scan is done.
 type pending struct {
 	ctx context.Context
-	q   *engine.Query
-	ex  scanraw.Consumer
-	// consumeWorkers is the consume parallelism this query asked the scan
-	// for (1 = classic serial delivery).
-	consumeWorkers int
-	// rng restricts the scan to a shard's chunk range (/exec); order visits
-	// chunks in a seeded sample order (online aggregation). Either one
-	// dispatches the query solo: a sample order cannot be shared, and a
-	// shard is already one of a scatter whose peers wait for each other.
-	rng   *scanraw.ChunkRange
-	order func(numChunks int) []int
-	// onSkip feeds the scan's skip decisions to a reorder frontier; done is
-	// the consumer's own completeness signal (stream LIMIT met, estimate
-	// converged). Both may be nil.
-	onSkip func(chunkID int)
-	done   func() bool
+	// m is the query's entry into a scan. A Range (an /exec shard) or an
+	// Order (online aggregation) dispatches it solo: a sample order cannot
+	// be shared, and a shard is already one of a scatter whose peers wait
+	// for each other. Done is the consumer's own completeness signal
+	// (stream LIMIT met, estimate converged); request adds liveness to it
+	// and owns OnError.
+	m scanraw.Member
 
 	result chan pendingResult // buffered(1): the batch never blocks on it
 
@@ -56,19 +46,17 @@ func (p *pending) consumeError() error {
 	return p.consumeErr
 }
 
-// member is the query's entry into a scan. Its Done folds the consumer's
+// request is the member's scan request. Its Done folds the consumer's
 // completeness with liveness: a dead or failed member wants no more chunks
 // either, so a shared scan whose every member is satisfied or gone stops
 // before end-of-file. Its error sink keeps a member's failure to itself.
-func (p *pending) member() scanraw.Member {
-	return scanraw.Member{
-		Query: p.q, Consumer: p.ex, Range: p.rng, Order: p.order, Workers: p.consumeWorkers,
-		OnSkip: p.onSkip,
-		Done: func() bool {
-			return p.ctx.Err() != nil || p.consumeError() != nil || (p.done != nil && p.done())
-		},
-		OnError: p.setConsumeErr,
+func (p *pending) request() scanraw.Request {
+	m := p.m
+	m.Done = func() bool {
+		return p.ctx.Err() != nil || p.consumeError() != nil || (p.m.Done != nil && p.m.Done())
 	}
+	m.OnError = p.setConsumeErr
+	return m.Request(p.ctx)
 }
 
 // pendingResult is what the batch deposits for each member query.
@@ -102,12 +90,12 @@ type batcher struct {
 // batch already been draining, resurrecting chunk deliveries its members
 // no longer want). Such a newcomer dispatches alone instead of coalescing.
 func (b *batcher) submit(p *pending) {
-	if p.order != nil || p.rng != nil {
+	if p.m.Order != nil || p.m.Range != nil {
 		go b.execute([]*pending{p})
 		return
 	}
 	b.mu.Lock()
-	if len(b.queue) > 0 && !scanraw.HasTerminationProfile(p.q) && allTerminating(b.queue) {
+	if len(b.queue) > 0 && !scanraw.HasTerminationProfile(p.m.Query) && allTerminating(b.queue) {
 		b.mu.Unlock()
 		go b.execute([]*pending{p})
 		return
@@ -148,7 +136,7 @@ func (b *batcher) submit(p *pending) {
 // termination signal (streamed LIMIT without ORDER BY).
 func allTerminating(queue []*pending) bool {
 	for _, p := range queue {
-		if !scanraw.HasTerminationProfile(p.q) {
+		if !scanraw.HasTerminationProfile(p.m.Query) {
 			return false
 		}
 	}
@@ -181,7 +169,7 @@ func (b *batcher) execute(batch []*pending) {
 
 	reqs := make([]scanraw.Request, len(batch))
 	for i, p := range batch {
-		reqs[i] = p.member().Request(p.ctx)
+		reqs[i] = p.request()
 	}
 
 	st, per, err := b.op.RunSharedContext(scanCtx, reqs)

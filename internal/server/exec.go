@@ -54,25 +54,25 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	workers := max(entry.cfg.ConsumeWorkers, 1)
 	p := &pending{
-		q: q, consumeWorkers: workers, rng: &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi},
+		m:      scanraw.Member{Query: q, Workers: workers, Range: &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi}},
 		result: make(chan pendingResult, 1),
 	}
 	fw := cluster.NewFrameWriter(w)
 	var (
 		emitter *rowEmitter[*valueBatch]
-		ex      scanraw.QueryConsumer
+		ex      *engine.Executor
 		err     error
 	)
 	if rowsMode {
 		emitter, err = newRowEmitter(q, entry.table.Schema(), workers, er.Lo, newFrameSink(fw, w, er.Base))
 		if err == nil {
-			p.ex, p.onSkip, p.done = emitter, emitter.markSkipped, emitter.satisfied
+			p.m.Consumer, p.m.OnSkip, p.m.Done = emitter, emitter.markSkipped, emitter.satisfied
 			// A cancelled scan may still be delivering when this handler
 			// returns, and the response writer dies with the handler.
 			defer emitter.abandon()
 		}
-	} else if ex, err = scanraw.NewQueryConsumer(q, entry.table.Schema(), workers); err == nil {
-		p.ex = ex
+	} else if ex, err = engine.NewExecutorN(q, entry.table.Schema(), workers); err == nil {
+		p.m.Consumer = ex
 	}
 	if err != nil {
 		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -169,7 +169,7 @@ func (s frameSink) write(id int, b *valueBatch) error {
 
 // shardPartial folds a shard scan's engine partials into one and
 // serializes it, chunk provenance shifted into the global ID space.
-func shardPartial(ex scanraw.QueryConsumer, base int) ([]byte, error) {
+func shardPartial(ex *engine.Executor, base int) ([]byte, error) {
 	parts, err := ex.Finish()
 	if err != nil {
 		return nil, err

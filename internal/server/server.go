@@ -456,17 +456,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// runner (streamed as converging estimates under NDJSON); non-aggregate
 	// queries asked for as NDJSON stream — incremental chunk-order emission
 	// when there is no ORDER BY, merge-on-emit (sorted runs through a loser
-	// tree) when there is — everything else materializes through the serial
-	// or parallel engine executor. finish turns the fed consumer into the
-	// result; a stream has written its rows by then and returns only the
-	// columns.
+	// tree) when there is — everything else materializes through the engine
+	// executor. finish turns the fed consumer into the result; a stream has
+	// written its rows by then and returns only the columns.
 	workers := max(entry.cfg.ConsumeWorkers, 1)
 	sch, cols := entry.table.Schema(), q.ColumnNames()
 	var nd *queryapi.NDJSON
 	if r.URL.Query().Get("stream") == "ndjson" {
 		nd = queryapi.NewNDJSON(w)
 	}
-	p := &pending{q: q, consumeWorkers: workers, result: make(chan pendingResult, 1)}
+	p := &pending{m: scanraw.Member{Query: q, Workers: workers}, result: make(chan pendingResult, 1)}
 	var (
 		olaRunner *ola.Runner
 		finish    func() (*engine.Result, error)
@@ -485,24 +484,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var e *rowEmitter[*lineBatch]
 		e, err = newRowEmitter(q, sch, workers, 0, ndjsonSink{nd})
 		if err == nil {
-			p.ex, p.onSkip, p.done = e, e.markSkipped, e.satisfied
+			p.m.Consumer, p.m.OnSkip, p.m.Done = e, e.markSkipped, e.satisfied
 			finish = func() (*engine.Result, error) {
 				e.flush()
 				return &engine.Result{Cols: cols}, nil
 			}
 		}
-	case nd != nil && !q.IsAggregate():
-		var pe *engine.ParallelExecutor
-		if pe, err = engine.NewParallelExecutor(q, sch, workers); err == nil {
-			p.ex = pe
-			finish = func() (*engine.Result, error) {
-				return &engine.Result{Cols: cols}, streamMerged(q, pe, nd)
-			}
-		}
 	default:
-		var ex scanraw.QueryConsumer
-		if ex, err = scanraw.NewQueryConsumer(q, sch, workers); err == nil {
-			p.ex, finish = ex, ex.Result
+		var ex *engine.Executor
+		if ex, err = engine.NewExecutorN(q, sch, workers); err == nil {
+			p.m.Consumer, finish = ex, ex.Result
+			if nd != nil && !q.IsAggregate() {
+				finish = func() (*engine.Result, error) {
+					return &engine.Result{Cols: cols}, streamMerged(q, ex, nd)
+				}
+			}
 		}
 	}
 	if err != nil {
@@ -510,7 +506,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if olaRunner != nil {
-		p.ex, p.order, p.done = olaRunner, olaRunner.Order(olaReq.seed), olaRunner.Satisfied
+		p.m.Consumer, p.m.Order, p.m.Done = olaRunner, olaRunner.Order(olaReq.seed), olaRunner.Satisfied
 	}
 
 	ctx, release, ok := s.admit(w, r, entry, q, qr.TimeoutMS)

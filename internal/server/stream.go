@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"scanraw/internal/chunk"
@@ -87,26 +86,30 @@ func (b *valueBatch) truncate(k int) { *b = (*b)[:k] }
 // rowEmitter consumes chunks for a non-aggregate, ORDER-BY-free query and
 // hands qualifying rows to its sink as they are produced, instead of
 // materializing the result. Because chunks arrive in whatever order the
-// scan (and, with parallel consume, the fan-out workers) produces them, a
-// reorder buffer holds finished batches until the frontier — the next chunk
-// ID to emit — catches up, so the emitted row order is always ascending
-// (chunk ID, row ordinal): identical to the materialized path's canonical
-// order no matter how delivery was parallelized.
+// scan (and, with parallel consume, the fan-out workers) produces them,
+// finished batches pass through a scanraw.Frontier, so the emitted row order
+// is always ascending (chunk ID, row ordinal): identical to the materialized
+// path's canonical order no matter how delivery was parallelized.
 //
 // Chunks the scan skips (statistics-based elimination) never arrive, so
-// skip decisions are fed in via markSkipped to advance the frontier past
-// them.
+// skip decisions are fed in via markSkipped and take the chunk's place in
+// the frontier.
 type rowEmitter[B rowBatch] struct {
 	limit int
 	pool  chan *engine.Partial // per-worker evaluation scratch
 	sink  chunkSink[B]
 
 	mu      sync.Mutex
-	next    int // frontier: lowest chunk ID not yet emitted
+	front   *scanraw.Frontier[chunkSlot[B]]
 	emitted int
-	ready   map[int]B
-	skipped map[int]bool
 	werr    error // first sink failure; the stream is dead after it
+}
+
+// chunkSlot is one chunk's place in the emitter's frontier: its batch, or
+// nothing when the scan skipped the chunk.
+type chunkSlot[B rowBatch] struct {
+	b       B
+	skipped bool
 }
 
 // newRowEmitter validates the query (it must be streamable: no
@@ -118,12 +121,10 @@ func newRowEmitter[B rowBatch](q *engine.Query, sch *schema.Schema, workers, sta
 		return nil, fmt.Errorf("server: query is not streamable")
 	}
 	e := &rowEmitter[B]{
-		limit:   q.Limit,
-		pool:    make(chan *engine.Partial, workers),
-		sink:    sink,
-		next:    start,
-		ready:   make(map[int]B),
-		skipped: make(map[int]bool),
+		limit: q.Limit,
+		pool:  make(chan *engine.Partial, workers),
+		sink:  sink,
+		front: scanraw.NewFrontier[chunkSlot[B]](start),
 	}
 	for i := 0; i < workers; i++ {
 		p, err := engine.NewPartial(q, sch)
@@ -149,8 +150,7 @@ func (e *rowEmitter[B]) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
 	n := b.rows() // before write can recycle b
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ready[bc.ID] = b
-	e.drainLocked()
+	e.front.Put(bc.ID, chunkSlot[B]{b: b}, e.emitLocked)
 	return n, nil
 }
 
@@ -160,11 +160,7 @@ func (e *rowEmitter[B]) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
 func (e *rowEmitter[B]) markSkipped(id int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.skipped[id] {
-		return
-	}
-	e.skipped[id] = true
-	e.drainLocked()
+	e.front.Put(id, chunkSlot[B]{skipped: true}, e.emitLocked)
 }
 
 // satisfied reports whether the stream's LIMIT is already met: every
@@ -175,28 +171,13 @@ func (e *rowEmitter[B]) satisfied() bool {
 	return e.limit > 0 && e.emitted >= e.limit
 }
 
-// drainLocked advances the frontier, emitting every buffered chunk that
-// became contiguous.
-func (e *rowEmitter[B]) drainLocked() {
-	for {
-		if e.skipped[e.next] {
-			delete(e.skipped, e.next)
-			e.next++
-			continue
-		}
-		b, ok := e.ready[e.next]
-		if !ok {
-			return
-		}
-		delete(e.ready, e.next)
-		e.emitLocked(e.next, b)
-		e.next++
-	}
-}
-
 // emitLocked hands one chunk's batch to the sink, truncated to what is left
 // of the query's LIMIT.
-func (e *rowEmitter[B]) emitLocked(id int, b B) {
+func (e *rowEmitter[B]) emitLocked(id int, s chunkSlot[B]) {
+	if s.skipped {
+		return
+	}
+	b := s.b
 	if e.limit > 0 && b.rows() > e.limit-e.emitted {
 		b.truncate(e.limit - e.emitted)
 	}
@@ -214,15 +195,7 @@ func (e *rowEmitter[B]) emitLocked(id int, b B) {
 func (e *rowEmitter[B]) flush() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ids := make([]int, 0, len(e.ready))
-	for id := range e.ready {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		e.emitLocked(id, e.ready[id])
-		delete(e.ready, id)
-	}
+	e.front.Drain(e.emitLocked)
 }
 
 // abandon makes every later emission a no-op. It returns once no sink call
@@ -237,11 +210,11 @@ func (e *rowEmitter[B]) abandon() {
 
 // streamMerged finishes an ORDER BY (optionally LIMIT) query served as
 // NDJSON without the full-materialization stall: the chunks folded into
-// the parallel executor's partials during the scan; now the per-partial
+// the executor's partials during the scan; now the per-partial
 // runs are sorted once and merged on emit through a loser tree
 // (engine.RunMerger) — rows reach the client as the merge produces them
 // instead of after a monolithic sort of the whole result.
-func streamMerged(q *engine.Query, pe *engine.ParallelExecutor, nd *queryapi.NDJSON) error {
+func streamMerged(q *engine.Query, pe *engine.Executor, nd *queryapi.NDJSON) error {
 	parts, err := pe.Finish()
 	if err != nil {
 		return err
