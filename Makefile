@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race stress experiments-check lint lint-fixtures invariants fuzz loc
+.PHONY: check fmt vet build test bench-module race stress experiments-check lint lint-fixtures invariants fuzz loc knobs
 
 check: fmt vet build test bench-module race lint lint-fixtures invariants fuzz
 
@@ -121,3 +121,9 @@ loc:
 		printf '%-20s %6d %6d\n' $$(basename $$d) $$l $$c; \
 		tl=$$((tl + l)); tc=$$((tc + c)); \
 	done; printf '%-20s %6d %6d\n' total $$tl $$tc
+
+# The two knob counts ROADMAP asks every CHANGES.md entry for, read from the
+# source: fields of scanraw.Config, flags cmd/scanrawd defines.
+knobs:
+	@printf 'scanraw.Config fields  %d\n' $$(awk '/^type Config struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]*[ \t]/{n++} END{print n}' internal/scanraw/scanraw.go)
+	@printf 'scanrawd flags         %d\n' $$(cat $$(ls cmd/scanrawd/*.go | grep -v _test.go) | grep -oE 'flag\.(Bool|Duration|Float64|Int|Int64|Uint|Uint64|String|Var|Func|TextVar)\(' | wc -l)

@@ -204,21 +204,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCacheBias compares loaded-biased LRU against plain LRU.
-func BenchmarkAblationCacheBias(b *testing.B) {
-	sc := benchScale()
-	var last *bench.AblationCacheBiasResult
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunAblationCacheBias(sc, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(float64(last.BiasedLoaded[2]), "chunks-loaded-biased")
-	b.ReportMetric(float64(last.UnbiasedLoad[2]), "chunks-loaded-unbiased")
-}
-
 // BenchmarkAblationSelective compares selective conversion against
 // converting every column for a narrow query.
 func BenchmarkAblationSelective(b *testing.B) {

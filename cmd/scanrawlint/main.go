@@ -21,7 +21,7 @@
 // print as file:line:col: [analyzer] message; the exit status is 1 when
 // any finding survives. Suppress a false positive inline, with a reason:
 //
-//	//lint:ignore pinbalance pin is transferred to the write queue
+//	//lint:ignore poolpair Col results alias cached chunk vectors; recycling here would corrupt shared chunks
 //
 // A directive that suppresses nothing is itself reported (the
 // unused-suppression pass), so stale ignores cannot rot in place.

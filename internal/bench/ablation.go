@@ -13,55 +13,6 @@ import (
 // Ablations exercise the design choices DESIGN.md calls out, comparing
 // each mechanism against its disabled (or alternative) form.
 
-// AblationCacheBiasResult compares the paper's loaded-biased LRU eviction
-// against plain LRU over a query sequence with speculative loading.
-type AblationCacheBiasResult struct {
-	BiasedTimes   []time.Duration
-	UnbiasedTimes []time.Duration
-	BiasedLoaded  []int
-	UnbiasedLoad  []int
-}
-
-// RunAblationCacheBias measures whether preferring loaded chunks for
-// eviction keeps more useful (unloaded) chunks cached across a sequence.
-func RunAblationCacheBias(sc Scale, queries int) (*AblationCacheBiasResult, error) {
-	sc = sc.withDefaults()
-	if queries <= 0 {
-		queries = 4
-	}
-	diskCfg := CalibrateDisk(sc, 6)
-	run := func(unbiased bool) ([]time.Duration, []int, error) {
-		e := newEnv(sc, diskCfg, sc.Rows, sc.Cols)
-		numChunks := (sc.Rows + sc.ChunkLines - 1) / sc.ChunkLines
-		op := scanraw.New(e.store, e.table, scanraw.Config{
-			CPUSlowdown: sc.slowdown(),
-			Workers:     8, ChunkLines: sc.ChunkLines, Policy: scanraw.Speculative,
-			CacheChunks: numChunks / 4, Safeguard: true, UnbiasedCache: unbiased,
-		})
-		var times []time.Duration
-		var loaded []int
-		for q := 0; q < queries; q++ {
-			st, err := runSum(op, e, allCols(sc.Cols))
-			if err != nil {
-				return nil, nil, err
-			}
-			op.WaitIdle()
-			times = append(times, st.Duration)
-			loaded = append(loaded, e.table.CountLoaded(allCols(sc.Cols)))
-		}
-		return times, loaded, nil
-	}
-	res := &AblationCacheBiasResult{}
-	var err error
-	if res.BiasedTimes, res.BiasedLoaded, err = run(false); err != nil {
-		return nil, err
-	}
-	if res.UnbiasedTimes, res.UnbiasedLoad, err = run(true); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // AblationSelectiveResult compares selective conversion (tokenize/parse
 // only the query's columns) against full conversion for a narrow query.
 type AblationSelectiveResult struct {

@@ -11,26 +11,6 @@ import (
 func RunAblations(sc Scale, w io.Writer) error {
 	msRow := func(d time.Duration) string { return ms(d) }
 
-	if r, err := RunAblationCacheBias(sc, 4); err != nil {
-		return fmt.Errorf("cache bias: %w", err)
-	} else {
-		t := &Table{
-			Title:  "Ablation: loaded-biased LRU vs plain LRU (speculative sequence)",
-			Header: []string{"query", "biased ms", "biased loaded", "plain ms", "plain loaded"},
-		}
-		for q := range r.BiasedTimes {
-			t.Rows = append(t.Rows, []string{
-				fmtInt(q + 1),
-				msRow(r.BiasedTimes[q]), fmtInt(r.BiasedLoaded[q]),
-				msRow(r.UnbiasedTimes[q]), fmtInt(r.UnbiasedLoad[q]),
-			})
-		}
-		t.Notes = []string{"bias keeps unloaded chunks cached, so loading progress is at least as fast"}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-
 	if r, err := RunAblationSelective(sc); err != nil {
 		return fmt.Errorf("selective: %w", err)
 	} else {

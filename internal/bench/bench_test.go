@@ -237,9 +237,6 @@ func TestTable1Shapes(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	sc := tiny()
-	if r, err := RunAblationCacheBias(sc, 3); err != nil || len(r.BiasedTimes) != 3 {
-		t.Errorf("cache bias: %v %+v", err, r)
-	}
 	if r, err := RunAblationSelective(sc); err != nil || r.SelectiveTime <= 0 {
 		t.Errorf("selective: %v %+v", err, r)
 	}
@@ -286,9 +283,8 @@ func TestSuiteRunAblations(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"loaded-biased LRU", "selective conversion", "safeguard flush",
-		"chunk skipping", "push-down selection",
-		"write granularity",
+		"selective conversion", "safeguard flush", "chunk skipping",
+		"push-down selection", "write granularity",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation output missing %q", want)

@@ -35,26 +35,14 @@ type Cache struct {
 	cap     int
 	clock   uint64
 	entries map[int]*entry
-	// biasLoaded enables the paper's eviction bias; disabling it turns the
-	// cache into plain LRU (used by the ablation benchmark).
-	biasLoaded bool
 }
 
-// New creates a cache holding at most capacity chunks, with the paper's
-// loaded-chunk eviction bias enabled.
+// New creates a cache holding at most capacity chunks.
 func New(capacity int) *Cache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Cache{cap: capacity, entries: make(map[int]*entry), biasLoaded: true}
-}
-
-// NewUnbiased creates a cache with plain LRU eviction (no bias toward
-// loaded chunks) for ablation comparisons.
-func NewUnbiased(capacity int) *Cache {
-	c := New(capacity)
-	c.biasLoaded = false
-	return c
+	return &Cache{cap: capacity, entries: make(map[int]*entry)}
 }
 
 // Cap returns the capacity in chunks.
@@ -126,9 +114,9 @@ func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted *chun
 	return evicted, evictedLoaded, true
 }
 
-// pickVictim selects the entry to evict: with bias, the least recently
-// used *loaded* unpinned entry if any exists, otherwise the least recently
-// used unpinned entry. Returns nil when every entry is pinned.
+// pickVictim selects the entry to evict: the least recently used *loaded*
+// unpinned entry if any exists, otherwise the least recently used unpinned
+// entry. Returns nil when every entry is pinned.
 func (c *Cache) pickVictim() *entry {
 	var bestLoaded, bestAny *entry
 	for _, e := range c.entries {
@@ -142,7 +130,7 @@ func (c *Cache) pickVictim() *entry {
 			bestLoaded = e
 		}
 	}
-	if c.biasLoaded && bestLoaded != nil {
+	if bestLoaded != nil {
 		return bestLoaded
 	}
 	return bestAny
@@ -172,19 +160,6 @@ func (c *Cache) Acquire(id int) *chunk.BinaryChunk {
 	e.pins++
 	e.lastUse = c.tick()
 	return e.bc
-}
-
-// Pin marks the chunk as in use; pinned chunks are never evicted. It
-// reports whether the chunk was present.
-func (c *Cache) Pin(id int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return false
-	}
-	e.pins++
-	return true
 }
 
 // Unpin releases one pin. Unpinning a chunk that is absent or unpinned is
@@ -310,19 +285,6 @@ func (c *Cache) IDs() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// Remove deletes a chunk from the cache regardless of load state. Pinned
-// chunks cannot be removed.
-func (c *Cache) Remove(id int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok || e.pins > 0 {
-		return false
-	}
-	delete(c.entries, id)
-	return true
 }
 
 // Clear drops every unpinned entry.

@@ -94,22 +94,11 @@ func TestEvictionBiasTowardLoaded(t *testing.T) {
 	}
 }
 
-func TestEvictionUnbiased(t *testing.T) {
-	c := NewUnbiased(2)
-	c.Put(mk(1), true)
-	c.Put(mk(2), false)
-	touch(c, 1) // 2 is LRU
-	ev, _, _ := c.Put(mk(3), false)
-	if ev == nil || ev.ID != 2 {
-		t.Errorf("unbiased eviction = %v, want plain LRU victim 2", ev)
-	}
-}
-
 func TestPinnedNeverEvicted(t *testing.T) {
 	c := New(2)
 	c.Put(mk(1), false)
 	c.Put(mk(2), false)
-	if !c.Pin(1) || !c.Pin(2) {
+	if c.Acquire(1) == nil || c.Acquire(2) == nil {
 		t.Fatal("pin failed")
 	}
 	if _, _, ok := c.Put(mk(3), false); ok {
@@ -234,20 +223,10 @@ func TestPutPinned(t *testing.T) {
 	}
 }
 
-func TestRemoveAndClear(t *testing.T) {
+func TestClear(t *testing.T) {
 	c := New(4)
-	c.Put(mk(1), false)
 	c.Put(mk(2), false)
-	c.Pin(2)
-	if !c.Remove(1) {
-		t.Error("Remove(1) should succeed")
-	}
-	if c.Remove(2) {
-		t.Error("Remove of pinned chunk should fail")
-	}
-	if c.Remove(99) {
-		t.Error("Remove of absent chunk should fail")
-	}
+	c.Acquire(2)
 	c.Put(mk(3), false)
 	c.Clear()
 	if c.Peek(3) != nil {
@@ -328,7 +307,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 			case 0, 1:
 				c.Put(mk(id), op%2 == 0)
 			case 2:
-				if c.Pin(id) {
+				if c.Acquire(id) != nil {
 					pinned[id]++
 				}
 			case 3:

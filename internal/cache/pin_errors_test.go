@@ -9,7 +9,7 @@ import "testing"
 // asserted in the default build.
 func TestPinErrors(t *testing.T) {
 	c := New(2)
-	if c.Pin(7) {
+	if c.Acquire(7) != nil {
 		t.Error("pinning absent chunk should fail")
 	}
 	if err := c.Unpin(7); err == nil {

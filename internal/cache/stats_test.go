@@ -48,8 +48,8 @@ func TestStats(t *testing.T) {
 	if c.Acquire(1) == nil {
 		t.Fatal("second Acquire(1) missed")
 	}
-	if !c.Pin(2) {
-		t.Fatal("Pin(2) missed")
+	if c.Acquire(2) == nil {
+		t.Fatal("Acquire(2) missed")
 	}
 
 	s := c.Stats()

@@ -2,7 +2,7 @@ package lint
 
 // PinBalance enforces the cache pin discipline: every pin taken —
 // Acquire/AcquireOldestUnloaded (which return a pinned chunk) and
-// Pin/PutPinned/insertPinned (which pin their argument) — must be
+// PutPinned/insertPinned (which pin their argument) — must be
 // matched by an Unpin on every path, or ownership must be transferred
 // (chunk handed to a deliverer, sent on a channel, returned). A pinned
 // entry can never be evicted, so a dropped pin permanently shrinks the
@@ -10,7 +10,7 @@ package lint
 // is perfectly synchronized — just wrong.
 var PinBalance = &Analyzer{
 	Name: "pinbalance",
-	Doc:  "cache pins (Acquire/Pin/PutPinned) must be matched by Unpin on all paths",
+	Doc:  "cache pins (Acquire/PutPinned) must be matched by Unpin on all paths",
 	Run: func(f *File) []Diagnostic {
 		return checkPairs(f, pinSpec)
 	},
@@ -23,7 +23,6 @@ var pinSpec = &pairSpec{
 	acquires: map[string]acqKind{
 		"Acquire":               {fromResult: true},
 		"AcquireOldestUnloaded": {fromResult: true},
-		"Pin":                   {argIdx: 0},
 		"PutPinned":             {argIdx: 0},
 		"insertPinned":          {argIdx: 0},
 	},

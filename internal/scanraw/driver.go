@@ -313,7 +313,7 @@ type emitter interface {
 
 // inline is the emitter of a run without a worker pool (the paper's "0
 // worker threads" configuration): every stage of a chunk — conversion,
-// cache insert, consume, and under Speculative one write quantum, spent
+// cache insert, consume, and at the idle moment one write quantum, spent
 // when the disk would otherwise idle until the next read — finishes on the
 // driver's goroutine before the next chunk is visited.
 type inline struct{ r *run }
@@ -333,7 +333,7 @@ func (e inline) raw(it convItem) error {
 	if err := r.emitConverted(<-r.workers, it); err != nil {
 		return err
 	}
-	if r.op.cfg.Policy == Speculative {
+	if r.op.when.idle {
 		// specStep pins whatever it writes, shielding it from an eviction
 		// by a still-running fan-out consume.
 		_, err := r.specStep()
@@ -378,9 +378,9 @@ func (e pooled) raw(it convItem) error {
 // convert is the one conversion routine: the kernel's fused pass over the
 // chunk's convert set on the given worker slot (returned to the pool as
 // soon as the CPU work is done), conversion-time statistics, the merge of a
-// partial-width hit's loaded columns, and the write policies that store a
-// chunk before it is cached. loaded reports that the chunk is now in the
-// database. On error nothing is retained.
+// partial-width hit's loaded columns, and the after-convert write. loaded
+// reports that the chunk is now in the database. On error nothing is
+// retained.
 func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bool, err error) {
 	o := r.op
 	kern := r.kern
@@ -408,16 +408,10 @@ func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bo
 		}
 	}
 	if err == nil {
-		switch o.cfg.Policy {
-		case Invisible:
-			// Write the first K converted chunks inline, even though it
-			// stalls conversion — the defining cost of the baseline.
-			loaded = r.invisibleLeft.Add(-1) >= 0
-		case FullLoad:
-			// Without a pool there is no WRITE thread to queue for.
-			loaded = r.writeQ == nil
-		}
-		if loaded {
+		// The after-convert moment: while the run's budget lasts, store the
+		// chunk before it is cached, on this goroutine — its worker slot is
+		// already back in the pool, its binary-buffer slot is not.
+		if loaded = r.afterConvert.Add(-1) >= 0; loaded {
 			err = r.runWrite(bc)
 		}
 	}
@@ -429,7 +423,7 @@ func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bo
 }
 
 // emitConverted converts one raw chunk and emits the result: cache insert
-// with a delivery pin, the FullLoad write queue, then the consume stage.
+// with a delivery pin, then the consume stage.
 func (r *run) emitConverted(slot *workerSlot, it convItem) error {
 	bc, loaded, err := r.convert(slot, it)
 	if err != nil {
@@ -439,20 +433,6 @@ func (r *run) emitConverted(slot *workerSlot, it convItem) error {
 	err = r.insertPinned(bc, loaded)
 	if err != nil {
 		return err
-	}
-	if r.writeQ != nil {
-		// The write queue holds its own pin: the chunk may be consumed and
-		// unpinned (then evicted and recycled) before the WRITE thread gets
-		// to it otherwise.
-		r.op.cache.Pin(bc.ID)
-		select {
-		case r.writeQ <- bc:
-		case <-r.done:
-			_ = r.op.cache.Unpin(bc.ID) // write-queue pin
-			_ = r.op.cache.Unpin(bc.ID) // delivery pin
-			r.out.release()
-			return nil
-		}
 	}
 	n := &r.deliveredRaw
 	if it.plan != nil {

@@ -35,19 +35,19 @@ var stateCols = []int{0, 1}
 func stateTable(t *testing.T, workers int) (*testEnv, *Operator) {
 	t.Helper()
 	env := newEnv(t, stateRows, 4, nil)
-	op := New(env.store, env.table, Config{
-		Workers: workers, ChunkLines: stateChunkLines, CacheChunks: 16, Policy: ExternalTables,
-	})
+	cfg := Config{Workers: workers, ChunkLines: stateChunkLines, CacheChunks: 16, Policy: ExternalTables}
+	op := New(env.store, env.table, cfg)
 	nop := func(*BinaryChunk) error { return nil }
 	// Chunk 5 enters the cache with column 2 only (discovering 0..5).
 	if _, err := op.Run(Request{Columns: []int{2}, Range: &ChunkRange{Lo: 5, Hi: 6}, Deliver: nop}); err != nil {
 		t.Fatal(err)
 	}
-	// Chunks 0..4 and 6 are converted for {0,1}; 2 and 3 get their pages.
+	// A second operator on the same table, whose cache is thrown away,
+	// discovers chunk 6 and gives 2 and 3 their pages.
 	var mu sync.Mutex
-	_, err := op.Run(Request{
+	_, err := New(env.store, env.table, cfg).Run(Request{
 		Columns: stateCols,
-		Range:   &ChunkRange{Lo: 0, Hi: 7},
+		Range:   &ChunkRange{Lo: 2, Hi: 7},
 		Skip:    func(m *dbstore.ChunkMeta) bool { return m.ID == 5 },
 		Deliver: func(bc *BinaryChunk) error {
 			mu.Lock()
@@ -64,9 +64,10 @@ func stateTable(t *testing.T, workers int) (*testEnv, *Operator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []int{1, 2, 3, 6} {
-		if !op.Cache().Remove(id) {
-			t.Fatalf("chunk %d was not cached", id)
+	// Chunks 0 and 4 enter the cache with {0,1}.
+	for _, id := range []int{0, 4} {
+		if _, err := op.Run(Request{Columns: stateCols, Range: &ChunkRange{Lo: id, Hi: id + 1}, Deliver: nop}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	far := dbstore.ColStats{Valid: true, Type: schema.Int64, MinInt: 5000, MaxInt: 6000, Rows: stateChunkLines}

@@ -173,11 +173,15 @@ func TestDurableCorruptPageReconverts(t *testing.T) {
 
 // TestDurableOpFailureSweep fails the k-th durable operation — a segment
 // WriteBlob or a journal append, whichever comes k-th — of an S1 → S2 pair,
-// for every k, at column-group widths 1, 4 and full. Whatever k hits (a
-// scheduler quantum, an eviction write, the safeguard flush, a statistics
-// append), the run must fail with the injected error and nothing else, leave
-// no pin behind, give the right answers when retried, and leave a data-dir
-// that reopens with every journaled group intact and answers right again.
+// for every k: under the daemon's default (Speculative, payoff-ranked, pooled)
+// at column-group widths 1, 4 and full, and at width 4 under every other
+// policy that writes, inline and pooled, so each WRITE moment — after
+// convert, on eviction, an idle quantum, the end-of-scan flush — takes a
+// failing k through both emitters. Whatever k hits (a write at any moment, a
+// statistics append), the run must fail with the injected error and nothing
+// else, leave no pin behind, give the right answers when retried, and leave a
+// data-dir that reopens with every journaled group intact and answers right
+// again.
 func TestDurableOpFailureSweep(t *testing.T) {
 	spec := gen.CSVSpec{Rows: 512, Cols: 8, Seed: 11, MaxValue: 1000}
 	queries := [][]int{{0, 1, 2, 3, 4, 5}, {4, 5, 6, 7}} // S2 is a partial-width hit
@@ -201,8 +205,25 @@ func TestDurableOpFailureSweep(t *testing.T) {
 		}
 		return nil
 	}
+	type sweepCase struct {
+		name  string
+		cfg   Config
+		width int
+	}
+	var cases []sweepCase
 	for _, width := range []int{1, 4, 0} {
-		t.Run(fmt.Sprintf("colgroups=%d", width), func(t *testing.T) {
+		cases = append(cases, sweepCase{fmt.Sprintf("colgroups=%d", width), cfg, width})
+	}
+	for _, policy := range []WritePolicy{FullLoad, BufferedLoad, Invisible, Speculative} {
+		for _, workers := range []int{0, 2} {
+			c := cfg
+			c.Policy, c.Workers, c.Speculation = policy, workers, SpecScan
+			cases = append(cases, sweepCase{fmt.Sprintf("%v,workers=%d", policy, workers), c, 4})
+		}
+	}
+	for _, c := range cases {
+		cfg, width := c.cfg, c.width
+		t.Run(c.name, func(t *testing.T) {
 			for k := 0; ; k++ {
 				dir := t.TempDir()
 				fd, err := storepkg.OpenFileDisk(filepath.Join(dir, "blobs"))

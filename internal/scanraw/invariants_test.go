@@ -3,6 +3,7 @@
 package scanraw
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -65,5 +66,40 @@ func TestScanErrorReleasesPositionalMaps(t *testing.T) {
 				t.Errorf("positional maps leaked by failed scan: outstanding %d, want %d", got, base)
 			}
 		})
+	}
+}
+
+// A victim whose eviction write fails is out of the cache with no pin left,
+// so nothing else will ever recycle it: retireEvicted must return its vectors
+// to the pool on that outcome too. Inline, a BufferedLoad run over a cache of
+// one ends with exactly one chunk cached whether it ran to the end or died on
+// its first eviction, so the two must leave the same number of vectors out.
+func TestFailedEvictionWriteRecyclesVictim(t *testing.T) {
+	outstandingAfter := func(fail bool) int64 {
+		env := newEnv(t, 256, 2, nil)
+		if fail {
+			env.disk.SetFailure(func(op, name string) error {
+				if op == "write" && strings.HasPrefix(name, "db/") {
+					return vdisk.ErrInjected
+				}
+				return nil
+			})
+		}
+		op := New(env.store, env.table, Config{ChunkLines: 64, Policy: BufferedLoad, CacheChunks: 1})
+		base := chunk.OutstandingVectors()
+		st, err := op.Run(Request{Columns: allCols(2), Deliver: func(*BinaryChunk) error { return nil }})
+		if fail != errors.Is(err, vdisk.ErrInjected) {
+			t.Fatalf("fail=%v: run returned %v", fail, err)
+		}
+		if !fail && st.WrittenDuringRun != 3 {
+			t.Fatalf("wrote %d chunks on eviction, want 3", st.WrittenDuringRun)
+		}
+		if n := op.Cache().Len(); n != 1 {
+			t.Fatalf("fail=%v: %d chunks cached, want 1", fail, n)
+		}
+		return chunk.OutstandingVectors() - base
+	}
+	if ok, failed := outstandingAfter(false), outstandingAfter(true); failed != ok {
+		t.Errorf("failed eviction write leaves %d vectors outstanding, a successful one %d", failed, ok)
 	}
 }

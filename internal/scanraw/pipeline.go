@@ -64,9 +64,6 @@ type run struct {
 
 	convWG  sync.WaitGroup
 	schedWG sync.WaitGroup
-	writeWG sync.WaitGroup
-
-	writeQ chan *BinaryChunk // FullLoad write queue (pooled runs)
 
 	gate *cacheGate // wakes cache-insert waiters when pins release
 
@@ -87,7 +84,7 @@ type run struct {
 	rampOpen  chan struct{}
 	rampOnce  sync.Once
 
-	invisibleLeft atomic.Int64
+	afterConvert atomic.Int64 // after-convert writes this run may still do
 
 	written          atomic.Int64 // chunks this run loaded into the database
 	groupWrites      atomic.Int64 // single-group payoff writes
@@ -193,9 +190,10 @@ func (r *run) poke() {
 	}
 }
 
-// runWrite loads one chunk and accounts it to this run.
+// runWrite loads one chunk no cache entry holds — fresh from conversion, or
+// just evicted — at full width and accounts it to this run.
 func (r *run) runWrite(bc *BinaryChunk) error {
-	if err := r.op.writeChunk(bc); err != nil {
+	if err := r.op.write(bc, nil); err != nil {
 		return err
 	}
 	r.written.Add(1)
@@ -356,7 +354,7 @@ func (o *Operator) accountEarlyTermination(st *RunStats, rng *ChunkRange) {
 // the speculative-loading payoff (§4), and the pins taken per chunk keep a
 // concurrent next-query eviction from recycling what the flush is writing.
 func (o *Operator) safeguardFlush() int {
-	if !o.cfg.Safeguard || (o.cfg.Policy != Speculative && o.cfg.Policy != BufferedLoad) {
+	if !o.when.atEnd {
 		return 0
 	}
 	ids := o.cache.UnloadedIDs()
@@ -374,12 +372,8 @@ func (o *Operator) safeguardFlush() int {
 			if bc == nil {
 				continue
 			}
-			werr := o.writeChunk(bc)
-			if uerr := o.cache.Unpin(id); werr == nil {
-				werr = uerr
-			}
-			if werr != nil {
-				o.setFlushErr(werr)
+			if err := o.writeCached(bc, nil); err != nil {
+				o.setFlushErr(err)
 				return
 			}
 		}
@@ -437,7 +431,7 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 		gate:      newCacheGate(),
 	}
 	r.out = inline{r}
-	r.invisibleLeft.Store(invisibleChunksPerQuery)
+	r.afterConvert.Store(o.when.afterConvert)
 	if workers == 0 {
 		r.workers <- &workerSlot{}
 		return r, nil
@@ -454,9 +448,6 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 		r.satCh = make(chan struct{})
 		r.rampOpen = make(chan struct{})
 		r.rampSlots = slots(rampWindow)
-	}
-	if o.cfg.Policy == FullLoad {
-		r.writeQ = make(chan *BinaryChunk, o.cfg.CacheChunks)
 	}
 	return r, nil
 }
@@ -494,11 +485,7 @@ func (r *run) execute(ctx context.Context) error {
 // goroutine is the execution engine's feed.
 func (r *run) pipeline(ctx context.Context) {
 	r.out = pooled{r}
-	if r.writeQ != nil {
-		r.writeWG.Add(1)
-		go r.writeLoop()
-	}
-	if r.op.cfg.Policy == Speculative {
+	if r.op.when.idle {
 		r.schedWG.Add(1)
 		go r.scheduler()
 	}
@@ -529,7 +516,6 @@ func (r *run) pipeline(ctx context.Context) {
 
 	close(r.finish)
 	r.schedWG.Wait()
-	r.writeWG.Wait()
 }
 
 // deliver hands one pinned, cache-resident chunk to the consume stage. The
@@ -601,9 +587,6 @@ func (r *run) convertConsumer() {
 		go r.convertTask(it, slot, ramped)
 	}
 	r.convWG.Wait()
-	if r.writeQ != nil {
-		close(r.writeQ)
-	}
 	close(r.deliverCh)
 }
 
@@ -667,34 +650,22 @@ func (r *run) convertTask(it convItem, slot *workerSlot, ramped bool) {
 	r.fail(r.emitConverted(slot, it))
 }
 
-// retireEvicted finishes an evicted chunk's life: under BufferedLoad an
-// unloaded evictee is first written to the database (the policy's defining
-// write trigger), then the chunk's vectors return to the shared pools. The
+// retireEvicted finishes an evicted chunk's life: at the on-eviction moment
+// an unloaded victim is first written to the database, then — whether or not
+// that write succeeded — the chunk's vectors return to the shared pools. The
 // recycle is safe because eviction implies zero pins, and every consumer of
-// a cached chunk — delivery, write queue, safeguard flush, speculative
-// scheduler — holds a pin for the duration of its use.
-//
-// Speculative loading with the safeguard gets the same write-before-drop:
-// the safeguard promises that conversion work done during a run is never
-// redone (§4's zero-cost guarantee), but it can only flush what is still
-// cached at end of run. Eviction normally prefers loaded victims, so
-// unloaded chunks survive to the flush — except when every loaded entry is
-// momentarily pinned mid-delivery and an unloaded chunk is the only
-// evictable entry. Dropping it there would silently discard the conversion;
-// writing it first keeps the guarantee unconditional.
+// a cached chunk — delivery, safeguard flush, speculative scheduler — holds
+// a pin for the duration of its use.
 func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
 	if evicted == nil {
 		return nil
 	}
-	mustWrite := r.op.cfg.Policy == BufferedLoad ||
-		(r.op.cfg.Policy == Speculative && r.op.cfg.Safeguard)
-	if mustWrite && !evictedLoaded {
-		if err := r.runWrite(evicted); err != nil {
-			return err
-		}
+	var err error
+	if r.op.when.onEviction && !evictedLoaded {
+		err = r.runWrite(evicted)
 	}
 	evicted.RecycleColumns()
-	return nil
+	return err
 }
 
 // recordStats journals the conversion-time statistics of the freshly
@@ -739,25 +710,6 @@ func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 	return nil
 }
 
-// writeLoop is the WRITE thread under the FullLoad policy: it stores every
-// converted chunk, overlapping with conversion and query processing. Each
-// queued chunk carries a pin taken by emitConverted; release it here whether
-// or not the write happened.
-func (r *run) writeLoop() {
-	defer r.writeWG.Done()
-	for bc := range r.writeQ {
-		if !r.failed() {
-			if err := r.runWrite(bc); err != nil {
-				r.fail(err)
-			}
-		}
-		if err := r.op.cache.Unpin(bc.ID); err != nil {
-			r.fail(err)
-		}
-		r.gate.broadcast()
-	}
-}
-
 // scheduler implements speculative loading (§4): whenever READ is blocked
 // on a full text buffer — or has finished and the safeguard is active —
 // the disk is idle, so spend one speculation quantum (a payoff-ranked
@@ -794,7 +746,7 @@ func (r *run) scheduler() {
 }
 
 // writableNow reports whether the disk is idle from READ's perspective:
-// READ blocked on a full buffer, or — when the safeguard is active — READ
+// READ blocked on a full buffer, or — at the end-of-scan moment — READ
 // finished the scan.
 func (r *run) writableNow() bool {
 	if r.failed() {
@@ -803,7 +755,7 @@ func (r *run) writableNow() bool {
 	if r.readBlocked.Load() {
 		return true
 	}
-	return r.op.cfg.Safeguard && r.readDone.Load()
+	return r.op.when.atEnd && r.readDone.Load()
 }
 
 // dbRead reads a loaded chunk's columns from the database through the disk

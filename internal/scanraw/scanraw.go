@@ -11,13 +11,13 @@
 //
 // CONVERT tasks run on a worker pool with destination-space-gated dispatch
 // (a worker is assigned only when the result has somewhere to go,
-// §3.2.1). The WRITE behaviour is a pluggable
-// policy: external tables (never write), full load (write everything),
-// buffered load (write on cache eviction), invisible loading (a fixed
-// number of chunks per query), and the paper's contribution — speculative
-// loading (§4), which writes the oldest unloaded cached chunk whenever the
-// READ thread is blocked or finished and the disk would otherwise idle,
-// plus a safeguard flush of the cache at end of scan.
+// §3.2.1). WRITE is one routine whose schedule is the policy (momentsFor):
+// external tables (never write), full load (write everything, right after
+// conversion), buffered load (write on cache eviction), invisible loading (a
+// fixed number of chunks per query), and the paper's contribution —
+// speculative loading (§4), which writes the oldest unloaded cached chunk
+// whenever the READ thread is blocked or finished and the disk would
+// otherwise idle, plus a safeguard flush of the cache at end of scan.
 //
 // An Operator is attached to a raw file, not to a query: its binary chunks
 // cache, catalog statistics, and profile survive across queries (§3.3), and
@@ -26,6 +26,7 @@ package scanraw
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +103,45 @@ const (
 	readBlockBytes          = 256 << 10 // disk-read granularity of discovery scans
 )
 
+// writeMoments is a write policy resolved: the four moments at which the
+// WRITE stage may store a converted chunk. Every policy is one row of
+// momentsFor, and nothing else in the operator asks which policy is
+// configured.
+type writeMoments struct {
+	// afterConvert is the per-run budget of chunks stored right after their
+	// conversion, on the converting goroutine, before they are cached.
+	afterConvert int64
+	// onEviction writes an unloaded victim of a cache insert before its
+	// vectors are recycled.
+	onEviction bool
+	// idle spends disk-idle quanta — READ blocked on a full text buffer; for
+	// an inline run, the gap before the next read — on one speculative write
+	// each (specStep).
+	idle bool
+	// atEnd writes what the cache still holds unloaded once the scan is over:
+	// further idle quanta after READ finished, then the safeguard flush.
+	atEnd bool
+}
+
+func momentsFor(p WritePolicy, safeguard bool) writeMoments {
+	switch p {
+	case FullLoad:
+		return writeMoments{afterConvert: math.MaxInt64}
+	case Invisible:
+		return writeMoments{afterConvert: invisibleChunksPerQuery}
+	case BufferedLoad:
+		return writeMoments{onEviction: true, atEnd: safeguard}
+	case Speculative:
+		// The safeguard promises that conversion work done during a run is
+		// never redone (§4), but the flush only sees what is still cached.
+		// Eviction prefers loaded victims, so unloaded chunks survive to it —
+		// except when every loaded entry is pinned mid-delivery; writing the
+		// unloaded victim first keeps the promise unconditional.
+		return writeMoments{idle: true, onEviction: safeguard, atEnd: safeguard}
+	}
+	return writeMoments{} // ExternalTables
+}
+
 // Config parameterizes a SCANRAW instance.
 type Config struct {
 	// Workers is the worker-pool size for conversion tasks. Zero selects
@@ -127,8 +167,6 @@ type Config struct {
 	// CollectStats records per-chunk min/max statistics in the catalog
 	// while converting (§3.3). Default off.
 	CollectStats bool
-	// UnbiasedCache disables the LRU bias toward loaded chunks (ablation).
-	UnbiasedCache bool
 	// AdaptiveWorkers lets the operator resize its worker pool across
 	// queries based on observed utilization (paper §3.3, resource
 	// management): READ blocked on a full buffer means CPU-bound — grow;
@@ -300,7 +338,8 @@ func (s RunStats) Delivered() int {
 // arrive together should share a scan through RunShared, the multi-query
 // processing the paper leaves as future work (§7).
 type Operator struct {
-	cfg Config
+	cfg  Config
+	when writeMoments // the write policy and the safeguard, resolved by New
 	// workers is the current pool size; it differs from cfg.Workers when
 	// AdaptiveWorkers resizes the pool across queries. Guarded by runMu.
 	workers int
@@ -331,19 +370,14 @@ type Operator struct {
 // New creates a SCANRAW operator for the table's raw file.
 func New(store *dbstore.Store, table *dbstore.Table, cfg Config) *Operator {
 	cfg = cfg.withDefaults()
-	var ch *cache.Cache
-	if cfg.UnbiasedCache {
-		ch = cache.NewUnbiased(cfg.CacheChunks)
-	} else {
-		ch = cache.New(cfg.CacheChunks)
-	}
 	return &Operator{
 		cfg:     cfg,
+		when:    momentsFor(cfg.Policy, cfg.Safeguard),
 		workers: cfg.Workers,
 		store:   store,
 		table:   table,
 		disk:    store.Disk(),
-		cache:   ch,
+		cache:   cache.New(cfg.CacheChunks),
 		cpu:     &metrics.BusyCounter{},
 	}
 }
@@ -494,28 +528,15 @@ func (o *Operator) cpuWork(slot *workerSlot, fn func()) time.Duration {
 	return nominal
 }
 
-// writeChunk stores the chunk's present columns into the database through
-// the disk arbiter and marks catalog and cache state.
-func (o *Operator) writeChunk(bc *BinaryChunk) error {
-	o.arbiter.Lock()
-	start := time.Now()
-	err := o.store.WriteChunk(o.table, bc)
-	o.prof.writeNs.Add(int64(time.Since(start)))
-	o.arbiter.Unlock()
-	if err != nil {
-		return err
+// write is the WRITE stage's one storage routine, whatever the moment: it
+// stores the listed columns of the chunk — every present column when none are
+// named — as one segment, through the disk arbiter. The cache entry is marked
+// loaded only once the catalog covers every column the chunk holds, so a
+// write of some column groups leaves the rest to a later moment.
+func (o *Operator) write(bc *BinaryChunk, cols []int) error {
+	if cols == nil {
+		cols = bc.Present()
 	}
-	o.prof.writeCh.Add(1)
-	o.cache.MarkLoaded(bc.ID)
-	return nil
-}
-
-// writeChunkGroup stores the listed columns — some of a cached chunk's
-// column groups, as one segment — through the disk arbiter: the payoff
-// scheduler's write quantum. The cache entry is marked loaded only once the
-// catalog covers every column the entry holds, so the safeguard flush still
-// writes whatever groups remain.
-func (o *Operator) writeChunkGroup(bc *BinaryChunk, cols []int) error {
 	o.arbiter.Lock()
 	start := time.Now()
 	err := o.store.WriteChunkColumns(o.table, bc, cols)
@@ -524,8 +545,20 @@ func (o *Operator) writeChunkGroup(bc *BinaryChunk, cols []int) error {
 	if err != nil {
 		return err
 	}
+	o.prof.writeCh.Add(1)
 	if meta, ok := o.table.Chunk(bc.ID); ok && meta.LoadedAll(bc.Present()) {
 		o.cache.MarkLoaded(bc.ID)
 	}
 	return nil
+}
+
+// writeCached is write for a cache-resident chunk the caller acquired: the
+// pin keeps an eviction from recycling the vectors while they are being
+// serialized, and is released here whatever the outcome.
+func (o *Operator) writeCached(bc *BinaryChunk, cols []int) error {
+	err := o.write(bc, cols)
+	if uerr := o.cache.Unpin(bc.ID); err == nil {
+		err = uerr
+	}
+	return err
 }

@@ -100,29 +100,38 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (*partialPlan, error) {
 	return &partialPlan{kern: kern, fromDB: fromDB}, nil
 }
 
-// specStep performs one quantum of speculative loading: under SpecPayoff the
-// best-ranked chunk's wanted column groups in one write, otherwise (or as
-// the cold-workload fallback) the oldest unloaded cached chunk at full
-// width. It reports whether anything was written; the caller loops while the
-// disk stays idle.
+// specStep performs one quantum of speculative loading — one write of one
+// cached chunk under a pin: under SpecPayoff the best-ranked chunk's wanted
+// column groups, otherwise (or as the cold-workload fallback) the oldest
+// unloaded cached chunk at full width. It reports whether anything was
+// written; the caller loops while the disk stays idle.
 func (r *run) specStep() (bool, error) {
 	o := r.op
+	var bc *BinaryChunk
+	var cols []int
+	ngroups := 0
 	if o.cfg.Speculation == SpecPayoff {
-		wrote, handled, err := r.payoffStep()
-		if handled || err != nil {
-			return wrote, err
+		var err error
+		if bc, cols, ngroups, err = r.payoffPick(); err != nil {
+			return false, err
 		}
 	}
-	bc := o.cache.AcquireOldestUnloaded()
 	if bc == nil {
-		return false, nil
+		if bc = o.cache.AcquireOldestUnloaded(); bc == nil {
+			return false, nil
+		}
 	}
-	err := r.runWrite(bc)
-	if uerr := o.cache.Unpin(bc.ID); err == nil {
-		err = uerr
-	}
+	err := o.writeCached(bc, cols)
 	r.gate.broadcast()
-	return err == nil, err
+	if err != nil {
+		return false, err
+	}
+	if ngroups > 0 {
+		r.groupWrites.Add(int64(ngroups))
+	} else {
+		r.written.Add(1)
+	}
+	return true, nil
 }
 
 // specCand is one rankable speculation candidate: a cached chunk with the
@@ -134,30 +143,30 @@ type specCand struct {
 	score  float64
 }
 
-// payoffStep ranks the cached chunks by what the workload would gain from
-// their unloaded column groups and writes the best one's — every group with
-// a positive weight, in one store call, so the quantum costs one durable
-// write however many groups it carries. Columns nobody asks for are never
-// written here. handled=false hands control to the scan-order fallback: the
-// workload is cold (nil/mismatched/all-zero weights) or nothing the workload
-// wants is still unloaded.
-func (r *run) payoffStep() (wrote, handled bool, err error) {
+// payoffPick ranks the cached chunks by what the workload would gain from
+// their unloaded column groups and returns the best one, pinned, with the
+// columns to write — every group with a positive weight, for one store call,
+// so the quantum costs one durable write however many groups it carries.
+// Columns nobody asks for are never picked. A nil chunk hands the quantum to
+// the scan-order fallback: the workload is cold (nil/mismatched/all-zero
+// weights) or nothing the workload wants is still unloaded.
+func (r *run) payoffPick() (bc *BinaryChunk, cols []int, ngroups int, err error) {
 	o := r.op
 	wf := o.cfg.ColumnWeights
 	if wf == nil {
-		return false, false, nil
+		return nil, nil, 0, nil
 	}
 	weights := wf()
 	n := o.table.Schema().NumColumns()
 	if len(weights) != n {
-		return false, false, nil
+		return nil, nil, 0, nil
 	}
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
 	if total <= 0 {
-		return false, false, nil
+		return nil, nil, 0, nil
 	}
 	groups := dbstore.GroupPartition(n, o.store.GroupWidth())
 	var cands []specCand
@@ -191,38 +200,25 @@ func (r *run) payoffStep() (wrote, handled bool, err error) {
 	// degrades gracefully toward the paper's behaviour.
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
 	for _, c := range cands {
-		bc := o.cache.Acquire(c.id)
-		if bc == nil {
+		if bc = o.cache.Acquire(c.id); bc == nil {
 			continue
 		}
 		// A group the cached copy lacks part of (read back narrow, or
 		// converted for a narrower query) is not writable from here.
-		var cols []int
-		ngroups := 0
 		for _, g := range c.groups {
 			if bc.HasAll(g) {
 				cols = append(cols, g...)
 				ngroups++
 			}
 		}
-		if ngroups == 0 {
-			if uerr := o.cache.Unpin(c.id); uerr != nil {
-				return false, true, uerr
-			}
-			continue
+		if ngroups > 0 {
+			return bc, cols, ngroups, nil
 		}
-		werr := o.writeChunkGroup(bc, cols)
-		if uerr := o.cache.Unpin(c.id); werr == nil {
-			werr = uerr
+		if err = o.cache.Unpin(c.id); err != nil {
+			return nil, nil, 0, err
 		}
-		r.gate.broadcast()
-		if werr != nil {
-			return false, true, werr
-		}
-		r.groupWrites.Add(int64(ngroups))
-		return true, true, nil
 	}
-	return false, false, nil
+	return nil, nil, 0, nil
 }
 
 // chunkSelectivity estimates how useful a chunk's columns are to selective
