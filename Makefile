@@ -88,7 +88,7 @@ lint-fixtures:
 # packages rerun under the tag with the race detector; the resource-owning
 # packages rerun without it.
 invariants:
-	$(GO) test -tags invariants ./internal/cache/... ./internal/chunk/... ./internal/tok/... ./internal/parse/... ./internal/kernel/...
+	$(GO) test -tags invariants ./internal/cache/... ./internal/chunk/... ./internal/tok/... ./internal/parse/... ./internal/kernel/... ./internal/dbstore/... ./internal/store/...
 	$(GO) test -race -tags invariants ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/...
 
 # Short fuzz smoke over the decoders that parse untrusted bytes — the

@@ -215,11 +215,16 @@ func (b *BinaryChunk) Clone() *BinaryChunk {
 }
 
 // RecycleColumns returns the chunk's column vectors to the shared pools
-// (see GetVector) and clears the column table. Only the code that can prove
-// exclusive ownership may call it: no other BinaryChunk shares the vectors
-// (Clone and Merge alias them across copies of the *same* chunk ID) and no
-// reader still holds the chunk — in the operator that means a cleanly
-// evicted, unpinned cache entry.
+// (see GetVector) and clears the column table. Every vector of a chunk —
+// converted by a kernel or decoded from a page (DecodeVector) — came from
+// those pools, so this is the put that balances each get. Only the code that
+// can prove exclusive ownership may call it: no other BinaryChunk shares the
+// vectors (Clone and Merge alias them across copies of the *same* chunk ID)
+// and no reader still holds the chunk — in the operator that means a cleanly
+// evicted, unpinned cache entry. A vector that a cache merge dropped as a
+// duplicate (the entry already held that column) is in no entry, so no
+// eviction recycles it: the delivery that carried it in may still be reading
+// it, and it is left to the garbage collector.
 func (b *BinaryChunk) RecycleColumns() {
 	for i, v := range b.cols {
 		if v != nil {

@@ -1,0 +1,203 @@
+package chunk
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"scanraw/internal/schema"
+)
+
+// decodeVectorRef is the decoder as it was before DecodeVector took its
+// vectors from the pools: a fresh zeroed NewVector per page, indexed loops.
+// It is the oracle the pooled decoder is held to.
+func decodeVectorRef(p []byte) (*Vector, error) {
+	if len(p) < vectorHeaderSize {
+		return nil, fmt.Errorf("short")
+	}
+	n := int(binary.LittleEndian.Uint32(p[1:]))
+	body := p[vectorHeaderSize:]
+	switch {
+	case p[0] == tagStrDict:
+		if len(body) < 1 {
+			return nil, fmt.Errorf("truncated")
+		}
+		ndict, off := int(body[0])+1, 1
+		dict := make([]string, ndict)
+		for i := range dict {
+			if off+2 > len(body) {
+				return nil, fmt.Errorf("truncated")
+			}
+			l := int(binary.LittleEndian.Uint16(body[off:]))
+			if off += 2; off+l > len(body) {
+				return nil, fmt.Errorf("truncated")
+			}
+			dict[i] = string(body[off : off+l])
+			off += l
+		}
+		if off+n > len(body) {
+			return nil, fmt.Errorf("truncated")
+		}
+		v := NewVector(schema.Str, n)
+		for i := 0; i < n; i++ {
+			if int(body[off+i]) >= ndict {
+				return nil, fmt.Errorf("code out of range")
+			}
+			v.Strs[i] = dict[body[off+i]]
+		}
+		return v, nil
+	case p[0] == tagInt32:
+		if len(body) < 4*n {
+			return nil, fmt.Errorf("truncated")
+		}
+		v := NewVector(schema.Int64, n)
+		for i := 0; i < n; i++ {
+			v.Ints[i] = int64(int32(binary.LittleEndian.Uint32(body[4*i:])))
+		}
+		return v, nil
+	}
+	switch t := schema.Type(p[0]); t {
+	case schema.Int64, schema.Float64:
+		if len(body) < 8*n {
+			return nil, fmt.Errorf("truncated")
+		}
+		v := NewVector(t, n)
+		for i := 0; i < n; i++ {
+			bits := binary.LittleEndian.Uint64(body[8*i:])
+			if t == schema.Int64 {
+				v.Ints[i] = int64(bits)
+			} else {
+				v.Floats[i] = math.Float64frombits(bits)
+			}
+		}
+		return v, nil
+	case schema.Str:
+		if len(body) < 4*n {
+			return nil, fmt.Errorf("truncated")
+		}
+		v := NewVector(schema.Str, n)
+		off := 4 * n
+		for i := 0; i < n; i++ {
+			l := int(binary.LittleEndian.Uint32(body[4*i:]))
+			if off+l > len(body) {
+				return nil, fmt.Errorf("truncated")
+			}
+			v.Strs[i] = string(body[off : off+l])
+			off += l
+		}
+		return v, nil
+	}
+	return nil, fmt.Errorf("unknown tag")
+}
+
+// poisonPools leaves garbage vectors in every pool: longer than any test
+// page, every element a value no test page holds. A decoder that trusted a
+// pooled vector to be zeroed, or sized it by capacity, shows it.
+func poisonPools() {
+	const n = 3 * 8192
+	for i := 0; i < 4; i++ {
+		iv, fv, sv := NewVector(schema.Int64, n), NewVector(schema.Float64, n), NewVector(schema.Str, n)
+		for j := 0; j < n; j++ {
+			iv.Ints[j], fv.Floats[j], sv.Strs[j] = -0x0BADBADBADBAD, math.Inf(-1), "stale"
+		}
+		// Handed over as a live owner would: taken, then put.
+		for _, v := range []*Vector{iv, fv, sv} {
+			noteGetVector(v)
+			PutVector(v)
+		}
+	}
+}
+
+// checkAgainstRef decodes p through the poisoned pools and through the
+// reference and requires the same outcome; the pooled vector goes back, so
+// the next page meets it again as garbage.
+func checkAgainstRef(t *testing.T, p []byte) {
+	t.Helper()
+	want, wantErr := decodeVectorRef(p)
+	poisonPools()
+	got, err := DecodeVector(p)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("DecodeVector err = %v, reference err = %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !vectorsBitEqual(got, want) {
+		t.Fatalf("pooled decode differs from the NewVector reference (%v, %d rows)", want.Type, want.Len())
+	}
+	PutVector(got)
+}
+
+// pageKinds builds one vector of every page kind at the given row count.
+func pageKinds(rows int) map[string]*Vector {
+	narrow, wide := NewVector(schema.Int64, rows), NewVector(schema.Int64, rows)
+	fl, plain, dict := NewVector(schema.Float64, rows), NewVector(schema.Str, rows), NewVector(schema.Str, rows)
+	for i := 0; i < rows; i++ {
+		narrow.Ints[i] = int64(i*7919) % (1 << 31)
+		wide.Ints[i] = int64(i)<<33 - 5
+		fl.Floats[i] = float64(i) / 3
+		plain.Strs[i] = fmt.Sprintf("read-%d", i)
+		dict.Strs[i] = []string{"chr1", "chr2", "", "chrX"}[i%4]
+	}
+	if rows > 0 {
+		fl.Floats[0] = math.NaN()
+	}
+	return map[string]*Vector{"int32-narrow": narrow, "int64": wide, "float64": fl, "plain-string": plain, "dictionary-string": dict}
+}
+
+func TestDecodePoisonedPool(t *testing.T) {
+	// A full chunk, the short trailing chunk of a file, and no rows at all.
+	for _, rows := range []int{8192, 1237, 0} {
+		for kind, v := range pageKinds(rows) {
+			t.Run(fmt.Sprintf("%s/%d", kind, rows), func(t *testing.T) {
+				p := EncodeVector(v)
+				checkAgainstRef(t, p)
+				// The cuts take the error paths, which must
+				// agree with the reference too (and hand their vector back:
+				// see TestDecodeFailureReturnsVector under -tags invariants).
+				for _, cut := range []int{0, 3, vectorHeaderSize, len(p) / 2, len(p) - 1} {
+					if cut < len(p) {
+						checkAgainstRef(t, p[:cut])
+					}
+				}
+			})
+		}
+	}
+	// A dictionary page whose last row carries a code past the dictionary:
+	// the decoder has taken its vector by then.
+	dict := pageKinds(64)["dictionary-string"]
+	p := EncodeVector(dict)
+	if p[0] != tagStrDict {
+		t.Fatalf("fixture is not a dictionary page (tag %#x)", p[0])
+	}
+	p[len(p)-1] = 0xFF
+	checkAgainstRef(t, p)
+}
+
+// TestFuzzCorpusPoisonedPool runs FuzzDecodeVector's seed corpus through the
+// poisoned-pool differential.
+func TestFuzzCorpusPoisonedPool(t *testing.T) {
+	for _, p := range fuzzSeeds() {
+		checkAgainstRef(t, p)
+	}
+}
+
+var benchVec *Vector
+
+// BenchmarkDecodeVector is the widening loop of a warm page read: one
+// 8,192-row int32-narrow page into a pooled vector that is handed back.
+func BenchmarkDecodeVector(b *testing.B) {
+	p := EncodeVector(pageKinds(8192)["int32-narrow"])
+	b.SetBytes(8 * 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := DecodeVector(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchVec = v
+		PutVector(v)
+	}
+}

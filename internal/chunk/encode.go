@@ -90,7 +90,11 @@ func EncodeVector(v *Vector) []byte {
 	}
 }
 
-// DecodeVector parses a page produced by EncodeVector.
+// DecodeVector parses a page produced by EncodeVector. The vector comes from
+// GetVector's pools without the clear — every element is overwritten — so
+// the caller owns one pooled vector: it hands it on (BinaryChunk.SetColumn,
+// recycled with the chunk) or returns it with PutVector. A failed decode has
+// already returned whatever it took.
 func DecodeVector(p []byte) (*Vector, error) {
 	if len(p) < vectorHeaderSize {
 		return nil, fmt.Errorf("chunk: vector page too short (%d bytes)", len(p))
@@ -104,9 +108,10 @@ func DecodeVector(p []byte) (*Vector, error) {
 		if len(body) < 4*n {
 			return nil, fmt.Errorf("chunk: truncated int32 page: need %d bytes, have %d", 4*n, len(body))
 		}
-		v := NewVector(schema.Int64, n)
-		for i := 0; i < n; i++ {
-			v.Ints[i] = int64(int32(binary.LittleEndian.Uint32(body[4*i:])))
+		v := getVector(schema.Int64, n, false)
+		// Both slices shrink in step, so the loop carries no bounds check.
+		for dst, src := v.Ints, body[:4*n]; len(dst) > 0 && len(src) >= 4; dst, src = dst[1:], src[4:] {
+			dst[0] = int64(int32(binary.LittleEndian.Uint32(src)))
 		}
 		return v, nil
 	}
@@ -116,13 +121,14 @@ func DecodeVector(p []byte) (*Vector, error) {
 		if len(body) < 8*n {
 			return nil, fmt.Errorf("chunk: truncated numeric page: need %d bytes, have %d", 8*n, len(body))
 		}
-		v := NewVector(t, n)
-		for i := 0; i < n; i++ {
-			bits := binary.LittleEndian.Uint64(body[8*i:])
-			if t == schema.Int64 {
-				v.Ints[i] = int64(bits)
-			} else {
-				v.Floats[i] = math.Float64frombits(bits)
+		v := getVector(t, n, false)
+		if t == schema.Int64 {
+			for dst, src := v.Ints, body[:8*n]; len(dst) > 0 && len(src) >= 8; dst, src = dst[1:], src[8:] {
+				dst[0] = int64(binary.LittleEndian.Uint64(src))
+			}
+		} else {
+			for dst, src := v.Floats, body[:8*n]; len(dst) > 0 && len(src) >= 8; dst, src = dst[1:], src[8:] {
+				dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 			}
 		}
 		return v, nil
@@ -130,21 +136,20 @@ func DecodeVector(p []byte) (*Vector, error) {
 		if len(body) < 4*n {
 			return nil, fmt.Errorf("chunk: truncated string-length block: need %d bytes, have %d", 4*n, len(body))
 		}
-		lens := make([]int, n)
+		lens, data := body[:4*n], body[4*n:]
 		total := 0
 		for i := 0; i < n; i++ {
-			lens[i] = int(binary.LittleEndian.Uint32(body[4*i:]))
-			total += lens[i]
+			total += int(binary.LittleEndian.Uint32(lens[4*i:]))
 		}
-		data := body[4*n:]
 		if len(data) < total {
 			return nil, fmt.Errorf("chunk: truncated string data: need %d bytes, have %d", total, len(data))
 		}
-		v := NewVector(schema.Str, n)
+		v := getVector(schema.Str, n, false)
 		off := 0
-		for i := 0; i < n; i++ {
-			v.Strs[i] = string(data[off : off+lens[i]])
-			off += lens[i]
+		for i := range v.Strs {
+			l := int(binary.LittleEndian.Uint32(lens[4*i:]))
+			v.Strs[i] = string(data[off : off+l])
+			off += l
 		}
 		return v, nil
 	default:
@@ -229,10 +234,10 @@ func decodeStrDict(n int, body []byte) (*Vector, error) {
 	if off+n > len(body) {
 		return nil, fmt.Errorf("chunk: truncated dictionary codes: need %d, have %d", n, len(body)-off)
 	}
-	v := NewVector(schema.Str, n)
-	for i := 0; i < n; i++ {
-		c := int(body[off+i])
-		if c >= ndict {
+	v := getVector(schema.Str, n, false)
+	for i, c := range body[off : off+n] {
+		if int(c) >= ndict {
+			PutVector(v)
 			return nil, fmt.Errorf("chunk: dictionary code %d out of range [0,%d)", c, ndict)
 		}
 		v.Strs[i] = dict[c]

@@ -8,29 +8,31 @@ import (
 	"scanraw/internal/schema"
 )
 
+// fuzzSeeds is FuzzDecodeVector's seed corpus: one page of every kind, an
+// empty page, and a dictionary header claiming 2^32-1 rows.
+func fuzzSeeds() [][]byte {
+	mk := func(v *Vector) []byte { return EncodeVector(v) }
+	iv := NewVector(schema.Int64, 3)
+	iv.Ints = []int64{1, -5, 1 << 40}
+	nv := NewVector(schema.Int64, 2)
+	nv.Ints = []int64{7, 9} // narrow path
+	sv := NewVector(schema.Str, 4)
+	sv.Strs = []string{"a", "bb", "a", "bb"} // dictionary path
+	lv := NewVector(schema.Str, 2)
+	lv.Strs = []string{"unique-one", "unique-two"} // plain string path
+	fv := NewVector(schema.Float64, 2)
+	fv.Floats = []float64{1.5, -2.5}
+	return [][]byte{mk(iv), mk(nv), mk(sv), mk(lv), mk(fv), {}, {0x82, 0xFF, 0xFF, 0xFF, 0xFF, 0x00}}
+}
+
 // FuzzDecodeVector feeds arbitrary bytes to the page decoder. It must
 // return an error or a valid vector — never panic — and any page that
 // decodes successfully must re-encode and decode to the same values
 // (decode is a left inverse of encode on its image).
 func FuzzDecodeVector(f *testing.F) {
-	mk := func(v *Vector) []byte { return EncodeVector(v) }
-	iv := NewVector(schema.Int64, 3)
-	iv.Ints = []int64{1, -5, 1 << 40}
-	f.Add(mk(iv))
-	nv := NewVector(schema.Int64, 2)
-	nv.Ints = []int64{7, 9}
-	f.Add(mk(nv)) // narrow path
-	sv := NewVector(schema.Str, 4)
-	sv.Strs = []string{"a", "bb", "a", "bb"}
-	f.Add(mk(sv)) // dictionary path
-	lv := NewVector(schema.Str, 2)
-	lv.Strs = []string{"unique-one", "unique-two"}
-	f.Add(mk(lv)) // plain string path
-	fv := NewVector(schema.Float64, 2)
-	fv.Floats = []float64{1.5, -2.5}
-	f.Add(mk(fv))
-	f.Add([]byte{})
-	f.Add([]byte{0x82, 0xFF, 0xFF, 0xFF, 0xFF, 0x00})
+	for _, p := range fuzzSeeds() {
+		f.Add(p)
+	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		v, err := DecodeVector(p)

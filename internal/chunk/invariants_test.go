@@ -51,3 +51,26 @@ func TestOutstandingCountersBalance(t *testing.T) {
 		t.Errorf("OutstandingMaps after release = %d, want %d", got, mBase)
 	}
 }
+
+// A decode that fails after taking its vector (a dictionary code past the
+// dictionary is only found while filling) hands the vector back; one that
+// succeeds leaves exactly one outstanding until its owner puts it.
+func TestDecodeFailureReturnsVector(t *testing.T) {
+	p := EncodeVector(pageKinds(64)["dictionary-string"])
+	base := OutstandingVectors()
+	v, err := DecodeVector(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := OutstandingVectors(); got != base+1 {
+		t.Errorf("OutstandingVectors after a decode = %d, want %d", got, base+1)
+	}
+	PutVector(v)
+	p[len(p)-1] = 0xFF
+	if _, err := DecodeVector(p); err == nil {
+		t.Fatal("a dictionary code out of range decoded")
+	}
+	if got := OutstandingVectors(); got != base {
+		t.Errorf("OutstandingVectors after a failed decode = %d, want %d", got, base)
+	}
+}

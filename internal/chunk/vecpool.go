@@ -12,11 +12,12 @@ import (
 // lifetime provably ends with the consuming call can be returned here and
 // reused for the next chunk.
 //
-// Ownership rule: a vector obtained from GetVector may be released with
-// PutVector exactly once, and only by the code that obtained it. Vectors
-// installed into a BinaryChunk (cacheable, shared across queries) are only
-// released through BinaryChunk.RecycleColumns, whose exclusive-ownership
-// contract makes the release safe.
+// Ownership rule: a vector obtained from GetVector (or DecodeVector, which
+// takes its vector here) may be released with PutVector exactly once, and
+// only by the code that obtained it. Vectors installed into a BinaryChunk
+// (cacheable, shared across queries) are only released through
+// BinaryChunk.RecycleColumns, whose exclusive-ownership contract makes the
+// release safe.
 var vecPools = [3]sync.Pool{
 	{New: func() any { return &Vector{Type: schema.Int64} }},
 	{New: func() any { return &Vector{Type: schema.Float64} }},
@@ -25,28 +26,31 @@ var vecPools = [3]sync.Pool{
 
 // GetVector returns a zeroed vector of n values of type t, reusing pooled
 // backing storage when available.
-func GetVector(t schema.Type, n int) *Vector {
+func GetVector(t schema.Type, n int) *Vector { return getVector(t, n, true) }
+
+// getVector is GetVector with the clear optional: a caller that overwrites
+// every element (DecodeVector) passes zero=false and skips it. Such a vector
+// holds whatever its previous owner left — stale values, stale strings —
+// until the caller has filled it.
+func getVector(t schema.Type, n int, zero bool) *Vector {
 	v := vecPools[t].Get().(*Vector)
 	switch t {
 	case schema.Int64:
 		if cap(v.Ints) < n {
 			v.Ints = make([]int64, n)
-		} else {
-			v.Ints = v.Ints[:n]
+		} else if v.Ints = v.Ints[:n]; zero {
 			clear(v.Ints)
 		}
 	case schema.Float64:
 		if cap(v.Floats) < n {
 			v.Floats = make([]float64, n)
-		} else {
-			v.Floats = v.Floats[:n]
+		} else if v.Floats = v.Floats[:n]; zero {
 			clear(v.Floats)
 		}
 	case schema.Str:
 		if cap(v.Strs) < n {
 			v.Strs = make([]string, n)
-		} else {
-			v.Strs = v.Strs[:n]
+		} else if v.Strs = v.Strs[:n]; zero {
 			clear(v.Strs)
 		}
 	default:

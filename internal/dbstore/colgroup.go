@@ -78,18 +78,17 @@ type groupPageCol struct {
 }
 
 // decodeGroupPage splits a group-page payload into per-column encoded
-// vectors without decoding them.
-func decodeGroupPage(payload []byte) ([]groupPageCol, error) {
+// vectors without decoding them, appending to dst.
+func decodeGroupPage(dst []groupPageCol, payload []byte) ([]groupPageCol, error) {
 	d := wire.NewDec(payload, "dbstore", "group page")
 	n := d.Count(maxGroupCols, "group page column count")
-	out := make([]groupPageCol, 0, min(n, 64))
 	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, groupPageCol{col: d.Count(maxGroupCols, "group page ordinal"), enc: d.Bytes()})
+		dst = append(dst, groupPageCol{col: d.Count(maxGroupCols, "group page ordinal"), enc: d.Bytes()})
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // GroupPartition splits the ordinals [0, ncols) into consecutive groups of

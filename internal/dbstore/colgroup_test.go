@@ -79,21 +79,21 @@ func TestGroupPageDecodeTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := decodeGroupPage(page)
+	cols, err := decodeGroupPage(nil, page)
 	if err != nil || len(cols) != 2 || cols[0].col != 0 || cols[1].col != 2 {
 		t.Fatalf("decode = %+v, %v", cols, err)
 	}
 	for cut := 0; cut < len(page); cut++ {
-		if _, err := decodeGroupPage(page[:cut]); err == nil {
+		if _, err := decodeGroupPage(nil, page[:cut]); err == nil {
 			t.Errorf("page cut at %d of %d decoded", cut, len(page))
 		}
 	}
-	if _, err := decodeGroupPage(append(append([]byte(nil), page...), 0)); err == nil {
+	if _, err := decodeGroupPage(nil, append(append([]byte(nil), page...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 	var e wire.Enc
 	e.Uvar(maxGroupCols + 1)
-	if _, err := decodeGroupPage(e.Buf); err == nil {
+	if _, err := decodeGroupPage(nil, e.Buf); err == nil {
 		t.Error("over-limit column count accepted")
 	}
 }

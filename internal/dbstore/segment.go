@@ -1,10 +1,13 @@
 package dbstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/store"
@@ -179,69 +182,149 @@ func (t *Table) reloadLocked(m *ChunkMeta) {
 }
 
 // ReadChunk reads the listed columns of chunk id from the database into a
-// binary chunk. Every requested column must be loaded; the read is served
-// from a greedy cover of the chunk's recorded column groups, so any mix of
-// layouts and widths can satisfy it, and only the covering pages are
-// transferred — one ReadAt per run of pages adjacent in one segment.
+// binary chunk: FetchChunk's transfer, then Decode. The chunk's vectors come
+// from the chunk package's pools; its owner hands them back with
+// RecycleColumns.
 func (s *Store) ReadChunk(t *Table, id int, cols []int) (*chunk.BinaryChunk, error) {
-	meta, ok := t.Chunk(id)
-	if !ok {
-		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", id, t.Name())
-	}
-	if !meta.LoadedAll(cols) {
-		return nil, fmt.Errorf("dbstore: chunk %d does not have all of columns %v loaded", id, cols)
-	}
-	cover, err := coverGroups(meta, cols)
+	p, err := s.FetchChunk(t, id, cols)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(cover, func(i, j int) bool {
-		if cover[i].Seg != cover[j].Seg {
-			return cover[i].Seg < cover[j].Seg
-		}
-		return cover[i].Off < cover[j].Off
-	})
-	want := make(map[int]bool, len(cols))
-	for _, c := range cols {
-		want[c] = true
+	return p.Decode()
+}
+
+// ChunkPages is the transfer half of a chunk read: the sealed pages that
+// cover the requested columns, in memory but neither verified nor decoded.
+// It is what a caller arbitrating the disk holds the disk for; Decode, the
+// CPU half, needs no disk. A ChunkPages is used once: Decode consumes it.
+type ChunkPages struct {
+	t        *Table
+	id, rows int
+	cover    []GroupState // sorted by (Seg, Off); page i is the next Len bytes of buf
+	want     []bool       // by schema ordinal: the requested columns
+	need     []bool       // coverGroups' working copy of want
+	pcols    []groupPageCol
+	buf      []byte
+}
+
+// chunkPagesPool recycles ChunkPages with their cover, column sets and read
+// buffer: a page read's bytes are dead the moment they are decoded (string
+// decode copies out of them), so a warm scan transfers into the same few
+// buffers instead of allocating and zeroing one per read.
+var chunkPagesPool = sync.Pool{New: func() any { return new(ChunkPages) }}
+
+// FetchChunk transfers the pages covering the listed columns of chunk id.
+// Every requested column must be loaded; the read is served from a greedy
+// cover of the chunk's recorded column groups, so any mix of layouts and
+// widths can satisfy it, and only the covering pages are transferred — one
+// ReadAt per run of pages adjacent in one segment.
+func (s *Store) FetchChunk(t *Table, id int, cols []int) (*ChunkPages, error) {
+	p := chunkPagesPool.Get().(*ChunkPages)
+	p.t, p.id = t, id
+	if err := p.fetch(s.disk, cols); err != nil {
+		chunkPagesPool.Put(p)
+		return nil, err
 	}
-	bc := chunk.NewBinary(t.Schema(), id, meta.Rows)
-	for i := 0; i < len(cover); {
-		j := i + 1
-		for j < len(cover) && cover[j].Seg == cover[i].Seg && cover[j].Off == cover[j-1].Off+cover[j-1].Len {
+	return p, nil
+}
+
+func (p *ChunkPages) fetch(disk store.Disk, cols []int) error {
+	if err := p.t.coverInto(p, cols); err != nil {
+		return err
+	}
+	slices.SortFunc(p.cover, func(a, b GroupState) int {
+		if c := strings.Compare(a.Seg, b.Seg); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Off, b.Off)
+	})
+	total := 0
+	for _, g := range p.cover {
+		total += int(g.Len)
+	}
+	if cap(p.buf) < total {
+		p.buf = make([]byte, total)
+	}
+	p.buf = p.buf[:total]
+	at := 0
+	for i := 0; i < len(p.cover); {
+		j, n := i+1, int(p.cover[i].Len)
+		for j < len(p.cover) && p.cover[j].Seg == p.cover[i].Seg && p.cover[j].Off == p.cover[j-1].Off+p.cover[j-1].Len {
+			n += int(p.cover[j].Len)
 			j++
 		}
-		blob, lo := segBlob(t.Name(), id, cover[i].Seg), cover[i].Off
-		buf := make([]byte, cover[j-1].Off+cover[j-1].Len-lo)
-		if n, err := s.disk.ReadAt(blob, buf, lo); err != nil {
-			return nil, fmt.Errorf("dbstore: reading %s: %w", blob, err)
-		} else if n < len(buf) {
-			return nil, fmt.Errorf("dbstore: %s ends at byte %d, the catalog expects %d", blob, lo+int64(n), lo+int64(len(buf)))
+		blob, lo := segBlob(p.t.name, p.id, p.cover[i].Seg), p.cover[i].Off
+		if got, err := disk.ReadAt(blob, p.buf[at:at+n], lo); err != nil {
+			return fmt.Errorf("dbstore: reading %s: %w", blob, err)
+		} else if got < n {
+			return fmt.Errorf("dbstore: %s ends at byte %d, the catalog expects %d", blob, lo+int64(got), lo+int64(n))
 		}
-		for _, g := range cover[i:j] {
-			if err := installGroup(bc, g, buf[g.Off-lo:g.Off-lo+g.Len], want); err != nil {
-				return nil, fmt.Errorf("dbstore: %s: %w", blob, err)
-			}
-		}
+		at += n
 		i = j
+	}
+	return nil
+}
+
+// coverInto resolves a read of cols against the chunk's live catalog entry,
+// under the table's read lock: the row count, the requested-column set and
+// the covering groups are copied into p, so a read pays for no deep copy of
+// the entry. A GroupState's Cols is never written after it is recorded, so
+// copying the struct is enough.
+func (t *Table) coverInto(p *ChunkPages, cols []int) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if p.id < 0 || p.id >= len(t.chunks) || t.chunks[p.id] == nil {
+		return fmt.Errorf("dbstore: chunk %d not registered in table %q", p.id, t.name)
+	}
+	meta := t.chunks[p.id]
+	if !meta.LoadedAll(cols) {
+		return fmt.Errorf("dbstore: chunk %d does not have all of columns %v loaded", p.id, cols)
+	}
+	p.rows = meta.Rows
+	p.want = append(p.want[:0], make([]bool, len(meta.Loaded))...)
+	for _, c := range cols {
+		p.want[c] = true
+	}
+	p.need = append(p.need[:0], p.want...)
+	var err error
+	p.cover, err = coverGroups(p.cover[:0], meta, p.need)
+	return err
+}
+
+// Decode verifies each fetched page's checksum and decodes the requested
+// columns into a binary chunk. On failure every vector taken so far has
+// gone back to its pool.
+func (p *ChunkPages) Decode() (*chunk.BinaryChunk, error) {
+	defer chunkPagesPool.Put(p)
+	bc := chunk.NewBinary(p.t.schema, p.id, p.rows)
+	at := 0
+	for _, g := range p.cover {
+		page := p.buf[at : at+int(g.Len)]
+		at += int(g.Len)
+		if err := p.install(bc, g, page); err != nil {
+			bc.RecycleColumns()
+			return nil, fmt.Errorf("dbstore: %s: %w", segBlob(p.t.name, p.id, g.Seg), err)
+		}
 	}
 	return bc, nil
 }
 
-// coverGroups picks the recorded groups a read of cols is served from, by
-// greedy cover: repeatedly the group contributing the most still-needed
-// columns. LoadedAll guarantees the union of groups covers the request, so
-// every iteration makes progress.
-func coverGroups(meta *ChunkMeta, cols []int) ([]GroupState, error) {
-	need := make(map[int]bool, len(cols))
-	for _, c := range cols {
-		need[c] = true
+// coverGroups appends to cover the recorded groups a read of the columns
+// set in need is served from, by greedy cover: repeatedly the group
+// contributing the most still-needed columns, which it clears from need.
+// The caller has checked LoadedAll, so the union of groups covers the
+// request and every iteration makes progress. Caller holds the table lock
+// or owns meta.
+func coverGroups(cover []GroupState, meta *ChunkMeta, need []bool) ([]GroupState, error) {
+	left := 0
+	for _, n := range need {
+		if n {
+			left++
+		}
 	}
-	var cover []GroupState
-	for len(need) > 0 {
-		var best GroupState
-		bestGain := 0
-		for _, g := range meta.Groups {
+	for left > 0 {
+		best, bestGain := -1, 0
+		for i, g := range meta.Groups {
 			gain := 0
 			for _, c := range g.Cols {
 				if need[c] {
@@ -249,35 +332,36 @@ func coverGroups(meta *ChunkMeta, cols []int) ([]GroupState, error) {
 				}
 			}
 			if gain > bestGain {
-				best, bestGain = g, gain
+				best, bestGain = i, gain
 			}
 		}
-		if bestGain == 0 {
-			return nil, fmt.Errorf("dbstore: chunk %d groups do not cover columns %v", meta.ID, cols)
+		if best < 0 {
+			return nil, fmt.Errorf("dbstore: chunk %d groups do not cover the requested columns", meta.ID)
 		}
-		cover = append(cover, best)
-		for _, c := range best.Cols {
-			delete(need, c)
+		cover = append(cover, meta.Groups[best])
+		for _, c := range meta.Groups[best].Cols {
+			need[c] = false
 		}
+		left -= bestGain
 	}
 	return cover, nil
 }
 
-// installGroup verifies one group's sealed page and moves the columns of
-// want it holds from want into bc.
-func installGroup(bc *chunk.BinaryChunk, g GroupState, page []byte, want map[int]bool) error {
+// install verifies one group's sealed page and decodes the columns it holds
+// that are requested, and that bc does not have yet, into bc.
+func (p *ChunkPages) install(bc *chunk.BinaryChunk, g GroupState, page []byte) error {
 	payload, err := openPage(page)
 	if err != nil {
 		return err
 	}
-	pcols := []groupPageCol{{col: g.Cols[0], enc: payload}}
-	if !g.Bare {
-		if pcols, err = decodeGroupPage(payload); err != nil {
-			return fmt.Errorf("group %s: %w", EncodeColGroupKey(g.Cols), err)
-		}
+	if g.Bare {
+		p.pcols = append(p.pcols[:0], groupPageCol{col: g.Cols[0], enc: payload})
+	} else if p.pcols, err = decodeGroupPage(p.pcols[:0], payload); err != nil {
+		return fmt.Errorf("group %s: %w", EncodeColGroupKey(g.Cols), err)
 	}
-	for _, pc := range pcols {
-		if !want[pc.col] {
+	for _, pc := range p.pcols {
+		// Two covering groups may both hold a column; the first wins.
+		if pc.col >= len(p.want) || !p.want[pc.col] || bc.Has(pc.col) {
 			continue
 		}
 		v, err := chunk.DecodeVector(pc.enc)
@@ -285,9 +369,9 @@ func installGroup(bc *chunk.BinaryChunk, g GroupState, page []byte, want map[int
 			return fmt.Errorf("decoding column %d: %w", pc.col, err)
 		}
 		if err := bc.SetColumn(pc.col, v); err != nil {
+			chunk.PutVector(v)
 			return err
 		}
-		delete(want, pc.col)
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 package lint
 
 // PoolPair enforces the vector/positional-map pooling discipline: buffers
-// taken from the shared pools (chunk.GetVector, chunk.GetPositionalMap and
-// the fused kernels' getVectors batch acquire) must reach a recycle call
+// taken from the shared pools (chunk.GetVector, chunk.GetPositionalMap, the
+// fused kernels' getVectors batch acquire, and chunk.DecodeVector, whose
+// page-read vectors are pooled too) must reach a recycle call
 // (PutVector, PutPositionalMap, putVectors) or have their ownership
 // transferred. The classic violation is an early
 // error return between acquire and recycle: the buffer is garbage
@@ -27,6 +28,7 @@ var poolSpec = &pairSpec{
 		"GetPositionalMap": {fromResult: true},
 		"parseColumn":      {fromResult: true},
 		"getVectors":       {fromResult: true},
+		"DecodeVector":     {fromResult: true},
 	},
 	releases: map[string]int{
 		"PutVector":        0,

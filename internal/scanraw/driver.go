@@ -404,7 +404,9 @@ func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bo
 		// chunk owns the vectors; dbc itself is just the carrier.
 		var dbc *BinaryChunk
 		if dbc, err = o.dbRead(bc.ID, it.plan.fromDB); err == nil {
-			err = bc.Merge(dbc)
+			if err = bc.Merge(dbc); err != nil {
+				dbc.RecycleColumns()
+			}
 		}
 	}
 	if err == nil {

@@ -103,3 +103,38 @@ func TestFailedEvictionWriteRecyclesVictim(t *testing.T) {
 		t.Errorf("failed eviction write leaves %d vectors outstanding, a successful one %d", failed, ok)
 	}
 }
+
+// Page reads take their vectors from the pools and eviction puts them back,
+// so over any number of warm passes the vectors outstanding are exactly the
+// ones the resident cache entries hold: a put nothing took shows as a gauge
+// drifting negative, a take nothing puts as one drifting up.
+func TestWarmScanVectorBalance(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		name := "inline"
+		if workers > 0 {
+			name = "pooled"
+		}
+		t.Run(name, func(t *testing.T) {
+			const cols, chunks, cacheChunks = 3, 16, 4 // a table four times the cache
+			env := newEnv(t, 64*chunks, cols, nil)
+			base := chunk.OutstandingVectors()
+			op := New(env.store, env.table, Config{Workers: workers, ChunkLines: 64, Policy: FullLoad, CacheChunks: cacheChunks})
+			for pass := 0; pass < 3; pass++ {
+				st, err := op.Run(Request{Columns: allCols(cols), Deliver: func(*BinaryChunk) error { return nil }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pass > 0 && st.DeliveredDB < chunks-cacheChunks {
+					t.Fatalf("warm pass %d read %d chunks from pages, want at least %d", pass, st.DeliveredDB, chunks-cacheChunks)
+				}
+				held := int64(0)
+				for _, id := range op.Cache().IDs() {
+					held += int64(len(op.Cache().Peek(id).Present()))
+				}
+				if got := chunk.OutstandingVectors() - base; got != held {
+					t.Errorf("pass %d: %d vectors outstanding, resident cache entries hold %d", pass, got, held)
+				}
+			}
+		})
+	}
+}

@@ -686,7 +686,8 @@ func (r *run) recordStats(bc *BinaryChunk, cols []int) error {
 // cache with a delivery pin, blocking while the cache is full of pinned
 // (undelivered) chunks — the back-pressure that ultimately stops READ
 // (§3.1, pre-fetching) — and retires whatever the insert evicted. On error
-// the chunk holds no pin and the emitter's reservation is returned.
+// the chunk holds no pin and the emitter's reservation is returned; a chunk
+// the cache never took has been recycled.
 func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 	var evicted *BinaryChunk
 	var evLoaded, ok bool
@@ -699,6 +700,8 @@ func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 	}
 	r.gate.mu.Unlock()
 	if !ok {
+		// Never cached, never delivered: the vectors are still only ours.
+		bc.RecycleColumns()
 		r.out.release()
 		return r.runErr
 	}
@@ -758,14 +761,20 @@ func (r *run) writableNow() bool {
 	return r.op.when.atEnd && r.readDone.Load()
 }
 
-// dbRead reads a loaded chunk's columns from the database through the disk
-// arbiter (no conversion).
+// dbRead reads a loaded chunk's columns from the database (no conversion).
+// The arbiter brackets the transfer only — it arbitrates the disk (§3.2.1),
+// and checksum + decode are CPU that concurrent queries on the table run in
+// parallel; Profile.Read still covers the whole page read.
 func (o *Operator) dbRead(id int, cols []int) (*BinaryChunk, error) {
 	o.arbiter.Lock()
 	start := time.Now()
-	bc, err := o.store.ReadChunk(o.table, id, cols)
-	o.prof.readNs.Add(int64(time.Since(start)))
+	pages, err := o.store.FetchChunk(o.table, id, cols)
 	o.arbiter.Unlock()
+	var bc *BinaryChunk
+	if err == nil {
+		bc, err = pages.Decode()
+	}
+	o.prof.readNs.Add(int64(time.Since(start)))
 	if err != nil {
 		return nil, err
 	}

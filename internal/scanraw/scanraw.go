@@ -354,7 +354,9 @@ type Operator struct {
 
 	// arbiter serializes READ and WRITE disk access at the scheduling
 	// level (§3.2.1: "SCANRAW has to enforce that only one of READ or
-	// WRITE accesses the disk at any particular instant").
+	// WRITE accesses the disk at any particular instant"). It brackets
+	// transfers, not CPU: a page read holds it for the ReadAt calls and
+	// verifies and decodes outside (dbRead).
 	arbiter sync.Mutex
 
 	// flushWG tracks the background safeguard flush; the next query's

@@ -35,6 +35,10 @@ type FileDisk struct {
 	// concurrent writers cannot race a MkdirAll against a Delete.
 	dirMu sync.Mutex
 
+	// handles are the kept read handles, by blob name; see acquire.
+	handleMu sync.Mutex
+	handles  map[string]*readHandle
+
 	readOps     atomic.Int64
 	writeOps    atomic.Int64
 	readBytes   atomic.Int64
@@ -58,7 +62,7 @@ func OpenFileDisk(dir string) (*FileDisk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: resolving disk root: %w", err)
 	}
-	return &FileDisk{root: abs}, nil
+	return &FileDisk{root: abs, handles: make(map[string]*readHandle)}, nil
 }
 
 // Root returns the root directory blobs live under.
@@ -131,6 +135,7 @@ func (d *FileDisk) writeFile(name string, p []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
+	d.invalidate(name)
 	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
@@ -152,6 +157,7 @@ func (d *FileDisk) Delete(name string) {
 	d.dirMu.Lock()
 	defer d.dirMu.Unlock()
 	_ = os.Remove(path)
+	d.invalidate(name)
 }
 
 // Exists reports whether the named blob exists.
@@ -264,8 +270,94 @@ func (d *FileDisk) Append(name string, p []byte) (int64, error) {
 	return off, nil
 }
 
-// ReadAt reads len(p) bytes from the blob starting at off. A short read
-// with a nil error means the blob ended (the Disk contract).
+// Kept read handles. A warm scan reads the same few hundred segment blobs
+// query after query, and opening and closing a file around each positional
+// read costs more than the read itself once the pages sit in the page cache;
+// ReadAt therefore keeps the handle it opened, up to maxReadHandles of them.
+//
+// A kept handle names an inode, not a path, so whatever makes a name mean a
+// different file drops the name's handle: WriteBlob, Preload and Create
+// (rename over the name) and Delete, each after the directory change and
+// before it returns. Append extends the same inode and is seen through the
+// handle. A file edited in place behind the disk's back is seen too; one
+// replaced or removed from outside is not — only this FileDisk may change
+// what a name points at while it is open.
+//
+// Nothing closes the set: the handles of an abandoned FileDisk are closed by
+// os.File's finalizer.
+
+// maxReadHandles bounds the kept handles, and with them the descriptors a
+// FileDisk holds open. The benchmark's largest table is 128 chunks of one or
+// two segments each; a daemon's descriptor limit is rarely under 1024.
+const maxReadHandles = 256
+
+// readHandle is one open file. refs counts the set's own reference plus the
+// reads in flight, so a handle dropped from the set mid-read is closed by the
+// last reader, never under one. Guarded by FileDisk.handleMu.
+type readHandle struct {
+	f    *os.File
+	refs int
+}
+
+// acquire returns the kept handle for name with a reference taken, opening
+// the file on a miss. The open happens under handleMu: an invalidation
+// follows its rename or remove, so it either finds the handle this call
+// inserted or ran before the open saw the directory — a handle on a
+// replaced file cannot be left in the set. When the set is full an arbitrary
+// handle makes room (map order: unlike least-recently-used it keeps some of
+// a scan that cycles through more blobs than the bound).
+func (d *FileDisk) acquire(name, path string) (*readHandle, error) {
+	d.handleMu.Lock()
+	defer d.handleMu.Unlock()
+	if h := d.handles[name]; h != nil {
+		h.refs++
+		return h, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(d.handles) >= maxReadHandles {
+		for victim := range d.handles {
+			d.dropLocked(victim)
+			break
+		}
+	}
+	h := &readHandle{f: f, refs: 2}
+	d.handles[name] = h
+	return h, nil
+}
+
+// release returns a reference taken by acquire.
+func (d *FileDisk) release(h *readHandle) {
+	d.handleMu.Lock()
+	defer d.handleMu.Unlock()
+	d.unrefLocked(h)
+}
+
+// invalidate drops the kept handle for name, if any.
+func (d *FileDisk) invalidate(name string) {
+	d.handleMu.Lock()
+	defer d.handleMu.Unlock()
+	d.dropLocked(name)
+}
+
+func (d *FileDisk) dropLocked(name string) {
+	if h := d.handles[name]; h != nil {
+		delete(d.handles, name)
+		d.unrefLocked(h)
+	}
+}
+
+func (d *FileDisk) unrefLocked(h *readHandle) {
+	if h.refs--; h.refs == 0 {
+		h.f.Close() // read-only: nothing to lose
+	}
+}
+
+// ReadAt reads len(p) bytes from the blob starting at off, through the
+// name's kept handle. A short read with a nil error means the blob ended
+// (the Disk contract).
 func (d *FileDisk) ReadAt(name string, p []byte, off int64) (int, error) {
 	path, err := d.path(name)
 	if err != nil {
@@ -275,12 +367,12 @@ func (d *FileDisk) ReadAt(name string, p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("store: negative offset %d reading %s", off, name)
 	}
 	start := time.Now()
-	f, err := os.Open(path)
+	h, err := d.acquire(name, path)
 	if err != nil {
 		return 0, fmt.Errorf("store: %s: %w", name, err)
 	}
-	defer f.Close()
-	n, err := f.ReadAt(p, off)
+	n, err := h.f.ReadAt(p, off)
+	d.release(h)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return n, fmt.Errorf("store: reading %s at %d: %w", name, off, err)
 	}
