@@ -97,9 +97,11 @@ invariants:
 # disk; segment records, whose numbers size a read, get a target of their own), the binary chunk codec, and the network-facing cluster decoders
 # (serialized engine partials and frame payloads arrive over TCP) — plus
 # the fused-kernel differential property (fused conversion equals the
-# two-stage reference, or both error) and the row encoder's (its bytes equal
-# encoding/json's for the same row). A few seconds each is enough to
-# catch structural regressions; long fuzz runs stay manual.
+# two-stage reference, or both error), the row encoder's (its bytes equal
+# encoding/json's for the same row) and the raw scanner's (behind a disk of
+# short reads it carves tok.SplitChunks' chunks and reads exact extents). A
+# few seconds each is enough to catch structural regressions; long fuzz runs
+# stay manual.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDec -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
@@ -109,6 +111,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameMessage -fuzztime=5s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFusedKernel -fuzztime=5s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=5s ./internal/queryapi
+	$(GO) test -run='^$$' -fuzz=FuzzRawScanner -fuzztime=5s ./internal/scanraw
 
 # Non-test lines per internal/ package and in total — every line, then code
 # only (neither blank nor a // comment) — so "the trend is down" (ROADMAP)

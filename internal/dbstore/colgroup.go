@@ -50,23 +50,45 @@ func EncodeColGroupKey(cols []int) string {
 // the chunk package's vector encoding. The payload is sealed with the same
 // CRC wrapper as every other page.
 func encodeGroupPage(bc *chunk.BinaryChunk, cols []int) ([]byte, error) {
+	encs, err := encodeColumns(bc, cols)
+	if err != nil {
+		return nil, err
+	}
 	var e wire.Enc
-	err := appendGroupPage(&e, bc, cols)
-	return e.Buf, err
+	appendGroupPage(&e, cols, encs)
+	return e.Buf, nil
 }
 
-// appendGroupPage appends encodeGroupPage's payload to e.
-func appendGroupPage(e *wire.Enc, bc *chunk.BinaryChunk, cols []int) error {
-	e.Uvar(uint64(len(cols)))
-	for _, c := range cols {
+// encodeColumns encodes the vectors of the listed columns of bc, in order.
+func encodeColumns(bc *chunk.BinaryChunk, cols []int) ([][]byte, error) {
+	encs := make([][]byte, len(cols))
+	for i, c := range cols {
 		v := bc.Column(c)
 		if v == nil {
-			return fmt.Errorf("dbstore: chunk %d column %d not present in binary chunk", bc.ID, c)
+			return nil, fmt.Errorf("dbstore: chunk %d column %d not present in binary chunk", bc.ID, c)
 		}
-		e.Uvar(uint64(c))
-		e.Bytes(chunk.EncodeVector(v))
+		encs[i] = chunk.EncodeVector(v)
 	}
-	return nil
+	return encs, nil
+}
+
+// appendGroupPage appends encodeGroupPage's payload to e: encs[i] is the
+// encoded vector of cols[i].
+func appendGroupPage(e *wire.Enc, cols []int, encs [][]byte) {
+	e.Uvar(uint64(len(cols)))
+	for i, c := range cols {
+		e.Uvar(uint64(c))
+		e.Bytes(encs[i])
+	}
+}
+
+// groupPageLen is the number of bytes appendGroupPage appends.
+func groupPageLen(cols []int, encs [][]byte) int {
+	n := wire.UvarLen(uint64(len(cols)))
+	for i, c := range cols {
+		n += wire.UvarLen(uint64(c)) + wire.UvarLen(uint64(len(encs[i]))) + len(encs[i])
+	}
+	return n
 }
 
 // groupPageCol is one column slice of a decoded group page: the ordinal and

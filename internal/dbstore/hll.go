@@ -2,6 +2,7 @@ package dbstore
 
 import (
 	"math"
+	"math/bits"
 )
 
 // HyperLogLog sketch for the "more advanced statistics such as the number
@@ -52,15 +53,9 @@ func (h *HLL) AddString(s string) { h.addHash(hashString(s)) }
 func (h *HLL) addHash(v uint64) {
 	idx := v >> (64 - hllPrecision)
 	rest := v << hllPrecision
-	// Rank = leading zeros of the remaining bits + 1, capped.
-	rank := uint8(1)
-	for rest != 0 && rest&(1<<63) == 0 && rank < 64-hllPrecision {
-		rank++
-		rest <<= 1
-	}
-	if rest == 0 {
-		rank = 64 - hllPrecision
-	}
+	// Rank = leading zeros of the remaining bits + 1, capped at their number
+	// (which a zero rest, 64 leading zeros, is capped to as well).
+	rank := uint8(min(bits.LeadingZeros64(rest)+1, 64-hllPrecision))
 	if rank > h.reg[idx] {
 		h.reg[idx] = rank
 	}

@@ -3,6 +3,7 @@ package dbstore
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -179,5 +180,56 @@ func TestEstimateDistinct(t *testing.T) {
 	}
 	if _, err := tbl.EstimateDistinct(-1); err == nil {
 		t.Error("bad column should fail")
+	}
+}
+
+// rankByShifting is addHash's rank as it was computed before it became one
+// LeadingZeros64: shift the remaining bits out one at a time. Kept as the
+// oracle — the registers, and with them every journaled Distinct, must not
+// move.
+func rankByShifting(v uint64) uint8 {
+	rest := v << hllPrecision
+	rank := uint8(1)
+	for rest != 0 && rest&(1<<63) == 0 && rank < 64-hllPrecision {
+		rank++
+		rest <<= 1
+	}
+	if rest == 0 {
+		rank = 64 - hllPrecision
+	}
+	return rank
+}
+
+func TestHLLRankMatchesShiftLoop(t *testing.T) {
+	check := func(v uint64) {
+		t.Helper()
+		var h HLL
+		h.addHash(v)
+		if got, want := h.reg[v>>(64-hllPrecision)], rankByShifting(v); got != want {
+			t.Fatalf("hash %#016x: rank %d, the shift loop gives %d", v, got, want)
+		}
+	}
+	const fullIndex = uint64(hllRegisters-1) << (64 - hllPrecision)
+	// No remaining bit set, under an empty and a full register index.
+	check(0)
+	check(fullIndex)
+	for bit := 0; bit < 64; bit++ {
+		one := uint64(1) << bit
+		check(one)                // every single-bit pattern
+		check(one - 1)            // all ones below it
+		check(one | 1)            // with the lowest remaining bit
+		check(one | one>>1)       // two adjacent bits
+		check(^uint64(0) << bit)  // all ones from it up
+		check(one | fullIndex)    // under a full index
+		check(one>>1 | fullIndex) // bit == 0: index alone
+	}
+	// Around the cap: the lowest remaining bits, where the rank saturates.
+	for v := uint64(0); v < 1<<12; v++ {
+		check(v)
+		check(v | 0xA5<<(64-hllPrecision))
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Uint64())
 	}
 }

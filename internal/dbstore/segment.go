@@ -68,16 +68,26 @@ func segmentName(meta *ChunkMeta, groups [][]int) string {
 }
 
 // buildSegment serializes the listed groups of bc as consecutive sealed
-// group pages and returns the blob with each group's place in it.
+// group pages and returns the blob with each group's place in it. The
+// vectors are encoded first, so the blob's length is known and it is
+// allocated once.
 func buildSegment(bc *chunk.BinaryChunk, seg string, groups [][]int) ([]byte, []GroupState, error) {
-	var e wire.Enc
-	locs := make([]GroupState, 0, len(groups))
-	for _, g := range groups {
-		off := len(e.Buf)
-		e.Buf = append(e.Buf, 0, 0, 0, 0) // the page's checksum, filled in below
-		if err := appendGroupPage(&e, bc, g); err != nil {
+	encs := make([][][]byte, len(groups))
+	size := 0
+	for i, g := range groups {
+		enc, err := encodeColumns(bc, g)
+		if err != nil {
 			return nil, nil, err
 		}
+		encs[i] = enc
+		size += 4 + groupPageLen(g, enc)
+	}
+	e := wire.Enc{Buf: make([]byte, 0, size)}
+	locs := make([]GroupState, 0, len(groups))
+	for i, g := range groups {
+		off := len(e.Buf)
+		e.Buf = append(e.Buf, 0, 0, 0, 0) // the page's checksum, filled in below
+		appendGroupPage(&e, g, encs[i])
 		binary.LittleEndian.PutUint32(e.Buf[off:], wire.Checksum(e.Buf[off+4:]))
 		locs = append(locs, GroupState{Cols: g, Seg: seg, Off: int64(off), Len: int64(len(e.Buf) - off)})
 	}

@@ -1,6 +1,8 @@
 package dbstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 	"scanraw/internal/store"
+	"scanraw/internal/wire"
 )
 
 // countingDisk counts the operations a chunk write or read may spend.
@@ -427,6 +430,43 @@ func TestSegmentNeverReplacesLiveBlob(t *testing.T) {
 		}
 		if _, err := openPage(buf); err != nil {
 			t.Errorf("group %v of the live segment: %v", g.Cols, err)
+		}
+	}
+}
+
+// buildSegment knows the blob's length before it writes a byte of it: the
+// blob is one allocation, exactly full, whatever the grouping — and its pages
+// are the ones encodeGroupPage seals one at a time.
+func TestBuildSegmentSizedUpFront(t *testing.T) {
+	sch := intSchema(300) // ordinals past 127 take two varint bytes
+	bc := intChunk(t, sch, 0, 200)
+	for _, groups := range [][][]int{
+		{{0}},
+		{{0, 1, 2, 3}, {4, 5, 6, 7}},
+		{colRange(120, 140), {299}},
+		{colRange(0, 300)},
+	} {
+		blob, locs, err := buildSegment(bc, "s", groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) != cap(blob) {
+			t.Errorf("%d groups: blob of %d bytes in a buffer of %d", len(groups), len(blob), cap(blob))
+		}
+		var want []byte
+		for _, g := range groups {
+			page, err := encodeGroupPage(bc, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = binary.LittleEndian.AppendUint32(want, wire.Checksum(page))
+			want = append(want, page...)
+		}
+		if !bytes.Equal(blob, want) {
+			t.Errorf("%d groups: segment differs from its pages sealed one by one", len(groups))
+		}
+		if end := locs[len(locs)-1].Off + locs[len(locs)-1].Len; end != int64(len(blob)) {
+			t.Errorf("last group ends at %d of %d bytes", end, len(blob))
 		}
 	}
 }

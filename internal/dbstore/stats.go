@@ -35,7 +35,8 @@ type ColStats struct {
 }
 
 // CollectStats computes min/max, row-count and distinct-count statistics
-// over a vector. An empty vector yields invalid stats.
+// over a vector in one pass: each value is compared and folded into the
+// sketch while it is in a register. An empty vector yields invalid stats.
 func CollectStats(v *chunk.Vector) ColStats {
 	s := ColStats{Type: v.Type}
 	if v.Len() == 0 {
@@ -46,54 +47,43 @@ func CollectStats(v *chunk.Vector) ColStats {
 	var hll HLL
 	switch v.Type {
 	case schema.Int64:
+		lo, hi := v.Ints[0], v.Ints[0]
 		for _, x := range v.Ints {
 			hll.AddUint(uint64(x))
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
 		}
+		s.MinInt, s.MaxInt = lo, hi
 	case schema.Float64:
+		lo, hi := v.Floats[0], v.Floats[0]
 		for _, x := range v.Floats {
 			hll.AddUint(math.Float64bits(x))
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
 		}
+		s.MinFloat, s.MaxFloat = lo, hi
 	case schema.Str:
+		lo, hi := v.Strs[0], v.Strs[0]
 		for _, x := range v.Strs {
 			hll.AddString(x)
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
 		}
+		s.MinStr, s.MaxStr = lo, hi
 	}
-	s.Distinct = hll.Estimate()
-	if s.Distinct > s.Rows {
-		s.Distinct = s.Rows
-	}
-	switch v.Type {
-	case schema.Int64:
-		s.MinInt, s.MaxInt = v.Ints[0], v.Ints[0]
-		for _, x := range v.Ints[1:] {
-			if x < s.MinInt {
-				s.MinInt = x
-			}
-			if x > s.MaxInt {
-				s.MaxInt = x
-			}
-		}
-	case schema.Float64:
-		s.MinFloat, s.MaxFloat = v.Floats[0], v.Floats[0]
-		for _, x := range v.Floats[1:] {
-			if x < s.MinFloat {
-				s.MinFloat = x
-			}
-			if x > s.MaxFloat {
-				s.MaxFloat = x
-			}
-		}
-	case schema.Str:
-		s.MinStr, s.MaxStr = v.Strs[0], v.Strs[0]
-		for _, x := range v.Strs[1:] {
-			if x < s.MinStr {
-				s.MinStr = x
-			}
-			if x > s.MaxStr {
-				s.MaxStr = x
-			}
-		}
-	}
+	s.Distinct = min(hll.Estimate(), s.Rows)
 	return s
 }
 

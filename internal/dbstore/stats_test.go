@@ -1,6 +1,10 @@
 package dbstore
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,5 +116,76 @@ func TestStatsSoundnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// collectStatsTwoPass is CollectStats as it ran before the passes were
+// fused — the sketch over the whole vector, then min and max over it again —
+// kept as the reference the one-pass version must equal field for field.
+func collectStatsTwoPass(v *chunk.Vector) ColStats {
+	s := ColStats{Type: v.Type, Valid: true, Rows: int64(v.Len())}
+	var hll HLL
+	switch v.Type {
+	case schema.Int64:
+		for _, x := range v.Ints {
+			hll.AddUint(uint64(x))
+		}
+		s.MinInt, s.MaxInt = slices.Min(v.Ints), slices.Max(v.Ints)
+	case schema.Float64:
+		for _, x := range v.Floats {
+			hll.AddUint(math.Float64bits(x))
+		}
+		s.MinFloat, s.MaxFloat = v.Floats[0], v.Floats[0]
+		for _, x := range v.Floats[1:] { // not slices.Min: a NaN must not propagate
+			if x < s.MinFloat {
+				s.MinFloat = x
+			}
+			if x > s.MaxFloat {
+				s.MaxFloat = x
+			}
+		}
+	case schema.Str:
+		for _, x := range v.Strs {
+			hll.AddString(x)
+		}
+		s.MinStr, s.MaxStr = slices.Min(v.Strs), slices.Max(v.Strs)
+	}
+	s.Distinct = min(hll.Estimate(), s.Rows)
+	return s
+}
+
+func TestCollectStatsOnePassEqualsTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 2, 8192} {
+		ints := chunk.NewVector(schema.Int64, n)
+		floats := chunk.NewVector(schema.Float64, n)
+		strs := chunk.NewVector(schema.Str, n)
+		for i := 0; i < n; i++ {
+			ints.Ints[i] = rng.Int63n(1<<20) - 1<<19
+			floats.Floats[i] = rng.NormFloat64() * 1e6
+			strs.Strs[i] = fmt.Sprintf("r%05d", rng.Intn(3000))
+		}
+		if n > 2 { // the extremes, a NaN and both zeros somewhere inside
+			ints.Ints[n/3], ints.Ints[n/2] = math.MinInt64, math.MaxInt64
+			floats.Floats[n/3], floats.Floats[n/2] = math.NaN(), math.Inf(-1)
+			floats.Floats[n/4], floats.Floats[n/5] = 0, math.Copysign(0, -1)
+			strs.Strs[n/3] = ""
+		}
+		for _, v := range []*chunk.Vector{ints, floats, strs} {
+			got, want := CollectStats(v), collectStatsTwoPass(v)
+			// Bit patterns, so that a NaN or a signed zero compares.
+			gotBits := [2]uint64{math.Float64bits(got.MinFloat), math.Float64bits(got.MaxFloat)}
+			wantBits := [2]uint64{math.Float64bits(want.MinFloat), math.Float64bits(want.MaxFloat)}
+			got.MinFloat, got.MaxFloat, want.MinFloat, want.MaxFloat = 0, 0, 0, 0
+			if got != want || gotBits != wantBits {
+				t.Errorf("%v × %d: one pass %+v %x, two passes %+v %x", v.Type, n, got, gotBits, want, wantBits)
+			}
+		}
+	}
+	// A NaN first stays the minimum and the maximum: nothing compares below
+	// or above it.
+	nanFirst := &chunk.Vector{Type: schema.Float64, Floats: []float64{math.NaN(), 1, -1}}
+	if s := CollectStats(nanFirst); !math.IsNaN(s.MinFloat) || !math.IsNaN(s.MaxFloat) {
+		t.Errorf("NaN-first vector: min %v max %v, want NaN as the two-pass loop left it", s.MinFloat, s.MaxFloat)
 	}
 }

@@ -128,6 +128,12 @@ func matchAllInt64(sch *schema.Schema, cols []int) bool {
 // chunk holding the kernel's requested columns. The output is
 // byte-identical to tokenizing with tok.Tokenize(tc, upTo) and parsing with
 // parse.Parser.Parse — or an error whenever that path would error.
+//
+// Convert retains nothing of tc: numbers are parsed, string cells are copied
+// out of tc.Data, an error quotes its own copy of the field. The caller may
+// overwrite or recycle tc.Data the moment Convert returns (the operator
+// does), or convert the same chunk again. Convert does not recycle it
+// itself — the text belongs to whoever carved it.
 func (k *Kernel) Convert(tc *chunk.TextChunk) (*chunk.BinaryChunk, error) {
 	out := k.getVectors(tc.Lines)
 	if err := k.run(k, tc, out); err != nil {

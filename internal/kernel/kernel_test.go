@@ -199,3 +199,48 @@ func TestConvertTabDelimited(t *testing.T) {
 		t.Errorf("got %v / %v", bc.Column(0).Strs, bc.Column(1).Ints)
 	}
 }
+
+// Convert's no-retention contract: once it has returned, the text may be
+// overwritten (the operator recycles the buffer at once) and nothing the
+// chunk holds — string cells included — changes. The error carries its own
+// copy of the offending field too.
+func TestConvertRetainsNothingOfTheText(t *testing.T) {
+	sch := mixedSchema(schema.Int64, schema.Str, schema.Float64, schema.Str, schema.Int64)
+	text := strings.Repeat("17,alpha,2.5,a longer string cell,-9\n0,,1e3,x,42\n", 64)
+	for _, cols := range [][]int{{0, 4}, {1, 3}, {0, 1, 2, 3, 4}} {
+		k, err := For(sch, cols, ',')
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := k.Convert(textChunk(3, text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := textChunk(3, text)
+		got, err := k.Convert(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.Data {
+			tc.Data[i] = 0xDB
+		}
+		requireEqualChunks(t, fmt.Sprintf("%s %v after the text was overwritten", k.Name(), cols), want, got, cols)
+		want.RecycleColumns()
+		got.RecycleColumns()
+	}
+
+	k, err := For(sch, []int{0}, ',')
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := textChunk(0, "notanint,a,1,b,2\n")
+	_, err = k.Convert(tc)
+	if err == nil {
+		t.Fatal("malformed integer converted")
+	}
+	msg := err.Error()
+	clear(tc.Data)
+	if err.Error() != msg || !strings.Contains(msg, "notanint") {
+		t.Errorf("error changed with the text: %q, then %q", msg, err.Error())
+	}
+}

@@ -2,10 +2,14 @@ package lint
 
 // PoolPair enforces the vector/positional-map pooling discipline: buffers
 // taken from the shared pools (chunk.GetVector, chunk.GetPositionalMap, the
-// fused kernels' getVectors batch acquire, and chunk.DecodeVector, whose
-// page-read vectors are pooled too) must reach a recycle call
-// (PutVector, PutPositionalMap, putVectors) or have their ownership
-// transferred. The classic violation is an early
+// fused kernels' getVectors batch acquire, chunk.DecodeVector, whose
+// page-read vectors are pooled too, and the operator's getText raw-text
+// buffers) must reach a recycle call (PutVector, PutPositionalMap,
+// putVectors, putText) or have their ownership transferred. A text buffer
+// changes hands as the Data of a chunk.TextChunk — scanner, driver step,
+// text chunks buffer, conversion task — so most of its drops are of the
+// inconsistent-release kind: a function that hands the text back on one path
+// must do so on every path that does not pass it on. The classic violation is an early
 // error return between acquire and recycle: the buffer is garbage
 // collected instead of reused, silently eroding the pool's allocation
 // savings on exactly the paths tests rarely cover. The inconsistent-
@@ -29,11 +33,13 @@ var poolSpec = &pairSpec{
 		"parseColumn":      {fromResult: true},
 		"getVectors":       {fromResult: true},
 		"DecodeVector":     {fromResult: true},
+		"getText":          {fromResult: true},
 	},
 	releases: map[string]int{
 		"PutVector":        0,
 		"PutPositionalMap": 0,
 		"putVectors":       0,
+		"putText":          0,
 	},
 	phaseB: true,
 }

@@ -47,8 +47,9 @@ type resolution struct {
 	plan *partialPlan // srcRaw: non-nil for a partial-width hit
 }
 
-// step is one element of a visit sequence. meta is nil — and text holds the
-// carved bytes — for a chunk discovered this instant.
+// step is one element of a visit sequence. meta is nil for a chunk
+// discovered this instant, and if the request's range wants it text holds the
+// carved bytes — a text buffer whoever takes the step owns.
 type step struct {
 	id   int
 	meta *dbstore.ChunkMeta
@@ -142,10 +143,15 @@ func (r *run) fileVisit() visit {
 				return step{}, false, o.table.SetComplete()
 			}
 			if err := o.table.EnsureChunk(id, lines, off, int64(len(data))); err != nil {
+				o.putText(data)
 				return step{}, false, err
 			}
-			st.text = &chunk.TextChunk{ID: id, Data: data, Lines: lines}
 			off += int64(len(data))
+			if r.req.Range.Contains(id) {
+				st.text = &chunk.TextChunk{ID: id, Data: data, Lines: lines}
+			} else {
+				o.putText(data) // carved for its boundary only
+			}
 		}
 		id++
 		return st, true, nil
@@ -153,9 +159,9 @@ func (r *run) fileVisit() visit {
 }
 
 // discoverAll completes chunk discovery without converting anything: it
-// drains the file-order sequence, dropping the carved text. Sampled scans
-// need the total chunk count before the first delivery, so on a cold file
-// this costs one sequential read of the undiscovered tail.
+// drains the file-order sequence, handing the carved text straight back.
+// Sampled scans need the total chunk count before the first delivery, so on a
+// cold file this costs one sequential read of the undiscovered tail.
 func (r *run) discoverAll(ctx context.Context) error {
 	if r.op.table.Complete() {
 		return nil
@@ -165,8 +171,12 @@ func (r *run) discoverAll(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, ok, err := next(); !ok {
+		st, ok, err := next()
+		if !ok {
 			return err
+		}
+		if st.text != nil {
+			r.op.putText(st.text.Data)
 		}
 	}
 }
@@ -195,6 +205,7 @@ func (r *run) drive(ctx context.Context) error {
 	o := r.op
 	o.flushWG.Wait()
 	r.disk = true
+	defer r.sc.release()
 	if r.req.Order == nil {
 		return r.walk(ctx, r.fileVisit())
 	}
@@ -382,12 +393,13 @@ func (e pooled) raw(it convItem) error {
 // reports that the chunk is now in the database. On error nothing is
 // retained.
 func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bool, err error) {
-	o := r.op
+	o, tc := r.op, it.tc
 	kern := r.kern
 	if it.plan != nil {
 		kern = it.plan.kern
 	}
-	d := o.cpuWork(slot, func() { bc, err = kern.Convert(it.tc) })
+	d := o.cpuWork(slot, func() { bc, err = kern.Convert(tc) })
+	o.putText(tc.Data) // the kernel kept nothing of it, converted or not
 	o.prof.parseNs.Add(int64(d))
 	r.workers <- slot
 	if err != nil {

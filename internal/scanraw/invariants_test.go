@@ -3,8 +3,10 @@
 package scanraw
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,6 +137,111 @@ func TestWarmScanVectorBalance(t *testing.T) {
 					t.Errorf("pass %d: %d vectors outstanding, resident cache entries hold %d", pass, got, held)
 				}
 			}
+		})
+	}
+}
+
+// Every text buffer the scanner takes goes back to the operator's free list:
+// in run.convert once the kernel returns, or on whichever path drops the
+// chunk unconverted — discovery, a chunk outside the range, a satisfied
+// demand, a cancelled or failed run. The gauge counts buffers taken and not
+// put back, so any drop leaves it above zero once the run has returned.
+func TestColdScanTextBalance(t *testing.T) {
+	const rows, cols, chunkLines = 1024, 3, 64
+	ignore := func(*BinaryChunk) error { return nil }
+	for _, workers := range []int{0, 2} {
+		name := "inline"
+		if workers > 0 {
+			name = "pooled"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Workers: workers, ChunkLines: chunkLines, CacheChunks: 4}
+			balanced := func(t *testing.T, op *Operator) {
+				t.Helper()
+				if n := op.textOut.Load(); n != 0 {
+					t.Errorf("%d text buffers out after the run returned", n)
+				}
+			}
+			t.Run("cold then known geometry", func(t *testing.T) {
+				env := newEnv(t, rows, cols, nil)
+				op := New(env.store, env.table, cfg)
+				for pass := 0; pass < 2; pass++ { // next, then readExtent
+					if got, _ := sumViaOperator(t, op, env); got != wantSum(env) {
+						t.Errorf("pass %d: sum %d, want %d", pass, got, wantSum(env))
+					}
+					balanced(t, op)
+				}
+			})
+			t.Run("limit", func(t *testing.T) {
+				env := newEnv(t, rows, cols, nil)
+				op := New(env.store, env.table, cfg)
+				for pass := 0; pass < 2; pass++ {
+					var seen atomic.Int64
+					st, err := op.Run(Request{
+						Columns:   allCols(cols),
+						Deliver:   func(*BinaryChunk) error { seen.Add(1); return nil },
+						Satisfied: func() bool { return seen.Load() > 0 },
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.TerminatedEarly {
+						t.Errorf("pass %d: the run was not cut short", pass)
+					}
+					balanced(t, op)
+					op.Cache().Clear()
+				}
+			})
+			t.Run("range and sampled order", func(t *testing.T) {
+				env := newEnv(t, rows, cols, nil)
+				op := New(env.store, env.table, cfg)
+				// Chunks below Lo are carved for their boundary and dropped.
+				if _, err := op.Run(Request{Columns: allCols(cols), Deliver: ignore, Range: &ChunkRange{Lo: 5, Hi: 9}}); err != nil {
+					t.Fatal(err)
+				}
+				balanced(t, op)
+				// Discovery of the tail past Hi, then extents in reverse.
+				reverse := func(n int) []int {
+					order := make([]int, n)
+					for i := range order {
+						order[i] = n - 1 - i
+					}
+					return order
+				}
+				op.Cache().Clear()
+				if _, err := op.Run(Request{Columns: allCols(cols), Deliver: ignore, Order: reverse}); err != nil {
+					t.Fatal(err)
+				}
+				balanced(t, op)
+			})
+			t.Run("cancelled", func(t *testing.T) {
+				env := newEnv(t, rows, cols, nil)
+				op := New(env.store, env.table, cfg)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				_, err := op.RunContext(ctx, Request{
+					Columns: allCols(cols),
+					Deliver: func(*BinaryChunk) error { cancel(); return nil },
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				balanced(t, op)
+			})
+			t.Run("failed conversion", func(t *testing.T) {
+				d := vdisk.Unlimited()
+				d.Preload("raw/bad.csv", []byte(strings.Repeat("7,11\n", rows/2)+"7,notanint\n"+strings.Repeat("7,11\n", rows/2)))
+				store := dbstore.NewStore(d)
+				table, err := store.CreateTable("bad", gen.CSVSpec{Cols: 2}.Schema(), "raw/bad.csv")
+				if err != nil {
+					t.Fatal(err)
+				}
+				op := New(store, table, cfg)
+				if _, err := op.Run(Request{Columns: allCols(2), Deliver: ignore}); err == nil {
+					t.Fatal("scan over a malformed file succeeded")
+				}
+				balanced(t, op)
+			})
 		})
 	}
 }

@@ -549,8 +549,9 @@ func (r *run) deliver(bc *BinaryChunk) {
 }
 
 // sendText places a raw chunk into the text chunks buffer, recording the
-// blocked state the speculative scheduler watches for. The chunk is dropped
-// when the run fails or its demand is satisfied while READ waits.
+// blocked state the speculative scheduler watches for. The chunk is dropped,
+// its text handed back, when the run fails or its demand is satisfied while
+// READ waits.
 func (r *run) sendText(it convItem) {
 	select {
 	case r.textBuf <- it:
@@ -566,7 +567,9 @@ func (r *run) sendText(it convItem) {
 	select {
 	case r.textBuf <- it:
 	case <-r.done:
+		r.op.putText(it.tc.Data)
 	case <-r.satCh:
+		r.op.putText(it.tc.Data)
 	}
 	r.readBlocked.Store(false)
 	r.blocked.add(time.Since(start))
@@ -581,6 +584,7 @@ func (r *run) convertConsumer() {
 	for it := range r.textBuf {
 		slot, ramped, ok := r.admitConvert()
 		if !ok {
+			r.op.putText(it.tc.Data)
 			continue
 		}
 		r.convWG.Add(1)

@@ -359,6 +359,15 @@ type Operator struct {
 	// verifies and decodes outside (dbRead).
 	arbiter sync.Mutex
 
+	// textFree is the free list of raw-text buffers (scanner.go). It holds
+	// what one pipelined run has out at once — the scanner's read-ahead, the
+	// chunk in the driver's hands, a full text chunks buffer and one chunk per
+	// worker — so a scan's buffers all survive to the next; a put beyond that
+	// (a pool grown by AdaptiveWorkers) is left to the GC. textOut counts the
+	// buffers taken and not yet put back, in invariants builds only.
+	textFree chan []byte
+	textOut  atomic.Int64
+
 	// flushWG tracks the background safeguard flush; the next query's
 	// disk reads wait for it (§4: "only the reading of new chunks has to
 	// be delayed until flushing the cache is over").
@@ -373,14 +382,15 @@ type Operator struct {
 func New(store *dbstore.Store, table *dbstore.Table, cfg Config) *Operator {
 	cfg = cfg.withDefaults()
 	return &Operator{
-		cfg:     cfg,
-		when:    momentsFor(cfg.Policy, cfg.Safeguard),
-		workers: cfg.Workers,
-		store:   store,
-		table:   table,
-		disk:    store.Disk(),
-		cache:   cache.New(cfg.CacheChunks),
-		cpu:     &metrics.BusyCounter{},
+		cfg:      cfg,
+		when:     momentsFor(cfg.Policy, cfg.Safeguard),
+		workers:  cfg.Workers,
+		store:    store,
+		table:    table,
+		disk:     store.Disk(),
+		cache:    cache.New(cfg.CacheChunks),
+		cpu:      &metrics.BusyCounter{},
+		textFree: make(chan []byte, cfg.TextBufferChunks+cfg.Workers+2),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // MaxStr bounds a decoded string: a longer length prefix is corruption.
@@ -21,6 +22,11 @@ type Enc struct{ Buf []byte }
 func (e *Enc) U8(v uint8)    { e.Buf = append(e.Buf, v) }
 func (e *Enc) Uvar(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
 func (e *Enc) Ivar(v int64)  { e.Buf = binary.AppendVarint(e.Buf, v) }
+
+// UvarLen is the number of bytes Uvar appends for v: an encoder that knows
+// its payload's length allocates it once.
+func UvarLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 func (e *Enc) F64(v float64) {
 	e.Buf = binary.LittleEndian.AppendUint64(e.Buf, math.Float64bits(v))
 }

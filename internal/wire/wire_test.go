@@ -207,3 +207,17 @@ func FuzzWireDec(f *testing.F) {
 		}
 	})
 }
+
+func TestUvarLen(t *testing.T) {
+	vals := []uint64{0, 1, math.MaxUint64}
+	for shift := 7; shift < 64; shift += 7 { // both sides of every length step
+		vals = append(vals, 1<<shift-1, 1<<shift)
+	}
+	for _, v := range vals {
+		var e Enc
+		e.Uvar(v)
+		if got := UvarLen(v); got != len(e.Buf) {
+			t.Errorf("UvarLen(%d) = %d, Uvar appends %d bytes", v, got, len(e.Buf))
+		}
+	}
+}
