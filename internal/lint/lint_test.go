@@ -21,23 +21,18 @@ type wantKey struct {
 }
 
 func TestAnalyzersOnFixtures(t *testing.T) {
-	byName := map[string]*Analyzer{}
 	for _, a := range Analyzers() {
-		byName[a.Name] = a
-	}
-	for _, name := range []string{
-		"pinbalance", "poolpair", "goexit", "ctxflow", "locksend",
-		"journalorder", "syncack", "decodeguard", "crcflow", "lockorder",
-	} {
-		a := byName[name]
-		if a == nil {
-			t.Fatalf("analyzer %q not registered", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			root := filepath.Join("testdata", "src", name)
-			wants := collectWants(t, root)
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
+			// Both directions of the contract, per analyzer: a finding fixture
+			// proves it fires, a reasoned directive proves its escape hatch.
+			root := filepath.Join("testdata", "src", a.Name)
+			wants, suppressed := collectWants(t, root, a.Name)
 			if len(wants) == 0 {
 				t.Fatalf("fixture dir %s has no // want markers — every analyzer needs a bad fixture", root)
+			}
+			if !suppressed {
+				t.Fatalf("fixture dir %s has no reasoned //lint:ignore %s — every analyzer needs a suppressed-finding fixture", root, a.Name)
 			}
 			diags, err := Run(Config{Root: root}, []string{"./..."}, []*Analyzer{a})
 			if err != nil {
@@ -71,9 +66,11 @@ func describe(diags []Diagnostic, k wantKey) string {
 	return strings.Join(msgs, "; ")
 }
 
-func collectWants(t *testing.T, root string) map[wantKey]int {
+// collectWants returns the fixture lines that must be diagnosed and whether
+// the directory holds a reasoned suppression naming the analyzer.
+func collectWants(t *testing.T, root, analyzer string) (wants map[wantKey]int, suppressed bool) {
 	t.Helper()
-	wants := map[wantKey]int{}
+	wants = map[wantKey]int{}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -90,13 +87,16 @@ func collectWants(t *testing.T, root string) map[wantKey]int {
 			if bareDirectiveRe.MatchString(strings.TrimSpace(line)) {
 				wants[k]++
 			}
+			if m := ignoreRe.FindStringSubmatch(strings.TrimSpace(line)); m != nil && m[1] == analyzer && strings.TrimSpace(m[2]) != "" {
+				suppressed = true
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("collecting wants: %v", err)
 	}
-	return wants
+	return wants, suppressed
 }
 
 // TestTreeClean pins the property `make lint` only observes through its exit
