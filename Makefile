@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race stress experiments-check lint lint-fixtures invariants fuzz loc knobs
+.PHONY: check fmt vet build test bench-module race stress experiments-check lint invariants fuzz loc knobs
 
-check: fmt vet build test bench-module race lint lint-fixtures invariants fuzz
+check: fmt vet build test bench-module race lint invariants fuzz
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -73,22 +73,19 @@ experiments-check:
 # exits, context threading, channel ops under locks, journal ordering,
 # fsync-before-ack, decode bounds guards, CRC error flow, lock-order
 # cycles) plus the unused-suppression pass. Stdlib-only; see
-# cmd/scanrawlint and DESIGN.md §9/§14.
+# cmd/scanrawlint and DESIGN.md §9/§14. That every analyzer fires on a
+# fixture, honours a reasoned //lint:ignore, and notices each guarded
+# statement of the real tree going missing is `go test ./internal/lint`
+# (TestAnalyzersOnFixtures, TestMutantsKilled), part of `test` above.
 lint:
 	$(GO) run ./cmd/scanrawlint ./...
-
-# Fixture-coverage gate: every analyzer must prove it fires (a // want
-# fixture) and that its suppression escape hatch works (a reasoned
-# //lint:ignore fixture). See scripts/lint_fixtures.sh.
-lint-fixtures:
-	@./scripts/lint_fixtures.sh
 
 # Runtime invariant layer: pin-count underflow and double-recycle panics
 # plus the pool gauges only exist under -tags invariants. The race-gated
 # packages rerun under the tag with the race detector; the resource-owning
 # packages rerun without it.
 invariants:
-	$(GO) test -tags invariants ./internal/cache/... ./internal/chunk/... ./internal/tok/... ./internal/parse/... ./internal/kernel/... ./internal/dbstore/... ./internal/store/...
+	$(GO) test -tags invariants ./internal/cache/... ./internal/chunk/... ./internal/tok/... ./internal/parse/... ./internal/dbstore/... ./internal/store/...
 	$(GO) test -race -tags invariants ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/...
 
 # Short fuzz smoke over the decoders that parse untrusted bytes — the

@@ -70,6 +70,22 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 // splitNamed splits "name=value" flags; a bare value gets the default
 // name "data" (single-table usage needs no names).
+// stage installs a table's raw bytes as blob and checks that they arrived.
+// Preload reports nothing, so a failed write — a full disk, a read-only data
+// dir — would otherwise start the daemon over whatever the blob held before:
+// on a restart, an older file's contents served under the new fingerprint.
+func stage(disk storepkg.Disk, blob string, raw []byte) error {
+	disk.Preload(blob, raw)
+	size, err := disk.Size(blob)
+	if err != nil {
+		return fmt.Errorf("staging %s: %w", blob, err)
+	}
+	if size != int64(len(raw)) {
+		return fmt.Errorf("staging %s: %d bytes on disk, %d staged", blob, size, len(raw))
+	}
+	return nil
+}
+
 func splitNamed(v string) (name, value string) {
 	if n, rest, ok := strings.Cut(v, "="); ok {
 		return n, rest
@@ -292,7 +308,9 @@ func main() {
 			}
 		}
 		blob := "raw/" + name
-		disk.Preload(blob, raw)
+		if err := stage(disk, blob, raw); err != nil {
+			log.Fatalf("scanrawd: table %q: %v", name, err)
+		}
 		var table *dbstore.Table
 		if man != nil {
 			// Durable store: stage with the raw file's fingerprint so a

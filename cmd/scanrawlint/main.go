@@ -15,9 +15,16 @@
 //
 // Usage:
 //
-//	scanrawlint [-tests] [-only name,name] [packages]
+//	scanrawlint [-only name,name] [packages]
 //
-// Packages default to ./... relative to the current directory. Findings
+// Packages are directories relative to the current directory; a trailing
+// /... takes everything below; the default is ./... . Test files are not
+// linted. Every function body is summarized once (calls, lock regions,
+// channel operations, returns, assignments — internal/lint/facts.go) and the
+// ten analyzers are queries over that table. The two whose rule is one
+// package's protocol (syncack: internal/store, journalorder:
+// internal/dbstore) name it; the rest are keyed by callee names and apply
+// wherever those are called. Findings
 // print as file:line:col: [analyzer] message; the exit status is 1 when
 // any finding survives. Suppress a false positive inline, with a reason:
 //
@@ -37,18 +44,10 @@ import (
 )
 
 func main() {
-	tests := flag.Bool("tests", false, "lint _test.go files too")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
 	analyzers := lint.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 	if *only != "" {
 		want := map[string]bool{}
 		for _, n := range strings.Split(*only, ",") {
@@ -73,7 +72,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scanrawlint: %v\n", err)
 		os.Exit(2)
 	}
-	diags, err := lint.Run(lint.Config{Root: root, IncludeTests: *tests}, flag.Args(), analyzers)
+	diags, err := lint.Run(lint.Config{Root: root}, flag.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanrawlint: %v\n", err)
 		os.Exit(2)

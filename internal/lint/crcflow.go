@@ -19,9 +19,7 @@ import (
 // truncation, is a checksum mismatch.
 var CRCFlow = &Analyzer{
 	Name: "crcflow",
-	Doc:  "errors from CRC-verifying decode functions may not be discarded or shadowed",
-	Dirs: []string{"internal/store", "internal/dbstore", "internal/cluster", "internal/server", "internal/queryapi", "internal/engine"},
-	Run:  runCRCFlow,
+	Run:  perUnit(crcFlowUnit),
 }
 
 // crcFuncs name every decode entry point whose error carries a checksum
@@ -35,125 +33,61 @@ var crcFuncs = map[string]bool{
 	"LoadFleetConfig": true,
 }
 
-func runCRCFlow(f *File) []Diagnostic {
+func crcFlowUnit(u *unit) []Diagnostic {
 	var diags []Diagnostic
-	for _, u := range funcUnits(f) {
-		diags = append(diags, crcFlowUnit(f, u)...)
-	}
-	return diags
-}
-
-func crcFlowUnit(f *File, u unit) []Diagnostic {
-	var diags []Diagnostic
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		switch v := n.(type) {
+	for _, c := range u.calls {
+		if !crcFuncs[c.name] {
+			continue
+		}
+		switch p := c.parent.(type) {
 		case *ast.ExprStmt:
-			if call, ok := v.X.(*ast.CallExpr); ok {
-				if _, name := callee(call); crcFuncs[name] {
-					diags = append(diags, f.diag("crcflow", v,
-						"result of %s discarded — its error is the CRC verdict; check it or the corruption is silent", name))
-				}
-			}
+			diags = append(diags, u.diag("crcflow", p,
+				"result of %s discarded — its error is the CRC verdict; check it or the corruption is silent", c.name))
 		case *ast.DeferStmt:
-			if _, name := callee(v.Call); crcFuncs[name] {
-				diags = append(diags, f.diag("crcflow", v,
-					"deferred %s discards its error — a dropped verification error in defer is still a dropped verification error", name))
-			}
+			diags = append(diags, u.diag("crcflow", p,
+				"deferred %s discards its error — a dropped verification error in defer is still a dropped verification error", c.name))
 		case *ast.AssignStmt:
-			diags = append(diags, crcAssign(f, u, v)...)
+			// The error (last LHS) must not be blank, and if captured into
+			// a variable that variable must be read before it is
+			// overwritten or goes out of scope.
+			id, ok := p.Lhs[len(p.Lhs)-1].(*ast.Ident)
+			switch {
+			case len(p.Rhs) != 1 || !ok:
+			case id.Name == "_":
+				diags = append(diags, u.diag("crcflow", p,
+					"error from %s assigned to _ — the CRC verdict must be checked", c.name))
+			case !u.readBeforeOverwrite(id, p.End()):
+				diags = append(diags, u.diag("crcflow", p,
+					"error from %s captured in %q but never read before it is overwritten or dropped", c.name, id.Name))
+			}
 		}
-		return true
-	})
+	}
 	return diags
 }
 
-// crcAssign checks one assignment whose RHS is a verified-decode call: the
-// error (last LHS) must not be blank, and if captured into a variable that
-// variable must be read before it is overwritten or goes out of scope.
-func crcAssign(f *File, u unit, as *ast.AssignStmt) []Diagnostic {
-	if len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	_, name := callee(call)
-	if !crcFuncs[name] {
-		return nil
-	}
-	last := as.Lhs[len(as.Lhs)-1]
-	id, ok := last.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if id.Name == "_" {
-		return []Diagnostic{f.diag("crcflow", as,
-			"error from %s assigned to _ — the CRC verdict must be checked", name)}
-	}
-	if errReadBeforeOverwrite(f, u, id, as.End()) {
-		return nil
-	}
-	return []Diagnostic{f.diag("crcflow", as,
-		"error from %s captured in %q but never read before it is overwritten or dropped", name, id.Name)}
-}
-
-// errReadBeforeOverwrite reports whether the captured error identifier is
-// read after pos and before any reassignment to it. The scan is positional
-// over the whole unit body, which matches the straight-line decode flows the
+// readBeforeOverwrite reports whether the captured error identifier is read
+// after pos and before any reassignment to it. The scan is positional over
+// the whole unit body, which matches the straight-line decode flows the
 // codebase uses at its checksum boundaries.
-func errReadBeforeOverwrite(f *File, u unit, errID *ast.Ident, pos token.Pos) bool {
-	firstUse, firstClobber := token.Pos(-1), token.Pos(-1)
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				if lid, ok := lhs.(*ast.Ident); ok && lid.Pos() > pos && f.sameIdent(lid, errID) {
-					if firstClobber == token.Pos(-1) || lid.Pos() < firstClobber {
-						firstClobber = lid.Pos()
-					}
+func (u *unit) readBeforeOverwrite(errID *ast.Ident, pos token.Pos) bool {
+	written := map[*ast.Ident]bool{}
+	firstClobber := token.NoPos
+	for _, as := range u.assigns {
+		for _, lhs := range as.Lhs {
+			if lid, ok := lhs.(*ast.Ident); ok {
+				written[lid] = true
+				if firstClobber == token.NoPos && lid.Pos() > pos && u.f.sameIdent(lid, errID) {
+					firstClobber = lid.Pos()
 				}
 			}
-			// RHS and other subtrees still count as reads; fall through via
-			// the generic ident case on deeper inspect visits.
-		case *ast.Ident:
-			if v.Pos() <= pos || v == errID {
-				return true
-			}
-			if !f.sameIdent(v, errID) {
-				return true
-			}
-			if isAssignTarget(u.body, v) {
-				return true
-			}
-			if firstUse == token.Pos(-1) || v.Pos() < firstUse {
-				firstUse = v.Pos()
-			}
 		}
-		return true
-	})
-	if firstUse == token.Pos(-1) {
-		return false
 	}
-	return firstClobber == token.Pos(-1) || firstUse <= firstClobber
-}
-
-// isAssignTarget reports whether the identifier occurrence is an assignment
-// LHS inside the body (a write, not a read).
-func isAssignTarget(body *ast.BlockStmt, id *ast.Ident) bool {
-	target := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if target {
-			return false
-		}
-		if as, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range as.Lhs {
-				if lhs == id {
-					target = true
-				}
-			}
+	firstUse := token.NoPos
+	inspectNoFuncLit(u.body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && firstUse == token.NoPos && id.Pos() > pos && !written[id] && u.f.sameIdent(id, errID) {
+			firstUse = id.Pos()
 		}
 		return true
 	})
-	return target
+	return firstUse != token.NoPos && (firstClobber == token.NoPos || firstUse <= firstClobber)
 }

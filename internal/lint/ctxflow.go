@@ -17,64 +17,51 @@ import (
 // implementation.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "exported functions taking a context.Context must thread it into the calls they make",
-	Run:  runCtxFlow,
+	Run:  perUnit(ctxFlowUnit),
 }
 
-func runCtxFlow(f *File) []Diagnostic {
+func ctxFlowUnit(u *unit) []Diagnostic {
+	fd, ok := u.node.(*ast.FuncDecl)
+	if !ok || !fd.Name.IsExported() {
+		return nil
+	}
+	ctxName := ctxParamName(fd.Type)
+	if ctxName == "" || ctxName == "_" {
+		return nil
+	}
+	if !usesName(fd.Body, ctxName) {
+		return []Diagnostic{u.diag("ctxflow", fd.Name,
+			"%s accepts %s but never uses it — cancellation and deadlines are silently ignored", u.name, ctxName)}
+	}
 	// Names declared in this file: used to detect available FContext
 	// variants for rule (3).
 	declared := map[string]bool{}
-	for _, d := range f.File.Decls {
+	for _, d := range u.f.File.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok {
 			declared[fd.Name.Name] = true
 		}
 	}
-
 	var diags []Diagnostic
-	for _, d := range f.File.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || !fd.Name.IsExported() {
+calls:
+	for _, c := range u.allCalls {
+		// Rule 2: a fresh background context while the caller's is in scope.
+		if c.recv == "context" && (c.name == "Background" || c.name == "TODO") {
+			diags = append(diags, u.diag("ctxflow", c.call,
+				"%s has %s in scope but builds context.%s — thread the caller's context instead", u.name, ctxName, c.name))
 			continue
 		}
-		ctxName := ctxParamName(fd.Type)
-		if ctxName == "" || ctxName == "_" {
+		// Rule 3: F(...) called where FContext(ctx, ...) exists in this file.
+		variant := c.name + "Context"
+		if c.name == "" || strings.HasSuffix(c.name, "Context") || !declared[variant] || u.name == variant {
 			continue
 		}
-		if !usesName(fd.Body, ctxName) {
-			diags = append(diags, f.diag("ctxflow", fd.Name,
-				"%s accepts %s but never uses it — cancellation and deadlines are silently ignored", fd.Name.Name, ctxName))
-			continue
+		for _, a := range c.call.Args {
+			if usesName(a, ctxName) {
+				continue calls
+			}
 		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			// Rule 2: a fresh background context while the caller's is in scope.
-			if recv, name := callee(call); recv == "context" && (name == "Background" || name == "TODO") {
-				diags = append(diags, f.diag("ctxflow", call,
-					"%s has %s in scope but builds context.%s — thread the caller's context instead", fd.Name.Name, ctxName, name))
-				return true
-			}
-			// Rule 3: F(...) called where FContext(ctx, ...) exists in this file.
-			_, name := callee(call)
-			if name == "" || strings.HasSuffix(name, "Context") {
-				return true
-			}
-			variant := name + "Context"
-			if !declared[variant] || fd.Name.Name == variant {
-				return true
-			}
-			for _, a := range call.Args {
-				if usesName(a, ctxName) {
-					return true
-				}
-			}
-			diags = append(diags, f.diag("ctxflow", call,
-				"%s calls %s without %s although %s exists — the call cannot be cancelled", fd.Name.Name, name, ctxName, variant))
-			return true
-		})
+		diags = append(diags, u.diag("ctxflow", c.call,
+			"%s calls %s without %s although %s exists — the call cannot be cancelled", u.name, c.name, ctxName, variant))
 	}
 	return diags
 }
@@ -82,9 +69,6 @@ func runCtxFlow(f *File) []Diagnostic {
 // ctxParamName returns the name of the first parameter whose type is
 // context.Context (or a bare Context identifier), or "".
 func ctxParamName(ft *ast.FuncType) string {
-	if ft.Params == nil {
-		return ""
-	}
 	for _, field := range ft.Params.List {
 		if !isContextType(field.Type) {
 			continue

@@ -22,9 +22,7 @@ import (
 // decode loops over a byte slice).
 var DecodeGuard = &Analyzer{
 	Name: "decodeguard",
-	Doc:  "wire/log-decoded counts must pass a bounds check before reaching make/append capacity",
-	Dirs: []string{"internal/wire", "internal/store", "internal/dbstore", "internal/cluster", "internal/engine"},
-	Run:  runDecodeGuard,
+	Run:  perUnit(decodeGuardUnit),
 }
 
 // taintSources are the raw decode entry points, keyed by callee name. The
@@ -41,119 +39,57 @@ var taintSources = map[string]int{
 	"Uint64":           0,
 }
 
-func runDecodeGuard(f *File) []Diagnostic {
-	var diags []Diagnostic
-	for _, u := range funcUnits(f) {
-		diags = append(diags, decodeGuardUnit(f, u)...)
-	}
-	return diags
-}
-
-// taintedVar records where a variable last received a raw decoded value.
-type taintedVar struct {
-	id  *ast.Ident
-	pos token.Pos
-}
-
-func decodeGuardUnit(f *File, u unit) []Diagnostic {
-	var diags []Diagnostic
-
-	// Pass 1: taint assignments and guard positions.
-	taints := map[string]taintedVar{}
-	var guards []struct {
-		name string
-		pos  token.Pos
-	}
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Rhs) == 1 {
-				if idx, ok := taintResult(v.Rhs[0]); ok && idx < len(v.Lhs) {
-					if id, isID := v.Lhs[idx].(*ast.Ident); isID && id.Name != "_" {
-						taints[id.Name] = taintedVar{id: id, pos: v.End()}
-					}
+func decodeGuardUnit(u *unit) []Diagnostic {
+	// Where each variable last received a raw decoded value.
+	taints := map[string]token.Pos{}
+	for _, as := range u.assigns {
+		if len(as.Rhs) == 1 {
+			if idx, ok := taintResult(as.Rhs[0]); ok && idx < len(as.Lhs) {
+				if id, isID := as.Lhs[idx].(*ast.Ident); isID && id.Name != "_" {
+					taints[id.Name] = as.End()
 				}
-			}
-			// A plain reassignment from an untainted source clears the
-			// variable (e.g. n = len(buf) after the decode).
-			if len(v.Rhs) == len(v.Lhs) {
-				for i, lhs := range v.Lhs {
-					id, isID := lhs.(*ast.Ident)
-					if !isID {
-						continue
-					}
-					if _, tainted := taintResult(v.Rhs[i]); !tainted {
-						if tv, ok := taints[id.Name]; ok && v.Pos() > tv.pos {
-							delete(taints, id.Name)
-						}
-					}
-				}
-			}
-		case *ast.IfStmt:
-			for name := range boundComparisons(v.Cond) {
-				guards = append(guards, struct {
-					name string
-					pos  token.Pos
-				}{name, v.Cond.Pos()})
-			}
-		case *ast.ForStmt:
-			for name := range boundComparisons(v.Cond) {
-				guards = append(guards, struct {
-					name string
-					pos  token.Pos
-				}{name, v.Cond.Pos()})
 			}
 		}
-		return true
-	})
-	if len(taints) == 0 {
-		return nil
+		// A plain reassignment from an untainted source clears the
+		// variable (e.g. n = len(buf) after the decode).
+		if len(as.Rhs) == len(as.Lhs) {
+			for i, lhs := range as.Lhs {
+				if id, isID := lhs.(*ast.Ident); isID {
+					if _, tainted := taintResult(as.Rhs[i]); !tainted && as.Pos() > taints[id.Name] {
+						delete(taints, id.Name)
+					}
+				}
+			}
+		}
 	}
-
-	guarded := func(name string, taintPos, usePos token.Pos) bool {
-		for _, g := range guards {
-			if g.name == name && g.pos > taintPos && g.pos < usePos {
+	// A guard is an if or for condition comparing the variable, written
+	// between the decode and the allocation.
+	guarded := func(name string, usePos token.Pos) bool {
+		for _, cond := range u.conds {
+			if cond.Pos() > taints[name] && cond.Pos() < usePos && boundComparisons(cond)[name] {
 				return true
 			}
 		}
 		return false
 	}
-
-	// Pass 2: allocation sinks.
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	// Allocation sinks: make's size arguments. append cannot over-allocate
+	// from a count; the risky shape is make-then-append.
+	var diags []Diagnostic
+	for _, c := range u.calls {
+		if c.recv != "" || c.name != "make" || len(c.call.Args) < 2 {
+			continue
 		}
-		recv, name := callee(call)
-		var sizeArgs []ast.Expr
-		switch {
-		case recv == "" && name == "make" && len(call.Args) > 1:
-			sizeArgs = call.Args[1:]
-		case recv == "" && name == "append" && len(call.Args) > 1:
-			// append itself cannot over-allocate from a count; the risky
-			// shape is make-then-append, covered by the make case.
-			return true
-		default:
-			return true
-		}
-		for _, arg := range sizeArgs {
+		for _, arg := range c.call.Args[1:] {
 			id := conversionRoot(arg)
 			if id == nil {
 				continue
 			}
-			tv, tainted := taints[id.Name]
-			if !tainted || id.Pos() < tv.pos {
-				continue
+			if at, tainted := taints[id.Name]; tainted && id.Pos() >= at && !guarded(id.Name, c.call.Pos()) {
+				diags = append(diags, u.diag("decodeguard", c.call,
+					"decoded count %q reaches make() without a bounds check — a hostile length allocates unbounded memory (use wire.Dec.Count or guard it first)", id.Name))
 			}
-			if guarded(id.Name, tv.pos, call.Pos()) {
-				continue
-			}
-			diags = append(diags, f.diag("decodeguard", call,
-				"decoded count %q reaches make() without a bounds check — a hostile length allocates unbounded memory (use wire.Dec.Count or guard it first)", id.Name))
 		}
-		return true
-	})
+	}
 	return diags
 }
 
@@ -165,7 +101,7 @@ func taintResult(e ast.Expr) (idx int, ok bool) {
 	case *ast.CallExpr:
 		recv, name := callee(v)
 		// min/max clamp at the source; a clamped value is bounded.
-		if recv == "" && (name == "min" || name == "max") {
+		if recv == nil && (name == "min" || name == "max") {
 			return 0, false
 		}
 		if idx, ok := taintSources[name]; ok {
@@ -216,10 +152,7 @@ func conversionRoot(e ast.Expr) *ast.Ident {
 // with a relational operator anywhere in the condition.
 func boundComparisons(cond ast.Expr) map[string]bool {
 	names := map[string]bool{}
-	if cond == nil {
-		return names
-	}
-	ast.Inspect(cond, func(n ast.Node) bool {
+	inspect(cond, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok {
 			return true

@@ -5,8 +5,7 @@ import (
 	"go/token"
 )
 
-// GoExit enforces goroutine termination in the pipeline and server
-// packages: every `go func() { ... }` literal must either observe a
+// GoExit enforces goroutine termination: every `go func() { ... }` literal must either observe a
 // termination signal — a channel receive, a select, a ctx.Done() call, a
 // WaitGroup Wait — or be provably finite. A goroutine that loops forever
 // with no way to hear "stop" outlives its query and leaks a worker; the
@@ -16,110 +15,75 @@ import (
 // project's long-lived stage loops all terminate by channel close).
 var GoExit = &Analyzer{
 	Name: "goexit",
-	Doc:  "go func literals must select on a done channel / ctx.Done() or be provably finite",
-	Dirs: []string{"internal/scanraw", "internal/server", "internal/queryapi"},
-	Run:  runGoExit,
+	Run:  perUnit(goExitUnit),
 }
 
-func runGoExit(f *File) []Diagnostic {
-	var diags []Diagnostic
-	ast.Inspect(f.File, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		lit, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		diags = append(diags, checkGoLit(f, lit)...)
-		return true
-	})
-	return diags
-}
-
-// checkGoLit flags loops in the literal that can never terminate: an
+// goExitUnit flags loops in a spawned literal that can never terminate: an
 // unconditional `for { ... }` whose body has no receive, select, return,
-// break, goto or panic, and conditional/range loops only when the whole
-// literal lacks any termination signal.
-func checkGoLit(f *File, lit *ast.FuncLit) []Diagnostic {
+// break, goto or panic, and conditional loops only when the whole literal
+// lacks any termination signal.
+func goExitUnit(u *unit) []Diagnostic {
+	if !u.isGo {
+		return nil
+	}
 	var diags []Diagnostic
-	signal := hasTerminationSignal(lit.Body)
-	inspectNoFuncLit(lit.Body, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		if loop.Cond == nil {
-			if !loopCanExit(loop.Body) {
-				diags = append(diags, f.diag("goexit", loop,
-					"goroutine loops forever with no receive, select, return or break — it can never hear a done signal"))
-			}
-			return true
-		}
-		if !signal && !hasTerminationSignal(loop.Body) {
-			diags = append(diags, f.diag("goexit", loop,
+	signal := u.hearsSignal(u.body)
+	for _, loop := range u.fors {
+		switch {
+		case loop.Cond == nil && !u.canLeave(loop.Body):
+			diags = append(diags, u.diag("goexit", loop,
+				"goroutine loops forever with no receive, select, return or break — it can never hear a done signal"))
+		case loop.Cond != nil && !signal && !u.hearsSignal(loop.Body):
+			diags = append(diags, u.diag("goexit", loop,
 				"goroutine loop has no termination signal — select on a done channel or ctx.Done(), or bound the loop"))
 		}
-		return true
-	})
+	}
 	return diags
 }
 
-// hasTerminationSignal reports whether the subtree contains something that
-// lets the goroutine observe shutdown or finish naturally: a channel
-// receive, a select, ctx.Done(), a WaitGroup Wait, or a range loop (which
-// ends when its producer closes or its collection is exhausted).
-func hasTerminationSignal(n ast.Node) bool {
-	found := false
-	inspectNoFuncLit(n, func(m ast.Node) bool {
-		if found {
-			return false
+// blocksIn reports whether a channel receive, a select, or a call to one of
+// the named functions stands inside n.
+func (u *unit) blocksIn(n ast.Node, calls ...string) bool {
+	for _, op := range u.chanOps {
+		if _, isSend := op.(*ast.SendStmt); !isSend && within(op, n) {
+			return true
 		}
-		switch v := m.(type) {
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				found = true
-			}
-		case *ast.SelectStmt:
-			found = true
-		case *ast.RangeStmt:
-			found = true
-		case *ast.CallExpr:
-			if _, name := callee(v); name == "Done" || name == "Wait" {
-				found = true
+	}
+	for _, c := range u.calls {
+		for _, name := range calls {
+			if c.name == name && within(c.call, n) {
+				return true
 			}
 		}
-		return !found
-	})
-	return found
+	}
+	return false
 }
 
-// loopCanExit reports whether a `for {}` body contains any construct that
-// can leave the loop or block on a signal.
-func loopCanExit(body *ast.BlockStmt) bool {
-	can := false
-	inspectNoFuncLit(body, func(m ast.Node) bool {
-		if can {
-			return false
+// hearsSignal reports whether n contains something that lets the goroutine
+// observe shutdown or finish naturally: a channel receive, a select,
+// ctx.Done(), a WaitGroup Wait, or a range loop (which ends when its
+// producer closes or its collection is exhausted).
+func (u *unit) hearsSignal(n ast.Node) bool {
+	for _, r := range u.ranges {
+		if within(r, n) {
+			return true
 		}
-		switch v := m.(type) {
-		case *ast.ReturnStmt, *ast.SelectStmt:
-			can = true
-		case *ast.BranchStmt:
-			if v.Tok == token.BREAK || v.Tok == token.GOTO {
-				can = true
-			}
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				can = true
-			}
-		case *ast.CallExpr:
-			if _, name := callee(v); name == "panic" || name == "Wait" {
-				can = true
-			}
+	}
+	return u.blocksIn(n, "Done", "Wait")
+}
+
+// canLeave reports whether a `for {}` body contains any construct that can
+// leave the loop or block on a signal.
+func (u *unit) canLeave(body *ast.BlockStmt) bool {
+	for _, r := range u.returns {
+		if within(r, body) {
+			return true
 		}
-		return !can
-	})
-	return can
+	}
+	for _, b := range u.branches {
+		if (b.Tok == token.BREAK || b.Tok == token.GOTO) && within(b, body) {
+			return true
+		}
+	}
+	return u.blocksIn(body, "panic", "Wait")
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
@@ -22,83 +21,43 @@ import (
 //     ckpt/ckptMu read-lock taken earlier in the same function — so a
 //     checkpoint snapshot can never interleave with a mutate+append pair.
 //
-// The pass is package-scoped (RunProject) because the appender and its
-// callers live in different files. Functions that only *build* loaded
-// records without appending (the checkpoint snapshot) are exempt: they
-// re-record pages that prior appends already proved durable.
+// The pass reads a package at a time because the appender and its callers
+// live in different files. Functions that only *build* loaded records
+// without appending (the checkpoint snapshot) are exempt: they re-record
+// pages that prior appends already proved durable.
 var JournalOrder = &Analyzer{
-	Name:       "journalorder",
-	Doc:        "journal appends of loaded-records must be dominated by the blob write; appends must hold the checkpoint lock",
-	Dirs:       []string{"internal/dbstore"},
-	RunProject: runJournalOrder,
+	Name: "journalorder",
+	Dirs: []string{"internal/dbstore"},
+	Run:  runJournalOrder,
 }
 
-func runJournalOrder(files []*File) []Diagnostic {
+func runJournalOrder(units []*unit) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range groupByPkg(files) {
-		diags = append(diags, journalOrderPkg(pkg)...)
+	for start, end := 0, 0; start < len(units); start = end {
+		for end < len(units) && units[end].f.Pkg == units[start].f.Pkg {
+			end++
+		}
+		diags = append(diags, journalOrderPkg(units[start:end])...)
 	}
 	return diags
 }
 
-// groupByPkg buckets files by package directory in first-seen order.
-func groupByPkg(files []*File) [][]*File {
-	idx := map[string]int{}
-	var groups [][]*File
-	for _, f := range files {
-		i, ok := idx[f.Pkg]
-		if !ok {
-			i = len(groups)
-			idx[f.Pkg] = i
-			groups = append(groups, nil)
-		}
-		groups[i] = append(groups[i], f)
-	}
-	return groups
-}
-
-// pkgUnit is one function body with its containing file.
-type pkgUnit struct {
-	f *File
-	u unit
-}
-
-func journalOrderPkg(files []*File) []Diagnostic {
-	var units []pkgUnit
-	for _, f := range files {
-		for _, u := range funcUnits(f) {
-			units = append(units, pkgUnit{f, u})
-		}
-	}
-
+func journalOrderPkg(units []*unit) []Diagnostic {
 	// Blob writers: direct WriteBlob callers, then the same-package helpers
 	// that reach one (fixpoint over callee names; literals excluded from the
 	// name table since they cannot be called by name).
-	blobWriter := map[string]bool{}
-	declared := map[string]bool{}
-	for _, pu := range units {
-		if _, isDecl := pu.u.node.(*ast.FuncDecl); isDecl {
-			declared[pu.u.name] = true
-		}
-	}
+	blobWriter := map[string]bool{"WriteBlob": true}
 	for changed := true; changed; {
 		changed = false
-		for _, pu := range units {
-			if _, isDecl := pu.u.node.(*ast.FuncDecl); !isDecl || blobWriter[pu.u.name] {
+		for _, u := range units {
+			if !u.isDecl() || blobWriter[u.name] {
 				continue
 			}
-			hit := false
-			inspectNoFuncLit(pu.u.body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && !hit {
-					if _, name := callee(call); name == "WriteBlob" || (blobWriter[name] && declared[name]) {
-						hit = true
-					}
+			for _, c := range u.calls {
+				if blobWriter[c.name] {
+					blobWriter[u.name], changed = true, true
+					break
 				}
-				return !hit
-			})
-			if hit {
-				blobWriter[pu.u.name] = true
-				changed = true
 			}
 		}
 	}
@@ -106,19 +65,16 @@ func journalOrderPkg(files []*File) []Diagnostic {
 	// Loaded appenders: declarations that build a loaded-record literal and
 	// feed a journal append in the same body.
 	loadedAppender := map[string]bool{}
-	for _, pu := range units {
-		if _, isDecl := pu.u.node.(*ast.FuncDecl); !isDecl {
-			continue
-		}
-		if buildsLoadedRecord(pu.u.body) && hasJournalAppend(pu.f, pu.u) {
-			loadedAppender[pu.u.name] = true
+	for _, u := range units {
+		if u.isDecl() && buildsLoadedRecord(u.body) && len(journalAppendCalls(u)) > 0 {
+			loadedAppender[u.name] = true
 		}
 	}
 
 	var diags []Diagnostic
-	for _, pu := range units {
-		diags = append(diags, journalOrderCallers(pu.f, pu.u, loadedAppender, blobWriter)...)
-		diags = append(diags, journalLockDiscipline(pu.f, pu.u)...)
+	for _, u := range units {
+		diags = append(diags, journalOrderCallers(u, loadedAppender, blobWriter)...)
+		diags = append(diags, journalLockDiscipline(u)...)
 	}
 	return diags
 }
@@ -154,130 +110,73 @@ func buildsLoadedRecord(body *ast.BlockStmt) bool {
 	return found
 }
 
-// journalAppendCalls returns the positions of journal-append calls in the
-// unit: journalAppend (the blessed wrapper) and Append on a journal-typed
-// receiver (a `.journal` field or a variable assigned from one).
-func journalAppendCalls(f *File, u unit) []ast.Node {
+// journalAppendCalls returns the journal-append calls in the unit:
+// journalAppend (the blessed wrapper) and Append on a journal-typed receiver
+// (a `.journal` field or a variable assigned from one).
+func journalAppendCalls(u *unit) []*ast.CallExpr {
 	// Variables bound to the journal (j := s.journal).
 	journalVars := map[string]bool{}
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
+	for _, as := range u.assigns {
 		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if t := exprText(as.Rhs[i]); t == "journal" || strings.HasSuffix(t, ".journal") {
-				journalVars[id.Name] = true
+			if id, ok := lhs.(*ast.Ident); ok && len(as.Lhs) == len(as.Rhs) {
+				if t := exprText(as.Rhs[i]); t == "journal" || strings.HasSuffix(t, ".journal") {
+					journalVars[id.Name] = true
+				}
 			}
 		}
-		return true
-	})
-	var calls []ast.Node
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	}
+	var calls []*ast.CallExpr
+	for _, c := range u.calls {
+		if c.name == "journalAppend" || c.name == "Append" && (strings.HasSuffix(c.recv, ".journal") || journalVars[c.recv]) {
+			calls = append(calls, c.call)
 		}
-		recv, name := callee(call)
-		switch {
-		case name == "journalAppend":
-			calls = append(calls, call)
-		case name == "Append" && (strings.HasSuffix(recv, ".journal") || journalVars[recv]):
-			calls = append(calls, call)
-		}
-		return true
-	})
+	}
 	return calls
-}
-
-func hasJournalAppend(f *File, u unit) bool {
-	return len(journalAppendCalls(f, u)) > 0
 }
 
 // journalOrderCallers flags call sites of loaded appenders with no blob
 // write positioned before them in the calling unit.
-func journalOrderCallers(f *File, u unit, loadedAppender, blobWriter map[string]bool) []Diagnostic {
+func journalOrderCallers(u *unit, loadedAppender, blobWriter map[string]bool) []Diagnostic {
 	if loadedAppender[u.name] {
 		// The appender's own body is the abstraction boundary; obligations
 		// attach to its callers.
 		return nil
 	}
-	var writes []token.Pos
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, name := callee(call); name == "WriteBlob" || blobWriter[name] {
-				writes = append(writes, call.End())
-			}
-		}
-		return true
-	})
 	var diags []Diagnostic
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	for _, c := range u.calls {
+		if !loadedAppender[c.name] {
+			continue
 		}
-		_, name := callee(call)
-		if !loadedAppender[name] {
-			return true
+		written := false
+		for _, w := range u.calls {
+			written = written || blobWriter[w.name] && w.call.End() < c.call.Pos()
 		}
-		for _, w := range writes {
-			if w < call.Pos() {
-				return true
-			}
+		if !written {
+			diags = append(diags, u.diag("journalorder", c.call,
+				"%s journals a loaded-record with no preceding blob write in %s — the journal would claim pages a crash never persisted (data-before-metadata, DESIGN §10/§13)", c.name, u.name))
 		}
-		diags = append(diags, f.diag("journalorder", call,
-			"%s journals a loaded-record with no preceding blob write in %s — the journal would claim pages a crash never persisted (data-before-metadata, DESIGN §10/§13)", name, u.name))
-		return true
-	})
+	}
 	return diags
 }
 
 // journalLockDiscipline requires every journal append to follow a
-// checkpoint-exclusion acquisition in the same unit.
-func journalLockDiscipline(f *File, u unit) []Diagnostic {
+// checkpoint-exclusion acquisition in the same unit: `defer
+// t.journalLock()()` or an explicit lock of something named ckpt.
+func journalLockDiscipline(u *unit) []Diagnostic {
 	if u.name == "journalAppend" || u.name == "journalLock" {
 		// The blessed wrapper pair: callers hold the lock around them.
 		return nil
 	}
-	appends := journalAppendCalls(f, u)
-	if len(appends) == 0 {
-		return nil
-	}
-	var acquires []token.Pos
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeferStmt:
-			// defer t.journalLock()() — the argument call runs at the defer
-			// statement, acquiring the region there.
-			if inner, ok := v.Call.Fun.(*ast.CallExpr); ok {
-				if _, name := callee(inner); name == "journalLock" {
-					acquires = append(acquires, v.End())
-				}
-			}
-		case *ast.CallExpr:
-			recv, name := callee(v)
-			if (name == "RLock" || name == "Lock") && strings.Contains(recv, "ckpt") {
-				acquires = append(acquires, v.End())
-			}
-		}
-		return true
-	})
 	var diags []Diagnostic
-	for _, ap := range appends {
+	for _, ap := range journalAppendCalls(u) {
 		held := false
-		for _, a := range acquires {
-			if a < ap.Pos() {
-				held = true
-				break
+		for _, r := range u.regions {
+			if r.opener == "journalLock" || r.lock != "" && strings.Contains(r.recv, "ckpt") {
+				held = held || r.start < ap.Pos()
 			}
 		}
 		if !held {
-			diags = append(diags, f.diag("journalorder", ap,
+			diags = append(diags, u.diag("journalorder", ap,
 				"journal append outside the checkpoint-exclusion region — take journalLock()/ckptMu before appending in %s so a snapshot cannot interleave", u.name))
 		}
 	}

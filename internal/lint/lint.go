@@ -9,7 +9,8 @@
 // The driver is stdlib-only (go/parser + go/ast + go/types): packages are
 // parsed from source, type-checked best-effort with a stub importer (local
 // identifier resolution is what the analyzers consume; cross-package types
-// are not required), and each analyzer walks the AST per file.
+// are not required), and every function body is summarized once into a fact
+// table (facts.go) that all analyzers query.
 //
 // False positives are suppressed inline with
 //
@@ -44,7 +45,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// File is the per-file analysis input handed to analyzers.
+// File is one parsed source file with what the analyzers need beside its
+// syntax tree.
 type File struct {
 	Fset *token.FileSet
 	File *ast.File
@@ -59,54 +61,49 @@ type File struct {
 	Info *types.Info
 }
 
-// objectOf resolves an identifier to its declared object, or nil when the
-// best-effort checker could not.
-func (f *File) objectOf(id *ast.Ident) types.Object {
-	if f.Info == nil || id == nil {
-		return nil
-	}
-	return f.Info.ObjectOf(id)
-}
-
 // sameIdent reports whether two identifiers denote the same variable,
 // preferring type-checker objects and falling back to name equality.
 func (f *File) sameIdent(a, b *ast.Ident) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	if oa, ob := f.objectOf(a), f.objectOf(b); oa != nil && ob != nil {
+	if oa, ob := f.Info.ObjectOf(a), f.Info.ObjectOf(b); oa != nil && ob != nil {
 		return oa == ob
 	}
 	return a.Name == b.Name
 }
 
-// Analyzer is one named check run over every loaded file.
+// Analyzer is one named check over the function units of a run.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Dirs restricts the analyzer to packages whose root-relative path has
-	// one of these suffixes; empty applies everywhere.
+	// one of these suffixes. Only an analyzer whose rule is one package's
+	// protocol names it here; a rule keyed by project-specific callee names
+	// scopes itself and applies everywhere.
 	Dirs []string
-	// Run is the per-file pass. Analyzers whose invariant is local to one
-	// file use this.
-	Run func(f *File) []Diagnostic
-	// RunProject, when set, runs once over every matching file of the whole
-	// run — the hook for invariants that span files and packages (the lock
-	// acquisition graph, the blob-write-before-journal-append ordering).
-	// An analyzer sets Run or RunProject, not both.
-	RunProject func(files []*File) []Diagnostic
+	// Run receives every unit (function declaration or literal, with its
+	// fact table — see facts.go) of every file the analyzer applies to, in
+	// directory, file and source order. A rule local to one function wraps
+	// its check in perUnit; one that spans functions, files or packages (the
+	// lock graph, blob-write-before-journal-append) reads the whole slice.
+	Run func(units []*unit) []Diagnostic
+}
+
+// perUnit adapts a check of one function at a time to Analyzer.Run.
+func perUnit(check func(u *unit) []Diagnostic) func([]*unit) []Diagnostic {
+	return func(units []*unit) []Diagnostic {
+		var diags []Diagnostic
+		for _, u := range units {
+			diags = append(diags, check(u)...)
+		}
+		return diags
+	}
 }
 
 func (a *Analyzer) applies(pkg string) bool {
-	if len(a.Dirs) == 0 {
-		return true
-	}
 	for _, d := range a.Dirs {
 		if pkg == d || strings.HasSuffix(pkg, "/"+d) {
 			return true
 		}
 	}
-	return false
+	return len(a.Dirs) == 0
 }
 
 // Analyzers returns the full project suite in a stable order.
@@ -129,82 +126,63 @@ func Analyzers() []*Analyzer {
 type Config struct {
 	// Root is the module root directory patterns are resolved against.
 	Root string
-	// IncludeTests lints _test.go files too. Off by default: test files
-	// spawn short-lived goroutines and local resources freely, and the
-	// invariants the suite guards are production-path lifecycles.
-	IncludeTests bool
 }
 
-// Run expands the package patterns ("./..." or directory paths), parses and
-// type-checks each package, applies the per-file analyzers, runs the
-// project-scoped analyzers over the combined file set, filters suppressed
-// findings, reports suppressions that suppressed nothing, and returns the
-// surviving diagnostics sorted by position.
+// Run expands the package patterns (directory paths, recursive with a
+// trailing "/..."), parses and type-checks each package, builds every
+// function unit's fact table once, hands each analyzer the units of the
+// packages it applies to, filters suppressed findings, reports suppressions
+// that suppressed nothing, and returns the surviving diagnostics sorted by
+// position. Test files are not linted: they spawn short-lived goroutines and
+// local resources freely, and the invariants the suite guards are
+// production-path lifecycles.
 func Run(cfg Config, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if cfg.Root == "" {
-		cfg.Root = "."
-	}
 	dirs, err := expandPatterns(cfg.Root, patterns)
 	if err != nil {
 		return nil, err
 	}
 	var diags []Diagnostic
-	var all []*File
+	var units []*unit
 	igByFile := map[string]*ignores{}
 	fset := token.NewFileSet()
 	for _, dir := range dirs {
-		files, ds, err := loadDir(fset, cfg, dir)
+		files, err := loadDir(fset, cfg.Root, dir)
 		if err != nil {
 			return nil, err
 		}
-		diags = append(diags, ds...)
 		for _, lf := range files {
-			ig := &ignores{}
-			igDiags := collectIgnores(fset, lf.File, ig)
-			diags = append(diags, igDiags...)
+			ig, igDiags := collectIgnores(fset, lf.File)
 			igByFile[lf.Path] = ig
-			for _, a := range analyzers {
-				if a.Run == nil || !a.applies(lf.Pkg) {
-					continue
-				}
-				for _, d := range a.Run(lf) {
-					if !ig.suppresses(d) {
-						diags = append(diags, d)
-					}
-				}
-			}
+			diags = append(diags, igDiags...)
+			units = append(units, funcUnits(lf)...)
 		}
-		all = append(all, files...)
 	}
 	for _, a := range analyzers {
-		if a.RunProject == nil {
-			continue
-		}
-		var sel []*File
-		for _, lf := range all {
-			if a.applies(lf.Pkg) {
-				sel = append(sel, lf)
+		var sel []*unit
+		for _, u := range units {
+			if a.applies(u.f.Pkg) {
+				sel = append(sel, u)
 			}
 		}
-		if len(sel) == 0 {
-			continue
-		}
-		for _, d := range a.RunProject(sel) {
-			if ig := igByFile[d.Pos.Filename]; ig == nil || !ig.suppresses(d) {
+		for _, d := range a.Run(sel) {
+			if !igByFile[d.Pos.Filename].suppresses(d) {
 				diags = append(diags, d)
 			}
 		}
 	}
 	diags = append(diags, unusedSuppressions(igByFile, analyzers)...)
 	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+		a, b := diags[i], diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if a.Pos.Offset != b.Pos.Offset {
+			return a.Pos.Offset < b.Pos.Offset
 		}
-		return diags[i].Analyzer < diags[j].Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return diags, nil
 }
@@ -235,113 +213,82 @@ func unusedSuppressions(igByFile map[string]*ignores, analyzers []*Analyzer) []D
 	return diags
 }
 
-// expandPatterns resolves the CLI package patterns into package directories.
-// "./..." (or "...") walks every directory under root that holds Go files,
-// skipping testdata, vendor and hidden directories.
+// expandPatterns resolves the CLI package patterns into package directories,
+// relative to root. A pattern ending in "/..." (or a bare "...") also takes
+// every directory below it, skipping testdata, vendor and hidden directories;
+// no pattern at all means "./...". A directory without Go files contributes
+// nothing (loadDir).
 func expandPatterns(root string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	seen := map[string]bool{}
 	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
 	for _, p := range patterns {
-		if p == "./..." || p == "..." {
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					add(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
+		p, recursive := strings.CutSuffix(p, "...")
+		top := p
+		if !filepath.IsAbs(p) {
+			top = filepath.Join(root, p)
 		}
-		p = strings.TrimSuffix(p, "/...")
-		dir := p
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(root, p)
-		}
-		st, err := os.Stat(dir)
-		if err != nil || !st.IsDir() {
+		if st, err := os.Stat(top); err != nil || !st.IsDir() {
 			return nil, fmt.Errorf("lint: %q is not a package directory", p)
 		}
-		add(dir)
+		err := filepath.WalkDir(top, func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if path != top && (!recursive || name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if !seen[path] {
+				seen[path] = true
+				dirs = append(dirs, path)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	sort.Strings(dirs)
 	return dirs, nil
 }
 
-func hasGoFiles(dir string) bool {
+// loadDir parses and type-checks the non-test files of one package directory.
+func loadDir(fset *token.FileSet, root, dir string) ([]*File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true
-		}
-	}
-	return false
-}
-
-// loadDir parses and type-checks one package directory, returning its files
-// ready for analysis. Parse-level diagnostics (none today) ride along so the
-// caller keeps a single diagnostics stream.
-func loadDir(fset *token.FileSet, cfg Config, dir string) ([]*File, []Diagnostic, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var files []*ast.File
 	var paths []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if !cfg.IncludeTests && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		path := filepath.Join(dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, fmt.Errorf("lint: %w", err)
+			return nil, fmt.Errorf("lint: %w", err)
 		}
 		files = append(files, f)
 		paths = append(paths, path)
 	}
 	if len(files) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	info := typeCheck(fset, dir, files)
-	pkg, err := filepath.Rel(cfg.Root, dir)
+	pkg, err := filepath.Rel(root, dir)
 	if err != nil {
 		pkg = dir
 	}
-	pkg = filepath.ToSlash(pkg)
-
 	out := make([]*File, len(files))
 	for i, af := range files {
-		out[i] = &File{Fset: fset, File: af, Path: paths[i], Pkg: pkg, Info: info}
+		out[i] = &File{Fset: fset, File: af, Path: paths[i], Pkg: filepath.ToSlash(pkg), Info: info}
 	}
-	return out, nil, nil
+	return out, nil
 }
 
 // typeCheck runs go/types over the package with a stub importer, collecting
@@ -354,7 +301,7 @@ func typeCheck(fset *token.FileSet, dir string, files []*ast.File) *types.Info {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{
-		Importer:    stubImporter{pkgs: map[string]*types.Package{}},
+		Importer:    stubImporter{},
 		Error:       func(error) {}, // best-effort: keep going past stub-import holes
 		FakeImportC: true,
 	}
@@ -365,21 +312,11 @@ func typeCheck(fset *token.FileSet, dir string, files []*ast.File) *types.Info {
 
 // stubImporter satisfies every import with an empty placeholder package, so
 // type-checking proceeds without compiled export data or module resolution.
-type stubImporter struct {
-	pkgs map[string]*types.Package
-}
+type stubImporter struct{}
 
-func (s stubImporter) Import(path string) (*types.Package, error) {
-	if p, ok := s.pkgs[path]; ok {
-		return p, nil
-	}
-	base := path
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		base = path[i+1:]
-	}
-	p := types.NewPackage(path, base)
+func (stubImporter) Import(path string) (*types.Package, error) {
+	p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
 	p.MarkComplete()
-	s.pkgs[path] = p
 	return p, nil
 }
 
@@ -402,6 +339,8 @@ type ignores struct {
 	byLine  map[int][]*ignoreEntry
 }
 
+// suppresses reports whether a directive on the finding's line or the line
+// above names its analyzer, and marks that directive used.
 func (ig *ignores) suppresses(d Diagnostic) bool {
 	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
 		for _, e := range ig.byLine[line] {
@@ -417,8 +356,8 @@ func (ig *ignores) suppresses(d Diagnostic) bool {
 // collectIgnores gathers //lint:ignore directives into ig, reporting
 // malformed ones (missing reason) as diagnostics so suppressions stay
 // justified.
-func collectIgnores(fset *token.FileSet, f *ast.File, ig *ignores) []Diagnostic {
-	ig.byLine = map[int][]*ignoreEntry{}
+func collectIgnores(fset *token.FileSet, f *ast.File) (*ignores, []Diagnostic) {
+	ig := &ignores{byLine: map[int][]*ignoreEntry{}}
 	var diags []Diagnostic
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -442,5 +381,5 @@ func collectIgnores(fset *token.FileSet, f *ast.File, ig *ignores) []Diagnostic 
 			}
 		}
 	}
-	return diags
+	return ig, diags
 }

@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// LockOrder builds the static mutex-acquisition graph across the storage and
-// serving layers and rejects two shapes locksend's single-function view
+// LockOrder builds the static mutex-acquisition graph across every package
+// of the run and rejects two shapes locksend's single-function view
 // cannot see:
 //
 //  1. Ordering cycles: an edge A→B is recorded whenever lock B is acquired —
@@ -27,40 +27,35 @@ import (
 // functions (`defer t.journalLock()()` acquires ckpt for the rest of the
 // function) and lock aliasing through struct fields (`ckpt: &s.ckptMu` makes
 // Table.ckpt and Store.ckptMu the same node). Critical sections are
-// positional, same as locksend: Lock to first matching Unlock, deferred
-// unlock to end of function. Function literals are analyzed as their own
+// the fact table's regions, same as locksend: Lock to first matching Unlock,
+// deferred unlock to end of function. Function literals are analyzed as their own
 // units (their locks do not leak into the enclosing function's summary —
 // they run when invoked, not where written).
 var LockOrder = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "static lock-acquisition graph must be acyclic; no channel ops reachable under two locks",
-	Dirs:       []string{"internal/dbstore", "internal/server", "internal/queryapi", "internal/cluster", "internal/store"},
-	RunProject: runLockOrder,
+	Name: "lockorder",
+	Run:  runLockOrder,
 }
 
 var unlockNames = map[string]bool{"Unlock": true, "RUnlock": true}
 
 // loFunc is one analyzed function body with its summary state.
 type loFunc struct {
-	f        *File
-	u        unit
+	*unit
 	pkg      string // package base name
 	recvType string // receiver type name for method decls, "" otherwise
-	isDecl   bool
 
 	acquires []loAcquire
 	calls    []loCall
-	chanOps  []ast.Node
+	ops      []ast.Node // channel operations
 
 	lockset map[string]bool // nodes this function may acquire, transitively
 	mayChan bool            // performs a channel op, transitively
 }
 
-// loAcquire is one lock acquisition and its positional critical section.
+// loAcquire is one lock acquisition: the graph node and its region.
 type loAcquire struct {
-	node       string
-	at         ast.Node
-	start, end token.Pos
+	node string
+	lockRegion
 }
 
 // loCall is a call site with enough shape to resolve candidates.
@@ -70,20 +65,19 @@ type loCall struct {
 	recvType string // resolved type of a plain-ident receiver, "" otherwise
 }
 
-func runLockOrder(files []*File) []Diagnostic {
+func runLockOrder(units []*unit) []Diagnostic {
 	g := &lockGraph{aliases: map[string]string{}, openers: map[string]string{}}
-	for _, f := range files {
-		g.collectAliases(f)
-	}
-	for _, f := range files {
-		for _, u := range funcUnits(f) {
-			fd, isDecl := u.node.(*ast.FuncDecl)
-			lf := &loFunc{f: f, u: u, pkg: pkgBase(f.Pkg), isDecl: isDecl, lockset: map[string]bool{}}
-			if isDecl {
-				lf.recvType = recvTypeName(fd)
-			}
-			g.funcs = append(g.funcs, lf)
+	var last *File
+	for _, u := range units {
+		if u.f != last {
+			g.collectAliases(u.f)
+			last = u.f
 		}
+		lf := &loFunc{unit: u, pkg: pkgBase(u.f.Pkg), lockset: map[string]bool{}}
+		if fd, ok := u.node.(*ast.FuncDecl); ok {
+			lf.recvType = recvTypeName(fd)
+		}
+		g.funcs = append(g.funcs, lf)
 	}
 	g.indexDecls()
 	for _, lf := range g.funcs {
@@ -96,7 +90,7 @@ func runLockOrder(files []*File) []Diagnostic {
 type lockEdge struct {
 	from, to string
 	at       ast.Node
-	f        *File
+	in       *unit
 }
 
 type lockGraph struct {
@@ -108,12 +102,7 @@ type lockGraph struct {
 	edges   []lockEdge
 }
 
-func pkgBase(pkg string) string {
-	if i := strings.LastIndex(pkg, "/"); i >= 0 {
-		return pkg[i+1:]
-	}
-	return pkg
-}
+func pkgBase(pkg string) string { return pkg[strings.LastIndex(pkg, "/")+1:] }
 
 func recvTypeName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -171,7 +160,7 @@ func (g *lockGraph) rawNode(f *File, e ast.Expr) string {
 	base := pkgBase(f.Pkg)
 	rest := strings.TrimPrefix(txt, root.Name)
 	if rest != "" {
-		if obj := f.objectOf(root); obj != nil {
+		if obj := f.Info.ObjectOf(root); obj != nil {
 			if tn := namedTypeName(obj.Type()); tn != "" {
 				return base + "." + tn + rest
 			}
@@ -193,9 +182,7 @@ func (g *lockGraph) collectAliases(f *File) {
 		switch v := n.(type) {
 		case *ast.CompositeLit:
 			tn := exprText(v.Type)
-			if i := strings.LastIndex(tn, "."); i >= 0 {
-				tn = tn[i+1:]
-			}
+			tn = tn[strings.LastIndex(tn, ".")+1:] // pkg.Type → Type
 			if tn == "" {
 				return true
 			}
@@ -234,16 +221,17 @@ func (g *lockGraph) indexDecls() {
 	g.byName = map[string][]*loFunc{}
 	g.byRecv = map[string][]*loFunc{}
 	for _, lf := range g.funcs {
-		if !lf.isDecl {
+		if !lf.isDecl() {
 			continue
 		}
-		g.byName[lf.u.name] = append(g.byName[lf.u.name], lf)
+		g.byName[lf.name] = append(g.byName[lf.name], lf)
 		if lf.recvType != "" {
-			g.byRecv[lf.pkg+"."+lf.recvType+"."+lf.u.name] = append(g.byRecv[lf.pkg+"."+lf.recvType+"."+lf.u.name], lf)
+			key := lf.pkg + "." + lf.recvType + "." + lf.name
+			g.byRecv[key] = append(g.byRecv[key], lf)
 		}
 		// Region openers: acquire a lock and return its unlock method value.
 		if node := g.openerNode(lf); node != "" {
-			g.openers[lf.pkg+"."+lf.u.name] = node
+			g.openers[lf.pkg+"."+lf.name] = node
 		}
 	}
 }
@@ -252,124 +240,57 @@ func (g *lockGraph) indexDecls() {
 // returns the matching unlock as a method value, handing the critical
 // section to the caller.
 func (g *lockGraph) openerNode(lf *loFunc) string {
-	var lockExpr ast.Expr
-	inspectNoFuncLit(lf.u.body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && lockExpr == nil {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if _, isLock := lockNames[sel.Sel.Name]; isLock {
-					lockExpr = sel.X
+	for _, c := range lf.unit.calls {
+		if _, isLock := lockNames[c.name]; !isLock || c.recvExpr == nil {
+			continue
+		}
+		// The first lock call decides.
+		for _, ret := range lf.returns {
+			for _, r := range ret.Results {
+				if sel, ok := r.(*ast.SelectorExpr); ok && unlockNames[sel.Sel.Name] && exprText(sel.X) == c.recv {
+					return g.nodeFor(lf.f, c.recvExpr)
 				}
 			}
 		}
-		return true
-	})
-	if lockExpr == nil {
-		return ""
+		break
 	}
-	found := false
-	inspectNoFuncLit(lf.u.body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || found {
-			return !found
-		}
-		for _, r := range ret.Results {
-			if sel, ok := r.(*ast.SelectorExpr); ok && unlockNames[sel.Sel.Name] && exprText(sel.X) == exprText(lockExpr) {
-				found = true
-			}
-		}
-		return true
-	})
-	if !found {
-		return ""
-	}
-	return g.nodeFor(lf.f, lockExpr)
+	return ""
 }
 
-// collectBody gathers acquisitions (with positional critical sections),
-// calls, and channel ops for one function body.
+// collectBody reads one unit's acquisitions, calls and channel operations
+// off its fact table. What stands inside a select statement — locks and
+// calls in its case bodies included — is not collected: the select is the
+// one channel operation.
 func (g *lockGraph) collectBody(lf *loFunc) {
-	body := lf.u.body
-	inDefer := map[ast.Node]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			ast.Inspect(d, func(k ast.Node) bool {
-				if c, ok := k.(*ast.CallExpr); ok {
-					inDefer[c] = true
-				}
-				return true
-			})
+	u := lf.unit
+	inSelect := func(n ast.Node) bool { return u.inSelect(n, token.NoPos, u.body.End()) }
+	for _, r := range u.regions {
+		node := g.openers[lf.pkg+"."+r.opener]
+		if r.lock != "" {
+			node = g.nodeFor(u.f, r.recvExpr)
 		}
-		return true
-	})
-
-	inspectNoFuncLit(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeferStmt:
-			// defer t.journalLock()(): the inner call runs now and the
-			// unlock runs at exit — a region from here to end of function.
-			if inner, ok := v.Call.Fun.(*ast.CallExpr); ok {
-				if name := calleeName(inner); name != "" {
-					if node, ok := g.openers[lf.pkg+"."+name]; ok {
-						lf.acquires = append(lf.acquires, loAcquire{node: node, at: v, start: v.End(), end: body.End()})
-					}
-				}
-			}
-			return true
-		case *ast.SendStmt:
-			lf.chanOps = append(lf.chanOps, v)
-		case *ast.SelectStmt:
-			lf.chanOps = append(lf.chanOps, v)
-			return false
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				lf.chanOps = append(lf.chanOps, v)
-			}
-		case *ast.CallExpr:
-			if inDefer[v] {
-				return true
-			}
-			sel, isSel := v.Fun.(*ast.SelectorExpr)
-			if isSel {
-				if unlockName, isLock := lockNames[sel.Sel.Name]; isLock {
-					node := g.nodeFor(lf.f, sel.X)
-					if node == "" {
-						return true
-					}
-					end := body.End()
-					recvTxt := exprText(sel.X)
-					inspectNoFuncLit(body, func(m ast.Node) bool {
-						c, ok := m.(*ast.CallExpr)
-						if !ok || inDefer[c] {
-							return true
-						}
-						if r2, n2 := callee(c); r2 == recvTxt && n2 == unlockName && c.Pos() > v.End() && c.Pos() < end {
-							end = c.Pos()
-						}
-						return true
-					})
-					lf.acquires = append(lf.acquires, loAcquire{node: node, at: v, start: v.End(), end: end})
-					return true
-				}
-				if unlockNames[sel.Sel.Name] {
-					return true
-				}
-			}
-			name := calleeName(v)
-			if name == "" || builtinFuncs[name] {
-				return true
-			}
-			call := loCall{at: v, name: name}
-			if isSel {
-				if id, ok := sel.X.(*ast.Ident); ok {
-					if obj := lf.f.objectOf(id); obj != nil {
-						call.recvType = namedTypeName(obj.Type())
-					}
-				}
-			}
-			lf.calls = append(lf.calls, call)
+		if node != "" && !inSelect(r.at) {
+			lf.acquires = append(lf.acquires, loAcquire{node, r})
 		}
-		return true
-	})
+	}
+	for _, op := range u.chanOps {
+		if !inSelect(op) {
+			lf.ops = append(lf.ops, op)
+		}
+	}
+	for _, c := range u.calls {
+		_, isLock := lockNames[c.name]
+		if c.inDefer || inSelect(c.call) || c.name == "" || builtinFuncs[c.name] || c.recvExpr != nil && (isLock || unlockNames[c.name]) {
+			continue
+		}
+		call := loCall{at: c.call, name: c.name}
+		if id, ok := c.recvExpr.(*ast.Ident); ok {
+			if obj := u.f.Info.ObjectOf(id); obj != nil {
+				call.recvType = namedTypeName(obj.Type())
+			}
+		}
+		lf.calls = append(lf.calls, call)
+	}
 }
 
 // resolve returns the candidate declarations a call may reach: the exact
@@ -392,7 +313,7 @@ func (g *lockGraph) fixpoint() {
 		for _, a := range lf.acquires {
 			lf.lockset[a.node] = true
 		}
-		lf.mayChan = len(lf.chanOps) > 0
+		lf.mayChan = len(lf.ops) > 0
 	}
 	for changed := true; changed; {
 		changed = false
@@ -416,14 +337,11 @@ func (g *lockGraph) fixpoint() {
 }
 
 // heldAt returns the distinct lock nodes whose critical sections cover pos.
-func heldAt(lf *loFunc, pos token.Pos, except string) []string {
+func heldAt(lf *loFunc, pos token.Pos) []string {
 	var held []string
 	seen := map[string]bool{}
 	for _, a := range lf.acquires {
-		if a.node == except || seen[a.node] {
-			continue
-		}
-		if pos > a.start && pos <= a.end {
+		if !seen[a.node] && pos > a.start && pos <= a.end {
 			seen[a.node] = true
 			held = append(held, a.node)
 		}
@@ -436,7 +354,7 @@ func heldAt(lf *loFunc, pos token.Pos, except string) []string {
 // cycle.
 func (g *lockGraph) edgeFindings() []Diagnostic {
 	seen := map[string]bool{}
-	addEdge := func(from, to string, at ast.Node, f *File) {
+	addEdge := func(from, to string, at ast.Node, in *unit) {
 		if from == to {
 			return // re-acquisition of the same node is pinbalance/runtime territory
 		}
@@ -445,14 +363,14 @@ func (g *lockGraph) edgeFindings() []Diagnostic {
 			return
 		}
 		seen[key] = true
-		g.edges = append(g.edges, lockEdge{from: from, to: to, at: at, f: f})
+		g.edges = append(g.edges, lockEdge{from: from, to: to, at: at, in: in})
 	}
 	for _, lf := range g.funcs {
 		for _, a := range lf.acquires {
 			// Direct nested acquisitions.
 			for _, b := range lf.acquires {
 				if b.at.Pos() > a.start && b.at.Pos() <= a.end {
-					addEdge(a.node, b.node, b.at, lf.f)
+					addEdge(a.node, b.node, b.at, lf.unit)
 				}
 			}
 			// Acquisitions reached through calls inside the section.
@@ -462,7 +380,7 @@ func (g *lockGraph) edgeFindings() []Diagnostic {
 				}
 				for _, callee := range g.resolve(lf, c) {
 					for node := range callee.lockset {
-						addEdge(a.node, node, c.at, lf.f)
+						addEdge(a.node, node, c.at, lf.unit)
 					}
 				}
 			}
@@ -475,7 +393,7 @@ func (g *lockGraph) edgeFindings() []Diagnostic {
 	var diags []Diagnostic
 	for _, e := range g.edges {
 		if reaches(adj, e.to, e.from) {
-			diags = append(diags, e.f.diag("lockorder", e.at,
+			diags = append(diags, e.in.diag("lockorder", e.at,
 				"lock order cycle: %s is acquired while holding %s, but elsewhere %s is (transitively) acquired while holding %s — fix one ordering", e.to, e.from, e.from, e.to))
 		}
 	}
@@ -505,20 +423,20 @@ func reaches(adj map[string][]string, from, to string) bool {
 func (g *lockGraph) chanFindings() []Diagnostic {
 	var diags []Diagnostic
 	for _, lf := range g.funcs {
-		for _, op := range lf.chanOps {
-			if held := heldAt(lf, op.Pos(), ""); len(held) >= 2 {
-				diags = append(diags, lf.f.diag("lockorder", op,
+		for _, op := range lf.ops {
+			if held := heldAt(lf, op.Pos()); len(held) >= 2 {
+				diags = append(diags, lf.diag("lockorder", op,
 					"channel operation while holding %s — either lock's owner can be the blocked peer", strings.Join(held, " and ")))
 			}
 		}
 		for _, c := range lf.calls {
-			held := heldAt(lf, c.at.Pos(), "")
+			held := heldAt(lf, c.at.Pos())
 			if len(held) < 2 {
 				continue
 			}
 			for _, callee := range g.resolve(lf, c) {
 				if callee.mayChan {
-					diags = append(diags, lf.f.diag("lockorder", c.at,
+					diags = append(diags, lf.diag("lockorder", c.at,
 						"call to %s performs channel operations while %s are held — invisible to locksend, still a deadlock shape", c.name, strings.Join(held, " and ")))
 					break
 				}

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // LockSend forbids channel operations inside mutex critical sections: a
 // send or receive while holding a sync.Mutex/RWMutex is the deadlock shape
@@ -17,96 +14,30 @@ import (
 // the runtime invariants and race tests cover instead).
 var LockSend = &Analyzer{
 	Name: "locksend",
-	Doc:  "no channel send/receive while holding a sync.Mutex/RWMutex",
-	Run:  runLockSend,
+	Run:  perUnit(lockSendUnit),
 }
 
-var lockNames = map[string]string{
-	"Lock":  "Unlock",
-	"RLock": "RUnlock",
-}
-
-func runLockSend(f *File) []Diagnostic {
+// lockSendUnit scans each critical section for channel operations. A select
+// inside the section is one finding; what is inside it is covered by that.
+func lockSendUnit(u *unit) []Diagnostic {
 	var diags []Diagnostic
-	for _, u := range funcUnits(f) {
-		diags = append(diags, lockRegions(f, u)...)
-	}
-	return diags
-}
-
-// lockRegions finds each Lock call's critical section and scans it for
-// channel operations.
-func lockRegions(f *File, u unit) []Diagnostic {
-	type region struct {
-		recv       string
-		start, end token.Pos
-	}
-	var regions []region
-
-	// Calls reached only through a defer run at function exit — an unlock
-	// there must not close the critical section early.
-	inDefer := map[ast.Node]bool{}
-	ast.Inspect(u.body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			ast.Inspect(d, func(k ast.Node) bool {
-				if c, ok := k.(*ast.CallExpr); ok {
-					inDefer[c] = true
-				}
-				return true
-			})
+	for _, r := range u.regions {
+		if r.lock == "" {
+			continue
 		}
-		return true
-	})
-
-	// Locate Lock/RLock call statements and their matching unlocks; a
-	// deferred (or missing) unlock holds the lock to function end.
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || inDefer[call] {
-			return true
-		}
-		recv, name := callee(call)
-		unlockName, isLock := lockNames[name]
-		if !isLock || recv == "" {
-			return true
-		}
-		end := u.body.End()
-		inspectNoFuncLit(u.body, func(m ast.Node) bool {
-			v, ok := m.(*ast.CallExpr)
-			if !ok || inDefer[v] {
-				return true
+		for _, op := range u.chanOps {
+			if op.Pos() <= r.start || op.End() > r.end || u.inSelect(op, r.start, r.end) {
+				continue
 			}
-			if r2, n2 := callee(v); r2 == recv && n2 == unlockName && v.Pos() > call.End() && v.Pos() < end {
-				end = v.Pos()
-			}
-			return true
-		})
-		regions = append(regions, region{recv: recv, start: call.End(), end: end})
-		return true
-	})
-
-	var diags []Diagnostic
-	for _, r := range regions {
-		inspectNoFuncLit(u.body, func(n ast.Node) bool {
-			if n.Pos() <= r.start || n.End() > r.end {
-				return true
-			}
-			switch v := n.(type) {
+			what := "channel receive while holding %s — move it outside the critical section"
+			switch op.(type) {
 			case *ast.SelectStmt:
-				diags = append(diags, f.diag("locksend", v,
-					"select on channels while holding %s — a blocked peer waiting for the lock deadlocks here", r.recv))
-				return false // cases inside are covered by this finding
+				what = "select on channels while holding %s — a blocked peer waiting for the lock deadlocks here"
 			case *ast.SendStmt:
-				diags = append(diags, f.diag("locksend", v,
-					"channel send while holding %s — move it outside the critical section", r.recv))
-			case *ast.UnaryExpr:
-				if v.Op == token.ARROW {
-					diags = append(diags, f.diag("locksend", v,
-						"channel receive while holding %s — move it outside the critical section", r.recv))
-				}
+				what = "channel send while holding %s — move it outside the critical section"
 			}
-			return true
-		})
+			diags = append(diags, u.diag("locksend", op, what, r.recv))
+		}
 	}
 	return diags
 }

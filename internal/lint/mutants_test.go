@@ -122,8 +122,6 @@ const (
 	noAppend = "no journal append in this function: the lock brackets a catalog change whose record goes out with a later append"
 	// decodeguard takes any relational comparison on the variable as a bound.
 	otherCompare = "the `cap(buf) < n` reuse test after it is itself a relational comparison on n, which is all decodeguard asks for"
-	// Until the callee-keyed analyzers apply everywhere (ISSUE 24, satellite 2).
-	offTheList = "the analyzer's hand-kept Dirs list omits this package"
 )
 
 // survivors names the mutants no analyzer is expected to kill, by
@@ -170,11 +168,6 @@ var survivors = map[string]string{
 	"internal/store/manifest.go:OpenManifest:syncDir#1":              anySync,
 	"internal/dbstore/dbstore.go:Table.EnsureChunk:journalLock#1":    noAppend,
 	"internal/cluster/wire.go:FrameReader.Next:guard(n)#1":           otherCompare,
-	"benchmark/layers.go:layerPages:DecodeVector#1":                  offTheList,
-	"benchmark/layers.go:layerPages:DecodeVector#2":                  offTheList,
-	"benchmark/layers.go:layerEngine:DecodePartial#1":                offTheList,
-	"benchmark/layers.go:layerCluster:DecodePartial#1":               offTheList,
-	"cmd/scanrawd/main.go:runCoordinator:LoadFleetConfig#1":          offTheList,
 }
 
 // mutant is one removable statement: the bytes [from, to) of file are
@@ -293,9 +286,9 @@ func (p *mutantPkg) funcSites(pkg, file string, fd *ast.FuncDecl) []mutant {
 		case *ast.CallExpr:
 			name := calleeName(v)
 			switch {
-			case isRelease(pinSpec, name):
+			case pinSpec.releases[name]:
 				removeCall("pinbalance", v, stack)
-			case isRelease(poolSpec, name):
+			case poolSpec.releases[name]:
 				removeCall("poolpair", v, stack)
 			case (name == "Sync" || name == "syncDir") && strings.HasSuffix(pkg, "internal/store"):
 				removeCall("syncack", v, stack)
@@ -327,11 +320,6 @@ func (p *mutantPkg) funcSites(pkg, file string, fd *ast.FuncDecl) []mutant {
 	})
 	guardSites(add, fd)
 	return muts
-}
-
-func isRelease(spec *pairSpec, name string) bool {
-	_, ok := spec.releases[name]
-	return ok
 }
 
 // inStmtList reports whether s is an element of parent's statement list, so

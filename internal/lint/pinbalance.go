@@ -10,10 +10,7 @@ package lint
 // is perfectly synchronized — just wrong.
 var PinBalance = &Analyzer{
 	Name: "pinbalance",
-	Doc:  "cache pins (Acquire/PutPinned) must be matched by Unpin on all paths",
-	Run: func(f *File) []Diagnostic {
-		return checkPairs(f, pinSpec)
-	},
+	Run:  perUnit(pinSpec.check),
 }
 
 var pinSpec = &pairSpec{
@@ -26,7 +23,5 @@ var pinSpec = &pairSpec{
 		"PutPinned":             {argIdx: 0},
 		"insertPinned":          {argIdx: 0},
 	},
-	releases: map[string]int{
-		"Unpin": 0,
-	},
+	releases: map[string]bool{"Unpin": true},
 }

@@ -17,10 +17,7 @@ package lint
 // on the main path but dropped by an earlier early exit.
 var PoolPair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "pooled vectors and positional maps must reach a recycle call on all paths",
-	Run: func(f *File) []Diagnostic {
-		return checkPairs(f, poolSpec)
-	},
+	Run:  perUnit(poolSpec.check),
 }
 
 var poolSpec = &pairSpec{
@@ -35,11 +32,11 @@ var poolSpec = &pairSpec{
 		"DecodeVector":     {fromResult: true},
 		"getText":          {fromResult: true},
 	},
-	releases: map[string]int{
-		"PutVector":        0,
-		"PutPositionalMap": 0,
-		"putVectors":       0,
-		"putText":          0,
+	releases: map[string]bool{
+		"PutVector":        true,
+		"PutPositionalMap": true,
+		"putVectors":       true,
+		"putText":          true,
 	},
 	phaseB: true,
 }

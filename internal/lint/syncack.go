@@ -22,9 +22,8 @@ import (
 // still demands a sync, which is the conservative direction for durability.
 var SyncAck = &Analyzer{
 	Name: "syncack",
-	Doc:  "no nil-error return after a write without an fsync between; no os.WriteFile/os.Create in managed dirs",
 	Dirs: []string{"internal/store"},
-	Run:  runSyncAck,
+	Run:  perUnit(syncAckUnit),
 }
 
 // writeCalls mutate file bytes or directory entries; each demands a sync
@@ -52,90 +51,52 @@ var bypassCalls = map[string]bool{
 	"Create":    true,
 }
 
-func runSyncAck(f *File) []Diagnostic {
+func syncAckUnit(u *unit) []Diagnostic {
 	var diags []Diagnostic
-	for _, u := range funcUnits(f) {
-		diags = append(diags, syncAckUnit(f, u)...)
-	}
-	return diags
-}
-
-func syncAckUnit(f *File, u unit) []Diagnostic {
-	var diags []Diagnostic
-
 	var writes, syncs []token.Pos
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, name := callee(call)
-		if recv == "os" && bypassCalls[name] {
-			diags = append(diags, f.diag("syncack", call,
-				"os.%s bypasses temp+fsync+rename — write through writeFile/os.CreateTemp so a crash never leaves a torn file", name))
-			return true
-		}
+	for _, c := range u.calls {
 		// writeFile(...) also renames, but it syncs internally; classify it
 		// (and any sync-class call) before the write classes.
 		switch {
-		case syncCalls[name]:
-			syncs = append(syncs, call.End())
-		case writeCalls[name] && recv != "":
-			writes = append(writes, call.End())
+		case c.recv == "os" && bypassCalls[c.name]:
+			diags = append(diags, u.diag("syncack", c.call,
+				"os.%s bypasses temp+fsync+rename — write through writeFile/os.CreateTemp so a crash never leaves a torn file", c.name))
+		case syncCalls[c.name]:
+			syncs = append(syncs, c.call.End())
+		case writeCalls[c.name] && c.recv != "":
+			writes = append(writes, c.call.End())
 		}
-		return true
-	})
-	if len(writes) == 0 {
+	}
+	// Only a function whose final result is an error can ack anything.
+	results := u.typ.Results
+	if len(writes) == 0 || results.NumFields() == 0 {
 		return diags
 	}
-	if !returnsError(u) {
+	if id, ok := results.List[len(results.List)-1].Type.(*ast.Ident); !ok || id.Name != "error" {
 		return diags
 	}
-
-	inspectNoFuncLit(u.body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) == 0 {
-			return true
+	for _, ret := range u.returns {
+		if len(ret.Results) == 0 {
+			continue
 		}
-		last, ok := ret.Results[len(ret.Results)-1].(*ast.Ident)
-		if !ok || last.Name != "nil" {
-			return true
+		if last, ok := ret.Results[len(ret.Results)-1].(*ast.Ident); !ok || last.Name != "nil" {
+			continue
 		}
 		// Latest write preceding this return; nothing to prove if none.
 		var lastWrite token.Pos
 		for _, w := range writes {
-			if w < ret.Pos() && w > lastWrite {
+			if w < ret.Pos() {
 				lastWrite = w
 			}
 		}
-		if lastWrite == token.NoPos {
-			return true
-		}
+		synced := lastWrite == token.NoPos
 		for _, s := range syncs {
-			if s > lastWrite && s < ret.Pos() {
-				return true
-			}
+			synced = synced || (s > lastWrite && s < ret.Pos())
 		}
-		diags = append(diags, f.diag("syncack", ret,
-			"nil error returned after a write with no Sync/syncDir between — the ack races the page cache (fsync-before-ack, DESIGN §10)"))
-		return true
-	})
+		if !synced {
+			diags = append(diags, u.diag("syncack", ret,
+				"nil error returned after a write with no Sync/syncDir between — the ack races the page cache (fsync-before-ack, DESIGN §10)"))
+		}
+	}
 	return diags
-}
-
-// returnsError reports whether the unit's final result is the error type.
-func returnsError(u unit) bool {
-	var ft *ast.FuncType
-	switch v := u.node.(type) {
-	case *ast.FuncDecl:
-		ft = v.Type
-	case *ast.FuncLit:
-		ft = v.Type
-	}
-	if ft == nil || ft.Results == nil || len(ft.Results.List) == 0 {
-		return false
-	}
-	lastField := ft.Results.List[len(ft.Results.List)-1]
-	id, ok := lastField.Type.(*ast.Ident)
-	return ok && id.Name == "error"
 }

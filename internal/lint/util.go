@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 )
@@ -15,9 +14,30 @@ var builtinFuncs = map[string]bool{
 	"println": true, "recover": true,
 }
 
+// inspect is ast.Inspect that tolerates a nil node. Every helper below that
+// takes a node or an expression goes through it, so an optional child — a
+// range statement's key, an if's init, a bare for's condition — can be
+// handed over unchecked.
+func inspect(n ast.Node, fn func(ast.Node) bool) {
+	if n != nil {
+		ast.Inspect(n, fn)
+	}
+}
+
+// inspectNoFuncLit walks the subtree like inspect but does not descend into
+// nested function literals (they are separate units).
+func inspectNoFuncLit(n ast.Node, fn func(ast.Node) bool) {
+	inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); m == nil || ok && m != n {
+			return false
+		}
+		return fn(m)
+	})
+}
+
 // exprText renders a compact dotted form of an expression: identifiers and
 // selector chains come out as written ("o.cache.Unpin"), indexing and calls
-// collapse to their base. Unrenderable shapes yield "".
+// collapse to their base. Unrenderable shapes (nil included) yield "".
 func exprText(e ast.Expr) string {
 	switch v := e.(type) {
 	case *ast.Ident:
@@ -28,159 +48,82 @@ func exprText(e ast.Expr) string {
 			return v.Sel.Name
 		}
 		return base + "." + v.Sel.Name
-	case *ast.ParenExpr:
-		return exprText(v.X)
-	case *ast.StarExpr:
-		return exprText(v.X)
-	case *ast.UnaryExpr:
-		return exprText(v.X)
-	case *ast.IndexExpr:
-		return exprText(v.X)
-	case *ast.TypeAssertExpr:
-		return exprText(v.X)
 	case *ast.CallExpr:
 		return exprText(v.Fun) + "()"
+	}
+	if x := unwrap(e); x != nil {
+		return exprText(x)
 	}
 	return ""
 }
 
-// callee splits a call into the receiver/package chain and the bare method
-// or function name ("o.cache", "Unpin").
-func callee(call *ast.CallExpr) (recv, name string) {
+// unwrap strips one layer that does not change which variable an expression
+// is about — parentheses, dereference, a unary operator, indexing, a type
+// assertion — or returns nil.
+func unwrap(e ast.Expr) ast.Expr {
+	switch v := e.(type) {
+	case *ast.ParenExpr:
+		return v.X
+	case *ast.StarExpr:
+		return v.X
+	case *ast.UnaryExpr:
+		return v.X
+	case *ast.IndexExpr:
+		return v.X
+	case *ast.TypeAssertExpr:
+		return v.X
+	}
+	return nil
+}
+
+// callee splits a call into the receiver/package expression (nil for a bare
+// name) and the bare method or function name ("o.cache", "Unpin").
+func callee(call *ast.CallExpr) (recv ast.Expr, name string) {
 	switch f := call.Fun.(type) {
 	case *ast.Ident:
-		return "", f.Name
+		return nil, f.Name
 	case *ast.SelectorExpr:
-		return exprText(f.X), f.Sel.Name
+		return f.X, f.Sel.Name
 	case *ast.ParenExpr:
 		return callee(&ast.CallExpr{Fun: f.X})
 	}
-	return "", ""
+	return nil, ""
+}
+
+func calleeName(call *ast.CallExpr) string {
+	_, name := callee(call)
+	return name
 }
 
 // rootIdent returns the leftmost identifier of a selector/index/deref
 // chain, or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
-	for {
+	for e != nil {
 		switch v := e.(type) {
 		case *ast.Ident:
 			return v
 		case *ast.SelectorExpr:
 			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.TypeAssertExpr:
-			e = v.X
 		default:
-			return nil
+			e = unwrap(e)
 		}
 	}
-}
-
-// unit is one function body under analysis: a declaration or a function
-// literal, with its parameter names (receiver included).
-type unit struct {
-	name   string
-	node   ast.Node
-	body   *ast.BlockStmt
-	params map[string]bool
-}
-
-// funcUnits collects every function body in the file — declarations and
-// literals alike — as independent analysis units. Literals are reported
-// under the enclosing declaration's name.
-func funcUnits(f *File) []unit {
-	var units []unit
-	collectParams := func(ft *ast.FuncType, recv *ast.FieldList) map[string]bool {
-		params := map[string]bool{}
-		addList := func(fl *ast.FieldList) {
-			if fl == nil {
-				return
-			}
-			for _, field := range fl.List {
-				for _, n := range field.Names {
-					params[n.Name] = true
-				}
-			}
-		}
-		addList(recv)
-		addList(ft.Params)
-		addList(ft.Results)
-		return params
-	}
-	for _, decl := range f.File.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		units = append(units, unit{
-			name:   fd.Name.Name,
-			node:   fd,
-			body:   fd.Body,
-			params: collectParams(fd.Type, fd.Recv),
-		})
-		outer := fd.Name.Name
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				units = append(units, unit{
-					name:   fmt.Sprintf("%s (func literal at line %d)", outer, f.Fset.Position(fl.Pos()).Line),
-					node:   fl,
-					body:   fl.Body,
-					params: collectParams(fl.Type, nil),
-				})
-			}
-			return true
-		})
-	}
-	return units
-}
-
-// inspectNoFuncLit walks the subtree like ast.Inspect but does not descend
-// into nested function literals (they are separate units).
-func inspectNoFuncLit(n ast.Node, fn func(ast.Node) bool) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			return false
-		}
-		if _, ok := m.(*ast.FuncLit); ok && m != n {
-			return false
-		}
-		return fn(m)
-	})
+	return nil
 }
 
 // usesName reports whether the subtree references the identifier name
 // outside of struct-field selectors (x.name does not count; name.x does).
 func usesName(n ast.Node, name string) bool {
 	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
+	inspect(n, func(m ast.Node) bool {
 		switch v := m.(type) {
 		case *ast.SelectorExpr:
 			// Only the base expression can reference the variable; the
 			// selector name itself is a field/method.
-			ast.Inspect(v.X, func(k ast.Node) bool {
-				if id, ok := k.(*ast.Ident); ok && id.Name == name {
-					found = true
-				}
-				return !found
-			})
+			found = found || condIdents(v.X)[name]
 			return false
 		case *ast.Ident:
-			if v.Name == name {
-				found = true
-			}
+			found = found || v.Name == name
 		}
 		return !found
 	})
@@ -190,38 +133,13 @@ func usesName(n ast.Node, name string) bool {
 // condIdents returns the identifier names appearing in an expression.
 func condIdents(e ast.Expr) map[string]bool {
 	ids := map[string]bool{}
-	if e == nil {
-		return ids
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
+	inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
 			ids[id.Name] = true
 		}
 		return true
 	})
 	return ids
-}
-
-// firstExit returns the first return or break/continue/goto statement in
-// the subtree, skipping nested function literals, or nil.
-func firstExit(n ast.Node) (exit ast.Stmt) {
-	inspectNoFuncLit(n, func(m ast.Node) bool {
-		if exit != nil {
-			return false
-		}
-		switch s := m.(type) {
-		case *ast.ReturnStmt:
-			exit = s
-			return false
-		case *ast.BranchStmt:
-			if s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO {
-				exit = s
-			}
-			return false
-		}
-		return true
-	})
-	return exit
 }
 
 // isNilCompare recognizes `x == nil` / `x != nil` conditions against the
@@ -240,10 +158,4 @@ func isNilCompare(cond ast.Expr, res string) (tok token.Token, ok bool) {
 		return be.Op, true
 	}
 	return 0, false
-}
-
-func (f *File) pos(n ast.Node) token.Position { return f.Fset.Position(n.Pos()) }
-
-func (f *File) diag(analyzer string, n ast.Node, format string, args ...any) Diagnostic {
-	return Diagnostic{Pos: f.pos(n), Analyzer: analyzer, Message: fmt.Sprintf(format, args...)}
 }

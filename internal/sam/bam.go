@@ -36,6 +36,14 @@ var bamMagic = []byte("BAMX")
 
 const bamBlockHeaderSize = 12
 
+// Bounds on what a block header may claim, checked before anything is sized
+// from it. Deflate expands by at most 1032:1 (a 258-byte match costs two
+// bits), and a record is at least its six string lengths and five integers.
+const (
+	maxInflateRatio = 1032
+	minRecordSize   = 6*2 + 5*8
+)
+
 func appendString(dst []byte, s string) []byte {
 	var l [2]byte
 	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
@@ -235,6 +243,15 @@ func (r *BAMReader) NextBlock() ([]Read, error) {
 	compLen := int64(binary.LittleEndian.Uint32(hdr[0:]))
 	rawLen := int(binary.LittleEndian.Uint32(hdr[4:]))
 	count := int(binary.LittleEndian.Uint32(hdr[8:]))
+	if compLen > r.size-r.off-bamBlockHeaderSize {
+		return nil, fmt.Errorf("sam: block at offset %d claims %d compressed bytes, %d left in the file", r.off, compLen, r.size-r.off-bamBlockHeaderSize)
+	}
+	if int64(rawLen) > compLen*maxInflateRatio {
+		return nil, fmt.Errorf("sam: block at offset %d claims %d bytes from %d compressed, beyond what deflate can expand", r.off, rawLen, compLen)
+	}
+	if count > rawLen/minRecordSize {
+		return nil, fmt.Errorf("sam: block at offset %d claims %d records in %d bytes", r.off, count, rawLen)
+	}
 	comp := make([]byte, compLen)
 	n, err = r.disk.ReadAt(r.name, comp, r.off+bamBlockHeaderSize)
 	if err != nil {

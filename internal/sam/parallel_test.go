@@ -3,6 +3,7 @@ package sam
 import (
 	"errors"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,5 +104,44 @@ func TestDecodeParallelErrorPropagates(t *testing.T) {
 	d.SetFailure(func(op, name string) error { return vdisk.ErrInjected })
 	if err := DecodeParallel(d, "f.bam", idx, 2, nil, func(int, []Read) error { return nil }); !errors.Is(err, vdisk.ErrInjected) {
 		t.Errorf("disk failure err = %v", err)
+	}
+}
+
+// A block header is 12 bytes of the file's own claims about what follows;
+// each must be bounded before anything is sized from it. A header of ff ff ff
+// ff used to ask for 4 GiB three times over.
+func TestHostileBlockHeader(t *testing.T) {
+	good, err := BAMBytes(Spec{Reads: 10, Seed: 2, ReadLen: 16}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := len(bamMagic)
+	for _, tc := range []struct {
+		name  string
+		field int // byte offset of the uint32 within the header
+		want  string
+	}{
+		{"compressed length", 0, "compressed bytes"},
+		{"inflated length", 4, "beyond what deflate can expand"},
+		{"record count", 8, "records in"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := append([]byte(nil), good...)
+			copy(blob[hdr+tc.field:], []byte{0xff, 0xff, 0xff, 0xff})
+			d := vdisk.Unlimited()
+			d.Preload("f.bam", blob)
+
+			r, err := NewBAMReader(d, "f.bam")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.NextBlock(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("NextBlock: want an error naming the %s (%q), got %v", tc.name, tc.want, err)
+			}
+			err = DecodeParallel(d, "f.bam", BlockIndex{int64(hdr)}, 2, nil, func(int, []Read) error { return nil })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("DecodeParallel: want an error naming the %s (%q), got %v", tc.name, tc.want, err)
+			}
+		})
 	}
 }
