@@ -43,15 +43,17 @@ RACE_PKGS = ./internal/scanraw/... ./internal/server/... ./internal/engine/... .
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Schedule stress: the operator's tests 20 times and every other race-gated
-# package's (RACE_PKGS) 5 times, under the race detector at three scheduler
-# widths. A test whose outcome depends on goroutine timing fails here long
-# before it fails `make check`; CI runs it nightly.
+# Schedule stress: every race-gated package's tests (RACE_PKGS) 50 times
+# under the race detector at three scheduler widths — the north star's "50/50
+# at GOMAXPROCS 1, 2 and 8". A test whose outcome depends on goroutine timing
+# fails here long before it fails `make check`; CI runs it nightly. Fifty
+# passes of the operator's tests outlast `go test`'s default 10-minute
+# timeout (668–798 s per width on a 2-core host), hence -timeout. The whole
+# target took 2,339 s (39 min) there, with GOFLAGS=-p=2.
 stress:
 	@for p in 1 2 8; do \
 		echo "GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/scanraw/... || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -count=5 $(filter-out ./internal/scanraw/...,$(RACE_PKGS)) || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -timeout 30m -count=50 $(RACE_PKGS) || exit 1; \
 	done
 
 # Wall-clock checks: the shape checks of the paper-figure experiments

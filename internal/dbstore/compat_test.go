@@ -162,7 +162,7 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 	if err := tbl.EnsureChunk(2, 8, 200, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteChunk(tbl, fullChunk(t, 2, 8)); err != nil {
+	if err := writeAll(s, tbl, fullChunk(t, 2, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -423,7 +423,7 @@ func TestWarmStartMixedLayoutChunk(t *testing.T) {
 
 	s, man := durableEnv(t, dir)
 	tbl, _ := s.Table("t")
-	if err := s.WriteChunk(tbl, bc); err != nil {
+	if err := writeAll(s, tbl, bc); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := tbl.Chunk(0)

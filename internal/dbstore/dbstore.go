@@ -1,7 +1,7 @@
 // Package dbstore implements the database side of SCANRAW: the catalog, the
 // column-oriented chunk storage on the (simulated) disk, per-chunk metadata
-// with min/max statistics, loaded-chunk bookkeeping, and the heap-scan read
-// path that serves chunks already converted to the binary representation.
+// with min/max statistics, loaded-chunk bookkeeping, and the page reads that
+// serve chunks already converted to the binary representation.
 //
 // Storage layout follows the paper (§3.1): "In binary format, tuples are
 // vertically partitioned along columns represented as arrays in memory.
@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 	"scanraw/internal/store"
 	"scanraw/internal/wire"
@@ -606,22 +605,6 @@ func openPage(p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("dbstore: page checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return payload, nil
-}
-
-// Scan is the heap-scan operator: it iterates the loaded chunks of a table
-// in chunk order, reading the listed columns and invoking fn on each. It is
-// the operator SCANRAW "morphs into" once all data are loaded (paper §3.3).
-func (s *Store) Scan(t *Table, cols []int, fn func(*chunk.BinaryChunk) error) error {
-	for _, id := range t.LoadedChunks(cols) {
-		bc, err := s.ReadChunk(t, id, cols)
-		if err != nil {
-			return err
-		}
-		if err := fn(bc); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetWorkload durably records a table's per-column access weights (the

@@ -45,6 +45,11 @@ func fullChunk(t *testing.T, id, rows int) *chunk.BinaryChunk {
 	return bc
 }
 
+// writeAll stores every present column of bc.
+func writeAll(s *Store, tbl *Table, bc *chunk.BinaryChunk) error {
+	return s.WriteChunkColumns(tbl, bc, bc.Present())
+}
+
 func TestCreateTable(t *testing.T) {
 	s := NewStore(vdisk.Unlimited())
 	if _, err := s.CreateTable("", sch3, "raw"); err == nil {
@@ -112,7 +117,7 @@ func TestWriteReadChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := fullChunk(t, 0, 4)
-	if err := s.WriteChunk(tbl, bc); err != nil {
+	if err := writeAll(s, tbl, bc); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := tbl.Chunk(0)
@@ -167,14 +172,14 @@ func TestWriteChunkErrors(t *testing.T) {
 	s, tbl := newTestStore(t)
 	bc := fullChunk(t, 0, 4)
 	// Unregistered chunk.
-	if err := s.WriteChunk(tbl, bc); err == nil {
+	if err := writeAll(s, tbl, bc); err == nil {
 		t.Error("writing an unregistered chunk should fail")
 	}
 	if err := tbl.EnsureChunk(0, 5, 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	// Row mismatch vs catalog.
-	if err := s.WriteChunk(tbl, bc); err == nil {
+	if err := writeAll(s, tbl, bc); err == nil {
 		t.Error("row-count mismatch should fail")
 	}
 	// Absent column.
@@ -198,7 +203,7 @@ func TestLoadedChunksAndFullyLoaded(t *testing.T) {
 		t.Error("nothing loaded yet")
 	}
 	for id := 0; id < 3; id++ {
-		if err := s.WriteChunk(tbl, fullChunk(t, id, 2)); err != nil {
+		if err := writeAll(s, tbl, fullChunk(t, id, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,47 +219,12 @@ func TestLoadedChunksAndFullyLoaded(t *testing.T) {
 	}
 }
 
-func TestScan(t *testing.T) {
-	s, tbl := newTestStore(t)
-	for id := 0; id < 4; id++ {
-		if err := tbl.EnsureChunk(id, 2, int64(id*20), 20); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WriteChunk(tbl, fullChunk(t, id, 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var ids []int
-	var sum int64
-	err := s.Scan(tbl, []int{0}, func(bc *chunk.BinaryChunk) error {
-		ids = append(ids, bc.ID)
-		for _, x := range bc.Column(0).Ints {
-			sum += x
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 4 || ids[0] != 0 || ids[3] != 3 {
-		t.Errorf("scan order = %v", ids)
-	}
-	// Expected: sum over id*1000 + i for i in 0..1.
-	var want int64
-	for id := 0; id < 4; id++ {
-		want += int64(id*1000) + int64(id*1000+1)
-	}
-	if sum != want {
-		t.Errorf("scan sum = %d, want %d", sum, want)
-	}
-}
-
 func TestDropTable(t *testing.T) {
 	s, tbl := newTestStore(t)
 	if err := tbl.EnsureChunk(0, 2, 0, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteChunk(tbl, fullChunk(t, 0, 2)); err != nil {
+	if err := writeAll(s, tbl, fullChunk(t, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if pages := s.Disk().List("db/t/"); len(pages) == 0 {
@@ -275,7 +245,7 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 	if err := tbl.EnsureChunk(0, 4, 0, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteChunk(tbl, fullChunk(t, 0, 4)); err != nil {
+	if err := writeAll(s, tbl, fullChunk(t, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	// Flip the last byte of column 0's page inside the chunk's segment.
@@ -320,7 +290,7 @@ func TestConcurrentCatalogUpdates(t *testing.T) {
 				return
 			}
 			bc := fullChunk(t, id, 2)
-			if err := s.WriteChunk(tbl, bc); err != nil {
+			if err := writeAll(s, tbl, bc); err != nil {
 				t.Error(err)
 				return
 			}

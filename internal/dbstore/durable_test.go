@@ -59,7 +59,7 @@ func populate(t *testing.T, s *Store) *Table {
 		if err := tbl.SetChunkStats(id, allCols3, allStats(bc)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteChunk(tbl, bc); err != nil {
+		if err := writeAll(s, tbl, bc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ func TestFailedReadReturnsVectors(t *testing.T) {
 	if err := tbl.EnsureChunk(0, 4, 0, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteChunk(tbl, fullChunk(t, 0, 4)); err != nil {
+	if err := writeAll(s, tbl, fullChunk(t, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	base := chunk.OutstandingVectors()

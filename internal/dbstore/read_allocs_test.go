@@ -32,7 +32,7 @@ func warmReadEnv(tb testing.TB) (*Store, *Table) {
 	if err := tbl.EnsureChunk(0, rows, 0, rows*100); err != nil {
 		tb.Fatal(err)
 	}
-	if err := s.WriteChunk(tbl, intChunk(tb, sch, 0, rows)); err != nil {
+	if err := writeAll(s, tbl, intChunk(tb, sch, 0, rows)); err != nil {
 		tb.Fatal(err)
 	}
 	return s, tbl

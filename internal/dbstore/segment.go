@@ -128,11 +128,6 @@ func (s *Store) WriteChunkColumns(t *Table, bc *chunk.BinaryChunk, cols []int) e
 	return s.MaybeCheckpoint()
 }
 
-// WriteChunk stores every present column of bc.
-func (s *Store) WriteChunk(t *Table, bc *chunk.BinaryChunk) error {
-	return s.WriteChunkColumns(t, bc, bc.Present())
-}
-
 // loadSegment records that a segment holding the listed groups is on disk:
 // catalog first, then one RecSegment append. It runs only after the blob is
 // durable under its final name — the data-before-metadata ordering recovery
@@ -206,7 +201,8 @@ func (s *Store) ReadChunk(t *Table, id int, cols []int) (*chunk.BinaryChunk, err
 // ChunkPages is the transfer half of a chunk read: the sealed pages that
 // cover the requested columns, in memory but neither verified nor decoded.
 // It is what a caller arbitrating the disk holds the disk for; Decode, the
-// CPU half, needs no disk. A ChunkPages is used once: Decode consumes it.
+// CPU half, needs no disk. A ChunkPages is used once: Decode consumes it, or
+// Release gives it up undecoded.
 type ChunkPages struct {
 	t        *Table
 	id, rows int
@@ -305,7 +301,7 @@ func (t *Table) coverInto(p *ChunkPages, cols []int) error {
 // columns into a binary chunk. On failure every vector taken so far has
 // gone back to its pool.
 func (p *ChunkPages) Decode() (*chunk.BinaryChunk, error) {
-	defer chunkPagesPool.Put(p)
+	defer p.Release()
 	bc := chunk.NewBinary(p.t.schema, p.id, p.rows)
 	at := 0
 	for _, g := range p.cover {
@@ -318,6 +314,10 @@ func (p *ChunkPages) Decode() (*chunk.BinaryChunk, error) {
 	}
 	return bc, nil
 }
+
+// Release gives the pages up without decoding them: their buffer goes back
+// for the next transfer.
+func (p *ChunkPages) Release() { chunkPagesPool.Put(p) }
 
 // coverGroups appends to cover the recorded groups a read of the columns
 // set in need is served from, by greedy cover: repeatedly the group

@@ -170,7 +170,7 @@ func TestChunkWriteCosts(t *testing.T) {
 			}
 
 			// Re-writing loaded groups writes nothing.
-			if err := s.WriteChunk(tbl, bc); err != nil {
+			if err := writeAll(s, tbl, bc); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.WriteChunkColumns(tbl, bc, colRange(3, 9)); err != nil {
@@ -248,7 +248,7 @@ func segmentEnv(t *testing.T) (dir, file string, groups []GroupState) {
 		if err := tbl.EnsureChunk(id, 16, int64(id*100), 100); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteChunk(tbl, intChunk(t, sch, id, 16)); err != nil {
+		if err := writeAll(s, tbl, intChunk(t, sch, id, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func checkDamage(t *testing.T, dir string, groups []GroupState, lost map[int]boo
 	// Only the affected groups re-convert: a full-width rewrite lands one
 	// segment holding exactly the lost columns (or nothing at all).
 	bc := intChunk(t, sch, 0, 16)
-	if err := s.WriteChunk(tbl, bc); err != nil {
+	if err := writeAll(s, tbl, bc); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ = tbl.Chunk(0)
@@ -408,7 +408,7 @@ func TestSegmentNeverReplacesLiveBlob(t *testing.T) {
 	tbl, _ := s.Table("t")
 	stale, _ := tbl.Chunk(0) // a reader that resolved its groups before the rewrite
 	bc := intChunk(t, tbl.Schema(), 0, 16)
-	if err := s.WriteChunk(tbl, bc); err != nil {
+	if err := writeAll(s, tbl, bc); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := tbl.Chunk(0)

@@ -1,10 +1,11 @@
 package lint
 
 // PoolPair enforces the vector/positional-map pooling discipline: buffers
-// taken from the shared pools (chunk.GetVector, chunk.GetPositionalMap, the
-// fused kernels' getVectors batch acquire, chunk.DecodeVector, whose
-// page-read vectors are pooled too, and the operator's getText raw-text
-// buffers) must reach a recycle call (PutVector, PutPositionalMap,
+// taken from the shared pools (chunk.GetVector and the package's own
+// getVector, chunk.GetPositionalMap and the tokenizer's Tokenize, the fused
+// kernels' getVectors batch acquire, chunk.DecodeVector, whose page-read
+// vectors are pooled too, the engine's asFloats widening, and the operator's
+// getText raw-text buffers) must reach a recycle call (PutVector, PutPositionalMap,
 // putVectors, putText) or have their ownership transferred. A text buffer
 // changes hands as the Data of a chunk.TextChunk — scanner, driver step,
 // text chunks buffer, conversion task — so most of its drops are of the
@@ -26,10 +27,13 @@ var poolSpec = &pairSpec{
 	verb:     "recycled",
 	acquires: map[string]acqKind{
 		"GetVector":        {fromResult: true},
+		"getVector":        {fromResult: true},
 		"GetPositionalMap": {fromResult: true},
+		"Tokenize":         {fromResult: true},
 		"parseColumn":      {fromResult: true},
 		"getVectors":       {fromResult: true},
 		"DecodeVector":     {fromResult: true},
+		"asFloats":         {fromResult: true},
 		"getText":          {fromResult: true},
 	},
 	releases: map[string]bool{

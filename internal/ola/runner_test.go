@@ -117,53 +117,69 @@ func TestSampledScanCachedPath(t *testing.T) {
 	}
 }
 
+// cacheTwins are the binary-cache sizes of a pipelined sampled scan that
+// asserts an early stop. With eight slots the workers can finish every chunk
+// before the estimate converges, so only what holds under every schedule is
+// asserted there; the stop itself is asserted on the forced twin (DESIGN.md
+// §16), whose one slot admits a chunk only once the previous one was
+// consumed.
+var cacheTwins = []int{8, 1}
+
 // TestSampledScanTerminatesEarly: a loose tolerance over uniform data
-// stops well short of the file, reports convergence, and the estimate's
-// interval is sane.
+// converges with a sane estimate and, on the forced twin, stops well short
+// of the file with the estimate's interval as the answer.
 func TestSampledScanTerminatesEarly(t *testing.T) {
-	env := newOlaEnv(t, 4096) // 64 chunks of 64 lines
-	op := env.operator(scanraw.Config{Workers: 4, ChunkLines: 64, CacheChunks: 8})
-	q := env.query(t, "SELECT SUM(c0) FROM data")
-	var snaps []Snapshot
-	res, r, st, err := Run(context.Background(), op, q, Config{Tolerance: 0.10}, 99, func(s Snapshot) {
-		snaps = append(snaps, s)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Satisfied() {
-		t.Fatal("scan returned without converging")
-	}
-	if !st.TerminatedEarly {
-		t.Fatalf("converged scan did not terminate early: %+v", st)
-	}
-	total := env.table.NumChunks()
-	sampled := r.LastSnapshot().Chunks
-	if sampled >= total {
-		t.Fatalf("sampled %d of %d chunks — no saving", sampled, total)
-	}
-	if sampled < DefaultMinChunks {
-		t.Fatalf("converged below the MinChunks floor: %d", sampled)
-	}
-	// The estimate must be a real number within its own bound of the
-	// exact answer scaled by a generous factor (this is one seeded draw
-	// of a 95% interval; the coverage suite checks calibration).
-	truth := float64(gen.SumRange(env.spec, []int{0}, 0, env.spec.Rows))
-	last := r.LastSnapshot()
-	est := last.Groups[0].Values[0].Float
-	half := last.Groups[0].Bounds[0]
-	if relErr := abs(est-truth) / truth; relErr > 0.2 {
-		t.Errorf("estimate %v vs truth %v (rel %v)", est, truth, relErr)
-	}
-	if half <= 0 || half/abs(est) > 0.10 {
-		t.Errorf("final half-width %v does not meet tolerance at estimate %v", half, est)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no progress snapshots delivered")
-	}
-	// The result row carries the estimate, not an engine row.
-	if len(res.Rows) != 1 || res.Rows[0][0].Float != est {
-		t.Errorf("result %+v does not match the last snapshot estimate %v", res.Rows, est)
+	for _, cacheChunks := range cacheTwins {
+		forced := cacheChunks == 1
+		t.Run(fmt.Sprintf("cache=%d", cacheChunks), func(t *testing.T) {
+			env := newOlaEnv(t, 4096) // 64 chunks of 64 lines
+			op := env.operator(scanraw.Config{Workers: 4, ChunkLines: 64, CacheChunks: cacheChunks})
+			q := env.query(t, "SELECT SUM(c0) FROM data")
+			var snaps []Snapshot
+			res, r, st, err := Run(context.Background(), op, q, Config{Tolerance: 0.10}, 99, func(s Snapshot) {
+				snaps = append(snaps, s)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Satisfied() {
+				t.Fatal("scan returned without converging")
+			}
+			if forced && !st.TerminatedEarly {
+				t.Fatalf("converged scan did not terminate early: %+v", st)
+			}
+			total := env.table.NumChunks()
+			sampled := r.LastSnapshot().Chunks
+			if forced && sampled >= total {
+				t.Fatalf("sampled %d of %d chunks — no saving", sampled, total)
+			}
+			if sampled < DefaultMinChunks {
+				t.Fatalf("converged below the MinChunks floor: %d", sampled)
+			}
+			// The estimate must be a real number within its own bound of the
+			// exact answer scaled by a generous factor (this is one seeded draw
+			// of a 95% interval; the coverage suite checks calibration).
+			truth := float64(gen.SumRange(env.spec, []int{0}, 0, env.spec.Rows))
+			last := r.LastSnapshot()
+			est := last.Groups[0].Values[0].Float
+			half := last.Groups[0].Bounds[0]
+			if relErr := abs(est-truth) / truth; relErr > 0.2 {
+				t.Errorf("estimate %v vs truth %v (rel %v)", est, truth, relErr)
+			}
+			if len(snaps) == 0 {
+				t.Fatal("no progress snapshots delivered")
+			}
+			if !forced {
+				return // every chunk may have been sampled: the answer is exact
+			}
+			if half <= 0 || half/abs(est) > 0.10 {
+				t.Errorf("final half-width %v does not meet tolerance at estimate %v", half, est)
+			}
+			// The result row carries the estimate, not an engine row.
+			if len(res.Rows) != 1 || res.Rows[0][0].Float != est {
+				t.Errorf("result %+v does not match the last snapshot estimate %v", res.Rows, est)
+			}
+		})
 	}
 }
 
@@ -175,26 +191,29 @@ func abs(x float64) float64 {
 }
 
 // TestSampledScanFeedsSpeculativeLoader: chunks visited in sample order
-// flow through the same speculative WRITE path, so an early-terminated
-// sampled scan still leaves pages in the database (plus the safeguard
-// flush for what was cached).
+// flow through the same speculative WRITE path, so a sampled scan — early
+// terminated, as the forced twin always is — still leaves pages in the
+// database (plus the safeguard flush for what was cached).
 func TestSampledScanFeedsSpeculativeLoader(t *testing.T) {
-	env := newOlaEnv(t, 4096)
-	op := env.operator(scanraw.Config{
-		Workers: 2, ChunkLines: 64, CacheChunks: 8,
-		Policy: scanraw.Speculative, Safeguard: true,
-	})
-	q := env.query(t, "SELECT SUM(c0) FROM data")
-	_, r, st, err := Run(context.Background(), op, q, Config{Tolerance: 0.10}, 5, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, cacheChunks := range cacheTwins {
+		t.Run(fmt.Sprintf("cache=%d", cacheChunks), func(t *testing.T) {
+			env := newOlaEnv(t, 4096)
+			op := env.operator(scanraw.Config{
+				Workers: 2, ChunkLines: 64, CacheChunks: cacheChunks,
+				Policy: scanraw.Speculative, Safeguard: true,
+			})
+			q := env.query(t, "SELECT SUM(c0) FROM data")
+			_, _, st, err := Run(context.Background(), op, q, Config{Tolerance: 0.10}, 5, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cacheChunks == 1 && !st.TerminatedEarly {
+				t.Fatalf("expected early termination: %+v", st)
+			}
+			op.WaitIdle()
+			if loaded := len(env.table.LoadedChunks([]int{0})); loaded == 0 {
+				t.Error("sampled speculative scan loaded no chunks into the database")
+			}
+		})
 	}
-	if !st.TerminatedEarly {
-		t.Fatalf("expected early termination: %+v", st)
-	}
-	op.WaitIdle()
-	if loaded := len(env.table.LoadedChunks([]int{0})); loaded == 0 {
-		t.Error("sampled speculative scan loaded no chunks into the database")
-	}
-	_ = r
 }

@@ -3,23 +3,26 @@ package scanraw
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"time"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/dbstore"
+	"scanraw/internal/kernel"
 )
 
-// The scan driver: visit sequence → resolve → emit.
+// The scan driver: visit sequence → resolve → fetch → emit → serve.
 //
 // Every scan is one loop (walk) over a visit sequence. Each step is
-// resolved exactly once into where the chunk is served from, and the
-// resolution is handed to one of two emitters, chosen by whether the pool
-// has workers: inline (convert and consume on this goroutine, nothing
-// overlaps) or pooled (the driver is the READ thread of the Fig. 2
-// pipeline). An ordinary scan visits the cache-resident chunks first
-// (§3.2.1 delivery order) and then the file in chunk order, discovering
-// chunk boundaries on first contact; a sampled scan (Request.Order) visits
-// the validated permutation and nothing else.
+// resolved exactly once into a task — where the chunk is served from, what
+// to convert, which columns to read from pages. The driver performs the
+// task's disk transfers itself and hands it to one of two emitters, chosen
+// by whether the pool has workers: inline (serve and consume on this
+// goroutine, nothing overlaps) or pooled (the driver is the READ thread of
+// the Fig. 2 pipeline and serve runs on the worker pool). An ordinary scan
+// visits the cache-resident chunks first (§3.2.1 delivery order) and then
+// the file in chunk order, discovering chunk boundaries on first contact; a
+// sampled scan (Request.Order) visits the validated permutation and nothing
+// else.
 
 // source is the outcome of resolving one visit step.
 type source uint8
@@ -31,20 +34,39 @@ const (
 	srcNone source = iota
 	// srcSkipped: excluded by the request's Skip filter.
 	srcSkipped
-	// srcCache: the binary cache holds every requested column; the
-	// resolution carries the chunk with a pin taken.
+	// srcCache: the binary cache holds every requested column; the task
+	// carries the chunk with a pin taken.
 	srcCache
 	// srcDB: every requested column is loaded; read the pages.
 	srcDB
-	// srcRaw: convert from the raw extent — the whole column closure, or
-	// with a plan only the missing groups (a partial-width hit).
+	// srcPartial: some requested columns are loaded (a partial-width hit);
+	// read their pages and convert only the missing groups.
+	srcPartial
+	// srcRaw: no requested column is loaded; convert the run-wide column
+	// closure from the raw extent.
 	srcRaw
+	numSources
 )
 
-type resolution struct {
-	src  source
-	bc   *BinaryChunk // srcCache: pinned
-	plan *partialPlan // srcRaw: non-nil for a partial-width hit
+// task is one chunk's service. resolve fills in the plan, fetch — on the
+// driver — the transferred bytes, and serve does the rest. Until serve or
+// drop takes it, the task owns its text buffer and its pages.
+type task struct {
+	src      source
+	bc       *BinaryChunk   // srcCache: pinned
+	kern     *kernel.Kernel // the columns to convert; nil when every requested column is loaded
+	pageCols []int          // the requested columns served from pages; nil when none is loaded
+
+	text  chunk.TextChunk     // the raw extent kern converts
+	pages *dbstore.ChunkPages // the transferred pages of pageCols
+}
+
+// drop hands back what a task fetched and nobody will serve.
+func (t *task) drop(o *Operator) {
+	o.putText(t.text.Data)
+	if t.pages != nil {
+		t.pages.Release()
+	}
 }
 
 // step is one element of a visit sequence. meta is nil for a chunk
@@ -63,38 +85,32 @@ type visit func() (st step, ok bool, err error)
 // partial-width or raw?" — the only place that consults the range, the
 // delivered set, the Skip filter, the binary cache and the catalog's loaded
 // columns for the request.
-func (r *run) resolve(st step) (resolution, error) {
-	o, cols := r.op, r.req.Columns
+func (r *run) resolve(st step) (task, error) {
+	o := r.op
 	if !r.req.Range.Contains(st.id) || r.delivered[st.id] {
-		return resolution{}, nil
+		return task{}, nil
 	}
 	if st.meta == nil {
 		// Carved this instant: no statistics, no pages, no cache entry.
-		return resolution{src: srcRaw}, nil
+		return task{src: srcRaw, kern: r.kern}, nil
 	}
 	if r.req.Skip != nil && r.req.Skip(st.meta) {
-		return resolution{src: srcSkipped}, nil
+		return task{src: srcSkipped}, nil
 	}
 	if bc := o.cache.Acquire(st.id); bc != nil {
-		if bc.HasAll(cols) {
-			return resolution{src: srcCache, bc: bc}, nil
+		if bc.HasAll(r.req.Columns) {
+			return task{src: srcCache, bc: bc}, nil
 		}
 		if err := o.cache.Unpin(st.id); err != nil {
-			return resolution{}, err
+			return task{}, err
 		}
 	}
 	if !r.disk {
 		// The previous query's safeguard flush may still own the disk: a
 		// chunk that memory cannot serve waits for its file-order visit.
-		return resolution{}, nil
+		return task{}, nil
 	}
-	if st.meta.LoadedAll(cols) {
-		return resolution{src: srcDB}, nil
-	}
-	// Some (but not all) requested columns loaded is a partial-width hit:
-	// convert only the missing groups and merge the rest from their pages.
-	plan, err := r.planFor(st.meta)
-	return resolution{src: srcRaw, plan: plan}, err
+	return r.planFor(st.meta)
 }
 
 // listVisit visits known chunks in the given order: the cached-first prefix
@@ -222,22 +238,23 @@ func (r *run) drive(ctx context.Context) error {
 
 // walk is the one visit loop. Once per step it checks for failure, a
 // satisfied demand (the result is provably complete: stop issuing chunks)
-// and cancellation, then resolves the step and emits the resolution.
+// and cancellation, then resolves the step, fetches the task and emits it.
 //
 // In-flight bound: the driver runs ahead of the consume stage by at most
 //
 //	TextBufferChunks + CacheChunks + 2
 //
 // chunks issued and not yet consumed — one in the driver's hands, one in
-// the conversion consumer's, the rest holding a buffer slot (a conversion
-// task holds a slot of the binary cache it writes to, so the pool size adds
-// nothing; an inline run holds one chunk per consume worker, each pinned in
-// the cache). This is what bounds the work a LIMIT strands in flight, and
-// the invariants build asserts it — over the disk-backed sequence: a pooled
-// run's cached-first prefix goes through the inline emitter and holds no
-// buffer slot, so with a consume fan-out up to one prefix chunk per worker
-// can still be under evaluation, beside a full pipeline, when the count is
-// taken.
+// the conversion consumer's, the rest holding a buffer slot (a task in
+// service holds a slot of the binary cache it writes to, so the pool size
+// adds nothing; an inline run holds one chunk per consume worker, each
+// pinned in the cache). A page read takes a text-buffer slot like a
+// conversion, so the bound is the same whatever the chunks' sources. This is
+// what bounds the work a LIMIT strands in flight, and the invariants build
+// asserts it — over the disk-backed sequence: a pooled run's cached-first
+// prefix goes through the inline emitter and holds no buffer slot, so with
+// a consume fan-out up to one prefix chunk per worker can still be under
+// evaluation, beside a full pipeline, when the count is taken.
 func (r *run) walk(ctx context.Context, next visit) error {
 	o := r.op
 	for {
@@ -251,53 +268,33 @@ func (r *run) walk(ctx context.Context, next visit) error {
 		if !ok {
 			return err
 		}
-		res, err := r.resolve(st)
+		t, err := r.resolve(st)
 		if err != nil {
 			return err
 		}
-		if !r.disk && res.src != srcNone {
+		if !r.disk && t.src != srcNone {
 			r.delivered[st.id] = true
 		}
-		if invariantsOn && res.src > srcSkipped && (r.disk || r.deliverCh == nil) {
+		if invariantsOn && t.src > srcSkipped && (r.disk || r.deliverCh == nil) {
 			r.issued++
 			bound := int64(o.cfg.TextBufferChunks + o.cfg.CacheChunks + 2)
 			if n := r.issued - r.consumed.Load(); n > bound && !r.satisfied.Load() && !r.failed() {
 				panic(fmt.Sprintf("invariant violation: scanraw: %d chunks in flight, bound %d", n, bound))
 			}
 		}
-		switch res.src {
+		switch t.src {
 		case srcSkipped:
-			r.skipped.Add(1)
+			r.bySource[srcSkipped].Add(1)
 		case srcCache:
 			if r.out.admit() {
-				r.out.hand(res.bc, &r.deliveredCache)
+				r.out.hand(t.bc, srcCache)
 			} else {
 				err = o.cache.Unpin(st.id)
 			}
-		case srcDB:
-			// Binary-buffer space first, mirroring the conversion rule.
-			if !r.out.admit() {
-				break
+		case srcDB, srcPartial, srcRaw:
+			if err = r.fetch(&t, st); err == nil {
+				err = r.out.emit(t)
 			}
-			var bc *BinaryChunk
-			if bc, err = o.dbRead(st.id, r.req.Columns); err != nil {
-				r.out.release()
-			} else if err = r.insertPinned(bc, true); err == nil {
-				r.out.hand(bc, &r.deliveredDB)
-			}
-		case srcRaw:
-			tc := st.text
-			if tc == nil {
-				// Known geometry: read exactly the extent — RawOff makes a
-				// permuted visit as cheap as the file-order one.
-				var data []byte
-				if data, err = r.sc.readExtent(st.meta.RawOff, st.meta.RawLen); err != nil {
-					return err
-				}
-				tc = &chunk.TextChunk{ID: st.id, Data: data, Lines: st.meta.Rows}
-			}
-			o.prof.readChunks.Add(1)
-			err = r.out.raw(convItem{tc: tc, plan: res.plan})
 		}
 		if err != nil {
 			return err
@@ -305,9 +302,46 @@ func (r *run) walk(ctx context.Context, next visit) error {
 	}
 }
 
-// emitter is how a resolved chunk reaches conversion and the consume stage.
-// The disk-backed sequence uses the one chosen when the run was built:
-// inline when the pool has no workers, pooled otherwise.
+// fetch performs a task's disk transfers, on the driver: the raw extent its
+// kernel converts — unless discovery carved it this instant — and the pages
+// of its loaded columns, under the disk arbiter (the scanner takes it per
+// read). Profile.Read counts each transfer. On error the task holds nothing.
+func (r *run) fetch(t *task, st step) error {
+	o := r.op
+	if t.kern != nil {
+		if st.text != nil {
+			t.text = *st.text
+		} else {
+			// Known geometry: read exactly the extent — RawOff makes a
+			// permuted visit as cheap as the file-order one.
+			data, err := r.sc.readExtent(st.meta.RawOff, st.meta.RawLen)
+			if err != nil {
+				return err
+			}
+			t.text = chunk.TextChunk{ID: st.id, Data: data, Lines: st.meta.Rows}
+		}
+		o.prof.readChunks.Add(1)
+	}
+	if t.pageCols == nil {
+		return nil
+	}
+	o.arbiter.Lock()
+	start := time.Now()
+	pages, err := o.store.FetchChunk(o.table, st.id, t.pageCols)
+	o.prof.readNs.Add(int64(time.Since(start)))
+	o.arbiter.Unlock()
+	if err != nil {
+		t.drop(o)
+		return err
+	}
+	t.pages = pages
+	o.prof.readChunks.Add(1)
+	return nil
+}
+
+// emitter is how a fetched task reaches serve and a binary chunk the consume
+// stage. The disk-backed sequence uses the one chosen when the run was
+// built: inline when the pool has no workers, pooled otherwise.
 type emitter interface {
 	// admit reserves room for one more undelivered binary chunk; false
 	// means the run failed or its demand was satisfied while waiting.
@@ -316,35 +350,37 @@ type emitter interface {
 	// be delivered.
 	release()
 	// hand passes a pinned, cache-resident chunk on to the consume stage,
-	// counting it in n once it is on its way.
-	hand(bc *BinaryChunk, n *atomic.Int64)
-	// raw takes a raw chunk's text for conversion.
-	raw(it convItem) error
+	// counting it under its source once it is on its way.
+	hand(bc *BinaryChunk, src source)
+	// emit takes a fetched task for serve.
+	emit(t task) error
 }
 
 // inline is the emitter of a run without a worker pool (the paper's "0
-// worker threads" configuration): every stage of a chunk — conversion,
-// cache insert, consume, and at the idle moment one write quantum, spent
-// when the disk would otherwise idle until the next read — finishes on the
-// driver's goroutine before the next chunk is visited.
+// worker threads" configuration): every stage of a chunk — decode and
+// conversion, cache insert, consume, and after a conversion (the idle
+// moment) one write quantum, spent when the disk would otherwise idle until
+// the next read — finishes on the driver's goroutine before the next chunk
+// is visited.
 type inline struct{ r *run }
 
 func (inline) admit() bool { return true }
 func (inline) release()    {}
 
-func (e inline) hand(bc *BinaryChunk, n *atomic.Int64) {
+func (e inline) hand(bc *BinaryChunk, src source) {
 	e.r.deliver(bc)
 	if !e.r.failed() {
-		n.Add(1)
+		e.r.bySource[src].Add(1)
 	}
 }
 
-func (e inline) raw(it convItem) error {
+func (e inline) emit(t task) error {
 	r := e.r
-	if err := r.emitConverted(<-r.workers, it); err != nil {
+	if err := r.serve(<-r.workers, t); err != nil {
 		return err
 	}
-	if r.op.when.idle {
+	if r.op.when.idle && t.kern != nil {
+		// A conversion is the idle moment; a page read left the disk busy.
 		// specStep pins whatever it writes, shielding it from an eviction
 		// by a still-running fan-out consume.
 		_, err := r.specStep()
@@ -354,8 +390,8 @@ func (e inline) raw(it convItem) error {
 }
 
 // pooled is the emitter of a pipelined run: binary chunks take a slot of
-// the undelivered-chunk budget and queue for the delivery loop; raw text
-// enters the text chunks buffer for the conversion stages.
+// the undelivered-chunk budget and queue for the delivery loop; tasks enter
+// the text chunks buffer for the worker pool.
 type pooled struct{ r *run }
 
 func (e pooled) admit() bool {
@@ -370,10 +406,10 @@ func (e pooled) admit() bool {
 
 func (e pooled) release() { e.r.freeBin <- struct{}{} }
 
-func (e pooled) hand(bc *BinaryChunk, n *atomic.Int64) {
+func (e pooled) hand(bc *BinaryChunk, src source) {
 	select {
 	case e.r.deliverCh <- bc:
-		n.Add(1)
+		e.r.bySource[src].Add(1)
 		e.r.poke() // cache gained a chunk: wake the speculative scheduler
 	case <-e.r.done:
 		_ = e.r.op.cache.Unpin(bc.ID)
@@ -381,66 +417,89 @@ func (e pooled) hand(bc *BinaryChunk, n *atomic.Int64) {
 	}
 }
 
-func (e pooled) raw(it convItem) error {
-	e.r.sendText(it)
+// emit places a task into the text chunks buffer, recording the blocked
+// state the speculative scheduler watches for. The task is dropped when the
+// run fails or its demand is satisfied while READ waits.
+func (e pooled) emit(t task) error {
+	r := e.r
+	select {
+	case r.textBuf <- t:
+		return nil
+	default:
+	}
+	// Buffer full: READ blocks — the disk goes idle, which is the
+	// speculative loading trigger (§4) and the CPU-bound signal the resource
+	// manager consumes (§3.3).
+	start := time.Now()
+	r.readBlocked.Store(true)
+	r.poke()
+	select {
+	case r.textBuf <- t:
+	case <-r.done:
+		t.drop(r.op)
+	case <-r.satCh:
+		t.drop(r.op)
+	}
+	r.readBlocked.Store(false)
+	r.blocked.add(time.Since(start))
 	return nil
 }
 
-// convert is the one conversion routine: the kernel's fused pass over the
-// chunk's convert set on the given worker slot (returned to the pool as
-// soon as the CPU work is done), conversion-time statistics, the merge of a
-// partial-width hit's loaded columns, and the after-convert write. loaded
-// reports that the chunk is now in the database. On error nothing is
+// serve is the one routine that does a fetched task's CPU work, on the given
+// worker slot: the pages' checksum and decode (the read's CPU half: timed
+// into Profile.Read, not stretched by CPUSlowdown), the kernel's fused pass
+// over the convert set — after which the text goes back and the slot returns
+// to the pool — the conversion-time statistics, the merge of the paged
+// columns, the after-convert write, and finally the cache insert with a
+// delivery pin and the hand-off to the consume stage. On error nothing is
 // retained.
-func (r *run) convert(slot *workerSlot, it convItem) (bc *BinaryChunk, loaded bool, err error) {
-	o, tc := r.op, it.tc
-	kern := r.kern
-	if it.plan != nil {
-		kern = it.plan.kern
+func (r *run) serve(slot *workerSlot, t task) error {
+	o, src := r.op, t.src
+	var bc, paged *BinaryChunk
+	var err error
+	if t.pages != nil {
+		start := time.Now()
+		paged, err = t.pages.Decode()
+		o.prof.readNs.Add(int64(time.Since(start)))
 	}
-	d := o.cpuWork(slot, func() { bc, err = kern.Convert(tc) })
-	o.putText(tc.Data) // the kernel kept nothing of it, converted or not
-	o.prof.parseNs.Add(int64(d))
+	if err == nil && t.kern != nil {
+		d := o.cpuWork(slot, func() { bc, err = t.kern.Convert(&t.text) })
+		o.prof.parseNs.Add(int64(d))
+	}
+	o.putText(t.text.Data) // the kernel kept nothing of it; a page read has none
 	r.workers <- slot
-	if err != nil {
-		return nil, false, err
-	}
-	o.prof.parseChunks.Add(1)
-	if o.cfg.CollectStats {
-		// Only the freshly converted columns: the merged-in loaded columns
-		// had their statistics recorded when they were first converted.
-		err = r.recordStats(bc, kern.Columns())
-	}
-	if err == nil && it.plan != nil {
-		// Merge the loaded requested columns in from their pages. The merged
-		// chunk owns the vectors; dbc itself is just the carrier.
-		var dbc *BinaryChunk
-		if dbc, err = o.dbRead(bc.ID, it.plan.fromDB); err == nil {
-			if err = bc.Merge(dbc); err != nil {
-				dbc.RecycleColumns()
+	loaded := t.kern == nil // every requested column came from its pages
+	switch {
+	case err != nil:
+	case loaded:
+		bc, paged = paged, nil
+	default:
+		o.prof.parseChunks.Add(1)
+		if o.cfg.CollectStats {
+			// Only the freshly converted columns: the paged ones had their
+			// statistics recorded when they were first converted.
+			err = r.recordStats(bc, t.kern.Columns())
+		}
+		if err == nil && paged != nil {
+			if err = bc.Merge(paged); err == nil {
+				paged = nil // bc owns its vectors now
 			}
 		}
-	}
-	if err == nil {
 		// The after-convert moment: while the run's budget lasts, store the
 		// chunk before it is cached, on this goroutine — its worker slot is
 		// already back in the pool, its binary-buffer slot is not.
-		if loaded = r.afterConvert.Add(-1) >= 0; loaded {
-			err = r.runWrite(bc)
+		if err == nil {
+			if loaded = r.afterConvert.Add(-1) >= 0; loaded {
+				err = r.runWrite(bc)
+			}
 		}
 	}
 	if err != nil {
-		bc.RecycleColumns()
-		return nil, false, err
-	}
-	return bc, loaded, nil
-}
-
-// emitConverted converts one raw chunk and emits the result: cache insert
-// with a delivery pin, then the consume stage.
-func (r *run) emitConverted(slot *workerSlot, it convItem) error {
-	bc, loaded, err := r.convert(slot, it)
-	if err != nil {
+		for _, c := range []*BinaryChunk{bc, paged} {
+			if c != nil {
+				c.RecycleColumns()
+			}
+		}
 		r.out.release()
 		return err
 	}
@@ -448,10 +507,6 @@ func (r *run) emitConverted(slot *workerSlot, it convItem) error {
 	if err != nil {
 		return err
 	}
-	n := &r.deliveredRaw
-	if it.plan != nil {
-		n = &r.deliveredPartial
-	}
-	r.out.hand(bc, n)
+	r.out.hand(bc, src)
 	return nil
 }

@@ -114,7 +114,7 @@ func TestResolveTable(t *testing.T) {
 		{id: 0, memory: srcNone, disk: srcNone}, // cached, but out of range
 		{id: 0, fresh: true, memory: srcNone, disk: srcNone},
 		{id: 1, memory: srcNone, disk: srcRaw},
-		{id: 2, memory: srcNone, disk: srcRaw, convert: []int{1}, fromDB: []int{0}},
+		{id: 2, memory: srcNone, disk: srcPartial, convert: []int{1}, fromDB: []int{0}},
 		{id: 3, memory: srcNone, disk: srcDB},
 		{id: 4, memory: srcCache, disk: srcCache},
 		{id: 5, memory: srcNone, disk: srcRaw},
@@ -148,11 +148,11 @@ func TestResolveTable(t *testing.T) {
 				}
 			}
 			var convert, fromDB []int
-			if res.plan != nil {
-				convert, fromDB = res.plan.kern.Columns(), res.plan.fromDB
+			if res.src == srcPartial {
+				convert, fromDB = res.kern.Columns(), res.pageCols
 			}
 			if wantPlan := disk && c.convert != nil; !wantPlan {
-				if res.plan != nil {
+				if res.src == srcPartial {
 					t.Errorf("chunk %d (disk=%v): unexpected plan converting %v, reading %v", c.id, disk, convert, fromDB)
 				}
 			} else if !reflect.DeepEqual(convert, c.convert) || !reflect.DeepEqual(fromDB, c.fromDB) {
@@ -273,7 +273,7 @@ func TestCachedPrefixKeepsFusedRamp(t *testing.T) {
 	if err := r.del.close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.deliveredCache.Load(); n != 2 {
+	if n := r.bySource[srcCache].Load(); n != 2 {
 		t.Fatalf("cached prefix delivered %d chunks, want 2", n)
 	}
 	select {

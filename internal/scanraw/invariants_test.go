@@ -3,8 +3,10 @@
 package scanraw
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
 	"scanraw/internal/gen"
+	"scanraw/internal/testutil"
 	"scanraw/internal/vdisk"
 )
 
@@ -138,6 +141,122 @@ func TestWarmScanVectorBalance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A warm or part-loaded scan cut short — by a satisfied demand, a cancelled
+// context, a page read that fails on the driver (the transfer) or on a
+// worker (the checksum), or a conversion that fails beside decoded pages —
+// hands back everything it took: the vectors out are exactly the ones the
+// resident cache entries hold, and no text buffer, pin or goroutine outlives
+// the run. The half-loaded table has column 0 in pages and the rest raw, so
+// every chunk is one task of text and pages.
+func TestCutShortWarmScanLeaksNothing(t *testing.T) {
+	const cols, chunks, chunkLines = 3, 16, 64
+	req := func(deliver func(*BinaryChunk) error) Request {
+		return Request{Columns: allCols(cols), Deliver: deliver}
+	}
+	limit := func(op *Operator) (RunStats, error) {
+		var seen atomic.Int64
+		r := req(func(*BinaryChunk) error { seen.Add(1); return nil })
+		r.Satisfied = func() bool { return seen.Load() > 0 }
+		return op.Run(r)
+	}
+	cancelled := func(op *Operator) (RunStats, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		return op.RunContext(ctx, req(func(*BinaryChunk) error { cancel(); return nil }))
+	}
+	scan := func(op *Operator) (RunStats, error) {
+		return op.Run(req(func(*BinaryChunk) error { return nil }))
+	}
+	for _, loaded := range [][]int{allCols(cols), {0}} {
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("loaded=%v/workers=%d", loaded, workers), func(t *testing.T) {
+				env := newEnv(t, chunkLines*chunks, cols, nil)
+				loader := New(env.store, env.table, Config{ChunkLines: chunkLines, Policy: FullLoad})
+				if _, err := loader.Run(Request{Columns: loaded, Deliver: func(*BinaryChunk) error { return nil }}); err != nil {
+					t.Fatal(err)
+				}
+				seg := env.disk.List("db/data/00000005/")[0]
+				page, err := env.disk.ReadBlob(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				failReads := func() {
+					env.disk.SetFailure(func(op, name string) error {
+						if op == "read" && strings.HasPrefix(name, "db/") {
+							return vdisk.ErrInjected
+						}
+						return nil
+					})
+				}
+				flipByte := func() {
+					bad := append([]byte(nil), page...)
+					bad[len(bad)/2] ^= 0xFF
+					env.disk.Preload(seg, bad)
+				}
+				raw, err := env.disk.ReadBlob("raw/data.csv")
+				if err != nil {
+					t.Fatal(err)
+				}
+				badCell := func() { // column 1 of chunk 5's first row, converted after its pages are decoded
+					meta, _ := env.table.Chunk(5)
+					bad := append([]byte(nil), raw...)
+					bad[meta.RawOff+int64(bytes.IndexByte(raw[meta.RawOff:], ','))+1] = 'x'
+					env.disk.Preload("raw/data.csv", bad)
+				}
+				cuts := []struct {
+					name  string
+					setup func()
+					run   func(*Operator) (RunStats, error)
+					want  func(error) bool
+				}{
+					{"limit", func() {}, limit, func(err error) bool { return err == nil }},
+					{"cancelled", func() {}, cancelled, func(err error) bool { return errors.Is(err, context.Canceled) }},
+					{"transfer fails", failReads, scan, func(err error) bool { return errors.Is(err, vdisk.ErrInjected) }},
+					{"checksum fails", flipByte, scan, func(err error) bool { return err != nil && strings.Contains(err.Error(), "checksum") }},
+					// A fully loaded table never reads the raw file.
+					{"conversion fails", badCell, scan, func(err error) bool { return (err != nil) == (len(loaded) < cols) }},
+				}
+				for _, c := range cuts {
+					before := testutil.Snapshot()
+					base := chunk.OutstandingVectors()
+					// Buffers this small keep the in-flight bound (2 + 4 + 2)
+					// under the table's 16 chunks: a LIMIT always stops early.
+					op := New(env.store, env.table, Config{Workers: workers, ChunkLines: chunkLines, TextBufferChunks: 2, CacheChunks: 4})
+					c.setup()
+					st, err := c.run(op)
+					env.disk.SetFailure(nil)
+					env.disk.Preload(seg, page)
+					env.disk.Preload("raw/data.csv", raw)
+					if !c.want(err) {
+						t.Fatalf("%s: run returned %v", c.name, err)
+					}
+					if c.name == "limit" {
+						if paged := st.DeliveredDB + st.DeliveredPartial; !st.TerminatedEarly || paged == 0 || len(loaded) < cols && st.DeliveredPartial == 0 {
+							t.Errorf("%s: terminated early %v, %d chunks from pages of which %d partial", c.name, st.TerminatedEarly, paged, st.DeliveredPartial)
+						}
+					}
+					held := int64(0)
+					for _, id := range op.Cache().IDs() {
+						held += int64(len(op.Cache().Peek(id).Present()))
+					}
+					if got := chunk.OutstandingVectors() - base; got != held {
+						t.Errorf("%s: %d vectors outstanding, resident cache entries hold %d", c.name, got, held)
+					}
+					if n := op.textOut.Load(); n != 0 {
+						t.Errorf("%s: %d text buffers out", c.name, n)
+					}
+					if n := op.Cache().Stats().PinCount; n != 0 {
+						t.Errorf("%s: %d pins held", c.name, n)
+					}
+					if leaked := testutil.LeakedSince(before, 5*time.Second); len(leaked) > 0 {
+						t.Errorf("%s: %d goroutines outlive the run:\n%s", c.name, len(leaked), strings.Join(leaked, "\n\n"))
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -7,18 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scanraw/internal/chunk"
 	"scanraw/internal/dbstore"
 	"scanraw/internal/kernel"
 )
-
-// convItem is the unit flowing through the text chunks buffer: a text chunk
-// and its partial-width plan when only some column groups still need
-// converting.
-type convItem struct {
-	tc   *chunk.TextChunk
-	plan *partialPlan
-}
 
 // run holds the per-query state: the scan driver's bookkeeping, the consume
 // stage, and — for a pooled run — the pipeline's buffers (bounded channels
@@ -49,7 +40,7 @@ type run struct {
 	errOnce sync.Once
 	runErr  error
 
-	textBuf   chan convItem // the text chunks buffer
+	textBuf   chan task     // the text chunks buffer: fetched tasks awaiting a worker
 	freeBin   chan struct{} // undelivered-chunk budget of the binary cache
 	deliverCh chan *BinaryChunk
 
@@ -86,13 +77,10 @@ type run struct {
 
 	afterConvert atomic.Int64 // after-convert writes this run may still do
 
-	written          atomic.Int64 // chunks this run loaded into the database
-	groupWrites      atomic.Int64 // single-group payoff writes
-	deliveredCache   atomic.Int64
-	deliveredDB      atomic.Int64
-	deliveredRaw     atomic.Int64
-	deliveredPartial atomic.Int64
-	skipped          atomic.Int64
+	written     atomic.Int64 // chunks this run loaded into the database
+	groupWrites atomic.Int64 // single-group payoff writes
+	// bySource counts the chunks delivered from each source, and the skipped.
+	bySource [numSources]atomic.Int64
 
 	// Invariants builds only: chunks of the disk-backed sequence issued by
 	// the driver and those whose consume finished, for the in-flight bound
@@ -291,11 +279,11 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 		err = cerr
 	}
 
-	st.DeliveredCache = int(r.deliveredCache.Load())
-	st.DeliveredDB = int(r.deliveredDB.Load())
-	st.DeliveredRaw = int(r.deliveredRaw.Load())
-	st.DeliveredPartial = int(r.deliveredPartial.Load())
-	st.SkippedChunks = int(r.skipped.Load())
+	st.DeliveredCache = int(r.bySource[srcCache].Load())
+	st.DeliveredDB = int(r.bySource[srcDB].Load())
+	st.DeliveredRaw = int(r.bySource[srcRaw].Load())
+	st.DeliveredPartial = int(r.bySource[srcPartial].Load())
+	st.SkippedChunks = int(r.bySource[srcSkipped].Load())
 	st.WrittenDuringRun = int(r.written.Load())
 	st.GroupWritesDuringRun = int(r.groupWrites.Load())
 	st.WorkersUsed = workers
@@ -436,7 +424,7 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 		r.workers <- &workerSlot{}
 		return r, nil
 	}
-	r.textBuf = make(chan convItem, o.cfg.TextBufferChunks)
+	r.textBuf = make(chan task, o.cfg.TextBufferChunks)
 	r.freeBin = slots(o.cfg.CacheChunks)
 	r.deliverCh = make(chan *BinaryChunk, o.cfg.CacheChunks)
 	r.specNotify = make(chan struct{}, 1)
@@ -480,9 +468,9 @@ func (r *run) execute(ctx context.Context) error {
 	return r.runErr
 }
 
-// pipeline runs a pooled scan: the driver is the READ thread, conversion
-// runs on the worker pool behind the text chunks buffer, and the calling
-// goroutine is the execution engine's feed.
+// pipeline runs a pooled scan: the driver is the READ thread, serve runs on
+// the worker pool behind the text chunks buffer, and the calling goroutine
+// is the execution engine's feed.
 func (r *run) pipeline(ctx context.Context) {
 	r.out = pooled{r}
 	if r.op.when.idle {
@@ -504,7 +492,7 @@ func (r *run) pipeline(ctx context.Context) {
 	// drains deliverCh even after the demand is satisfied: consumers ignore
 	// surplus chunks, and the after-hooks must still run for the teardown
 	// invariants. convertConsumer closes deliverCh once READ and every
-	// conversion have finished.
+	// task have finished.
 	for bc := range r.deliverCh {
 		// Not left to execute's watcher goroutine alone: it may not have run
 		// yet, and no chunk may reach the consumer after a visible cancel.
@@ -548,57 +536,30 @@ func (r *run) deliver(bc *BinaryChunk) {
 	}
 }
 
-// sendText places a raw chunk into the text chunks buffer, recording the
-// blocked state the speculative scheduler watches for. The chunk is dropped,
-// its text handed back, when the run fails or its demand is satisfied while
-// READ waits.
-func (r *run) sendText(it convItem) {
-	select {
-	case r.textBuf <- it:
-		return
-	default:
-	}
-	// Buffer full: READ blocks — the disk goes idle, which is the
-	// speculative loading trigger (§4) and the CPU-bound signal the resource
-	// manager consumes (§3.3).
-	start := time.Now()
-	r.readBlocked.Store(true)
-	r.poke()
-	select {
-	case r.textBuf <- it:
-	case <-r.done:
-		r.op.putText(it.tc.Data)
-	case <-r.satCh:
-		r.op.putText(it.tc.Data)
-	}
-	r.readBlocked.Store(false)
-	r.blocked.add(time.Since(start))
-}
-
-// convertConsumer monitors the text chunks buffer, dispatching a conversion
-// task per chunk once admitConvert has reserved its resources (§3.2.1,
-// consumer threads). When the buffer closes — READ finished — it waits out
-// the running tasks and closes the delivery channel: no more deliveries can
-// be produced.
+// convertConsumer monitors the text chunks buffer, dispatching serve per
+// task once admitConvert has reserved its resources (§3.2.1, consumer
+// threads). When the buffer closes — READ finished — it waits out the
+// running tasks and closes the delivery channel: no more deliveries can be
+// produced.
 func (r *run) convertConsumer() {
-	for it := range r.textBuf {
+	for t := range r.textBuf {
 		slot, ramped, ok := r.admitConvert()
 		if !ok {
-			r.op.putText(it.tc.Data)
+			t.drop(r.op)
 			continue
 		}
 		r.convWG.Add(1)
-		go r.convertTask(it, slot, ramped)
+		go r.serveTask(t, slot, ramped)
 	}
 	r.convWG.Wait()
 	close(r.deliverCh)
 }
 
-// admitConvert reserves what one conversion task needs, or reports false
-// when the chunk must be dropped (run failed, or the demand is satisfied and
-// queued text chunks are dead weight — only in-flight conversions finish,
-// and reach the cache for the safeguard flush). Destination space comes
-// before the worker (§3.2.1: "even if a thread is available, it can only be
+// admitConvert reserves what one task needs, a page read as much as a
+// conversion, or reports false when the task must be dropped (run failed, or
+// the demand is satisfied and queued tasks are dead weight — only in-flight
+// ones finish, and reach the cache for the safeguard flush). Destination
+// space comes before the worker (§3.2.1: "even if a thread is available, it can only be
 // allocated if there is empty space in the destination buffer"): a task is
 // dispatched only when the binary chunks cache can hold one more undelivered
 // chunk — this is the back-pressure that propagates to READ and creates the
@@ -645,13 +606,13 @@ func (r *run) admitConvert() (slot *workerSlot, ramped, ok bool) {
 	}
 }
 
-func (r *run) convertTask(it convItem, slot *workerSlot, ramped bool) {
+func (r *run) serveTask(t task, slot *workerSlot, ramped bool) {
 	defer r.convWG.Done()
 	if ramped {
 		// rampSlots never exceeds its buffered window, so this cannot block.
 		defer func() { r.rampSlots <- struct{}{} }()
 	}
-	r.fail(r.emitConverted(slot, it))
+	r.fail(r.serve(slot, t))
 }
 
 // retireEvicted finishes an evicted chunk's life: at the on-eviction moment
@@ -763,25 +724,4 @@ func (r *run) writableNow() bool {
 		return true
 	}
 	return r.op.when.atEnd && r.readDone.Load()
-}
-
-// dbRead reads a loaded chunk's columns from the database (no conversion).
-// The arbiter brackets the transfer only — it arbitrates the disk (§3.2.1),
-// and checksum + decode are CPU that concurrent queries on the table run in
-// parallel; Profile.Read still covers the whole page read.
-func (o *Operator) dbRead(id int, cols []int) (*BinaryChunk, error) {
-	o.arbiter.Lock()
-	start := time.Now()
-	pages, err := o.store.FetchChunk(o.table, id, cols)
-	o.arbiter.Unlock()
-	var bc *BinaryChunk
-	if err == nil {
-		bc, err = pages.Decode()
-	}
-	o.prof.readNs.Add(int64(time.Since(start)))
-	if err != nil {
-		return nil, err
-	}
-	o.prof.readChunks.Add(1)
-	return bc, nil
 }

@@ -15,10 +15,10 @@ import (
 //
 // Ownership rule: a buffer from getText has one owner at a time — the
 // scanner, then whoever holds the chunk carved from it (the driver's step,
-// the convItem in the text chunks buffer, the conversion task) — and that
-// owner hands it to putText exactly once: run.convert the moment the kernel
-// returns (Kernel.Convert retains nothing of the text), or whichever path
-// drops the chunk unconverted.
+// then its task, in the text chunks buffer and in serve) — and that owner
+// hands it to putText exactly once: serve the moment the kernel returns
+// (Kernel.Convert retains nothing of the text), task.drop for a task nobody
+// serves, or whichever path drops the chunk before it has a task.
 
 // getText returns an empty buffer of capacity at least n.
 func (o *Operator) getText(n int) []byte {

@@ -355,8 +355,8 @@ type Operator struct {
 	// arbiter serializes READ and WRITE disk access at the scheduling
 	// level (§3.2.1: "SCANRAW has to enforce that only one of READ or
 	// WRITE accesses the disk at any particular instant"). It brackets
-	// transfers, not CPU: a page read holds it for the ReadAt calls and
-	// verifies and decodes outside (dbRead).
+	// transfers, not CPU: a page read holds it for the ReadAt calls (fetch,
+	// on the driver) and verifies and decodes outside (serve).
 	arbiter sync.Mutex
 
 	// textFree is the free list of raw-text buffers (scanner.go). It holds

@@ -53,31 +53,26 @@ func ParseSpecPolicy(s string) (SpecPolicy, error) {
 	return 0, fmt.Errorf("scanraw: unknown speculation policy %q (want scan or payoff)", s)
 }
 
-// partialPlan splits one chunk's service between raw conversion and the
-// database: kern converts the missing requested columns, rounded up to
-// group boundaries; fromDB are the requested columns read from
-// already-loaded pages and merged in before delivery.
-type partialPlan struct {
-	kern   *kernel.Kernel
-	fromDB []int
-}
-
-// planFor computes the partial-width plan for a chunk from its catalog
-// metadata, or nil for a chunk with no loaded requested column (it converts
-// the run-wide closure); a chunk with every requested column loaded never
-// reaches here (the full-width database path serves it). Kernels are
-// selected once per convert set and kept for the run.
-func (r *run) planFor(meta *dbstore.ChunkMeta) (*partialPlan, error) {
-	var fromDB, missing []int
+// planFor splits a chunk's service between its pages and raw conversion,
+// from its catalog metadata: the loaded requested columns are read from
+// pages, the missing ones converted, rounded up to group boundaries. A chunk
+// with nothing loaded converts the run-wide closure, one with everything
+// loaded converts nothing. Kernels are selected once per convert set and
+// kept for the run.
+func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
+	var pageCols, missing []int
 	for _, c := range r.req.Columns {
 		if c < len(meta.Loaded) && meta.Loaded[c] {
-			fromDB = append(fromDB, c)
+			pageCols = append(pageCols, c)
 		} else {
 			missing = append(missing, c)
 		}
 	}
-	if len(fromDB) == 0 {
-		return nil, nil
+	switch {
+	case missing == nil:
+		return task{src: srcDB, pageCols: pageCols}, nil
+	case pageCols == nil:
+		return task{src: srcRaw, kern: r.kern}, nil
 	}
 	var convert []int
 	for _, c := range r.op.store.GroupClosure(r.op.table, missing) {
@@ -93,11 +88,11 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (*partialPlan, error) {
 	if !ok {
 		var err error
 		if kern, err = kernel.For(r.op.table.Schema(), convert, r.op.cfg.Delim); err != nil {
-			return nil, err
+			return task{}, err
 		}
 		r.kerns[key] = kern
 	}
-	return &partialPlan{kern: kern, fromDB: fromDB}, nil
+	return task{src: srcPartial, kern: kern, pageCols: pageCols}, nil
 }
 
 // specStep performs one quantum of speculative loading — one write of one
