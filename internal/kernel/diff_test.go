@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -208,5 +209,78 @@ func TestFusedMatchesTokParseRandomized(t *testing.T) {
 		requireEqualChunks(t, fmt.Sprintf("seed %d (kernel %s, cols %v)", seed, k.Name(), cols), want, got, cols)
 		want.RecycleColumns()
 		got.RecycleColumns()
+	}
+}
+
+// TestIntFieldWordBoundaries aims the differential property at the edges of
+// parseIntField's word path: every digit count across the 8- and 16-digit
+// word boundaries and the int64 range, with and without a sign, leading
+// zeros, every terminator and delimiter the byte loop is kept for, and the
+// field at every distance from the end of the data, so both sides of the
+// load guard run — in both kernels, and after a gap skip.
+func TestIntFieldWordBoundaries(t *testing.T) {
+	var values []string
+	for n := 1; n <= 20; n++ {
+		for _, digits := range []string{"98765432109876543210"[:n], "12345678901234567890"[:n], strings.Repeat("0", n-1) + "7"} {
+			values = append(values, digits, "-"+digits, "+"+digits)
+		}
+	}
+	values = append(values, "0", "-0", "", "-", "+", "--1", "-+1",
+		strconv.FormatInt(math.MaxInt64, 10), strconv.FormatInt(math.MinInt64, 10), "-9223372036854775809",
+		"9999999999999999", "-9999999999999999", "10000000000000000", "-10000000000000000")
+	shapes := []struct {
+		sch    *schema.Schema
+		cols   []int
+		lead   string // what precedes the field on its line; "," stands for the delimiter
+		kernel string
+	}{
+		{intSchema(1), []int{0}, "", "int64-subset"},
+		{intSchema(2), []int{1}, "9,", "int64-subset"},
+		{mixedSchema(schema.Str, schema.Int64), []int{0, 1}, ",", "fused-generic"},
+	}
+	for _, sh := range shapes {
+		for _, delim := range []byte{',', '\t', '-', '+', '5'} {
+			k, err := For(sh.sch, sh.cols, delim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Name() != sh.kernel {
+				t.Fatalf("cols %v selected %s, want %s", sh.cols, k.Name(), sh.kernel)
+			}
+			d := string(delim)
+			lead := strings.ReplaceAll(sh.lead, ",", d)
+			// A letter, and the two bytes either side of the digits.
+			for _, term := range []string{d + "7\n", "\n", "\r\n", "\r7\n", "", "a\n", "/\n", ":\n"} {
+				for _, v := range values {
+					for pad := 0; pad <= 20; pad++ {
+						// pad more bytes follow the field's line: a line of
+						// the same shape holding zeros, unterminated when short.
+						var rest string
+						switch {
+						case pad == 0:
+						case term == "" || pad < len(lead)+1:
+							continue
+						case pad == len(lead)+1:
+							rest = lead + "0"
+						default:
+							rest = lead + strings.Repeat("0", pad-len(lead)-1) + "\n"
+						}
+						data := []byte(lead + v + term + rest)
+						tc := &chunk.TextChunk{Data: data, Lines: tok.CountLines(data)}
+						want, wantErr := tokParse(sh.sch, tc, delim, sh.cols)
+						got, gotErr := k.Convert(tc)
+						if (wantErr != nil) != (gotErr != nil) {
+							t.Fatalf("%s, delim %q, data %q:\n tok+parse err: %v\n fused err:     %v", k.Name(), delim, data, wantErr, gotErr)
+						}
+						if wantErr != nil {
+							continue
+						}
+						requireEqualChunks(t, fmt.Sprintf("%s, delim %q, data %q", k.Name(), delim, data), want, got, sh.cols)
+						want.RecycleColumns()
+						got.RecycleColumns()
+					}
+				}
+			}
+		}
 	}
 }

@@ -20,6 +20,14 @@ func FuzzFusedKernel(f *testing.F) {
 	f.Add([]byte("x\ty\n"), uint16(0b1010), uint8(0b11), byte('\t'), uint8(1))
 	f.Add([]byte("no newline"), uint16(0b10), uint8(1), byte(','), uint8(0))
 	f.Add([]byte("9223372036854775807\n"), uint16(0), uint8(1), byte(','), uint8(2))
+	// Long enough for parseIntField's word path (18 bytes from the field on):
+	// 8, 9, 16 and 17 digits, signs, CRLF, digit and sign delimiters, and a
+	// mixed schema for the generic kernel.
+	f.Add([]byte("1234567890123456,-12345678,7\n0000000000000042,99999999,-1\n"), uint16(2<<12), uint8(0b111), byte(','), uint8(0))
+	f.Add([]byte("-9999999999999999\t10000000000000000\r\n12345678\t123456789\n"), uint16(1<<12), uint8(0b11), byte('\t'), uint8(0))
+	f.Add([]byte("123456785123456789012\n98765432109876543\n"), uint16(1<<12), uint8(0b11), byte('5'), uint8(0))
+	f.Add([]byte("12345678-87654321-1\n-123456789012345-0-\n"), uint16(2<<12), uint8(0b101), byte('-'), uint8(0))
+	f.Add([]byte("x,123456789012,2.5,-87654321\nyy,+1234567890123,1e3,9223372036854775807\n"), uint16(3<<12|0b01_00_10), uint8(0b1111), byte(','), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, typeBits uint16, colBits uint8, delim byte, claimBias uint8) {
 		// 1-8 columns, two type bits each (3 → Str like the zero value's
 		// modulo); requested subset from colBits, forced non-empty.

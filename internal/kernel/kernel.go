@@ -15,6 +15,12 @@
 // §12). Unrequested columns are skipped with bytes.IndexByte (memchr);
 // integer fields are parsed inline by the delimiter scan itself, so
 // requested int64 columns never pay a separate field-boundary search.
+// Both kernels parse an integer eight digits per load: a SWAR test on a
+// little-endian word finds the leading digits and three multiplies fold
+// them, two words covering a sign and up to 16 digits. A field the word
+// path cannot finish exactly (an error, a '+', 17+ digits, a digit or '-'
+// delimiter, the chunk's last few bytes) re-parses from its first byte in
+// the byte-at-a-time loop, so every error is still that loop's.
 //
 // Framing semantics — line termination, CRLF stripping, empty trailing
 // fields, field-count errors — mirror tok.Tokenize exactly, and value

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/parse"
@@ -64,7 +66,35 @@ func errFields(tc *chunk.TextChunk, r, have, need int) error {
 // just past the field's last byte. The delimiter is checked before the
 // sign so exotic delimiters ('-', '+') still split fields first, matching
 // the tokenizer.
+//
+// The common field takes the word path: an optional '-' and 1–16 digits
+// read as two little-endian words (leadingDigits), accepted only when the
+// byte after the digits is the delimiter or lineEnd. Sixteen digits stay
+// below 2^63, so the word path cannot overflow. Everything else — a '+',
+// a lone sign, 17+ digits, a bad byte, a digit or '-' delimiter, fewer
+// than 17 bytes left in the chunk to load — falls through to the byte loop,
+// which alone produces every error, so error values and messages are those
+// of the byte loop whichever path a field starts on. (A sign and 16 digits
+// need 17 bytes; the byte after them is read only when it is not lineEnd,
+// and digits never run past lineEnd, so it lies inside the data.)
 func parseIntField(data []byte, fs, lineEnd int, delim byte) (int64, int, error) {
+	if fs+17 <= len(data) && delim-'0' > 9 && delim != '-' {
+		i := fs
+		if data[i] == '-' {
+			i++
+		}
+		v, n := leadingDigits(binary.LittleEndian.Uint64(data[i:]))
+		if n == 8 {
+			v2, n2 := leadingDigits(binary.LittleEndian.Uint64(data[i+8:]))
+			v, n = v*pow10[n2]+v2, 8+n2
+		}
+		if j := i + n; n > 0 && (j == lineEnd || data[j] == delim) {
+			if i > fs {
+				return -int64(v), j, nil
+			}
+			return int64(v), j, nil
+		}
+	}
 	i := fs
 	neg := false
 	if i < lineEnd && data[i] != delim {
@@ -110,6 +140,24 @@ func parseIntField(data []byte, fs, lineEnd int, delim byte) (int64, int, error)
 		x = -x
 	}
 	return x, i, nil
+}
+
+var pow10 = [9]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// leadingDigits returns the value and length of the run of ASCII digits at
+// the start of w, a little-endian load of eight bytes. A byte b is a digit
+// iff x = b^'0' is below 10, i.e. neither x nor x+0x76 has its high bit
+// set; an addition's carry can only raise a flag above the first non-digit,
+// so the lowest flag is exact. The digits are shifted to the top of the word
+// (zeros below read as leading zeros) and folded pairwise by three
+// multiplies: digits to 2-digit lanes, to 4-digit lanes, to the value.
+func leadingDigits(w uint64) (uint64, int) {
+	x := w ^ 0x3030303030303030
+	n := bits.TrailingZeros64(((x+0x7676767676767676)|x)&0x8080808080808080) >> 3
+	x <<= 64 - 8*uint(n) // n = 0 shifts everything out
+	x = (x * (10<<8 + 1)) >> 8 & 0x00FF00FF00FF00FF
+	x = (x * (100<<16 + 1)) >> 16 & 0x0000FFFF0000FFFF
+	return (x * (10000<<32 + 1)) >> 32, n
 }
 
 // runInt64Subset converts an all-int64 column set with no per-field type

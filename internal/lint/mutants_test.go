@@ -112,9 +112,8 @@ const (
 	// examines exits.
 	fallsThrough = "the path that loses the buffer falls through instead of exiting early; only exits are examined"
 	// syncack asks for one sync-class call between the last write and the ack.
-	lastWriteOnly = "an earlier write of the same function: only the last write before a nil return is examined"
-	anySync       = "a second sync-class call stands between the same write and the ack; either satisfies the rule"
-	noWrite       = "the function writes nothing itself: syncing is its whole job"
+	anySync = "a second sync-class call stands between the same write and the ack; either satisfies the rule"
+	noWrite = "the function writes nothing itself: syncing is its whole job"
 	// journalorder's lock rule is about appends.
 	noAppend = "no journal append in this function: the lock brackets a catalog change whose record goes out with a later append"
 	// decodeguard takes any relational comparison on the variable as a bound.
@@ -154,9 +153,6 @@ var survivors = map[string]string{
 	"internal/scanraw/driver.go:run.fileVisit:putText#2":             fallsThrough,
 	"internal/store/filedisk.go:syncDir:Sync#1":                      noWrite,
 	"internal/store/manifest.go:Manifest.Close:Sync#1":               noWrite,
-	"internal/store/filedisk.go:FileDisk.writeFile:Sync#1":           lastWriteOnly,
-	"internal/store/manifest.go:Manifest.Checkpoint:Sync#1":          lastWriteOnly,
-	"internal/store/manifest.go:Manifest.Checkpoint:syncDir#1":       lastWriteOnly,
 	"internal/store/manifest.go:OpenManifest:Sync#1":                 anySync,
 	"internal/store/manifest.go:OpenManifest:syncDir#1":              anySync,
 	"internal/dbstore/dbstore.go:Table.EnsureChunk:journalLock#1":    noAppend,

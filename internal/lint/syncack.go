@@ -17,9 +17,13 @@ import (
 // The pass is positional and per-function: for each `return ..., nil` it
 // finds the latest write-class call before the return and requires a
 // sync-class call between the two. Functions whose last result is not an
-// error are exempt — they cannot ack anything. The check is deliberately
-// path-insensitive: a write on any branch before an unconditional nil return
-// still demands a sync, which is the conservative direction for durability.
+// error are exempt — they cannot ack anything. A Rename or Truncate is an
+// ordering point held to the same rule in every function: a rename publishes
+// the bytes written before it and a truncate discards a log the bytes before
+// it (a checkpoint) replace, so a crash after either must find those bytes
+// durable. The check is deliberately path-insensitive: a write on any branch
+// before an unconditional nil return still demands a sync, which is the
+// conservative direction for durability.
 var SyncAck = &Analyzer{
 	Name: "syncack",
 	Dirs: []string{"internal/store"},
@@ -54,6 +58,7 @@ var bypassCalls = map[string]bool{
 func syncAckUnit(u *unit) []Diagnostic {
 	var diags []Diagnostic
 	var writes, syncs []token.Pos
+	var orderings []callEvent
 	for _, c := range u.calls {
 		// writeFile(...) also renames, but it syncs internally; classify it
 		// (and any sync-class call) before the write classes.
@@ -65,6 +70,30 @@ func syncAckUnit(u *unit) []Diagnostic {
 			syncs = append(syncs, c.call.End())
 		case writeCalls[c.name] && c.recv != "":
 			writes = append(writes, c.call.End())
+			if c.name == "Rename" || c.name == "Truncate" {
+				orderings = append(orderings, c)
+			}
+		}
+	}
+	// syncedBefore reports whether a sync-class call stands between the
+	// latest write preceding at and at; true when no write precedes it.
+	syncedBefore := func(at token.Pos) bool {
+		var lastWrite token.Pos
+		for _, w := range writes {
+			if w < at && w > lastWrite {
+				lastWrite = w
+			}
+		}
+		synced := lastWrite == token.NoPos
+		for _, s := range syncs {
+			synced = synced || (s > lastWrite && s < at)
+		}
+		return synced
+	}
+	for _, c := range orderings {
+		if !syncedBefore(c.call.Pos()) {
+			diags = append(diags, u.diag("syncack", c.call,
+				"%s after a write with no Sync/syncDir between — a crash can find the %s done and the write lost (DESIGN §10)", c.name, c.name))
 		}
 	}
 	// Only a function whose final result is an error can ack anything.
@@ -82,18 +111,7 @@ func syncAckUnit(u *unit) []Diagnostic {
 		if last, ok := ret.Results[len(ret.Results)-1].(*ast.Ident); !ok || last.Name != "nil" {
 			continue
 		}
-		// Latest write preceding this return; nothing to prove if none.
-		var lastWrite token.Pos
-		for _, w := range writes {
-			if w < ret.Pos() {
-				lastWrite = w
-			}
-		}
-		synced := lastWrite == token.NoPos
-		for _, s := range syncs {
-			synced = synced || (s > lastWrite && s < ret.Pos())
-		}
-		if !synced {
+		if !syncedBefore(ret.Pos()) {
 			diags = append(diags, u.diag("syncack", ret,
 				"nil error returned after a write with no Sync/syncDir between — the ack races the page cache (fsync-before-ack, DESIGN §10)"))
 		}

@@ -47,6 +47,29 @@ func goodRenameThenSyncDir(root, tmp, path string) error {
 	return nil
 }
 
+// Bad: the rename publishes bytes no sync has made durable.
+func badRenameUnsynced(tmp *LogFile, tmpName, path string, p []byte) error {
+	if _, err := tmp.Write(p); err != nil {
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil { // want
+		return err
+	}
+	return syncDir(path)
+}
+
+// Bad: the log is cut before the checkpoint renamed in to replace it is
+// durable in its directory.
+func badTruncateBeforeSyncDir(log *LogFile, tmpName, path string) error {
+	if err := os.Rename(tmpName, path); err != nil {
+		return err
+	}
+	if err := log.Truncate(0); err != nil { // want
+		return err
+	}
+	return log.Sync()
+}
+
 // Good: a nil return before any write promises nothing.
 func goodEarlyNil(f *LogFile, p []byte) error {
 	if len(p) == 0 {

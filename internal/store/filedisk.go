@@ -300,22 +300,28 @@ type readHandle struct {
 }
 
 // acquire returns the kept handle for name with a reference taken, opening
-// the file on a miss. The open happens under handleMu: an invalidation
-// follows its rename or remove, so it either finds the handle this call
-// inserted or ran before the open saw the directory — a handle on a
-// replaced file cannot be left in the set. When the set is full an arbitrary
-// handle makes room (map order: unlike least-recently-used it keeps some of
-// a scan that cycles through more blobs than the bound).
-func (d *FileDisk) acquire(name, path string) (*readHandle, error) {
+// the file on a miss. Only a miss validates the name and builds its path: a
+// name is kept only once it has passed, so a hit costs a map lookup. The
+// open happens under handleMu: an invalidation follows its rename or remove,
+// so it either finds the handle this call inserted or ran before the open saw
+// the directory — a handle on a replaced file cannot be left in the set.
+// When the set is full an arbitrary handle makes room (map order: unlike
+// least-recently-used it keeps some of a scan that cycles through more blobs
+// than the bound).
+func (d *FileDisk) acquire(name string) (*readHandle, error) {
 	d.handleMu.Lock()
 	defer d.handleMu.Unlock()
 	if h := d.handles[name]; h != nil {
 		h.refs++
 		return h, nil
 	}
-	f, err := os.Open(path)
+	path, err := d.path(name)
 	if err != nil {
 		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", name, err)
 	}
 	if len(d.handles) >= maxReadHandles {
 		for victim := range d.handles {
@@ -359,17 +365,13 @@ func (d *FileDisk) unrefLocked(h *readHandle) {
 // name's kept handle. A short read with a nil error means the blob ended
 // (the Disk contract).
 func (d *FileDisk) ReadAt(name string, p []byte, off int64) (int, error) {
-	path, err := d.path(name)
-	if err != nil {
-		return 0, err
-	}
 	if off < 0 {
 		return 0, fmt.Errorf("store: negative offset %d reading %s", off, name)
 	}
 	start := time.Now()
-	h, err := d.acquire(name, path)
+	h, err := d.acquire(name)
 	if err != nil {
-		return 0, fmt.Errorf("store: %s: %w", name, err)
+		return 0, err
 	}
 	n, err := h.f.ReadAt(p, off)
 	d.release(h)

@@ -70,6 +70,36 @@ func TestKeptHandleInvalidation(t *testing.T) {
 	}
 }
 
+// TestKeptHandleReadAllocatesNothing: a read through a kept handle neither
+// validates the name again nor builds its path, so it allocates nothing; a
+// name that fails validation is never kept, so it fails on every read.
+func TestKeptHandleReadAllocatesNothing(t *testing.T) {
+	d, err := OpenFileDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Preload("db/t/seg", bytes.Repeat([]byte{7}, 4096))
+	buf := make([]byte, 512)
+	readAll(t, d, "db/t/seg")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if n, err := d.ReadAt("db/t/seg", buf, 1024); err != nil || n != len(buf) {
+			t.Fatalf("ReadAt = %d, %v", n, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("kept-handle ReadAt allocates %.1f times, want 0", allocs)
+	}
+	for _, name := range []string{"", ".", "..", "../x", "a/../b", "a//b", ".tmp-x", "a/.tmp-b"} {
+		for i := 0; i < 2; i++ {
+			if _, err := d.ReadAt(name, buf, 0); err == nil {
+				t.Errorf("ReadAt(%q) should fail", name)
+			}
+		}
+	}
+	if len(d.handles) != 1 {
+		t.Errorf("%d kept handles, want only the valid name's", len(d.handles))
+	}
+}
+
 // openFDs counts this process's open descriptors.
 func openFDs(t *testing.T) int {
 	t.Helper()
