@@ -93,16 +93,21 @@ invariants:
 # Short fuzz smoke over the decoders that parse untrusted bytes — the
 # primitive decoder under all of them (random bytes against a random
 # sequence of reads), the manifest record/frame decoders (crash recovery reads whatever is on
-# disk; segment records, whose numbers size a read, get a target of their own), the binary chunk codec, and the network-facing cluster decoders
+# disk; segment records, whose numbers size a read, get a target of their own), the binary chunk codec's
+# vector page decoder (a dictionary page that decodes carries codes that
+# describe its strings), and the network-facing cluster decoders
 # (serialized engine partials and frame payloads arrive over TCP) — plus
 # the fused-kernel differential property (fused conversion equals the
-# two-stage reference, or both error), the row encoder's (its bytes equal
+# two-stage reference, or both error), the compiled LIKE matcher's (it
+# equals the backtracking likeMatch), the row encoder's (its bytes equal
 # encoding/json's for the same row) and the raw scanner's (behind a disk of
 # short reads it carves tok.SplitChunks' chunks and reads exact extents). A
 # few seconds each is enough to catch structural regressions; long fuzz runs
 # stay manual.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDec -fuzztime=5s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeVector -fuzztime=5s ./internal/chunk
+	$(GO) test -run='^$$' -fuzz=FuzzLikeMatch -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrames -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=5s ./internal/store

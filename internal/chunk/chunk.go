@@ -71,11 +71,19 @@ func (m *PositionalMap) MemSize() int {
 
 // Vector is a typed column of values. Exactly one of the payload slices is
 // populated, matching Type.
+//
+// A string vector decoded from a dictionary page also carries the page's
+// encoding, so the engine can evaluate a predicate or find a group once per
+// distinct value: Dict holds the entries and Codes one code per row, with
+// Strs[i] == Dict[Codes[i]] for every row. Only DecodeVector sets them.
+// Dict is nil on every other vector, and Codes then means nothing.
 type Vector struct {
 	Type   schema.Type
 	Ints   []int64
 	Floats []float64
 	Strs   []string
+	Dict   []string
+	Codes  []byte
 }
 
 // NewVector allocates a vector of n zero values of type t.
@@ -106,6 +114,26 @@ func (v *Vector) Len() int {
 	}
 }
 
+// codeViolation describes how a vector that carries a dictionary breaks its
+// code invariant — one code per row, every code inside the dictionary, every
+// row the entry its code names — or returns "" when it keeps it or carries
+// none. The invariants build checks it wherever a coded vector is made or
+// installed (checkCodes).
+func codeViolation(v *Vector) string {
+	if v.Dict == nil {
+		return ""
+	}
+	if len(v.Codes) != len(v.Strs) {
+		return fmt.Sprintf("%d codes for %d strings", len(v.Codes), len(v.Strs))
+	}
+	for i, c := range v.Codes {
+		if int(c) >= len(v.Dict) || v.Strs[i] != v.Dict[c] {
+			return fmt.Sprintf("row %d: code %d does not name %q", i, c, v.Strs[i])
+		}
+	}
+	return ""
+}
+
 // MemSize returns the approximate memory footprint in bytes.
 func (v *Vector) MemSize() int {
 	switch v.Type {
@@ -114,7 +142,7 @@ func (v *Vector) MemSize() int {
 	case schema.Float64:
 		return 8 * len(v.Floats)
 	default:
-		n := 16 * len(v.Strs)
+		n := 16*len(v.Strs) + len(v.Codes)
 		for _, s := range v.Strs {
 			n += len(s)
 		}
@@ -155,6 +183,7 @@ func (b *BinaryChunk) SetColumn(i int, v *Vector) error {
 	if v.Len() != b.Rows {
 		return fmt.Errorf("chunk: column %d has %d values, chunk has %d rows", i, v.Len(), b.Rows)
 	}
+	checkCodes(v)
 	b.cols[i] = v
 	return nil
 }

@@ -183,6 +183,80 @@ func TestFuzzCorpusPoisonedPool(t *testing.T) {
 	}
 }
 
+// TestDecodeRetainsNothingOfThePage: a page buffer is reused once its
+// vectors are decoded, so nothing a vector holds — its dictionary codes
+// included — may alias it.
+func TestDecodeRetainsNothingOfThePage(t *testing.T) {
+	for kind, src := range pageKinds(1237) {
+		p := EncodeVector(src)
+		v, err := DecodeVector(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p {
+			p[i] = 0xDB
+		}
+		if !vectorsBitEqual(v, src) {
+			t.Errorf("%s: values changed with the page", kind)
+		}
+		if msg := codeViolation(v); msg != "" {
+			t.Errorf("%s: codes changed with the page: %s", kind, msg)
+		}
+		PutVector(v)
+	}
+}
+
+// TestRecycledVectorDropsCodes: a vector decoded from a dictionary page
+// carries its codes into the pool; whoever takes it next must get a vector
+// without a dictionary, or the engine would read stale codes beside fresh
+// strings. Taken by GetVector and by DecodeVector of a plain-string page
+// here; by a kernel conversion in internal/kernel
+// (TestConvertDropsRecycledCodes) — this package cannot import the kernels.
+func TestRecycledVectorDropsCodes(t *testing.T) {
+	dictPage := EncodeVector(pageKinds(64)["dictionary-string"])
+	plainPage := EncodeVector(pageKinds(1024)["plain-string"]) // past 256 distinct values
+	if plainPage[0] != byte(schema.Str) {
+		t.Fatalf("fixture is not a plain string page (tag %#x)", plainPage[0])
+	}
+	for name, take := range map[string]func(t *testing.T) *Vector{
+		"GetVector": func(*testing.T) *Vector { return GetVector(schema.Str, 64) },
+		"DecodeVector/plain-string": func(t *testing.T) *Vector {
+			v, err := DecodeVector(plainPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// The pool may drop a put (it does at random under the race
+			// detector), so count the takes that met the coded vector.
+			reused := 0
+			for i := 0; i < 100; i++ {
+				coded, err := DecodeVector(dictPage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if coded.Dict == nil || len(coded.Codes) != 64 {
+					t.Fatalf("a dictionary page decoded without its codes (%d codes)", len(coded.Codes))
+				}
+				PutVector(coded)
+				v := take(t)
+				if v == coded {
+					reused++
+				}
+				if v.Dict != nil || len(v.Codes) != 0 {
+					t.Fatalf("taken vector carries a dictionary of %d entries and %d codes", len(v.Dict), len(v.Codes))
+				}
+				PutVector(v)
+			}
+			if reused == 0 {
+				t.Fatal("the pool never handed the coded vector back; the test checked nothing")
+			}
+		})
+	}
+}
+
 var benchVec *Vector
 
 // BenchmarkDecodeVector is the widening loop of a warm page read: one

@@ -235,13 +235,17 @@ func decodeStrDict(n int, body []byte) (*Vector, error) {
 		return nil, fmt.Errorf("chunk: truncated dictionary codes: need %d, have %d", n, len(body)-off)
 	}
 	v := getVector(schema.Str, n, false)
-	for i, c := range body[off : off+n] {
+	codes := body[off : off+n]
+	for i, c := range codes {
 		if int(c) >= ndict {
 			PutVector(v)
 			return nil, fmt.Errorf("chunk: dictionary code %d out of range [0,%d)", c, ndict)
 		}
 		v.Strs[i] = dict[c]
 	}
+	// The codes are copied: the vector outlives the page it was read from.
+	v.Dict, v.Codes = dict, append(v.Codes, codes...)
+	checkCodes(v)
 	return v, nil
 }
 

@@ -2,14 +2,15 @@ package chunk
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"scanraw/internal/schema"
 )
 
-// fuzzSeeds is FuzzDecodeVector's seed corpus: one page of every kind, an
-// empty page, and a dictionary header claiming 2^32-1 rows.
+// fuzzSeeds is FuzzDecodeVector's seed corpus: one page of every kind, a
+// dictionary page that uses every code, an empty page, and a dictionary
+// header claiming 2^32-1 rows.
 func fuzzSeeds() [][]byte {
 	mk := func(v *Vector) []byte { return EncodeVector(v) }
 	iv := NewVector(schema.Int64, 3)
@@ -22,13 +23,19 @@ func fuzzSeeds() [][]byte {
 	lv.Strs = []string{"unique-one", "unique-two"} // plain string path
 	fv := NewVector(schema.Float64, 2)
 	fv.Floats = []float64{1.5, -2.5}
-	return [][]byte{mk(iv), mk(nv), mk(sv), mk(lv), mk(fv), {}, {0x82, 0xFF, 0xFF, 0xFF, 0xFF, 0x00}}
+	all := NewVector(schema.Str, 512) // 256 entries, each row's twice
+	for i := range all.Strs {
+		all.Strs[i] = string(rune('0' + i%256))
+	}
+	return [][]byte{mk(iv), mk(nv), mk(sv), mk(lv), mk(fv), mk(all), {}, {0x82, 0xFF, 0xFF, 0xFF, 0xFF, 0x00}}
 }
 
 // FuzzDecodeVector feeds arbitrary bytes to the page decoder. It must
 // return an error or a valid vector — never panic — and any page that
 // decodes successfully must re-encode and decode to the same values
-// (decode is a left inverse of encode on its image).
+// (decode is a left inverse of encode on its image). A dictionary page that
+// decodes carries its codes, and they describe its strings; no other page
+// carries any.
 func FuzzDecodeVector(f *testing.F) {
 	for _, p := range fuzzSeeds() {
 		f.Add(p)
@@ -42,6 +49,12 @@ func FuzzDecodeVector(f *testing.F) {
 		if !v.Type.Valid() {
 			t.Fatalf("decoded invalid type %v", v.Type)
 		}
+		if (v.Dict != nil) != (p[0] == tagStrDict) {
+			t.Fatalf("page tag %#x decoded with a dictionary of %d entries", p[0], len(v.Dict))
+		}
+		if msg := codeViolation(v); msg != "" {
+			t.Fatal(msg)
+		}
 		again, err := DecodeVector(EncodeVector(v))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -53,7 +66,9 @@ func FuzzDecodeVector(f *testing.F) {
 }
 
 // vectorsBitEqual compares vectors with bitwise float equality (NaN bit
-// patterns round-trip exactly; reflect.DeepEqual would call NaN != NaN).
+// patterns round-trip exactly; reflect.DeepEqual would call NaN != NaN). An
+// empty vector equals an empty vector whether or not its slice is nil: a
+// pooled one never is, a fresh one is.
 func vectorsBitEqual(a, b *Vector) bool {
 	if a.Type != b.Type || a.Len() != b.Len() {
 		return false
@@ -67,8 +82,8 @@ func vectorsBitEqual(a, b *Vector) bool {
 		}
 		return true
 	case schema.Int64:
-		return reflect.DeepEqual(a.Ints, b.Ints)
+		return slices.Equal(a.Ints, b.Ints)
 	default:
-		return reflect.DeepEqual(a.Strs, b.Strs)
+		return slices.Equal(a.Strs, b.Strs)
 	}
 }

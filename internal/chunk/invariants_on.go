@@ -59,6 +59,14 @@ func notePutPositionalMap(m *PositionalMap) {
 	outstandingMaps.Add(-1)
 }
 
+// checkCodes panics unless a string vector that carries a dictionary keeps
+// the code invariant (codeViolation).
+func checkCodes(v *Vector) {
+	if msg := codeViolation(v); msg != "" {
+		panic("invariant violation: chunk: " + msg)
+	}
+}
+
 // OutstandingVectors reports vectors acquired from the pool and not yet
 // recycled. Only available in invariants builds.
 func OutstandingVectors() int64 { return outstandingVecs.Load() }

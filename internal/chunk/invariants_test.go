@@ -52,6 +52,36 @@ func TestOutstandingCountersBalance(t *testing.T) {
 	}
 }
 
+// SetColumn refuses a vector whose codes no longer describe its strings: a
+// code past the dictionary, a row that is not its entry, a code too few.
+func TestSetColumnChecksCodes(t *testing.T) {
+	sch := schema.MustNew(schema.Column{Name: "s", Type: schema.Str})
+	for name, breakIt := range map[string]func(v *Vector){
+		"code past the dictionary": func(v *Vector) { v.Codes[3] = byte(len(v.Dict)) },
+		"row not its entry":        func(v *Vector) { v.Strs[5] = "elsewhere" },
+		"codes short":              func(v *Vector) { v.Codes = v.Codes[:len(v.Codes)-1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			v, err := DecodeVector(EncodeVector(pageKinds(64)["dictionary-string"]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bc := NewBinary(sch, 0, 64)
+			if err := bc.SetColumn(0, v); err != nil {
+				t.Fatal(err)
+			}
+			defer PutVector(v)
+			breakIt(v)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("SetColumn installed a vector whose codes do not describe its strings")
+				}
+			}()
+			_ = NewBinary(sch, 1, 64).SetColumn(0, v)
+		})
+	}
+}
+
 // A decode that fails after taking its vector (a dictionary code past the
 // dictionary is only found while filling) hands the vector back; one that
 // succeeds leaves exactly one outstanding until its owner puts it.

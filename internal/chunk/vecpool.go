@@ -25,13 +25,15 @@ var vecPools = [3]sync.Pool{
 }
 
 // GetVector returns a zeroed vector of n values of type t, reusing pooled
-// backing storage when available.
+// backing storage when available. It never carries a dictionary.
 func GetVector(t schema.Type, n int) *Vector { return getVector(t, n, true) }
 
 // getVector is GetVector with the clear optional: a caller that overwrites
 // every element (DecodeVector) passes zero=false and skips it. Such a vector
 // holds whatever its previous owner left — stale values, stale strings —
-// until the caller has filled it.
+// until the caller has filled it. A string vector's dictionary is dropped
+// either way (Codes keeps only its capacity), so stale codes never describe
+// fresh strings.
 func getVector(t schema.Type, n int, zero bool) *Vector {
 	v := vecPools[t].Get().(*Vector)
 	switch t {
@@ -53,6 +55,7 @@ func getVector(t schema.Type, n int, zero bool) *Vector {
 		} else if v.Strs = v.Strs[:n]; zero {
 			clear(v.Strs)
 		}
+		v.Dict, v.Codes = nil, v.Codes[:0]
 	default:
 		panic("chunk: invalid vector type")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scanraw/internal/chunk"
+	"scanraw/internal/sam"
 	"scanraw/internal/schema"
 )
 
@@ -131,6 +132,78 @@ func BenchmarkGroupBy(b *testing.B) {
 			b.ReportMetric(float64(b.N)*float64(c.bc.Rows)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+}
+
+// samChunk is one 8,192-read chunk of the synthetic alignment file (the
+// default ChunkLines) with the given SAM columns, as a conversion produces
+// it, and the same chunk as a database read delivers it: every column
+// decoded from its page, so CIGAR (≈ 150 distinct values) arrives with its
+// dictionary codes and SEQ (one value per read) without.
+func samChunk(tb testing.TB, cols ...string) (converted, paged *chunk.BinaryChunk) {
+	tb.Helper()
+	sch := sam.Schema()
+	spec := sam.Spec{Reads: 8192, Seed: 3}
+	reads := make([]sam.Read, spec.Reads)
+	for i := range reads {
+		reads[i] = spec.ReadAt(i)
+	}
+	ords := make([]int, len(cols))
+	for i, name := range cols {
+		var ok bool
+		if ords[i], ok = sch.Index(name); !ok {
+			tb.Fatalf("no SAM column %q", name)
+		}
+	}
+	bc, err := sam.ReadsToChunk(0, reads, ords)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bc, pageDecoded(tb, []*chunk.BinaryChunk{bc})[0]
+}
+
+// benchConsume is the string benchmarks' body: one executor's whole life
+// over one chunk, converted ("plain") or decoded from pages ("dict"), in
+// rows/s.
+func benchConsume(b *testing.B, sql string, cols ...string) {
+	plain, paged := samChunk(b, cols...)
+	for _, c := range []struct {
+		name string
+		bc   *chunk.BinaryChunk
+	}{{"plain", plain}, {"dict", paged}} {
+		b.Run(c.name, func(b *testing.B) {
+			q, err := ParseSQL(sql, c.bc.Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := runGroupBy(q, c.bc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(c.bc.Rows)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkConsumeLike is sam_sequence's S1/S3 statement: a LIKE over the
+// CIGAR column.
+func BenchmarkConsumeLike(b *testing.B) {
+	benchConsume(b, "SELECT COUNT(pos) FROM t WHERE cigar LIKE '%D%'", "pos", "cigar")
+}
+
+// BenchmarkGroupByStr groups by the CIGAR column. Both chunks take the same
+// per-row resolver; the pair shows a coded key vector costs it nothing.
+func BenchmarkGroupByStr(b *testing.B) {
+	benchConsume(b, "SELECT cigar, COUNT(*) FROM t GROUP BY cigar", "cigar")
+}
+
+// BenchmarkTable1Consume is Table 1's statement: a LIKE over SEQ, a GROUP BY
+// over CIGAR. Its "dict" chunk is what the "Database processing" row
+// consumes.
+func BenchmarkTable1Consume(b *testing.B) {
+	benchConsume(b, "SELECT cigar, COUNT(*) AS reads FROM alignments WHERE seq LIKE '%ACGTAC%' GROUP BY cigar", "cigar", "seq")
 }
 
 // BenchmarkFilteredCount measures predicate evaluation plus COUNT.

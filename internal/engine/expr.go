@@ -422,6 +422,8 @@ func (c *Cmp) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
 	defer releaseScratch(re, r)
 	out := chunk.GetVector(schema.Int64, bc.Rows)
 	switch {
+	case l.Type == schema.Str && rc != nil && l.Dict != nil:
+		dictPredicate(out.Ints, l, func(s string) bool { return truth[1+strings.Compare(s, rc.Str)] != 0 })
 	case l.Type == schema.Str && rc != nil:
 		for i := range out.Ints {
 			out.Ints[i] = truth[1+strings.Compare(l.Strs[i], rc.Str)]
@@ -472,6 +474,22 @@ func cmpScalar[T int64 | float64](truth *[3]int64, out []int64, l []T, s T) {
 	l = l[:len(out)]
 	for i := range out {
 		out[i] = truth[sign3(l[i], s)]
+	}
+}
+
+// dictPredicate sets out[i] to 1 or 0 as f accepts row i of v, a string
+// vector decoded from a dictionary page: f runs once per dictionary entry,
+// into a table the codes then index. A vector without a dictionary takes its
+// caller's per-row loop instead.
+func dictPredicate(out []int64, v *chunk.Vector, f func(string) bool) {
+	var tbl [256]int64
+	for c, s := range v.Dict {
+		if f(s) {
+			tbl[c] = 1
+		}
+	}
+	for i, c := range v.Codes[:len(out)] {
+		out[i] = tbl[c]
 	}
 }
 
@@ -566,11 +584,13 @@ func (l *Logic) String() string {
 
 // Like matches a string expression against a SQL LIKE pattern ('%' matches
 // any run, '_' matches one byte). The SAM workload's "reads exhibiting a
-// certain pattern" predicate compiles to this.
+// certain pattern" predicate compiles to this. The pattern is held only in
+// compiled form, and NewLike is the only way to set it.
 type Like struct {
-	E       Expr
-	Pattern string
-	Negate  bool
+	E      Expr
+	Negate bool
+
+	m likeMatcher
 }
 
 // NewLike builds a LIKE predicate over a string expression.
@@ -578,7 +598,7 @@ func NewLike(e Expr, pattern string, negate bool) (*Like, error) {
 	if e.Type() != schema.Str {
 		return nil, fmt.Errorf("engine: LIKE requires a string operand")
 	}
-	return &Like{E: e, Pattern: pattern, Negate: negate}, nil
+	return &Like{E: e, Negate: negate, m: compileLike(pattern)}, nil
 }
 
 // Type implements Expr.
@@ -592,28 +612,83 @@ func (l *Like) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
 	}
 	defer releaseScratch(l.E, v)
 	out := chunk.GetVector(schema.Int64, bc.Rows)
+	if v.Dict != nil {
+		dictPredicate(out.Ints, v, l.matches)
+		return out, nil
+	}
 	for i, s := range v.Strs {
-		m := likeMatch(s, l.Pattern)
-		if m != l.Negate {
+		if l.matches(s) {
 			out.Ints[i] = 1
 		}
 	}
 	return out, nil
 }
 
+func (l *Like) matches(s string) bool { return l.m.match(s) != l.Negate }
+
+// likeMatcher is a LIKE pattern compiled once per query. A pattern without
+// '_' is its literal segments between the '%'s: one segment is an exact
+// match; otherwise the first is anchored at the start, the last at the end,
+// and the ones between are found leftmost and in order in what the two
+// leave. A pattern with '_' is matched by likeMatch. The zero value is the
+// empty pattern, which matches only "".
+type likeMatcher struct {
+	pattern  string   // as written
+	under    bool     // the pattern holds '_'
+	wild     bool     // the pattern holds '%'; without one, pre is all of it
+	pre, suf string   // the segments before the first '%' and after the last
+	mids     []string // the non-empty segments between
+}
+
+func compileLike(p string) likeMatcher {
+	m := likeMatcher{pattern: p, under: strings.IndexByte(p, '_') >= 0}
+	segs := strings.Split(p, "%")
+	m.pre, m.suf, m.wild = segs[0], segs[len(segs)-1], len(segs) > 1
+	for _, seg := range segs[1:max(1, len(segs)-1)] {
+		if seg != "" {
+			m.mids = append(m.mids, seg)
+		}
+	}
+	return m
+}
+
+func (m *likeMatcher) match(s string) bool {
+	switch {
+	case m.under:
+		return likeMatch(s, m.pattern)
+	case !m.wild:
+		return s == m.pre
+	}
+	// The anchors must not overlap: 'a%a' does not match "a".
+	if len(s) < len(m.pre)+len(m.suf) || s[:len(m.pre)] != m.pre || s[len(s)-len(m.suf):] != m.suf {
+		return false
+	}
+	s = s[len(m.pre) : len(s)-len(m.suf)]
+	for _, seg := range m.mids {
+		i := strings.Index(s, seg)
+		if i < 0 {
+			return false
+		}
+		s = s[i+len(seg):]
+	}
+	return true
+}
+
 // likeMatch implements SQL LIKE with '%' and '_' wildcards using the
 // classic two-pointer backtracking algorithm (linear for patterns with a
-// single '%' run, worst-case quadratic).
+// single '%' run, worst-case quadratic). It matches the patterns with '_'
+// and is the oracle the compiled matcher is held to.
 func likeMatch(s, p string) bool {
 	var si, pi int
 	star, match := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
+		// '%' first: a '%' in s is not a literal match for the wildcard.
 		case pi < len(p) && p[pi] == '%':
 			star, match = pi, si
+			pi++
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
 			pi++
 		case star >= 0:
 			pi = star + 1
@@ -638,7 +713,7 @@ func (l *Like) String() string {
 	if l.Negate {
 		not = "NOT "
 	}
-	return fmt.Sprintf("(%s %sLIKE '%s')", l.E, not, l.Pattern)
+	return fmt.Sprintf("(%s %sLIKE '%s')", l.E, not, l.m.pattern)
 }
 
 // DedupColumns returns the sorted, de-duplicated ordinals referenced by the

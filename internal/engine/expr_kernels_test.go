@@ -219,10 +219,18 @@ func TestArithKernelsMatchRowReference(t *testing.T) {
 	}
 }
 
+// TestCmpKernelsMatchRowReference also runs the string shapes over columns
+// decoded from dictionary pages, where a literal operand is compared once
+// per dictionary entry.
 func TestCmpKernelsMatchRowReference(t *testing.T) {
-	bc := kernelChunk(t, false)
-	for _, strs := range []bool{false, true} {
-		for _, pair := range operandPairs(t, strs) {
+	plain := kernelChunk(t, false)
+	coded := dictDecoded(t, []*chunk.BinaryChunk{plain})[0]
+	for _, shape := range []struct {
+		strs bool
+		bc   *chunk.BinaryChunk
+	}{{false, plain}, {true, plain}, {true, coded}} {
+		bc := shape.bc
+		for _, pair := range operandPairs(t, shape.strs) {
 			for op := OpEq; op <= OpGe; op++ {
 				e, err := NewCmp(op, pair[0], pair[1])
 				if err != nil {

@@ -259,11 +259,25 @@ func TestLikeMatch(t *testing.T) {
 		{"mississippi", "%iss%xpi", false},
 		{"5M", "%M%", true},
 		{"3S5M", "_S%", true},
+		{"%000", "%", true}, // a '%' in the subject is not the wildcard
+		{"50%", "%0%", true},
+		{"a", "a%a", false},
+		{"ba", "%a%b%", false}, // middle segments match in order
+		{"a", "%a%a%", false},
+		{"aa", "%a%a%", true},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q,%q) = %v, want %v", c.s, c.p, got, c.want)
 		}
+		if m := compileLike(c.p); m.match(c.s) != c.want {
+			t.Errorf("compiled %q on %q = %v, want %v", c.p, c.s, !c.want, c.want)
+		}
+	}
+	// The zero matcher, all a Like literal holds, is the empty pattern.
+	var zero likeMatcher
+	if !zero.match("") || zero.match("hello") {
+		t.Error("the zero likeMatcher does not match exactly the empty string")
 	}
 }
 

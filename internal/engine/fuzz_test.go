@@ -50,14 +50,27 @@ func FuzzParseSQL(f *testing.F) {
 }
 
 // FuzzLikeMatch checks the backtracking matcher never panics or loops and
-// agrees with a simple reference implementation on wildcard-free patterns.
+// agrees with a simple reference implementation on wildcard-free patterns,
+// and that the compiled matcher NewLike builds agrees with it everywhere.
 func FuzzLikeMatch(f *testing.F) {
 	f.Add("hello", "h%o")
 	f.Add("", "%")
 	f.Add("aaaa", "a%a%a")
 	f.Add("mississippi", "%iss%_p_")
+	// The anchors overlapping, a suffix that also occurs earlier, a
+	// pattern of nothing but '%', the empty pattern, a middle segment
+	// right before the suffix.
+	f.Add("a", "a%a")
+	f.Add("aba", "ab%ba")
+	f.Add("", "%%")
+	f.Add("x", "")
+	f.Add("abc", "%b%c")
 	f.Fuzz(func(t *testing.T, s, p string) {
 		got := likeMatch(s, p)
+		m := compileLike(p)
+		if c := m.match(s); c != got {
+			t.Fatalf("compiled %q on %q = %v, likeMatch = %v", p, s, c, got)
+		}
 		hasWildcard := false
 		for i := 0; i < len(p); i++ {
 			if p[i] == '%' || p[i] == '_' {

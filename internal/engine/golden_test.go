@@ -125,9 +125,16 @@ func goldenChunks(t *testing.T) (*schema.Schema, []*chunk.BinaryChunk) {
 // TestGoldenPartialBytes pins the serialized-partial payload bytes for the
 // three payload kinds (aggregation table, top-k heap, row buffer) and
 // checks that a decoded partial re-encodes to the same bytes — so NaN
-// aggregate state and NaN row values compare by bits.
+// aggregate state and NaN row values compare by bits. The string column
+// comes once as converted and once decoded from its dictionary page: the
+// bytes are the same fixtures either way.
 func TestGoldenPartialBytes(t *testing.T) {
-	sch, chunks := goldenChunks(t)
+	sch, plain := goldenChunks(t)
+	t.Run("plain", func(t *testing.T) { checkGoldenPartials(t, sch, plain) })
+	t.Run("dictionary", func(t *testing.T) { checkGoldenPartials(t, sch, dictDecoded(t, plain)) })
+}
+
+func checkGoldenPartials(t *testing.T, sch *schema.Schema, chunks []*chunk.BinaryChunk) {
 	cases := []struct {
 		name, sql string
 		chunkBase int

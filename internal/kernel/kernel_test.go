@@ -200,6 +200,49 @@ func TestConvertTabDelimited(t *testing.T) {
 	}
 }
 
+// A string vector decoded from a dictionary page goes back to the pool with
+// its codes; a conversion that takes it next must install it without them
+// (chunk's TestRecycledVectorDropsCodes covers the other two ways to take it).
+func TestConvertDropsRecycledCodes(t *testing.T) {
+	sch := mixedSchema(schema.Str)
+	k, err := For(sch, []int{0}, ',')
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := chunk.NewVector(schema.Str, 64)
+	for i := range dict.Strs {
+		dict.Strs[i] = []string{"5M", "3S2M", "1D4M"}[i%3]
+	}
+	page := chunk.EncodeVector(dict)
+	text := strings.Repeat("a\nbb\n", 32)
+	reused := 0
+	for i := 0; i < 100; i++ {
+		coded, err := chunk.DecodeVector(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coded.Dict == nil {
+			t.Fatal("fixture did not decode as a dictionary page")
+		}
+		chunk.PutVector(coded)
+		bc, err := k.Convert(textChunk(0, text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := bc.Column(0)
+		if v == coded {
+			reused++
+		}
+		if v.Dict != nil || len(v.Codes) != 0 || v.Strs[1] != "bb" {
+			t.Fatalf("converted column carries a dictionary of %d entries and %d codes", len(v.Dict), len(v.Codes))
+		}
+		bc.RecycleColumns()
+	}
+	if reused == 0 {
+		t.Fatal("the pool never handed the coded vector to the kernel; the test checked nothing")
+	}
+}
+
 // Convert's no-retention contract: once it has returned, the text may be
 // overwritten (the operator recycles the buffer at once) and nothing the
 // chunk holds — string cells included — changes. The error carries its own
