@@ -129,8 +129,21 @@ loc:
 		tl=$$((tl + l)); tc=$$((tc + c)); \
 	done; printf '%-20s %6d %6d\n' total $$tl $$tc
 
-# The two knob counts ROADMAP asks every CHANGES.md entry for, read from the
-# source: fields of scanraw.Config, flags cmd/scanrawd defines.
+# The knob counts ROADMAP asks every CHANGES.md entry for, read from the
+# source: exported fields of each settable struct, flags each command
+# defines, and their total. The first two lines are the original pair.
 knobs:
-	@printf 'scanraw.Config fields  %d\n' $$(awk '/^type Config struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Z][A-Za-z0-9]*[ \t]/{n++} END{print n}' internal/scanraw/scanraw.go)
-	@printf 'scanrawd flags         %d\n' $$(cat $$(ls cmd/scanrawd/*.go | grep -v _test.go) | grep -oE 'flag\.(Bool|Duration|Float64|Int|Int64|Uint|Uint64|String|Var|Func|TextVar)\(' | wc -l)
+	@fields() { awk -v s="$$1" '$$0 == "type " s " struct {" {f=1; next} f && /^}/ {f=0} f && /^\t[A-Z][A-Za-z0-9]*[ \t]/ {n++} END {print n+0}' $$2; }; \
+	flags() { cat $$(ls $$1/*.go | grep -v _test.go) | grep -oE 'flag\.(Bool|Duration|Float64|Int|Int64|Uint|Uint64|String|Var|Func|TextVar)\(' | wc -l; }; \
+	t=0; row() { printf '%-23s%d\n' "$$1" $$2; t=$$((t + $$2)); }; \
+	row 'scanraw.Config fields' $$(fields Config internal/scanraw/scanraw.go); \
+	row 'scanrawd flags' $$(flags cmd/scanrawd); \
+	row 'scanraw.Request fields' $$(fields Request internal/scanraw/scanraw.go); \
+	row 'scanraw.Member fields' $$(fields Member internal/scanraw/registry.go); \
+	row 'server.Config fields' $$(fields Config internal/server/server.go); \
+	row 'cluster.Config fields' $$(fields Config internal/cluster/coordinator.go); \
+	row 'vdisk.Config fields' $$(fields Config internal/vdisk/vdisk.go); \
+	row 'ola.Config fields' $$(fields Config internal/ola/estimate.go); \
+	row 'Options fields' $$(fields Options scanraw.go); \
+	row 'scanraw flags' $$(flags cmd/scanraw); \
+	printf '%-23s%d\n' total $$t

@@ -46,12 +46,10 @@ func main() {
 		samMode   = flag.Bool("sam", false, "use the SAM schema and tab delimiter")
 		policyStr = flag.String("policy", "speculative", "write policy")
 		workers   = flag.Int("workers", 8, "worker threads (0 = sequential)")
-		adaptive  = flag.Bool("adaptive", false, "resize the worker pool between queries from utilization feedback")
 		consumeW  = flag.Int("consume-workers", 1, "consume goroutines per query (parallel evaluation)")
 		chunk     = flag.Int("chunk", 1<<13, "lines per chunk")
 		cacheSz   = flag.Int("cache", 32, "binary cache capacity in chunks")
 		colGroups = flag.Int("colgroups", 1, "column-group width for database pages (1 = per-column, 0 = full chunk width)")
-		specStr   = flag.String("spec-policy", "payoff", "speculative loading order: payoff (workload-ranked) or scan (file order)")
 		diskMBps  = flag.Int("disk", 400, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		delim     = flag.String("delim", ",", "field delimiter")
 		stats     = flag.Bool("stats", true, "collect min/max statistics while converting")
@@ -74,11 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 	policy, err := scanraw.ParseWritePolicy(*policyStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scanraw: %v\n", err)
-		os.Exit(2)
-	}
-	spec, err := scanraw.ParseSpecPolicy(*specStr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanraw: %v\n", err)
 		os.Exit(2)
@@ -106,16 +99,14 @@ func main() {
 
 	reg := scanraw.NewRegistry(store)
 	opCfg := scanraw.Config{
-		Workers:         *workers,
-		AdaptiveWorkers: *adaptive,
-		ChunkLines:      *chunk,
-		CacheChunks:     *cacheSz,
-		Policy:          policy,
-		Safeguard:       true,
-		Delim:           delimByte,
-		CollectStats:    *stats,
-		ConsumeWorkers:  *consumeW,
-		Speculation:     spec,
+		Workers:        *workers,
+		ChunkLines:     *chunk,
+		CacheChunks:    *cacheSz,
+		Policy:         policy,
+		Safeguard:      true,
+		Delim:          delimByte,
+		CollectStats:   *stats,
+		ConsumeWorkers: *consumeW,
 	}
 	runOne := func(sql string) error {
 		ctx := context.Background()

@@ -172,7 +172,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		policyStr  = flag.String("policy", "speculative", "write policy")
 		workers    = flag.Int("workers", 8, "worker threads per operator (0 = sequential)")
-		adaptive   = flag.Bool("adaptive", false, "resize worker pools between queries from utilization feedback")
 		consumeW   = flag.Int("consume-workers", 1, "consume goroutines per query (parallel evaluation)")
 		chunkLines = flag.Int("chunk", 1<<13, "lines per chunk")
 		cacheSz    = flag.Int("cache", 32, "binary cache capacity in chunks")
@@ -328,16 +327,15 @@ func main() {
 			log.Fatalf("scanrawd: %v", err)
 		}
 		tblCfg := scanraw.Config{
-			Workers:         *workers,
-			AdaptiveWorkers: *adaptive,
-			ChunkLines:      *chunkLines,
-			CacheChunks:     *cacheSz,
-			Policy:          policy,
-			Safeguard:       true,
-			Delim:           delim,
-			CollectStats:    *stats,
-			ConsumeWorkers:  *consumeW,
-			Speculation:     spec,
+			Workers:        *workers,
+			ChunkLines:     *chunkLines,
+			CacheChunks:    *cacheSz,
+			Policy:         policy,
+			Safeguard:      true,
+			Delim:          delim,
+			CollectStats:   *stats,
+			ConsumeWorkers: *consumeW,
+			Speculation:    spec,
 		}
 		if err := srv.AddTable(table, tblCfg); err != nil {
 			log.Fatalf("scanrawd: %v", err)

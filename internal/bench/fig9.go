@@ -43,9 +43,6 @@ func RunFig9(sc Scale, sampleEvery time.Duration) (*Fig9Result, error) {
 
 	total := (sc.Rows + sc.ChunkLines - 1) / sc.ChunkLines
 	var deliveredChunks atomic.Int64
-	tracer := metrics.NewTracer(e.disk, op.CPU(), sampleEvery, func() float64 {
-		return float64(deliveredChunks.Load()) / float64(total)
-	})
 
 	q, err := engine.SumAllColumns(e.table.Schema(), e.table.Name(), allCols(cols))
 	if err != nil {
@@ -55,7 +52,22 @@ func RunFig9(sc Scale, sampleEvery time.Duration) (*Fig9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracer.Start()
+	meter := metrics.NewMeter(e.disk, op.CPU().Total)
+	var samples []metrics.Sample
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(sampleEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				samples = append(samples, meter.Sample(float64(deliveredChunks.Load())/float64(total)))
+			}
+		}
+	}()
 	_, err = op.Run(scanraw.Request{
 		Columns: q.RequiredColumns(),
 		Deliver: func(bc *scanraw.BinaryChunk) error {
@@ -63,7 +75,8 @@ func RunFig9(sc Scale, sampleEvery time.Duration) (*Fig9Result, error) {
 			return ex.Consume(bc)
 		},
 	})
-	samples := tracer.Stop()
+	close(stop)
+	<-stopped
 	if err != nil {
 		return nil, err
 	}

@@ -360,7 +360,7 @@ func TestDistributedDifferentialColGroups(t *testing.T) {
 	// merges the loaded group with a narrow conversion: partial-width hits,
 	// which the shard stats must carry into the coordinator's block.
 	for _, w := range workers {
-		if op, ok := w.srv.Registry().Lookup("raw/data.csv"); ok {
+		if op, ok := w.srv.Operator("data"); ok {
 			op.WaitIdle()
 		}
 	}
@@ -597,7 +597,7 @@ func TestDistributedLimitCancelsRemote(t *testing.T) {
 	// drops what that cached, leaving the LIMIT below a conversion to stop.
 	diffQuery(t, coTS.URL, ref.ts.URL, "SELECT COUNT(*) FROM data")
 	for _, w := range workers {
-		if op, ok := w.srv.Registry().Lookup("raw/data.csv"); ok {
+		if op, ok := w.srv.Operator("data"); ok {
 			op.Cache().Clear()
 		}
 	}

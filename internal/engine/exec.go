@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -272,16 +271,6 @@ func NewExecutorN(q *Query, sch *schema.Schema, width int) (*Executor, error) {
 		e.idle <- i
 	}
 	return e, nil
-}
-
-// ConsumeContext is Consume with a cancellation check at the chunk boundary.
-// This is the point where query execution observes client disconnects and
-// per-query timeouts: the SCANRAW delivery loop calls it once per chunk.
-func (e *Executor) ConsumeContext(ctx context.Context, bc *chunk.BinaryChunk) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return e.Consume(bc)
 }
 
 // Consume folds one chunk into an idle partial. Safe to call from many

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -88,16 +87,6 @@ func newPartial(q *Query, sch *schema.Schema, genericGroups bool) (*Partial, err
 
 // Query returns the query the partial executes.
 func (p *Partial) Query() *Query { return p.q }
-
-// ConsumeContext folds one chunk into the partial after checking for
-// cancellation: the delivery path calls it once per chunk, so a cancelled
-// context stops execution at the next chunk boundary.
-func (p *Partial) ConsumeContext(ctx context.Context, bc *chunk.BinaryChunk) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return p.Consume(bc)
-}
 
 // Consume folds one chunk into the partial. A partial is single-consumer:
 // Consume must not be called concurrently on the same partial (use one

@@ -5,8 +5,8 @@ import "go/ast"
 // LockSend forbids channel operations inside mutex critical sections: a
 // send or receive while holding a sync.Mutex/RWMutex is the deadlock shape
 // this codebase is most exposed to — the goroutine that would drain the
-// channel may be blocked on the same lock (the scheduler/resizer/gate
-// triangle). The critical section is computed positionally: from a
+// channel may be blocked on the same lock (the speculative scheduler and
+// the cache gate). The critical section is computed positionally: from a
 // x.Lock()/x.RLock() statement to the first matching x.Unlock()/x.RUnlock()
 // in the same function, or to the end of the function when the unlock is
 // deferred. Channel operations inside nested function literals are not

@@ -15,8 +15,8 @@ import (
 )
 
 // BusyCounter accumulates the total busy time of a set of workers. Workers
-// bracket their task execution with Track; the tracer differentiates the
-// cumulative total to get utilization per interval.
+// Add the duration of each task; a Meter differentiates the cumulative total
+// to get utilization per interval.
 type BusyCounter struct {
 	ns atomic.Int64
 }
@@ -26,13 +26,6 @@ func (b *BusyCounter) Add(d time.Duration) {
 	if d > 0 {
 		b.ns.Add(int64(d))
 	}
-}
-
-// Track runs fn and accounts its wall-clock duration as busy time.
-func (b *BusyCounter) Track(fn func()) {
-	start := time.Now()
-	fn()
-	b.Add(time.Since(start))
 }
 
 // Total returns cumulative busy time.
@@ -47,7 +40,7 @@ type DiskStats interface {
 
 // Sample is one utilization measurement.
 type Sample struct {
-	// At is the elapsed time since the trace started.
+	// At is the elapsed time since the meter was built.
 	At time.Duration
 	// Progress is the externally supplied processing progress in [0,1].
 	Progress float64
@@ -61,84 +54,10 @@ type Sample struct {
 	WritePercent float64
 }
 
-// Tracer periodically samples a disk and a busy counter.
-type Tracer struct {
-	disk     DiskStats
-	cpu      *BusyCounter
-	interval time.Duration
-	progress func() float64
-
-	mu      sync.Mutex
-	samples []Sample
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// NewTracer builds a tracer sampling every interval. progress may be nil.
-func NewTracer(d DiskStats, cpu *BusyCounter, interval time.Duration, progress func() float64) *Tracer {
-	if progress == nil {
-		progress = func() float64 { return 0 }
-	}
-	return &Tracer{disk: d, cpu: cpu, interval: interval, progress: progress}
-}
-
-// Start begins sampling in a background goroutine.
-func (t *Tracer) Start() {
-	t.stop = make(chan struct{})
-	t.done = make(chan struct{})
-	go t.run()
-}
-
-func (t *Tracer) run() {
-	defer close(t.done)
-	start := time.Now()
-	lastDisk := t.disk.Stats()
-	lastCPU := t.cpu.Total()
-	lastAt := start
-	ticker := time.NewTicker(t.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case now := <-ticker.C:
-			dt := now.Sub(lastAt)
-			if dt <= 0 {
-				continue
-			}
-			disk := t.disk.Stats()
-			cpu := t.cpu.Total()
-			d := disk.Sub(lastDisk)
-			s := Sample{
-				At:           now.Sub(start),
-				Progress:     t.progress(),
-				CPUPercent:   100 * float64(cpu-lastCPU) / float64(dt),
-				ReadPercent:  100 * float64(d.ReadBusy) / float64(dt),
-				WritePercent: 100 * float64(d.WriteBusy) / float64(dt),
-			}
-			s.IOPercent = s.ReadPercent + s.WritePercent
-			t.mu.Lock()
-			t.samples = append(t.samples, s)
-			t.mu.Unlock()
-			lastDisk, lastCPU, lastAt = disk, cpu, now
-		}
-	}
-}
-
-// Stop ends sampling and returns the collected samples.
-func (t *Tracer) Stop() []Sample {
-	close(t.stop)
-	<-t.done
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Sample(nil), t.samples...)
-}
-
-// Meter is the pull-based counterpart of Tracer: instead of a background
-// goroutine sampling on a ticker, each Sample call reports utilization
-// over the interval since the previous call. This is the shape a serving
-// endpoint wants — a GET /metrics handler pulls a sample when asked and
-// pays nothing in between.
+// Meter samples a disk and a worker-busy source: each Sample call reports
+// utilization over the interval since the previous call. A GET /metrics
+// handler pulls a sample when asked and pays nothing in between; Fig. 9
+// calls Sample on its own ticker.
 //
 // The CPU source is a function rather than a single BusyCounter because a
 // server aggregates worker-busy time across every live operator's pool.
@@ -168,9 +87,9 @@ func NewMeter(d DiskStats, cpu func() time.Duration) *Meter {
 }
 
 // Sample returns utilization over the interval since the last Sample (or
-// since construction), in the same units as Tracer samples: CPUPercent in
-// percent-of-one-core (N busy workers report N*100), IO/Read/WritePercent
-// as percent of wall-clock the disk was busy. Progress is passed through.
+// since construction): CPUPercent in percent-of-one-core (N busy workers
+// report N*100), IO/Read/WritePercent as percent of wall-clock the disk was
+// busy. At is the time since construction; progress is passed through.
 func (m *Meter) Sample(progress float64) Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()

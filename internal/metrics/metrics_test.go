@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,14 +17,6 @@ func TestBusyCounter(t *testing.T) {
 	b.Add(-3 * time.Millisecond) // negative ignored
 	if got := b.Total(); got != 15*time.Millisecond {
 		t.Errorf("Total = %v, want 15ms", got)
-	}
-}
-
-func TestBusyCounterTrack(t *testing.T) {
-	var b BusyCounter
-	b.Track(func() { time.Sleep(20 * time.Millisecond) })
-	if got := b.Total(); got < 15*time.Millisecond {
-		t.Errorf("Track accounted %v, want >= ~20ms", got)
 	}
 }
 
@@ -44,18 +38,29 @@ func TestBusyCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestTracerCapturesActivity(t *testing.T) {
+// TestMeterCapturesActivity samples a meter on a ticker, the way Fig. 9
+// does, while a throttled read and a worker task run.
+func TestMeterCapturesActivity(t *testing.T) {
 	d := vdisk.New(vdisk.Config{ReadBandwidth: 10 << 20})
 	d.Preload("f", make([]byte, 2<<20))
 	var cpu BusyCounter
-	progress := 0.0
-	var mu sync.Mutex
-	tr := NewTracer(d, &cpu, 10*time.Millisecond, func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return progress
-	})
-	tr.Start()
+	var progress atomic.Uint64 // math.Float64bits of the progress
+	m := NewMeter(d, cpu.Total)
+	var samples []Sample
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				samples = append(samples, m.Sample(math.Float64frombits(progress.Load())))
+			}
+		}
+	}()
 
 	// Generate disk + CPU activity for ~200ms.
 	done := make(chan struct{})
@@ -64,14 +69,17 @@ func TestTracerCapturesActivity(t *testing.T) {
 		if _, err := d.ReadBlob("f"); err != nil { // ~200ms at 10MB/s
 			t.Error(err)
 		}
-		mu.Lock()
-		progress = 1.0
-		mu.Unlock()
+		progress.Store(math.Float64bits(1.0))
 	}()
-	go cpu.Track(func() { time.Sleep(100 * time.Millisecond) })
+	go func() {
+		start := time.Now()
+		time.Sleep(100 * time.Millisecond)
+		cpu.Add(time.Since(start))
+	}()
 	<-done
 	time.Sleep(30 * time.Millisecond)
-	samples := tr.Stop()
+	close(stop)
+	<-stopped
 
 	if len(samples) < 5 {
 		t.Fatalf("got %d samples, want several", len(samples))
@@ -89,10 +97,10 @@ func TestTracerCapturesActivity(t *testing.T) {
 		}
 	}
 	if !sawIO {
-		t.Error("tracer never observed disk busy")
+		t.Error("meter never observed disk busy")
 	}
 	if !sawCPU {
-		t.Error("tracer never observed CPU busy")
+		t.Error("meter never observed CPU busy")
 	}
 	if last := samples[len(samples)-1]; last.Progress != 1.0 {
 		t.Errorf("final progress = %v", last.Progress)
@@ -105,19 +113,44 @@ func TestTracerCapturesActivity(t *testing.T) {
 	}
 }
 
-func TestTracerNilProgress(t *testing.T) {
-	d := vdisk.Unlimited()
+// fakeDisk is a DiskStats whose counters the test sets.
+type fakeDisk struct{ st vdisk.Stats }
+
+func (f *fakeDisk) Stats() vdisk.Stats { return f.st }
+
+// TestMeterSamplesDifferences: each Sample reports only what changed since
+// the previous one, and CPU and disk busy time over the same interval
+// scale alike.
+func TestMeterSamplesDifferences(t *testing.T) {
+	d := &fakeDisk{st: vdisk.Stats{ReadBusy: time.Hour}} // history before the meter
 	var cpu BusyCounter
-	tr := NewTracer(d, &cpu, 5*time.Millisecond, nil)
-	tr.Start()
-	time.Sleep(25 * time.Millisecond)
-	samples := tr.Stop()
-	if len(samples) == 0 {
-		t.Fatal("no samples")
+	cpu.Add(time.Hour)
+	m := NewMeter(d, cpu.Total)
+
+	time.Sleep(5 * time.Millisecond)
+	d.st.ReadBusy += 2 * time.Millisecond
+	d.st.WriteBusy += time.Millisecond
+	cpu.Add(2 * time.Millisecond)
+	s1 := m.Sample(0.5)
+	if s1.ReadPercent <= 0 || s1.CPUPercent != s1.ReadPercent {
+		t.Errorf("read %v%%, cpu %v%%: want equal and positive (same busy time, same interval)", s1.ReadPercent, s1.CPUPercent)
 	}
-	for _, s := range samples {
-		if s.Progress != 0 {
-			t.Errorf("nil progress should report 0, got %v", s.Progress)
-		}
+	if s1.WritePercent*2 != s1.ReadPercent {
+		t.Errorf("write %v%% is not half of read %v%%", s1.WritePercent, s1.ReadPercent)
+	}
+	if s1.IOPercent != s1.ReadPercent+s1.WritePercent {
+		t.Errorf("IOPercent %v != read %v + write %v", s1.IOPercent, s1.ReadPercent, s1.WritePercent)
+	}
+	if s1.Progress != 0.5 {
+		t.Errorf("progress = %v, want 0.5", s1.Progress)
+	}
+
+	time.Sleep(time.Millisecond)
+	s2 := m.Sample(1)
+	if s2.CPUPercent != 0 || s2.IOPercent != 0 {
+		t.Errorf("idle interval reported cpu %v%%, io %v%%", s2.CPUPercent, s2.IOPercent)
+	}
+	if s2.At <= s1.At {
+		t.Errorf("At %v after %v", s2.At, s1.At)
 	}
 }

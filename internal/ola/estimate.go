@@ -19,29 +19,19 @@ type Config struct {
 	// negative) disables early termination — the scan runs to the end
 	// and the result is exact.
 	Tolerance float64
-	// MinChunks is the floor below which convergence is never declared,
-	// guarding against a lucky low-variance prefix. Zero means
-	// DefaultMinChunks.
-	MinChunks int
 }
 
-// Defaults for Config zero values.
 const (
+	// DefaultConfidence is the Confidence a zero Config uses.
 	DefaultConfidence = 0.95
-	DefaultMinChunks  = 16
+	// DefaultMinChunks is the floor below which convergence is never
+	// declared, guarding against a lucky low-variance prefix.
+	DefaultMinChunks = 16
 )
 
 func (c Config) withDefaults() Config {
 	if c.Confidence == 0 {
 		c.Confidence = DefaultConfidence
-	}
-	if c.MinChunks <= 0 {
-		c.MinChunks = DefaultMinChunks
-	}
-	if c.MinChunks < 2 {
-		// Variance needs two observations; below that the bound is
-		// infinite anyway.
-		c.MinChunks = 2
 	}
 	return c
 }
@@ -203,7 +193,7 @@ type Snapshot struct {
 
 // Snapshot computes the current estimates and bounds, and latches
 // convergence once the worst relative half-width reaches the tolerance
-// (with at least MinChunks observed). Latching keeps the stop decision
+// (with at least DefaultMinChunks observed). Latching keeps the stop decision
 // monotonic even if a later snapshot's bound would wiggle back up.
 func (e *Estimator) Snapshot() Snapshot {
 	snap := Snapshot{Chunks: e.n, Total: e.total}
@@ -242,7 +232,7 @@ func (e *Estimator) Snapshot() Snapshot {
 		maxRel = math.Inf(1)
 	}
 	snap.MaxRel = maxRel
-	if !e.converged && e.cfg.Tolerance > 0 && e.n >= e.cfg.MinChunks && maxRel <= e.cfg.Tolerance {
+	if !e.converged && e.cfg.Tolerance > 0 && e.n >= DefaultMinChunks && maxRel <= e.cfg.Tolerance {
 		e.converged = true
 	}
 	snap.Converged = e.converged

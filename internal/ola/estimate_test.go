@@ -254,10 +254,10 @@ func TestFullScanExactZeroWidth(t *testing.T) {
 }
 
 // TestMinChunksFloor: even an absurdly loose tolerance must not converge
-// before MinChunks observations.
+// before DefaultMinChunks observations.
 func TestMinChunksFloor(t *testing.T) {
 	q := parseQ(t, "SELECT SUM(c0) FROM data")
-	e, err := NewEstimator(q, Config{Tolerance: 1e9, MinChunks: 16})
+	e, err := NewEstimator(q, Config{Tolerance: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestMinChunksFloor(t *testing.T) {
 // observations that would widen the bound.
 func TestConvergenceLatches(t *testing.T) {
 	q := parseQ(t, "SELECT SUM(c0) FROM data")
-	e, err := NewEstimator(q, Config{Tolerance: 0.05, MinChunks: 8})
+	e, err := NewEstimator(q, Config{Tolerance: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

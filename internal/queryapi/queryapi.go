@@ -62,8 +62,8 @@ type OLAStats struct {
 	ChunksSampled int `json:"chunks_sampled"`
 	ChunksTotal   int `json:"chunks_total"`
 	// MaxRelError is the worst relative half-width across the result's
-	// bounds; -1 when no bound was ever formed (e.g. cancelled before
-	// MinChunks). Exact results report 0.
+	// bounds; -1 when no bound was ever formed (e.g. cancelled before a
+	// second chunk was sampled). Exact results report 0.
 	MaxRelError float64 `json:"max_rel_error"`
 	Converged   bool    `json:"converged"`
 	Exact       bool    `json:"exact"`

@@ -57,19 +57,6 @@ func (o *Operator) newDeliverer(fn func(bc *BinaryChunk) error, n int) *delivere
 	return d
 }
 
-// consumeWorkersFor resolves a request's effective consume parallelism:
-// the request's own setting, falling back to the operator default.
-func (o *Operator) consumeWorkersFor(req Request) int {
-	n := req.ParallelConsume
-	if n == 0 {
-		n = o.cfg.ConsumeWorkers
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 func (d *deliverer) setErr(err error) {
 	if err == nil {
 		return

@@ -88,11 +88,6 @@ type run struct {
 	issued   int64
 	consumed atomic.Int64
 
-	// Consume-queue depth sampling (delivery loop): the resizer's signal
-	// that chunks pile up in front of the consume stage.
-	depthSum atomic.Int64
-	depthN   atomic.Int64
-
 	blocked blockedTimer // READ time lost to a full text buffer
 }
 
@@ -267,8 +262,7 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 	prof0 := o.prof.snapshot()
 	disk0 := o.disk.Stats()
 
-	workers := o.workers
-	r, err := o.newRun(req, workers)
+	r, err := o.newRun(req, o.cfg.Workers)
 	if err != nil {
 		return st, err
 	}
@@ -286,7 +280,6 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 	st.SkippedChunks = int(r.bySource[srcSkipped].Load())
 	st.WrittenDuringRun = int(r.written.Load())
 	st.GroupWritesDuringRun = int(r.groupWrites.Load())
-	st.WorkersUsed = workers
 	st.ReadBlocked = r.blocked.total()
 	if err == nil && r.demandSatisfied() {
 		o.accountEarlyTermination(&st, req.Range)
@@ -301,19 +294,6 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 	diskDelta := o.disk.Stats().Sub(disk0)
 	st.DiskReadBytes = diskDelta.ReadBytes
 	st.DiskWriteBytes = diskDelta.WriteBytes
-	if err == nil {
-		rep := ResourceReport{
-			Workers:      workers,
-			ReadBlocked:  st.ReadBlocked,
-			Duration:     st.Duration,
-			ConsumeStall: st.Profile.ConsumeStall.Time,
-		}
-		if n := r.depthN.Load(); n > 0 {
-			rep.ConsumeQueueDepth = float64(r.depthSum.Load()) / float64(n)
-			rep.ConsumeQueueCap = o.cfg.CacheChunks
-		}
-		o.adaptWorkers(rep)
-	}
 	return st, err
 }
 
@@ -409,7 +389,7 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 	r := &run{
 		op:        o,
 		req:       req,
-		del:       o.newDeliverer(req.Deliver, o.consumeWorkersFor(req)),
+		del:       o.newDeliverer(req.Deliver, o.cfg.ConsumeWorkers),
 		kern:      kern,
 		sc:        newRawScanner(o, o.table.RawFile()),
 		delivered: make(map[int]bool),
@@ -488,7 +468,7 @@ func (r *run) pipeline(ctx context.Context) {
 	// Delivery loop: it hands each chunk to the consume stage, whose
 	// after-hook releases the chunk's pin and binary-buffer budget only once
 	// evaluation is done — in fan-out mode that keeps at most
-	// ParallelConsume chunks in flight past the buffer budget. The loop
+	// ConsumeWorkers chunks in flight past the buffer budget. The loop
 	// drains deliverCh even after the demand is satisfied: consumers ignore
 	// surplus chunks, and the after-hooks must still run for the teardown
 	// invariants. convertConsumer closes deliverCh once READ and every
@@ -497,8 +477,6 @@ func (r *run) pipeline(ctx context.Context) {
 		// Not left to execute's watcher goroutine alone: it may not have run
 		// yet, and no chunk may reach the consumer after a visible cancel.
 		r.fail(ctx.Err())
-		r.depthSum.Add(int64(len(r.deliverCh)))
-		r.depthN.Add(1)
 		r.deliver(bc)
 	}
 

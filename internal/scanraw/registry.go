@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"scanraw/internal/cache"
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
 	"scanraw/internal/schema"
@@ -16,9 +15,9 @@ import (
 // whose file is completely loaded is deleted — the table has become an
 // ordinary database table (§3.3).
 //
-// The registry is the shared hot map under concurrent serving: every
-// request resolves its operator here, so lookups take a read lock and
-// Sweep never blocks the map on operator-level waits.
+// Every query of the embedded facade and of cmd/scanraw resolves its
+// operator here, so lookups take a read lock and Sweep never blocks the map
+// on operator-level waits.
 type Registry struct {
 	store *dbstore.Store
 
@@ -104,28 +103,6 @@ func (r *Registry) Len() int {
 	return len(r.ops)
 }
 
-// CacheStats aggregates chunk-cache occupancy and pin accounting across
-// every live operator. Pins held by in-flight deliveries are transient; a
-// pin count that stays above zero while the server is idle is a leaked pin,
-// and the pinned entries can never be evicted again.
-func (r *Registry) CacheStats() cache.Stats {
-	r.mu.RLock()
-	snapshot := make([]*Operator, 0, len(r.ops))
-	for _, op := range r.ops {
-		snapshot = append(snapshot, op)
-	}
-	r.mu.RUnlock()
-	var total cache.Stats
-	for _, op := range snapshot {
-		s := op.cache.Stats()
-		total.Entries += s.Entries
-		total.Capacity += s.Capacity
-		total.PinnedEntries += s.PinnedEntries
-		total.PinCount += s.PinCount
-	}
-	return total
-}
-
 // ExecuteQuery runs a bound query through the operator and returns its
 // result set: the operator feeds binary chunks to an engine executor
 // (selective conversion of exactly the query's required columns), applying
@@ -183,11 +160,9 @@ type Member struct {
 	// starts at its lower bound. Order replaces the file-order walk with a
 	// sample permutation; a sampled member carries no chunk elimination,
 	// because a statistics-pruned chunk would be a hole in the sample that
-	// biases every estimate. Workers is the consume width (0 = the
-	// operator's ConsumeWorkers).
-	Range   *ChunkRange
-	Order   func(numChunks int) []int
-	Workers int
+	// biases every estimate.
+	Range *ChunkRange
+	Order func(numChunks int) []int
 
 	// The hooks are what differs between callers; each may be nil.
 	//
@@ -244,14 +219,14 @@ func (m Member) Request(ctx context.Context) Request {
 		return nil
 	}
 	return Request{
-		Columns:         cols,
-		Skip:            dem.WrapSkip(skip),
-		Satisfied:       satisfied,
-		ParallelConsume: m.Workers,
-		Range:           m.Range,
-		Order:           m.Order,
-		// With a consume width above one Deliver runs on several goroutines
-		// at once; the Consumer behind it is concurrency-safe then.
+		Columns:   cols,
+		Skip:      dem.WrapSkip(skip),
+		Satisfied: satisfied,
+		Range:     m.Range,
+		Order:     m.Order,
+		// With the operator's ConsumeWorkers above one Deliver runs on several
+		// goroutines at once; the Consumer behind it must be concurrency-safe
+		// then (an executor or emitter built at that width is).
 		Deliver: func(bc *BinaryChunk) error {
 			if err := ctx.Err(); err != nil {
 				return fail(err)

@@ -167,12 +167,6 @@ type Config struct {
 	// CollectStats records per-chunk min/max statistics in the catalog
 	// while converting (§3.3). Default off.
 	CollectStats bool
-	// AdaptiveWorkers lets the operator resize its worker pool across
-	// queries based on observed utilization (paper §3.3, resource
-	// management): READ blocked on a full buffer means CPU-bound — grow;
-	// READ never blocked means I/O-bound — shrink. Workers stays the
-	// initial size; the pool moves within [1, 4x Workers].
-	AdaptiveWorkers bool
 	// CPUSlowdown simulates slower cores: every conversion and consume
 	// task occupies its worker for CPUSlowdown times its measured duration
 	// (the real conversion plus a sleep for the remainder). Values <= 1
@@ -182,11 +176,10 @@ type Config struct {
 	// behaves as if each worker had its own (slow) core, in the same
 	// model-time units the simulated disk uses.
 	CPUSlowdown int
-	// ConsumeWorkers is the default consume parallelism for requests that
-	// leave ParallelConsume unset: the number of goroutines delivered
-	// chunks fan out to. The default (0, treated as 1) keeps the classic
-	// serial delivery contract; values > 1 require Deliver callbacks that
-	// tolerate concurrent calls (engine.Executor does).
+	// ConsumeWorkers is every run's consume parallelism: the number of
+	// goroutines delivered chunks fan out to. The default (0, treated as 1)
+	// keeps the classic serial delivery contract; values > 1 require Deliver
+	// callbacks that tolerate concurrent calls (engine.Executor does).
 	ConsumeWorkers int
 	// Speculation ranks what the Speculative write policy loads during
 	// disk-idle windows. SpecScan — the zero value — is the paper's
@@ -241,8 +234,8 @@ func (s StageProfile) PerChunk() time.Duration {
 // evaluation time of delivered chunks — the stage the parallel delivery mode
 // spreads across workers. ConsumeStall is the time the delivery producer
 // spent waiting for a free consume worker (Chunks counts fan-out
-// hand-offs): the backpressure signal that tells the resource manager the
-// consume stage, not conversion, is the bottleneck.
+// hand-offs): the signal that the consume stage, not conversion, is the
+// bottleneck.
 type Profile struct {
 	Read         StageProfile
 	Tokenize     StageProfile
@@ -305,9 +298,6 @@ type RunStats struct {
 	// runs after delivery completes (its writes overlap the next query's
 	// cached-chunk processing, §4).
 	FlushedAfterRun int
-	// WorkersUsed is the pool size this run executed with (it varies
-	// across queries under AdaptiveWorkers).
-	WorkersUsed int
 	// DiskReadBytes and DiskWriteBytes are the disk transfer totals during
 	// the run. The disk is shared, so a previous query's in-flight
 	// safeguard flush is attributed to the run that overlaps it.
@@ -340,9 +330,6 @@ func (s RunStats) Delivered() int {
 type Operator struct {
 	cfg  Config
 	when writeMoments // the write policy and the safeguard, resolved by New
-	// workers is the current pool size; it differs from cfg.Workers when
-	// AdaptiveWorkers resizes the pool across queries. Guarded by runMu.
-	workers int
 
 	store *dbstore.Store
 	table *dbstore.Table
@@ -363,8 +350,8 @@ type Operator struct {
 	// what one pipelined run has out at once — the scanner's read-ahead, the
 	// chunk in the driver's hands, a full text chunks buffer and one chunk per
 	// worker — so a scan's buffers all survive to the next; a put beyond that
-	// (a pool grown by AdaptiveWorkers) is left to the GC. textOut counts the
-	// buffers taken and not yet put back, in invariants builds only.
+	// is left to the GC. textOut counts the buffers taken and not yet put
+	// back, in invariants builds only.
 	textFree chan []byte
 	textOut  atomic.Int64
 
@@ -384,7 +371,6 @@ func New(store *dbstore.Store, table *dbstore.Table, cfg Config) *Operator {
 	return &Operator{
 		cfg:      cfg,
 		when:     momentsFor(cfg.Policy, cfg.Safeguard),
-		workers:  cfg.Workers,
 		store:    store,
 		table:    table,
 		disk:     store.Disk(),
@@ -445,10 +431,9 @@ type Request struct {
 	// Columns lists the schema ordinals the query needs (selective
 	// tokenizing/parsing). Must be non-empty and strictly ascending.
 	Columns []int
-	// Deliver receives every chunk exactly once. With an effective
-	// consume parallelism of 1 (see ParallelConsume) it is called from a
-	// single goroutine; with parallelism N > 1 it may be called from up
-	// to N goroutines concurrently and must be safe for that.
+	// Deliver receives every chunk exactly once. It may be called from up
+	// to Config.ConsumeWorkers goroutines concurrently and must be safe for
+	// that; at the default of one it is called from a single goroutine.
 	Deliver func(bc *BinaryChunk) error
 	// Skip, when non-nil, is consulted for chunks with known metadata;
 	// returning true skips the chunk entirely (min/max chunk elimination,
@@ -465,10 +450,6 @@ type Request struct {
 	// racily. Chunks may still be delivered after it fires; a satisfied
 	// consumer simply ignores them.
 	Satisfied func() bool
-	// ParallelConsume is the number of consume workers delivered chunks
-	// fan out to. 0 falls back to Config.ConsumeWorkers; values <= 1
-	// select the classic serial delivery path.
-	ParallelConsume int
 	// Range, when non-nil, restricts the scan to chunks with
 	// Range.Lo <= ID < Range.Hi (Hi <= 0 = to end of file). Chunks outside
 	// the range are neither delivered, skipped, nor counted: they are

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"scanraw/internal/dbstore"
@@ -48,25 +47,14 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 	}
 	union := unionColumns(reqs)
 
-	// The shared scan consumes with the widest parallelism any member
-	// asked for; members that kept the serial contract (effective
-	// parallelism 1) are serialized behind a per-request mutex so their
-	// Deliver still never sees concurrent calls. Per-request counters are
-	// atomics because the combined Deliver itself may run on several
-	// consume workers at once.
-	parallel := 1
-	for _, req := range reqs {
-		if n := o.consumeWorkersFor(req); n > parallel {
-			parallel = n
-		}
-	}
+	// The combined Deliver runs on the operator's ConsumeWorkers goroutines
+	// and calls each member's Deliver from them, which the Request contract
+	// allows; the per-request counters are atomics for the same reason.
 	delivered := make([]atomic.Int64, len(reqs))
 	skipped := make([]atomic.Int64, len(reqs))
-	serialMu := make([]sync.Mutex, len(reqs))
 
 	combined := Request{
-		Columns:         union,
-		ParallelConsume: parallel,
+		Columns: union,
 		// The scan covers the union of the members' chunk ranges; members
 		// with narrower ranges filter per delivery below. Unbounded members
 		// keep the whole file in play.
@@ -103,15 +91,7 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 					skipped[i].Add(1)
 					continue
 				}
-				var err error
-				if o.consumeWorkersFor(reqs[i]) > 1 {
-					err = reqs[i].Deliver(bc)
-				} else {
-					serialMu[i].Lock()
-					err = reqs[i].Deliver(bc)
-					serialMu[i].Unlock()
-				}
-				if err != nil {
+				if err := reqs[i].Deliver(bc); err != nil {
 					return fmt.Errorf("request %d: %w", i, err)
 				}
 				delivered[i].Add(1)

@@ -72,10 +72,9 @@ type pendingResult struct {
 // that lands before the window closes (or the batch fills) is dispatched
 // as one RunShared call — one physical scan serving the whole batch.
 type batcher struct {
-	srv      *Server
-	op       *scanraw.Operator
-	window   time.Duration
-	maxBatch int
+	srv    *Server
+	op     *scanraw.Operator
+	window time.Duration
 
 	mu       sync.Mutex
 	queue    []*pending
@@ -101,7 +100,7 @@ func (b *batcher) submit(p *pending) {
 		return
 	}
 	b.queue = append(b.queue, p)
-	if len(b.queue) >= b.maxBatch {
+	if len(b.queue) >= maxBatch {
 		batch := b.queue
 		b.queue = nil
 		b.windowed = false

@@ -54,7 +54,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	workers := max(entry.cfg.ConsumeWorkers, 1)
 	p := &pending{
-		m:      scanraw.Member{Query: q, Workers: workers, Range: &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi}},
+		m:      scanraw.Member{Query: q, Range: &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi}},
 		result: make(chan pendingResult, 1),
 	}
 	fw := cluster.NewFrameWriter(w)

@@ -190,16 +190,19 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		ChunksLoaded:    s.met.chunksLoaded.Load(),
 		SpecGroupWrites: s.met.specGroupWrites.Load(),
 		QueriesByPolicy: make(map[string]int64),
-		LiveOperators:   s.reg.Len(),
 	}
 	rec := s.store.RecoveryStats()
 	snap.StoreChunksRecovered = rec.ChunksRecovered
 	snap.StoreChunksInvalidated = rec.ChunksInvalidated
 	snap.StoreRecoveryMS = rec.RecoveryMS
-	cs := s.reg.CacheStats()
-	snap.CacheEntries = cs.Entries
-	snap.CachePinnedEntries = cs.PinnedEntries
-	snap.CachePinCount = cs.PinCount
+	ops := s.operators()
+	snap.LiveOperators = len(ops)
+	for _, op := range ops {
+		cs := op.Cache().Stats()
+		snap.CacheEntries += cs.Entries
+		snap.CachePinnedEntries += cs.PinnedEntries
+		snap.CachePinCount += cs.PinCount
+	}
 	if total := cache + db + raw + partial; total > 0 {
 		snap.CacheHitRate = float64(cache) / float64(total)
 	}

@@ -56,9 +56,6 @@ type Config struct {
 	// within the window share one physical scan. Default 2ms; negative
 	// disables coalescing (every query scans alone).
 	CoalesceWindow time.Duration
-	// MaxBatch caps how many queries one shared scan serves; a full batch
-	// dispatches immediately without waiting out the window. Default 64.
-	MaxBatch int
 	// DefaultTimeout bounds queries that do not carry their own timeout.
 	// Zero means no server-imposed limit.
 	DefaultTimeout time.Duration
@@ -82,16 +79,18 @@ func (c Config) withDefaults() Config {
 	case c.CoalesceWindow == 0:
 		c.CoalesceWindow = 2 * time.Millisecond
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	return c
 }
 
+// maxBatch caps how many queries one shared scan serves; a full batch
+// dispatches immediately without waiting out the coalescing window.
+const maxBatch = 64
+
 // tableEntry is one servable table: its catalog entry, the operator
-// configuration new operators for it are created with, and the workload
-// tracker that turns the query stream into per-column access weights for
-// payoff-ranked speculation.
+// configuration its operator is created with, the workload tracker that
+// turns the query stream into per-column access weights for payoff-ranked
+// speculation, and — from the table's first query on — its coalescing
+// batcher, which owns the table's operator.
 type tableEntry struct {
 	table   *dbstore.Table
 	cfg     scanraw.Config
@@ -100,6 +99,8 @@ type tableEntry struct {
 	// persists the decayed weights through the catalog journal so a restart
 	// resumes speculation with a warm profile.
 	accesses atomic.Int64
+	// batch is nil until the first query creates it, under Server.mu.
+	batch atomic.Pointer[batcher]
 }
 
 // workloadFlushEvery is how many recorded accesses pass between workload
@@ -108,19 +109,17 @@ type tableEntry struct {
 // to live while amortizing the write.
 const workloadFlushEvery = 16
 
-// Server is the query-serving subsystem: it owns an operator registry
-// over a store and serves SQL against registered tables.
+// Server is the query-serving subsystem: it serves SQL against registered
+// tables of a store, one operator per table.
 type Server struct {
 	cfg   Config
 	store *dbstore.Store
-	reg   *scanraw.Registry
 	slots chan struct{}
 	meter *metrics.Meter
 	start time.Time
 
-	mu       sync.RWMutex
-	tables   map[string]*tableEntry
-	batchers map[string]*batcher
+	mu     sync.RWMutex
+	tables map[string]*tableEntry
 
 	// draining flips at Drain entry; /healthz reports it (503) so a
 	// coordinator stops routing new shards here, and /exec sheds
@@ -134,21 +133,44 @@ type Server struct {
 func New(store *dbstore.Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		store:    store,
-		reg:      scanraw.NewRegistry(store),
-		slots:    make(chan struct{}, cfg.MaxConcurrent),
-		start:    time.Now(),
-		tables:   make(map[string]*tableEntry),
-		batchers: make(map[string]*batcher),
+		cfg:    cfg,
+		store:  store,
+		slots:  make(chan struct{}, cfg.MaxConcurrent),
+		start:  time.Now(),
+		tables: make(map[string]*tableEntry),
 	}
 	s.meter = metrics.NewMeter(store.Disk(), s.workerBusyTotal)
 	return s
 }
 
-// Registry returns the server's operator registry (tests inspect operator
-// state through it).
-func (s *Server) Registry() *scanraw.Registry { return s.reg }
+// Operator returns the named table's operator, which exists once the table
+// has served its first query.
+func (s *Server) Operator(table string) (*scanraw.Operator, bool) {
+	s.mu.RLock()
+	e, ok := s.tables[table]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	if b := e.batch.Load(); b != nil {
+		return b.op, true
+	}
+	return nil, false
+}
+
+// operators returns the live operators, one per table that has served a
+// query.
+func (s *Server) operators() []*scanraw.Operator {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ops := make([]*scanraw.Operator, 0, len(s.tables))
+	for _, e := range s.tables {
+		if b := e.batch.Load(); b != nil {
+			ops = append(ops, b.op)
+		}
+	}
+	return ops
+}
 
 // Drain quiesces the server for shutdown: it claims every admission slot
 // (blocking until in-flight queries finish, while new arrivals are shed with
@@ -172,6 +194,9 @@ slots:
 			break slots
 		}
 	}
+	for _, op := range s.operators() {
+		op.WaitIdle()
+	}
 	s.mu.RLock()
 	entries := make([]*tableEntry, 0, len(s.tables))
 	for _, e := range s.tables {
@@ -179,9 +204,6 @@ slots:
 	}
 	s.mu.RUnlock()
 	for _, e := range entries {
-		if op, ok := s.reg.Lookup(e.table.RawFile()); ok {
-			op.WaitIdle()
-		}
 		// Flush the final workload profile so the checkpoint below folds it
 		// in — the next process starts speculating where this one left off.
 		if e.accesses.Load() > 0 {
@@ -227,15 +249,11 @@ func (s *Server) recordAccess(e *tableEntry, cols []int) {
 }
 
 // workerBusyTotal sums cumulative worker-busy time across the live
-// operators of every registered table — the CPU source for the meter.
+// operators — the CPU source for the meter.
 func (s *Server) workerBusyTotal() time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var total time.Duration
-	for _, e := range s.tables {
-		if op, ok := s.reg.Lookup(e.table.RawFile()); ok {
-			total += op.CPU().Total()
-		}
+	for _, op := range s.operators() {
+		total += op.CPU().Total()
 	}
 	return total
 }
@@ -243,24 +261,16 @@ func (s *Server) workerBusyTotal() time.Duration {
 // batcherFor returns the coalescing batcher for a table, creating it on
 // first use (which also creates the table's operator).
 func (s *Server) batcherFor(e *tableEntry) *batcher {
-	s.mu.RLock()
-	b, ok := s.batchers[e.table.Name()]
-	s.mu.RUnlock()
-	if ok {
+	if b := e.batch.Load(); b != nil {
 		return b
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.batchers[e.table.Name()]; ok {
+	if b := e.batch.Load(); b != nil {
 		return b
 	}
-	b = &batcher{
-		srv:      s,
-		op:       s.reg.Operator(e.table, e.cfg),
-		window:   s.cfg.CoalesceWindow,
-		maxBatch: s.cfg.MaxBatch,
-	}
-	s.batchers[e.table.Name()] = b
+	b := &batcher{srv: s, op: scanraw.New(s.store, e.table, e.cfg), window: s.cfg.CoalesceWindow}
+	e.batch.Store(b)
 	return b
 }
 
@@ -465,7 +475,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("stream") == "ndjson" {
 		nd = queryapi.NewNDJSON(w)
 	}
-	p := &pending{m: scanraw.Member{Query: q, Workers: workers}, result: make(chan pendingResult, 1)}
+	p := &pending{m: scanraw.Member{Query: q}, result: make(chan pendingResult, 1)}
 	var (
 		olaRunner *ola.Runner
 		finish    func() (*engine.Result, error)
@@ -633,7 +643,6 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 			cols[i] = ColumnStatus{Name: c.Name, Type: c.Type.String()}
 			all[i] = i
 		}
-		_, live := s.reg.Lookup(t.RawFile())
 		out = append(out, TableStatus{
 			Name:         t.Name(),
 			Columns:      cols,
@@ -642,7 +651,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 			LoadedChunks: t.CountLoaded(all),
 			Complete:     t.Complete(),
 			FullyLoaded:  t.FullyLoaded(),
-			LiveOperator: live,
+			LiveOperator: e.batch.Load() != nil,
 			Policy:       e.cfg.Policy.String(),
 		})
 	}

@@ -528,7 +528,7 @@ func TestTablesEndpoint(t *testing.T) {
 	}
 	// Loading may finish on the background flusher; wait it out before
 	// asserting the catalog view.
-	if op, ok := env.srv.Registry().Lookup("raw/data.csv"); ok {
+	if op, ok := env.srv.Operator("data"); ok {
 		op.WaitIdle()
 	}
 
@@ -550,19 +550,106 @@ func TestTablesEndpoint(t *testing.T) {
 
 // TestConcurrentClientsEndToEnd is the acceptance scenario: many
 // concurrent clients over loopback against one raw CSV — every client
-// gets the right aggregate, the server performs fewer physical scans than
-// it serves queries, and the metrics snapshot is populated.
+// gets the right answer, the server performs fewer physical scans than it
+// serves queries, and the metrics snapshot is populated. It runs at one and
+// at four consume workers, with half the clients streaming rows as NDJSON,
+// so coalesced batches mix executors and row emitters under parallel
+// delivery; each client's rows must equal a serial server's, in its order.
 func TestConcurrentClientsEndToEnd(t *testing.T) {
+	ref := newServerEnv(t, 2048, nil, Config{}, scanraw.Config{Workers: 4, ChunkLines: 256, CacheChunks: 8})
+	want := make(map[clientQuery]string)
+	for i := 0; i < 4; i++ {
+		q := clientQueryFor(i, ref)
+		status, body, err := q.post(ref.ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = clientRows(t, q, status, body)
+	}
+	for _, cw := range []int{1, 4} {
+		t.Run(fmt.Sprintf("consume-workers=%d", cw), func(t *testing.T) {
+			testConcurrentClients(t, cw, want)
+		})
+	}
+}
+
+// clientQuery is what one client of TestConcurrentClientsEndToEnd asks:
+// an aggregate with its known answer, or a row query streamed as NDJSON.
+type clientQuery struct {
+	sql    string
+	stream bool
+	want   int64 // the aggregate's value; unused for a stream
+}
+
+// clientQueryFor gives odd clients the streamed row query and alternates
+// the even ones between SUM and COUNT(*).
+func clientQueryFor(i int, env *serverEnv) clientQuery {
+	switch {
+	case i%2 == 1:
+		return clientQuery{sql: "SELECT c0, c1 FROM data WHERE c3 >= 900", stream: true}
+	case i%4 == 2:
+		return clientQuery{sql: "SELECT COUNT(*) FROM data", want: int64(env.spec.Rows)}
+	default:
+		return clientQuery{sql: sumSQL, want: env.want}
+	}
+}
+
+// post sends the query and returns the whole reply; it makes no test
+// assertions, so client goroutines can call it.
+func (q clientQuery) post(base string) (int, []byte, error) {
+	url := base + "/query"
+	if q.stream {
+		url += "?stream=ndjson"
+	}
+	resp, err := http.Post(url, "application/json", strings.NewReader(fmt.Sprintf(`{"sql": %q}`, q.sql)))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// clientRows checks a reply to q and returns its rows as JSON.
+func clientRows(t *testing.T, q clientQuery, status int, body []byte) string {
+	t.Helper()
+	if status != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", q.sql, status, body)
+	}
+	if q.stream {
+		rows, objs := readNDJSON(t, bytes.NewReader(body))
+		if len(objs) != 2 || objs[1]["stats"] == nil {
+			t.Fatalf("%s: stream lacks header or stats trailer: %v", q.sql, objs)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%s: streamed no rows; predicate expected matches", q.sql)
+		}
+		out, _ := json.Marshal(rows)
+		return string(out)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("%s: decoding response: %v", q.sql, err)
+	}
+	rows := out["rows"].([]any)
+	if got := int64(rows[0].([]any)[0].(float64)); got != q.want {
+		t.Errorf("%s: got %d, want %d", q.sql, got, q.want)
+	}
+	enc, _ := json.Marshal(rows)
+	return string(enc)
+}
+
+func testConcurrentClients(t *testing.T, consumeWorkers int, want map[clientQuery]string) {
 	const clients = 12
 	env := newServerEnv(t, 2048, nil,
 		Config{MaxConcurrent: clients, CoalesceWindow: 40 * time.Millisecond},
-		scanraw.Config{Workers: 4, ChunkLines: 256, CacheChunks: 8,
+		scanraw.Config{Workers: 4, ChunkLines: 256, CacheChunks: 8, ConsumeWorkers: consumeWorkers,
 			Policy: scanraw.Speculative, Safeguard: true, CollectStats: true})
 
 	type result struct {
-		got  int64
-		want int64
-		err  error
+		status int
+		body   []byte
+		err    error
 	}
 	results := make([]result, clients)
 	var wg sync.WaitGroup
@@ -572,28 +659,8 @@ func TestConcurrentClientsEndToEnd(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			sql, want := sumSQL, env.want
-			if i%2 == 1 {
-				sql, want = "SELECT COUNT(*) FROM data", int64(env.spec.Rows)
-			}
-			resp, err := http.Post(env.ts.URL+"/query", "application/json",
-				strings.NewReader(fmt.Sprintf(`{"sql": %q}`, sql)))
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			defer resp.Body.Close()
-			var out map[string]any
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				results[i] = result{err: fmt.Errorf("status %d: %v", resp.StatusCode, out)}
-				return
-			}
-			rows := out["rows"].([]any)
-			results[i] = result{got: int64(rows[0].([]any)[0].(float64)), want: want}
+			status, body, err := clientQueryFor(i, env).post(env.ts.URL)
+			results[i] = result{status, body, err}
 		}(i)
 	}
 	close(start)
@@ -602,15 +669,16 @@ func TestConcurrentClientsEndToEnd(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("client %d: %v", i, r.err)
 		}
-		if r.got != r.want {
-			t.Errorf("client %d: got %d, want %d", i, r.got, r.want)
+		q := clientQueryFor(i, env)
+		if got := clientRows(t, q, r.status, r.body); got != want[q] {
+			t.Errorf("client %d (%s): rows differ from a serial server's\ngot:  %.200s\nwant: %.200s", i, q.sql, got, want[q])
 		}
 	}
 
 	// The last scan's safeguard flush runs in the background and pins each
 	// chunk while it writes it: wait it out, or the pin gauge below can
 	// catch a pin that is held, not leaked.
-	if op, ok := env.srv.Registry().Lookup("raw/data.csv"); ok {
+	if op, ok := env.srv.Operator("data"); ok {
 		op.WaitIdle()
 	}
 	snap := env.srv.MetricsSnapshot()

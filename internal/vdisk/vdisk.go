@@ -39,16 +39,13 @@ type Config struct {
 	// WriteBandwidth is the sustained write rate in bytes per second.
 	// Zero means unthrottled writes.
 	WriteBandwidth int64
-	// SeekLatency is a fixed per-operation latency added before the
-	// transfer, modelling seek + rotational delay. Zero means none.
-	SeekLatency time.Duration
 }
 
 // String describes the performance model, e.g. "read 400 MB/s, write 400
-// MB/s, seek 0s".
+// MB/s".
 func (c Config) String() string {
-	return fmt.Sprintf("read %.0f MB/s, write %.0f MB/s, seek %v",
-		float64(c.ReadBandwidth)/(1<<20), float64(c.WriteBandwidth)/(1<<20), c.SeekLatency)
+	return fmt.Sprintf("read %.0f MB/s, write %.0f MB/s",
+		float64(c.ReadBandwidth)/(1<<20), float64(c.WriteBandwidth)/(1<<20))
 }
 
 // Stats is a snapshot of cumulative disk activity.
@@ -159,12 +156,11 @@ func (d *Disk) checkFail(op, name string) error {
 }
 
 // transferDelay computes how long moving n bytes should occupy the disk.
-func transferDelay(n int, bw int64, seek time.Duration) time.Duration {
-	delay := seek
-	if bw > 0 {
-		delay += time.Duration(float64(n) / float64(bw) * float64(time.Second))
+func transferDelay(n int, bw int64) time.Duration {
+	if bw <= 0 {
+		return 0
 	}
-	return delay
+	return time.Duration(float64(n) / float64(bw) * float64(time.Second))
 }
 
 // sleepThreshold is the smallest delay worth actually sleeping for.
@@ -220,7 +216,7 @@ func (d *Disk) WriteBlob(name string, p []byte) error {
 	if err := d.checkFail("write", name); err != nil {
 		return err
 	}
-	d.occupy(transferDelay(len(p), d.cfg.WriteBandwidth, d.cfg.SeekLatency), &d.writeBusy)
+	d.occupy(transferDelay(len(p), d.cfg.WriteBandwidth), &d.writeBusy)
 	if err := d.backend.WriteBlob(name, p); err != nil {
 		return err
 	}
@@ -235,7 +231,7 @@ func (d *Disk) Append(name string, p []byte) (int64, error) {
 	if err := d.checkFail("write", name); err != nil {
 		return 0, err
 	}
-	d.occupy(transferDelay(len(p), d.cfg.WriteBandwidth, d.cfg.SeekLatency), &d.writeBusy)
+	d.occupy(transferDelay(len(p), d.cfg.WriteBandwidth), &d.writeBusy)
 	off, err := d.backend.Append(name, p)
 	if err != nil {
 		return 0, err
@@ -257,7 +253,7 @@ func (d *Disk) ReadAt(name string, p []byte, off int64) (int, error) {
 	if err != nil {
 		return n, err
 	}
-	d.occupy(transferDelay(n, d.cfg.ReadBandwidth, d.cfg.SeekLatency), &d.readBusyNs)
+	d.occupy(transferDelay(n, d.cfg.ReadBandwidth), &d.readBusyNs)
 	d.readOps.Add(1)
 	d.readBytes.Add(int64(n))
 	return n, nil

@@ -172,17 +172,6 @@ func TestThrottledReadTakesTime(t *testing.T) {
 	}
 }
 
-func TestSeekLatency(t *testing.T) {
-	d := New(Config{SeekLatency: 20 * time.Millisecond})
-	start := time.Now()
-	if err := d.WriteBlob("f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("seek latency not applied, took %v", elapsed)
-	}
-}
-
 func TestSerializedAccess(t *testing.T) {
 	// Two concurrent 0.5 MB reads at 10 MB/s must serialize: total wall
 	// time ~100 ms, not ~50 ms.

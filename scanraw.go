@@ -59,20 +59,6 @@ const (
 	Invisible      = intscan.Invisible
 )
 
-// SpecOrder selects which chunks (and column groups) speculative loading
-// writes first.
-type SpecOrder = intscan.SpecPolicy
-
-// The speculation orders. SpecScan is the paper's original file-order
-// policy; SpecPayoff ranks candidates by workload access frequency ×
-// unloaded width × chunk selectivity and needs ColumnWeights wired in
-// (the server does this; an embedded DB without a workload source falls
-// back to scan order).
-const (
-	SpecScan   = intscan.SpecScan
-	SpecPayoff = intscan.SpecPayoff
-)
-
 // Format identifies the raw-file format of a staged table.
 type Format uint8
 
@@ -107,10 +93,6 @@ type Options struct {
 	// NoStats disables min/max statistics collection (and with it
 	// predicate-driven chunk skipping).
 	NoStats bool
-	// AdaptiveWorkers lets each table's operator resize its worker pool
-	// across queries based on observed utilization (grow when conversion
-	// is the bottleneck, shrink when the disk is).
-	AdaptiveWorkers bool
 	// ConsumeWorkers sets how many goroutines evaluate delivered chunks
 	// per query (parallel delivery). The default (0) keeps the classic
 	// serial consume path.
@@ -119,10 +101,6 @@ type Options struct {
 	// 0 keeps the default of 1 (per-column pages, maximum partial-width
 	// reuse); negative selects full-chunk-width pages (one page per chunk).
 	ColGroupWidth int
-	// Speculation orders speculative writes: SpecScan (default, file order)
-	// or SpecPayoff (workload-ranked; effective once ColumnWeights has a
-	// source, which the embedded facade does not wire — servers do).
-	Speculation SpecOrder
 }
 
 // Result is a materialized query result.
@@ -237,16 +215,14 @@ func (db *DB) operatorConfig(table string) intscan.Config {
 		workers = 0
 	}
 	cfg := intscan.Config{
-		Workers:         workers,
-		ChunkLines:      db.opts.ChunkLines,
-		CacheChunks:     db.opts.CacheChunks,
-		Policy:          db.opts.Policy,
-		Safeguard:       !db.opts.NoSafeguard,
-		Delim:           delim,
-		CollectStats:    !db.opts.NoStats,
-		AdaptiveWorkers: db.opts.AdaptiveWorkers,
-		ConsumeWorkers:  db.opts.ConsumeWorkers,
-		Speculation:     db.opts.Speculation,
+		Workers:        workers,
+		ChunkLines:     db.opts.ChunkLines,
+		CacheChunks:    db.opts.CacheChunks,
+		Policy:         db.opts.Policy,
+		Safeguard:      !db.opts.NoSafeguard,
+		Delim:          delim,
+		CollectStats:   !db.opts.NoStats,
+		ConsumeWorkers: db.opts.ConsumeWorkers,
 	}
 	return cfg
 }

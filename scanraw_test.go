@@ -203,16 +203,6 @@ func TestSelectStarThroughFacade(t *testing.T) {
 	}
 }
 
-func TestAdaptiveWorkersOption(t *testing.T) {
-	db := Open(Options{Workers: 2, AdaptiveWorkers: true})
-	if err := db.Stage("t", "a:int", CSV, []byte("1\n2\n3\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, st, err := db.Exec("SELECT SUM(a) FROM t"); err != nil || st.WorkersUsed != 2 {
-		t.Errorf("first query workers = %d (%v), want 2", st.WorkersUsed, err)
-	}
-}
-
 func TestStageFile(t *testing.T) {
 	path := t.TempDir() + "/data.csv"
 	if err := os.WriteFile(path, []byte("1,x\n2,y\n"), 0o644); err != nil {
