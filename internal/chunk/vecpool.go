@@ -28,12 +28,16 @@ var vecPools = [3]sync.Pool{
 // backing storage when available. It never carries a dictionary.
 func GetVector(t schema.Type, n int) *Vector { return getVector(t, n, true) }
 
+// GetVectorUncleared is GetVector without the clear, for a caller that writes
+// every element before it reads any (see getVector).
+func GetVectorUncleared(t schema.Type, n int) *Vector { return getVector(t, n, false) }
+
 // getVector is GetVector with the clear optional: a caller that overwrites
-// every element (DecodeVector) passes zero=false and skips it. Such a vector
-// holds whatever its previous owner left — stale values, stale strings —
-// until the caller has filled it. A string vector's dictionary is dropped
-// either way (Codes keeps only its capacity), so stale codes never describe
-// fresh strings.
+// every element (DecodeVector, GetVectorUncleared) passes zero=false and
+// skips it. Such a vector holds whatever its previous owner left — stale
+// values, stale strings — until the caller has filled it. A string vector's
+// dictionary is dropped either way (Codes keeps only its capacity), so stale
+// codes never describe fresh strings.
 func getVector(t schema.Type, n int, zero bool) *Vector {
 	v := vecPools[t].Get().(*Vector)
 	switch t {

@@ -42,6 +42,29 @@ func TestGroupByAllocs(t *testing.T) {
 			}
 		}
 	}
+	// The paper's query over cold_sequence's 16 columns, an n-ary sum, and
+	// a conjunction, whose selection is refined in place.
+	bc := benchChunk(t, 8192, 16)
+	for _, sql := range []string{
+		"SELECT SUM(c0+c1+c2+c3+c4+c5+c6+c7+c8+c9+c10+c11+c12+c13+c14+c15) FROM t",
+		"SELECT COUNT(c1) FROM t WHERE c3 < 40000 AND c5 > 20000",
+	} {
+		q, err := ParseSQL(sql, bc.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPartial(q, bc.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if err := p.Consume(bc); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per chunk in steady state, want 0", sql, n)
+		}
+	}
 }
 
 // TestTopKAllocs: once the heap is full, a chunk none of whose rows enters

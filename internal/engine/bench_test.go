@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -28,31 +31,30 @@ func benchChunk(b testing.TB, rows, cols int) *chunk.BinaryChunk {
 	return bc
 }
 
-// BenchmarkScalarSum measures the paper's benchmark query shape:
-// SELECT SUM(c0+...+c63) over one chunk.
+// BenchmarkScalarSum measures the paper's benchmark query shape,
+// SELECT SUM(c0+...+cK), over one chunk: 64 columns of 2,048 rows, and
+// cold_sequence's S3 chunk, 16 columns of 8,192 rows.
 func BenchmarkScalarSum(b *testing.B) {
-	bc := benchChunk(b, 2048, 64)
-	cols := make([]int, 64)
-	for i := range cols {
-		cols[i] = i
-	}
-	q, err := SumAllColumns(bc.Schema(), "t", cols)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex, err := NewExecutor(q, bc.Schema())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ex.Consume(bc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ex.Result(); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ cols, rows int }{{64, 2048}, {16, 8192}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.cols, shape.rows), func(b *testing.B) {
+			bc := benchChunk(b, shape.rows, shape.cols)
+			cols := make([]int, shape.cols)
+			for i := range cols {
+				cols[i] = i
+			}
+			q, err := SumAllColumns(bc.Schema(), "t", cols)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := runGroupBy(q, bc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(bc.Rows)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
 
@@ -206,26 +208,41 @@ func BenchmarkTable1Consume(b *testing.B) {
 	benchConsume(b, "SELECT cigar, COUNT(*) AS reads FROM alignments WHERE seq LIKE '%ACGTAC%' GROUP BY cigar", "cigar", "seq")
 }
 
-// BenchmarkFilteredCount measures predicate evaluation plus COUNT.
-func BenchmarkFilteredCount(b *testing.B) {
-	bc := benchChunk(b, 2048, 4)
-	q, err := ParseSQL("SELECT COUNT(*) FROM t WHERE c0 > 1000 AND c1 < 100000", bc.Schema())
-	if err != nil {
-		b.Fatal(err)
+// uniformChunk is an 8,192-row chunk of cols columns of seeded values,
+// uniform in [0, 1e6): no row's verdict predicts the next one's.
+func uniformChunk(tb testing.TB, cols int) *chunk.BinaryChunk {
+	tb.Helper()
+	bc := benchChunk(tb, 8192, cols)
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < cols; c++ {
+		for r := range bc.Column(c).Ints {
+			bc.Column(c).Ints[r] = rng.Int63n(1e6)
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex, err := NewExecutor(q, bc.Schema())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ex.Consume(bc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ex.Result(); err != nil {
-			b.Fatal(err)
-		}
+	return bc
+}
+
+// BenchmarkFilteredCount measures predicate evaluation plus COUNT over
+// uniform values, whose verdicts a branch cannot predict: two conjuncts,
+// each passing the square root of the selectivity.
+func BenchmarkFilteredCount(b *testing.B) {
+	bc := uniformChunk(b, 4)
+	for _, pct := range []int{10, 50} {
+		b.Run(fmt.Sprintf("sel%d", pct), func(b *testing.B) {
+			cut := int64(math.Sqrt(float64(pct)/100) * 1e6)
+			q, err := ParseSQL(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE c0 < %d AND c1 >= %d", cut, 1e6-cut), bc.Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := runGroupBy(q, bc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(bc.Rows)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
 

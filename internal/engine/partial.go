@@ -34,8 +34,7 @@ type Partial struct {
 	done    bool
 
 	sel  []int           // selection scratch, reused across chunks
-	selv *chunk.Vector   // project's WHERE result, held until releaseProjection
-	cols []*chunk.Vector // project's select-item vectors, likewise
+	cols []*chunk.Vector // project's select-item vectors, held until releaseProjection
 	keyv []*chunk.Vector // consumeAgg's GROUP BY vectors, held until releaseAgg
 	aggv []*chunk.Vector // consumeAgg's aggregate-input vectors, likewise
 	ords []int32         // consumeAgg's group ordinal per selected row
@@ -103,7 +102,7 @@ func (p *Partial) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
 	if p.done {
 		return 0, fmt.Errorf("engine: Consume after Result")
 	}
-	sel, selv, err := p.selection(bc)
+	sel, err := p.selection(bc)
 	if err != nil {
 		return 0, err
 	}
@@ -115,9 +114,6 @@ func (p *Partial) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
 		err = p.consumeAgg(bc, sel)
 	} else {
 		err = p.consumeRows(bc, sel)
-	}
-	if selv != nil {
-		releaseScratch(p.q.Where, selv)
 	}
 	return matched, err
 }
@@ -138,28 +134,16 @@ func (p *Partial) Bound() ([]Value, bool) {
 	return out, true
 }
 
-// selection evaluates WHERE and returns the qualifying row ordinals (nil
-// means all rows qualify). The returned vector, when non-nil, backs nothing
-// in sel and is released by the caller after use.
-func (p *Partial) selection(bc *chunk.BinaryChunk) ([]int, *chunk.Vector, error) {
+// selection evaluates WHERE into the partial's selection scratch and
+// returns the qualifying row ordinals (nil means all rows qualify).
+func (p *Partial) selection(bc *chunk.BinaryChunk) ([]int, error) {
 	if p.q.Where == nil {
-		return nil, nil, nil
-	}
-	v, err := p.q.Where.Eval(bc)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil
 	}
 	if cap(p.sel) < bc.Rows {
-		p.sel = make([]int, 0, bc.Rows)
+		p.sel = make([]int, bc.Rows)
 	}
-	sel := p.sel[:0]
-	for i, x := range v.Ints {
-		if x != 0 {
-			sel = append(sel, i)
-		}
-	}
-	p.sel = sel
-	return sel, v, nil
+	return selectWhere(p.q.Where, bc, nil, p.sel[:bc.Rows])
 }
 
 func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
@@ -281,7 +265,7 @@ func (p *Partial) project(bc *chunk.BinaryChunk) (sel []int, n int, err error) {
 	if p.q.IsAggregate() {
 		return nil, 0, fmt.Errorf("engine: row projection of an aggregate query")
 	}
-	if sel, p.selv, err = p.selection(bc); err != nil {
+	if sel, err = p.selection(bc); err != nil {
 		return nil, 0, err
 	}
 	for _, it := range p.q.Items {
@@ -300,11 +284,10 @@ func (p *Partial) project(bc *chunk.BinaryChunk) (sel []int, n int, err error) {
 
 // releaseProjection returns project's scratch vectors to their pool.
 func (p *Partial) releaseProjection() {
-	releaseScratch(p.q.Where, p.selv)
 	for i, v := range p.cols {
 		releaseScratch(p.q.Items[i].Expr, v)
 	}
-	p.selv, p.cols = nil, p.cols[:0]
+	p.cols = p.cols[:0]
 }
 
 // ChunkVectors evaluates the query's selection and projection over one chunk

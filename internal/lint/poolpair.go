@@ -1,8 +1,8 @@
 package lint
 
 // PoolPair enforces the vector/positional-map pooling discipline: buffers
-// taken from the shared pools (chunk.GetVector and the package's own
-// getVector, chunk.GetPositionalMap and the tokenizer's Tokenize, the fused
+// taken from the shared pools (chunk.GetVector, chunk.GetVectorUncleared and
+// the package's own getVector, chunk.GetPositionalMap and the tokenizer's Tokenize, the fused
 // kernels' getVectors batch acquire, chunk.DecodeVector, whose page-read
 // vectors are pooled too, the engine's asFloats widening, and the operator's
 // getText raw-text buffers) must reach a recycle call (PutVector, PutPositionalMap,
@@ -26,15 +26,16 @@ var poolSpec = &pairSpec{
 	what:     "pooled buffer",
 	verb:     "recycled",
 	acquires: map[string]acqKind{
-		"GetVector":        {fromResult: true},
-		"getVector":        {fromResult: true},
-		"GetPositionalMap": {fromResult: true},
-		"Tokenize":         {fromResult: true},
-		"parseColumn":      {fromResult: true},
-		"getVectors":       {fromResult: true},
-		"DecodeVector":     {fromResult: true},
-		"asFloats":         {fromResult: true},
-		"getText":          {fromResult: true},
+		"GetVector":          {fromResult: true},
+		"getVector":          {fromResult: true},
+		"GetVectorUncleared": {fromResult: true},
+		"GetPositionalMap":   {fromResult: true},
+		"Tokenize":           {fromResult: true},
+		"parseColumn":        {fromResult: true},
+		"getVectors":         {fromResult: true},
+		"DecodeVector":       {fromResult: true},
+		"asFloats":           {fromResult: true},
+		"getText":            {fromResult: true},
 	},
 	releases: map[string]bool{
 		"PutVector":        true,
