@@ -30,14 +30,16 @@ bench-module:
 
 # The concurrency-heavy packages additionally run under the race
 # detector: the operator pipeline/registry, the query server, the engine
-# (parallel partial executors + differential test), the online-aggregation
-# runner (sample-order reorder buffer fed by concurrent consumers), the
+# (the executor's top-k bound, read by the scan's driver, + differential
+# test), the online-aggregation runner (sample-order reorder buffer, locked
+# against the driver's Order), the
 # cluster layer (coordinator fan-out + distributed differential test), and
 # the storage layer (checkpoint-vs-append exclusion and recovery paths in
 # store and dbstore are lock-heavy and were previously only race-tested
 # transitively), plus the byte codec under all of the persisted and
 # networked formats and the /query reply writer (an NDJSON stream takes rows
-# from consume workers while the handler may be failing it).
+# from the scan while the handler may be failing it). The operator's
+# serial-delivery contract test exists only under -race.
 RACE_PKGS = ./internal/scanraw/... ./internal/server/... ./internal/engine/... ./internal/ola/... ./internal/cluster/... ./internal/kernel/... ./internal/workload/... ./internal/store/... ./internal/dbstore/... ./internal/wire/... ./internal/queryapi/...
 
 race:

@@ -46,7 +46,6 @@ func main() {
 		samMode   = flag.Bool("sam", false, "use the SAM schema and tab delimiter")
 		policyStr = flag.String("policy", "speculative", "write policy")
 		workers   = flag.Int("workers", 8, "worker threads (0 = sequential)")
-		consumeW  = flag.Int("consume-workers", 1, "consume goroutines per query (parallel evaluation)")
 		chunk     = flag.Int("chunk", 1<<13, "lines per chunk")
 		cacheSz   = flag.Int("cache", 32, "binary cache capacity in chunks")
 		colGroups = flag.Int("colgroups", 1, "column-group width for database pages (1 = per-column, 0 = full chunk width)")
@@ -99,14 +98,13 @@ func main() {
 
 	reg := scanraw.NewRegistry(store)
 	opCfg := scanraw.Config{
-		Workers:        *workers,
-		ChunkLines:     *chunk,
-		CacheChunks:    *cacheSz,
-		Policy:         policy,
-		Safeguard:      true,
-		Delim:          delimByte,
-		CollectStats:   *stats,
-		ConsumeWorkers: *consumeW,
+		Workers:      *workers,
+		ChunkLines:   *chunk,
+		CacheChunks:  *cacheSz,
+		Policy:       policy,
+		Safeguard:    true,
+		Delim:        delimByte,
+		CollectStats: *stats,
 	}
 	runOne := func(sql string) error {
 		ctx := context.Background()

@@ -172,7 +172,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		policyStr  = flag.String("policy", "speculative", "write policy")
 		workers    = flag.Int("workers", 8, "worker threads per operator (0 = sequential)")
-		consumeW   = flag.Int("consume-workers", 1, "consume goroutines per query (parallel evaluation)")
+		consumeW   = flag.Int("consume-workers", 1, "must be 1: consume is serial; kept for the benchmark harness until ROADMAP item 2a")
 		chunkLines = flag.Int("chunk", 1<<13, "lines per chunk")
 		cacheSz    = flag.Int("cache", 32, "binary cache capacity in chunks")
 		diskMBps   = flag.Int("disk", 0, "simulated disk bandwidth in MB/s (0 = unthrottled)")
@@ -197,6 +197,10 @@ func main() {
 	flag.Var(&tsvTables, "tsv", "table name whose file is tab-delimited (repeatable)")
 	flag.Var(&samTables, "sam", "table name using the SAM schema + tab delimiter (repeatable)")
 	flag.Parse()
+	if *consumeW != 0 && *consumeW != 1 {
+		fmt.Fprintf(os.Stderr, "scanrawd: -consume-workers %d: consume is serial, so it must be 0 or 1\n", *consumeW)
+		os.Exit(2)
+	}
 
 	if *coordinator {
 		runCoordinator(*addr, *fleetFile, *dataDir, cluster.Config{
@@ -327,15 +331,14 @@ func main() {
 			log.Fatalf("scanrawd: %v", err)
 		}
 		tblCfg := scanraw.Config{
-			Workers:        *workers,
-			ChunkLines:     *chunkLines,
-			CacheChunks:    *cacheSz,
-			Policy:         policy,
-			Safeguard:      true,
-			Delim:          delim,
-			CollectStats:   *stats,
-			ConsumeWorkers: *consumeW,
-			Speculation:    spec,
+			Workers:      *workers,
+			ChunkLines:   *chunkLines,
+			CacheChunks:  *cacheSz,
+			Policy:       policy,
+			Safeguard:    true,
+			Delim:        delim,
+			CollectStats: *stats,
+			Speculation:  spec,
 		}
 		if err := srv.AddTable(table, tblCfg); err != nil {
 			log.Fatalf("scanrawd: %v", err)

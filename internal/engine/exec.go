@@ -5,7 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
@@ -224,114 +224,108 @@ type aggState struct {
 	seen     bool
 }
 
-// Executor evaluates a query over binary chunks with a pool of mergeable
-// partials and is the engine's only consume-side type. Each ConsumeCounted
-// checks an idle partial out of the pool, folds the chunk into it and returns
-// it, so up to width chunks are evaluated at once and the next caller blocks
-// until a partial frees up — the natural backpressure for delivery fan-out.
-// At width 1 (NewExecutor) that is serial evaluation: concurrent callers
-// simply take turns.
-//
-// Result drains the pool — waiting for in-flight consumes — then merges the
-// partials in creation order and finalizes. Every width evaluates through
-// Partial, so all widths agree by construction (see Partial for the
-// determinism contract and the float-summation caveat).
+// Executor evaluates a query over binary chunks with one Partial and is the
+// engine's only consume-side type. Consume calls come one at a time (the scan
+// calls Deliver serially); Bound may be read concurrently with them, from the
+// scan's driver. Result finalizes the partial (see Partial for the
+// determinism contract).
 type Executor struct {
-	all []*Partial
-	// one backs all at width 1, and idle carries indices into all (of the
-	// partials no Consume holds) rather than pointers, so a width-1 executor
-	// allocates no more than the bare partial did (TestGroupByAllocs).
-	one   [1]*Partial
-	idle  chan int
-	done  atomic.Bool
+	p     *Partial
+	done  bool
 	bound BoundHolder
 }
 
-// NewExecutor validates q and builds a width-1 executor.
+// NewExecutor validates q and builds an executor.
 func NewExecutor(q *Query, sch *schema.Schema) (*Executor, error) {
-	return NewExecutorN(q, sch, 1)
-}
-
-// NewExecutorN is NewExecutor with width partials (at least one): the number
-// of chunks that may be consumed concurrently.
-func NewExecutorN(q *Query, sch *schema.Schema, width int) (*Executor, error) {
-	width = max(width, 1)
-	e := &Executor{idle: make(chan int, width)}
-	e.bound.bind(q)
-	e.all = e.one[:]
-	if width > 1 {
-		e.all = make([]*Partial, width)
+	p, err := NewPartial(q, sch)
+	if err != nil {
+		return nil, err
 	}
-	for i := range e.all {
-		p, err := NewPartial(q, sch)
-		if err != nil {
-			return nil, err
-		}
-		e.all[i] = p
-		e.idle <- i
-	}
+	e := &Executor{p: p}
+	e.bound.active = !q.IsAggregate() && q.Limit > 0 && len(q.OrderBy) > 0
 	return e, nil
 }
 
-// Consume folds one chunk into an idle partial. Safe to call from many
-// goroutines concurrently.
+// Consume folds one chunk into the executor's partial.
 func (e *Executor) Consume(bc *chunk.BinaryChunk) error {
 	_, err := e.ConsumeCounted(bc)
 	return err
 }
 
 // ConsumeCounted is Consume returning the number of rows that passed the
-// WHERE clause. It also refreshes the shared top-k bound while the partial
-// is still checked out, so Bound never races a concurrent Consume.
+// WHERE clause. It also publishes the partial's top-k bound.
 func (e *Executor) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
-	if e.done.Load() {
+	if e.done {
 		return 0, fmt.Errorf("engine: Consume after Result")
 	}
-	i := <-e.idle
-	p := e.all[i]
-	matched, err := p.ConsumeCounted(bc)
-	e.bound.Update(p)
-	e.idle <- i
+	matched, err := e.p.ConsumeCounted(bc)
+	e.bound.update(e.p)
 	return matched, err
 }
 
-// Bound returns the tightest top-k cutoff any single partial has
-// established, for ORDER BY ... LIMIT chunk pruning. Safe to call
-// concurrently with Consume (the READ goroutine does).
+// Bound returns the partial's current top-k cutoff, for ORDER BY ... LIMIT
+// chunk pruning. Safe to call concurrently with Consume (the READ goroutine
+// does).
 func (e *Executor) Bound() ([]Value, bool) { return e.bound.Bound() }
 
-// Result waits for in-flight Consume calls, merges every partial, and
-// materializes the final result. For grouped queries rows are ordered by
-// group key for determinism; a scalar aggregate over zero rows yields one
-// row of zero/NaN values. Partials are merged in creation order so the merge
-// sequence does not depend on scheduling (chunk→partial assignment still
-// does; see Partial on float summation).
+// Result materializes the final result. For grouped queries rows are ordered
+// by group key for determinism; a scalar aggregate over zero rows yields one
+// row of zero/NaN values.
 func (e *Executor) Result() (*Result, error) {
-	parts, err := e.Finish()
+	p, err := e.Finish()
 	if err != nil {
 		return nil, err
 	}
-	root, err := MergePartials(parts)
-	if err != nil {
-		return nil, err
-	}
-	return root.Result()
+	return p.Result()
 }
 
-// Finish waits for in-flight Consume calls and returns the raw partials
-// without merging them, for callers that stream the merged output (see
-// RunMerger) or ship the state over the wire (fleet workers) instead of
-// materializing it. After Finish the executor is done.
-func (e *Executor) Finish() ([]*Partial, error) {
-	if e.done.Swap(true) {
+// Finish returns the raw partial without finalizing it, for callers that
+// ship the state over the wire (fleet workers) instead of materializing it.
+// After Finish the executor is done.
+func (e *Executor) Finish() (*Partial, error) {
+	if e.done {
 		return nil, fmt.Errorf("engine: Result called twice")
 	}
-	// Every Consume that started before done was set will return its
-	// partial; draining the pool is the rendezvous.
-	for range e.all {
-		<-e.idle
+	e.done = true
+	return e.p, nil
+}
+
+// BoundHolder publishes an executor's top-k cutoff under a mutex, so the
+// scan's READ goroutine can consult it for chunk pruning while the delivering
+// goroutine keeps consuming. It is inert (Bound always false) unless the
+// query is a non-aggregate ORDER BY ... LIMIT, the only shape with a sound
+// bound.
+type BoundHolder struct {
+	mu     sync.Mutex
+	active bool
+	vals   []Value
+	ok     bool
+}
+
+// update refreshes the holder from p's heap. A top-k heap's worst row only
+// ever improves, so the latest bound is the tightest.
+func (b *BoundHolder) update(p *Partial) {
+	if !b.active {
+		return
 	}
-	return e.all, nil
+	vals, ok := p.Bound()
+	if !ok {
+		return
+	}
+	b.mu.Lock()
+	b.vals, b.ok = vals, true
+	b.mu.Unlock()
+}
+
+// Bound returns the published cutoff row (its full select-list values) and
+// whether one exists. The returned slice must not be mutated.
+func (b *BoundHolder) Bound() ([]Value, bool) {
+	if !b.active {
+		return nil, false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.vals, b.ok
 }
 
 func valueAt(v *chunk.Vector, i int) Value {

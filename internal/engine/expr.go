@@ -496,28 +496,39 @@ func asFloats(v *chunk.Vector) ([]float64, *chunk.Vector) {
 // Columns implements Expr.
 func (a *Arith) Columns(dst []int) []int { return a.R.Columns(a.L.Columns(dst)) }
 
-// String implements Expr. Nested arithmetic is written into the one builder,
-// not rendered to a string of its own first, so a long chain renders in time
-// linear in its length.
-func (a *Arith) String() string {
+// String implements Expr.
+func (a *Arith) String() string { return render(a) }
+
+func (a *Arith) renderTo(b *strings.Builder) {
+	b.WriteByte('(')
+	renderExpr(b, a.L)
+	b.WriteString(" " + a.Op.String() + " ")
+	renderExpr(b, a.R)
+	b.WriteByte(')')
+}
+
+// exprRenderer is a composite expression that renders itself into a builder.
+// It writes its children into the same builder rather than rendering each to
+// a string of its own first, so a long chain (a + b + ..., a AND b AND ...)
+// renders in time linear in its length.
+type exprRenderer interface {
+	renderTo(b *strings.Builder)
+}
+
+// render is String for an exprRenderer.
+func render(w exprRenderer) string {
 	var b strings.Builder
-	a.write(&b)
+	w.renderTo(&b)
 	return b.String()
 }
 
-func (a *Arith) write(b *strings.Builder) {
-	b.WriteByte('(')
-	for i, e := range [2]Expr{a.L, a.R} {
-		if i == 1 {
-			b.WriteString(" " + a.Op.String() + " ")
-		}
-		if x, ok := e.(*Arith); ok {
-			x.write(b)
-		} else {
-			b.WriteString(e.String())
-		}
+// writeExpr writes e into b, in place when e is itself an exprRenderer.
+func renderExpr(b *strings.Builder, e Expr) {
+	if w, ok := e.(exprRenderer); ok {
+		w.renderTo(b)
+		return
 	}
-	b.WriteByte(')')
+	b.WriteString(e.String())
 }
 
 // CmpOp enumerates comparison operators.
@@ -817,7 +828,15 @@ func merge(dst, a, b []int) []int {
 func (c *Cmp) Columns(dst []int) []int { return c.R.Columns(c.L.Columns(dst)) }
 
 // String implements Expr.
-func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
+func (c *Cmp) String() string { return render(c) }
+
+func (c *Cmp) renderTo(b *strings.Builder) {
+	b.WriteByte('(')
+	renderExpr(b, c.L)
+	b.WriteString(" " + c.Op.String() + " ")
+	renderExpr(b, c.R)
+	b.WriteByte(')')
+}
 
 // LogicOp enumerates boolean connectives.
 type LogicOp uint8
@@ -890,11 +909,20 @@ func (l *Logic) Columns(dst []int) []int {
 }
 
 // String implements Expr.
-func (l *Logic) String() string {
+func (l *Logic) String() string { return render(l) }
+
+func (l *Logic) renderTo(b *strings.Builder) {
 	if l.Op == OpNot {
-		return fmt.Sprintf("(NOT %s)", l.L)
+		b.WriteString("(NOT ")
+		renderExpr(b, l.L)
+		b.WriteByte(')')
+		return
 	}
-	return fmt.Sprintf("(%s %s %s)", l.L, l.Op, l.R)
+	b.WriteByte('(')
+	renderExpr(b, l.L)
+	b.WriteString(" " + l.Op.String() + " ")
+	renderExpr(b, l.R)
+	b.WriteByte(')')
 }
 
 // Like matches a string expression against a SQL LIKE pattern ('%' matches
@@ -1020,12 +1048,18 @@ func likeMatch(s, p string) bool {
 func (l *Like) Columns(dst []int) []int { return l.E.Columns(dst) }
 
 // String implements Expr.
-func (l *Like) String() string {
-	not := ""
+func (l *Like) String() string { return render(l) }
+
+func (l *Like) renderTo(b *strings.Builder) {
+	b.WriteByte('(')
+	renderExpr(b, l.E)
 	if l.Negate {
-		not = "NOT "
+		b.WriteString(" NOT LIKE '")
+	} else {
+		b.WriteString(" LIKE '")
 	}
-	return fmt.Sprintf("(%s %sLIKE '%s')", l.E, not, l.m.pattern)
+	b.WriteString(l.m.pattern)
+	b.WriteString("')")
 }
 
 // DedupColumns returns the sorted, de-duplicated ordinals referenced by the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -91,70 +90,54 @@ func runSerial(t testing.TB, q *Query, chunks []*chunk.BinaryChunk) *Result {
 	return res
 }
 
-// feedShuffled builds an executor of the given width and feeds it a shuffled
-// copy of chunks with concurrent Consume calls.
-func feedShuffled(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk, width int) *Executor {
+// feedShuffled builds an executor and feeds it a shuffled copy of chunks.
+func feedShuffled(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk) *Executor {
 	t.Helper()
-	ex, err := NewExecutorN(q, diffSch, width)
+	ex, err := NewExecutor(q, diffSch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shuffled := append([]*chunk.BinaryChunk(nil), chunks...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	var wg sync.WaitGroup
-	errs := make(chan error, len(shuffled))
 	for _, bc := range shuffled {
-		wg.Add(1)
-		go func(bc *chunk.BinaryChunk) {
-			defer wg.Done()
-			errs <- ex.Consume(bc)
-		}(bc)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
+		if err := ex.Consume(bc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return ex
 }
 
-// runParallel is feedShuffled finished with Result.
-func runParallel(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk, width int) *Result {
+// runShuffled is feedShuffled finished with Result.
+func runShuffled(t testing.TB, rng *rand.Rand, q *Query, chunks []*chunk.BinaryChunk) *Result {
 	t.Helper()
-	res, err := feedShuffled(t, rng, q, chunks, width).Result()
+	res, err := feedShuffled(t, rng, q, chunks).Result()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// encodeMerged is the fleet worker's finish: Finish, merge, serialize.
-func encodeMerged(t testing.TB, ex *Executor) []byte {
+// encodeFinished is the fleet worker's finish: Finish, serialize.
+func encodeFinished(t testing.TB, ex *Executor) []byte {
 	t.Helper()
-	parts, err := ex.Finish()
+	p, err := ex.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergePartials(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodePartial(merged, 0)
+	data, err := EncodePartial(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-// TestParallelMatchesSerial is the differential test of the partial/merge
+// TestParallelMatchesSerial is the differential test of the partial
 // contract: for randomized data and a query corpus spanning the whole SQL
-// subset, an executor of any width fed shuffled chunks concurrently must
-// produce results bit-identical to width 1 fed in chunk order — through
-// Result and through the wire (Finish, merge, EncodePartial). Aggregate state
-// encodes canonically, so there the bytes themselves must match; buffered
-// rows encode in arrival order, so there the decoded partial's Result must.
+// subset, an executor fed shuffled chunks must produce results bit-identical
+// to one fed in chunk order — through Result and through the wire (Finish,
+// EncodePartial, DecodePartial). Aggregate state encodes canonically, so
+// there the bytes of two shuffled feeds must match; buffered rows encode in
+// arrival order, so there the decoded partial's Result must.
 func TestParallelMatchesSerial(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		rng := rand.New(rand.NewSource(int64(1000 + round)))
@@ -165,55 +148,48 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s: %v", sql, err)
 			}
 			want := runSerial(t, q, chunks)
-			wantBytes := encodeMerged(t, feedShuffled(t, rng, q, chunks, 1))
-			for _, width := range []int{1, 2, 4, 8} {
-				got := runParallel(t, rng, q, chunks, width)
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("round %d, width %d: %s\nserial:   %+v\nparallel: %+v",
-						round, width, sql, want.Rows, got.Rows)
-				}
-				data := encodeMerged(t, feedShuffled(t, rng, q, chunks, width))
-				if q.IsAggregate() && !bytes.Equal(wantBytes, data) {
-					t.Errorf("round %d, width %d: %s: encoded partial differs from width 1", round, width, sql)
-				}
-				p, err := DecodePartial(q, diffSch, data)
-				if err != nil {
-					t.Fatalf("round %d, width %d: %s: %v", round, width, sql, err)
-				}
-				if res, _ := p.Result(); !reflect.DeepEqual(want, res) {
-					t.Errorf("round %d, width %d: %s: decoded partial gives %+v, want %+v",
-						round, width, sql, res.Rows, want.Rows)
-				}
+			wantBytes := encodeFinished(t, feedShuffled(t, rng, q, chunks))
+			if res := runShuffled(t, rng, q, chunks); !reflect.DeepEqual(want, res) {
+				t.Errorf("round %d: %s\nserial:   %+v\nshuffled: %+v", round, sql, want.Rows, res.Rows)
+			}
+			data := encodeFinished(t, feedShuffled(t, rng, q, chunks))
+			if q.IsAggregate() && !bytes.Equal(wantBytes, data) {
+				t.Errorf("round %d: %s: encoded partial depends on the chunk order", round, sql)
+			}
+			p, err := DecodePartial(q, diffSch, data)
+			if err != nil {
+				t.Fatalf("round %d: %s: %v", round, sql, err)
+			}
+			if res, _ := p.Result(); !reflect.DeepEqual(want, res) {
+				t.Errorf("round %d: %s: decoded partial gives %+v, want %+v", round, sql, res.Rows, want.Rows)
 			}
 		}
 	}
 }
 
-// TestExecutorMisuse covers the error surface at every width — Consume,
-// Result and Finish after Result — and mismatched merges.
+// TestExecutorMisuse covers the error surface — Consume, Result and Finish
+// after Result — and mismatched merges.
 func TestExecutorMisuse(t *testing.T) {
 	q, err := ParseSQL("SELECT COUNT(*) FROM t", diffSch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bc := diffChunks(t, rand.New(rand.NewSource(1)), 1, 8)[0]
-	for _, width := range []int{1, 2, 8} {
-		ex, err := NewExecutorN(q, diffSch, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.Result(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ex.Result(); err == nil {
-			t.Errorf("width %d: second Result() did not fail", width)
-		}
-		if _, err := ex.Finish(); err == nil {
-			t.Errorf("width %d: Finish() after Result() did not fail", width)
-		}
-		if err := ex.Consume(bc); err == nil {
-			t.Errorf("width %d: Consume() after Result() did not fail", width)
-		}
+	ex, err := NewExecutor(q, diffSch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.Result(); err == nil {
+		t.Error("second Result() did not fail")
+	}
+	if _, err := ex.Finish(); err == nil {
+		t.Error("Finish() after Result() did not fail")
+	}
+	if err := ex.Consume(bc); err == nil {
+		t.Error("Consume() after Result() did not fail")
 	}
 
 	q2, err := ParseSQL("SELECT SUM(a) FROM t", diffSch)

@@ -19,10 +19,9 @@ import (
 // canonical order (ORDER BY keys, then chunk ID, then row ordinal within
 // the chunk), and grouped results are ordered by encoded group key — both
 // independent of chunk arrival order or partial assignment. Aggregates over
-// int64 data are exact; float SUM/AVG accumulate in partial order, so
-// bit-identical parallel/serial results additionally require float data
-// whose sums are exact in IEEE-754 (see DESIGN.md, "Parallel query
-// evaluation").
+// int64 data are exact; float SUM/AVG accumulate in arrival and merge
+// order, so results bit-identical across arrival orders additionally
+// require float data whose sums are exact in IEEE-754 (see DESIGN.md §7).
 type Partial struct {
 	q   *Query
 	sch *schema.Schema
@@ -88,8 +87,7 @@ func newPartial(q *Query, sch *schema.Schema, genericGroups bool) (*Partial, err
 func (p *Partial) Query() *Query { return p.q }
 
 // Consume folds one chunk into the partial. A partial is single-consumer:
-// Consume must not be called concurrently on the same partial (use one
-// partial per consume worker, or Executor which enforces this).
+// Consume must not be called concurrently on the same partial.
 func (p *Partial) Consume(bc *chunk.BinaryChunk) error {
 	_, err := p.ConsumeCounted(bc)
 	return err

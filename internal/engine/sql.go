@@ -20,13 +20,24 @@ import (
 // SUM/COUNT/MIN/MAX/AVG and optionally aliased with AS. Expressions support
 // + - * / %, comparisons, AND/OR/NOT, LIKE/NOT LIKE, parentheses, integer,
 // float and 'string' literals, and column references resolved against sch.
+// Parentheses, NOT and unary minus nest at most maxNesting deep.
 func ParseSQL(sql string, sch *schema.Schema) (*Query, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &sqlParser{toks: toks, sch: sch}
+	p := &sqlParser{src: sql, sch: sch}
 	q, err := p.parseQuery()
+	// A lexical error anywhere in the text takes precedence over a parse
+	// error before it, as if the text were lexed in full first. Lexing is on
+	// demand, so the rest of the text is checked without keeping its tokens.
+	if err != nil && p.lexErr == nil {
+		for off := p.off; p.lexErr == nil; {
+			var t token
+			if t, off, p.lexErr = lexOne(sql, off); t.kind == tokEOF {
+				break
+			}
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -65,84 +76,72 @@ type token struct {
 	pos  int
 }
 
-func lex(s string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case isIdentStart(c):
-			j := i + 1
-			for j < len(s) && isIdentPart(s[j]) {
-				j++
-			}
-			toks = append(toks, token{tokIdent, s[i:j], i})
-			i = j
-		case c >= '0' && c <= '9' || (c == '.' && i+1 < len(s) && s[i+1] >= '0' && s[i+1] <= '9'):
-			j := i
-			seenDot := false
-			for j < len(s) && (s[j] >= '0' && s[j] <= '9' || (s[j] == '.' && !seenDot)) {
-				if s[j] == '.' {
-					seenDot = true
-				}
-				j++
-			}
-			toks = append(toks, token{tokNumber, s[i:j], i})
-			i = j
-		case c == '\'':
-			j := i + 1
-			var b strings.Builder
-			for {
-				if j >= len(s) {
-					return nil, fmt.Errorf("sql: unterminated string at offset %d", i)
-				}
-				if s[j] == '\'' {
-					if j+1 < len(s) && s[j+1] == '\'' { // escaped quote
-						b.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				b.WriteByte(s[j])
-				j++
-			}
-			toks = append(toks, token{tokString, b.String(), i})
-			i = j + 1
-		case strings.ContainsRune("+-*/%(),=", rune(c)):
-			toks = append(toks, token{tokOp, string(c), i})
-			i++
-		case c == '<':
-			if i+1 < len(s) && (s[i+1] == '=' || s[i+1] == '>') {
-				toks = append(toks, token{tokOp, s[i : i+2], i})
-				i += 2
-			} else {
-				toks = append(toks, token{tokOp, "<", i})
-				i++
-			}
-		case c == '>':
-			if i+1 < len(s) && s[i+1] == '=' {
-				toks = append(toks, token{tokOp, ">=", i})
-				i += 2
-			} else {
-				toks = append(toks, token{tokOp, ">", i})
-				i++
-			}
-		case c == '!':
-			if i+1 < len(s) && s[i+1] == '=' {
-				toks = append(toks, token{tokOp, "!=", i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("sql: unexpected '!' at offset %d", i)
-			}
-		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
-		}
+// lexOne lexes the token starting at or after offset i (past any blanks)
+// and returns it with the offset just past it; at the end of s the token is
+// tokEOF. On a lexical error the offset is where the bad token starts.
+func lexOne(s string, i int) (token, int, error) {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
+		i++
 	}
-	toks = append(toks, token{tokEOF, "", len(s)})
-	return toks, nil
+	if i == len(s) {
+		return token{tokEOF, "", len(s)}, i, nil
+	}
+	c := s[i]
+	switch {
+	case isIdentStart(c):
+		j := i + 1
+		for j < len(s) && isIdentPart(s[j]) {
+			j++
+		}
+		return token{tokIdent, s[i:j], i}, j, nil
+	case c >= '0' && c <= '9' || (c == '.' && i+1 < len(s) && s[i+1] >= '0' && s[i+1] <= '9'):
+		j := i
+		seenDot := false
+		for j < len(s) && (s[j] >= '0' && s[j] <= '9' || (s[j] == '.' && !seenDot)) {
+			if s[j] == '.' {
+				seenDot = true
+			}
+			j++
+		}
+		return token{tokNumber, s[i:j], i}, j, nil
+	case c == '\'':
+		j := i + 1
+		var b strings.Builder
+		for {
+			if j >= len(s) {
+				return token{}, i, fmt.Errorf("sql: unterminated string at offset %d", i)
+			}
+			if s[j] == '\'' {
+				if j+1 < len(s) && s[j+1] == '\'' { // escaped quote
+					b.WriteByte('\'')
+					j += 2
+					continue
+				}
+				break
+			}
+			b.WriteByte(s[j])
+			j++
+		}
+		return token{tokString, b.String(), i}, j + 1, nil
+	case strings.ContainsRune("+-*/%(),=", rune(c)):
+		return token{tokOp, s[i : i+1], i}, i + 1, nil
+	case c == '<':
+		if i+1 < len(s) && (s[i+1] == '=' || s[i+1] == '>') {
+			return token{tokOp, s[i : i+2], i}, i + 2, nil
+		}
+		return token{tokOp, "<", i}, i + 1, nil
+	case c == '>':
+		if i+1 < len(s) && s[i+1] == '=' {
+			return token{tokOp, ">=", i}, i + 2, nil
+		}
+		return token{tokOp, ">", i}, i + 1, nil
+	case c == '!':
+		if i+1 < len(s) && s[i+1] == '=' {
+			return token{tokOp, "!=", i}, i + 2, nil
+		}
+		return token{}, i, fmt.Errorf("sql: unexpected '!' at offset %d", i)
+	}
+	return token{}, i, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 }
 
 func isIdentStart(c byte) bool {
@@ -151,14 +150,51 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool { return isIdentStart(c) || c >= '0' && c <= '9' }
 
+// sqlParser lexes on demand: a token is lexed when the parser first looks
+// at it, so a parse that fails early — at the nesting bound, say — has cost
+// only the tokens before the failure, whatever the length of the text. The
+// tokens lexed so far stay, for save and restore.
 type sqlParser struct {
-	toks []token
-	pos  int
-	sch  *schema.Schema
+	src    string
+	off    int     // offset in src of the next token to lex
+	lexErr error   // the first lexical error; the tokens end there
+	toks   []token // lexed so far
+	pos    int     // the parser's position in toks
+	sch    *schema.Schema
+	depth  int // open nesting levels; see nest
 }
 
-func (p *sqlParser) peek() token   { return p.toks[p.pos] }
-func (p *sqlParser) next() token   { t := p.toks[p.pos]; p.pos++; return t }
+// maxNesting bounds how deeply an expression may nest parentheses, NOT and
+// unary minus. Each level is a recursion of the parser (and later of every
+// walk over the tree), so without a bound a 1 MiB request of nothing but
+// parentheses costs a goroutine stack of about a gigabyte.
+const maxNesting = 256
+
+// nest enters one nesting level opened by token t, failing past maxNesting
+// before the recursion it guards begins. The caller leaves the level with
+// p.depth-- once the nested operand is parsed.
+func (p *sqlParser) nest(t token) error {
+	if p.depth++; p.depth > maxNesting {
+		return fmt.Errorf("sql: expression nested deeper than %d levels at offset %d", maxNesting, t.pos)
+	}
+	return nil
+}
+
+func (p *sqlParser) peek() token {
+	for p.pos >= len(p.toks) {
+		t := token{tokEOF, "", len(p.src)}
+		if p.lexErr == nil {
+			var err error
+			if t, p.off, err = lexOne(p.src, p.off); err != nil {
+				p.lexErr, t = err, token{tokEOF, "", p.off}
+			}
+		}
+		p.toks = append(p.toks, t)
+	}
+	return p.toks[p.pos]
+}
+
+func (p *sqlParser) next() token   { t := p.peek(); p.pos++; return t }
 func (p *sqlParser) save() int     { return p.pos }
 func (p *sqlParser) restore(m int) { p.pos = m }
 
@@ -494,11 +530,15 @@ func (p *sqlParser) parseAnd() (Expr, error) {
 }
 
 func (p *sqlParser) parseNot() (Expr, error) {
-	if p.matchKw("NOT") {
+	if t := p.peek(); p.matchKw("NOT") {
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return NewLogic(OpNot, e, nil)
 	}
 	return p.parseCmp()
@@ -597,11 +637,15 @@ func (p *sqlParser) parseMul() (Expr, error) {
 }
 
 func (p *sqlParser) parseUnary() (Expr, error) {
-	if p.matchOp("-") {
+	if t := p.peek(); p.matchOp("-") {
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		if c, ok := e.(*Const); ok {
 			switch c.Typ {
 			case schema.Int64:
@@ -640,6 +684,9 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		return NewCol(p.sch, t.text)
 	case tokOp:
 		if t.text == "(" {
+			if err := p.nest(t); err != nil {
+				return nil, err
+			}
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -647,6 +694,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
+			p.depth--
 			return e, nil
 		}
 	}

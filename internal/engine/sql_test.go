@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -210,5 +211,86 @@ func TestParseFloatLiteral(t *testing.T) {
 	c := q.Where.(*Cmp)
 	if c.R.(*Const).Float != 1.25 {
 		t.Errorf("float literal = %v", c.R.(*Const).Float)
+	}
+}
+
+// TestParseNestingBounded: parentheses, NOT and unary minus nest at most
+// maxNesting deep. Past that a 1 MiB request of nothing but nesting fails at
+// once: the parser lexes on demand, so the failure costs the tokens up to the
+// bound, not a token and a recursion per level — unbounded, SUM((((…c0…))))
+// at that size took seconds and about a gigabyte of goroutine stack. At the
+// bound, nesting still parses.
+func TestParseNestingBounded(t *testing.T) {
+	sch := schema.MustNew(schema.Column{Name: "c0", Type: schema.Int64})
+	const size = 1 << 20
+	parens := size / 2
+	cases := []struct{ name, sql string }{
+		{"parentheses", "SELECT SUM(" + strings.Repeat("(", parens) + "c0" + strings.Repeat(")", parens) + ") FROM t"},
+		{"NOT", "SELECT COUNT(*) FROM t WHERE " + strings.Repeat("NOT ", size/4) + "c0 < 1"},
+		{"unary minus", "SELECT SUM(" + strings.Repeat("- ", size/2) + "c0) FROM t"},
+	}
+	for _, c := range cases {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseSQL(c.sql, sch)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Fatalf("%s: %d bytes of nesting parsed: %v", c.name, len(c.sql), err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: %d bytes allocated for %d bytes of SQL", c.name, alloc, len(c.sql))
+		}
+		if grown := int64(after.StackSys) - int64(before.StackSys); grown > 4<<20 {
+			t.Errorf("%s: goroutine stacks grew by %d bytes", c.name, grown)
+		}
+	}
+	at := strings.Repeat("(", maxNesting) + "c0" + strings.Repeat(")", maxNesting)
+	for _, sql := range []string{
+		"SELECT SUM(" + at + ") FROM t",
+		"SELECT COUNT(*) FROM t WHERE " + strings.Repeat("NOT ", maxNesting) + "c0 < 1",
+		"SELECT SUM(" + strings.Repeat("- ", maxNesting) + "c0) FROM t",
+	} {
+		if _, err := ParseSQL(sql, sch); err != nil {
+			t.Errorf("nesting at the bound: %v", err)
+		}
+	}
+	if _, err := ParseSQL("SELECT SUM(("+at+")) FROM t", sch); err == nil {
+		t.Error("one level past the bound parsed")
+	}
+	// A lexical error after the bound still wins, as when the text was
+	// lexed whole before parsing.
+	if _, err := ParseSQL("SELECT SUM(("+at+" ! 1)) FROM t", sch); err == nil || !strings.Contains(err.Error(), "unexpected '!'") {
+		t.Errorf("nesting past the bound before a lexical error: %v", err)
+	}
+}
+
+// TestLongConnectiveChainLinear: naming a select item renders it into one
+// builder, so an AND or OR chain of 100,000 comparisons — a 1 MiB request —
+// is named in time and memory linear in its length, like the + chains of
+// TestLongSumChainLinear. A quadratic rendering is tens of GB at that
+// length, so a short chain is held to the same per-term ceiling first. The
+// chains are loops in the parser, not nesting, so they parse.
+func TestLongConnectiveChainLinear(t *testing.T) {
+	sch := schema.MustNew(schema.Column{Name: "c0", Type: schema.Int64})
+	for _, op := range []string{"AND", "OR"} {
+		for _, terms := range []int{2_000, 100_000} {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sql := "SELECT " + strings.Repeat("c0 < 1 "+op+" ", terms-1) + "c0 < 1 FROM t"
+			q, err := ParseSQL(sql, sch)
+			if err != nil {
+				t.Fatalf("%s %d: %v", op, terms, err)
+			}
+			name := q.ColumnNames()[0]
+			runtime.ReadMemStats(&after)
+			if want := terms*len("(c0 < 1)") + (terms-1)*len("(  )"+op); len(name) != want {
+				t.Fatalf("%s %d: name of %d bytes, want %d", op, terms, len(name), want)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(terms)<<11 {
+				t.Fatalf("%s %d: %d bytes allocated a term, want at most 2 KB", op, terms, alloc/uint64(terms))
+			}
+		}
 	}
 }

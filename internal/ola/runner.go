@@ -11,8 +11,8 @@ import (
 )
 
 // Runner drives one sampled aggregate query. It is both the scan's
-// consumer (ConsumeCounted accepts chunks on any number of consume
-// workers) and its steering: Order is the scanraw Request.Order
+// consumer (ConsumeCounted, on the scan's delivering goroutine) and its
+// steering (on the scan's driver): Order is the scanraw Request.Order
 // callback that installs the seeded permutation, and Satisfied is the
 // demand-termination signal that fires once the bounds converge.
 //
@@ -90,8 +90,9 @@ func (r *Runner) Order(seed int64) func(n int) []int {
 func (r *Runner) Satisfied() bool { return r.converged.Load() }
 
 // ConsumeCounted aggregates one chunk, merges it into the exact root,
-// and feeds the estimator through the sample-order reorder window. Safe
-// for concurrent calls from parallel consume workers.
+// and feeds the estimator through the sample-order reorder window. It
+// locks against Order and the snapshot readers, which run on other
+// goroutines.
 func (r *Runner) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
 	// Aggregate the chunk outside the lock: a fresh Partial isolates its
 	// per-group contribution, which the snapshot captures before the

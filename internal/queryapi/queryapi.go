@@ -155,8 +155,8 @@ const flushEvery = 1024
 // every flushEvery rows, before any Line and with the trailer, so a caller
 // with one row at a time does not pay a write per row; a chunk encoded by
 // its producer (AppendChunk) is written as it is. It is safe for concurrent
-// use: rows arrive from consume workers while the handler may already be
-// failing the stream. A write to a dead client fails silently: its request
+// use: rows arrive from the scan's delivering goroutine while the handler may
+// already be failing the stream. A write to a dead client fails silently: its request
 // context ends the query.
 type NDJSON struct {
 	w http.ResponseWriter

@@ -157,8 +157,8 @@ func limitReference(t *testing.T, rows, cols int, sql string, k int) [][]engine.
 
 // TestLimitDifferential proves early termination changes nothing but the
 // amount of work: for LIMIT and ORDER BY ... LIMIT queries, the
-// demand-driven paths (pipelined, sequential, parallel-consume, and a
-// second run over a warm cache) return exactly the full scan's truncated
+// demand-driven paths (pipelined, sequential, and a second run over a warm
+// cache) return exactly the full scan's truncated
 // result.
 func TestLimitDifferential(t *testing.T) {
 	const rows, cols, k = 4096, 4, 10
@@ -182,8 +182,6 @@ func TestLimitDifferential(t *testing.T) {
 			Policy: ExternalTables, CollectStats: true}, 1},
 		{"sequential", Config{Workers: 0, ChunkLines: 64, CacheChunks: 8,
 			Policy: ExternalTables, CollectStats: true}, 1},
-		{"parallel-consume", Config{Workers: 4, ChunkLines: 64, CacheChunks: 8,
-			Policy: ExternalTables, ConsumeWorkers: 4}, 1},
 		{"cached", Config{Workers: 4, ChunkLines: 64, CacheChunks: 16,
 			Policy: ExternalTables, CollectStats: true}, 2},
 	}
@@ -453,7 +451,6 @@ func TestDemandStopsWithinInFlightBound(t *testing.T) {
 	}{
 		{"cold", Config{Workers: 4}, false},
 		{"discovered", Config{Workers: 4}, true},
-		{"parallel-consume", Config{Workers: 4, ConsumeWorkers: 4}, true},
 		{"full-load", Config{Workers: 2, Policy: FullLoad}, false},
 	}
 	for _, c := range cases {
@@ -562,7 +559,7 @@ func BenchmarkLimitFullScan(b *testing.B) {
 	}
 }
 
-// BenchmarkLimitEarlyTerm is the demand-driven path: the deliverer signals
+// BenchmarkLimitEarlyTerm is the demand-driven path: the consumer signals
 // satisfaction after the first chunk and the scan stops issuing work.
 func BenchmarkLimitEarlyTerm(b *testing.B) {
 	op := benchLimitOperator(b)

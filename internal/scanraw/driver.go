@@ -247,14 +247,13 @@ func (r *run) drive(ctx context.Context) error {
 // chunks issued and not yet consumed — one in the driver's hands, one in
 // the conversion consumer's, the rest holding a buffer slot (a task in
 // service holds a slot of the binary cache it writes to, so the pool size
-// adds nothing; an inline run holds one chunk per consume worker, each
-// pinned in the cache). A page read takes a text-buffer slot like a
-// conversion, so the bound is the same whatever the chunks' sources. This is
-// what bounds the work a LIMIT strands in flight, and the invariants build
-// asserts it — over the disk-backed sequence: a pooled run's cached-first
-// prefix goes through the inline emitter and holds no buffer slot, so with
-// a consume fan-out up to one prefix chunk per worker can still be under
-// evaluation, beside a full pipeline, when the count is taken.
+// adds nothing; an inline run holds the one chunk it is consuming). A page
+// read takes a text-buffer slot like a conversion, so the bound is the same
+// whatever the chunks' sources. This is what bounds the work a LIMIT
+// strands in flight, and the invariants build asserts it — over the
+// disk-backed sequence: a pooled run's cached-first prefix goes through the
+// inline emitter and holds no buffer slot, and is consumed in full before
+// the pipeline starts.
 func (r *run) walk(ctx context.Context, next visit) error {
 	o := r.op
 	for {
@@ -381,8 +380,6 @@ func (e inline) emit(t task) error {
 	}
 	if r.op.when.idle && t.kern != nil {
 		// A conversion is the idle moment; a page read left the disk busy.
-		// specStep pins whatever it writes, shielding it from an eviction
-		// by a still-running fan-out consume.
 		_, err := r.specStep()
 		return err
 	}

@@ -102,7 +102,6 @@ func TestResolveTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.del.close()
 
 	cases := []struct {
 		id           int
@@ -268,9 +267,6 @@ func TestCachedPrefixKeepsFusedRamp(t *testing.T) {
 		t.Fatal("demand-driven pooled run has no slow-start ramp")
 	}
 	if err := r.cachedFirst(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.del.close(); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.bySource[srcCache].Load(); n != 2 {

@@ -17,8 +17,11 @@ import (
 type run struct {
 	op  *Operator
 	req Request
-	del *deliverer // CONSUME stage: serial pass-through or fan-out
-	out emitter    // inline, until a pooled run starts its pipeline
+	out emitter // inline, until a pooled run starts its pipeline
+
+	// consumeSlot paces the CONSUME stage: Deliver runs on the goroutine that
+	// called Run, one chunk at a time, so one slot carries its CPUSlowdown debt.
+	consumeSlot workerSlot
 
 	// kern is the conversion kernel — one fused pass per chunk, accounted to
 	// the Parse stage — for the full-conversion column set: the requested
@@ -117,9 +120,6 @@ func (r *run) fail(err error) {
 	r.errOnce.Do(func() {
 		r.runErr = err
 		close(r.done)
-		// The consume stage latches the failure too, so fan-out workers
-		// stop evaluating chunks that can no longer contribute a result.
-		r.del.setErr(err)
 		r.gate.broadcast()
 	})
 }
@@ -267,11 +267,6 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 		return st, err
 	}
 	err = r.execute(ctx)
-	// All deliver calls have returned: drain the consume workers and
-	// surface any consume error that had not reached the run yet.
-	if cerr := r.del.close(); err == nil {
-		err = cerr
-	}
 
 	st.DeliveredCache = int(r.bySource[srcCache].Load())
 	st.DeliveredDB = int(r.bySource[srcDB].Load())
@@ -382,6 +377,9 @@ func slots(n int) chan struct{} {
 // selection does; should the two ever disagree, the run fails here rather
 // than convert some other way.
 func (o *Operator) newRun(req Request, workers int) (*run, error) {
+	if n := o.cfg.ConsumeWorkers; n != 0 && n != 1 {
+		return nil, fmt.Errorf("scanraw: ConsumeWorkers is %d, but consume is serial: it must be 0 or 1", n)
+	}
 	kern, err := kernel.For(o.table.Schema(), o.store.GroupClosure(o.table, req.Columns), o.cfg.Delim)
 	if err != nil {
 		return nil, err
@@ -389,7 +387,6 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 	r := &run{
 		op:        o,
 		req:       req,
-		del:       o.newDeliverer(req.Deliver, o.cfg.ConsumeWorkers),
 		kern:      kern,
 		sc:        newRawScanner(o, o.table.RawFile()),
 		delivered: make(map[int]bool),
@@ -465,14 +462,11 @@ func (r *run) pipeline(ctx context.Context) {
 		r.poke()
 	}()
 
-	// Delivery loop: it hands each chunk to the consume stage, whose
-	// after-hook releases the chunk's pin and binary-buffer budget only once
-	// evaluation is done — in fan-out mode that keeps at most
-	// ConsumeWorkers chunks in flight past the buffer budget. The loop
-	// drains deliverCh even after the demand is satisfied: consumers ignore
-	// surplus chunks, and the after-hooks must still run for the teardown
-	// invariants. convertConsumer closes deliverCh once READ and every
-	// task have finished.
+	// Delivery loop: it consumes each chunk, then releases the chunk's pin
+	// and binary-buffer budget. The loop drains deliverCh even after the
+	// demand is satisfied or the run failed: consumers ignore surplus chunks,
+	// and the releases must still happen for the teardown invariants.
+	// convertConsumer closes deliverCh once READ and every task have finished.
 	for bc := range r.deliverCh {
 		// Not left to execute's watcher goroutine alone: it may not have run
 		// yet, and no chunk may reach the consumer after a visible cancel.
@@ -484,33 +478,39 @@ func (r *run) pipeline(ctx context.Context) {
 	r.schedWG.Wait()
 }
 
-// deliver hands one pinned, cache-resident chunk to the consume stage. The
-// after-hook runs once its evaluation finished (or was skipped because the
-// run failed): it releases the delivery pin — a parallel-consume worker can
-// therefore never race an eviction's vector recycling — and the emitter's
-// buffer budget, and it is the natural point to notice the demand is now
-// satisfied or, if it is not, to release the slow-start throttle. Only
-// a pipelined delivery releases it: a hit of the cached-first prefix costs
-// no conversion, so it is no evidence for committing every worker to one.
+// deliver is the CONSUME stage for one pinned, cache-resident chunk: unless
+// the run has failed, it calls the request's Deliver on this goroutine —
+// paced through cpuWork so engine evaluation occupies simulated CPU like
+// conversion does — and a consume error fails the run. Then it releases the
+// delivery pin, so an eviction never recycles vectors under evaluation, and
+// the emitter's buffer budget. It is the natural point to notice the demand
+// is now satisfied or, if it is not, to release the slow-start throttle.
+// Only a pipelined delivery releases it: a hit of the cached-first prefix
+// costs no conversion, so it is no evidence for committing every worker to
+// one.
 func (r *run) deliver(bc *BinaryChunk) {
-	id, out := bc.ID, r.out
-	_, pipelined := out.(pooled)
-	r.del.deliver(bc, func() {
-		if err := r.op.cache.Unpin(id); err != nil {
-			r.fail(err)
+	o := r.op
+	if !r.failed() {
+		var err error
+		d := o.cpuWork(&r.consumeSlot, func() { err = r.req.Deliver(bc) })
+		o.prof.consumeNs.Add(int64(d))
+		if err == nil {
+			o.prof.consumeChunks.Add(1)
 		}
-		if invariantsOn && (pipelined || r.deliverCh == nil) {
-			r.consumed.Add(1)
-		}
-		out.release()
-		r.gate.broadcast()
-		r.poke()
-		if !r.demandSatisfied() && pipelined {
-			r.openRamp()
-		}
-	})
-	if err := r.del.failedErr(); err != nil {
 		r.fail(err)
+	}
+	if err := o.cache.Unpin(bc.ID); err != nil {
+		r.fail(err)
+	}
+	_, pipelined := r.out.(pooled)
+	if invariantsOn && (pipelined || r.deliverCh == nil) {
+		r.consumed.Add(1)
+	}
+	r.out.release()
+	r.gate.broadcast()
+	r.poke()
+	if !r.demandSatisfied() && pipelined {
+		r.openRamp()
 	}
 }
 

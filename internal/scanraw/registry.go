@@ -113,7 +113,7 @@ func ExecuteQuery(op *Operator, q *engine.Query) (*engine.Result, RunStats, erro
 
 // ExecuteQueryContext is ExecuteQuery with cancellation: a cancelled
 // context stops the scan at the next chunk boundary and is returned as the
-// error. The executor is as wide as the operator's ConsumeWorkers.
+// error.
 func ExecuteQueryContext(ctx context.Context, op *Operator, q *engine.Query) (*engine.Result, RunStats, error) {
 	return ExecuteQueryRangeContext(ctx, op, q, nil)
 }
@@ -125,7 +125,7 @@ func ExecuteQueryContext(ctx context.Context, op *Operator, q *engine.Query) (*e
 // termination stays sound within the peer's chunk universe. A nil range is
 // the whole file.
 func ExecuteQueryRangeContext(ctx context.Context, op *Operator, q *engine.Query, rng *ChunkRange) (*engine.Result, RunStats, error) {
-	ex, err := engine.NewExecutorN(q, op.Table().Schema(), op.Config().ConsumeWorkers)
+	ex, err := engine.NewExecutor(q, op.Table().Schema())
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -224,9 +224,6 @@ func (m Member) Request(ctx context.Context) Request {
 		Satisfied: satisfied,
 		Range:     m.Range,
 		Order:     m.Order,
-		// With the operator's ConsumeWorkers above one Deliver runs on several
-		// goroutines at once; the Consumer behind it must be concurrency-safe
-		// then (an executor or emitter built at that width is).
 		Deliver: func(bc *BinaryChunk) error {
 			if err := ctx.Err(); err != nil {
 				return fail(err)

@@ -176,10 +176,10 @@ type Config struct {
 	// behaves as if each worker had its own (slow) core, in the same
 	// model-time units the simulated disk uses.
 	CPUSlowdown int
-	// ConsumeWorkers is every run's consume parallelism: the number of
-	// goroutines delivered chunks fan out to. The default (0, treated as 1)
-	// keeps the classic serial delivery contract; values > 1 require Deliver
-	// callbacks that tolerate concurrent calls (engine.Executor does).
+	// ConsumeWorkers accepts only 0 or 1: consume is serial (see
+	// Request.Deliver), and a run under any other value fails. It stays only
+	// because the benchmark harness sets it; ROADMAP item 2a deletes it
+	// together with the harness's two lines that name it.
 	ConsumeWorkers int
 	// Speculation ranks what the Speculative write policy loads during
 	// disk-idle windows. SpecScan — the zero value — is the paper's
@@ -231,44 +231,36 @@ func (s StageProfile) PerChunk() time.Duration {
 // Conversion is one fused pass, so all of its time lands on Parse; Tokenize
 // is always zero and stays only so that stage sums written against the
 // paper's four columns keep compiling. Consume is the engine-side
-// evaluation time of delivered chunks — the stage the parallel delivery mode
-// spreads across workers. ConsumeStall is the time the delivery producer
-// spent waiting for a free consume worker (Chunks counts fan-out
-// hand-offs): the signal that the consume stage, not conversion, is the
-// bottleneck.
+// evaluation time of delivered chunks.
 type Profile struct {
-	Read         StageProfile
-	Tokenize     StageProfile
-	Parse        StageProfile
-	Write        StageProfile
-	Consume      StageProfile
-	ConsumeStall StageProfile
+	Read     StageProfile
+	Tokenize StageProfile
+	Parse    StageProfile
+	Write    StageProfile
+	Consume  StageProfile
 }
 
 // Sub returns p - o, for per-run deltas.
 func (p Profile) Sub(o Profile) Profile {
 	return Profile{
-		Read:         StageProfile{p.Read.Time - o.Read.Time, p.Read.Chunks - o.Read.Chunks},
-		Parse:        StageProfile{p.Parse.Time - o.Parse.Time, p.Parse.Chunks - o.Parse.Chunks},
-		Write:        StageProfile{p.Write.Time - o.Write.Time, p.Write.Chunks - o.Write.Chunks},
-		Consume:      StageProfile{p.Consume.Time - o.Consume.Time, p.Consume.Chunks - o.Consume.Chunks},
-		ConsumeStall: StageProfile{p.ConsumeStall.Time - o.ConsumeStall.Time, p.ConsumeStall.Chunks - o.ConsumeStall.Chunks},
+		Read:    StageProfile{p.Read.Time - o.Read.Time, p.Read.Chunks - o.Read.Chunks},
+		Parse:   StageProfile{p.Parse.Time - o.Parse.Time, p.Parse.Chunks - o.Parse.Chunks},
+		Write:   StageProfile{p.Write.Time - o.Write.Time, p.Write.Chunks - o.Write.Chunks},
+		Consume: StageProfile{p.Consume.Time - o.Consume.Time, p.Consume.Chunks - o.Consume.Chunks},
 	}
 }
 
 type profCounters struct {
-	readNs, parseNs, writeNs, consumeNs, consumeStallNs atomic.Int64
-	readChunks, parseChunks, writeCh, consumeChunks     atomic.Int64
-	consumeStallCh                                      atomic.Int64
+	readNs, parseNs, writeNs, consumeNs             atomic.Int64
+	readChunks, parseChunks, writeCh, consumeChunks atomic.Int64
 }
 
 func (pc *profCounters) snapshot() Profile {
 	return Profile{
-		Read:         StageProfile{time.Duration(pc.readNs.Load()), pc.readChunks.Load()},
-		Parse:        StageProfile{time.Duration(pc.parseNs.Load()), pc.parseChunks.Load()},
-		Write:        StageProfile{time.Duration(pc.writeNs.Load()), pc.writeCh.Load()},
-		Consume:      StageProfile{time.Duration(pc.consumeNs.Load()), pc.consumeChunks.Load()},
-		ConsumeStall: StageProfile{time.Duration(pc.consumeStallNs.Load()), pc.consumeStallCh.Load()},
+		Read:    StageProfile{time.Duration(pc.readNs.Load()), pc.readChunks.Load()},
+		Parse:   StageProfile{time.Duration(pc.parseNs.Load()), pc.parseChunks.Load()},
+		Write:   StageProfile{time.Duration(pc.writeNs.Load()), pc.writeCh.Load()},
+		Consume: StageProfile{time.Duration(pc.consumeNs.Load()), pc.consumeChunks.Load()},
 	}
 }
 
@@ -431,9 +423,9 @@ type Request struct {
 	// Columns lists the schema ordinals the query needs (selective
 	// tokenizing/parsing). Must be non-empty and strictly ascending.
 	Columns []int
-	// Deliver receives every chunk exactly once. It may be called from up
-	// to Config.ConsumeWorkers goroutines concurrently and must be safe for
-	// that; at the default of one it is called from a single goroutine.
+	// Deliver receives every chunk exactly once. It is called one chunk at
+	// a time, on the goroutine that called Run or RunContext, and returns
+	// before the next call; an error fails the run.
 	Deliver func(bc *BinaryChunk) error
 	// Skip, when non-nil, is consulted for chunks with known metadata;
 	// returning true skips the chunk entirely (min/max chunk elimination,

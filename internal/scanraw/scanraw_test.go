@@ -67,6 +67,22 @@ func wantSum(env *testEnv) int64 {
 	return gen.SumRange(env.spec, allCols(env.spec.Cols), 0, env.spec.Rows)
 }
 
+// TestConsumeWorkersAboveOneFails: consume is serial, so an operator
+// configured for more consume workers fails its first run with the
+// documented error, and one configured for one runs.
+func TestConsumeWorkersAboveOneFails(t *testing.T) {
+	env := newEnv(t, 256, 2, nil)
+	nop := func(*BinaryChunk) error { return nil }
+	_, err := New(env.store, env.table, Config{ConsumeWorkers: 2}).Run(Request{Columns: []int{0}, Deliver: nop})
+	const want = "scanraw: ConsumeWorkers is 2, but consume is serial: it must be 0 or 1"
+	if err == nil || err.Error() != want {
+		t.Fatalf("run with ConsumeWorkers 2: err = %v, want %q", err, want)
+	}
+	if _, err := New(env.store, env.table, Config{ConsumeWorkers: 1}).Run(Request{Columns: []int{0}, Deliver: nop}); err != nil {
+		t.Fatalf("run with ConsumeWorkers 1: %v", err)
+	}
+}
+
 func TestExternalTablesCorrectness(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

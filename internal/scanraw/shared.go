@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
@@ -47,11 +46,10 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 	}
 	union := unionColumns(reqs)
 
-	// The combined Deliver runs on the operator's ConsumeWorkers goroutines
-	// and calls each member's Deliver from them, which the Request contract
-	// allows; the per-request counters are atomics for the same reason.
-	delivered := make([]atomic.Int64, len(reqs))
-	skipped := make([]atomic.Int64, len(reqs))
+	// The combined Deliver runs on this goroutine, one chunk at a time, and
+	// calls each member's Deliver from it.
+	delivered := make([]int, len(reqs))
+	skipped := make([]int, len(reqs))
 
 	combined := Request{
 		Columns: union,
@@ -96,14 +94,14 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 						looked = true
 					}
 					if haveMeta && reqs[i].Skip(meta) {
-						skipped[i].Add(1)
+						skipped[i]++
 						continue
 					}
 				}
 				if err := reqs[i].Deliver(bc); err != nil {
 					return fmt.Errorf("request %d: %w", i, err)
 				}
-				delivered[i].Add(1)
+				delivered[i]++
 			}
 			return nil
 		},
@@ -123,8 +121,8 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 	per := make([]SharedStats, len(reqs))
 	for i := range per {
 		per[i] = SharedStats{
-			DeliveredChunks: int(delivered[i].Load()),
-			SkippedChunks:   int(skipped[i].Load()),
+			DeliveredChunks: delivered[i],
+			SkippedChunks:   skipped[i],
 		}
 	}
 	return st, per, err
@@ -208,9 +206,7 @@ func ExecuteQueries(op *Operator, qs []*engine.Query) ([]*engine.Result, RunStat
 	return ExecuteQueriesContext(context.Background(), op, qs)
 }
 
-// ExecuteQueriesContext is ExecuteQueries with cancellation. Each query's
-// executor is as wide as the operator's ConsumeWorkers; above one the shared
-// scan's delivery fans out.
+// ExecuteQueriesContext is ExecuteQueries with cancellation.
 func ExecuteQueriesContext(ctx context.Context, op *Operator, qs []*engine.Query) ([]*engine.Result, RunStats, error) {
 	if len(qs) == 0 {
 		return nil, RunStats{}, fmt.Errorf("scanraw: no queries")
@@ -219,7 +215,7 @@ func ExecuteQueriesContext(ctx context.Context, op *Operator, qs []*engine.Query
 	executors := make([]*engine.Executor, len(qs))
 	reqs := make([]Request, len(qs))
 	for i, q := range qs {
-		ex, err := engine.NewExecutorN(q, sch, op.Config().ConsumeWorkers)
+		ex, err := engine.NewExecutor(q, sch)
 		if err != nil {
 			return nil, RunStats{}, fmt.Errorf("query %d: %w", i, err)
 		}

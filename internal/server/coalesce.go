@@ -26,8 +26,8 @@ type pending struct {
 	result chan pendingResult // buffered(1): the batch never blocks on it
 
 	// consumeErr records this query's own execution error without failing
-	// the batch for everyone else. With parallel consume the delivery path
-	// runs on several goroutines, so the error latches behind a mutex.
+	// the batch for everyone else. The scan's driver polls it through Done
+	// from another goroutine, so the error latches behind a mutex.
 	errMu      sync.Mutex
 	consumeErr error
 }

@@ -12,12 +12,12 @@ import (
 	"scanraw/internal/scanraw"
 )
 
-// TestOrderedStreaming: ORDER BY queries stream over NDJSON through the
-// merge-on-emit path; the streamed rows must match the materialized result
-// exactly, including order and LIMIT.
+// TestOrderedStreaming: ORDER BY queries stream over NDJSON, a header before
+// the scan and the executor's rows after it; the streamed rows must match
+// the materialized result exactly, including order and LIMIT.
 func TestOrderedStreaming(t *testing.T) {
 	env := newServerEnv(t, 1024, nil, Config{},
-		scanraw.Config{Workers: 2, CacheChunks: 8, ConsumeWorkers: 4})
+		scanraw.Config{Workers: 2, CacheChunks: 8})
 	queries := []string{
 		"SELECT c0, c1 FROM data ORDER BY c0 DESC, c1 LIMIT 25",
 		"SELECT c0, c1 FROM data WHERE c2 < 300 ORDER BY c0",

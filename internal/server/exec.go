@@ -18,9 +18,9 @@ import (
 //     LIMIT queries need so the coordinator can cancel the scan the
 //     moment its global LIMIT is satisfied. The worker's own demand
 //     layer terminates the local scan early too.
-//   - partial: the scan folds into engine partials which are merged,
-//     serialized (chunk provenance shifted into the global ID space by
-//     the assignment's base), and shipped as one MsgPartial frame —
+//   - partial: the scan folds into an engine partial which is serialized
+//     (chunk provenance shifted into the global ID space by the
+//     assignment's base) and shipped as one MsgPartial frame —
 //     the shape aggregates, GROUP BY, and ORDER BY need.
 //
 // /exec rides the same prologue as /query (bind, then a slot or a 429)
@@ -52,7 +52,6 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	workers := max(entry.cfg.ConsumeWorkers, 1)
 	p := &pending{
 		m:      scanraw.Member{Query: q, Range: &scanraw.ChunkRange{Lo: er.Lo, Hi: er.Hi}},
 		result: make(chan pendingResult, 1),
@@ -64,14 +63,14 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		err     error
 	)
 	if rowsMode {
-		emitter, err = newRowEmitter(q, entry.table.Schema(), workers, er.Lo, newFrameSink(fw, w, er.Base))
+		emitter, err = newRowEmitter(q, entry.table.Schema(), er.Lo, newFrameSink(fw, w, er.Base))
 		if err == nil {
 			p.m.Consumer, p.m.OnSkip, p.m.Done = emitter, emitter.markSkipped, emitter.satisfied
 			// A cancelled scan may still be delivering when this handler
 			// returns, and the response writer dies with the handler.
 			defer emitter.abandon()
 		}
-	} else if ex, err = engine.NewExecutorN(q, entry.table.Schema(), workers); err == nil {
+	} else if ex, err = engine.NewExecutor(q, entry.table.Schema()); err == nil {
 		p.m.Consumer = ex
 	}
 	if err != nil {
@@ -167,16 +166,12 @@ func (s frameSink) write(id int, b *valueBatch) error {
 	return nil
 }
 
-// shardPartial folds a shard scan's engine partials into one and
-// serializes it, chunk provenance shifted into the global ID space.
+// shardPartial serializes a shard scan's engine partial, chunk provenance
+// shifted into the global ID space.
 func shardPartial(ex *engine.Executor, base int) ([]byte, error) {
-	parts, err := ex.Finish()
+	p, err := ex.Finish()
 	if err != nil {
 		return nil, err
 	}
-	merged, err := engine.MergePartials(parts)
-	if err != nil {
-		return nil, err
-	}
-	return engine.EncodePartial(merged, base)
+	return engine.EncodePartial(p, base)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"math"
-	"sync"
 
 	"scanraw/internal/engine"
 	"scanraw/internal/ola"
@@ -23,9 +22,8 @@ type olaStreamer struct {
 	runner *ola.Runner
 
 	// lastRel is the MaxRel of the last emitted progress line; only a
-	// strictly smaller bound earns another line. mu also orders the lines:
-	// progress runs on several consume workers at once.
-	mu      sync.Mutex
+	// strictly smaller bound earns another line. progress runs on the
+	// scan's delivering goroutine, one chunk at a time.
 	lastRel float64
 }
 
@@ -41,8 +39,6 @@ func newOLAStreamer(q *engine.Query, sch *schema.Schema, cfg ola.Config, nd *que
 
 // progress is the runner's frontier callback.
 func (st *olaStreamer) progress(s ola.Snapshot) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if !(s.MaxRel < st.lastRel) {
 		return
 	}

@@ -461,15 +461,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		queryapi.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Consumer selection. The operator's ConsumeWorkers setting decides the
-	// consume parallelism; online-aggregation queries get a sampled-scan
+	// Consumer selection. Online-aggregation queries get a sampled-scan
 	// runner (streamed as converging estimates under NDJSON); non-aggregate
-	// queries asked for as NDJSON stream — incremental chunk-order emission
-	// when there is no ORDER BY, merge-on-emit (sorted runs through a loser
-	// tree) when there is — everything else materializes through the engine
-	// executor. finish turns the fed consumer into the result; a stream has
-	// written its rows by then and returns only the columns.
-	workers := max(entry.cfg.ConsumeWorkers, 1)
+	// queries without ORDER BY asked for as NDJSON stream in chunk order as
+	// the scan delivers; everything else materializes through the engine
+	// executor — an NDJSON ORDER BY reply writes the result's rows after the
+	// scan, behind a header sent before it. finish turns the fed consumer
+	// into the result; a stream has written its rows by then and returns
+	// only the columns.
 	sch, cols := entry.table.Schema(), q.ColumnNames()
 	var nd *queryapi.NDJSON
 	if r.URL.Query().Get("stream") == "ndjson" {
@@ -492,7 +491,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	case nd != nil && !q.IsAggregate() && len(q.OrderBy) == 0:
 		var e *rowEmitter[*lineBatch]
-		e, err = newRowEmitter(q, sch, workers, 0, ndjsonSink{nd})
+		e, err = newRowEmitter(q, sch, 0, ndjsonSink{nd})
 		if err == nil {
 			p.m.Consumer, p.m.OnSkip, p.m.Done = e, e.markSkipped, e.satisfied
 			finish = func() (*engine.Result, error) {
@@ -502,13 +501,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		var ex *engine.Executor
-		if ex, err = engine.NewExecutorN(q, sch, workers); err == nil {
+		if ex, err = engine.NewExecutor(q, sch); err == nil {
 			p.m.Consumer, finish = ex, ex.Result
-			if nd != nil && !q.IsAggregate() {
-				finish = func() (*engine.Result, error) {
-					return &engine.Result{Cols: cols}, streamMerged(q, ex, nd)
-				}
-			}
 		}
 	}
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"scanraw/internal/cluster"
 	"scanraw/internal/dbstore"
 	"scanraw/internal/gen"
 	"scanraw/internal/scanraw"
@@ -429,65 +430,34 @@ func readNDJSON(t *testing.T, body io.Reader) (rows [][]any, objs []map[string]a
 	return rows, objs
 }
 
-// TestParallelConsumeServing drives the server with ConsumeWorkers > 1:
-// aggregate results must be bit-identical to the serial configuration, and
-// streamed non-aggregate rows must come back in canonical (chunk, row)
-// order despite the concurrent delivery underneath.
-func TestParallelConsumeServing(t *testing.T) {
-	serial := newServerEnv(t, 2048, nil, Config{}, scanraw.Config{Workers: 2, CacheChunks: 8})
-	par := newServerEnv(t, 2048, nil, Config{},
-		scanraw.Config{Workers: 2, CacheChunks: 8, ConsumeWorkers: 4})
-
-	queries := []string{
-		sumSQL,
-		"SELECT c0, SUM(c1), COUNT(*) FROM data WHERE c2 < 700 GROUP BY c0 ORDER BY c0 LIMIT 20",
-		"SELECT c0, c1 FROM data WHERE c3 >= 900",
-	}
-	for _, sql := range queries {
-		body := fmt.Sprintf(`{"sql": %q}`, sql)
-		st1, out1 := postQuery(t, serial, body)
-		st2, out2 := postQuery(t, par, body)
-		if st1 != http.StatusOK || st2 != http.StatusOK {
-			t.Fatalf("%s: status serial=%d parallel=%d", sql, st1, st2)
+// TestDeepNestingIs400: an expression nested past the parser's bound is a
+// bad request on both query endpoints, answered before any scan.
+func TestDeepNestingIs400(t *testing.T) {
+	env := newServerEnv(t, 256, nil, Config{}, scanraw.Config{Workers: 2})
+	sql := "SELECT SUM(" + strings.Repeat("(", 10_000) + "c0" + strings.Repeat(")", 10_000) + ") FROM data"
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"/query", map[string]string{"sql": sql}},
+		{"/exec", cluster.ExecRequest{SQL: sql, Mode: cluster.ModePartial}},
+	} {
+		body, _ := json.Marshal(c.req)
+		resp, err := http.Post(env.ts.URL+c.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		r1, _ := json.Marshal(out1["rows"])
-		r2, _ := json.Marshal(out2["rows"])
-		if !bytes.Equal(r1, r2) {
-			t.Errorf("%s: parallel rows differ from serial\nserial:   %s\nparallel: %s", sql, r1, r2)
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(reply, []byte("nested deeper than")) {
+			t.Errorf("%s: status %d: %s", c.path, resp.StatusCode, reply)
 		}
-	}
-
-	// Stream the non-aggregate query from the parallel server: the rows
-	// must match the materialized result in the same order.
-	sql := "SELECT c0, c1 FROM data WHERE c3 >= 900"
-	_, out := postQuery(t, par, fmt.Sprintf(`{"sql": %q}`, sql))
-	want, _ := json.Marshal(out["rows"])
-	resp, err := http.Post(par.ts.URL+"/query?stream=ndjson", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"sql": %q}`, sql)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	rows, objs := readNDJSON(t, resp.Body)
-	if len(objs) != 2 {
-		t.Fatalf("want header + trailer, got %d objects: %v", len(objs), objs)
-	}
-	if _, ok := objs[len(objs)-1]["stats"]; !ok {
-		t.Errorf("stream did not end with a stats trailer: %v", objs[len(objs)-1])
-	}
-	got, _ := json.Marshal(rows)
-	if !bytes.Equal(got, want) {
-		t.Errorf("streamed rows differ from materialized result\nstreamed:     %.200s\nmaterialized: %.200s", got, want)
-	}
-	if len(rows) == 0 {
-		t.Fatal("streamed no rows; predicate expected matches")
 	}
 }
 
 // TestStreamingLimit checks that a streamed LIMIT stops at the limit.
 func TestStreamingLimit(t *testing.T) {
-	env := newServerEnv(t, 1024, nil, Config{},
-		scanraw.Config{Workers: 2, ConsumeWorkers: 4})
+	env := newServerEnv(t, 1024, nil, Config{}, scanraw.Config{Workers: 2})
 	resp, err := http.Post(env.ts.URL+"/query?stream=ndjson", "application/json",
 		strings.NewReader(`{"sql": "SELECT c0 FROM data LIMIT 7"}`))
 	if err != nil {
@@ -551,10 +521,9 @@ func TestTablesEndpoint(t *testing.T) {
 // TestConcurrentClientsEndToEnd is the acceptance scenario: many
 // concurrent clients over loopback against one raw CSV — every client
 // gets the right answer, the server performs fewer physical scans than it
-// serves queries, and the metrics snapshot is populated. It runs at one and
-// at four consume workers, with half the clients streaming rows as NDJSON,
-// so coalesced batches mix executors and row emitters under parallel
-// delivery; each client's rows must equal a serial server's, in its order.
+// serves queries, and the metrics snapshot is populated. Half the clients
+// stream rows as NDJSON, so coalesced batches mix executors and row
+// emitters; each client's rows must equal a serial server's, in its order.
 func TestConcurrentClientsEndToEnd(t *testing.T) {
 	ref := newServerEnv(t, 2048, nil, Config{}, scanraw.Config{Workers: 4, ChunkLines: 256, CacheChunks: 8})
 	want := make(map[clientQuery]string)
@@ -566,86 +535,20 @@ func TestConcurrentClientsEndToEnd(t *testing.T) {
 		}
 		want[q] = clientRows(t, q, status, body)
 	}
-	for _, cw := range []int{1, 4} {
-		t.Run(fmt.Sprintf("consume-workers=%d", cw), func(t *testing.T) {
-			testConcurrentClients(t, cw, want)
-		})
-	}
+	// Consume is serial: one worker feeds every coalesced query.
+	t.Run("consume-workers=1", func(t *testing.T) {
+		testConcurrentClients(t, want)
+	})
 }
 
-// clientQuery is what one client of TestConcurrentClientsEndToEnd asks:
-// an aggregate with its known answer, or a row query streamed as NDJSON.
-type clientQuery struct {
-	sql    string
-	stream bool
-	want   int64 // the aggregate's value; unused for a stream
-}
-
-// clientQueryFor gives odd clients the streamed row query and alternates
-// the even ones between SUM and COUNT(*).
-func clientQueryFor(i int, env *serverEnv) clientQuery {
-	switch {
-	case i%2 == 1:
-		return clientQuery{sql: "SELECT c0, c1 FROM data WHERE c3 >= 900", stream: true}
-	case i%4 == 2:
-		return clientQuery{sql: "SELECT COUNT(*) FROM data", want: int64(env.spec.Rows)}
-	default:
-		return clientQuery{sql: sumSQL, want: env.want}
-	}
-}
-
-// post sends the query and returns the whole reply; it makes no test
-// assertions, so client goroutines can call it.
-func (q clientQuery) post(base string) (int, []byte, error) {
-	url := base + "/query"
-	if q.stream {
-		url += "?stream=ndjson"
-	}
-	resp, err := http.Post(url, "application/json", strings.NewReader(fmt.Sprintf(`{"sql": %q}`, q.sql)))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, body, err
-}
-
-// clientRows checks a reply to q and returns its rows as JSON.
-func clientRows(t *testing.T, q clientQuery, status int, body []byte) string {
-	t.Helper()
-	if status != http.StatusOK {
-		t.Fatalf("%s: status %d: %s", q.sql, status, body)
-	}
-	if q.stream {
-		rows, objs := readNDJSON(t, bytes.NewReader(body))
-		if len(objs) != 2 || objs[1]["stats"] == nil {
-			t.Fatalf("%s: stream lacks header or stats trailer: %v", q.sql, objs)
-		}
-		if len(rows) == 0 {
-			t.Fatalf("%s: streamed no rows; predicate expected matches", q.sql)
-		}
-		out, _ := json.Marshal(rows)
-		return string(out)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("%s: decoding response: %v", q.sql, err)
-	}
-	rows := out["rows"].([]any)
-	if got := int64(rows[0].([]any)[0].(float64)); got != q.want {
-		t.Errorf("%s: got %d, want %d", q.sql, got, q.want)
-	}
-	enc, _ := json.Marshal(rows)
-	return string(enc)
-}
-
-func testConcurrentClients(t *testing.T, consumeWorkers int, want map[clientQuery]string) {
+// testConcurrentClients runs TestConcurrentClientsEndToEnd's clients at
+// once against a coalescing server and checks each reply against want.
+func testConcurrentClients(t *testing.T, want map[clientQuery]string) {
 	const clients = 12
 	env := newServerEnv(t, 2048, nil,
 		Config{MaxConcurrent: clients, CoalesceWindow: 40 * time.Millisecond},
-		scanraw.Config{Workers: 4, ChunkLines: 256, CacheChunks: 8, ConsumeWorkers: consumeWorkers,
+		scanraw.Config{Workers: 4, ChunkLines: 256, CacheChunks: 8,
 			Policy: scanraw.Speculative, Safeguard: true, CollectStats: true})
-
 	type result struct {
 		status int
 		body   []byte
@@ -726,4 +629,70 @@ func testConcurrentClients(t *testing.T, consumeWorkers int, want map[clientQuer
 	if m["queries_total"].(float64) != clients {
 		t.Errorf("/metrics queries_total = %v", m["queries_total"])
 	}
+}
+
+// clientQuery is what one client of TestConcurrentClientsEndToEnd asks:
+// an aggregate with its known answer, or a row query streamed as NDJSON.
+type clientQuery struct {
+	sql    string
+	stream bool
+	want   int64 // the aggregate's value; unused for a stream
+}
+
+// clientQueryFor gives odd clients the streamed row query and alternates
+// the even ones between SUM and COUNT(*).
+func clientQueryFor(i int, env *serverEnv) clientQuery {
+	switch {
+	case i%2 == 1:
+		return clientQuery{sql: "SELECT c0, c1 FROM data WHERE c3 >= 900", stream: true}
+	case i%4 == 2:
+		return clientQuery{sql: "SELECT COUNT(*) FROM data", want: int64(env.spec.Rows)}
+	default:
+		return clientQuery{sql: sumSQL, want: env.want}
+	}
+}
+
+// post sends the query and returns the whole reply; it makes no test
+// assertions, so client goroutines can call it.
+func (q clientQuery) post(base string) (int, []byte, error) {
+	url := base + "/query"
+	if q.stream {
+		url += "?stream=ndjson"
+	}
+	resp, err := http.Post(url, "application/json", strings.NewReader(fmt.Sprintf(`{"sql": %q}`, q.sql)))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// clientRows checks a reply to q and returns its rows as JSON.
+func clientRows(t *testing.T, q clientQuery, status int, body []byte) string {
+	t.Helper()
+	if status != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", q.sql, status, body)
+	}
+	if q.stream {
+		rows, objs := readNDJSON(t, bytes.NewReader(body))
+		if len(objs) != 2 || objs[1]["stats"] == nil {
+			t.Fatalf("%s: stream lacks header or stats trailer: %v", q.sql, objs)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%s: streamed no rows; predicate expected matches", q.sql)
+		}
+		out, _ := json.Marshal(rows)
+		return string(out)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("%s: decoding response: %v", q.sql, err)
+	}
+	rows := out["rows"].([]any)
+	if got := int64(rows[0].([]any)[0].(float64)); got != q.want {
+		t.Errorf("%s: got %d, want %d", q.sql, got, q.want)
+	}
+	enc, _ := json.Marshal(rows)
+	return string(enc)
 }

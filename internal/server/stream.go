@@ -25,9 +25,9 @@ type rowBatch interface {
 // chunkSink makes one chunk's batch and, once the frontier reaches it, puts
 // it on the wire.
 type chunkSink[B rowBatch] interface {
-	// batch evaluates bc on p, a partial no other call is using. It runs on
-	// the consume worker, outside the emitter's lock, so the expensive half
-	// of a reply — evaluating and encoding — runs on every worker at once.
+	// batch evaluates bc on p, the emitter's partial. It runs outside the
+	// emitter's lock, so the driver's Skip and Done polls never wait on the
+	// expensive half of a reply — evaluating and encoding.
 	batch(p *engine.Partial, bc *scanraw.BinaryChunk) (B, error)
 	// write emits a non-empty batch, already cut to the query's LIMIT,
 	// under its chunk's local ID. Calls are serialized and in ID order. An
@@ -86,17 +86,17 @@ func (b *valueBatch) truncate(k int) { *b = (*b)[:k] }
 // rowEmitter consumes chunks for a non-aggregate, ORDER-BY-free query and
 // hands qualifying rows to its sink as they are produced, instead of
 // materializing the result. Because chunks arrive in whatever order the
-// scan (and, with parallel consume, the fan-out workers) produces them,
-// finished batches pass through a scanraw.Frontier, so the emitted row order
-// is always ascending (chunk ID, row ordinal): identical to the materialized
-// path's canonical order no matter how delivery was parallelized.
+// scan produces them (cached chunks first, pooled conversions as they
+// finish), finished batches pass through a scanraw.Frontier, so the emitted
+// row order is always ascending (chunk ID, row ordinal): identical to the
+// materialized path's canonical order.
 //
 // Chunks the scan skips (statistics-based elimination) never arrive, so
 // skip decisions are fed in via markSkipped and take the chunk's place in
 // the frontier.
 type rowEmitter[B rowBatch] struct {
 	limit int
-	pool  chan *engine.Partial // per-worker evaluation scratch
+	p     *engine.Partial // evaluation scratch; Deliver calls are serial
 	sink  chunkSink[B]
 
 	mu      sync.Mutex
@@ -113,37 +113,30 @@ type chunkSlot[B rowBatch] struct {
 }
 
 // newRowEmitter validates the query (it must be streamable: no
-// aggregation, no ORDER BY) and builds an emitter with one evaluation
-// partial per consume worker. start is the first chunk ID the scan can
-// deliver — the lower bound of a shard's chunk range.
-func newRowEmitter[B rowBatch](q *engine.Query, sch *schema.Schema, workers, start int, sink chunkSink[B]) (*rowEmitter[B], error) {
+// aggregation, no ORDER BY) and builds an emitter with its evaluation
+// partial. start is the first chunk ID the scan can deliver — the lower
+// bound of a shard's chunk range.
+func newRowEmitter[B rowBatch](q *engine.Query, sch *schema.Schema, start int, sink chunkSink[B]) (*rowEmitter[B], error) {
 	if q.IsAggregate() || len(q.OrderBy) > 0 {
 		return nil, fmt.Errorf("server: query is not streamable")
 	}
-	e := &rowEmitter[B]{
+	p, err := engine.NewPartial(q, sch)
+	if err != nil {
+		return nil, err
+	}
+	return &rowEmitter[B]{
 		limit: q.Limit,
-		pool:  make(chan *engine.Partial, workers),
+		p:     p,
 		sink:  sink,
 		front: scanraw.NewFrontier[chunkSlot[B]](start),
-	}
-	for i := 0; i < workers; i++ {
-		p, err := engine.NewPartial(q, sch)
-		if err != nil {
-			return nil, err
-		}
-		e.pool <- p
-	}
-	return e, nil
+	}, nil
 }
 
 // ConsumeCounted evaluates one chunk and reports how many rows qualified —
-// the signal demand-driven termination folds into its LIMIT frontier. Safe
-// for concurrent calls (parallel consume): the sink builds the batch on a
-// pooled partial outside the lock; buffering and emission serialize on it.
+// the signal demand-driven termination folds into its LIMIT frontier. The
+// sink builds the batch outside the lock; buffering and emission take it.
 func (e *rowEmitter[B]) ConsumeCounted(bc *scanraw.BinaryChunk) (int, error) {
-	p := <-e.pool
-	b, err := e.sink.batch(p, bc)
-	e.pool <- p
+	b, err := e.sink.batch(e.p, bc)
 	if err != nil {
 		return 0, err
 	}
@@ -206,25 +199,4 @@ func (e *rowEmitter[B]) abandon() {
 	if e.werr == nil {
 		e.werr = errors.New("server: stream abandoned")
 	}
-}
-
-// streamMerged finishes an ORDER BY (optionally LIMIT) query served as
-// NDJSON without the full-materialization stall: the chunks folded into
-// the executor's partials during the scan; now the per-partial
-// runs are sorted once and merged on emit through a loser tree
-// (engine.RunMerger) — rows reach the client as the merge produces them
-// instead of after a monolithic sort of the whole result.
-func streamMerged(q *engine.Query, pe *engine.Executor, nd *queryapi.NDJSON) error {
-	parts, err := pe.Finish()
-	if err != nil {
-		return err
-	}
-	m, err := engine.NewRunMerger(q, parts)
-	if err != nil {
-		return err
-	}
-	for row, ok := m.Next(); ok; row, ok = m.Next() {
-		nd.Rows(row)
-	}
-	return nil
 }

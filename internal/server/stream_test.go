@@ -63,7 +63,7 @@ func (s valueLineSink) write(_ int, b *valueBatch) error {
 // id*100+1, ... in c0 and a string that needs escaping in c1.
 func runEmitter[B rowBatch](t *testing.T, q *engine.Query, sch *schema.Schema, start int, steps []emitStep, w *breakableWriter, sink chunkSink[B]) bool {
 	t.Helper()
-	e, err := newRowEmitter(q, sch, 2, start, sink)
+	e, err := newRowEmitter(q, sch, start, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func benchEmitter[B rowBatch](b *testing.B, q *engine.Query, sch *schema.Schema,
 	for i := 0; i < b.N; i++ {
 		nd := queryapi.NewNDJSON(discardWriter{http.Header{}})
 		nd.Header(q.ColumnNames())
-		e, err := newRowEmitter(q, sch, 1, 0, sink(nd))
+		e, err := newRowEmitter(q, sch, 0, sink(nd))
 		if err != nil {
 			b.Fatal(err)
 		}

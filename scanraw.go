@@ -93,10 +93,6 @@ type Options struct {
 	// NoStats disables min/max statistics collection (and with it
 	// predicate-driven chunk skipping).
 	NoStats bool
-	// ConsumeWorkers sets how many goroutines evaluate delivered chunks
-	// per query (parallel delivery). The default (0) keeps the classic
-	// serial consume path.
-	ConsumeWorkers int
 	// ColGroupWidth sets how many adjacent columns share one database page.
 	// 0 keeps the default of 1 (per-column pages, maximum partial-width
 	// reuse); negative selects full-chunk-width pages (one page per chunk).
@@ -215,14 +211,13 @@ func (db *DB) operatorConfig(table string) intscan.Config {
 		workers = 0
 	}
 	cfg := intscan.Config{
-		Workers:        workers,
-		ChunkLines:     db.opts.ChunkLines,
-		CacheChunks:    db.opts.CacheChunks,
-		Policy:         db.opts.Policy,
-		Safeguard:      !db.opts.NoSafeguard,
-		Delim:          delim,
-		CollectStats:   !db.opts.NoStats,
-		ConsumeWorkers: db.opts.ConsumeWorkers,
+		Workers:      workers,
+		ChunkLines:   db.opts.ChunkLines,
+		CacheChunks:  db.opts.CacheChunks,
+		Policy:       db.opts.Policy,
+		Safeguard:    !db.opts.NoSafeguard,
+		Delim:        delim,
+		CollectStats: !db.opts.NoStats,
 	}
 	return cfg
 }
