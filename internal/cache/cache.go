@@ -24,6 +24,7 @@ import (
 type entry struct {
 	bc       *chunk.BinaryChunk
 	loaded   bool   // chunk (its cached columns) is stored in the database
+	pending  bool   // its columns are encoded into a write not yet committed
 	pins     int    // > 0 while the execution engine holds the chunk
 	lastUse  uint64 // LRU clock
 	inserted uint64 // insertion clock, for AcquireOldestUnloaded
@@ -62,7 +63,8 @@ func (c *Cache) tick() uint64 {
 
 // Put inserts bc, evicting if necessary. It returns the evicted chunk (nil
 // when nothing was evicted) together with whether that chunk had been
-// loaded into the database, and ok=false when the cache is full of pinned
+// loaded into the database — or is being, its write pending (MarkPending) —
+// and ok=false when the cache is full of pinned
 // entries and cannot accept the chunk. Re-inserting an existing ID merges
 // columns into the cached chunk and refreshes its LRU position.
 func (c *Cache) Put(bc *chunk.BinaryChunk, loaded bool) (evicted *chunk.BinaryChunk, evictedLoaded bool, ok bool) {
@@ -106,7 +108,7 @@ func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted *chun
 		if victim == nil {
 			return nil, false, false
 		}
-		evicted, evictedLoaded = victim.bc, victim.loaded
+		evicted, evictedLoaded = victim.bc, victim.stored()
 		delete(c.entries, victim.bc.ID)
 	}
 	now := c.tick()
@@ -114,9 +116,13 @@ func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted *chun
 	return evicted, evictedLoaded, true
 }
 
-// pickVictim selects the entry to evict: the least recently used *loaded*
-// unpinned entry if any exists, otherwise the least recently used unpinned
-// entry. Returns nil when every entry is pinned.
+// stored reports whether losing the entry costs no write: the chunk is
+// loaded, or its write is pending and will land without the vectors.
+func (e *entry) stored() bool { return e.loaded || e.pending }
+
+// pickVictim selects the entry to evict: the least recently used *stored*
+// (loaded or pending) unpinned entry if any exists, otherwise the least
+// recently used unpinned entry. Returns nil when every entry is pinned.
 func (c *Cache) pickVictim() *entry {
 	var bestLoaded, bestAny *entry
 	for _, e := range c.entries {
@@ -126,7 +132,7 @@ func (c *Cache) pickVictim() *entry {
 		if bestAny == nil || e.lastUse < bestAny.lastUse {
 			bestAny = e
 		}
-		if e.loaded && (bestLoaded == nil || e.lastUse < bestLoaded.lastUse) {
+		if e.stored() && (bestLoaded == nil || e.lastUse < bestLoaded.lastUse) {
 			bestLoaded = e
 		}
 	}
@@ -219,6 +225,44 @@ func (c *Cache) MarkLoaded(id int) bool {
 	return true
 }
 
+// MarkPending records that the chunk's cached columns are encoded into a
+// write that is not committed yet: until Committed, it is neither loaded nor
+// a candidate for another write (AcquireOldestUnloaded, UnloadedIDs), and it
+// is evicted like a loaded chunk, without a write. It reports whether the
+// chunk was present.
+func (c *Cache) MarkPending(id int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[id]
+	if ok {
+		e.pending = true
+	}
+	return ok
+}
+
+// Committed ends the chunk's pending write: loaded lists, by schema ordinal,
+// the columns the database now holds — nil when the write failed — and the
+// entry is marked loaded if they cover every column it caches; otherwise it
+// is a write candidate again. An absent chunk is ignored.
+func (c *Cache) Committed(id int, loaded []bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[id]
+	if !ok {
+		return
+	}
+	e.pending = false
+	if loaded == nil {
+		return
+	}
+	for i, l := range loaded {
+		if !l && e.bc.Has(i) {
+			return
+		}
+	}
+	e.loaded = true
+}
+
 // IsLoaded reports whether the cached chunk is marked loaded. Absent
 // chunks report false.
 func (c *Cache) IsLoaded(id int) bool {
@@ -229,8 +273,8 @@ func (c *Cache) IsLoaded(id int) bool {
 }
 
 // AcquireOldestUnloaded returns the cached chunk that was inserted earliest
-// among those not yet loaded into the database — the chunk speculative
-// loading writes next (paper §4) — or nil when every cached chunk is loaded.
+// among those neither loaded into the database nor pending — the chunk
+// speculative loading writes next (paper §4) — or nil when there is none.
 // The chunk is pinned atomically, protecting the speculative WRITE thread's
 // reference from a concurrent eviction; the caller must Unpin its ID.
 func (c *Cache) AcquireOldestUnloaded() *chunk.BinaryChunk {
@@ -238,7 +282,7 @@ func (c *Cache) AcquireOldestUnloaded() *chunk.BinaryChunk {
 	defer c.mu.Unlock()
 	var best *entry
 	for _, e := range c.entries {
-		if e.loaded {
+		if e.stored() {
 			continue
 		}
 		if best == nil || e.inserted < best.inserted {
@@ -252,8 +296,9 @@ func (c *Cache) AcquireOldestUnloaded() *chunk.BinaryChunk {
 	return best.bc
 }
 
-// UnloadedIDs returns the IDs of all cached chunks not yet loaded, oldest
-// first. The safeguard mechanism flushes exactly this set at end-of-scan.
+// UnloadedIDs returns the IDs of all cached chunks neither loaded nor
+// pending, oldest first. The safeguard mechanism flushes exactly this set at
+// end-of-scan.
 func (c *Cache) UnloadedIDs() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -263,7 +308,7 @@ func (c *Cache) UnloadedIDs() []int {
 	}
 	var ps []pair
 	for id, e := range c.entries {
-		if !e.loaded {
+		if !e.stored() {
 			ps = append(ps, pair{id, e.inserted})
 		}
 	}

@@ -335,3 +335,51 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPendingWrite: a chunk whose write is encoded but not committed is
+// neither loaded nor a write candidate, and is evicted first, like a loaded
+// one, without asking for a write. Its commit marks it loaded only if the
+// database holds every column it caches; a failed commit makes it a candidate
+// again.
+func TestPendingWrite(t *testing.T) {
+	c := New(2)
+	c.Put(mk(1), false)
+	c.Put(mk(2), false)
+	if !c.MarkPending(1) || c.MarkPending(99) {
+		t.Fatal("MarkPending reports presence wrong")
+	}
+	if c.IsLoaded(1) {
+		t.Error("a pending chunk counts as loaded")
+	}
+	if got := c.UnloadedIDs(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("UnloadedIDs = %v, want [2]", got)
+	}
+	if got := oldestUnloaded(c); got == nil || got.ID != 2 {
+		t.Errorf("OldestUnloaded = %v, want 2", got)
+	}
+	touch(c, 1) // 1 is now the most recently used, 2 the LRU
+	ev, stored, ok := c.Put(mk(3), false)
+	if !ok || ev == nil || ev.ID != 1 || !stored {
+		t.Fatalf("evicted %v (stored %v), want the pending chunk 1, stored", ev, stored)
+	}
+
+	c.MarkPending(2)
+	c.Committed(2, []bool{false, true}) // column 0, which it caches, is not loaded
+	if c.IsLoaded(2) {
+		t.Error("a commit that missed a cached column marked the chunk loaded")
+	}
+	if got := c.UnloadedIDs(); len(got) != 2 {
+		t.Errorf("after a partial commit UnloadedIDs = %v, want both chunks", got)
+	}
+	c.MarkPending(3)
+	c.Committed(3, nil) // the commit failed
+	if c.IsLoaded(3) || len(c.UnloadedIDs()) != 2 {
+		t.Error("a failed commit left the chunk pending or loaded")
+	}
+	c.MarkPending(3)
+	c.Committed(3, []bool{true})
+	if !c.IsLoaded(3) {
+		t.Error("a covering commit did not mark the chunk loaded")
+	}
+	c.Committed(99, []bool{true}) // absent: ignored
+}

@@ -427,7 +427,7 @@ func TestWarmStartMixedLayoutChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := tbl.Chunk(0)
-	if len(want.Groups) != 2 || want.Groups[0].Seg != "g0-1" || want.Groups[1].Seg != "s2" || !want.LoadedAll(allCols3) {
+	if len(want.Groups) != 2 || want.Groups[0].Seg != "g0-1" || want.Groups[1].Seg != "c00000000" || !want.LoadedAll(allCols3) {
 		t.Fatalf("mixed chunk = %+v", want)
 	}
 	check := func(when string, s *Store) {
@@ -465,4 +465,159 @@ func TestWarmStartMixedLayoutChunk(t *testing.T) {
 		t.Fatalf("replay = %+v, want everything from the checkpoint", rp)
 	}
 	check("from the checkpoint", s)
+}
+
+// chunkSegFixture is the frozen data-dir of the per-chunk segment layout the
+// store wrote before group commit: one blob db/t/<chunk>/s<key> per chunk
+// write, its group pages back to back, named by a RecSegment of that chunk.
+// Chunk 3 holds columns 0-1 only, so a current write lands next to a legacy
+// segment.
+const chunkSegFixture = "testdata/chunkseg"
+
+func writeChunkSegLayout(t *testing.T, dir string) {
+	t.Helper()
+	fd, err := store.OpenFileDisk(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer man.Close()
+	// load writes chunk id's segment of the listed groups and returns the
+	// records the per-chunk segment code journaled for it: geometry,
+	// statistics, segment.
+	load := func(id int, groups [][]int) []store.Record {
+		bc := fullChunk(t, id, 8)
+		recs := []store.Record{{
+			Type: store.RecChunk, Table: "t",
+			Chunk: id, Rows: 8, RawOff: int64(id * 100), RawLen: 100,
+		}}
+		for c, st := range allStats(bc) {
+			recs = append(recs, store.Record{Type: store.RecStats, Table: "t", Chunk: id, Col: c, Stats: statsToRec(st)})
+		}
+		var cols []int
+		for _, g := range groups {
+			cols = append(cols, g...)
+		}
+		seg := "s" + EncodeColGroupKey(cols)
+		blob, locs, err := buildSegment(bc, seg, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fd.WriteBlob(segBlob("t", id, seg), blob); err != nil {
+			t.Fatal(err)
+		}
+		rec := store.Record{Type: store.RecSegment, Table: "t", Chunk: id, Seg: seg}
+		for _, g := range locs {
+			rec.Groups = append(rec.Groups, store.SegGroup{Cols: g.Cols, Off: g.Off, Len: g.Len})
+		}
+		return append(recs, rec)
+	}
+	full := [][]int{{0, 1}, {2}}
+	ckpt := []store.Record{{
+		Type: store.RecTableCreate, Table: "t",
+		RawFile: "raw/t.csv", Schema: sch3.Spec(), Fingerprint: testFP,
+	}}
+	ckpt = append(ckpt, load(0, full)...)
+	ckpt = append(ckpt, load(1, full)...)
+	if err := man.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	log := append(load(2, full), load(3, [][]int{{0, 1}})...)
+	log = append(log, store.Record{Type: store.RecComplete, Table: "t"})
+	if err := man.Append(log...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmStartChunkSegFixture opens the frozen per-chunk segment layout: every
+// chunk recovers warm and reads back byte-identical, a commit of the current
+// code completes chunk 3 beside its legacy segment, and the catalog comes back
+// the same from the journal and from a checkpoint. The current encoders must
+// still reproduce the fixture byte for byte.
+func TestWarmStartChunkSegFixture(t *testing.T) {
+	if os.Getenv("REGEN_GOLDEN") != "" {
+		if err := os.RemoveAll(chunkSegFixture); err != nil {
+			t.Fatal(err)
+		}
+		writeChunkSegLayout(t, chunkSegFixture)
+	}
+	dir := t.TempDir()
+	copyTree(t, chunkSegFixture, dir)
+	s, man := durableEnv(t, dir)
+	rec := s.RecoveryStats()
+	if rec.TablesRecovered != 1 || rec.ChunksRecovered != 4 || rec.ChunksInvalidated != 0 {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	tbl, err := s.EnsureTable("t", sch3, "raw/t.csv", testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.FullyLoaded() || tbl.CountLoaded(allCols3) != 3 {
+		t.Fatalf("loaded = %d chunks, want chunks 0-2 whole and chunk 3 in part", tbl.CountLoaded(allCols3))
+	}
+	if err := writeAll(s, tbl, fullChunk(t, 3, 8)); err != nil {
+		t.Fatal(err)
+	}
+	m3, _ := tbl.Chunk(3)
+	if len(m3.Groups) != 2 || m3.Groups[0].Seg != "s0-1" || m3.Groups[1].Seg != "c00000000" {
+		t.Fatalf("chunk 3 groups = %+v, want the legacy segment and one commit", m3.Groups)
+	}
+	var want []*ChunkMeta
+	for id := 0; id < 4; id++ {
+		m, _ := tbl.Chunk(id)
+		want = append(want, m)
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		tbl, _ := s.Table("t")
+		if rec := s.RecoveryStats(); rec.ChunksRecovered != 4 || rec.ChunksInvalidated != 0 {
+			t.Fatalf("%s: recovery = %+v", when, rec)
+		}
+		if !tbl.FullyLoaded() {
+			t.Fatalf("%s: table not fully loaded", when)
+		}
+		for id := 0; id < 4; id++ {
+			if got, _ := tbl.Chunk(id); !reflect.DeepEqual(got, want[id]) {
+				t.Errorf("%s: chunk %d catalog = %+v, want %+v", when, id, got, want[id])
+			}
+			bc, err := s.ReadChunk(tbl, id, allCols3)
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			ref := fullChunk(t, id, 8)
+			for _, c := range allCols3 {
+				if !bytes.Equal(chunk.EncodeVector(bc.Column(c)), chunk.EncodeVector(ref.Column(c))) {
+					t.Errorf("%s: chunk %d column %d differs from what was written", when, id, c)
+				}
+			}
+		}
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, man = durableEnv(t, dir)
+	check("from the journal", s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, _ = durableEnv(t, dir)
+	check("from the checkpoint", s)
+
+	fresh := t.TempDir()
+	writeChunkSegLayout(t, fresh)
+	wantFiles, gotFiles := readTree(t, chunkSegFixture), readTree(t, fresh)
+	if len(gotFiles) != len(wantFiles) {
+		t.Errorf("current code writes %d files, fixture has %d", len(gotFiles), len(wantFiles))
+	}
+	for name, p := range wantFiles {
+		if !bytes.Equal(gotFiles[name], p) {
+			t.Errorf("%s: current code writes %x, fixture has %x", name, gotFiles[name], p)
+		}
+	}
 }

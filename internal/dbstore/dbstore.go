@@ -7,10 +7,11 @@
 // vertically partitioned along columns represented as arrays in memory.
 // When written to disk, each column is assigned an independent set of pages
 // which can be directly mapped into the in-memory array representation."
-// Here a page holds one column group of one chunk, sealed with its own CRC,
-// and the pages one WriteChunkColumns call produces are concatenated into a
-// single segment blob behind a single journal record (segment.go) — durable
-// operations, not bytes, are what a write costs on a real disk. The catalog
+// Here a page holds one column group of one chunk, sealed with its own CRC;
+// a chunk write's pages are one segment, and a group commit concatenates the
+// segments of several chunk writes into one blob behind one journal append
+// (segment.go) — durable operations, not bytes, are what loading costs on a
+// real disk. The catalog
 // records where each group's page lies, so partial loading — some columns of
 // some chunks — still needs no tuple rewriting (the column-store
 // schema-expansion argument of §2) and a read transfers only the pages that
@@ -135,11 +136,20 @@ type Table struct {
 
 	// journal, when non-nil, receives the records of each mutation — except
 	// chunk discovery, whose geometry record waits for the chunk's next
-	// append (ChunkMeta.journaled). Appends happen after t.mu is released:
-	// the manifest serializes its own writes, and records are idempotent
-	// upserts, so replay order differing from lock-acquisition order within
-	// a chunk is harmless.
+	// append (ChunkMeta.journaled), and statistics, which wait in pending.
+	// Appends happen after t.mu is released: the manifest serializes its own
+	// writes, and records are idempotent upserts, so replay order differing
+	// from lock-acquisition order within a chunk is harmless.
 	journal Journal
+	// pending holds the RecStats records not yet journaled. They ride the
+	// table's next append — a commit, RecComplete, or JournalPending at the
+	// end of a scan — so statistics cost no durable operation of their own.
+	// A crash before then loses statistics only. Guarded by mu.
+	pending []store.Record
+	// commitSeq is the sequence number of the table's next commit blob: past
+	// every one a replayed record names, so no commit overwrites a blob the
+	// journal references. Guarded by mu.
+	commitSeq int64
 	// ckpt is the owning store's checkpoint lock. Mutators hold it shared
 	// across the memory-update + journal-append pair so a checkpoint (which
 	// holds it exclusively) never snapshots a mutation whose record could
@@ -199,37 +209,63 @@ func (t *Table) journalLock() func() {
 	return t.ckpt.RUnlock
 }
 
-// journalAppend forwards records to the table's journal, if any, behind the
-// geometry record of every listed chunk whose RecChunk is still pending —
-// one append, so replay sees RecChunk before anything that depends on it —
-// and marks those chunks journaled once the append is durable. Entries of
-// chunks may be nil.
+// journalAppend forwards records to the table's journal, if any, in one
+// append: first the geometry record of every chunk whose RecChunk is still
+// pending, among the listed chunks and those with pending statistics, then
+// the pending statistics, then recs — so replay sees RecChunk before
+// RecStats before anything else. Once the append is durable those chunks
+// are journaled and the statistics no longer pending; a failed append keeps
+// them pending. Entries of chunks may be nil.
 func (t *Table) journalAppend(chunks []*ChunkMeta, recs ...store.Record) error {
 	if t.journal == nil {
 		return nil
 	}
+	t.mu.Lock()
+	stats := t.pending
+	t.pending = nil
+	for _, r := range stats {
+		chunks = append(chunks, t.chunks[r.Chunk])
+	}
 	var out []store.Record
-	t.mu.RLock()
+	seen := make(map[*ChunkMeta]bool, len(chunks))
 	for _, m := range chunks {
-		if m != nil && !m.journaled {
+		if m != nil && !m.journaled && !seen[m] {
+			seen[m] = true
 			out = append(out, t.chunkRecord(m))
 		}
 	}
-	t.mu.RUnlock()
-	if out = append(out, recs...); len(out) == 0 {
+	t.mu.Unlock()
+	out = append(append(out, stats...), recs...)
+	if len(out) == 0 {
 		return nil
 	}
 	if err := t.journal.Append(out...); err != nil {
+		t.mu.Lock()
+		t.pending = append(stats, t.pending...)
+		t.mu.Unlock()
 		return err
 	}
 	t.mu.Lock()
-	for _, m := range chunks {
-		if m != nil {
-			m.journaled = true
-		}
+	for m := range seen {
+		m.journaled = true
 	}
 	t.mu.Unlock()
 	return nil
+}
+
+// JournalPending appends whatever statistics are still pending, in one
+// append; with none pending it does nothing. A scan calls it at its end, so
+// a scan that loads nothing still journals its statistics once.
+func (t *Table) JournalPending() error {
+	defer t.journalLock()()
+	return t.journalAppend(nil)
+}
+
+// HasPending reports whether statistics are waiting for an append.
+func (t *Table) HasPending() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.pending) > 0
 }
 
 // chunkRecord is the chunk's geometry record. Caller holds t.mu.
@@ -257,10 +293,10 @@ func (t *Table) Fingerprint() store.Fingerprint { return t.fp }
 // file extent). Re-registering an existing chunk with identical geometry is
 // a no-op; conflicting geometry is an error (it would mean the raw file
 // changed underneath us). Discovery alone is not journaled: the geometry
-// record rides in the first append that depends on it — the chunk's
-// statistics, its first loaded segment, or the table's completion — and a
-// checkpoint covers whatever is still pending. A crash before any of those
-// loses only what the next scan rediscovers while reading the file.
+// record rides in the first append that depends on it — the one carrying
+// the chunk's statistics or its first segment, or the table's completion —
+// and a checkpoint covers whatever is still pending. A crash before any of
+// those loses only what the next scan rediscovers while reading the file.
 func (t *Table) EnsureChunk(id, rows int, rawOff, rawLen int64) error {
 	defer t.journalLock()()
 	return t.ensureChunkLocked(id, rows, rawOff, rawLen)
@@ -330,21 +366,24 @@ func (t *Table) Chunk(id int) (*ChunkMeta, bool) {
 }
 
 // SetChunkStats records conversion-time statistics for the listed columns of
-// one chunk — stats[i] describes column cols[i] — in one journal append.
+// one chunk — stats[i] describes column cols[i]. A durable table journals
+// them with its next append (Table.pending), not on their own.
 func (t *Table) SetChunkStats(id int, cols []int, stats []ColStats) error {
+	// Under the checkpoint lock, so a snapshot that misses the statistics
+	// cannot drop their records from pending either.
 	defer t.journalLock()()
-	m, err := t.setStats(id, cols, stats)
-	if err != nil {
+	if _, err := t.setStats(id, cols, stats); err != nil || t.journal == nil {
 		return err
 	}
-	recs := make([]store.Record, len(cols))
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i, c := range cols {
-		recs[i] = store.Record{
+		t.pending = append(t.pending, store.Record{
 			Type: store.RecStats, Table: t.name,
 			Chunk: id, Col: c, Stats: statsToRec(stats[i]),
-		}
+		})
 	}
-	return t.journalAppend([]*ChunkMeta{m}, recs...)
+	return nil
 }
 
 // setStats is the in-memory half of SetChunkStats, shared with replay.

@@ -76,6 +76,22 @@ func OpenDurable(d store.Disk, man *store.Manifest) (*Store, error) {
 	return s, nil
 }
 
+// Syncs returns how many fsyncs the store's disk and journal have issued,
+// and the time spent in them: what durability costs beyond the bytes. A
+// store on memory reports zero.
+func (s *Store) Syncs() (n int64, d time.Duration) {
+	s.mu.RLock()
+	j := s.journal
+	s.mu.RUnlock()
+	for _, x := range []any{s.disk, j} {
+		if sc, ok := x.(interface{ Syncs() (int64, time.Duration) }); ok {
+			xn, xd := sc.Syncs()
+			n, d = n+xn, d+xd
+		}
+	}
+	return n, d
+}
+
 // RecoveryStats returns the recovery report from OpenDurable (zero for
 // stores that did not warm-start).
 func (s *Store) RecoveryStats() RecoveryReport {
@@ -132,6 +148,9 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 		// PR 8–17 manifests: one blob per group page, named by its columns.
 		_, _ = t.addSegment(r.Chunk, []GroupState{{Cols: r.Cols, Seg: groupPageSeg(r.Cols), Len: wholeBlob}})
 	case store.RecSegment:
+		if seq, ok := commitSeq(r.Seg); ok {
+			t.commitSeq = max(t.commitSeq, seq+1)
+		}
 		groups := make([]GroupState, len(r.Groups))
 		for i, g := range r.Groups {
 			groups[i] = GroupState{Cols: g.Cols, Seg: r.Seg, Off: g.Off, Len: g.Len}
@@ -147,38 +166,39 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 }
 
 // verifySegments checks every recorded group against the bytes on disk —
-// one read per segment blob (a chunk's groups of one segment are contiguous),
-// then a range and CRC check per group page — and drops the groups that fail:
-// their columns silently fall back to conversion from raw. A replayed
-// pre-segment group learns its page's length here. Runs single-threaded
-// before the store is handed to the serving layer.
+// one read per segment of each chunk (a chunk's groups of one segment are
+// contiguous): the span of a commit blob the chunk's groups cover, or the
+// whole blob of an older layout — then a range and CRC check per group page,
+// and drops the groups that fail: their columns silently fall back to
+// conversion from raw. A replayed pre-segment group learns its page's length
+// here. Runs single-threaded before the store is handed to the serving layer.
 func (s *Store) verifySegments(rep *RecoveryReport) {
 	for _, t := range s.tables {
 		for _, m := range t.chunks {
 			if m == nil {
 				continue
 			}
-			var seg string
-			var blob []byte
 			kept := m.Groups[:0]
-			for _, g := range m.Groups {
-				if g.Seg != seg {
-					var err error
-					if blob, err = s.disk.ReadBlob(segBlob(t.name, m.ID, g.Seg)); err != nil {
-						blob = nil // missing: every group in it fails the range check
+			for i := 0; i < len(m.Groups); {
+				j := i + 1
+				for j < len(m.Groups) && m.Groups[j].Seg == m.Groups[i].Seg {
+					j++
+				}
+				base, blob := s.readSegment(t.name, m.ID, m.Groups[i:j])
+				for _, g := range m.Groups[i:j] {
+					if g.Len == wholeBlob {
+						g.Len = base + int64(len(blob)) - g.Off
 					}
-					seg = g.Seg
+					lo, hi := g.Off-base, g.Off-base+g.Len
+					if g.Off < base || g.Len < 0 || hi > int64(len(blob)) {
+						continue
+					}
+					if _, err := openPage(blob[lo:hi]); err != nil {
+						continue
+					}
+					kept = append(kept, g)
 				}
-				if g.Len == wholeBlob {
-					g.Len = int64(len(blob)) - g.Off
-				}
-				if g.Off < 0 || g.Len < 0 || g.Off+g.Len > int64(len(blob)) {
-					continue
-				}
-				if _, err := openPage(blob[g.Off : g.Off+g.Len]); err != nil {
-					continue
-				}
-				kept = append(kept, g)
+				i = j
 			}
 			if len(kept) == len(m.Groups) {
 				continue
@@ -188,6 +208,32 @@ func (s *Store) verifySegments(rep *RecoveryReport) {
 			rep.ChunksInvalidated++
 		}
 	}
+}
+
+// readSegment reads what groups — one chunk's groups of one segment — need
+// to be verified: the bytes of the blob from base on, as many as there are.
+// A commit blob is read over the span of the groups alone, an older layout's
+// blob whole. A missing blob reads as empty, so every group fails its range
+// check.
+func (s *Store) readSegment(table string, id int, groups []GroupState) (base int64, blob []byte) {
+	name := segBlob(table, id, groups[0].Seg)
+	if _, ok := commitSeq(groups[0].Seg); !ok {
+		blob, _ = s.disk.ReadBlob(name)
+		return 0, blob
+	}
+	lo, hi := groups[0].Off, groups[0].Off+groups[0].Len
+	for _, g := range groups[1:] {
+		lo, hi = min(lo, g.Off), max(hi, g.Off+g.Len)
+	}
+	if lo < 0 || hi <= lo {
+		return 0, nil
+	}
+	blob = make([]byte, hi-lo)
+	n, err := s.disk.ReadAt(name, blob, lo)
+	if err != nil {
+		return 0, nil
+	}
+	return lo, blob[:n]
 }
 
 // countLoadedChunks counts chunks with at least one loaded column.
@@ -237,7 +283,8 @@ func (s *Store) Checkpoint() error {
 	if err := j.Checkpoint(s.snapshotRecords()); err != nil {
 		return err
 	}
-	// The snapshot carried every chunk's geometry: none is pending any more.
+	// The snapshot carried every chunk's geometry and statistics: none is
+	// pending any more.
 	for _, t := range s.Tables() {
 		t.mu.Lock()
 		for _, m := range t.chunks {
@@ -245,6 +292,7 @@ func (s *Store) Checkpoint() error {
 				m.journaled = true
 			}
 		}
+		t.pending = nil
 		t.mu.Unlock()
 	}
 	return nil

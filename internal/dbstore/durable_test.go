@@ -149,6 +149,13 @@ func TestDurableCheckpointEquivalence(t *testing.T) {
 	if err := tbl.SetChunkStats(1, []int{0}, []ColStats{CollectStats(fullChunk(t, 1, 8).Column(0))}); err != nil {
 		t.Fatal(err)
 	}
+	// Statistics wait for the table's next append.
+	if n := man.AppendsSinceCheckpoint(); n != 0 {
+		t.Errorf("statistics appended %d records on their own", n)
+	}
+	if err := tbl.JournalPending(); err != nil {
+		t.Fatal(err)
+	}
 	if n := man.AppendsSinceCheckpoint(); n != 3 {
 		t.Errorf("appends since checkpoint = %d, want chunk + stats + stats", n)
 	}
@@ -216,7 +223,7 @@ func TestDurablePageBitFlipInvalidatesChunk(t *testing.T) {
 	if len(g.Cols) != 1 || g.Cols[0] != 0 {
 		t.Fatalf("first group = %+v, want column 0 alone", g)
 	}
-	page := filepath.Join(dir, "blobs", "db", "t", "00000001", g.Seg)
+	page := filepath.Join(dir, "blobs", filepath.FromSlash(segBlob("t", 1, g.Seg)))
 	raw, err := os.ReadFile(page)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +287,8 @@ func TestDurableMissingPageInvalidates(t *testing.T) {
 	if err := man.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "blobs", "db", "t", "00000000", "s0-1")); err != nil {
+	m, _ := tbl.Chunk(0)
+	if err := os.Remove(filepath.Join(dir, "blobs", filepath.FromSlash(segBlob("t", 0, m.Groups[0].Seg)))); err != nil {
 		t.Fatal(err)
 	}
 	s2, _ := durableEnv(t, dir)

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -14,35 +14,64 @@ import (
 	"scanraw/internal/wire"
 )
 
-// Segments. One WriteChunkColumns call costs one Disk.WriteBlob and one
-// Journal.Append whatever the number of column groups: the call's group
-// pages — each still sealed with its own CRC, still partitioned by the
-// store's group width — are concatenated into one segment blob
-// db/<table>/<chunk>/s<key>, <key> being the column-group key of everything
-// the segment holds, and one RecSegment record carries each group's byte
-// range. On a real disk a durable operation costs a millisecond of fsync and
-// the bytes cost almost nothing, so the count is what speculative loading
-// pays for.
+// Segments and group commits. A chunk write is encoded, on the writer's
+// goroutine, into a Segment: the sealed pages of the column groups it
+// carries — each still sealed with its own CRC, still partitioned by the
+// store's group width — back to back. Segments wait in a Commit, and
+// WriteCommit makes a whole commit durable at once: its segments,
+// concatenated, are one blob db/<table>/c<seq> written with one
+// Disk.WriteBlob, and one Journal.Append carries a RecSegment per segment —
+// each naming the commit's blob and its groups' byte ranges in it — behind
+// whatever statistics and geometry records are pending. On a real disk a
+// durable operation costs a millisecond of fsync and the bytes cost almost
+// nothing, so the number of commits, not of chunks, is what loading pays.
 //
 // Reads are Disk.ReadAt over the ranges of the groups that cover the request
-// (adjacent ranges in one call). The two layouts that predate segments — a
+// (adjacent ranges in one call). The layouts that predate commits — a
+// per-chunk segment db/<table>/<chunk>/s<key> (RecSegment naming it), a
 // bare-ordinal blob per column (RecLoaded), a g<key> blob per group
-// (RecLoadedGroup) — replay as segments holding one group at offset 0, whose
-// length recovery resolves from the blob itself, and are read, verified and
+// (RecLoadedGroup) — live in the chunk's directory and replay as segments of
+// that chunk; the two oldest hold one group at offset 0, whose length
+// recovery resolves from the blob itself. All are read, verified and
 // checkpointed through the same code.
 //
-// A live segment is never replaced: a write names its blob after the columns
-// it holds, those are by construction not loaded, and a name some surviving
-// group still references gets a suffix. Replacing a dead one (every group in
-// it invalidated, or written but never journaled) is harmless — nothing
-// references its bytes.
+// A live blob is never replaced: a commit's sequence number is past every
+// one the journal has named (Table.commitSeq), so the only blob a commit can
+// overwrite is an orphan — written by a commit whose append never happened,
+// which no record references.
 
 // wholeBlob is the Len of a replayed pre-segment group until recovery has
 // read its blob: the page runs to the end of it.
 const wholeBlob = -1
 
-// segBlob is the disk name of a segment of one chunk.
+// A commit is written when it holds commitChunks segments or commitBytes
+// bytes, whichever comes first (Commit.Full): eight chunks of the benchmark's
+// width are about 3 MB, which one fsync makes durable in about the time of
+// four of 400 KB each.
+const (
+	commitChunks = 8
+	commitBytes  = 4 << 20
+)
+
+// commitSeg names the blob of a table's seq-th commit. The "c" sets it apart
+// from the per-chunk names of the older layouts (s, g, or a bare ordinal).
+func commitSeg(seq int64) string { return fmt.Sprintf("c%08d", seq) }
+
+// commitSeq parses a commit blob's name; ok is false for every other layout.
+func commitSeq(seg string) (seq int64, ok bool) {
+	if len(seg) != 9 || seg[0] != 'c' {
+		return 0, false
+	}
+	seq, err := strconv.ParseInt(seg[1:], 10, 64)
+	return seq, err == nil
+}
+
+// segBlob is the disk name of the segment blob seg of one chunk: a commit's
+// blob, shared by the chunks it holds, sits at the table level.
 func segBlob(table string, chunkID int, seg string) string {
+	if _, ok := commitSeq(seg); ok {
+		return fmt.Sprintf("db/%s/%s", table, seg)
+	}
 	return fmt.Sprintf("db/%s/%08d/%s", table, chunkID, seg)
 }
 
@@ -51,21 +80,6 @@ func segBlob(table string, chunkID int, seg string) string {
 // group page. Only replay and the compat fixtures use them.
 func barePageSeg(col int) string     { return fmt.Sprintf("%04d", col) }
 func groupPageSeg(cols []int) string { return "g" + EncodeColGroupKey(cols) }
-
-// segmentName names a new segment of the chunk after the columns it holds,
-// avoiding every name a live group of the chunk still references.
-func segmentName(meta *ChunkMeta, groups [][]int) string {
-	var cols []int
-	for _, g := range groups {
-		cols = append(cols, g...)
-	}
-	sort.Ints(cols)
-	name := "s" + EncodeColGroupKey(cols)
-	for slices.ContainsFunc(meta.Groups, func(g GroupState) bool { return g.Seg == name }) {
-		name += "+"
-	}
-	return name
-}
 
 // buildSegment serializes the listed groups of bc as consecutive sealed
 // group pages and returns the blob with each group's place in it. The
@@ -94,58 +108,166 @@ func buildSegment(bc *chunk.BinaryChunk, seg string, groups [][]int) ([]byte, []
 	return e.Buf, locs, nil
 }
 
-// WriteChunkColumns stores the listed columns of binary chunk bc and marks
-// them loaded in the catalog. The chunk must already be registered via
-// EnsureChunk. The columns are partitioned along the store's group-width
-// boundaries; groups whose columns are all already loaded are skipped — a
-// partially-loaded chunk writes only its missing groups, and re-writing a
-// loaded chunk writes nothing. Whatever remains lands as one segment: one
-// WriteBlob, then one journal append. This is the WRITE stage's storage
-// operation; the disk's write throttle models its I/O cost.
-func (s *Store) WriteChunkColumns(t *Table, bc *chunk.BinaryChunk, cols []int) error {
+// Segment is one chunk write, encoded and not yet durable: the sealed pages
+// of the groups it carries, back to back.
+type Segment struct {
+	Chunk  int
+	groups []GroupState // Off within data; Seg is set by the commit
+	data   []byte
+}
+
+// WriteGroups partitions cols along the store's group width and returns the
+// groups of chunk id that are not loaded yet: what a write of those columns
+// has to store.
+func (s *Store) WriteGroups(t *Table, id int, cols []int) ([][]int, error) {
+	meta, ok := t.Chunk(id)
+	if !ok {
+		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", id, t.Name())
+	}
+	return s.writeGroups(t, meta, cols), nil
+}
+
+// EncodeSegment encodes the listed column groups of binary chunk bc into a
+// segment, on the calling goroutine. The chunk must already be registered
+// via EnsureChunk; nothing is written and nothing marked loaded until the
+// segment's commit.
+func (s *Store) EncodeSegment(t *Table, bc *chunk.BinaryChunk, groups [][]int) (*Segment, error) {
 	meta, ok := t.Chunk(bc.ID)
 	if !ok {
-		return fmt.Errorf("dbstore: chunk %d not registered in table %q", bc.ID, t.Name())
+		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", bc.ID, t.Name())
 	}
 	if meta.Rows != bc.Rows {
-		return fmt.Errorf("dbstore: chunk %d has %d rows, catalog says %d", bc.ID, bc.Rows, meta.Rows)
+		return nil, fmt.Errorf("dbstore: chunk %d has %d rows, catalog says %d", bc.ID, bc.Rows, meta.Rows)
 	}
-	groups := s.writeGroups(t, meta, cols)
-	if len(groups) == 0 {
+	data, locs, err := buildSegment(bc, "", groups)
+	if err != nil {
+		return nil, err
+	}
+	return &Segment{Chunk: bc.ID, groups: locs, data: data}, nil
+}
+
+// Commit is a group commit being assembled: the segments of one table's
+// chunk writes, concatenated into the blob they will share. The zero value
+// is an empty commit. A Commit is not safe for concurrent use.
+type Commit struct {
+	blob []byte
+	segs []commitEntry
+}
+
+// commitEntry is one chunk's groups in a commit, Off within the blob.
+type commitEntry struct {
+	chunk  int
+	groups []GroupState
+}
+
+// Add appends a segment to the commit. Two segments of one chunk share its
+// entry: a chunk's groups in one blob are one record.
+func (c *Commit) Add(g *Segment) {
+	base := int64(len(c.blob))
+	c.blob = append(c.blob, g.data...)
+	i := slices.IndexFunc(c.segs, func(e commitEntry) bool { return e.chunk == g.Chunk })
+	if i < 0 {
+		c.segs = append(c.segs, commitEntry{chunk: g.Chunk})
+		i = len(c.segs) - 1
+	}
+	for _, gs := range g.groups {
+		gs.Off += base
+		c.segs[i].groups = append(c.segs[i].groups, gs)
+	}
+}
+
+// Chunks returns how many chunks the commit holds.
+func (c *Commit) Chunks() int { return len(c.segs) }
+
+// Full reports whether the commit has reached the size at which it is
+// written.
+func (c *Commit) Full() bool { return len(c.segs) >= commitChunks || len(c.blob) >= commitBytes }
+
+// WriteCommit makes every segment of c durable and marks its groups loaded:
+// one WriteBlob of the commit's blob under a fresh name, then one journal
+// append — the pending statistics and geometry records, then a RecSegment
+// per chunk — and only once that has returned, the catalog. An empty commit
+// writes nothing.
+func (s *Store) WriteCommit(t *Table, c *Commit) error {
+	if len(c.segs) == 0 {
 		return nil
 	}
-	seg := segmentName(meta, groups)
-	blob, locs, err := buildSegment(bc, seg, groups)
-	if err != nil {
-		return err
+	seg := t.nextCommit()
+	if err := s.disk.WriteBlob(segBlob(t.Name(), 0, seg), c.blob); err != nil {
+		return fmt.Errorf("dbstore: writing commit %s of %d chunks: %w", seg, len(c.segs), err)
 	}
-	if err := s.disk.WriteBlob(segBlob(t.Name(), bc.ID, seg), blob); err != nil {
-		return fmt.Errorf("dbstore: writing chunk %d segment %s: %w", bc.ID, seg, err)
-	}
-	if err := t.loadSegment(bc.ID, locs); err != nil {
+	if err := t.loadSegments(seg, c.segs); err != nil {
 		return err
 	}
 	return s.MaybeCheckpoint()
 }
 
-// loadSegment records that a segment holding the listed groups is on disk:
-// catalog first, then one RecSegment append. It runs only after the blob is
-// durable under its final name — the data-before-metadata ordering recovery
-// relies on.
-func (t *Table) loadSegment(id int, groups []GroupState) error {
-	defer t.journalLock()()
-	m, err := t.addSegment(id, groups)
+// WriteChunkColumns stores the listed columns of binary chunk bc and marks
+// them loaded in the catalog: a commit of the one chunk. The columns are
+// partitioned along the store's group-width boundaries; groups whose columns
+// are all already loaded are skipped — a partially-loaded chunk writes only
+// its missing groups, and re-writing a loaded chunk writes nothing.
+func (s *Store) WriteChunkColumns(t *Table, bc *chunk.BinaryChunk, cols []int) error {
+	groups, err := s.WriteGroups(t, bc.ID, cols)
+	if err != nil || len(groups) == 0 {
+		return err
+	}
+	g, err := s.EncodeSegment(t, bc, groups)
 	if err != nil {
 		return err
 	}
-	rec := store.Record{Type: store.RecSegment, Table: t.name, Chunk: id, Seg: groups[0].Seg}
-	for _, g := range groups {
-		rec.Groups = append(rec.Groups, store.SegGroup{Cols: g.Cols, Off: g.Off, Len: g.Len})
-	}
-	return t.journalAppend([]*ChunkMeta{m}, rec)
+	var c Commit
+	c.Add(g)
+	return s.WriteCommit(t, &c)
 }
 
-// addSegment is the in-memory half of loadSegment, shared with replay:
+// nextCommit takes the table's next commit sequence number.
+func (t *Table) nextCommit() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	seq := t.commitSeq
+	t.commitSeq++
+	return commitSeg(seq)
+}
+
+// loadSegments records that the commit blob seg holding the listed chunks'
+// groups is on disk: one append of a RecSegment per chunk, then the catalog.
+// It runs only after the blob is durable under its final name — the
+// data-before-metadata ordering recovery relies on — and a chunk counts as
+// loaded only once its record is: a failed append leaves the catalog as it
+// was. The checkpoint lock spans both, so no snapshot falls between them.
+func (t *Table) loadSegments(seg string, entries []commitEntry) error {
+	defer t.journalLock()()
+	chunks := make([]*ChunkMeta, 0, len(entries))
+	recs := make([]store.Record, 0, len(entries))
+	t.mu.RLock()
+	for _, e := range entries {
+		if e.chunk >= 0 && e.chunk < len(t.chunks) {
+			chunks = append(chunks, t.chunks[e.chunk])
+		}
+		rec := store.Record{Type: store.RecSegment, Table: t.name, Chunk: e.chunk, Seg: seg}
+		for _, g := range e.groups {
+			rec.Groups = append(rec.Groups, store.SegGroup{Cols: g.Cols, Off: g.Off, Len: g.Len})
+		}
+		recs = append(recs, rec)
+	}
+	t.mu.RUnlock()
+	if err := t.journalAppend(chunks, recs...); err != nil {
+		return err
+	}
+	for _, e := range entries {
+		groups := slices.Clone(e.groups)
+		for i := range groups {
+			groups[i].Seg = seg
+		}
+		if _, err := t.addSegment(e.chunk, groups); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addSegment is the in-memory half of loadSegments, shared with replay:
 // groups are the groups of one segment. The latest word wins — groups the
 // chunk already had in that blob (it was replaced whole) or over the same
 // column set are dropped for the new ones — which makes re-applying a record

@@ -3,6 +3,7 @@ package dbstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,11 +112,12 @@ func countedEnv(t *testing.T, width int) (*Store, *Table, *countingDisk, *counti
 	return s, tbl, cd, cj
 }
 
-// TestChunkWriteCosts is the deterministic guard for the budget line this
-// layout exists for: however many column groups a chunk write carries, it is
-// one WriteBlob and one journal append; converting the chunk first adds at
-// most one more append; what is already loaded costs nothing again; and a
-// read is one ReadAt per segment it touches.
+// TestChunkWriteCosts is the deterministic guard for the budget line group
+// commit exists for: however many chunks and column groups a commit carries,
+// it is one WriteBlob and one journal append; converting a chunk first (its
+// statistics) adds no append of its own — the statistics ride the commit's;
+// what is already loaded costs nothing again; and a read is one ReadAt per
+// segment it touches.
 func TestChunkWriteCosts(t *testing.T) {
 	for _, width := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
@@ -123,68 +125,114 @@ func TestChunkWriteCosts(t *testing.T) {
 			sch := tbl.Schema()
 			all := colRange(0, 16)
 
-			// Chunk 0, the scan's way: discover, convert (statistics), write.
-			bc := intChunk(t, sch, 0, 32)
-			if err := tbl.EnsureChunk(0, 32, 0, 100); err != nil {
+			// Chunks 0-2, the scan's way: discover, convert (statistics), encode
+			// into one commit. Nothing is durable before the commit.
+			const k = 3
+			var c Commit
+			chunks := make([]*chunk.BinaryChunk, k)
+			for id := range chunks {
+				bc := intChunk(t, sch, id, 32)
+				chunks[id] = bc
+				if err := tbl.EnsureChunk(id, 32, int64(id*100), 100); err != nil {
+					t.Fatal(err)
+				}
+				stats := make([]ColStats, len(all))
+				for i, col := range all {
+					stats[i] = CollectStats(bc.Column(col))
+				}
+				if err := tbl.SetChunkStats(id, all, stats); err != nil {
+					t.Fatal(err)
+				}
+				groups, err := s.WriteGroups(tbl, id, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg, err := s.EncodeSegment(tbl, bc, groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Add(seg)
+			}
+			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 0 || a != 0 {
+				t.Fatalf("converting and encoding %d chunks cost %d WriteBlob, %d appends; want none", k, w, a)
+			}
+			if tbl.CountLoaded(all) != 0 {
+				t.Fatal("encoded chunks count as loaded before their commit")
+			}
+			if err := s.WriteCommit(tbl, &c); err != nil {
 				t.Fatal(err)
 			}
-			stats := make([]ColStats, len(all))
-			for i, c := range all {
-				stats[i] = CollectStats(bc.Column(c))
+			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 1 || a != 1 {
+				t.Fatalf("a commit of %d converted chunks cost %d WriteBlob, %d appends; want 1 and 1", k, w, a)
 			}
-			if err := tbl.SetChunkStats(0, all, stats); err != nil {
-				t.Fatal(err)
+			if tbl.CountLoaded(all) != k {
+				t.Errorf("%d chunks loaded after their commit, want %d", tbl.CountLoaded(all), k)
 			}
-			if err := s.WriteChunkColumns(tbl, bc, all); err != nil {
-				t.Fatal(err)
-			}
-			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 1 || a != 2 {
-				t.Fatalf("converted + written chunk cost %d WriteBlob, %d appends; want 1 and 2", w, a)
-			}
-			// Replay order: geometry, then statistics, then the loaded record.
+			// Replay order: geometry, then statistics, then the loaded records.
 			var order []store.RecType
-			for _, ap := range journal.appends {
-				for _, r := range ap {
-					if len(order) == 0 || order[len(order)-1] != r.Type {
-						order = append(order, r.Type)
-					}
+			segs := 0
+			for _, r := range journal.appends[0] {
+				if len(order) == 0 || order[len(order)-1] != r.Type {
+					order = append(order, r.Type)
+				}
+				if r.Type == store.RecSegment {
+					segs++
 				}
 			}
-			if want := []store.RecType{store.RecChunk, store.RecStats, store.RecSegment}; !reflect.DeepEqual(order, want) {
-				t.Errorf("journal order = %v, want %v", order, want)
+			if want := []store.RecType{store.RecChunk, store.RecStats, store.RecSegment}; !reflect.DeepEqual(order, want) || segs != k {
+				t.Errorf("commit append = %v with %d segment records, want %v with %d", order, segs, want, k)
 			}
 
-			// Chunk 1, written without statistics: the geometry record rides in
-			// the loaded append.
-			if err := tbl.EnsureChunk(1, 32, 100, 100); err != nil {
+			// Chunk 3, written without statistics: its geometry record rides in
+			// its commit's append.
+			if err := tbl.EnsureChunk(3, 32, 300, 100); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteChunkColumns(tbl, intChunk(t, sch, 1, 32), all); err != nil {
+			if err := s.WriteChunkColumns(tbl, intChunk(t, sch, 3, 32), all); err != nil {
 				t.Fatal(err)
 			}
-			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 2 || a != 3 {
-				t.Fatalf("full-width write cost %d WriteBlob, %d appends; want 1 and 1 more", w-1, a-2)
+			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 2 || a != 2 {
+				t.Fatalf("full-width write cost %d WriteBlob, %d appends; want 1 and 1 more", w-1, a-1)
 			}
-			if last := journal.appends[2]; len(last) != 2 || last[0].Type != store.RecChunk || last[1].Type != store.RecSegment {
+			if last := journal.appends[1]; len(last) != 2 || last[0].Type != store.RecChunk || last[1].Type != store.RecSegment {
 				t.Errorf("loaded append = %+v, want the pending geometry then the segment", last)
 			}
 
 			// Re-writing loaded groups writes nothing.
+			bc := chunks[0]
 			if err := writeAll(s, tbl, bc); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.WriteChunkColumns(tbl, bc, colRange(3, 9)); err != nil {
 				t.Fatal(err)
 			}
-			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 2 || a != 3 {
-				t.Errorf("re-writing loaded columns cost %d WriteBlob, %d appends", w-2, a-3)
+			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 2 || a != 2 {
+				t.Errorf("re-writing loaded columns cost %d WriteBlob, %d appends", w-2, a-2)
 			}
 
-			// Chunk 2 arrives as c0-c11, then c12-c15 (S1 then S2): two
+			// Each chunk of the commit reads back with one ReadAt: its pages
+			// are adjacent in the shared blob.
+			for id, bc := range chunks {
+				disk.readAts.Store(0)
+				got, err := s.ReadChunk(tbl, id, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := disk.readAts.Load(); n != 1 {
+					t.Errorf("chunk %d of the commit read with %d ReadAts", id, n)
+				}
+				for _, col := range all {
+					if !reflect.DeepEqual(got.Column(col).Ints, bc.Column(col).Ints) {
+						t.Errorf("chunk %d column %d read back wrong", id, col)
+					}
+				}
+			}
+
+			// Chunk 4 arrives as c0-c11, then c12-c15 (S1 then S2): two
 			// segments, and a 16-column read is two ReadAts — the pages of a
 			// segment are adjacent — and no whole-blob read.
-			bc2 := intChunk(t, sch, 2, 32)
-			if err := tbl.EnsureChunk(2, 32, 200, 100); err != nil {
+			bc2 := intChunk(t, sch, 4, 32)
+			if err := tbl.EnsureChunk(4, 32, 400, 100); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.WriteChunkColumns(tbl, bc2, colRange(0, 12)); err != nil {
@@ -193,12 +241,12 @@ func TestChunkWriteCosts(t *testing.T) {
 			if err := s.WriteChunkColumns(tbl, bc2, all); err != nil {
 				t.Fatal(err)
 			}
-			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 4 || a != 5 {
-				t.Fatalf("two partial writes cost %d WriteBlob, %d appends; want 2 and 2", w-2, a-3)
+			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 4 || a != 4 {
+				t.Fatalf("two partial writes cost %d WriteBlob, %d appends; want 2 and 2", w-2, a-2)
 			}
 			disk.readAts.Store(0)
 			disk.readBlobs.Store(0)
-			got, err := s.ReadChunk(tbl, 2, all)
+			got, err := s.ReadChunk(tbl, 4, all)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,10 +266,10 @@ func TestChunkWriteCosts(t *testing.T) {
 			}
 			// A narrow read transfers only its own pages.
 			before := disk.Stats().ReadBytes
-			if _, err := s.ReadChunk(tbl, 2, []int{1}); err != nil {
+			if _, err := s.ReadChunk(tbl, 4, []int{1}); err != nil {
 				t.Fatal(err)
 			}
-			meta, _ := tbl.Chunk(2)
+			meta, _ := tbl.Chunk(4)
 			need := make([]bool, len(meta.Loaded))
 			need[1] = true
 			if cover, _ := coverGroups(nil, meta, need); disk.Stats().ReadBytes-before != cover[0].Len {
@@ -253,13 +301,13 @@ func segmentEnv(t *testing.T) (dir, file string, groups []GroupState) {
 		}
 	}
 	meta, _ := tbl.Chunk(0)
-	if len(meta.Groups) != 4 || meta.Groups[0].Seg != "s0-7" {
-		t.Fatalf("chunk 0 groups = %+v, want four in s0-7", meta.Groups)
+	if len(meta.Groups) != 4 || meta.Groups[0].Seg != "c00000000" {
+		t.Fatalf("chunk 0 groups = %+v, want four in c00000000", meta.Groups)
 	}
 	if err := man.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, filepath.Join(dir, "blobs", "db", "t", "00000000", "s0-7"), meta.Groups
+	return dir, filepath.Join(dir, "blobs", "db", "t", "c00000000"), meta.Groups
 }
 
 // checkDamage reopens the damaged data-dir and asserts that exactly the
@@ -282,8 +330,8 @@ func checkDamage(t *testing.T, dir string, groups []GroupState, lost map[int]boo
 		t.Fatal(err)
 	}
 	// One read per segment: two chunks, one segment each.
-	if n := disk.readBlobs.Load(); n != 2 {
-		t.Errorf("recovery read %d blobs for 2 segments", n)
+	if n := disk.readAts.Load() + disk.readBlobs.Load(); n != 2 {
+		t.Errorf("recovery made %d reads for 2 segments", n)
 	}
 	s.SetGroupWidth(2)
 	tbl, _ := s.Table("t")
@@ -391,8 +439,9 @@ func TestSegmentBitFlipPerGroup(t *testing.T) {
 }
 
 // TestSegmentNeverReplacesLiveBlob: after damage took one group of a segment
-// and the store's width changed, a rewrite whose columns spell the old
-// segment's name must not replace the blob the surviving groups live in.
+// and the store's width changed, a rewrite of the same columns must not
+// replace the blob the surviving groups live in: its commit takes the next
+// sequence number the journal has not named.
 func TestSegmentNeverReplacesLiveBlob(t *testing.T) {
 	dir, file, groups := segmentEnv(t)
 	raw, err := os.ReadFile(file)
@@ -412,8 +461,8 @@ func TestSegmentNeverReplacesLiveBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, _ := tbl.Chunk(0)
-	if len(meta.Groups) != 4 || meta.Groups[3].Seg != "s0-7+" || len(meta.Groups[3].Cols) != 8 {
-		t.Fatalf("groups after the rewrite = %+v, want the three survivors and s0-7+", meta.Groups)
+	if len(meta.Groups) != 4 || meta.Groups[3].Seg != "c00000002" || len(meta.Groups[3].Cols) != 8 {
+		t.Fatalf("groups after the rewrite = %+v, want the three survivors and c00000002", meta.Groups)
 	}
 	after, err := os.ReadFile(file)
 	if err != nil {
@@ -468,5 +517,56 @@ func TestBuildSegmentSizedUpFront(t *testing.T) {
 		if end := locs[len(locs)-1].Off + locs[len(locs)-1].Len; end != int64(len(blob)) {
 			t.Errorf("last group ends at %d of %d bytes", end, len(blob))
 		}
+	}
+}
+
+// failingJournal fails every append while fail is set.
+type failingJournal struct {
+	Journal
+	fail bool
+}
+
+func (j *failingJournal) Append(recs ...store.Record) error {
+	if j.fail {
+		return errors.New("append failed")
+	}
+	return j.Journal.Append(recs...)
+}
+
+// TestCommitLoadsOnlyAfterAppend: a chunk counts as loaded only once its
+// commit's append has returned. A commit whose append fails leaves the
+// catalog as it was — the blob it wrote is an orphan — and the statistics
+// that were to ride the append stay pending for the next one.
+func TestCommitLoadsOnlyAfterAppend(t *testing.T) {
+	s, tbl, _, journal := countedEnv(t, 1)
+	fj := &failingJournal{Journal: journal, fail: true}
+	s.journal, tbl.journal = fj, fj
+	all := colRange(0, 16)
+	bc := intChunk(t, tbl.Schema(), 0, 32)
+	if err := tbl.EnsureChunk(0, 32, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{CollectStats(bc.Column(0))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteChunkColumns(tbl, bc, all); err == nil {
+		t.Fatal("a commit whose append failed succeeded")
+	}
+	if meta, _ := tbl.Chunk(0); meta.LoadedAny() || len(meta.Groups) != 0 {
+		t.Fatalf("failed commit left the catalog at %+v", meta.Groups)
+	}
+	if !tbl.HasPending() {
+		t.Fatal("the failed append dropped the pending statistics")
+	}
+	fj.fail = false
+	if err := s.WriteChunkColumns(tbl, bc, all); err != nil {
+		t.Fatal(err)
+	}
+	last := journal.appends[len(journal.appends)-1]
+	if len(last) != 3 || last[0].Type != store.RecChunk || last[1].Type != store.RecStats || last[2].Type != store.RecSegment {
+		t.Errorf("retried commit appended %+v, want geometry, statistics, segment", last)
+	}
+	if meta, _ := tbl.Chunk(0); !meta.LoadedAll(all) || meta.Groups[0].Seg != "c00000001" {
+		t.Errorf("retried commit: groups %+v, want all columns in the next blob", meta.Groups)
 	}
 }

@@ -807,23 +807,6 @@ func minus(dst, cand []int, n int, sel []int) []int {
 	return dst[:k]
 }
 
-// merge writes to dst the union of a and b, two ascending selections with
-// no row in common; dst is neither.
-func merge(dst, a, b []int) []int {
-	k := 0
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			dst[k], a = a[0], a[1:]
-		} else {
-			dst[k], b = b[0], b[1:]
-		}
-		k++
-	}
-	k += copy(dst[k:], a)
-	k += copy(dst[k:], b)
-	return dst[:k]
-}
-
 // Columns implements Expr.
 func (c *Cmp) Columns(dst []int) []int { return c.R.Columns(c.L.Columns(dst)) }
 
@@ -854,6 +837,19 @@ func (op LogicOp) String() string { return [...]string{"AND", "OR", "NOT"}[op] }
 type Logic struct {
 	Op   LogicOp
 	L, R Expr // R is nil for NOT
+
+	// chain is set by NewLogic for AND and OR; its operands are gathered by
+	// the first evaluation, so only the node a chain is evaluated from
+	// holds them.
+	chain *logicChain
+}
+
+// logicChain is an AND or OR chain as one n-ary connective: the operands of
+// every connective of the same operator nested in either side — a left-deep
+// `a OR b OR c` as it parses, or a right-deep one — left to right.
+type logicChain struct {
+	once  sync.Once
+	terms []Expr
 }
 
 // NewLogic builds a boolean connective over Int64 (0/1) operands.
@@ -861,7 +857,32 @@ func NewLogic(op LogicOp, l, r Expr) (*Logic, error) {
 	if l.Type() != schema.Int64 || (op != OpNot && r.Type() != schema.Int64) {
 		return nil, fmt.Errorf("engine: %s requires boolean operands", op)
 	}
-	return &Logic{Op: op, L: l, R: r}, nil
+	e := &Logic{Op: op, L: l, R: r}
+	if op != OpNot {
+		e.chain = new(logicChain)
+	}
+	return e, nil
+}
+
+// terms returns the operands of the chain l heads, gathered once with a
+// stack of its own, so that a long chain is no deep recursion.
+func (l *Logic) terms() []Expr {
+	if l.chain == nil {
+		return []Expr{l.L, l.R}
+	}
+	l.chain.once.Do(func() {
+		todo := []Expr{l.R, l.L}
+		for len(todo) > 0 {
+			e := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			if c, ok := e.(*Logic); ok && c.Op == l.Op {
+				todo = append(todo, c.R, c.L)
+				continue
+			}
+			l.chain.terms = append(l.chain.terms, e)
+		}
+	})
+	return l.chain.terms
 }
 
 // Type implements Expr.
@@ -870,33 +891,51 @@ func (l *Logic) Type() schema.Type { return schema.Int64 }
 // Eval implements Expr.
 func (l *Logic) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) { return predicateVector(l, bc) }
 
-// selectRows is selectWhere for a connective. Both sides are evaluated
-// whatever the left one selects, as node-by-node evaluation did, so an
-// error on the right is raised even where no row is left to test.
+// selectRows is selectWhere for a connective. An AND or OR chain is one
+// n-ary connective over its operands (logicChain), evaluated in a loop: AND
+// refines the selection in place, operand by operand; OR keeps the
+// candidates no operand has selected yet and takes from them what each
+// operand selects, and its answer is the candidates minus what is left. So
+// a chain of any length is evaluated at one stack depth, holding at most two
+// pooled selections. Every operand is evaluated whatever the ones before it
+// select, as node-by-node evaluation did, so an error in a later operand is
+// raised even where no row is left to test.
 func (l *Logic) selectRows(bc *chunk.BinaryChunk, cand, dst []int) ([]int, error) {
-	if l.Op == OpAnd {
-		sel, err := selectWhere(l.L, bc, cand, dst)
+	if l.Op == OpNot {
+		buf := getSel(bc.Rows)
+		defer selPool.Put(buf)
+		sel, err := selectWhere(l.L, bc, cand, *buf)
 		if err != nil {
 			return nil, err
 		}
-		return selectWhere(l.R, bc, sel, sel)
+		return minus(dst, cand, bc.Rows, sel), nil
 	}
-	lbuf := getSel(bc.Rows)
-	defer selPool.Put(lbuf)
-	sel, err := selectWhere(l.L, bc, cand, *lbuf)
+	terms := l.terms()
+	if l.Op == OpAnd {
+		sel, err := selectWhere(terms[0], bc, cand, dst)
+		for _, e := range terms[1:] {
+			if err != nil {
+				return nil, err
+			}
+			sel, err = selectWhere(e, bc, sel, sel)
+		}
+		return sel, err
+	}
+	sbuf, rbuf := getSel(bc.Rows), getSel(bc.Rows)
+	defer selPool.Put(sbuf)
+	defer selPool.Put(rbuf)
+	sel, err := selectWhere(terms[0], bc, cand, *sbuf)
 	if err != nil {
 		return nil, err
 	}
-	if l.Op == OpNot {
-		return minus(dst, cand, bc.Rows, sel), nil
-	}
-	rbuf := getSel(bc.Rows)
-	defer selPool.Put(rbuf)
 	rest := minus(*rbuf, cand, bc.Rows, sel)
-	if rest, err = selectWhere(l.R, bc, rest, rest); err != nil {
-		return nil, err
+	for _, e := range terms[1:] {
+		if sel, err = selectWhere(e, bc, rest, *sbuf); err != nil {
+			return nil, err
+		}
+		rest = minus(rest, rest, bc.Rows, sel)
 	}
-	return merge(dst, sel, rest), nil
+	return minus(dst, cand, bc.Rows, rest), nil
 }
 
 // Columns implements Expr.

@@ -31,13 +31,15 @@ var SyncAck = &Analyzer{
 }
 
 // writeCalls mutate file bytes or directory entries; each demands a sync
-// before the function acks with a nil error.
+// before the function acks with a nil error. A directory MkdirAll creates is
+// an entry in its parent, durable only once the parent is synced.
 var writeCalls = map[string]bool{
 	"Write":       true,
 	"WriteAt":     true,
 	"WriteString": true,
 	"Truncate":    true,
 	"Rename":      true,
+	"MkdirAll":    true,
 }
 
 // syncCalls make preceding writes durable. writeFile and WriteBlob are the

@@ -447,9 +447,8 @@ func (e pooled) emit(t task) error {
 // into Profile.Read, not stretched by CPUSlowdown), the kernel's fused pass
 // over the convert set — after which the text goes back and the slot returns
 // to the pool — the conversion-time statistics, the merge of the paged
-// columns, the after-convert write, and finally the cache insert with a
-// delivery pin and the hand-off to the consume stage. On error nothing is
-// retained.
+// columns, the cache insert with a delivery pin, the after-convert write, and
+// finally the hand-off to the consume stage. On error nothing is retained.
 func (r *run) serve(slot *workerSlot, t task) error {
 	o, src := r.op, t.src
 	var bc, paged *BinaryChunk
@@ -482,14 +481,6 @@ func (r *run) serve(slot *workerSlot, t task) error {
 				paged = nil // bc owns its vectors now
 			}
 		}
-		// The after-convert moment: while the run's budget lasts, store the
-		// chunk before it is cached, on this goroutine — its worker slot is
-		// already back in the pool, its binary-buffer slot is not.
-		if err == nil {
-			if loaded = r.afterConvert.Add(-1) >= 0; loaded {
-				err = r.runWrite(bc)
-			}
-		}
 	}
 	if err != nil {
 		for _, c := range []*BinaryChunk{bc, paged} {
@@ -500,9 +491,21 @@ func (r *run) serve(slot *workerSlot, t task) error {
 		r.out.release()
 		return err
 	}
+	// The after-convert moment: while the run's budget lasts, store the chunk
+	// once it is cached and before it is delivered, on this goroutine — its
+	// worker slot is already back in the pool, its delivery pin keeps the
+	// vectors for the encode.
+	write := !loaded && r.afterConvert.Add(-1) >= 0
 	err = r.insertPinned(bc, loaded)
 	if err != nil {
 		return err
+	}
+	if write {
+		if err = r.runWrite(bc); err != nil {
+			_ = o.cache.Unpin(bc.ID)
+			r.out.release()
+			return err
+		}
 	}
 	r.out.hand(bc, src)
 	return nil

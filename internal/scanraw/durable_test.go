@@ -6,13 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
+	"time"
 
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
 	"scanraw/internal/gen"
 	storepkg "scanraw/internal/store"
+	"scanraw/internal/testutil"
 	"scanraw/internal/vdisk"
 )
 
@@ -171,17 +173,26 @@ func TestDurableCorruptPageReconverts(t *testing.T) {
 	op2.WaitIdle()
 }
 
-// TestDurableOpFailureSweep fails the k-th durable operation — a segment
-// WriteBlob or a journal append, whichever comes k-th — of an S1 → S2 pair,
-// for every k: under the daemon's default (Speculative, payoff-ranked, pooled)
-// at column-group widths 1, 4 and full, and at width 4 under every other
-// policy that writes, inline and pooled, so each WRITE moment — after
-// convert, on eviction, an idle quantum, the end-of-scan flush — takes a
-// failing k through both emitters. Whatever k hits (a write at any moment, a
-// statistics append), the run must fail with the injected error and nothing
-// else, leave no pin behind, give the right answers when retried, and leave a
-// data-dir that reopens with every journaled group intact and answers right
-// again.
+// TestDurableOpFailureSweep fails the k-th durable operation — a commit's
+// segment WriteBlob or a journal append (a commit's, a statistics append, a
+// table's completion), whichever comes k-th — of an S1 → S2 pair, for every
+// k: under the daemon's default (Speculative, payoff-ranked, pooled) at
+// column-group widths 1, 4 and full, and at width 4 under every other policy
+// that writes, inline and pooled, so each WRITE moment — after convert, on
+// eviction, an idle quantum, the end-of-scan flush — and each commit point —
+// a full batch, the end of a run, the flush, WaitIdle — takes a failing k
+// through both emitters. Each k runs twice.
+//
+// Retry: the failure is transient. The run must fail with the injected error
+// and nothing else, leave no pin, text buffer or goroutine behind, give the
+// right answers when retried, and leave a data-dir that reopens with every
+// journaled group intact and answers right again.
+//
+// Crash: the process dies at the k-th operation — it and every later one
+// fail, as nothing more reaches the disk — and the next process opens the
+// files left behind. Every journaled group must verify, the chunks must
+// answer right, and when the crash fell between a commit's blob and its
+// append, that orphan blob is on disk with no record naming it.
 func TestDurableOpFailureSweep(t *testing.T) {
 	spec := gen.CSVSpec{Rows: 512, Cols: 8, Seed: 11, MaxValue: 1000}
 	queries := [][]int{{0, 1, 2, 3, 4, 5}, {4, 5, 6, 7}} // S2 is a partial-width hit
@@ -205,6 +216,19 @@ func TestDurableOpFailureSweep(t *testing.T) {
 		}
 		return nil
 	}
+	// quiet asserts that the operator holds nothing once it is idle.
+	quiet := func(t *testing.T, op *Operator, before map[string]bool, what string) {
+		t.Helper()
+		if s := op.Cache().Stats(); s.PinCount != 0 || s.PinnedEntries != 0 {
+			t.Fatalf("%s: %d pins on %d entries left behind", what, s.PinCount, s.PinnedEntries)
+		}
+		if n := op.textOut.Load(); n != 0 {
+			t.Fatalf("%s: %d text buffers out", what, n)
+		}
+		if leaked := testutil.LeakedSince(before, 5*time.Second); len(leaked) > 0 {
+			t.Fatalf("%s: %d goroutines outlive the runs:\n%s", what, len(leaked), strings.Join(leaked, "\n\n"))
+		}
+	}
 	type sweepCase struct {
 		name  string
 		cfg   Config
@@ -221,103 +245,20 @@ func TestDurableOpFailureSweep(t *testing.T) {
 			cases = append(cases, sweepCase{fmt.Sprintf("%v,workers=%d", policy, workers), c, 4})
 		}
 	}
+	orphans := 0
 	for _, c := range cases {
 		cfg, width := c.cfg, c.width
 		t.Run(c.name, func(t *testing.T) {
 			for k := 0; ; k++ {
-				dir := t.TempDir()
-				fd, err := storepkg.OpenFileDisk(filepath.Join(dir, "blobs"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				disk := vdisk.NewBacked(vdisk.Config{}, fd)
-				man, err := storepkg.OpenManifest(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				store, err := dbstore.OpenDurable(disk, man)
-				if err != nil {
-					t.Fatal(err)
-				}
-				store.SetGroupWidth(width)
-				raw := gen.Bytes(spec)
-				fd.Preload("raw/data.csv", raw)
-				table, err := store.EnsureTable("data", spec.Schema(), "raw/data.csv", storepkg.FingerprintBytes(raw))
-				if err != nil {
-					t.Fatal(err)
-				}
-				env := &testEnv{store: store, table: table, spec: spec}
-
-				var ops atomic.Int64
-				var fired atomic.Bool
-				kth := func() error {
-					if ops.Add(1)-1 == int64(k) {
-						fired.Store(true)
-						return vdisk.ErrInjected
-					}
-					return nil
-				}
-				disk.SetFailure(func(op, name string) error {
-					if op == "write" && strings.HasPrefix(name, "db/") {
-						return kth()
-					}
-					return nil
-				})
-				man.SetFailure(func(string) error { return kth() })
-
-				op := New(store, table, cfg)
-				failed := false
-				for _, cols := range queries {
-					if err := sum(op, env, cols); err != nil {
-						if !errors.Is(err, vdisk.ErrInjected) {
-							t.Fatalf("k=%d: query over %v failed with %v, want the injected error", k, cols, err)
-						}
-						failed = true
-					}
-					op.WaitIdle()
-				}
-				disk.SetFailure(nil)
-				man.SetFailure(nil)
-				if s := op.Cache().Stats(); s.PinCount != 0 || s.PinnedEntries != 0 {
-					t.Fatalf("k=%d: %d pins on %d entries left behind", k, s.PinCount, s.PinnedEntries)
-				}
-				// Retry on the same operator. A failed safeguard flush reports
-				// on the run after it, so the first retry may still carry it.
-				for _, cols := range queries {
-					err := sum(op, env, cols)
-					if err != nil && errors.Is(err, vdisk.ErrInjected) && !failed {
-						failed = true
-						err = sum(op, env, cols)
-					}
-					if err != nil {
-						t.Fatalf("k=%d: retry over %v: %v", k, cols, err)
-					}
-					op.WaitIdle()
-				}
-				if fired.Load() && !failed {
-					t.Errorf("k=%d: the injected failure was swallowed", k)
-				}
-				if err := man.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				// SIGKILL-equivalent restart: no checkpoint was taken.
-				env2, man2 := openDurableEnv(t, dir, spec)
-				if rec := env2.store.RecoveryStats(); rec.ChunksInvalidated != 0 || rec.ChunksRecovered == 0 {
-					t.Fatalf("k=%d: recovery = %+v, want every journaled group intact", k, rec)
-				}
-				env2.store.SetGroupWidth(width)
-				op2 := New(env2.store, env2.table, cfg)
-				for _, cols := range queries {
-					if err := sum(op2, env2, cols); err != nil {
-						t.Fatalf("k=%d: after restart, over %v: %v", k, cols, err)
+				fired := false
+				for _, crash := range []bool{false, true} {
+					f, orphan := sweepOnce(t, spec, queries, cfg, width, k, crash, sum, quiet)
+					fired = fired || f
+					if orphan {
+						orphans++
 					}
 				}
-				op2.WaitIdle()
-				if err := man2.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !fired.Load() {
+				if !fired {
 					// k is past the last durable operation: every one has had
 					// its turn.
 					if k == 0 {
@@ -328,4 +269,149 @@ func TestDurableOpFailureSweep(t *testing.T) {
 			}
 		})
 	}
+	if orphans == 0 {
+		t.Error("no crash fell between a commit's blob and its append")
+	}
+}
+
+// sweepOnce runs one case of TestDurableOpFailureSweep: the k-th durable
+// operation fails, and with crash set so does every one after it. It reports
+// whether the k-th operation happened, and whether it was a commit's append
+// whose orphan blob the crash left behind.
+func sweepOnce(t *testing.T, spec gen.CSVSpec, queries [][]int, cfg Config, width, k int, crash bool,
+	sum func(*Operator, *testEnv, []int) error, quiet func(*testing.T, *Operator, map[string]bool, string)) (fired, orphan bool) {
+	t.Helper()
+	what := fmt.Sprintf("k=%d crash=%v", k, crash)
+	dir := t.TempDir()
+	fd, err := storepkg.OpenFileDisk(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := vdisk.NewBacked(vdisk.Config{}, fd)
+	man, err := storepkg.OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := dbstore.OpenDurable(disk, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetGroupWidth(width)
+	raw := gen.Bytes(spec)
+	fd.Preload("raw/data.csv", raw)
+	table, err := store.EnsureTable("data", spec.Schema(), "raw/data.csv", storepkg.FingerprintBytes(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &testEnv{store: store, table: table, spec: spec}
+
+	// The durable operations in order: "blob <name>" or "append".
+	var mu sync.Mutex
+	var ops []string
+	var firedAt = -1
+	kth := func(op string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		ops = append(ops, op)
+		n := len(ops) - 1
+		if n == k {
+			firedAt = n
+		}
+		if n == k || crash && firedAt >= 0 {
+			return vdisk.ErrInjected
+		}
+		return nil
+	}
+	disk.SetFailure(func(op, name string) error {
+		if op == "write" && strings.HasPrefix(name, "db/") {
+			return kth("blob " + name)
+		}
+		return nil
+	})
+	man.SetFailure(func(op string) error { return kth(op) })
+
+	before := testutil.Snapshot()
+	op := New(store, table, cfg)
+	failed := false
+	for _, cols := range queries {
+		if err := sum(op, env, cols); err != nil {
+			if !errors.Is(err, vdisk.ErrInjected) {
+				t.Fatalf("%s: query over %v failed with %v, want the injected error", what, cols, err)
+			}
+			failed = true
+		}
+		op.WaitIdle()
+	}
+	if crash {
+		// No run follows to report a failed background write: it must be
+		// waiting for one.
+		if err := op.takeFlushErr(); err != nil {
+			if !errors.Is(err, vdisk.ErrInjected) {
+				t.Fatalf("%s: background write failed with %v, want the injected error", what, err)
+			}
+			failed = true
+		}
+	}
+	fired = firedAt >= 0
+	var orphanBlob string
+	if crash && fired && ops[firedAt] == "append" && firedAt > 0 && strings.HasPrefix(ops[firedAt-1], "blob ") {
+		orphanBlob = strings.TrimPrefix(ops[firedAt-1], "blob ")
+	}
+	if !crash {
+		disk.SetFailure(nil)
+		man.SetFailure(nil)
+	}
+	quiet(t, op, before, what)
+	if !crash {
+		// Retry on the same operator. A failed background write reports on
+		// the run after it, so the first retry may still carry it.
+		for _, cols := range queries {
+			err := sum(op, env, cols)
+			if err != nil && errors.Is(err, vdisk.ErrInjected) && !failed {
+				failed = true
+				err = sum(op, env, cols)
+			}
+			if err != nil {
+				t.Fatalf("%s: retry over %v: %v", what, cols, err)
+			}
+			op.WaitIdle()
+		}
+		quiet(t, op, before, what+" retried")
+	}
+	if fired && !failed {
+		t.Errorf("%s: the injected failure was swallowed", what)
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// SIGKILL-equivalent restart: no checkpoint was taken.
+	env2, man2 := openDurableEnv(t, dir, spec)
+	defer man2.Close()
+	rec := env2.store.RecoveryStats()
+	if rec.ChunksInvalidated != 0 || !crash && rec.ChunksRecovered == 0 {
+		t.Fatalf("%s: recovery = %+v, want every journaled group intact", what, rec)
+	}
+	if orphanBlob != "" {
+		if !fd.Exists(orphanBlob) {
+			t.Fatalf("%s: the commit blob %s whose append failed is not on disk", what, orphanBlob)
+		}
+		for id := 0; id < env2.table.NumChunks(); id++ {
+			meta, _ := env2.table.Chunk(id)
+			for _, g := range meta.Groups {
+				if "db/data/"+g.Seg == orphanBlob {
+					t.Fatalf("%s: chunk %d names the orphan blob %s", what, id, orphanBlob)
+				}
+			}
+		}
+	}
+	env2.store.SetGroupWidth(width)
+	op2 := New(env2.store, env2.table, cfg)
+	for _, cols := range queries {
+		if err := sum(op2, env2, cols); err != nil {
+			t.Fatalf("%s: after restart, over %v: %v", what, cols, err)
+		}
+	}
+	op2.WaitIdle()
+	return fired, orphanBlob != ""
 }

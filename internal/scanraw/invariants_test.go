@@ -178,7 +178,9 @@ func TestCutShortWarmScanLeaksNothing(t *testing.T) {
 				if _, err := loader.Run(Request{Columns: loaded, Deliver: func(*BinaryChunk) error { return nil }}); err != nil {
 					t.Fatal(err)
 				}
-				seg := env.disk.List("db/data/00000005/")[0]
+				m5, _ := env.table.Chunk(5)
+				g5 := m5.Groups[0] // chunk 5's first page, in the commit blob it shares
+				seg := "db/data/" + g5.Seg
 				page, err := env.disk.ReadBlob(seg)
 				if err != nil {
 					t.Fatal(err)
@@ -193,7 +195,7 @@ func TestCutShortWarmScanLeaksNothing(t *testing.T) {
 				}
 				flipByte := func() {
 					bad := append([]byte(nil), page...)
-					bad[len(bad)/2] ^= 0xFF
+					bad[g5.Off+g5.Len/2] ^= 0xFF
 					env.disk.Preload(seg, bad)
 				}
 				raw, err := env.disk.ReadBlob("raw/data.csv")

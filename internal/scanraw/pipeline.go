@@ -52,7 +52,6 @@ type run struct {
 	workers chan *workerSlot
 
 	readBlocked atomic.Bool
-	readDone    atomic.Bool
 	specNotify  chan struct{} // pokes the speculative scheduler
 	finish      chan struct{} // closed at teardown; stops the scheduler
 
@@ -173,14 +172,11 @@ func (r *run) poke() {
 	}
 }
 
-// runWrite loads one chunk no cache entry holds — fresh from conversion, or
-// just evicted — at full width and accounts it to this run.
+// runWrite loads one chunk at full width — fresh from conversion, or just
+// evicted — and accounts it to this run once its commit has returned.
 func (r *run) runWrite(bc *BinaryChunk) error {
-	if err := r.op.write(bc, nil); err != nil {
-		return err
-	}
-	r.written.Add(1)
-	return nil
+	_, err := r.op.write(bc, nil, &r.written, 1)
+	return err
 }
 
 func validateRequest(req Request, ncols int) error {
@@ -267,6 +263,11 @@ func (o *Operator) RunContext(ctx context.Context, req Request) (RunStats, error
 		return st, err
 	}
 	err = r.execute(ctx)
+	// What the run wrote is durable before the run reports it: the rest of
+	// its batch is committed behind any commit in flight.
+	if cerr := o.commit(true); err == nil {
+		err = cerr
+	}
 
 	st.DeliveredCache = int(r.bySource[srcCache].Load())
 	st.DeliveredDB = int(r.bySource[srcDB].Load())
@@ -314,34 +315,49 @@ func (o *Operator) accountEarlyTermination(st *RunStats, rng *ChunkRange) {
 // safeguardFlush writes the cache's unloaded chunks in the background and
 // returns how many it queued; the next query's disk reads wait for it. An
 // early-terminated run flushes too — already-converted chunks are exactly
-// the speculative-loading payoff (§4), and the pins taken per chunk keep a
-// concurrent next-query eviction from recycling what the flush is writing.
+// the speculative-loading payoff (§4), and the pin taken per chunk while it
+// is encoded keeps a concurrent next-query eviction from recycling it. The
+// flush ends with a commit of everything it encoded, and journals the
+// statistics the run collected if no commit carried them — so a policy that
+// writes nothing still journals them once per scan, not once per chunk.
 func (o *Operator) safeguardFlush() int {
-	if !o.when.atEnd {
-		return 0
+	var ids []int
+	if o.when.atEnd {
+		ids = o.cache.UnloadedIDs()
 	}
-	ids := o.cache.UnloadedIDs()
-	if len(ids) == 0 {
+	if len(ids) == 0 && !o.table.HasPending() {
 		return 0
 	}
 	o.flushWG.Add(1)
 	go func() {
 		defer o.flushWG.Done()
-		for _, id := range ids {
-			if o.cache.IsLoaded(id) {
-				continue
-			}
-			bc := o.cache.Acquire(id)
-			if bc == nil {
-				continue
-			}
-			if err := o.writeCached(bc, nil); err != nil {
-				o.setFlushErr(err)
-				return
-			}
+		err := o.flush(ids)
+		if err == nil {
+			err = o.table.JournalPending()
+		}
+		if err != nil {
+			o.setFlushErr(err)
 		}
 	}()
 	return len(ids)
+}
+
+// flush encodes the listed cached chunks that are still unloaded into the
+// batch, then commits it.
+func (o *Operator) flush(ids []int) error {
+	for _, id := range ids {
+		if o.cache.IsLoaded(id) {
+			continue
+		}
+		bc := o.cache.Acquire(id)
+		if bc == nil {
+			continue
+		}
+		if _, err := o.writeCached(bc, nil, nil, 0); err != nil {
+			return err
+		}
+	}
+	return o.commit(true)
 }
 
 // flushErr propagation: a failed background flush surfaces on the next Run.
@@ -457,9 +473,7 @@ func (r *run) pipeline(ctx context.Context) {
 	go r.convertConsumer()
 	go func() {
 		r.fail(r.drive(ctx))
-		r.readDone.Store(true)
 		close(r.textBuf)
-		r.poke()
 	}()
 
 	// Delivery loop: it consumes each chunk, then releases the chunk's pin
@@ -594,11 +608,13 @@ func (r *run) serveTask(t task, slot *workerSlot, ramped bool) {
 }
 
 // retireEvicted finishes an evicted chunk's life: at the on-eviction moment
-// an unloaded victim is first written to the database, then — whether or not
-// that write succeeded — the chunk's vectors return to the shared pools. The
-// recycle is safe because eviction implies zero pins, and every consumer of
-// a cached chunk — delivery, safeguard flush, speculative scheduler — holds
-// a pin for the duration of its use.
+// an unloaded victim — neither loaded nor pending — is first encoded into the
+// batch, then — whether or not that succeeded — the chunk's vectors return to
+// the shared pools. The write is an encode only: its disk work is the
+// batch's commit, off the converting goroutine. The recycle is safe because
+// eviction implies zero pins, every consumer of a cached chunk — delivery,
+// safeguard flush, speculative scheduler — holds a pin for the duration of
+// its use, and an encoded segment holds no reference to the vectors.
 func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
 	if evicted == nil {
 		return nil
@@ -611,8 +627,9 @@ func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
 	return err
 }
 
-// recordStats journals the conversion-time statistics of the freshly
-// converted columns in one catalog call — one append per converted chunk.
+// recordStats records the conversion-time statistics of the freshly
+// converted columns in one catalog call; they are journaled with the table's
+// next append.
 func (r *run) recordStats(bc *BinaryChunk, cols []int) error {
 	have := make([]int, 0, len(cols))
 	stats := make([]dbstore.ColStats, 0, len(cols))
@@ -657,10 +674,12 @@ func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 }
 
 // scheduler implements speculative loading (§4): whenever READ is blocked
-// on a full text buffer — or has finished and the safeguard is active —
-// the disk is idle, so spend one speculation quantum (a payoff-ranked
-// column group, or the oldest unloaded cached chunk under scan order).
-// Writing stops the moment READ wants the disk back.
+// on a full text buffer the disk is idle, so spend one speculation quantum
+// (a payoff-ranked column group, or the oldest unloaded cached chunk under
+// scan order). Writing stops the moment READ wants the disk back. Once READ
+// has finished, what is still unloaded waits for the safeguard flush: a
+// quantum is an encode, CPU the scan's last conversions are waiting for,
+// and the flush starts the moment the run returns.
 func (r *run) scheduler() {
 	defer r.schedWG.Done()
 	for {
@@ -692,14 +711,7 @@ func (r *run) scheduler() {
 }
 
 // writableNow reports whether the disk is idle from READ's perspective:
-// READ blocked on a full buffer, or — at the end-of-scan moment — READ
-// finished the scan.
+// READ blocked on a full buffer.
 func (r *run) writableNow() bool {
-	if r.failed() {
-		return false
-	}
-	if r.readBlocked.Load() {
-		return true
-	}
-	return r.op.when.atEnd && r.readDone.Load()
+	return !r.failed() && r.readBlocked.Load()
 }

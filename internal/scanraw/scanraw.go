@@ -16,8 +16,8 @@
 // conversion), buffered load (write on cache eviction), invisible loading (a
 // fixed number of chunks per query), and the paper's contribution —
 // speculative loading (§4), which writes the oldest unloaded cached chunk
-// whenever the READ thread is blocked or finished and the disk would
-// otherwise idle, plus a safeguard flush of the cache at end of scan.
+// whenever the READ thread is blocked and the disk would otherwise idle,
+// plus a safeguard flush of the cache at end of scan.
 //
 // An Operator is attached to a raw file, not to a query: its binary chunks
 // cache, catalog statistics, and profile survive across queries (§3.3), and
@@ -109,7 +109,7 @@ const (
 // configured.
 type writeMoments struct {
 	// afterConvert is the per-run budget of chunks stored right after their
-	// conversion, on the converting goroutine, before they are cached.
+	// conversion, on the converting goroutine, before they are delivered.
 	afterConvert int64
 	// onEviction writes an unloaded victim of a cache insert before its
 	// vectors are recycled.
@@ -119,7 +119,7 @@ type writeMoments struct {
 	// each (specStep).
 	idle bool
 	// atEnd writes what the cache still holds unloaded once the scan is over:
-	// further idle quanta after READ finished, then the safeguard flush.
+	// the safeguard flush.
 	atEnd bool
 }
 
@@ -347,12 +347,23 @@ type Operator struct {
 	textFree chan []byte
 	textOut  atomic.Int64
 
-	// flushWG tracks the background safeguard flush; the next query's
-	// disk reads wait for it (§4: "only the reading of new chunks has to
-	// be delayed until flushing the cache is over").
+	// flushWG tracks the background disk writes — the safeguard flush and
+	// the commits of batches that filled up; the next query's disk reads
+	// wait for them (§4: "only the reading of new chunks has to be delayed
+	// until flushing the cache is over"). A failed one reports on the next
+	// Run, through flushErr.
 	flushWG    sync.WaitGroup
 	flushErrMu sync.Mutex
 	flushErr   error
+
+	// The open group commit: the segments of chunk writes not yet durable
+	// (batch), and what each is to be credited with once it is (credits).
+	// Guarded by batchMu, which is never held across a disk operation.
+	batchMu sync.Mutex
+	batch   dbstore.Commit
+	credits []credit
+
+	commits, chunksCommitted atomic.Int64
 
 	runMu sync.Mutex // one query at a time
 }
@@ -388,9 +399,23 @@ func (o *Operator) CPU() *metrics.BusyCounter { return o.cpu }
 // ProfileSnapshot returns cumulative per-stage accounting.
 func (o *Operator) ProfileSnapshot() Profile { return o.prof.snapshot() }
 
-// WaitIdle blocks until any background safeguard flush completes. Intended
-// for experiments that measure the amount of loaded data.
-func (o *Operator) WaitIdle() { o.flushWG.Wait() }
+// WaitIdle blocks until the background writes — the safeguard flush and
+// commits — have completed, then commits whatever batch is still open: once
+// it returns, every chunk write issued so far is durable or has failed (a
+// failure reports on the next Run). A drain calls it before its checkpoint;
+// experiments call it to measure the amount of loaded data.
+func (o *Operator) WaitIdle() {
+	o.flushWG.Wait()
+	if err := o.commit(true); err != nil {
+		o.setFlushErr(err)
+	}
+}
+
+// LoadCommits returns how many group commits the operator has made durable
+// and how many chunk writes they carried.
+func (o *Operator) LoadCommits() (commits, chunks int64) {
+	return o.commits.Load(), o.chunksCommitted.Load()
+}
 
 // ChunkRange restricts a request to the chunks with Lo <= ID < Hi. Hi <= 0
 // means unbounded above (to the end of the file). Ranges are what lets a
@@ -513,37 +538,119 @@ func (o *Operator) cpuWork(slot *workerSlot, fn func()) time.Duration {
 	return nominal
 }
 
+// credit is what one chunk write in a batch is accounted with once its
+// commit has returned: n added to ctr, a run's written or group-write
+// counter (nil for the safeguard flush, which counts at queue time).
+type credit struct {
+	id  int
+	ctr *atomic.Int64
+	n   int64
+}
+
 // write is the WRITE stage's one storage routine, whatever the moment: it
-// stores the listed columns of the chunk — every present column when none are
-// named — as one segment, through the disk arbiter. The cache entry is marked
-// loaded only once the catalog covers every column the chunk holds, so a
-// write of some column groups leaves the rest to a later moment.
-func (o *Operator) write(bc *BinaryChunk, cols []int) error {
+// encodes the listed columns of the chunk — every present column when none
+// are named — that are not loaded yet as one segment, on the calling
+// goroutine and outside the disk arbiter, and adds the segment to the open
+// batch. A batch that fills is committed in the background (commit). The
+// chunk counts as written — ctr advanced by n, its cache entry marked loaded
+// once the catalog covers every column it holds — only when its commit's
+// append has returned; until then the entry is pending, so no other moment
+// picks it, and an eviction drops it without a write. It reports whether it
+// encoded anything.
+func (o *Operator) write(bc *BinaryChunk, cols []int, ctr *atomic.Int64, n int64) (bool, error) {
 	if cols == nil {
 		cols = bc.Present()
 	}
-	o.arbiter.Lock()
 	start := time.Now()
-	err := o.store.WriteChunkColumns(o.table, bc, cols)
-	o.prof.writeNs.Add(int64(time.Since(start)))
-	o.arbiter.Unlock()
+	defer func() { o.prof.writeNs.Add(int64(time.Since(start))) }()
+	groups, err := o.store.WriteGroups(o.table, bc.ID, cols)
 	if err != nil {
-		return err
+		return false, err
 	}
-	o.prof.writeCh.Add(1)
-	if meta, ok := o.table.Chunk(bc.ID); ok && meta.LoadedAll(bc.Present()) {
-		o.cache.MarkLoaded(bc.ID)
+	if len(groups) == 0 {
+		if meta, ok := o.table.Chunk(bc.ID); ok && meta.LoadedAll(bc.Present()) {
+			o.cache.MarkLoaded(bc.ID)
+		}
+		return false, nil
 	}
-	return nil
+	o.cache.MarkPending(bc.ID)
+	seg, err := o.store.EncodeSegment(o.table, bc, groups)
+	if err != nil {
+		o.cache.Committed(bc.ID, nil)
+		return false, err
+	}
+	o.batchMu.Lock()
+	o.batch.Add(seg)
+	o.credits = append(o.credits, credit{id: bc.ID, ctr: ctr, n: n})
+	full := o.batch.Full()
+	o.batchMu.Unlock()
+	if full {
+		o.flushWG.Add(1)
+		go func() {
+			defer o.flushWG.Done()
+			if err := o.commit(false); err != nil {
+				o.setFlushErr(err)
+			}
+		}()
+	}
+	return true, nil
+}
+
+// commit makes the open batch durable, under the disk arbiter: one segment
+// blob and one journal append (dbstore.WriteCommit), which carries the
+// table's pending statistics too. Then, still under the arbiter, it settles
+// the batch's chunk writes. Unless force is set only a full batch is
+// committed: a threshold commit that another overtook finds a batch it need
+// not write yet. Commits happen one at a time, in batch order, so once a
+// commit returns every chunk write added before it was called is settled.
+func (o *Operator) commit(force bool) error {
+	o.arbiter.Lock()
+	defer o.arbiter.Unlock()
+	o.batchMu.Lock()
+	if o.batch.Chunks() == 0 || !force && !o.batch.Full() {
+		o.batchMu.Unlock()
+		return nil
+	}
+	b, credits := o.batch, o.credits
+	o.batch, o.credits = dbstore.Commit{}, nil
+	o.batchMu.Unlock()
+	start := time.Now()
+	err := o.store.WriteCommit(o.table, &b)
+	o.prof.writeNs.Add(int64(time.Since(start)))
+	if err == nil {
+		o.commits.Add(1)
+		o.chunksCommitted.Add(int64(b.Chunks()))
+		o.prof.writeCh.Add(int64(b.Chunks()))
+	}
+	o.settle(credits, err == nil)
+	return err
+}
+
+// settle ends the listed chunk writes: each cache entry is marked loaded if
+// the catalog now covers it, or becomes a write candidate again; a committed
+// write is credited.
+func (o *Operator) settle(credits []credit, committed bool) {
+	for _, c := range credits {
+		var loaded []bool
+		if committed {
+			if c.ctr != nil {
+				c.ctr.Add(c.n)
+			}
+			if meta, ok := o.table.Chunk(c.id); ok {
+				loaded = meta.Loaded
+			}
+		}
+		o.cache.Committed(c.id, loaded)
+	}
 }
 
 // writeCached is write for a cache-resident chunk the caller acquired: the
 // pin keeps an eviction from recycling the vectors while they are being
-// serialized, and is released here whatever the outcome.
-func (o *Operator) writeCached(bc *BinaryChunk, cols []int) error {
-	err := o.write(bc, cols)
+// encoded, and is released here whatever the outcome.
+func (o *Operator) writeCached(bc *BinaryChunk, cols []int, ctr *atomic.Int64, n int64) (bool, error) {
+	wrote, err := o.write(bc, cols, ctr, n)
 	if uerr := o.cache.Unpin(bc.ID); err == nil {
 		err = uerr
 	}
-	return err
+	return wrote, err
 }

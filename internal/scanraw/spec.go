@@ -96,10 +96,11 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
 }
 
 // specStep performs one quantum of speculative loading — one write of one
-// cached chunk under a pin: under SpecPayoff the best-ranked chunk's wanted
-// column groups, otherwise (or as the cold-workload fallback) the oldest
-// unloaded cached chunk at full width. It reports whether anything was
-// written; the caller loops while the disk stays idle.
+// cached chunk under a pin, encoded into the batch: under SpecPayoff the
+// best-ranked chunk's wanted column groups, otherwise (or as the
+// cold-workload fallback) the oldest unloaded cached chunk at full width. It
+// reports whether a chunk was picked; the caller loops while the disk stays
+// idle.
 func (r *run) specStep() (bool, error) {
 	o := r.op
 	var bc *BinaryChunk
@@ -116,15 +117,14 @@ func (r *run) specStep() (bool, error) {
 			return false, nil
 		}
 	}
-	err := o.writeCached(bc, cols)
+	ctr, n := &r.written, int64(1)
+	if ngroups > 0 {
+		ctr, n = &r.groupWrites, int64(ngroups)
+	}
+	_, err := o.writeCached(bc, cols, ctr, n)
 	r.gate.broadcast()
 	if err != nil {
 		return false, err
-	}
-	if ngroups > 0 {
-		r.groupWrites.Add(int64(ngroups))
-	} else {
-		r.written.Add(1)
 	}
 	return true, nil
 }
@@ -140,8 +140,8 @@ type specCand struct {
 
 // payoffPick ranks the cached chunks by what the workload would gain from
 // their unloaded column groups and returns the best one, pinned, with the
-// columns to write — every group with a positive weight, for one store call,
-// so the quantum costs one durable write however many groups it carries.
+// columns to write — every group with a positive weight, as one segment of
+// the batch however many groups it carries.
 // Columns nobody asks for are never picked. A nil chunk hands the quantum to
 // the scan-order fallback: the workload is cold (nil/mismatched/all-zero
 // weights) or nothing the workload wants is still unloaded.

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"scanraw/internal/dbstore"
-	"scanraw/internal/engine"
 	"scanraw/internal/gen"
 	storepkg "scanraw/internal/store"
 	"scanraw/internal/vdisk"
@@ -89,8 +89,10 @@ func (d *countingDisk) WriteBlob(name string, p []byte) error {
 }
 
 // TestProfileWriteCountsEveryStoreWrite: Profile.Write.Chunks advances once
-// per store write whichever moment issued it — payoff quanta, which write
-// column groups, included — so Write.PerChunk() is the cost of one write.
+// per chunk write committed, whichever moment issued it — payoff quanta,
+// which write column groups, included — so Write.PerChunk() is the cost of
+// one chunk's write, its share of a commit included; and the disk sees one
+// segment blob per commit, never one per chunk.
 func TestProfileWriteCountsEveryStoreWrite(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -106,16 +108,18 @@ func TestProfileWriteCountsEveryStoreWrite(t *testing.T) {
 			}
 			op := New(store, table, Config{
 				Workers: workers, ChunkLines: 64, Policy: Speculative, Safeguard: true,
-				CacheChunks: 4, Speculation: SpecPayoff,
+				CacheChunks: 4, TextBufferChunks: 2, Speculation: SpecPayoff,
 				ColumnWeights: func() []float64 { return []float64{1, 1, 1, 1, 2, 2, 1, 1} },
 			})
 			groupWrites := 0
 			for _, cols := range [][]int{{0, 1, 2, 3, 4, 5}, {4, 5, 6, 7}} {
-				q, err := engine.SumAllColumns(table.Schema(), "data", cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, st, err := ExecuteQuery(op, q)
+				// A slow consumer backs the pipeline up through a short text
+				// buffer to READ, so pooled runs get disk-idle quanta (inline
+				// runs get one per conversion).
+				st, err := op.Run(Request{Columns: cols, Deliver: func(*BinaryChunk) error {
+					time.Sleep(time.Millisecond)
+					return nil
+				}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,9 +129,73 @@ func TestProfileWriteCountsEveryStoreWrite(t *testing.T) {
 			if groupWrites == 0 {
 				t.Fatal("no payoff quantum ran: the test exercises nothing")
 			}
-			if got, want := op.ProfileSnapshot().Write.Chunks, disk.segments.Load(); got != want {
-				t.Errorf("Profile.Write.Chunks = %d, the disk saw %d segment writes", got, want)
+			// A chunk write is one segment of one commit: count the catalog's
+			// (chunk, commit blob) pairs.
+			writes := 0
+			for id := 0; id < table.NumChunks(); id++ {
+				meta, _ := table.Chunk(id)
+				segs := map[string]bool{}
+				for _, g := range meta.Groups {
+					segs[g.Seg] = true
+				}
+				writes += len(segs)
+			}
+			if got := op.ProfileSnapshot().Write.Chunks; got != int64(writes) {
+				t.Errorf("Profile.Write.Chunks = %d, the catalog holds %d chunk writes", got, writes)
+			}
+			commits, chunks := op.LoadCommits()
+			if commits != disk.segments.Load() || chunks != int64(writes) {
+				t.Errorf("LoadCommits = %d commits of %d chunks; the disk saw %d segment blobs, the catalog %d chunk writes",
+					commits, chunks, disk.segments.Load(), writes)
+			}
+			if commits >= chunks {
+				t.Errorf("%d commits for %d chunk writes: nothing was batched", commits, chunks)
 			}
 		})
+	}
+}
+
+// TestPendingChunkWrittenOnce: a chunk whose write is encoded but not yet
+// committed is pending, and nothing writes it again — not an eviction (the
+// cache of 2 evicts pending chunks all through the scan), not the safeguard
+// flush, not another idle quantum. Every chunk ends up loaded by exactly one
+// chunk write, each column in one group, and only once commits return.
+func TestPendingChunkWrittenOnce(t *testing.T) {
+	for _, policy := range []WritePolicy{Speculative, BufferedLoad} {
+		for _, workers := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%v,workers=%d", policy, workers), func(t *testing.T) {
+				env := newEnv(t, 1024, 4, nil)
+				op := New(env.store, env.table, Config{
+					Workers: workers, ChunkLines: 64, CacheChunks: 2, Policy: policy, Safeguard: true,
+				})
+				for q := 0; q < 2; q++ {
+					if sum, _ := sumViaOperator(t, op, env); sum != wantSum(env) {
+						t.Fatalf("sum = %d, want %d", sum, wantSum(env))
+					}
+					op.WaitIdle()
+				}
+				n := env.table.NumChunks()
+				if got := env.table.CountLoaded(allCols(4)); got != n {
+					t.Fatalf("%d of %d chunks loaded", got, n)
+				}
+				if _, chunks := op.LoadCommits(); chunks != int64(n) {
+					t.Errorf("%d chunk writes committed for %d chunks", chunks, n)
+				}
+				for id := 0; id < n; id++ {
+					meta, _ := env.table.Chunk(id)
+					held := map[int]int{}
+					for _, g := range meta.Groups {
+						for _, c := range g.Cols {
+							held[c]++
+						}
+					}
+					for c, k := range held {
+						if k > 1 {
+							t.Errorf("chunk %d holds column %d in %d groups", id, c, k)
+						}
+					}
+				}
+			})
+		}
 	}
 }

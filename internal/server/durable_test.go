@@ -132,6 +132,49 @@ func TestServerWarmStartMetrics(t *testing.T) {
 	}
 }
 
+// TestLoadCostMetrics: /metrics shows what loading costs the disk. A cold
+// scan over the durable stack loads every chunk through group commits — fewer
+// commits than chunks — and the fsyncs rise with them; a warm scan served from
+// the cache writes nothing, and every counter stays where it was.
+func TestLoadCostMetrics(t *testing.T) {
+	env, man := newDurableServerEnv(t, t.TempDir())
+	defer man.Close()
+	query := func(what string) map[string]any {
+		t.Helper()
+		status, out := postQuery(t, env, `{"sql": "`+sumSQL+`"}`)
+		if status != http.StatusOK {
+			t.Fatalf("%s query status = %d: %v", what, status, out)
+		}
+		if got := int64(out["rows"].([]any)[0].([]any)[0].(float64)); got != env.want {
+			t.Fatalf("%s sum = %d, want %d", what, got, env.want)
+		}
+		op, ok := env.srv.Operator("data")
+		if !ok {
+			t.Fatal("no operator after a query")
+		}
+		op.WaitIdle()
+		return metricsSnapshot(t, env)
+	}
+	before := metricsSnapshot(t, env)
+	cold := query("cold")
+	chunks := float64(env.spec.Rows / 64)
+	if got := cold["load_chunks_committed"].(float64); got != chunks {
+		t.Errorf("cold scan committed %v chunk writes, want all %v chunks", got, chunks)
+	}
+	if n := cold["load_commits"].(float64); n < 1 || n >= chunks {
+		t.Errorf("cold scan took %v commits for %v chunks", n, chunks)
+	}
+	if cold["store_syncs"].(float64) <= before["store_syncs"].(float64) || cold["store_sync_ms"].(float64) <= 0 {
+		t.Errorf("syncs %v -> %v (%v ms): loading synced nothing", before["store_syncs"], cold["store_syncs"], cold["store_sync_ms"])
+	}
+	warm := query("warm")
+	for _, k := range []string{"store_syncs", "store_sync_ms", "load_commits", "load_chunks_committed"} {
+		if warm[k] != cold[k] {
+			t.Errorf("%s moved on a warm scan: %v -> %v", k, cold[k], warm[k])
+		}
+	}
+}
+
 // TestDrainShedsNewQueries verifies the shutdown sequencing: once Drain has
 // claimed the admission slots, late arrivals are shed with 429 rather than
 // racing the checkpoint.

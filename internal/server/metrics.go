@@ -143,6 +143,16 @@ type MetricsSnapshot struct {
 	StoreChunksRecovered   int   `json:"store_chunks_recovered"`
 	StoreChunksInvalidated int   `json:"store_chunks_invalidated"`
 	StoreRecoveryMS        int64 `json:"store_recovery_ms"`
+
+	// What loading costs on the disk: the fsyncs of files and directories
+	// the store's disk and catalog journal have issued and the milliseconds
+	// spent in them, and the group commits the operators have made durable
+	// with the chunk writes they carried — each commit is one segment blob
+	// and one journal append, however many chunks it holds.
+	StoreSyncs          int64   `json:"store_syncs"`
+	StoreSyncMS         float64 `json:"store_sync_ms"`
+	LoadCommits         int64   `json:"load_commits"`
+	LoadChunksCommitted int64   `json:"load_chunks_committed"`
 }
 
 // MetricsSnapshot assembles the live metrics report. Utilization covers
@@ -195,6 +205,8 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	snap.StoreChunksRecovered = rec.ChunksRecovered
 	snap.StoreChunksInvalidated = rec.ChunksInvalidated
 	snap.StoreRecoveryMS = rec.RecoveryMS
+	syncs, syncTime := s.store.Syncs()
+	snap.StoreSyncs, snap.StoreSyncMS = syncs, float64(syncTime)/float64(time.Millisecond)
 	ops := s.operators()
 	snap.LiveOperators = len(ops)
 	for _, op := range ops {
@@ -202,6 +214,9 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		snap.CacheEntries += cs.Entries
 		snap.CachePinnedEntries += cs.PinnedEntries
 		snap.CachePinCount += cs.PinCount
+		commits, chunks := op.LoadCommits()
+		snap.LoadCommits += commits
+		snap.LoadChunksCommitted += chunks
 	}
 	if total := cache + db + raw + partial; total > 0 {
 		snap.CacheHitRate = float64(cache) / float64(total)

@@ -174,8 +174,9 @@ func (s *Server) operators() []*scanraw.Operator {
 
 // Drain quiesces the server for shutdown: it claims every admission slot
 // (blocking until in-flight queries finish, while new arrivals are shed with
-// 429), waits out each operator's background safeguard flush so speculative
-// writes complete, and compacts the catalog journal into a checkpoint. The
+// 429), waits out each operator's background writes and commits its open
+// batch (Operator.WaitIdle) so every speculative write is durable before the
+// checkpoint, and compacts the catalog journal into a checkpoint. The
 // slots are never released — a drained server stays drained. ctx bounds the
 // wait; on expiry the checkpoint still runs so whatever has finished is
 // compacted, and the context error is returned.

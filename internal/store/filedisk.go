@@ -39,6 +39,8 @@ type FileDisk struct {
 	handleMu sync.Mutex
 	handles  map[string]*readHandle
 
+	syncs syncMeter
+
 	readOps     atomic.Int64
 	writeOps    atomic.Int64
 	readBytes   atomic.Int64
@@ -55,14 +57,15 @@ var _ vdisk.Backend = (*FileDisk)(nil)
 
 // OpenFileDisk opens (creating if needed) a file-backed disk rooted at dir.
 func OpenFileDisk(dir string) (*FileDisk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating disk root: %w", err)
-	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: resolving disk root: %w", err)
 	}
-	return &FileDisk{root: abs, handles: make(map[string]*readHandle)}, nil
+	d := &FileDisk{root: abs, handles: make(map[string]*readHandle)}
+	if err := d.mkdirAll(abs); err != nil {
+		return nil, fmt.Errorf("store: creating disk root: %w", err)
+	}
+	return d, nil
 }
 
 // Root returns the root directory blobs live under.
@@ -84,6 +87,79 @@ func (d *FileDisk) path(name string) (string, error) {
 	return filepath.Join(d.root, filepath.FromSlash(name)), nil
 }
 
+// Syncs returns how many fsyncs of files and directories the disk has
+// issued, and the time spent in them.
+func (d *FileDisk) Syncs() (int64, time.Duration) { return d.syncs.Syncs() }
+
+// mkdirAll creates dir and any missing parents, then fsyncs the parent of
+// every directory it created: a new directory's entry is durable only once
+// its parent is synced, and a blob in a directory whose entry a crash loses
+// is lost with it. The leaf itself is synced by the caller, after the entry
+// it adds. Caller holds dirMu (or owns the disk).
+func (d *FileDisk) mkdirAll(dir string) error {
+	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
+		return nil
+	}
+	// top is the shallowest missing directory: everything from it down to
+	// dir is created here.
+	top := dir
+	for parent := filepath.Dir(top); parent != top; parent = filepath.Dir(top) {
+		if _, err := os.Stat(parent); err == nil {
+			break
+		}
+		top = parent
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for p := dir; ; p = filepath.Dir(p) {
+		if err := d.syncs.syncDir(filepath.Dir(p)); err != nil {
+			return err
+		}
+		if p == top {
+			return nil
+		}
+	}
+}
+
+// syncMeter is the one way a FileDisk or a Manifest fsyncs: it counts the
+// syncs of files and directories and the time they take — what a durable
+// write pays beyond its bytes. hook, when set (tests only), sees every
+// synced path.
+type syncMeter struct {
+	n, ns atomic.Int64
+	hook  func(path string)
+}
+
+// Sync fsyncs f.
+func (m *syncMeter) Sync(f *os.File) error {
+	start := time.Now()
+	err := f.Sync()
+	m.count(f.Name(), start)
+	return err
+}
+
+// syncDir fsyncs a directory.
+func (m *syncMeter) syncDir(dir string) error {
+	start := time.Now()
+	err := syncDir(dir)
+	m.count(dir, start)
+	return err
+}
+
+func (m *syncMeter) count(path string, start time.Time) {
+	m.ns.Add(int64(time.Since(start)))
+	m.n.Add(1)
+	if m.hook != nil {
+		m.hook(path)
+	}
+}
+
+// Syncs returns the sync count and the time spent syncing.
+func (m *syncMeter) Syncs() (int64, time.Duration) {
+	return m.n.Load(), time.Duration(m.ns.Load())
+}
+
 // syncDir fsyncs a directory so a just-created or just-renamed entry in it
 // survives power loss.
 func syncDir(dir string) error {
@@ -98,8 +174,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// writeFile is the atomic write: temp file in the destination directory,
-// write, fsync, rename over the final name, fsync the directory.
+// writeFile is the atomic write: temp file in the destination directory
+// (created, with its new parents synced, if missing), write, fsync, rename
+// over the final name, fsync the directory.
 func (d *FileDisk) writeFile(name string, p []byte) error {
 	path, err := d.path(name)
 	if err != nil {
@@ -108,7 +185,7 @@ func (d *FileDisk) writeFile(name string, p []byte) error {
 	dir := filepath.Dir(path)
 	d.dirMu.Lock()
 	defer d.dirMu.Unlock()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := d.mkdirAll(dir); err != nil {
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
 	tmp, err := os.CreateTemp(dir, tmpPrefix+filepath.Base(path)+"-")
@@ -124,7 +201,7 @@ func (d *FileDisk) writeFile(name string, p []byte) error {
 	if _, err := tmp.Write(p); err != nil {
 		return cleanup(err)
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := d.syncs.Sync(tmp); err != nil {
 		return cleanup(err)
 	}
 	if err := tmp.Close(); err != nil {
@@ -136,7 +213,7 @@ func (d *FileDisk) writeFile(name string, p []byte) error {
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
 	d.invalidate(name)
-	if err := syncDir(dir); err != nil {
+	if err := d.syncs.syncDir(dir); err != nil {
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
 	return nil
@@ -235,8 +312,8 @@ func (d *FileDisk) WriteBlob(name string, p []byte) error {
 	return nil
 }
 
-// Append appends p to the named blob (creating it if needed), fsyncs, and
-// returns the offset at which the data landed.
+// Append appends p to the named blob (creating it, and syncing the new
+// entry, if needed), fsyncs, and returns the offset at which the data landed.
 func (d *FileDisk) Append(name string, p []byte) (int64, error) {
 	path, err := d.path(name)
 	if err != nil {
@@ -245,14 +322,21 @@ func (d *FileDisk) Append(name string, p []byte) (int64, error) {
 	start := time.Now()
 	d.dirMu.Lock()
 	defer d.dirMu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := d.mkdirAll(dir); err != nil {
 		return 0, fmt.Errorf("store: appending %s: %w", name, err)
 	}
+	_, statErr := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("store: appending %s: %w", name, err)
 	}
 	defer f.Close()
+	if errors.Is(statErr, fs.ErrNotExist) {
+		if err := d.syncs.syncDir(dir); err != nil {
+			return 0, fmt.Errorf("store: appending %s: %w", name, err)
+		}
+	}
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("store: appending %s: %w", name, err)
@@ -261,7 +345,7 @@ func (d *FileDisk) Append(name string, p []byte) (int64, error) {
 	if _, err := f.Write(p); err != nil {
 		return 0, fmt.Errorf("store: appending %s: %w", name, err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := d.syncs.Sync(f); err != nil {
 		return 0, fmt.Errorf("store: appending %s: %w", name, err)
 	}
 	d.writeBusyNs.Add(int64(time.Since(start)))

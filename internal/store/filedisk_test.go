@@ -211,3 +211,55 @@ func TestFileDiskStats(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestFileDiskSyncsNewDirectories: a directory entry is durable only once its
+// parent is synced, so every directory WriteBlob or Append creates has its
+// parent synced — root included — before the call returns, and a blob or log
+// file a call creates has its own directory synced. A write into an existing
+// directory syncs the file and its directory and nothing else.
+func TestFileDiskSyncsNewDirectories(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "data")
+	var synced []string
+	d := &FileDisk{root: filepath.Join(base, "blobs"), handles: make(map[string]*readHandle)}
+	d.syncs.hook = func(path string) { synced = append(synced, path) }
+	if err := d.mkdirAll(d.root); err != nil {
+		t.Fatal(err)
+	}
+	has := func(want ...string) {
+		t.Helper()
+		for _, w := range want {
+			found := false
+			for _, p := range synced {
+				found = found || p == w
+			}
+			if !found {
+				t.Errorf("%s was not synced; synced: %v", w, synced)
+			}
+		}
+	}
+	has(filepath.Dir(base), base) // the root's two new entries
+	root := d.root
+
+	synced = nil
+	if err := d.WriteBlob("db/t/c00000000", []byte("segment")); err != nil {
+		t.Fatal(err)
+	}
+	has(root, filepath.Join(root, "db"), filepath.Join(root, "db", "t"))
+
+	synced = nil
+	if _, err := d.Append("log/x/journal", []byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	has(root, filepath.Join(root, "log"), filepath.Join(root, "log", "x"), filepath.Join(root, "log", "x", "journal"))
+
+	before, _ := d.Syncs()
+	if err := d.WriteBlob("db/t/c00000001", []byte("segment")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Append("log/x/journal", []byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := d.Syncs(); after-before != 3 {
+		t.Errorf("a write and an append into existing directories cost %d syncs, want 3 (file, directory; log file)", after-before)
+	}
+}

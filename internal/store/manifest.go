@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"scanraw/internal/wire"
 )
@@ -37,6 +38,7 @@ type Manifest struct {
 	ckpts     int64
 	replay    ReplayReport
 	fail      func(op string) error
+	syncs     syncMeter
 }
 
 const (
@@ -144,7 +146,7 @@ func (m *Manifest) Append(recs ...Record) error {
 	if _, err := m.log.Write(buf); err != nil {
 		return fmt.Errorf("store: appending manifest records: %w", err)
 	}
-	if err := m.log.Sync(); err != nil {
+	if err := m.syncs.Sync(m.log); err != nil {
 		return fmt.Errorf("store: syncing manifest log: %w", err)
 	}
 	m.appends += int64(len(recs))
@@ -215,7 +217,7 @@ func (m *Manifest) Replay() ([]Record, ReplayReport, error) {
 				return nil, rep, fmt.Errorf("store: rewriting manifest header: %w", err)
 			}
 		}
-		if err := m.log.Sync(); err != nil {
+		if err := m.syncs.Sync(m.log); err != nil {
 			return nil, rep, fmt.Errorf("store: syncing truncated manifest: %w", err)
 		}
 	}
@@ -255,7 +257,7 @@ func (m *Manifest) Checkpoint(recs []Record) error {
 	if _, err := tmp.Write(buf); err != nil {
 		return fail(err)
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := m.syncs.Sync(tmp); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
@@ -266,14 +268,14 @@ func (m *Manifest) Checkpoint(recs []Record) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: installing checkpoint: %w", err)
 	}
-	if err := syncDir(m.dir); err != nil {
+	if err := m.syncs.syncDir(m.dir); err != nil {
 		return fmt.Errorf("store: installing checkpoint: %w", err)
 	}
 	// The snapshot is durable; the log's records are now redundant.
 	if err := m.log.Truncate(int64(len(logMagic))); err != nil {
 		return fmt.Errorf("store: truncating manifest log: %w", err)
 	}
-	if err := m.log.Sync(); err != nil {
+	if err := m.syncs.Sync(m.log); err != nil {
 		return fmt.Errorf("store: truncating manifest log: %w", err)
 	}
 	m.appends = 0
@@ -288,6 +290,10 @@ func (m *Manifest) AppendsSinceCheckpoint() int64 {
 	defer m.mu.Unlock()
 	return m.appends
 }
+
+// Syncs returns how many fsyncs the manifest has issued since it was
+// opened, and the time spent in them.
+func (m *Manifest) Syncs() (int64, time.Duration) { return m.syncs.Syncs() }
 
 // Stats returns a snapshot of manifest activity.
 func (m *Manifest) Stats() ManifestStats {

@@ -285,6 +285,15 @@ func (d *Disk) Stats() Stats {
 	}
 }
 
+// Syncs reports the backend's fsync count and the time spent in them, when
+// it keeps them (a durable file backend does; memory has nothing to sync).
+func (d *Disk) Syncs() (int64, time.Duration) {
+	if s, ok := d.backend.(interface{ Syncs() (int64, time.Duration) }); ok {
+		return s.Syncs()
+	}
+	return 0, 0
+}
+
 // ResetStats zeroes the activity counters (the blobs are untouched).
 func (d *Disk) ResetStats() {
 	d.readOps.Store(0)
