@@ -225,19 +225,25 @@ func (c *Cache) MarkLoaded(id int) bool {
 	return true
 }
 
-// MarkPending records that the chunk's cached columns are encoded into a
-// write that is not committed yet: until Committed, it is neither loaded nor
-// a candidate for another write (AcquireOldestUnloaded, UnloadedIDs), and it
-// is evicted like a loaded chunk, without a write. It reports whether the
-// chunk was present.
+// MarkPending claims the chunk's write: its cached columns are about to be
+// encoded into a write that is not committed yet. Until Committed, it is
+// neither loaded nor a candidate for another write (AcquireOldestUnloaded,
+// UnloadedIDs), and it is evicted like a loaded chunk, without a write. It
+// reports false, claiming nothing, when the entry is loaded or already
+// pending — the write would store nothing or store it twice — and true for
+// an absent chunk, which no other writer can hold.
 func (c *Cache) MarkPending(id int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
-	if ok {
-		e.pending = true
+	if !ok {
+		return true
 	}
-	return ok
+	if e.stored() {
+		return false
+	}
+	e.pending = true
+	return true
 }
 
 // Committed ends the chunk's pending write: loaded lists, by schema ordinal,

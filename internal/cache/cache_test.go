@@ -337,16 +337,16 @@ func TestCacheInvariantsProperty(t *testing.T) {
 }
 
 // TestPendingWrite: a chunk whose write is encoded but not committed is
-// neither loaded nor a write candidate, and is evicted first, like a loaded
-// one, without asking for a write. Its commit marks it loaded only if the
+// neither loaded nor a write candidate, cannot be claimed by a second write,
+// and is evicted first, like a loaded one, without asking for a write. Its commit marks it loaded only if the
 // database holds every column it caches; a failed commit makes it a candidate
 // again.
 func TestPendingWrite(t *testing.T) {
 	c := New(2)
 	c.Put(mk(1), false)
 	c.Put(mk(2), false)
-	if !c.MarkPending(1) || c.MarkPending(99) {
-		t.Fatal("MarkPending reports presence wrong")
+	if !c.MarkPending(1) || c.MarkPending(1) || !c.MarkPending(99) {
+		t.Fatal("MarkPending claims wrong: want the first claim of 1, not the second, and the absent 99")
 	}
 	if c.IsLoaded(1) {
 		t.Error("a pending chunk counts as loaded")
@@ -380,6 +380,9 @@ func TestPendingWrite(t *testing.T) {
 	c.Committed(3, []bool{true})
 	if !c.IsLoaded(3) {
 		t.Error("a covering commit did not mark the chunk loaded")
+	}
+	if c.MarkPending(3) {
+		t.Error("a loaded chunk's write was claimed")
 	}
 	c.Committed(99, []bool{true}) // absent: ignored
 }

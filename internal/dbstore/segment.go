@@ -116,28 +116,23 @@ type Segment struct {
 	data   []byte
 }
 
-// WriteGroups partitions cols along the store's group width and returns the
-// groups of chunk id that are not loaded yet: what a write of those columns
-// has to store.
-func (s *Store) WriteGroups(t *Table, id int, cols []int) ([][]int, error) {
-	meta, ok := t.Chunk(id)
-	if !ok {
-		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", id, t.Name())
-	}
-	return s.writeGroups(t, meta, cols), nil
-}
-
-// EncodeSegment encodes the listed column groups of binary chunk bc into a
-// segment, on the calling goroutine. The chunk must already be registered
-// via EnsureChunk; nothing is written and nothing marked loaded until the
-// segment's commit.
-func (s *Store) EncodeSegment(t *Table, bc *chunk.BinaryChunk, groups [][]int) (*Segment, error) {
+// EncodeSegment encodes the listed columns of binary chunk bc that are not
+// loaded yet into a segment, on the calling goroutine: the columns are
+// partitioned along the store's group-width boundaries, and a group whose
+// columns are all loaded is skipped. It returns a nil segment when nothing is
+// left to write. The chunk must already be registered via EnsureChunk;
+// nothing is written and nothing marked loaded until the segment's commit.
+func (s *Store) EncodeSegment(t *Table, bc *chunk.BinaryChunk, cols []int) (*Segment, error) {
 	meta, ok := t.Chunk(bc.ID)
 	if !ok {
 		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", bc.ID, t.Name())
 	}
 	if meta.Rows != bc.Rows {
 		return nil, fmt.Errorf("dbstore: chunk %d has %d rows, catalog says %d", bc.ID, bc.Rows, meta.Rows)
+	}
+	groups := s.writeGroups(t, meta, cols)
+	if len(groups) == 0 {
+		return nil, nil
 	}
 	data, locs, err := buildSegment(bc, "", groups)
 	if err != nil {
@@ -203,17 +198,12 @@ func (s *Store) WriteCommit(t *Table, c *Commit) error {
 }
 
 // WriteChunkColumns stores the listed columns of binary chunk bc and marks
-// them loaded in the catalog: a commit of the one chunk. The columns are
-// partitioned along the store's group-width boundaries; groups whose columns
-// are all already loaded are skipped — a partially-loaded chunk writes only
+// them loaded in the catalog: a commit of the one chunk. Like EncodeSegment
+// it skips the groups already loaded — a partially-loaded chunk writes only
 // its missing groups, and re-writing a loaded chunk writes nothing.
 func (s *Store) WriteChunkColumns(t *Table, bc *chunk.BinaryChunk, cols []int) error {
-	groups, err := s.WriteGroups(t, bc.ID, cols)
-	if err != nil || len(groups) == 0 {
-		return err
-	}
-	g, err := s.EncodeSegment(t, bc, groups)
-	if err != nil {
+	g, err := s.EncodeSegment(t, bc, cols)
+	if err != nil || g == nil {
 		return err
 	}
 	var c Commit

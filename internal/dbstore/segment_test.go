@@ -143,11 +143,7 @@ func TestChunkWriteCosts(t *testing.T) {
 				if err := tbl.SetChunkStats(id, all, stats); err != nil {
 					t.Fatal(err)
 				}
-				groups, err := s.WriteGroups(tbl, id, all)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seg, err := s.EncodeSegment(tbl, bc, groups)
+				seg, err := s.EncodeSegment(tbl, bc, all)
 				if err != nil {
 					t.Fatal(err)
 				}

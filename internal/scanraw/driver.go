@@ -219,7 +219,7 @@ func (r *run) cachedFirst(ctx context.Context) error {
 // the whole chunk universe, then visits the validated order.
 func (r *run) drive(ctx context.Context) error {
 	o := r.op
-	o.flushWG.Wait()
+	o.flushes.wait()
 	r.disk = true
 	defer r.sc.release()
 	if r.req.Order == nil {

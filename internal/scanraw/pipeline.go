@@ -328,9 +328,9 @@ func (o *Operator) safeguardFlush() int {
 	if len(ids) == 0 && !o.table.HasPending() {
 		return 0
 	}
-	o.flushWG.Add(1)
+	o.flushes.start()
 	go func() {
-		defer o.flushWG.Done()
+		defer o.flushes.done()
 		err := o.flush(ids)
 		if err == nil {
 			err = o.table.JournalPending()
@@ -346,9 +346,6 @@ func (o *Operator) safeguardFlush() int {
 // batch, then commits it.
 func (o *Operator) flush(ids []int) error {
 	for _, id := range ids {
-		if o.cache.IsLoaded(id) {
-			continue
-		}
 		bc := o.cache.Acquire(id)
 		if bc == nil {
 			continue
@@ -679,7 +676,8 @@ func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 // scan order). Writing stops the moment READ wants the disk back. Once READ
 // has finished, what is still unloaded waits for the safeguard flush: a
 // quantum is an encode, CPU the scan's last conversions are waiting for,
-// and the flush starts the moment the run returns.
+// and the flush starts the moment the run returns. §4 also writes after
+// READ finishes; DESIGN.md §16 measures the departure.
 func (r *run) scheduler() {
 	defer r.schedWG.Done()
 	for {

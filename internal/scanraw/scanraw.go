@@ -347,12 +347,12 @@ type Operator struct {
 	textFree chan []byte
 	textOut  atomic.Int64
 
-	// flushWG tracks the background disk writes — the safeguard flush and
-	// the commits of batches that filled up; the next query's disk reads
-	// wait for them (§4: "only the reading of new chunks has to be delayed
-	// until flushing the cache is over"). A failed one reports on the next
-	// Run, through flushErr.
-	flushWG    sync.WaitGroup
+	// flushes tracks the safeguard flushes in flight; the next query's disk
+	// reads wait for them (§4: "only the reading of new chunks has to be
+	// delayed until flushing the cache is over"). A failed flush, or a
+	// failed commit of a batch that filled up, reports on the next Run,
+	// through flushErr.
+	flushes    flushGate
 	flushErrMu sync.Mutex
 	flushErr   error
 
@@ -399,15 +399,53 @@ func (o *Operator) CPU() *metrics.BusyCounter { return o.cpu }
 // ProfileSnapshot returns cumulative per-stage accounting.
 func (o *Operator) ProfileSnapshot() Profile { return o.prof.snapshot() }
 
-// WaitIdle blocks until the background writes — the safeguard flush and
-// commits — have completed, then commits whatever batch is still open: once
-// it returns, every chunk write issued so far is durable or has failed (a
-// failure reports on the next Run). A drain calls it before its checkpoint;
-// experiments call it to measure the amount of loaded data.
+// WaitIdle blocks until the safeguard flushes in flight have completed, then
+// commits whatever batch is still open, behind any commit in flight: once it
+// returns, every chunk write issued so far is durable or has failed (a
+// failure reports on the next Run). It is safe against concurrent queries. A
+// drain calls it before its checkpoint; experiments call it to measure the
+// amount of loaded data.
 func (o *Operator) WaitIdle() {
-	o.flushWG.Wait()
+	o.flushes.wait()
 	if err := o.commit(true); err != nil {
 		o.setFlushErr(err)
+	}
+}
+
+// flushGate counts background flushes. Unlike a sync.WaitGroup's, a wait may
+// overlap the start of another flush — Registry.Sweep and DB.WaitIdle wait
+// while queries run and end — and it waits only for the flushes in flight
+// when it was called. The zero value has none.
+type flushGate struct {
+	mu   sync.Mutex
+	n    int
+	idle chan struct{} // closed when n drops to 0
+}
+
+func (g *flushGate) start() {
+	g.mu.Lock()
+	if g.n == 0 {
+		g.idle = make(chan struct{})
+	}
+	g.n++
+	g.mu.Unlock()
+}
+
+func (g *flushGate) done() {
+	g.mu.Lock()
+	g.n--
+	if g.n == 0 {
+		close(g.idle)
+	}
+	g.mu.Unlock()
+}
+
+func (g *flushGate) wait() {
+	g.mu.Lock()
+	idle := g.idle
+	g.mu.Unlock()
+	if idle != nil {
+		<-idle
 	}
 }
 
@@ -551,32 +589,29 @@ type credit struct {
 // encodes the listed columns of the chunk — every present column when none
 // are named — that are not loaded yet as one segment, on the calling
 // goroutine and outside the disk arbiter, and adds the segment to the open
-// batch. A batch that fills is committed in the background (commit). The
-// chunk counts as written — ctr advanced by n, its cache entry marked loaded
-// once the catalog covers every column it holds — only when its commit's
-// append has returned; until then the entry is pending, so no other moment
-// picks it, and an eviction drops it without a write. It reports whether it
-// encoded anything.
+// batch. A batch that fills is committed on a goroutine of its own (commit);
+// nothing waits for it but the next commit, which the arbiter puts behind it.
+// The chunk counts as written — ctr advanced by n, its cache entry marked
+// loaded once the catalog covers every column it holds — only when its
+// commit's append has returned. Until then the entry is pending: no other
+// moment picks it, a write of it is refused here, and an eviction drops it
+// without a write. It reports whether it encoded anything.
 func (o *Operator) write(bc *BinaryChunk, cols []int, ctr *atomic.Int64, n int64) (bool, error) {
 	if cols == nil {
 		cols = bc.Present()
 	}
+	if !o.cache.MarkPending(bc.ID) {
+		return false, nil // loaded, or already in a batch
+	}
 	start := time.Now()
 	defer func() { o.prof.writeNs.Add(int64(time.Since(start))) }()
-	groups, err := o.store.WriteGroups(o.table, bc.ID, cols)
-	if err != nil {
-		return false, err
-	}
-	if len(groups) == 0 {
-		if meta, ok := o.table.Chunk(bc.ID); ok && meta.LoadedAll(bc.Present()) {
-			o.cache.MarkLoaded(bc.ID)
+	seg, err := o.store.EncodeSegment(o.table, bc, cols)
+	if err != nil || seg == nil {
+		var loaded []bool
+		if meta, ok := o.table.Chunk(bc.ID); ok && err == nil {
+			loaded = meta.Loaded
 		}
-		return false, nil
-	}
-	o.cache.MarkPending(bc.ID)
-	seg, err := o.store.EncodeSegment(o.table, bc, groups)
-	if err != nil {
-		o.cache.Committed(bc.ID, nil)
+		o.cache.Committed(bc.ID, loaded)
 		return false, err
 	}
 	o.batchMu.Lock()
@@ -585,13 +620,7 @@ func (o *Operator) write(bc *BinaryChunk, cols []int, ctr *atomic.Int64, n int64
 	full := o.batch.Full()
 	o.batchMu.Unlock()
 	if full {
-		o.flushWG.Add(1)
-		go func() {
-			defer o.flushWG.Done()
-			if err := o.commit(false); err != nil {
-				o.setFlushErr(err)
-			}
-		}()
+		go o.commit(false) // a failure reports through flushErr
 	}
 	return true, nil
 }
@@ -599,10 +628,12 @@ func (o *Operator) write(bc *BinaryChunk, cols []int, ctr *atomic.Int64, n int64
 // commit makes the open batch durable, under the disk arbiter: one segment
 // blob and one journal append (dbstore.WriteCommit), which carries the
 // table's pending statistics too. Then, still under the arbiter, it settles
-// the batch's chunk writes. Unless force is set only a full batch is
-// committed: a threshold commit that another overtook finds a batch it need
-// not write yet. Commits happen one at a time, in batch order, so once a
-// commit returns every chunk write added before it was called is settled.
+// the batch's chunk writes. Without force — the background commit of a
+// batch that filled — only a full batch is committed (one that another
+// commit overtook finds a batch it need not write yet), and a failure is
+// also left in flushErr. Commits happen one at a time, in batch order, so
+// once a commit returns every chunk write added before it was called is
+// settled.
 func (o *Operator) commit(force bool) error {
 	o.arbiter.Lock()
 	defer o.arbiter.Unlock()
@@ -623,6 +654,11 @@ func (o *Operator) commit(force bool) error {
 		o.prof.writeCh.Add(int64(b.Chunks()))
 	}
 	o.settle(credits, err == nil)
+	if err != nil && !force {
+		// A background commit fails its own run: the run's closing commit
+		// waits here behind it, and then reads flushErr.
+		o.setFlushErr(err)
+	}
 	return err
 }
 
