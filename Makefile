@@ -103,7 +103,9 @@ invariants:
 # two-stage reference, or both error), the compiled LIKE matcher's (it
 # equals the backtracking likeMatch), the expression evaluator's (a random
 # tree, as a value and as a WHERE selection, equals the node-by-node
-# reference, errors included), the row encoder's (its bytes equal
+# reference, errors included), the aggregation's (grouped and scalar state,
+# split over partials and merged through the wire, equals a row-at-a-time
+# fold), the row encoder's (its bytes equal
 # encoding/json's for the same row) and the raw scanner's (behind a disk of
 # short reads it carves tok.SplitChunks' chunks and reads exact extents). A
 # few seconds each is enough to catch structural regressions; long fuzz runs
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVector -fuzztime=5s ./internal/chunk
 	$(GO) test -run='^$$' -fuzz=FuzzLikeMatch -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzExprEval -fuzztime=5s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzGroupAgg -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrames -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=5s ./internal/store

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -210,20 +212,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count    int64
-	sumInt   int64
-	sumFloat float64
-	minI     int64
-	maxI     int64
-	minF     float64
-	maxF     float64
-	minS     string
-	maxS     string
-	seen     bool
-}
-
 // Executor evaluates a query over binary chunks with one Partial and is the
 // engine's only consume-side type. Consume calls come one at a time (the scan
 // calls Deliver serially); Bound may be read concurrently with them, from the
@@ -352,199 +340,286 @@ func appendKey(dst []byte, v *chunk.Vector, r int) []byte {
 	return append(dst, 0)
 }
 
-// addInt, addFloat and addStr fold one input value into the state. Every
-// field the value's type can feed is kept up to date whatever the aggregate
-// function, because the wire carries them all.
-func (st *aggState) addInt(x int64) {
-	st.count++
-	st.sumInt += x
-	if !st.seen || x < st.minI {
-		st.minI = x
-	}
-	if !st.seen || x > st.maxI {
-		st.maxI = x
-	}
-	st.seen = true
+// acc is one select item's aggregate state over every group of a table: one
+// column per field its function finalizes from, indexed by group ordinal —
+//
+//	COUNT     count
+//	SUM       sumI or sumF, by the input's type
+//	AVG       count, and sumI or sumF
+//	MIN, MAX  ext (the extreme, typed as the input) and seen
+//
+// A column the function does not keep is nil (for ext: its typed slice), and
+// the table's growth leaves it nil. A plain select item keeps nothing: it
+// echoes GROUP BY expression key, whose column holds its values.
+type acc struct {
+	fn    AggFunc
+	key   int
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	ext   chunk.Vector
+	seen  []bool
 }
 
-func (st *aggState) addFloat(x float64) {
-	st.count++
-	st.sumFloat += x
-	if !st.seen || x < st.minF {
-		st.minF = x
+// newAcc builds the empty state of one select item of a query grouped by
+// groupBy.
+func newAcc(it SelectItem, groupBy []Expr) acc {
+	a := acc{fn: it.Agg}
+	if it.Agg == AggNone {
+		// Validate has checked that a plain item is a GROUP BY expression.
+		for k, g := range groupBy {
+			if g.String() == it.Expr.String() {
+				a.key = k
+			}
+		}
+		return a
 	}
-	if !st.seen || x > st.maxF {
-		st.maxF = x
+	in := schema.Int64
+	if it.Expr != nil {
+		in = it.Expr.Type()
 	}
-	st.seen = true
-}
-
-func (st *aggState) addStr(x string) {
-	st.count++
-	if !st.seen || x < st.minS {
-		st.minS = x
+	if it.Agg == AggCount || it.Agg == AggAvg {
+		a.count = []int64{}
 	}
-	if !st.seen || x > st.maxS {
-		st.maxS = x
-	}
-	st.seen = true
-}
-
-// updateAggOrds folds the selected rows of v (nil for COUNT(*); sel nil:
-// rows 0..len(ords)-1) into one select item's states: row j goes to group
-// ords[j], whose state is aggs[ords[j]*width]. The input type is switched on
-// once, and rows are visited in order, so each group's float sum accumulates
-// in the order a row-at-a-time loop would have used.
-func updateAggOrds(aggs []aggState, width int, ords []int32, v *chunk.Vector, sel []int) {
-	switch {
-	case v == nil:
-		for _, o := range ords {
-			aggs[int(o)*width].count++
-		}
-	case v.Type == schema.Int64 && sel == nil:
-		for j, o := range ords {
-			aggs[int(o)*width].addInt(v.Ints[j])
-		}
-	case v.Type == schema.Int64:
-		for j, o := range ords {
-			aggs[int(o)*width].addInt(v.Ints[sel[j]])
-		}
-	case v.Type == schema.Float64 && sel == nil:
-		for j, o := range ords {
-			aggs[int(o)*width].addFloat(v.Floats[j])
-		}
-	case v.Type == schema.Float64:
-		for j, o := range ords {
-			aggs[int(o)*width].addFloat(v.Floats[sel[j]])
-		}
-	case sel == nil:
-		for j, o := range ords {
-			aggs[int(o)*width].addStr(v.Strs[j])
-		}
-	default:
-		for j, o := range ords {
-			aggs[int(o)*width].addStr(v.Strs[sel[j]])
-		}
-	}
-}
-
-// updateAggBulk folds an entire vector (or its selection) into st.
-func updateAggBulk(st *aggState, v *chunk.Vector, rows int, sel []int) {
-	if v == nil { // COUNT(*)
-		if sel != nil {
-			st.count += int64(len(sel))
+	if it.Agg == AggSum || it.Agg == AggAvg {
+		if in == schema.Float64 {
+			a.sumF = []float64{}
 		} else {
-			st.count += int64(rows)
+			a.sumI = []int64{}
 		}
-		return
 	}
-	if sel != nil {
-		switch v.Type {
-		case schema.Int64:
-			for _, r := range sel {
-				st.addInt(v.Ints[r])
-			}
-		case schema.Float64:
-			for _, r := range sel {
-				st.addFloat(v.Floats[r])
-			}
-		default:
-			for _, r := range sel {
-				st.addStr(v.Strs[r])
-			}
-		}
-		return
+	if it.Agg == AggMin || it.Agg == AggMax {
+		a.ext = emptyVector(in)
+		a.seen = []bool{}
 	}
-	st.count += int64(rows)
-	switch v.Type {
+	return a
+}
+
+// emptyVector is a vector of type t and no rows whose typed slice is not nil.
+func emptyVector(t schema.Type) chunk.Vector {
+	v := chunk.Vector{Type: t}
+	switch t {
 	case schema.Int64:
-		var sum int64
-		mn, mx := st.minI, st.maxI
-		if !st.seen && len(v.Ints) > 0 {
-			mn, mx = v.Ints[0], v.Ints[0]
-		}
-		for _, x := range v.Ints {
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		st.sumInt += sum
-		st.minI, st.maxI = mn, mx
+		v.Ints = []int64{}
 	case schema.Float64:
-		var sum float64
-		mn, mx := st.minF, st.maxF
-		if !st.seen && len(v.Floats) > 0 {
-			mn, mx = v.Floats[0], v.Floats[0]
-		}
-		for _, x := range v.Floats {
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		st.sumFloat += sum
-		st.minF, st.maxF = mn, mx
-	case schema.Str:
-		for _, x := range v.Strs {
-			if !st.seen || x < st.minS {
-				st.minS = x
-			}
-			if !st.seen || x > st.maxS {
-				st.maxS = x
-			}
-			st.seen = true
-		}
-		return
+		v.Floats = []float64{}
+	default:
+		v.Strs = []string{}
 	}
-	if rows > 0 {
-		st.seen = true
+	return v
+}
+
+// reserve makes room in a kept column (s not nil) for groups in all.
+func reserve[E any](s []E, groups int) []E {
+	if s == nil {
+		return nil
+	}
+	return slices.Grow(s, groups-len(s))
+}
+
+// extend appends a zero group to a kept column, within its reserved room.
+func extend[E any](s []E) []E {
+	if s == nil {
+		return nil
+	}
+	return s[:len(s)+1]
+}
+
+func reserveVector(v *chunk.Vector, groups int) {
+	v.Ints, v.Floats, v.Strs = reserve(v.Ints, groups), reserve(v.Floats, groups), reserve(v.Strs, groups)
+}
+
+func (a *acc) reserve(groups int) {
+	a.count, a.sumI, a.sumF, a.seen = reserve(a.count, groups), reserve(a.sumI, groups), reserve(a.sumF, groups), reserve(a.seen, groups)
+	reserveVector(&a.ext, groups)
+}
+
+// extend adds a zero group. Room beyond a column's length was never written
+// (reserve zeroes what it adds), so the new group starts from zero.
+func (a *acc) extend() {
+	a.count, a.sumI, a.sumF, a.seen = extend(a.count), extend(a.sumI), extend(a.sumF), extend(a.seen)
+	a.ext.Ints, a.ext.Floats, a.ext.Strs = extend(a.ext.Ints), extend(a.ext.Floats), extend(a.ext.Strs)
+}
+
+// update folds the selected rows of v (sel nil: rows 0..len(ords)-1) into
+// the item's state: row j goes to group ords[j]. v is nil for COUNT(*), and
+// COUNT(x) reads no value either — vectors have no NULLs. Rows are visited
+// in order, so each group's float sum accumulates in chunk order.
+func (a *acc) update(ords []int32, v *chunk.Vector, sel []int) {
+	if a.count != nil {
+		for _, o := range ords {
+			a.count[o]++
+		}
+	}
+	switch {
+	case a.sumI != nil:
+		sumOrds(a.sumI, ords, v.Ints, sel)
+	case a.sumF != nil:
+		sumOrds(a.sumF, ords, v.Floats, sel)
+	case a.seen != nil:
+		switch isMin := a.fn == AggMin; v.Type {
+		case schema.Int64:
+			extremeOrds(a.ext.Ints, a.seen, ords, v.Ints, sel, isMin)
+		case schema.Float64:
+			extremeOrds(a.ext.Floats, a.seen, ords, v.Floats, sel, isMin)
+		default:
+			extremeOrds(a.ext.Strs, a.seen, ords, v.Strs, sel, isMin)
+		}
 	}
 }
 
-// finalizeAgg converts one finished aggregate state into its output value;
-// t is the aggregated expression's type (zero for COUNT(*)).
-func finalizeAgg(f AggFunc, t schema.Type, st aggState) Value {
-	switch f {
-	case AggCount:
-		return IntValue(st.count)
-	case AggSum:
-		if t == schema.Float64 {
-			return FloatValue(st.sumFloat)
+// updateScalar is update for the single group of a query without GROUP BY,
+// over a chunk of rows rows.
+func (a *acc) updateScalar(v *chunk.Vector, rows int, sel []int) {
+	if a.count != nil {
+		if sel != nil {
+			rows = len(sel)
 		}
-		return IntValue(st.sumInt)
+		a.count[0] += int64(rows)
+	}
+	switch {
+	case a.sumI != nil:
+		sumScalar(&a.sumI[0], v.Ints, sel)
+	case a.sumF != nil:
+		sumScalar(&a.sumF[0], v.Floats, sel)
+	case a.seen != nil:
+		switch isMin := a.fn == AggMin; v.Type {
+		case schema.Int64:
+			extremeScalar(&a.ext.Ints[0], &a.seen[0], v.Ints, sel, isMin)
+		case schema.Float64:
+			extremeScalar(&a.ext.Floats[0], &a.seen[0], v.Floats, sel, isMin)
+		default:
+			extremeScalar(&a.ext.Strs[0], &a.seen[0], v.Strs, sel, isMin)
+		}
+	}
+}
+
+func sumOrds[T int64 | float64](sums []T, ords []int32, xs []T, sel []int) {
+	if sel == nil {
+		xs = xs[:len(ords)]
+		for j, o := range ords {
+			sums[o] += xs[j]
+		}
+		return
+	}
+	for j, o := range ords {
+		sums[o] += xs[sel[j]]
+	}
+}
+
+func extremeOrds[T cmp.Ordered](ext []T, seen []bool, ords []int32, xs []T, sel []int, isMin bool) {
+	for j, o := range ords {
+		r := j
+		if sel != nil {
+			r = sel[j]
+		}
+		if x := xs[r]; !seen[o] || beats(isMin, x, ext[o]) {
+			ext[o], seen[o] = x, true
+		}
+	}
+}
+
+// sumScalar adds the selected values to *sum. Without a selection the chunk
+// is summed on its own and then added, with one the values are added one by
+// one: the two orders every float SUM has always used.
+func sumScalar[T int64 | float64](sum *T, xs []T, sel []int) {
+	if sel == nil {
+		var s T
+		for _, x := range xs {
+			s += x
+		}
+		*sum += s
+		return
+	}
+	s := *sum
+	for _, r := range sel {
+		s += xs[r]
+	}
+	*sum = s
+}
+
+func extremeScalar[T cmp.Ordered](ext *T, seen *bool, xs []T, sel []int, isMin bool) {
+	e, ok := *ext, *seen
+	n := len(xs)
+	if sel != nil {
+		n = len(sel)
+	}
+	for j := 0; j < n; j++ {
+		r := j
+		if sel != nil {
+			r = sel[j]
+		}
+		if x := xs[r]; !ok || beats(isMin, x, e) {
+			e, ok = x, true
+		}
+	}
+	*ext, *seen = e, ok
+}
+
+// merge folds group so of src, an acc of the same select item, into group do.
+// A fresh group (one src's merge has just added) takes src's state as it
+// stands: adding to its zeros would turn a -0 float sum into +0.
+func (a *acc) merge(do int, src *acc, so int, fresh bool) {
+	if fresh {
+		a.set(do, src.state(so))
+		return
+	}
+	if a.count != nil {
+		a.count[do] += src.count[so]
+	}
+	if a.sumI != nil {
+		a.sumI[do] += src.sumI[so]
+	}
+	if a.sumF != nil {
+		a.sumF[do] += src.sumF[so]
+	}
+	if a.seen != nil && src.seen[so] && (!a.seen[do] || a.better(&src.ext, so, do)) {
+		a.set(do, src.state(so)) // a MIN or MAX keeps nothing but ext and seen
+	}
+}
+
+// better reports whether row so of ext beats group do's extreme.
+func (a *acc) better(ext *chunk.Vector, so, do int) bool {
+	switch isMin := a.fn == AggMin; ext.Type {
+	case schema.Int64:
+		return beats(isMin, ext.Ints[so], a.ext.Ints[do])
+	case schema.Float64:
+		return beats(isMin, ext.Floats[so], a.ext.Floats[do])
+	default:
+		return beats(isMin, ext.Strs[so], a.ext.Strs[do])
+	}
+}
+
+// beats reports whether x replaces the extreme y: strictly below it for a
+// MIN, above it for a MAX, so a NaN never replaces one and is never
+// replaced.
+func beats[T cmp.Ordered](isMin bool, x, y T) bool {
+	if isMin {
+		return x < y
+	}
+	return x > y
+}
+
+// value finalizes group ord's state into the item's output value.
+func (a *acc) value(ord int) Value {
+	switch a.fn {
+	case AggCount:
+		return IntValue(a.count[ord])
+	case AggSum:
+		if a.sumF != nil {
+			return FloatValue(a.sumF[ord])
+		}
+		return IntValue(a.sumI[ord])
 	case AggAvg:
-		if st.count == 0 {
+		if a.count[ord] == 0 {
 			return FloatValue(math.NaN())
 		}
-		if t == schema.Float64 {
-			return FloatValue(st.sumFloat / float64(st.count))
+		if a.sumF != nil {
+			return FloatValue(a.sumF[ord] / float64(a.count[ord]))
 		}
-		return FloatValue(float64(st.sumInt) / float64(st.count))
-	case AggMin:
-		switch t {
-		case schema.Int64:
-			return IntValue(st.minI)
-		case schema.Float64:
-			return FloatValue(st.minF)
-		default:
-			return StrValue(st.minS)
-		}
-	case AggMax:
-		switch t {
-		case schema.Int64:
-			return IntValue(st.maxI)
-		case schema.Float64:
-			return FloatValue(st.maxF)
-		default:
-			return StrValue(st.maxS)
-		}
+		return FloatValue(float64(a.sumI[ord]) / float64(a.count[ord]))
+	case AggMin, AggMax:
+		return valueAt(&a.ext, ord)
 	}
 	return Value{}
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -256,4 +259,309 @@ func fuzzChunk(t *testing.T, seed int64) *chunk.BinaryChunk {
 		}
 	}
 	return bc
+}
+
+// aggSch is FuzzGroupAgg's schema: integer columns of a narrow domain (n),
+// a wide one (w) and a mostly narrow one that now and then jumps far (m —
+// its keys outgrow the direct index part way through a chunk), a float
+// column and a string column.
+var aggSch = schema.MustNew(
+	schema.Column{Name: "n", Type: schema.Int64},
+	schema.Column{Name: "w", Type: schema.Int64},
+	schema.Column{Name: "m", Type: schema.Int64},
+	schema.Column{Name: "f", Type: schema.Float64},
+	schema.Column{Name: "s", Type: schema.Str},
+)
+
+// FuzzGroupAgg is the aggregation's differential target. The input draws a
+// query — no key, a column, `col % k` (k a power of two or not) or a
+// composite key; one to five items mixing COUNT(*), COUNT/SUM/AVG/MIN/MAX
+// over columns and expressions, repeated inputs and the echoed key; an
+// optional WHERE — and the seed draws up to six chunks, which one to three
+// partials split at chunk boundaries consume and which are merged, in chunk
+// order, after a trip through EncodePartial/DecodePartial. The Result must
+// equal refGroupAgg's: a row-at-a-time fold into a map of full per-cell
+// state. Floats are quarters, signed zeros and infinities, so every sum is
+// exact whatever the split; NaN is left out because a NaN extreme depends
+// on where the rows are split (DESIGN.md §7).
+func FuzzGroupAgg(f *testing.F) {
+	f.Add(int64(1), []byte{1, 0, 3, 0, 1, 2, 2, 3, 0})
+	f.Add(int64(2), []byte{2, 2, 2, 7, 4, 0, 0, 3, 6, 4, 2, 1, 1})
+	f.Add(int64(3), []byte{3, 3, 1, 1, 2, 0, 1, 4, 5, 1, 2})
+	f.Add(int64(4), []byte{0, 4, 1, 4, 3, 2, 2, 5, 1, 3, 0, 2})
+	f.Add(int64(5), []byte{1, 4, 5, 0, 4, 3, 6, 2, 1, 4, 4, 2, 0, 2})
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
+		sql := groupAggSQL(&treeDecoder{src: shape})
+		q, err := ParseSQL(sql, aggSch)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		chunks := aggChunks(t, rng)
+		want := refGroupAgg(t, q, chunks)
+
+		// Split points: the partials take consecutive runs of chunks.
+		cuts := []int{0, len(chunks)}
+		for i := rng.Intn(3); i > 0; i-- {
+			cuts = append(cuts, rng.Intn(len(chunks)+1))
+		}
+		slices.Sort(cuts)
+		var root *Partial
+		for i := 1; i < len(cuts); i++ {
+			p, err := NewPartial(q, aggSch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bc := range chunks[cuts[i-1]:cuts[i]] {
+				if err := p.Consume(bc); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			data, err := EncodePartial(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, err = DecodePartial(q, aggSch, data); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if root == nil {
+				root = p
+			} else if err := root.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := root.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %d groups, want %d", sql, len(got.Rows), len(want.Rows))
+		}
+		for i, row := range got.Rows {
+			for j, v := range row {
+				if !sameCellOrNaN(v, want.Rows[i][j]) {
+					t.Fatalf("%s: group %d (%v) column %d: %v, want %v", sql, i, want.Rows[i], j, v, want.Rows[i][j])
+				}
+			}
+		}
+	})
+}
+
+// groupAggSQL decodes FuzzGroupAgg's statement.
+func groupAggSQL(d *treeDecoder) string {
+	pick := func(opts ...string) string { return opts[d.next()%len(opts)] }
+	key := func() string {
+		if d.next()%2 == 0 {
+			return pick("n", "w", "m", "s", "f")
+		}
+		return pick("n", "w", "m") + " % " + pick("16", "7", "1024", "3", "1")
+	}
+	var keys []string
+	switch d.next() % 4 {
+	case 1, 2:
+		keys = []string{key()}
+	case 3:
+		keys = []string{key(), key()}
+	}
+	var items []string
+	for i := d.next()%5 + 1; i > 0; i-- {
+		switch c := d.next() % 8; {
+		case c == 0:
+			items = append(items, "COUNT(*)")
+		case c == 1 && len(keys) > 0:
+			items = append(items, keys[d.next()%len(keys)])
+		default:
+			fn := pick("COUNT", "SUM", "AVG", "MIN", "MAX")
+			in := pick("n", "w", "m", "f", "s", "n + m", "m % 5", "f + 1.5")
+			if in == "s" && (fn == "SUM" || fn == "AVG") {
+				fn = "MIN"
+			}
+			items = append(items, fn+"("+in+")")
+		}
+	}
+	sql := "SELECT " + strings.Join(items, ", ") + " FROM t"
+	if d.next()%2 == 1 {
+		sql += " WHERE " + pick("n < 3", "m % 2 = 0", "f >= 0.0", "s <> 'b'", "w > 0")
+	}
+	if len(keys) > 0 {
+		sql += " GROUP BY " + strings.Join(keys, ", ")
+	}
+	return sql
+}
+
+// aggChunks draws one to six chunks of zero to forty rows over aggSch.
+func aggChunks(t *testing.T, rng *rand.Rand) []*chunk.BinaryChunk {
+	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	strs := []string{"", "a", "b", "ab", "héllo", "z"}
+	wide := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1 << 40}
+	chunks := make([]*chunk.BinaryChunk, 1+rng.Intn(6))
+	for id := range chunks {
+		rows := rng.Intn(41)
+		bc := chunk.NewBinary(aggSch, id, rows)
+		n, w, m := chunk.NewVector(schema.Int64, rows), chunk.NewVector(schema.Int64, rows), chunk.NewVector(schema.Int64, rows)
+		fv, s := chunk.NewVector(schema.Float64, rows), chunk.NewVector(schema.Str, rows)
+		for r := 0; r < rows; r++ {
+			n.Ints[r] = rng.Int63n(17) - 8
+			w.Ints[r] = rng.Int63() - rng.Int63()
+			if rng.Intn(4) == 0 {
+				w.Ints[r] = wide[rng.Intn(len(wide))]
+			}
+			m.Ints[r] = rng.Int63n(64) - 20
+			if rng.Intn(30) == 0 {
+				m.Ints[r] = rng.Int63n(1<<20) - 1<<19
+			}
+			fv.Floats[r] = float64(rng.Intn(401)-200) * 0.25
+			if rng.Intn(20) == 0 {
+				fv.Floats[r] = floats[rng.Intn(len(floats))]
+			}
+			s.Strs[r] = strs[rng.Intn(len(strs))]
+		}
+		for c, v := range []*chunk.Vector{n, w, m, fv, s} {
+			if err := bc.SetColumn(c, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chunks[id] = bc
+	}
+	return chunks
+}
+
+// refCell is one item's state for one group in refGroupAgg: every field,
+// whatever the function.
+type refCell struct {
+	count, sumI int64
+	sumF        float64
+	min, max    Value
+	seen        bool
+}
+
+// refGroupAgg is the reference aggregation: each selected row, in chunk
+// order, looked up by its canonical key in a map and folded into every
+// cell; groups sorted by that key; a query without GROUP BY yields its one
+// row even over no rows.
+func refGroupAgg(t *testing.T, q *Query, chunks []*chunk.BinaryChunk) *Result {
+	type group struct {
+		keys  []Value
+		cells []refCell
+	}
+	groups := map[string]*group{}
+	if len(q.GroupBy) == 0 {
+		groups[""] = &group{cells: make([]refCell, len(q.Items))}
+	}
+	column := func(e Expr, bc *chunk.BinaryChunk) []Value {
+		vals, err := refColumn(e, bc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	for _, bc := range chunks {
+		keep := make([]bool, bc.Rows)
+		for r := range keep {
+			keep[r] = true
+		}
+		if q.Where != nil {
+			for r, v := range column(q.Where, bc) {
+				keep[r] = v.Int != 0
+			}
+		}
+		keyCols := make([][]Value, len(q.GroupBy))
+		for i, g := range q.GroupBy {
+			keyCols[i] = column(g, bc)
+		}
+		inputs := make([][]Value, len(q.Items))
+		for i, it := range q.Items {
+			if it.Agg != AggNone && it.Expr != nil {
+				inputs[i] = column(it.Expr, bc)
+			}
+		}
+		for r := 0; r < bc.Rows; r++ {
+			if !keep[r] {
+				continue
+			}
+			var kb []byte
+			keys := make([]Value, len(keyCols))
+			for i, col := range keyCols {
+				keys[i] = col[r]
+				switch v := col[r]; v.Typ {
+				case schema.Int64:
+					kb = strconv.AppendInt(kb, v.Int, 10)
+				case schema.Float64:
+					kb = strconv.AppendFloat(kb, v.Float, 'g', -1, 64)
+				default:
+					kb = append(kb, v.Str...)
+				}
+				kb = append(kb, 0)
+			}
+			g := groups[string(kb)]
+			if g == nil {
+				g = &group{keys: keys, cells: make([]refCell, len(q.Items))}
+				groups[string(kb)] = g
+			}
+			for i := range q.Items {
+				c := &g.cells[i]
+				c.count++
+				if inputs[i] == nil {
+					continue
+				}
+				x := inputs[i][r]
+				c.sumI += x.Int
+				c.sumF += x.Float
+				if !c.seen || compareValues(x, c.min) < 0 {
+					c.min = x
+				}
+				if !c.seen || compareValues(x, c.max) > 0 {
+					c.max = x
+				}
+				c.seen = true
+			}
+		}
+	}
+	names := make([]string, 0, len(groups))
+	for k := range groups {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	res := &Result{Cols: q.ColumnNames()}
+	for _, k := range names {
+		g := groups[k]
+		row := make([]Value, len(q.Items))
+		for i, it := range q.Items {
+			c := g.cells[i]
+			float := it.Expr != nil && it.Expr.Type() == schema.Float64
+			switch it.Agg {
+			case AggNone:
+				for j, e := range q.GroupBy {
+					if e.String() == it.Expr.String() {
+						row[i] = g.keys[j]
+					}
+				}
+			case AggCount:
+				row[i] = IntValue(c.count)
+			case AggSum:
+				row[i] = IntValue(c.sumI)
+				if float {
+					row[i] = FloatValue(c.sumF)
+				}
+			case AggAvg:
+				row[i] = FloatValue(float64(c.sumI) / float64(c.count))
+				if float {
+					row[i] = FloatValue(c.sumF / float64(c.count))
+				}
+				if c.count == 0 {
+					row[i] = FloatValue(math.NaN())
+				}
+			case AggMin, AggMax:
+				row[i] = c.min
+				if it.Agg == AggMax {
+					row[i] = c.max
+				}
+				if !c.seen {
+					row[i] = Value{Typ: it.Expr.Type()} // MIN and MAX of no rows
+				}
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math"
 	"strings"
@@ -13,7 +14,10 @@ import (
 // checkGolden compares got against a hex fixture (whitespace ignored). The
 // fixtures in this file were captured from the code as of PR 15, before the
 // codecs moved onto internal/wire: a test that encodes and decodes with the
-// same code revision cannot see format drift, frozen bytes can.
+// same code revision cannot see format drift, frozen bytes can. The one
+// fixture re-captured since is goldenPartialGroups, when each aggregate came
+// to keep only the fields its function reads; goldenPartialGroupsV1 keeps
+// the bytes it replaced.
 func checkGolden(t *testing.T, name, fixture string, got []byte) {
 	t.Helper()
 	if g := hex.EncodeToString(got); g != strings.Join(strings.Fields(fixture), "") {
@@ -21,7 +25,52 @@ func checkGolden(t *testing.T, name, fixture string, got []byte) {
 	}
 }
 
+// goldenPartialGroups: a field an item's function does not keep is zero
+// (see aggState).
 const goldenPartialGroups = `
+0102040100010200080000000000000000000000000000000000000000000000
+0000000000000000000300000000000000000000000000000000000000000000
+0000000000000004000000000000000000000000000000000000000000000000
+000000000000000000000000000000000000010000000000f87f000000000000
+00000000010000000000000000000000000000000000000000010000000000f8
+7f00000100000000000000000000000000000000000000000000000000000000
+00000100000000000000000000000a0000000000000000000000000000000000
+00010400010000000000f87f0000000000000000000000000000000000000000
+0004616263000102036162630800000000000000000000000000000000000000
+0000000000000000000000000066000000000000000000000000000000000000
+0000000000000000000000060000000000000000000000000000000000000000
+00000000000000000000000000000000000000000000000000000000d0bf0000
+0000000000000000010000000000000000000000000000000000000000000000
+0000000840000001000000000000000000000000000000000000000000000000
+0000000003616263000100000000000000000000005400000000000000000000
+0000000000000000010600000000000000154000000000000000000000000000
+00000000000000001368c3a96c6c6f20e4b896e7958c20f09f9c810001021268
+c3a96c6c6f20e4b896e7958c20f09f9c81080000000000000000000000000000
+000000000000000000000000000000000000efffffffffffffffff0100000000
+0000000000000000000000000000000000000000000000000004000000000000
+0000000000000000000000000000000000000000000000000000000000000000
+00000000000000000000f07f0000000000000000000001000000000000000000
+0000000000000000000000000000000000f07f00000100000000000000000000
+0000000000000000000000000000000000001268c3a96c6c6f20e4b896e7958c
+20f09f9c8100010000000000000000000000feffffffffffffffff0100000000
+0000000000000000000000000000010400010000000000f87f00000000000000
+0000000000000000000000000000037a7a000102027a7a080000000000000000
+000000000000000000000000000000000000000000000000ffffffffffffffff
+ff01000000000000000000000000000000000000000000000000000000000002
+0000000000000000000000000000000000000000000000000000000000000000
+00000000000000000000000000000000f0ff0000000000000000000001000000
+0000000000000000000000000000000000000000000000f0ff00000100000000
+000000000000000000000000000000000000000000000000027a7a0001000000
+0000000000000000ffffffffffffffffff010000000000000000000000000000
+00000000010200000000000000f0ff0000000000000000000000000000000000
+00000000
+`
+
+// goldenPartialGroupsV1 is goldenPartialGroups as written before each
+// aggregate kept only the fields its function reads: every item carried
+// every field its input type could feed. It stays a decode input
+// (TestGoldenPartialGroupsV1).
+const goldenPartialGroupsV1 = `
 0102040100010200080000000000000000000000000000000000000000000000
 0000000000000000040300000000000000000d0a000000000000000000000000
 0000000000000104000000000000000000000000000000000000000000000000
@@ -140,7 +189,7 @@ func checkGoldenPartials(t *testing.T, sch *schema.Schema, chunks []*chunk.Binar
 		chunkBase int
 		fixture   string
 	}{
-		{"partial_groups", "SELECT c2, SUM(c0), COUNT(*), MIN(c1), MAX(c1), MIN(c2), MAX(c0), AVG(c1) FROM data GROUP BY c2", 0, goldenPartialGroups},
+		{"partial_groups", goldenGroupsSQL, 0, goldenPartialGroups},
 		{"partial_topk", "SELECT c0, c1, c2 FROM data ORDER BY c0 DESC LIMIT 4", 5, goldenPartialTopK},
 		{"partial_rows", "SELECT c0, c1, c2 FROM data", 1 << 20, goldenPartialRows},
 	}
@@ -165,6 +214,59 @@ func checkGoldenPartials(t *testing.T, sch *schema.Schema, chunks []*chunk.Binar
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		checkGolden(t, tc.name+" re-encoded", tc.fixture, again)
+	}
+}
+
+// goldenGroupsSQL is the statement behind goldenPartialGroups: every
+// aggregate function over every input type.
+const goldenGroupsSQL = "SELECT c2, SUM(c0), COUNT(*), MIN(c1), MAX(c1), MIN(c2), MAX(c0), AVG(c1) FROM data GROUP BY c2"
+
+// TestGoldenPartialGroupsV1: a payload whose aggregates carry every field
+// their input could feed — what every encoder wrote before the state was
+// typed per function — decodes to the partial the same chunks build now
+// (same Result, and re-encoded, the current fixture), and merges with a
+// current partial, in either direction, as a current one does.
+func TestGoldenPartialGroupsV1(t *testing.T) {
+	sch, chunks := goldenChunks(t)
+	q, err := ParseSQL(goldenGroupsSQL, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := hex.DecodeString(strings.Join(strings.Fields(goldenPartialGroupsV1), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeV1 := func() *Partial {
+		p, err := DecodePartial(q, sch, v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fresh := func() *Partial { return feedPartial(t, q, sch, chunks) }
+
+	checkGolden(t, "V1 re-encoded", goldenPartialGroups, mustEncode(t, decodeV1()))
+	if !sameResult(mustResult(t, decodeV1()), mustResult(t, fresh())) {
+		t.Error("V1 payload: Result differs from the chunks'")
+	}
+	want := fresh()
+	if err := want.Merge(fresh()); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, wantRes := mustEncode(t, want), mustResult(t, want)
+	for name, pair := range map[string][2]*Partial{
+		"V1←current": {decodeV1(), fresh()},
+		"current←V1": {fresh(), decodeV1()},
+	} {
+		if err := pair[0].Merge(pair[1]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustEncode(t, pair[0]), wantBytes) {
+			t.Errorf("%s: merged partial differs from two current partials merged", name)
+		}
+		if !sameResult(mustResult(t, pair[0]), wantRes) {
+			t.Errorf("%s: merged Result differs from two current partials merged", name)
+		}
 	}
 }
 

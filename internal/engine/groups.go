@@ -10,8 +10,9 @@ import (
 
 // groupTable is a partial's aggregate state: groups are dense ordinals
 // 0..n-1 in order of first appearance, key values live in one column per
-// GROUP BY expression and aggregate state in one flat slice, so a group
-// costs no pointer and no allocation of its own.
+// GROUP BY expression and aggregate state in typed columns, one set per
+// select item (acc), so a group costs no pointer and no allocation of its
+// own, and an aggregate only the fields its function reads.
 //
 // A group's identity is its typed key values; how a row finds its ordinal
 // is the resolver, fixed per query shape when the table is built. The
@@ -19,15 +20,22 @@ import (
 // and the wire sort by — is derived per group, only where it is observable
 // (canonicalKeys), never per row.
 type groupTable struct {
-	kind  resolverKind
-	width int            // aggregate states per group: len(Query.Items)
-	n     int            // groups
-	keys  []chunk.Vector // one per GROUP BY expression, indexed by ordinal
-	aggs  []aggState     // aggs[ord*width+i] is select item i of group ord
+	kind resolverKind
+	n    int            // groups
+	room int            // groups every column has room for
+	keys []chunk.Vector // one per GROUP BY expression, indexed by ordinal
+	accs []acc          // one per select item
 
-	// resolveInt: open addressing on the raw key, at most half full, so a
-	// probe always ends on an empty slot. Slots are rebuilt from keys[0]
-	// when the table grows.
+	// resolveInt while the keys span fewer than directSpan values: the
+	// ordinal plus one of key k is direct[k-base] (mod 2^64, so every key
+	// has at most one entry), zero marking a key not seen. lo and hi are
+	// the smallest and largest key.
+	direct       []int32
+	base, lo, hi int64
+
+	// resolveInt once the keys outgrow that: open addressing on the raw
+	// key, at most half full, so a probe always ends on an empty slot.
+	// Slots are rebuilt from keys[0] when the table grows.
 	slots []intSlot
 	shift uint // 64 - log2(len(slots))
 
@@ -43,7 +51,7 @@ type resolverKind uint8
 
 const (
 	resolveScalar  resolverKind = iota // no GROUP BY: ordinal 0 is the only group
-	resolveInt                         // one Int64 key: hash table on the raw value
+	resolveInt                         // one Int64 key: direct index, then hash table on the raw value
 	resolveStr                         // one Str key: map probed with the vector's string
 	resolveGeneric                     // anything else: canonical key bytes → ordinal
 )
@@ -55,15 +63,26 @@ type intSlot struct {
 	ord int32
 }
 
-// minGroups is the number of groups a table has room for from the start.
-const minGroups = 32
+const (
+	// minGroups is the number of groups a table has room for from the
+	// start.
+	minGroups = 32
+	// directSpan bounds the direct index: keys spanning this many values
+	// or more (16 KiB of ordinals) go to the hash table. minDirect is its
+	// smallest size.
+	directSpan = 4096
+	minDirect  = 64
+)
 
 // newGroupTable builds an empty table for q. generic forces the generic
 // resolver whatever the key shape — the differential tests' oracle.
 func newGroupTable(q *Query, generic bool) *groupTable {
-	t := &groupTable{width: len(q.Items), keys: make([]chunk.Vector, len(q.GroupBy))}
+	t := &groupTable{keys: make([]chunk.Vector, len(q.GroupBy)), accs: make([]acc, len(q.Items))}
 	for i, g := range q.GroupBy {
-		t.keys[i].Type = g.Type()
+		t.keys[i] = emptyVector(g.Type())
+	}
+	for i, it := range q.Items {
+		t.accs[i] = newAcc(it, q.GroupBy)
 	}
 	switch {
 	case len(q.GroupBy) == 0:
@@ -73,7 +92,6 @@ func newGroupTable(q *Query, generic bool) *groupTable {
 		t.byKey = make(map[string]int32)
 	case t.keys[0].Type == schema.Int64:
 		t.kind = resolveInt
-		t.rehash(2 * minGroups)
 	default:
 		t.kind = resolveStr
 		t.byKey = make(map[string]int32)
@@ -84,9 +102,9 @@ func newGroupTable(q *Query, generic bool) *groupTable {
 
 // addGroup appends a zero-state group whose key values are row r of vecs
 // and returns its ordinal. Ordinals are int32: the state of 2^31 groups is
-// two hundred gigabytes, out of reach long before the ordinal overflows.
+// tens of gigabytes, out of reach long before the ordinal overflows.
 func (t *groupTable) addGroup(vecs []*chunk.Vector, r int) int32 {
-	if t.n == cap(t.aggs)/t.width {
+	if t.n == t.room {
 		t.grow()
 	}
 	for i, kv := range vecs {
@@ -99,7 +117,9 @@ func (t *groupTable) addGroup(vecs []*chunk.Vector, r int) int32 {
 			k.Strs = append(k.Strs, kv.Strs[r])
 		}
 	}
-	t.aggs = t.aggs[:len(t.aggs)+t.width]
+	for i := range t.accs {
+		t.accs[i].extend()
+	}
 	t.n++
 	return int32(t.n - 1)
 }
@@ -107,27 +127,20 @@ func (t *groupTable) addGroup(vecs []*chunk.Vector, r int) int32 {
 // grow doubles the room for groups (append would settle for a quarter more
 // and copy a large table five times over on its way up).
 func (t *groupTable) grow() {
-	groups := max(minGroups, 2*t.n)
-	t.aggs = slices.Grow(t.aggs, groups*t.width-len(t.aggs))
+	t.room = max(minGroups, 2*t.n)
 	for i := range t.keys {
-		switch k := &t.keys[i]; k.Type {
-		case schema.Int64:
-			k.Ints = slices.Grow(k.Ints, groups-t.n)
-		case schema.Float64:
-			k.Floats = slices.Grow(k.Floats, groups-t.n)
-		default:
-			k.Strs = slices.Grow(k.Strs, groups-t.n)
-		}
+		reserveVector(&t.keys[i], t.room)
+	}
+	for i := range t.accs {
+		t.accs[i].reserve(t.room)
 	}
 }
 
-// scalar returns the single group of a query without GROUP BY, creating it
-// on first use.
-func (t *groupTable) scalar() []aggState {
+// scalar creates the single group of a query without GROUP BY on first use.
+func (t *groupTable) scalar() {
 	if t.n == 0 {
 		t.addGroup(nil, 0)
 	}
-	return t.aggs[:t.width]
 }
 
 // resolve writes into ords the group ordinal of each selected row of the
@@ -141,25 +154,11 @@ func (t *groupTable) resolve(vecs []*chunk.Vector, sel []int, ords []int32) {
 		}
 		clear(ords)
 	case resolveInt:
-		ints := vecs[0].Ints
-		for j := range ords {
-			r := j
-			if sel != nil {
-				r = sel[j]
-			}
-			// Probe in place: an insertion may replace t.slots, so the
-			// slice is read afresh for every row.
-			k, mask := ints[r], uint64(len(t.slots)-1)
-			for i := intHash(k) >> t.shift; ; i = (i + 1) & mask {
-				if s := t.slots[i]; s.ord == 0 {
-					ords[j] = t.insertInt(i, k, vecs, r)
-					break
-				} else if s.key == k {
-					ords[j] = s.ord - 1
-					break
-				}
-			}
+		j := 0
+		if t.slots == nil {
+			j = t.resolveDirect(vecs, sel, ords)
 		}
+		t.resolveSlots(vecs, sel, ords, j)
 	case resolveStr:
 		strs := vecs[0].Strs
 		lastKey, lastOrd := t.lastKey, t.lastOrd
@@ -198,6 +197,104 @@ func (t *groupTable) resolve(vecs []*chunk.Vector, sel []int, ords []int32) {
 			ords[j] = ord
 		}
 		t.kb = kb
+	}
+}
+
+// resolveDirect resolves rows through the direct index until a new key
+// widens the keys' span to directSpan; it returns the number of rows
+// resolved, all of them unless the table has switched to slots.
+func (t *groupTable) resolveDirect(vecs []*chunk.Vector, sel []int, ords []int32) int {
+	ints := vecs[0].Ints
+	direct, base := t.direct, t.base
+	j := 0
+	if sel == nil {
+		// The common case, without the selection's indirection, up to
+		// the first key the index does not hold.
+		for ints := ints[:len(ords)]; j < len(ints); j++ {
+			i := uint64(ints[j]) - uint64(base)
+			if i >= uint64(len(direct)) || direct[i] == 0 {
+				break
+			}
+			ords[j] = direct[i] - 1
+		}
+	}
+	for ; j < len(ords); j++ {
+		r := j
+		if sel != nil {
+			r = sel[j]
+		}
+		k := ints[r]
+		if i := uint64(k) - uint64(base); i < uint64(len(direct)) && direct[i] != 0 {
+			ords[j] = direct[i] - 1
+			continue
+		}
+		ords[j] = t.addGroup(vecs, r)
+		if t.placeDirect(k) {
+			direct, base = t.direct, t.base
+			continue
+		}
+		return j + 1
+	}
+	return len(ords)
+}
+
+// placeDirect enters the newest group, of key k, in the direct index,
+// re-centring a larger index on the keys when k falls outside it. Once the
+// keys span directSpan values it builds the slots instead and reports false.
+func (t *groupTable) placeDirect(k int64) bool {
+	if t.n == 1 {
+		t.lo, t.hi = k, k
+	} else {
+		t.lo, t.hi = min(t.lo, k), max(t.hi, k)
+	}
+	if i := uint64(k) - uint64(t.base); i < uint64(len(t.direct)) {
+		t.direct[i] = int32(t.n)
+		return true
+	}
+	width := uint64(t.hi) - uint64(t.lo) + 1 // the keys' span; 0 if all 2^64
+	if width == 0 || width >= directSpan {
+		t.direct = nil
+		size := 2 * minGroups
+		for size < 2*t.n {
+			size *= 2
+		}
+		t.rehash(size)
+		return false
+	}
+	// At least twice the span, the slack split between both ends: a key
+	// that falls outside again has widened the span by half the slack.
+	size := uint64(minDirect)
+	for size < 2*width && size < directSpan {
+		size *= 2
+	}
+	t.base = int64(uint64(t.lo) - (size-width)/2)
+	t.direct = make([]int32, size)
+	for o, key := range t.keys[0].Ints {
+		t.direct[uint64(key)-uint64(t.base)] = int32(o) + 1
+	}
+	return true
+}
+
+// resolveSlots resolves rows j.. by probing the slots.
+func (t *groupTable) resolveSlots(vecs []*chunk.Vector, sel []int, ords []int32, j int) {
+	ints := vecs[0].Ints
+	for ; j < len(ords); j++ {
+		r := j
+		if sel != nil {
+			r = sel[j]
+		}
+		// Probe in place: an insertion may replace t.slots, so the
+		// slice is read afresh for every row.
+		k, mask := ints[r], uint64(len(t.slots)-1)
+		for i := intHash(k) >> t.shift; ; i = (i + 1) & mask {
+			if s := t.slots[i]; s.ord == 0 {
+				ords[j] = t.insertInt(i, k, vecs, r)
+				break
+			} else if s.key == k {
+				ords[j] = s.ord - 1
+				break
+			}
+		}
 	}
 }
 
@@ -242,7 +339,7 @@ func (t *groupTable) rehash(size int) {
 
 // merge folds o's groups into t: o's key columns resolve like the rows of a
 // chunk, a key t has not seen takes o's state as it stands and a shared one
-// merges aggregate by aggregate. The two tables may hold different ordinals
+// merges item by item. The two tables may hold different ordinals
 // for the same key, or different resolvers; the key values are the identity.
 func (t *groupTable) merge(o *groupTable) {
 	had := t.n
@@ -252,15 +349,9 @@ func (t *groupTable) merge(o *groupTable) {
 	}
 	ords := make([]int32, o.n)
 	t.resolve(vecs, nil, ords)
-	w := t.width
 	for oo, ord := range ords {
-		dst, src := t.aggs[int(ord)*w:][:w], o.aggs[oo*w:][:w]
-		if int(ord) >= had {
-			copy(dst, src)
-			continue
-		}
-		for i := range dst {
-			mergeAgg(&dst[i], &src[i])
+		for i := range t.accs {
+			t.accs[i].merge(int(ord), &o.accs[i], oo, int(ord) >= had)
 		}
 	}
 }

@@ -63,14 +63,21 @@ func groupChunks(t testing.TB, rng *rand.Rand, nc, rows int, keys []int64, strs 
 	return out
 }
 
-// intKeySets are the int key populations the hash table must get right:
-// small and negative values, the int64 extremes, a sequential run and
-// power-of-two strides (keys that differ only in high bits).
+// intKeySets are the int key populations the int resolver must get right:
+// small and negative values, the int64 extremes, a sequential run, narrow
+// keys joined by a far one, and power-of-two strides (keys that differ only
+// in high bits).
 func intKeySets() map[string][]int64 {
 	sets := map[string][]int64{
 		"small":    {0, 1, -1, 2, -2, 7, 16, -16},
 		"extremes": {math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64 + 1, math.MaxInt64 - 1},
 	}
+	// Mostly narrow, with a far key drawn now and then: the direct index
+	// gives way to the slots part way through the first chunk.
+	for i := int64(0); i < 40; i++ {
+		sets["narrow-then-far"] = append(sets["narrow-then-far"], i-8)
+	}
+	sets["narrow-then-far"] = append(sets["narrow-then-far"], 1<<33)
 	for i := int64(0); i < 300; i++ {
 		sets["sequential"] = append(sets["sequential"], i-150)
 		sets["stride-2^20"] = append(sets["stride-2^20"], (i-150)<<20)
@@ -220,6 +227,54 @@ func TestGroupResolversMatchGeneric(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIntResolverWidens: a single Int64 key resolves through the direct
+// index while its keys span fewer than directSpan values — re-centring it
+// as they spread — and hands over to the slots, with every group in place,
+// at the row whose key widens the span, even in the middle of a chunk.
+func TestIntResolverWidens(t *testing.T) {
+	seq := func(from, to, step int64) []int64 {
+		var keys []int64
+		for k := from; k <= to; k += step {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	for name, c := range map[string]struct {
+		keys  []int64
+		slots bool
+	}{
+		"narrow":             {seq(0, 31, 1), false},
+		"spreading":          {append(seq(0, 2000, 97), seq(-2000, 0, 89)...), false},
+		"widens mid-chunk":   {append(append(seq(0, 99, 1), 1<<40), seq(-5, 99, 1)...), true},
+		"outgrown spreading": {append(seq(0, 2000, 97), seq(-2200, 0, 89)...), true},
+		"extremes":           {[]int64{math.MaxInt64, math.MinInt64, 0, math.MaxInt64}, true},
+	} {
+		k, v := chunk.NewVector(schema.Int64, len(c.keys)), chunk.NewVector(schema.Int64, len(c.keys))
+		copy(k.Ints, c.keys)
+		for r := range v.Ints {
+			v.Ints[r] = int64(r)
+		}
+		bc := chunk.NewBinary(groupSch, 0, len(c.keys))
+		for i, vec := range []*chunk.Vector{k, v} {
+			if err := bc.SetColumn(i, vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q, err := ParseSQL("SELECT k, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY k", groupSch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := []*chunk.BinaryChunk{bc, bc}
+		typed, generic := feedGroups(t, q, chunks, false), feedGroups(t, q, chunks, true)
+		if got := typed.groups.slots != nil; got != c.slots {
+			t.Errorf("%s: resolving by slots is %v, want %v", name, got, c.slots)
+		}
+		if !bytes.Equal(mustEncode(t, typed), mustEncode(t, generic)) {
+			t.Errorf("%s: serialized partial differs from the generic resolver's", name)
+		}
 	}
 }
 

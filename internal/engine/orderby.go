@@ -19,14 +19,19 @@ type OrderItem struct {
 	Desc bool
 }
 
-// resolveOrderKey binds one parsed ORDER BY key (name or ordinal) to a
-// select-list ordinal.
-func resolveOrderKey(items []SelectItem, name string, ordinal int) (int, error) {
+// resolveOrderKey binds one parsed ORDER BY or HAVING key (name or
+// ordinal) to a select-list ordinal; clause names the clause in errors. call
+// marks a name followed by "(": an aggregate written out where the clause
+// takes a select-list name.
+func resolveOrderKey(items []SelectItem, clause, name string, ordinal int, call bool) (int, error) {
 	if name == "" {
 		if ordinal < 1 || ordinal > len(items) {
-			return 0, fmt.Errorf("engine: ORDER BY position %d out of range [1,%d]", ordinal, len(items))
+			return 0, fmt.Errorf("engine: %s position %d out of range [1,%d]", clause, ordinal, len(items))
 		}
 		return ordinal - 1, nil
+	}
+	if call {
+		return 0, fmt.Errorf("engine: %s cannot compute %s(...): name the aggregate in the select list with AS and use that name", clause, name)
 	}
 	for i, it := range items {
 		if it.Alias == name || it.Name() == name {
@@ -38,7 +43,7 @@ func resolveOrderKey(items []SelectItem, name string, ordinal int) (int, error) 
 			}
 		}
 	}
-	return 0, fmt.Errorf("engine: ORDER BY key %q does not name a select-list column", name)
+	return 0, fmt.Errorf("engine: %s key %q does not name a select-list column", clause, name)
 }
 
 // compareValues orders two result cells of the same type. Floats use a

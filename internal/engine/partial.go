@@ -26,11 +26,10 @@ type Partial struct {
 	q   *Query
 	sch *schema.Schema
 
-	groups  *groupTable // aggregate path
-	keyItem []int       // aggregate path: per select item, the GROUP BY expression a plain item outputs
-	rows    []prow      // non-aggregate path, unbounded (no LIMIT)
-	top     *topK       // non-aggregate path, bounded by LIMIT
-	done    bool
+	groups *groupTable // aggregate path
+	rows   []prow      // non-aggregate path, unbounded (no LIMIT)
+	top    *topK       // non-aggregate path, bounded by LIMIT
+	done   bool
 
 	sel  []int           // selection scratch, reused across chunks
 	cols []*chunk.Vector // project's select-item vectors, held until releaseProjection
@@ -64,19 +63,6 @@ func newPartial(q *Query, sch *schema.Schema, genericGroups bool) (*Partial, err
 		p.groups = newGroupTable(q, genericGroups)
 		vecs := make([]*chunk.Vector, len(q.GroupBy)+len(q.Items))
 		p.keyv, p.aggv = vecs[:0:len(q.GroupBy)], vecs[len(q.GroupBy):len(q.GroupBy)]
-		// Validate has checked that every plain item is a GROUP BY
-		// expression; find which one once, not per finalized group.
-		p.keyItem = make([]int, len(q.Items))
-		for i, it := range q.Items {
-			if it.Agg != AggNone {
-				continue
-			}
-			for k, g := range q.GroupBy {
-				if g.String() == it.Expr.String() {
-					p.keyItem[i] = k
-				}
-			}
-		}
 	} else if q.Limit > 0 {
 		p.top = &topK{p: p, k: q.Limit}
 	}
@@ -151,7 +137,9 @@ func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
 			return nil
 		}
 	}
-	// Evaluate group-by keys and aggregate inputs once per chunk.
+	// Evaluate group-by keys and aggregate inputs once per chunk. A plain
+	// item is a GROUP BY key (Validate), whose value Result takes from the
+	// key column: it is not evaluated here.
 	defer p.releaseAgg()
 	for _, g := range p.q.GroupBy {
 		v, err := g.Eval(bc)
@@ -162,7 +150,7 @@ func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
 	}
 	for _, it := range p.q.Items {
 		var v *chunk.Vector
-		if it.Expr != nil {
+		if it.Agg != AggNone && it.Expr != nil {
 			var err error
 			if v, err = it.Expr.Eval(bc); err != nil {
 				return err
@@ -176,10 +164,10 @@ func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
 		// This is the hot path for the paper's SUM benchmark query; it
 		// must stay cheap enough that SCANRAW, not the engine, is the
 		// measured component.
-		aggs := t.scalar()
+		t.scalar()
 		for i, it := range p.q.Items {
 			if it.Agg != AggNone {
-				updateAggBulk(&aggs[i], p.aggv[i], bc.Rows, sel)
+				t.accs[i].updateScalar(p.aggv[i], bc.Rows, sel)
 			}
 		}
 		return nil
@@ -194,7 +182,7 @@ func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
 	t.resolve(p.keyv, sel, ords)
 	for i, it := range p.q.Items {
 		if it.Agg != AggNone {
-			updateAggOrds(t.aggs[i:], t.width, ords, p.aggv[i], sel)
+			t.accs[i].update(ords, p.aggv[i], sel)
 		}
 	}
 	return nil
@@ -359,43 +347,6 @@ func (p *Partial) Merge(o *Partial) error {
 	return nil
 }
 
-// mergeAgg folds one aggregate state into another. Only the fields the
-// aggregate's type ever touched carry information, so merging every field
-// unconditionally is safe.
-func mergeAgg(dst, src *aggState) {
-	dst.count += src.count
-	dst.sumInt += src.sumInt
-	dst.sumFloat += src.sumFloat
-	if !src.seen {
-		return
-	}
-	if !dst.seen {
-		dst.minI, dst.maxI = src.minI, src.maxI
-		dst.minF, dst.maxF = src.minF, src.maxF
-		dst.minS, dst.maxS = src.minS, src.maxS
-		dst.seen = true
-		return
-	}
-	if src.minI < dst.minI {
-		dst.minI = src.minI
-	}
-	if src.maxI > dst.maxI {
-		dst.maxI = src.maxI
-	}
-	if src.minF < dst.minF {
-		dst.minF = src.minF
-	}
-	if src.maxF > dst.maxF {
-		dst.maxF = src.maxF
-	}
-	if src.minS < dst.minS {
-		dst.minS = src.minS
-	}
-	if src.maxS > dst.maxS {
-		dst.maxS = src.maxS
-	}
-}
-
 // Result materializes the final result and marks the partial finished. For
 // grouped queries rows are ordered by group key; non-aggregate rows are
 // ordered canonically (ORDER BY keys, then chunk provenance) — both
@@ -422,10 +373,11 @@ func (p *Partial) Result() (*Result, error) {
 	if t.kind == resolveScalar {
 		t.scalar() // a scalar aggregate over the empty input still yields a row
 	}
-	cells := make([]Value, t.n*t.width)
+	w := len(t.accs)
+	cells := make([]Value, t.n*w)
 	res.Rows = make([][]Value, t.n)
 	for i, k := range t.sorted() {
-		res.Rows[i] = cells[i*t.width:][:t.width:t.width]
+		res.Rows[i] = cells[i*w:][:w:w]
 		p.finalize(res.Rows[i], k.ord)
 	}
 	res.Rows = filterRows(res.Rows, p.q.Having)
@@ -440,16 +392,12 @@ func (p *Partial) Result() (*Result, error) {
 // output row.
 func (p *Partial) finalize(row []Value, ord int) {
 	t := p.groups
-	for i, it := range p.q.Items {
-		if it.Agg == AggNone {
-			row[i] = valueAt(&t.keys[p.keyItem[i]], ord)
-			continue
+	for i := range t.accs {
+		if a := &t.accs[i]; a.fn == AggNone {
+			row[i] = valueAt(&t.keys[a.key], ord)
+		} else {
+			row[i] = a.value(ord)
 		}
-		var typ schema.Type
-		if it.Expr != nil {
-			typ = it.Expr.Type()
-		}
-		row[i] = finalizeAgg(it.Agg, typ, t.aggs[ord*t.width+i])
 	}
 }
 

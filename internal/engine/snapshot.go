@@ -31,8 +31,9 @@ func (p *Partial) GroupAggs() []GroupAgg {
 	}
 	out := make([]GroupAgg, t.n)
 	for _, k := range t.canonicalKeys() {
-		ga := GroupAgg{Key: k.key, Keys: t.keyValues(k.ord), Aggs: make([]AggSnapshot, t.width)}
-		for i, st := range t.aggs[k.ord*t.width:][:t.width] {
+		ga := GroupAgg{Key: k.key, Keys: t.keyValues(k.ord), Aggs: make([]AggSnapshot, len(t.accs))}
+		for i := range t.accs {
+			st := t.accs[i].state(k.ord)
 			ga.Aggs[i] = AggSnapshot{Count: st.count, SumInt: st.sumInt, SumFloat: st.sumFloat}
 		}
 		out[k.ord] = ga

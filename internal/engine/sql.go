@@ -209,10 +209,15 @@ func (p *sqlParser) matchKw(kw string) bool {
 	return false
 }
 
+// peekOp reports whether the next token is the given operator.
+func (p *sqlParser) peekOp(op string) bool {
+	t := p.peek()
+	return t.kind == tokOp && t.text == op
+}
+
 // matchOp consumes the next token when it is the given operator.
 func (p *sqlParser) matchOp(op string) bool {
-	t := p.peek()
-	if t.kind == tokOp && t.text == op {
+	if p.peekOp(op) {
 		p.pos++
 		return true
 	}
@@ -359,13 +364,13 @@ func (p *sqlParser) parseHavingClause(items []SelectItem) (HavingClause, error) 
 		if reserved[strings.ToUpper(t.text)] {
 			return h, fmt.Errorf("sql: unexpected keyword %q in HAVING at offset %d", t.text, t.pos)
 		}
-		col, err = resolveOrderKey(items, t.text, 0)
+		col, err = resolveOrderKey(items, "HAVING", t.text, 0, p.peekOp("("))
 	case tokNumber:
 		n, convErr := strconv.Atoi(t.text)
 		if convErr != nil {
 			return h, fmt.Errorf("sql: invalid HAVING position %q", t.text)
 		}
-		col, err = resolveOrderKey(items, "", n)
+		col, err = resolveOrderKey(items, "HAVING", "", n, false)
 	default:
 		return h, fmt.Errorf("sql: HAVING expects a select-list column at offset %d", t.pos)
 	}
@@ -415,13 +420,13 @@ func (p *sqlParser) parseOrderKey(items []SelectItem) (OrderItem, error) {
 		if reserved[strings.ToUpper(t.text)] {
 			return key, fmt.Errorf("sql: unexpected keyword %q in ORDER BY at offset %d", t.text, t.pos)
 		}
-		col, err = resolveOrderKey(items, t.text, 0)
+		col, err = resolveOrderKey(items, "ORDER BY", t.text, 0, p.peekOp("("))
 	case tokNumber:
 		n, convErr := strconv.Atoi(t.text)
 		if convErr != nil {
 			return key, fmt.Errorf("sql: invalid ORDER BY position %q", t.text)
 		}
-		col, err = resolveOrderKey(items, "", n)
+		col, err = resolveOrderKey(items, "ORDER BY", "", n, false)
 	default:
 		return key, fmt.Errorf("sql: expected column or position in ORDER BY at offset %d", t.pos)
 	}

@@ -153,6 +153,36 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestOrderAndHavingKeyErrors: a key of either clause that names no
+// select-list column is reported under that clause, and an aggregate
+// written out in place of its select-list name says how to name it.
+func TestOrderAndHavingKeyErrors(t *testing.T) {
+	for sql, want := range map[string]string{
+		"SELECT b % 16, COUNT(*) FROM t GROUP BY b % 16 HAVING COUNT(*) > 0":       "HAVING cannot compute COUNT(...): name the aggregate in the select list with AS",
+		"SELECT b % 16, COUNT(*) FROM t GROUP BY b % 16 ORDER BY SUM(a)":           "ORDER BY cannot compute SUM(...): name the aggregate in the select list with AS",
+		"SELECT b, COUNT(*) FROM t GROUP BY b HAVING 5 > 0":                        "HAVING position 5 out of range [1,2]",
+		"SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY 5":                          "ORDER BY position 5 out of range [1,2]",
+		"SELECT b, COUNT(*) FROM t GROUP BY b HAVING n > 0":                        `HAVING key "n" does not name a select-list column`,
+		"SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY n":                          `ORDER BY key "n" does not name a select-list column`,
+		"SELECT b, COUNT(*) AS n FROM t GROUP BY b HAVING n > 0 ORDER BY x":        `ORDER BY key "x" does not name a select-list column`,
+		"SELECT b, COUNT(*) AS n FROM t GROUP BY b HAVING COUNT(b) > 0 ORDER BY n": "HAVING cannot compute COUNT(...)",
+	} {
+		_, err := ParseSQL(sql, testSch)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", sql, err, want)
+		}
+	}
+	// The named forms still resolve.
+	for _, sql := range []string{
+		"SELECT b, COUNT(*) AS n FROM t GROUP BY b HAVING n > 0 ORDER BY n DESC",
+		"SELECT b, COUNT(*) FROM t GROUP BY b HAVING 2 > 0 ORDER BY 2",
+	} {
+		if _, err := ParseSQL(sql, testSch); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+	}
+}
+
 func TestParseColumnNamedLikeAggregate(t *testing.T) {
 	// A schema whose column is literally "sum": without parens it must be
 	// treated as a column reference.

@@ -119,6 +119,78 @@ func decodeProw(d *wire.Dec, wantVals int) prow {
 	return pr
 }
 
+// aggState is one select item's state for one group as the wire carries
+// it: every field any function keeps, whatever the item's function. An acc
+// writes the fields its function keeps and zero in the others (state), and
+// reads back only its own (set), so a payload from an encoder that kept
+// every field decodes to the same state.
+type aggState struct {
+	count    int64
+	sumInt   int64
+	sumFloat float64
+	minI     int64
+	maxI     int64
+	minF     float64
+	maxF     float64
+	minS     string
+	maxS     string
+	seen     bool
+}
+
+// state is group ord's wire record.
+func (a *acc) state(ord int) aggState {
+	var st aggState
+	if a.count != nil {
+		st.count = a.count[ord]
+	}
+	if a.sumI != nil {
+		st.sumInt = a.sumI[ord]
+	}
+	if a.sumF != nil {
+		st.sumFloat = a.sumF[ord]
+	}
+	if a.seen == nil {
+		return st
+	}
+	st.seen = a.seen[ord]
+	v := valueAt(&a.ext, ord) // zero in the fields of the other types
+	if a.fn == AggMin {
+		st.minI, st.minF, st.minS = v.Int, v.Float, v.Str
+	} else {
+		st.maxI, st.maxF, st.maxS = v.Int, v.Float, v.Str
+	}
+	return st
+}
+
+// set installs a decoded wire record as group ord's state.
+func (a *acc) set(ord int, st aggState) {
+	if a.count != nil {
+		a.count[ord] = st.count
+	}
+	if a.sumI != nil {
+		a.sumI[ord] = st.sumInt
+	}
+	if a.sumF != nil {
+		a.sumF[ord] = st.sumFloat
+	}
+	if a.seen == nil {
+		return
+	}
+	a.seen[ord] = st.seen
+	v := Value{Int: st.minI, Float: st.minF, Str: st.minS}
+	if a.fn == AggMax {
+		v = Value{Int: st.maxI, Float: st.maxF, Str: st.maxS}
+	}
+	switch a.ext.Type {
+	case schema.Int64:
+		a.ext.Ints[ord] = v.Int
+	case schema.Float64:
+		a.ext.Floats[ord] = v.Float
+	default:
+		a.ext.Strs[ord] = v.Str
+	}
+}
+
 func encodeAggState(e *wire.Enc, st *aggState) {
 	e.Ivar(st.count)
 	e.Ivar(st.sumInt)
@@ -175,10 +247,10 @@ func EncodePartial(p *Partial, chunkBase int) ([]byte, error) {
 					return nil, err
 				}
 			}
-			e.Uvar(uint64(t.width))
-			states := t.aggs[k.ord*t.width:][:t.width]
-			for i := range states {
-				encodeAggState(e, &states[i])
+			e.Uvar(uint64(len(t.accs)))
+			for i := range t.accs {
+				st := t.accs[i].state(k.ord)
+				encodeAggState(e, &st)
 			}
 		}
 	case p.top != nil:
@@ -275,8 +347,8 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 				break
 			}
 			na := d.Count(maxWireCols, "aggregate count")
-			if d.Err() == nil && na != t.width {
-				d.Failf("group carries %d aggregates, query selects %d", na, t.width)
+			if d.Err() == nil && na != len(t.accs) {
+				d.Failf("group carries %d aggregates, query selects %d", na, len(t.accs))
 				break
 			}
 			if d.Err() != nil {
@@ -285,9 +357,8 @@ func DecodePartial(q *Query, sch *schema.Schema, data []byte) (*Partial, error) 
 			// Strictly ascending canonical keys are pairwise distinct, and so
 			// are the key values they encode: every group is a new one.
 			t.resolve(keyRow, nil, ord[:])
-			states := t.aggs[int(ord[0])*t.width:][:t.width]
-			for j := range states {
-				states[j] = decodeAggState(d)
+			for j := range t.accs {
+				t.accs[j].set(int(ord[0]), decodeAggState(d))
 			}
 		}
 	case wireKindTop:
