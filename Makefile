@@ -105,7 +105,8 @@ invariants:
 # tree, as a value and as a WHERE selection, equals the node-by-node
 # reference, errors included), the aggregation's (grouped and scalar state,
 # split over partials and merged through the wire, equals a row-at-a-time
-# fold), the row encoder's (its bytes equal
+# fold), the top-k heap's (a LIMIT over shuffled chunks split across partials
+# equals a full canonical sort cut to k), the row encoder's (its bytes equal
 # encoding/json's for the same row) and the raw scanner's (behind a disk of
 # short reads it carves tok.SplitChunks' chunks and reads exact extents). A
 # few seconds each is enough to catch structural regressions; long fuzz runs
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLikeMatch -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzExprEval -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzGroupAgg -fuzztime=5s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzTopK -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrames -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=5s ./internal/store

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"scanraw/internal/schema"
@@ -259,19 +260,102 @@ func TestRecycledVectorDropsCodes(t *testing.T) {
 
 var benchVec *Vector
 
-// BenchmarkDecodeVector is the widening loop of a warm page read: one
-// 8,192-row int32-narrow page into a pooled vector that is handed back.
-func BenchmarkDecodeVector(b *testing.B) {
-	p := EncodeVector(pageKinds(8192)["int32-narrow"])
-	b.SetBytes(8 * 8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := DecodeVector(p)
-		if err != nil {
-			b.Fatal(err)
+// TestDecodeBlockedLoops holds the numeric decoders' block-per-step loops to
+// the one-value-at-a-time reference at every way a page can meet them: row
+// counts on either side of each block boundary (0–33, and a full chunk ± 1)
+// and page bodies at every alignment mod 8, since a page starts at any
+// offset inside a group page. The values are hand-written bits — int32
+// extremes, wide ints, and NaNs with payloads, ±0 and ±Inf among floats —
+// and a page one byte short must fail like the reference does.
+func TestDecodeBlockedLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	floatBits := []uint64{
+		0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000001, 0x7ff4000000000000,
+		0xffffffffffffffff, 0x7ff0000000000000, 0xfff0000000000000, 0x8000000000000000, 0,
+	}
+	page := func(tag byte, width, n int, word func(i int) uint64) []byte {
+		p := make([]byte, vectorHeaderSize+width*n)
+		p[0] = tag
+		binary.LittleEndian.PutUint32(p[1:], uint32(n))
+		for i := 0; i < n; i++ {
+			b := p[vectorHeaderSize+width*i:]
+			if width == 4 {
+				binary.LittleEndian.PutUint32(b, uint32(word(i)))
+			} else {
+				binary.LittleEndian.PutUint64(b, word(i))
+			}
 		}
-		benchVec = v
-		PutVector(v)
+		return p
+	}
+	kinds := []struct {
+		name  string
+		build func(n int) []byte
+	}{
+		{"int32", func(n int) []byte {
+			edge := []int32{math.MinInt32, math.MaxInt32, -1, 0, 1}
+			return page(tagInt32, 4, n, func(i int) uint64 {
+				if i%5 == 0 {
+					return uint64(uint32(edge[i/5%len(edge)]))
+				}
+				return uint64(rng.Uint32())
+			})
+		}},
+		{"int64", func(n int) []byte {
+			return page(byte(schema.Int64), 8, n, func(int) uint64 { return rng.Uint64() })
+		}},
+		{"float64", func(n int) []byte {
+			return page(byte(schema.Float64), 8, n, func(i int) uint64 {
+				if i%3 == 0 {
+					return floatBits[i/3%len(floatBits)]
+				}
+				return rng.Uint64()
+			})
+		}},
+	}
+	var rows []int
+	for n := 0; n <= 33; n++ {
+		rows = append(rows, n)
+	}
+	rows = append(rows, 8191, 8192, 8193)
+	for _, k := range kinds {
+		for _, n := range rows {
+			p := k.build(n)
+			for off := 0; off < 8; off++ {
+				buf := make([]byte, off+len(p))
+				copy(buf[off:], p)
+				t.Run(fmt.Sprintf("%s/%d/off%d", k.name, n, off), func(t *testing.T) {
+					checkAgainstRef(t, buf[off:])
+					if n > 0 {
+						checkAgainstRef(t, buf[off:len(buf)-1])
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeVector is the widening loop of a warm page read: one
+// 8,192-row page into a pooled vector that is handed back — int32-narrow
+// (every int column of the paper's workload), int64-wide and float64. Bytes
+// are the decoded vector's, 8 per row, so the three compare.
+func BenchmarkDecodeVector(b *testing.B) {
+	kinds := pageKinds(8192)
+	for _, c := range []struct{ name, kind string }{
+		{"int32-narrow", "int32-narrow"}, {"int64-wide", "int64"}, {"float64", "float64"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := EncodeVector(kinds[c.kind])
+			b.SetBytes(8 * 8192)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := DecodeVector(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchVec = v
+				PutVector(v)
+			}
+		})
 	}
 }

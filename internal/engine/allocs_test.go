@@ -85,7 +85,8 @@ func TestGroupByAllocs(t *testing.T) {
 }
 
 // TestTopKAllocs: once the heap is full, a chunk none of whose rows enters
-// it materialises no row — what is left is consumeRows' per-chunk scratch.
+// it allocates nothing — no row, no scratch, and, through an Executor, no
+// copy of a bound that did not move.
 func TestTopKAllocs(t *testing.T) {
 	for _, c := range []struct {
 		sql   string
@@ -110,19 +111,36 @@ func TestTopKAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Consume(first); err != nil {
+		ex, err := NewExecutor(q, first.Schema())
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, consume := range []func(*chunk.BinaryChunk) error{p.Consume, ex.Consume} {
+			if err := consume(first); err != nil {
+				t.Fatal(err)
+			}
+		}
 		want, _ := p.Bound()
+		wantEx, _ := ex.Bound()
 		if n := testing.AllocsPerRun(20, func() {
 			if err := p.Consume(later); err != nil {
 				t.Fatal(err)
 			}
-		}); n > 4 {
-			t.Errorf("%s: %v allocations for a chunk that changes nothing, want at most 4", c.sql, n)
+		}); n != 0 {
+			t.Errorf("%s: %v allocations in Partial for a chunk that changes nothing, want 0", c.sql, n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := ex.ConsumeCounted(later); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations in Executor for a chunk that changes nothing, want 0", c.sql, n)
 		}
 		if got, _ := p.Bound(); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: bound moved from %v to %v", c.sql, want, got)
+		}
+		if got, _ := ex.Bound(); fmt.Sprint(got) != fmt.Sprint(wantEx) {
+			t.Errorf("%s: executor bound moved from %v to %v", c.sql, wantEx, got)
 		}
 	}
 }

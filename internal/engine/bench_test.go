@@ -279,3 +279,81 @@ func BenchmarkParseSQL(b *testing.B) {
 		}
 	}
 }
+
+// topKChunks is BenchmarkTopK's table, warm_mix's top-k class as one
+// executor sees it on a loaded 1M-row table: 128 chunk IDs of 8,192 rows,
+// cycling over 16 distinct chunks — c0 uniform 31-bit, c1 one of 16 values
+// (a first key of many ties), f uniform floats, s strings of c0.
+func topKChunks(tb testing.TB) []*chunk.BinaryChunk {
+	tb.Helper()
+	sch := schema.MustNew(
+		schema.Column{Name: "c0", Type: schema.Int64},
+		schema.Column{Name: "c1", Type: schema.Int64},
+		schema.Column{Name: "f", Type: schema.Float64},
+		schema.Column{Name: "s", Type: schema.Str},
+	)
+	const rows, distinct = 8192, 16
+	rng := rand.New(rand.NewSource(5))
+	data := make([]*chunk.BinaryChunk, distinct)
+	for i := range data {
+		c0, c1 := chunk.NewVector(schema.Int64, rows), chunk.NewVector(schema.Int64, rows)
+		f, s := chunk.NewVector(schema.Float64, rows), chunk.NewVector(schema.Str, rows)
+		for r := 0; r < rows; r++ {
+			c0.Ints[r], c1.Ints[r], f.Floats[r] = rng.Int63n(1<<31), rng.Int63n(16), rng.Float64()
+			s.Strs[r] = strconv.FormatInt(c0.Ints[r], 36)
+		}
+		data[i] = chunk.NewBinary(sch, i, rows)
+		for c, v := range []*chunk.Vector{c0, c1, f, s} {
+			if err := data[i].SetColumn(c, v); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	out := make([]*chunk.BinaryChunk, 128)
+	for id := range out {
+		bc := *data[id%distinct]
+		bc.ID = id
+		out[id] = &bc
+	}
+	return out
+}
+
+// BenchmarkTopK measures ORDER BY ... LIMIT and a bare LIMIT through one
+// executor over topKChunks, in Mrows/s: the top-k class's int key both
+// ways, a float and a string key, two keys whose first ties often, and a
+// LIMIT without ORDER BY.
+func BenchmarkTopK(b *testing.B) {
+	chunks := topKChunks(b)
+	for _, c := range []struct{ name, sql string }{
+		{"int-asc", "SELECT c0, c1 FROM t ORDER BY c0 LIMIT 10"},
+		{"int-desc", "SELECT c0, c1 FROM t ORDER BY c0 DESC LIMIT 10"},
+		{"float", "SELECT f, c0 FROM t ORDER BY f LIMIT 10"},
+		{"str", "SELECT s, c0 FROM t ORDER BY s LIMIT 10"},
+		{"ties", "SELECT c1, c0 FROM t ORDER BY c1, c0 DESC LIMIT 10"},
+		{"limit", "SELECT c0, c1 FROM t LIMIT 100"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			q, err := ParseSQL(c.sql, chunks[0].Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ex, err := NewExecutor(q, chunks[0].Schema())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, bc := range chunks {
+					if err := ex.Consume(bc); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := ex.Result(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(len(chunks)*chunks[0].Rows)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+		})
+	}
+}

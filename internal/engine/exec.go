@@ -288,14 +288,17 @@ type BoundHolder struct {
 	active bool
 	vals   []Value
 	ok     bool
+	seen   int // the heap's change count at the last update; only update reads it
 }
 
 // update refreshes the holder from p's heap. A top-k heap's worst row only
-// ever improves, so the latest bound is the tightest.
+// ever improves, so the latest bound is the tightest; a chunk that left the
+// heap as it was publishes nothing.
 func (b *BoundHolder) update(p *Partial) {
-	if !b.active {
+	if !b.active || b.seen == p.top.changes {
 		return
 	}
+	b.seen = p.top.changes
 	vals, ok := p.Bound()
 	if !ok {
 		return

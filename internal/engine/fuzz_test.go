@@ -565,3 +565,240 @@ func refGroupAgg(t *testing.T, q *Query, chunks []*chunk.BinaryChunk) *Result {
 	}
 	return res
 }
+
+// topSch is FuzzTopK's schema: an integer column of few values (i), a wide
+// one (w), a float column of few values — NaN, ±0 and ±Inf among them — a
+// string column of few values, and id, unique per row, which every query
+// selects last so that a tie broken by the wrong provenance shows.
+var topSch = schema.MustNew(
+	schema.Column{Name: "i", Type: schema.Int64},
+	schema.Column{Name: "w", Type: schema.Int64},
+	schema.Column{Name: "f", Type: schema.Float64},
+	schema.Column{Name: "s", Type: schema.Str},
+	schema.Column{Name: "id", Type: schema.Int64},
+)
+
+// FuzzTopK is the top-k heap's differential target. The input draws a
+// LIMIT query — one to three ORDER BY keys by position, ASC or DESC, over
+// columns and expressions, or none; an optional WHERE; k from 1 to past the
+// row count — and a seed the chunks, their delivery order (shuffled IDs)
+// and a split over executors, each partial maybe through the wire, joined
+// with Merge. The result must equal every selected row sorted canonically
+// (keys, then chunk, then row) and cut to k; after every chunk an
+// executor's published bound must be its heap's root, and its count the
+// WHERE's.
+func FuzzTopK(f *testing.F) {
+	f.Add(int64(1), []byte{2, 0, 1, 1, 0, 0, 3})
+	f.Add(int64(2), []byte{3, 2, 3, 1, 1, 0, 2, 0, 1, 1, 9})
+	f.Add(int64(3), []byte{1, 4, 0, 0, 5, 1, 0})
+	f.Add(int64(4), []byte{4, 5, 6, 2, 3, 1, 3, 1, 1, 0, 0, 3, 1, 40})
+	f.Add(int64(5), []byte{2, 1, 2, 2, 2, 0, 1, 1, 4, 0, 7})
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		chunks := topChunks(t, rng)
+		total := 0
+		for _, bc := range chunks {
+			total += bc.Rows
+		}
+		sql := topKSQL(&treeDecoder{src: shape}, total)
+		q, err := ParseSQL(sql, topSch)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		want := refTopK(t, q, chunks)
+
+		rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
+		cuts := []int{0, len(chunks)}
+		for i := rng.Intn(3); i > 0; i-- {
+			cuts = append(cuts, rng.Intn(len(chunks)+1))
+		}
+		slices.Sort(cuts)
+		var root *Partial
+		for i := 1; i < len(cuts); i++ {
+			ex, err := NewExecutor(q, topSch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bc := range chunks[cuts[i-1]:cuts[i]] {
+				matched, err := ex.ConsumeCounted(bc)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				if w := refMatched(t, q, bc); matched != w {
+					t.Fatalf("%s: chunk %d: %d rows matched, want %d", sql, bc.ID, matched, w)
+				}
+				got, gotOK := ex.Bound()
+				worst, full := ex.p.Bound()
+				if len(q.OrderBy) > 0 && (gotOK != full || fmt.Sprint(got) != fmt.Sprint(worst)) {
+					t.Fatalf("%s: chunk %d: published bound %v (%v), heap root %v (%v)", sql, bc.ID, got, gotOK, worst, full)
+				}
+			}
+			p, err := ex.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				data, err := EncodePartial(p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, err = DecodePartial(q, topSch, data); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			if root == nil {
+				root = p
+			} else if err := root.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := root.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", sql, len(got.Rows), len(want))
+		}
+		for i, row := range got.Rows {
+			for j, v := range row {
+				if !sameCellOrNaN(v, want[i][j]) {
+					t.Fatalf("%s: row %d: %v, want %v", sql, i, row, want[i])
+				}
+			}
+		}
+	})
+}
+
+// topKSQL decodes FuzzTopK's query over topSch, whose chunks hold total
+// rows.
+func topKSQL(d *treeDecoder, total int) string {
+	pick := func(opts ...string) string { return opts[d.next()%len(opts)] }
+	var items []string
+	for i := d.next()%3 + 1; i > 0; i-- {
+		items = append(items, pick("i", "w", "f", "s", "i + w", "f + 1.5", "i % 3"))
+	}
+	var keys []string
+	for i := d.next() % 4; i > 0; i-- {
+		keys = append(keys, strconv.Itoa(d.next()%len(items)+1)+pick("", " DESC", " ASC"))
+	}
+	sql := "SELECT " + strings.Join(items, ", ") + ", id FROM t"
+	if d.next()%2 == 1 {
+		sql += " WHERE " + pick("i < 1", "f >= 0.0", "s <> 'b'", "w > 0", "i % 2 = 0")
+	}
+	if len(keys) > 0 {
+		sql += " ORDER BY " + strings.Join(keys, ", ")
+	}
+	k := 1 + d.next()%8
+	if d.next()%2 == 1 {
+		k = 1 + d.next()%(total+3)
+	}
+	return sql + " LIMIT " + strconv.Itoa(k)
+}
+
+// topChunks draws one to six chunks of zero to forty rows over topSch; id
+// numbers the rows across them.
+func topChunks(t *testing.T, rng *rand.Rand) []*chunk.BinaryChunk {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1.5, -2.5}
+	strs := []string{"", "a", "b", "ab", "z"}
+	chunks := make([]*chunk.BinaryChunk, 1+rng.Intn(6))
+	next := int64(0)
+	for id := range chunks {
+		rows := rng.Intn(41)
+		bc := chunk.NewBinary(topSch, id, rows)
+		vecs := []*chunk.Vector{
+			chunk.NewVector(schema.Int64, rows), chunk.NewVector(schema.Int64, rows),
+			chunk.NewVector(schema.Float64, rows), chunk.NewVector(schema.Str, rows),
+			chunk.NewVector(schema.Int64, rows),
+		}
+		for r := 0; r < rows; r++ {
+			vecs[0].Ints[r] = rng.Int63n(5) - 2
+			vecs[1].Ints[r] = rng.Int63() - rng.Int63()
+			vecs[2].Floats[r] = floats[rng.Intn(len(floats))]
+			vecs[3].Strs[r] = strs[rng.Intn(len(strs))]
+			vecs[4].Ints[r] = next
+			next++
+		}
+		for c, v := range vecs {
+			if err := bc.SetColumn(c, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chunks[id] = bc
+	}
+	return chunks
+}
+
+// refMatched counts the rows of bc the query's WHERE selects, row by row.
+func refMatched(t *testing.T, q *Query, bc *chunk.BinaryChunk) int {
+	if q.Where == nil {
+		return bc.Rows
+	}
+	keep, err := refColumn(q.Where, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, v := range keep {
+		if v.Int != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// refTopK is the reference: every selected row's select-list values,
+// evaluated row by row, sorted by the ORDER BY keys, then chunk, then row,
+// and cut to the LIMIT.
+func refTopK(t *testing.T, q *Query, chunks []*chunk.BinaryChunk) [][]Value {
+	type ref struct {
+		chunk, row int
+		vals       []Value
+	}
+	var rows []ref
+	for _, bc := range chunks {
+		cols := make([][]Value, len(q.Items))
+		for i, it := range q.Items {
+			var err error
+			if cols[i], err = refColumn(it.Expr, bc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var keep []Value
+		if q.Where != nil {
+			var err error
+			if keep, err = refColumn(q.Where, bc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; r < bc.Rows; r++ {
+			if keep != nil && keep[r].Int == 0 {
+				continue
+			}
+			vals := make([]Value, len(cols))
+			for i := range cols {
+				vals[i] = cols[i][r]
+			}
+			rows = append(rows, ref{bc.ID, r, vals})
+		}
+	}
+	slices.SortFunc(rows, func(a, b ref) int {
+		for _, k := range q.OrderBy {
+			c := compareValues(a.vals[k.Column], b.vals[k.Column])
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		if a.chunk != b.chunk {
+			return a.chunk - b.chunk
+		}
+		return a.row - b.row
+	})
+	out := make([][]Value, 0, q.Limit)
+	for i := 0; i < len(rows) && i < q.Limit; i++ {
+		out = append(out, rows[i].vals)
+	}
+	return out
+}

@@ -32,7 +32,7 @@ type Partial struct {
 	done   bool
 
 	sel  []int           // selection scratch, reused across chunks
-	cols []*chunk.Vector // project's select-item vectors, held until releaseProjection
+	cols []*chunk.Vector // project's and consumeRows' select-item vectors, held until releaseProjection
 	keyv []*chunk.Vector // consumeAgg's GROUP BY vectors, held until releaseAgg
 	aggv []*chunk.Vector // consumeAgg's aggregate-input vectors, likewise
 	ords []int32         // consumeAgg's group ordinal per selected row
@@ -204,42 +204,91 @@ func (p *Partial) releaseAgg() {
 }
 
 func (p *Partial) consumeRows(bc *chunk.BinaryChunk, sel []int) error {
-	vecs := make([]*chunk.Vector, len(p.q.Items))
-	for i, it := range p.q.Items {
+	defer p.releaseProjection()
+	for _, it := range p.q.Items {
 		v, err := it.Expr.Eval(bc)
 		if err != nil {
 			return err
 		}
-		vecs[i] = v
+		p.cols = append(p.cols, v)
 	}
-	emit := func(r int) {
-		if p.top != nil && !p.top.admits(vecs, bc.ID, r) {
-			return
-		}
-		row := make([]Value, len(vecs))
-		for i, v := range vecs {
-			row[i] = valueAt(v, r)
-		}
-		pr := prow{chunk: bc.ID, row: r, vals: row}
-		if p.top != nil {
-			p.top.push(pr)
-		} else {
-			p.rows = append(p.rows, pr)
-		}
-	}
-	if sel == nil {
-		for r := 0; r < bc.Rows; r++ {
-			emit(r)
-		}
-	} else {
-		for _, r := range sel {
-			emit(r)
+	// Without ORDER BY a chunk's rows arrive in canonical order, so the
+	// first row a full heap turns away ends the chunk, and a chunk after the
+	// root's cannot enter at all. With it, a full heap takes only rows the
+	// candidate pass lets through.
+	inOrder := len(p.q.OrderBy) == 0
+	if t := p.top; t != nil && len(t.entries) == t.k {
+		if inOrder {
+			if bc.ID > t.entries[0].chunk {
+				return nil
+			}
+		} else if cand, ok := p.topCandidates(bc, sel); ok {
+			sel = cand
 		}
 	}
-	for i, v := range vecs {
-		releaseScratch(p.q.Items[i].Expr, v)
+	n := bc.Rows
+	if sel != nil {
+		n = len(sel)
+	}
+	for i := 0; i < n; i++ {
+		r := i
+		if sel != nil {
+			r = sel[i]
+		}
+		if !p.offer(bc.ID, r) && inOrder {
+			break
+		}
 	}
 	return nil
+}
+
+// offer hands row r of chunk id, whose select-item vectors are p.cols, to
+// the row buffer or the top-k heap. It reports false when a full heap
+// turned the row away, which it does before materialising the row.
+func (p *Partial) offer(id, r int) bool {
+	if p.top != nil && !p.top.admits(p.cols, id, r) {
+		return false
+	}
+	row := make([]Value, len(p.cols))
+	for i, v := range p.cols {
+		row[i] = valueAt(v, r)
+	}
+	pr := prow{chunk: id, row: r, vals: row}
+	if p.top != nil {
+		p.top.push(pr)
+	} else {
+		p.rows = append(p.rows, pr)
+	}
+	return true
+}
+
+// topCandidates narrows sel (nil: every row of bc) to the rows a full top-k
+// heap has to compare one by one, in one selection pass over the first
+// ORDER BY key when its vector is numeric: a row whose key sorts strictly
+// after the root's cannot enter, and the root only tightens while the chunk
+// is offered, so the rows kept are a superset of those the heap will admit.
+// Ties and unordered pairs (a NaN on either side) pass and meet the exact
+// comparison. ok is false for a string key, which keeps the row loop. The
+// candidates are written to the selection scratch, over sel if need be: the
+// kernel never writes ahead of the row it reads.
+func (p *Partial) topCandidates(bc *chunk.BinaryChunk, sel []int) (cand []int, ok bool) {
+	k := p.q.OrderBy[0]
+	v, root := p.cols[k.Column], p.top.entries[0].vals[k.Column]
+	if v.Type != root.Typ || v.Type == schema.Str {
+		return nil, false
+	}
+	keep := verdictOf(cmpTruth[OpLe])
+	if k.Desc {
+		keep = verdictOf(cmpTruth[OpGe])
+	}
+	if cap(p.sel) < bc.Rows {
+		p.sel = make([]int, bc.Rows)
+	}
+	dst := p.sel[:bc.Rows]
+	if v.Type == schema.Int64 {
+		return dst[:selectScalar(keep, dst, sel, v.Ints[:bc.Rows], root.Int)], true
+	}
+	return dst[:selectScalar(keep, dst, sel, v.Floats[:bc.Rows], root.Float)], true
 }
 
 // project evaluates the query's selection and projection over one chunk
@@ -438,6 +487,7 @@ type topK struct {
 	p       *Partial
 	k       int
 	entries []prow
+	changes int // pushes that changed the heap: the bound is copied out only when this moved
 }
 
 // push offers one row. When full, the row replaces the current worst if it
@@ -446,11 +496,13 @@ func (t *topK) push(pr prow) {
 	if len(t.entries) < t.k {
 		t.entries = append(t.entries, pr)
 		t.siftUp(len(t.entries) - 1)
+		t.changes++
 		return
 	}
 	if t.less(&pr, &t.entries[0]) {
 		t.entries[0] = pr
 		t.siftDown(0)
+		t.changes++
 	}
 }
 

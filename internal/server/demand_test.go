@@ -225,3 +225,66 @@ func TestCoalescerDemandAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestLimitInUnboundedBatchWaitsForScan pins down why a LIMIT's latency in
+// the daemon is its batch's, not its own: a LIMIT that joins the window an
+// unbounded aggregate opened shares the aggregate's scan, which must run to
+// end-of-file, and the batcher hands every member its result only once
+// RunSharedContext returns. Alone, the same LIMIT stops after a few chunks;
+// in the batch its reply carries the whole scan and saves nothing.
+func TestLimitInUnboundedBatchWaitsForScan(t *testing.T) {
+	const chunks = 32 // of 64 lines
+	env := newServerEnv(t, 2048, nil,
+		Config{MaxConcurrent: 8, CoalesceWindow: 400 * time.Millisecond},
+		scanraw.Config{Workers: 2, CacheChunks: 1})
+	const limitSQL = `{"sql": "SELECT c0, c1 FROM data LIMIT 5"}`
+	if status, out := postQuery(t, env, `{"sql": "SELECT COUNT(*) FROM data"}`); status != http.StatusOK {
+		t.Fatalf("discovery scan: status = %d: %v", status, out)
+	}
+	scanned := func(out map[string]any) (batch, scanned, saved int) {
+		stats := out["stats"].(map[string]any)
+		num := func(key string) int { v, _ := stats[key].(float64); return int(v) }
+		return num("batch_size"), num("scan_chunks_cache") + num("scan_chunks_db") + num("scan_chunks_raw") + num("scan_chunks_partial"), num("chunks_saved")
+	}
+
+	status, out := postQuery(t, env, limitSQL)
+	if status != http.StatusOK {
+		t.Fatalf("lone LIMIT: status = %d: %v", status, out)
+	}
+	if batch, n, saved := scanned(out); batch != 1 || n >= chunks || saved == 0 {
+		t.Fatalf("lone LIMIT: batch_size %d, %d of %d chunks scanned, %d saved: want a scan of its own that stops early", batch, n, chunks, saved)
+	}
+
+	// The aggregate opens a window; the LIMIT joins it (a bounded query may
+	// join an unbounded batch — only the reverse is refused).
+	aggDone := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(env.ts.URL+"/query", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"sql": %q}`, sumSQL)))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		aggDone <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the window open
+	status, out = postQuery(t, env, limitSQL)
+	if status != http.StatusOK {
+		t.Fatalf("batched LIMIT: status = %d: %v", status, out)
+	}
+	if got := len(out["rows"].([]any)); got != 5 {
+		t.Errorf("batched LIMIT: %d rows, want 5", got)
+	}
+	if err := <-aggDone; err != nil {
+		t.Fatalf("aggregate: %v", err)
+	}
+	batch, n, saved := scanned(out)
+	if batch != 2 {
+		t.Fatalf("batched LIMIT: batch_size %d, want 2 (the LIMIT must share the aggregate's scan)", batch)
+	}
+	if n != chunks || saved != 0 {
+		t.Errorf("batched LIMIT: %d of %d chunks scanned, %d saved: want its reply to wait for the whole scan", n, chunks, saved)
+	}
+}
