@@ -60,14 +60,15 @@ stress:
 
 # Wall-clock checks: the shape checks of the paper-figure experiments
 # (parallel beats sequential, wide chunks cost more than narrow, push-down
-# beats standard conversion) and the three speed-up floors (fused kernel over
+# beats standard conversion) and the four speed-up floors (fused kernel over
 # tok+parse, per-column pages over full-width for a narrow query, OLA
-# time-to-bound over the full scan; each >= 1.5, taken between interleaved
-# runs inside one process — testutil.SpeedupFloor). One duration compared
+# time-to-bound over the full scan, the row encoder's integers over
+# strconv's; each >= 1.5, taken between interleaved runs inside one process
+# — testutil.SpeedupFloor). One duration compared
 # against another only means something with the package alone on the machine,
 # hence -p 1 and the experiments build tag; `go test ./...` keeps the
 # schedule-independent assertions. CI runs this nightly, after stress.
-EXPERIMENT_PKGS = ./internal/bench/ ./internal/kernel/ ./internal/scanraw/ ./internal/ola/
+EXPERIMENT_PKGS = ./internal/bench/ ./internal/kernel/ ./internal/scanraw/ ./internal/ola/ ./internal/queryapi/
 
 experiments-check:
 	$(GO) vet -tags experiments $(EXPERIMENT_PKGS)
@@ -107,10 +108,10 @@ invariants:
 # split over partials and merged through the wire, equals a row-at-a-time
 # fold), the top-k heap's (a LIMIT over shuffled chunks split across partials
 # equals a full canonical sort cut to k), the row encoder's (its bytes equal
-# encoding/json's for the same row) and the raw scanner's (behind a disk of
-# short reads it carves tok.SplitChunks' chunks and reads exact extents). A
-# few seconds each is enough to catch structural regressions; long fuzz runs
-# stay manual.
+# encoding/json's for the same row, its integers strconv.AppendInt's) and the
+# raw scanner's (behind a disk of short reads it carves tok.SplitChunks'
+# chunks and reads exact extents). A few seconds each is enough to catch
+# structural regressions; long fuzz runs stay manual.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDec -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVector -fuzztime=5s ./internal/chunk
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameMessage -fuzztime=5s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFusedKernel -fuzztime=5s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=5s ./internal/queryapi
+	$(GO) test -run='^$$' -fuzz=FuzzAppendInt -fuzztime=5s ./internal/queryapi
 	$(GO) test -run='^$$' -fuzz=FuzzRawScanner -fuzztime=5s ./internal/scanraw
 
 # Non-test lines per internal/ package and in total — every line, then code

@@ -1,7 +1,9 @@
 package queryapi
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -47,7 +49,7 @@ func AppendChunk(dst []byte, cols []*chunk.Vector, sel []int, n int) []byte {
 			}
 			switch v.Type {
 			case schema.Int64:
-				dst = strconv.AppendInt(dst, v.Ints[r], 10)
+				dst = appendInt(dst, v.Ints[r])
 			case schema.Float64:
 				dst = appendFloat(dst, v.Floats[r])
 			default:
@@ -68,7 +70,7 @@ func appendRow(dst []byte, row []engine.Value) []byte {
 		}
 		switch v.Typ {
 		case schema.Int64:
-			dst = strconv.AppendInt(dst, v.Int, 10)
+			dst = appendInt(dst, v.Int)
 		case schema.Float64:
 			dst = appendFloat(dst, v.Float)
 		default:
@@ -76,6 +78,75 @@ func appendRow(dst []byte, row []engine.Value) []byte {
 		}
 	}
 	return append(dst, ']')
+}
+
+// digitPairs is "00" "01" … "99": the two digits of n at [2n, 2n+2).
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendInt appends x in decimal: exactly the bytes of
+// strconv.AppendInt(dst, x, 10), written only into dst[len(dst):] of the
+// result (spare capacity is never scratch space).
+func appendInt(dst []byte, x int64) []byte {
+	u := uint64(x)
+	if x < 0 {
+		dst = append(dst, '-')
+		u = -u // MinInt64 too: its magnitude is 1<<63 as a uint64
+	}
+	return appendUint(dst, u)
+}
+
+// appendUint is appendInt's magnitude. Below 100 it is a digit or a digit
+// pair; below 1e8 one eightDigits word cut to its significant bytes. From
+// 1e8 the low eight digits are one eightDigits word stored whole after the
+// head: below 1e10 — most of a 31-bit column — a head of one or two digits,
+// above it the head formatted the same way.
+func appendUint(dst []byte, u uint64) []byte {
+	switch {
+	case u < 10:
+		return append(dst, byte('0'+u))
+	case u < 100:
+		return append(dst, digitPairs[2*u], digitPairs[2*u+1])
+	case u < 1e8:
+		w := eightDigits(u)
+		lead := bits.TrailingZeros64(w-0x3030303030303030) >> 3 // u ≥ 10: some lane is nonzero
+		var a [8]byte
+		binary.LittleEndian.PutUint64(a[:], w)
+		return append(dst, a[lead:]...)
+	case u < 1e10:
+		h := u / 1e8
+		if h < 10 {
+			dst = append(dst, byte('0'+h))
+		} else {
+			dst = append(dst, digitPairs[2*h], digitPairs[2*h+1])
+		}
+		return binary.LittleEndian.AppendUint64(dst, eightDigits(u-h*1e8))
+	default:
+		h := u / 1e8
+		return binary.LittleEndian.AppendUint64(appendUint(dst, h), eightDigits(u-h*1e8))
+	}
+}
+
+// eightDigits turns u < 1e8 into its eight ASCII digits, zero-padded, most
+// significant in the low byte. Each step halves the lane width: 4+4 digits
+// in two 32-bit lanes, 2-digit values in 16-bit lanes by a multiply-shift
+// /100, digits in bytes by a multiply-shift /10. Each product fits its
+// lane, and the mask drops what the shift brings down from the lane above.
+func eightDigits(u uint64) uint64 {
+	v := u/1e4 | (u%1e4)<<32
+	hi := (v * 5243 >> 19) & 0x0000007f0000007f // x/100 for x < 1e4 (5243/2^19)
+	v = hi | (v-hi*100)<<16
+	hi = (v * 103 >> 10) & 0x000f000f000f000f // x/10 for x < 100 (103/2^10)
+	v = hi | (v-hi*10)<<8
+	return v + 0x3030303030303030
 }
 
 // Float is a float64 that marshals by the row encoder's rule, for the

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,11 @@ func checkRow(t *testing.T, row []engine.Value) {
 }
 
 var (
-	edgeInts   = []int64{0, 1, -1, 9, 10, 99, 100, -100, 1 << 31, -(1 << 31), 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	edgeInts = []int64{
+		0, 1, -1, 9, 10, 99, 100, -100, 1 << 31, -(1 << 31), 1<<53 + 1, math.MaxInt64, math.MinInt64,
+		1e8 - 1, 1e8, 1e8 + 1, -1e8 + 1, -1e8, -1e8 - 1, 1e10 - 1, 1e10, 1e10 + 1, -1e10 + 1, -1e10, -1e10 - 1,
+		1e16 - 1, 1e16, 1e16 + 1, -1e16 + 1, -1e16, -1e16 - 1,
+	}
 	edgeFloats = []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.5, 2.5, 1.0 / 3, 100, 1e6, 123456789.125,
 		1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10, 1e20, 9.99999999999e20, 1e21, -1e21, 1e22, 1e100, 1e-100,
@@ -131,6 +136,112 @@ func FuzzEncodeRow(f *testing.F) {
 	})
 }
 
+// checkAppendInt holds appendInt(dst, x) to strconv.AppendInt(dst, x, 10)
+// and to append's contract: dst is a prefix of prefix bytes with spare
+// bytes of capacity filled with a sentinel; the prefix must come back
+// unchanged and every sentinel past the result's length untouched.
+func checkAppendInt(t *testing.T, x int64, prefix, spare int) {
+	t.Helper()
+	const sentinel = 0xA5
+	buf := make([]byte, prefix+spare)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	for i := 0; i < prefix; i++ {
+		buf[i] = byte('a' + i%26)
+	}
+	dst := buf[: prefix : prefix+spare]
+	want := strconv.AppendInt(append([]byte(nil), dst...), x, 10)
+	got := appendInt(dst, x)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendInt(%d) after %d bytes = %q, want %q", x, prefix, got, want)
+	}
+	for i := 0; i < prefix; i++ {
+		if buf[i] != byte('a'+i%26) {
+			t.Fatalf("appendInt(%d) changed prefix byte %d", x, i)
+		}
+	}
+	for i := len(got); i < len(buf); i++ {
+		if buf[i] != sentinel {
+			t.Fatalf("appendInt(%d) with %d spare bytes wrote %#x at %d, past its result", x, spare, buf[i], i)
+		}
+	}
+}
+
+// TestAppendIntMatchesStrconv: appendInt writes strconv.AppendInt's bytes at
+// every digit-count boundary, at the ends of the range and across every bit
+// length, and writes nothing past its result at any spare capacity.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	var xs []int64
+	for p := int64(1); ; p *= 10 {
+		for _, x := range []int64{p - 1, p, p + 1} {
+			xs = append(xs, x, -x)
+		}
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	for _, b := range []uint{31, 32, 53} {
+		xs = append(xs, 1<<b-1, 1<<b, 1<<b+1, -(1<<b - 1), -(1 << b), -(1<<b + 1))
+	}
+	xs = append(xs, math.MinInt64, math.MinInt64+1, math.MaxInt64, math.MaxInt64-1)
+	for _, x := range xs {
+		for spare := 0; spare <= 24; spare++ {
+			checkAppendInt(t, x, spare%5, spare)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 1<<20; i++ {
+		x := int64(rng.Uint64()) >> uint(i%64) // every bit length, both signs
+		checkAppendInt(t, x, i%3, i%25)
+	}
+}
+
+// FuzzAppendInt: appendInt against strconv.AppendInt for any value, prefix
+// length and spare capacity, sentinel bytes past the result untouched.
+func FuzzAppendInt(f *testing.F) {
+	for _, x := range edgeInts {
+		f.Add(x, uint8(0), uint8(0))
+		f.Add(x, uint8(3), uint8(20))
+	}
+	f.Fuzz(func(t *testing.T, x int64, prefix, spare uint8) {
+		checkAppendInt(t, x, int(prefix%32), int(spare%32))
+	})
+}
+
+// BenchmarkAppendInt formats 4 096 values of one digit-count class per op
+// into a reused buffer: each branch of appendInt.
+func BenchmarkAppendInt(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct {
+		name   string
+		lo, hi int64 // values uniform in [lo, hi)
+	}{
+		{"1-2digits", 0, 100},
+		{"3-8digits", 100, 1e8},
+		{"9-10digits", 1e8, 1e10},
+		{"16digits", 1e15, 1e16},
+		{"19digits", 1e18, math.MaxInt64},
+		{"neg", -1 << 31, 0},
+	} {
+		xs := make([]int64, 4096)
+		for i := range xs {
+			xs[i] = c.lo + rng.Int63n(c.hi-c.lo)
+		}
+		buf := make([]byte, 0, 4096*21)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for _, x := range xs {
+					buf = appendInt(buf, x)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/value")
+		})
+	}
+}
+
 // mixedChunk is a chunk of n rows over (c0 int, c1 float, c2 str) whose
 // cells cycle through the edge values.
 func mixedChunk(t testing.TB, n int) (*schema.Schema, *chunk.BinaryChunk) {
@@ -196,30 +307,65 @@ func TestAppendChunkMatchesRows(t *testing.T) {
 	}
 }
 
+// intChunk is a chunk of n rows over five int columns c0..c4 of 31-bit
+// values: the table stream_rows selects four columns of under a predicate
+// on another.
+func intChunk(t testing.TB, n int) (*schema.Schema, *chunk.BinaryChunk) {
+	var cols []schema.Column
+	for i := 0; i < 5; i++ {
+		cols = append(cols, schema.Column{Name: fmt.Sprintf("c%d", i), Type: schema.Int64})
+	}
+	sch := schema.MustNew(cols...)
+	bc := chunk.NewBinary(sch, 0, n)
+	rng := rand.New(rand.NewSource(31))
+	for i := range cols {
+		v := chunk.NewVector(schema.Int64, n)
+		for r := range v.Ints {
+			v.Ints[r] = rng.Int63n(1 << 31)
+		}
+		if err := bc.SetColumn(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sch, bc
+}
+
 // TestAppendChunkAllocations: encoding a chunk from its vectors into a
-// reused buffer allocates a handful of times per chunk, not per row.
+// reused buffer allocates a handful of times per chunk on a mixed
+// int/float/string projection, not per row, and not at all on an all-int
+// one (the stream_rows shape).
 func TestAppendChunkAllocations(t *testing.T) {
-	for _, n := range []int{1 << 10, 1 << 16} {
-		sch, bc := mixedChunk(t, n)
-		q, err := engine.ParseSQL("SELECT c0, c1, c2 FROM data WHERE c0 < 2", sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := engine.NewPartial(q, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf []byte
-		encode := func() {
-			if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, n int) {
-				buf = AppendChunk(buf[:0], cols, sel, n)
-			}); err != nil {
+	for _, c := range []struct {
+		name      string
+		table     func(testing.TB, int) (*schema.Schema, *chunk.BinaryChunk)
+		sql       string
+		maxAllocs float64
+	}{
+		{"mixed", mixedChunk, "SELECT c0, c1, c2 FROM data WHERE c0 < 2", 8},
+		{"ints", intChunk, "SELECT c0, c1, c2, c3 FROM data WHERE c4 < 536870912", 0},
+	} {
+		for _, n := range []int{1 << 10, 1 << 16} {
+			sch, bc := c.table(t, n)
+			q, err := engine.ParseSQL(c.sql, sch)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		encode() // size the buffer and the partial's scratch
-		if allocs := testing.AllocsPerRun(10, encode); allocs > 8 {
-			t.Errorf("%d rows: %.0f allocations per chunk", n, allocs)
+			p, err := engine.NewPartial(q, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []byte
+			encode := func() {
+				if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, n int) {
+					buf = AppendChunk(buf[:0], cols, sel, n)
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			encode() // size the buffer and the partial's scratch
+			if allocs := testing.AllocsPerRun(10, encode); allocs > c.maxAllocs {
+				t.Errorf("%s, %d rows: %.0f allocations per chunk, want <= %.0f", c.name, n, allocs, c.maxAllocs)
+			}
 		}
 	}
 }
