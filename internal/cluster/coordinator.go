@@ -248,7 +248,7 @@ type shardResult struct {
 // order. Shards that stay down after retry/failover report their error in
 // place; the caller decides between failing the query and serving a
 // partial result.
-func (co *Coordinator) GatherPartials(ctx context.Context, table, sql string, timeoutMS int64) ([]shardResult, []Assignment) {
+func (co *Coordinator) GatherPartials(ctx context.Context, table, sql string, timeoutMS int64) []shardResult {
 	assigns := co.fleet.Assignments(table)
 	out := make([]shardResult, len(assigns))
 	var wg sync.WaitGroup
@@ -275,7 +275,7 @@ func (co *Coordinator) GatherPartials(ctx context.Context, table, sql string, ti
 		}(i)
 	}
 	wg.Wait()
-	return out, assigns
+	return out
 }
 
 // MergeShardPartials decodes the gathered partials against the
@@ -298,7 +298,7 @@ func (co *Coordinator) MergeShardPartials(q *engine.Query, table string, shards 
 			continue
 		}
 		parts = append(parts, p)
-		addStats(&stats, sr.stats)
+		stats.Add(sr.stats)
 	}
 	if len(parts) == 0 {
 		return nil, stats, errs
@@ -310,21 +310,6 @@ func (co *Coordinator) MergeShardPartials(q *engine.Query, table string, shards 
 		return nil, stats, append(errs, err)
 	}
 	return merged, stats, errs
-}
-
-func addStats(dst *ExecStats, src ExecStats) {
-	dst.DeliveredCache += src.DeliveredCache
-	dst.DeliveredDB += src.DeliveredDB
-	dst.DeliveredRaw += src.DeliveredRaw
-	dst.DeliveredPartial += src.DeliveredPartial
-	dst.Skipped += src.Skipped
-	dst.ChunksSaved += src.ChunksSaved
-	if src.TerminatedEarly {
-		dst.TerminatedEarly = true
-	}
-	if src.DurationMS > dst.DurationMS {
-		dst.DurationMS = src.DurationMS // shards ran in parallel
-	}
 }
 
 // streamItem is one unit flowing from a shard fetcher to the row emitter.
@@ -339,7 +324,9 @@ type streamItem struct {
 // single-process NDJSON order. limit > 0 stops after that many rows and
 // cancels every in-flight peer request; the worker-side demand path has
 // usually stopped the remote scans already. The per-shard stats callback
-// fires as each shard completes.
+// fires as each shard completes. A cancelled shard reports none, so the
+// shard that supplied the last row is first read to its end when it had
+// met the LIMIT on its own (its scan stops by itself).
 //
 // Shard streams run concurrently with bounded buffering: later shards
 // prefetch while the current one emits, but backpressure keeps a slow
@@ -394,6 +381,7 @@ func (co *Coordinator) StreamRows(ctx context.Context, table, sql string, timeou
 
 	emitted := 0
 	for i := range chans {
+		sent := 0 // rows of shard i taken from its stream
 		for item := range chans[i] {
 			if item.err != nil {
 				return item.err
@@ -401,28 +389,40 @@ func (co *Coordinator) StreamRows(ctx context.Context, table, sql string, timeou
 			m := item.msg
 			switch m.Type {
 			case MsgStats:
-				if onStats != nil {
-					onStats(m.Stats)
-				}
+				onStats(m.Stats)
 			case MsgRows:
-				for _, row := range m.Rows {
-					if limit > 0 && emitted >= limit {
-						cancelAll()
-						return nil
-					}
+				sent += len(m.Rows)
+				rows := m.Rows
+				if limit > 0 {
+					rows = rows[:min(len(rows), limit-emitted)]
+				}
+				for _, row := range rows {
 					if err := emit(row); err != nil {
 						return err
 					}
-					emitted++
 				}
-				if limit > 0 && emitted >= limit {
-					cancelAll()
+				emitted += len(rows)
+				if limit > 0 && emitted == limit {
+					if sent >= limit {
+						// The shard's own LIMIT stopped its scan too: its
+						// stats frame is on the way. The rest are cancelled.
+						finishStats(chans[i], onStats)
+					}
 					return nil
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// finishStats reads a shard's stream to its end for the stats frame.
+func finishStats(ch <-chan streamItem, onStats func(ExecStats)) {
+	for item := range ch {
+		if item.msg != nil && item.msg.Type == MsgStats {
+			onStats(item.msg.Stats)
+		}
+	}
 }
 
 // PeerMetrics is the per-peer slice of the coordinator's /metrics.

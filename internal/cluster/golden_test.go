@@ -9,12 +9,15 @@ import (
 	"testing"
 
 	"scanraw/internal/engine"
+	"scanraw/internal/scanraw"
 )
 
 // checkGolden compares got against a hex fixture (whitespace ignored). The
 // fixtures in this file were captured from the code as of PR 15, before the
 // codecs moved onto internal/wire: a test that encodes and decodes with the
-// same code revision cannot see format drift, frozen bytes can.
+// same code revision cannot see format drift, frozen bytes can. The stats
+// frame was re-captured when it began carrying the whole scan report and
+// the shard query's own counts.
 func checkGolden(t *testing.T, name, fixture string, got []byte) {
 	t.Helper()
 	if g := hex.EncodeToString(got); g != strings.Join(strings.Fields(fixture), "") {
@@ -27,9 +30,9 @@ const goldenExecFrames = `
 630300ffffffffffffffffff0101010000000000f87f02000300feffffffffff
 ffffff0101000000000000f07f021268c3a96c6c6f20e4b896e7958c20f09f9c
 810101000000000000f0ff0004000000017363300101000008000000351ebb33
-01020102deadbeef14000000077ea63b0103039003d086030806010700000000
-0000fc3f110000005522d52401040e626f6f6d3a20d184d0b0d0b9d0bb020000
-00b9fb32d70105
+01020102deadbeef1a0000001713edec0103039003d086030806ac0207eb8903
+0901000000000000fc3f110000005522d52401040e626f6f6d3a20d184d0b0d0
+b9d0bb02000000b9fb32d70105
 `
 
 // goldenStream writes one message of every type through a FrameWriter.
@@ -76,8 +79,12 @@ func TestGoldenExecFrames(t *testing.T) {
 		{Type: MsgRows, Chunk: 0},
 		{Type: MsgPartial, Partial: []byte{1, 2, 0xde, 0xad, 0xbe, 0xef}},
 		{Type: MsgStats, Stats: ExecStats{
-			DeliveredCache: 3, DeliveredDB: 400, DeliveredRaw: 50000, DeliveredPartial: 8, Skipped: 6,
-			TerminatedEarly: true, ChunksSaved: 7, DurationMS: 1.75,
+			Scan: scanraw.ScanReport{
+				DeliveredCache: 3, DeliveredDB: 400, DeliveredRaw: 50000, DeliveredPartial: 8, SkippedChunks: 6,
+				WrittenDuringRun: 300, TerminatedEarly: true, ChunksSaved: 7,
+			},
+			Member:     scanraw.SharedStats{DeliveredChunks: 50411, SkippedChunks: 9},
+			DurationMS: 1.75,
 		}},
 		{Type: MsgError, Err: "boom: файл"},
 		{Type: MsgEnd},

@@ -16,25 +16,6 @@ import (
 // the two apart; GET /metrics, GET /healthz, and GET /fleet expose
 // coordinator state.
 
-// statsFromExec shapes the shard-summed scan accounting into the /query
-// stats block; policy reports "distributed".
-func statsFromExec(st ExecStats, start time.Time, shards int) queryapi.Stats {
-	return queryapi.Stats{
-		DurationMS:        float64(time.Since(start).Microseconds()) / 1000,
-		BatchSize:         1,
-		ScanChunksCache:   st.DeliveredCache,
-		ScanChunksDB:      st.DeliveredDB,
-		ScanChunksRaw:     st.DeliveredRaw,
-		ScanChunksPartial: st.DeliveredPartial,
-		ChunksDelivered:   st.DeliveredCache + st.DeliveredDB + st.DeliveredRaw + st.DeliveredPartial,
-		ChunksSkipped:     st.Skipped,
-		Policy:            "distributed",
-		TerminatedEarly:   st.TerminatedEarly,
-		ChunksSaved:       st.ChunksSaved,
-		Shards:            shards,
-	}
-}
-
 // Handler returns the coordinator's HTTP mux.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -115,15 +96,14 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return nil
 			}
 		}
-		err = co.StreamRows(ctx, table, qr.SQL, qr.TimeoutMS, q.Limit, emit, func(st ExecStats) { addStats(&stats, st) })
+		err = co.StreamRows(ctx, table, qr.SQL, qr.TimeoutMS, q.Limit, emit, stats.Add)
 	} else {
 		// Everything else scatters in partial mode and merges through the
 		// engine. Shards that stay down after retry and failover degrade
 		// the reply to a partial result carrying their errors rather than
 		// failing the whole query.
-		gathered, _ := co.GatherPartials(ctx, table, qr.SQL, qr.TimeoutMS)
 		var merged *engine.Partial
-		merged, stats, errs = co.MergeShardPartials(q, table, gathered)
+		merged, stats, errs = co.MergeShardPartials(q, table, co.GatherPartials(ctx, table, qr.SQL, qr.TimeoutMS))
 		if merged == nil {
 			err = errors.Join(errs...)
 		} else {
@@ -143,7 +123,8 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		co.writeQueryError(w, err)
 		return
 	}
-	st := statsFromExec(stats, start, shards)
+	st := queryapi.ScanStats(start, stats.Scan, stats.Member)
+	st.BatchSize, st.Policy, st.Shards = 1, "distributed", shards
 	if len(errs) > 0 {
 		co.partialResults.Add(1)
 		st.Partial = true

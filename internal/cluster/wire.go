@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"scanraw/internal/engine"
+	"scanraw/internal/scanraw"
 	"scanraw/internal/wire"
 )
 
@@ -52,20 +53,30 @@ const (
 	maxFrameCols    = 1 << 14
 )
 
-// ExecStats is the shard-scan accounting a worker reports at end of
-// stream. The field set mirrors the slice of scanraw.RunStats the
-// coordinator folds into client-visible stats (cluster sits below scanraw
-// in no dependency relationship — the struct is redeclared to keep the
-// wire format self-contained).
+// ExecStats is what a worker reports at end of stream: its shard scan's
+// report, the shard query's own share of it, and the scan's wall time.
 type ExecStats struct {
-	DeliveredCache   int
-	DeliveredDB      int
-	DeliveredRaw     int
-	DeliveredPartial int // partial-width hits
-	Skipped          int
-	TerminatedEarly  bool
-	ChunksSaved      int
-	DurationMS       float64
+	Scan       scanraw.ScanReport
+	Member     scanraw.SharedStats
+	DurationMS float64
+}
+
+// Add folds another shard's stats in; shards run in parallel.
+func (s *ExecStats) Add(o ExecStats) {
+	s.Scan.Add(o.Scan)
+	s.Member.Add(o.Member)
+	s.DurationMS = max(s.DurationMS, o.DurationMS)
+}
+
+// counts lists the MsgStats payload's counts in wire order for Stats and
+// DecodeMessage; TerminatedEarly and DurationMS follow them.
+func (s *ExecStats) counts() []*int {
+	r, m := &s.Scan, &s.Member
+	return []*int{
+		&r.DeliveredCache, &r.DeliveredDB, &r.DeliveredRaw, &r.DeliveredPartial,
+		&r.SkippedChunks, &r.WrittenDuringRun, &r.ChunksSaved,
+		&m.DeliveredChunks, &m.SkippedChunks,
+	}
 }
 
 // Message is one decoded frame of an exec stream. Exactly the fields for
@@ -140,13 +151,10 @@ func (fw *FrameWriter) Partial(data []byte) error {
 // Stats emits the shard scan's accounting.
 func (fw *FrameWriter) Stats(st ExecStats) error {
 	e := fw.begin(MsgStats)
-	e.Uvar(uint64(st.DeliveredCache))
-	e.Uvar(uint64(st.DeliveredDB))
-	e.Uvar(uint64(st.DeliveredRaw))
-	e.Uvar(uint64(st.DeliveredPartial))
-	e.Uvar(uint64(st.Skipped))
-	e.Bool(st.TerminatedEarly)
-	e.Uvar(uint64(st.ChunksSaved))
+	for _, n := range st.counts() {
+		e.Uvar(uint64(*n))
+	}
+	e.Bool(st.Scan.TerminatedEarly)
 	e.F64(st.DurationMS)
 	return fw.emit(e)
 }
@@ -226,13 +234,10 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		// it against the query one layer up.
 		m.Partial = append([]byte(nil), d.Rest()...)
 	case MsgStats:
-		m.Stats.DeliveredCache = d.Count(1<<30, "delivered cache")
-		m.Stats.DeliveredDB = d.Count(1<<30, "delivered db")
-		m.Stats.DeliveredRaw = d.Count(1<<30, "delivered raw")
-		m.Stats.DeliveredPartial = d.Count(1<<30, "delivered partial")
-		m.Stats.Skipped = d.Count(1<<30, "skipped")
-		m.Stats.TerminatedEarly = d.U8() != 0
-		m.Stats.ChunksSaved = d.Count(1<<30, "chunks saved")
+		for _, n := range m.Stats.counts() {
+			*n = d.Count(1<<30, "stats count")
+		}
+		m.Stats.Scan.TerminatedEarly = d.U8() != 0
 		m.Stats.DurationMS = d.F64()
 	case MsgError:
 		m.Err = d.Str()

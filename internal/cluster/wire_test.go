@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"scanraw/internal/engine"
+	"scanraw/internal/scanraw"
 	"scanraw/internal/schema"
 	"scanraw/internal/wire"
 )
@@ -26,8 +27,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		{iv(-7), fv(-0.25), sv("")},
 	}
 	st := ExecStats{
-		DeliveredCache: 3, DeliveredDB: 4, DeliveredRaw: 5, DeliveredPartial: 8, Skipped: 6,
-		TerminatedEarly: true, ChunksSaved: 7, DurationMS: 1.75,
+		Scan: scanraw.ScanReport{
+			DeliveredCache: 3, DeliveredDB: 4, DeliveredRaw: 5, DeliveredPartial: 8, SkippedChunks: 6,
+			WrittenDuringRun: 9, TerminatedEarly: true, ChunksSaved: 7,
+		},
+		Member:     scanraw.SharedStats{DeliveredChunks: 19, SkippedChunks: 2},
+		DurationMS: 1.75,
 	}
 	if err := fw.Rows(42, rows); err != nil {
 		t.Fatal(err)
@@ -137,7 +142,7 @@ func FuzzDecodeFrameMessage(f *testing.F) {
 	_ = fw.Rows(7, [][]engine.Value{{iv(1), sv("k")}})
 	f.Add(buf.Bytes()[wire.FrameHeaderLen:])
 	var sb bytes.Buffer
-	_ = NewFrameWriter(&sb).Stats(ExecStats{DeliveredRaw: 3, DeliveredPartial: 2, DurationMS: 0.5})
+	_ = NewFrameWriter(&sb).Stats(ExecStats{Scan: scanraw.ScanReport{DeliveredRaw: 3, DeliveredPartial: 2, WrittenDuringRun: 1}, DurationMS: 0.5})
 	f.Add(sb.Bytes()[wire.FrameHeaderLen:])
 	f.Add([]byte{wireVersion, MsgEnd})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -452,12 +452,8 @@ func (p *Partial) finalize(row []Value, ord int) {
 
 // prowLess is the canonical row order: ORDER BY keys first, then chunk ID,
 // then row ordinal within the chunk.
-func (p *Partial) prowLess(a, b *prow) bool { return prowLessQ(p.q, a, b) }
-
-// prowLessQ is prowLess as a standalone function, shared with the run merger
-// which orders rows across partials it no longer owns.
-func prowLessQ(q *Query, a, b *prow) bool {
-	for _, k := range q.OrderBy {
+func (p *Partial) prowLess(a, b *prow) bool {
+	for _, k := range p.q.OrderBy {
 		c := compareValues(a.vals[k.Column], b.vals[k.Column])
 		if k.Desc {
 			c = -c
@@ -508,7 +504,7 @@ func (t *topK) push(pr prow) {
 
 // admits reports whether push would keep row r of chunk id, whose select-item
 // vectors are vecs: always while the heap has room, and once it is full only
-// a row that precedes the root in canonical order (prowLessQ's, spelled out
+// a row that precedes the root in canonical order (prowLess's, spelled out
 // over the order-key vectors and the provenance — going through a prow of
 // Values here halves the top-k scan rate), so a row the heap turns away is
 // never materialised.

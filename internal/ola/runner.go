@@ -44,8 +44,8 @@ type Runner struct {
 
 // NewRunner builds a runner for q over sch. onProgress, when non-nil, is
 // called with each snapshot that advances the sample frontier; it runs
-// on a consume goroutine without the runner's lock held, serialized with
-// other progress calls only insofar as frontier advances are.
+// on the scan's delivering goroutine, one call at a time, without the
+// runner's lock held.
 func NewRunner(q *engine.Query, sch *schema.Schema, cfg Config, onProgress func(Snapshot)) (*Runner, error) {
 	est, err := NewEstimator(q, cfg)
 	if err != nil {

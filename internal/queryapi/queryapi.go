@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"scanraw/internal/engine"
+	"scanraw/internal/scanraw"
 )
 
 // Request is the POST /query body.
@@ -55,6 +56,24 @@ type Stats struct {
 	ShardsFailed int      `json:"shards_failed,omitempty"`
 	Partial      bool     `json:"partial,omitempty"`
 	Errors       []string `json:"errors,omitempty"`
+}
+
+// ScanStats starts the stats block of a query begun at start from the
+// physical scan's report and the query's own share of it (chunks_delivered,
+// chunks_skipped); a coordinator passes sums over its shards.
+func ScanStats(start time.Time, scan scanraw.ScanReport, member scanraw.SharedStats) Stats {
+	return Stats{
+		DurationMS:        float64(time.Since(start).Microseconds()) / 1000,
+		ScanChunksCache:   scan.DeliveredCache,
+		ScanChunksDB:      scan.DeliveredDB,
+		ScanChunksRaw:     scan.DeliveredRaw,
+		ScanChunksPartial: scan.DeliveredPartial,
+		ChunksDelivered:   member.DeliveredChunks,
+		ChunksSkipped:     member.SkippedChunks,
+		ChunksLoaded:      scan.WrittenDuringRun,
+		TerminatedEarly:   scan.TerminatedEarly,
+		ChunksSaved:       scan.ChunksSaved,
+	}
 }
 
 // OLAStats is the sampling report of an online-aggregation query.

@@ -264,10 +264,9 @@ func (pc *profCounters) snapshot() Profile {
 	}
 }
 
-// RunStats summarizes one query execution through the operator.
-type RunStats struct {
-	// Duration is the wall-clock time of the Run call.
-	Duration time.Duration
+// ScanReport is a scan's chunk accounting. RunStats embeds it, /exec's
+// stats frame carries it, and a coordinator and /metrics sum it with Add.
+type ScanReport struct {
 	// DeliveredCache/DB/Raw count chunks delivered to the engine by
 	// source: the binary cache, the database, or raw-file conversion.
 	DeliveredCache int
@@ -282,6 +281,38 @@ type RunStats struct {
 	// WrittenDuringRun counts chunks loaded into the database while the
 	// query executed (speculative/full/buffered/invisible writes).
 	WrittenDuringRun int
+	// TerminatedEarly reports that the run stopped before end-of-file
+	// because the request's Satisfied signal fired (demand-driven
+	// termination). ChunksSaved is how many known chunks were neither
+	// delivered nor statistics-skipped as a result; undiscovered chunks of
+	// an incompletely scanned file are not counted.
+	TerminatedEarly bool
+	ChunksSaved     int
+}
+
+// Add folds another scan's report into r: counts sum, and r terminated
+// early if either did.
+func (r *ScanReport) Add(o ScanReport) {
+	r.DeliveredCache += o.DeliveredCache
+	r.DeliveredDB += o.DeliveredDB
+	r.DeliveredRaw += o.DeliveredRaw
+	r.DeliveredPartial += o.DeliveredPartial
+	r.SkippedChunks += o.SkippedChunks
+	r.WrittenDuringRun += o.WrittenDuringRun
+	r.TerminatedEarly = r.TerminatedEarly || o.TerminatedEarly
+	r.ChunksSaved += o.ChunksSaved
+}
+
+// Delivered returns the total chunks delivered to the engine.
+func (r ScanReport) Delivered() int {
+	return r.DeliveredCache + r.DeliveredDB + r.DeliveredRaw + r.DeliveredPartial
+}
+
+// RunStats summarizes one query execution through the operator.
+type RunStats struct {
+	// Duration is the wall-clock time of the Run call.
+	Duration time.Duration
+	ScanReport
 	// GroupWritesDuringRun counts the column groups written by the
 	// payoff-ranked speculative scheduler: each SpecPayoff quantum writes
 	// the chosen chunk's wanted groups, however many, as one segment.
@@ -298,20 +329,8 @@ type RunStats struct {
 	// ReadBlocked is the time READ spent blocked on a full text buffer —
 	// the CPU-bound signal of §3.3.
 	ReadBlocked time.Duration
-	// TerminatedEarly reports that the run stopped before end-of-file
-	// because the request's Satisfied signal fired (demand-driven
-	// termination). ChunksSaved is how many known chunks were neither
-	// delivered nor statistics-skipped as a result; undiscovered chunks of
-	// an incompletely scanned file are not counted.
-	TerminatedEarly bool
-	ChunksSaved     int
 	// Profile is the per-stage time delta for this run.
 	Profile Profile
-}
-
-// Delivered returns the total chunks delivered to the engine.
-func (s RunStats) Delivered() int {
-	return s.DeliveredCache + s.DeliveredDB + s.DeliveredRaw + s.DeliveredPartial
 }
 
 // Operator is a SCANRAW instance attached to one raw file. It is created

@@ -134,6 +134,12 @@ type SharedStats struct {
 	SkippedChunks   int
 }
 
+// Add folds another request's accounting into s.
+func (s *SharedStats) Add(o SharedStats) {
+	s.DeliveredChunks += o.DeliveredChunks
+	s.SkippedChunks += o.SkippedChunks
+}
+
 // combinedSatisfied builds the shared scan's termination signal: the AND of
 // every member's Satisfied. It returns nil — no early termination — unless
 // every member carries a signal, because a member scanning to end-of-file

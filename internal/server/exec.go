@@ -124,16 +124,8 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	_ = fw.Stats(cluster.ExecStats{
-		DeliveredCache:   pr.scan.DeliveredCache,
-		DeliveredDB:      pr.scan.DeliveredDB,
-		DeliveredRaw:     pr.scan.DeliveredRaw,
-		DeliveredPartial: pr.scan.DeliveredPartial,
-		Skipped:          pr.scan.SkippedChunks,
-		TerminatedEarly:  pr.scan.TerminatedEarly,
-		ChunksSaved:      pr.scan.ChunksSaved,
-		DurationMS:       float64(pr.scan.Duration.Microseconds()) / 1000,
-	})
+	ms := float64(pr.scan.Duration.Microseconds()) / 1000
+	_ = fw.Stats(cluster.ExecStats{Scan: pr.scan.ScanReport, Member: pr.shared, DurationMS: ms})
 	_ = fw.End()
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,19 +23,14 @@ type counters struct {
 	coalesced atomic.Int64 // queries that shared their scan with others
 
 	terminatedEarly atomic.Int64 // scans stopped before end-of-file by demand
-	chunksSaved     atomic.Int64 // chunks those scans never read or converted
+	specGroupWrites atomic.Int64 // column groups written by payoff-ranked speculation
 
 	olaQueries           atomic.Int64 // online-aggregation (sampled) queries admitted
 	olaChunksSampled     atomic.Int64 // chunks fed to OLA estimators, all queries
 	olaEarlyTerminations atomic.Int64 // OLA scans stopped by bound convergence
 
-	deliveredCache   atomic.Int64
-	deliveredDB      atomic.Int64
-	deliveredRaw     atomic.Int64
-	deliveredPartial atomic.Int64 // partial-width hits: loaded groups merged with a narrow conversion
-	skipped          atomic.Int64
-	chunksLoaded     atomic.Int64 // chunks written to the database during scans
-	specGroupWrites  atomic.Int64 // column groups written by payoff-ranked speculation
+	scanMu sync.Mutex
+	scan   scanraw.ScanReport // every physical scan's report, summed
 
 	perPolicy [5]atomic.Int64 // indexed by scanraw.WritePolicy
 }
@@ -51,17 +47,13 @@ func (s *Server) recordScan(st scanraw.RunStats, batchSize int) {
 	if batchSize > 1 {
 		s.met.coalesced.Add(int64(batchSize))
 	}
-	s.met.deliveredCache.Add(int64(st.DeliveredCache))
-	s.met.deliveredDB.Add(int64(st.DeliveredDB))
-	s.met.deliveredRaw.Add(int64(st.DeliveredRaw))
-	s.met.deliveredPartial.Add(int64(st.DeliveredPartial))
-	s.met.skipped.Add(int64(st.SkippedChunks))
-	s.met.chunksLoaded.Add(int64(st.WrittenDuringRun))
-	s.met.specGroupWrites.Add(int64(st.GroupWritesDuringRun))
 	if st.TerminatedEarly {
 		s.met.terminatedEarly.Add(1)
-		s.met.chunksSaved.Add(int64(st.ChunksSaved))
 	}
+	s.met.specGroupWrites.Add(int64(st.GroupWritesDuringRun))
+	s.met.scanMu.Lock()
+	s.met.scan.Add(st.ScanReport)
+	s.met.scanMu.Unlock()
 }
 
 // ChunkCounts breaks chunk deliveries down by source. Partial counts
@@ -160,10 +152,9 @@ type MetricsSnapshot struct {
 // cumulative busy counters).
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	sample := s.meter.Sample(0)
-	cache := s.met.deliveredCache.Load()
-	db := s.met.deliveredDB.Load()
-	raw := s.met.deliveredRaw.Load()
-	partial := s.met.deliveredPartial.Load()
+	s.met.scanMu.Lock()
+	scan := s.met.scan
+	s.met.scanMu.Unlock()
 	snap := MetricsSnapshot{
 		UptimeMS:         time.Since(s.start).Milliseconds(),
 		Queries:          s.met.queries.Load(),
@@ -179,7 +170,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		AdmissionSlots:   s.cfg.MaxConcurrent,
 
 		ScansTerminatedEarly:     s.met.terminatedEarly.Load(),
-		ChunksSavedByTermination: s.met.chunksSaved.Load(),
+		ChunksSavedByTermination: int64(scan.ChunksSaved),
 
 		OLAQueries:           s.met.olaQueries.Load(),
 		OLAChunksSampled:     s.met.olaChunksSampled.Load(),
@@ -191,13 +182,13 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		DiskWritePercent:  sample.WritePercent,
 
 		ChunksDelivered: ChunkCounts{
-			Cache:   cache,
-			DB:      db,
-			Raw:     raw,
-			Partial: partial,
-			Skipped: s.met.skipped.Load(),
+			Cache:   int64(scan.DeliveredCache),
+			DB:      int64(scan.DeliveredDB),
+			Raw:     int64(scan.DeliveredRaw),
+			Partial: int64(scan.DeliveredPartial),
+			Skipped: int64(scan.SkippedChunks),
 		},
-		ChunksLoaded:    s.met.chunksLoaded.Load(),
+		ChunksLoaded:    int64(scan.WrittenDuringRun),
 		SpecGroupWrites: s.met.specGroupWrites.Load(),
 		QueriesByPolicy: make(map[string]int64),
 	}
@@ -218,8 +209,8 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		snap.LoadCommits += commits
 		snap.LoadChunksCommitted += chunks
 	}
-	if total := cache + db + raw + partial; total > 0 {
-		snap.CacheHitRate = float64(cache) / float64(total)
+	if total := scan.Delivered(); total > 0 {
+		snap.CacheHitRate = float64(scan.DeliveredCache) / float64(total)
 	}
 	for i := range s.met.perPolicy {
 		if n := s.met.perPolicy[i].Load(); n > 0 {

@@ -548,20 +548,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := queryapi.Stats{
-		DurationMS:        float64(time.Since(start).Microseconds()) / 1000,
-		BatchSize:         pr.batchSize,
-		ScanChunksCache:   pr.scan.DeliveredCache,
-		ScanChunksDB:      pr.scan.DeliveredDB,
-		ScanChunksRaw:     pr.scan.DeliveredRaw,
-		ScanChunksPartial: pr.scan.DeliveredPartial,
-		ChunksDelivered:   pr.shared.DeliveredChunks,
-		ChunksSkipped:     pr.shared.SkippedChunks,
-		ChunksLoaded:      pr.scan.WrittenDuringRun,
-		Policy:            entry.cfg.Policy.String(),
-		TerminatedEarly:   pr.scan.TerminatedEarly,
-		ChunksSaved:       pr.scan.ChunksSaved,
-	}
+	st := queryapi.ScanStats(start, pr.scan.ScanReport, pr.shared)
+	st.BatchSize, st.Policy = pr.batchSize, entry.cfg.Policy.String()
 	if olaRunner != nil {
 		last := olaRunner.LastSnapshot()
 		exact := olaRunner.Exact()
