@@ -24,9 +24,11 @@
 //	GET  /healthz  liveness + readiness (503 while draining)
 //	POST /exec     coordinator-assigned shard execution (binary frames)
 //
-// Queries against the same file arriving within the coalescing window
-// (-coalesce) share one physical scan. Queries beyond -max-concurrent are
-// rejected with 429. Client disconnects and timeouts cancel the pipeline.
+// Queries against the same file that arrive while a scan of it runs share
+// the next physical scan; a query at an idle file starts at once, unless
+// its scan must convert raw data, which first waits the coalescing window
+// (-coalesce) for companions. Queries beyond -max-concurrent are rejected
+// with 429. Client disconnects and timeouts cancel the pipeline.
 //
 // With -coordinator the daemon serves no local data: it scatters each
 // /query to the workers named in the -fleet config (each owning a chunk
@@ -183,7 +185,7 @@ func main() {
 		maxConc    = flag.Int("max-concurrent", 32, "admission slots: queries in flight before 429")
 		olaErr     = flag.Float64("ola-error", 0, "online aggregation default: run eligible aggregates as sampled scans stopping at this relative error (0 = only on explicit ?error=)")
 		olaConf    = flag.Float64("ola-confidence", 0.95, "online aggregation: default confidence level for error bounds")
-		coalesce   = flag.Duration("coalesce", 2*time.Millisecond, "coalescing window for shared scans (negative disables)")
+		coalesce   = flag.Duration("coalesce", 2*time.Millisecond, "how long a query that must convert raw data waits at an idle table for companions to share its scan (negative never waits)")
 		timeout    = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
 
 		coordinator  = flag.Bool("coordinator", false, "run as fleet coordinator: scatter queries to workers, merge partials (no local data)")

@@ -21,6 +21,7 @@ package dbstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -44,6 +45,12 @@ type Journal interface {
 // are the statistics SCANRAW collects during conversion: where the chunk
 // starts in the raw file, how many tuples it holds, per-column min/max, and
 // which columns have been loaded into the database.
+//
+// A ChunkMeta the table has published is never written again: a mutator
+// copies it, replaces (never writes into) the slices it changes, and
+// publishes the copy under the table lock. So Table.Chunk hands out the
+// stored pointer as a consistent snapshot, and its callers must not modify
+// it either.
 type ChunkMeta struct {
 	ID     int
 	Rows   int
@@ -81,19 +88,6 @@ type GroupState struct {
 	// Bare marks a pre-colgroup page, whose payload is the column's vector
 	// alone rather than a group page.
 	Bare bool
-}
-
-// clone returns a deep copy so callers can inspect metadata without racing
-// against catalog updates.
-func (m *ChunkMeta) clone() *ChunkMeta {
-	c := *m
-	c.Stats = append([]ColStats(nil), m.Stats...)
-	c.Loaded = append([]bool(nil), m.Loaded...)
-	c.Groups = append([]GroupState(nil), m.Groups...)
-	for i := range c.Groups {
-		c.Groups[i].Cols = append([]int(nil), c.Groups[i].Cols...)
-	}
-	return &c
 }
 
 // LoadedAll reports whether every listed column ordinal is loaded.
@@ -166,7 +160,7 @@ type maskCount struct {
 }
 
 // remaskLocked moves a chunk between mask-index buckets after its loaded
-// set changed. Caller holds t.mu.
+// set changed. m is the unpublished copy. Caller holds t.mu.
 func (t *Table) remaskLocked(m *ChunkMeta) {
 	if old := m.maskKey; old != "" {
 		if mc := t.masks[old]; mc != nil {
@@ -227,10 +221,10 @@ func (t *Table) journalAppend(chunks []*ChunkMeta, recs ...store.Record) error {
 		chunks = append(chunks, t.chunks[r.Chunk])
 	}
 	var out []store.Record
-	seen := make(map[*ChunkMeta]bool, len(chunks))
+	seen := make(map[int]bool, len(chunks))
 	for _, m := range chunks {
-		if m != nil && !m.journaled && !seen[m] {
-			seen[m] = true
+		if m != nil && !m.journaled && !seen[m.ID] {
+			seen[m.ID] = true
 			out = append(out, t.chunkRecord(m))
 		}
 	}
@@ -246,11 +240,21 @@ func (t *Table) journalAppend(chunks []*ChunkMeta, recs ...store.Record) error {
 		return err
 	}
 	t.mu.Lock()
-	for m := range seen {
-		m.journaled = true
+	for id := range seen {
+		t.markJournaledLocked(id)
 	}
 	t.mu.Unlock()
 	return nil
+}
+
+// markJournaledLocked publishes chunk id's metadata with its geometry
+// record journaled. Caller holds t.mu.
+func (t *Table) markJournaledLocked(id int) {
+	if m := t.chunks[id]; m != nil && !m.journaled {
+		c := *m
+		c.journaled = true
+		t.chunks[id] = &c
+	}
 }
 
 // JournalPending appends whatever statistics are still pending, in one
@@ -355,14 +359,15 @@ func (t *Table) NumChunks() int {
 	return len(t.chunks)
 }
 
-// Chunk returns a copy of the metadata for chunk id.
+// Chunk returns the published metadata for chunk id: a snapshot that later
+// catalog updates replace rather than change. Callers must not modify it.
 func (t *Table) Chunk(id int) (*ChunkMeta, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if id < 0 || id >= len(t.chunks) || t.chunks[id] == nil {
 		return nil, false
 	}
-	return t.chunks[id].clone(), true
+	return t.chunks[id], true
 }
 
 // SetChunkStats records conversion-time statistics for the listed columns of
@@ -402,10 +407,13 @@ func (t *Table) setStats(id int, cols []int, stats []ColStats) (*ChunkMeta, erro
 			return nil, fmt.Errorf("dbstore: SetChunkStats column %d out of range", c)
 		}
 	}
+	n := *m
+	n.Stats = slices.Clone(m.Stats)
 	for i, c := range cols {
-		m.Stats[c] = stats[i]
+		n.Stats[c] = stats[i]
 	}
-	return m, nil
+	t.chunks[id] = &n
+	return &n, nil
 }
 
 // EstimateRangeRows estimates how many tuples have column col in [lo, hi],

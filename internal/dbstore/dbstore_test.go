@@ -98,16 +98,30 @@ func TestEnsureChunk(t *testing.T) {
 	}
 }
 
-func TestChunkMetaIsolation(t *testing.T) {
-	_, tbl := newTestStore(t)
-	if err := tbl.EnsureChunk(0, 5, 0, 50); err != nil {
+// TestChunkMetaSnapshot: Chunk hands out the published metadata without a
+// copy, and catalog updates replace it instead of writing into it — a meta
+// held across a statistics update and a load still reads as it did.
+func TestChunkMetaSnapshot(t *testing.T) {
+	s, tbl := newTestStore(t)
+	if err := tbl.EnsureChunk(0, 4, 0, 40); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := tbl.Chunk(0)
-	m.Loaded[0] = true // mutate the copy
-	m2, _ := tbl.Chunk(0)
-	if m2.Loaded[0] {
-		t.Error("Chunk must return isolated copies")
+	before, _ := tbl.Chunk(0)
+	if again, _ := tbl.Chunk(0); again != before {
+		t.Error("Chunk copied metadata nothing had changed")
+	}
+	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{{Valid: true, Type: schema.Int64, MinInt: 1, MaxInt: 9, Rows: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAll(s, tbl, fullChunk(t, 0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if before.Stats[0].Valid || before.LoadedAny() || len(before.Groups) != 0 {
+		t.Errorf("a held meta changed under it: stats %+v, loaded %v, groups %v", before.Stats[0], before.Loaded, before.Groups)
+	}
+	after, _ := tbl.Chunk(0)
+	if !after.Stats[0].Valid || after.Stats[0].MaxInt != 9 || !after.LoadedAll([]int{0, 1, 2}) {
+		t.Errorf("the published meta lacks the updates: stats %+v, loaded %v", after.Stats[0], after.Loaded)
 	}
 }
 

@@ -134,7 +134,7 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 		if err := t.ensureChunkLocked(r.Chunk, r.Rows, r.RawOff, r.RawLen); err != nil {
 			rep.ChunksInvalidated++
 		} else {
-			t.chunks[r.Chunk].journaled = true
+			t.markJournaledLocked(r.Chunk)
 		}
 	case store.RecStats:
 		_, _ = t.setStats(r.Chunk, []int{r.Col}, []ColStats{statsFromRec(r.Stats)})
@@ -174,11 +174,11 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 // here. Runs single-threaded before the store is handed to the serving layer.
 func (s *Store) verifySegments(rep *RecoveryReport) {
 	for _, t := range s.tables {
-		for _, m := range t.chunks {
+		for id, m := range t.chunks {
 			if m == nil {
 				continue
 			}
-			kept := m.Groups[:0]
+			kept := make([]GroupState, 0, len(m.Groups))
 			for i := 0; i < len(m.Groups); {
 				j := i + 1
 				for j < len(m.Groups) && m.Groups[j].Seg == m.Groups[i].Seg {
@@ -200,12 +200,15 @@ func (s *Store) verifySegments(rep *RecoveryReport) {
 				}
 				i = j
 			}
-			if len(kept) == len(m.Groups) {
-				continue
+			// Published even when every group survives: an older layout's
+			// group has learned its length.
+			n := *m
+			n.Groups = kept
+			if len(kept) != len(m.Groups) {
+				t.reloadLocked(&n)
+				rep.ChunksInvalidated++
 			}
-			m.Groups = kept
-			t.reloadLocked(m)
-			rep.ChunksInvalidated++
+			t.chunks[id] = &n
 		}
 	}
 }
@@ -287,10 +290,8 @@ func (s *Store) Checkpoint() error {
 	// pending any more.
 	for _, t := range s.Tables() {
 		t.mu.Lock()
-		for _, m := range t.chunks {
-			if m != nil {
-				m.journaled = true
-			}
+		for id := range t.chunks {
+			t.markJournaledLocked(id)
 		}
 		t.pending = nil
 		t.mu.Unlock()

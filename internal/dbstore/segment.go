@@ -276,20 +276,23 @@ func (t *Table) addSegment(id int, groups []GroupState) (*ChunkMeta, error) {
 			}
 		}
 	}
-	m.Groups = slices.DeleteFunc(m.Groups, func(old GroupState) bool {
+	n := *m
+	n.Groups = slices.DeleteFunc(slices.Clone(m.Groups), func(old GroupState) bool {
 		return slices.ContainsFunc(groups, func(g GroupState) bool {
 			return g.Seg == old.Seg || slices.Equal(g.Cols, old.Cols)
 		})
 	})
-	m.Groups = append(m.Groups, groups...)
-	t.reloadLocked(m)
-	return m, nil
+	n.Groups = append(n.Groups, groups...)
+	t.reloadLocked(&n)
+	t.chunks[id] = &n
+	return &n, nil
 }
 
-// reloadLocked recomputes a chunk's loaded bits as the union of its groups
-// and re-indexes it. Caller holds t.mu.
+// reloadLocked recomputes the loaded bits of m, an unpublished copy of a
+// chunk's metadata, as the union of its groups, and re-indexes it. Caller
+// holds t.mu.
 func (t *Table) reloadLocked(m *ChunkMeta) {
-	clear(m.Loaded)
+	m.Loaded = make([]bool, len(m.Loaded))
 	for _, g := range m.Groups {
 		for _, c := range g.Cols {
 			m.Loaded[c] = true

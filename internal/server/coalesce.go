@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scanraw/internal/engine"
 	"scanraw/internal/scanraw"
 )
 
@@ -68,67 +69,118 @@ type pendingResult struct {
 }
 
 // batcher coalesces concurrent queries against one raw file into shared
-// scans. The first query to arrive opens a coalescing window; everything
-// that lands before the window closes (or the batch fills) is dispatched
-// as one RunShared call — one physical scan serving the whole batch.
+// scans by natural batching. While there is work, one drain goroutine
+// dispatches it: a query that finds the batcher idle starts the drain and
+// is dispatched at once, and queries that arrive while a batch scans queue
+// up and go together, as one RunShared call — one physical scan — when
+// that scan ends. Only a scan that converts raw data waits for companions:
+// a query that finds the batcher idle with a column it needs missing from
+// the database in some chunk (or the chunk boundaries not yet known)
+// lingers for window first, so concurrent cold queries share one
+// conversion instead of queueing for the second.
 type batcher struct {
 	srv    *Server
 	op     *scanraw.Operator
 	window time.Duration
 
-	mu       sync.Mutex
-	queue    []*pending
-	windowed bool // a window goroutine is pending for the current queue
+	mu      sync.Mutex
+	queue   []*pending
+	running bool          // a drain goroutine owns the queue
+	cut     chan struct{} // non-nil while the drain lingers; closed when the queue fills
 }
 
-// submit enqueues a query and arranges for its batch to be dispatched.
+// submit enqueues a query and makes sure a drain will dispatch it.
 //
 // Demand-aware admission: a query with no termination profile joining a
-// window whose members all carry one would force the shared scan to
+// queue whose members all carry one would force the shared scan to
 // end-of-file — un-terminating a batch that could stop early (and, had the
 // batch already been draining, resurrecting chunk deliveries its members
 // no longer want). Such a newcomer dispatches alone instead of coalescing.
 func (b *batcher) submit(p *pending) {
 	if p.m.Order != nil || p.m.Range != nil {
-		go b.execute([]*pending{p})
+		go b.execute([]*pending{p}, nil)
 		return
 	}
 	b.mu.Lock()
 	if len(b.queue) > 0 && !scanraw.HasTerminationProfile(p.m.Query) && allTerminating(b.queue) {
 		b.mu.Unlock()
-		go b.execute([]*pending{p})
+		go b.execute([]*pending{p}, nil)
 		return
 	}
 	b.queue = append(b.queue, p)
-	if len(b.queue) >= maxBatch {
-		batch := b.queue
+	if len(b.queue) >= maxBatch && b.cut != nil {
+		close(b.cut)
+		b.cut = nil
+	}
+	idle := !b.running
+	b.running = true
+	b.mu.Unlock()
+	if idle {
+		go b.drain(p.m.Query)
+	}
+}
+
+// drain dispatches the queue, one batch at a time, until it finds the
+// queue empty. first is the query that found the batcher idle: if its scan
+// must convert, the first batch lingers.
+func (b *batcher) drain(first *engine.Query) {
+	if b.window > 0 && b.mustConvert(first) {
+		b.linger()
+	}
+	for batch := b.take(); batch != nil; {
+		batch = b.execute(batch, b.take)
+	}
+}
+
+// take removes the next batch, at most maxBatch queries, from the queue.
+// With the queue empty it marks the batcher idle and returns nil.
+func (b *batcher) take() []*pending {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	batch := b.queue
+	if len(batch) > maxBatch {
+		batch, b.queue = batch[:maxBatch:maxBatch], batch[maxBatch:]
+	} else {
 		b.queue = nil
-		b.windowed = false
+	}
+	if len(batch) == 0 {
+		b.running = false
+		return nil
+	}
+	return batch
+}
+
+// linger waits out the coalescing window, or less if the queue fills.
+func (b *batcher) linger() {
+	b.mu.Lock()
+	if len(b.queue) >= maxBatch {
 		b.mu.Unlock()
-		go b.execute(batch)
 		return
 	}
-	opened := !b.windowed
-	if opened {
-		b.windowed = true
-	}
+	cut := make(chan struct{})
+	b.cut = cut
 	b.mu.Unlock()
-	if !opened {
-		return // an open window will pick this query up
+	timer := time.NewTimer(b.window)
+	select {
+	case <-timer.C:
+	case <-cut:
 	}
-	go func() {
-		if b.window > 0 {
-			time.Sleep(b.window)
-		}
-		b.mu.Lock()
-		batch := b.queue
-		b.queue = nil
-		b.windowed = false
-		b.mu.Unlock()
-		if len(batch) > 0 {
-			b.execute(batch)
-		}
-	}()
+	timer.Stop()
+	b.mu.Lock()
+	b.cut = nil
+	b.mu.Unlock()
+}
+
+// mustConvert reports whether a scan for q would convert raw data: the
+// table's chunk boundaries are not all known yet, or some chunk lacks one
+// of q's columns in the database.
+func (b *batcher) mustConvert(q *engine.Query) bool {
+	t := b.op.Table()
+	cols := q.RequiredColumns()
+	if len(cols) == 0 {
+		cols = []int{0} // what Member.Request scans for a COUNT(*)
+	}
+	return !t.Complete() || t.CountLoaded(cols) != t.NumChunks()
 }
 
 // allTerminating reports whether every queued query carries a whole-scan
@@ -143,9 +195,17 @@ func allTerminating(queue []*pending) bool {
 }
 
 // execute runs one batch through the shared-scan path and deposits each
-// member's result. Batches for the same operator serialize on the
-// operator's run mutex; batches for different files run concurrently.
-func (b *batcher) execute(batch []*pending) {
+// member's result. The drain runs its batches one after another; they and
+// the solo dispatches serialize on the operator's run mutex, while batches
+// for different files run concurrently.
+//
+// For the drain, next takes the batch that follows (nil for a solo
+// dispatch), and execute returns it. It is taken when the scan has ended
+// but before any member has its result: the queries that arrived during
+// the scan form it, and a query sent only after a reply — a client's next
+// query — finds the batcher idle, so it lingers like any other cold query
+// at an idle table.
+func (b *batcher) execute(batch []*pending, next func() []*pending) []*pending {
 	// The scan context cancels only when every member has gone away —
 	// one client disconnecting must not kill the scan for the others.
 	scanCtx, cancel := context.WithCancel(context.Background())
@@ -173,6 +233,10 @@ func (b *batcher) execute(batch []*pending) {
 
 	st, per, err := b.op.RunSharedContext(scanCtx, reqs)
 	b.srv.recordScan(st, len(batch))
+	var following []*pending
+	if next != nil {
+		following = next()
+	}
 
 	for i, p := range batch {
 		pr := pendingResult{scan: st, batchSize: len(batch)}
@@ -189,4 +253,5 @@ func (b *batcher) execute(batch []*pending) {
 		}
 		p.result <- pr
 	}
+	return following
 }

@@ -9,10 +9,13 @@
 //     in-flight queries. When every slot is taken, new queries are shed
 //     immediately with 429 Too Many Requests instead of queueing without
 //     bound and collapsing the service.
-//   - Scan coalescing: admitted queries against the same raw file are
-//     batched over a short coalescing window and dispatched through the
-//     operator's shared-scan path (RunShared), so one physical scan —
-//     one read/tokenize/parse of every chunk — serves N clients.
+//   - Scan coalescing: admitted queries against the same raw file that
+//     arrive while a scan of it runs queue and leave together, as the next
+//     batch, through the operator's shared-scan path (RunShared), so one
+//     physical scan — one read/tokenize/parse of every chunk — serves N
+//     clients. A query at an idle table starts at once, unless its scan
+//     must convert raw data: then it waits a short coalescing window for
+//     companions to share the conversion.
 //
 // Per-query contexts (client disconnects, timeouts) propagate into the
 // operator pipeline: a query whose client has gone away stops receiving
@@ -51,10 +54,13 @@ type Config struct {
 	// MaxConcurrent is the number of admission slots — queries in flight
 	// at once, across all tables. Arrivals beyond it get 429. Default 32.
 	MaxConcurrent int
-	// CoalesceWindow is how long the first query against a file waits for
-	// companions before its scan is dispatched. Concurrent queries landing
-	// within the window share one physical scan. Default 2ms; negative
-	// disables coalescing (every query scans alone).
+	// CoalesceWindow is how long a query that finds its table's batcher
+	// idle waits for companions when its scan must convert raw data (a
+	// column it needs is not loaded in every chunk, or the chunk boundaries
+	// are not all known yet); queries landing within the window share that
+	// conversion. A query whose columns are all loaded is dispatched at
+	// once, and queries that arrive while a scan runs always form the next
+	// batch without waiting. Default 2ms; negative never waits.
 	CoalesceWindow time.Duration
 	// DefaultTimeout bounds queries that do not carry their own timeout.
 	// Zero means no server-imposed limit.

@@ -19,35 +19,35 @@ import (
 	"scanraw/internal/dbstore"
 	"scanraw/internal/gen"
 	"scanraw/internal/scanraw"
+	"scanraw/internal/store"
 	"scanraw/internal/vdisk"
 )
 
 // serverEnv is a served table over a generated CSV plus a loopback HTTP
 // server in front of it.
 type serverEnv struct {
-	disk *vdisk.Disk
 	srv  *Server
 	ts   *httptest.Server
 	spec gen.CSVSpec
 	want int64 // SUM of every cell
 }
 
-func newServerEnv(t *testing.T, rows int, d *vdisk.Disk, cfg Config, opCfg scanraw.Config) *serverEnv {
+func newServerEnv(t *testing.T, rows int, d store.Disk, cfg Config, opCfg scanraw.Config) *serverEnv {
 	t.Helper()
 	if d == nil {
 		d = vdisk.Unlimited()
 	}
 	spec := gen.CSVSpec{Rows: rows, Cols: 4, Seed: 42, MaxValue: 1000}
-	gen.Preload(d, "raw/data.csv", spec)
-	store := dbstore.NewStore(d)
-	table, err := store.CreateTable("data", spec.Schema(), "raw/data.csv")
+	d.Preload("raw/data.csv", gen.Bytes(spec))
+	st := dbstore.NewStore(d)
+	table, err := st.CreateTable("data", spec.Schema(), "raw/data.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opCfg.ChunkLines == 0 {
 		opCfg.ChunkLines = 64
 	}
-	s := New(store, cfg)
+	s := New(st, cfg)
 	if err := s.AddTable(table, opCfg); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func newServerEnv(t *testing.T, rows int, d *vdisk.Disk, cfg Config, opCfg scanr
 		cols[i] = i
 	}
 	return &serverEnv{
-		disk: d, srv: s, ts: ts, spec: spec,
+		srv: s, ts: ts, spec: spec,
 		want: gen.SumRange(spec, cols, 0, spec.Rows),
 	}
 }

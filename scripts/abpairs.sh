@@ -13,7 +13,13 @@
 # so neither side always gets the warmer or the quieter slot. Then it prints,
 # per end-to-end metric, each side's median and quartiles over its P runs and
 # how many pairs each side won, by the metric's "better" direction in A's
-# BENCHMARK.json; and each side's attempted and failed operations.
+# BENCHMARK.json; and each side's attempted and failed operations. Below
+# that it prints the divisor check: each side's median, then each pair's
+# A/B values, of host.slowdown, host.query_p50_wall_ms,
+# proc.cpu_ms_per_query and (where the workload reports it)
+# server.coalesced_share, read from each run's log table. A gain that shows
+# in the timings but not in host.query_p50_wall_ms or
+# proc.cpu_ms_per_query came from the host meter's divisor, not the code.
 #
 # Giving the same commit as A and B is an A/A run: it measures how far the
 # harness disagrees with itself. Nothing is written under benchmark/ of
@@ -80,6 +86,9 @@ run() {
 			sed 's/^"\([^"]*\)":{"value":/\1=/' | tr '\n' ' '
 		echo
 	} >>"$work/$side.results"
+	# The divisor check's metrics, as "pair name value", from the log table.
+	awk -v p="$pair" -v wl="$workload" '$1 == wl && $2 ~ /^(host\.slowdown|host\.query_p50_wall_ms|proc\.cpu_ms_per_query|server\.coalesced_share)$/ { print p, $2, $3 }' \
+		"$log" >>"$work/$side.host"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -95,16 +104,20 @@ done
 awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 } /"better":/ { gsub(/[",]/, "", $2); print name, $2 }' \
 	"$work/a/BENCHMARK.json" >"$work/better"
 
+# Shared by both tables: isort sorts v[1..n]; stats sorts v[1..n] and sets
+# med, q1, q3; sortkeys fills out[1..] with set's keys, sorted, and returns
+# how many there are.
+awklib='
+	function isort(v, n,    i, j, t) { for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } }
+	function stats(v, n) { isort(v, n); med = quant(v, n, 0.5); q1 = quant(v, n, 0.25); q3 = quant(v, n, 0.75) }
+	function quant(v, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+	function sortkeys(set, out,    n, k) { n = 0; for (k in set) out[++n] = k; isort(out, n); return n }'
+
 echo
 echo "workload $workload, $pairs pairs, --seconds $seconds, seeds $seed..$((seed + pairs - 1))"
 echo "A = $a_rev"
 echo "B = $b_rev"
-awk -v better="$work/better" '
-	function stats(v, n,    s, i, j, t) {   # sorts v[1..n]; sets med, q1, q3
-		for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
-		med = quant(v, n, 0.5); q1 = quant(v, n, 0.25); q3 = quant(v, n, 0.75)
-	}
-	function quant(v, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+awk -v better="$work/better" "$awklib"'
 	BEGIN { while ((getline l < better) > 0) { split(l, f, " "); dir[f[1]] = f[2] } }
 	{
 		side = (FILENAME ~ /a\.results$/) ? "A" : "B"
@@ -114,8 +127,7 @@ awk -v better="$work/better" '
 	}
 	END {
 		printf "%-24s %32s %32s %9s\n", "metric", "A median [q1, q3]", "B median [q1, q3]", "wins A:B"
-		for (m in names) order[++nm] = m
-		for (i = 2; i <= nm; i++) { t = order[i]; for (j = i - 1; j >= 1 && order[j] > t; j--) order[j + 1] = order[j]; order[j + 1] = t }
+		nm = sortkeys(names, order)
 		for (k = 1; k <= nm; k++) {
 			m = order[k]; line = sprintf("%-24s", m); wa = wb = 0
 			for (s = 1; s <= 2; s++) {
@@ -134,3 +146,25 @@ awk -v better="$work/better" '
 		}
 		printf "operations: A %d attempted, %d failed; B %d attempted, %d failed\n", att["A"], fail["A"], att["B"], fail["B"]
 	}' "$work/a.results" "$work/b.results"
+
+touch "$work/a.host" "$work/b.host"
+awk "$awklib"'
+	{ side = (FILENAME ~ /a\.host$/) ? "A" : "B"; val[side, $2, $1] = $3; names[$2] = 1; if ($1 > np) np = $1 }
+	END {
+		if (np == 0) exit
+		print ""
+		print "divisor check, from the run logs: median A | B, then A/B per pair"
+		nm = sortkeys(names, order)
+		for (k = 1; k <= nm; k++) {
+			m = order[k]; line = sprintf("%-24s", m)
+			for (s = 1; s <= 2; s++) {
+				side = s == 1 ? "A" : "B"; n = 0; delete v
+				for (p = 1; p <= np; p++) if ((side, m, p) in val) v[++n] = val[side, m, p] + 0
+				if (n == 0) { line = line sprintf(" %9s", "-") } else { stats(v, n); line = line sprintf(" %9.4g", med) }
+				if (s == 1) line = line " |"
+			}
+			line = line "   "
+			for (p = 1; p <= np; p++) line = line sprintf(" %s/%s", ("A", m, p) in val ? val["A", m, p] + 0 : "-", ("B", m, p) in val ? val["B", m, p] + 0 : "-")
+			print line
+		}
+	}' "$work/a.host" "$work/b.host"
