@@ -72,6 +72,13 @@ func (m *PositionalMap) MemSize() int {
 // Vector is a typed column of values. Exactly one of the payload slices is
 // populated, matching Type.
 //
+// An Int64 vector has two representations. A wide one holds Ints. A narrow
+// one holds Int32, the values of an int32 page (DecodeVector) at the page's
+// width, and Ints is nil. The kernels that have a narrow path read Int32
+// directly; every other consumer reads the values through IntAt, or asks
+// Widen for an int64 copy. Nothing writes into a vector a cache entry holds:
+// it is shared by concurrent queries.
+//
 // A string vector decoded from a dictionary page also carries the page's
 // encoding, so the engine can evaluate a predicate or find a group once per
 // distinct value: Dict holds the entries and Codes one code per row, with
@@ -80,6 +87,7 @@ func (m *PositionalMap) MemSize() int {
 type Vector struct {
 	Type   schema.Type
 	Ints   []int64
+	Int32  []int32
 	Floats []float64
 	Strs   []string
 	Dict   []string
@@ -106,12 +114,39 @@ func NewVector(t schema.Type, n int) *Vector {
 func (v *Vector) Len() int {
 	switch v.Type {
 	case schema.Int64:
+		if v.Int32 != nil {
+			return len(v.Int32)
+		}
 		return len(v.Ints)
 	case schema.Float64:
 		return len(v.Floats)
 	default:
 		return len(v.Strs)
 	}
+}
+
+// IntAt returns value i of an Int64 vector, narrow or wide.
+func (v *Vector) IntAt(i int) int64 {
+	if v.Int32 != nil {
+		return int64(v.Int32[i])
+	}
+	return v.Ints[i]
+}
+
+// reprViolation describes how an Int64 vector breaks the one-representation
+// rule — Int32 and Ints both set, or the held one not rows long — or returns
+// "" when it keeps it or is not Int64. The invariants build checks it where a
+// vector is installed in a chunk (checkRepr).
+func reprViolation(v *Vector, rows int) string {
+	switch {
+	case v.Type != schema.Int64:
+		return ""
+	case v.Int32 != nil && v.Ints != nil:
+		return fmt.Sprintf("int64 vector holds %d int32 and %d int64 values", len(v.Int32), len(v.Ints))
+	case v.Len() != rows:
+		return fmt.Sprintf("int64 vector holds %d values for %d rows", v.Len(), rows)
+	}
+	return ""
 }
 
 // codeViolation describes how a vector that carries a dictionary breaks its
@@ -138,7 +173,7 @@ func codeViolation(v *Vector) string {
 func (v *Vector) MemSize() int {
 	switch v.Type {
 	case schema.Int64:
-		return 8 * len(v.Ints)
+		return 4*len(v.Int32) + 8*len(v.Ints)
 	case schema.Float64:
 		return 8 * len(v.Floats)
 	default:
@@ -171,7 +206,8 @@ func NewBinary(sch *schema.Schema, id, rows int) *BinaryChunk {
 func (b *BinaryChunk) Schema() *schema.Schema { return b.sch }
 
 // SetColumn installs vector v as column ordinal i. The vector's type and
-// length must match the schema and row count.
+// length must match the schema and row count, and an Int64 vector holds one
+// representation (the invariants build panics on one that holds both).
 func (b *BinaryChunk) SetColumn(i int, v *Vector) error {
 	if i < 0 || i >= len(b.cols) {
 		return fmt.Errorf("chunk: column %d out of range [0,%d)", i, len(b.cols))
@@ -180,6 +216,7 @@ func (b *BinaryChunk) SetColumn(i int, v *Vector) error {
 		return fmt.Errorf("chunk: column %d type %v does not match schema type %v",
 			i, v.Type, b.sch.Column(i).Type)
 	}
+	checkRepr(v, b.Rows)
 	if v.Len() != b.Rows {
 		return fmt.Errorf("chunk: column %d has %d values, chunk has %d rows", i, v.Len(), b.Rows)
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // decodeVectorRef is the decoder as it was before DecodeVector took its
-// vectors from the pools: a fresh zeroed NewVector per page, indexed loops.
-// It is the oracle the pooled decoder is held to.
+// vectors from the pools: a fresh zeroed vector per page, indexed loops. An
+// int32 page decodes narrow, as DecodeVector's does. It is the oracle the
+// pooled decoder is held to.
 func decodeVectorRef(p []byte) (*Vector, error) {
 	if len(p) < vectorHeaderSize {
 		return nil, fmt.Errorf("short")
@@ -52,9 +53,9 @@ func decodeVectorRef(p []byte) (*Vector, error) {
 		if len(body) < 4*n {
 			return nil, fmt.Errorf("truncated")
 		}
-		v := NewVector(schema.Int64, n)
+		v := &Vector{Type: schema.Int64, Int32: make([]int32, n)}
 		for i := 0; i < n; i++ {
-			v.Ints[i] = int64(int32(binary.LittleEndian.Uint32(body[4*i:])))
+			v.Int32[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
 		}
 		return v, nil
 	}
@@ -99,11 +100,13 @@ func poisonPools() {
 	const n = 3 * 8192
 	for i := 0; i < 4; i++ {
 		iv, fv, sv := NewVector(schema.Int64, n), NewVector(schema.Float64, n), NewVector(schema.Str, n)
+		nv := &Vector{Type: schema.Int64, Int32: make([]int32, n)}
 		for j := 0; j < n; j++ {
 			iv.Ints[j], fv.Floats[j], sv.Strs[j] = -0x0BADBADBADBAD, math.Inf(-1), "stale"
+			nv.Int32[j] = -0x0BADBAD
 		}
 		// Handed over as a live owner would: taken, then put.
-		for _, v := range []*Vector{iv, fv, sv} {
+		for _, v := range []*Vector{iv, nv, fv, sv} {
 			noteGetVector(v)
 			PutVector(v)
 		}
@@ -126,6 +129,10 @@ func checkAgainstRef(t *testing.T, p []byte) {
 	}
 	if !vectorsBitEqual(got, want) {
 		t.Fatalf("pooled decode differs from the NewVector reference (%v, %d rows)", want.Type, want.Len())
+	}
+	if (got.Int32 != nil) != (want.Int32 != nil) || (got.Int32 != nil && got.Ints != nil) {
+		t.Fatalf("decoded representation: %d int32 and %d int64 values; the reference holds %d int32 values",
+			len(got.Int32), len(got.Ints), len(want.Int32))
 	}
 	PutVector(got)
 }
@@ -334,14 +341,20 @@ func TestDecodeBlockedLoops(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeVector is the widening loop of a warm page read: one
+// BenchmarkDecodeVector is the decode loop of a warm page read: one
 // 8,192-row page into a pooled vector that is handed back — int32-narrow
-// (every int column of the paper's workload), int64-wide and float64. Bytes
-// are the decoded vector's, 8 per row, so the three compare.
+// (every int column of the paper's workload, decoded at 4 bytes a value),
+// int64-wide and float64 — and int32-widened, the narrow decode followed by
+// the Widen a consumer without a narrow path pays. Bytes are 8 per row for
+// every kind, so MB/s compare as values per second.
 func BenchmarkDecodeVector(b *testing.B) {
 	kinds := pageKinds(8192)
-	for _, c := range []struct{ name, kind string }{
-		{"int32-narrow", "int32-narrow"}, {"int64-wide", "int64"}, {"float64", "float64"},
+	for _, c := range []struct {
+		name, kind string
+		widen      bool
+	}{
+		{"int32-narrow", "int32-narrow", false}, {"int32-widened", "int32-narrow", true},
+		{"int64-wide", "int64", false}, {"float64", "float64", false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			p := EncodeVector(kinds[c.kind])
@@ -352,6 +365,10 @@ func BenchmarkDecodeVector(b *testing.B) {
 				v, err := DecodeVector(p)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if c.widen {
+					_, w := Widen(v)
+					PutVector(w)
 				}
 				benchVec = v
 				PutVector(v)

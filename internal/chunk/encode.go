@@ -35,19 +35,17 @@ const tagInt32 = 0x80 | byte(schema.Int64)
 // SAM's RNAME and CIGAR shrink by an order of magnitude.
 const tagStrDict = 0x80 | byte(schema.Str)
 
-// EncodeVector serializes v into the page format.
+// EncodeVector serializes v into the page format. A narrow vector is an
+// int32 page as it stands.
 func EncodeVector(v *Vector) []byte {
 	n := v.Len()
 	switch v.Type {
 	case schema.Int64:
+		if v.Int32 != nil {
+			return encodeInt32(v.Int32)
+		}
 		if fitsInt32(v.Ints) {
-			out := make([]byte, vectorHeaderSize+4*n)
-			out[0] = tagInt32
-			binary.LittleEndian.PutUint32(out[1:], uint32(n))
-			for i, x := range v.Ints {
-				binary.LittleEndian.PutUint32(out[vectorHeaderSize+4*i:], uint32(int32(x)))
-			}
-			return out
+			return encodeInt32(v.Ints)
 		}
 		out := make([]byte, vectorHeaderSize+8*n)
 		out[0] = byte(schema.Int64)
@@ -90,11 +88,24 @@ func EncodeVector(v *Vector) []byte {
 	}
 }
 
-// DecodeVector parses a page produced by EncodeVector. The vector comes from
-// GetVector's pools without the clear — every element is overwritten — so
-// the caller owns one pooled vector: it hands it on (BinaryChunk.SetColumn,
-// recycled with the chunk) or returns it with PutVector. A failed decode has
-// already returned whatever it took.
+// encodeInt32 writes an int32 page of xs, each of which fits in int32.
+func encodeInt32[T int32 | int64](xs []T) []byte {
+	out := make([]byte, vectorHeaderSize+4*len(xs))
+	out[0] = tagInt32
+	binary.LittleEndian.PutUint32(out[1:], uint32(len(xs)))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint32(out[vectorHeaderSize+4*i:], uint32(x))
+	}
+	return out
+}
+
+// DecodeVector parses a page produced by EncodeVector. An int32 page decodes
+// to a narrow Int64 vector (Int32 set, 4 bytes a value), every other page to
+// the one representation of its type. The vector comes from the pools
+// without the clear — every element is overwritten — so the caller owns one
+// pooled vector: it hands it on (BinaryChunk.SetColumn, recycled with the
+// chunk) or returns it with PutVector. A failed decode has already returned
+// whatever it took.
 func DecodeVector(p []byte) (*Vector, error) {
 	if len(p) < vectorHeaderSize {
 		return nil, fmt.Errorf("chunk: vector page too short (%d bytes)", len(p))
@@ -108,8 +119,8 @@ func DecodeVector(p []byte) (*Vector, error) {
 		if len(body) < 4*n {
 			return nil, fmt.Errorf("chunk: truncated int32 page: need %d bytes, have %d", 4*n, len(body))
 		}
-		v := getVector(schema.Int64, n, false)
-		widenInt32(v.Ints, body[:4*n])
+		v := getNarrow(n)
+		copyInt32(v.Int32, body[:4*n])
 		return v, nil
 	}
 	t := schema.Type(p[0])
@@ -152,29 +163,29 @@ func DecodeVector(p []byte) (*Vector, error) {
 
 // The numeric page loops below move a block per step: the fixed-size
 // windows dst[:8:8] and src[:32:32] let the compiler drop every bounds check
-// inside the block, and four 8-byte loads replace eight 4-byte ones on a
-// narrow page. The bytes are read through encoding/binary, never
+// inside the block, and four 8-byte loads replace eight 4-byte ones on an
+// int32 page. The bytes are read through encoding/binary, never
 // reinterpreted in place: a page body sits at an odd offset (the 5-byte
 // header, and a group page packs several), which an unsafe cast would
 // misalign. Each loop ends with the one-value-at-a-time form for the tail;
 // dst and src shrink in step there, so it carries no bounds check either.
 
-// widenInt32 sign-extends the int32 values of src, 4 bytes each, into dst.
-func widenInt32(dst []int64, src []byte) {
+// copyInt32 reads the int32 values of src, 4 bytes each, into dst.
+func copyInt32(dst []int32, src []byte) {
 	for len(dst) >= 8 && len(src) >= 32 {
 		d, s := dst[:8:8], src[:32:32]
 		w0 := binary.LittleEndian.Uint64(s[0:])
 		w1 := binary.LittleEndian.Uint64(s[8:])
 		w2 := binary.LittleEndian.Uint64(s[16:])
 		w3 := binary.LittleEndian.Uint64(s[24:])
-		d[0], d[1] = int64(int32(w0)), int64(int32(w0>>32))
-		d[2], d[3] = int64(int32(w1)), int64(int32(w1>>32))
-		d[4], d[5] = int64(int32(w2)), int64(int32(w2>>32))
-		d[6], d[7] = int64(int32(w3)), int64(int32(w3>>32))
+		d[0], d[1] = int32(w0), int32(w0>>32)
+		d[2], d[3] = int32(w1), int32(w1>>32)
+		d[4], d[5] = int32(w2), int32(w2>>32)
+		d[6], d[7] = int32(w3), int32(w3>>32)
 		dst, src = dst[8:], src[32:]
 	}
 	for ; len(dst) > 0 && len(src) >= 4; dst, src = dst[1:], src[4:] {
-		dst[0] = int64(int32(binary.LittleEndian.Uint32(src)))
+		dst[0] = int32(binary.LittleEndian.Uint32(src))
 	}
 }
 

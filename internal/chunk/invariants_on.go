@@ -67,6 +67,14 @@ func checkCodes(v *Vector) {
 	}
 }
 
+// checkRepr panics unless an Int64 vector holds exactly one representation,
+// of rows values (reprViolation).
+func checkRepr(v *Vector, rows int) {
+	if msg := reprViolation(v, rows); msg != "" {
+		panic("invariant violation: chunk: " + msg)
+	}
+}
+
 // OutstandingVectors reports vectors acquired from the pool and not yet
 // recycled. Only available in invariants builds.
 func OutstandingVectors() int64 { return outstandingVecs.Load() }

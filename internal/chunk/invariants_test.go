@@ -104,3 +104,25 @@ func TestDecodeFailureReturnsVector(t *testing.T) {
 		t.Errorf("OutstandingVectors after a failed decode = %d, want %d", got, base)
 	}
 }
+
+// SetColumn refuses an Int64 vector that holds both representations, or a
+// narrow one whose length is not the chunk's row count.
+func TestSetColumnChecksRepresentation(t *testing.T) {
+	sch := schema.MustNew(schema.Column{Name: "i", Type: schema.Int64})
+	for name, v := range map[string]*Vector{
+		"both":        {Type: schema.Int64, Int32: make([]int32, 8), Ints: make([]int64, 8)},
+		"narrow long": {Type: schema.Int64, Int32: make([]int32, 9)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("SetColumn installed a vector that breaks the one-representation rule")
+				}
+			}()
+			_ = NewBinary(sch, 0, 8).SetColumn(0, v)
+		})
+	}
+	if err := NewBinary(sch, 0, 8).SetColumn(0, &Vector{Type: schema.Int64, Int32: make([]int32, 8)}); err != nil {
+		t.Fatal(err)
+	}
+}

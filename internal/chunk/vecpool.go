@@ -18,11 +18,16 @@ import (
 // (cacheable, shared across queries) are only released through
 // BinaryChunk.RecycleColumns, whose exclusive-ownership contract makes the
 // release safe.
+//
+// Narrow Int64 vectors (Int32 set) have a pool of their own, so a pooled
+// vector keeps the one representation it was made with.
 var vecPools = [3]sync.Pool{
 	{New: func() any { return &Vector{Type: schema.Int64} }},
 	{New: func() any { return &Vector{Type: schema.Float64} }},
 	{New: func() any { return &Vector{Type: schema.Str} }},
 }
+
+var narrowPool = sync.Pool{New: func() any { return &Vector{Type: schema.Int64, Int32: []int32{}} }}
 
 // GetVector returns a zeroed vector of n values of type t, reusing pooled
 // backing storage when available. It never carries a dictionary.
@@ -67,14 +72,57 @@ func getVector(t schema.Type, n int, zero bool) *Vector {
 	return v
 }
 
-// PutVector returns a vector to the pool. The caller must not use v (or any
-// of its backing slices) afterwards; string values previously copied out of
-// v.Strs stay valid because string contents are immutable.
+// getNarrow is getVector for a narrow Int64 vector of n values, without the
+// clear: its one caller, DecodeVector, writes every element.
+func getNarrow(n int) *Vector {
+	v := narrowPool.Get().(*Vector)
+	if cap(v.Int32) < n {
+		v.Int32 = make([]int32, n)
+	} else {
+		v.Int32 = v.Int32[:n]
+	}
+	noteGetVector(v)
+	return v
+}
+
+// Widen returns the values of an Int64 vector as int64s, for a consumer
+// without a narrow path: a wide vector's own Ints, with scratch nil, or a
+// narrow vector's values sign-extended into scratch, a pooled wide vector
+// the caller releases with PutVector once it is done with them (PutVector
+// of nil does nothing). v is only read.
+func Widen(v *Vector) (ints []int64, scratch *Vector) {
+	if v.Int32 == nil {
+		return v.Ints, nil
+	}
+	scratch = getVector(schema.Int64, len(v.Int32), false)
+	dst, src := scratch.Ints, v.Int32
+	// Eight values a step over fixed windows, as the page decoders do: an
+	// indexed sign-extending load costs an address computation per value.
+	for len(dst) >= 8 && len(src) >= 8 {
+		d, s := dst[:8:8], src[:8:8]
+		d[0], d[1], d[2], d[3] = int64(s[0]), int64(s[1]), int64(s[2]), int64(s[3])
+		d[4], d[5], d[6], d[7] = int64(s[4]), int64(s[5]), int64(s[6]), int64(s[7])
+		dst, src = dst[8:], src[8:]
+	}
+	for ; len(dst) > 0 && len(src) > 0; dst, src = dst[1:], src[1:] {
+		dst[0] = int64(src[0])
+	}
+	return scratch.Ints, scratch
+}
+
+// PutVector returns a vector to the pool of its representation. The caller
+// must not use v (or any of its backing slices) afterwards; string values
+// previously copied out of v.Strs stay valid because string contents are
+// immutable.
 func PutVector(v *Vector) {
 	if v == nil || !v.Type.Valid() {
 		return
 	}
 	notePutVector(v)
+	if v.Int32 != nil {
+		narrowPool.Put(v)
+		return
+	}
 	vecPools[v.Type].Put(v)
 }
 

@@ -145,7 +145,7 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fullChunk(t, id, 8)
-		if bc.Column(0).Ints[7] != want.Column(0).Ints[7] || bc.Column(2).Strs[3] != want.Column(2).Strs[3] {
+		if bc.Column(0).IntAt(7) != want.Column(0).IntAt(7) || bc.Column(2).Strs[3] != want.Column(2).Strs[3] {
 			t.Errorf("chunk %d data differs from fixture", id)
 		}
 	}
@@ -193,7 +193,7 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bc.Column(0).Ints[0] != int64(id*1000) {
+		if bc.Column(0).IntAt(0) != int64(id*1000) {
 			t.Errorf("chunk %d data wrong after mixed-layout restart", id)
 		}
 	}

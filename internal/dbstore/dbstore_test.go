@@ -145,8 +145,8 @@ func TestWriteReadChunk(t *testing.T) {
 	if got.Rows != 4 || got.Has(1) {
 		t.Errorf("ReadChunk shape wrong: rows=%d has1=%v", got.Rows, got.Has(1))
 	}
-	if got.Column(0).Ints[3] != 3 {
-		t.Errorf("col0[3] = %d", got.Column(0).Ints[3])
+	if got.Column(0).IntAt(3) != 3 {
+		t.Errorf("col0[3] = %d", got.Column(0).IntAt(3))
 	}
 	if got.Column(2).Strs[2] != strings.Repeat("x", 3) {
 		t.Errorf("col2[2] = %q", got.Column(2).Strs[2])

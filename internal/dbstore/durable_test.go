@@ -115,7 +115,7 @@ func TestDurableRecoversCatalog(t *testing.T) {
 				t.Fatalf("chunk %d col %d: %d rows, want %d", id, c, g.Len(), w.Len())
 			}
 		}
-		if bc.Column(0).Ints[7] != int64(id*1000+7) {
+		if bc.Column(0).IntAt(7) != int64(id*1000+7) {
 			t.Errorf("chunk %d data wrong after recovery", id)
 		}
 	}

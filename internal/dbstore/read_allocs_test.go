@@ -51,7 +51,7 @@ func TestReadChunkAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := bc.Column(4).Ints[8191]; got != 4_000+8191 {
+		if got := bc.Column(4).IntAt(8191); got != 4_000+8191 {
 			t.Fatalf("column 4 row 8191 = %d", got)
 		}
 		bc.RecycleColumns()

@@ -36,7 +36,8 @@ type ColStats struct {
 
 // CollectStats computes min/max, row-count and distinct-count statistics
 // over a vector in one pass: each value is compared and folded into the
-// sketch while it is in a register. An empty vector yields invalid stats.
+// sketch while it is in a register. A narrow Int64 vector is read through a
+// widened copy. An empty vector yields invalid stats.
 func CollectStats(v *chunk.Vector) ColStats {
 	s := ColStats{Type: v.Type}
 	if v.Len() == 0 {
@@ -47,8 +48,10 @@ func CollectStats(v *chunk.Vector) ColStats {
 	var hll HLL
 	switch v.Type {
 	case schema.Int64:
-		lo, hi := v.Ints[0], v.Ints[0]
-		for _, x := range v.Ints {
+		ints, wide := chunk.Widen(v)
+		defer chunk.PutVector(wide)
+		lo, hi := ints[0], ints[0]
+		for _, x := range ints {
 			hll.AddUint(uint64(x))
 			if x < lo {
 				lo = x

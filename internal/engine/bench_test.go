@@ -357,3 +357,69 @@ func BenchmarkTopK(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNarrowClasses runs warm_mix's sum, filter, groupby, top-k and
+// avg statements through one executor over 128 chunk IDs of 8,192 uniform
+// 31-bit values, cycling over 16 distinct chunks, in Mrows/s: each over the
+// chunks as a kernel builds them ("wide") and as a page read delivers them
+// ("narrow": every column decoded from its int32 page).
+func BenchmarkNarrowClasses(b *testing.B) {
+	sch, err := schema.Uniform(8, schema.Int64, "c")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	distinct := make([]*chunk.BinaryChunk, 16)
+	for i := range distinct {
+		bc := chunk.NewBinary(sch, i, 8192)
+		for c := 0; c < sch.NumColumns(); c++ {
+			v := chunk.NewVector(schema.Int64, bc.Rows)
+			for r := range v.Ints {
+				v.Ints[r] = rng.Int63n(1 << 31)
+			}
+			if err := bc.SetColumn(c, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		distinct[i] = bc
+	}
+	sets := map[string][]*chunk.BinaryChunk{"wide": distinct, "narrow": pageDecoded(b, distinct)}
+	for _, c := range []struct{ name, sql string }{
+		{"sum", "SELECT SUM(c3+c7) FROM t"},
+		{"count-where", "SELECT COUNT(c3) FROM t WHERE c7 < 214748364"},
+		{"groupby", "SELECT c3 % 16, COUNT(c3), SUM(c3) FROM t GROUP BY c3 % 16"},
+		{"topk", "SELECT c3 FROM t ORDER BY c3 LIMIT 10"},
+		{"avg", "SELECT AVG(c3) FROM t"},
+	} {
+		q, err := ParseSQL(c.sql, sch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, width := range []string{"wide", "narrow"} {
+			chunks := make([]*chunk.BinaryChunk, 128)
+			for id := range chunks {
+				bc := *sets[width][id%len(distinct)]
+				bc.ID = id
+				chunks[id] = &bc
+			}
+			b.Run(c.name+"/"+width, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ex, err := NewExecutor(q, sch)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, bc := range chunks {
+						if err := ex.Consume(bc); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := ex.Result(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.N)*float64(len(chunks)*chunks[0].Rows)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+			})
+		}
+	}
+}

@@ -226,10 +226,17 @@ func (a *Arith) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
 	var zeroAt int
 	if a.Type() == schema.Int64 {
 		out = chunk.GetVector(schema.Int64, n)
-		if rc != nil {
+		switch {
+		case rc != nil && l.Int32 != nil:
+			zeroAt = arithScalar(a.Op, out.Ints, l.Int32, rc.Int)
+		case rc != nil:
 			zeroAt = arithScalar(a.Op, out.Ints, l.Ints, rc.Int)
-		} else {
-			zeroAt = arithVectors(a.Op, out.Ints, l.Ints, r.Ints)
+		default:
+			li, lwide := chunk.Widen(l)
+			defer chunk.PutVector(lwide)
+			ri, rwide := chunk.Widen(r)
+			defer chunk.PutVector(rwide)
+			zeroAt = arithVectors(a.Op, out.Ints, li, ri)
 		}
 	} else {
 		lf, lscratch := asFloats(l)
@@ -306,7 +313,9 @@ func (s *intSum) eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) {
 // that leave a multiple of four, and each later pass adds four more: a pass
 // over a chunk costs about the same for one input as for four, so the sum of
 // 16 leaves is four passes, not one per leaf. At most four leaf results are
-// held at a time, however long the chain.
+// held at a time, however long the chain. A pass reads its leaves at their
+// width: all narrow (columns from int32 pages) or all wide, one pass; mixed,
+// one pass per leaf.
 func (s *intSum) sumInto(o []int64, bc *chunk.BinaryChunk) error {
 	n := len(s.leaves)
 	if n == 0 {
@@ -326,18 +335,7 @@ func (s *intSum) sumInto(o []int64, bc *chunk.BinaryChunk) error {
 			}
 			x[i] = v
 		}
-		switch {
-		case j > 0:
-			add4(o, x[0].Ints, x[1].Ints, x[2].Ints, x[3].Ints)
-		case g == 1:
-			copy(o, x[0].Ints)
-		case g == 2:
-			set2(o, x[0].Ints, x[1].Ints)
-		case g == 3:
-			set3(o, x[0].Ints, x[1].Ints, x[2].Ints)
-		default:
-			set4(o, x[0].Ints, x[1].Ints, x[2].Ints, x[3].Ints)
-		}
+		sumPass(o, x, j == 0)
 		releaseLeaves(leaves, x)
 	}
 	if s.k != 0 {
@@ -348,6 +346,57 @@ func (s *intSum) sumInto(o []int64, bc *chunk.BinaryChunk) error {
 	return nil
 }
 
+// sumPass sets o to the sum of the leaf results x (first), or adds it.
+func sumPass(o []int64, x []*chunk.Vector, first bool) {
+	narrow := 0
+	for _, v := range x {
+		if v.Int32 != nil {
+			narrow++
+		}
+	}
+	switch narrow {
+	case len(x):
+		var xs [4][]int32
+		for i, v := range x {
+			xs[i] = v.Int32
+		}
+		addLeaves(o, first, xs[:len(x)]...)
+	case 0:
+		var xs [4][]int64
+		for i, v := range x {
+			xs[i] = v.Ints
+		}
+		addLeaves(o, first, xs[:len(x)]...)
+	default:
+		for i, v := range x {
+			if v.Int32 != nil {
+				addLeaves(o, first && i == 0, v.Int32)
+			} else {
+				addLeaves(o, first && i == 0, v.Ints)
+			}
+		}
+	}
+}
+
+// addLeaves sets o to the sum of xs, one to four leaves' values (first), or
+// adds to o the values of four leaves or of one.
+func addLeaves[T int32 | int64](o []int64, first bool, xs ...[]T) {
+	switch {
+	case !first && len(xs) == 1:
+		add1(o, xs[0])
+	case !first:
+		add4(o, xs[0], xs[1], xs[2], xs[3])
+	case len(xs) == 1:
+		set1(o, xs[0])
+	case len(xs) == 2:
+		set2(o, xs[0], xs[1])
+	case len(xs) == 3:
+		set3(o, xs[0], xs[1], xs[2])
+	default:
+		set4(o, xs[0], xs[1], xs[2], xs[3])
+	}
+}
+
 // releaseLeaves releases the leaf results vecs[i] of leaves[i].
 func releaseLeaves(leaves []Expr, vecs []*chunk.Vector) {
 	for i, v := range vecs {
@@ -355,31 +404,123 @@ func releaseLeaves(leaves []Expr, vecs []*chunk.Vector) {
 	}
 }
 
-func set2(o, x0, x1 []int64) {
+// The sum kernels take eight rows a step over fixed windows (x0[:8:8]), as
+// the page decoders do: the constant offsets let every load of an int32
+// leaf sign-extend in one instruction, where an indexed one costs an
+// address computation besides, and the windows leave no bounds check inside
+// the step. Then the one-row loop for the tail.
+
+func set1[T int32 | int64](o []int64, x0 []T) {
+	x0 = x0[:len(o)]
+	for len(o) >= 8 {
+		d, w0 := o[:8:8], x0[:8:8]
+		d[0] = int64(w0[0])
+		d[1] = int64(w0[1])
+		d[2] = int64(w0[2])
+		d[3] = int64(w0[3])
+		d[4] = int64(w0[4])
+		d[5] = int64(w0[5])
+		d[6] = int64(w0[6])
+		d[7] = int64(w0[7])
+		o, x0 = o[8:], x0[8:]
+	}
+	for i := range o {
+		o[i] = int64(x0[i])
+	}
+}
+
+func set2[T int32 | int64](o []int64, x0, x1 []T) {
 	x0, x1 = x0[:len(o)], x1[:len(o)]
+	for len(o) >= 8 {
+		d, w0, w1 := o[:8:8], x0[:8:8], x1[:8:8]
+		d[0] = int64(w0[0]) + int64(w1[0])
+		d[1] = int64(w0[1]) + int64(w1[1])
+		d[2] = int64(w0[2]) + int64(w1[2])
+		d[3] = int64(w0[3]) + int64(w1[3])
+		d[4] = int64(w0[4]) + int64(w1[4])
+		d[5] = int64(w0[5]) + int64(w1[5])
+		d[6] = int64(w0[6]) + int64(w1[6])
+		d[7] = int64(w0[7]) + int64(w1[7])
+		o, x0, x1 = o[8:], x0[8:], x1[8:]
+	}
 	for i := range o {
-		o[i] = x0[i] + x1[i]
+		o[i] = int64(x0[i]) + int64(x1[i])
 	}
 }
 
-func set3(o, x0, x1, x2 []int64) {
+func set3[T int32 | int64](o []int64, x0, x1, x2 []T) {
 	x0, x1, x2 = x0[:len(o)], x1[:len(o)], x2[:len(o)]
+	for len(o) >= 8 {
+		d, w0, w1, w2 := o[:8:8], x0[:8:8], x1[:8:8], x2[:8:8]
+		d[0] = int64(w0[0]) + int64(w1[0]) + int64(w2[0])
+		d[1] = int64(w0[1]) + int64(w1[1]) + int64(w2[1])
+		d[2] = int64(w0[2]) + int64(w1[2]) + int64(w2[2])
+		d[3] = int64(w0[3]) + int64(w1[3]) + int64(w2[3])
+		d[4] = int64(w0[4]) + int64(w1[4]) + int64(w2[4])
+		d[5] = int64(w0[5]) + int64(w1[5]) + int64(w2[5])
+		d[6] = int64(w0[6]) + int64(w1[6]) + int64(w2[6])
+		d[7] = int64(w0[7]) + int64(w1[7]) + int64(w2[7])
+		o, x0, x1, x2 = o[8:], x0[8:], x1[8:], x2[8:]
+	}
 	for i := range o {
-		o[i] = x0[i] + x1[i] + x2[i]
+		o[i] = int64(x0[i]) + int64(x1[i]) + int64(x2[i])
 	}
 }
 
-func set4(o, x0, x1, x2, x3 []int64) {
+func set4[T int32 | int64](o []int64, x0, x1, x2, x3 []T) {
 	x0, x1, x2, x3 = x0[:len(o)], x1[:len(o)], x2[:len(o)], x3[:len(o)]
+	for len(o) >= 8 {
+		d, w0, w1, w2, w3 := o[:8:8], x0[:8:8], x1[:8:8], x2[:8:8], x3[:8:8]
+		d[0] = int64(w0[0]) + int64(w1[0]) + int64(w2[0]) + int64(w3[0])
+		d[1] = int64(w0[1]) + int64(w1[1]) + int64(w2[1]) + int64(w3[1])
+		d[2] = int64(w0[2]) + int64(w1[2]) + int64(w2[2]) + int64(w3[2])
+		d[3] = int64(w0[3]) + int64(w1[3]) + int64(w2[3]) + int64(w3[3])
+		d[4] = int64(w0[4]) + int64(w1[4]) + int64(w2[4]) + int64(w3[4])
+		d[5] = int64(w0[5]) + int64(w1[5]) + int64(w2[5]) + int64(w3[5])
+		d[6] = int64(w0[6]) + int64(w1[6]) + int64(w2[6]) + int64(w3[6])
+		d[7] = int64(w0[7]) + int64(w1[7]) + int64(w2[7]) + int64(w3[7])
+		o, x0, x1, x2, x3 = o[8:], x0[8:], x1[8:], x2[8:], x3[8:]
+	}
 	for i := range o {
-		o[i] = x0[i] + x1[i] + x2[i] + x3[i]
+		o[i] = int64(x0[i]) + int64(x1[i]) + int64(x2[i]) + int64(x3[i])
 	}
 }
 
-func add4(o, x0, x1, x2, x3 []int64) {
-	x0, x1, x2, x3 = x0[:len(o)], x1[:len(o)], x2[:len(o)], x3[:len(o)]
+func add1[T int32 | int64](o []int64, x0 []T) {
+	x0 = x0[:len(o)]
+	for len(o) >= 8 {
+		d, w0 := o[:8:8], x0[:8:8]
+		d[0] += int64(w0[0])
+		d[1] += int64(w0[1])
+		d[2] += int64(w0[2])
+		d[3] += int64(w0[3])
+		d[4] += int64(w0[4])
+		d[5] += int64(w0[5])
+		d[6] += int64(w0[6])
+		d[7] += int64(w0[7])
+		o, x0 = o[8:], x0[8:]
+	}
 	for i := range o {
-		o[i] += x0[i] + x1[i] + x2[i] + x3[i]
+		o[i] += int64(x0[i])
+	}
+}
+
+func add4[T int32 | int64](o []int64, x0, x1, x2, x3 []T) {
+	x0, x1, x2, x3 = x0[:len(o)], x1[:len(o)], x2[:len(o)], x3[:len(o)]
+	for len(o) >= 8 {
+		d, w0, w1, w2, w3 := o[:8:8], x0[:8:8], x1[:8:8], x2[:8:8], x3[:8:8]
+		d[0] += int64(w0[0]) + int64(w1[0]) + int64(w2[0]) + int64(w3[0])
+		d[1] += int64(w0[1]) + int64(w1[1]) + int64(w2[1]) + int64(w3[1])
+		d[2] += int64(w0[2]) + int64(w1[2]) + int64(w2[2]) + int64(w3[2])
+		d[3] += int64(w0[3]) + int64(w1[3]) + int64(w2[3]) + int64(w3[3])
+		d[4] += int64(w0[4]) + int64(w1[4]) + int64(w2[4]) + int64(w3[4])
+		d[5] += int64(w0[5]) + int64(w1[5]) + int64(w2[5]) + int64(w3[5])
+		d[6] += int64(w0[6]) + int64(w1[6]) + int64(w2[6]) + int64(w3[6])
+		d[7] += int64(w0[7]) + int64(w1[7]) + int64(w2[7]) + int64(w3[7])
+		o, x0, x1, x2, x3 = o[8:], x0[8:], x1[8:], x2[8:], x3[8:]
+	}
+	for i := range o {
+		o[i] += int64(x0[i]) + int64(x1[i]) + int64(x2[i]) + int64(x3[i])
 	}
 }
 
@@ -431,8 +572,10 @@ func arithVectors[T int64 | float64](op ArithOp, out, l, r []T) int {
 }
 
 // arithScalar computes out[i] = l[i] op s; like arithVectors, with a zero
-// divisor failing at the first row there is.
-func arithScalar[T int64 | float64](op ArithOp, out, l []T, s T) int {
+// divisor failing at the first row there is. l may be narrower than out (a
+// narrow Int64 vector's int32 values): each value is widened to out's type
+// before the operator, so the result is the wide vector's to the bit.
+func arithScalar[O int64 | float64, L int32 | int64 | float64](op ArithOp, out []O, l []L, s O) int {
 	l = l[:len(out)]
 	if s == 0 && (op == OpDiv || op == OpMod) {
 		if len(out) == 0 {
@@ -443,50 +586,68 @@ func arithScalar[T int64 | float64](op ArithOp, out, l []T, s T) int {
 	switch op {
 	case OpAdd:
 		for i := range out {
-			out[i] = l[i] + s
+			out[i] = O(l[i]) + s
 		}
 	case OpSub:
 		for i := range out {
-			out[i] = l[i] - s
+			out[i] = O(l[i]) - s
 		}
 	case OpMul:
 		for i := range out {
-			out[i] = l[i] * s
+			out[i] = O(l[i]) * s
 		}
 	case OpDiv:
 		for i := range out {
-			out[i] = l[i] / s
+			out[i] = O(l[i]) / s
 		}
 	case OpMod:
-		li, oi, m := any(l).([]int64), any(out).([]int64), any(s).(int64)
-		if m > 0 && m&(m-1) == 0 {
-			// A power of two: mask, then give a negative dividend's
-			// remainder its sign back. A 64-bit divide costs tens of
-			// cycles a row; this costs one or two.
-			for i, x := range li {
-				r := x & (m - 1)
-				if x < 0 && r != 0 {
-					r -= m
-				}
-				oi[i] = r
-			}
-			break
-		}
-		for i := range oi {
-			oi[i] = li[i] % m
+		oi, m := any(out).([]int64), any(s).(int64)
+		switch l := any(l).(type) {
+		case []int32:
+			modScalar(oi, l, m)
+		case []int64:
+			modScalar(oi, l, m)
 		}
 	}
 	return -1
 }
 
-// asFloats widens an Int64 vector to float64. When a conversion is needed
-// the backing storage comes from the pool; the second result is the scratch
-// vector the caller must release (nil when v was already float-typed).
+// modScalar computes out[i] = l[i] % m for a non-zero m.
+func modScalar[L int32 | int64](out []int64, l []L, m int64) {
+	l = l[:len(out)]
+	if m > 0 && m&(m-1) == 0 {
+		// A power of two: mask, then give a negative dividend's
+		// remainder its sign back. A 64-bit divide costs tens of
+		// cycles a row; this costs one or two.
+		for i, x := range l {
+			r := int64(x) & (m - 1)
+			if x < 0 && r != 0 {
+				r -= m
+			}
+			out[i] = r
+		}
+		return
+	}
+	for i, x := range l {
+		out[i] = int64(x) % m
+	}
+}
+
+// asFloats widens an Int64 vector, narrow or wide, to float64. When a
+// conversion is needed the backing storage comes from the pool; the second
+// result is the scratch vector the caller must release (nil when v was
+// already float-typed).
 func asFloats(v *chunk.Vector) ([]float64, *chunk.Vector) {
 	if v.Type == schema.Float64 {
 		return v.Floats, nil
 	}
-	s := chunk.GetVector(schema.Float64, len(v.Ints))
+	s := chunk.GetVector(schema.Float64, v.Len())
+	if v.Int32 != nil {
+		for i, x := range v.Int32 {
+			s.Floats[i] = float64(x)
+		}
+		return s.Floats, s
+	}
 	for i, x := range v.Ints {
 		s.Floats[i] = float64(x)
 	}
@@ -610,9 +771,13 @@ func (c *Cmp) selectRows(bc *chunk.BinaryChunk, cand, dst []int) ([]int, error) 
 		return selectFunc(dst, cand, n, func(i int) int { return truth[1+strings.Compare(l.Strs[i], r.Strs[i])] }), nil
 	case l.Type == schema.Int64 && re.Type() == schema.Int64:
 		if rc != nil {
-			return dst[:selectScalar(verdictOf(truth), dst, cand, l.Ints[:n], rc.Int)], nil
+			return dst[:selectInts(verdictOf(truth), dst, cand, l, n, rc.Int)], nil
 		}
-		return dst[:selectVectors(verdictOf(truth), dst, cand, l.Ints[:n], r.Ints[:n])], nil
+		li, lwide := chunk.Widen(l)
+		defer chunk.PutVector(lwide)
+		ri, rwide := chunk.Widen(r)
+		defer chunk.PutVector(rwide)
+		return dst[:selectVectors(verdictOf(truth), dst, cand, li[:n], ri[:n])], nil
 	}
 	lf, lscratch := asFloats(l)
 	defer chunk.PutVector(lscratch)
@@ -647,7 +812,7 @@ func selectWhere(e Expr, bc *chunk.BinaryChunk, cand, dst []int) ([]int, error) 
 		return nil, err
 	}
 	defer releaseScratch(e, v)
-	return dst[:selectScalar(verdictOf(cmpTruth[OpNe]), dst, cand, v.Ints[:bc.Rows], 0)], nil
+	return dst[:selectInts(verdictOf(cmpTruth[OpNe]), dst, cand, v, bc.Rows, 0)], nil
 }
 
 // predicateVector is a predicate as a value: 1 at the rows selectWhere
@@ -698,7 +863,7 @@ func verdictOf(truth [3]int) verdict {
 	return verdict{truth[1], truth[0] ^ truth[1], truth[2] ^ truth[1]}
 }
 
-func pass[T int64 | float64](v verdict, a, b T) int {
+func pass[T int32 | int64 | float64](v verdict, a, b T) int {
 	return v.c ^ (b2i(a < b)&v.ma | b2i(a > b)&v.mb)
 }
 
@@ -709,9 +874,36 @@ func b2i(b bool) int {
 	return 0
 }
 
+// selectInts is selectScalar over the first n values of an Int64 vector,
+// narrow or wide, against s. A narrow vector is compared at its width when s
+// fits in int32; when it does not, every value lies on the same side of s,
+// and the verdict of that side decides every candidate at once.
+func selectInts(vd verdict, dst, cand []int, v *chunk.Vector, n int, s int64) int {
+	if v.Int32 == nil {
+		return selectScalar(vd, dst, cand, v.Ints[:n], s)
+	}
+	if s32 := int32(s); int64(s32) == s {
+		return selectScalar(vd, dst, cand, v.Int32[:n], s32)
+	}
+	side := vd.c ^ vd.ma // every value is below s
+	if s < 0 {
+		side = vd.c ^ vd.mb // every value is above it
+	}
+	if side == 0 {
+		return 0
+	}
+	if cand == nil {
+		for i := range dst[:n] {
+			dst[i] = i
+		}
+		return n
+	}
+	return copy(dst, cand)
+}
+
 // selectScalar and selectVectors return how many rows they wrote to dst,
 // not dst resliced: with its capacity live the loops ran out of registers.
-func selectScalar[T int64 | float64](v verdict, dst, cand []int, l []T, s T) int {
+func selectScalar[T int32 | int64 | float64](v verdict, dst, cand []int, l []T, s T) int {
 	k := 0
 	if cand == nil {
 		for i, x := range l {

@@ -56,13 +56,46 @@ func kernelChunk(t *testing.T, zeroDivisors bool) *chunk.BinaryChunk {
 	return bc
 }
 
+// narrowKernelChunk is kernelChunk with i1 and i2 drawn from int32's range —
+// its extremes among them, and MinInt32 / -1 at row 3 — and read back from
+// its pages, so both integer columns are narrow.
+func narrowKernelChunk(t *testing.T, zeroDivisors bool) *chunk.BinaryChunk {
+	t.Helper()
+	bc := kernelChunk(t, zeroDivisors)
+	copy(bc.Column(0).Ints, []int64{7, -7, 0, math.MinInt32, math.MaxInt32, 16, -16, 5, -1, -math.MaxInt32})
+	copy(bc.Column(1).Ints, []int64{2, 3, -5, -1, math.MaxInt32, 16, 4, 5, math.MinInt32, -3})
+	if zeroDivisors {
+		bc.Column(1).Ints[6], bc.Column(1).Ints[8] = 0, 0
+	}
+	out := pageDecoded(t, []*chunk.BinaryChunk{bc})[0]
+	for c := 0; c < 2; c++ {
+		if out.Column(c).Int32 == nil {
+			t.Fatalf("column %d did not decode narrow", c)
+		}
+	}
+	return out
+}
+
+// cell is row r of v as a value, read through the vector's own accessor —
+// IntAt for an Int64 vector, narrow or wide — so that the references do not
+// lean on valueAt, which the engine's row paths use.
+func cell(v *chunk.Vector, r int) Value {
+	switch v.Type {
+	case schema.Int64:
+		return IntValue(v.IntAt(r))
+	case schema.Float64:
+		return FloatValue(v.Floats[r])
+	}
+	return StrValue(v.Strs[r])
+}
+
 // rowValue is the reference operand evaluation: one cell of a column, or the
 // literal.
 func rowValue(t *testing.T, e Expr, bc *chunk.BinaryChunk, r int) Value {
 	t.Helper()
 	switch e := e.(type) {
 	case *Col:
-		return valueAt(bc.Column(e.Idx), r)
+		return cell(bc.Column(e.Idx), r)
 	case *Const:
 		return Value{Typ: e.Typ, Int: e.Int, Float: e.Float, Str: e.Str}
 	}
@@ -164,7 +197,10 @@ func operandPairs(t *testing.T, strs bool) [][2]Expr {
 		shapes(col("s1"), col("s2"), ConstStr(""), ConstStr("b"), ConstStr("héllo"))
 		return pairs
 	}
-	ints := []Expr{ConstInt(0), ConstInt(3), ConstInt(-3), ConstInt(16), ConstInt(1), ConstInt(-1), ConstInt(math.MinInt64)}
+	// The last five are int32's extremes and the first values outside it,
+	// which a narrow column meets without truncating them.
+	ints := []Expr{ConstInt(0), ConstInt(3), ConstInt(-3), ConstInt(16), ConstInt(1), ConstInt(-1), ConstInt(math.MinInt64),
+		ConstInt(math.MaxInt32), ConstInt(math.MinInt32), ConstInt(1 << 31), ConstInt(-1<<31 - 1), ConstInt(math.MaxInt64)}
 	floats := []Expr{ConstFloat(0), ConstFloat(2.5), ConstFloat(-0.5), ConstFloat(math.Copysign(0, -1))}
 	shapes(col("i1"), col("i2"), ints...)
 	shapes(col("f1"), col("f2"), floats...)
@@ -180,58 +216,64 @@ func sameCell(a, b Value) bool {
 
 func TestArithKernelsMatchRowReference(t *testing.T) {
 	for _, zeros := range []bool{false, true} {
-		bc := kernelChunk(t, zeros)
-		for _, pair := range operandPairs(t, false) {
-			for op := OpAdd; op <= OpMod; op++ {
-				e, err := NewArith(op, pair[0], pair[1])
-				if err != nil {
-					continue // % over a float operand
-				}
-				wantErr := ""
-				want := make([]Value, bc.Rows)
-				for r := range want {
-					v, zero := refArith(op, rowValue(t, pair[0], bc, r), rowValue(t, pair[1], bc, r))
-					if zero {
-						wantErr = fmt.Sprintf("engine: %s by zero at row %d", map[ArithOp]string{OpDiv: "division", OpMod: "modulo"}[op], r)
-						break
-					}
-					want[r] = v
-				}
-				got, err := e.Eval(bc)
-				if wantErr != "" {
-					if err == nil || err.Error() != wantErr {
-						t.Errorf("%s (zero divisors %v): error %v, want %s", e, zeros, err, wantErr)
-					}
-					continue
-				}
-				if err != nil {
-					t.Errorf("%s: %v", e, err)
-					continue
-				}
-				if got.Type != e.Type() || got.Len() != bc.Rows {
-					t.Fatalf("%s: %v vector of %d, want %v of %d", e, got.Type, got.Len(), e.Type(), bc.Rows)
-				}
-				for r := range want {
-					if g := valueAt(got, r); !sameCell(g, want[r]) {
-						t.Errorf("%s row %d: %v, want %v", e, r, g, want[r])
-					}
-				}
-				releaseScratch(e, got)
+		for _, bc := range []*chunk.BinaryChunk{kernelChunk(t, zeros), narrowKernelChunk(t, zeros)} {
+			testArithKernels(t, bc, zeros)
+		}
+	}
+}
+
+// testArithKernels is TestArithKernelsMatchRowReference over one chunk.
+func testArithKernels(t *testing.T, bc *chunk.BinaryChunk, zeros bool) {
+	for _, pair := range operandPairs(t, false) {
+		for op := OpAdd; op <= OpMod; op++ {
+			e, err := NewArith(op, pair[0], pair[1])
+			if err != nil {
+				continue // % over a float operand
 			}
+			wantErr := ""
+			want := make([]Value, bc.Rows)
+			for r := range want {
+				v, zero := refArith(op, rowValue(t, pair[0], bc, r), rowValue(t, pair[1], bc, r))
+				if zero {
+					wantErr = fmt.Sprintf("engine: %s by zero at row %d", map[ArithOp]string{OpDiv: "division", OpMod: "modulo"}[op], r)
+					break
+				}
+				want[r] = v
+			}
+			got, err := e.Eval(bc)
+			if wantErr != "" {
+				if err == nil || err.Error() != wantErr {
+					t.Errorf("%s (zero divisors %v): error %v, want %s", e, zeros, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", e, err)
+				continue
+			}
+			if got.Type != e.Type() || got.Len() != bc.Rows {
+				t.Fatalf("%s: %v vector of %d, want %v of %d", e, got.Type, got.Len(), e.Type(), bc.Rows)
+			}
+			for r := range want {
+				if g := valueAt(got, r); !sameCell(g, want[r]) {
+					t.Errorf("%s row %d: %v, want %v", e, r, g, want[r])
+				}
+			}
+			releaseScratch(e, got)
 		}
 	}
 }
 
 // TestCmpKernelsMatchRowReference also runs the string shapes over columns
 // decoded from dictionary pages, where a literal operand is compared once
-// per dictionary entry.
+// per dictionary entry, and the numeric ones over narrow integer columns.
 func TestCmpKernelsMatchRowReference(t *testing.T) {
 	plain := kernelChunk(t, false)
 	coded := dictDecoded(t, []*chunk.BinaryChunk{plain})[0]
 	for _, shape := range []struct {
 		strs bool
 		bc   *chunk.BinaryChunk
-	}{{false, plain}, {true, plain}, {true, coded}} {
+	}{{false, plain}, {false, narrowKernelChunk(t, false)}, {true, plain}, {true, coded}} {
 		bc := shape.bc
 		for _, pair := range operandPairs(t, shape.strs) {
 			for op := OpEq; op <= OpGe; op++ {
@@ -289,7 +331,7 @@ func refColumn(e Expr, bc *chunk.BinaryChunk) ([]Value, error) {
 	switch e := e.(type) {
 	case *Col:
 		for r := range out {
-			out[r] = valueAt(bc.Column(e.Idx), r)
+			out[r] = cell(bc.Column(e.Idx), r)
 		}
 	case *Const:
 		for r := range out {
@@ -415,44 +457,50 @@ func TestIntSumChainsMatchRowReference(t *testing.T) {
 	}
 	div := mustArith(t, OpDiv, i1, i2) // zero divisors at rows 6 and 8 of the second chunk
 	for _, zeros := range []bool{false, true} {
-		bc := kernelChunk(t, zeros)
-		for n := 3; n <= 17; n++ {
-			for _, shape := range []string{"left", "right", "balanced"} {
-				for variant := 0; variant < 4; variant++ {
-					leaves := make([]Expr, n)
-					for i := range leaves {
-						leaves[i] = pool[rng.Intn(len(pool))]
-					}
-					switch variant {
-					case 1:
-						leaves[rng.Intn(n)] = div
-					case 2:
-						leaves[rng.Intn(n)] = f1
-					case 3:
-						leaves[0], leaves[n-1] = ConstInt(math.MaxInt64), ConstInt(math.MaxInt64)
-					}
-					e := addChain(t, shape, leaves)
-					if a := e.(*Arith); (a.sum != nil) != (variant != 2) {
-						t.Fatalf("%s: gathered as a sum: %v", e, a.sum != nil)
-					}
-					want, wantErr := refColumn(e, bc)
-					got, err := e.Eval(bc)
-					if wantErr != nil || err != nil {
-						if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-							t.Errorf("%s: error %v, want %v", e, err, wantErr)
-						}
-						continue
-					}
-					if got.Type != e.Type() || got.Len() != bc.Rows {
-						t.Fatalf("%s: %v vector of %d, want %v of %d", e, got.Type, got.Len(), e.Type(), bc.Rows)
-					}
-					for r := range want {
-						if g := valueAt(got, r); !sameCell(g, want[r]) {
-							t.Errorf("%s row %d: %v, want %v", e, r, g, want[r])
-						}
-					}
-					releaseScratch(e, got)
+		for _, bc := range []*chunk.BinaryChunk{kernelChunk(t, zeros), narrowKernelChunk(t, zeros)} {
+			testSumChains(t, rng, bc, pool, div, f1)
+		}
+	}
+}
+
+// testSumChains is TestIntSumChainsMatchRowReference over one chunk.
+func testSumChains(t *testing.T, rng *rand.Rand, bc *chunk.BinaryChunk, pool []Expr, div, f1 Expr) {
+	for n := 3; n <= 17; n++ {
+		for _, shape := range []string{"left", "right", "balanced"} {
+			for variant := 0; variant < 4; variant++ {
+				leaves := make([]Expr, n)
+				for i := range leaves {
+					leaves[i] = pool[rng.Intn(len(pool))]
 				}
+				switch variant {
+				case 1:
+					leaves[rng.Intn(n)] = div
+				case 2:
+					leaves[rng.Intn(n)] = f1
+				case 3:
+					leaves[0], leaves[n-1] = ConstInt(math.MaxInt64), ConstInt(math.MaxInt64)
+				}
+				e := addChain(t, shape, leaves)
+				if a := e.(*Arith); (a.sum != nil) != (variant != 2) {
+					t.Fatalf("%s: gathered as a sum: %v", e, a.sum != nil)
+				}
+				want, wantErr := refColumn(e, bc)
+				got, err := e.Eval(bc)
+				if wantErr != nil || err != nil {
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Errorf("%s: error %v, want %v", e, err, wantErr)
+					}
+					continue
+				}
+				if got.Type != e.Type() || got.Len() != bc.Rows {
+					t.Fatalf("%s: %v vector of %d, want %v of %d", e, got.Type, got.Len(), e.Type(), bc.Rows)
+				}
+				for r := range want {
+					if g := valueAt(got, r); !sameCell(g, want[r]) {
+						t.Errorf("%s row %d: %v, want %v", e, r, g, want[r])
+					}
+				}
+				releaseScratch(e, got)
 			}
 		}
 	}
@@ -599,6 +647,7 @@ func TestSelectionMatchesRowReference(t *testing.T) {
 	plain := kernelChunk(t, false)
 	chunks := map[string]*chunk.BinaryChunk{
 		"plain": plain, "dictionary": dictDecoded(t, []*chunk.BinaryChunk{plain})[0], "empty": emptyKernelChunk(t),
+		"narrow": narrowKernelChunk(t, false),
 	}
 	var preds []Expr
 	for _, strs := range []bool{false, true} {

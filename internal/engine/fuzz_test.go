@@ -93,10 +93,12 @@ func FuzzLikeMatch(f *testing.F) {
 
 // FuzzExprEval decodes a bound expression tree from the input — columns of
 // all three types, literals, + - * / %, comparisons, AND/OR/NOT and LIKE —
-// and evaluates it over a chunk drawn from the seed, once as converted and
-// once decoded from its pages (string columns with their dictionaries): as a
-// value, and when it is an Int64 as a WHERE selection too. Each must equal
-// the node-by-node reference, refColumn, errors included.
+// and evaluates it over two chunks drawn from the seed, one over the whole
+// int64 range and its twin over int32's, each once as converted and once
+// decoded from its pages (string columns with their dictionaries, the twin's
+// integer columns narrow): as a value, and when it is an Int64 as a WHERE
+// selection too. Each must equal the node-by-node reference, refColumn,
+// errors included.
 func FuzzExprEval(f *testing.F) {
 	f.Add(int64(1), []byte{0, 4, 0, 0, 0, 0, 2, 5})
 	f.Add(int64(2), []byte{1, 3, 0, 1, 4, 0, 0, 0, 0, 1})
@@ -111,8 +113,14 @@ func FuzzExprEval(f *testing.F) {
 		} else {
 			e = d.pred(t, 0)
 		}
-		plain := fuzzChunk(t, seed)
-		for _, bc := range []*chunk.BinaryChunk{plain, pageDecoded(t, []*chunk.BinaryChunk{plain})[0]} {
+		plain, narrow := fuzzChunk(t, seed, false), fuzzChunk(t, seed, true)
+		pages := pageDecoded(t, []*chunk.BinaryChunk{plain, narrow})
+		for _, c := range []int{0, 1} {
+			if v := pages[1].Column(c); v.Int32 == nil {
+				t.Fatalf("the int32-range twin's column %d decoded wide", c)
+			}
+		}
+		for _, bc := range []*chunk.BinaryChunk{plain, pages[0], narrow, pages[1]} {
 			want, wantErr := refColumn(e, bc)
 			got, err := e.Eval(bc)
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
@@ -176,7 +184,10 @@ func (d *treeDecoder) num(t *testing.T, depth int) Expr {
 	case 1:
 		return d.col(t, "f1", "f2")
 	case 2:
-		return ConstInt([]int64{0, 1, -1, 3, 16, math.MinInt64, math.MaxInt64, -7}[d.next()%8])
+		// Among them the first values outside int32 on either side,
+		// which a narrow column compares against without truncating.
+		return ConstInt([]int64{0, 1, -1, 3, 16, math.MinInt64, math.MaxInt64, -7,
+			1 << 31, -1<<31 - 1, math.MaxInt32, math.MinInt32}[d.next()%12])
 	case 3:
 		return ConstFloat([]float64{0, 2.5, -1.5, 1e300}[d.next()%4])
 	case 7:
@@ -234,11 +245,16 @@ func (d *treeDecoder) pred(t *testing.T, depth int) Expr {
 
 // fuzzChunk draws up to 40 rows over kernelSch from a few values per type —
 // zero divisors, the integer extremes, NaN and the infinities, strings few
-// enough to be stored as a dictionary page.
-func fuzzChunk(t *testing.T, seed int64) *chunk.BinaryChunk {
+// enough to be stored as a dictionary page. With int32 set the integers are
+// int32's — its extremes, ±16 and negative dividends for % among them — so
+// every integer page of the chunk is an int32 page and decodes narrow.
+func fuzzChunk(t *testing.T, seed int64, int32s bool) *chunk.BinaryChunk {
 	rng := rand.New(rand.NewSource(seed))
 	rows := rng.Intn(41)
 	ints := []int64{0, 1, -1, 2, 3, 16, -16, math.MinInt64, math.MaxInt64, rng.Int63()}
+	if int32s {
+		ints = []int64{0, 1, -1, 2, 3, 16, -16, -7, -17, math.MaxInt32, -math.MaxInt32, math.MinInt32, int64(rng.Int31()) - int64(rng.Int31())}
+	}
 	floats := []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 3}
 	strs := []string{"", "a", "b", "ab", "abc", "héllo", "z", "b%"}
 	bc := chunk.NewBinary(kernelSch, 0, rows)
@@ -279,7 +295,8 @@ var aggSch = schema.MustNew(
 // over columns and expressions, repeated inputs and the echoed key; an
 // optional WHERE — and the seed draws up to six chunks, which one to three
 // partials split at chunk boundaries consume and which are merged, in chunk
-// order, after a trip through EncodePartial/DecodePartial. The Result must
+// order, after a trip through EncodePartial/DecodePartial: once as built and
+// once decoded from their pages, where n and m are narrow. The Result must
 // equal refGroupAgg's: a row-at-a-time fold into a map of full per-cell
 // state. Floats are quarters, signed zeros and infinities, so every sum is
 // exact whatever the split; NaN is left out because a NaN extreme depends
@@ -306,41 +323,43 @@ func FuzzGroupAgg(f *testing.F) {
 			cuts = append(cuts, rng.Intn(len(chunks)+1))
 		}
 		slices.Sort(cuts)
-		var root *Partial
-		for i := 1; i < len(cuts); i++ {
-			p, err := NewPartial(q, aggSch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bc := range chunks[cuts[i-1]:cuts[i]] {
-				if err := p.Consume(bc); err != nil {
+		for _, set := range [][]*chunk.BinaryChunk{chunks, pageDecoded(t, chunks)} {
+			var root *Partial
+			for i := 1; i < len(cuts); i++ {
+				p, err := NewPartial(q, aggSch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bc := range set[cuts[i-1]:cuts[i]] {
+					if err := p.Consume(bc); err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+				}
+				data, err := EncodePartial(p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, err = DecodePartial(q, aggSch, data); err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
+				if root == nil {
+					root = p
+				} else if err := root.Merge(p); err != nil {
+					t.Fatal(err)
+				}
 			}
-			data, err := EncodePartial(p, 0)
+			got, err := root.Result()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p, err = DecodePartial(q, aggSch, data); err != nil {
-				t.Fatalf("%s: %v", sql, err)
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("%s: %d groups, want %d", sql, len(got.Rows), len(want.Rows))
 			}
-			if root == nil {
-				root = p
-			} else if err := root.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := root.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%s: %d groups, want %d", sql, len(got.Rows), len(want.Rows))
-		}
-		for i, row := range got.Rows {
-			for j, v := range row {
-				if !sameCellOrNaN(v, want.Rows[i][j]) {
-					t.Fatalf("%s: group %d (%v) column %d: %v, want %v", sql, i, want.Rows[i], j, v, want.Rows[i][j])
+			for i, row := range got.Rows {
+				for j, v := range row {
+					if !sameCellOrNaN(v, want.Rows[i][j]) {
+						t.Fatalf("%s: group %d (%v) column %d: %v, want %v", sql, i, want.Rows[i], j, v, want.Rows[i][j])
+					}
 				}
 			}
 		}
@@ -583,10 +602,11 @@ var topSch = schema.MustNew(
 // columns and expressions, or none; an optional WHERE; k from 1 to past the
 // row count — and a seed the chunks, their delivery order (shuffled IDs)
 // and a split over executors, each partial maybe through the wire, joined
-// with Merge. The result must equal every selected row sorted canonically
-// (keys, then chunk, then row) and cut to k; after every chunk an
-// executor's published bound must be its heap's root, and its count the
-// WHERE's.
+// with Merge — over the chunks as built and again decoded from their pages,
+// where i and id are narrow. The result must equal every selected row
+// sorted canonically (keys, then chunk, then row) and cut to k; after every
+// chunk an executor's published bound must be its heap's root, and its
+// count the WHERE's.
 func FuzzTopK(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 1, 1, 0, 0, 3})
 	f.Add(int64(2), []byte{3, 2, 3, 1, 1, 0, 2, 0, 1, 1, 9})
@@ -613,56 +633,58 @@ func FuzzTopK(f *testing.F) {
 			cuts = append(cuts, rng.Intn(len(chunks)+1))
 		}
 		slices.Sort(cuts)
-		var root *Partial
-		for i := 1; i < len(cuts); i++ {
-			ex, err := NewExecutor(q, topSch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bc := range chunks[cuts[i-1]:cuts[i]] {
-				matched, err := ex.ConsumeCounted(bc)
-				if err != nil {
-					t.Fatalf("%s: %v", sql, err)
-				}
-				if w := refMatched(t, q, bc); matched != w {
-					t.Fatalf("%s: chunk %d: %d rows matched, want %d", sql, bc.ID, matched, w)
-				}
-				got, gotOK := ex.Bound()
-				worst, full := ex.p.Bound()
-				if len(q.OrderBy) > 0 && (gotOK != full || fmt.Sprint(got) != fmt.Sprint(worst)) {
-					t.Fatalf("%s: chunk %d: published bound %v (%v), heap root %v (%v)", sql, bc.ID, got, gotOK, worst, full)
-				}
-			}
-			p, err := ex.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(2) == 0 {
-				data, err := EncodePartial(p, 0)
+		for _, set := range [][]*chunk.BinaryChunk{chunks, pageDecoded(t, chunks)} {
+			var root *Partial
+			for i := 1; i < len(cuts); i++ {
+				ex, err := NewExecutor(q, topSch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if p, err = DecodePartial(q, topSch, data); err != nil {
-					t.Fatalf("%s: %v", sql, err)
+				for _, bc := range set[cuts[i-1]:cuts[i]] {
+					matched, err := ex.ConsumeCounted(bc)
+					if err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+					if w := refMatched(t, q, bc); matched != w {
+						t.Fatalf("%s: chunk %d: %d rows matched, want %d", sql, bc.ID, matched, w)
+					}
+					got, gotOK := ex.Bound()
+					worst, full := ex.p.Bound()
+					if len(q.OrderBy) > 0 && (gotOK != full || fmt.Sprint(got) != fmt.Sprint(worst)) {
+						t.Fatalf("%s: chunk %d: published bound %v (%v), heap root %v (%v)", sql, bc.ID, got, gotOK, worst, full)
+					}
+				}
+				p, err := ex.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(2) == 0 {
+					data, err := EncodePartial(p, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p, err = DecodePartial(q, topSch, data); err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+				}
+				if root == nil {
+					root = p
+				} else if err := root.Merge(p); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if root == nil {
-				root = p
-			} else if err := root.Merge(p); err != nil {
+			got, err := root.Result()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		got, err := root.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", sql, len(got.Rows), len(want))
-		}
-		for i, row := range got.Rows {
-			for j, v := range row {
-				if !sameCellOrNaN(v, want[i][j]) {
-					t.Fatalf("%s: row %d: %v, want %v", sql, i, row, want[i])
+			if len(got.Rows) != len(want) {
+				t.Fatalf("%s: %d rows, want %d", sql, len(got.Rows), len(want))
+			}
+			for i, row := range got.Rows {
+				for j, v := range row {
+					if !sameCellOrNaN(v, want[i][j]) {
+						t.Fatalf("%s: row %d: %v, want %v", sql, i, row, want[i])
+					}
 				}
 			}
 		}

@@ -110,7 +110,7 @@ func (t *groupTable) addGroup(vecs []*chunk.Vector, r int) int32 {
 	for i, kv := range vecs {
 		switch k := &t.keys[i]; k.Type {
 		case schema.Int64:
-			k.Ints = append(k.Ints, kv.Ints[r])
+			k.Ints = append(k.Ints, kv.IntAt(r))
 		case schema.Float64:
 			k.Floats = append(k.Floats, kv.Floats[r])
 		default:
@@ -154,11 +154,15 @@ func (t *groupTable) resolve(vecs []*chunk.Vector, sel []int, ords []int32) {
 		}
 		clear(ords)
 	case resolveInt:
+		// A bare column's narrow key is widened once per chunk: the
+		// probes compare int64 keys.
+		ints, wide := chunk.Widen(vecs[0])
 		j := 0
 		if t.slots == nil {
-			j = t.resolveDirect(vecs, sel, ords)
+			j = t.resolveDirect(ints, vecs, sel, ords)
 		}
-		t.resolveSlots(vecs, sel, ords, j)
+		t.resolveSlots(ints, vecs, sel, ords, j)
+		chunk.PutVector(wide)
 	case resolveStr:
 		strs := vecs[0].Strs
 		lastKey, lastOrd := t.lastKey, t.lastOrd
@@ -202,9 +206,9 @@ func (t *groupTable) resolve(vecs []*chunk.Vector, sel []int, ords []int32) {
 
 // resolveDirect resolves rows through the direct index until a new key
 // widens the keys' span to directSpan; it returns the number of rows
-// resolved, all of them unless the table has switched to slots.
-func (t *groupTable) resolveDirect(vecs []*chunk.Vector, sel []int, ords []int32) int {
-	ints := vecs[0].Ints
+// resolved, all of them unless the table has switched to slots. ints are
+// the values of vecs[0].
+func (t *groupTable) resolveDirect(ints []int64, vecs []*chunk.Vector, sel []int, ords []int32) int {
 	direct, base := t.direct, t.base
 	j := 0
 	if sel == nil {
@@ -275,9 +279,9 @@ func (t *groupTable) placeDirect(k int64) bool {
 	return true
 }
 
-// resolveSlots resolves rows j.. by probing the slots.
-func (t *groupTable) resolveSlots(vecs []*chunk.Vector, sel []int, ords []int32, j int) {
-	ints := vecs[0].Ints
+// resolveSlots resolves rows j.. by probing the slots; ints are the values
+// of vecs[0].
+func (t *groupTable) resolveSlots(ints []int64, vecs []*chunk.Vector, sel []int, ords []int32, j int) {
 	for ; j < len(ords); j++ {
 		r := j
 		if sel != nil {

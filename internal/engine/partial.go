@@ -286,7 +286,7 @@ func (p *Partial) topCandidates(bc *chunk.BinaryChunk, sel []int) (cand []int, o
 	}
 	dst := p.sel[:bc.Rows]
 	if v.Type == schema.Int64 {
-		return dst[:selectScalar(keep, dst, sel, v.Ints[:bc.Rows], root.Int)], true
+		return dst[:selectInts(keep, dst, sel, v, bc.Rows, root.Int)], true
 	}
 	return dst[:selectScalar(keep, dst, sel, v.Floats[:bc.Rows], root.Float)], true
 }

@@ -24,11 +24,12 @@ import (
 // project's conventions the resource is nil/untaken exactly when that
 // error is non-nil, so the "leak" cannot hold anything.
 
-// acqKind describes how an acquire call binds its resource: either the
-// call's first result, or one of its arguments (a pin taken on an existing
-// object).
+// acqKind describes how an acquire call binds its resource: either one of
+// the call's results (the first, unless result says which), or one of its
+// arguments (a pin taken on an existing object).
 type acqKind struct {
 	fromResult bool
+	result     int
 	argIdx     int
 }
 
@@ -251,12 +252,16 @@ func (t *pairTracker) acquireFromAssign(v *ast.AssignStmt, site ast.Stmt) *acqEv
 	if !kind.fromResult {
 		return t.argAcquire(call, kind, site)
 	}
-	res := exprText(v.Lhs[0])
+	if kind.result >= len(v.Lhs) {
+		return nil
+	}
+	lhs := v.Lhs[kind.result]
+	res := exprText(lhs)
 	if res == "" || res == "_" {
 		return nil
 	}
 	ev := &acqEvent{stmt: site, res: res, siblings: lhsIdents(v)}
-	if root := rootIdent(v.Lhs[0]); root != nil {
+	if root := rootIdent(lhs); root != nil {
 		ev.root = root.Name
 	}
 	for _, a := range call.Args {

@@ -4,8 +4,9 @@ package lint
 // taken from the shared pools (chunk.GetVector, chunk.GetVectorUncleared and
 // the package's own getVector, chunk.GetPositionalMap and the tokenizer's Tokenize, the fused
 // kernels' getVectors batch acquire, chunk.DecodeVector, whose page-read
-// vectors are pooled too, the engine's asFloats widening, and the operator's
-// getText raw-text buffers) must reach a recycle call (PutVector, PutPositionalMap,
+// vectors are pooled too, the scratch vectors of the engine's asFloats and
+// of chunk.Widen — the second result of each — and the operator's getText
+// raw-text buffers) must reach a recycle call (PutVector, PutPositionalMap,
 // putVectors, putText) or have their ownership transferred. A text buffer
 // changes hands as the Data of a chunk.TextChunk — scanner, driver step,
 // text chunks buffer, conversion task — so most of its drops are of the
@@ -34,7 +35,8 @@ var poolSpec = &pairSpec{
 		"parseColumn":        {fromResult: true},
 		"getVectors":         {fromResult: true},
 		"DecodeVector":       {fromResult: true},
-		"asFloats":           {fromResult: true},
+		"asFloats":           {fromResult: true, result: 1},
+		"Widen":              {fromResult: true, result: 1},
 		"getText":            {fromResult: true},
 	},
 	releases: map[string]bool{

@@ -35,8 +35,18 @@ func AppendRows(dst []byte, rows [][]engine.Value) []byte {
 
 // AppendChunk appends one NDJSON line per qualifying row of a chunk's
 // projected columns, in the shape engine.Partial.ChunkVectors hands them
-// over: sel nil selects rows 0..n-1, otherwise its n ordinals.
+// over: sel nil selects rows 0..n-1, otherwise its n ordinals. How a
+// column's cells are read — an Int64 column narrow or wide — is chosen once
+// per column, not once per cell.
 func AppendChunk(dst []byte, cols []*chunk.Vector, sel []int, n int) []byte {
+	var buf [16]cellKind
+	kinds := buf[:0]
+	if len(cols) > len(buf) {
+		kinds = make([]cellKind, 0, len(cols))
+	}
+	for _, v := range cols {
+		kinds = append(kinds, kindOf(v))
+	}
 	for ri := 0; ri < n; ri++ {
 		r := ri
 		if sel != nil {
@@ -47,10 +57,12 @@ func AppendChunk(dst []byte, cols []*chunk.Vector, sel []int, n int) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			switch v.Type {
-			case schema.Int64:
+			switch kinds[i] {
+			case cellInt:
 				dst = appendInt(dst, v.Ints[r])
-			case schema.Float64:
+			case cellInt32:
+				dst = appendInt(dst, int64(v.Int32[r]))
+			case cellFloat:
 				dst = appendFloat(dst, v.Floats[r])
 			default:
 				dst = appendString(dst, v.Strs[r])
@@ -59,6 +71,28 @@ func AppendChunk(dst []byte, cols []*chunk.Vector, sel []int, n int) []byte {
 		dst = append(dst, ']', '\n')
 	}
 	return dst
+}
+
+// cellKind is how AppendChunk reads one column's cells.
+type cellKind uint8
+
+const (
+	cellInt   cellKind = iota // Int64, wide
+	cellInt32                 // Int64, narrow
+	cellFloat
+	cellStr
+)
+
+func kindOf(v *chunk.Vector) cellKind {
+	switch {
+	case v.Type == schema.Int64 && v.Int32 != nil:
+		return cellInt32
+	case v.Type == schema.Int64:
+		return cellInt
+	case v.Type == schema.Float64:
+		return cellFloat
+	}
+	return cellStr
 }
 
 // appendRow appends one row of values as a JSON array.

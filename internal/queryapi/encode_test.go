@@ -263,48 +263,84 @@ func mixedChunk(t testing.TB, n int) (*schema.Schema, *chunk.BinaryChunk) {
 	return sch, bc
 }
 
+// pageDecoded is bc read back from its pages: its int column comes back
+// narrow, its string column with its dictionary.
+func pageDecoded(t testing.TB, bc *chunk.BinaryChunk) *chunk.BinaryChunk {
+	nb := chunk.NewBinary(bc.Schema(), bc.ID, bc.Rows)
+	for _, c := range bc.Present() {
+		v, err := chunk.DecodeVector(chunk.EncodeVector(bc.Column(c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nb.SetColumn(c, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nb
+}
+
 // TestAppendChunkMatchesRows: encoding a chunk straight from its projected
 // vectors gives the lines its materialized rows give — with every row
 // selected, with a selection, with none qualifying, and with a computed
-// (scratch-vector) column.
+// (scratch-vector) column — and the chunk read back from its pages, whose
+// int column is narrow, gives the same bytes.
 func TestAppendChunkMatchesRows(t *testing.T) {
-	sch, bc := mixedChunk(t, 500)
+	sch, wide := mixedChunk(t, 500)
+	narrow := pageDecoded(t, wide)
+	if narrow.Column(0).Int32 == nil {
+		t.Fatal("the int column did not decode narrow")
+	}
 	for _, sql := range []string{
 		"SELECT c0, c1, c2 FROM data",
 		"SELECT c2, c0 FROM data WHERE c0 < 0",
 		"SELECT c0 + 1, c1 FROM data WHERE c0 > 1",
 		"SELECT c1 FROM data WHERE c0 > 100",
 	} {
-		q, err := engine.ParseSQL(sql, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := engine.NewPartial(q, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := p.ChunkRows(bc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []byte
-		for _, row := range rows {
-			want = append(appendRow(want, row), '\n')
-		}
-		var got []byte
-		rowsSeen := -1
-		if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, n int) {
-			got, rowsSeen = AppendChunk(nil, cols, sel, n), n
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if rowsSeen != len(rows) || !bytes.Equal(got, want) {
-			t.Errorf("%s: %d rows from vectors, %d from values; bytes equal: %v", sql, rowsSeen, len(rows), bytes.Equal(got, want))
-		}
-		if bytes.Count(got, []byte{'\n'}) != len(rows) {
-			t.Errorf("%s: %d raw newlines for %d rows", sql, bytes.Count(got, []byte{'\n'}), len(rows))
+		var first []byte
+		for _, bc := range []*chunk.BinaryChunk{wide, narrow} {
+			got := appendChunkMatchesRows(t, sch, bc, sql)
+			if bc == wide {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Errorf("%s: the narrow chunk's lines differ from the wide chunk's", sql)
+			}
 		}
 	}
+}
+
+// appendChunkMatchesRows checks AppendChunk against the rows of one chunk
+// under one query and returns its bytes.
+func appendChunkMatchesRows(t *testing.T, sch *schema.Schema, bc *chunk.BinaryChunk, sql string) []byte {
+	q, err := engine.ParseSQL(sql, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := engine.NewPartial(q, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := p.ChunkRows(bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, row := range rows {
+		want = append(appendRow(want, row), '\n')
+	}
+	var got []byte
+	rowsSeen := -1
+	if err := p.ChunkVectors(bc, func(cols []*chunk.Vector, sel []int, n int) {
+		got, rowsSeen = AppendChunk(nil, cols, sel, n), n
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rowsSeen != len(rows) || !bytes.Equal(got, want) {
+		t.Errorf("%s: %d rows from vectors, %d from values; bytes equal: %v", sql, rowsSeen, len(rows), bytes.Equal(got, want))
+	}
+	if bytes.Count(got, []byte{'\n'}) != len(rows) {
+		t.Errorf("%s: %d raw newlines for %d rows", sql, bytes.Count(got, []byte{'\n'}), len(rows))
+	}
+	return got
 }
 
 // intChunk is a chunk of n rows over five int columns c0..c4 of 31-bit
@@ -333,7 +369,7 @@ func intChunk(t testing.TB, n int) (*schema.Schema, *chunk.BinaryChunk) {
 // TestAppendChunkAllocations: encoding a chunk from its vectors into a
 // reused buffer allocates a handful of times per chunk on a mixed
 // int/float/string projection, not per row, and not at all on an all-int
-// one (the stream_rows shape).
+// one (the stream_rows shape), whether its columns are wide or narrow.
 func TestAppendChunkAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -343,6 +379,10 @@ func TestAppendChunkAllocations(t *testing.T) {
 	}{
 		{"mixed", mixedChunk, "SELECT c0, c1, c2 FROM data WHERE c0 < 2", 8},
 		{"ints", intChunk, "SELECT c0, c1, c2, c3 FROM data WHERE c4 < 536870912", 0},
+		{"narrow ints", func(t testing.TB, n int) (*schema.Schema, *chunk.BinaryChunk) {
+			sch, bc := intChunk(t, n)
+			return sch, pageDecoded(t, bc)
+		}, "SELECT c0, c1, c2, c3 FROM data WHERE c4 < 536870912", 0},
 	} {
 		for _, n := range []int{1 << 10, 1 << 16} {
 			sch, bc := c.table(t, n)

@@ -93,7 +93,7 @@ func TestColGroupSharedDifferential(t *testing.T) {
 					Columns: []int{0, 2},
 					Deliver: func(bc *BinaryChunk) error {
 						for r := 0; r < bc.Rows; r++ {
-							sumA += bc.Column(0).Ints[r] + bc.Column(2).Ints[r]
+							sumA += bc.Column(0).IntAt(r) + bc.Column(2).IntAt(r)
 						}
 						return nil
 					},
@@ -102,7 +102,7 @@ func TestColGroupSharedDifferential(t *testing.T) {
 					Columns: []int{1, 3},
 					Deliver: func(bc *BinaryChunk) error {
 						for r := 0; r < bc.Rows; r++ {
-							sumB += bc.Column(1).Ints[r] + bc.Column(3).Ints[r]
+							sumB += bc.Column(1).IntAt(r) + bc.Column(3).IntAt(r)
 						}
 						return nil
 					},

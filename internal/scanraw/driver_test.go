@@ -207,8 +207,8 @@ func TestDriverSourceCounters(t *testing.T) {
 					got = append(got, bc.ID)
 					var sum int64
 					for _, c := range stateCols {
-						for _, x := range bc.Column(c).Ints {
-							sum += x
+						for r := 0; r < bc.Rows; r++ {
+							sum += bc.Column(c).IntAt(r)
 						}
 					}
 					lo := bc.ID * stateChunkLines

@@ -76,7 +76,7 @@ func TestCrossColumnCacheMerging(t *testing.T) {
 						return fmt.Errorf("column %d missing from chunk %d", c, bc.ID)
 					}
 					for r := 0; r < bc.Rows; r++ {
-						sum += v.Ints[r]
+						sum += v.IntAt(r)
 					}
 				}
 				return nil
@@ -140,7 +140,7 @@ func TestRandomWorkloadProperty(t *testing.T) {
 					rowsSeen += bc.Rows
 					for _, c := range qc {
 						for r := 0; r < bc.Rows; r++ {
-							sum += bc.Column(c).Ints[r]
+							sum += bc.Column(c).IntAt(r)
 						}
 					}
 					return nil
@@ -216,7 +216,7 @@ func TestConcurrentOperatorsOnSharedStore(t *testing.T) {
 					Columns: []int{0, 1, 2},
 					Deliver: func(bc *BinaryChunk) error {
 						for r := 0; r < bc.Rows; r++ {
-							sum += bc.Column(0).Ints[r] + bc.Column(1).Ints[r] + bc.Column(2).Ints[r]
+							sum += bc.Column(0).IntAt(r) + bc.Column(1).IntAt(r) + bc.Column(2).IntAt(r)
 						}
 						return nil
 					},

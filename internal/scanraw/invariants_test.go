@@ -125,12 +125,28 @@ func TestWarmScanVectorBalance(t *testing.T) {
 			base := chunk.OutstandingVectors()
 			op := New(env.store, env.table, Config{Workers: workers, ChunkLines: 64, Policy: FullLoad, CacheChunks: cacheChunks})
 			for pass := 0; pass < 3; pass++ {
-				st, err := op.Run(Request{Columns: allCols(cols), Deliver: func(*BinaryChunk) error { return nil }})
+				// A page-read column is narrow (its values fit int32),
+				// and a consumer without a narrow path widens it into
+				// a scratch vector of its own and hands that back.
+				narrow := 0
+				st, err := op.Run(Request{Columns: allCols(cols), Deliver: func(bc *BinaryChunk) error {
+					for _, c := range allCols(cols) {
+						if v := bc.Column(c); v.Int32 != nil {
+							narrow++
+							_, wide := chunk.Widen(v)
+							chunk.PutVector(wide)
+						}
+					}
+					return nil
+				}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if pass > 0 && st.DeliveredDB < chunks-cacheChunks {
 					t.Fatalf("warm pass %d read %d chunks from pages, want at least %d", pass, st.DeliveredDB, chunks-cacheChunks)
+				}
+				if pass > 0 && narrow < cols*(chunks-cacheChunks) {
+					t.Fatalf("warm pass %d delivered %d narrow columns, want at least %d", pass, narrow, cols*(chunks-cacheChunks))
 				}
 				held := int64(0)
 				for _, id := range op.Cache().IDs() {

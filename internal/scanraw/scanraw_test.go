@@ -221,7 +221,7 @@ func TestSpeculativeCPUBoundLoadsEverything(t *testing.T) {
 			time.Sleep(3 * time.Millisecond) // engine is the bottleneck
 			for r := 0; r < bc.Rows; r++ {
 				for c := 0; c < 4; c++ {
-					sum += bc.Column(c).Ints[r]
+					sum += bc.Column(c).IntAt(r)
 				}
 			}
 			return nil
@@ -585,7 +585,7 @@ func TestConcurrentRunsSerialized(t *testing.T) {
 				Columns: []int{0, 1},
 				Deliver: func(bc *BinaryChunk) error {
 					for r := 0; r < bc.Rows; r++ {
-						sum += bc.Column(0).Ints[r] + bc.Column(1).Ints[r]
+						sum += bc.Column(0).IntAt(r) + bc.Column(1).IntAt(r)
 					}
 					return nil
 				},

@@ -18,7 +18,7 @@ func TestRunSharedTwoQueriesOneScan(t *testing.T) {
 			Columns: []int{0, 1},
 			Deliver: func(bc *BinaryChunk) error {
 				for r := 0; r < bc.Rows; r++ {
-					sumA += bc.Column(0).Ints[r] + bc.Column(1).Ints[r]
+					sumA += bc.Column(0).IntAt(r) + bc.Column(1).IntAt(r)
 				}
 				return nil
 			},
@@ -27,7 +27,7 @@ func TestRunSharedTwoQueriesOneScan(t *testing.T) {
 			Columns: []int{2},
 			Deliver: func(bc *BinaryChunk) error {
 				for r := 0; r < bc.Rows; r++ {
-					sumB += bc.Column(2).Ints[r]
+					sumB += bc.Column(2).IntAt(r)
 				}
 				return nil
 			},

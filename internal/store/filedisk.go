@@ -371,8 +371,12 @@ func (d *FileDisk) Append(name string, p []byte) (int64, error) {
 // os.File's finalizer.
 
 // maxReadHandles bounds the kept handles, and with them the descriptors a
-// FileDisk holds open. The benchmark's largest table is 128 chunks of one or
-// two segments each; a daemon's descriptor limit is rarely under 1024.
+// FileDisk holds open. A commit blob holds the segments of up to eight
+// chunks (dbstore's commitChunks), so the benchmark's largest table, 128
+// chunks, is 16 blobs per load of its columns, and a handful of column
+// groups loaded at different times stays far inside the bound. A data-dir
+// of the older layouts has one or two blobs per chunk: 256 for that table,
+// the bound itself. A daemon's descriptor limit is rarely under 1024.
 const maxReadHandles = 256
 
 // readHandle is one open file. refs counts the set's own reference plus the
