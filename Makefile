@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race stress experiments-check lint invariants fuzz loc knobs
+.PHONY: check fmt vet build test bench-module race stress experiments-check lint invariants fuzz loc knobs unreached
 
 check: fmt vet build test bench-module race lint invariants fuzz
 
@@ -128,6 +128,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=5s ./internal/queryapi
 	$(GO) test -run='^$$' -fuzz=FuzzAppendInt -fuzztime=5s ./internal/queryapi
 	$(GO) test -run='^$$' -fuzz=FuzzRawScanner -fuzztime=5s ./internal/scanraw
+
+# The internal/ functions and methods no product binary links (every cmd/*,
+# every examples/* and the benchmark harness, built with inlining off),
+# minus the reasoned entries of scripts/unreached.allow. Code that only tests
+# run is either deleted or named there; any output fails the target.
+unreached:
+	scripts/unreached.sh
 
 # Non-test lines per internal/ package and in total — every line, then code
 # only (neither blank nor a // comment) — so "the trend is down" (ROADMAP)

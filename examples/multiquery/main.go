@@ -4,9 +4,9 @@
 //
 // Three analysts ask different questions of the same raw file at the same
 // time. Run separately, each query would scan and convert the file; with
-// RunShared the operator converts the union of the needed columns once and
-// feeds every query from the same chunk stream, so three queries cost
-// about one scan.
+// RunSharedContext the operator converts the union of the needed columns
+// once and feeds every query from the same chunk stream, so three queries
+// cost about one scan.
 //
 // Run with: go run ./examples/multiquery
 package main

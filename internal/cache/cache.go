@@ -46,9 +46,6 @@ func New(capacity int) *Cache {
 	return &Cache{cap: capacity, entries: make(map[int]*entry)}
 }
 
-// Cap returns the capacity in chunks.
-func (c *Cache) Cap() int { return c.cap }
-
 // Len returns the number of cached chunks.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -142,16 +139,6 @@ func (c *Cache) pickVictim() *entry {
 	return bestAny
 }
 
-// Peek returns the cached chunk without touching LRU state.
-func (c *Cache) Peek(id int) *chunk.BinaryChunk {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[id]; ok {
-		return e.bc
-	}
-	return nil
-}
-
 // Acquire returns the cached chunk with one pin already taken, atomically,
 // so the caller can use the chunk without racing an eviction (and the
 // vector recycling that may follow it). The caller must Unpin the ID when
@@ -211,20 +198,6 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// MarkLoaded records that the chunk's cached columns now exist in the
-// database, making it preferred for eviction. It reports whether the chunk
-// was present.
-func (c *Cache) MarkLoaded(id int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return false
-	}
-	e.loaded = true
-	return true
-}
-
 // MarkPending claims the chunk's write: its cached columns are about to be
 // encoded into a write that is not committed yet. Until Committed, it is
 // neither loaded nor a candidate for another write (AcquireOldestUnloaded,
@@ -267,15 +240,6 @@ func (c *Cache) Committed(id int, loaded []bool) {
 		}
 	}
 	e.loaded = true
-}
-
-// IsLoaded reports whether the cached chunk is marked loaded. Absent
-// chunks report false.
-func (c *Cache) IsLoaded(id int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	return ok && e.loaded
 }
 
 // AcquireOldestUnloaded returns the cached chunk that was inserted earliest

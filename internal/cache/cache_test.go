@@ -35,6 +35,28 @@ func touch(c *Cache, id int) *chunk.BinaryChunk {
 	return bc
 }
 
+// loadedAll is a commit that stored every column of the schema: it marks
+// any cached chunk loaded.
+var loadedAll = []bool{true, true}
+
+// peek reads a cached chunk without a pin or an LRU touch.
+func peek(c *Cache, id int) *chunk.BinaryChunk {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[id]; ok {
+		return e.bc
+	}
+	return nil
+}
+
+// isLoaded reports whether the cached chunk is marked loaded.
+func isLoaded(c *Cache, id int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[id]
+	return ok && e.loaded
+}
+
 // oldestUnloaded is AcquireOldestUnloaded with the pin given straight back.
 func oldestUnloaded(c *Cache) *chunk.BinaryChunk {
 	bc := c.AcquireOldestUnloaded()
@@ -57,11 +79,11 @@ func TestPutGet(t *testing.T) {
 	if touch(c, 99) != nil {
 		t.Error("Acquire(99) should be nil")
 	}
-	if c.Peek(1) == nil || c.Peek(2) != nil {
-		t.Error("Peek wrong")
+	if peek(c, 1) == nil || peek(c, 2) != nil {
+		t.Error("cache contents wrong")
 	}
-	if c.Len() != 1 || c.Cap() != 2 {
-		t.Errorf("Len/Cap = %d/%d", c.Len(), c.Cap())
+	if c.Len() != 1 || c.Stats().Capacity != 2 {
+		t.Errorf("Len/Cap = %d/%d", c.Len(), c.Stats().Capacity)
 	}
 }
 
@@ -74,7 +96,7 @@ func TestEvictionLRU(t *testing.T) {
 	if !ok || ev == nil || ev.ID != 2 {
 		t.Errorf("evicted = %v, want chunk 2", ev)
 	}
-	if c.Peek(1) == nil || c.Peek(3) == nil || c.Peek(2) != nil {
+	if peek(c, 1) == nil || peek(c, 3) == nil || peek(c, 2) != nil {
 		t.Error("cache contents wrong after eviction")
 	}
 }
@@ -119,8 +141,8 @@ func TestZeroCapacity(t *testing.T) {
 		t.Error("zero-capacity cache should accept nothing")
 	}
 	c2 := New(-5)
-	if c2.Cap() != 0 {
-		t.Errorf("negative capacity should clamp to 0, got %d", c2.Cap())
+	if c2.Stats().Capacity != 0 {
+		t.Errorf("negative capacity should clamp to 0, got %d", c2.Stats().Capacity)
 	}
 }
 
@@ -132,22 +154,17 @@ func TestMarkLoadedAndOldestUnloaded(t *testing.T) {
 	if got := oldestUnloaded(c); got == nil || got.ID != 1 {
 		t.Errorf("OldestUnloaded = %v, want 1", got)
 	}
-	if !c.MarkLoaded(1) {
-		t.Fatal("MarkLoaded(1) failed")
-	}
-	if !c.IsLoaded(1) || c.IsLoaded(2) {
-		t.Error("IsLoaded wrong")
+	c.Committed(1, loadedAll)
+	if !isLoaded(c, 1) || isLoaded(c, 2) {
+		t.Error("a covering commit marked the wrong chunks loaded")
 	}
 	if got := oldestUnloaded(c); got == nil || got.ID != 2 {
 		t.Errorf("OldestUnloaded after load = %v, want 2", got)
 	}
-	c.MarkLoaded(2)
-	c.MarkLoaded(3)
+	c.Committed(2, loadedAll)
+	c.Committed(3, loadedAll)
 	if got := oldestUnloaded(c); got != nil {
 		t.Errorf("all loaded, OldestUnloaded = %v", got)
-	}
-	if c.MarkLoaded(99) {
-		t.Error("MarkLoaded(absent) should report false")
 	}
 }
 
@@ -156,7 +173,7 @@ func TestUnloadedIDsOrder(t *testing.T) {
 	for _, id := range []int{5, 2, 9} {
 		c.Put(mk(id), false)
 	}
-	c.MarkLoaded(2)
+	c.Committed(2, loadedAll)
 	got := c.UnloadedIDs()
 	if len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Errorf("UnloadedIDs = %v, want [5 9] (insertion order)", got)
@@ -187,11 +204,11 @@ func TestPutMergeColumns(t *testing.T) {
 	if _, _, ok := c.Put(bc, false); !ok {
 		t.Fatal("merge Put failed")
 	}
-	got := c.Peek(1)
+	got := peek(c, 1)
 	if !got.Has(0) || !got.Has(1) {
 		t.Error("merge should keep both columns")
 	}
-	if c.IsLoaded(1) {
+	if isLoaded(c, 1) {
 		t.Error("merging unloaded data should clear loaded flag")
 	}
 	if c.Len() != 1 {
@@ -229,22 +246,11 @@ func TestClear(t *testing.T) {
 	c.Acquire(2)
 	c.Put(mk(3), false)
 	c.Clear()
-	if c.Peek(3) != nil {
+	if peek(c, 3) != nil {
 		t.Error("Clear should drop unpinned entries")
 	}
-	if c.Peek(2) == nil {
+	if peek(c, 2) == nil {
 		t.Error("Clear must keep pinned entries")
-	}
-}
-
-func TestPeekDoesNotTouchLRU(t *testing.T) {
-	c := New(2)
-	c.Put(mk(1), false)
-	c.Put(mk(2), false)
-	c.Peek(1) // must NOT refresh 1
-	ev, _, _ := c.Put(mk(3), false)
-	if ev == nil || ev.ID != 1 {
-		t.Errorf("evicted = %v; Peek should not touch LRU", ev)
 	}
 }
 
@@ -266,7 +272,8 @@ func TestOldestUnloadedProperty(t *testing.T) {
 					inserted[id] = true
 				}
 			case 1:
-				if inserted[id] && c.MarkLoaded(id) {
+				if inserted[id] {
+					c.Committed(id, loadedAll)
 					loaded[id] = true
 				}
 			case 2:
@@ -324,7 +331,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				return false
 			}
 			for id, n := range pinned {
-				if n > 0 && c.Peek(id) == nil {
+				if n > 0 && peek(c, id) == nil {
 					return false // pinned chunk evicted
 				}
 			}
@@ -348,7 +355,7 @@ func TestPendingWrite(t *testing.T) {
 	if !c.MarkPending(1) || c.MarkPending(1) || !c.MarkPending(99) {
 		t.Fatal("MarkPending claims wrong: want the first claim of 1, not the second, and the absent 99")
 	}
-	if c.IsLoaded(1) {
+	if isLoaded(c, 1) {
 		t.Error("a pending chunk counts as loaded")
 	}
 	if got := c.UnloadedIDs(); len(got) != 1 || got[0] != 2 {
@@ -365,7 +372,7 @@ func TestPendingWrite(t *testing.T) {
 
 	c.MarkPending(2)
 	c.Committed(2, []bool{false, true}) // column 0, which it caches, is not loaded
-	if c.IsLoaded(2) {
+	if isLoaded(c, 2) {
 		t.Error("a commit that missed a cached column marked the chunk loaded")
 	}
 	if got := c.UnloadedIDs(); len(got) != 2 {
@@ -373,12 +380,12 @@ func TestPendingWrite(t *testing.T) {
 	}
 	c.MarkPending(3)
 	c.Committed(3, nil) // the commit failed
-	if c.IsLoaded(3) || len(c.UnloadedIDs()) != 2 {
+	if isLoaded(c, 3) || len(c.UnloadedIDs()) != 2 {
 		t.Error("a failed commit left the chunk pending or loaded")
 	}
 	c.MarkPending(3)
 	c.Committed(3, []bool{true})
-	if !c.IsLoaded(3) {
+	if !isLoaded(c, 3) {
 		t.Error("a covering commit did not mark the chunk loaded")
 	}
 	if c.MarkPending(3) {

@@ -30,10 +30,6 @@ type TextChunk struct {
 	Lines int
 }
 
-// MemSize returns the approximate memory footprint in bytes, used for
-// buffer sizing.
-func (c *TextChunk) MemSize() int { return len(c.Data) + 24 }
-
 // PositionalMap records, for each tuple of a text chunk, where each
 // tokenized attribute begins and ends inside the chunk's Data. With
 // selective tokenizing only a prefix of the attributes may be tokenized
@@ -62,11 +58,6 @@ func (m *PositionalMap) Field(r, c int) (int32, int32) {
 	}
 	i := r*m.NumCols + c
 	return m.Starts[i], m.Ends[i]
-}
-
-// MemSize returns the approximate memory footprint in bytes.
-func (m *PositionalMap) MemSize() int {
-	return 8*len(m.Starts) + 4*len(m.LineEnd) + 32
 }
 
 // Vector is a typed column of values. Exactly one of the payload slices is
@@ -169,22 +160,6 @@ func codeViolation(v *Vector) string {
 	return ""
 }
 
-// MemSize returns the approximate memory footprint in bytes.
-func (v *Vector) MemSize() int {
-	switch v.Type {
-	case schema.Int64:
-		return 4*len(v.Int32) + 8*len(v.Ints)
-	case schema.Float64:
-		return 8 * len(v.Floats)
-	default:
-		n := 16*len(v.Strs) + len(v.Codes)
-		for _, s := range v.Strs {
-			n += len(s)
-		}
-		return n
-	}
-}
-
 // BinaryChunk is the columnar processing representation of one chunk.
 type BinaryChunk struct {
 	// ID is the chunk ordinal within the raw file.
@@ -257,18 +232,6 @@ func (b *BinaryChunk) Present() []int {
 		}
 	}
 	return out
-}
-
-// MemSize returns the approximate memory footprint in bytes, used for
-// cache accounting.
-func (b *BinaryChunk) MemSize() int {
-	n := 64
-	for _, v := range b.cols {
-		if v != nil {
-			n += v.MemSize()
-		}
-	}
-	return n
 }
 
 // Clone returns a shallow copy of the chunk: a new column table pointing

@@ -15,13 +15,6 @@ func testSchema(t *testing.T) *schema.Schema {
 	)
 }
 
-func TestTextChunkMemSize(t *testing.T) {
-	c := &TextChunk{ID: 1, Data: []byte("1,2\n3,4\n"), Lines: 2}
-	if c.MemSize() <= len(c.Data) {
-		t.Errorf("MemSize = %d, want > %d", c.MemSize(), len(c.Data))
-	}
-}
-
 func TestPositionalMapField(t *testing.T) {
 	// Two rows, two cols each: "ab,cde\nf,gh\n"
 	m := &PositionalMap{
@@ -46,21 +39,12 @@ func TestPositionalMapField(t *testing.T) {
 	m.Field(0, 2)
 }
 
-func TestVectorLenAndMemSize(t *testing.T) {
+func TestNewVectorLen(t *testing.T) {
 	for _, ty := range []schema.Type{schema.Int64, schema.Float64, schema.Str} {
 		v := NewVector(ty, 7)
 		if v.Len() != 7 {
 			t.Errorf("NewVector(%v,7).Len() = %d", ty, v.Len())
 		}
-		if v.MemSize() <= 0 {
-			t.Errorf("MemSize(%v) = %d", ty, v.MemSize())
-		}
-	}
-	v := NewVector(schema.Str, 2)
-	v.Strs[0] = "hello"
-	base := NewVector(schema.Str, 2).MemSize()
-	if v.MemSize() != base+5 {
-		t.Errorf("string MemSize should count bytes: %d vs %d", v.MemSize(), base)
 	}
 }
 
@@ -163,17 +147,5 @@ func TestBinaryChunkMerge(t *testing.T) {
 	d := NewBinary(sch, 0, 3)
 	if err := a.Merge(d); err == nil {
 		t.Error("merging different row counts should fail")
-	}
-}
-
-func TestBinaryChunkMemSizeGrows(t *testing.T) {
-	sch := testSchema(t)
-	b := NewBinary(sch, 0, 100)
-	empty := b.MemSize()
-	if err := b.SetColumn(0, NewVector(schema.Int64, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if b.MemSize() <= empty {
-		t.Error("MemSize should grow when columns are added")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // An int32 page decodes narrow: Int32 holds the values at the page's width,
-// Ints stays nil, and Len, IntAt and MemSize read the narrow form. Encoding
+// Ints stays nil, and Len and IntAt read the narrow form. Encoding
 // it again gives the page it came from, byte for byte.
 func TestNarrowVectorRepresentation(t *testing.T) {
 	vals := []int64{0, math.MinInt32, math.MaxInt32, -1, 16, -16, 42}
@@ -26,8 +26,8 @@ func TestNarrowVectorRepresentation(t *testing.T) {
 	if v.Ints != nil || len(v.Int32) != len(vals) {
 		t.Fatalf("decoded %d int32 and %d int64 values, want %d int32 only", len(v.Int32), len(v.Ints), len(vals))
 	}
-	if v.Len() != len(vals) || v.MemSize() != 4*len(vals) {
-		t.Errorf("Len %d MemSize %d, want %d and %d", v.Len(), v.MemSize(), len(vals), 4*len(vals))
+	if v.Len() != len(vals) {
+		t.Errorf("Len %d, want %d", v.Len(), len(vals))
 	}
 	for i, x := range vals {
 		if v.IntAt(i) != x {

@@ -107,9 +107,6 @@ func (co *Coordinator) Close() {
 	co.client.Close()
 }
 
-// Fleet returns the coordinator's routing table.
-func (co *Coordinator) Fleet() *Fleet { return co.fleet }
-
 func (co *Coordinator) healthLoop() {
 	defer close(co.healthDone)
 	tick := time.NewTicker(co.cfg.HealthInterval)

@@ -61,9 +61,6 @@ type ChunkMeta struct {
 	Loaded []bool     // indexed by schema ordinal; union of Groups
 	Groups []GroupState
 
-	// maskKey is the table mask-index key of this chunk's current loaded
-	// set ("" while nothing is loaded); maintained by remaskLocked.
-	maskKey string
 	// journaled reports that the chunk's RecChunk geometry record is in the
 	// journal — appended, replayed or checkpointed. Until then the record is
 	// pending and rides in the chunk's next append (Table.journalAppend).
@@ -122,12 +119,6 @@ type Table struct {
 	chunks   []*ChunkMeta
 	complete bool // true once the raw file has been fully scanned once
 
-	// masks indexes chunks by their loaded-column set, so CountLoaded — the
-	// cached-path probe every query makes — is O(distinct masks) instead of
-	// a walk over every chunk under the table lock. Chunks with no loaded
-	// column are not tracked. Guarded by mu.
-	masks map[string]*maskCount
-
 	// journal, when non-nil, receives the records of each mutation — except
 	// chunk discovery, whose geometry record waits for the chunk's next
 	// append (ChunkMeta.journaled), and statistics, which wait in pending.
@@ -150,47 +141,6 @@ type Table struct {
 	// land in the log after the snapshot but before the truncate — the one
 	// interleaving that would lose a record.
 	ckpt *sync.RWMutex
-}
-
-// maskCount is one loaded-column-set equivalence class: the set itself and
-// how many chunks currently have exactly that set loaded.
-type maskCount struct {
-	loaded []bool
-	n      int
-}
-
-// remaskLocked moves a chunk between mask-index buckets after its loaded
-// set changed. m is the unpublished copy. Caller holds t.mu.
-func (t *Table) remaskLocked(m *ChunkMeta) {
-	if old := m.maskKey; old != "" {
-		if mc := t.masks[old]; mc != nil {
-			mc.n--
-			if mc.n == 0 {
-				delete(t.masks, old)
-			}
-		}
-	}
-	var cols []int
-	for c, l := range m.Loaded {
-		if l {
-			cols = append(cols, c)
-		}
-	}
-	if len(cols) == 0 {
-		m.maskKey = ""
-		return
-	}
-	key := EncodeColGroupKey(cols)
-	m.maskKey = key
-	if t.masks == nil {
-		t.masks = make(map[string]*maskCount)
-	}
-	mc := t.masks[key]
-	if mc == nil {
-		mc = &maskCount{loaded: append([]bool(nil), m.Loaded...)}
-		t.masks[key] = mc
-	}
-	mc.n++
 }
 
 // journalLock enters a mutate+append critical section against checkpoints.
@@ -453,57 +403,16 @@ func (t *Table) EstimateRangeRows(col int, lo, hi int64) (estimate float64, tota
 	return estimate, totalRows, nil
 }
 
-// EstimateDistinct returns the estimated number of distinct values of a
-// column per chunk summed across chunks — an upper bound on the table-wide
-// distinct count (per-chunk sketches cannot be unioned exactly once stored
-// as scalars).
-func (t *Table) EstimateDistinct(col int) (int64, error) {
-	if col < 0 || col >= t.schema.NumColumns() {
-		return 0, fmt.Errorf("dbstore: column %d out of range", col)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var total int64
-	for _, m := range t.chunks {
-		if m == nil {
-			continue
-		}
-		total += m.Stats[col].Distinct
-	}
-	return total, nil
-}
-
-// LoadedChunks returns the IDs of chunks whose listed columns are all
-// loaded.
-func (t *Table) LoadedChunks(cols []int) []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []int
-	for _, m := range t.chunks {
-		if m != nil && m.LoadedAll(cols) {
-			out = append(out, m.ID)
-		}
-	}
-	return out
-}
-
-// CountLoaded returns how many chunks have all listed columns loaded. It
-// answers from the mask index — O(distinct loaded-column sets), not
-// O(chunks) — because it is the cached-path probe on every query.
+// CountLoaded returns how many chunks have every listed column loaded. A
+// chunk with nothing loaded is never counted, so an empty list counts the
+// chunks with any column loaded.
 func (t *Table) CountLoaded(cols []int) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	for _, mc := range t.masks {
-		covered := true
-		for _, c := range cols {
-			if c < 0 || c >= len(mc.loaded) || !mc.loaded[c] {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			n += mc.n
+	for _, m := range t.chunks {
+		if m != nil && m.LoadedAny() && m.LoadedAll(cols) {
+			n++
 		}
 	}
 	return n

@@ -80,12 +80,3 @@ func (h *HLL) Estimate() int64 {
 	}
 	return int64(est + 0.5)
 }
-
-// Merge folds another sketch into h (union of the underlying sets).
-func (h *HLL) Merge(o *HLL) {
-	for i := range h.reg {
-		if o.reg[i] > h.reg[i] {
-			h.reg[i] = o.reg[i]
-		}
-	}
-}

@@ -57,19 +57,6 @@ func TestHLLStrings(t *testing.T) {
 	}
 }
 
-func TestHLLMerge(t *testing.T) {
-	var a, b HLL
-	for i := 0; i < 1000; i++ {
-		a.AddUint(uint64(i))
-		b.AddUint(uint64(i + 500)) // overlap 500..999
-	}
-	a.Merge(&b)
-	est := float64(a.Estimate())
-	if est < 1100 || est > 1900 {
-		t.Errorf("merged estimate = %v, want ~1500", est)
-	}
-}
-
 func TestHLLEmpty(t *testing.T) {
 	var h HLL
 	if est := h.Estimate(); est != 0 {
@@ -156,30 +143,6 @@ func TestEstimateRangeRowsNoStats(t *testing.T) {
 	}
 	if est != 100 || total != 100 {
 		t.Errorf("no-stats estimate = %v/%v, want 100/100", est, total)
-	}
-}
-
-func TestEstimateDistinct(t *testing.T) {
-	_, tbl := newTestStore(t)
-	if err := tbl.EnsureChunk(0, 100, 0, 1000); err != nil {
-		t.Fatal(err)
-	}
-	v := chunk.NewVector(schema.Int64, 100)
-	for i := range v.Ints {
-		v.Ints[i] = int64(i % 10)
-	}
-	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{CollectStats(v)}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := tbl.EstimateDistinct(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 8 || d > 12 {
-		t.Errorf("distinct = %d, want ~10", d)
-	}
-	if _, err := tbl.EstimateDistinct(-1); err == nil {
-		t.Error("bad column should fail")
 	}
 }
 

@@ -289,8 +289,7 @@ func (t *Table) addSegment(id int, groups []GroupState) (*ChunkMeta, error) {
 }
 
 // reloadLocked recomputes the loaded bits of m, an unpublished copy of a
-// chunk's metadata, as the union of its groups, and re-indexes it. Caller
-// holds t.mu.
+// chunk's metadata, as the union of its groups. Caller holds t.mu.
 func (t *Table) reloadLocked(m *ChunkMeta) {
 	m.Loaded = make([]bool, len(m.Loaded))
 	for _, g := range m.Groups {
@@ -298,7 +297,6 @@ func (t *Table) reloadLocked(m *ChunkMeta) {
 			m.Loaded[c] = true
 		}
 	}
-	t.remaskLocked(m)
 }
 
 // ReadChunk reads the listed columns of chunk id from the database into a

@@ -103,14 +103,6 @@ func (s ColStats) MayContainInt(lo, hi int64) bool {
 	return s.MaxInt >= lo && s.MinInt <= hi
 }
 
-// MayContainFloat is the float analogue of MayContainInt.
-func (s ColStats) MayContainFloat(lo, hi float64) bool {
-	if !s.Valid || s.Type != schema.Float64 {
-		return true
-	}
-	return s.MaxFloat >= lo && s.MinFloat <= hi
-}
-
 // estimateOverlap estimates how many of the column's rows fall in [lo, hi]
 // under a uniform-distribution assumption between the observed min/max —
 // the classic textbook interpolation the paper's catalog statistics feed

@@ -77,21 +77,6 @@ func TestMayContainInt(t *testing.T) {
 	}
 }
 
-func TestMayContainFloat(t *testing.T) {
-	v := chunk.NewVector(schema.Float64, 2)
-	v.Floats = []float64{1.0, 2.0}
-	s := CollectStats(v)
-	if s.MayContainFloat(2.1, 3) {
-		t.Error("range above max should be excluded")
-	}
-	if !s.MayContainFloat(0, 1) {
-		t.Error("range touching min should match")
-	}
-	if !(ColStats{}).MayContainFloat(0, 0) {
-		t.Error("invalid stats must conservatively return true")
-	}
-}
-
 // Property: every value in the vector is within [Min, Max], and
 // MayContainInt never excludes a range containing an actual value.
 func TestStatsSoundnessProperty(t *testing.T) {

@@ -41,7 +41,7 @@ func TestGroupByAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := run(func() error { return p.Consume(c.bc) }); n != 0 {
+			if n := run(func() error { _, err := p.ConsumeCounted(c.bc); return err }); n != 0 {
 				t.Errorf("%s: %v allocations per chunk in steady state, want 0", c.name, n)
 			}
 		}
@@ -50,7 +50,7 @@ func TestGroupByAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Consume(c.bc); err != nil {
+			if _, err := p.ConsumeCounted(c.bc); err != nil {
 				t.Fatal(err)
 			}
 			untyped := 8 + 96*len(q.Items) // the int key, then every item's state
@@ -75,7 +75,7 @@ func TestGroupByAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			if err := p.Consume(bc); err != nil {
+			if _, err := p.ConsumeCounted(bc); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
@@ -115,15 +115,15 @@ func TestTopKAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, consume := range []func(*chunk.BinaryChunk) error{p.Consume, ex.Consume} {
-			if err := consume(first); err != nil {
+		for _, consume := range []func(*chunk.BinaryChunk) (int, error){p.ConsumeCounted, ex.ConsumeCounted} {
+			if _, err := consume(first); err != nil {
 				t.Fatal(err)
 			}
 		}
 		want, _ := p.Bound()
 		wantEx, _ := ex.Bound()
 		if n := testing.AllocsPerRun(20, func() {
-			if err := p.Consume(later); err != nil {
+			if _, err := p.ConsumeCounted(later); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

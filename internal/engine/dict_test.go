@@ -99,7 +99,7 @@ func TestDictionaryPagesMatchPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, bc := range plain {
-				if err := ref.Consume(bc); err != nil {
+				if _, err := ref.ConsumeCounted(bc); err != nil {
 					t.Fatal(err)
 				}
 			}

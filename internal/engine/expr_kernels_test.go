@@ -553,7 +553,7 @@ func TestLongSumChainLinear(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 2; i++ {
-				if err := p.Consume(bc); err != nil {
+				if _, err := p.ConsumeCounted(bc); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -715,7 +715,7 @@ func TestZeroDivisorUnderConnectives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Consume(bc); fmt.Sprint(err) != c.want {
+		if _, err := p.ConsumeCounted(bc); fmt.Sprint(err) != c.want {
 			t.Errorf("WHERE %s: %v, want %s", c.where, err, c.want)
 		}
 		if _, err := q.Where.Eval(bc); fmt.Sprint(err) != c.want {

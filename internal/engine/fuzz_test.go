@@ -331,7 +331,7 @@ func FuzzGroupAgg(f *testing.F) {
 					t.Fatal(err)
 				}
 				for _, bc := range set[cuts[i-1]:cuts[i]] {
-					if err := p.Consume(bc); err != nil {
+					if _, err := p.ConsumeCounted(bc); err != nil {
 						t.Fatalf("%s: %v", sql, err)
 					}
 				}

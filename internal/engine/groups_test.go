@@ -118,7 +118,7 @@ func feedGroups(t testing.TB, q *Query, chunks []*chunk.BinaryChunk, generic boo
 		t.Fatal(err)
 	}
 	for _, bc := range chunks {
-		if err := p.Consume(bc); err != nil {
+		if _, err := p.ConsumeCounted(bc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +364,7 @@ func ExampleNewPartial_groupOrder() {
 	_ = bc.SetColumn(0, &chunk.Vector{Type: schema.Int64, Ints: []int64{10, 9, -1, 100}})
 	q, _ := ParseSQL("SELECT k FROM t GROUP BY k", sch)
 	p, _ := NewPartial(q, sch)
-	_ = p.Consume(bc)
+	_, _ = p.ConsumeCounted(bc)
 	res, _ := p.Result()
 	for _, row := range res.Rows {
 		fmt.Println(row[0])

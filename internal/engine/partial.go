@@ -72,16 +72,10 @@ func newPartial(q *Query, sch *schema.Schema, genericGroups bool) (*Partial, err
 // Query returns the query the partial executes.
 func (p *Partial) Query() *Query { return p.q }
 
-// Consume folds one chunk into the partial. A partial is single-consumer:
-// Consume must not be called concurrently on the same partial.
-func (p *Partial) Consume(bc *chunk.BinaryChunk) error {
-	_, err := p.ConsumeCounted(bc)
-	return err
-}
-
-// ConsumeCounted is Consume returning the number of rows that passed the
-// WHERE clause, the signal demand-driven termination needs to decide when a
-// LIMIT is provably met.
+// ConsumeCounted folds one chunk into the partial and returns the number of
+// rows that passed the WHERE clause, the signal demand-driven termination
+// needs to decide when a LIMIT is provably met. A partial is
+// single-consumer: it must not be called concurrently on the same partial.
 func (p *Partial) ConsumeCounted(bc *chunk.BinaryChunk) (int, error) {
 	if p.done {
 		return 0, fmt.Errorf("engine: Consume after Result")

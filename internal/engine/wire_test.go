@@ -68,7 +68,7 @@ func feedPartial(t *testing.T, q *Query, sch *schema.Schema, chunks []*chunk.Bin
 		t.Fatal(err)
 	}
 	for _, bc := range chunks {
-		if err := p.Consume(bc); err != nil {
+		if _, err := p.ConsumeCounted(bc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func FuzzDecodePartial(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, bc := range bcs {
-			if err := p.Consume(bc); err != nil {
+			if _, err := p.ConsumeCounted(bc); err != nil {
 				f.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"scanraw/internal/chunk"
 	"scanraw/internal/parse"
 	"scanraw/internal/schema"
+	"scanraw/internal/testutil"
 	"scanraw/internal/tok"
 )
 
@@ -266,7 +267,7 @@ func TestIntFieldWordBoundaries(t *testing.T) {
 							rest = lead + strings.Repeat("0", pad-len(lead)-1) + "\n"
 						}
 						data := []byte(lead + v + term + rest)
-						tc := &chunk.TextChunk{Data: data, Lines: tok.CountLines(data)}
+						tc := &chunk.TextChunk{Data: data, Lines: testutil.CountLines(data)}
 						want, wantErr := tokParse(sh.sch, tc, delim, sh.cols)
 						got, gotErr := k.Convert(tc)
 						if (wantErr != nil) != (gotErr != nil) {

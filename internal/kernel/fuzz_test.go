@@ -5,7 +5,7 @@ import (
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
-	"scanraw/internal/tok"
+	"scanraw/internal/testutil"
 )
 
 // FuzzFusedKernel is the fuzz form of the differential property: for
@@ -46,7 +46,7 @@ func FuzzFusedKernel(f *testing.F) {
 		if len(cols) == 0 {
 			cols = []int{0}
 		}
-		tc := &chunk.TextChunk{Data: data, Lines: tok.CountLines(data) + int(claimBias%3)}
+		tc := &chunk.TextChunk{Data: data, Lines: testutil.CountLines(data) + int(claimBias%3)}
 
 		k, err := For(sch, cols, delim)
 		if err != nil {

@@ -114,9 +114,6 @@ const (
 	// syncack asks for one sync-class call between the last write and the ack.
 	anySync = "a second sync-class call stands between the same write and the ack; either satisfies the rule"
 	noWrite = "the function writes nothing itself: syncing is its whole job"
-	// syncack tracks writes of bytes and directories; a file O_CREATE makes
-	// is an entry too, but opening a file is not a write to it.
-	newEntry = "the sync makes the entry O_CREATE added durable, and syncack does not count opening a file as a write"
 	// journalorder's lock rule is about appends.
 	noAppend = "no journal append in this function: the lock brackets a catalog change whose record goes out with a later append"
 	// decodeguard takes any relational comparison on the variable as a bound.
@@ -154,7 +151,6 @@ var survivors = map[string]string{
 	"internal/store/filedisk.go:syncDir:Sync#1":                      noWrite,
 	"internal/store/filedisk.go:syncMeter.Sync:Sync#1":               noWrite,
 	"internal/store/filedisk.go:syncMeter.syncDir:syncDir#1":         noWrite,
-	"internal/store/filedisk.go:FileDisk.Append:syncDir#1":           newEntry,
 	"internal/store/manifest.go:Manifest.Close:Sync#1":               noWrite,
 	"internal/store/manifest.go:OpenManifest:Sync#1":                 anySync,
 	"internal/store/manifest.go:OpenManifest:syncDir#1":              anySync,

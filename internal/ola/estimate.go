@@ -124,9 +124,6 @@ func NewEstimator(q *engine.Query, cfg Config) (*Estimator, error) {
 // after chunk discovery completes.
 func (e *Estimator) SetTotalChunks(n int) { e.total = n }
 
-// Chunks returns how many chunks have been observed.
-func (e *Estimator) Chunks() int { return e.n }
-
 // Observe folds one chunk's per-group aggregate snapshots into the
 // running moments. Chunks MUST arrive in sample order (any prefix of the
 // permutation is a uniform sample; an arbitrary subset is not — the

@@ -211,7 +211,7 @@ func TestSampledScanFeedsSpeculativeLoader(t *testing.T) {
 				t.Fatalf("expected early termination: %+v", st)
 			}
 			op.WaitIdle()
-			if loaded := len(env.table.LoadedChunks([]int{0})); loaded == 0 {
+			if loaded := env.table.CountLoaded([]int{0}); loaded == 0 {
 				t.Error("sampled speculative scan loaded no chunks into the database")
 			}
 		})

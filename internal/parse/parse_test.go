@@ -11,6 +11,7 @@ import (
 
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
+	"scanraw/internal/testutil"
 	"scanraw/internal/tok"
 )
 
@@ -22,7 +23,7 @@ var testSchema = schema.MustNew(
 
 func tokenized(t *testing.T, text string, upTo int) (*chunk.TextChunk, *chunk.PositionalMap) {
 	t.Helper()
-	c := &chunk.TextChunk{ID: 0, Data: []byte(text), Lines: tok.CountLines([]byte(text))}
+	c := &chunk.TextChunk{ID: 0, Data: []byte(text), Lines: testutil.CountLines([]byte(text))}
 	tk := &tok.Tokenizer{Delim: ',', MinFields: testSchema.NumColumns()}
 	m, err := tk.Tokenize(c, upTo)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"scanraw/internal/parse"
+	"scanraw/internal/testutil"
 	"scanraw/internal/tok"
 	"scanraw/internal/vdisk"
 )
@@ -78,7 +79,7 @@ func TestCigarDistributionHasStructure(t *testing.T) {
 func TestSAMBytesParsesWithTokenizer(t *testing.T) {
 	s := Spec{Reads: 32, Seed: 9, ReadLen: 20}
 	data := SAMBytes(s)
-	if got := tok.CountLines(data); got != 32 {
+	if got := testutil.CountLines(data); got != 32 {
 		t.Fatalf("lines = %d", got)
 	}
 	chunks, err := tok.SplitChunks(data, 8)

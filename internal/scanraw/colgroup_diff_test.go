@@ -1,6 +1,7 @@
 package scanraw
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -108,7 +109,7 @@ func TestColGroupSharedDifferential(t *testing.T) {
 					},
 				},
 			}
-			if _, _, err := op.RunShared(reqs); err != nil {
+			if _, _, err := op.RunSharedContext(context.Background(), reqs); err != nil {
 				t.Fatal(err)
 			}
 			if want := gen.SumRange(env.spec, []int{0, 2}, 0, 512); sumA != want {

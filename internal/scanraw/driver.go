@@ -407,16 +407,22 @@ func (e pooled) hand(bc *BinaryChunk, src source) {
 	select {
 	case e.r.deliverCh <- bc:
 		e.r.bySource[src].Add(1)
-		e.r.poke() // cache gained a chunk: wake the speculative scheduler
+		e.r.poke() // cache gained a chunk: wake a blocked driver to write it
 	case <-e.r.done:
 		_ = e.r.op.cache.Unpin(bc.ID)
 		e.release()
 	}
 }
 
-// emit places a task into the text chunks buffer, recording the blocked
-// state the speculative scheduler watches for. The task is dropped when the
-// run fails or its demand is satisfied while READ waits.
+// emit places a task into the text chunks buffer. A full buffer blocks READ
+// and the disk goes idle: the speculative loading trigger (§4) and the
+// CPU-bound signal the resource manager consumes (§3.3). While it waits, the
+// driver spends idle quanta itself, one at a time with a send attempt
+// between them, so READ takes the disk back the moment the buffer has room.
+// With nothing left to write it sleeps until the send succeeds or the cache
+// gains a chunk. The task is dropped when the run fails or its demand is
+// satisfied while READ waits. Once READ has finished, what is still unloaded
+// waits for the safeguard flush (DESIGN.md §16 has the departure from §4).
 func (e pooled) emit(t task) error {
 	r := e.r
 	select {
@@ -424,22 +430,35 @@ func (e pooled) emit(t task) error {
 		return nil
 	default:
 	}
-	// Buffer full: READ blocks — the disk goes idle, which is the
-	// speculative loading trigger (§4) and the CPU-bound signal the resource
-	// manager consumes (§3.3).
 	start := time.Now()
-	r.readBlocked.Store(true)
-	r.poke()
-	select {
-	case r.textBuf <- t:
-	case <-r.done:
+	defer func() { r.blocked.add(time.Since(start)) }()
+	for {
+		for r.specNotify != nil && !r.failed() && !r.satisfied.Load() {
+			wrote, err := r.specStep()
+			if err != nil {
+				t.drop(r.op)
+				return err
+			}
+			if !wrote {
+				break
+			}
+			select {
+			case r.textBuf <- t:
+				return nil
+			default:
+			}
+		}
+		select {
+		case r.textBuf <- t:
+			return nil
+		case <-r.specNotify:
+			continue
+		case <-r.done:
+		case <-r.satCh:
+		}
 		t.drop(r.op)
-	case <-r.satCh:
-		t.drop(r.op)
+		return nil
 	}
-	r.readBlocked.Store(false)
-	r.blocked.add(time.Since(start))
-	return nil
 }
 
 // serve is the one routine that does a fetched task's CPU work, on the given

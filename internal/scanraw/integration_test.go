@@ -90,7 +90,7 @@ func TestCrossColumnCacheMerging(t *testing.T) {
 		}
 	}
 	// By now chunks in cache should have merged all four columns.
-	if bc := op.Cache().Peek(0); bc != nil && !bc.HasAll([]int{0, 1, 2, 3}) {
+	if bc := cachedChunk(t, op, 0); bc != nil && !bc.HasAll([]int{0, 1, 2, 3}) {
 		t.Errorf("cached chunk 0 has columns %v, want all four merged", bc.Present())
 	}
 }

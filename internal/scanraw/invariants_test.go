@@ -150,7 +150,7 @@ func TestWarmScanVectorBalance(t *testing.T) {
 				}
 				held := int64(0)
 				for _, id := range op.Cache().IDs() {
-					held += int64(len(op.Cache().Peek(id).Present()))
+					held += int64(len(cachedChunk(t, op, id).Present()))
 				}
 				if got := chunk.OutstandingVectors() - base; got != held {
 					t.Errorf("pass %d: %d vectors outstanding, resident cache entries hold %d", pass, got, held)
@@ -258,7 +258,7 @@ func TestCutShortWarmScanLeaksNothing(t *testing.T) {
 					}
 					held := int64(0)
 					for _, id := range op.Cache().IDs() {
-						held += int64(len(op.Cache().Peek(id).Present()))
+						held += int64(len(cachedChunk(t, op, id).Present()))
 					}
 					if got := chunk.OutstandingVectors() - base; got != held {
 						t.Errorf("%s: %d vectors outstanding, resident cache entries hold %d", c.name, got, held)

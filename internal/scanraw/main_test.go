@@ -7,6 +7,6 @@ import (
 )
 
 // TestMain fails the package when a test leaves pipeline goroutines —
-// readers, consumers, workers, the speculative scheduler — running after
-// it returns. See internal/testutil.
+// readers, consumers, workers — running after it returns. See
+// internal/testutil.
 func TestMain(m *testing.M) { testutil.Main(m) }

@@ -1,6 +1,7 @@
 package scanraw
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -118,12 +119,12 @@ func TestSharedScanRejectsMultiMemberOrder(t *testing.T) {
 			Deliver: func(bc *BinaryChunk) error { return nil },
 		}
 	}
-	_, _, err := op.RunShared([]Request{mk(func(n int) []int { return revPerm(n) }), mk(nil)})
+	_, _, err := op.RunSharedContext(context.Background(), []Request{mk(func(n int) []int { return revPerm(n) }), mk(nil)})
 	if err == nil || !strings.Contains(err.Error(), "cannot share") {
 		t.Fatalf("multi-member ordered share err = %v", err)
 	}
 	// A solo ordered member passes through.
-	if _, _, err := op.RunShared([]Request{mk(func(n int) []int { return revPerm(n) })}); err != nil {
+	if _, _, err := op.RunSharedContext(context.Background(), []Request{mk(func(n int) []int { return revPerm(n) })}); err != nil {
 		t.Fatalf("solo ordered share: %v", err)
 	}
 }

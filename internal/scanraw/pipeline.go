@@ -13,7 +13,7 @@ import (
 
 // run holds the per-query state: the scan driver's bookkeeping, the consume
 // stage, and — for a pooled run — the pipeline's buffers (bounded channels
-// with slot semaphores), worker pool and scheduler signals.
+// with slot semaphores) and worker pool.
 type run struct {
 	op  *Operator
 	req Request
@@ -51,12 +51,12 @@ type run struct {
 	// slot — the calling goroutine's implicit worker.
 	workers chan *workerSlot
 
-	readBlocked atomic.Bool
-	specNotify  chan struct{} // pokes the speculative scheduler
-	finish      chan struct{} // closed at teardown; stops the scheduler
+	// specNotify wakes a driver blocked on a full text buffer to spend idle
+	// quanta: the cache gained a chunk or a delivery freed one. Nil unless a
+	// pooled run speculates.
+	specNotify chan struct{}
 
-	convWG  sync.WaitGroup
-	schedWG sync.WaitGroup
+	convWG sync.WaitGroup
 
 	gate *cacheGate // wakes cache-insert waiters when pins release
 
@@ -417,8 +417,9 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 	r.textBuf = make(chan task, o.cfg.TextBufferChunks)
 	r.freeBin = slots(o.cfg.CacheChunks)
 	r.deliverCh = make(chan *BinaryChunk, o.cfg.CacheChunks)
-	r.specNotify = make(chan struct{}, 1)
-	r.finish = make(chan struct{})
+	if o.when.idle {
+		r.specNotify = make(chan struct{}, 1)
+	}
 	for i := 0; i < workers; i++ {
 		r.workers <- &workerSlot{}
 	}
@@ -463,10 +464,6 @@ func (r *run) execute(ctx context.Context) error {
 // is the execution engine's feed.
 func (r *run) pipeline(ctx context.Context) {
 	r.out = pooled{r}
-	if r.op.when.idle {
-		r.schedWG.Add(1)
-		go r.scheduler()
-	}
 	go r.convertConsumer()
 	go func() {
 		r.fail(r.drive(ctx))
@@ -484,9 +481,6 @@ func (r *run) pipeline(ctx context.Context) {
 		r.fail(ctx.Err())
 		r.deliver(bc)
 	}
-
-	close(r.finish)
-	r.schedWG.Wait()
 }
 
 // deliver is the CONSUME stage for one pinned, cache-resident chunk: unless
@@ -610,7 +604,7 @@ func (r *run) serveTask(t task, slot *workerSlot, ramped bool) {
 // the shared pools. The write is an encode only: its disk work is the
 // batch's commit, off the converting goroutine. The recycle is safe because
 // eviction implies zero pins, every consumer of a cached chunk — delivery,
-// safeguard flush, speculative scheduler — holds a pin for the duration of
+// safeguard flush, speculative quantum — holds a pin for the duration of
 // its use, and an encoded segment holds no reference to the vectors.
 func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
 	if evicted == nil {
@@ -668,48 +662,4 @@ func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 		return err
 	}
 	return nil
-}
-
-// scheduler implements speculative loading (§4): whenever READ is blocked
-// on a full text buffer the disk is idle, so spend one speculation quantum
-// (a payoff-ranked column group, or the oldest unloaded cached chunk under
-// scan order). Writing stops the moment READ wants the disk back. Once READ
-// has finished, what is still unloaded waits for the safeguard flush: a
-// quantum is an encode, CPU the scan's last conversions are waiting for,
-// and the flush starts the moment the run returns. §4 also writes after
-// READ finishes; DESIGN.md §16 measures the departure.
-func (r *run) scheduler() {
-	defer r.schedWG.Done()
-	for {
-		select {
-		case <-r.specNotify:
-		case <-r.finish:
-			return
-		case <-r.done:
-			return
-		}
-		for r.writableNow() {
-			wrote, err := r.specStep()
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			if !wrote {
-				break
-			}
-			select {
-			case <-r.finish:
-				return
-			case <-r.done:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// writableNow reports whether the disk is idle from READ's perspective:
-// READ blocked on a full buffer.
-func (r *run) writableNow() bool {
-	return !r.failed() && r.readBlocked.Load()
 }

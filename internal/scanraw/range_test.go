@@ -201,7 +201,7 @@ func TestRangeSharedScan(t *testing.T) {
 		{Columns: qa.RequiredColumns(), Range: &ChunkRange{Lo: 0, Hi: 5}, Deliver: exA.Consume},
 		{Columns: qb.RequiredColumns(), Range: &ChunkRange{Lo: 5}, Deliver: exB.Consume},
 	}
-	_, per, err := op.RunShared(reqs)
+	_, per, err := op.RunSharedContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,8 +313,8 @@ type RunStats struct {
 	// Duration is the wall-clock time of the Run call.
 	Duration time.Duration
 	ScanReport
-	// GroupWritesDuringRun counts the column groups written by the
-	// payoff-ranked speculative scheduler: each SpecPayoff quantum writes
+	// GroupWritesDuringRun counts the column groups written by payoff-ranked
+	// speculation: each SpecPayoff quantum writes
 	// the chosen chunk's wanted groups, however many, as one segment.
 	GroupWritesDuringRun int
 	// FlushedAfterRun counts chunks queued for the safeguard flush that
@@ -327,7 +327,8 @@ type RunStats struct {
 	DiskReadBytes  int64
 	DiskWriteBytes int64
 	// ReadBlocked is the time READ spent blocked on a full text buffer —
-	// the CPU-bound signal of §3.3.
+	// the CPU-bound signal of §3.3. It includes the speculative quanta the
+	// driver spent while its send waited.
 	ReadBlocked time.Duration
 	// Profile is the per-stage time delta for this run.
 	Profile Profile
@@ -336,8 +337,8 @@ type RunStats struct {
 // Operator is a SCANRAW instance attached to one raw file. It is created
 // once and reused by every query over that file. Concurrent Run calls
 // serialize — the file is scanned by one run at a time — so queries that
-// arrive together should share a scan through RunShared, the multi-query
-// processing the paper leaves as future work (§7).
+// arrive together should share a scan through RunSharedContext, the
+// multi-query processing the paper leaves as future work (§7).
 type Operator struct {
 	cfg  Config
 	when writeMoments // the write policy and the safeguard, resolved by New

@@ -96,7 +96,7 @@ func TestDeliverIsSerial(t *testing.T) {
 			{Columns: []int{0}, Deliver: p.deliver},
 			{Columns: []int{1, 2}, Deliver: p.deliver},
 		}
-		st, per, err := op.RunShared(reqs)
+		st, per, err := op.RunSharedContext(context.Background(), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 	"scanraw/internal/engine"
 )
 
-// RunShared executes several requests over a single scan of the raw file —
+// RunSharedContext executes several requests over a single scan of the raw file —
 // the multi-query processing the paper names as future work (§7). The
 // operator converts the union of the requested columns once; every chunk
 // is then delivered to each request, except requests whose Skip filter
@@ -19,17 +19,14 @@ import (
 //
 // The returned stats describe the shared scan; the per-request slice gives
 // each query's delivered/skipped chunk counts.
-func (o *Operator) RunShared(reqs []Request) (RunStats, []SharedStats, error) {
-	return o.RunSharedContext(context.Background(), reqs)
-}
-
-// RunSharedContext is RunShared with cancellation: when ctx is cancelled
-// the underlying scan stops at the next chunk boundary and every request
-// sees the context error. Callers serving independent clients typically
-// pass a context that cancels only once all of them have gone away.
+//
+// When ctx is cancelled the underlying scan stops at the next chunk boundary
+// and every request sees the context error. Callers serving independent
+// clients typically pass a context that cancels only once all of them have
+// gone away.
 func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunStats, []SharedStats, error) {
 	if len(reqs) == 0 {
-		return RunStats{}, nil, fmt.Errorf("scanraw: RunShared needs at least one request")
+		return RunStats{}, nil, fmt.Errorf("scanraw: a shared scan needs at least one request")
 	}
 	ncols := o.table.Schema().NumColumns()
 	for i, req := range reqs {

@@ -1,6 +1,7 @@
 package scanraw
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestRunSharedTwoQueriesOneScan(t *testing.T) {
 			},
 		},
 	}
-	st, per, err := op.RunShared(reqs)
+	st, per, err := op.RunSharedContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestRunSharedPerRequestSkip(t *testing.T) {
 			Deliver: func(bc *BinaryChunk) error { all += bc.Rows; return nil },
 		},
 	}
-	_, per, err := op.RunShared(reqs)
+	_, per, err := op.RunSharedContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRunSharedScanLevelSkip(t *testing.T) {
 	}
 	// Both requests skip everything: the scan itself skips all chunks.
 	impossible := func(meta *dbstore.ChunkMeta) bool { return true }
-	st, _, err := op.RunShared([]Request{
+	st, _, err := op.RunSharedContext(context.Background(), []Request{
 		{Columns: []int{0}, Skip: impossible, Deliver: func(*BinaryChunk) error { return nil }},
 		{Columns: []int{0}, Skip: impossible, Deliver: func(*BinaryChunk) error { return nil }},
 	})
@@ -120,14 +121,14 @@ func TestRunSharedScanLevelSkip(t *testing.T) {
 func TestRunSharedErrors(t *testing.T) {
 	env := newEnv(t, 64, 2, nil)
 	op := New(env.store, env.table, Config{Workers: 1, ChunkLines: 16})
-	if _, _, err := op.RunShared(nil); err == nil {
+	if _, _, err := op.RunSharedContext(context.Background(), nil); err == nil {
 		t.Error("empty request list should fail")
 	}
-	if _, _, err := op.RunShared([]Request{{Columns: []int{0}}}); err == nil {
+	if _, _, err := op.RunSharedContext(context.Background(), []Request{{Columns: []int{0}}}); err == nil {
 		t.Error("request without deliver should fail")
 	}
 	sentinel := errors.New("boom")
-	_, _, err := op.RunShared([]Request{
+	_, _, err := op.RunSharedContext(context.Background(), []Request{
 		{Columns: []int{0}, Deliver: func(*BinaryChunk) error { return nil }},
 		{Columns: []int{1}, Deliver: func(*BinaryChunk) error { return sentinel }},
 	})

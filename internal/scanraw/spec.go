@@ -15,8 +15,7 @@ import (
 // time goes to the cached chunk whose unloaded column groups the workload
 // values most.
 
-// SpecPolicy selects what the speculative scheduler loads when the disk is
-// idle.
+// SpecPolicy selects what speculative loading writes when the disk is idle.
 type SpecPolicy uint8
 
 const (

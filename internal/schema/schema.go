@@ -175,19 +175,6 @@ func (s *Schema) Index(name string) (int, bool) {
 	return i, ok
 }
 
-// Project returns a new schema containing only the columns at the given
-// ordinal positions, in the given order.
-func (s *Schema) Project(idxs []int) (*Schema, error) {
-	cols := make([]Column, 0, len(idxs))
-	for _, i := range idxs {
-		if i < 0 || i >= len(s.cols) {
-			return nil, fmt.Errorf("schema: projection index %d out of range [0,%d)", i, len(s.cols))
-		}
-		cols = append(cols, s.cols[i])
-	}
-	return New(cols...)
-}
-
 // Equal reports whether two schemas have identical column lists.
 func (s *Schema) Equal(o *Schema) bool {
 	if s == o {

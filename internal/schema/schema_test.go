@@ -111,23 +111,6 @@ func TestIndex(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	s := MustNew(Column{"a", Int64}, Column{"b", Str}, Column{"c", Float64})
-	p, err := s.Project([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumColumns() != 2 || p.Column(0).Name != "c" || p.Column(1).Name != "a" {
-		t.Errorf("Project = %v", p)
-	}
-	if _, err := s.Project([]int{3}); err == nil {
-		t.Error("out-of-range projection should fail")
-	}
-	if _, err := s.Project([]int{-1}); err == nil {
-		t.Error("negative projection should fail")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := MustNew(Column{"a", Int64}, Column{"b", Str})
 	b := MustNew(Column{"a", Int64}, Column{"b", Str})
@@ -168,23 +151,6 @@ func TestUniformIndexProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Project with identity permutation preserves Equal.
-func TestProjectIdentityProperty(t *testing.T) {
-	f := func(n uint8) bool {
-		cols := int(n%32) + 1
-		s, _ := Uniform(cols, Int64, "c")
-		idx := make([]int, cols)
-		for i := range idx {
-			idx[i] = i
-		}
-		p, err := s.Project(idx)
-		return err == nil && p.Equal(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -72,7 +72,7 @@ type pendingResult struct {
 // scans by natural batching. While there is work, one drain goroutine
 // dispatches it: a query that finds the batcher idle starts the drain and
 // is dispatched at once, and queries that arrive while a batch scans queue
-// up and go together, as one RunShared call — one physical scan — when
+// up and go together, as one RunSharedContext call — one physical scan — when
 // that scan ends. Only a scan that converts raw data waits for companions:
 // a query that finds the batcher idle with a column it needs missing from
 // the database in some chunk (or the chunk boundaries not yet known)

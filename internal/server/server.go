@@ -11,8 +11,8 @@
 //     bound and collapsing the service.
 //   - Scan coalescing: admitted queries against the same raw file that
 //     arrive while a scan of it runs queue and leave together, as the next
-//     batch, through the operator's shared-scan path (RunShared), so one
-//     physical scan — one read/tokenize/parse of every chunk — serves N
+//     batch, through the operator's shared-scan path (RunSharedContext), so
+//     one physical scan — one read/tokenize/parse of every chunk — serves N
 //     clients. A query at an idle table starts at once, unless its scan
 //     must convert raw data: then it waits a short coalescing window for
 //     companions to share the conversion.

@@ -45,8 +45,6 @@ import (
 //     observes a half-replaced blob, and on the durable implementation a
 //     crash leaves either the old or the new contents.
 type Disk interface {
-	// Create creates an empty blob, truncating any existing one.
-	Create(name string)
 	// Delete removes a blob; deleting a missing blob is a no-op.
 	Delete(name string)
 	// Exists reports whether the named blob exists.
@@ -59,9 +57,6 @@ type Disk interface {
 	Preload(name string, p []byte)
 	// WriteBlob atomically replaces the named blob's contents.
 	WriteBlob(name string, p []byte) error
-	// Append appends p to the named blob (creating it if needed) and
-	// returns the offset at which the data landed.
-	Append(name string, p []byte) (int64, error)
 	// ReadAt reads len(p) bytes from the blob starting at off; fewer bytes
 	// with a nil error means the blob ended.
 	ReadAt(name string, p []byte, off int64) (int, error)

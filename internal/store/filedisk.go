@@ -68,9 +68,6 @@ func OpenFileDisk(dir string) (*FileDisk, error) {
 	return d, nil
 }
 
-// Root returns the root directory blobs live under.
-func (d *FileDisk) Root() string { return d.root }
-
 // path validates a blob name and maps it to a filesystem path. Names are
 // slash-separated relative paths; empty components, ".", "..", and the
 // temp-file prefix are rejected so a name can never escape the root or
@@ -219,12 +216,6 @@ func (d *FileDisk) writeFile(name string, p []byte) error {
 	return nil
 }
 
-// Create creates an empty blob, truncating any existing blob.
-func (d *FileDisk) Create(name string) {
-	// Creation is a metadata operation; errors surface on first use.
-	_ = d.writeFile(name, nil)
-}
-
 // Delete removes a blob. Deleting a missing blob is a no-op.
 func (d *FileDisk) Delete(name string) {
 	path, err := d.path(name)
@@ -312,60 +303,17 @@ func (d *FileDisk) WriteBlob(name string, p []byte) error {
 	return nil
 }
 
-// Append appends p to the named blob (creating it, and syncing the new
-// entry, if needed), fsyncs, and returns the offset at which the data landed.
-func (d *FileDisk) Append(name string, p []byte) (int64, error) {
-	path, err := d.path(name)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	d.dirMu.Lock()
-	defer d.dirMu.Unlock()
-	dir := filepath.Dir(path)
-	if err := d.mkdirAll(dir); err != nil {
-		return 0, fmt.Errorf("store: appending %s: %w", name, err)
-	}
-	_, statErr := os.Stat(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("store: appending %s: %w", name, err)
-	}
-	defer f.Close()
-	if errors.Is(statErr, fs.ErrNotExist) {
-		if err := d.syncs.syncDir(dir); err != nil {
-			return 0, fmt.Errorf("store: appending %s: %w", name, err)
-		}
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("store: appending %s: %w", name, err)
-	}
-	off := fi.Size()
-	if _, err := f.Write(p); err != nil {
-		return 0, fmt.Errorf("store: appending %s: %w", name, err)
-	}
-	if err := d.syncs.Sync(f); err != nil {
-		return 0, fmt.Errorf("store: appending %s: %w", name, err)
-	}
-	d.writeBusyNs.Add(int64(time.Since(start)))
-	d.writeOps.Add(1)
-	d.writeBytes.Add(int64(len(p)))
-	return off, nil
-}
-
 // Kept read handles. A warm scan reads the same few hundred segment blobs
 // query after query, and opening and closing a file around each positional
 // read costs more than the read itself once the pages sit in the page cache;
 // ReadAt therefore keeps the handle it opened, up to maxReadHandles of them.
 //
 // A kept handle names an inode, not a path, so whatever makes a name mean a
-// different file drops the name's handle: WriteBlob, Preload and Create
-// (rename over the name) and Delete, each after the directory change and
-// before it returns. Append extends the same inode and is seen through the
-// handle. A file edited in place behind the disk's back is seen too; one
-// replaced or removed from outside is not — only this FileDisk may change
-// what a name points at while it is open.
+// different file drops the name's handle: WriteBlob and Preload (rename
+// over the name) and Delete, each after the directory change and before it
+// returns. A file edited in place behind the disk's back is seen through the
+// handle; one replaced or removed from outside is not — only this FileDisk
+// may change what a name points at while it is open.
 //
 // Nothing closes the set: the handles of an abandoned FileDisk are closed by
 // os.File's finalizer.

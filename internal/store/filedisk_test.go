@@ -71,24 +71,6 @@ func TestFileDiskReadAtShortRead(t *testing.T) {
 	}
 }
 
-func TestFileDiskAppend(t *testing.T) {
-	d, err := OpenFileDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := d.Append("log", []byte("aaa"))
-	if err != nil || off != 0 {
-		t.Fatalf("first append = %d, %v", off, err)
-	}
-	off, err = d.Append("log", []byte("bb"))
-	if err != nil || off != 3 {
-		t.Fatalf("second append = %d, %v", off, err)
-	}
-	if p, _ := d.ReadBlob("log"); string(p) != "aaabb" {
-		t.Errorf("log = %q", p)
-	}
-}
-
 func TestFileDiskList(t *testing.T) {
 	d, err := OpenFileDisk(t.TempDir())
 	if err != nil {
@@ -213,10 +195,10 @@ func TestFileDiskStats(t *testing.T) {
 }
 
 // TestFileDiskSyncsNewDirectories: a directory entry is durable only once its
-// parent is synced, so every directory WriteBlob or Append creates has its
-// parent synced — root included — before the call returns, and a blob or log
-// file a call creates has its own directory synced. A write into an existing
-// directory syncs the file and its directory and nothing else.
+// parent is synced, so every directory WriteBlob creates has its parent
+// synced — root included — before the call returns, and a blob a call
+// creates has its own directory synced. A write into an existing directory
+// syncs the file and its directory and nothing else.
 func TestFileDiskSyncsNewDirectories(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "data")
 	var synced []string
@@ -246,20 +228,11 @@ func TestFileDiskSyncsNewDirectories(t *testing.T) {
 	}
 	has(root, filepath.Join(root, "db"), filepath.Join(root, "db", "t"))
 
-	synced = nil
-	if _, err := d.Append("log/x/journal", []byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	has(root, filepath.Join(root, "log"), filepath.Join(root, "log", "x"), filepath.Join(root, "log", "x", "journal"))
-
 	before, _ := d.Syncs()
 	if err := d.WriteBlob("db/t/c00000001", []byte("segment")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Append("log/x/journal", []byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := d.Syncs(); after-before != 3 {
-		t.Errorf("a write and an append into existing directories cost %d syncs, want 3 (file, directory; log file)", after-before)
+	if after, _ := d.Syncs(); after-before != 2 {
+		t.Errorf("a write into an existing directory cost %d syncs, want 2 (file, directory)", after-before)
 	}
 }

@@ -23,7 +23,7 @@ func readAll(t *testing.T, d *FileDisk, name string) string {
 
 // TestKeptHandleInvalidation: ReadAt keeps the file it opened, so everything
 // that changes what a name points at must be visible to the next ReadAt of
-// it — and Append, which extends the same file, through the kept handle.
+// it.
 func TestKeptHandleInvalidation(t *testing.T) {
 	d, err := OpenFileDisk(t.TempDir())
 	if err != nil {
@@ -47,19 +47,6 @@ func TestKeptHandleInvalidation(t *testing.T) {
 	d.Preload("t/b", []byte("third"))
 	if got := readAll(t, d, "t/b"); got != "third" {
 		t.Errorf("after Preload read %q, want the new contents", got)
-	}
-	if _, err := d.Append("t/b", []byte("+tail")); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.handles) != 1 {
-		t.Errorf("Append dropped the kept handle (%d kept)", len(d.handles))
-	}
-	if got := readAll(t, d, "t/b"); got != "third+tail" {
-		t.Errorf("after Append read %q, want the appended bytes through the kept handle", got)
-	}
-	d.Create("t/b")
-	if got := readAll(t, d, "t/b"); got != "" {
-		t.Errorf("after Create read %q, want an empty blob", got)
 	}
 	d.Delete("t/b")
 	if _, err := d.ReadAt("t/b", make([]byte, 4), 0); err == nil {

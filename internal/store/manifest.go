@@ -31,14 +31,11 @@ import (
 type Manifest struct {
 	dir string
 
-	mu        sync.Mutex
-	log       *os.File
-	appends   int64 // records appended since the last checkpoint
-	appendAll int64 // records appended over the manifest's lifetime
-	ckpts     int64
-	replay    ReplayReport
-	fail      func(op string) error
-	syncs     syncMeter
+	mu      sync.Mutex
+	log     *os.File
+	appends int64 // records appended since the last checkpoint
+	fail    func(op string) error
+	syncs   syncMeter
 }
 
 const (
@@ -63,14 +60,6 @@ type ReplayReport struct {
 	// ignored. Checkpoints are written atomically, so this is nonzero only
 	// after storage-level corruption.
 	CheckpointTornBytes int64
-}
-
-// ManifestStats is a snapshot of manifest activity.
-type ManifestStats struct {
-	AppendedRecords        int64
-	AppendsSinceCheckpoint int64
-	Checkpoints            int64
-	LastReplay             ReplayReport
 }
 
 // OpenManifest opens (creating if needed) the manifest in dir.
@@ -104,9 +93,6 @@ func OpenManifest(dir string) (*Manifest, error) {
 	}
 	return &Manifest{dir: dir, log: f}, nil
 }
-
-// Dir returns the directory the manifest lives in.
-func (m *Manifest) Dir() string { return m.dir }
 
 // SetFailure installs (or clears, with nil) a fault-injection hook, the
 // journal's counterpart of vdisk.Disk.SetFailure: Append ("append") and
@@ -150,7 +136,6 @@ func (m *Manifest) Append(recs ...Record) error {
 		return fmt.Errorf("store: syncing manifest log: %w", err)
 	}
 	m.appends += int64(len(recs))
-	m.appendAll += int64(len(recs))
 	return nil
 }
 
@@ -222,7 +207,6 @@ func (m *Manifest) Replay() ([]Record, ReplayReport, error) {
 		}
 	}
 	m.appends = int64(rep.LogRecords)
-	m.replay = rep
 	return recs, rep, nil
 }
 
@@ -279,7 +263,6 @@ func (m *Manifest) Checkpoint(recs []Record) error {
 		return fmt.Errorf("store: truncating manifest log: %w", err)
 	}
 	m.appends = 0
-	m.ckpts++
 	return nil
 }
 
@@ -294,18 +277,6 @@ func (m *Manifest) AppendsSinceCheckpoint() int64 {
 // Syncs returns how many fsyncs the manifest has issued since it was
 // opened, and the time spent in them.
 func (m *Manifest) Syncs() (int64, time.Duration) { return m.syncs.Syncs() }
-
-// Stats returns a snapshot of manifest activity.
-func (m *Manifest) Stats() ManifestStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return ManifestStats{
-		AppendedRecords:        m.appendAll,
-		AppendsSinceCheckpoint: m.appends,
-		Checkpoints:            m.ckpts,
-		LastReplay:             m.replay,
-	}
-}
 
 // Close syncs and closes the log. The manifest is unusable afterwards.
 func (m *Manifest) Close() error {

@@ -31,16 +31,6 @@ type Tokenizer struct {
 	MinFields int
 }
 
-// CountLines returns the number of newline-terminated lines in data,
-// counting a trailing fragment without '\n' as a line.
-func CountLines(data []byte) int {
-	n := bytes.Count(data, []byte{'\n'})
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		n++
-	}
-	return n
-}
-
 // Tokenize scans chunk c and produces a positional map covering the first
 // upTo attributes of every line. upTo must be in [1, MinFields]. The scan
 // over each line stops as soon as attribute upTo-1 is delimited (selective

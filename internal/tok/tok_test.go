@@ -9,34 +9,16 @@ import (
 	"testing/quick"
 
 	"scanraw/internal/chunk"
+	"scanraw/internal/testutil"
 )
 
 func mkChunk(text string) *chunk.TextChunk {
-	return &chunk.TextChunk{ID: 0, Data: []byte(text), Lines: CountLines([]byte(text))}
+	return &chunk.TextChunk{ID: 0, Data: []byte(text), Lines: testutil.CountLines([]byte(text))}
 }
 
 func fieldText(c *chunk.TextChunk, m *chunk.PositionalMap, r, col int) string {
 	s, e := m.Field(r, col)
 	return string(c.Data[s:e])
-}
-
-func TestCountLines(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-	}{
-		{"", 0},
-		{"a", 1},
-		{"a\n", 1},
-		{"a\nb", 2},
-		{"a\nb\n", 2},
-		{"\n\n", 2},
-	}
-	for _, c := range cases {
-		if got := CountLines([]byte(c.in)); got != c.want {
-			t.Errorf("CountLines(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
 }
 
 func TestTokenizeBasic(t *testing.T) {
@@ -270,7 +252,7 @@ func TestSplitChunksProperty(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(rejoined, data) && total == CountLines(data)
+		return bytes.Equal(rejoined, data) && total == testutil.CountLines(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

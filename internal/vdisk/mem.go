@@ -21,13 +21,6 @@ func NewMem() *Mem {
 	return &Mem{blobs: make(map[string][]byte)}
 }
 
-// Create creates an empty blob, truncating any existing blob.
-func (m *Mem) Create(name string) {
-	m.mu.Lock()
-	m.blobs[name] = nil
-	m.mu.Unlock()
-}
-
 // Delete removes a blob. Deleting a missing blob is a no-op.
 func (m *Mem) Delete(name string) {
 	m.mu.Lock()
@@ -79,16 +72,6 @@ func (m *Mem) Preload(name string, p []byte) {
 func (m *Mem) WriteBlob(name string, p []byte) error {
 	m.Preload(name, p)
 	return nil
-}
-
-// Append appends p to the named blob (creating it if needed) and returns
-// the offset at which the data landed.
-func (m *Mem) Append(name string, p []byte) (int64, error) {
-	m.mu.Lock()
-	off := int64(len(m.blobs[name]))
-	m.blobs[name] = append(m.blobs[name], p...)
-	m.mu.Unlock()
-	return off, nil
 }
 
 // ReadAt reads len(p) bytes from the named blob starting at off; a short

@@ -60,9 +60,6 @@ type Stats struct {
 	WriteBusy time.Duration
 }
 
-// Busy returns the total time the disk was occupied.
-func (s Stats) Busy() time.Duration { return s.ReadBusy + s.WriteBusy }
-
 // Sub returns the difference s - o, used to compute per-interval
 // utilization from two snapshots.
 func (s Stats) Sub(o Stats) Stats {
@@ -87,14 +84,12 @@ type FailFunc func(op, name string) error
 // deterministic bandwidth model while the data underneath survives
 // restarts.
 type Backend interface {
-	Create(name string)
 	Delete(name string)
 	Exists(name string) bool
 	Size(name string) (int64, error)
 	List(prefix string) []string
 	Preload(name string, p []byte)
 	WriteBlob(name string, p []byte) error
-	Append(name string, p []byte) (int64, error)
 	ReadAt(name string, p []byte, off int64) (int, error)
 }
 
@@ -134,9 +129,6 @@ func NewBacked(cfg Config, b Backend) *Disk {
 // Unlimited creates a disk with no throttling, useful for unit tests where
 // timing is irrelevant.
 func Unlimited() *Disk { return New(Config{}) }
-
-// Config returns the performance model the disk was created with.
-func (d *Disk) Config() Config { return d.cfg }
 
 // SetFailure installs (or clears, with nil) a failure-injection hook.
 func (d *Disk) SetFailure(f FailFunc) {
@@ -189,10 +181,6 @@ func (d *Disk) occupy(delay time.Duration, busy *atomic.Int64) {
 	busy.Add(int64(delay))
 }
 
-// Create creates an empty blob, truncating any existing blob with the same
-// name. Creation is a metadata operation and is not throttled.
-func (d *Disk) Create(name string) { d.backend.Create(name) }
-
 // Delete removes a blob. Deleting a missing blob is a no-op.
 func (d *Disk) Delete(name string) { d.backend.Delete(name) }
 
@@ -223,22 +211,6 @@ func (d *Disk) WriteBlob(name string, p []byte) error {
 	d.writeOps.Add(1)
 	d.writeBytes.Add(int64(len(p)))
 	return nil
-}
-
-// Append appends p to the named blob (creating it if needed) and returns
-// the offset at which the data landed.
-func (d *Disk) Append(name string, p []byte) (int64, error) {
-	if err := d.checkFail("write", name); err != nil {
-		return 0, err
-	}
-	d.occupy(transferDelay(len(p), d.cfg.WriteBandwidth), &d.writeBusy)
-	off, err := d.backend.Append(name, p)
-	if err != nil {
-		return 0, err
-	}
-	d.writeOps.Add(1)
-	d.writeBytes.Add(int64(len(p)))
-	return off, nil
 }
 
 // ReadAt reads len(p) bytes from the named blob starting at off. It returns
@@ -292,14 +264,4 @@ func (d *Disk) Syncs() (int64, time.Duration) {
 		return s.Syncs()
 	}
 	return 0, 0
-}
-
-// ResetStats zeroes the activity counters (the blobs are untouched).
-func (d *Disk) ResetStats() {
-	d.readOps.Store(0)
-	d.writeOps.Store(0)
-	d.readBytes.Store(0)
-	d.writeBytes.Store(0)
-	d.readBusyNs.Store(0)
-	d.writeBusy.Store(0)
 }
