@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scanraw/internal/chunk"
+	"scanraw/internal/schema"
 	"scanraw/internal/store"
 )
 
@@ -266,8 +268,8 @@ func writePR15Layout(t *testing.T, dir string) {
 			Type: store.RecChunk, Table: "t",
 			Chunk: id, Rows: 8, RawOff: int64(id * 100), RawLen: 100,
 		}}
-		for c, st := range allStats(bc) {
-			recs = append(recs, store.Record{Type: store.RecStats, Table: "t", Chunk: id, Col: c, Stats: statsToRec(st)})
+		for _, c := range allCols3 {
+			recs = append(recs, store.Record{Type: store.RecStats, Table: "t", Chunk: id, Col: c, Stats: parentStatsRec(bc.Column(c))})
 		}
 		for _, g := range [][]int{{0, 1}, {2}} {
 			payload, err := encodeGroupPage(bc, g)
@@ -299,6 +301,33 @@ func writePR15Layout(t *testing.T, dir string) {
 	if err := NewStore(fd).SaveFleetConfig(pr15Fleet); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parentStatsRec is the statistics record the builds that wrote the
+// fixtures journaled for every converted column: float and string bounds
+// beside the integer ones, and a distinct count. Their sketch counted the
+// fixtures' 8-row chunks exactly, so an exact count stands in for it.
+func parentStatsRec(v *chunk.Vector) store.ColStatsRec {
+	r := store.ColStatsRec{Valid: true, Type: uint8(v.Type), Rows: int64(v.Len())}
+	distinct := func(n int, key func(i int) any) int64 {
+		seen := map[any]bool{}
+		for i := 0; i < n; i++ {
+			seen[key(i)] = true
+		}
+		return int64(len(seen))
+	}
+	switch v.Type {
+	case schema.Int64:
+		r.MinInt, r.MaxInt = slices.Min(v.Ints), slices.Max(v.Ints)
+		r.Distinct = distinct(len(v.Ints), func(i int) any { return v.Ints[i] })
+	case schema.Float64:
+		r.MinFloat, r.MaxFloat = slices.Min(v.Floats), slices.Max(v.Floats)
+		r.Distinct = distinct(len(v.Floats), func(i int) any { return v.Floats[i] })
+	case schema.Str:
+		r.MinStr, r.MaxStr = slices.Min(v.Strs), slices.Max(v.Strs)
+		r.Distinct = distinct(len(v.Strs), func(i int) any { return v.Strs[i] })
+	}
+	return r
 }
 
 // readTree returns every file under root keyed by its relative path.
@@ -494,8 +523,8 @@ func writeChunkSegLayout(t *testing.T, dir string) {
 			Type: store.RecChunk, Table: "t",
 			Chunk: id, Rows: 8, RawOff: int64(id * 100), RawLen: 100,
 		}}
-		for c, st := range allStats(bc) {
-			recs = append(recs, store.Record{Type: store.RecStats, Table: "t", Chunk: id, Col: c, Stats: statsToRec(st)})
+		for _, c := range allCols3 {
+			recs = append(recs, store.Record{Type: store.RecStats, Table: "t", Chunk: id, Col: c, Stats: parentStatsRec(bc.Column(c))})
 		}
 		var cols []int
 		for _, g := range groups {
@@ -618,6 +647,94 @@ func TestWarmStartChunkSegFixture(t *testing.T) {
 	for name, p := range wantFiles {
 		if !bytes.Equal(gotFiles[name], p) {
 			t.Errorf("%s: current code writes %x, fixture has %x", name, gotFiles[name], p)
+		}
+	}
+}
+
+// TestWarmStartRetiredStats reopens the frozen group-page fixture, whose
+// journal holds the statistics an older build recorded for every column:
+// float and string bounds and a non-zero distinct count among them. Replay
+// keeps the Int64 column's bounds, which still exclude chunks, and drops the
+// Float64 and Str records; a checkpoint afterwards journals statistics for
+// the Int64 column alone, the retired fields zero.
+func TestWarmStartRetiredStats(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, pr15Fixture, dir)
+	statsRecs := func() []store.Record {
+		t.Helper()
+		man, err := store.OpenManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer man.Close()
+		recs, _, err := man.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []store.Record
+		for _, r := range recs {
+			if r.Type == store.RecStats {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	old := 0
+	for _, r := range statsRecs() {
+		if r.Stats.Type != uint8(schema.Int64) && r.Stats.Valid && r.Stats.Distinct > 0 {
+			old++
+		}
+	}
+	if old != 8 {
+		t.Fatalf("fixture holds %d float or string statistics records with a distinct count, want 8", old)
+	}
+
+	s, man := durableEnv(t, dir)
+	tbl, err := s.EnsureTable("t", sch3, "raw/t.csv", testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 4; id++ {
+		meta, _ := tbl.Chunk(id)
+		lo := int64(id * 1000)
+		if want := (ColStats{Valid: true, MinInt: lo, MaxInt: lo + 7, Rows: 8}); meta.Stats[0] != want {
+			t.Errorf("chunk %d int stats = %+v, want %+v", id, meta.Stats[0], want)
+		}
+		if meta.Stats[1] != (ColStats{}) || meta.Stats[2] != (ColStats{}) {
+			t.Errorf("chunk %d kept float or string stats: %+v", id, meta.Stats[1:])
+		}
+		if got := meta.Stats[0].MayContainInt(2000, 2003); got != (id == 2) {
+			t.Errorf("chunk %d may contain [2000, 2003] = %v", id, got)
+		}
+		bc, err := s.ReadChunk(tbl, id, allCols3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range allCols3 {
+			if !bytes.Equal(chunk.EncodeVector(bc.Column(c)), chunk.EncodeVector(fullChunk(t, id, 8).Column(c))) {
+				t.Errorf("chunk %d column %d differs from what was written", id, c)
+			}
+		}
+	}
+	if est, total, err := tbl.EstimateRangeRows(0, 2000, 2003); err != nil || est != 4 || total != 32 {
+		t.Errorf("EstimateRangeRows = %v of %d, %v; want 4 of 32", est, total, err)
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := statsRecs()
+	if len(recs) != 4 {
+		t.Errorf("checkpoint journals %d statistics records, want one per chunk", len(recs))
+	}
+	for _, r := range recs {
+		lo := int64(r.Chunk * 1000)
+		want := store.ColStatsRec{Valid: true, Type: uint8(schema.Int64), MinInt: lo, MaxInt: lo + 7, Rows: 8}
+		if r.Col != 0 || r.Stats != want {
+			t.Errorf("checkpointed chunk %d column %d stats = %+v, want %+v", r.Chunk, r.Col, r.Stats, want)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func TestChunkMetaSnapshot(t *testing.T) {
 	if again, _ := tbl.Chunk(0); again != before {
 		t.Error("Chunk copied metadata nothing had changed")
 	}
-	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{{Valid: true, Type: schema.Int64, MinInt: 1, MaxInt: 9, Rows: 4}}); err != nil {
+	if err := tbl.SetChunkStats(0, []int{0}, []ColStats{{Valid: true, MinInt: 1, MaxInt: 9, Rows: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeAll(s, tbl, fullChunk(t, 0, 4)); err != nil {

@@ -137,7 +137,9 @@ func (s *Store) applyRecord(r store.Record, rep *RecoveryReport) {
 			t.markJournaledLocked(r.Chunk)
 		}
 	case store.RecStats:
-		_, _ = t.setStats(r.Chunk, []int{r.Col}, []ColStats{statsFromRec(r.Stats)})
+		if st, ok := statsFromRec(r.Stats); ok {
+			_, _ = t.setStats(r.Chunk, []int{r.Col}, []ColStats{st})
+		}
 	case store.RecLoaded:
 		// Pre-colgroup manifests: one blob per column, named by the bare
 		// ordinal, holding the column's vector alone.
@@ -374,24 +376,21 @@ func (s *Store) snapshotRecords() []store.Record {
 	return recs
 }
 
-// statsToRec converts catalog statistics to their serialized form.
+// statsToRec converts catalog statistics to their serialized form. The
+// record's float, string and distinct fields are retired and stay zero.
 func statsToRec(s ColStats) store.ColStatsRec {
 	return store.ColStatsRec{
-		Valid: s.Valid, Type: uint8(s.Type),
-		MinInt: s.MinInt, MaxInt: s.MaxInt,
-		MinFloat: s.MinFloat, MaxFloat: s.MaxFloat,
-		MinStr: s.MinStr, MaxStr: s.MaxStr,
-		Rows: s.Rows, Distinct: s.Distinct,
+		Valid: s.Valid, Type: uint8(schema.Int64),
+		MinInt: s.MinInt, MaxInt: s.MaxInt, Rows: s.Rows,
 	}
 }
 
-// statsFromRec inverts statsToRec.
-func statsFromRec(r store.ColStatsRec) ColStats {
-	return ColStats{
-		Valid: r.Valid, Type: schema.Type(r.Type),
-		MinInt: r.MinInt, MaxInt: r.MaxInt,
-		MinFloat: r.MinFloat, MaxFloat: r.MaxFloat,
-		MinStr: r.MinStr, MaxStr: r.MaxStr,
-		Rows: r.Rows, Distinct: r.Distinct,
+// statsFromRec inverts statsToRec. A record of a non-Int64 column — an
+// older build journaled float and string bounds too — is dropped: ok is
+// false.
+func statsFromRec(r store.ColStatsRec) (s ColStats, ok bool) {
+	if r.Type != uint8(schema.Int64) {
+		return ColStats{}, false
 	}
+	return ColStats{Valid: r.Valid, MinInt: r.MinInt, MaxInt: r.MaxInt, Rows: r.Rows}, true
 }

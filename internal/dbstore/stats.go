@@ -1,93 +1,53 @@
 package dbstore
 
 import (
-	"math"
-
 	"scanraw/internal/chunk"
 	"scanraw/internal/schema"
 )
 
 // ColStats holds the minimum/maximum statistics SCANRAW collects for one
-// column of one chunk while data are converted to the database
+// integer column of one chunk while data are converted to the database
 // representation (paper §3.3, "Query optimization"). They serve two
-// purposes: skipping chunks that cannot satisfy a selection predicate, and
-// cardinality estimation.
+// purposes: skipping chunks that cannot satisfy a selection predicate (and
+// top-k chunks behind the current bound), and cardinality estimation. Only
+// Int64 columns carry them: nothing reads float or string bounds, and the
+// distinct count the paper says "can be also extracted" is not collected.
 type ColStats struct {
 	// Valid reports whether statistics were ever collected for the column
-	// (i.e. the column has been converted at least once).
+	// (i.e. it is an Int64 column converted at least once).
 	Valid bool
-	Type  schema.Type
 
-	MinInt   int64
-	MaxInt   int64
-	MinFloat float64
-	MaxFloat float64
-	MinStr   string
-	MaxStr   string
+	MinInt int64
+	MaxInt int64
 
 	// Rows is the number of values the statistics cover.
 	Rows int64
-	// Distinct is the estimated number of distinct values (HyperLogLog,
-	// §3.3 "more advanced statistics such as the number of distinct
-	// elements ... can be also extracted during the conversion stage").
-	// Zero means not collected.
-	Distinct int64
 }
 
-// CollectStats computes min/max, row-count and distinct-count statistics
-// over a vector in one pass: each value is compared and folded into the
-// sketch while it is in a register. A narrow Int64 vector is read through a
-// widened copy. An empty vector yields invalid stats.
+// CollectStats computes min/max and row-count statistics over an Int64
+// vector in one pass, reading a narrow vector at its own width. An empty or
+// non-integer vector yields invalid stats.
 func CollectStats(v *chunk.Vector) ColStats {
-	s := ColStats{Type: v.Type}
-	if v.Len() == 0 {
-		return s
+	if v.Type != schema.Int64 || v.Len() == 0 {
+		return ColStats{}
 	}
-	s.Valid = true
-	s.Rows = int64(v.Len())
-	var hll HLL
-	switch v.Type {
-	case schema.Int64:
-		ints, wide := chunk.Widen(v)
-		defer chunk.PutVector(wide)
-		lo, hi := ints[0], ints[0]
-		for _, x := range ints {
-			hll.AddUint(uint64(x))
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		s.MinInt, s.MaxInt = lo, hi
-	case schema.Float64:
-		lo, hi := v.Floats[0], v.Floats[0]
-		for _, x := range v.Floats {
-			hll.AddUint(math.Float64bits(x))
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		s.MinFloat, s.MaxFloat = lo, hi
-	case schema.Str:
-		lo, hi := v.Strs[0], v.Strs[0]
-		for _, x := range v.Strs {
-			hll.AddString(x)
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		s.MinStr, s.MaxStr = lo, hi
+	s := ColStats{Valid: true, Rows: int64(v.Len())}
+	if v.Int32 != nil {
+		lo, hi := minMax(v.Int32)
+		s.MinInt, s.MaxInt = int64(lo), int64(hi)
+	} else {
+		s.MinInt, s.MaxInt = minMax(v.Ints)
 	}
-	s.Distinct = min(hll.Estimate(), s.Rows)
 	return s
+}
+
+// minMax returns the smallest and largest element of a non-empty slice.
+func minMax[T int32 | int64](xs []T) (lo, hi T) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
 }
 
 // MayContainInt reports whether a value in [lo, hi] could appear in the
@@ -97,7 +57,7 @@ func CollectStats(v *chunk.Vector) ColStats {
 // satisfied by any tuple in the chunk"). Invalid stats conservatively
 // return true.
 func (s ColStats) MayContainInt(lo, hi int64) bool {
-	if !s.Valid || s.Type != schema.Int64 {
+	if !s.Valid {
 		return true
 	}
 	return s.MaxInt >= lo && s.MinInt <= hi
@@ -108,7 +68,7 @@ func (s ColStats) MayContainInt(lo, hi int64) bool {
 // the classic textbook interpolation the paper's catalog statistics feed
 // (§3.3, cardinality estimation).
 func (s ColStats) estimateOverlap(lo, hi int64) float64 {
-	if !s.Valid || s.Type != schema.Int64 {
+	if !s.Valid {
 		return float64(s.Rows) // unknown: assume everything qualifies
 	}
 	if hi < s.MinInt || lo > s.MaxInt {

@@ -1,7 +1,6 @@
 package dbstore
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -21,21 +20,21 @@ func TestCollectStatsInt(t *testing.T) {
 	}
 }
 
+// Only integer columns carry statistics: nothing reads float or string
+// bounds, so a Float64 or Str vector yields invalid, empty stats.
 func TestCollectStatsFloat(t *testing.T) {
 	v := chunk.NewVector(schema.Float64, 3)
 	v.Floats = []float64{1.5, -0.5, 0}
-	s := CollectStats(v)
-	if !s.Valid || s.MinFloat != -0.5 || s.MaxFloat != 1.5 {
-		t.Errorf("stats = %+v", s)
+	if s := CollectStats(v); s != (ColStats{}) {
+		t.Errorf("stats = %+v, want none", s)
 	}
 }
 
 func TestCollectStatsStr(t *testing.T) {
 	v := chunk.NewVector(schema.Str, 3)
 	v.Strs = []string{"m", "a", "z"}
-	s := CollectStats(v)
-	if !s.Valid || s.MinStr != "a" || s.MaxStr != "z" {
-		t.Errorf("stats = %+v", s)
+	if s := CollectStats(v); s != (ColStats{}) {
+		t.Errorf("stats = %+v, want none", s)
 	}
 }
 
@@ -104,73 +103,98 @@ func TestStatsSoundnessProperty(t *testing.T) {
 	}
 }
 
-// collectStatsTwoPass is CollectStats as it ran before the passes were
-// fused — the sketch over the whole vector, then min and max over it again —
-// kept as the reference the one-pass version must equal field for field.
+// collectStatsTwoPass is the reference CollectStats must equal field for
+// field: the vector widened, then slices.Min and slices.Max over it.
 func collectStatsTwoPass(v *chunk.Vector) ColStats {
-	s := ColStats{Type: v.Type, Valid: true, Rows: int64(v.Len())}
-	var hll HLL
-	switch v.Type {
-	case schema.Int64:
-		for _, x := range v.Ints {
-			hll.AddUint(uint64(x))
+	ints := v.Ints
+	if v.Int32 != nil {
+		ints = make([]int64, len(v.Int32))
+		for i, x := range v.Int32 {
+			ints[i] = int64(x)
 		}
-		s.MinInt, s.MaxInt = slices.Min(v.Ints), slices.Max(v.Ints)
-	case schema.Float64:
-		for _, x := range v.Floats {
-			hll.AddUint(math.Float64bits(x))
-		}
-		s.MinFloat, s.MaxFloat = v.Floats[0], v.Floats[0]
-		for _, x := range v.Floats[1:] { // not slices.Min: a NaN must not propagate
-			if x < s.MinFloat {
-				s.MinFloat = x
-			}
-			if x > s.MaxFloat {
-				s.MaxFloat = x
-			}
-		}
-	case schema.Str:
-		for _, x := range v.Strs {
-			hll.AddString(x)
-		}
-		s.MinStr, s.MaxStr = slices.Min(v.Strs), slices.Max(v.Strs)
 	}
-	s.Distinct = min(hll.Estimate(), s.Rows)
-	return s
+	return ColStats{Valid: true, MinInt: slices.Min(ints), MaxInt: slices.Max(ints), Rows: int64(len(ints))}
 }
 
 func TestCollectStatsOnePassEqualsTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 2, 8192} {
-		ints := chunk.NewVector(schema.Int64, n)
-		floats := chunk.NewVector(schema.Float64, n)
-		strs := chunk.NewVector(schema.Str, n)
+		wide := chunk.NewVector(schema.Int64, n)
+		narrow := &chunk.Vector{Type: schema.Int64, Int32: make([]int32, n)}
 		for i := 0; i < n; i++ {
-			ints.Ints[i] = rng.Int63n(1<<20) - 1<<19
-			floats.Floats[i] = rng.NormFloat64() * 1e6
-			strs.Strs[i] = fmt.Sprintf("r%05d", rng.Intn(3000))
+			wide.Ints[i] = rng.Int63n(1<<20) - 1<<19
+			narrow.Int32[i] = rng.Int31() - 1<<30
 		}
-		if n > 2 { // the extremes, a NaN and both zeros somewhere inside
-			ints.Ints[n/3], ints.Ints[n/2] = math.MinInt64, math.MaxInt64
-			floats.Floats[n/3], floats.Floats[n/2] = math.NaN(), math.Inf(-1)
-			floats.Floats[n/4], floats.Floats[n/5] = 0, math.Copysign(0, -1)
-			strs.Strs[n/3] = ""
+		if n > 2 { // the extremes somewhere inside
+			wide.Ints[n/3], wide.Ints[n/2] = math.MinInt64, math.MaxInt64
+			narrow.Int32[n/3], narrow.Int32[n/2] = math.MinInt32, math.MaxInt32
 		}
-		for _, v := range []*chunk.Vector{ints, floats, strs} {
-			got, want := CollectStats(v), collectStatsTwoPass(v)
-			// Bit patterns, so that a NaN or a signed zero compares.
-			gotBits := [2]uint64{math.Float64bits(got.MinFloat), math.Float64bits(got.MaxFloat)}
-			wantBits := [2]uint64{math.Float64bits(want.MinFloat), math.Float64bits(want.MaxFloat)}
-			got.MinFloat, got.MaxFloat, want.MinFloat, want.MaxFloat = 0, 0, 0, 0
-			if got != want || gotBits != wantBits {
-				t.Errorf("%v × %d: one pass %+v %x, two passes %+v %x", v.Type, n, got, gotBits, want, wantBits)
+		for _, v := range []*chunk.Vector{wide, narrow} {
+			if got, want := CollectStats(v), collectStatsTwoPass(v); got != want {
+				t.Errorf("narrow=%v × %d: one pass %+v, two passes %+v", v.Int32 != nil, n, got, want)
 			}
 		}
 	}
-	// A NaN first stays the minimum and the maximum: nothing compares below
-	// or above it.
-	nanFirst := &chunk.Vector{Type: schema.Float64, Floats: []float64{math.NaN(), 1, -1}}
-	if s := CollectStats(nanFirst); !math.IsNaN(s.MinFloat) || !math.IsNaN(s.MaxFloat) {
-		t.Errorf("NaN-first vector: min %v max %v, want NaN as the two-pass loop left it", s.MinFloat, s.MaxFloat)
+}
+
+func TestEstimateRangeRows(t *testing.T) {
+	_, tbl := newTestStore(t)
+	// Two chunks of 100 rows: values uniform 0..99 and 100..199.
+	for id := 0; id < 2; id++ {
+		if err := tbl.EnsureChunk(id, 100, int64(id*1000), 1000); err != nil {
+			t.Fatal(err)
+		}
+		v := chunk.NewVector(schema.Int64, 100)
+		for i := range v.Ints {
+			v.Ints[i] = int64(id*100 + i)
+		}
+		if err := tbl.SetChunkStats(id, []int{0}, []ColStats{CollectStats(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	est, total, err := tbl.EstimateRangeRows(0, 0, 49)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 200 {
+		t.Errorf("total = %d", total)
+	}
+	// Half of chunk 0, none of chunk 1: ~50.
+	if est < 40 || est > 60 {
+		t.Errorf("estimate for [0,49] = %v, want ~50", est)
+	}
+	// Full range.
+	est, _, _ = tbl.EstimateRangeRows(0, 0, 1000)
+	if est != 200 {
+		t.Errorf("full-range estimate = %v, want 200", est)
+	}
+	// Empty range.
+	est, _, _ = tbl.EstimateRangeRows(0, 500, 600)
+	if est != 0 {
+		t.Errorf("out-of-range estimate = %v, want 0", est)
+	}
+	// Inverted bounds.
+	est, _, _ = tbl.EstimateRangeRows(0, 10, 5)
+	if est != 0 {
+		t.Errorf("inverted-range estimate = %v", est)
+	}
+	// Bad column.
+	if _, _, err := tbl.EstimateRangeRows(99, 0, 1); err == nil {
+		t.Error("bad column should fail")
+	}
+}
+
+func TestEstimateRangeRowsNoStats(t *testing.T) {
+	_, tbl := newTestStore(t)
+	if err := tbl.EnsureChunk(0, 100, 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	// No stats: conservative full contribution.
+	est, total, err := tbl.EstimateRangeRows(0, 5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est != 100 || total != 100 {
+		t.Errorf("no-stats estimate = %v/%v, want 100/100", est, total)
 	}
 }

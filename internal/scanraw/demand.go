@@ -183,7 +183,7 @@ func (d *Demand) boundExcludes(meta *dbstore.ChunkMeta) bool {
 		return false
 	}
 	st := meta.Stats[d.keyCol]
-	if !st.Valid || st.Type != schema.Int64 {
+	if !st.Valid {
 		return false
 	}
 	if d.desc {

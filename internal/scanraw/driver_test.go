@@ -11,7 +11,6 @@ import (
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
 	"scanraw/internal/gen"
-	"scanraw/internal/schema"
 )
 
 // The resolver table: one 9-chunk table holding a chunk in every state the
@@ -70,7 +69,7 @@ func stateTable(t *testing.T, workers int) (*testEnv, *Operator) {
 			t.Fatal(err)
 		}
 	}
-	far := dbstore.ColStats{Valid: true, Type: schema.Int64, MinInt: 5000, MaxInt: 6000, Rows: stateChunkLines}
+	far := dbstore.ColStats{Valid: true, MinInt: 5000, MaxInt: 6000, Rows: stateChunkLines}
 	if err := env.table.SetChunkStats(6, []int{0}, []dbstore.ColStats{far}); err != nil {
 		t.Fatal(err)
 	}

@@ -619,16 +619,22 @@ func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
 }
 
 // recordStats records the conversion-time statistics of the freshly
-// converted columns in one catalog call; they are journaled with the table's
-// next append.
+// converted columns that have any (the Int64 ones) in one catalog call; they
+// are journaled with the table's next append. A chunk with none records
+// nothing.
 func (r *run) recordStats(bc *BinaryChunk, cols []int) error {
-	have := make([]int, 0, len(cols))
-	stats := make([]dbstore.ColStats, 0, len(cols))
+	var have []int
+	var stats []dbstore.ColStats
 	for _, c := range cols {
 		if v := bc.Column(c); v != nil {
-			have = append(have, c)
-			stats = append(stats, dbstore.CollectStats(v))
+			if s := dbstore.CollectStats(v); s.Valid {
+				have = append(have, c)
+				stats = append(stats, s)
+			}
 		}
+	}
+	if have == nil {
+		return nil
 	}
 	return r.op.table.SetChunkStats(bc.ID, have, stats)
 }

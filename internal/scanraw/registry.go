@@ -181,16 +181,22 @@ type Member struct {
 	OnError func(error)
 }
 
+// ScanColumns returns the columns a scan for q reads: the ones it requires,
+// or the first alone for a COUNT(*)-style query, which touches no column but
+// still needs every row scanned — converting the first column is the
+// cheapest way.
+func ScanColumns(q *engine.Query) []int {
+	if cols := q.RequiredColumns(); len(cols) > 0 {
+		return cols
+	}
+	return []int{0}
+}
+
 // Request builds the member's scan request. ctx is the member's own
 // context, which for a shared scan is not the scan's.
 func (m Member) Request(ctx context.Context) Request {
 	q := m.Query
-	cols := q.RequiredColumns()
-	if len(cols) == 0 {
-		// COUNT(*)-style queries touch no columns but still need every row
-		// scanned; converting the first column is the cheapest way.
-		cols = []int{0}
-	}
+	cols := ScanColumns(q)
 	var skip func(*dbstore.ChunkMeta) bool
 	if base := SkipFromPredicate(q.Where); base != nil && m.Order == nil {
 		skip = base

@@ -77,7 +77,7 @@ func TestExecuteSQLEndToEnd(t *testing.T) {
 func mkMeta(loCol0, hiCol0 int64) *dbstore.ChunkMeta {
 	return &dbstore.ChunkMeta{
 		Stats: []dbstore.ColStats{
-			{Valid: true, Type: schema.Int64, MinInt: loCol0, MaxInt: hiCol0},
+			{Valid: true, MinInt: loCol0, MaxInt: hiCol0},
 			{},
 		},
 		Loaded: []bool{false, false},

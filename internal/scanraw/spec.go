@@ -23,10 +23,10 @@ const (
 	// at full width: the paper's original scan-order speculation (§4).
 	SpecScan SpecPolicy = iota
 	// SpecPayoff scores every (cached chunk, column group) pair by predicted
-	// benefit — workload access weight × unloaded width × chunk selectivity
-	// — and per disk-idle quantum writes the positively-scored groups of the
-	// chunk whose scores sum highest, as one segment, falling back to scan
-	// order while the workload is cold.
+	// benefit — the workload access weight of the group's unloaded columns ×
+	// their number — and per disk-idle quantum writes the positively-scored
+	// groups of the chunk whose scores sum highest, as one segment. Equal
+	// scores keep scan order, and a cold workload falls back to it.
 	SpecPayoff
 )
 
@@ -184,7 +184,7 @@ func (r *run) payoffPick() (bc *BinaryChunk, cols []int, ngroups int, err error)
 				continue
 			}
 			cand.groups = append(cand.groups, unloaded)
-			cand.score += w * float64(len(unloaded)) * chunkSelectivity(meta, unloaded)
+			cand.score += w * float64(len(unloaded))
 		}
 		if len(cand.groups) > 0 {
 			cands = append(cands, cand)
@@ -213,31 +213,4 @@ func (r *run) payoffPick() (bc *BinaryChunk, cols []int, ngroups int, err error)
 		}
 	}
 	return nil, nil, 0, nil
-}
-
-// chunkSelectivity estimates how useful a chunk's columns are to selective
-// queries: the average of min(1, Distinct/Rows) over the columns with valid
-// statistics, defaulting to 1 (maximally useful) when nothing is known —
-// statistics should focus speculation, never veto it.
-func chunkSelectivity(meta *dbstore.ChunkMeta, cols []int) float64 {
-	sum, n := 0.0, 0
-	for _, c := range cols {
-		if c >= len(meta.Stats) {
-			continue
-		}
-		st := meta.Stats[c]
-		if !st.Valid || st.Rows <= 0 {
-			continue
-		}
-		f := float64(st.Distinct) / float64(st.Rows)
-		if f > 1 {
-			f = 1
-		}
-		sum += f
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
 }

@@ -176,11 +176,7 @@ func (b *batcher) linger() {
 // of q's columns in the database.
 func (b *batcher) mustConvert(q *engine.Query) bool {
 	t := b.op.Table()
-	cols := q.RequiredColumns()
-	if len(cols) == 0 {
-		cols = []int{0} // what Member.Request scans for a COUNT(*)
-	}
-	return !t.Complete() || t.CountLoaded(cols) != t.NumChunks()
+	return !t.Complete() || t.CountLoaded(scanraw.ScanColumns(q)) != t.NumChunks()
 }
 
 // allTerminating reports whether every queued query carries a whole-scan

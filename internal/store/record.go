@@ -83,9 +83,12 @@ func (t RecType) String() string {
 	}
 }
 
-// ColStatsRec is the serialized form of per-column chunk statistics. The
-// field set mirrors dbstore.ColStats without importing it (store sits below
-// dbstore in the dependency order).
+// ColStatsRec is the serialized form of per-column chunk statistics
+// (dbstore.ColStats, which store sits below in the dependency order). Only
+// Valid, Type, MinInt, MaxInt and Rows are still written; the float, string
+// and distinct fields are retired, written as zeros and kept so that the
+// byte format, and journals written before they were retired, stay as
+// they are.
 type ColStatsRec struct {
 	Valid    bool
 	Type     uint8
