@@ -60,15 +60,14 @@ stress:
 
 # Wall-clock checks: the shape checks of the paper-figure experiments
 # (parallel beats sequential, wide chunks cost more than narrow, push-down
-# beats standard conversion) and the four speed-up floors (fused kernel over
-# tok+parse, per-column pages over full-width for a narrow query, OLA
-# time-to-bound over the full scan, the row encoder's integers over
+# beats standard conversion) and the three speed-up floors (fused kernel over
+# tok+parse, OLA time-to-bound over the full scan, the row encoder's integers over
 # strconv's; each >= 1.5, taken between interleaved runs inside one process
 # — testutil.SpeedupFloor). One duration compared
 # against another only means something with the package alone on the machine,
 # hence -p 1 and the experiments build tag; `go test ./...` keeps the
 # schedule-independent assertions. CI runs this nightly, after stress.
-EXPERIMENT_PKGS = ./internal/bench/ ./internal/kernel/ ./internal/scanraw/ ./internal/ola/ ./internal/queryapi/
+EXPERIMENT_PKGS = ./internal/bench/ ./internal/kernel/ ./internal/ola/ ./internal/queryapi/
 
 experiments-check:
 	$(GO) vet -tags experiments $(EXPERIMENT_PKGS)

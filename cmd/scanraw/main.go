@@ -48,7 +48,6 @@ func main() {
 		workers   = flag.Int("workers", 8, "worker threads (0 = sequential)")
 		chunk     = flag.Int("chunk", 1<<13, "lines per chunk")
 		cacheSz   = flag.Int("cache", 32, "binary cache capacity in chunks")
-		colGroups = flag.Int("colgroups", 1, "column-group width for database pages (1 = per-column, 0 = full chunk width)")
 		diskMBps  = flag.Int("disk", 400, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		delim     = flag.String("delim", ",", "field delimiter")
 		stats     = flag.Bool("stats", true, "collect min/max statistics while converting")
@@ -89,7 +88,6 @@ func main() {
 	disk := vdisk.New(cfg)
 	disk.Preload("raw/input", data)
 	store := dbstore.NewStore(disk)
-	store.SetGroupWidth(*colGroups)
 	table, err := store.CreateTable("data", sch, "raw/input")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scanraw: %v\n", err)

@@ -180,7 +180,7 @@ func main() {
 		diskMBps   = flag.Int("disk", 0, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		dataDir    = flag.String("data-dir", "", "persist loaded data and catalog under this directory (empty = in-memory only)")
 		stats      = flag.Bool("stats", true, "collect min/max statistics while converting")
-		colGroups  = flag.Int("colgroups", 1, "column-group width for database pages (1 = per-column, 0 = full chunk width)")
+		colGroups  = flag.Int("colgroups", 1, "must be 1: pages are per column; kept for the benchmark harness until ROADMAP item 2a")
 		specPolicy = flag.String("spec-policy", "payoff", "speculative loading order: payoff (workload-ranked) or scan (file order)")
 		maxConc    = flag.Int("max-concurrent", 32, "admission slots: queries in flight before 429")
 		olaErr     = flag.Float64("ola-error", 0, "online aggregation default: run eligible aggregates as sampled scans stopping at this relative error (0 = only on explicit ?error=)")
@@ -201,6 +201,10 @@ func main() {
 	flag.Parse()
 	if *consumeW != 0 && *consumeW != 1 {
 		fmt.Fprintf(os.Stderr, "scanrawd: -consume-workers %d: consume is serial, so it must be 0 or 1\n", *consumeW)
+		os.Exit(2)
+	}
+	if *colGroups != 1 {
+		fmt.Fprintf(os.Stderr, "scanrawd: -colgroups %d: pages are per column, so it must be 1\n", *colGroups)
 		os.Exit(2)
 	}
 
@@ -280,7 +284,6 @@ func main() {
 			rec.TablesRecovered, *dataDir, rec.ChunksRecovered, rec.ChunksInvalidated,
 			rec.Replay.TornBytes, rec.RecoveryMS)
 	}
-	store.SetGroupWidth(*colGroups)
 	srv := server.New(store, server.Config{
 		MaxConcurrent:  *maxConc,
 		CoalesceWindow: *coalesce,

@@ -14,7 +14,7 @@
 set -e
 GO=${GO:-go}
 DIR=$(mktemp -d)
-trap 'kill $SRV 2>/dev/null; wait 2>/dev/null; rm -rf "$DIR"' EXIT
+trap 'kill $SRV 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 echo "== building scanrawd"
 $GO build -o "$DIR/scanrawd" ./cmd/scanrawd

@@ -78,17 +78,16 @@ func counter(m map[string]any, key string) int64 {
 // newWorker builds a worker serving csv as table "data" with the given
 // chunk geometry.
 func newWorker(t testing.TB, csv []byte, chunkLines int) *workerEnv {
-	return newWorkerCfg(t, csv, 1, scanraw.Config{Workers: 2, ChunkLines: chunkLines, CacheChunks: 64})
+	return newWorkerCfg(t, csv, scanraw.Config{Workers: 2, ChunkLines: chunkLines, CacheChunks: 64})
 }
 
-// newWorkerCfg is newWorker with an explicit column-group width and
-// operator config, for fleets exercising the colgroup storage layout.
-func newWorkerCfg(t testing.TB, csv []byte, groupWidth int, opCfg scanraw.Config) *workerEnv {
+// newWorkerCfg is newWorker with an explicit operator config, for fleets
+// exercising loading and partial-width hits.
+func newWorkerCfg(t testing.TB, csv []byte, opCfg scanraw.Config) *workerEnv {
 	t.Helper()
 	d := vdisk.Unlimited()
 	d.Preload("raw/data.csv", csv)
 	store := dbstore.NewStore(d)
-	store.SetGroupWidth(groupWidth)
 	table, err := store.CreateTable("data", fleetSpec.Schema(), "raw/data.csv")
 	if err != nil {
 		t.Fatal(err)
@@ -323,11 +322,11 @@ func TestDistributedDifferentialSplit(t *testing.T) {
 }
 
 // TestDistributedDifferentialColGroups: a fleet whose workers store
-// column-group pages (width 2) under payoff-ranked speculative loading vs
-// a plain full-suite reference worker. A narrow warm-up query loads some
-// groups on every worker, so the differential suite afterwards runs over
-// mixed cold/partial/loaded chunks — the wire must stay byte-identical
-// regardless of which groups each worker's speculation chose to write.
+// per-column pages under payoff-ranked speculative loading vs a plain
+// full-suite reference worker. A narrow warm-up query loads some columns on
+// every worker, so the differential suite afterwards runs over mixed
+// cold/partial/loaded chunks — the wire must stay byte-identical regardless
+// of which columns each worker's speculation chose to write.
 func TestDistributedDifferentialColGroups(t *testing.T) {
 	csv := gen.Bytes(fleetSpec)
 	opCfg := scanraw.Config{
@@ -336,9 +335,9 @@ func TestDistributedDifferentialColGroups(t *testing.T) {
 		Speculation: scanraw.SpecPayoff,
 	}
 	workers := []*workerEnv{
-		newWorkerCfg(t, csv, 2, opCfg),
-		newWorkerCfg(t, csv, 2, opCfg),
-		newWorkerCfg(t, csv, 2, opCfg),
+		newWorkerCfg(t, csv, opCfg),
+		newWorkerCfg(t, csv, opCfg),
+		newWorkerCfg(t, csv, opCfg),
 	}
 	fc := cluster.FleetConfig{
 		Peers: []cluster.PeerConfig{
@@ -352,12 +351,12 @@ func TestDistributedDifferentialColGroups(t *testing.T) {
 	ref := newWorker(t, csv, 25)
 
 	// Warm-up: a narrow query records workload on every worker and loads
-	// the {c2,c3} group (width 2) across the shards it touches.
+	// c2 across the shards it touches.
 	if status, out := postWire(t, coTS.URL, "SELECT SUM(c2) FROM data"); status != http.StatusOK {
 		t.Fatalf("warm-up query: status %d (%s)", status, out.Error)
 	}
 	// Once the safeguard flushes have landed, a query that also needs c1
-	// merges the loaded group with a narrow conversion: partial-width hits,
+	// merges the loaded column with a narrow conversion: partial-width hits,
 	// which the shard stats must carry into the coordinator's block.
 	for _, w := range workers {
 		if op, ok := w.srv.Operator("data"); ok {

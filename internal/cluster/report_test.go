@@ -24,8 +24,8 @@ var scanBlock = []string{
 func TestScanReportDifferential(t *testing.T) {
 	csv := gen.Bytes(fleetSpec)
 	opCfg := scanraw.Config{ChunkLines: 25, CacheChunks: 4, Policy: scanraw.FullLoad}
-	ref := newWorkerCfg(t, csv, 2, opCfg)
-	peer := newWorkerCfg(t, csv, 2, opCfg)
+	ref := newWorkerCfg(t, csv, opCfg)
+	peer := newWorkerCfg(t, csv, opCfg)
 	_, coTS := newCoordinator(t, cluster.FleetConfig{
 		Peers:  []cluster.PeerConfig{{Addr: peer.addr(), Owns: []cluster.OwnConfig{{Table: "data"}}}},
 		Tables: map[string]cluster.TableConfig{"data": {Schema: fleetSchema}},
@@ -35,11 +35,11 @@ func TestScanReportDifferential(t *testing.T) {
 		name, sql string
 		check     func(st map[string]any) bool
 	}{
-		// Cold: every chunk converted from raw and loaded, the {c0,c1} group.
+		// Cold: every chunk converted from raw and loaded, c0's page.
 		{"cold", "SELECT SUM(c0) FROM data", func(st map[string]any) bool {
 			return st["scan_chunks_raw"] == 24.0 && st["chunks_loaded"] == 24.0
 		}},
-		// Partly loaded: {c0,c1} comes from pages, {c2,c3} from raw.
+		// Partly loaded: c0 comes from pages, c3 from raw.
 		{"partial", "SELECT SUM(c0+c3) FROM data", func(st map[string]any) bool {
 			return st["scan_chunks_partial"].(float64) > 0 && st["chunks_loaded"].(float64) > 0
 		}},

@@ -10,12 +10,10 @@ import (
 
 // Column-group pages. A page holds the vectors of a *set* of columns of one
 // chunk; the catalog learns each page's column membership and its place in a
-// segment blob from the journal (segment.go). The group width is a
-// store-level policy knob (SetGroupWidth): width 1 gives one page per column,
-// larger widths amortize per-page overhead for columns that are always
-// queried together, and width 0 stores the whole chunk as a single
-// full-width page (the layout the source paper describes, kept as the
-// benchmark baseline).
+// segment blob from the journal (segment.go). The store writes one page per
+// column. Pages of several adjacent columns, or of a whole chunk, are what
+// older builds with a fixed group width wrote; the read side (coverGroups)
+// serves any mix of them.
 
 // maxGroupCols bounds a decoded group page's column count and ordinals;
 // mirrors the store package's record limits. A page exceeding it is
@@ -113,112 +111,13 @@ func decodeGroupPage(dst []groupPageCol, payload []byte) ([]groupPageCol, error)
 	return dst, nil
 }
 
-// GroupPartition splits the ordinals [0, ncols) into consecutive groups of
-// the given width. Width <= 0 (full-width) or >= ncols yields one group.
-func GroupPartition(ncols, width int) [][]int {
-	if ncols <= 0 {
-		return nil
-	}
-	if width <= 0 || width >= ncols {
-		width = ncols
-	}
-	groups := make([][]int, 0, (ncols+width-1)/width)
-	for lo := 0; lo < ncols; lo += width {
-		hi := min(lo+width, ncols)
-		g := make([]int, hi-lo)
-		for i := range g {
-			g[i] = lo + i
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// SetGroupWidth sets the store's column-group width for subsequently
-// written pages: how many consecutive schema ordinals share one page.
-// 1 (the default) gives one page per column; values <= 0 select full-width
-// groups (the whole chunk in a single page). Already-written pages keep
-// their recorded grouping — reads cover a request from whatever mix of
-// group pages the catalog knows about.
+// SetGroupWidth accepts only 1: every page the store writes holds one
+// column. Pages of several columns that an older build wrote stay readable
+// (coverGroups); nothing writes new ones. Any other width is a programming
+// error. The benchmark harness still calls SetGroupWidth(1); ROADMAP item 2a
+// deletes this method together with that call.
 func (s *Store) SetGroupWidth(w int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if w < 0 {
-		w = 0
+	if w != 1 {
+		panic(fmt.Sprintf("dbstore: group width %d: pages are per column, the only width is 1", w))
 	}
-	s.groupWidth = w
-}
-
-// GroupWidth returns the store's current column-group width (0 =
-// full-width).
-func (s *Store) GroupWidth() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.groupWidth
-}
-
-// GroupClosure rounds a sorted requested-column set up to the store's
-// group-partition boundaries: every returned partition group intersecting
-// cols is included whole. Conversion uses the closure so newly converted
-// chunks always carry complete groups and every group page is writable.
-// With the default width 1 the closure is the request itself.
-func (s *Store) GroupClosure(t *Table, cols []int) []int {
-	n := t.Schema().NumColumns()
-	w := s.GroupWidth()
-	if w == 1 || n == 0 {
-		return cols
-	}
-	if w <= 0 || w >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	inGroup := make([]bool, (n+w-1)/w)
-	for _, c := range cols {
-		if c >= 0 && c < n {
-			inGroup[c/w] = true
-		}
-	}
-	var out []int
-	for g, in := range inGroup {
-		if !in {
-			continue
-		}
-		for c := g * w; c < min((g+1)*w, n); c++ {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// writeGroups partitions a requested column set along the store's
-// group-partition boundaries and drops groups whose columns are already
-// loaded in meta (their pages exist; rewriting them is wasted I/O — and it
-// is what makes partial-width conversion write only the missing groups).
-func (s *Store) writeGroups(t *Table, meta *ChunkMeta, cols []int) [][]int {
-	n := t.Schema().NumColumns()
-	w := s.GroupWidth()
-	if w <= 0 || w > n {
-		w = n
-	}
-	byGroup := make(map[int][]int)
-	var order []int
-	for _, c := range cols {
-		g := c / w
-		if _, seen := byGroup[g]; !seen {
-			order = append(order, g)
-		}
-		byGroup[g] = append(byGroup[g], c)
-	}
-	out := make([][]int, 0, len(order))
-	for _, g := range order {
-		gc := byGroup[g]
-		if meta.LoadedAll(gc) {
-			continue
-		}
-		out = append(out, gc)
-	}
-	return out
 }

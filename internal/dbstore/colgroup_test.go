@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scanraw/internal/chunk"
 	"scanraw/internal/wire"
 )
 
@@ -29,45 +30,69 @@ func TestEncodeColGroupKey(t *testing.T) {
 	}
 }
 
-func TestGroupPartition(t *testing.T) {
-	cases := []struct {
-		ncols, width int
-		want         [][]int
-	}{
-		{0, 2, nil},
-		{3, 1, [][]int{{0}, {1}, {2}}},
-		{5, 2, [][]int{{0, 1}, {2, 3}, {4}}},
-		{4, 0, [][]int{{0, 1, 2, 3}}},
-		{2, 8, [][]int{{0, 1}}},
+// widthGroups splits cols into the pages a store with a fixed group width
+// wrote before pages became per column: the listed columns of each run of
+// width consecutive ordinals share a page, in the order their runs first
+// appear; width 0 puts every listed column of an ncols-wide table in one.
+func widthGroups(cols []int, ncols, width int) [][]int {
+	if width <= 0 || width > ncols {
+		width = ncols
 	}
-	for _, c := range cases {
-		got := GroupPartition(c.ncols, c.width)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("GroupPartition(%d, %d) = %v, want %v", c.ncols, c.width, got, c.want)
+	at := make(map[int]int) // run -> index in out
+	var out [][]int
+	for _, c := range cols {
+		i, ok := at[c/width]
+		if !ok {
+			i = len(out)
+			at[c/width] = i
+			out = append(out, nil)
 		}
+		out[i] = append(out[i], c)
 	}
+	return out
 }
 
-func TestGroupClosure(t *testing.T) {
+// encodeAtWidth is EncodeSegment as a store of the given group width ran it.
+func encodeAtWidth(t *Table, bc *chunk.BinaryChunk, cols []int, width int) (*Segment, error) {
+	return encodeSegment(t, bc, widthGroups(cols, t.Schema().NumColumns(), width))
+}
+
+// writeAtWidth is WriteChunkColumns as a store of the given group width ran
+// it: same pages, same bytes.
+func writeAtWidth(s *Store, t *Table, bc *chunk.BinaryChunk, cols []int, width int) error {
+	return s.WriteLegacyGroups(t, bc, widthGroups(cols, t.Schema().NumColumns(), width))
+}
+
+// TestEncodeSegmentPerColumn: a write is one page per listed column not
+// loaded yet, in the order given — what a width-1 store wrote — and the
+// store refuses any other group width.
+func TestEncodeSegmentPerColumn(t *testing.T) {
 	s, tb := newTestStore(t)
-	// Width 1: the closure is the request itself.
-	if got := s.GroupClosure(tb, []int{1}); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("width-1 closure = %v", got)
+	bc := fullChunk(t, 0, 8)
+	if err := tb.EnsureChunk(0, 8, 0, 100); err != nil {
+		t.Fatal(err)
 	}
-	// Width 2 over 3 columns: groups {0,1} and {2}; asking for column 1
-	// pulls in its whole group.
+	if err := s.WriteChunkColumns(tb, bc, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := s.EncodeSegment(tb, bc, []int{2, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages [][]int
+	for _, g := range seg.groups {
+		pages = append(pages, g.Cols)
+	}
+	if !reflect.DeepEqual(pages, [][]int{{2}, {0}}) {
+		t.Errorf("segment pages %v, want [[2] [0]]", pages)
+	}
+	s.SetGroupWidth(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("SetGroupWidth(2) did not panic")
+		}
+	}()
 	s.SetGroupWidth(2)
-	if got := s.GroupClosure(tb, []int{1}); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("width-2 closure of {1} = %v, want [0 1]", got)
-	}
-	if got := s.GroupClosure(tb, []int{2}); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("width-2 closure of {2} = %v, want [2]", got)
-	}
-	// Full width: everything.
-	s.SetGroupWidth(0)
-	if got := s.GroupClosure(tb, []int{1}); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("full-width closure = %v", got)
-	}
 }
 
 // TestGroupPageDecodeTotal: a group page cut at any offset, carrying a

@@ -158,13 +158,12 @@ func TestWarmStartPrePR8Fixture(t *testing.T) {
 		t.Error("fixture completeness lost")
 	}
 
-	// Grow the table with the current layout: a segment of width-2 group
-	// pages next to the per-column blobs.
-	s.SetGroupWidth(2)
+	// Grow the table with a segment of width-2 group pages, as a build with
+	// that group width wrote it, next to the per-column blobs.
 	if err := tbl.EnsureChunk(2, 8, 200, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeAll(s, tbl, fullChunk(t, 2, 8)); err != nil {
+	if err := writeAtWidth(s, tbl, fullChunk(t, 2, 8), all, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {

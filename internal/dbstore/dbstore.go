@@ -7,7 +7,8 @@
 // vertically partitioned along columns represented as arrays in memory.
 // When written to disk, each column is assigned an independent set of pages
 // which can be directly mapped into the in-memory array representation."
-// Here a page holds one column group of one chunk, sealed with its own CRC;
+// Here a page holds one column of one chunk, sealed with its own CRC (pages
+// of several columns, which older builds wrote, are still read);
 // a chunk write's pages are one segment, and a group commit concatenates the
 // segments of several chunk writes into one blob behind one journal append
 // (segment.go) — durable operations, not bytes, are what loading costs on a
@@ -450,10 +451,6 @@ type Store struct {
 	journal Journal
 	rec     RecoveryReport
 
-	// groupWidth is the column-group width for new pages (1 = one page per
-	// column, 0 = full-width). Guarded by mu.
-	groupWidth int
-
 	// workloads holds per-table decayed column-access weights (the workload
 	// tracker's persisted state), keyed by table name. Guarded by mu.
 	workloads map[string][]float64
@@ -465,7 +462,7 @@ type Store struct {
 
 // NewStore creates an empty store on the given disk.
 func NewStore(d store.Disk) *Store {
-	return &Store{disk: d, tables: make(map[string]*Table), groupWidth: 1, workloads: make(map[string][]float64)}
+	return &Store{disk: d, tables: make(map[string]*Table), workloads: make(map[string][]float64)}
 }
 
 // Disk returns the underlying disk.

@@ -15,11 +15,10 @@ import (
 )
 
 // Segments and group commits. A chunk write is encoded, on the writer's
-// goroutine, into a Segment: the sealed pages of the column groups it
-// carries — each still sealed with its own CRC, still partitioned by the
-// store's group width — back to back. Segments wait in a Commit, and
-// WriteCommit makes a whole commit durable at once: its segments,
-// concatenated, are one blob db/<table>/c<seq> written with one
+// goroutine, into a Segment: the pages of the columns it carries, one page
+// per column, each sealed with its own CRC, back to back. Segments wait in
+// a Commit, and WriteCommit makes a whole commit durable at once: its
+// segments, concatenated, are one blob db/<table>/c<seq> written with one
 // Disk.WriteBlob, and one Journal.Append carries a RecSegment per segment —
 // each naming the commit's blob and its groups' byte ranges in it — behind
 // whatever statistics and geometry records are pending. On a real disk a
@@ -117,12 +116,22 @@ type Segment struct {
 }
 
 // EncodeSegment encodes the listed columns of binary chunk bc that are not
-// loaded yet into a segment, on the calling goroutine: the columns are
-// partitioned along the store's group-width boundaries, and a group whose
-// columns are all loaded is skipped. It returns a nil segment when nothing is
-// left to write. The chunk must already be registered via EnsureChunk;
-// nothing is written and nothing marked loaded until the segment's commit.
+// loaded yet into a segment, on the calling goroutine: one page per column,
+// in the order given. It returns a nil segment when nothing is left to write.
+// The chunk must already be registered via EnsureChunk; nothing is written
+// and nothing marked loaded until the segment's commit.
 func (s *Store) EncodeSegment(t *Table, bc *chunk.BinaryChunk, cols []int) (*Segment, error) {
+	groups := make([][]int, len(cols))
+	for i, c := range cols {
+		groups[i] = []int{c}
+	}
+	return encodeSegment(t, bc, groups)
+}
+
+// encodeSegment encodes the listed groups of bc, one page each, leaving out
+// a group whose columns are all loaded: their pages exist, and rewriting
+// them is wasted I/O.
+func encodeSegment(t *Table, bc *chunk.BinaryChunk, groups [][]int) (*Segment, error) {
 	meta, ok := t.Chunk(bc.ID)
 	if !ok {
 		return nil, fmt.Errorf("dbstore: chunk %d not registered in table %q", bc.ID, t.Name())
@@ -130,11 +139,16 @@ func (s *Store) EncodeSegment(t *Table, bc *chunk.BinaryChunk, cols []int) (*Seg
 	if meta.Rows != bc.Rows {
 		return nil, fmt.Errorf("dbstore: chunk %d has %d rows, catalog says %d", bc.ID, bc.Rows, meta.Rows)
 	}
-	groups := s.writeGroups(t, meta, cols)
-	if len(groups) == 0 {
+	var write [][]int
+	for _, g := range groups {
+		if !meta.LoadedAll(g) {
+			write = append(write, g)
+		}
+	}
+	if len(write) == 0 {
 		return nil, nil
 	}
-	data, locs, err := buildSegment(bc, "", groups)
+	data, locs, err := buildSegment(bc, "", write)
 	if err != nil {
 		return nil, err
 	}
@@ -199,12 +213,32 @@ func (s *Store) WriteCommit(t *Table, c *Commit) error {
 
 // WriteChunkColumns stores the listed columns of binary chunk bc and marks
 // them loaded in the catalog: a commit of the one chunk. Like EncodeSegment
-// it skips the groups already loaded — a partially-loaded chunk writes only
-// its missing groups, and re-writing a loaded chunk writes nothing.
+// it skips the columns already loaded — a partially-loaded chunk writes only
+// its missing columns, and re-writing a loaded chunk writes nothing.
 func (s *Store) WriteChunkColumns(t *Table, bc *chunk.BinaryChunk, cols []int) error {
 	g, err := s.EncodeSegment(t, bc, cols)
-	if err != nil || g == nil {
+	if err != nil {
 		return err
+	}
+	return s.commitOne(t, g)
+}
+
+// WriteLegacyGroups is WriteChunkColumns with the pages given: each listed
+// group of bc becomes one page of several columns, the layout older builds
+// with a fixed group width wrote. Only tests call it, to build the data-dirs
+// those builds left, which the read side still serves.
+func (s *Store) WriteLegacyGroups(t *Table, bc *chunk.BinaryChunk, groups [][]int) error {
+	g, err := encodeSegment(t, bc, groups)
+	if err != nil {
+		return err
+	}
+	return s.commitOne(t, g)
+}
+
+// commitOne commits the one segment g; a nil g writes nothing.
+func (s *Store) commitOne(t *Table, g *Segment) error {
+	if g == nil {
+		return nil
 	}
 	var c Commit
 	c.Add(g)

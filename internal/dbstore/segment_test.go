@@ -84,7 +84,7 @@ func colRange(lo, hi int) []int {
 }
 
 // countedEnv is a durable 16-column table over counting wrappers.
-func countedEnv(t *testing.T, width int) (*Store, *Table, *countingDisk, *countingJournal) {
+func countedEnv(t *testing.T) (*Store, *Table, *countingDisk, *countingJournal) {
 	t.Helper()
 	dir := t.TempDir()
 	fd, err := store.OpenFileDisk(filepath.Join(dir, "blobs"))
@@ -101,7 +101,6 @@ func countedEnv(t *testing.T, width int) (*Store, *Table, *countingDisk, *counti
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetGroupWidth(width)
 	cj := &countingJournal{Journal: man}
 	s.journal = cj
 	tbl, err := s.EnsureTable("t", intSchema(16), "raw/t.csv", testFP)
@@ -121,7 +120,7 @@ func countedEnv(t *testing.T, width int) (*Store, *Table, *countingDisk, *counti
 func TestChunkWriteCosts(t *testing.T) {
 	for _, width := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
-			s, tbl, disk, journal := countedEnv(t, width)
+			s, tbl, disk, journal := countedEnv(t)
 			sch := tbl.Schema()
 			all := colRange(0, 16)
 
@@ -143,7 +142,7 @@ func TestChunkWriteCosts(t *testing.T) {
 				if err := tbl.SetChunkStats(id, all, stats); err != nil {
 					t.Fatal(err)
 				}
-				seg, err := s.EncodeSegment(tbl, bc, all)
+				seg, err := encodeAtWidth(tbl, bc, all, width)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +183,7 @@ func TestChunkWriteCosts(t *testing.T) {
 			if err := tbl.EnsureChunk(3, 32, 300, 100); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteChunkColumns(tbl, intChunk(t, sch, 3, 32), all); err != nil {
+			if err := writeAtWidth(s, tbl, intChunk(t, sch, 3, 32), all, width); err != nil {
 				t.Fatal(err)
 			}
 			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 2 || a != 2 {
@@ -196,10 +195,10 @@ func TestChunkWriteCosts(t *testing.T) {
 
 			// Re-writing loaded groups writes nothing.
 			bc := chunks[0]
-			if err := writeAll(s, tbl, bc); err != nil {
+			if err := writeAtWidth(s, tbl, bc, all, width); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteChunkColumns(tbl, bc, colRange(3, 9)); err != nil {
+			if err := writeAtWidth(s, tbl, bc, colRange(3, 9), width); err != nil {
 				t.Fatal(err)
 			}
 			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 2 || a != 2 {
@@ -231,10 +230,10 @@ func TestChunkWriteCosts(t *testing.T) {
 			if err := tbl.EnsureChunk(4, 32, 400, 100); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteChunkColumns(tbl, bc2, colRange(0, 12)); err != nil {
+			if err := writeAtWidth(s, tbl, bc2, colRange(0, 12), width); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteChunkColumns(tbl, bc2, all); err != nil {
+			if err := writeAtWidth(s, tbl, bc2, all, width); err != nil {
 				t.Fatal(err)
 			}
 			if w, a := disk.writeBlobs.Load(), len(journal.appends); w != 4 || a != 4 {
@@ -282,7 +281,6 @@ func segmentEnv(t *testing.T) (dir, file string, groups []GroupState) {
 	t.Helper()
 	dir = t.TempDir()
 	s, man := durableEnv(t, dir)
-	s.SetGroupWidth(2)
 	sch := intSchema(8)
 	tbl, err := s.EnsureTable("t", sch, "raw/t.csv", testFP)
 	if err != nil {
@@ -292,7 +290,7 @@ func segmentEnv(t *testing.T) (dir, file string, groups []GroupState) {
 		if err := tbl.EnsureChunk(id, 16, int64(id*100), 100); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeAll(s, tbl, intChunk(t, sch, id, 16)); err != nil {
+		if err := writeAtWidth(s, tbl, intChunk(t, sch, id, 16), colRange(0, 8), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +327,6 @@ func checkDamage(t *testing.T, dir string, groups []GroupState, lost map[int]boo
 	if n := disk.readAts.Load() + disk.readBlobs.Load(); n != 2 {
 		t.Errorf("recovery made %d reads for 2 segments", n)
 	}
-	s.SetGroupWidth(2)
 	tbl, _ := s.Table("t")
 	sch := tbl.Schema()
 	wantInvalid := 0
@@ -357,7 +354,8 @@ func checkDamage(t *testing.T, dir string, groups []GroupState, lost map[int]boo
 		t.Errorf("the other chunk lost columns: %+v", m1.Loaded)
 	}
 	// Only the affected groups re-convert: a full-width rewrite lands one
-	// segment holding exactly the lost columns (or nothing at all).
+	// segment holding exactly the lost columns, a page each, next to the
+	// surviving two-column pages (or nothing at all).
 	bc := intChunk(t, sch, 0, 16)
 	if err := writeAll(s, tbl, bc); err != nil {
 		t.Fatal(err)
@@ -434,8 +432,8 @@ func TestSegmentBitFlipPerGroup(t *testing.T) {
 	})
 }
 
-// TestSegmentNeverReplacesLiveBlob: after damage took one group of a segment
-// and the store's width changed, a rewrite of the same columns must not
+// TestSegmentNeverReplacesLiveBlob: after damage took one group of a segment,
+// a rewrite at another group width of the same columns must not
 // replace the blob the surviving groups live in: its commit takes the next
 // sequence number the journal has not named.
 func TestSegmentNeverReplacesLiveBlob(t *testing.T) {
@@ -449,11 +447,11 @@ func TestSegmentNeverReplacesLiveBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := durableEnv(t, dir)
-	s.SetGroupWidth(0) // full width: the rewrite holds all of c0-c7 again
 	tbl, _ := s.Table("t")
 	stale, _ := tbl.Chunk(0) // a reader that resolved its groups before the rewrite
 	bc := intChunk(t, tbl.Schema(), 0, 16)
-	if err := writeAll(s, tbl, bc); err != nil {
+	// Full width: the rewrite holds all of c0-c7 again.
+	if err := writeAtWidth(s, tbl, bc, colRange(0, 8), 0); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := tbl.Chunk(0)
@@ -534,7 +532,7 @@ func (j *failingJournal) Append(recs ...store.Record) error {
 // catalog as it was — the blob it wrote is an orphan — and the statistics
 // that were to ride the append stay pending for the next one.
 func TestCommitLoadsOnlyAfterAppend(t *testing.T) {
-	s, tbl, _, journal := countedEnv(t, 1)
+	s, tbl, _, journal := countedEnv(t)
 	fj := &failingJournal{Journal: journal, fail: true}
 	s.journal, tbl.journal = fj, fj
 	all := colRange(0, 16)

@@ -34,7 +34,7 @@ type Stats struct {
 	ScanChunksDB    int     `json:"scan_chunks_db"`
 	ScanChunksRaw   int     `json:"scan_chunks_raw"`
 	// ScanChunksPartial counts partial-width hits: chunks served by merging
-	// already-loaded column groups with a narrow conversion of the rest.
+	// already-loaded column pages with a narrow conversion of the rest.
 	ScanChunksPartial int `json:"scan_chunks_partial"`
 	ChunksDelivered   int `json:"chunks_delivered"` // to this query, after its skip filter
 	ChunksSkipped     int `json:"chunks_skipped"`

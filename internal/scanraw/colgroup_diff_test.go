@@ -3,6 +3,7 @@ package scanraw
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"scanraw/internal/engine"
@@ -28,13 +29,54 @@ func sumCols(t *testing.T, op *Operator, env *testEnv, cols []int) RunStats {
 	return st
 }
 
+// legacyGroups lists the pages a build with a fixed group width wrote for a
+// query over cols: every run of width consecutive ordinals that cols touch,
+// whole. Width 0 is one page of all ncols columns.
+func legacyGroups(cols []int, ncols, width int) [][]int {
+	if width <= 0 || width > ncols {
+		width = ncols
+	}
+	var out [][]int
+	for lo := 0; lo < ncols; lo += width {
+		hi := min(lo+width, ncols)
+		if slices.ContainsFunc(cols, func(c int) bool { return c >= lo && c < hi }) {
+			out = append(out, allCols(hi)[lo:])
+		}
+	}
+	return out
+}
+
+// seedLegacyPages leaves on every chunk of env's table the pages that a
+// build with the given group width wrote for a query over cols — the
+// data-dir such a build left behind — by an external-tables scan of
+// chunkLines-line chunks whose every delivery is written as those groups.
+func seedLegacyPages(t *testing.T, env *testEnv, chunkLines int, cols []int, width int) {
+	t.Helper()
+	groups := legacyGroups(cols, env.spec.Cols, width)
+	var convert []int
+	for _, g := range groups {
+		convert = append(convert, g...)
+	}
+	op := New(env.store, env.table, Config{ChunkLines: chunkLines, Policy: ExternalTables})
+	if _, err := op.Run(Request{Columns: convert, Deliver: func(bc *BinaryChunk) error {
+		return env.store.WriteLegacyGroups(env.table, bc, groups)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := env.table.CountLoaded(convert); n != env.table.NumChunks() || n == 0 {
+		t.Fatalf("seeded %d of %d chunks with %v", n, env.table.NumChunks(), groups)
+	}
+}
+
 // TestColGroupDifferential sweeps the storage-layout and speculation-policy
 // matrix through the same query sequence — a narrow warm-up, a wider query
 // that can only be served by partial-width hits, a repeat of it, and a
 // full-width query — asserting every cell returns the generator's exact
-// sums. Workers 0 exercises the sequential path, workers 4 the pipeline;
-// results must not depend on the page width or on which chunks speculation
-// chose to load.
+// sums. Workers 0 exercises the sequential path, workers 4 the pipeline.
+// Width 1 starts cold; widths 2 and 0 start from the two- and full-width
+// pages an older build left for the warm-up's columns, which the operator
+// completes with per-column pages. Results must not depend on the layout on
+// disk or on which chunks speculation chose to load.
 func TestColGroupDifferential(t *testing.T) {
 	weights := []float64{0, 3, 1, 0, 0}
 	for _, width := range []int{1, 2, 0} {
@@ -43,7 +85,9 @@ func TestColGroupDifferential(t *testing.T) {
 				name := fmt.Sprintf("width=%d/spec=%s/workers=%d", width, pol, workers)
 				t.Run(name, func(t *testing.T) {
 					env := newEnv(t, 512, 5, nil)
-					env.store.SetGroupWidth(width)
+					if width != 1 {
+						seedLegacyPages(t, env, 64, []int{1}, width)
+					}
 					op := New(env.store, env.table, Config{
 						Workers: workers, ChunkLines: 64, Policy: Speculative,
 						Safeguard: true, CacheChunks: 4, CollectStats: true,
@@ -54,9 +98,9 @@ func TestColGroupDifferential(t *testing.T) {
 					for i, cols := range phases {
 						st := sumCols(t, op, env, cols)
 						// After the narrow warm-up every chunk has column 1 on
-						// pages; with per-column pages the wider query must be
-						// served without a single full-width conversion.
-						if width == 1 && i == 1 && st.DeliveredRaw > 0 {
+						// pages, so the wider query must be served without a
+						// single full-width conversion.
+						if i == 1 && st.DeliveredRaw > 0 {
 							t.Errorf("phase %d: %d full conversions despite loaded column pages (stats %+v)", i, st.DeliveredRaw, st)
 						}
 						// Safeguard flush between phases, so phase i+1 sees
@@ -71,13 +115,15 @@ func TestColGroupDifferential(t *testing.T) {
 
 // TestColGroupSharedDifferential runs the shared-scan path over the same
 // matrix: two coalesced queries with different column sets over a
-// partially-loaded table must both get exact results whatever the page
-// width and speculation order.
+// partially-loaded table must both get exact results whatever the layout
+// on disk and speculation order.
 func TestColGroupSharedDifferential(t *testing.T) {
 	for _, width := range []int{1, 2, 0} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			env := newEnv(t, 512, 5, nil)
-			env.store.SetGroupWidth(width)
+			if width != 1 {
+				seedLegacyPages(t, env, 64, []int{2}, width)
+			}
 			weights := []float64{1, 0, 2, 0, 1}
 			op := New(env.store, env.table, Config{
 				Workers: 2, ChunkLines: 64, Policy: Speculative,
@@ -85,7 +131,7 @@ func TestColGroupSharedDifferential(t *testing.T) {
 				Speculation:   SpecPayoff,
 				ColumnWeights: func() []float64 { return weights },
 			})
-			sumCols(t, op, env, []int{2}) // warm: loads closure({2}) everywhere
+			sumCols(t, op, env, []int{2}) // warm: column 2 on pages everywhere
 			op.WaitIdle()
 
 			var sumA, sumB int64
@@ -117,6 +163,45 @@ func TestColGroupSharedDifferential(t *testing.T) {
 			}
 			if want := gen.SumRange(env.spec, []int{1, 3}, 0, 512); sumB != want {
 				t.Errorf("shared query B sum = %d, want %d", sumB, want)
+			}
+		})
+	}
+}
+
+// TestLegacyGroupServesPartialWidth: a chunk whose loaded columns sit in a
+// two-column page an older build wrote is queried for one of them plus an
+// unloaded column. The loaded one is read from its group page and only the
+// missing one converted (a partial-width hit), the answer is exact, and the
+// write that follows adds the missing column as a page of its own, so a
+// repeat reads pages only.
+func TestLegacyGroupServesPartialWidth(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			env := newEnv(t, 512, 4, nil)
+			seedLegacyPages(t, env, 64, []int{0}, 2) // pages {c0,c1}
+			op := New(env.store, env.table, Config{
+				Workers: workers, ChunkLines: 64, Policy: FullLoad, CacheChunks: 2,
+			})
+			n := env.table.NumChunks()
+			st := sumCols(t, op, env, []int{1, 2})
+			if st.DeliveredPartial != n || st.DeliveredRaw != 0 {
+				t.Fatalf("first run: %d partial, %d raw of %d chunks, want all partial (%+v)", st.DeliveredPartial, st.DeliveredRaw, n, st)
+			}
+			op.WaitIdle()
+			for id := 0; id < n; id++ {
+				meta, _ := env.table.Chunk(id)
+				var pages [][]int
+				for _, g := range meta.Groups {
+					pages = append(pages, g.Cols)
+				}
+				if !slices.EqualFunc(pages, [][]int{{0, 1}, {2}}, slices.Equal) {
+					t.Errorf("chunk %d pages %v, want the legacy [0 1] and its own [2]", id, pages)
+				}
+			}
+			op.Cache().Clear()
+			st = sumCols(t, op, env, []int{1, 2})
+			if st.DeliveredDB != n {
+				t.Errorf("repeat: %d of %d chunks from pages (%+v)", st.DeliveredDB, n, st)
 			}
 		})
 	}

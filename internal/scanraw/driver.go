@@ -40,10 +40,10 @@ const (
 	// srcDB: every requested column is loaded; read the pages.
 	srcDB
 	// srcPartial: some requested columns are loaded (a partial-width hit);
-	// read their pages and convert only the missing groups.
+	// read their pages and convert only the missing columns.
 	srcPartial
-	// srcRaw: no requested column is loaded; convert the run-wide column
-	// closure from the raw extent.
+	// srcRaw: no requested column is loaded; convert the requested columns
+	// from the raw extent.
 	srcRaw
 	numSources
 )

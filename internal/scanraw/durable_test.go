@@ -176,9 +176,8 @@ func TestDurableCorruptPageReconverts(t *testing.T) {
 // TestDurableOpFailureSweep fails the k-th durable operation — a commit's
 // segment WriteBlob or a journal append (a commit's, a statistics append, a
 // table's completion), whichever comes k-th — of an S1 → S2 pair, for every
-// k: under the daemon's default (Speculative, payoff-ranked, pooled) at
-// column-group widths 1, 4 and full, and at width 4 under every other policy
-// that writes, inline and pooled, so each WRITE moment — after convert, on
+// k: under the daemon's default (Speculative, payoff-ranked, pooled), and
+// under every other policy that writes, inline and pooled, so each WRITE moment — after convert, on
 // eviction, an idle quantum, the end-of-scan flush — and each commit point —
 // a full batch, the end of a run, the flush, WaitIdle — takes a failing k
 // through both emitters. Each k runs twice.
@@ -230,29 +229,25 @@ func TestDurableOpFailureSweep(t *testing.T) {
 		}
 	}
 	type sweepCase struct {
-		name  string
-		cfg   Config
-		width int
+		name string
+		cfg  Config
 	}
-	var cases []sweepCase
-	for _, width := range []int{1, 4, 0} {
-		cases = append(cases, sweepCase{fmt.Sprintf("colgroups=%d", width), cfg, width})
-	}
+	cases := []sweepCase{{"colgroups=1", cfg}}
 	for _, policy := range []WritePolicy{FullLoad, BufferedLoad, Invisible, Speculative} {
 		for _, workers := range []int{0, 2} {
 			c := cfg
 			c.Policy, c.Workers, c.Speculation = policy, workers, SpecScan
-			cases = append(cases, sweepCase{fmt.Sprintf("%v,workers=%d", policy, workers), c, 4})
+			cases = append(cases, sweepCase{fmt.Sprintf("%v,workers=%d", policy, workers), c})
 		}
 	}
 	orphans := 0
 	for _, c := range cases {
-		cfg, width := c.cfg, c.width
+		cfg := c.cfg
 		t.Run(c.name, func(t *testing.T) {
 			for k := 0; ; k++ {
 				fired := false
 				for _, crash := range []bool{false, true} {
-					f, orphan := sweepOnce(t, spec, queries, cfg, width, k, crash, sum, quiet)
+					f, orphan := sweepOnce(t, spec, queries, cfg, k, crash, sum, quiet)
 					fired = fired || f
 					if orphan {
 						orphans++
@@ -278,7 +273,7 @@ func TestDurableOpFailureSweep(t *testing.T) {
 // operation fails, and with crash set so does every one after it. It reports
 // whether the k-th operation happened, and whether it was a commit's append
 // whose orphan blob the crash left behind.
-func sweepOnce(t *testing.T, spec gen.CSVSpec, queries [][]int, cfg Config, width, k int, crash bool,
+func sweepOnce(t *testing.T, spec gen.CSVSpec, queries [][]int, cfg Config, k int, crash bool,
 	sum func(*Operator, *testEnv, []int) error, quiet func(*testing.T, *Operator, map[string]bool, string)) (fired, orphan bool) {
 	t.Helper()
 	what := fmt.Sprintf("k=%d crash=%v", k, crash)
@@ -296,7 +291,6 @@ func sweepOnce(t *testing.T, spec gen.CSVSpec, queries [][]int, cfg Config, widt
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.SetGroupWidth(width)
 	raw := gen.Bytes(spec)
 	fd.Preload("raw/data.csv", raw)
 	table, err := store.EnsureTable("data", spec.Schema(), "raw/data.csv", storepkg.FingerprintBytes(raw))
@@ -405,7 +399,6 @@ func sweepOnce(t *testing.T, spec gen.CSVSpec, queries [][]int, cfg Config, widt
 			}
 		}
 	}
-	env2.store.SetGroupWidth(width)
 	op2 := New(env2.store, env2.table, cfg)
 	for _, cols := range queries {
 		if err := sum(op2, env2, cols); err != nil {

@@ -168,22 +168,21 @@ func TestFusedMatchesTwoStage(t *testing.T) {
 	}
 }
 
-// TestFusedPartialWidthMatchesTwoStage covers the per-plan kernels: on
-// two-column pages a narrow query loads one group of every chunk, so the
-// wider query after it converts only the other group from raw and merges the
-// rest from pages — and must still match the reference.
+// TestFusedPartialWidthMatchesTwoStage covers the per-plan kernels: a
+// narrow query loads one column of every chunk, so the wider query after it
+// converts only the other columns from raw and merges the loaded one from
+// its pages — and must still match the reference.
 func TestFusedPartialWidthMatchesTwoStage(t *testing.T) {
 	cases := []struct{ warm, sql string }{
-		// (a,b) on pages; (f,s) converts through the generic kernel.
+		// b on pages; (a,f,s) converts through the generic kernel.
 		{"SELECT SUM(b) FROM data", "SELECT SUM(a+b), SUM(f) FROM data WHERE s LIKE 'row1%'"},
-		// (f,s) on pages; (a,b) converts through the int64 kernel.
+		// f on pages; (a,b) converts through the int64 kernel.
 		{"SELECT SUM(f) FROM data", "SELECT SUM(a), MAX(f) FROM data WHERE b < 0"},
 	}
 	for _, workers := range []int{0, 4} {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.sql), func(t *testing.T) {
 				store, table := mixedEnv(t, 500)
-				store.SetGroupWidth(2)
 				op := New(store, table, Config{Workers: workers, ChunkLines: 64, CacheChunks: 2, Policy: FullLoad})
 				for _, sql := range []string{c.warm, c.sql} {
 					q, err := engine.ParseSQL(sql, table.Schema())

@@ -25,9 +25,7 @@ type run struct {
 
 	// kern is the conversion kernel — one fused pass per chunk, accounted to
 	// the Parse stage — for the full-conversion column set: the requested
-	// columns rounded up to the store's group-partition boundaries, so every
-	// converted chunk carries complete groups and every group page is
-	// writable. With the default group width 1 it is the request itself.
+	// columns.
 	kern *kernel.Kernel
 
 	// Driver state, touched only by the goroutine running drive: the raw
@@ -80,7 +78,7 @@ type run struct {
 	afterConvert atomic.Int64 // after-convert writes this run may still do
 
 	written     atomic.Int64 // chunks this run loaded into the database
-	groupWrites atomic.Int64 // single-group payoff writes
+	groupWrites atomic.Int64 // columns written by payoff quanta
 	// bySource counts the chunks delivered from each source, and the skipped.
 	bySource [numSources]atomic.Int64
 
@@ -393,7 +391,7 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 	if n := o.cfg.ConsumeWorkers; n != 0 && n != 1 {
 		return nil, fmt.Errorf("scanraw: ConsumeWorkers is %d, but consume is serial: it must be 0 or 1", n)
 	}
-	kern, err := kernel.For(o.table.Schema(), o.store.GroupClosure(o.table, req.Columns), o.cfg.Delim)
+	kern, err := kernel.For(o.table.Schema(), req.Columns, o.cfg.Delim)
 	if err != nil {
 		return nil, err
 	}

@@ -273,8 +273,8 @@ type ScanReport struct {
 	DeliveredDB    int
 	DeliveredRaw   int
 	// DeliveredPartial counts partial-width hits: chunks served by reading
-	// their loaded column groups from the database and converting only the
-	// missing groups from raw.
+	// their loaded columns from the database and converting only the
+	// missing ones from raw.
 	DeliveredPartial int
 	// SkippedChunks counts chunks excluded by min/max statistics.
 	SkippedChunks int
@@ -313,9 +313,9 @@ type RunStats struct {
 	// Duration is the wall-clock time of the Run call.
 	Duration time.Duration
 	ScanReport
-	// GroupWritesDuringRun counts the column groups written by payoff-ranked
-	// speculation: each SpecPayoff quantum writes
-	// the chosen chunk's wanted groups, however many, as one segment.
+	// GroupWritesDuringRun counts the columns written by payoff-ranked
+	// speculation, one page each: each SpecPayoff quantum writes the chosen
+	// chunk's wanted columns, however many, as one segment.
 	GroupWritesDuringRun int
 	// FlushedAfterRun counts chunks queued for the safeguard flush that
 	// runs after delivery completes (its writes overlap the next query's

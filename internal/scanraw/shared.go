@@ -44,9 +44,12 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 	union := unionColumns(reqs)
 
 	// The combined Deliver runs on this goroutine, one chunk at a time, and
-	// calls each member's Deliver from it.
+	// calls each member's Deliver from it; it counts what each member took
+	// and what its own filter excluded. The combined Skip runs on the scan's
+	// driver and counts, apart, the chunks excluded for every member.
 	delivered := make([]int, len(reqs))
 	skipped := make([]int, len(reqs))
+	scanSkipped := make([]int, len(reqs))
 
 	combined := Request{
 		Columns: union,
@@ -57,7 +60,8 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 		// A chunk is skipped at the scan level only when every request
 		// would skip it; requests without a filter always need the chunk.
 		// A member whose range excludes the chunk never wants it, so it
-		// does not block the skip.
+		// does not block the skip, nor is it credited with one. The scan
+		// never revisits a chunk it skipped, so each is credited once.
 		Skip: func(meta *dbstore.ChunkMeta) bool {
 			for _, req := range reqs {
 				if !req.Range.Contains(meta.ID) {
@@ -65,6 +69,11 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 				}
 				if req.Skip == nil || !req.Skip(meta) {
 					return false
+				}
+			}
+			for i := range reqs {
+				if reqs[i].Range.Contains(meta.ID) {
+					scanSkipped[i]++
 				}
 			}
 			return true
@@ -119,7 +128,7 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 	for i := range per {
 		per[i] = SharedStats{
 			DeliveredChunks: delivered[i],
-			SkippedChunks:   skipped[i],
+			SkippedChunks:   skipped[i] + scanSkipped[i],
 		}
 	}
 	return st, per, err

@@ -118,6 +118,61 @@ func TestRunSharedScanLevelSkip(t *testing.T) {
 	}
 }
 
+// TestRunSharedCreditsScanLevelSkips: a chunk the scan skips because every
+// member in whose range it lies excludes it is counted in those members'
+// SkippedChunks, once — and in no member whose range leaves it out.
+func TestRunSharedCreditsScanLevelSkips(t *testing.T) {
+	env := newEnv(t, 512, 2, nil)
+	op := New(env.store, env.table, Config{Workers: 2, ChunkLines: 64, CacheChunks: 2})
+	// Discovery: the catalog knows all 8 chunks, so the next scans consult
+	// the filters.
+	if _, err := op.Run(Request{Columns: []int{0}, Deliver: func(*BinaryChunk) error { return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	every := func(n int) func(*dbstore.ChunkMeta) bool {
+		return func(meta *dbstore.ChunkMeta) bool { return meta.ID%n == 0 }
+	}
+	member := func(skip func(*dbstore.ChunkMeta) bool, rng *ChunkRange) Request {
+		return Request{Columns: []int{0}, Skip: skip, Range: rng, Deliver: func(*BinaryChunk) error { return nil }}
+	}
+	cases := []struct {
+		name        string
+		reqs        []Request
+		scanSkipped int   // RunStats.SkippedChunks
+		skipped     []int // each member's SharedStats.SkippedChunks
+	}{
+		// Chunks 0, 2, 4, 6: the scan skips them for its only member.
+		{"solo", []Request{member(every(2), nil)}, 4, []int{4}},
+		// Chunks 0 and 4 are excluded by both members, so by the scan:
+		// both are credited. Chunks 2 and 6 only the first member excludes,
+		// at delivery.
+		{"both exclude", []Request{member(every(2), nil), member(every(4), nil)}, 2, []int{4, 2}},
+		// Each member's range holds half the chunks and it skips all of
+		// them: the scan skips all 8, and each member is credited its own.
+		{"out of range", []Request{
+			member(every(1), &ChunkRange{Lo: 0, Hi: 3}),
+			member(every(1), &ChunkRange{Lo: 3}),
+		}, 8, []int{3, 5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op.Cache().Clear()
+			st, per, err := op.RunSharedContext(context.Background(), tc.reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.SkippedChunks != tc.scanSkipped {
+				t.Errorf("scan skipped %d chunks, want %d", st.SkippedChunks, tc.scanSkipped)
+			}
+			for i, p := range per {
+				if p.SkippedChunks != tc.skipped[i] {
+					t.Errorf("member %d credited %d skips, want %d", i, p.SkippedChunks, tc.skipped[i])
+				}
+			}
+		})
+	}
+}
+
 func TestRunSharedErrors(t *testing.T) {
 	env := newEnv(t, 64, 2, nil)
 	op := New(env.store, env.table, Config{Workers: 1, ChunkLines: 16})

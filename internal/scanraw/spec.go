@@ -10,10 +10,9 @@ import (
 
 // Speculation policy and partial-width planning. Both follow the paper's
 // sequel ("Workload-Driven Vertical Partitioning over Raw Data"): converted
-// data lives as column-group pages, a query is served from any mix of
-// loaded groups plus conversion of only the missing ones, and idle disk
-// time goes to the cached chunk whose unloaded column groups the workload
-// values most.
+// data lives as per-column pages, a query is served from its loaded columns
+// plus conversion of only the missing ones, and idle disk time goes to the
+// cached chunk whose unloaded columns the workload values most.
 
 // SpecPolicy selects what speculative loading writes when the disk is idle.
 type SpecPolicy uint8
@@ -22,11 +21,11 @@ const (
 	// SpecScan — the zero value — writes the oldest unloaded cached chunk
 	// at full width: the paper's original scan-order speculation (§4).
 	SpecScan SpecPolicy = iota
-	// SpecPayoff scores every (cached chunk, column group) pair by predicted
-	// benefit — the workload access weight of the group's unloaded columns ×
-	// their number — and per disk-idle quantum writes the positively-scored
-	// groups of the chunk whose scores sum highest, as one segment. Equal
-	// scores keep scan order, and a cold workload falls back to it.
+	// SpecPayoff scores every cached chunk by predicted benefit — the summed
+	// workload access weight of its unloaded columns — and per disk-idle
+	// quantum writes the positively weighted unloaded columns of the chunk
+	// that scores highest, as one segment. Equal scores keep scan order, and
+	// a cold workload falls back to it.
 	SpecPayoff
 )
 
@@ -54,10 +53,9 @@ func ParseSpecPolicy(s string) (SpecPolicy, error) {
 
 // planFor splits a chunk's service between its pages and raw conversion,
 // from its catalog metadata: the loaded requested columns are read from
-// pages, the missing ones converted, rounded up to group boundaries. A chunk
-// with nothing loaded converts the run-wide closure, one with everything
-// loaded converts nothing. Kernels are selected once per convert set and
-// kept for the run.
+// pages, the missing ones converted. A chunk with nothing loaded converts the
+// request, one with everything loaded converts nothing. Kernels are selected
+// once per convert set and kept for the run.
 func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
 	var pageCols, missing []int
 	for _, c := range r.req.Columns {
@@ -73,20 +71,11 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
 	case pageCols == nil:
 		return task{src: srcRaw, kern: r.kern}, nil
 	}
-	var convert []int
-	for _, c := range r.op.store.GroupClosure(r.op.table, missing) {
-		// The closure can pull in loaded columns of partially-loaded groups
-		// (legacy pages, width changes); their pages exist, so skip them.
-		if c < len(meta.Loaded) && meta.Loaded[c] {
-			continue
-		}
-		convert = append(convert, c)
-	}
-	key := dbstore.EncodeColGroupKey(convert)
+	key := dbstore.EncodeColGroupKey(missing)
 	kern, ok := r.kerns[key]
 	if !ok {
 		var err error
-		if kern, err = kernel.For(r.op.table.Schema(), convert, r.op.cfg.Delim); err != nil {
+		if kern, err = kernel.For(r.op.table.Schema(), missing, r.op.cfg.Delim); err != nil {
 			return task{}, err
 		}
 		r.kerns[key] = kern
@@ -96,29 +85,25 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
 
 // specStep performs one quantum of speculative loading — one write of one
 // cached chunk under a pin, encoded into the batch: under SpecPayoff the
-// best-ranked chunk's wanted column groups, otherwise (or as the
-// cold-workload fallback) the oldest unloaded cached chunk at full width. It
-// reports whether a chunk was picked; the caller loops while the disk stays
-// idle.
+// best-ranked chunk's wanted columns, otherwise (or as the cold-workload
+// fallback) the oldest unloaded cached chunk at full width. It reports
+// whether a chunk was picked; the caller loops while the disk stays idle.
 func (r *run) specStep() (bool, error) {
 	o := r.op
 	var bc *BinaryChunk
 	var cols []int
-	ngroups := 0
 	if o.cfg.Speculation == SpecPayoff {
 		var err error
-		if bc, cols, ngroups, err = r.payoffPick(); err != nil {
+		if bc, cols, err = r.payoffPick(); err != nil {
 			return false, err
 		}
 	}
+	ctr, n := &r.groupWrites, int64(len(cols))
 	if bc == nil {
 		if bc = o.cache.AcquireOldestUnloaded(); bc == nil {
 			return false, nil
 		}
-	}
-	ctr, n := &r.written, int64(1)
-	if ngroups > 0 {
-		ctr, n = &r.groupWrites, int64(ngroups)
+		ctr, n = &r.written, 1
 	}
 	_, err := o.writeCached(bc, cols, ctr, n)
 	r.gate.broadcast()
@@ -128,41 +113,38 @@ func (r *run) specStep() (bool, error) {
 	return true, nil
 }
 
-// specCand is one rankable speculation candidate: a cached chunk with the
-// unloaded columns of each partition group the workload gives weight to, and
-// the sum of those groups' scores.
+// specCand is one rankable speculation candidate: a cached chunk, its
+// unloaded columns the workload gives weight to, and their summed weight.
 type specCand struct {
-	id     int
-	groups [][]int
-	score  float64
+	id    int
+	cols  []int
+	score float64
 }
 
-// payoffPick ranks the cached chunks by what the workload would gain from
-// their unloaded column groups and returns the best one, pinned, with the
-// columns to write — every group with a positive weight, as one segment of
-// the batch however many groups it carries.
-// Columns nobody asks for are never picked. A nil chunk hands the quantum to
-// the scan-order fallback: the workload is cold (nil/mismatched/all-zero
-// weights) or nothing the workload wants is still unloaded.
-func (r *run) payoffPick() (bc *BinaryChunk, cols []int, ngroups int, err error) {
+// payoffPick ranks the cached chunks by the summed workload weight of their
+// unloaded, positively weighted columns and returns the best one, pinned,
+// with those of its wanted columns the cached copy holds — written as one
+// segment of the batch. Columns nobody asks for are never picked. A nil
+// chunk hands the quantum to the scan-order fallback: the workload is cold
+// (nil/mismatched/all-zero weights) or nothing the workload wants is still
+// unloaded in a cached copy that holds it.
+func (r *run) payoffPick() (bc *BinaryChunk, cols []int, err error) {
 	o := r.op
 	wf := o.cfg.ColumnWeights
 	if wf == nil {
-		return nil, nil, 0, nil
+		return nil, nil, nil
 	}
 	weights := wf()
-	n := o.table.Schema().NumColumns()
-	if len(weights) != n {
-		return nil, nil, 0, nil
+	if len(weights) != o.table.Schema().NumColumns() {
+		return nil, nil, nil
 	}
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
 	if total <= 0 {
-		return nil, nil, 0, nil
+		return nil, nil, nil
 	}
-	groups := dbstore.GroupPartition(n, o.store.GroupWidth())
 	var cands []specCand
 	for _, id := range o.cache.UnloadedIDs() {
 		meta, ok := o.table.Chunk(id)
@@ -170,23 +152,14 @@ func (r *run) payoffPick() (bc *BinaryChunk, cols []int, ngroups int, err error)
 			continue
 		}
 		cand := specCand{id: id}
-		for _, g := range groups {
-			var unloaded []int
-			w := 0.0
-			for _, c := range g {
-				if c < len(meta.Loaded) && meta.Loaded[c] {
-					continue
-				}
-				unloaded = append(unloaded, c)
-				w += weights[c]
-			}
-			if len(unloaded) == 0 || w <= 0 {
+		for c, w := range weights {
+			if w <= 0 || c < len(meta.Loaded) && meta.Loaded[c] {
 				continue
 			}
-			cand.groups = append(cand.groups, unloaded)
-			cand.score += w * float64(len(unloaded))
+			cand.cols = append(cand.cols, c)
+			cand.score += w
 		}
-		if len(cand.groups) > 0 {
+		if len(cand.cols) > 0 {
 			cands = append(cands, cand)
 		}
 	}
@@ -197,20 +170,19 @@ func (r *run) payoffPick() (bc *BinaryChunk, cols []int, ngroups int, err error)
 		if bc = o.cache.Acquire(c.id); bc == nil {
 			continue
 		}
-		// A group the cached copy lacks part of (read back narrow, or
-		// converted for a narrower query) is not writable from here.
-		for _, g := range c.groups {
-			if bc.HasAll(g) {
-				cols = append(cols, g...)
-				ngroups++
+		// A column the cached copy lacks (read back narrow, or converted
+		// for a narrower query) is not writable from here.
+		for _, col := range c.cols {
+			if bc.Has(col) {
+				cols = append(cols, col)
 			}
 		}
-		if ngroups > 0 {
-			return bc, cols, ngroups, nil
+		if len(cols) > 0 {
+			return bc, cols, nil
 		}
 		if err = o.cache.Unpin(c.id); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
-	return nil, nil, 0, nil
+	return nil, nil, nil
 }

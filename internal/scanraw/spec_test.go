@@ -48,10 +48,10 @@ type payoffChunk struct {
 }
 
 // TestPayoffPick ranks a cache filled by hand, with no scan running: the
-// chunk whose unloaded groups sum the highest weight × unloaded width wins,
-// ties keep scan (cache insertion) order, zero-weight columns are never
-// written, a cold workload hands the quantum to scan order, and a group the
-// cached copy holds only part of is skipped.
+// chunk whose unloaded columns sum the highest weight wins, ties keep scan
+// (cache insertion) order, zero-weight columns are never written, a cold
+// workload hands the quantum to scan order, and a column the cached copy
+// does not hold is skipped.
 func TestPayoffPick(t *testing.T) {
 	all := []int{0, 1, 2, 3}
 	fresh := func(ids ...int) []payoffChunk {
@@ -63,50 +63,49 @@ func TestPayoffPick(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		width    int
 		weights  []float64 // nil: no ColumnWeights
 		chunks   []payoffChunk
 		wantID   int // -1: no pick, the scan-order fallback
 		wantCols []int
-		groups   int // groups the pick writes
 	}{
 		{
-			// Chunk 0's unloaded column 2 weighs more than chunk 1's
-			// columns 0 and 1 together, but chunk 1's group is twice as
-			// wide: 2 × 2 beats 3 × 1.
-			name: "weight times unloaded width", width: 2, weights: []float64{2, 0, 3, 0},
-			chunks: []payoffChunk{{id: 0, loaded: []int{0, 1, 3}}, {id: 1, loaded: []int{2, 3}}},
-			wantID: 1, wantCols: []int{0, 1}, groups: 1,
+			// Chunk 0's unloaded column 2 weighs more than either of chunk
+			// 1's unloaded columns, but chunk 1's two sum higher: 2 + 2
+			// beats 3.
+			name: "weight times unloaded width", weights: []float64{2, 0, 3, 2},
+			chunks: []payoffChunk{{id: 0, loaded: []int{0, 1, 3}}, {id: 1, loaded: []int{2}}},
+			wantID: 1, wantCols: []int{0, 3},
 		},
 		{
-			name: "highest sum of groups", width: 2, weights: []float64{1, 0, 2, 0},
-			chunks: []payoffChunk{{id: 0, loaded: []int{2, 3}}, {id: 1}, {id: 2, loaded: []int{3}}},
-			wantID: 1, wantCols: all, groups: 2,
+			name: "highest sum of groups", weights: []float64{1, 0, 2, 0},
+			chunks: []payoffChunk{{id: 0, loaded: []int{2, 3}}, {id: 1}, {id: 2, loaded: []int{2}}},
+			wantID: 1, wantCols: []int{0, 2},
 		},
 		{
-			name: "equal scores keep scan order", width: 1, weights: []float64{1, 1, 1, 1},
+			name: "equal scores keep scan order", weights: []float64{1, 1, 1, 1},
 			chunks: fresh(2, 0, 1),
-			wantID: 2, wantCols: all, groups: 4,
+			wantID: 2, wantCols: all,
 		},
 		{
-			name: "zero-weight columns stay unwritten", width: 1, weights: []float64{0, 4, 0, 5},
+			name: "zero-weight columns stay unwritten", weights: []float64{0, 4, 0, 5},
 			chunks: []payoffChunk{{id: 0, loaded: []int{3}}, {id: 1}},
-			wantID: 1, wantCols: []int{1, 3}, groups: 2,
+			wantID: 1, wantCols: []int{1, 3},
 		},
 		{
-			name: "nothing wanted is unloaded", width: 1, weights: []float64{0, 0, 0, 5},
+			name: "nothing wanted is unloaded", weights: []float64{0, 0, 0, 5},
 			chunks: []payoffChunk{{id: 0, loaded: []int{3}}, {id: 1, loaded: []int{3}}},
 			wantID: -1,
 		},
-		{name: "nil weights", width: 1, chunks: fresh(0, 1), wantID: -1},
-		{name: "wrong-width weights", width: 1, weights: []float64{1, 1}, chunks: fresh(0, 1), wantID: -1},
-		{name: "all-zero weights", width: 1, weights: []float64{0, 0, 0, 0}, chunks: fresh(0, 1), wantID: -1},
+		{name: "nil weights", chunks: fresh(0, 1), wantID: -1},
+		{name: "wrong-width weights", weights: []float64{1, 1}, chunks: fresh(0, 1), wantID: -1},
+		{name: "all-zero weights", weights: []float64{0, 0, 0, 0}, chunks: fresh(0, 1), wantID: -1},
 		{
-			// Chunk 0 holds half of each group, chunk 1 all of the first
-			// group and half of the second: only that one is writable.
-			name: "partly held groups are skipped", width: 2, weights: []float64{1, 1, 1, 1},
-			chunks: []payoffChunk{{id: 0, holds: []int{0, 2}}, {id: 1, holds: []int{0, 1, 2}}},
-			wantID: 1, wantCols: []int{0, 1}, groups: 1,
+			// The chunks tie; chunk 0 comes first but its cached copy
+			// holds only a zero-weight column, so chunk 1 writes the
+			// wanted columns it holds.
+			name: "partly held groups are skipped", weights: []float64{1, 0, 1, 1},
+			chunks: []payoffChunk{{id: 0, holds: []int{1}}, {id: 1, holds: []int{0, 1, 2}}},
+			wantID: 1, wantCols: []int{0, 2},
 		},
 	}
 	for _, tc := range cases {
@@ -132,8 +131,6 @@ func TestPayoffPick(t *testing.T) {
 				if err := env.table.EnsureChunk(c.id, 4, int64(c.id*100), 100); err != nil {
 					t.Fatal(err)
 				}
-				// One-column groups, so any loaded set can be written.
-				env.store.SetGroupWidth(1)
 				if c.loaded != nil {
 					if err := env.store.WriteChunkColumns(env.table, filled(c.id, all), c.loaded); err != nil {
 						t.Fatal(err)
@@ -147,9 +144,8 @@ func TestPayoffPick(t *testing.T) {
 					t.Fatalf("cache refused chunk %d", c.id)
 				}
 			}
-			env.store.SetGroupWidth(tc.width)
 			r := &run{op: op}
-			bc, cols, ngroups, err := r.payoffPick()
+			bc, cols, err := r.payoffPick()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,9 +157,8 @@ func TestPayoffPick(t *testing.T) {
 			case bc == nil:
 				t.Errorf("no pick, want chunk %d columns %v", tc.wantID, tc.wantCols)
 			default:
-				if bc.ID != tc.wantID || !reflect.DeepEqual(cols, tc.wantCols) || ngroups != tc.groups {
-					t.Errorf("picked chunk %d columns %v in %d groups, want chunk %d columns %v in %d",
-						bc.ID, cols, ngroups, tc.wantID, tc.wantCols, tc.groups)
+				if bc.ID != tc.wantID || !reflect.DeepEqual(cols, tc.wantCols) {
+					t.Errorf("picked chunk %d columns %v, want chunk %d columns %v", bc.ID, cols, tc.wantID, tc.wantCols)
 				}
 				if err := op.Cache().Unpin(bc.ID); err != nil {
 					t.Fatal(err)

@@ -90,7 +90,7 @@ func (d *countingDisk) WriteBlob(name string, p []byte) error {
 
 // TestProfileWriteCountsEveryStoreWrite: Profile.Write.Chunks advances once
 // per chunk write committed, whichever moment issued it — payoff quanta,
-// which write column groups, included — so Write.PerChunk() is the cost of
+// which write several columns, included — so Write.PerChunk() is the cost of
 // one chunk's write, its share of a commit included; and the disk sees one
 // segment blob per commit, never one per chunk.
 func TestProfileWriteCountsEveryStoreWrite(t *testing.T) {
@@ -101,7 +101,6 @@ func TestProfileWriteCountsEveryStoreWrite(t *testing.T) {
 			gen.Preload(vd, "raw/data.csv", spec)
 			disk := &countingDisk{Disk: vd}
 			store := dbstore.NewStore(disk)
-			store.SetGroupWidth(1)
 			table, err := store.CreateTable("data", spec.Schema(), "raw/data.csv")
 			if err != nil {
 				t.Fatal(err)

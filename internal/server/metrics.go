@@ -23,7 +23,7 @@ type counters struct {
 	coalesced atomic.Int64 // queries that shared their scan with others
 
 	terminatedEarly atomic.Int64 // scans stopped before end-of-file by demand
-	specGroupWrites atomic.Int64 // column groups written by payoff-ranked speculation
+	specGroupWrites atomic.Int64 // columns written by payoff-ranked speculation
 
 	olaQueries           atomic.Int64 // online-aggregation (sampled) queries admitted
 	olaChunksSampled     atomic.Int64 // chunks fed to OLA estimators, all queries
@@ -57,8 +57,8 @@ func (s *Server) recordScan(st scanraw.RunStats, batchSize int) {
 }
 
 // ChunkCounts breaks chunk deliveries down by source. Partial counts
-// partial-width hits — chunks assembled from loaded column groups plus a
-// conversion of only the missing groups.
+// partial-width hits — chunks assembled from loaded column pages plus a
+// conversion of only the missing columns.
 type ChunkCounts struct {
 	Cache   int64 `json:"cache"`
 	DB      int64 `json:"db"`
@@ -108,9 +108,9 @@ type MetricsSnapshot struct {
 	CacheHitRate    float64     `json:"cache_hit_rate"`
 	ChunksDelivered ChunkCounts `json:"chunks_delivered"`
 	ChunksLoaded    int64       `json:"chunks_loaded_total"`
-	// SpecGroupWrites counts column groups written by payoff-ranked
-	// speculation (narrower than a chunk; full-chunk scan-order writes land
-	// in ChunksLoaded instead).
+	// SpecGroupWrites counts the columns written by payoff-ranked
+	// speculation, one page each (narrower than a chunk; full-chunk
+	// scan-order writes land in ChunksLoaded instead).
 	SpecGroupWrites int64 `json:"spec_group_writes_total"`
 
 	// WorkloadWeights is each table's live per-column access profile —

@@ -19,6 +19,7 @@ import (
 	"scanraw/internal/dbstore"
 	"scanraw/internal/gen"
 	"scanraw/internal/scanraw"
+	"scanraw/internal/schema"
 	"scanraw/internal/store"
 	"scanraw/internal/vdisk"
 )
@@ -111,6 +112,57 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 	if got := firstValue(t, out); got != 0 {
 		t.Errorf("count = %d, want 0", got)
+	}
+}
+
+// TestQueryReportsScanSkips: a solo query whose predicate rules chunks out by
+// their statistics reports those chunks in its stats block's chunks_skipped,
+// exactly the chunks the catalog's min/max eliminates — whether the chunks
+// were converted first and dropped at delivery (the cold run, which collects
+// the statistics) or never read at all (the warm run, skipped by the scan).
+func TestQueryReportsScanSkips(t *testing.T) {
+	d := vdisk.Unlimited()
+	var csv bytes.Buffer
+	for i := 0; i < 512; i++ {
+		fmt.Fprintf(&csv, "%d,%d\n", i, i%7)
+	}
+	d.Preload("raw/data.csv", csv.Bytes())
+	sch, err := schema.ParseSpec("c0:int,c1:int")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := dbstore.NewStore(d)
+	table, err := st.CreateTable("data", sch, "raw/data.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, Config{})
+	if err := s.AddTable(table, scanraw.Config{Workers: 2, ChunkLines: 64, CacheChunks: 2, CollectStats: true}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	env := &serverEnv{srv: s, ts: ts}
+
+	const sql = `{"sql": "SELECT COUNT(*) FROM data WHERE c0 < 100"}`
+	n := func(out map[string]any, key string) int { return int(out["stats"].(map[string]any)[key].(float64)) }
+	for run := 0; run < 2; run++ {
+		status, out := postQuery(t, env, sql)
+		if status != http.StatusOK || firstValue(t, out) != 100 {
+			t.Fatalf("run %d: status %d, %v", run, status, out)
+		}
+		if run > 0 && n(out, "scan_chunks_raw")+n(out, "scan_chunks_cache") != 2 {
+			t.Errorf("warm run read %v", out["stats"])
+		}
+		eliminated := 0
+		for id := 0; id < table.NumChunks(); id++ {
+			if meta, _ := table.Chunk(id); meta.Stats[0].Valid && meta.Stats[0].MinInt >= 100 {
+				eliminated++
+			}
+		}
+		if skipped := n(out, "chunks_skipped"); skipped != eliminated || eliminated != 6 || n(out, "chunks_delivered") != 2 {
+			t.Errorf("run %d: chunks_skipped = %d, the predicate eliminates %d of %d chunks", run, skipped, eliminated, table.NumChunks())
+		}
 	}
 }
 

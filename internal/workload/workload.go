@@ -1,6 +1,6 @@
 // Package workload tracks which columns of a table queries actually touch.
 // The tracker keeps one exponentially-decayed access counter per schema
-// ordinal; the speculative loader ranks (chunk, column-group) candidates by
+// ordinal; the speculative loader ranks cached chunks' unloaded columns by
 // these weights so idle I/O converts the columns the workload will ask for
 // next, and the server persists the weights through the manifest journal so
 // a restart does not forget the workload (see "Workload-Driven Vertical

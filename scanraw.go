@@ -25,7 +25,7 @@
 //	res, stats, err := db.Exec("SELECT user, SUM(amount) FROM events GROUP BY user")
 //
 // Each staged table gets one long-lived operator whose binary chunk cache,
-// catalog statistics (min/max, distinct estimates) and loading progress
+// catalog statistics (integer min/max) and loading progress
 // persist across queries. Stats from Exec report where each query's chunks
 // came from (cache, database, raw conversion) and how much was loaded;
 // LoadedChunks and EstimateRange expose the catalog's view.
@@ -93,10 +93,6 @@ type Options struct {
 	// NoStats disables min/max statistics collection (and with it
 	// predicate-driven chunk skipping).
 	NoStats bool
-	// ColGroupWidth sets how many adjacent columns share one database page.
-	// 0 keeps the default of 1 (per-column pages, maximum partial-width
-	// reuse); negative selects full-chunk-width pages (one page per chunk).
-	ColGroupWidth int
 }
 
 // Result is a materialized query result.
@@ -130,12 +126,6 @@ func Open(opts Options) *DB {
 	}
 	disk := vdisk.New(cfg)
 	store := dbstore.NewStore(disk)
-	switch {
-	case opts.ColGroupWidth > 0:
-		store.SetGroupWidth(opts.ColGroupWidth)
-	case opts.ColGroupWidth < 0:
-		store.SetGroupWidth(0) // full chunk width: one page per chunk
-	}
 	return &DB{
 		opts:     opts,
 		disk:     disk,
