@@ -13,7 +13,7 @@
 //	-rows N        base row count for the synthetic files (default 32768)
 //	-cols N        base column count (default 64)
 //	-chunk N       lines per chunk (default 2048)
-//	-cache N       binary cache capacity in chunks (default 8)
+//	-cache N       binary cache budget in full-width chunks (default 8)
 //	-samreads N    reads in the genomics workload (default 20000)
 //	-disk MBps     fixed simulated disk bandwidth; 0 calibrates to the
 //	               host so the I/O-bound crossover lands at 6 workers
@@ -32,7 +32,7 @@ func main() {
 	flag.IntVar(&sc.Rows, "rows", 0, "base row count (0 = default)")
 	flag.IntVar(&sc.Cols, "cols", 0, "base column count (0 = default)")
 	flag.IntVar(&sc.ChunkLines, "chunk", 0, "lines per chunk (0 = default)")
-	flag.IntVar(&sc.CacheChunks, "cache", 0, "binary cache capacity in chunks (0 = default)")
+	flag.IntVar(&sc.CacheChunks, "cache", 0, "binary cache budget in full-width chunks (0 = default)")
 	flag.IntVar(&sc.SAMReads, "samreads", 0, "genomics workload reads (0 = default)")
 	flag.IntVar(&sc.DiskMBps, "disk", 0, "simulated disk MB/s (0 = calibrate, <0 = unthrottled)")
 	flag.IntVar(&sc.CPUSlowdown, "cpuslow", 0, "simulated CPU slowdown factor (0 = default 16, <0 = off)")

@@ -47,7 +47,7 @@ func main() {
 		policyStr = flag.String("policy", "speculative", "write policy")
 		workers   = flag.Int("workers", 8, "worker threads (0 = sequential)")
 		chunk     = flag.Int("chunk", 1<<13, "lines per chunk")
-		cacheSz   = flag.Int("cache", 32, "binary cache capacity in chunks")
+		cacheSz   = flag.Int("cache", 32, "binary cache budget in full-width chunks at 8 bytes a value; int32 pages cost less, string columns more")
 		diskMBps  = flag.Int("disk", 400, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		delim     = flag.String("delim", ",", "field delimiter")
 		stats     = flag.Bool("stats", true, "collect min/max statistics while converting")

@@ -176,7 +176,7 @@ func main() {
 		workers    = flag.Int("workers", 8, "worker threads per operator (0 = sequential)")
 		consumeW   = flag.Int("consume-workers", 1, "must be 1: consume is serial; kept for the benchmark harness until ROADMAP item 2a")
 		chunkLines = flag.Int("chunk", 1<<13, "lines per chunk")
-		cacheSz    = flag.Int("cache", 32, "binary cache capacity in chunks")
+		cacheSz    = flag.Int("cache", 32, "binary cache budget in full-width chunks at 8 bytes a value; int32 pages cost less, string columns more")
 		diskMBps   = flag.Int("disk", 0, "simulated disk bandwidth in MB/s (0 = unthrottled)")
 		dataDir    = flag.String("data-dir", "", "persist loaded data and catalog under this directory (empty = in-memory only)")
 		stats      = flag.Bool("stats", true, "collect min/max statistics while converting")

@@ -47,8 +47,8 @@ type Scale struct {
 	// ChunkLines is the lines-per-chunk unit (paper: 2^19; default 2^11,
 	// keeping chunks-per-file equal to the paper's 128).
 	ChunkLines int
-	// CacheChunks is the binary cache capacity in chunks (paper Fig. 8:
-	// 32 = 1/4 of the file; default keeps the same 1/4 ratio).
+	// CacheChunks is the binary cache budget in full-width chunks (paper
+	// Fig. 8: 32 = 1/4 of the file; default keeps the same 1/4 ratio).
 	CacheChunks int
 	// SAMReads is the read count for the Table 1 genomics workload.
 	SAMReads int

@@ -5,11 +5,21 @@
 // format on disk is cheaper to lose than one that would have to be
 // re-tokenized and re-parsed from the raw file.
 //
+// The budget is bytes. New(n) holds n full-width chunks at 8 bytes a value
+// (a chunk's rows × its schema's columns × 8, for the widest chunk offered
+// so far), and an entry is charged what its columns hold (Vector.Size): a
+// full-width int64 chunk costs one n-th of the budget, a chunk decoded from
+// int32 pages half that, a chunk holding some of its columns only those,
+// and a chunk with string columns (a 16-byte header a value plus its bytes)
+// possibly more than one n-th. So the columns a workload reads, not the
+// chunks it touches, fill the cache.
+//
 // Entries can be pinned while the execution engine still needs them;
-// pinned entries are never evicted. The cache also answers the speculative
-// WRITE thread's central query: the *oldest* cached chunk that has not yet
-// been loaded into the database (paper §4: writing the oldest unloaded
-// chunk first "increases the chance to load more chunks before they are
+// pinned entries are never evicted, and they are the only way the cache
+// goes over its budget. The cache also answers the speculative WRITE
+// thread's central query: the *oldest* cached chunk that has not yet been
+// loaded into the database (paper §4: writing the oldest unloaded chunk
+// first "increases the chance to load more chunks before they are
 // eliminated from the cache").
 package cache
 
@@ -23,6 +33,7 @@ import (
 
 type entry struct {
 	bc       *chunk.BinaryChunk
+	charge   int64  // bytes of bc's columns (chunk.BinaryChunk.Size)
 	loaded   bool   // chunk (its cached columns) is stored in the database
 	pending  bool   // its columns are encoded into a write not yet committed
 	pins     int    // > 0 while the execution engine holds the chunk
@@ -33,12 +44,15 @@ type entry struct {
 // Cache is a bounded, thread-safe chunk cache.
 type Cache struct {
 	mu      sync.Mutex
-	cap     int
+	cap     int   // full-width chunks the budget holds
+	unit    int64 // bytes of one full-width chunk: the widest offered so far
+	bytes   int64 // the entries' charges summed
 	clock   uint64
 	entries map[int]*entry
 }
 
-// New creates a cache holding at most capacity chunks.
+// New creates a cache whose budget is capacity full-width chunks at 8 bytes
+// a value.
 func New(capacity int) *Cache {
 	if capacity < 0 {
 		capacity = 0
@@ -58,13 +72,24 @@ func (c *Cache) tick() uint64 {
 	return c.clock
 }
 
-// Put inserts bc, evicting if necessary. It returns the evicted chunk (nil
-// when nothing was evicted) together with whether that chunk had been
-// loaded into the database — or is being, its write pending (MarkPending) —
-// and ok=false when the cache is full of pinned
-// entries and cannot accept the chunk. Re-inserting an existing ID merges
-// columns into the cached chunk and refreshes its LRU position.
-func (c *Cache) Put(bc *chunk.BinaryChunk, loaded bool) (evicted *chunk.BinaryChunk, evictedLoaded bool, ok bool) {
+func (c *Cache) budget() int64 { return int64(c.cap) * c.unit }
+
+// Victim is a chunk an insert evicted: the caller now owns its vectors.
+// Stored reports whether losing it costs no write: it had been loaded into
+// the database, or its write is pending (MarkPending).
+type Victim struct {
+	Chunk  *chunk.BinaryChunk
+	Stored bool
+}
+
+// Put inserts bc, evicting unpinned entries until the cache's bytes fit its
+// budget again, and returns them, in the order evicted. It reports ok=false,
+// evicting nothing, when bc is a new chunk and capacity chunks are pinned —
+// the one case the cache refuses an insert; if the pinned entries alone
+// exceed the budget it is inserted over it. Re-inserting an existing ID
+// merges columns into the cached chunk and refreshes its LRU position; an
+// entry that grows evicts others, never itself.
+func (c *Cache) Put(bc *chunk.BinaryChunk, loaded bool) (evicted []Victim, ok bool) {
 	return c.put(bc, loaded, 0)
 }
 
@@ -72,13 +97,15 @@ func (c *Cache) Put(bc *chunk.BinaryChunk, loaded bool) (evicted *chunk.BinaryCh
 // chunk cannot be evicted between insertion and its delivery to the
 // execution engine. When the insert merges into an existing entry, that
 // entry gains a pin.
-func (c *Cache) PutPinned(bc *chunk.BinaryChunk, loaded bool) (evicted *chunk.BinaryChunk, evictedLoaded bool, ok bool) {
+func (c *Cache) PutPinned(bc *chunk.BinaryChunk, loaded bool) (evicted []Victim, ok bool) {
 	return c.put(bc, loaded, 1)
 }
 
-func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted *chunk.BinaryChunk, evictedLoaded bool, ok bool) {
+func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted []Victim, ok bool) {
+	size := bc.Size()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.unit = max(c.unit, 8*int64(bc.Rows)*int64(bc.Schema().NumColumns()))
 	if e, exists := c.entries[bc.ID]; exists {
 		// Merge any new columns copy-on-write; never lose ones we already
 		// have, and never mutate a chunk a concurrent reader may hold.
@@ -87,7 +114,14 @@ func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted *chun
 		// column is not yet in the database.
 		merged := e.bc.Clone()
 		if err := merged.Merge(bc); err == nil {
-			e.bc = merged
+			grown := size
+			for i := range bc.Schema().NumColumns() {
+				if v := bc.Column(i); v != nil && e.bc.Has(i) {
+					grown -= v.Size() // a duplicate the merge drops
+				}
+			}
+			e.bc, e.charge = merged, e.charge+grown
+			c.bytes += grown
 			e.loaded = e.loaded && loaded
 		}
 		// The pin is granted even when the merge fails: ok=true tells a
@@ -95,22 +129,64 @@ func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted *chun
 		// the increment here would underflow the entry's pin count.
 		e.lastUse = c.tick()
 		e.pins += pins
-		return nil, false, true
+		return c.evict(e), true
 	}
-	if c.cap == 0 {
-		return nil, false, false
-	}
-	if len(c.entries) >= c.cap {
-		victim := c.pickVictim()
-		if victim == nil {
-			return nil, false, false
-		}
-		evicted, evictedLoaded = victim.bc, victim.stored()
-		delete(c.entries, victim.bc.ID)
+	if c.cap == 0 || c.pinnedEntries() >= c.cap {
+		return nil, false
 	}
 	now := c.tick()
-	c.entries[bc.ID] = &entry{bc: bc, loaded: loaded, pins: pins, lastUse: now, inserted: now}
-	return evicted, evictedLoaded, true
+	e := &entry{bc: bc, charge: size, loaded: loaded, pins: pins, lastUse: now, inserted: now}
+	c.entries[bc.ID] = e
+	c.bytes += size
+	return c.evict(e), true
+}
+
+// evict removes unpinned entries other than put, the entry just inserted or
+// merged into, in pickVictim's order, until the cache's bytes fit the budget
+// or no candidate is left.
+func (c *Cache) evict(put *entry) []Victim {
+	var out []Victim
+	for c.bytes > c.budget() {
+		v := c.pickVictim(put)
+		if v == nil {
+			break
+		}
+		out = append(out, Victim{Chunk: v.bc, Stored: v.stored()})
+		delete(c.entries, v.bc.ID)
+		c.bytes -= v.charge
+	}
+	c.checkBudget(put)
+	return out
+}
+
+func (c *Cache) pinnedEntries() int {
+	n := 0
+	for _, e := range c.entries {
+		if e.pins > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// checkBudget asserts, in the invariants build, what an insert leaves
+// behind: the unpinned entries fit the budget, unless the entry just put is
+// the only unpinned one — an insert never evicts what it put.
+func (c *Cache) checkBudget(put *entry) {
+	if !invariantsOn {
+		return
+	}
+	var loose int64
+	others := false
+	for _, e := range c.entries {
+		if e.pins == 0 {
+			loose += e.charge
+			others = others || e != put
+		}
+	}
+	if loose > c.budget() && others {
+		invariantViolation("cache: %d unpinned bytes over a budget of %d", loose, c.budget())
+	}
 }
 
 // stored reports whether losing the entry costs no write: the chunk is
@@ -119,11 +195,11 @@ func (e *entry) stored() bool { return e.loaded || e.pending }
 
 // pickVictim selects the entry to evict: the least recently used *stored*
 // (loaded or pending) unpinned entry if any exists, otherwise the least
-// recently used unpinned entry. Returns nil when every entry is pinned.
-func (c *Cache) pickVictim() *entry {
+// recently used unpinned entry, never keep. Returns nil when there is none.
+func (c *Cache) pickVictim(keep *entry) *entry {
 	var bestLoaded, bestAny *entry
 	for _, e := range c.entries {
-		if e.pins > 0 {
+		if e.pins > 0 || e == keep {
 			continue
 		}
 		if bestAny == nil || e.lastUse < bestAny.lastUse {
@@ -178,17 +254,18 @@ func (c *Cache) Unpin(id int) error {
 // a leaked pin: some consumer acquired a chunk and never released it, and
 // the affected entries can never be evicted again.
 type Stats struct {
-	Entries       int // cached chunks
-	Capacity      int // maximum chunks
-	PinnedEntries int // chunks with at least one pin
-	PinCount      int // total outstanding pins
+	Entries       int   // cached chunks
+	Bytes         int64 // what their columns hold (see New)
+	CapacityBytes int64 // the budget: 0 until the first chunk is offered
+	PinnedEntries int   // chunks with at least one pin
+	PinCount      int   // total outstanding pins
 }
 
 // Stats returns current occupancy and pin accounting.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{Entries: len(c.entries), Capacity: c.cap}
+	s := Stats{Entries: len(c.entries), Bytes: c.bytes, CapacityBytes: c.budget()}
 	for _, e := range c.entries {
 		if e.pins > 0 {
 			s.PinnedEntries++
@@ -309,6 +386,7 @@ func (c *Cache) Clear() {
 	for id, e := range c.entries {
 		if e.pins == 0 {
 			delete(c.entries, id)
+			c.bytes -= e.charge
 		}
 	}
 }

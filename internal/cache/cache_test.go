@@ -13,14 +13,36 @@ var sch = schema.MustNew(
 	schema.Column{Name: "b", Type: schema.Int64},
 )
 
+// mk is a full-width chunk of one row: it costs one chunk of the budget.
 func mk(id int) *chunk.BinaryChunk {
+	bc := chunk.NewBinary(sch, id, 1)
+	for c := range sch.NumColumns() {
+		v := chunk.NewVector(schema.Int64, 1)
+		v.Ints[0] = int64(id)
+		if err := bc.SetColumn(c, v); err != nil {
+			panic(err)
+		}
+	}
+	return bc
+}
+
+// mkCol is chunk id of one row holding column col only: half a chunk.
+func mkCol(id, col int) *chunk.BinaryChunk {
 	bc := chunk.NewBinary(sch, id, 1)
 	v := chunk.NewVector(schema.Int64, 1)
 	v.Ints[0] = int64(id)
-	if err := bc.SetColumn(0, v); err != nil {
+	if err := bc.SetColumn(col, v); err != nil {
 		panic(err)
 	}
 	return bc
+}
+
+// only is the one victim of an insert, or nil when it evicted none or more.
+func only(ev []Victim) (*chunk.BinaryChunk, bool) {
+	if len(ev) != 1 {
+		return nil, false
+	}
+	return ev[0].Chunk, ev[0].Stored
 }
 
 // touch is a delivery's use of a cached chunk: Acquire refreshes its LRU
@@ -70,7 +92,7 @@ func oldestUnloaded(c *Cache) *chunk.BinaryChunk {
 
 func TestPutGet(t *testing.T) {
 	c := New(2)
-	if ev, _, ok := c.Put(mk(1), false); !ok || ev != nil {
+	if ev, ok := c.Put(mk(1), false); !ok || ev != nil {
 		t.Fatalf("Put = %v %v", ev, ok)
 	}
 	if got := touch(c, 1); got == nil || got.ID != 1 {
@@ -82,8 +104,8 @@ func TestPutGet(t *testing.T) {
 	if peek(c, 1) == nil || peek(c, 2) != nil {
 		t.Error("cache contents wrong")
 	}
-	if c.Len() != 1 || c.Stats().Capacity != 2 {
-		t.Errorf("Len/Cap = %d/%d", c.Len(), c.Stats().Capacity)
+	if c.Len() != 1 || c.Stats().CapacityBytes != 2*16 {
+		t.Errorf("Len/Cap = %d/%d", c.Len(), c.Stats().CapacityBytes)
 	}
 }
 
@@ -92,8 +114,8 @@ func TestEvictionLRU(t *testing.T) {
 	c.Put(mk(1), false)
 	c.Put(mk(2), false)
 	touch(c, 1) // 2 becomes LRU
-	ev, _, ok := c.Put(mk(3), false)
-	if !ok || ev == nil || ev.ID != 2 {
+	ev, ok := c.Put(mk(3), false)
+	if v, _ := only(ev); !ok || v == nil || v.ID != 2 {
 		t.Errorf("evicted = %v, want chunk 2", ev)
 	}
 	if peek(c, 1) == nil || peek(c, 3) == nil || peek(c, 2) != nil {
@@ -110,8 +132,8 @@ func TestEvictionBiasTowardLoaded(t *testing.T) {
 	// Plain LRU would evict 1 only if least-recent; here 1 is older but
 	// both were touched; make 1 most-recent to prove bias wins over LRU.
 	touch(c, 1)
-	ev, loaded, ok := c.Put(mk(3), false)
-	if !ok || ev == nil || ev.ID != 1 || !loaded {
+	ev, ok := c.Put(mk(3), false)
+	if v, loaded := only(ev); !ok || v == nil || v.ID != 1 || !loaded {
 		t.Errorf("bias eviction = %v loaded=%v, want loaded chunk 1", ev, loaded)
 	}
 }
@@ -123,26 +145,26 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	if c.Acquire(1) == nil || c.Acquire(2) == nil {
 		t.Fatal("pin failed")
 	}
-	if _, _, ok := c.Put(mk(3), false); ok {
+	if _, ok := c.Put(mk(3), false); ok {
 		t.Error("Put should fail when everything is pinned")
 	}
 	if err := c.Unpin(2); err != nil {
 		t.Fatal(err)
 	}
-	ev, _, ok := c.Put(mk(3), false)
-	if !ok || ev == nil || ev.ID != 2 {
+	ev, ok := c.Put(mk(3), false)
+	if v, _ := only(ev); !ok || v == nil || v.ID != 2 {
 		t.Errorf("after unpin, evicted = %v, want 2", ev)
 	}
 }
 
 func TestZeroCapacity(t *testing.T) {
 	c := New(0)
-	if _, _, ok := c.Put(mk(1), false); ok {
+	if _, ok := c.Put(mk(1), false); ok {
 		t.Error("zero-capacity cache should accept nothing")
 	}
 	c2 := New(-5)
-	if c2.Stats().Capacity != 0 {
-		t.Errorf("negative capacity should clamp to 0, got %d", c2.Stats().Capacity)
+	if _, ok := c2.Put(mk(1), false); ok || c2.Stats().CapacityBytes != 0 {
+		t.Errorf("negative capacity should clamp to 0, got %d bytes", c2.Stats().CapacityBytes)
 	}
 }
 
@@ -193,15 +215,9 @@ func TestIDsSorted(t *testing.T) {
 
 func TestPutMergeColumns(t *testing.T) {
 	c := New(2)
-	c.Put(mk(1), true) // has column 0, loaded
+	c.Put(mkCol(1, 0), true) // has column 0, loaded
 	// Same chunk arrives with column 1.
-	bc := chunk.NewBinary(sch, 1, 1)
-	v := chunk.NewVector(schema.Int64, 1)
-	v.Ints[0] = 42
-	if err := bc.SetColumn(1, v); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Put(bc, false); !ok {
+	if _, ok := c.Put(mkCol(1, 1), false); !ok {
 		t.Fatal("merge Put failed")
 	}
 	got := peek(c, 1)
@@ -218,17 +234,17 @@ func TestPutMergeColumns(t *testing.T) {
 
 func TestPutPinned(t *testing.T) {
 	c := New(1)
-	if _, _, ok := c.PutPinned(mk(1), false); !ok {
+	if _, ok := c.PutPinned(mk(1), false); !ok {
 		t.Fatal("PutPinned failed")
 	}
 	// Entry is born pinned: a second insert cannot evict it.
-	if _, _, ok := c.Put(mk(2), false); ok {
+	if _, ok := c.Put(mk(2), false); ok {
 		t.Error("pinned-at-birth entry was evicted")
 	}
 	if err := c.Unpin(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Put(mk(2), false); !ok {
+	if _, ok := c.Put(mk(2), false); !ok {
 		t.Error("after unpin, insert should evict")
 	}
 	// Merging PutPinned adds a pin to the existing entry.
@@ -365,9 +381,9 @@ func TestPendingWrite(t *testing.T) {
 		t.Errorf("OldestUnloaded = %v, want 2", got)
 	}
 	touch(c, 1) // 1 is now the most recently used, 2 the LRU
-	ev, stored, ok := c.Put(mk(3), false)
-	if !ok || ev == nil || ev.ID != 1 || !stored {
-		t.Fatalf("evicted %v (stored %v), want the pending chunk 1, stored", ev, stored)
+	ev, ok := c.Put(mk(3), false)
+	if v, stored := only(ev); !ok || v == nil || v.ID != 1 || !stored {
+		t.Fatalf("evicted %v, want the pending chunk 1, stored", ev)
 	}
 
 	c.MarkPending(2)

@@ -12,7 +12,7 @@ import (
 // eventual Unpin then underflowed the entry's pin count.
 func TestPutPinnedGrantsPinEvenWhenMergeFails(t *testing.T) {
 	c := New(4)
-	if _, _, ok := c.PutPinned(mk(1), false); !ok {
+	if _, ok := c.PutPinned(mk(1), false); !ok {
 		t.Fatal("first PutPinned rejected")
 	}
 
@@ -22,7 +22,7 @@ func TestPutPinnedGrantsPinEvenWhenMergeFails(t *testing.T) {
 	if err := bad.SetColumn(0, v); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.PutPinned(bad, false); !ok {
+	if _, ok := c.PutPinned(bad, false); !ok {
 		t.Fatal("merging PutPinned rejected")
 	}
 
@@ -53,7 +53,7 @@ func TestStats(t *testing.T) {
 	}
 
 	s := c.Stats()
-	want := Stats{Entries: 3, Capacity: 8, PinnedEntries: 2, PinCount: 3}
+	want := Stats{Entries: 3, Bytes: 3 * 16, CapacityBytes: 8 * 16, PinnedEntries: 2, PinCount: 3}
 	if s != want {
 		t.Fatalf("Stats = %+v, want %+v", s, want)
 	}

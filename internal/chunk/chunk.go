@@ -234,6 +234,17 @@ func (b *BinaryChunk) Present() []int {
 	return out
 }
 
+// Size is the bytes of the columns present (Vector.Size summed).
+func (b *BinaryChunk) Size() int64 {
+	var n int64
+	for _, v := range b.cols {
+		if v != nil {
+			n += v.Size()
+		}
+	}
+	return n
+}
+
 // Clone returns a shallow copy of the chunk: a new column table pointing
 // at the same (immutable) vectors. Cloning lets a cache merge columns
 // copy-on-write so concurrent readers of the old chunk are never affected.

@@ -110,6 +110,38 @@ func Widen(v *Vector) (ints []int64, scratch *Vector) {
 	return scratch.Ints, scratch
 }
 
+// Size is the bytes of values v holds, by representation: 4 a value for a
+// narrow Int64 vector, 8 for a wide one or a Float64 one, and for a string
+// vector a 16-byte header a row plus the strings' bytes — or, when it
+// carries a dictionary, one code a row plus each entry's header and bytes
+// once, since every row's string is its entry's. It counts the values held,
+// not the backing capacity: a pooled slice may be longer than the chunk it
+// serves (it last served a longer one), and a charge that depended on which
+// slice the pool handed out would make the cache hold a different number of
+// the same chunks from one run to the next.
+func (v *Vector) Size() int64 {
+	switch {
+	case v.Type == schema.Int64 && v.Int32 != nil:
+		return 4 * int64(len(v.Int32))
+	case v.Type == schema.Int64:
+		return 8 * int64(len(v.Ints))
+	case v.Type == schema.Float64:
+		return 8 * int64(len(v.Floats))
+	}
+	n := 16 * int64(len(v.Strs))
+	if v.Dict != nil {
+		n += int64(len(v.Codes))
+		for _, s := range v.Dict {
+			n += 16 + int64(len(s))
+		}
+		return n
+	}
+	for _, s := range v.Strs {
+		n += int64(len(s))
+	}
+	return n
+}
+
 // PutVector returns a vector to the pool of its representation. The caller
 // must not use v (or any of its backing slices) afterwards; string values
 // previously copied out of v.Strs stay valid because string contents are

@@ -249,11 +249,13 @@ func (r *run) drive(ctx context.Context) error {
 // service holds a slot of the binary cache it writes to, so the pool size
 // adds nothing; an inline run holds the one chunk it is consuming). A page
 // read takes a text-buffer slot like a conversion, so the bound is the same
-// whatever the chunks' sources. This is what bounds the work a LIMIT
-// strands in flight, and the invariants build asserts it — over the
-// disk-backed sequence: a pooled run's cached-first prefix goes through the
-// inline emitter and holds no buffer slot, and is consumed in full before
-// the pipeline starts.
+// whatever the chunks' sources. The slots are counted in chunks — the
+// delivery budget is CacheChunks of them — while the cache itself counts
+// bytes, so the chunks it holds may outnumber the slots. This is what
+// bounds the work a LIMIT strands in flight, and the invariants build
+// asserts it — over the disk-backed sequence: a pooled run's cached-first
+// prefix goes through the inline emitter and holds no buffer slot, and is
+// consumed in full before the pipeline starts.
 func (r *run) walk(ctx context.Context, next visit) error {
 	o := r.op
 	for {

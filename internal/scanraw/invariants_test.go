@@ -142,11 +142,13 @@ func TestWarmScanVectorBalance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pass > 0 && st.DeliveredDB < chunks-cacheChunks {
-					t.Fatalf("warm pass %d read %d chunks from pages, want at least %d", pass, st.DeliveredDB, chunks-cacheChunks)
+				// A chunk read back from int32 pages costs the cache half a
+				// full-width chunk, so it holds twice cacheChunks of them.
+				if pass > 0 && st.DeliveredDB < chunks-2*cacheChunks {
+					t.Fatalf("warm pass %d read %d chunks from pages, want at least %d", pass, st.DeliveredDB, chunks-2*cacheChunks)
 				}
-				if pass > 0 && narrow < cols*(chunks-cacheChunks) {
-					t.Fatalf("warm pass %d delivered %d narrow columns, want at least %d", pass, narrow, cols*(chunks-cacheChunks))
+				if pass > 0 && narrow < cols*(chunks-2*cacheChunks) {
+					t.Fatalf("warm pass %d delivered %d narrow columns, want at least %d", pass, narrow, cols*(chunks-2*cacheChunks))
 				}
 				held := int64(0)
 				for _, id := range op.Cache().IDs() {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scanraw/internal/cache"
 	"scanraw/internal/dbstore"
 	"scanraw/internal/kernel"
 )
@@ -596,23 +597,23 @@ func (r *run) serveTask(t task, slot *workerSlot, ramped bool) {
 	r.fail(r.serve(slot, t))
 }
 
-// retireEvicted finishes an evicted chunk's life: at the on-eviction moment
-// an unloaded victim — neither loaded nor pending — is first encoded into the
-// batch, then — whether or not that succeeded — the chunk's vectors return to
-// the shared pools. The write is an encode only: its disk work is the
-// batch's commit, off the converting goroutine. The recycle is safe because
-// eviction implies zero pins, every consumer of a cached chunk — delivery,
-// safeguard flush, speculative quantum — holds a pin for the duration of
-// its use, and an encoded segment holds no reference to the vectors.
-func (r *run) retireEvicted(evicted *BinaryChunk, evictedLoaded bool) error {
-	if evicted == nil {
-		return nil
-	}
+// retireEvicted finishes the life of the chunks an insert evicted: at the
+// on-eviction moment an unloaded victim — neither loaded nor pending — is
+// first encoded into the batch, then — whether or not that succeeded — every
+// victim's vectors return to the shared pools. The write is an encode only:
+// its disk work is the batch's commit, off the converting goroutine. The
+// recycle is safe because eviction implies zero pins, every consumer of a
+// cached chunk — delivery, safeguard flush, speculative quantum — holds a
+// pin for the duration of its use, and an encoded segment holds no
+// reference to the vectors. It returns the first write error.
+func (r *run) retireEvicted(evicted []cache.Victim) error {
 	var err error
-	if r.op.when.onEviction && !evictedLoaded {
-		err = r.runWrite(evicted)
+	for _, v := range evicted {
+		if r.op.when.onEviction && !v.Stored && err == nil {
+			err = r.runWrite(v.Chunk)
+		}
+		v.Chunk.RecycleColumns()
 	}
-	evicted.RecycleColumns()
 	return err
 }
 
@@ -638,17 +639,18 @@ func (r *run) recordStats(bc *BinaryChunk, cols []int) error {
 }
 
 // insertPinned places a converted (or database-read) chunk into the binary
-// cache with a delivery pin, blocking while the cache is full of pinned
-// (undelivered) chunks — the back-pressure that ultimately stops READ
-// (§3.1, pre-fetching) — and retires whatever the insert evicted. On error
-// the chunk holds no pin and the emitter's reservation is returned; a chunk
-// the cache never took has been recycled.
+// cache with a delivery pin, blocking while the cache holds as many pinned
+// (undelivered) chunks as its capacity — the back-pressure that ultimately
+// stops READ (§3.1, pre-fetching) — and retires whatever the insert evicted
+// to make room for its bytes. On error the chunk holds no pin and the
+// emitter's reservation is returned; a chunk the cache never took has been
+// recycled.
 func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
-	var evicted *BinaryChunk
-	var evLoaded, ok bool
+	var evicted []cache.Victim
+	var ok bool
 	r.gate.mu.Lock()
 	for !r.failed() {
-		if evicted, evLoaded, ok = r.op.cache.PutPinned(bc, loaded); ok {
+		if evicted, ok = r.op.cache.PutPinned(bc, loaded); ok {
 			break
 		}
 		r.gate.cond.Wait()
@@ -660,7 +662,7 @@ func (r *run) insertPinned(bc *BinaryChunk, loaded bool) error {
 		r.out.release()
 		return r.runErr
 	}
-	if err := r.retireEvicted(evicted, evLoaded); err != nil {
+	if err := r.retireEvicted(evicted); err != nil {
 		_ = r.op.cache.Unpin(bc.ID)
 		r.out.release()
 		return err

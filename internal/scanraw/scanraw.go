@@ -155,7 +155,12 @@ type Config struct {
 	// TextBufferChunks is the capacity of the text chunks buffer — how far
 	// READ runs ahead of conversion. Default 8.
 	TextBufferChunks int
-	// CacheChunks is the binary chunks cache capacity. Default 32.
+	// CacheChunks is the binary chunks cache's budget, in full-width chunks
+	// at 8 bytes a value: the cache counts the bytes its columns hold
+	// (cache.New), so a chunk read back from int32 pages costs half a chunk,
+	// and one with string columns — a 16-byte header a value plus its bytes
+	// — may cost more than one. It also bounds, in chunks, the
+	// delivered-but-unconsumed chunks of a run. Default 32.
 	CacheChunks int
 	// Policy selects the WRITE behaviour. Default ExternalTables.
 	Policy WritePolicy

@@ -140,7 +140,7 @@ func TestPayoffPick(t *testing.T) {
 				if holds == nil {
 					holds = all
 				}
-				if _, _, ok := op.Cache().Put(filled(c.id, holds), false); !ok {
+				if _, ok := op.Cache().Put(filled(c.id, holds), false); !ok {
 					t.Fatalf("cache refused chunk %d", c.id)
 				}
 			}

@@ -124,6 +124,10 @@ type MetricsSnapshot struct {
 	CacheEntries       int `json:"cache_entries"`
 	CachePinnedEntries int `json:"cache_pinned_entries"`
 	CachePinCount      int `json:"cache_pin_count"`
+	// CacheBytes is what the cached columns hold and CacheCapacityBytes the
+	// caches' budgets, summed over the operators (cache.Stats).
+	CacheBytes         int64 `json:"cache_bytes"`
+	CacheCapacityBytes int64 `json:"cache_capacity_bytes"`
 
 	QueriesByPolicy map[string]int64 `json:"queries_by_policy"`
 	Tables          int              `json:"tables"`
@@ -205,6 +209,8 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		snap.CacheEntries += cs.Entries
 		snap.CachePinnedEntries += cs.PinnedEntries
 		snap.CachePinCount += cs.PinCount
+		snap.CacheBytes += cs.Bytes
+		snap.CacheCapacityBytes += cs.CapacityBytes
 		commits, chunks := op.LoadCommits()
 		snap.LoadCommits += commits
 		snap.LoadChunksCommitted += chunks

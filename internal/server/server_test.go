@@ -655,6 +655,9 @@ func testConcurrentClients(t *testing.T, want map[clientQuery]string) {
 	if snap.CacheEntries == 0 {
 		t.Error("cache_entries = 0 after cached scans")
 	}
+	if snap.CacheBytes == 0 || snap.CacheBytes > snap.CacheCapacityBytes {
+		t.Errorf("cache_bytes = %d of cache_capacity_bytes = %d, want some, within the budget", snap.CacheBytes, snap.CacheCapacityBytes)
+	}
 	// Every query has drained, so a nonzero pin gauge is a pin leak.
 	if snap.CachePinnedEntries != 0 || snap.CachePinCount != 0 {
 		t.Errorf("pin leak: cache_pinned_entries = %d, cache_pin_count = %d, want 0/0",
@@ -673,7 +676,7 @@ func testConcurrentClients(t *testing.T, want map[clientQuery]string) {
 	}
 	for _, key := range []string{"queries_total", "physical_scans_total", "worker_busy_percent",
 		"disk_busy_percent", "cache_hit_rate", "chunks_delivered", "queries_by_policy",
-		"cache_entries", "cache_pinned_entries", "cache_pin_count"} {
+		"cache_entries", "cache_pinned_entries", "cache_pin_count", "cache_bytes", "cache_capacity_bytes"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("/metrics lacks %q", key)
 		}

@@ -84,7 +84,10 @@ type Options struct {
 	Workers int
 	// ChunkLines is the lines-per-chunk processing unit (default 8192).
 	ChunkLines int
-	// CacheChunks is the binary chunk cache capacity (default 32).
+	// CacheChunks is the binary chunk cache's budget, in full-width chunks at
+	// 8 bytes a value (default 32): the cache counts the bytes its columns
+	// hold, so int32 and one-column entries cost less, and a chunk with
+	// string columns (a 16-byte header a value plus its bytes) may cost more.
 	CacheChunks int
 	// Policy is the loading policy (default Speculative).
 	Policy Policy
