@@ -106,7 +106,9 @@ invariants:
 # reference, errors included), the aggregation's (grouped and scalar state,
 # split over partials and merged through the wire, equals a row-at-a-time
 # fold), the top-k heap's (a LIMIT over shuffled chunks split across partials
-# equals a full canonical sort cut to k), the row encoder's (its bytes equal
+# equals a full canonical sort cut to k), the selection kernels' (each
+# operator's loop, over every row or a subset, equals cmpTruth row by row,
+# NaN, ±0 and the int32 edges included), the row encoder's (its bytes equal
 # encoding/json's for the same row, its integers strconv.AppendInt's) and the
 # raw scanner's (behind a disk of short reads it carves tok.SplitChunks'
 # chunks and reads exact extents). A few seconds each is enough to catch
@@ -118,6 +120,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExprEval -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzGroupAgg -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzTopK -fuzztime=5s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzSelect -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrames -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=5s ./internal/store

@@ -67,6 +67,17 @@ type SelectItem struct {
 	Alias string
 }
 
+// countsRows reports whether the item is a COUNT that reads no value: of
+// every row (COUNT(*)) or of a bare column, whose every row is non-NULL.
+// COUNT of any other expression still evaluates it, since that can fail.
+func (it SelectItem) countsRows() bool {
+	if it.Agg != AggCount {
+		return false
+	}
+	_, bare := it.Expr.(*Col)
+	return it.Expr == nil || bare
+}
+
 // Name returns the output column name.
 func (it SelectItem) Name() string {
 	if it.Alias != "" {
@@ -112,12 +123,24 @@ func (q *Query) ColumnNames() []string {
 	return cols
 }
 
-// RequiredColumns returns the sorted schema ordinals the query touches —
-// the set SCANRAW must tokenize and parse (selective conversion).
-func (q *Query) RequiredColumns() []int {
+// RequiredColumns returns the sorted schema ordinals the query names — the
+// set SCANRAW must tokenize and parse (selective conversion), and the
+// workload a query adds to the access weights. A column only a COUNT names
+// is in it: its values are never read (ReadColumns), but converting it is
+// what validates its fields.
+func (q *Query) RequiredColumns() []int { return q.columns(true) }
+
+// ReadColumns returns the sorted schema ordinals whose values the query
+// evaluates: RequiredColumns less a column that only COUNT(<bare column>)
+// names. Such a COUNT counts rows — vectors have no NULLs — and consume
+// never evaluates its input, so a chunk served without that column answers
+// the same.
+func (q *Query) ReadColumns() []int { return q.columns(false) }
+
+func (q *Query) columns(counted bool) []int {
 	exprs := make([]Expr, 0, len(q.Items)+len(q.GroupBy)+1)
 	for _, it := range q.Items {
-		if it.Expr != nil {
+		if it.Expr != nil && (counted || !it.countsRows()) {
 			exprs = append(exprs, it.Expr)
 		}
 	}

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,6 +36,38 @@ func runQuery(t *testing.T, sql string, chunks ...*chunk.BinaryChunk) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// A COUNT of a bare column reads no value, so a chunk without that column
+// answers it, scalar or grouped, as the whole chunk does. COUNT of any other
+// expression still evaluates it.
+func TestCountReadsNoValue(t *testing.T) {
+	full := testChunk(t)
+	noS := chunk.NewBinary(testSch, 0, full.Rows)
+	for _, c := range []int{0, 1, 2} {
+		if err := noS.SetColumn(c, full.Column(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(s) FROM t WHERE a >= 2",
+		"SELECT COUNT(s), COUNT(*), SUM(b) FROM t",
+		"SELECT a % 2, COUNT(s) FROM t GROUP BY a % 2",
+	} {
+		if got, want := runQuery(t, sql, noS), runQuery(t, sql, full); fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s: without s %v, with it %v", sql, got.Rows, want.Rows)
+		}
+		if q := mustQuery(t, sql); slices.Contains(q.ReadColumns(), 3) || !slices.Contains(q.RequiredColumns(), 3) {
+			t.Errorf("%s: ReadColumns %v, RequiredColumns %v", sql, q.ReadColumns(), q.RequiredColumns())
+		}
+	}
+	ex, err := NewExecutor(mustQuery(t, "SELECT COUNT(s = 'x') FROM t"), testSch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Consume(noS); err == nil || !strings.Contains(err.Error(), "absent") {
+		t.Errorf("COUNT(s = 'x') without s: err %v, want the column absent", err)
+	}
 }
 
 func TestScalarSum(t *testing.T) {

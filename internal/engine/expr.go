@@ -741,16 +741,16 @@ var cmpTruth = [...][3]int{
 // Eval implements Expr.
 func (c *Cmp) Eval(bc *chunk.BinaryChunk) (*chunk.Vector, error) { return predicateVector(c, bc) }
 
-// selectRows is selectWhere for a comparison. The operator becomes a
-// three-entry truth table once per chunk; a literal operand is taken as a
-// scalar (from the left by mirroring the table), against a string column
-// decoded from a dictionary page once per entry.
+// selectRows is selectWhere for a comparison. A literal operand is taken as
+// a scalar (from the left by mirroring the operator); numbers go to the
+// operator's own loop, strings through its three-entry truth table, against
+// a string column decoded from a dictionary page once per entry.
 func (c *Cmp) selectRows(bc *chunk.BinaryChunk, cand, dst []int) ([]int, error) {
-	le, re, truth := c.L, c.R, cmpTruth[c.Op]
+	le, re, op := c.L, c.R, c.Op
 	if _, ok := le.(*Const); ok {
-		le, re = re, le
-		truth[0], truth[2] = truth[2], truth[0]
+		le, re, op = re, le, mirrored[op]
 	}
+	truth := cmpTruth[op]
 	l, err := le.Eval(bc)
 	if err != nil {
 		return nil, err
@@ -771,22 +771,22 @@ func (c *Cmp) selectRows(bc *chunk.BinaryChunk, cand, dst []int) ([]int, error) 
 		return selectFunc(dst, cand, n, func(i int) int { return truth[1+strings.Compare(l.Strs[i], r.Strs[i])] }), nil
 	case l.Type == schema.Int64 && re.Type() == schema.Int64:
 		if rc != nil {
-			return dst[:selectInts(verdictOf(truth), dst, cand, l, n, rc.Int)], nil
+			return dst[:selectInts(op, dst, cand, l, n, rc.Int)], nil
 		}
 		li, lwide := chunk.Widen(l)
 		defer chunk.PutVector(lwide)
 		ri, rwide := chunk.Widen(r)
 		defer chunk.PutVector(rwide)
-		return dst[:selectVectors(verdictOf(truth), dst, cand, li[:n], ri[:n])], nil
+		return dst[:selectVectors(op, dst, cand, li[:n], ri[:n])], nil
 	}
 	lf, lscratch := asFloats(l)
 	defer chunk.PutVector(lscratch)
 	if rc != nil {
-		return dst[:selectScalar(verdictOf(truth), dst, cand, lf[:n], rc.float())], nil
+		return dst[:selectScalar(op, dst, cand, lf[:n], rc.float())], nil
 	}
 	rf, rscratch := asFloats(r)
 	defer chunk.PutVector(rscratch)
-	return dst[:selectVectors(verdictOf(truth), dst, cand, lf[:n], rf[:n])], nil
+	return dst[:selectVectors(op, dst, cand, lf[:n], rf[:n])], nil
 }
 
 // selectWhere writes to dst, in ascending order, the rows of cand — every
@@ -812,7 +812,7 @@ func selectWhere(e Expr, bc *chunk.BinaryChunk, cand, dst []int) ([]int, error) 
 		return nil, err
 	}
 	defer releaseScratch(e, v)
-	return dst[:selectInts(verdictOf(cmpTruth[OpNe]), dst, cand, v, bc.Rows, 0)], nil
+	return dst[:selectInts(OpNe, dst, cand, v, bc.Rows, 0)], nil
 }
 
 // predicateVector is a predicate as a value: 1 at the rows selectWhere
@@ -847,25 +847,21 @@ func getSel(n int) *[]int {
 }
 
 // The selection kernels write to dst the rows of cand — 0 to n-1 when cand
-// is nil — that pass, in order. Every row is stored and the count advanced
-// by its 0/1 verdict, so no row costs a branch however the verdicts fall.
-// dst may be cand itself: a row is stored at or before the position it was
-// read from.
+// is nil — at which the comparison holds, in order. The operator is chosen
+// once per call, outside the loops, and each loop has its comparison built
+// in: a row is stored and the count advanced by its 0/1 verdict, so no row
+// costs a branch however the verdicts fall. dst may be cand itself: a row
+// is stored at or before the position it was read from.
+//
+// Three loops serve the six operators: l < r, l > r, and l ≠ r as
+// (l < r) | (l > r). Each gives 0 on an equal pair, and the operator whose
+// cmpTruth gives 1 there flips it: ≥ is !(l < r), ≤ is !(l > r), = is
+// !(l ≠ r). A float pair with a NaN is neither less nor greater, so it
+// counts as equal, as cmpTruth has it.
 
-// verdict is a cmpTruth row as masks, for the numeric kernels: a row's
-// verdict is c ^ (lt&ma | gt&mb), lt and gt being 1 when l < r and l > r
-// (never both; neither for an equal or unordered pair). Two compares and
-// four ALU operations, where indexing the table costs a load and a bounds
-// check, and the kernels run about half again as fast.
-type verdict struct{ c, ma, mb int }
-
-func verdictOf(truth [3]int) verdict {
-	return verdict{truth[1], truth[0] ^ truth[1], truth[2] ^ truth[1]}
-}
-
-func pass[T int32 | int64 | float64](v verdict, a, b T) int {
-	return v.c ^ (b2i(a < b)&v.ma | b2i(a > b)&v.mb)
-}
+// mirrored is each operator with its operands swapped: l op r is
+// r mirrored[op] l.
+var mirrored = [...]CmpOp{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
 
 func b2i(b bool) int {
 	if b {
@@ -878,16 +874,16 @@ func b2i(b bool) int {
 // narrow or wide, against s. A narrow vector is compared at its width when s
 // fits in int32; when it does not, every value lies on the same side of s,
 // and the verdict of that side decides every candidate at once.
-func selectInts(vd verdict, dst, cand []int, v *chunk.Vector, n int, s int64) int {
+func selectInts(op CmpOp, dst, cand []int, v *chunk.Vector, n int, s int64) int {
 	if v.Int32 == nil {
-		return selectScalar(vd, dst, cand, v.Ints[:n], s)
+		return selectScalar(op, dst, cand, v.Ints[:n], s)
 	}
 	if s32 := int32(s); int64(s32) == s {
-		return selectScalar(vd, dst, cand, v.Int32[:n], s32)
+		return selectScalar(op, dst, cand, v.Int32[:n], s32)
 	}
-	side := vd.c ^ vd.ma // every value is below s
+	side := cmpTruth[op][0] // every value is below s
 	if s < 0 {
-		side = vd.c ^ vd.mb // every value is above it
+		side = cmpTruth[op][2] // every value is above it
 	}
 	if side == 0 {
 		return 0
@@ -903,35 +899,119 @@ func selectInts(vd verdict, dst, cand []int, v *chunk.Vector, n int, s int64) in
 
 // selectScalar and selectVectors return how many rows they wrote to dst,
 // not dst resliced: with its capacity live the loops ran out of registers.
-func selectScalar[T int32 | int64 | float64](v verdict, dst, cand []int, l []T, s T) int {
+func selectScalar[T int32 | int64 | float64](op CmpOp, dst, cand []int, l []T, s T) int {
+	flip := cmpTruth[op][1]
+	switch op {
+	case OpLt, OpGe:
+		return selectLess(flip, dst, cand, l, s)
+	case OpGt, OpLe:
+		return selectGreater(flip, dst, cand, l, s)
+	}
+	return selectUnequal(flip, dst, cand, l, s)
+}
+
+func selectLess[T int32 | int64 | float64](flip int, dst, cand []int, l []T, s T) int {
 	k := 0
 	if cand == nil {
+		dst = dst[:len(l)]
 		for i, x := range l {
 			dst[k] = i
-			k += pass(v, x, s)
+			k += b2i(x < s) ^ flip
 		}
 		return k
 	}
+	dst = dst[:len(cand)]
 	for _, i := range cand {
 		dst[k] = i
-		k += pass(v, l[i], s)
+		k += b2i(l[i] < s) ^ flip
 	}
 	return k
 }
 
-func selectVectors[T int64 | float64](v verdict, dst, cand []int, l, r []T) int {
+func selectGreater[T int32 | int64 | float64](flip int, dst, cand []int, l []T, s T) int {
 	k := 0
 	if cand == nil {
-		r = r[:len(l)]
+		dst = dst[:len(l)]
 		for i, x := range l {
 			dst[k] = i
-			k += pass(v, x, r[i])
+			k += b2i(x > s) ^ flip
 		}
 		return k
 	}
+	dst = dst[:len(cand)]
 	for _, i := range cand {
 		dst[k] = i
-		k += pass(v, l[i], r[i])
+		k += b2i(l[i] > s) ^ flip
+	}
+	return k
+}
+
+func selectUnequal[T int32 | int64 | float64](flip int, dst, cand []int, l []T, s T) int {
+	k := 0
+	if cand == nil {
+		dst = dst[:len(l)]
+		for i, x := range l {
+			dst[k] = i
+			k += (b2i(x < s) | b2i(x > s)) ^ flip
+		}
+		return k
+	}
+	dst = dst[:len(cand)]
+	for _, i := range cand {
+		x := l[i]
+		dst[k] = i
+		k += (b2i(x < s) | b2i(x > s)) ^ flip
+	}
+	return k
+}
+
+// selectVectors compares l with r row by row; > and ≤ are < and ≥ with the
+// operands swapped.
+func selectVectors[T int64 | float64](op CmpOp, dst, cand []int, l, r []T) int {
+	flip := cmpTruth[op][1]
+	switch op {
+	case OpGt, OpLe:
+		return selectLessVectors(flip, dst, cand, r, l)
+	case OpLt, OpGe:
+		return selectLessVectors(flip, dst, cand, l, r)
+	}
+	return selectUnequalVectors(flip, dst, cand, l, r)
+}
+
+func selectLessVectors[T int64 | float64](flip int, dst, cand []int, l, r []T) int {
+	k := 0
+	if cand == nil {
+		dst, r = dst[:len(l)], r[:len(l)]
+		for i, x := range l {
+			dst[k] = i
+			k += b2i(x < r[i]) ^ flip
+		}
+		return k
+	}
+	dst = dst[:len(cand)]
+	for _, i := range cand {
+		dst[k] = i
+		k += b2i(l[i] < r[i]) ^ flip
+	}
+	return k
+}
+
+func selectUnequalVectors[T int64 | float64](flip int, dst, cand []int, l, r []T) int {
+	k := 0
+	if cand == nil {
+		dst, r = dst[:len(l)], r[:len(l)]
+		for i, x := range l {
+			y := r[i]
+			dst[k] = i
+			k += (b2i(x < y) | b2i(x > y)) ^ flip
+		}
+		return k
+	}
+	dst = dst[:len(cand)]
+	for _, i := range cand {
+		x, y := l[i], r[i]
+		dst[k] = i
+		k += (b2i(x < y) | b2i(x > y)) ^ flip
 	}
 	return k
 }

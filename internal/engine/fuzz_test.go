@@ -824,3 +824,122 @@ func refTopK(t *testing.T, q *Query, chunks []*chunk.BinaryChunk) [][]Value {
 	}
 	return out
 }
+
+// FuzzSelect checks every selection kernel against cmpTruth, row by row:
+// selectInts over a narrow and a wide vector against an int64 constant (one
+// outside int32 among them), selectScalar over floats, and selectVectors
+// over int64 and float64 pairs; under every operator, over every row, over
+// a subset of them, and over that subset written in place. The values come
+// from palettes of edges — NaN, ±0, ±Inf, the int32 and int64 limits — or
+// at random, one per input byte.
+func FuzzSelect(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add(int64(2), []byte{2, 2, 2, 200, 3, 3, 255, 4})
+	f.Add(int64(3), []byte{5, 6, 7, 8, 9, 10, 5, 6, 7, 8, 9, 10, 128})
+	f.Add(int64(4), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
+		if len(raw) > 128 {
+			raw = raw[:128]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := len(raw)
+		i32, i64, j64 := make([]int32, n), make([]int64, n), make([]int64, n)
+		f64, g64 := make([]float64, n), make([]float64, n)
+		for r, b := range raw {
+			i32[r] = int32(pickInt(rng, b))
+			i64[r], j64[r] = pickInt(rng, b), pickInt(rng, byte(rng.Intn(256)))
+			f64[r], g64[r] = pickFloat(rng, b), pickFloat(rng, byte(rng.Intn(256)))
+		}
+		s, sf := pickInt(rng, byte(rng.Intn(256))), pickFloat(rng, byte(rng.Intn(256)))
+		if n > 0 && rng.Intn(2) == 0 {
+			// A constant the column holds, so equal pairs occur.
+			k := rng.Intn(n)
+			s, sf = int64(i32[k]), f64[k]
+		}
+		narrow := &chunk.Vector{Type: schema.Int64, Int32: i32}
+		wide := &chunk.Vector{Type: schema.Int64, Ints: i64}
+		var subset []int
+		inSubset := make([]bool, n)
+		for r := 0; r < n; r++ {
+			if inSubset[r] = rng.Intn(2) == 0; inSubset[r] {
+				subset = append(subset, r)
+			}
+		}
+		for op := OpEq; op <= OpGe; op++ {
+			kernels := []struct {
+				name  string
+				run   func(dst, cand []int) int
+				truth func(r int) int
+			}{
+				{"narrow", func(dst, cand []int) int { return selectInts(op, dst, cand, narrow, n, s) },
+					func(r int) int { return truthOf(op, int64(i32[r]) < s, int64(i32[r]) > s) }},
+				{"wide", func(dst, cand []int) int { return selectInts(op, dst, cand, wide, n, s) },
+					func(r int) int { return truthOf(op, i64[r] < s, i64[r] > s) }},
+				{"float", func(dst, cand []int) int { return selectScalar(op, dst, cand, f64, sf) },
+					func(r int) int { return truthOf(op, f64[r] < sf, f64[r] > sf) }},
+				{"int vectors", func(dst, cand []int) int { return selectVectors(op, dst, cand, i64, j64) },
+					func(r int) int { return truthOf(op, i64[r] < j64[r], i64[r] > j64[r]) }},
+				{"float vectors", func(dst, cand []int) int { return selectVectors(op, dst, cand, f64, g64) },
+					func(r int) int { return truthOf(op, f64[r] < g64[r], f64[r] > g64[r]) }},
+			}
+			for _, k := range kernels {
+				for _, cand := range [][]int{nil, subset} {
+					var want []int
+					for r := 0; r < n; r++ {
+						if (cand == nil || inSubset[r]) && k.truth(r) == 1 {
+							want = append(want, r)
+						}
+					}
+					got := make([]int, n)
+					got = got[:k.run(got, cand)]
+					inPlace := got
+					if cand != nil {
+						inPlace = slices.Clone(cand)
+						inPlace = inPlace[:k.run(inPlace, inPlace)]
+					}
+					if !slices.Equal(got, want) || !slices.Equal(inPlace, want) {
+						t.Fatalf("%s %v (s=%d, sf=%v, cand=%v): got %v, in place %v, want %v", k.name, op, s, sf, cand, got, inPlace, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// truthOf is cmpTruth's verdict for a pair that compares less, greater, or
+// neither: equal, or unordered when a float is NaN.
+func truthOf(op CmpOp, less, greater bool) int {
+	switch {
+	case less:
+		return cmpTruth[op][0]
+	case greater:
+		return cmpTruth[op][2]
+	}
+	return cmpTruth[op][1]
+}
+
+// selectEdges are FuzzSelect's integer palette: zero, ±1, the int32 limits
+// and one past them, and the int64 limits.
+var selectEdges = []int64{0, 1, -1, math.MinInt32, math.MaxInt32, math.MinInt32 - 1, math.MaxInt32 + 1, math.MinInt64, math.MaxInt64}
+
+// pickInt draws a palette entry for a low byte and a random value for a
+// high one, an int32 or an int64 alike.
+func pickInt(rng *rand.Rand, b byte) int64 {
+	if int(b) < len(selectEdges) {
+		return selectEdges[b]
+	}
+	if b&1 == 0 {
+		return int64(int32(rng.Uint32()))
+	}
+	return int64(rng.Uint64())
+}
+
+// pickFloat is pickInt for floats: NaN, ±0, ±Inf and the int32 limits, or
+// a random value of either sign.
+func pickFloat(rng *rand.Rand, b byte) float64 {
+	edges := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, math.MinInt32, math.MaxInt32}
+	if int(b) < len(edges) {
+		return edges[b]
+	}
+	return rng.NormFloat64()
+}

@@ -133,7 +133,8 @@ func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
 	}
 	// Evaluate group-by keys and aggregate inputs once per chunk. A plain
 	// item is a GROUP BY key (Validate), whose value Result takes from the
-	// key column: it is not evaluated here.
+	// key column, and a COUNT of a bare column counts rows: neither is
+	// evaluated here, so the chunk need not hold a column only COUNT names.
 	defer p.releaseAgg()
 	for _, g := range p.q.GroupBy {
 		v, err := g.Eval(bc)
@@ -144,7 +145,7 @@ func (p *Partial) consumeAgg(bc *chunk.BinaryChunk, sel []int) error {
 	}
 	for _, it := range p.q.Items {
 		var v *chunk.Vector
-		if it.Agg != AggNone && it.Expr != nil {
+		if it.Agg != AggNone && !it.countsRows() {
 			var err error
 			if v, err = it.Expr.Eval(bc); err != nil {
 				return err
@@ -271,9 +272,9 @@ func (p *Partial) topCandidates(bc *chunk.BinaryChunk, sel []int) (cand []int, o
 	if v.Type != root.Typ || v.Type == schema.Str {
 		return nil, false
 	}
-	keep := verdictOf(cmpTruth[OpLe])
+	keep := OpLe
 	if k.Desc {
-		keep = verdictOf(cmpTruth[OpGe])
+		keep = OpGe
 	}
 	if cap(p.sel) < bc.Rows {
 		p.sel = make([]int, bc.Rows)

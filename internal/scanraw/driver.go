@@ -34,15 +34,19 @@ const (
 	srcNone source = iota
 	// srcSkipped: excluded by the request's Skip filter.
 	srcSkipped
-	// srcCache: the binary cache holds every requested column; the task
+	// srcCache: the binary cache holds every requested column — or, for a
+	// counted one (Request.counted), the catalog marks it loaded; the task
 	// carries the chunk with a pin taken.
 	srcCache
-	// srcDB: every requested column is loaded; read the pages.
+	// srcDB: every requested column is loaded; read the pages of those the
+	// request reads.
 	srcDB
 	// srcPartial: some requested columns are loaded (a partial-width hit);
-	// read their pages and convert only the missing columns.
+	// read the pages of those the request reads and convert only the
+	// missing columns.
 	srcPartial
-	// srcRaw: no requested column is loaded; convert the requested columns
+	// srcRaw: no column the request reads is loaded; convert the missing
+	// columns — every requested one, or all but the loaded counted ones —
 	// from the raw extent.
 	srcRaw
 	numSources
@@ -98,7 +102,7 @@ func (r *run) resolve(st step) (task, error) {
 		return task{src: srcSkipped}, nil
 	}
 	if bc := o.cache.Acquire(st.id); bc != nil {
-		if bc.HasAll(r.req.Columns) {
+		if bc.HasAll(r.req.Columns) && r.countedServed(bc, st.meta) {
 			return task{src: srcCache, bc: bc}, nil
 		}
 		if err := o.cache.Unpin(st.id); err != nil {
@@ -111,6 +115,17 @@ func (r *run) resolve(st step) (task, error) {
 		return task{}, nil
 	}
 	return r.planFor(st.meta)
+}
+
+// countedServed reports whether a cache entry serves the request's counted
+// columns: each is in the entry or, being loaded, need not be.
+func (r *run) countedServed(bc *BinaryChunk, meta *dbstore.ChunkMeta) bool {
+	for _, c := range r.req.counted {
+		if !bc.Has(c) && !isLoaded(meta, c) {
+			return false
+		}
+	}
+	return true
 }
 
 // listVisit visits known chunks in the given order: the cached-first prefix

@@ -26,7 +26,7 @@ type run struct {
 
 	// kern is the conversion kernel — one fused pass per chunk, accounted to
 	// the Parse stage — for the full-conversion column set: the requested
-	// columns.
+	// columns, the counted ones with them (Request.convertSet).
 	kern *kernel.Kernel
 
 	// Driver state, touched only by the goroutine running drive: the raw
@@ -392,7 +392,7 @@ func (o *Operator) newRun(req Request, workers int) (*run, error) {
 	if n := o.cfg.ConsumeWorkers; n != 0 && n != 1 {
 		return nil, fmt.Errorf("scanraw: ConsumeWorkers is %d, but consume is serial: it must be 0 or 1", n)
 	}
-	kern, err := kernel.For(o.table.Schema(), req.Columns, o.cfg.Delim)
+	kern, err := kernel.For(o.table.Schema(), req.convertSet(), o.cfg.Delim)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package scanraw
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"scanraw/internal/dbstore"
@@ -181,10 +182,11 @@ type Member struct {
 	OnError func(error)
 }
 
-// ScanColumns returns the columns a scan for q reads: the ones it requires,
-// or the first alone for a COUNT(*)-style query, which touches no column but
-// still needs every row scanned — converting the first column is the
-// cheapest way.
+// ScanColumns returns the columns a cold scan for q converts: the ones it
+// requires, or the first alone for a COUNT(*)-style query, which touches no
+// column but still needs every row scanned — converting the first column is
+// the cheapest way. A loaded chunk need not hold all of them: Member.Request
+// splits off the columns only a COUNT names (countedColumns).
 func ScanColumns(q *engine.Query) []int {
 	if cols := q.RequiredColumns(); len(cols) > 0 {
 		return cols
@@ -192,11 +194,29 @@ func ScanColumns(q *engine.Query) []int {
 	return []int{0}
 }
 
+// countedColumns splits ScanColumns(q) into the columns whose values q reads
+// and those only a COUNT(<bare column>) names, which Request.counted carries.
+// A query that reads no value, such as SELECT COUNT(c3) FROM t, keeps them
+// all as its read set, as ScanColumns has it: a chunk is served from at
+// least one column, and its rows are counted from that one.
+func countedColumns(q *engine.Query) (read, counted []int) {
+	all, read := ScanColumns(q), q.ReadColumns()
+	if len(read) == 0 {
+		return all, nil
+	}
+	for _, c := range all {
+		if _, found := slices.BinarySearch(read, c); !found {
+			counted = append(counted, c)
+		}
+	}
+	return read, counted
+}
+
 // Request builds the member's scan request. ctx is the member's own
 // context, which for a shared scan is not the scan's.
 func (m Member) Request(ctx context.Context) Request {
 	q := m.Query
-	cols := ScanColumns(q)
+	cols, counted := countedColumns(q)
 	var skip func(*dbstore.ChunkMeta) bool
 	if base := SkipFromPredicate(q.Where); base != nil && m.Order == nil {
 		skip = base
@@ -230,6 +250,7 @@ func (m Member) Request(ctx context.Context) Request {
 		Satisfied: satisfied,
 		Range:     m.Range,
 		Order:     m.Order,
+		counted:   counted,
 		Deliver: func(bc *BinaryChunk) error {
 			if err := ctx.Err(); err != nil {
 				return fail(err)

@@ -27,6 +27,7 @@ package scanraw
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -551,6 +552,24 @@ type Request struct {
 	// uniform sampling over an undiscovered byte stream). Order and Range
 	// are mutually exclusive.
 	Order func(numChunks int) []int
+
+	// counted lists, ascending and apart from Columns, the columns that only
+	// a COUNT(<bare column>) names; only Member.Request sets it. A chunk
+	// converts them where they are unloaded, since converting a field is
+	// what validates it, and never reads them back where the catalog marks
+	// them loaded, so Deliver may receive a chunk without them.
+	counted []int
+}
+
+// convertSet returns what a chunk with nothing loaded converts: Columns and
+// counted, ascending.
+func (req Request) convertSet() []int {
+	if req.counted == nil {
+		return req.Columns
+	}
+	all := append(slices.Clone(req.Columns), req.counted...)
+	slices.Sort(all)
+	return all
 }
 
 // BinaryChunk is re-exported so operator users do not need to import the

@@ -3,7 +3,7 @@ package scanraw
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"scanraw/internal/dbstore"
 	"scanraw/internal/engine"
@@ -41,7 +41,7 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 			return RunStats{}, nil, fmt.Errorf("request %d: sampled (ordered) scans cannot share a scan", i)
 		}
 	}
-	union := unionColumns(reqs)
+	union, counted := unionColumns(reqs)
 
 	// The combined Deliver runs on this goroutine, one chunk at a time, and
 	// calls each member's Deliver from it; it counts what each member took
@@ -53,6 +53,7 @@ func (o *Operator) RunSharedContext(ctx context.Context, reqs []Request) (RunSta
 
 	combined := Request{
 		Columns: union,
+		counted: counted,
 		// The scan covers the union of the members' chunk ranges; members
 		// with narrower ranges filter per delivery below. Unbounded members
 		// keep the whole file in play.
@@ -196,20 +197,21 @@ func enclosingRange(reqs []Request) *ChunkRange {
 	return &ChunkRange{Lo: lo, Hi: hi}
 }
 
-// unionColumns returns the sorted union of every request's column set.
-func unionColumns(reqs []Request) []int {
-	seen := map[int]bool{}
-	var out []int
+// unionColumns returns the sorted union of the members' read sets, and that
+// of their counted columns less it: a column any member reads is read.
+func unionColumns(reqs []Request) (read, counted []int) {
 	for _, req := range reqs {
-		for _, c := range req.Columns {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
+		read = append(read, req.Columns...)
+		counted = append(counted, req.counted...)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(read)
+	slices.Sort(counted)
+	read = slices.Compact(read)
+	counted = slices.DeleteFunc(slices.Compact(counted), func(c int) bool {
+		_, found := slices.BinarySearch(read, c)
+		return found
+	})
+	return read, counted
 }
 
 // ExecuteQueries runs several bound queries against the operator in one

@@ -2,6 +2,7 @@ package scanraw
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scanraw/internal/dbstore"
@@ -52,23 +53,26 @@ func ParseSpecPolicy(s string) (SpecPolicy, error) {
 }
 
 // planFor splits a chunk's service between its pages and raw conversion,
-// from its catalog metadata: the loaded requested columns are read from
-// pages, the missing ones converted. A chunk with nothing loaded converts the
-// request, one with everything loaded converts nothing. Kernels are selected
-// once per convert set and kept for the run.
+// from its catalog metadata: the loaded columns the request reads are read
+// from pages, the missing ones converted, and a loaded counted column is
+// neither. A chunk with nothing loaded converts the request, one with
+// everything loaded converts nothing. Kernels are selected once per convert
+// set and kept for the run.
 func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
 	var pageCols, missing []int
-	for _, c := range r.req.Columns {
-		if c < len(meta.Loaded) && meta.Loaded[c] {
-			pageCols = append(pageCols, c)
-		} else {
+	all := r.kern.Columns()
+	for _, c := range all {
+		switch {
+		case !isLoaded(meta, c):
 			missing = append(missing, c)
+		case !slices.Contains(r.req.counted, c):
+			pageCols = append(pageCols, c)
 		}
 	}
 	switch {
 	case missing == nil:
 		return task{src: srcDB, pageCols: pageCols}, nil
-	case pageCols == nil:
+	case len(missing) == len(all):
 		return task{src: srcRaw, kern: r.kern}, nil
 	}
 	key := dbstore.EncodeColGroupKey(missing)
@@ -80,7 +84,16 @@ func (r *run) planFor(meta *dbstore.ChunkMeta) (task, error) {
 		}
 		r.kerns[key] = kern
 	}
+	if pageCols == nil {
+		// Only counted columns are loaded: nothing to read from pages.
+		return task{src: srcRaw, kern: kern}, nil
+	}
 	return task{src: srcPartial, kern: kern, pageCols: pageCols}, nil
+}
+
+// isLoaded reports whether the catalog marks column c of the chunk loaded.
+func isLoaded(meta *dbstore.ChunkMeta, c int) bool {
+	return c < len(meta.Loaded) && meta.Loaded[c]
 }
 
 // specStep performs one quantum of speculative loading — one write of one
