@@ -109,7 +109,9 @@ invariants:
 # equals a full canonical sort cut to k), the selection kernels' (each
 # operator's loop, over every row or a subset, equals cmpTruth row by row,
 # NaN, ±0 and the int32 edges included), the row encoder's (its bytes equal
-# encoding/json's for the same row, its integers strconv.AppendInt's) and the
+# encoding/json's for the same row, its integers strconv.AppendInt's, and a
+# chunk's int columns, wide or narrow, under any selection, come out as
+# strconv's lines with nothing written past them) and the
 # raw scanner's (behind a disk of short reads it carves tok.SplitChunks'
 # chunks and reads exact extents). A few seconds each is enough to catch
 # structural regressions; long fuzz runs stay manual.
@@ -129,6 +131,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFusedKernel -fuzztime=5s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeRow -fuzztime=5s ./internal/queryapi
 	$(GO) test -run='^$$' -fuzz=FuzzAppendInt -fuzztime=5s ./internal/queryapi
+	$(GO) test -run='^$$' -fuzz=FuzzAppendChunk -fuzztime=5s ./internal/queryapi
 	$(GO) test -run='^$$' -fuzz=FuzzRawScanner -fuzztime=5s ./internal/scanraw
 
 # The internal/ functions and methods no product binary links (every cmd/*,

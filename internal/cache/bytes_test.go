@@ -265,19 +265,18 @@ func BenchmarkCachePut(b *testing.B) {
 	})
 	b.Run("merge", func(b *testing.B) {
 		c := New(n)
-		lo := make([]*chunk.BinaryChunk, n)
 		hi := make([]*chunk.BinaryChunk, n)
-		for i := range lo {
-			lo[i], hi[i] = wideChunk(i, false, 0, 1), wideChunk(i, false, 2, 3)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := range b.N {
 			if i%n == 0 {
+				// Clear recycles the entries' vectors, so each round puts
+				// fresh halves.
 				b.StopTimer()
 				c.Clear()
-				for _, bc := range lo {
-					c.Put(bc, true)
+				for id := range n {
+					c.Put(wideChunk(id, false, 0, 1), true)
+					hi[id] = wideChunk(id, false, 2, 3)
 				}
 				b.StartTimer()
 			}

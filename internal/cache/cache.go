@@ -47,6 +47,7 @@ type Cache struct {
 	cap     int   // full-width chunks the budget holds
 	unit    int64 // bytes of one full-width chunk: the widest offered so far
 	bytes   int64 // the entries' charges summed
+	pinned  int   // entries with pins > 0
 	clock   uint64
 	entries map[int]*entry
 }
@@ -128,17 +129,28 @@ func (c *Cache) put(bc *chunk.BinaryChunk, loaded bool, pins int) (evicted []Vic
 		// PutPinned caller it holds a pin it will later Unpin, so skipping
 		// the increment here would underflow the entry's pin count.
 		e.lastUse = c.tick()
-		e.pins += pins
+		c.pin(e, pins)
 		return c.evict(e), true
 	}
-	if c.cap == 0 || c.pinnedEntries() >= c.cap {
+	if c.cap == 0 || c.pinned >= c.cap {
 		return nil, false
 	}
 	now := c.tick()
-	e := &entry{bc: bc, charge: size, loaded: loaded, pins: pins, lastUse: now, inserted: now}
+	e := &entry{bc: bc, charge: size, loaded: loaded, lastUse: now, inserted: now}
+	c.pin(e, pins)
 	c.entries[bc.ID] = e
 	c.bytes += size
 	return c.evict(e), true
+}
+
+// pin adds n pins to e, counting it among the pinned entries when it had
+// none. An entry leaves the count only through Unpin: eviction and Clear
+// drop unpinned entries alone.
+func (c *Cache) pin(e *entry, n int) {
+	if e.pins == 0 && n > 0 {
+		c.pinned++
+	}
+	e.pins += n
 }
 
 // evict removes unpinned entries other than put, the entry just inserted or
@@ -159,33 +171,30 @@ func (c *Cache) evict(put *entry) []Victim {
 	return out
 }
 
-func (c *Cache) pinnedEntries() int {
-	n := 0
-	for _, e := range c.entries {
-		if e.pins > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // checkBudget asserts, in the invariants build, what an insert leaves
 // behind: the unpinned entries fit the budget, unless the entry just put is
-// the only unpinned one — an insert never evicts what it put.
+// the only unpinned one — an insert never evicts what it put — and the
+// pinned-entry count is the number of entries holding a pin.
 func (c *Cache) checkBudget(put *entry) {
 	if !invariantsOn {
 		return
 	}
 	var loose int64
 	others := false
+	pinned := 0
 	for _, e := range c.entries {
 		if e.pins == 0 {
 			loose += e.charge
 			others = others || e != put
+		} else {
+			pinned++
 		}
 	}
 	if loose > c.budget() && others {
 		invariantViolation("cache: %d unpinned bytes over a budget of %d", loose, c.budget())
+	}
+	if pinned != c.pinned {
+		invariantViolation("cache: %d pinned entries counted, %d hold a pin", c.pinned, pinned)
 	}
 }
 
@@ -226,7 +235,7 @@ func (c *Cache) Acquire(id int) *chunk.BinaryChunk {
 	if !ok {
 		return nil
 	}
-	e.pins++
+	c.pin(e, 1)
 	e.lastUse = c.tick()
 	return e.bc
 }
@@ -246,6 +255,9 @@ func (c *Cache) Unpin(id int) error {
 		return fmt.Errorf("cache: unpin of unpinned chunk %d", id)
 	}
 	e.pins--
+	if e.pins == 0 {
+		c.pinned--
+	}
 	return nil
 }
 
@@ -265,12 +277,9 @@ type Stats struct {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{Entries: len(c.entries), Bytes: c.bytes, CapacityBytes: c.budget()}
+	s := Stats{Entries: len(c.entries), Bytes: c.bytes, CapacityBytes: c.budget(), PinnedEntries: c.pinned}
 	for _, e := range c.entries {
-		if e.pins > 0 {
-			s.PinnedEntries++
-			s.PinCount += e.pins
-		}
+		s.PinCount += e.pins
 	}
 	return s
 }
@@ -339,7 +348,7 @@ func (c *Cache) AcquireOldestUnloaded() *chunk.BinaryChunk {
 	if best == nil {
 		return nil
 	}
-	best.pins++
+	c.pin(best, 1)
 	return best.bc
 }
 
@@ -379,7 +388,9 @@ func (c *Cache) IDs() []int {
 	return ids
 }
 
-// Clear drops every unpinned entry.
+// Clear drops every unpinned entry and returns its vectors to the shared
+// pools, as the operator does with an evicted one: an unpinned entry has no
+// reader, and no other entry shares its vectors (chunk.RecycleColumns).
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -387,6 +398,7 @@ func (c *Cache) Clear() {
 		if e.pins == 0 {
 			delete(c.entries, id)
 			c.bytes -= e.charge
+			e.bc.RecycleColumns()
 		}
 	}
 }

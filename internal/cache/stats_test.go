@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"scanraw/internal/chunk"
@@ -66,5 +67,65 @@ func TestStats(t *testing.T) {
 	s = c.Stats()
 	if s.PinnedEntries != 0 || s.PinCount != 0 {
 		t.Fatalf("pins remain after release: %+v", s)
+	}
+}
+
+// TestPinnedCountFollowsPins: the pinned-entry count the insert path reads
+// moves on each entry's first pin and last unpin — Acquire,
+// AcquireOldestUnloaded, PutPinned new or merged, Unpin — and not on a second
+// pin, an eviction or a Clear; with capacity entries pinned a new chunk is
+// refused until one is released.
+func TestPinnedCountFollowsPins(t *testing.T) {
+	c := New(2)
+	check := func(step string, want int) {
+		t.Helper()
+		walked := 0
+		for _, e := range c.entries {
+			if e.pins > 0 {
+				walked++
+			}
+		}
+		if c.pinned != want || walked != want {
+			t.Fatalf("after %s: count %d, %d entries pinned; want %d", step, c.pinned, walked, want)
+		}
+	}
+	c.Put(mkCol(1, 0), false)
+	check("Put", 0)
+	c.PutPinned(mkCol(1, 1), false)
+	check("PutPinned merged", 1)
+	c.Acquire(1)
+	check("second pin", 1)
+	if ev, ok := c.PutPinned(mkCol(2, 0), false); !ok || len(ev) != 0 {
+		t.Fatalf("PutPinned new: evicted %v, ok %v", ids(ev), ok)
+	}
+	check("PutPinned new", 2)
+	if _, ok := c.Put(mk(3), false); ok {
+		t.Fatal("a new chunk was let in with capacity entries pinned")
+	}
+	check("refused Put", 2)
+	for _, id := range []int{1, 1} {
+		if err := c.Unpin(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("last Unpin", 1)
+	if _, ok := c.Put(mk(3), false); !ok {
+		t.Fatal("Put refused with one entry pinned")
+	}
+	check("evicting Put", 1)
+	if bc := c.AcquireOldestUnloaded(); bc == nil || bc.ID != 2 {
+		t.Fatalf("oldest unloaded chunk %v, want 2", bc)
+	}
+	check("AcquireOldestUnloaded of a pinned entry", 1)
+	c.Clear()
+	check("Clear", 1)
+	if got := c.IDs(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Clear left %v, want the pinned chunk 2", got)
+	}
+	for i, want := range []int{1, 0} {
+		if err := c.Unpin(2); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Unpin %d of 2", i+1), want)
 	}
 }

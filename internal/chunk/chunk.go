@@ -260,11 +260,12 @@ func (b *BinaryChunk) Clone() *BinaryChunk {
 // those pools, so this is the put that balances each get. Only the code that
 // can prove exclusive ownership may call it: no other BinaryChunk shares the
 // vectors (Clone and Merge alias them across copies of the *same* chunk ID)
-// and no reader still holds the chunk — in the operator that means a cleanly
-// evicted, unpinned cache entry. A vector that a cache merge dropped as a
-// duplicate (the entry already held that column) is in no entry, so no
-// eviction recycles it: the delivery that carried it in may still be reading
-// it, and it is left to the garbage collector.
+// and no reader still holds the chunk — in the operator that means an
+// unpinned cache entry, cleanly evicted or dropped by Cache.Clear. A vector
+// that a cache merge dropped as a duplicate (the entry already held that
+// column) is in no entry, so no eviction recycles it: the delivery that
+// carried it in may still be reading it, and it is left to the garbage
+// collector.
 func (b *BinaryChunk) RecycleColumns() {
 	for i, v := range b.cols {
 		if v != nil {

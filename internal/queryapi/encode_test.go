@@ -2,6 +2,7 @@ package queryapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,7 +59,8 @@ func checkRow(t *testing.T, row []engine.Value) {
 var (
 	edgeInts = []int64{
 		0, 1, -1, 9, 10, 99, 100, -100, 1 << 31, -(1 << 31), 1<<53 + 1, math.MaxInt64, math.MinInt64,
-		1e8 - 1, 1e8, 1e8 + 1, -1e8 + 1, -1e8, -1e8 - 1, 1e10 - 1, 1e10, 1e10 + 1, -1e10 + 1, -1e10, -1e10 - 1,
+		1e8 - 1, 1e8, 1e8 + 1, -1e8 + 1, -1e8, -1e8 - 1, 1e9 - 1, 1e9, 1e9 + 1, -1e9 + 1, -1e9, -1e9 - 1,
+		1e10 - 1, 1e10, 1e10 + 1, -1e10 + 1, -1e10, -1e10 - 1,
 		1e16 - 1, 1e16, 1e16 + 1, -1e16 + 1, -1e16, -1e16 - 1,
 	}
 	edgeFloats = []float64{
@@ -210,24 +212,129 @@ func FuzzAppendInt(f *testing.F) {
 	})
 }
 
-// BenchmarkAppendInt formats 4 096 values of one digit-count class per op
-// into a reused buffer: each branch of appendInt.
+// FuzzAppendChunk: AppendChunk over one to four int columns, wide or narrow,
+// with every row selected or a subset, after a prefix and with spare
+// capacity, writes the lines a strconv.AppendInt reference writes, and —
+// when the result fits the spare capacity — nothing past them. data holds
+// the values, eight little-endian bytes each, row after row; a narrow column
+// keeps their low 32 bits. slack is the spare capacity less the result's
+// length.
+func FuzzAppendChunk(f *testing.F) {
+	var seed []byte
+	for _, x := range edgeInts {
+		seed = binary.LittleEndian.AppendUint64(seed, uint64(x))
+	}
+	f.Add(seed, uint8(0), false, uint64(0), uint8(0), int8(0))
+	f.Add(seed, uint8(2), false, uint64(0x5555), uint8(3), int8(9))
+	f.Add(seed, uint8(3), true, uint64(0xf0f1), uint8(7), int8(-4))
+	f.Add(binary.LittleEndian.AppendUint64(seed, 12345), uint8(0), true, uint64(0), uint8(1), int8(127))
+	f.Fuzz(func(t *testing.T, data []byte, ncols uint8, narrow bool, selBits uint64, prefix uint8, slack int8) {
+		nc := 1 + int(ncols%4)
+		rows := len(data) / 8 / nc
+		cols := make([]*chunk.Vector, nc)
+		for c := range cols {
+			v := &chunk.Vector{Type: schema.Int64}
+			if narrow {
+				v.Int32 = make([]int32, rows)
+			} else {
+				v.Ints = make([]int64, rows)
+			}
+			for r := 0; r < rows; r++ {
+				x := int64(binary.LittleEndian.Uint64(data[8*(r*nc+c):]))
+				if narrow {
+					v.Int32[r] = int32(x)
+				} else {
+					v.Ints[r] = x
+				}
+			}
+			cols[c] = v
+		}
+		// Bit 0 asks for a selection; bit 1+r%63 selects row r.
+		var sel []int
+		n := rows
+		if selBits&1 != 0 {
+			sel = []int{}
+			for r := 0; r < rows; r++ {
+				if selBits>>(1+r%63)&1 != 0 {
+					sel = append(sel, r)
+				}
+			}
+			n = len(sel)
+		}
+
+		const sentinel = 0xA5
+		p := int(prefix % 32)
+		var want []byte
+		for i := 0; i < p; i++ {
+			want = append(want, byte('a'+i%26))
+		}
+		for ri := 0; ri < n; ri++ {
+			r := ri
+			if sel != nil {
+				r = sel[ri]
+			}
+			want = append(want, '[')
+			for c, v := range cols {
+				if c > 0 {
+					want = append(want, ',')
+				}
+				x := int64(0)
+				if narrow {
+					x = int64(v.Int32[r])
+				} else {
+					x = v.Ints[r]
+				}
+				want = strconv.AppendInt(want, x, 10)
+			}
+			want = append(want, ']', '\n')
+		}
+		room := max(0, len(want)-p+int(slack))
+		buf := make([]byte, p+room)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		copy(buf, want[:p])
+		got := AppendChunk(buf[:p:p+room], cols, sel, n)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d rows of %d columns (narrow %v, selection %v):\n got %q\nwant %q", n, nc, narrow, sel != nil, got, want)
+		}
+		for i := len(got); i < len(buf); i++ {
+			if buf[i] != sentinel {
+				t.Fatalf("AppendChunk with %d spare bytes wrote %#x at %d, past its result", room, buf[i], i)
+			}
+		}
+	})
+}
+
+// BenchmarkAppendInt formats 4 096 values of one class per op into a
+// reused buffer. The digit-count classes each take one branch of appendInt;
+// "31bit" is the stream_rows column, uniform in [0, 2^31) — 47% nine
+// digits, 53% ten — and "mixed" has a bit length uniform over 1–63, so its
+// values change width from one to the next.
 func BenchmarkAppendInt(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct {
 		name   string
 		lo, hi int64 // values uniform in [lo, hi)
+		mixed  bool  // instead: bit length uniform over 1–63
 	}{
-		{"1-2digits", 0, 100},
-		{"3-8digits", 100, 1e8},
-		{"9-10digits", 1e8, 1e10},
-		{"16digits", 1e15, 1e16},
-		{"19digits", 1e18, math.MaxInt64},
-		{"neg", -1 << 31, 0},
+		{name: "1-2digits", lo: 0, hi: 100},
+		{name: "3-8digits", lo: 100, hi: 1e8},
+		{name: "9-10digits", lo: 1e8, hi: 1e10},
+		{name: "16digits", lo: 1e15, hi: 1e16},
+		{name: "19digits", lo: 1e18, hi: math.MaxInt64},
+		{name: "neg", lo: -1 << 31, hi: 0},
+		{name: "31bit", lo: 0, hi: 1 << 31},
+		{name: "mixed", mixed: true},
 	} {
 		xs := make([]int64, 4096)
 		for i := range xs {
-			xs[i] = c.lo + rng.Int63n(c.hi-c.lo)
+			if c.mixed {
+				top := int64(1) << rng.Intn(63)
+				xs[i] = top | rng.Int63()&(top-1)
+			} else {
+				xs[i] = c.lo + rng.Int63n(c.hi-c.lo)
+			}
 		}
 		buf := make([]byte, 0, 4096*21)
 		b.Run(c.name, func(b *testing.B) {
@@ -476,10 +583,15 @@ func (w discardWriter) WriteHeader(int)             {}
 func (w discardWriter) Write(p []byte) (int, error) { return io.Discard.Write(p) }
 
 // benchChunk is one 65 536-row chunk in the shape of a benchmark workload:
-// "ints", four int columns as stream_rows selects them, or "sam", the
-// string/int mix of a SAM read (qname, flag, rname, pos, mapq, cigar).
+// "ints", four int columns of 30-bit values, "ints31", the same of 31-bit
+// values as stream_rows selects them, or "sam", the string/int mix of a SAM
+// read (qname, flag, rname, pos, mapq, cigar).
 func benchChunk(b *testing.B, shape string) (*engine.Partial, *chunk.BinaryChunk) {
 	const n = 1 << 16
+	bits := 30
+	if shape == "ints31" {
+		bits, shape = 31, "ints"
+	}
 	var cols []schema.Column
 	if shape == "ints" {
 		for i := 0; i < 4; i++ {
@@ -501,7 +613,7 @@ func benchChunk(b *testing.B, shape string) (*engine.Partial, *chunk.BinaryChunk
 		for r := 0; r < n; r++ {
 			switch {
 			case c.Type == schema.Int64:
-				v.Ints[r] = rng.Int63n(1 << 30)
+				v.Ints[r] = rng.Int63n(1 << bits)
 			case c.Name == "qname":
 				v.Strs[r] = fmt.Sprintf("read.%d/1", r)
 			case c.Name == "rname":
@@ -538,7 +650,7 @@ func reportMrows(b *testing.B, rowsPerOp int) {
 // "vectors" is ChunkVectors then AppendChunk into a reused buffer then
 // RowLines.
 func BenchmarkNDJSONRows(b *testing.B) {
-	for _, shape := range []string{"ints", "sam"} {
+	for _, shape := range []string{"ints", "sam", "ints31"} {
 		p, bc := benchChunk(b, shape)
 		b.Run(shape+"/values", func(b *testing.B) {
 			n := NewNDJSON(discardWriter{http.Header{}})

@@ -162,6 +162,36 @@ func TestWarmScanVectorBalance(t *testing.T) {
 	}
 }
 
+// Clearing the cache hands back what its entries held: after a cold scan and
+// a warm one (pages decoded into pooled vectors), the vectors out are the
+// cache's, and after Clear none are, so the next page read reuses them.
+func TestClearRecyclesCachedVectors(t *testing.T) {
+	const cols, chunks = 3, 16
+	env := newEnv(t, 64*chunks, cols, nil)
+	base := chunk.OutstandingVectors()
+	op := New(env.store, env.table, Config{ChunkLines: 64, Policy: FullLoad, CacheChunks: 4})
+	req := Request{Columns: allCols(cols), Deliver: func(*BinaryChunk) error { return nil }}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := op.Run(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if op.Cache().Len() == 0 || chunk.OutstandingVectors() == base {
+		t.Fatalf("the scans left %d entries and %d vectors out; the check needs both", op.Cache().Len(), chunk.OutstandingVectors()-base)
+	}
+	op.Cache().Clear()
+	if got := chunk.OutstandingVectors() - base; got != 0 {
+		t.Errorf("%d vectors out after Clear, want 0", got)
+	}
+	st, err := op.Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DeliveredDB != chunks {
+		t.Errorf("after Clear %d of %d chunks came from pages", st.DeliveredDB, chunks)
+	}
+}
+
 // A warm or part-loaded scan cut short — by a satisfied demand, a cancelled
 // context, a page read that fails on the driver (the transfer) or on a
 // worker (the checksum), or a conversion that fails beside decoded pages —
